@@ -134,8 +134,7 @@
 // the consumer on a single goroutine (cursor.MapAsync — no worker
 // goroutines, so depth 8 costs the same as depth 1 when reads are instant).
 // Range scans prefetch their next batch while the current one drains
-// (kvcursor read-ahead, on by default; ExecuteProperties.NoReadAhead opts an
-// execution out when the footprint of one speculative batch matters).
+// (kvcursor read-ahead).
 //
 // Index maintenance itself is two-phase: every maintainer implements
 // UpdateAsync(ctx, old, new), which issues the maintenance's probe reads
@@ -149,6 +148,19 @@
 // BenchmarkIndexHeavySave loop50 vs batch50). Store.InsertRecord skips the
 // old-record load entirely for caller-asserted-new rows, substituting a
 // conflict-checked existence probe.
+//
+// Issuing a read before an earlier record's writes are applied means the
+// read misses them: a future's data is fixed at issue. The two structures
+// whose probes depend on their own earlier writes — the RANK skip list
+// (rankedset.Async) and the TEXT bunched map (bunched.Async) — share one
+// read-your-writes overlay, internal/overlay, to close that gap. All their
+// writes go through it, and it remembers the latest value of each key
+// written. Ops apply in issue order, so when one resolves a probe every
+// earlier op has written: a point probe takes the written value if there is
+// one, and a Limit-1 boundary probe yields to a live written key beyond its
+// result, else keeps its own pair at its written value, and rereads only if
+// that pair has since been cleared. The overlay sits on the public
+// transaction API alone, so it would run unchanged on a real client.
 //
 // Merge plans pipeline across children the same way. Union and Intersection
 // cursors implement a Prefetch protocol: before peeking any drained child,

@@ -1,11 +1,10 @@
 package bunched
 
 import (
-	"bytes"
-	"fmt"
 	"sort"
 
 	"recordlayer/internal/fdb"
+	"recordlayer/internal/overlay"
 	"recordlayer/internal/tuple"
 )
 
@@ -16,15 +15,11 @@ import (
 // issue all their boundary reads in one latency window instead of one per
 // token.
 //
-// The same seq-tagged write-log scheme as rankedset.Async keeps resolution
-// exact (see that type's doc): futures capture the read-your-writes state as
-// of issue, every Async write is logged, and resolving a boundary read
-// replays the log entries recorded after it was issued. A locate's raw
-// result was the greatest physical key within its bound at issue, so any
-// logged key between them was absent at issue and is fully described by the
-// log; symmetrically for the neighbor scan's least key. Only a cleared raw
-// candidate with no dominating logged bunch forces a fresh (and exact,
-// read-your-writes) reread. Ops must be applied in issue order.
+// A boundary read sees the transaction as of its issue, not the bunches
+// rewritten by ops applied since. Every Async write therefore goes through an
+// overlay.Overlay, which remembers the latest value of each physical key
+// written and corrects each boundary read against it at apply time (see that
+// package, also under rankedset.Async). Ops must be applied in issue order.
 //
 // OnRead, when set, observes each *resolved* boundary read an op actually
 // consumes — the pairs a serial execution would have read at apply time — so
@@ -33,23 +28,15 @@ type Async struct {
 	m  *Map
 	tr *fdb.Transaction
 	// OnRead receives the resolved pairs of each consumed boundary read.
-	OnRead  func(kvs []fdb.KeyValue)
-	log     []bunchLog
-	issued  int
-	applied int
-}
-
-// bunchLog is one applied write: a physical bunch set (val != nil) or clear.
-type bunchLog struct {
-	key string
-	val []byte
+	OnRead func(kvs []fdb.KeyValue)
+	ov     *overlay.Overlay
 }
 
 // Async creates a pipelining view of the map over one transaction. Every
 // mutation of the map's subspace in this transaction must go through it for
-// the log replay to be complete.
+// boundary reads to resolve exactly.
 func (m *Map) Async(tr *fdb.Transaction) *Async {
-	return &Async{m: m, tr: tr}
+	return &Async{m: m, tr: tr, ov: overlay.New(tr)}
 }
 
 // Op is one issued-but-unapplied mutation.
@@ -60,159 +47,56 @@ type Op struct {
 	offsets []int64
 	insert  bool
 	seq     int
-	readSeq int
 	locate  *fdb.FutureRange
 	next    *fdb.FutureRange
 }
 
 // IssueInsert starts an insert/upsert of (token, pk) -> offsets. Both
-// boundary scans go out: the neighbor read is consumed only on the spill
-// path, but issuing it up front keeps the op at one latency window. The
-// spill entry's primary key is always >= pk and below the next bunch's
-// anchor, so the one neighbor scan serves either spill shape.
+// boundary scans go out, the locate scan a delete issues and then the
+// neighbor scan: the neighbor read is consumed only on the spill path, but
+// issuing it up front keeps the op at one latency window. The spill entry's
+// primary key is always >= pk and below the next bunch's anchor, so the one
+// neighbor scan serves either spill shape.
 func (a *Async) IssueInsert(token string, pk tuple.Tuple, offsets []int64) *Op {
-	op := &Op{a: a, token: token, pk: pk, offsets: offsets, insert: true,
-		seq: a.issued, readSeq: len(a.log)}
-	a.issued++
-	begin, _ := a.m.space.RangeForTuple(tuple.Tuple{token})
-	logical := a.m.key(token, pk)
-	op.locate = a.tr.GetRangeAsync(begin, fdb.KeyAfter(logical), fdb.RangeOptions{Limit: 1, Reverse: true})
+	op := a.IssueDelete(token, pk)
+	op.offsets, op.insert = offsets, true
 	_, end := a.m.space.RangeForTuple(tuple.Tuple{token})
-	op.next = a.tr.GetRangeAsync(fdb.KeyAfter(logical), end, fdb.RangeOptions{Limit: 1})
+	op.next = a.tr.GetRangeAsync(fdb.KeyAfter(a.m.key(token, pk)), end, fdb.RangeOptions{Limit: 1})
 	return op
 }
 
 // IssueDelete starts a delete of (token, pk); only the locate scan is needed.
 func (a *Async) IssueDelete(token string, pk tuple.Tuple) *Op {
-	op := &Op{a: a, token: token, pk: pk, seq: a.issued, readSeq: len(a.log)}
-	a.issued++
+	op := &Op{a: a, token: token, pk: pk, seq: a.ov.Issue()}
 	begin, _ := a.m.space.RangeForTuple(tuple.Tuple{token})
 	op.locate = a.tr.GetRangeAsync(begin, fdb.KeyAfter(a.m.key(token, pk)), fdb.RangeOptions{Limit: 1, Reverse: true})
 	return op
 }
 
-// write applies a bunch set/clear to the transaction and records it.
-func (a *Async) write(key []byte, val []byte) error {
-	var err error
-	if val == nil {
-		err = a.tr.Clear(key)
-	} else {
-		err = a.tr.Set(key, val)
-	}
+// boundary resolves one Limit-1 scan over [begin, end) to the physical pair a
+// serial read at apply time would have returned, and reports it to the
+// metering hook.
+func (op *Op) boundary(fut *fdb.FutureRange, begin, end []byte, reverse bool) (fdb.KeyValue, bool, error) {
+	kv, ok, err := op.a.ov.Boundary(fut, begin, end, reverse, false)
 	if err != nil {
-		return err
+		return kv, false, err
 	}
-	a.log = append(a.log, bunchLog{key: string(key), val: val})
-	return nil
-}
-
-// replayKey folds post-readSeq log entries for one physical key over its base
-// value (nil = absent).
-func (a *Async) replayKey(key []byte, readSeq int, base []byte) []byte {
-	ks := string(key)
-	for _, e := range a.log[readSeq:] {
-		if e.key == ks {
-			base = e.val
+	if read := op.a.OnRead; read != nil {
+		var kvs []fdb.KeyValue
+		if ok {
+			kvs = []fdb.KeyValue{kv}
 		}
+		read(kvs)
 	}
-	return base
-}
-
-// resolved is a boundary read's outcome: the physical pair a serial read at
-// apply time would have returned.
-type resolved struct {
-	key []byte
-	val []byte
-	ok  bool
-}
-
-// resolveBoundary corrects a limit-1 scan over [begin, end) against the log.
-// reverse selects the greatest key (locate), forward the least (neighbor).
-func (op *Op) resolveBoundary(fut *fdb.FutureRange, begin, end []byte, reverse bool) (resolved, error) {
-	a := op.a
-	kvs, _, err := fut.Get()
-	if err != nil {
-		return resolved{}, err
-	}
-	var raw resolved
-	if len(kvs) > 0 {
-		raw = resolved{key: kvs[0].Key, val: a.replayKey(kvs[0].Key, op.readSeq, kvs[0].Value), ok: true}
-		if raw.val == nil {
-			raw.ok = false
-		}
-	}
-	// Logged keys strictly between the raw result and the scanned bound were
-	// absent at issue; their latest logged value is their exact state.
-	best := raw
-	seen := map[string]bool{}
-	for _, e := range a.log[op.readSeq:] {
-		if seen[e.key] {
-			continue // replayKey folds every entry for the key at once
-		}
-		seen[e.key] = true
-		k := []byte(e.key)
-		if bytes.Compare(k, begin) < 0 || bytes.Compare(k, end) >= 0 {
-			continue
-		}
-		if len(kvs) > 0 {
-			// Inside (raw, bound] for reverse scans, [bound, raw) for forward.
-			if reverse && bytes.Compare(k, kvs[0].Key) <= 0 {
-				continue
-			}
-			if !reverse && bytes.Compare(k, kvs[0].Key) >= 0 {
-				continue
-			}
-		}
-		v := a.replayKey(k, op.readSeq, nil)
-		if v == nil {
-			continue
-		}
-		if !best.ok ||
-			(reverse && bytes.Compare(k, best.key) > 0) ||
-			(!reverse && bytes.Compare(k, best.key) < 0) {
-			best = resolved{key: k, val: v, ok: true}
-		}
-	}
-	if best.ok {
-		return best, nil
-	}
-	if len(kvs) == 0 {
-		// Nothing in the database at issue and nothing logged: truly empty.
-		return resolved{}, nil
-	}
-	// The raw candidate was cleared since issue and no logged bunch
-	// dominates it: the true boundary lies beyond what was read. Reread
-	// fresh — at apply time every earlier write is in the transaction
-	// buffer, so the plain scan is exact.
-	again, _, err := a.tr.GetRange(begin, end, fdb.RangeOptions{Limit: 1, Reverse: reverse})
-	if err != nil {
-		return resolved{}, err
-	}
-	if len(again) == 0 {
-		return resolved{}, nil
-	}
-	return resolved{key: again[0].Key, val: again[0].Value, ok: true}, nil
-}
-
-// consume reports one resolved boundary read to the metering hook.
-func (a *Async) consume(r resolved) {
-	if a.OnRead == nil {
-		return
-	}
-	if !r.ok {
-		a.OnRead(nil)
-		return
-	}
-	a.OnRead([]fdb.KeyValue{{Key: r.key, Value: r.val}})
+	return kv, ok, nil
 }
 
 // Apply completes the op. For inserts the boolean result is always true; for
 // deletes it reports whether (token, pk) was present.
 func (op *Op) Apply() (bool, error) {
-	if op.seq != op.a.applied {
-		return false, fmt.Errorf("bunched: op issued %d applied out of order (expect %d)", op.seq, op.a.applied)
+	if err := op.a.ov.Turn(op.seq); err != nil {
+		return false, err
 	}
-	op.a.applied++
 	if op.insert {
 		return true, op.applyInsert()
 	}
@@ -223,33 +107,32 @@ func (op *Op) applyInsert() error {
 	a := op.a
 	begin, endTok := a.m.space.RangeForTuple(tuple.Tuple{op.token})
 	logical := a.m.key(op.token, op.pk)
-	loc, err := op.resolveBoundary(op.locate, begin, fdb.KeyAfter(logical), true)
+	loc, ok, err := op.boundary(op.locate, begin, fdb.KeyAfter(logical), true)
 	if err != nil {
 		return err
 	}
-	a.consume(loc)
 	newEntry := Entry{PK: op.pk, Offsets: op.offsets}
-	if loc.ok {
-		_, entries, err := a.m.decodeBunch(loc.key, loc.val)
+	if ok {
+		_, entries, err := a.m.decodeBunch(loc.Key, loc.Value)
 		if err != nil {
 			return err
 		}
 		idx := sort.Search(len(entries), func(i int) bool { return pkCompare(entries[i].PK, op.pk) >= 0 })
 		if idx < len(entries) && pkCompare(entries[idx].PK, op.pk) == 0 {
 			entries[idx] = newEntry
-			return a.write(loc.key, encodeBunch(entries))
+			return a.ov.Set(loc.Key, encodeBunch(entries))
 		}
 		entries = append(entries, Entry{})
 		copy(entries[idx+1:], entries[idx:])
 		entries[idx] = newEntry
 		if len(entries) <= a.m.bunchSize {
-			return a.write(loc.key, encodeBunch(entries))
+			return a.ov.Set(loc.Key, encodeBunch(entries))
 		}
 		// Overflow: evict the biggest primary key, then absorb the neighbor
 		// bunch when the result fits.
 		spill := entries[len(entries)-1]
 		entries = entries[:len(entries)-1]
-		if err := a.write(loc.key, encodeBunch(entries)); err != nil {
+		if err := a.ov.Set(loc.Key, encodeBunch(entries)); err != nil {
 			return err
 		}
 		return op.applySpill(spill, fdb.KeyAfter(logical), endTok)
@@ -261,39 +144,34 @@ func (op *Op) applyInsert() error {
 // when the combination fits — insertSpill resolved through the pipeline.
 func (op *Op) applySpill(entry Entry, nbrBegin, nbrEnd []byte) error {
 	a := op.a
-	nbr, err := op.resolveBoundary(op.next, nbrBegin, nbrEnd, false)
+	nbr, ok, err := op.boundary(op.next, nbrBegin, nbrEnd, false)
 	if err != nil {
 		return err
 	}
-	a.consume(nbr)
 	bunch := []Entry{entry}
-	if nbr.ok {
-		_, nEntries, err := a.m.decodeBunch(nbr.key, nbr.val)
+	if ok {
+		_, nEntries, err := a.m.decodeBunch(nbr.Key, nbr.Value)
 		if err != nil {
 			return err
 		}
 		if len(nEntries)+1 <= a.m.bunchSize {
-			if err := a.write(nbr.key, nil); err != nil {
+			if err := a.ov.Clear(nbr.Key); err != nil {
 				return err
 			}
 			bunch = append(bunch, nEntries...)
 		}
 	}
-	return a.write(a.m.key(op.token, entry.PK), encodeBunch(bunch))
+	return a.ov.Set(a.m.key(op.token, entry.PK), encodeBunch(bunch))
 }
 
 func (op *Op) applyDelete() (bool, error) {
 	a := op.a
 	begin, _ := a.m.space.RangeForTuple(tuple.Tuple{op.token})
-	loc, err := op.resolveBoundary(op.locate, begin, fdb.KeyAfter(a.m.key(op.token, op.pk)), true)
-	if err != nil {
+	loc, ok, err := op.boundary(op.locate, begin, fdb.KeyAfter(a.m.key(op.token, op.pk)), true)
+	if err != nil || !ok {
 		return false, err
 	}
-	a.consume(loc)
-	if !loc.ok {
-		return false, nil
-	}
-	_, entries, err := a.m.decodeBunch(loc.key, loc.val)
+	_, entries, err := a.m.decodeBunch(loc.Key, loc.Value)
 	if err != nil {
 		return false, err
 	}
@@ -308,15 +186,15 @@ func (op *Op) applyDelete() (bool, error) {
 		return false, nil
 	}
 	if len(entries) == 1 {
-		return true, a.write(loc.key, nil)
+		return true, a.ov.Clear(loc.Key)
 	}
 	entries = append(entries[:idx], entries[idx+1:]...)
 	if idx == 0 {
 		// The bunch's key carried this primary key: re-anchor at the next.
-		if err := a.write(loc.key, nil); err != nil {
+		if err := a.ov.Clear(loc.Key); err != nil {
 			return false, err
 		}
-		return true, a.write(a.m.key(op.token, entries[0].PK), encodeBunch(entries))
+		return true, a.ov.Set(a.m.key(op.token, entries[0].PK), encodeBunch(entries))
 	}
-	return true, a.write(loc.key, encodeBunch(entries))
+	return true, a.ov.Set(loc.Key, encodeBunch(entries))
 }

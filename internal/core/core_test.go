@@ -219,7 +219,7 @@ func TestValueIndexScanRange(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		recs, _, _, err := cursor.Collect(s.FetchIndexed(c))
+		recs, _, _, err := cursor.Collect(s.FetchIndexedPipelined(c, false, 1))
 		if err != nil {
 			return err
 		}

@@ -51,21 +51,11 @@ func (s *Store) ScanIndex(name string, r index.TupleRange, opts index.ScanOption
 	}
 }
 
-// FetchIndexed resolves index entries to their records — an index scan
-// followed by record fetches by primary key.
-func (s *Store) FetchIndexed(entries cursor.Cursor[index.Entry]) cursor.Cursor[*StoredRecord] {
-	return s.FetchIndexedSnapshot(entries, false)
-}
-
-// FetchIndexedSnapshot is FetchIndexed with optional snapshot-isolation
-// record reads, so a snapshot query execution adds no read conflict ranges
-// for the fetches either.
-func (s *Store) FetchIndexedSnapshot(entries cursor.Cursor[index.Entry], snapshot bool) cursor.Cursor[*StoredRecord] {
-	return s.FetchIndexedPipelined(entries, snapshot, 1)
-}
-
-// FetchIndexedPipelined is FetchIndexedSnapshot with up to depth record
-// fetches in flight at once — the paper's asynchronous pipelining (§8): the
+// FetchIndexedPipelined resolves index entries to their records — an index
+// scan followed by record fetches by primary key — reading at snapshot
+// isolation when snapshot is set, so a snapshot query execution adds no read
+// conflict ranges for the fetches either. Up to depth record fetches are in
+// flight at once — the paper's asynchronous pipelining (§8): the
 // fetch behind each index entry is issued as a range-read future, so the
 // index scan keeps streaming (and up to depth record reads share one
 // simulated latency window) while earlier entries' reads are outstanding.

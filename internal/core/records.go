@@ -171,9 +171,9 @@ func (s *Store) SaveRecords(msgs []*message.Message) ([]*StoredRecord, error) {
 	// blocking, so all N records' descents and boundary lookups share one
 	// latency window. Sweep 2: await each record's pendings in issue order,
 	// applying the buffered index mutations. The two sweeps produce the same
-	// keyspace and metering as the save loop: maintainers resolve their reads
-	// against the transaction state as of issue, replaying any batch-internal
-	// writes buffered after them.
+	// keyspace and metering as the save loop: maintainers' reads see the
+	// transaction as of issue, and are corrected at await against the
+	// batch-internal writes made since (internal/overlay).
 	out := make([]*StoredRecord, len(msgs))
 	pendings := make([][]indexPending, len(msgs))
 	for i, msg := range msgs {
@@ -620,7 +620,7 @@ func (s *Store) DeleteAllRecords() error {
 		}
 	}
 	// Cached maintainers may hold per-transaction pipelining overlays whose
-	// write logs no longer describe the cleared index subspaces.
+	// written values no longer describe the cleared index subspaces.
 	s.maintainers = make(map[string]index.Maintainer)
 	return nil
 }
@@ -634,8 +634,6 @@ type ScanOptions struct {
 	Range index.TupleRange
 	// Snapshot reads without adding read conflict ranges.
 	Snapshot bool
-	// NoReadAhead disables the kvcursor's next-batch prefetch.
-	NoReadAhead bool
 }
 
 // ScanRecords streams records in primary key order. All record types share
@@ -666,10 +664,9 @@ func (s *Store) ScanRecords(opts ScanOptions) cursor.Cursor[*StoredRecord] {
 	// spans more pairs than the limit — a pair-granular limiter would halt
 	// mid-record with no progress.
 	kvs := kvcursor.New(s.tr, begin, end, kvcursor.Options{
-		Reverse:     opts.Reverse,
-		Snapshot:    opts.Snapshot,
-		Meter:       s.meter,
-		NoReadAhead: opts.NoReadAhead,
+		Reverse:  opts.Reverse,
+		Snapshot: opts.Snapshot,
+		Meter:    s.meter,
 	})
 	return &recordCursor{store: s, kvs: kvs, reverse: opts.Reverse, limiter: opts.Limiter}
 }

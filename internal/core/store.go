@@ -363,8 +363,8 @@ func (s *Store) clearIndexData(name string) error {
 		return err
 	}
 	// A cached maintainer may hold a per-transaction pipelining overlay whose
-	// write log no longer describes the (now empty) index subspace; drop it so
-	// the next update starts from the cleared state.
+	// written values no longer describe the (now empty) index subspace; drop
+	// it so the next update starts from the cleared state.
 	delete(s.maintainers, name)
 	if err := s.tr.Clear(s.stateKey(name)); err != nil {
 		return err

@@ -159,3 +159,51 @@ func TestIndexerBatchSpan(t *testing.T) {
 		t.Fatalf("summary missing batch spans: %s", trace.Summary())
 	}
 }
+
+// TestTextSaveSpansRepeat: a save that touches many tokens of a TEXT index
+// records the same span sequence on every run. Each token's boundary read
+// returns a bunch of a different size, so the sequence is a fingerprint of the
+// order the reads were issued in — which must come from the tokens, not from
+// map iteration.
+func TestTextSaveSpansRepeat(t *testing.T) {
+	const bio = "a bb ccc dddd eeeee ffffff ggggggg hhhhhhhh iiiiiiiii jjjjjjjjjj kkkkkkkkkkk llllllllllll"
+	md := testSchema(t)
+	sp := subspace.FromTuple(tuple.Tuple{"t"})
+	run := func() []obs.Span {
+		db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{PerRead: time.Millisecond, Virtual: true}})
+		saveUsers(t, db, md, sp, mkUser(1, "a", 100).MustSet("bio", bio))
+		trace := obs.NewTrace()
+		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+			tr.SetTrace(trace)
+			s, err := Open(tr, md, sp, OpenOptions{})
+			if err != nil {
+				return nil, err
+			}
+			// One record gains every token, the other loses every second one.
+			if _, err := s.SaveRecord(mkUser(2, "b", 200).MustSet("bio", bio)); err != nil {
+				return nil, err
+			}
+			_, err = s.SaveRecord(mkUser(1, "a", 100).MustSet("bio", "a ccc eeeee ggggggg iiiiiiiii kkkkkkkkkkk"))
+			return nil, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return trace.Spans()
+	}
+	want := run()
+	if len(want) == 0 {
+		t.Fatal("no spans recorded")
+	}
+	for i := 0; i < 5; i++ {
+		got := run()
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d spans, first run %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("run %d: span %d is %+v, first run %+v", i, j, got[j], want[j])
+			}
+		}
+	}
+}

@@ -19,7 +19,7 @@ type RankMaintainer struct {
 	value *ValueMaintainer
 
 	// Per-transaction pipelining state: every skip-list mutation in one
-	// transaction must flow through a single rankedset.Async so its write log
+	// transaction must flow through a single rankedset.Async so its overlay
 	// sees them all. Keyed by the transaction so a maintainer reused across
 	// transactions (tests, long-lived caches) starts a fresh overlay.
 	asyncTr *fdb.Transaction
@@ -192,10 +192,9 @@ func (m *RankMaintainer) ScanByRank(ctx *Context, startRank int64, opts ScanOpti
 	begin = append(begin, memberKey...)
 	_, end := vctx.Space.Range()
 	kvs := kvcursor.New(ctx.Tr, begin, end, kvcursor.Options{
-		Reverse:     opts.Reverse,
-		Limiter:     opts.Limiter,
-		Snapshot:    opts.Snapshot,
-		NoReadAhead: opts.NoReadAhead,
+		Reverse:  opts.Reverse,
+		Limiter:  opts.Limiter,
+		Snapshot: opts.Snapshot,
 	})
 	space := vctx.Space
 	vm := m.value

@@ -23,7 +23,7 @@ type TextMaintainer struct {
 	bunchSize int
 
 	// Per-transaction pipelining state: every bunched-map mutation in one
-	// transaction must flow through a single bunched.Async so its write log
+	// transaction must flow through a single bunched.Async so its overlay
 	// sees them all. Keyed by the transaction so a maintainer reused across
 	// transactions starts a fresh overlay.
 	asyncTr *fdb.Transaction
@@ -111,13 +111,16 @@ func (m *TextMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, e
 	}
 	a := m.asyncFor(ctx)
 	ops := make([]*bunched.Op, 0, len(oldPos)+len(newPos))
-	for tok := range oldPos {
+	// Deletes, then inserts, each in token order: the order reads are issued
+	// in shows in traces and decides which read a seeded fault lands on, so
+	// it must not follow map iteration.
+	for _, tok := range sortedTokens(oldPos) {
 		if _, stillThere := newPos[tok]; !stillThere {
 			ops = append(ops, a.IssueDelete(tok, old.PrimaryKey))
 		}
 	}
-	for tok, offs := range newPos {
-		ops = append(ops, a.IssueInsert(tok, new.PrimaryKey, offs))
+	for _, tok := range sortedTokens(newPos) {
+		ops = append(ops, a.IssueInsert(tok, new.PrimaryKey, newPos[tok]))
 	}
 	if len(ops) == 0 {
 		return Done, nil
@@ -135,6 +138,15 @@ func (m *TextMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, e
 		}
 		return nil
 	}), nil
+}
+
+func sortedTokens(pos map[string][]int64) []string {
+	toks := make([]string, 0, len(pos))
+	for tok := range pos {
+		toks = append(toks, tok)
+	}
+	sort.Strings(toks)
+	return toks
 }
 
 // Posting is one text-search hit: a record and the token offsets within it.

@@ -241,8 +241,6 @@ type ScanOptions struct {
 	Continuation []byte
 	// Snapshot reads without adding read conflict ranges.
 	Snapshot bool
-	// NoReadAhead disables the kvcursor's next-batch prefetch.
-	NoReadAhead bool
 }
 
 // Scan streams index entries in the tuple range in key order.
@@ -257,7 +255,6 @@ func (m *ValueMaintainer) Scan(ctx *Context, r TupleRange, opts ScanOptions) (cu
 		Continuation: opts.Continuation,
 		Snapshot:     opts.Snapshot,
 		Meter:        ctx.Meter,
-		NoReadAhead:  opts.NoReadAhead,
 	})
 	space := ctx.Space
 	return cursor.Map(kvs, func(kv fdb.KeyValue) (Entry, error) {

@@ -122,7 +122,6 @@ func (m *VersionMaintainer) Scan(ctx *Context, r TupleRange, opts ScanOptions) (
 		Continuation: opts.Continuation,
 		Snapshot:     opts.Snapshot,
 		Meter:        ctx.Meter,
-		NoReadAhead:  opts.NoReadAhead,
 	})
 	space := ctx.Space
 	return cursor.Map(kvs, func(kv fdb.KeyValue) (Entry, error) {

@@ -49,17 +49,6 @@ type ExecuteProperties struct {
 	// when that footprint matters more than fetch latency. Covering plans
 	// never fetch, so the knob does not apply to them.
 	PipelineDepth int
-	// NoReadAhead disables the scans' speculative next-batch prefetch. By
-	// default a multi-batch scan issues the next batch's range read while the
-	// current batch drains, overlapping I/O latency with consumption; for a
-	// query that does not also write into the scanned range mid-stream (none
-	// do), results are byte-identical either way. The trade is footprint
-	// eagerness: the prefetched batch is read (and conflict-ranged, when not
-	// Snapshot) even if the stream halts inside the current batch, and a
-	// same-transaction write landing ahead of the cursor becomes visible one
-	// batch later than a sequential scan would show it. Set it for executions
-	// where that footprint matters more than batch-boundary latency.
-	NoReadAhead bool
 	// SlowQueryThreshold marks this execution slow when it runs at least this
 	// long from ExecutePlan to the stream's halt; slow executions are captured
 	// in the provider's SlowQueries log (ProviderOptions.SlowQueries) with

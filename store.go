@@ -209,7 +209,6 @@ func (s *Store) executePlan(ctx context.Context, pl plan.Plan, props ExecuteProp
 		Limiter:       props.limiter(ctx),
 		Snapshot:      props.Snapshot,
 		PipelineDepth: props.pipelineDepth(),
-		NoReadAhead:   props.NoReadAhead,
 		Stats:         stats,
 	})
 	if err != nil {
