@@ -1,6 +1,6 @@
 package recordlayer_test
 
-// One benchmark per experiment in EXPERIMENTS.md, plus microbenchmarks for
+// One benchmark per experiment of cmd/experiments, plus microbenchmarks for
 // the load-bearing substrates. The experiment benches call the same harness
 // functions as cmd/experiments, so `go test -bench .` regenerates every
 // table and figure's underlying measurement. The micro benches exercise the
@@ -381,7 +381,7 @@ func BenchmarkSaveRecords(b *testing.B) {
 // `-latency 100us` the batch issues every record's probe reads through the
 // two-phase maintainers before awaiting any of them, so simwait-ns/op is the
 // acceptance metric: batch50 must sit >=3x below loop50. At zero latency the
-// two are the same code path and must stay within noise.
+// batch runs the same pipeline with futures that resolve at once.
 func BenchmarkIndexHeavySave(b *testing.B) {
 	const n = 50
 	env := func(b *testing.B) benchEnv {

@@ -1,6 +1,5 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see EXPERIMENTS.md for the index and DESIGN.md for the
-// substitutions). Run a single experiment with -run <id> or everything with
+// evaluation. Run a single experiment with -run <id> or everything with
 // -run all.
 //
 //	go run ./cmd/experiments -run all

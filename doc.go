@@ -169,8 +169,8 @@
 // K sequential ones (BenchmarkMergeQuery). Results stay byte-identical to
 // the serial drain — order, halt reasons, continuations, and metering
 // included — because prefetched-but-unconsumed batches are never metered.
-// Under `go test -bench . -args -latency 100us`, scripts/bench.sh records
-// both the instant-read and the latency-profile numbers in BENCH_8.json.
+// `go test -bench . -args -latency 100us` runs the root microbenchmarks under
+// a 100µs-per-read latency model; they report simwait-ns/op next to ns/op.
 //
 // # Resource governance
 //
@@ -281,7 +281,7 @@
 //
 // Every layer is instrumented through internal/obs, and everything is off
 // until asked for — each hot path pays exactly one nil check when no sink is
-// installed (the CI bench gate holds the zero-latency overhead under 2%).
+// installed (the rl-vet obsguard analyzer enforces the check).
 //
 // Traces: attach a Trace to the context and every transaction the Runner
 // executes under it records spans — admission queueing (runner.admit), each
@@ -330,7 +330,7 @@
 // reports only ambiguity. The schedule is a pure function of the seed and
 // the operation sequence, so any failure replays exactly. Off means off:
 // with no injector configured, no fault path executes and the hot paths pay
-// nothing (the bench gate enforces it).
+// one nil check.
 //
 // Error semantics split three ways, and the façade exposes the split:
 // IsRetryable errors (conflicts, stale reads, timeouts) guarantee nothing
@@ -393,8 +393,7 @@
 // all seven invariants over the whole tree in CI; LINTING.md documents each
 // analyzer, its fixture, and the reasoned //lint:allow audit trail.
 //
-// See README.md for a guided overview, DESIGN.md for the system inventory,
-// and EXPERIMENTS.md for the paper-versus-measured record of every table and
-// figure. The root bench_test.go regenerates each experiment as a Go
-// benchmark; cmd/experiments prints them in the paper's format.
+// The root bench_test.go regenerates each of the paper's tables and figures
+// as a Go benchmark; cmd/experiments prints them in the paper's format. The
+// repository's benchmark is BENCHMARK.json with the bench/ module.
 package recordlayer

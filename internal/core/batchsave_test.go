@@ -54,12 +54,24 @@ func batchUsers(n int) []*message.Message {
 // TestSaveRecordsMatchesLoop: SaveRecords produces a byte-identical keyspace
 // — records, version slots, and every index type's entries — and identical
 // tenant metering, compared with a loop of SaveRecord. Covers both the
-// all-new case and re-saving over existing records.
+// all-new case and re-saving over existing records, on an instant database and
+// on one that charges (virtual) read latency.
 func TestSaveRecordsMatchesLoop(t *testing.T) {
+	t.Run("instant", func(t *testing.T) {
+		testSaveRecordsMatchesLoop(t, func() *fdb.Database { return fdb.Open(nil) })
+	})
+	t.Run("latency", func(t *testing.T) {
+		testSaveRecordsMatchesLoop(t, func() *fdb.Database {
+			return fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{PerRead: time.Millisecond, Virtual: true}})
+		})
+	})
+}
+
+func testSaveRecordsMatchesLoop(t *testing.T, open func() *fdb.Database) {
 	md := testSchema(t)
 	sp := subspace.FromTuple(tuple.Tuple{"tenant", int64(1)})
 	run := func(batch bool) (*fdb.Database, resource.Usage) {
-		db := fdb.Open(nil)
+		db := open()
 		acct := resource.NewAccountant()
 		meter := acct.Tenant("t1")
 		save := func(msgs []*message.Message) {

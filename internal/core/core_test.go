@@ -690,3 +690,47 @@ func TestScanLimiterHaltsWithContinuation(t *testing.T) {
 		return nil
 	})
 }
+
+// TestScanRecordsKeepsItsPairSource: the record cursor reads one pair past
+// each record to find where it ends, and holds that pair itself. Its pair
+// source is the cursor ScanRecords built, however many records have gone by,
+// so the cost of a pair does not grow with the scan's length.
+func TestScanRecordsKeepsItsPairSource(t *testing.T) {
+	db, md, sp := newStoreEnv(t)
+	var users []*message.Message
+	for i := int64(1); i <= 5; i++ {
+		users = append(users, mkUser(i, fmt.Sprintf("u%02d", i), i))
+	}
+	saveUsers(t, db, md, sp, users...)
+
+	for _, tc := range []struct {
+		limit  int
+		want   int
+		reason cursor.NoNextReason
+	}{
+		{limit: 0, want: 5, reason: cursor.SourceExhausted},
+		{limit: 3, want: 3, reason: cursor.ScanLimitReached},
+	} {
+		withStore(t, db, md, sp, func(s *Store) error {
+			lim := cursor.NewLimiter(tc.limit, 0, time.Time{}, nil) // 0 = no limit
+			c := s.ScanRecords(ScanOptions{Limiter: lim}).(*recordCursor)
+			source := c.kvs
+			recs, reason, _, err := cursor.Collect[*StoredRecord](c)
+			if err != nil {
+				return err
+			}
+			if len(recs) != tc.want || reason != tc.reason {
+				t.Fatalf("limit %d: %d records, %v", tc.limit, len(recs), reason)
+			}
+			for _, r := range recs {
+				if !r.HasVersion {
+					t.Fatalf("record %v is one pair; the test needs records of several", r.PrimaryKey)
+				}
+			}
+			if c.kvs != source {
+				t.Fatalf("limit %d: pair source became %T after %d records", tc.limit, c.kvs, len(recs))
+			}
+			return nil
+		})
+	}
+}

@@ -130,20 +130,6 @@ func (s *Store) SaveRecords(msgs []*message.Message) ([]*StoredRecord, error) {
 	if len(msgs) == 0 {
 		return nil, nil
 	}
-	if !s.tr.LatencyEnabled() {
-		// At zero latency the prefetch pipeline buys nothing: every future
-		// resolves instantly, so the per-item future slots and the dedup map
-		// are pure bookkeeping overhead. The loop is semantically identical.
-		out := make([]*StoredRecord, len(msgs))
-		for i, msg := range msgs {
-			rec, err := s.SaveRecord(msg)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = rec
-		}
-		return out, nil
-	}
 	type pending struct {
 		rt   *metadata.RecordType
 		pk   tuple.Tuple
@@ -310,16 +296,6 @@ func (s *Store) awaitIndexPendings(pendings []indexPending) error {
 		}
 	}
 	return nil
-}
-
-// updateIndexes runs every applicable maintainer serially — the two-phase
-// protocol's degenerate case for single-record paths.
-func (s *Store) updateIndexes(old, new *StoredRecord) error {
-	pendings, err := s.updateIndexesAsync(old, new)
-	if err != nil {
-		return err
-	}
-	return s.awaitIndexPendings(pendings)
 }
 
 // recordRange is the key range holding one record's pairs.
@@ -585,7 +561,11 @@ func (s *Store) DeleteRecord(pk tuple.Tuple) (bool, error) {
 	if old == nil {
 		return false, nil
 	}
-	if err := s.updateIndexes(old, nil); err != nil {
+	pendings, err := s.updateIndexesAsync(old, nil)
+	if err != nil {
+		return false, err
+	}
+	if err := s.awaitIndexPendings(pendings); err != nil {
 		return false, err
 	}
 	b, e := s.recordRange(pk)
@@ -620,8 +600,10 @@ func (s *Store) DeleteAllRecords() error {
 		}
 	}
 	// Cached maintainers may hold per-transaction pipelining overlays whose
-	// written values no longer describe the cleared index subspaces.
+	// written values no longer describe the cleared index subspaces, and
+	// cached index states no longer describe the cleared state subspace.
 	s.maintainers = make(map[string]index.Maintainer)
+	s.indexStates = make(map[string]metadata.IndexState)
 	return nil
 }
 
@@ -679,6 +661,10 @@ type recordCursor struct {
 	limiter *cursor.Limiter
 	halted  *cursor.Result[*StoredRecord]
 	lastPK  []byte
+	// pushed is the first pair of the next record, read while finding the end
+	// of the previous one; Next takes it before asking kvs for more.
+	pushed    fdb.KeyValue
+	hasPushed bool
 }
 
 func errCursor[T any](err error) cursor.Cursor[T] {
@@ -716,12 +702,22 @@ func (c *recordCursor) flush(pk tuple.Tuple, packed []byte, group []fdb.KeyValue
 	return cursor.Result[*StoredRecord]{Value: rec, OK: true, Continuation: packed}, nil
 }
 
-// Prefetch implements cursor.Prefetcher by forwarding to the pair source.
+// Prefetch implements cursor.Prefetcher by forwarding to the pair source;
+// while a pushed-back pair is held the next delivery needs no I/O.
 func (c *recordCursor) Prefetch() {
-	if c.halted != nil {
+	if c.halted != nil || c.hasPushed {
 		return
 	}
 	cursor.Prefetch(c.kvs)
+}
+
+// nextPair takes the pushed-back pair if one is held, else the source's next.
+func (c *recordCursor) nextPair() (cursor.Result[fdb.KeyValue], error) {
+	if c.hasPushed {
+		c.hasPushed = false
+		return cursor.Result[fdb.KeyValue]{Value: c.pushed, OK: true}, nil
+	}
+	return c.kvs.Next()
 }
 
 // Next implements cursor.Cursor.
@@ -733,7 +729,7 @@ func (c *recordCursor) Next() (cursor.Result[*StoredRecord], error) {
 	var groupPK tuple.Tuple
 	var groupPKPacked []byte
 	for {
-		r, err := c.kvs.Next()
+		r, err := c.nextPair()
 		if err != nil {
 			return cursor.Result[*StoredRecord]{}, err
 		}
@@ -774,34 +770,7 @@ func (c *recordCursor) Next() (cursor.Result[*StoredRecord], error) {
 		// A new primary key begins: push its first pair back so the next
 		// call (or a remnant-skipping recursion) re-reads it, then emit the
 		// completed group.
-		c.kvs = prepend(c.kvs, r.Value)
+		c.pushed, c.hasPushed = r.Value, true
 		return c.flush(groupPK, groupPKPacked, group)
 	}
-}
-
-// prepend pushes one value back onto a cursor.
-func prepend(inner cursor.Cursor[fdb.KeyValue], kv fdb.KeyValue) cursor.Cursor[fdb.KeyValue] {
-	return &prependCursor{inner: inner, kv: kv}
-}
-
-type prependCursor struct {
-	inner cursor.Cursor[fdb.KeyValue]
-	kv    fdb.KeyValue
-	used  bool
-}
-
-// Prefetch implements cursor.Prefetcher: while the pushed-back pair is
-// unconsumed the next delivery needs no I/O; afterwards forward to the source.
-func (c *prependCursor) Prefetch() {
-	if c.used {
-		cursor.Prefetch(c.inner)
-	}
-}
-
-func (c *prependCursor) Next() (cursor.Result[fdb.KeyValue], error) {
-	if !c.used {
-		c.used = true
-		return cursor.Result[fdb.KeyValue]{Value: c.kv, OK: true}, nil
-	}
-	return c.inner.Next()
 }

@@ -88,10 +88,10 @@ type Store struct {
 
 	maintainers map[string]index.Maintainer
 	// indexStates caches IndexState reads for the store's lifetime (one
-	// transaction): updateIndexes consults the state of every index on every
+	// transaction): updateIndexesAsync consults the state of every index on every
 	// save, and re-reading an unchanged key N times per transaction is pure
-	// overhead. All state changes flow through setIndexState, which keeps the
-	// cache coherent.
+	// overhead. State changes flow through setIndexState, which keeps the
+	// cache coherent; DeleteAllRecords, which clears every state, resets it.
 	indexStates map[string]metadata.IndexState
 }
 

@@ -111,9 +111,6 @@ func NewLimiter(maxRecords, maxBytes int, deadline time.Time, clock func() time.
 	return &Limiter{recordsLeft: maxRecords, bytesLeft: maxBytes, deadline: deadline, clock: clock}
 }
 
-// Unlimited returns a limiter with no limits.
-func Unlimited() *Limiter { return NewLimiter(0, 0, time.Time{}, nil) }
-
 // TryRecord consumes one scanned record and nbytes of I/O budget, returning
 // the limit hit, if any. The first record is always admitted so progress is
 // guaranteed.
@@ -297,26 +294,6 @@ func (c *limitCursor[T]) Next() (Result[T], error) {
 	c.left--
 	c.last = r.Continuation
 	return r, nil
-}
-
-// ---------------------------------------------------------------- skip
-
-// Skip discards the first n values (used with rank-based scrolling).
-func Skip[T any](inner Cursor[T], n int) Cursor[T] {
-	skipped := 0
-	return Func[T](func() (Result[T], error) {
-		for skipped < n {
-			r, err := inner.Next()
-			if err != nil {
-				return Result[T]{}, err
-			}
-			if !r.OK {
-				return r, nil
-			}
-			skipped++
-		}
-		return inner.Next()
-	})
 }
 
 // Collect drains a cursor into a slice, returning the values, the reason the

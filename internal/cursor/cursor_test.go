@@ -65,14 +65,6 @@ func TestLimitWithResume(t *testing.T) {
 	}
 }
 
-func TestSkip(t *testing.T) {
-	c := Skip(FromSlice([]string{"a", "b", "c"}, nil), 2)
-	vals, _, _ := drain(t, c)
-	if fmt.Sprint(vals) != "[c]" {
-		t.Fatalf("skip: %v", vals)
-	}
-}
-
 func keyOf(s string) []byte { return []byte(s) }
 
 func TestUnionDedup(t *testing.T) {

@@ -8,7 +8,7 @@
 // strictly-serializable transactions whose read conflict ranges are validated
 // at commit time against the write ranges of concurrently committed
 // transactions — so the layers built on top exercise the same code paths they
-// would on a real cluster. See DESIGN.md §3 for the substitution argument.
+// would on a real cluster.
 package fdb
 
 import (
@@ -42,27 +42,6 @@ type Options struct {
 	// Clock supplies wall-clock time for the transaction time limit; tests
 	// inject a manual clock. Defaults to time.Now.
 	Clock func() time.Time
-	// VersionStep is the commit-version increment per commit. FoundationDB
-	// advances versions by roughly one million per second; the default of 1
-	// keeps versionstamps dense.
-	VersionStep int64
-	// ResolverWindow bounds how many recent commits are retained for
-	// conflict resolution (stand-in for FDB's 5 second MVCC window).
-	ResolverWindow int
-	// SnapshotHistory bounds how many recent committed roots are retained so
-	// that SetReadVersion (read-version caching, §4) can read slightly stale
-	// snapshots.
-	SnapshotHistory int
-	// RetryLimit caps how many times Transact/ReadTransact re-run their
-	// closure after a retryable error (so RetryLimit N allows N+1 attempts),
-	// matching the real bindings' transaction_retry_limit option. 0 means
-	// the default (100); negative means unlimited (the historical behavior).
-	RetryLimit int
-	// RetryBackoff is the initial delay between retries, doubling per retry
-	// up to MaxRetryBackoff (the bindings' max_retry_delay). Defaults to
-	// 1ms / 64ms.
-	RetryBackoff    time.Duration
-	MaxRetryBackoff time.Duration
 	// Sleep performs the backoff delay; tests inject a no-op or recorder.
 	// Defaults to time.Sleep.
 	Sleep func(time.Duration)
@@ -114,8 +93,27 @@ func (m LatencyModel) readCost(nbytes int) time.Duration {
 	return m.PerRead + time.Duration(nbytes)*m.PerKB/1024
 }
 
-// DefaultRetryLimit is the retry cap applied when Options.RetryLimit is 0.
-const DefaultRetryLimit = 100
+const (
+	// versionStep is the commit-version increment per commit. FoundationDB
+	// advances versions by roughly one million per second; 1 keeps
+	// versionstamps dense.
+	versionStep = 1
+	// resolverWindow bounds how many recent commits are retained for conflict
+	// resolution (stand-in for FDB's 5 second MVCC window).
+	resolverWindow = 10_000
+	// snapshotHistory bounds how many recent committed roots are retained so
+	// that SetReadVersion (read-version caching, §4) can read slightly stale
+	// snapshots.
+	snapshotHistory = 64
+	// retryLimit caps how many times Transact/ReadTransact re-run their
+	// closure after a retryable error (so retryLimit+1 attempts), as the real
+	// bindings' transaction_retry_limit option does.
+	retryLimit = 100
+	// retryBackoff is the delay before the first retry; it doubles per retry
+	// up to maxRetryBackoff (the bindings' max_retry_delay).
+	retryBackoff    = time.Millisecond
+	maxRetryBackoff = 64 * time.Millisecond
+)
 
 type commitRecord struct {
 	version int64
@@ -155,24 +153,6 @@ func Open(opts *Options) *Database {
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
-	}
-	if o.VersionStep <= 0 {
-		o.VersionStep = 1
-	}
-	if o.ResolverWindow <= 0 {
-		o.ResolverWindow = 10_000
-	}
-	if o.SnapshotHistory <= 0 {
-		o.SnapshotHistory = 64
-	}
-	if o.RetryLimit == 0 {
-		o.RetryLimit = DefaultRetryLimit
-	}
-	if o.RetryBackoff <= 0 {
-		o.RetryBackoff = time.Millisecond
-	}
-	if o.MaxRetryBackoff <= 0 {
-		o.MaxRetryBackoff = 64 * time.Millisecond
 	}
 	if o.Sleep == nil {
 		o.Sleep = time.Sleep
@@ -312,23 +292,23 @@ func (d *Database) commit(t *Transaction) (int64, error) {
 // applyLocked applies a validated transaction's mutations atomically,
 // returning the commit version. Caller holds d.mu.
 func (d *Database) applyLocked(t *Transaction) int64 {
-	commitVersion := d.version + d.opts.VersionStep
+	commitVersion := d.version + versionStep
 	root := t.applyTo(d.root, commitVersion)
 
 	// Record write conflict ranges for future resolution.
 	writes := t.writeConflictRanges(commitVersion)
 	if len(writes) > 0 {
 		d.recent = append(d.recent, commitRecord{version: commitVersion, writes: writes})
-		if len(d.recent) > d.opts.ResolverWindow {
-			evict := len(d.recent) - d.opts.ResolverWindow
+		if len(d.recent) > resolverWindow {
+			evict := len(d.recent) - resolverWindow
 			d.floor = d.recent[evict-1].version
 			d.recent = d.recent[evict:]
 		}
 	}
 
 	d.history = append(d.history, versionedRoot{version: d.version, root: d.root})
-	if len(d.history) > d.opts.SnapshotHistory {
-		d.history = d.history[len(d.history)-d.opts.SnapshotHistory:]
+	if len(d.history) > snapshotHistory {
+		d.history = d.history[len(d.history)-snapshotHistory:]
 	}
 	d.version = commitVersion
 	d.root = root
@@ -339,7 +319,7 @@ func (d *Database) applyLocked(t *Transaction) int64 {
 // Transact runs f in a retry loop: the transaction is committed after f
 // returns nil, and retried (with a fresh read version) on retryable errors,
 // mirroring the bindings' standard idiom. Retries are bounded by
-// Options.RetryLimit and spaced by exponential backoff so a persistently
+// retryLimit and spaced by exponential backoff so a persistently
 // conflicting workload degrades into errors instead of spinning forever.
 func (d *Database) Transact(f func(*Transaction) (interface{}, error)) (interface{}, error) {
 	return d.transact(f, true, false)
@@ -362,7 +342,7 @@ func (d *Database) ReadTransact(f func(*Transaction) (interface{}, error)) (inte
 }
 
 func (d *Database) transact(f func(*Transaction) (interface{}, error), commit, retryUnknown bool) (interface{}, error) {
-	backoff := d.opts.RetryBackoff
+	backoff := retryBackoff
 	for retries := 0; ; retries++ {
 		tr := d.CreateTransaction()
 		v, err := f(tr)
@@ -378,14 +358,14 @@ func (d *Database) transact(f func(*Transaction) (interface{}, error), commit, r
 		if !IsRetryable(err) && !(retryUnknown && IsMaybeCommitted(err)) {
 			return nil, err
 		}
-		if d.opts.RetryLimit > 0 && retries >= d.opts.RetryLimit {
+		if retries >= retryLimit {
 			return nil, err
 		}
 		d.metrics.Retries.Add(1)
 		d.opts.Sleep(backoff)
 		backoff *= 2
-		if backoff > d.opts.MaxRetryBackoff {
-			backoff = d.opts.MaxRetryBackoff
+		if backoff > maxRetryBackoff {
+			backoff = maxRetryBackoff
 		}
 	}
 }
@@ -395,13 +375,4 @@ func (d *Database) Size() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.root.count()
-}
-
-// Clear removes all data (test helper).
-func (d *Database) Clear() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.root = nil
-	d.recent = nil
-	d.history = nil
 }

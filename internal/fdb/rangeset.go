@@ -10,16 +10,6 @@ type KeyRange struct {
 	Begin, End []byte
 }
 
-// Contains reports whether key falls within the range.
-func (r KeyRange) Contains(key []byte) bool {
-	return bytes.Compare(r.Begin, key) <= 0 && bytes.Compare(key, r.End) < 0
-}
-
-// Overlaps reports whether two half-open ranges intersect.
-func (r KeyRange) Overlaps(o KeyRange) bool {
-	return bytes.Compare(r.Begin, o.End) < 0 && bytes.Compare(o.Begin, r.End) < 0
-}
-
 // singleKeyRange returns the range covering exactly one key.
 func singleKeyRange(key []byte) KeyRange {
 	end := make([]byte, len(key)+1)
@@ -91,16 +81,3 @@ func (s *rangeSet) All() []KeyRange { return s.ranges }
 
 // Len returns the number of disjoint ranges.
 func (s *rangeSet) Len() int { return len(s.ranges) }
-
-// nextUncleared returns the smallest key >= from that is not covered by any
-// range, and whether such a key concept applies (it always does here since
-// ranges are finite). Used when merging a snapshot iterator over clears.
-func (s *rangeSet) nextUncleared(from []byte) []byte {
-	i := sort.Search(len(s.ranges), func(i int) bool {
-		return bytes.Compare(s.ranges[i].End, from) > 0
-	})
-	if i < len(s.ranges) && bytes.Compare(s.ranges[i].Begin, from) <= 0 {
-		return s.ranges[i].End
-	}
-	return from
-}

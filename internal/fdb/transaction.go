@@ -123,9 +123,6 @@ type txnState struct {
 	committed bool
 	canceled  bool
 	cVersion  int64 // committed version
-
-	// options
-	snapshotDefault bool
 }
 
 func (d *Database) nowNanos() int64 { return d.opts.Clock().UnixNano() }
@@ -981,12 +978,6 @@ func (t *Transaction) Trace() *obs.Trace {
 // Options.Latency.Virtual, the wall clock otherwise) so layers can price
 // their own trace spans in the same timebase as the read windows.
 func (t *Transaction) LatencyNow() int64 { return t.db.simNow() }
-
-// LatencyEnabled reports whether the database charges simulated I/O latency.
-// Layers use it to skip future bookkeeping that buys nothing at zero latency
-// (issuing a read as a future only pays off when there is a window to
-// overlap).
-func (t *Transaction) LatencyEnabled() bool { return t.db.opts.Latency.Enabled() }
 
 // Stats returns the I/O accounting for this transaction so far.
 func (t *Transaction) Stats() TxnStats {

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -138,32 +137,28 @@ func idsEqual(a []int64, b ...int64) bool {
 	return true
 }
 
-func plannersUnderTest(t testing.TB, md *metadata.MetaData) map[string]func(query.RecordQuery) (Plan, error) {
+// plannerUnderTest is the planner the shape tests below run against, with
+// the name their failure messages print.
+func plannerUnderTest(t testing.TB, md *metadata.MetaData) (string, func(query.RecordQuery) (Plan, error)) {
 	t.Helper()
-	h := New(md, Config{PreferIndexIntersection: true})
-	c := NewCascades(md)
-	return map[string]func(query.RecordQuery) (Plan, error){
-		"heuristic": h.Plan,
-		"cascades":  c.Plan,
-	}
+	return "heuristic", New(md, Config{PreferIndexIntersection: true}).Plan
 }
 
 func TestEqualityUsesIndex(t *testing.T) {
 	env := newPlanEnv(t)
 	q := query.RecordQuery{RecordTypes: []string{"Person"},
 		Filter: query.Field("name").Equals("carol")}
-	for name, plan := range plannersUnderTest(t, env.md) {
-		p, err := plan(q)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !strings.Contains(p.String(), "Index(by_name") {
-			t.Fatalf("%s: expected index plan, got %s", name, p)
-		}
-		ids, reason, _ := env.run(t, p, ExecuteOptions{})
-		if !idsEqual(ids, 3) || reason != cursor.SourceExhausted {
-			t.Fatalf("%s: ids %v", name, ids)
-		}
+	name, plan := plannerUnderTest(t, env.md)
+	p, err := plan(q)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !strings.Contains(p.String(), "Index(by_name") {
+		t.Fatalf("%s: expected index plan, got %s", name, p)
+	}
+	ids, reason, _ := env.run(t, p, ExecuteOptions{})
+	if !idsEqual(ids, 3) || reason != cursor.SourceExhausted {
+		t.Fatalf("%s: ids %v", name, ids)
 	}
 }
 
@@ -174,22 +169,21 @@ func TestCompoundIndexPrefixPlusRange(t *testing.T) {
 			query.Field("city").Equals("paris"),
 			query.Field("age").GreaterThan(30),
 		)}
-	for name, plan := range plannersUnderTest(t, env.md) {
-		p, err := plan(q)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !strings.Contains(p.String(), "Index(by_city_age") {
-			t.Fatalf("%s: expected compound index, got %s", name, p)
-		}
-		if strings.Contains(p.String(), "Filter") {
-			t.Fatalf("%s: both conjuncts should be absorbed: %s", name, p)
-		}
-		ids, _, _ := env.run(t, p, ExecuteOptions{})
-		// paris + age>30: alice(34), erin(34); index orders by (city, age, pk).
-		if !idsEqual(ids, 1, 5) {
-			t.Fatalf("%s: ids %v", name, ids)
-		}
+	name, plan := plannerUnderTest(t, env.md)
+	p, err := plan(q)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !strings.Contains(p.String(), "Index(by_city_age") {
+		t.Fatalf("%s: expected compound index, got %s", name, p)
+	}
+	if strings.Contains(p.String(), "Filter") {
+		t.Fatalf("%s: both conjuncts should be absorbed: %s", name, p)
+	}
+	ids, _, _ := env.run(t, p, ExecuteOptions{})
+	// paris + age>30: alice(34), erin(34); index orders by (city, age, pk).
+	if !idsEqual(ids, 1, 5) {
+		t.Fatalf("%s: ids %v", name, ids)
 	}
 }
 
@@ -280,15 +274,14 @@ func TestSortRequiresIndex(t *testing.T) {
 	env := newPlanEnv(t)
 	// Sort by name: satisfied by by_name.
 	q := query.RecordQuery{RecordTypes: []string{"Person"}, Sort: keyexpr.Field("name")}
-	for name, plan := range plannersUnderTest(t, env.md) {
-		p, err := plan(q)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		ids, _, _ := env.run(t, p, ExecuteOptions{})
-		if !idsEqual(ids, 1, 2, 3, 4, 5, 6) {
-			t.Fatalf("%s: sorted ids %v", name, ids)
-		}
+	name, plan := plannerUnderTest(t, env.md)
+	p, err := plan(q)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	ids, _, _ := env.run(t, p, ExecuteOptions{})
+	if !idsEqual(ids, 1, 2, 3, 4, 5, 6) {
+		t.Fatalf("%s: sorted ids %v", name, ids)
 	}
 	// Sort by age alone: no index provides it.
 	q2 := query.RecordQuery{RecordTypes: []string{"Person"}, Sort: keyexpr.Field("age")}
@@ -303,7 +296,7 @@ func TestSortRequiresIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, _, _ := env.run(t, p3, ExecuteOptions{})
+	ids, _, _ = env.run(t, p3, ExecuteOptions{})
 	if !idsEqual(ids, 2, 1, 5) { // bob 28, alice 34, erin 34 (pk breaks tie)
 		t.Fatalf("city+age sort: %v", ids)
 	}
@@ -328,27 +321,26 @@ func TestOrBecomesUnion(t *testing.T) {
 			query.Field("name").Equals("frank"),
 			query.Field("city").Equals("tokyo"),
 		)}
-	for name, plan := range plannersUnderTest(t, env.md) {
-		p, err := plan(q)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !strings.Contains(p.String(), "Union") {
-			t.Fatalf("%s: expected union plan: %s", name, p)
-		}
-		ids, _, _ := env.run(t, p, ExecuteOptions{})
-		// alice(1), frank(6), tokyo: carol(3), dave(4). Union dedups.
-		if len(ids) != 4 {
-			t.Fatalf("%s: union ids %v", name, ids)
-		}
-		seen := map[int64]bool{}
-		for _, id := range ids {
-			seen[id] = true
-		}
-		for _, want := range []int64{1, 3, 4, 6} {
-			if !seen[want] {
-				t.Fatalf("%s: missing id %d in %v", name, want, ids)
-			}
+	name, plan := plannerUnderTest(t, env.md)
+	p, err := plan(q)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !strings.Contains(p.String(), "Union") {
+		t.Fatalf("%s: expected union plan: %s", name, p)
+	}
+	ids, _, _ := env.run(t, p, ExecuteOptions{})
+	// alice(1), frank(6), tokyo: carol(3), dave(4). Union dedups.
+	if len(ids) != 4 {
+		t.Fatalf("%s: union ids %v", name, ids)
+	}
+	seen := map[int64]bool{}
+	for _, id := range ids {
+		seen[id] = true
+	}
+	for _, want := range []int64{1, 3, 4, 6} {
+		if !seen[want] {
+			t.Fatalf("%s: missing id %d in %v", name, want, ids)
 		}
 	}
 }
@@ -375,18 +367,17 @@ func TestFanOutIndexWithDistinct(t *testing.T) {
 	env := newPlanEnv(t)
 	q := query.RecordQuery{RecordTypes: []string{"Person"},
 		Filter: query.Field("tags").OneOfThem().Equals("eng")}
-	for name, plan := range plannersUnderTest(t, env.md) {
-		p, err := plan(q)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !strings.Contains(p.String(), "Index(by_tag") {
-			t.Fatalf("%s: expected fanout index: %s", name, p)
-		}
-		ids, _, _ := env.run(t, p, ExecuteOptions{})
-		if len(ids) != 3 { // alice, carol, frank
-			t.Fatalf("%s: fanout ids %v", name, ids)
-		}
+	name, plan := plannerUnderTest(t, env.md)
+	p, err := plan(q)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !strings.Contains(p.String(), "Index(by_tag") {
+		t.Fatalf("%s: expected fanout index: %s", name, p)
+	}
+	ids, _, _ := env.run(t, p, ExecuteOptions{})
+	if len(ids) != 3 { // alice, carol, frank
+		t.Fatalf("%s: fanout ids %v", name, ids)
 	}
 }
 
@@ -415,18 +406,17 @@ func TestFullScanFallback(t *testing.T) {
 	env := newPlanEnv(t)
 	q := query.RecordQuery{RecordTypes: []string{"Person"},
 		Filter: query.Field("age").LessThan(30)} // age alone is unindexed (leading column is city)
-	for name, plan := range plannersUnderTest(t, env.md) {
-		p, err := plan(q)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !strings.Contains(p.String(), "Scan(") {
-			t.Fatalf("%s: expected full scan: %s", name, p)
-		}
-		ids, _, _ := env.run(t, p, ExecuteOptions{})
-		if len(ids) != 2 { // bob 28, dave 23
-			t.Fatalf("%s: scan ids %v", name, ids)
-		}
+	name, plan := plannerUnderTest(t, env.md)
+	p, err := plan(q)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if !strings.Contains(p.String(), "Scan(") {
+		t.Fatalf("%s: expected full scan: %s", name, p)
+	}
+	ids, _, _ := env.run(t, p, ExecuteOptions{})
+	if len(ids) != 2 { // bob 28, dave 23
+		t.Fatalf("%s: scan ids %v", name, ids)
 	}
 	h := New(env.md, Config{DisallowFullScan: true})
 	if _, err := h.Plan(q); err == nil {
@@ -504,45 +494,6 @@ func TestScanLimitHaltsPlan(t *testing.T) {
 	rest, reason2, _ := env.run(t, p, ExecuteOptions{Continuation: cont})
 	if reason2 != cursor.SourceExhausted || len(ids)+len(rest) != 6 {
 		t.Fatalf("resume after scan limit: %v + %v (%v)", ids, rest, reason2)
-	}
-}
-
-func TestPlannersAgree(t *testing.T) {
-	env := newPlanEnv(t)
-	queries := []query.RecordQuery{
-		{RecordTypes: []string{"Person"}, Filter: query.Field("name").Equals("bob")},
-		{RecordTypes: []string{"Person"}, Filter: query.And(
-			query.Field("city").Equals("tokyo"), query.Field("age").LessOrEqual(41))},
-		{RecordTypes: []string{"Person"}, Filter: query.Or(
-			query.Field("name").Equals("bob"), query.Field("name").Equals("erin"))},
-		{RecordTypes: []string{"Person"}, Filter: query.Field("age").GreaterThan(40)},
-	}
-	h := New(env.md, Config{})
-	c := NewCascades(env.md)
-	for _, q := range queries {
-		hp, err := h.Plan(q)
-		if err != nil {
-			t.Fatalf("heuristic %s: %v", q, err)
-		}
-		cp, err := c.Plan(q)
-		if err != nil {
-			t.Fatalf("cascades %s: %v", q, err)
-		}
-		hIDs, _, _ := env.run(t, hp, ExecuteOptions{})
-		cIDs, _, _ := env.run(t, cp, ExecuteOptions{})
-		sortInts(hIDs)
-		sortInts(cIDs)
-		if fmt.Sprint(hIDs) != fmt.Sprint(cIDs) {
-			t.Fatalf("%s: planners disagree: %v vs %v (plans %s vs %s)", q, hIDs, cIDs, hp, cp)
-		}
-	}
-}
-
-func sortInts(a []int64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
 	}
 }
 

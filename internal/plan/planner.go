@@ -13,7 +13,7 @@ import (
 
 // Planner converts declarative queries into executable plans. This is the
 // heuristic ("ad hoc") planner the paper describes as the production
-// planner; the Cascades-style rule planner lives in cascades.go.
+// planner. The Cascades-style rule planner of Appendix C is not implemented.
 type Planner struct {
 	md  *metadata.MetaData
 	cfg Config

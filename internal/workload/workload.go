@@ -2,8 +2,7 @@
 // on but does not publish: the CloudKit record store size population
 // (Figure 1), a Moby-Dick-like document corpus (Table 2), and CloudKit-style
 // operation mixes (§8.2, §2). Each generator documents how it was calibrated
-// against the statistics the paper reports; DESIGN.md §3 records the
-// substitutions.
+// against the statistics the paper reports.
 package workload
 
 import (

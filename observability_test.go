@@ -507,8 +507,7 @@ func TestMetricsReconcileWithAccountant(t *testing.T) {
 
 // TestTraceDisabledIsFree-ish: without a trace on the context, the
 // instrumented paths must record nothing and allocate no trace machinery
-// (the <2% bench budget is asserted by scripts/benchcmp in CI; this checks
-// behavior, not speed).
+// (this checks behavior, not speed).
 func TestNoTraceNoSpans(t *testing.T) {
 	_, md := testSchema(t)
 	db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{PerRead: time.Millisecond, Virtual: true}})

@@ -159,15 +159,12 @@ func TestRunnerBackoffProgression(t *testing.T) {
 }
 
 // TestDatabaseTransactBounded checks the satellite fix: fdb.Database.Transact
-// no longer spins forever on persistently retryable errors. RetryLimit N
-// means N retries — N+1 attempts — and the terminal give-up is not counted
+// no longer spins forever on persistently retryable errors. Its limit of 100
+// means 100 retries — 101 attempts — and the terminal give-up is not counted
 // as a retry.
 func TestDatabaseTransactBounded(t *testing.T) {
 	slept := 0
-	db := fdb.Open(&fdb.Options{
-		RetryLimit: 5,
-		Sleep:      func(time.Duration) { slept++ },
-	})
+	db := fdb.Open(&fdb.Options{Sleep: func(time.Duration) { slept++ }})
 	attempts := 0
 	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
 		attempts++
@@ -176,13 +173,13 @@ func TestDatabaseTransactBounded(t *testing.T) {
 	if !fdb.IsConflict(err) {
 		t.Fatalf("err = %v, want conflict", err)
 	}
-	if attempts != 6 {
-		t.Fatalf("attempts = %d, want 6 (1 + 5 retries)", attempts)
+	if attempts != 101 {
+		t.Fatalf("attempts = %d, want 101 (1 + 100 retries)", attempts)
 	}
-	if slept != 5 {
-		t.Fatalf("slept %d times, want 5 (no sleep after final attempt)", slept)
+	if slept != 100 {
+		t.Fatalf("slept %d times, want 100 (no sleep after final attempt)", slept)
 	}
-	if got := db.Metrics().Retries.Load(); got != 5 {
-		t.Fatalf("Retries metric = %d, want 5 (give-up attempt not counted)", got)
+	if got := db.Metrics().Retries.Load(); got != 100 {
+		t.Fatalf("Retries metric = %d, want 100 (give-up attempt not counted)", got)
 	}
 }
