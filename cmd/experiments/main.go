@@ -237,8 +237,8 @@ var chaosSeeds = []int64{7, 42, 1337}
 // runChaos prints the fault-injection robustness harness: a seeded mixed
 // workload under injected conflicts, maybe-committed commits, stale reads,
 // and latency spikes, then a full audit (lost acks, ghost writes, index
-// scrub, lease over-grant). In short mode it replays every fixed seed and
-// fails on any violated invariant — the CI gate.
+// scrub, lease over-grant, store-state cache coherence). In short mode it
+// replays every fixed seed and fails on any violated invariant — the CI gate.
 func runChaos(w io.Writer, short bool) error {
 	fmt.Fprintln(w, "Chaos: deterministic fault injection + consistency audit")
 	seeds := chaosSeeds
@@ -268,6 +268,9 @@ func runChaos(w io.Writer, short bool) error {
 			stats.ScrubEntries, stats.ScrubRecords, stats.ScrubIssues)
 		fmt.Fprintf(w, "    leases: %d rounds, %d failed heartbeats, slice-sum ok: %v, enforced-sum ok: %v\n",
 			stats.LeaseRounds, stats.LeaseRefreshFailures, stats.LeaseSliceSumOK, stats.LeaseEnforcedSumOK)
+		fmt.Fprintf(w, "    state cache: %d cached opens in %d saves; %d flips (%d inside a cached save, %d committed through); %d scrubs, %d skipped entries; stale schema refused %d, served %d\n",
+			stats.CacheHits, stats.CacheSaves, stats.StateFlips, stats.NestedFlips, stats.NestedFlipStaleCommits,
+			stats.CacheScrubs, stats.CacheScrubIssues, stats.StaleMetaDataSeen, stats.StaleMetaDataMissed)
 		if len(stats.RetriesByCause) > 0 {
 			fmt.Fprintf(w, "    retries by cause: %v\n", stats.RetriesByCause)
 		}

@@ -554,11 +554,7 @@ func tour() {
 		if err != nil {
 			return nil, err
 		}
-		st, err := s.IndexState("by_title")
-		if err != nil {
-			return nil, err
-		}
-		fmt.Printf("  store reopened with v2; by_title is %v (built inline on open)\n", st)
+		fmt.Printf("  store reopened with v2; by_title is %v (built inline on open)\n", s.IndexState("by_title"))
 		return nil, nil
 	})
 	must(err)

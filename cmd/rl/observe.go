@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"recordlayer"
+	"recordlayer/internal/directory"
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/keyexpr"
 	"recordlayer/internal/keyspace"
@@ -28,6 +29,9 @@ type obsStack struct {
 	note     *message.Descriptor
 }
 
+// obsApp is the demo's value for the interned app directory.
+const obsApp = "observe-demo"
+
 func newObsStack() *obsStack {
 	db := fdb.Open(nil)
 	acct := recordlayer.NewAccountant()
@@ -47,8 +51,9 @@ func newObsStack() *obsStack {
 		AddIndex(&metadata.Index{Name: "by_zone", Type: metadata.IndexValue,
 			Expression: keyexpr.Then(keyexpr.Field("zone"), keyexpr.Field("id"))}, "Note").
 		MustBuild()
-	ks, err := keyspace.New(nil,
-		keyspace.NewConstant("app", "observe-demo").Add(
+	// The app level is interned, so the directory cache has traffic to show.
+	ks, err := keyspace.New(directory.NewLayer(),
+		keyspace.NewInterned("app").Add(
 			keyspace.NewDirectory("tenant", keyspace.TypeString)))
 	must(err)
 	slow := recordlayer.NewSlowQueryLog(0)
@@ -80,7 +85,7 @@ func (st *obsStack) run() {
 				id++
 			}
 			_, err := st.runner.Run(tctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-				s, err := st.provider.Open(ctx, tr, load.tenant)
+				s, err := st.provider.Open(ctx, tr, obsApp, load.tenant)
 				if err != nil {
 					return nil, err
 				}
@@ -98,7 +103,7 @@ func (st *obsStack) run() {
 		}
 		for t := 0; t < load.reads; t++ {
 			_, err := st.runner.ReadRun(tctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-				s, err := st.provider.Open(ctx, tr, load.tenant)
+				s, err := st.provider.Open(ctx, tr, obsApp, load.tenant)
 				if err != nil {
 					return nil, err
 				}
@@ -126,7 +131,8 @@ func (st *obsStack) run() {
 
 // metricsCmd seeds the stack, runs traffic, and dumps every registered
 // metric family in Prometheus text format — databases, runner, governor,
-// per-tenant accounting, plan cache, and query latency.
+// per-tenant accounting, the store-state and directory caches, plan cache,
+// and query latency.
 func metricsCmd() {
 	st := newObsStack()
 	st.run()
@@ -154,7 +160,7 @@ func plansCmd() {
 	}
 	for _, q := range queries {
 		_, err := st.runner.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-			s, err := st.provider.Open(ctx, tr, "acme")
+			s, err := st.provider.Open(ctx, tr, obsApp, "acme")
 			if err != nil {
 				return nil, err
 			}

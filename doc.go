@@ -172,6 +172,71 @@
 // `go test -bench . -args -latency 100us` runs the root microbenchmarks under
 // a 100µs-per-read latency model; they report simwait-ns/op next to ns/op.
 //
+// # What Open costs and what validates it
+//
+// "Billions of independent databases" opened per request by stateless
+// servers (§1, §5) makes the price of opening a store the price of
+// multi-tenancy. StoreProvider.Open needs two facts before the request's own
+// read can be issued — the integer an interned directory name maps to, and
+// the store's header and index states — and the second key is built from the
+// first, so fetched naively they are two serial round trips on top of the
+// GRV. Both are cached, each under the one rule that makes its cache safe,
+// and a warm Open costs the GRV round trip and nothing else.
+//
+// Interned directory names (internal/directory): a name -> id mapping is
+// immutable once committed — the layer has no remove and no rename — so a
+// cached mapping never needs validating. The one rule is never to cache an
+// uncommitted mapping: a transaction sees its own Intern, which may never
+// commit, so a mapping read from the database is cached only if the reading
+// transaction had buffered no mutation (fdb.Transaction.HasMutations).
+//
+// Store state (core.StateCache, one per StoreProvider): a store's header and
+// its non-readable index states, loaded in one window (header read ∥ one
+// range read over the state subspace) and kept per (database, store prefix).
+// It is validated by FoundationDB's metadata version (FDB >= 6.1's
+// \xff/metadataVersion key), which the proxies send with every GRV reply:
+// tr.MetadataVersion() is the commit version of the newest transaction at or
+// below the read version that called tr.BumpMetadataVersion(), and costs no
+// read window and no key. An entry loaded at read version V serves a
+// transaction at read version R iff
+//
+//	lastBump(R) <= V <= R
+//
+// Each half, and the two rules about who may fill the cache:
+//
+//   - lastBump(R) <= V: no state writer committed in (V, R]. Every writer of
+//     store state bumps, unconditionally — cache or no cache in its own
+//     process, because it cannot see the other servers' caches: header
+//     overwrite (a metadata upgrade at Open, SetUserVersion), every index
+//     state change (MarkIndex*, the online indexer), clearIndexData,
+//     DeleteAllRecords, and DeleteStore / StoreProvider.Delete. The bump
+//     applies atomically with the commit, so commit_unknown_result needs no
+//     special case.
+//   - V <= R: a transaction pinned to an older snapshot (SetReadVersion)
+//     knows only of bumps up to R; an entry from its future may describe a
+//     state that did not exist yet. It neither uses nor replaces the entry.
+//   - First creation of a store does not bump. The cache holds no "does not
+//     exist" entries, so creating a store makes nothing stale — and creating
+//     20 000 tenants does not invalidate every server's cache 20 000 times.
+//   - An entry is populated only by a transaction that had buffered no
+//     mutation, and a transaction that has itself bumped bypasses the cache
+//     (its own change has no version until it commits).
+//
+// The metadata version is cluster-wide, so one bump costs the next open of
+// every store on every server one read window; state changes are rare and
+// opens are not. A hit adds read conflicts on the header key and the state
+// range — what the reads it skipped would have added — so a transaction that
+// trusted a cached state still aborts if that state changes before it
+// commits, and a server running an older schema is refused with
+// ErrStaleMetaData, not served from cache, after another server upgrades the
+// store. Because index states arrive with the header, Store.IndexState reads
+// nothing and a save never probes them. The cost is memory: an entry is at
+// most 96 bytes (all stores in the common state share one value) and a
+// provider keeps at most 65 536 per database. Tenants are billed accordingly:
+// a warm transaction no longer meters a header read. The counters are
+// store_state_cache_{hits,misses,invalidations}_total and
+// directory_cache_{hits,misses}_total.
+//
 // # Resource governance
 //
 // Bind a tenant identity to the request context and give the Runner a

@@ -3,6 +3,7 @@ package recordlayer
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"recordlayer/internal/message"
 	"recordlayer/internal/metadata"
 	"recordlayer/internal/query"
+	"recordlayer/internal/tuple"
 )
 
 func testSchema(t testing.TB) (*message.Descriptor, *metadata.MetaData) {
@@ -362,5 +364,174 @@ func TestPlanCacheLRU(t *testing.T) {
 	st := c.Stats()
 	if st.Size != 2 || st.Hits != 3 || st.Misses != 1 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestProviderDelete is Delete's first test. Deleting under a container that
+// was never interned is a no-op that allocates nothing; deleting a live store
+// through a warm provider removes it, and the next open — in the deleting
+// transaction or a later one — recreates the header instead of being served
+// the dead store's cached state.
+func TestProviderDelete(t *testing.T) {
+	doc, md := testSchema(t)
+	db := fdb.Open(nil)
+	r := NewRunner(db, RunnerOptions{})
+	p := openCostServer(t, md)
+	ctx := context.Background()
+
+	_, err := r.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		if err := p.Delete(ctx, tr, "never-created", int64(1)); err != nil {
+			return nil, err
+		}
+		if tr.HasMutations() {
+			t.Error("Delete under an unknown container buffered writes")
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Size() != 0 {
+		t.Fatalf("Delete under an unknown container left %d keys behind", db.Size())
+	}
+
+	run := func(fn func(ctx context.Context, tr *fdb.Transaction, s *Store) error) {
+		t.Helper()
+		_, err := r.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			s, err := p.Open(ctx, tr, "c", int64(1))
+			if err != nil {
+				return nil, err
+			}
+			return nil, fn(ctx, tr, s)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := func(when string, s *Store) {
+		t.Helper()
+		if h := s.Header(); h.UserVersion != 0 {
+			t.Fatalf("%s: open was served the dead store's header %+v", when, h)
+		}
+		if rec, err := s.LoadRecordByKey(tuple.Tuple{int64(1)}); err != nil || rec != nil {
+			t.Fatalf("%s: record survived the delete: %v %v", when, rec, err)
+		}
+	}
+	populate := func() {
+		t.Helper()
+		run(func(_ context.Context, _ *fdb.Transaction, s *Store) error {
+			if _, err := s.SaveRecord(message.New(doc).MustSet("id", int64(1)).MustSet("tag", "x")); err != nil {
+				return err
+			}
+			return s.SetUserVersion(5)
+		})
+		for i := 0; i < 2; i++ { // the second open is served from cache
+			run(func(_ context.Context, _ *fdb.Transaction, s *Store) error {
+				if s.Header().UserVersion != 5 {
+					t.Fatalf("header before delete: %+v", s.Header())
+				}
+				return nil
+			})
+		}
+	}
+
+	populate()
+	run(func(ctx context.Context, tr *fdb.Transaction, _ *Store) error {
+		return p.Delete(ctx, tr, "c", int64(1))
+	})
+	// Only the interned container's two mapping keys and the allocator's
+	// bookkeeping outlive the store.
+	_, err = db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+		kvs, _, err := tr.GetRange([]byte{}, []byte{0xFE}, fdb.RangeOptions{})
+		if err == nil && len(kvs) != 0 {
+			t.Errorf("%d keys outside the directory layer survive the delete", len(kvs))
+		}
+		return nil, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(func(_ context.Context, _ *fdb.Transaction, s *Store) error { fresh("open after delete", s); return nil })
+
+	populate()
+	run(func(ctx context.Context, tr *fdb.Transaction, _ *Store) error {
+		if err := p.Delete(ctx, tr, "c", int64(1)); err != nil {
+			return err
+		}
+		s, err := p.Open(ctx, tr, "c", int64(1))
+		if err != nil {
+			return err
+		}
+		fresh("open inside the deleting transaction", s)
+		return nil
+	})
+	run(func(_ context.Context, _ *fdb.Transaction, s *Store) error {
+		fresh("open after delete + recreate", s)
+		return nil
+	})
+}
+
+// TestOpenCachesConcurrent shares one provider — its state cache and its
+// keyspace's directory cache — between goroutines that open, save and now and
+// then bump; run under -race. Every acknowledged save must be there at the end.
+func TestOpenCachesConcurrent(t *testing.T) {
+	doc, md := testSchema(t)
+	db := fdb.Open(nil)
+	r := NewRunner(db, RunnerOptions{MaxAttempts: 50,
+		Sleep: func(ctx context.Context, _ time.Duration) error { return ctx.Err() }})
+	p := openCostServer(t, md)
+	const workers, txns, tenants = 8, 40, 3
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < txns; i++ {
+				id := int64(w*txns + i)
+				_, err := r.Run(context.Background(), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+					s, err := p.Open(ctx, tr, "shared", id%tenants)
+					if err != nil {
+						return nil, err
+					}
+					if i%10 == 9 {
+						if err := s.SetUserVersion(w); err != nil {
+							return nil, err
+						}
+					}
+					_, err = s.SaveRecord(message.New(doc).MustSet("id", id).MustSet("tag", "t"))
+					return nil, err
+				})
+				if err != nil {
+					t.Errorf("worker %d txn %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	total := 0
+	for tenant := int64(0); tenant < tenants; tenant++ {
+		_, err := r.ReadRun(context.Background(), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			s, err := p.Open(ctx, tr, "shared", tenant)
+			if err != nil {
+				return nil, err
+			}
+			cur, err := s.ExecuteQuery(ctx, Query{RecordTypes: []string{"Doc"}}, ExecuteProperties{})
+			if err != nil {
+				return nil, err
+			}
+			recs, err := cur.ToList()
+			total += len(recs)
+			return nil, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if total != workers*txns {
+		t.Fatalf("%d records after %d acknowledged saves", total, workers*txns)
+	}
+	if s := p.StateCacheStats(); s.Hits == 0 || s.Invalidations == 0 {
+		t.Fatalf("caches not in play: %+v", s)
 	}
 }

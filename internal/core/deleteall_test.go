@@ -78,8 +78,8 @@ func TestDeleteAllRecords(t *testing.T) {
 		if s.Header().UserVersion != 7 {
 			t.Fatalf("user version: %d", s.Header().UserVersion)
 		}
-		if st, err := s.IndexState("by_tag"); err != nil || st != metadata.StateReadable {
-			t.Fatalf("by_tag state: %v %v", st, err)
+		if st := s.IndexState("by_tag"); st != metadata.StateReadable {
+			t.Fatalf("by_tag state: %v", st)
 		}
 		return nil
 	})
@@ -92,8 +92,8 @@ func TestDeleteAllRecordsResetsCachedIndexStates(t *testing.T) {
 	db, md, sp := newStoreEnv(t)
 	withStore(t, db, md, sp, func(s *Store) error { return s.MarkIndexDisabled("user_by_name") })
 	withStore(t, db, md, sp, func(s *Store) error {
-		if st, err := s.IndexState("user_by_name"); err != nil || st != metadata.StateDisabled {
-			t.Fatalf("state before delete: %v %v", st, err)
+		if st := s.IndexState("user_by_name"); st != metadata.StateDisabled {
+			t.Fatalf("state before delete: %v", st)
 		}
 		if err := s.DeleteAllRecords(); err != nil {
 			return err
@@ -102,8 +102,8 @@ func TestDeleteAllRecordsResetsCachedIndexStates(t *testing.T) {
 		return err
 	})
 	withStore(t, db, md, sp, func(s *Store) error {
-		if st, err := s.IndexState("user_by_name"); err != nil || st != metadata.StateReadable {
-			t.Fatalf("state after delete: %v %v", st, err)
+		if st := s.IndexState("user_by_name"); st != metadata.StateReadable {
+			t.Fatalf("state after delete: %v", st)
 		}
 		if entries := scanIndex(t, s, "user_by_name", index.TupleRange{}); len(entries) != 1 {
 			t.Fatalf("user_by_name has %d entries for 1 record: %v", len(entries), entries)

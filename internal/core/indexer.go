@@ -117,11 +117,7 @@ func (o *OnlineIndexer) Build(ctx context.Context) (int, error) {
 		if err != nil {
 			return nil, err
 		}
-		st, err := s.IndexState(o.IndexName)
-		if err != nil {
-			return nil, err
-		}
-		if st != metadata.StateWriteOnly {
+		if s.IndexState(o.IndexName) != metadata.StateWriteOnly {
 			if err := s.clearIndexData(o.IndexName); err != nil {
 				return nil, err
 			}

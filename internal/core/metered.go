@@ -4,10 +4,10 @@ import "recordlayer/internal/fdb"
 
 // This file is the package's only home for raw transaction reads: every
 // fdb.Get/GetRange in internal/core must flow through one of these helpers
-// (or the issueLoadRecord/awaitLoadRecord pair in records.go) so the tenant's
-// Meter sees every key and byte the store pulls. The meteredtxn analyzer
-// enforces that; the lint:allow directives below are the audited exceptions
-// it points at.
+// (or the issueLoadRecord/awaitLoadRecord pair in records.go, or loadState in
+// statecache.go) so the tenant's Meter sees every key and byte the store
+// pulls. The meteredtxn analyzer enforces that; the lint:allow directives
+// below are the audited exceptions it points at.
 
 // meteredGet reads one key and accounts the fetched pair to the tenant meter.
 func (s *Store) meteredGet(key []byte) ([]byte, error) {

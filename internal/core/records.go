@@ -235,28 +235,9 @@ func (s *Store) updateIndexesAsync(old, new *StoredRecord) ([]indexPending, erro
 		}
 		return new != nil && ix.AppliesTo(new.Type.Name)
 	}
-	// Resolve every applying index's lifecycle state in one shared window
-	// before issuing any maintenance; serial per-index reads would stack one
-	// window each on the first record.
-	names := make([]string, 0, len(s.md.Indexes()))
+	out := make([]indexPending, 0, len(s.md.Indexes()))
 	for _, ix := range s.md.Indexes() {
-		if appliesTo(ix) {
-			names = append(names, ix.Name)
-		}
-	}
-	if err := s.prefetchIndexStates(names); err != nil {
-		return nil, err
-	}
-	out := make([]indexPending, 0, len(names))
-	for _, ix := range s.md.Indexes() {
-		if !appliesTo(ix) {
-			continue
-		}
-		st, err := s.IndexState(ix.Name)
-		if err != nil {
-			return nil, err
-		}
-		if st == metadata.StateDisabled {
+		if !appliesTo(ix) || s.IndexState(ix.Name) == metadata.StateDisabled {
 			continue
 		}
 		m, err := s.maintainer(ix)
@@ -593,6 +574,9 @@ func (s *Store) DeleteRecord(pk tuple.Tuple) (bool, error) {
 // DeleteAllRecords clears all records and index data but preserves the
 // store header.
 func (s *Store) DeleteAllRecords() error {
+	if err := s.tr.BumpMetadataVersion(); err != nil {
+		return err
+	}
 	for _, sub := range []int{recordsSub, indexSub, stateSub, progressSub} {
 		b, e := s.space.RangeForTuple(tuple.Tuple{int64(sub)})
 		if err := s.tr.ClearRange(b, e); err != nil {
@@ -601,9 +585,9 @@ func (s *Store) DeleteAllRecords() error {
 	}
 	// Cached maintainers may hold per-transaction pipelining overlays whose
 	// written values no longer describe the cleared index subspaces, and
-	// cached index states no longer describe the cleared state subspace.
+	// loaded index states no longer describe the cleared state subspace.
 	s.maintainers = make(map[string]index.Maintainer)
-	s.indexStates = make(map[string]metadata.IndexState)
+	s.states, s.ownStates = nil, false
 	return nil
 }
 

@@ -163,11 +163,7 @@ func (o *Scrubber) open(tr *fdb.Transaction) (*Store, *index.ValueMaintainer, er
 	if err != nil {
 		return nil, nil, err
 	}
-	st, err := s.IndexState(o.IndexName)
-	if err != nil {
-		return nil, nil, err
-	}
-	if st != metadata.StateReadable {
+	if st := s.IndexState(o.IndexName); st != metadata.StateReadable {
 		return nil, nil, fmt.Errorf("core: index %q is %s; scrub requires a readable index", o.IndexName, st)
 	}
 	ix, _ := s.md.Index(o.IndexName)

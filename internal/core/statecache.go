@@ -1,0 +1,193 @@
+package core
+
+import (
+	"encoding/json"
+	"fmt"
+	"sync"
+
+	"recordlayer/internal/fdb"
+	"recordlayer/internal/metadata"
+	"recordlayer/internal/tuple"
+)
+
+// storeState is what Open must know before a store can do anything: its
+// header and every index state that is not the readable default. A loaded
+// storeState is immutable — the cache and every store opened from it share
+// one.
+type storeState struct {
+	header Header
+	states map[string]metadata.IndexState // nil when every index is readable
+}
+
+// StateCache keeps store states across transactions so that opening a store
+// on a warm server reads nothing (§4's store-state cache). An entry loaded by
+// a transaction at read version V serves a transaction at read version R iff
+//
+//	lastBump(R) <= V <= R
+//
+// where lastBump(R) is the database's metadata version as of R, which rides
+// the GRV reply (fdb.Transaction.MetadataVersion). Every writer of store
+// state bumps it — header overwrite, setIndexState, clearIndexData,
+// DeleteAllRecords, DeleteStore — so the left half says nothing the entry
+// describes changed in (V, R]. The right half keeps an entry from the future
+// away from a transaction pinned to an older snapshot (SetReadVersion), which
+// cannot know of bumps after R. First creation of a store does not bump: the
+// cache holds no "does not exist" entries, so creating a store makes nothing
+// stale. A nil *StateCache always misses.
+type StateCache struct {
+	mu sync.Mutex
+	// entries is keyed by cluster, then store prefix: versions of different
+	// clusters are incomparable, and a provider almost always sees one.
+	entries map[*fdb.Database]map[string]stateEntry
+	// shared is the last all-readable state cached: in the overwhelmingly
+	// common case every store has the same header and no index state, and all
+	// their entries point at this one value.
+	shared *storeState
+
+	hits, misses, invalidations int64
+}
+
+type stateEntry struct {
+	version int64 // read version of the transaction that loaded st
+	st      *storeState
+}
+
+// maxCachedStates bounds the stores cached per cluster; a full cache drops an
+// arbitrary entry.
+const maxCachedStates = 1 << 16
+
+// NewStateCache creates an empty cache. One per server process and schema:
+// StoreProvider owns one.
+func NewStateCache() *StateCache {
+	return &StateCache{entries: make(map[*fdb.Database]map[string]stateEntry)}
+}
+
+// StateCacheStats counts cache outcomes: Hits opened a store with no read,
+// Misses read header and states, and Invalidations are the misses that found
+// an entry older than the metadata version.
+type StateCacheStats struct {
+	Hits, Misses, Invalidations int64
+}
+
+// Stats returns the cache's counters.
+func (c *StateCache) Stats() StateCacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return StateCacheStats{Hits: c.hits, Misses: c.misses, Invalidations: c.invalidations}
+}
+
+// lookup returns the cached state of a store if it is valid for a transaction
+// at readVersion whose metadata version is meta.
+func (c *StateCache) lookup(db *fdb.Database, prefix []byte, readVersion, meta int64) *storeState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[db][string(prefix)]
+	if ok && meta <= e.version && e.version <= readVersion {
+		c.hits++
+		return e.st
+	}
+	if ok && e.version < meta {
+		c.invalidations++
+	}
+	c.misses++
+	return nil
+}
+
+// put caches a state loaded at readVersion, unless the cache already holds a
+// newer one (the loader was pinned to an old snapshot, or lost a race).
+func (c *StateCache) put(db *fdb.Database, prefix []byte, readVersion int64, st *storeState) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	stores := c.entries[db]
+	if stores == nil {
+		stores = make(map[string]stateEntry)
+		c.entries[db] = stores
+	}
+	e, ok := stores[string(prefix)]
+	if ok && e.version > readVersion {
+		return
+	}
+	if !ok && len(stores) >= maxCachedStates {
+		for k := range stores {
+			delete(stores, k)
+			break
+		}
+	}
+	if st.states == nil {
+		if c.shared != nil && c.shared.header == st.header {
+			st = c.shared
+		} else {
+			c.shared = st
+		}
+	}
+	stores[string(prefix)] = stateEntry{version: readVersion, st: st}
+}
+
+// loadState returns the state of s's store as of the transaction's read
+// version, nil when the store has no header. A hit issues no read and adds
+// the read conflicts the reads it skipped would have added; a miss reads the
+// header and the index states in one window and, when the transaction has
+// buffered no mutation (so what it read is committed), caches the result.
+func (c *StateCache) loadState(s *Store) (*storeState, error) {
+	headerKey := s.headerKey()
+	statesBegin, statesEnd := s.space.RangeForTuple(tuple.Tuple{stateSub})
+	var readVersion int64
+	populate := false
+	if c != nil {
+		//lint:allow meteredtxn the metadata version rides the GRV reply: no key is fetched, so there is nothing to bill
+		meta, ok, err := s.tr.MetadataVersion()
+		if err != nil {
+			return nil, err
+		}
+		if ok { // else this transaction has changed store state itself: neither use nor fill the cache
+			if readVersion, err = s.tr.GetReadVersion(); err != nil {
+				return nil, err
+			}
+			if st := c.lookup(s.tr.Database(), s.space.Bytes(), readVersion, meta); st != nil {
+				s.tr.AddReadConflictKey(headerKey)
+				s.tr.AddReadConflictRange(statesBegin, statesEnd)
+				return st, nil
+			}
+			populate = !s.tr.HasMutations()
+		}
+	}
+	//lint:allow meteredtxn issue half of an issue/await pair; the fetched pairs are metered below
+	headerFut := s.tr.GetAsync(headerKey)
+	//lint:allow meteredtxn issue half of an issue/await pair; the fetched pairs are metered below
+	statesFut := s.tr.GetRangeAsync(statesBegin, statesEnd, fdb.RangeOptions{})
+	raw, err := headerFut.Get()
+	kvs, _, serr := statesFut.Get()
+	if err == nil {
+		err = serr
+	}
+	if err != nil {
+		return nil, err
+	}
+	if raw == nil {
+		return nil, nil
+	}
+	s.meter.RecordRead(1, len(headerKey)+len(raw))
+	s.meterReadKVs(kvs)
+	st := &storeState{}
+	if err := json.Unmarshal(raw, &st.header); err != nil {
+		return nil, fmt.Errorf("core: corrupt store header: %v", err)
+	}
+	for _, kv := range kvs {
+		name, err := s.space.Unpack(kv.Key)
+		if err != nil {
+			return nil, err
+		}
+		val, err := tuple.Unpack(kv.Value)
+		if err != nil {
+			return nil, err
+		}
+		if st.states == nil {
+			st.states = make(map[string]metadata.IndexState, len(kvs))
+		}
+		st.states[name[1].(string)] = metadata.IndexState(val[0].(int64))
+	}
+	if populate {
+		c.put(s.tr.Database(), s.space.Bytes(), readVersion, st)
+	}
+	return st, nil
+}

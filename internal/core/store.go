@@ -87,12 +87,11 @@ type Store struct {
 	userVersion uint16 // per-transaction counter for versionstamps (§7)
 
 	maintainers map[string]index.Maintainer
-	// indexStates caches IndexState reads for the store's lifetime (one
-	// transaction): updateIndexesAsync consults the state of every index on every
-	// save, and re-reading an unchanged key N times per transaction is pure
-	// overhead. State changes flow through setIndexState, which keeps the
-	// cache coherent; DeleteAllRecords, which clears every state, resets it.
-	indexStates map[string]metadata.IndexState
+	// states holds every index state that is not the readable default, as
+	// loaded at Open. The map is shared with the state cache and other stores
+	// until this store changes a state (ownStates), so an open copies nothing.
+	states    map[string]metadata.IndexState
+	ownStates bool
 }
 
 // OpenOptions controls store opening.
@@ -121,25 +120,31 @@ func (e *ErrStaleMetaData) Error() string {
 // Open opens (or creates) the record store in space, verifying the header
 // against the supplied metadata and applying pending schema changes: newly
 // added indexes are enabled, built inline, or left for the online indexer;
-// removed indexes have their data cleared (§5).
+// removed indexes have their data cleared (§5). It reads the header and the
+// index states in one window and caches nothing.
 func Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, opts OpenOptions) (*Store, error) {
+	return (*StateCache)(nil).Open(tr, md, space, opts)
+}
+
+// Open is the package-level Open through the cache: a store whose state is
+// cached and still valid opens with no read at all.
+func (c *StateCache) Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, opts OpenOptions) (*Store, error) {
 	s := &Store{tr: tr, md: md, space: space, cfg: opts.Config.withDefaults(),
-		meter: opts.Meter, trace: tr.Trace(), maintainers: make(map[string]index.Maintainer),
-		indexStates: make(map[string]metadata.IndexState)}
-	raw, err := s.meteredGet(s.headerKey())
+		meter: opts.Meter, trace: tr.Trace(), maintainers: make(map[string]index.Maintainer)}
+	st, err := c.loadState(s)
 	if err != nil {
 		return nil, err
 	}
-	if raw == nil {
+	if st == nil {
 		if !opts.CreateIfMissing {
 			return nil, fmt.Errorf("core: record store does not exist")
 		}
+		// Creation does not bump the metadata version: no cache holds "this
+		// store does not exist", so nothing can be stale.
 		s.header = Header{MetaDataVersion: md.Version, FormatVersion: FormatVersion}
 		return s, s.writeHeader()
 	}
-	if err := json.Unmarshal(raw, &s.header); err != nil {
-		return nil, fmt.Errorf("core: corrupt store header: %v", err)
-	}
+	s.header, s.states = st.header, st.states
 	if s.header.FormatVersion > FormatVersion {
 		return nil, fmt.Errorf("core: store uses format version %d, newer than supported %d",
 			s.header.FormatVersion, FormatVersion)
@@ -152,7 +157,7 @@ func Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, o
 			return nil, err
 		}
 		s.header.MetaDataVersion = md.Version
-		if err := s.writeHeader(); err != nil {
+		if err := s.overwriteHeader(); err != nil {
 			return nil, err
 		}
 	}
@@ -169,13 +174,23 @@ func (s *Store) writeHeader() error {
 	return s.tr.Set(s.headerKey(), blob)
 }
 
+// overwriteHeader replaces an existing header. Like every change to state a
+// StateCache may hold, it bumps the metadata version — whether or not any
+// cache exists, because other servers' caches cannot be seen from here.
+func (s *Store) overwriteHeader() error {
+	if err := s.tr.BumpMetadataVersion(); err != nil {
+		return err
+	}
+	return s.writeHeader()
+}
+
 // Header returns the store header as read or updated by Open.
 func (s *Store) Header() Header { return s.header }
 
 // SetUserVersion records the client-managed application version (§5).
 func (s *Store) SetUserVersion(v int) error {
 	s.header.UserVersion = v
-	return s.writeHeader()
+	return s.overwriteHeader()
 }
 
 // MetaData returns the schema the store was opened with.
@@ -265,78 +280,42 @@ func (s *Store) stateKey(name string) []byte {
 	return s.space.Pack(tuple.Tuple{stateSub, name})
 }
 
-// IndexState reports an index's lifecycle state; indexes default to readable
-// unless explicitly marked (§6). The first read per index is cached for the
-// store's (single-transaction) lifetime.
-func (s *Store) IndexState(name string) (metadata.IndexState, error) {
-	if st, ok := s.indexStates[name]; ok {
-		return st, nil
+// IndexState reports an index's lifecycle state as loaded at Open and changed
+// by this store since; indexes default to readable unless explicitly marked
+// (§6).
+func (s *Store) IndexState(name string) metadata.IndexState {
+	if st, ok := s.states[name]; ok {
+		return st
 	}
-	raw, err := s.meteredGet(s.stateKey(name))
-	if err != nil {
-		return 0, err
-	}
-	st := metadata.StateReadable
-	if raw != nil {
-		t, err := tuple.Unpack(raw)
-		if err != nil {
-			return 0, err
-		}
-		st = metadata.IndexState(t[0].(int64))
-	}
-	s.indexStates[name] = st
-	return st, nil
-}
-
-// prefetchIndexStates resolves the lifecycle state of every named index not
-// yet cached, issuing all the probes before awaiting any — one latency window
-// for the whole set, where serial IndexState calls would pay one each. Reads
-// and metering are identical to the serial calls; only the windows overlap.
-func (s *Store) prefetchIndexStates(names []string) error {
-	type probe struct {
-		name string
-		key  []byte
-		fut  *fdb.FutureValue
-	}
-	var probes []probe
-	for _, name := range names {
-		if _, ok := s.indexStates[name]; ok {
-			continue
-		}
-		key := s.stateKey(name)
-		//lint:allow meteredtxn issue half of an issue/await pair; the awaited value is metered below like meteredGet
-		probes = append(probes, probe{name: name, key: key, fut: s.tr.GetAsync(key)})
-	}
-	for _, p := range probes {
-		raw, err := p.fut.Get()
-		if err != nil {
-			return err
-		}
-		st := metadata.StateReadable
-		if raw != nil {
-			s.meter.RecordRead(1, len(p.key)+len(raw))
-			t, err := tuple.Unpack(raw)
-			if err != nil {
-				return err
-			}
-			st = metadata.IndexState(t[0].(int64))
-		}
-		s.indexStates[p.name] = st
-	}
-	return nil
+	return metadata.StateReadable
 }
 
 func (s *Store) setIndexState(name string, st metadata.IndexState) error {
+	if err := s.tr.BumpMetadataVersion(); err != nil {
+		return err
+	}
 	var err error
 	if st == metadata.StateReadable {
 		err = s.tr.Clear(s.stateKey(name))
 	} else {
 		err = s.tr.Set(s.stateKey(name), tuple.Tuple{int64(st)}.Pack())
 	}
-	if err == nil {
-		s.indexStates[name] = st
+	if err != nil {
+		return err
 	}
-	return err
+	if !s.ownStates {
+		own := make(map[string]metadata.IndexState, len(s.states)+1)
+		for n, v := range s.states {
+			own[n] = v
+		}
+		s.states, s.ownStates = own, true
+	}
+	if st == metadata.StateReadable {
+		delete(s.states, name)
+	} else {
+		s.states[name] = st
+	}
+	return nil
 }
 
 // MarkIndexWriteOnly moves an index to the write-only state: maintained by
@@ -366,10 +345,9 @@ func (s *Store) clearIndexData(name string) error {
 	// written values no longer describe the (now empty) index subspace; drop
 	// it so the next update starts from the cleared state.
 	delete(s.maintainers, name)
-	if err := s.tr.Clear(s.stateKey(name)); err != nil {
+	if err := s.setIndexState(name, metadata.StateReadable); err != nil { // cleared state = readable default
 		return err
 	}
-	s.indexStates[name] = metadata.StateReadable // cleared state = readable default
 	return s.tr.Clear(s.space.Pack(tuple.Tuple{progressSub, name}))
 }
 
@@ -403,8 +381,13 @@ func (s *Store) indexContext(ix *metadata.Index) *index.Context {
 }
 
 // DeleteStore removes every key of a record store — records, indexes,
-// header and operational state. Tenant removal is one range clear (§3).
+// header and operational state. Tenant removal is one range clear (§3), plus
+// the metadata-version bump that keeps a StateCache from serving the dead
+// store's header to whoever recreates it.
 func DeleteStore(tr *fdb.Transaction, space subspace.Subspace) error {
+	if err := tr.BumpMetadataVersion(); err != nil {
+		return err
+	}
 	b, e := space.Range()
 	return tr.ClearRange(b, e)
 }

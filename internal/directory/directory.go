@@ -22,7 +22,21 @@ type Layer struct {
 
 	mu  sync.Mutex
 	rng *rand.Rand
+	// interned caches committed name -> id mappings per cluster. A mapping is
+	// immutable once committed (the layer has no remove or rename), so an
+	// entry never needs validating — the one rule is that it was committed
+	// when cached (see LookupInterned).
+	interned               map[internKey]int64
+	cacheHits, cacheMisses int64
 }
+
+type internKey struct {
+	db   *fdb.Database
+	name string
+}
+
+// maxInterned bounds the cache; a full cache drops an arbitrary entry.
+const maxInterned = 1 << 16
 
 // NewLayer creates a directory layer rooted at the conventional 0xFE node
 // prefix with content at the keyspace root.
@@ -154,23 +168,14 @@ func (l *Layer) Allocate(tr *fdb.Transaction) (int64, error) {
 
 // Intern returns the stable integer for name, allocating one on first use.
 func (l *Layer) Intern(tr *fdb.Transaction, name string) (int64, error) {
-	key := l.nodes.Sub(nsAlloc, "str").Pack(tuple.Tuple{name})
-	raw, err := tr.Get(key)
-	if err != nil {
+	id, ok, err := l.LookupInterned(tr, name)
+	if err != nil || ok {
+		return id, err
+	}
+	if id, err = l.Allocate(tr); err != nil {
 		return 0, err
 	}
-	if raw != nil {
-		t, err := tuple.Unpack(raw)
-		if err != nil {
-			return 0, err
-		}
-		return t[0].(int64), nil
-	}
-	id, err := l.Allocate(tr)
-	if err != nil {
-		return 0, err
-	}
-	if err := tr.Set(key, tuple.Tuple{id}.Pack()); err != nil {
+	if err := tr.Set(l.internKeyFor(name), tuple.Tuple{id}.Pack()); err != nil {
 		return 0, err
 	}
 	rev := l.nodes.Sub(nsAlloc, "int").Pack(tuple.Tuple{id})
@@ -180,10 +185,30 @@ func (l *Layer) Intern(tr *fdb.Transaction, name string) (int64, error) {
 	return id, nil
 }
 
-// LookupInterned returns the integer for name if it was interned.
+func (l *Layer) internKeyFor(name string) []byte {
+	return l.nodes.Sub(nsAlloc, "str").Pack(tuple.Tuple{name})
+}
+
+// LookupInterned returns the integer for name if it was interned. A cached
+// mapping answers without a read; a mapping read from the database is cached
+// only when the reading transaction had buffered no mutation, because a
+// transaction's own uncommitted Intern is visible to its reads and may never
+// commit.
 func (l *Layer) LookupInterned(tr *fdb.Transaction, name string) (int64, bool, error) {
-	key := l.nodes.Sub(nsAlloc, "str").Pack(tuple.Tuple{name})
-	raw, err := tr.Get(key)
+	ck := internKey{db: tr.Database(), name: name}
+	l.mu.Lock()
+	id, ok := l.interned[ck]
+	if ok {
+		l.cacheHits++
+	} else {
+		l.cacheMisses++
+	}
+	l.mu.Unlock()
+	if ok {
+		return id, true, nil
+	}
+	committed := !tr.HasMutations()
+	raw, err := tr.Get(l.internKeyFor(name))
 	if err != nil || raw == nil {
 		return 0, false, err
 	}
@@ -191,7 +216,30 @@ func (l *Layer) LookupInterned(tr *fdb.Transaction, name string) (int64, bool, e
 	if err != nil {
 		return 0, false, err
 	}
-	return t[0].(int64), true, nil
+	id = t[0].(int64)
+	if committed {
+		l.mu.Lock()
+		if l.interned == nil {
+			l.interned = make(map[internKey]int64)
+		}
+		if len(l.interned) >= maxInterned {
+			for k := range l.interned {
+				delete(l.interned, k)
+				break
+			}
+		}
+		l.interned[ck] = id
+		l.mu.Unlock()
+	}
+	return id, true, nil
+}
+
+// CacheStats reports how many Intern/LookupInterned calls the name -> id
+// cache answered and how many went to the database.
+func (l *Layer) CacheStats() (hits, misses int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.cacheHits, l.cacheMisses
 }
 
 // LookupName resolves an interned integer back to its name.

@@ -203,3 +203,84 @@ func TestList(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestInternCacheServesCommittedMappingsOnly: a committed mapping is answered
+// from the cache with no read; a mapping the reading transaction itself wrote,
+// or read after any other write of its own, is never cached — so an Intern
+// that never commits leaves nothing behind for later transactions to trust.
+func TestInternCacheServesCommittedMappingsOnly(t *testing.T) {
+	db, l := newLayer()
+
+	// An Intern that is rolled back: the name must stay unknown.
+	tr := db.CreateTransaction()
+	ghost, err := l.Intern(tr, "ghost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id, ok, err := l.LookupInterned(tr, "ghost"); err != nil || !ok || id != ghost {
+		t.Fatalf("read-your-writes lookup: %d %v %v", id, ok, err)
+	}
+	tr.Cancel()
+	_, err = db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+		if _, ok, err := l.LookupInterned(tr, "ghost"); err != nil || ok {
+			t.Fatalf("uncommitted mapping leaked out of its transaction: ok=%v err=%v", ok, err)
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A committed Intern: the first clean reader fills the cache, later ones
+	// read nothing.
+	v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) { return l.Intern(tr, "app") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := v.(int64)
+	lookup := func(dirty bool) (id int64, keysRead int) {
+		_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+			if dirty {
+				if err := tr.Set([]byte("unrelated"), nil); err != nil {
+					return nil, err
+				}
+			}
+			var err error
+			id, err = l.Intern(tr, "app")
+			keysRead = tr.Stats().KeysRead
+			return nil, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id, keysRead
+	}
+	if id, reads := lookup(true); id != want || reads != 1 {
+		t.Fatalf("dirty reader: id %d (want %d), %d keys read (want 1)", id, want, reads)
+	}
+	if id, reads := lookup(true); id != want || reads != 1 {
+		t.Fatalf("a dirty reader filled the cache: id %d, %d keys read (want 1)", id, reads)
+	}
+	if id, reads := lookup(false); id != want || reads != 1 {
+		t.Fatalf("first clean reader: id %d, %d keys read (want 1)", id, reads)
+	}
+	if id, reads := lookup(true); id != want || reads != 0 {
+		t.Fatalf("warm lookup: id %d (want %d), %d keys read (want 0)", id, want, reads)
+	}
+	hits, misses := l.CacheStats()
+	if hits != 1 || misses != 7 {
+		t.Fatalf("cache stats: %d hits, %d misses; want 1 and 7", hits, misses)
+	}
+
+	// The cache is per cluster: another database knows nothing of "app".
+	db2 := fdb.Open(nil)
+	_, err = db2.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+		if _, ok, err := l.LookupInterned(tr, "app"); err != nil || ok {
+			t.Fatalf("mapping of one database served for another: ok=%v err=%v", ok, err)
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

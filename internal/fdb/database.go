@@ -123,6 +123,7 @@ type commitRecord struct {
 type versionedRoot struct {
 	version int64
 	root    *node
+	meta    int64 // metaVersion as of version
 }
 
 // Database is a simulated FoundationDB cluster: one ordered keyspace with
@@ -135,7 +136,12 @@ type Database struct {
 	recent  []commitRecord  // ascending by version; resolver window
 	floor   int64           // newest version evicted from the resolver window
 	history []versionedRoot // ascending by version; snapshot history
-	metrics Metrics
+	// metaVersion is the commit version of the newest transaction that called
+	// BumpMetadataVersion (0: none yet) — FDB's \xff/metadataVersion key. It
+	// lives outside root like any system key: no range read, Size() or
+	// KeysRead ever sees it; a transaction learns it with its read version.
+	metaVersion int64
+	metrics     Metrics
 
 	// vclock is the virtual latency clock (nanos) when Latency.Virtual is
 	// set: awaits advance it monotonically instead of sleeping.
@@ -217,28 +223,30 @@ func (d *Database) CreateTransaction() *Transaction {
 	}
 }
 
-// grv performs a getReadVersion call: latest committed version and its root.
-func (d *Database) grv() (int64, *node) {
+// grv performs a getReadVersion call: the latest committed version with its
+// root and metadata version (the proxies piggy-back the latter on every GRV
+// reply, FDB >= 6.1).
+func (d *Database) grv() versionedRoot {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.metrics.GRVCalls.Add(1)
-	return d.version, d.root
+	return versionedRoot{version: d.version, root: d.root, meta: d.metaVersion}
 }
 
-// snapshotAt returns the newest retained root with version <= v. The second
-// result reports whether such a snapshot is still retained.
-func (d *Database) snapshotAt(v int64) (*node, int64, bool) {
+// snapshotAt returns the newest retained snapshot with version <= v. The
+// second result reports whether such a snapshot is still retained.
+func (d *Database) snapshotAt(v int64) (versionedRoot, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if v >= d.version {
-		return d.root, d.version, true
+		return versionedRoot{version: d.version, root: d.root, meta: d.metaVersion}, true
 	}
 	for i := len(d.history) - 1; i >= 0; i-- {
 		if d.history[i].version <= v {
-			return d.history[i].root, d.history[i].version, true
+			return d.history[i], true
 		}
 	}
-	return nil, 0, false
+	return versionedRoot{}, false
 }
 
 // commit validates the transaction's read conflict ranges against writes
@@ -306,12 +314,15 @@ func (d *Database) applyLocked(t *Transaction) int64 {
 		}
 	}
 
-	d.history = append(d.history, versionedRoot{version: d.version, root: d.root})
+	d.history = append(d.history, versionedRoot{version: d.version, root: d.root, meta: d.metaVersion})
 	if len(d.history) > snapshotHistory {
 		d.history = d.history[len(d.history)-snapshotHistory:]
 	}
 	d.version = commitVersion
 	d.root = root
+	if t.bumpMeta {
+		d.metaVersion = commitVersion
+	}
 	d.metrics.Commits.Add(1)
 	return commitVersion
 }

@@ -94,6 +94,10 @@ type txnState struct {
 	readVersion int64 // -1 until GRV
 	snapRoot    *node
 	pendingRV   bool // SetReadVersion called; snapshot not yet bound
+	// metaVersion is the database's metadata version as of readVersion, bound
+	// with the snapshot; bumpMeta records that this transaction bumps it.
+	metaVersion int64
+	bumpMeta    bool
 	// grvReady is the latency-clock time the GRV round trip completes
 	// (latency model only; 0 when no real GRV has been priced). Reads issue
 	// no earlier than it, so the GRV window pipelines with the first read
@@ -149,17 +153,17 @@ func (t *Transaction) checkUsable() error {
 func (t *Transaction) ensureSnapshot() error {
 	if t.pendingRV {
 		// SetReadVersion was called: bind to the retained snapshot now.
-		root, actual, ok := t.db.snapshotAt(t.readVersion)
+		snap, ok := t.db.snapshotAt(t.readVersion)
 		if !ok {
 			return errCode(CodeTransactionTooOld, "read version %d no longer retained", t.readVersion)
 		}
-		t.snapRoot = root
-		t.readVersion = actual
+		t.readVersion, t.snapRoot, t.metaVersion = snap.version, snap.root, snap.meta
 		t.pendingRV = false
 		return nil
 	}
 	if t.readVersion < 0 {
-		t.readVersion, t.snapRoot = t.db.grv()
+		snap := t.db.grv()
+		t.readVersion, t.snapRoot, t.metaVersion = snap.version, snap.root, snap.meta
 		// A SetReadVersion transaction never reaches here — read-version
 		// caching skips the GRV round trip and therefore its price.
 		if m := t.db.opts.Latency; m.Enabled() && m.PerGRV > 0 {
@@ -179,20 +183,69 @@ func (t *Transaction) ensureSnapshot() error {
 // GetReadVersion returns the transaction's read version, performing (and,
 // under a latency model, waiting out) the GRV call if it has not happened yet.
 func (t *Transaction) GetReadVersion() (int64, error) {
-	t.mu.Lock()
-	if err := t.checkUsable(); err != nil {
-		t.mu.Unlock()
-		return 0, err
-	}
-	if err := t.ensureSnapshot(); err != nil {
-		t.mu.Unlock()
-		return 0, err
-	}
-	v, ready := t.readVersion, t.grvReady
-	t.mu.Unlock()
-	t.awaitRead(ready)
-	return v, nil
+	v, _, _, err := t.awaitGRV()
+	return v, err
 }
+
+// MetadataVersion returns the database's metadata version as of this
+// transaction's read version: the commit version of the newest transaction at
+// or below it that called BumpMetadataVersion (0 when none has). The value
+// rides the GRV reply, so it costs no read window, no KeysRead and no read
+// conflict — a cache entry validated by it still needs read conflicts on the
+// keys it stands for. ok is false once this transaction has bumped: its own
+// bump has no version until commit, so nothing can be validated against it.
+func (t *Transaction) MetadataVersion() (v int64, ok bool, err error) {
+	_, v, bumped, err := t.awaitGRV()
+	return v, !bumped, err
+}
+
+// awaitGRV binds the snapshot (performing the GRV call on first use) and
+// waits out the GRV round trip. The wait is no fdb.await span: the fdb.grv
+// span already covers it, and fdb.await counts read windows.
+func (t *Transaction) awaitGRV() (readVersion, metaVersion int64, bumped bool, err error) {
+	t.mu.Lock()
+	if err = t.checkUsable(); err == nil {
+		err = t.ensureSnapshot()
+	}
+	if err != nil {
+		t.mu.Unlock()
+		return 0, 0, false, err
+	}
+	readVersion, metaVersion, bumped = t.readVersion, t.metaVersion, t.bumpMeta
+	ready := t.grvReady
+	t.mu.Unlock()
+	t.await(ready, "")
+	return readVersion, metaVersion, bumped, nil
+}
+
+// BumpMetadataVersion makes this transaction's commit advance the database's
+// metadata version to its commit version (a versionstamped write of
+// \xff/metadataVersion in FDB >= 6.1). The bump applies atomically with the
+// commit's other mutations, so a commit_unknown_result leaves exactly the
+// ambiguity every other write of the transaction has. It conflicts with
+// nothing and is not a user key: no byte or key counter moves.
+func (t *Transaction) BumpMetadataVersion() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.checkUsable(); err != nil {
+		return err
+	}
+	t.bumpMeta = true
+	return nil
+}
+
+// HasMutations reports whether the transaction has buffered any write (set,
+// clear, atomic op or metadata-version bump): its reads may then see
+// uncommitted state, so nothing read through it may outlive it in a cache.
+func (t *Transaction) HasMutations() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.stats.Mutations > 0 || t.bumpMeta
+}
+
+// Database returns the database the transaction runs against, so caches that
+// outlive it can key on the cluster.
+func (t *Transaction) Database() *Database { return t.db }
 
 // SetReadVersion supplies a cached read version, skipping the GRV call (the
 // read-version caching optimization of §4). Reads will observe the newest
@@ -305,7 +358,11 @@ func (t *Transaction) issueLocked(nbytes int) int64 {
 // awaitRead waits out a read issued at issueLocked, charging any actual wait
 // to the transaction and database counters. ready == 0 means no latency
 // model; repeated awaits of the same ready time cost nothing extra.
-func (t *Transaction) awaitRead(ready int64) {
+func (t *Transaction) awaitRead(ready int64) { t.await(ready, obs.SpanAwait) }
+
+// await waits until the latency clock reaches ready and, when it really
+// waited and span is named, records the wait as that span.
+func (t *Transaction) await(ready int64, span string) {
 	if ready == 0 {
 		return
 	}
@@ -318,8 +375,8 @@ func (t *Transaction) awaitRead(ready int64) {
 	trace := t.trace
 	t.mu.Unlock()
 	t.db.metrics.SimWaitNanos.Add(waited)
-	if trace != nil {
-		trace.Add(obs.SpanAwait, ready-waited, ready, 0, "")
+	if trace != nil && span != "" {
+		trace.Add(span, ready-waited, ready, 0, "")
 	}
 }
 
@@ -812,7 +869,7 @@ func (t *Transaction) commitLocked() (int64, error) {
 	if t.stats.Size+t.conflictRangeBytes() > t.db.opts.Limits.MaxTxnSize {
 		return 0, errCode(CodeTransactionTooLarge, "transaction exceeds %d bytes", t.db.opts.Limits.MaxTxnSize)
 	}
-	if len(t.writes) == 0 && t.clears.Len() == 0 && len(t.vsKeys) == 0 && t.writeConflicts.Len() == 0 {
+	if len(t.writes) == 0 && t.clears.Len() == 0 && len(t.vsKeys) == 0 && t.writeConflicts.Len() == 0 && !t.bumpMeta {
 		// Read-only transactions commit trivially at their read version.
 		t.committed = true
 		if err := t.ensureSnapshot(); err != nil {

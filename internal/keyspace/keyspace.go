@@ -291,23 +291,37 @@ func (p Path) Elements() []PathElement { return p.elems }
 // ToTuple compiles the path to its row-key tuple, resolving interned values
 // through the directory layer (creating entries as needed).
 func (p Path) ToTuple(tr *fdb.Transaction) (tuple.Tuple, error) {
+	t, _, err := p.resolve(tr, true)
+	return t, err
+}
+
+// resolve compiles the path to its tuple. With create unset an interned value
+// the directory layer has never seen ends the walk with ok == false and
+// nothing written.
+func (p Path) resolve(tr *fdb.Transaction, create bool) (t tuple.Tuple, ok bool, err error) {
 	out := make(tuple.Tuple, len(p.elems))
 	for i, e := range p.elems {
 		d := p.dirs[i]
-		if d.interned {
-			if p.ks.layer == nil {
-				return nil, fmt.Errorf("keyspace: directory %q is interned but no directory layer configured", d.name)
-			}
-			id, err := p.ks.layer.Intern(tr, e.Value.(string))
-			if err != nil {
-				return nil, err
-			}
-			out[i] = id
+		if !d.interned {
+			out[i] = e.Value
 			continue
 		}
-		out[i] = e.Value
+		if p.ks.layer == nil {
+			return nil, false, fmt.Errorf("keyspace: directory %q is interned but no directory layer configured", d.name)
+		}
+		var id int64
+		found := true
+		if create {
+			id, err = p.ks.layer.Intern(tr, e.Value.(string))
+		} else {
+			id, found, err = p.ks.layer.LookupInterned(tr, e.Value.(string))
+		}
+		if err != nil || !found {
+			return nil, false, err
+		}
+		out[i] = id
 	}
-	return out, nil
+	return out, true, nil
 }
 
 // ToSubspace compiles the path to the subspace rooted at its tuple.
@@ -317,6 +331,18 @@ func (p Path) ToSubspace(tr *fdb.Transaction) (subspace.Subspace, error) {
 		return subspace.Subspace{}, err
 	}
 	return subspace.FromTuple(t), nil
+}
+
+// LookupSubspace is ToSubspace without the side effect: an interned value
+// that was never interned is not allocated, and ok reports whether every
+// level of the path resolved. Nothing can be stored under a path that does
+// not resolve.
+func (p Path) LookupSubspace(tr *fdb.Transaction) (space subspace.Subspace, ok bool, err error) {
+	t, ok, err := p.resolve(tr, false)
+	if err != nil || !ok {
+		return subspace.Subspace{}, false, err
+	}
+	return subspace.FromTuple(t), true, nil
 }
 
 // ToSubspaceStatic compiles a path containing no interned directories
@@ -331,6 +357,15 @@ func (p Path) ToSubspaceStatic() (subspace.Subspace, error) {
 		}
 	}
 	return p.ToSubspace(nil)
+}
+
+// DirectoryCacheStats reports the hit and miss counts of the directory
+// layer's name -> id cache (zeros when the keyspace interns nothing).
+func (ks *KeySpace) DirectoryCacheStats() (hits, misses int64) {
+	if ks.layer == nil {
+		return 0, 0
+	}
+	return ks.layer.CacheStats()
 }
 
 // String renders the path like a filesystem path for diagnostics.

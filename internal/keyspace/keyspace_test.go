@@ -219,3 +219,36 @@ func TestToSubspaceStatic(t *testing.T) {
 		t.Error("interned path compiled without a transaction")
 	}
 }
+
+// TestLookupSubspaceAllocatesNothing: resolving a path through an interned
+// value nobody ever interned reports "not there" and buffers no write;
+// through a known value it agrees with ToSubspace.
+func TestLookupSubspaceAllocatesNothing(t *testing.T) {
+	db, ks := cloudKitTree(t)
+	known := ks.MustPath("cloudkit").MustAdd("user", int64(1)).MustAdd("application", "known")
+	unknown := ks.MustPath("cloudkit").MustAdd("user", int64(1)).MustAdd("application", "never-seen")
+	v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) { return known.ToSubspace(tr) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := db.Size()
+	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		if _, ok, err := unknown.LookupSubspace(tr); err != nil || ok {
+			t.Fatalf("unknown path resolved: ok=%v err=%v", ok, err)
+		}
+		if tr.HasMutations() {
+			t.Fatal("LookupSubspace buffered a write")
+		}
+		got, ok, err := known.LookupSubspace(tr)
+		if err != nil || !ok || !bytes.Equal(got.Bytes(), v.(subspace.Subspace).Bytes()) {
+			t.Fatalf("known path: %x ok=%v err=%v, want %x", got.Bytes(), ok, err, v.(subspace.Subspace).Bytes())
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Size() != size {
+		t.Fatalf("database grew from %d to %d keys", size, db.Size())
+	}
+}

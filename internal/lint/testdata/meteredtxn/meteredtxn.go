@@ -12,6 +12,7 @@ func rawReads(tr *fdb.Transaction) {
 	tr.GetAsync([]byte("k"))                                                  // want "raw GetAsync bypasses tenant metering"
 	tr.Snapshot().Get([]byte("k"))                                            // want "raw Get bypasses tenant metering"
 	tr.Snapshot().GetRangeAsync([]byte("a"), []byte("b"), fdb.RangeOptions{}) // want "raw GetRangeAsync bypasses tenant metering"
+	tr.MetadataVersion()                                                      // want "raw MetadataVersion bypasses tenant metering"
 }
 
 // writesAreFine: the analyzer governs reads; writes meter elsewhere.

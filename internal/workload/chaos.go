@@ -2,6 +2,7 @@ package workload
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -25,8 +26,8 @@ import (
 // maybe-committed commits, followed by a full consistency audit with the
 // injector off. The run asserts the robustness invariants end to end: no
 // acknowledged write is lost, no write from a cleanly-failed commit appears,
-// indexes scrub clean, and lease slices never over-grant through heartbeat
-// failures.
+// indexes scrub clean, lease slices never over-grant through heartbeat
+// failures, and a warm store-state cache never outlives the state it holds.
 type ChaosConfig struct {
 	// Writes is how many write operations the mixed workload issues, spread
 	// round-robin over the three cohorts (default 240).
@@ -136,6 +137,24 @@ type ChaosStats struct {
 	// enforced never summed past global*(1+servers*MinFraction) — decayed
 	// holders sit at the floor, never at their stale slice.
 	LeaseEnforcedSumOK bool
+
+	// Store-state cache phase: server A saves through its warm cache while
+	// server B walks by_zone through write-only -> readable -> disabled.
+	CacheSaves int   // A's saves attempted
+	CacheHits  int64 // A's opens answered from its state cache
+	StateFlips int   // B's acknowledged state changes
+	// NestedFlips counts B's changes committed between A's cached open and
+	// A's commit; NestedFlipStaleCommits, those A committed through anyway —
+	// must be zero, A's read conflicts on the skipped reads must abort it.
+	NestedFlips, NestedFlipStaleCommits int
+	// CacheScrubs counts scrubs of the window each maintained period ends
+	// with; CacheScrubIssues, entries a save skipped while the index was
+	// write-only or readable — must be zero.
+	CacheScrubs, CacheScrubIssues int
+	// StaleMetaDataSeen / StaleMetaDataMissed: after B upgraded the schema,
+	// A's requests that failed with ErrStaleMetaData / that succeeded on the
+	// old schema — the latter must be zero.
+	StaleMetaDataSeen, StaleMetaDataMissed int
 }
 
 // Check returns an error describing every chaos invariant the run violated —
@@ -181,6 +200,27 @@ func (s ChaosStats) Check() error {
 	if !s.LeaseEnforcedSumOK {
 		problems = append(problems, "enforced lease rates summed past the decay bound: a failed heartbeat over-granted")
 	}
+	if s.CacheHits == 0 {
+		problems = append(problems, "server A never opened from its state cache; the cache phase exercised nothing")
+	}
+	if s.StateFlips < 3 || s.NestedFlips == 0 || s.CacheScrubs == 0 {
+		problems = append(problems, fmt.Sprintf(
+			"state-cache phase under-exercised: %d flips, %d nested in a cached save, %d scrubs",
+			s.StateFlips, s.NestedFlips, s.CacheScrubs))
+	}
+	if s.NestedFlipStaleCommits > 0 {
+		problems = append(problems, fmt.Sprintf(
+			"%d saves committed on cached index state that changed under them", s.NestedFlipStaleCommits))
+	}
+	if s.CacheScrubIssues > 0 {
+		problems = append(problems, fmt.Sprintf(
+			"%d index entries skipped by saves while the index was write-only or readable", s.CacheScrubIssues))
+	}
+	if s.StaleMetaDataSeen == 0 || s.StaleMetaDataMissed > 0 {
+		problems = append(problems, fmt.Sprintf(
+			"after the schema upgrade the old-schema server saw ErrStaleMetaData %d times and stale success %d times",
+			s.StaleMetaDataSeen, s.StaleMetaDataMissed))
+	}
 	if len(problems) == 0 {
 		return nil
 	}
@@ -189,20 +229,35 @@ func (s ChaosStats) Check() error {
 
 // chaosSchema is the Note schema with the audited by_zone VALUE index and the
 // counter field.
-func chaosSchema() (*message.Descriptor, *metadata.MetaData, error) {
+func chaosSchema(version int) (*message.Descriptor, *metadata.MetaData, error) {
 	note := message.MustDescriptor("Note",
 		message.Field("id", 1, message.TypeInt64),
 		message.Field("zone", 2, message.TypeString),
 		message.Field("body", 3, message.TypeString),
 		message.Field("n", 4, message.TypeInt64),
 	)
-	md, err := metadata.NewBuilder(1).
+	md, err := metadata.NewBuilder(version).
 		AddRecordType(note, keyexpr.Field("id")).
 		AddIndex(&metadata.Index{Name: "by_zone", Type: metadata.IndexValue,
 			Expression: keyexpr.Then(keyexpr.Field("zone"), keyexpr.Field("id"))}, "Note").
 		Build()
 	return note, md, err
 }
+
+// chaosCluster is a faulted cluster for a storm. A virtual latency model makes
+// injected latency spikes take effect (the clock is deterministic and never
+// sleeps).
+func chaosCluster(inj *fdb.FaultInjector) *fdb.Database {
+	return fdb.Open(&fdb.Options{
+		Latency: fdb.LatencyModel{PerRead: 20 * time.Microsecond, PerGRV: 40 * time.Microsecond,
+			PerCommit: 60 * time.Microsecond, Virtual: true},
+		Faults: inj,
+		Sleep:  func(time.Duration) {},
+	})
+}
+
+// instantBackoff keeps a storm's retries wall-clock fast.
+func instantBackoff(ctx context.Context, _ time.Duration) error { return ctx.Err() }
 
 // RunChaos runs the storm, the audit, and the lease churn, and returns the
 // combined stats. The fault schedule, workload, and audit are all functions
@@ -211,7 +266,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 	cfg = cfg.withDefaults()
 	stats := ChaosStats{Config: cfg, LeaseSliceSumOK: true, LeaseEnforcedSumOK: true}
 
-	note, md, err := chaosSchema()
+	note, md, err := chaosSchema(1)
 	if err != nil {
 		return stats, err
 	}
@@ -228,21 +283,12 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 	}
 
 	inj := fdb.NewFaultInjector(cfg.Faults)
-	// A virtual latency model makes injected latency spikes take effect (the
-	// clock is deterministic and never sleeps); instant backoff keeps the
-	// storm wall-clock fast.
-	db := fdb.Open(&fdb.Options{
-		Latency: fdb.LatencyModel{PerRead: 20 * time.Microsecond, PerGRV: 40 * time.Microsecond,
-			PerCommit: 60 * time.Microsecond, Virtual: true},
-		Faults: inj,
-		Sleep:  func(time.Duration) {},
-	})
-	instant := func(ctx context.Context, _ time.Duration) error { return ctx.Err() }
+	db := chaosCluster(inj)
 	// Cohort A writes get one attempt: retryable failures surface, so the
 	// run accumulates writes with a hard "nothing applied" guarantee — the
 	// ghost set the audit checks.
-	strict := recordlayer.NewRunner(db, recordlayer.RunnerOptions{MaxAttempts: 1, Sleep: instant})
-	runner := recordlayer.NewRunner(db, recordlayer.RunnerOptions{Sleep: instant})
+	strict := recordlayer.NewRunner(db, recordlayer.RunnerOptions{MaxAttempts: 1, Sleep: instantBackoff})
+	runner := recordlayer.NewRunner(db, recordlayer.RunnerOptions{Sleep: instantBackoff})
 
 	// Pre-create the store before the storm so directory allocation is not
 	// subject to injected faults.
@@ -458,11 +504,248 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 	stats.ScrubRecords = rep.RecordsScanned
 	stats.ScrubIssues = len(rep.Issues)
 
-	// The lease churn phase runs on its own faulted cluster.
+	// The lease churn and state-cache phases run on their own faulted clusters.
 	if err := runChaosLeases(ctx, cfg, &stats); err != nil {
 		return stats, err
 	}
+	if err := runChaosStateCache(ctx, cfg, &stats); err != nil {
+		return stats, err
+	}
 	return stats, nil
+}
+
+// runChaosStateCache is the gate on the store-state cache: two servers, each
+// a provider with its own cache, share one faulted cluster. A saves notes
+// through its warm cache; B walks by_zone through write-only -> readable ->
+// disabled -> (rebuilt) write-only, half of its changes committing between
+// A's cached open and A's commit. The index is scrubbed at the end of every
+// period in which saves had to maintain it, so a save that trusted a stale
+// "disabled" shows up as a missing entry. Finally B upgrades the schema and
+// A, still on the old one, must be refused rather than served from cache.
+func runChaosStateCache(ctx context.Context, cfg ChaosConfig, stats *ChaosStats) error {
+	note, v1, err := chaosSchema(1)
+	if err != nil {
+		return err
+	}
+	_, v2, err := chaosSchema(2)
+	if err != nil {
+		return err
+	}
+	ks, err := keyspace.New(nil,
+		keyspace.NewConstant("app", "chaos").Add(
+			keyspace.NewDirectory("tenant", keyspace.TypeString)))
+	if err != nil {
+		return err
+	}
+	server := func(md *metadata.MetaData) (*recordlayer.StoreProvider, error) {
+		return recordlayer.NewStoreProvider(md, ks, []string{"app", "tenant"}, recordlayer.ProviderOptions{})
+	}
+	a, err := server(v1)
+	if err != nil {
+		return err
+	}
+	b, err := server(v1)
+	if err != nil {
+		return err
+	}
+	bUpgraded, err := server(v2)
+	if err != nil {
+		return err
+	}
+
+	fcfg := cfg.Faults
+	fcfg.Seed = cfg.Seed + 2
+	inj := fdb.NewFaultInjector(fcfg)
+	db := chaosCluster(inj)
+	runner := recordlayer.NewRunner(db, recordlayer.RunnerOptions{Sleep: instantBackoff})
+	space, err := ks.MustPath("app").MustAdd("tenant", chaosTenant).ToSubspaceStatic()
+	if err != nil {
+		return err
+	}
+
+	// quiet runs fn with the injector paused: harness bookkeeping, not storm.
+	quiet := func(fn func() error) error {
+		inj.Disable()
+		defer inj.Enable()
+		return fn()
+	}
+	state := func() (st metadata.IndexState, err error) {
+		err = quiet(func() error {
+			_, err := runner.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+				s, err := b.Open(ctx, tr, chaosTenant)
+				if err == nil {
+					st = s.IndexState("by_zone")
+				}
+				return nil, err
+			})
+			return err
+		})
+		return st, err
+	}
+	scrub := func() error {
+		return quiet(func() error {
+			scr := &core.Scrubber{DB: db, MetaData: v1, Space: space, IndexName: "by_zone", BatchSize: 32}
+			rep, err := scr.Scrub(ctx)
+			if err != nil {
+				return fmt.Errorf("workload: chaos cache scrub: %w", err)
+			}
+			stats.CacheScrubs++
+			stats.CacheScrubIssues += len(rep.Issues)
+			return nil
+		})
+	}
+	// flip moves by_zone from its state `from` to that state's successor;
+	// an attempt that finds another state (an earlier attempt applied behind
+	// an unknown result) does nothing, which is what makes it idempotent.
+	flip := func(from metadata.IndexState) error {
+		//rl:idempotent the closure acts only while the index is still in state `from`; a re-run after an applied commit is a no-op
+		_, err := runner.RunIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			s, err := b.Open(ctx, tr, chaosTenant)
+			if err != nil || s.IndexState("by_zone") != from {
+				return nil, err
+			}
+			switch from {
+			case metadata.StateWriteOnly:
+				return nil, s.MarkIndexReadable("by_zone")
+			case metadata.StateReadable:
+				return nil, s.MarkIndexDisabled("by_zone")
+			}
+			// Disabled: saves skipped the index legitimately, so rebuild it
+			// before it counts again.
+			if err := s.RebuildIndexInline("by_zone"); err != nil {
+				return nil, err
+			}
+			return nil, s.MarkIndexWriteOnly("by_zone")
+		})
+		return err
+	}
+	// step reads the true state, scrubs if a maintained period is about to
+	// end, and flips. A flip that exhausts its retries is simply not counted;
+	// the next step starts from whatever state is true by then.
+	step := func() (bool, error) {
+		from, err := state()
+		if err != nil {
+			return false, err
+		}
+		if from == metadata.StateReadable {
+			if err := scrub(); err != nil {
+				return false, err
+			}
+		}
+		if flip(from) != nil {
+			return false, nil
+		}
+		stats.StateFlips++
+		return true, nil
+	}
+
+	if err := quiet(func() error {
+		_, err := runner.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			s, err := b.Open(ctx, tr, chaosTenant)
+			if err != nil {
+				return nil, err
+			}
+			return nil, s.MarkIndexWriteOnly("by_zone") // empty store: nothing to build
+		})
+		return err
+	}); err != nil {
+		return fmt.Errorf("workload: chaos cache pre-create: %w", err)
+	}
+
+	rng := rand.New(rand.NewSource(cfg.Seed + 2))
+	saves := cfg.Writes / 2
+	for i := 0; i < saves; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		rec := message.New(note).MustSet("id", int64(rng.Intn(saves/3+1))).
+			MustSet("zone", zones[rng.Intn(len(zones))]).MustSet("body", NoteBody(rng, 32))
+		// Every sixth save B changes the state: alternately before A begins,
+		// and in the middle of A's first attempt, after its cached open.
+		nested := i%12 == 6
+		if i%12 == 0 {
+			if _, err := step(); err != nil {
+				return err
+			}
+		}
+		stats.CacheSaves++
+		attempts, flipped := 0, false
+		var nestedErr error
+		//rl:idempotent re-saving the same pre-generated record converges to the same stored state
+		_, err := runner.RunIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			attempts++
+			s, err := a.Open(ctx, tr, chaosTenant)
+			if err != nil {
+				return nil, err
+			}
+			if _, err := s.SaveRecord(rec); err != nil {
+				return nil, err
+			}
+			if nested && attempts == 1 {
+				flipped, nestedErr = step()
+			}
+			return nil, nil
+		})
+		if nestedErr != nil {
+			return nestedErr
+		}
+		if flipped {
+			stats.NestedFlips++
+			if err == nil && attempts == 1 {
+				stats.NestedFlipStaleCommits++
+			}
+		}
+	}
+	stats.CacheHits = a.StateCacheStats().Hits
+
+	// The last maintained period: bring the index to readable without a
+	// rebuild (which would repair what this phase is looking for) and scrub.
+	final, err := state()
+	if err != nil {
+		return err
+	}
+	if final == metadata.StateWriteOnly {
+		if err := quiet(func() error { return flip(final) }); err != nil {
+			return err
+		}
+		final = metadata.StateReadable
+	}
+	if final == metadata.StateReadable {
+		if err := scrub(); err != nil {
+			return err
+		}
+	}
+
+	// B deploys schema version 2. Once that is acknowledged, A's warm cache
+	// still says version 1 — and must not be believed.
+	upgrade := func() error {
+		//rl:idempotent opening with the newer schema only raises the header's version; re-running finds it raised
+		_, err := runner.RunIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			_, err := bUpgraded.Open(ctx, tr, chaosTenant)
+			return nil, err
+		})
+		return err
+	}
+	if upgrade() != nil {
+		// Not acknowledged under the storm: deploy it for certain.
+		if err := quiet(upgrade); err != nil {
+			return fmt.Errorf("workload: chaos cache upgrade: %w", err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		_, err := runner.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			_, err := a.Open(ctx, tr, chaosTenant)
+			return nil, err
+		})
+		var stale *core.ErrStaleMetaData
+		switch {
+		case err == nil:
+			stats.StaleMetaDataMissed++
+		case errors.As(err, &stale):
+			stats.StaleMetaDataSeen++
+		}
+	}
+	return nil
 }
 
 // runChaosLeases churns a fleet of lease-coordinated governors under injected

@@ -44,6 +44,10 @@ func TestChaosDeterministicPerSeed(t *testing.T) {
 		a.CounterValue != b.CounterValue {
 		t.Errorf("write fates diverged: %+v vs %+v", a, b)
 	}
+	if a.CacheHits != b.CacheHits || a.StateFlips != b.StateFlips || a.NestedFlips != b.NestedFlips ||
+		a.StaleMetaDataSeen != b.StaleMetaDataSeen {
+		t.Errorf("state-cache phase diverged: %+v vs %+v", a, b)
+	}
 }
 
 // TestChaosCatchesMisdeclaredIdempotency: the harness's self-test knob routes

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 
+	"recordlayer/internal/core"
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/obs"
 )
@@ -191,10 +192,21 @@ func RegisterAccountantMetrics(r *MetricsRegistry, acct *Accountant) {
 		func(u TenantUsage) float64 { return float64(u.Conflicts) })
 }
 
-// RegisterMetrics exports the provider's query-side metrics: plan cache
-// effectiveness and, when a SlowQueries log is installed, the slow-query
-// counter and the full query-latency histogram.
+// RegisterMetrics exports the provider's metrics: what Open found in its two
+// caches (store state, interned directory names), plan cache effectiveness
+// and, when a SlowQueries log is installed, the slow-query counter and the
+// full query-latency histogram.
 func (p *StoreProvider) RegisterMetrics(r *MetricsRegistry) {
+	r.Counter("store_state_cache_hits_total", "Store opens answered from the state cache (no read).",
+		func() []MetricSample { return obs.Single(float64(p.states.Stats().Hits)) })
+	r.Counter("store_state_cache_misses_total", "Store opens that read the header and index states.",
+		func() []MetricSample { return obs.Single(float64(p.states.Stats().Misses)) })
+	r.Counter("store_state_cache_invalidations_total", "Misses that found an entry older than the metadata version.",
+		func() []MetricSample { return obs.Single(float64(p.states.Stats().Invalidations)) })
+	r.Counter("directory_cache_hits_total", "Interned directory values resolved from the name cache.",
+		func() []MetricSample { hits, _ := p.ks.DirectoryCacheStats(); return obs.Single(float64(hits)) })
+	r.Counter("directory_cache_misses_total", "Interned directory values resolved by reading the directory layer.",
+		func() []MetricSample { _, misses := p.ks.DirectoryCacheStats(); return obs.Single(float64(misses)) })
 	r.Counter("plan_cache_hits_total", "Queries answered from the plan cache.",
 		func() []MetricSample { return obs.Single(float64(p.plans.Stats().Hits)) })
 	r.Counter("plan_cache_misses_total", "Queries that required planning.",
@@ -209,6 +221,10 @@ func (p *StoreProvider) RegisterMetrics(r *MetricsRegistry) {
 		r.Histogram("query_duration_seconds", "Latency of every query execution.", log.DurationHistogram())
 	}
 }
+
+// StateCacheStats reports what Open found in the provider's store-state
+// cache.
+func (p *StoreProvider) StateCacheStats() core.StateCacheStats { return p.states.Stats() }
 
 // PlanCacheEntries lists the provider's cached plans, most recently used
 // first (the `rl plans` command prints it).

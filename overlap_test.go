@@ -6,9 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"recordlayer/internal/directory"
 	"recordlayer/internal/fdb"
+	"recordlayer/internal/keyspace"
 	"recordlayer/internal/message"
+	"recordlayer/internal/metadata"
 	"recordlayer/internal/query"
+	"recordlayer/internal/tuple"
 )
 
 // TestPipelineDepthOverlapsLatency is the deterministic form of the PR's
@@ -127,5 +131,119 @@ func TestSaveRecordsFacade(t *testing.T) {
 	}
 	if got != 10 {
 		t.Fatalf("queried %d records after SaveRecords, want 10", got)
+	}
+}
+
+// The prices of the open-cost tests below are the benchmark's (bench/env.go).
+const (
+	openGRV    = 300 * time.Microsecond
+	openRead   = 500 * time.Microsecond
+	openCommit = 2 * time.Millisecond
+)
+
+// openCostServer is one stateless server of the open-cost tests: a provider
+// over tenant_fanout's path shape /app/container(interned)/user, with its own
+// directory layer, so its two caches start cold.
+func openCostServer(t *testing.T, md *metadata.MetaData) *StoreProvider {
+	t.Helper()
+	ks, err := keyspace.New(directory.NewLayer(),
+		keyspace.NewConstant("app", "open-cost").Add(
+			keyspace.NewInterned("container").Add(
+				keyspace.NewDirectory("user", keyspace.TypeInt64))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewStoreProvider(md, ks, []string{"app", "container", "user"}, ProviderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestOpenCostsExactWindows pins what StoreProvider.Open costs in simulated
+// time, as exact sums of the latency model's prices on the virtual clock.
+func TestOpenCostsExactWindows(t *testing.T) {
+	doc, md := testSchema(t)
+	db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{
+		PerRead: openRead, PerGRV: openGRV, PerCommit: openCommit, Virtual: true}})
+	r := NewRunner(db, RunnerOptions{})
+	ctx := context.Background()
+	const container = "com.example.notes"
+
+	// timed runs one transaction and returns its simulated duration.
+	timed := func(commit bool, fn TransactFunc) time.Duration {
+		t.Helper()
+		run := r.ReadRun
+		if commit {
+			run = r.Run
+		}
+		t0 := db.LatencyNow()
+		if _, err := run(ctx, fn); err != nil {
+			t.Fatal(err)
+		}
+		return time.Duration(db.LatencyNow() - t0)
+	}
+	open := func(p *StoreProvider, user int64, then func(*Store) error) TransactFunc {
+		return func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			s, err := p.Open(ctx, tr, container, user)
+			if err != nil || then == nil {
+				return nil, err
+			}
+			return nil, then(s)
+		}
+	}
+	load := func(s *Store) error {
+		rec, err := s.LoadRecordByKey(tuple.Tuple{int64(1)})
+		if err == nil && rec == nil {
+			err = fmt.Errorf("record 1 missing")
+		}
+		return err
+	}
+	update := func(s *Store) error {
+		_, err := s.SaveRecord(message.New(doc).MustSet("id", int64(1)).MustSet("tag", "odd"))
+		return err
+	}
+	expect := func(what string, got, want time.Duration) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s took %v, want %v", what, got, want)
+		}
+	}
+
+	// Two tenants exist, tenant 1 with a write-only index so that the state
+	// range of a cold open is not empty.
+	a := openCostServer(t, md)
+	for _, user := range []int64{1, 2} {
+		timed(true, open(a, user, update))
+	}
+	timed(true, open(a, 1, func(s *Store) error { return s.MarkIndexWriteOnly("by_tag") }))
+
+	// Cold server, interned path: the directory read, then header ∥ states —
+	// the header key is built from the interned id, so these two cannot share
+	// a window; it is the caches that remove them.
+	b := openCostServer(t, md)
+	expect("cold open through an interned directory", timed(false, open(b, 1, nil)), openGRV+2*openRead)
+	// Directory known, store not: header ∥ states is one window, with the
+	// state key in it.
+	expect("cold open, directory cached", timed(false, open(b, 2, nil)), openGRV+openRead)
+	expect("warm open", timed(false, open(b, 1, nil)), openGRV)
+	expect("warm point load", timed(false, open(b, 1, load)), openGRV+openRead)
+	expect("warm one-record update", timed(true, open(b, 1, update)), openGRV+openRead+openCommit)
+
+	// A bump anywhere — B changes tenant 2's user version — costs the next
+	// open of every store on every server exactly one window, then nothing.
+	timed(false, open(a, 1, nil)) // A is warm on both tenants
+	timed(false, open(a, 2, nil))
+	expect("warm open before the bump", timed(false, open(a, 1, nil)), openGRV)
+	timed(true, open(b, 2, func(s *Store) error { return s.SetUserVersion(1) }))
+	for _, srv := range []struct {
+		name string
+		p    *StoreProvider
+	}{{"A", a}, {"B", b}} {
+		for _, user := range []int64{1, 2} {
+			what := fmt.Sprintf("server %s, tenant %d", srv.name, user)
+			expect(what+": first open after the bump", timed(false, open(srv.p, user, nil)), openGRV+openRead)
+			expect(what+": second open after the bump", timed(false, open(srv.p, user, nil)), openGRV)
+		}
 	}
 }

@@ -60,6 +60,10 @@ type StoreProvider struct {
 
 	planner *plan.Planner
 	plans   *PlanCache
+	// states keeps store headers and index states across transactions, so a
+	// warm Open costs the GRV round trip and nothing else (doc.go, "What Open
+	// costs and what validates it").
+	states *core.StateCache
 }
 
 // NewStoreProvider creates a provider. template names the keyspace
@@ -79,6 +83,7 @@ func NewStoreProvider(md *metadata.MetaData, ks *keyspace.KeySpace, template []s
 		opts:     opts,
 		planner:  plan.New(md, opts.Planner),
 		plans:    NewPlanCache(opts.PlanCacheSize),
+		states:   core.NewStateCache(),
 	}, nil
 }
 
@@ -92,7 +97,9 @@ func (p *StoreProvider) PlanCacheStats() PlanCacheStats { return p.plans.Stats()
 // tr: the template's variable directories are bound to tenant, the path is
 // compiled to a subspace (resolving interned directories through the
 // directory layer), and the store header is verified against the provider's
-// metadata.
+// metadata. On a warm server both steps are answered from caches — interned
+// names are immutable, and the store state is validated by the metadata
+// version that arrives with the read version — so Open reads nothing.
 //
 // Open also binds the tenant's resource meter: the meter riding the context
 // (attached by a Runner with an Accountant) wins; otherwise, with a
@@ -115,7 +122,7 @@ func (p *StoreProvider) Open(ctx context.Context, tr *fdb.Transaction, tenant ..
 	if meter == nil && p.opts.Accountant != nil {
 		meter = p.opts.Accountant.Tenant(resource.TenantKey(tenant...))
 	}
-	cs, err := core.Open(tr, p.md, space, core.OpenOptions{
+	cs, err := p.states.Open(tr, p.md, space, core.OpenOptions{
 		CreateIfMissing: true,
 		Config:          p.opts.Config,
 		Meter:           meter,
@@ -127,7 +134,9 @@ func (p *StoreProvider) Open(ctx context.Context, tr *fdb.Transaction, tenant ..
 }
 
 // Delete removes a tenant's entire record store — records, indexes, header —
-// with one range clear (§3).
+// with one range clear (§3). A path through an interned directory value that
+// was never interned holds no store: Delete then does nothing, rather than
+// allocate the directory entry it would take to name the empty range.
 func (p *StoreProvider) Delete(ctx context.Context, tr *fdb.Transaction, tenant ...interface{}) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -136,8 +145,8 @@ func (p *StoreProvider) Delete(ctx context.Context, tr *fdb.Transaction, tenant 
 	if err != nil {
 		return err
 	}
-	space, err := path.ToSubspace(tr)
-	if err != nil {
+	space, ok, err := path.LookupSubspace(tr)
+	if err != nil || !ok {
 		return err
 	}
 	return core.DeleteStore(tr, space)
