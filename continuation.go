@@ -59,6 +59,9 @@ type skipCursor struct {
 	remaining int
 }
 
+// Demand implements cursor.Demander: n rows cost n plus those still to skip.
+func (c *skipCursor) Demand(n int) { cursor.Demand(c.inner, n+c.remaining) }
+
 func (c *skipCursor) Next() (cursor.Result[*Record], error) {
 	for c.remaining > 0 {
 		r, err := c.inner.Next()

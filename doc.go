@@ -103,7 +103,8 @@
 //
 // Pipelined fetches (§8): plans that do fetch records keep up to
 // ExecuteProperties.PipelineDepth record reads in flight behind the index
-// scan (default 8; 1 restores strictly sequential fetching). Results are
+// scan (default 8; 1 restores strictly sequential fetching); under a RowLimit
+// exactly the page's records, together ("What a limit costs"). Results are
 // byte-identical to sequential execution — order, halt reasons, and
 // continuations included — only the fetch latency overlaps. Scan limits
 // charge per record scanned, and a limit smaller than a single record's
@@ -134,7 +135,7 @@
 // the consumer on a single goroutine (cursor.MapAsync — no worker
 // goroutines, so depth 8 costs the same as depth 1 when reads are instant).
 // Range scans prefetch their next batch while the current one drains
-// (kvcursor read-ahead).
+// (kvcursor read-ahead), unless a limit tells them how little is wanted.
 //
 // Index maintenance itself is two-phase: every maintainer implements
 // UpdateAsync(ctx, old, new), which issues the maintenance's probe reads
@@ -171,6 +172,34 @@
 // included — because prefetched-but-unconsumed batches are never metered.
 // `go test -bench . -args -latency 100us` runs the root microbenchmarks under
 // a 100µs-per-read latency model; they report simwait-ns/op next to ns/op.
+//
+// # What a limit costs
+//
+// Every request in the paper's model is bounded (§3.1, §8.2), so a limit
+// sizes the reads under it, not only the stream above them, through one
+// optional cursor method: cursor.Demander's Demand(n), "the consumer will
+// take at most n more values", a hint that like Prefetch never changes what
+// Next returns. cursor.Limit announces its n. Cursors that deliver one value
+// per source value forward it: Map, MapAsync, the plan statistics wrappers,
+// the Skip cursor (n plus the rows still to discard), the record scan (in
+// pairs: 2n with version slots, plus the pair that shows the last record
+// ended). Cursors that drop or merge values (Filter, Distinct, Union,
+// Intersection) do not — what one of their values costs the source is unknown
+// — so the demand stops where it stops being true. At the leaf a range scan
+// sizes its first GetRange to the demand (up to 4096) and reads nothing ahead
+// until the consumer has taken more than it announced; a scanned-records limit
+// is the same demand read off the Limiter (budget + 1: the extra value tells
+// ScanLimitReached from SourceExhausted). MapAsync under a demand issues
+// nothing past it, and its window is min(n, 128), not PipelineDepth (1 stays
+// sequential). With a pair and a version slot per record, no residual filter:
+//
+//	RowLimit n over an index scan: n entries + 2n pairs, GRV + 2 windows
+//	RowLimit n, Skip k:            the same with n+k
+//	ScanRecordLimit r, full scan:  2(r+1)+1 pairs, GRV + 1 window
+//
+// Fewer keys read is also a narrower read-conflict range and a smaller
+// tenant bill. Byte and time limits size nothing, nor does a RowLimit above a
+// residual filter or a merge. TestLimitCostsExactWindows pins the prices.
 //
 // # What Open costs and what validates it
 //

@@ -535,3 +535,83 @@ func TestOpenCachesConcurrent(t *testing.T) {
 		t.Fatalf("caches not in play: %+v", s)
 	}
 }
+
+// TestLimitBoundsConflictAndBillingFootprint: a row limit bounds what the
+// page reads, so it bounds what the page conflicts with and what the tenant
+// is billed for — the rows delivered, not the batch a scan would have filled.
+func TestLimitBoundsConflictAndBillingFootprint(t *testing.T) {
+	doc, md := testSchema(t)
+	db := fdb.Open(nil)
+	r := NewRunner(db, RunnerOptions{})
+	acct := NewAccountant()
+	p := testProvider(t, md)
+	p.opts.Accountant = acct
+	saveDocs(t, r, p, 1, 200) // 100 entries tagged "even": ids 0, 2, … 198
+	ctx := context.Background()
+	even := Query{RecordTypes: []string{"Doc"}, Filter: query.Field("tag").Equals("even")}
+	save := func(s *Store, id int64, tag string) error {
+		_, err := s.SaveRecord(message.New(doc).MustSet("id", id).MustSet("tag", tag))
+		return err
+	}
+
+	// A read-modify-write takes the first 5 rows (ids 0–8), another writer
+	// inserts into the same index range, then the first one saves and commits.
+	rmw := func(insertID int64) error {
+		tr := db.CreateTransaction()
+		s, err := p.Open(ctx, tr, int64(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := s.ExecuteQuery(ctx, even, ExecuteProperties{RowLimit: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, err := cur.ToList(); err != nil || len(rows) != 5 {
+			t.Fatalf("first page: %d rows, %v", len(rows), err)
+		}
+		_, err = r.Run(ctx, func(ctx context.Context, wtr *fdb.Transaction) (interface{}, error) {
+			ws, err := p.Open(ctx, wtr, int64(1))
+			if err != nil {
+				return nil, err
+			}
+			return nil, save(ws, insertID, "even")
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := save(s, 1001, "odd"); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Commit()
+	}
+	if err := rmw(99); err != nil { // lands at entry 50, past the page
+		t.Errorf("insert at entry 50 of 100 aborted a transaction that read the first 5: %v", err)
+	}
+	if err := rmw(3); !fdb.IsConflict(err) { // lands among the 5 rows read
+		t.Errorf("insert among the 5 rows read: commit returned %v, want a conflict", err)
+	}
+
+	// A 25-row page bills 25 index entries and the two pairs of each of the
+	// 25 records, however many entries the range holds.
+	_, err := r.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		s, err := p.Open(ctx, tr, int64(1))
+		if err != nil {
+			return nil, err
+		}
+		before := acct.Tenant("1").Snapshot().ReadRecords
+		cur, err := s.ExecuteQuery(ctx, even, ExecuteProperties{RowLimit: 25})
+		if err != nil {
+			return nil, err
+		}
+		if rows, err := cur.ToList(); err != nil || len(rows) != 25 {
+			t.Fatalf("page: %d rows, %v", len(rows), err)
+		}
+		if got := acct.Tenant("1").Snapshot().ReadRecords - before; got != 25+25*2 {
+			t.Errorf("a 25-row page was billed %d read rows, want %d", got, 25+25*2)
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

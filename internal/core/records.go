@@ -634,7 +634,11 @@ func (s *Store) ScanRecords(opts ScanOptions) cursor.Cursor[*StoredRecord] {
 		Snapshot: opts.Snapshot,
 		Meter:    s.meter,
 	})
-	return &recordCursor{store: s, kvs: kvs, reverse: opts.Reverse, limiter: opts.Limiter}
+	rc := &recordCursor{store: s, kvs: kvs, reverse: opts.Reverse, limiter: opts.Limiter}
+	if n, ok := opts.Limiter.RecordsLeft(); ok {
+		rc.Demand(n + 1) // the record past the budget shows it was exceeded
+	}
+	return rc
 }
 
 // recordCursor groups raw pairs into whole records (handling splits).
@@ -693,6 +697,17 @@ func (c *recordCursor) Prefetch() {
 		return
 	}
 	cursor.Prefetch(c.kvs)
+}
+
+// Demand implements cursor.Demander in pairs: an unsplit record is one pair,
+// two with a version slot, and the pair after the last one shows it ended.
+// Split records take more; the short hint then costs a second read.
+func (c *recordCursor) Demand(n int) {
+	per := 1
+	if c.store.md.StoreRecordVersions {
+		per = 2
+	}
+	cursor.Demand(c.kvs, n*per+1)
 }
 
 // nextPair takes the pushed-back pair if one is held, else the source's next.

@@ -93,6 +93,23 @@ func Prefetch[T any](c Cursor[T]) {
 	}
 }
 
+// Demander is implemented by cursors that can read less when told how little
+// is wanted: Demand(n) says the consumer will take at most n more values. Like
+// Prefetch it is a hint and never changes what Next returns; taking more only
+// costs the reads it had saved. Limit announces its n, wrappers that deliver
+// one value per source value forward it, and cursors that drop or merge values
+// (Filter, Union, Intersection) do not: it stops where it stops being true.
+type Demander interface {
+	Demand(n int)
+}
+
+// Demand forwards a positive demand to c when it implements Demander.
+func Demand[T any](c Cursor[T], n int) {
+	if d, ok := c.(Demander); ok && n > 0 {
+		d.Demand(n)
+	}
+}
+
 // Limiter tracks out-of-band resource limits shared by every cursor in one
 // execution (§8.2: limits on records and bytes read, plus a time budget).
 type Limiter struct {
@@ -141,6 +158,15 @@ func (l *Limiter) TryRecord(nbytes int) (NoNextReason, bool) {
 		}
 	}
 	return 0, true
+}
+
+// RecordsLeft reports how many more records TryRecord will admit (ok: there is
+// a record limit). A scan needs one more, to tell the limit from its source's end.
+func (l *Limiter) RecordsLeft() (n int, ok bool) {
+	if l == nil || l.recordsLeft == 0 {
+		return 0, false
+	}
+	return max(l.recordsLeft, 0), true
 }
 
 // ---------------------------------------------------------------- sources
@@ -196,6 +222,9 @@ func Map[T, U any](inner Cursor[T], f func(T) (U, error)) Cursor[U] {
 
 // Prefetch implements Prefetcher by forwarding to the source.
 func (c *mapCursor[T, U]) Prefetch() { Prefetch(c.inner) }
+
+// Demand implements Demander: one value out per value in.
+func (c *mapCursor[T, U]) Demand(n int) { Demand(c.inner, n) }
 
 func (c *mapCursor[T, U]) Next() (Result[U], error) {
 	r, err := c.inner.Next()
@@ -263,6 +292,7 @@ func Limit[T any](inner Cursor[T], n int) Cursor[T] {
 	if n <= 0 {
 		return inner
 	}
+	Demand(inner, n) // the source may size its reads to it
 	return &limitCursor[T]{inner: inner, left: n}
 }
 

@@ -16,6 +16,9 @@ package cursor
 // issued up to depth elements ahead of consumption, so source-side limits and
 // issued reads (conflict ranges, accounting) may run ahead of the consumer by
 // depth-1 elements. depth <= 1 issues and awaits strictly element by element.
+// Under a Demand(n) — a Limit above — nothing past the n-th element is issued
+// unless the consumer does ask for it, and since every issue is then a wanted
+// one, not a speculative one, the window is min(n, 128) when depth > 1.
 func MapAsync[T, F, U any](inner Cursor[T], depth int, issue func(T) F, await func(T, F) (U, error)) Cursor[U] {
 	if depth < 1 {
 		depth = 1
@@ -40,6 +43,17 @@ type asyncCursor[T, F, U any] struct {
 	srcHalt *Result[U] // halt from the source, delivered after the queue drains
 	srcErr  error      // error from the source, surfaced after the queue drains
 	err     error      // sticky: an error already returned to the consumer
+	issued  int        // elements issued so far
+	want    int        // announced demand, as a bound on issued; 0 = none
+}
+
+// Demand implements Demander: one value out per source value in.
+func (c *asyncCursor[T, F, U]) Demand(n int) {
+	c.want = c.issued + n
+	if c.depth > 1 {
+		c.depth = min(n, 128)
+	}
+	Demand(c.inner, n)
 }
 
 // Prefetch implements Prefetcher by forwarding to the source: the issued
@@ -56,8 +70,13 @@ func (c *asyncCursor[T, F, U]) Next() (Result[U], error) {
 	if c.err != nil {
 		return Result[U]{}, c.err
 	}
-	// Keep the issue window full until the source stops.
-	for c.srcHalt == nil && c.srcErr == nil && len(c.queue)-c.head < c.depth {
+	// Keep the issue window full until the source stops; past a met demand
+	// issue only the element the consumer is waiting for.
+	for c.srcHalt == nil && c.srcErr == nil {
+		inFlight := len(c.queue) - c.head
+		if inFlight >= c.depth || (inFlight > 0 && c.want > 0 && c.issued >= c.want) {
+			break
+		}
 		r, err := c.inner.Next()
 		if err != nil {
 			c.srcErr = err
@@ -69,6 +88,7 @@ func (c *asyncCursor[T, F, U]) Next() (Result[U], error) {
 			break
 		}
 		c.queue = append(c.queue, asyncSlot[T, F]{src: r.Value, handle: c.issue(r.Value), cont: r.Continuation})
+		c.issued++
 	}
 	if c.head >= len(c.queue) {
 		if c.srcErr != nil {

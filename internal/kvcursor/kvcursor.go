@@ -33,23 +33,13 @@ type Options struct {
 	BatchSize int
 	// MaxBatchSize caps the batch growth (default 4096). Set it equal to
 	// BatchSize to disable growth.
+	//
+	// When a batch arrives the cursor issues the next one as a future, so its
+	// latency overlaps with draining the buffer (§8). Results are the same for
+	// any transaction that does not write ahead of its own scan, but the batch
+	// read ahead is conflict-ranged and counted in TxnStats even if never
+	// consumed. A demand (Demand, or a Limiter's record budget) holds it back.
 	MaxBatchSize int
-	// NoReadAhead disables speculative prefetch of the next batch. By default
-	// the cursor issues the following batch's range read as a future the
-	// moment the current batch arrives, so the next fill's I/O latency
-	// overlaps with draining the buffer (§8). For a transaction that does not
-	// write into the unscanned remainder of the range mid-scan — every scan
-	// in the layer — results are byte-identical either way; a transaction
-	// that does write ahead of the cursor sees those writes one batch later
-	// than a sequential scan would (futures resolve at issue; note that
-	// sequential scans already miss writes landing inside their buffered
-	// batch, so same-range RYW mid-scan has always been batch-granular).
-	// Read-ahead also makes the footprint eager: the prefetched batch is read
-	// (conflict-ranged and counted in TxnStats) even if the consumer halts
-	// inside the current one, though prefetched-but-unconsumed batches are
-	// never metered to the tenant. Set NoReadAhead when exact footprint or
-	// tightest-possible RYW matters more than batch-boundary latency.
-	NoReadAhead bool
 }
 
 // Default batch sizing: start small so point-ish scans stay cheap, grow
@@ -71,6 +61,8 @@ type kvCursor struct {
 	lastKey    []byte
 	halted     *cursor.Result[fdb.KeyValue]
 	pending    *fdb.FutureRange // read-ahead: the next batch, already issued
+	fetched    int              // pairs fetched so far
+	want       int              // announced demand in pairs; 0 = none
 }
 
 // New creates a cursor over [begin, end).
@@ -94,7 +86,24 @@ func New(tr *fdb.Transaction, begin, end []byte, opts Options) cursor.Cursor[fdb
 			c.end = append([]byte(nil), opts.Continuation...)
 		}
 	}
+	if n, ok := opts.Limiter.RecordsLeft(); ok {
+		c.Demand(n + 1) // a record per pair; the pair past the budget shows it was exceeded
+	}
 	return c
+}
+
+// Demand implements cursor.Demander. The first range read is sized to n when
+// one read can hold it (a longer scan ramps as usual), and nothing is read
+// ahead until more than n pairs have been fetched — until the hint has proved
+// wrong. Of several demands the smallest holds; one mid-scan is ignored.
+func (c *kvCursor) Demand(n int) {
+	if c.started || (c.want > 0 && c.want <= n) {
+		return
+	}
+	c.want = n
+	if n <= c.opts.MaxBatchSize {
+		c.batch = n
+	}
 }
 
 // issueBatch starts the range read for the next batch over the current
@@ -132,6 +141,7 @@ func (c *kvCursor) fill() error {
 		c.opts.Meter.RecordRead(len(kvs), nbytes)
 	}
 	c.buf, c.bufPos, c.more, c.started = kvs, 0, more, true
+	c.fetched += len(kvs)
 	if len(kvs) > 0 {
 		// Advance the bound in place: begin/end are owned by the cursor
 		// (copied at construction, and GetRange copies what it retains), so
@@ -149,7 +159,7 @@ func (c *kvCursor) fill() error {
 			c.batch = c.opts.MaxBatchSize
 		}
 	}
-	if more && !c.opts.NoReadAhead {
+	if more && c.fetched > c.want {
 		// Issue the next batch now: its latency window elapses while the
 		// consumer drains the batch just delivered.
 		c.pending = c.issueBatch()
@@ -161,8 +171,8 @@ func (c *kvCursor) fill() error {
 // read-ahead future is in flight, it issues the next batch's range read
 // without awaiting it, so a composite parent can overlap this cursor's fill
 // with its siblings'. Results are unchanged — Next's fill consumes the
-// pending future exactly as if it had issued the read itself. Honors
-// NoReadAhead only in spirit: the issued batch is one Next is already
+// pending future exactly as if it had issued the read itself. A demand
+// does not hold it back: the issued batch is one Next is already
 // committed to reading, not a speculative extra.
 func (c *kvCursor) Prefetch() {
 	if c.halted != nil || c.pending != nil || c.bufPos < len(c.buf) {

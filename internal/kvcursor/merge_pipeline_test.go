@@ -47,13 +47,15 @@ func mergeSeed(t *testing.T, db *fdb.Database, n int) {
 func mergeKeyOf(kv fdb.KeyValue) []byte { return kv.Key[1:] }
 
 // mergeBuilders returns Union/Intersection child constructors over the two
-// families. serial wraps each child in opaque so the merge cannot prefetch.
-func mergeBuilders(tr *fdb.Transaction, opts Options, serial bool) []func([]byte) cursor.Cursor[fdb.KeyValue] {
+// families. serial wraps each child in opaque so the merge cannot prefetch; a
+// positive demand is announced to each child (wholeRange: no read-ahead).
+func mergeBuilders(tr *fdb.Transaction, opts Options, demand int, serial bool) []func([]byte) cursor.Cursor[fdb.KeyValue] {
 	mk := func(fam string) func([]byte) cursor.Cursor[fdb.KeyValue] {
 		return func(cont []byte) cursor.Cursor[fdb.KeyValue] {
 			o := opts
 			o.Continuation = cont
 			c := New(tr, []byte(fam), []byte(fam+"\xff"), o)
+			cursor.Demand(c, demand)
 			if serial {
 				return opaque{c}
 			}
@@ -74,7 +76,7 @@ type mergeRun struct {
 }
 
 func runMerge(t *testing.T, db *fdb.Database, union, serial bool,
-	opts Options, scanLimit int, cont []byte) mergeRun {
+	opts Options, demand, scanLimit int, cont []byte) mergeRun {
 	t.Helper()
 	var run mergeRun
 	meter := resource.NewAccountant().Tenant("t")
@@ -83,7 +85,7 @@ func runMerge(t *testing.T, db *fdb.Database, union, serial bool,
 		opts.Limiter = cursor.NewLimiter(scanLimit, 0, time.Time{}, nil)
 	}
 	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
-		builders := mergeBuilders(tr, opts, serial)
+		builders := mergeBuilders(tr, opts, demand, serial)
 		var c cursor.Cursor[fdb.KeyValue]
 		var err error
 		if union {
@@ -148,13 +150,14 @@ func TestMergePipelinedMatchesSerial(t *testing.T) {
 	db := fdb.Open(nil)
 	mergeSeed(t, db, 30)
 	configs := []struct {
-		name string
-		opts Options
+		name   string
+		opts   Options
+		demand int
 	}{
-		{"batch1-noRA", Options{BatchSize: 1, MaxBatchSize: 1, NoReadAhead: true}},
-		{"batch2-noRA", Options{BatchSize: 2, MaxBatchSize: 2, NoReadAhead: true}},
-		{"batch3-RA", Options{BatchSize: 3}},
-		{"default", Options{}},
+		{"batch1-noRA", Options{BatchSize: 1, MaxBatchSize: 1}, wholeRange},
+		{"batch2-noRA", Options{BatchSize: 2, MaxBatchSize: 2}, wholeRange},
+		{"batch3-RA", Options{BatchSize: 3}, 0},
+		{"default", Options{}, 0},
 	}
 	for _, union := range []bool{true, false} {
 		kind := "intersection"
@@ -164,8 +167,8 @@ func TestMergePipelinedMatchesSerial(t *testing.T) {
 		}
 		for _, cfg := range configs {
 			label := kind + "/" + cfg.name
-			pipelined := runMerge(t, db, union, false, cfg.opts, 0, nil)
-			serial := runMerge(t, db, union, true, cfg.opts, 0, nil)
+			pipelined := runMerge(t, db, union, false, cfg.opts, cfg.demand, 0, nil)
+			serial := runMerge(t, db, union, true, cfg.opts, cfg.demand, 0, nil)
 			compareRuns(t, label, pipelined, serial)
 			if len(pipelined.steps) != want || pipelined.reason != cursor.SourceExhausted {
 				t.Fatalf("%s: %d rows (%v), want %d", label, len(pipelined.steps), pipelined.reason, want)
@@ -187,8 +190,8 @@ func TestMergePipelinedHaltsMidPage(t *testing.T) {
 		if union {
 			kind = "union"
 		}
-		pipelined := runMerge(t, db, union, false, opts, 3, nil)
-		serial := runMerge(t, db, union, true, opts, 3, nil)
+		pipelined := runMerge(t, db, union, false, opts, 0, 3, nil)
+		serial := runMerge(t, db, union, true, opts, 0, 3, nil)
 		compareRuns(t, kind+"/halt", pipelined, serial)
 		if pipelined.reason != cursor.ScanLimitReached {
 			t.Fatalf("%s: halt reason %v, want ScanLimitReached", kind, pipelined.reason)
@@ -196,8 +199,8 @@ func TestMergePipelinedHaltsMidPage(t *testing.T) {
 		if len(pipelined.cont) == 0 {
 			t.Fatalf("%s: scan-limited merge must return a continuation", kind)
 		}
-		restP := runMerge(t, db, union, false, opts, 0, pipelined.cont)
-		restS := runMerge(t, db, union, true, opts, 0, serial.cont)
+		restP := runMerge(t, db, union, false, opts, 0, 0, pipelined.cont)
+		restS := runMerge(t, db, union, true, opts, 0, 0, serial.cont)
 		compareRuns(t, kind+"/resume", restP, restS)
 		if restP.reason != cursor.SourceExhausted {
 			t.Fatalf("%s: resume reason %v", kind, restP.reason)
@@ -211,7 +214,7 @@ func TestMergePipelinedHaltsMidPage(t *testing.T) {
 func TestMergePipelinedPaging(t *testing.T) {
 	db := fdb.Open(nil)
 	mergeSeed(t, db, 30)
-	opts := Options{BatchSize: 2, MaxBatchSize: 2, NoReadAhead: true}
+	opts := Options{BatchSize: 2, MaxBatchSize: 2}
 	for _, union := range []bool{true, false} {
 		kind := "intersection"
 		if union {
@@ -219,8 +222,8 @@ func TestMergePipelinedPaging(t *testing.T) {
 		}
 		var contP, contS []byte
 		for page := 0; page < 20; page++ {
-			pipelined := runMerge(t, db, union, false, opts, 2, contP)
-			serial := runMerge(t, db, union, true, opts, 2, contS)
+			pipelined := runMerge(t, db, union, false, opts, wholeRange, 2, contP)
+			serial := runMerge(t, db, union, true, opts, wholeRange, 2, contS)
 			compareRuns(t, fmt.Sprintf("%s/page%d", kind, page), pipelined, serial)
 			if pipelined.reason == cursor.SourceExhausted {
 				break
@@ -267,8 +270,8 @@ func TestMergeStepSharesOneWindow(t *testing.T) {
 		wait := func(serial bool) int64 {
 			var w int64
 			_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
-				opts := Options{BatchSize: 1, MaxBatchSize: 1, NoReadAhead: true}
-				builders := mergeBuilders(tr, opts, serial)
+				opts := Options{BatchSize: 1, MaxBatchSize: 1}
+				builders := mergeBuilders(tr, opts, wholeRange, serial)
 				var c cursor.Cursor[fdb.KeyValue]
 				var err error
 				if union {

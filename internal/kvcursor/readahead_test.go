@@ -9,11 +9,17 @@ import (
 	"recordlayer/internal/fdb"
 )
 
+// wholeRange is a demand no test range reaches: the cursor never reads ahead
+// of its consumer, the sequential footprint the read-ahead one is compared to.
+const wholeRange = 1 << 30
+
 // drainPairs drains a cursor inside one transaction, returning key=value
 // strings, per-result continuations, the halt reason and halt continuation.
-func drainPairs(t *testing.T, tr *fdb.Transaction, opts Options, begin, end string) (pairs []string, conts []string, reason cursor.NoNextReason, cont []byte) {
+// A positive demand is announced before the first Next.
+func drainPairs(t *testing.T, tr *fdb.Transaction, opts Options, demand int, begin, end string) (pairs []string, conts []string, reason cursor.NoNextReason, cont []byte) {
 	t.Helper()
 	c := New(tr, []byte(begin), []byte(end), opts)
+	cursor.Demand(c, demand)
 	for {
 		r, err := c.Next()
 		if err != nil {
@@ -51,14 +57,13 @@ func TestReadAheadEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(noRA bool) (pairs, conts []string, reason cursor.NoNextReason, cont []byte) {
+			run := func(demand int) (pairs, conts []string, reason cursor.NoNextReason, cont []byte) {
 				opts := tc.opts
-				opts.NoReadAhead = noRA
 				if tc.lim != nil {
 					opts.Limiter = tc.lim()
 				}
 				_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
-					pairs, conts, reason, cont = drainPairs(t, tr, opts, "k", "l")
+					pairs, conts, reason, cont = drainPairs(t, tr, opts, demand, "k", "l")
 					return nil, nil
 				})
 				if err != nil {
@@ -66,8 +71,8 @@ func TestReadAheadEquivalence(t *testing.T) {
 				}
 				return
 			}
-			p1, c1, r1, h1 := run(false)
-			p2, c2, r2, h2 := run(true)
+			p1, c1, r1, h1 := run(0)
+			p2, c2, r2, h2 := run(wholeRange)
 			if len(p1) != len(p2) || r1 != r2 || string(h1) != string(h2) {
 				t.Fatalf("read-ahead: %d pairs, %v, cont %q; sequential: %d pairs, %v, cont %q",
 					len(p1), r1, h1, len(p2), r2, h2)
@@ -83,7 +88,7 @@ func TestReadAheadEquivalence(t *testing.T) {
 }
 
 // TestReadAheadContinuationRoundTrip: halting a read-ahead scan and resuming
-// from its continuation (with or without read-ahead) covers exactly the rest.
+// from its continuation (here without read-ahead) covers exactly the rest.
 func TestReadAheadContinuationRoundTrip(t *testing.T) {
 	db := seeded(t, 30)
 	lim := cursor.NewLimiter(11, 0, time.Time{}, nil)
@@ -91,12 +96,18 @@ func TestReadAheadContinuationRoundTrip(t *testing.T) {
 	if len(keys) != 11 || reason != cursor.ScanLimitReached {
 		t.Fatalf("first page: %d keys, %v", len(keys), reason)
 	}
-	rest, reason2, _ := collect(t, db, Options{BatchSize: 4, Continuation: cont, NoReadAhead: true}, "k", "l")
-	if len(rest) != 19 || reason2 != cursor.SourceExhausted {
-		t.Fatalf("resume: %d keys, %v", len(rest), reason2)
-	}
-	if rest[0] != "k011" {
-		t.Fatalf("resume started at %s", rest[0])
+	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+		rest, _, reason2, _ := drainPairs(t, tr, Options{BatchSize: 4, Continuation: cont}, wholeRange, "k", "l")
+		if len(rest) != 19 || reason2 != cursor.SourceExhausted {
+			t.Fatalf("resume: %d keys, %v", len(rest), reason2)
+		}
+		if rest[0] != "k011=v11" {
+			t.Fatalf("resume started at %s", rest[0])
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -120,10 +131,11 @@ func TestReadAheadOverlapsLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wait := func(noRA bool) int64 {
+	wait := func(demand int) int64 {
 		var w int64
 		_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
-			c := New(tr, []byte("k"), []byte("l"), Options{BatchSize: batch, MaxBatchSize: batch, NoReadAhead: noRA})
+			c := New(tr, []byte("k"), []byte("l"), Options{BatchSize: batch, MaxBatchSize: batch})
+			cursor.Demand(c, demand)
 			for {
 				r, err := c.Next()
 				if err != nil {
@@ -145,8 +157,8 @@ func TestReadAheadOverlapsLatency(t *testing.T) {
 		}
 		return w
 	}
-	sequential := wait(true)
-	overlapped := wait(false)
+	sequential := wait(wholeRange)
+	overlapped := wait(0)
 	// n/batch batch windows + n per-pair windows, vs 1 batch window + n.
 	if want := int64((n/batch + n) * window); sequential != want {
 		t.Fatalf("sequential waited %v, want %v", time.Duration(sequential), time.Duration(want))

@@ -108,6 +108,9 @@ type statsCursor struct {
 // latency window moves.
 func (c *statsCursor) Prefetch() { cursor.Prefetch(c.inner) }
 
+// Demand implements cursor.Demander: one record out per record in.
+func (c *statsCursor) Demand(n int) { cursor.Demand(c.inner, n) }
+
 func (c *statsCursor) Next() (cursor.Result[*core.StoredRecord], error) {
 	if c.st == nil {
 		r, err := c.inner.Next()
@@ -151,6 +154,9 @@ type rowInCursor[T any] struct {
 
 // Prefetch implements cursor.Prefetcher by forwarding to the wrapped node.
 func (c *rowInCursor[T]) Prefetch() { cursor.Prefetch(c.inner) }
+
+// Demand implements cursor.Demander: one item out per item in.
+func (c *rowInCursor[T]) Demand(n int) { cursor.Demand(c.inner, n) }
 
 func (c *rowInCursor[T]) Next() (cursor.Result[T], error) {
 	r, err := c.inner.Next()

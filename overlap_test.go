@@ -3,11 +3,13 @@ package recordlayer
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"recordlayer/internal/directory"
 	"recordlayer/internal/fdb"
+	"recordlayer/internal/keyexpr"
 	"recordlayer/internal/keyspace"
 	"recordlayer/internal/message"
 	"recordlayer/internal/metadata"
@@ -245,5 +247,187 @@ func TestOpenCostsExactWindows(t *testing.T) {
 			expect(what+": first open after the bump", timed(false, open(srv.p, user, nil)), openGRV+openRead)
 			expect(what+": second open after the bump", timed(false, open(srv.p, user, nil)), openGRV)
 		}
+	}
+}
+
+// limitSchema is testSchema plus an unindexed field for residual filters.
+func limitSchema() (*message.Descriptor, *metadata.MetaData) {
+	doc := message.MustDescriptor("Doc",
+		message.Field("id", 1, message.TypeInt64),
+		message.Field("tag", 2, message.TypeString),
+		message.Field("size", 3, message.TypeInt64),
+	)
+	md := metadata.NewBuilder(1).
+		AddRecordType(doc, keyexpr.Field("id")).
+		AddIndex(&metadata.Index{Name: "by_tag", Type: metadata.IndexValue,
+			Expression: keyexpr.Then(keyexpr.Field("tag"), keyexpr.Field("id"))}, "Doc").
+		MustBuild()
+	return doc, md
+}
+
+// TestLimitCostsExactWindows pins what a limit costs, in read windows on the
+// virtual clock and in keys read: RowLimit and ScanRecordLimit size the range
+// reads and the fetch window under them (doc.go "What a limit costs"), a
+// residual filter stops that, and no result or continuation moves. Every
+// record here is one pair plus its version slot.
+func TestLimitCostsExactWindows(t *testing.T) {
+	doc, md := limitSchema()
+	db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{
+		PerRead: openRead, PerGRV: openGRV, PerCommit: openCommit, Virtual: true}})
+	r := NewRunner(db, RunnerOptions{})
+	p := testProvider(t, md)
+	ctx := context.Background()
+	const entries = 130 // docs tagged "even": ids 0, 2, … 258
+	_, err := r.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		s, err := p.Open(ctx, tr, int64(1))
+		if err != nil {
+			return nil, err
+		}
+		for i := int64(0); i < 2*entries; i++ {
+			tag := "even"
+			if i%2 == 1 {
+				tag = "odd"
+			}
+			if _, err := s.SaveRecord(message.New(doc).MustSet("id", i).MustSet("tag", tag).MustSet("size", i)); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// page is one warm read transaction draining q under props.
+	type page struct {
+		ids    []int64
+		conts  [][]byte // continuation after each row
+		cont   []byte   // continuation at the halt
+		reason string
+		took   time.Duration
+		keys   int
+	}
+	run := func(q Query, props ExecuteProperties) page {
+		t.Helper()
+		var pg page
+		t0 := db.LatencyNow()
+		_, err := r.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			s, err := p.Open(ctx, tr, int64(1))
+			if err != nil {
+				return nil, err
+			}
+			cur, err := s.ExecuteQuery(ctx, q, props)
+			if err != nil {
+				return nil, err
+			}
+			pg = page{}
+			for {
+				rec, ok, err := cur.Next()
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					break
+				}
+				id, _ := rec.Message.Get("id")
+				pg.ids = append(pg.ids, id.(int64))
+				pg.conts = append(pg.conts, cur.Continuation())
+			}
+			pg.cont, pg.reason, pg.keys = cur.Continuation(), cur.NoNextReason().String(), tr.Stats().KeysRead
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.took = time.Duration(db.LatencyNow() - t0)
+		return pg
+	}
+	expect := func(what string, pg page, took time.Duration, keys int) {
+		t.Helper()
+		if pg.took != took || pg.keys != keys {
+			t.Errorf("%s: took %v and read %d keys, want %v and %d", what, pg.took, pg.keys, took, keys)
+		}
+	}
+	sameIDs := func(what string, got, want []int64) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: ids %v, want %v", what, got, want)
+		}
+	}
+
+	even := Query{RecordTypes: []string{"Doc"}, Filter: query.Field("tag").Equals("even")}
+	// The reference is the unlimited drain: all entries in one batch, the
+	// fetches at depth 8. It also warms the provider's caches.
+	run(even, ExecuteProperties{})
+	all := run(even, ExecuteProperties{})
+	if len(all.ids) != entries {
+		t.Fatalf("unlimited drain returned %d rows, want %d", len(all.ids), entries)
+	}
+	expect("unlimited drain", all, openGRV+openRead+(entries+7)/8*openRead, 3*entries)
+
+	// A page of n rows: n entries in one window, their n records in the next.
+	props := ExecuteProperties{RowLimit: 25}
+	for pageNo := 0; pageNo < 4; pageNo++ {
+		what := fmt.Sprintf("page %d of 25 rows", pageNo+1)
+		pg := run(even, props)
+		expect(what, pg, openGRV+2*openRead, 25+25*2)
+		lo, hi := 25*pageNo, 25*(pageNo+1)
+		sameIDs(what, pg.ids, all.ids[lo:hi])
+		if string(pg.cont) != string(all.conts[hi-1]) || pg.reason != "return-limit-reached" {
+			t.Errorf("%s: halted %s at %x, want the unlimited drain's continuation after row %d, %x",
+				what, pg.reason, pg.cont, hi, all.conts[hi-1])
+		}
+		props = props.WithContinuation(pg.cont)
+	}
+
+	// Skipped rows are scanned and fetched like delivered ones.
+	skip := run(even, ExecuteProperties{Skip: 10, RowLimit: 25})
+	expect("skip 10, limit 25", skip, openGRV+2*openRead, 35+35*2)
+	sameIDs("skip 10, limit 25", skip.ids, all.ids[10:35])
+
+	// A record-limited scan reads its budget, the record that exceeds it and
+	// the pair that ends that record, in one window; the filter above the
+	// scan does not matter, because the limit is counted below it.
+	big := Query{RecordTypes: []string{"Doc"}, Filter: query.Field("size").GreaterOrEqual(int64(100))}
+	full := run(big, ExecuteProperties{ScanRecordLimit: 200})
+	expect("full scan under ScanRecordLimit 200", full, openGRV+openRead, 2*201+1)
+	if len(full.ids) != 100 || full.reason != "scan-limit-reached" {
+		t.Errorf("full scan under ScanRecordLimit 200: %d rows, %s", len(full.ids), full.reason)
+	}
+
+	// A residual filter stops the demand: how many entries 25 survivors cost
+	// is not known, so the index range is read in default batches (all 130
+	// entries) and the fetches run depth-1 ahead of the 75th entry — the first
+	// 50 fail the filter — exactly as without this mechanism.
+	filtered := run(Query{RecordTypes: []string{"Doc"}, Filter: query.And(
+		query.Field("tag").Equals("even"), query.Field("size").GreaterOrEqual(int64(100)))},
+		ExecuteProperties{RowLimit: 25})
+	expect("residual filter under RowLimit 25", filtered, openGRV+openRead+(75+7)/8*openRead, entries+(75+7)*2)
+	sameIDs("residual filter under RowLimit 25", filtered.ids, all.ids[50:75])
+
+	// PipelineDepth 1 stays strictly sequential under a demand.
+	seq := run(even, ExecuteProperties{RowLimit: 25, PipelineDepth: 1})
+	expect("RowLimit 25 at PipelineDepth 1", seq, openGRV+openRead+25*openRead, 25+25*2)
+	sameIDs("RowLimit 25 at PipelineDepth 1", seq.ids, all.ids[:25])
+
+	// EXPLAIN ANALYZE pages through the whole range 25 rows at a time; the
+	// index node scans one entry per row it emits, over six pages.
+	_, err = r.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		s, err := p.Open(ctx, tr, int64(1))
+		if err != nil {
+			return nil, err
+		}
+		out, err := s.ExplainQuery(ctx, even, ExecuteProperties{RowLimit: 25})
+		if err != nil {
+			return nil, err
+		}
+		want := fmt.Sprintf("[pages=6 in=%d out=%d simreads=%d ", entries, entries, 3*entries)
+		if !strings.Contains(out, want) {
+			t.Errorf("ExplainQuery under RowLimit 25: want an index node with %q, got\n%s", want, out)
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

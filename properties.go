@@ -20,13 +20,14 @@ import (
 // killed mid-flight.
 type ExecuteProperties struct {
 	// RowLimit stops the stream after this many returned records
-	// (ReturnLimitReached); 0 is unlimited.
+	// (ReturnLimitReached); 0 is unlimited. With no residual filter or merge
+	// under it, it also sizes the reads (doc.go "What a limit costs").
 	RowLimit int
 	// Skip discards this many records before returning any (rank-free
 	// offset paging).
 	Skip int
 	// ScanRecordLimit bounds records scanned, counting those filtered out
-	// (ScanLimitReached); 0 is unlimited.
+	// (ScanLimitReached); 0 is unlimited. Scans size their first read to it.
 	ScanRecordLimit int
 	// ScanByteLimit bounds bytes read from the key-value store
 	// (ByteLimitReached); 0 is unlimited.
@@ -43,11 +44,14 @@ type ExecuteProperties struct {
 	// 1 fetches sequentially, one round trip per entry. Results are
 	// byte-identical to sequential execution (order, halts, continuations);
 	// the difference is eagerness: the scan runs up to PipelineDepth entries
-	// ahead of the consumer, so a stream abandoned early (e.g. under a small
-	// RowLimit) may have scanned, fetched, metered, and added read conflicts
-	// for up to PipelineDepth-1 records beyond the last one delivered. Set 1
-	// when that footprint matters more than fetch latency. Covering plans
-	// never fetch, so the knob does not apply to them.
+	// ahead of the consumer, so a stream abandoned early (or cut by a RowLimit
+	// above a residual filter) may have scanned, fetched, metered, and added
+	// read conflicts for up to PipelineDepth-1 records beyond the last one
+	// delivered. That makes it the window for speculative fetches only: under
+	// a RowLimit that reaches the scan exactly the page's records are fetched,
+	// in a window of the limit itself (capped at 128), so they share one round
+	// trip. Set 1 when footprint matters more than fetch latency. Covering
+	// plans never fetch, so the knob does not apply to them.
 	PipelineDepth int
 	// SlowQueryThreshold marks this execution slow when it runs at least this
 	// long from ExecutePlan to the stream's halt; slow executions are captured
