@@ -130,7 +130,10 @@
 // overlap observable. The default model is zero cost: reads resolve
 // instantly and nothing is tracked.
 //
-// The layer exploits the futures end-to-end; no hot read path is serial.
+// The layer exploits the futures end-to-end: a read path waits one window per
+// step of its dependency chain — reads that do not need each other's answers
+// are issued together — and the few that still wait longer are named where
+// their price is given ("What a RANK or TEXT index costs").
 // Index-scan record fetches issue up to PipelineDepth range reads ahead of
 // the consumer on a single goroutine (cursor.MapAsync — no worker
 // goroutines, so depth 8 costs the same as depth 1 when reads are instant).
@@ -139,9 +142,12 @@
 //
 // Index maintenance itself is two-phase: every maintainer implements
 // UpdateAsync(ctx, old, new), which issues the maintenance's probe reads
-// (uniqueness checks, skip-list floor lookups for RANK, token-bunch reads
-// for TEXT) and returns a Pending whose Await resolves them and applies the
-// writes; the synchronous Update is just UpdateAsync+Await. The batched
+// (uniqueness checks; for RANK the membership probe and one floor lookup per
+// skip-list level, with nothing read before them — a missing head is what an
+// empty floor means; token-bunch reads for TEXT) and returns a Pending whose
+// Await resolves them and applies the writes; the synchronous Update is just
+// UpdateAsync+Await. A save is therefore the old-record load plus one probe
+// window shared by every maintainer of the store. The batched
 // write path — Store.SaveRecords — rides that split: it issues all N
 // old-record loads as concurrent futures, then collects every record's
 // Pendings before awaiting any, so the entire batch's index probes share
@@ -265,6 +271,55 @@
 // a warm transaction no longer meters a header read. The counters are
 // store_state_cache_{hits,misses,invalidations}_total and
 // directory_cache_{hits,misses}_total.
+//
+// # What a RANK or TEXT index costs
+//
+// The RANK skip list (Appendix B, internal/rankedset) and the TEXT bunched
+// map cost what their data dependencies force. In read windows, on top of
+// the GRV, with the default six levels:
+//
+//	SaveRecord / SaveRecords(n), any mix of index types:  2 (load ∥…, probes ∥…)
+//	DeleteRecord, k times in a loop:                      2k
+//	RankOfValue, Rank:                                    2
+//	ByRank, the seek of ScanByRank:                       <= 6, + 1 per batch ended short
+//	TextSearchAll / TextSearchPhrase of k tokens:         1
+//
+// Rank-of: the descent's position on level l is the floor of the key there,
+// and key order finds a floor without the levels above, so the five floors
+// (a reverse Limit-1 read per level >= 1) go out together; the members passed
+// on level l are then the counts in [floor(l+1), floor(l)) — on level 0 in
+// [floor(1), key) — and those six ranges go out together. Two reads depend on
+// each other, so two windows, and the pairs fetched are exactly those of a
+// level-by-level descent (each floor is the last pair of that level's scan).
+// Select-by-rank has a real chain, one link per level: it reads each level
+// forward from the finger the level above chose and stops at the finger that
+// covers the rank — or answers "no such rank" as soon as a level's last
+// finger is passed. That finger is among the next rank-passed+2 entries
+// (each one passed holds at least one member, a head possibly none), so a
+// read never asks for more; above level 0 it asks for at most 32 at a time
+// (twice the fan-out of 16) and continues only if the batch ends short.
+// A text search issues every token's range scan before awaiting any.
+//
+// Nothing initialises a skip list. A level's head is its smallest key, so an
+// inclusive floor probe that comes back empty can only mean the head is
+// missing; the insert that finds it so creates it, in the same apply step
+// that then counts itself on it, and a read takes a headless level as empty.
+// The head is created with an atomic ADD of 0, not a Set: two transactions
+// that both make the first write to a store's RANK index both commit (they
+// conflict on nothing), and with ADD each keeps the other's count where the
+// later of two blind Sets would erase the earlier one. Level 0 has no head.
+// Stores written before this keep theirs and nothing reads it.
+//
+// The trade: above level 0 Select may read a batch of up to 32 entries where
+// it used to read two keys per entry passed — fewer keys in all when fingers
+// are long, more when the covering finger is the first of its batch — and
+// rank-of issues 11 small reads where it issued 6: index.rank.lookup_ns
+// 8.9 -> 12.6 µs of CPU against 2 ms less latency. What still waits longer
+// than its chain: an insert that lands on level >= 1 (1 in 16)
+// reads its finger-split sum fresh at apply time, a third window, and
+// deleting k records in a loop pays 2k windows where a batched delete would
+// pay 2. TestRankAndTextCostExactWindows and internal/rankedset's
+// TestCountLessAndSelectMatchReference pin the prices and the equivalence.
 //
 // # Resource governance
 //

@@ -151,18 +151,35 @@ func (m *Map) Delete(tr *fdb.Transaction, token string, pk tuple.Tuple) (bool, e
 
 // ScanToken returns every entry for a token in primary-key order.
 func (m *Map) ScanToken(tr *fdb.Transaction, token string) ([]Entry, error) {
-	begin, end := m.space.RangeForTuple(tuple.Tuple{token})
-	kvs, _, err := tr.GetRange(begin, end, fdb.RangeOptions{})
+	out, err := m.ScanTokens(tr, token)
 	if err != nil {
 		return nil, err
 	}
-	var out []Entry
-	for _, kv := range kvs {
-		_, entries, err := m.decodeBunch(kv.Key, kv.Value)
+	return out[0], nil
+}
+
+// ScanTokens is ScanToken for several tokens, one result per token in the
+// order given. Every token's range read is issued before any is awaited, so
+// k tokens cost one latency window, not k.
+func (m *Map) ScanTokens(tr *fdb.Transaction, tokens ...string) ([][]Entry, error) {
+	futs := make([]*fdb.FutureRange, len(tokens))
+	for i, token := range tokens {
+		begin, end := m.space.RangeForTuple(tuple.Tuple{token})
+		futs[i] = tr.GetRangeAsync(begin, end, fdb.RangeOptions{})
+	}
+	out := make([][]Entry, len(tokens))
+	for i, fut := range futs {
+		kvs, _, err := fut.Get()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, entries...)
+		for _, kv := range kvs {
+			_, entries, err := m.decodeBunch(kv.Key, kv.Value)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = append(out[i], entries...)
+		}
 	}
 	return out, nil
 }

@@ -39,9 +39,6 @@ func RunFigure5(w io.Writer) (Figure5Result, error) {
 		},
 	})
 	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-		if err := rs.Init(tr); err != nil {
-			return nil, err
-		}
 		for _, k := range []string{"a", "b", "c", "d", "e", "f"} {
 			if _, err := rs.Insert(tr, []byte(k)); err != nil {
 				return nil, err

@@ -56,22 +56,15 @@ func member(entry, pk tuple.Tuple) []byte {
 	return entry.Append(pk...).Pack()
 }
 
-// asyncFor returns the transaction's pipelining overlay, initializing the
-// skip-list heads on first use. The head probes are issued together (one
-// window per transaction, not per record) and the head writes are metered
-// here, since the apply-phase delta below won't see them.
-func (m *RankMaintainer) asyncFor(ctx *Context) (*rankedset.Async, error) {
+// asyncFor returns the transaction's pipelining overlay. It reads and writes
+// nothing: the skip list needs no set-up (a missing head is created by the
+// op that finds it missing, inside the metered apply phase).
+func (m *RankMaintainer) asyncFor(ctx *Context) *rankedset.Async {
 	if m.asyncTr != ctx.Tr {
-		rs := m.set(ctx.Space)
-		before := ctx.Tr.Stats()
-		if err := rs.Init(ctx.Tr); err != nil {
-			return nil, err
-		}
-		ctx.meterWriteDelta(before)
-		m.async = rs.Async(ctx.Tr)
+		m.async = m.set(ctx.Space).Async(ctx.Tr)
 		m.asyncTr = ctx.Tr
 	}
-	return m.async, nil
+	return m.async
 }
 
 // UpdateAsync implements Maintainer: the value sub-index's probes and every
@@ -79,10 +72,7 @@ func (m *RankMaintainer) asyncFor(ctx *Context) (*rankedset.Async, error) {
 // and applies the rewrites. Skip-list ops pipeline across records through the
 // shared per-transaction overlay, so Pendings must be awaited in issue order.
 func (m *RankMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, error) {
-	a, err := m.asyncFor(ctx)
-	if err != nil {
-		return nil, err
-	}
+	a := m.asyncFor(ctx)
 	oldEntries, err := entriesFor(ctx.Index, old)
 	if err != nil {
 		return nil, err

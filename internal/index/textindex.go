@@ -200,81 +200,53 @@ func (m *TextMaintainer) normalize(token string) string {
 // optionally within a proximity window (maxDistance > 0), in primary key
 // order.
 func (m *TextMaintainer) ContainsAll(ctx *Context, tokens []string, maxDistance int64) ([]tuple.Tuple, error) {
-	if len(tokens) == 0 {
-		return nil, nil
-	}
-	perToken := make([]map[string][]int64, len(tokens))
-	for i, tok := range tokens {
-		ps, err := m.ScanToken(ctx, tok)
-		if err != nil {
-			return nil, err
-		}
-		mp := map[string][]int64{}
-		for _, p := range ps {
-			mp[string(p.PrimaryKey.Pack())] = p.Offsets
-		}
-		perToken[i] = mp
-	}
-	var out []tuple.Tuple
-	for pkPacked, offs0 := range perToken[0] {
-		lists := [][]int64{offs0}
-		all := true
-		for i := 1; i < len(perToken); i++ {
-			offs, ok := perToken[i][pkPacked]
-			if !ok {
-				all = false
-				break
-			}
-			lists = append(lists, offs)
-		}
-		if !all {
-			continue
-		}
-		if maxDistance > 0 && !text.MatchProximity(lists, maxDistance) {
-			continue
-		}
-		pk, err := tuple.Unpack([]byte(pkPacked))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pk)
-	}
-	sortTuples(out)
-	return out, nil
+	return m.containing(ctx, tokens, func(lists [][]int64) bool {
+		return maxDistance <= 0 || text.MatchProximity(lists, maxDistance)
+	})
 }
 
 // ContainsPhrase returns the primary keys of records containing the exact
 // token sequence, in primary key order.
 func (m *TextMaintainer) ContainsPhrase(ctx *Context, phrase string) ([]tuple.Tuple, error) {
 	toks := m.tokenizer.Tokenize(phrase)
-	if len(toks) == 0 {
+	tokens := make([]string, len(toks))
+	for i, tok := range toks {
+		tokens[i] = tok.Text
+	}
+	return m.containing(ctx, tokens, text.MatchPhrase)
+}
+
+// containing returns, in primary key order, the records that contain every
+// token and whose offset lists (one per token, in token order) satisfy match.
+// The tokens' scans are issued together: k tokens cost one latency window.
+func (m *TextMaintainer) containing(ctx *Context, tokens []string, match func(lists [][]int64) bool) ([]tuple.Tuple, error) {
+	if len(tokens) == 0 {
 		return nil, nil
 	}
-	perToken := make([]map[string][]int64, len(toks))
-	for i, tok := range toks {
-		ps, err := m.ScanToken(ctx, tok.Text)
-		if err != nil {
-			return nil, err
+	normal := make([]string, len(tokens))
+	for i, tok := range tokens {
+		normal[i] = m.normalize(tok)
+	}
+	scans, err := m.mapFor(ctx).ScanTokens(ctx.Tr, normal...)
+	if err != nil {
+		return nil, err
+	}
+	perToken := make([]map[string][]int64, len(tokens))
+	for i, entries := range scans {
+		perToken[i] = make(map[string][]int64, len(entries))
+		for _, e := range entries {
+			perToken[i][string(e.PK.Pack())] = e.Offsets
 		}
-		mp := map[string][]int64{}
-		for _, p := range ps {
-			mp[string(p.PrimaryKey.Pack())] = p.Offsets
-		}
-		perToken[i] = mp
 	}
 	var out []tuple.Tuple
 	for pkPacked, offs0 := range perToken[0] {
 		lists := [][]int64{offs0}
-		all := true
-		for i := 1; i < len(perToken); i++ {
-			offs, ok := perToken[i][pkPacked]
-			if !ok {
-				all = false
-				break
+		for _, mp := range perToken[1:] {
+			if offs, ok := mp[pkPacked]; ok {
+				lists = append(lists, offs)
 			}
-			lists = append(lists, offs)
 		}
-		if !all || !text.MatchPhrase(lists) {
+		if len(lists) < len(tokens) || !match(lists) {
 			continue
 		}
 		pk, err := tuple.Unpack([]byte(pkPacked))

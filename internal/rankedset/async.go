@@ -19,9 +19,10 @@ import (
 // remembers the latest value of each key written and corrects each probe
 // against it at apply time (see that package); ops must be applied in issue
 // order (enforced). A floor whose raw entry has since been cleared with
-// nothing written above it is reread fresh — rare, and the head entry is
-// never cleared, so it always finds one. In-level sums (the finger split on
-// insert) are likewise read fresh at apply time.
+// nothing written above it is reread fresh — rare; a level's head is never
+// cleared, so only a level that never had one resolves to nothing, and
+// resolveFloor then creates it. In-level sums (the finger split on insert)
+// are likewise read fresh at apply time.
 type Async struct {
 	rs *RankedSet
 	tr *fdb.Transaction
@@ -49,24 +50,6 @@ type Op struct {
 	own     []*fdb.FutureValue // in-level delete: the member's own count
 }
 
-// floorRange is the range a level's floor probe scans in reverse: every entry
-// with entryKey <= key (inclusive) or < key (exclusive; used by in-level
-// deletes, whose serial counterpart floors after clearing the member's own
-// entry).
-func (a *Async) floorRange(level int, key []byte, inclusive bool) (begin, end []byte) {
-	begin, _ = a.rs.levelRange(level)
-	end = a.rs.levelKey(level, key)
-	if inclusive {
-		end = fdb.KeyAfter(end)
-	}
-	return begin, end
-}
-
-func (a *Async) issueFloor(level int, key []byte, inclusive bool) *fdb.FutureRange {
-	begin, end := a.floorRange(level, key, inclusive)
-	return a.tr.Snapshot().GetRangeAsync(begin, end, fdb.RangeOptions{Limit: 1, Reverse: true})
-}
-
 // IssueInsert starts an insert: the membership probe and every level's floor
 // go out together.
 func (a *Async) IssueInsert(key []byte) (*Op, error) {
@@ -92,10 +75,10 @@ func (a *Async) issue(key []byte, insert bool) (*Op, error) {
 	for l := 1; l < a.rs.levels; l++ {
 		if !insert && a.rs.inLvl(key, l) {
 			op.own[l] = a.tr.GetAsync(a.rs.levelKey(l, key))
-			op.floors[l] = a.issueFloor(l, key, false)
+			op.floors[l] = a.rs.issueFloor(a.tr, l, key, false)
 			continue
 		}
-		op.floors[l] = a.issueFloor(l, key, true)
+		op.floors[l] = a.rs.issueFloor(a.tr, l, key, true)
 	}
 	return op, nil
 }
@@ -106,22 +89,24 @@ func (a *Async) set(level int, key []byte, count int64) error {
 }
 
 // resolveFloor turns an issued floor probe into the entry a serial floor read
-// at apply time would return.
+// at apply time would return. No entry at all means the level has no head yet
+// (the head is its smallest key), so this is the set's first write: the head
+// is created here, through the overlay so later ops of the batch find it, and
+// with an ADD of 0 rather than a Set — two transactions that both find the
+// set empty then both commit and keep each other's counts, where a later
+// blind Set would erase the earlier one's.
 func (op *Op) resolveFloor(level int, inclusive bool) ([]byte, int64, error) {
 	a := op.a
-	begin, end := a.floorRange(level, op.key, inclusive)
+	begin, end := a.rs.floorRange(level, op.key, inclusive)
 	kv, ok, err := a.ov.Boundary(op.floors[level], begin, end, true, true)
 	if err != nil {
 		return nil, 0, err
 	}
 	if !ok {
-		return nil, 0, fmt.Errorf("rankedset: level %d head missing; call Init", level)
+		return head, 0, a.ov.Add(a.rs.levelKey(level, head), 0, 0)
 	}
-	t, err := a.rs.space.Unpack(kv.Key)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t[1].([]byte), decodeCount(kv.Value), nil
+	prev, err := a.rs.memberOf(kv.Key)
+	return prev, decodeCount(kv.Value), err
 }
 
 // Apply completes the op: resolves its probes and applies the mutation. Ops

@@ -42,9 +42,6 @@ func runSerial(t *testing.T, db *fdb.Database, rs *RankedSet, ops []setOp) []boo
 	t.Helper()
 	changed := make([]bool, len(ops))
 	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-		if err := rs.Init(tr); err != nil {
-			return nil, err
-		}
 		for i, o := range ops {
 			var err error
 			if o.insert {
@@ -70,9 +67,6 @@ func runBatched(t *testing.T, db *fdb.Database, rs *RankedSet, ops []setOp) []bo
 	t.Helper()
 	changed := make([]bool, len(ops))
 	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-		if err := rs.Init(tr); err != nil {
-			return nil, err
-		}
 		a := rs.Async(tr)
 		pending := make([]*Op, len(ops))
 		for i, o := range ops {
@@ -107,9 +101,6 @@ func compareRuns(t *testing.T, cfg *Config, seed []string, ops []setOp) {
 		db := fdb.Open(nil)
 		rs := New(subspace.FromTuple(tuple.Tuple{"rank"}), cfg)
 		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-			if err := rs.Init(tr); err != nil {
-				return nil, err
-			}
 			for _, k := range seed {
 				if _, err := rs.Insert(tr, []byte(k)); err != nil {
 					return nil, err
@@ -207,9 +198,6 @@ func TestAsyncBatchSharesWindow(t *testing.T) {
 		rs := New(subspace.FromTuple(tuple.Tuple{"rank"}), nil)
 		var waited int64
 		_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-			if err := rs.Init(tr); err != nil {
-				return nil, err
-			}
 			ops := make([]*Op, 0, n)
 			a := rs.Async(tr)
 			for i := 0; i < n; i++ {
@@ -240,8 +228,9 @@ func TestAsyncBatchSharesWindow(t *testing.T) {
 		return waited
 	}
 	serial, batched := simwait(false), simwait(true)
-	// Serial: Init (1 window) + one window per insert's probe batch, plus any
-	// finger-split sums. Batched: Init + ~1 shared window for all probes.
+	// Serial: one window per insert's probe batch, plus any finger-split sums.
+	// Batched: one shared window for all probes, plus the same sums
+	// (TestInsertBatchWindows pins both exactly).
 	if minSerial := int64(n) * int64(window); serial < minSerial {
 		t.Fatalf("serial simwait %v, expected >= %v", serial, minSerial)
 	}

@@ -76,8 +76,11 @@ func New(space subspace.Subspace, cfg *Config) *RankedSet {
 	return &RankedSet{space: space, levels: levels, inLvl: inLvl}
 }
 
-// head is the pseudo-entry present on every level with the empty key; its
-// count covers members preceding the first real entry of that level.
+// head is the pseudo-entry of every level >= 1, with the empty key; its count
+// covers members preceding the first real entry of that level. It is the
+// smallest key of its level, so a floor probe that comes back empty says the
+// level has no head yet: the first write creates it (Op.resolveFloor) and
+// reads take the level as empty. Nothing is set up in advance.
 var head = []byte{}
 
 func (rs *RankedSet) levelKey(level int, key []byte) []byte {
@@ -101,26 +104,20 @@ func decodeCount(b []byte) int64 {
 	return int64(binary.LittleEndian.Uint64(b))
 }
 
-// Init creates the head entries; call once per subspace (idempotent). The
-// per-level existence probes are issued together, so initialization costs one
-// latency window instead of one per level.
-func (rs *RankedSet) Init(tr *fdb.Transaction) error {
-	futs := make([]*fdb.FutureValue, rs.levels)
-	for l := 0; l < rs.levels; l++ {
-		futs[l] = tr.Snapshot().GetAsync(rs.levelKey(l, head))
+func sumCounts(kvs []fdb.KeyValue) (sum int64) {
+	for _, kv := range kvs {
+		sum += decodeCount(kv.Value)
 	}
-	for l, fut := range futs {
-		v, err := fut.Get()
-		if err != nil {
-			return err
-		}
-		if v == nil {
-			if err := tr.Set(rs.levelKey(l, head), encodeCount(0)); err != nil {
-				return err
-			}
-		}
+	return sum
+}
+
+// memberOf extracts the member from one of its level keys.
+func (rs *RankedSet) memberOf(levelKey []byte) ([]byte, error) {
+	t, err := rs.space.Unpack(levelKey)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return t[1].([]byte), nil
 }
 
 // Contains reports membership. The read conflicts only on the member's own
@@ -140,17 +137,8 @@ func (rs *RankedSet) Contains(tr *fdb.Transaction, key []byte) (bool, error) {
 // the number of level-0 members in that key interval, provided both bounds
 // are entries of this level (or head).
 func (rs *RankedSet) sumBelow(tr *fdb.Transaction, level int, from, to []byte) (int64, error) {
-	begin := rs.levelKey(level, from)
-	end := rs.levelKey(level, to)
-	kvs, _, err := tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{})
-	if err != nil {
-		return 0, err
-	}
-	var sum int64
-	for _, kv := range kvs {
-		sum += decodeCount(kv.Value)
-	}
-	return sum, nil
+	kvs, _, err := tr.Snapshot().GetRange(rs.levelKey(level, from), rs.levelKey(level, to), fdb.RangeOptions{})
+	return sumCounts(kvs), err
 }
 
 // Insert adds a member; it is a no-op if already present (first return
@@ -205,45 +193,75 @@ func (rs *RankedSet) CountLess(tr *fdb.Transaction, key []byte) (int64, error) {
 	return rs.countLess(tr, key)
 }
 
-// countLess performs the skip-list descent of Figure 5(b): at each level it
-// scans the finger chain from the current position toward key. Every entry
-// except the last in the scan has its successor within the scan, so its
-// count is skipped wholesale; the last entry becomes the position for the
-// level below. At level 0 each entry *is* one member (head counts zero), so
-// all scanned counts are added directly.
+// floorRange is the range a level's floor probe scans in reverse: every entry
+// with entryKey <= key (inclusive) or < key (exclusive).
+func (rs *RankedSet) floorRange(level int, key []byte, inclusive bool) (begin, end []byte) {
+	begin, _ = rs.levelRange(level)
+	end = rs.levelKey(level, key)
+	if inclusive {
+		end = fdb.KeyAfter(end)
+	}
+	return begin, end
+}
+
+func (rs *RankedSet) issueFloor(tr *fdb.Transaction, level int, key []byte, inclusive bool) *fdb.FutureRange {
+	begin, end := rs.floorRange(level, key, inclusive)
+	return tr.Snapshot().GetRangeAsync(begin, end, fdb.RangeOptions{Limit: 1, Reverse: true})
+}
+
+// countLess is the skip-list descent of Figure 5(b) at its dependency depth,
+// two windows. The descent's position on level l is the floor of key there,
+// and key order finds that without the levels above, so every level's floor
+// is probed at once. The members passed on level l are then the counts in
+// [floor(l+1), floor(l)) — on level 0, where each entry is one member, in
+// [floor(1), key) — and those ranges are read together. A level-by-level scan
+// reads the same pairs: each floor here is the last pair of that level's scan.
 func (rs *RankedSet) countLess(tr *fdb.Transaction, key []byte) (int64, error) {
-	var rank int64
-	cur := head
+	floors := make([]*fdb.FutureRange, rs.levels)
+	for l := 1; l < rs.levels; l++ {
+		floors[l] = rs.issueFloor(tr, l, key, false)
+	}
+	sums := make([]*fdb.FutureRange, rs.levels)
+	from := head
 	for l := rs.levels - 1; l >= 0; l-- {
-		begin := rs.levelKey(l, cur)
-		end := rs.levelKey(l, key)
-		kvs, _, err := tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{})
+		to := key
+		if l > 0 {
+			kvs, _, err := floors[l].Get()
+			if err != nil {
+				return 0, err
+			}
+			to = head // nothing below key, or no head yet: the level adds nothing
+			if len(kvs) > 0 {
+				if to, err = rs.memberOf(kvs[0].Key); err != nil {
+					return 0, err
+				}
+			}
+		}
+		sums[l] = tr.Snapshot().GetRangeAsync(rs.levelKey(l, from), rs.levelKey(l, to), fdb.RangeOptions{})
+		from = to
+	}
+	var rank int64
+	for _, fut := range sums {
+		kvs, _, err := fut.Get()
 		if err != nil {
 			return 0, err
 		}
-		if l == 0 {
-			for _, kv := range kvs {
-				rank += decodeCount(kv.Value)
-			}
-			break
-		}
-		for i, kv := range kvs {
-			if i == len(kvs)-1 {
-				t, err := rs.space.Unpack(kv.Key)
-				if err != nil {
-					return 0, err
-				}
-				cur = t[1].([]byte)
-			} else {
-				rank += decodeCount(kv.Value)
-			}
-		}
+		rank += sumCounts(kvs)
 	}
 	return rank, nil
 }
 
+// selectBatch is the most entries Select reads of a level above 0 at a time:
+// twice the default fan-out of 16, so one read per level is the common case.
+const selectBatch = 32
+
 // Select returns the member with the given 0-based rank; ok=false when rank
-// is out of range.
+// is out of range. Each level is read forward from the finger the level above
+// chose until the finger covering rank is found: one window per level, plus
+// one per batch that ends short of it. That finger is among the level's next
+// rank-passed+2 entries — each one passed holds at least one member, a head
+// possibly none — so no read asks for more: level 0 reads exactly that far,
+// the levels above it at most a batch at a time.
 func (rs *RankedSet) Select(tr *fdb.Transaction, rank int64) ([]byte, bool, error) {
 	if rank < 0 {
 		return nil, false, nil
@@ -251,58 +269,43 @@ func (rs *RankedSet) Select(tr *fdb.Transaction, rank int64) ([]byte, bool, erro
 	var passed int64
 	cur := head
 	for l := rs.levels - 1; l >= 0; l-- {
+		begin := rs.levelKey(l, cur)
+		_, end := rs.levelRange(l)
+	level:
 		for {
-			raw, err := tr.Snapshot().Get(rs.levelKey(l, cur))
+			limit := selectBatch
+			if rem := rank - passed; l == 0 || rem < selectBatch-2 {
+				limit = int(rem) + 2
+			}
+			kvs, more, err := tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{Limit: limit})
 			if err != nil {
 				return nil, false, err
 			}
-			count := decodeCount(raw)
-			if passed+count > rank {
-				break // descend: the target lies within cur's finger
-			}
-			// Advance along the level.
-			begin := fdb.KeyAfter(rs.levelKey(l, cur))
-			_, end := rs.levelRange(l)
-			kvs, _, err := tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{Limit: 1})
-			if err != nil {
-				return nil, false, err
-			}
-			if len(kvs) == 0 {
-				if l == 0 {
-					return nil, false, nil // rank beyond the end
+			for _, kv := range kvs {
+				count := decodeCount(kv.Value)
+				if passed+count > rank {
+					// The target lies within this finger; at level 0 it is the target.
+					if cur, err = rs.memberOf(kv.Key); err != nil {
+						return nil, false, err
+					}
+					break level
 				}
-				break
+				passed += count
 			}
-			t, err := rs.space.Unpack(kvs[0].Key)
-			if err != nil {
-				return nil, false, err
+			if !more {
+				return nil, false, nil // past the level's last finger: rank >= size
 			}
-			passed += count
-			cur = t[1].([]byte)
-		}
-		if l == 0 {
-			if passed == rank && len(cur) > 0 {
-				return cur, true, nil
-			}
-			return nil, false, nil
+			begin = fdb.KeyAfter(kvs[len(kvs)-1].Key)
 		}
 	}
-	return nil, false, nil
+	return cur, true, nil
 }
 
 // Size returns the number of members.
 func (rs *RankedSet) Size(tr *fdb.Transaction) (int64, error) {
-	top := rs.levels - 1
-	begin, end := rs.levelRange(top)
+	begin, end := rs.levelRange(rs.levels - 1)
 	kvs, _, err := tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{})
-	if err != nil {
-		return 0, err
-	}
-	var sum int64
-	for _, kv := range kvs {
-		sum += decodeCount(kv.Value)
-	}
-	return sum, nil
+	return sumCounts(kvs), err
 }
 
 // Clear removes all state, including head entries.

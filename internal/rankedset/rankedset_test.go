@@ -13,15 +13,7 @@ import (
 
 func newSet(t *testing.T, cfg *Config) (*fdb.Database, *RankedSet) {
 	t.Helper()
-	db := fdb.Open(nil)
-	rs := New(subspace.FromTuple(tuple.Tuple{"rank"}), cfg)
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-		return nil, rs.Init(tr)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db, rs
+	return fdb.Open(nil), New(subspace.FromTuple(tuple.Tuple{"rank"}), cfg)
 }
 
 func insert(t *testing.T, db *fdb.Database, rs *RankedSet, keys ...string) {

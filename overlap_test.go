@@ -431,3 +431,165 @@ func TestLimitCostsExactWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRankAndTextCostExactWindows pins what RANK and TEXT maintenance and
+// reads cost in simulated time (doc.go "What a RANK or TEXT index costs"),
+// with the prices and virtual clock of TestOpenCostsExactWindows: a save is
+// the old-record load plus one probe window shared by every maintainer —
+// nothing sets the skip list up first — and a rank or text read costs its
+// dependency depth. None of the members written here is promoted above
+// level 0; the 1 in 16 that is pays a third window for its finger-split sum.
+func TestRankAndTextCostExactWindows(t *testing.T) {
+	doc := message.MustDescriptor("Doc",
+		message.Field("id", 1, message.TypeInt64),
+		message.Field("tag", 2, message.TypeString),
+		message.Field("score", 3, message.TypeInt64),
+		message.Field("body", 4, message.TypeString),
+	)
+	md := metadata.NewBuilder(1).
+		AddRecordType(doc, keyexpr.Field("id")).
+		AddIndex(&metadata.Index{Name: "by_tag", Type: metadata.IndexValue,
+			Expression: keyexpr.Then(keyexpr.Field("tag"), keyexpr.Field("id"))}, "Doc").
+		AddIndex(&metadata.Index{Name: "by_score", Type: metadata.IndexRank,
+			Expression: keyexpr.Field("score")}, "Doc").
+		AddIndex(&metadata.Index{Name: "body_text", Type: metadata.IndexText,
+			Expression: keyexpr.Field("body")}, "Doc").
+		MustBuild()
+	db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{
+		PerRead: openRead, PerGRV: openGRV, PerCommit: openCommit, Virtual: true}})
+	r := NewRunner(db, RunnerOptions{})
+	p := testProvider(t, md)
+	ctx := context.Background()
+
+	// timed runs one transaction on the warm provider and returns its
+	// simulated duration and the keys it read.
+	timed := func(commit bool, fn func(*Store) error) (time.Duration, int) {
+		t.Helper()
+		run := r.ReadRun
+		if commit {
+			run = r.Run
+		}
+		var keys int
+		t0 := db.LatencyNow()
+		_, err := run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			s, err := p.Open(ctx, tr, int64(1))
+			if err == nil && fn != nil {
+				err = fn(s)
+			}
+			keys = tr.Stats().KeysRead
+			return nil, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return time.Duration(db.LatencyNow() - t0), keys
+	}
+	expect := func(what string, got, want time.Duration) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s took %v, want %v", what, got, want)
+		}
+	}
+	rec := func(id, score int64) *message.Message {
+		return message.New(doc).MustSet("id", id).MustSet("tag", fmt.Sprintf("t%d", score%7)).
+			MustSet("score", score).MustSet("body", fmt.Sprintf("w%d the quick brown fox w%d", id%5, score%11))
+	}
+	save := func(msgs ...*message.Message) func(*Store) error {
+		return func(s *Store) error {
+			if len(msgs) == 1 {
+				_, err := s.SaveRecord(msgs[0])
+				return err
+			}
+			_, err := s.SaveRecords(msgs)
+			return err
+		}
+	}
+	rankOf := func(what string, score, want int64) func(*Store) error {
+		return func(s *Store) error {
+			got, err := s.RankOfValue("by_score", tuple.Tuple{score})
+			if err == nil && got != want {
+				err = fmt.Errorf("%s: RankOfValue(%d) = %d, want %d", what, score, got, want)
+			}
+			return err
+		}
+	}
+
+	timed(true, nil)  // creates the store
+	timed(false, nil) // caches its state
+	took, _ := timed(false, nil)
+	expect("warm open", took, openGRV)
+
+	// Nothing has written the RANK index: no level has a head, and that is
+	// an empty set, not an error.
+	took, keys := timed(false, rankOf("never-written index", 50, 0))
+	expect("RankOfValue on a never-written index", took, openGRV+2*openRead)
+	if keys != 0 {
+		t.Errorf("RankOfValue on a never-written index read %d keys, want 0", keys)
+	}
+
+	// The store's first save creates the heads inside its one probe window.
+	took, _ = timed(true, save(rec(1, 100)))
+	expect("first save into an empty store", took, openGRV+2*openRead+openCommit)
+	timed(false, rankOf("after the first save", 100, 0))
+	timed(false, rankOf("after the first save", 101, 1))
+
+	var batch []*message.Message
+	for id := int64(2); id <= 200; id++ {
+		batch = append(batch, rec(id, 100*id))
+	}
+	timed(true, save(batch...))
+
+	// Every indexed field of the rewritten records changes.
+	took, _ = timed(true, save(rec(7, 705)))
+	expect("SaveRecord of an existing record", took, openGRV+2*openRead+openCommit)
+	took, _ = timed(true, save(rec(11, 1105), rec(12, 1205), rec(201, 20100), rec(13, 1305)))
+	expect("SaveRecords of 4", took, openGRV+2*openRead+openCommit)
+	took, _ = timed(true, func(s *Store) error {
+		for _, id := range []int64{20, 21, 22} {
+			if ok, err := s.DeleteRecord(tuple.Tuple{id}); err != nil || !ok {
+				return fmt.Errorf("delete %d: %v, %v", id, ok, err)
+			}
+		}
+		return nil
+	})
+	expect("three DeleteRecords", took, openGRV+6*openRead+openCommit)
+
+	// 198 records remain; 146 of them score below 15000. The two-window read
+	// fetches what the six-window level-by-level descent it replaced fetched
+	// here, 17 pairs: per level, the entries from the level above's floor to
+	// its own.
+	const rankOfValueKeys = 17
+	took, keys = timed(false, rankOf("198 records", 15000, 146))
+	expect("RankOfValue", took, openGRV+2*openRead)
+	if keys != rankOfValueKeys {
+		t.Errorf("RankOfValue read %d keys, want %d", keys, rankOfValueKeys)
+	}
+	took, _ = timed(false, func(s *Store) error {
+		e, ok, err := s.ByRank("by_score", 146)
+		if err == nil && (!ok || fmt.Sprint(e.PrimaryKey) != fmt.Sprint(tuple.Tuple{int64(150)})) {
+			err = fmt.Errorf("ByRank(146) = %v, %v; want record 150", e.PrimaryKey, ok)
+		}
+		return err
+	})
+	if took > openGRV+7*openRead {
+		t.Errorf("ByRank took %v, want at most GRV + one window per level + one", took)
+	}
+
+	// k tokens are k range reads in one window.
+	took, _ = timed(false, func(s *Store) error {
+		pks, err := s.TextSearchAll("body_text", []string{"w3", "fox", "w5"}, 0)
+		if err == nil && len(pks) == 0 {
+			err = fmt.Errorf("TextSearchAll found nothing")
+		}
+		return err
+	})
+	expect("TextSearchAll of 3 tokens", took, openGRV+openRead)
+	took, _ = timed(false, func(s *Store) error {
+		pks, err := s.TextSearchPhrase("body_text", "quick brown fox")
+		if err == nil && len(pks) != 198 {
+			err = fmt.Errorf("TextSearchPhrase found %d records, want 198", len(pks))
+		}
+		return err
+	})
+	expect("TextSearchPhrase of 3 words", took, openGRV+openRead)
+}
