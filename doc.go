@@ -101,10 +101,11 @@
 // projected query with no usable filter still plans an index-only scan
 // instead of a full record scan.
 //
-// Pipelined fetches (§8): plans that do fetch records keep up to
-// ExecuteProperties.PipelineDepth record reads in flight behind the index
-// scan (default 8; 1 restores strictly sequential fetching); under a RowLimit
-// exactly the page's records, together ("What a limit costs"). Results are
+// Pipelined fetches (§8): plans that do fetch records issue the fetches for
+// the index entries a scan has delivered together, up to 128 at a time, and
+// speculate at most ExecuteProperties.PipelineDepth reads past what has been
+// read (default 8; 1 restores strictly sequential fetching); under a RowLimit
+// exactly the page's records, together ("What a fetch costs"). Results are
 // byte-identical to sequential execution — order, halt reasons, and
 // continuations included — only the fetch latency overlaps. Scan limits
 // charge per record scanned, and a limit smaller than a single record's
@@ -134,9 +135,10 @@
 // step of its dependency chain — reads that do not need each other's answers
 // are issued together — and the few that still wait longer are named where
 // their price is given ("What a RANK or TEXT index costs").
-// Index-scan record fetches issue up to PipelineDepth range reads ahead of
-// the consumer on a single goroutine (cursor.MapAsync — no worker
-// goroutines, so depth 8 costs the same as depth 1 when reads are instant).
+// Index-scan record fetches are issued ahead of the consumer on a single
+// goroutine (cursor.MapAsync — no worker goroutines, so depth 8 costs the
+// same as depth 1 when reads are instant): for every entry already read, and
+// PipelineDepth of them past that.
 // Range scans prefetch their next batch while the current one drains
 // (kvcursor read-ahead), unless a limit tells them how little is wanted.
 //
@@ -173,39 +175,91 @@
 // cursors implement a Prefetch protocol: before peeking any drained child,
 // a merge step first re-issues the next batch fetch on every child that
 // needs one, so a K-way merge pays one shared window per step rather than
-// K sequential ones (BenchmarkMergeQuery). Results stay byte-identical to
-// the serial drain — order, halt reasons, continuations, and metering
-// included — because prefetched-but-unconsumed batches are never metered.
+// K sequential ones (BenchmarkMergeQuery). A merge of bare index scans runs on
+// the scans' entries and fetches once, above itself ("What a fetch costs").
+// Results stay byte-identical to the serial drain — order, halt reasons,
+// continuations, and metering included — because prefetched-but-unconsumed
+// batches are never metered.
 // `go test -bench . -args -latency 100us` runs the root microbenchmarks under
 // a 100µs-per-read latency model; they report simwait-ns/op next to ns/op.
 //
-// # What a limit costs
+// # What a fetch costs
 //
-// Every request in the paper's model is bounded (§3.1, §8.2), so a limit
-// sizes the reads under it, not only the stream above them, through one
-// optional cursor method: cursor.Demander's Demand(n), "the consumer will
-// take at most n more values", a hint that like Prefetch never changes what
-// Next returns. cursor.Limit announces its n. Cursors that deliver one value
-// per source value forward it: Map, MapAsync, the plan statistics wrappers,
-// the Skip cursor (n plus the rows still to discard), the record scan (in
-// pairs: 2n with version slots, plus the pair that shows the last record
-// ended). Cursors that drop or merge values (Filter, Distinct, Union,
-// Intersection) do not — what one of their values costs the source is unknown
-// — so the demand stops where it stops being true. At the leaf a range scan
-// sizes its first GetRange to the demand (up to 4096) and reads nothing ahead
-// until the consumer has taken more than it announced; a scanned-records limit
-// is the same demand read off the Limiter (budget + 1: the extra value tells
-// ScanLimitReached from SourceExhausted). MapAsync under a demand issues
+// A query that is not covering reads index entries and then the records
+// behind them, and the second read needs the first: two round trips is its
+// dependency depth. Three optional cursor methods, all hints that never
+// change what Next returns, keep plans at that depth: Prefetcher (above),
+// Demander and Readier.
+//
+// With a limit. Every request in the paper's model is bounded (§3.1, §8.2),
+// so a limit sizes the reads under it, not only the stream above them:
+// cursor.Demander's Demand(n) says "the consumer will take at most n more
+// values". cursor.Limit announces its n. Cursors that deliver one value per
+// source value forward it: Map, MapAsync, the plan statistics wrappers, the
+// Skip cursor (n plus the rows still to discard), the record scan (in pairs:
+// 2n with version slots, plus the pair that shows the last record ended). A
+// Union hands every child n + 1 — a union pulled k times pulls no child more
+// than k times, and the one more keeps a consumer's look past its last row
+// inside the first batch. Cursors that drop values (Filter, Distinct,
+// Intersection) forward nothing — what one of their values costs the source is
+// unknown — so the demand stops where it stops being true. At the leaf a range
+// scan sizes its first GetRange to the demand (up to 4096) and reads nothing
+// ahead until the consumer has taken more than it announced; a scanned-records
+// limit is the same demand read off the Limiter (budget + 1: the extra value
+// tells ScanLimitReached from SourceExhausted). MapAsync under a demand issues
 // nothing past it, and its window is min(n, 128), not PipelineDepth (1 stays
-// sequential). With a pair and a version slot per record, no residual filter:
+// sequential).
 //
-//	RowLimit n over an index scan: n entries + 2n pairs, GRV + 2 windows
-//	RowLimit n, Skip k:            the same with n+k
-//	ScanRecordLimit r, full scan:  2(r+1)+1 pairs, GRV + 1 window
+// Without one. cursor.Readier's Ready() says "my next Next returns without
+// waiting": a range scan is Ready while a pair of its last batch is buffered
+// and once it has ended, Map, Filter, Limit (also once spent) and the
+// statistics wrappers forward it, and a merge is Ready when every child it
+// would pull has a buffered head or is Ready. MapAsync keeps issuing while
+// its source is Ready, up to 128 in flight — the cap a demand already had —
+// because a fetch for an entry that has been read is not a guess about what
+// the index holds. PipelineDepth bounds what it always claimed to bound,
+// speculation: with the source not Ready, a fetch pipeline pulls it (and may
+// wait for its next batch) only while fewer than PipelineDepth fetches are
+// outstanding. Depth 1 issues and awaits one at a time whatever is in hand.
 //
-// Fewer keys read is also a narrower read-conflict range and a smaller
-// tenant bill. Byte and time limits size nothing, nor does a RowLimit above a
-// residual filter or a merge. TestLimitCostsExactWindows pins the prices.
+// Merging on entries. An index entry carries its record's primary key, so a
+// union, an intersection, an unordered union and a Distinct whose children are
+// all bare index scans merge (or de-duplicate) index.Entry streams on that key
+// and fetch once, above the merge: every child's range is read in the first
+// window, the survivors' records in the next, and nothing is fetched that the
+// merge drops. The plan tree, plan strings and continuations are the same
+// bytes as when each child fetched for itself (a child's slot is its scan's
+// last key either way). A child under a residual filter needs its record to
+// decide what it emits, so a merge with such a child still fetches under the
+// merge, one pipeline per child; so does a Distinct above an intersection.
+// Under a scanned-records limit the entry merge charges an entry when the
+// merge pulls it, at every depth, where per-child pipelines at depth > 1 spent
+// the shared budget up to depth-1 entries ahead of the merge.
+//
+// With a pair and a version slot per record, and no residual filter:
+//
+//	RowLimit n over an index scan:     n entries + 2n pairs, GRV + 2 windows
+//	RowLimit n, Skip k:                the same with n+k
+//	ScanRecordLimit r, full scan:      2(r+1)+1 pairs, GRV + 1 window
+//	RowLimit n over a union of scans:  n+1 entries a child + 2n pairs, GRV + 2
+//	index scan of e entries, no limit: e + 2e, GRV + 1 + ⌈e/128⌉ (+1 when a
+//	                                   later batch arrives mid-window)
+//	union of scans, e entries, u rows: e + 2u, GRV + 1 + ⌈u/128⌉
+//	intersection, e entries, i rows:   e + 2i, GRV + 1 + ⌈i/128⌉
+//	Distinct over a fan-out scan:      e + 2 per distinct record, as the union
+//	fetch over cursor.Limit(entries, n): n + 2n, GRV + 2
+//
+// The trade. A consumer that abandons an unlimited stream early, or a RowLimit
+// above a residual filter (which stops the demand), may have fetched up to 127
+// records past the last one delivered where PipelineDepth 8 alone stopped at
+// 7: RowLimit 25 above a filter that passes the 51st to 75th of 130 entries
+// reads 386 keys in GRV + 2 windows, was 294 in GRV + 11. The index scan under
+// it already read all 130 entries in one batch on the same reasoning, and a
+// caller who wants fewer says so with a limit that reaches the scan. Fewer
+// keys read is also a narrower read-conflict range and a smaller tenant bill.
+// Byte and time limits size nothing, nor does a RowLimit above a residual
+// filter; above an intersection it sizes the fetches and not the scans.
+// TestLimitCostsExactWindows and TestFetchCostsExactWindows pin the prices.
 //
 // # What Open costs and what validates it
 //

@@ -48,16 +48,19 @@ func (s *Store) ScanIndex(name string, r index.TupleRange, opts index.ScanOption
 }
 
 // FetchIndexedPipelined resolves index entries to their records — an index
-// scan followed by record fetches by primary key — reading at snapshot
-// isolation when snapshot is set, so a snapshot query execution adds no read
-// conflict ranges for the fetches either. Up to depth record fetches are in
-// flight at once — the paper's asynchronous pipelining (§8): the
-// fetch behind each index entry is issued as a range-read future, so the
-// index scan keeps streaming (and up to depth record reads share one
-// simulated latency window) while earlier entries' reads are outstanding.
-// Everything runs on the consumer's goroutine — at zero latency the depth-8
-// path costs the same as sequential. Results preserve entry order, halts,
-// and continuations exactly; depth <= 1 is the sequential path.
+// scan, or a merge of several, followed by record fetches by primary key —
+// reading at snapshot isolation when snapshot is set, so a snapshot query
+// execution adds no read conflict ranges for the fetches either. The fetch
+// behind each entry is issued as a range-read future — the paper's
+// asynchronous pipelining (§8) — for every entry the source already holds (up
+// to 128 in flight, sharing one simulated latency window) and for up to depth
+// entries past that, so the index scan keeps streaming while earlier entries'
+// reads are outstanding. A consumer that stops early has therefore fetched up
+// to 127 records it did not take, unless a cursor.Limit above says how many it
+// will (cursor.MapAsync has the rules). Everything runs on the consumer's
+// goroutine — at zero latency the depth-8 path costs the same as sequential.
+// Results preserve entry order, halts, and continuations exactly; depth <= 1
+// is the sequential path.
 func (s *Store) FetchIndexedPipelined(entries cursor.Cursor[index.Entry], snapshot bool, depth int) cursor.Cursor[*StoredRecord] {
 	return cursor.MapAsync(entries, depth,
 		func(e index.Entry) recordLoad {

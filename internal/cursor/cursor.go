@@ -97,8 +97,9 @@ func Prefetch[T any](c Cursor[T]) {
 // is wanted: Demand(n) says the consumer will take at most n more values. Like
 // Prefetch it is a hint and never changes what Next returns; taking more only
 // costs the reads it had saved. Limit announces its n, wrappers that deliver
-// one value per source value forward it, and cursors that drop or merge values
-// (Filter, Union, Intersection) do not: it stops where it stops being true.
+// one value per source value forward it, Union passes n + 1 to every child, and
+// cursors that drop values (Filter, Intersection) do not: it stops where it
+// stops being true.
 type Demander interface {
 	Demand(n int)
 }
@@ -108,6 +109,21 @@ func Demand[T any](c Cursor[T], n int) {
 	if d, ok := c.(Demander); ok && n > 0 {
 		d.Demand(n)
 	}
+}
+
+// Readier is implemented by cursors that know when their next Next returns
+// without waiting for I/O: the value is buffered, or the stream has ended. A
+// hint like Prefetch and Demand, it never changes what Next returns; MapAsync
+// reads it to tell issuing for values the source has already read from
+// speculating past them.
+type Readier interface {
+	Ready() bool
+}
+
+// Ready reports whether c says so; one that is no Readier is not known to be.
+func Ready[T any](c Cursor[T]) bool {
+	r, ok := c.(Readier)
+	return ok && r.Ready()
 }
 
 // Limiter tracks out-of-band resource limits shared by every cursor in one
@@ -226,6 +242,9 @@ func (c *mapCursor[T, U]) Prefetch() { Prefetch(c.inner) }
 // Demand implements Demander: one value out per value in.
 func (c *mapCursor[T, U]) Demand(n int) { Demand(c.inner, n) }
 
+// Ready implements Readier: f does not wait.
+func (c *mapCursor[T, U]) Ready() bool { return Ready(c.inner) }
+
 func (c *mapCursor[T, U]) Next() (Result[U], error) {
 	r, err := c.inner.Next()
 	if err != nil {
@@ -257,6 +276,9 @@ func Filter[T any](inner Cursor[T], pred func(T) (bool, error)) Cursor[T] {
 
 // Prefetch implements Prefetcher by forwarding to the source.
 func (c *filterCursor[T]) Prefetch() { Prefetch(c.inner) }
+
+// Ready implements Readier for the source's next value, which pred may drop.
+func (c *filterCursor[T]) Ready() bool { return Ready(c.inner) }
 
 func (c *filterCursor[T]) Next() (Result[T], error) {
 	for {
@@ -304,6 +326,9 @@ func (c *limitCursor[T]) Prefetch() {
 	}
 	Prefetch(c.inner)
 }
+
+// Ready implements Readier; a spent limit halts without pulling the source.
+func (c *limitCursor[T]) Ready() bool { return c.done || c.left == 0 || Ready(c.inner) }
 
 func (c *limitCursor[T]) Next() (Result[T], error) {
 	if c.done {

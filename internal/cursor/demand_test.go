@@ -16,8 +16,9 @@ type demandSpy struct {
 func (s *demandSpy) Demand(n int) { s.got = n }
 
 // TestDemandFlowsAndStops: Limit announces its n; Map and MapAsync hand it to
-// the source unchanged; Filter, Union and Intersection do not, because a value
-// they deliver may cost the source any number of its own.
+// the source unchanged; Union hands every child n + 1 (the n it can consume
+// and the head it looks ahead at); Filter and Intersection hand on nothing,
+// because a value they deliver may cost the source any number of its own.
 func TestDemandFlowsAndStops(t *testing.T) {
 	id := func(v int) (int, error) { return v, nil }
 	keep := func(int) (bool, error) { return true, nil }
@@ -39,7 +40,7 @@ func TestDemandFlowsAndStops(t *testing.T) {
 		{"union", func(c Cursor[int]) Cursor[int] {
 			u, _ := Union(nil, key, child(c), child(FromSlice([]int{1}, nil)))
 			return u
-		}, 0},
+		}, 8},
 		{"intersection", func(c Cursor[int]) Cursor[int] {
 			u, _ := Intersection(nil, key, child(c), child(FromSlice([]int{1}, nil)))
 			return u
@@ -153,6 +154,115 @@ func TestMapAsyncDemandProperty(t *testing.T) {
 				t.Fatalf("seed %d (n=%d depth=%d k=%d): %d fetches out at the first await, want %d",
 					seed, n, depth, k, first, want)
 			}
+		}
+	}
+}
+
+// batchedSource is a haltingSource whose values arrive in batches, as a range
+// scan's do: it is Ready until the batch it is in has been handed out.
+type batchedSource struct {
+	haltingSource
+	batch int
+}
+
+func (s *batchedSource) Ready() bool { return s.pos%s.batch != 0 || s.pos >= s.n }
+
+// TestMapAsyncFollowsReadySource: depth bounds what is issued past what the
+// source has read; for values the source already holds the window follows the
+// source, up to maxInFlight. A source of 300 in batches, an await that records
+// how many issues were outstanding: 128 at depth 8 with batches of 130 where a
+// source that is never Ready gets 8; depth 1 stays at 1, and a demand stays
+// exact, whatever the source says. Results never differ.
+func TestMapAsyncFollowsReadySource(t *testing.T) {
+	run := func(src Cursor[int], depth, demand int) (peak, issued int, steps []string) {
+		awaited := 0
+		c := MapAsync[int, int, int](src, depth,
+			func(v int) int { issued++; return v * v },
+			func(_ int, h int) (int, error) {
+				peak = max(peak, issued-awaited)
+				awaited++
+				return h, nil
+			})
+		Demand(c, demand)
+		for call := 0; demand == 0 || call < demand; call++ {
+			r, err := c.Next()
+			steps = append(steps, fmt.Sprintf("%v %d %x %v %v", r.OK, r.Value, r.Continuation, r.Reason, err))
+			if !r.OK {
+				break
+			}
+		}
+		return peak, issued, steps
+	}
+	plain := func() Cursor[int] { return &haltingSource{n: 300, errAt: -1} }
+	batched := func(batch int) Cursor[int] {
+		return &batchedSource{haltingSource{n: 300, errAt: -1}, batch}
+	}
+	_, _, ref := run(plain(), 1, 0)
+	for _, tc := range []struct {
+		name                     string
+		src                      Cursor[int]
+		depth, demand, peak, all int
+	}{
+		{"never ready, depth 8", plain(), 8, 0, 8, 300},
+		{"batches of 130, depth 8", batched(130), 8, 0, 128, 300},
+		// A batch is pulled once fewer than depth are in flight, then followed.
+		{"batches of 100, depth 8", batched(100), 8, 0, 7 + 100, 300},
+		{"batches of 4, depth 8", batched(4), 8, 0, 7 + 4, 300},
+		{"batches of 130, depth 1", batched(130), 1, 0, 1, 300},
+		{"batches of 130, depth 200", batched(130), 200, 0, 200, 300},
+		{"batches of 130, depth 8, demand 20", batched(130), 8, 20, 20, 20},
+		{"batches of 130, depth 1, demand 20", batched(130), 1, 20, 1, 20},
+	} {
+		peak, issued, steps := run(tc.src, tc.depth, tc.demand)
+		if peak != tc.peak || issued != tc.all {
+			t.Errorf("%s: at most %d in flight of %d issued, want %d of %d", tc.name, peak, issued, tc.peak, tc.all)
+		}
+		if fmt.Sprint(steps) != fmt.Sprint(ref[:len(steps)]) {
+			t.Errorf("%s: results differ from depth 1's", tc.name)
+		}
+	}
+}
+
+// TestMergeReadyAndUnionDemand: a merge is Ready when every child it would
+// pull has a buffered head or is Ready itself, and a union under Limit n pulls
+// no child more than the n + 1 times it announced.
+func TestMergeReadyAndUnionDemand(t *testing.T) {
+	key := func(v int) []byte { return []byte{byte(v)} }
+	child := func(c Cursor[int]) func([]byte) Cursor[int] {
+		return func([]byte) Cursor[int] { return c }
+	}
+	plain := func() Cursor[int] { return &haltingSource{n: 50, errAt: -1} }
+	ready := func() Cursor[int] { // Ready once its first value is out
+		return &batchedSource{haltingSource{n: 50, errAt: -1}, 1000}
+	}
+	for _, merge := range []func([]byte, func(int) []byte, ...func([]byte) Cursor[int]) (Cursor[int], error){Union[int], Intersection[int]} {
+		m, _ := merge(nil, key, child(ready()), child(ready()))
+		if Ready(m) {
+			t.Error("a merge of two unread children is Ready")
+		}
+		if _, err := m.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if !Ready(m) {
+			t.Error("a merge whose children are both Ready is not")
+		}
+		m, _ = merge(nil, key, child(ready()), child(plain()))
+		if m.Next(); Ready(m) {
+			t.Error("a merge with a child that is not Ready, and no buffered head, is Ready")
+		}
+	}
+	// Equal streams: every emitted value consumes both heads.
+	spies := []*demandSpy{
+		{haltingSource: haltingSource{n: 50, errAt: -1}},
+		{haltingSource: haltingSource{n: 50, errAt: -1}},
+	}
+	u, _ := Union(nil, key, child(spies[0]), child(spies[1]))
+	if vals, _, _, _ := Collect(Limit(u, 7)); len(vals) != 7 {
+		t.Fatalf("union under Limit 7 returned %d values", len(vals))
+	}
+	for i, spy := range spies {
+		if spy.got != 8 || spy.pos > 8 {
+			t.Errorf("child %d: told %d and pulled %d times, want 8 and at most 8", i, spy.got, spy.pos)
 		}
 	}
 }

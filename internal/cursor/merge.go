@@ -94,23 +94,23 @@ func (s *childState[T]) slot() childCont {
 	return childCont{Cont: s.consumed}
 }
 
-type unionCursor[T any] struct {
+// merge is what Union and Intersection share: the child streams, the key they
+// are ordered by, and the halt once reached.
+type merge[T any] struct {
 	children []*childState[T]
 	keyOf    func(T) []byte
 	halted   *Result[T]
 }
 
-// Union merges ordered child streams, emitting each distinct key once
-// (children positioned on equal keys advance together). Children are built
-// by the supplied constructors from the slots of the composite continuation.
-func Union[T any](continuation []byte, keyOf func(T) []byte,
-	builders ...func(continuation []byte) Cursor[T]) (Cursor[T], error) {
+// newMerge builds the children from the slots of the composite continuation.
+func newMerge[T any](continuation []byte, keyOf func(T) []byte,
+	builders []func(continuation []byte) Cursor[T]) (merge[T], error) {
 
 	slots, err := DecodeComposite(continuation, len(builders))
 	if err != nil {
-		return nil, err
+		return merge[T]{}, err
 	}
-	u := &unionCursor[T]{keyOf: keyOf}
+	m := merge[T]{keyOf: keyOf}
 	for i, build := range builders {
 		st := &childState[T]{consumed: slots[i].Cont}
 		if slots[i].Done {
@@ -119,17 +119,56 @@ func Union[T any](continuation []byte, keyOf func(T) []byte,
 		} else {
 			st.cur = build(slots[i].Cont)
 		}
-		u.children = append(u.children, st)
+		m.children = append(m.children, st)
 	}
-	return u, nil
+	return m, nil
 }
 
-func (c *unionCursor[T]) composite() []byte {
+func (c *merge[T]) composite() []byte {
 	slots := make([]childCont, len(c.children))
 	for i, s := range c.children {
 		slots[i] = s.slot()
 	}
 	return encodeComposite(slots)
+}
+
+// Ready implements Readier: every child a step would pull has its head
+// buffered or is ready itself. (An intersection step that finds the heads
+// unequal pulls again, and that pull may wait.)
+func (c *merge[T]) Ready() bool {
+	if c.halted != nil {
+		return true
+	}
+	for _, s := range c.children {
+		if s.buffered == nil && !s.done && !Ready(s.cur) {
+			return false
+		}
+	}
+	return true
+}
+
+type unionCursor[T any] struct{ merge[T] }
+
+// Union merges ordered child streams, emitting each distinct key once
+// (children positioned on equal keys advance together). Children are built
+// by the supplied constructors from the slots of the composite continuation.
+func Union[T any](continuation []byte, keyOf func(T) []byte,
+	builders ...func(continuation []byte) Cursor[T]) (Cursor[T], error) {
+
+	m, err := newMerge(continuation, keyOf, builders)
+	if err != nil {
+		return nil, err
+	}
+	return &unionCursor[T]{m}, nil
+}
+
+// Demand implements Demander. A union pulled k times pulls no child more than
+// k times: n for the values, and one so that a consumer's look past the last of
+// them still finds every head in the child's first batch.
+func (c *unionCursor[T]) Demand(n int) {
+	for _, s := range c.children {
+		Demand(s.cur, n+1) // a child done in the continuation has no cursor
+	}
 }
 
 func (c *unionCursor[T]) Next() (Result[T], error) {
@@ -185,41 +224,18 @@ func (c *unionCursor[T]) Next() (Result[T], error) {
 	return Result[T]{Value: val, OK: true, Continuation: c.composite()}, nil
 }
 
-type intersectionCursor[T any] struct {
-	children []*childState[T]
-	keyOf    func(T) []byte
-	halted   *Result[T]
-}
+type intersectionCursor[T any] struct{ merge[T] }
 
 // Intersection merges ordered child streams, emitting keys present in every
 // child.
 func Intersection[T any](continuation []byte, keyOf func(T) []byte,
 	builders ...func(continuation []byte) Cursor[T]) (Cursor[T], error) {
 
-	slots, err := DecodeComposite(continuation, len(builders))
+	m, err := newMerge(continuation, keyOf, builders)
 	if err != nil {
 		return nil, err
 	}
-	ic := &intersectionCursor[T]{keyOf: keyOf}
-	for i, build := range builders {
-		st := &childState[T]{consumed: slots[i].Cont}
-		if slots[i].Done {
-			st.done = true
-			st.reason = SourceExhausted
-		} else {
-			st.cur = build(slots[i].Cont)
-		}
-		ic.children = append(ic.children, st)
-	}
-	return ic, nil
-}
-
-func (c *intersectionCursor[T]) composite() []byte {
-	slots := make([]childCont, len(c.children))
-	for i, s := range c.children {
-		slots[i] = s.slot()
-	}
-	return encodeComposite(slots)
+	return &intersectionCursor[T]{m}, nil
 }
 
 func (c *intersectionCursor[T]) Next() (Result[T], error) {

@@ -3,28 +3,38 @@ package cursor
 // MapAsync pipelines an issue/await pair over a cursor in a single goroutine:
 // the paper's asynchronous futures (§8). For each source element, issue
 // starts the work (returning a handle, typically an *fdb.Future*) and await
-// resolves it; up to depth handles are kept outstanding, issued in source
-// order and awaited in source order. Against a latency-modeled store, the
-// outstanding reads overlap — depth in-flight fetches cost ~1 window, not
-// depth — with no goroutine or channel bookkeeping, so at zero latency the
-// depth-8 path costs the same as depth 1. (A goroutine-pool MapPipelined
-// preceded this; issue/await made it redundant and it was removed.)
+// resolves it; handles are issued and awaited in source order. Against a
+// latency-modeled store, the outstanding reads overlap — k in-flight fetches
+// cost ~1 window, not k — with no goroutine or channel bookkeeping, so at zero
+// latency the depth-8 path costs the same as depth 1.
 //
 // Semantics are identical to Map(inner, func(v) { return await(v, issue(v)) })
 // — source order, halts, continuations, and error positions are preserved.
-// The only observable difference is eagerness: the source is pulled and
-// issued up to depth elements ahead of consumption, so source-side limits and
-// issued reads (conflict ranges, accounting) may run ahead of the consumer by
-// depth-1 elements. depth <= 1 issues and awaits strictly element by element.
-// Under a Demand(n) — a Limit above — nothing past the n-th element is issued
-// unless the consumer does ask for it, and since every issue is then a wanted
-// one, not a speculative one, the window is min(n, 128) when depth > 1.
+// The only observable difference is eagerness: how far the source is pulled,
+// and work issued, ahead of consumption, so source-side limits and issued reads
+// (conflict ranges, accounting) may run ahead of the consumer. How far:
+//
+//   - depth <= 1 issues and awaits strictly element by element, always.
+//   - depth bounds speculation past what has been read: while pulling the
+//     source would wait, at most depth handles are outstanding.
+//   - While the source is Ready — its next element is in hand, as after a range
+//     read delivered a batch — issuing for it is no guess about what the source
+//     holds, and the window follows the source up to maxInFlight: a 130-entry
+//     batch is fetched in two windows, not seventeen. A consumer that stops
+//     early has then issued up to maxInFlight-1 past its last element, not
+//     depth-1.
+//   - Under a Demand(n) — a Limit above — nothing past the n-th element is
+//     issued unless the consumer does ask for it, and since every issue is
+//     then a wanted one the window is min(n, maxInFlight).
 func MapAsync[T, F, U any](inner Cursor[T], depth int, issue func(T) F, await func(T, F) (U, error)) Cursor[U] {
 	if depth < 1 {
 		depth = 1
 	}
 	return &asyncCursor[T, F, U]{inner: inner, depth: depth, issue: issue, await: await}
 }
+
+// maxInFlight caps the handles MapAsync keeps outstanding at depth > 1.
+const maxInFlight = 128
 
 // asyncSlot is one issued-but-unawaited element.
 type asyncSlot[T, F any] struct {
@@ -51,7 +61,7 @@ type asyncCursor[T, F, U any] struct {
 func (c *asyncCursor[T, F, U]) Demand(n int) {
 	c.want = c.issued + n
 	if c.depth > 1 {
-		c.depth = min(n, 128)
+		c.depth = min(n, maxInFlight)
 	}
 	Demand(c.inner, n)
 }
@@ -70,11 +80,14 @@ func (c *asyncCursor[T, F, U]) Next() (Result[U], error) {
 	if c.err != nil {
 		return Result[U]{}, c.err
 	}
-	// Keep the issue window full until the source stops; past a met demand
-	// issue only the element the consumer is waiting for.
+	// Keep the issue window full until the source stops, and follow a Ready
+	// source past it; past a met demand issue only what the consumer waits for.
 	for c.srcHalt == nil && c.srcErr == nil {
 		inFlight := len(c.queue) - c.head
-		if inFlight >= c.depth || (inFlight > 0 && c.want > 0 && c.issued >= c.want) {
+		if inFlight > 0 && c.want > 0 && c.issued >= c.want {
+			break
+		}
+		if inFlight >= c.depth && (c.depth == 1 || inFlight >= maxInFlight || !Ready(c.inner)) {
 			break
 		}
 		r, err := c.inner.Next()

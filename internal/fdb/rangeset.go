@@ -25,36 +25,56 @@ type rangeSet struct {
 }
 
 // Add inserts [begin, end), merging with any overlapping or adjacent ranges.
-func (s *rangeSet) Add(begin, end []byte) {
+func (s *rangeSet) Add(begin, end []byte) { s.add(begin, end, false) }
+
+// add is Add; owned says begin and end are the set's to keep. It edits the
+// slice in place — a transaction adds one range per read, and rebuilding the
+// slice each time was a third of index_write's allocated bytes — but never the
+// bytes of a stored bound: commit copies KeyRange values out of All.
+func (s *rangeSet) add(begin, end []byte, owned bool) {
 	if bytes.Compare(begin, end) >= 0 {
 		return
 	}
-	nr := KeyRange{Begin: append([]byte(nil), begin...), End: append([]byte(nil), end...)}
-	// Find the first range whose End >= nr.Begin: candidates for merging.
+	// ranges[i:j] are the ones the new range overlaps or touches.
 	i := sort.Search(len(s.ranges), func(i int) bool {
-		return bytes.Compare(s.ranges[i].End, nr.Begin) >= 0
+		return bytes.Compare(s.ranges[i].End, begin) >= 0
 	})
 	j := i
-	for j < len(s.ranges) && bytes.Compare(s.ranges[j].Begin, nr.End) <= 0 {
-		if bytes.Compare(s.ranges[j].Begin, nr.Begin) < 0 {
-			nr.Begin = s.ranges[j].Begin
-		}
-		if bytes.Compare(s.ranges[j].End, nr.End) > 0 {
-			nr.End = s.ranges[j].End
-		}
+	for j < len(s.ranges) && bytes.Compare(s.ranges[j].Begin, end) <= 0 {
 		j++
 	}
-	out := make([]KeyRange, 0, len(s.ranges)-(j-i)+1)
-	out = append(out, s.ranges[:i]...)
-	out = append(out, nr)
-	out = append(out, s.ranges[j:]...)
-	s.ranges = out
+	nr := KeyRange{Begin: begin, End: end}
+	keepLo := j > i && bytes.Compare(s.ranges[i].Begin, begin) <= 0
+	keepHi := j > i && bytes.Compare(s.ranges[j-1].End, end) >= 0
+	if keepLo && keepHi && j == i+1 {
+		return // already covered
+	}
+	if keepLo {
+		nr.Begin = s.ranges[i].Begin
+	} else if !owned {
+		nr.Begin = append([]byte(nil), begin...)
+	}
+	if keepHi {
+		nr.End = s.ranges[j-1].End
+	} else if !owned {
+		nr.End = append([]byte(nil), end...)
+	}
+	if j == i {
+		s.ranges = append(s.ranges, KeyRange{})
+		copy(s.ranges[i+1:], s.ranges[i:])
+	} else {
+		s.ranges = append(s.ranges[:i+1], s.ranges[j:]...)
+	}
+	s.ranges[i] = nr
 }
 
 // AddKey inserts the single-key range for key.
 func (s *rangeSet) AddKey(key []byte) {
+	if s.ContainsKey(key) {
+		return // its range ends at key's successor, so it is covered
+	}
 	r := singleKeyRange(key)
-	s.Add(r.Begin, r.End)
+	s.add(r.Begin, r.End, true)
 }
 
 // ContainsKey reports whether any range contains key.
@@ -76,7 +96,7 @@ func (s *rangeSet) Overlaps(begin, end []byte) bool {
 	return i < len(s.ranges) && bytes.Compare(s.ranges[i].Begin, end) < 0
 }
 
-// All returns the stored ranges. The returned slice must not be modified.
+// All returns the stored ranges, to be read before the next Add and not modified.
 func (s *rangeSet) All() []KeyRange { return s.ranges }
 
 // Len returns the number of disjoint ranges.

@@ -175,16 +175,21 @@ func (c *kvCursor) fill() error {
 // does not hold it back: the issued batch is one Next is already
 // committed to reading, not a speculative extra.
 func (c *kvCursor) Prefetch() {
-	if c.halted != nil || c.pending != nil || c.bufPos < len(c.buf) {
-		return
-	}
-	if c.started && !c.more {
-		return
-	}
-	if bytes.Compare(c.begin, c.end) >= 0 {
+	if c.halted != nil || c.pending != nil || c.bufPos < len(c.buf) || c.drained() {
 		return
 	}
 	c.pending = c.issueBatch()
+}
+
+// drained reports that the range has no read left to issue.
+func (c *kvCursor) drained() bool {
+	return (c.started && !c.more) || bytes.Compare(c.begin, c.end) >= 0
+}
+
+// Ready implements cursor.Readier: a pair is buffered, or the scan has halted
+// or has nothing left to read.
+func (c *kvCursor) Ready() bool {
+	return c.halted != nil || c.bufPos < len(c.buf) || c.drained()
 }
 
 // Next implements cursor.Cursor.
@@ -193,20 +198,12 @@ func (c *kvCursor) Next() (cursor.Result[fdb.KeyValue], error) {
 		return *c.halted, nil
 	}
 	if c.bufPos >= len(c.buf) {
-		if c.started && !c.more {
-			h := cursor.Result[fdb.KeyValue]{OK: false, Reason: cursor.SourceExhausted}
-			c.halted = &h
-			return h, nil
+		if !c.drained() {
+			if err := c.fill(); err != nil {
+				return cursor.Result[fdb.KeyValue]{}, err
+			}
 		}
-		if bytes.Compare(c.begin, c.end) >= 0 {
-			h := cursor.Result[fdb.KeyValue]{OK: false, Reason: cursor.SourceExhausted}
-			c.halted = &h
-			return h, nil
-		}
-		if err := c.fill(); err != nil {
-			return cursor.Result[fdb.KeyValue]{}, err
-		}
-		if len(c.buf) == 0 {
+		if c.bufPos >= len(c.buf) {
 			h := cursor.Result[fdb.KeyValue]{OK: false, Reason: cursor.SourceExhausted}
 			c.halted = &h
 			return h, nil

@@ -65,16 +65,10 @@ func (p *CoveringIndexScanPlan) Execute(s *core.Store, opts ExecuteOptions) (cur
 	if !ok {
 		return nil, fmt.Errorf("plan: covering plan over unknown record type %q", p.RecordType)
 	}
-	entries, err := s.ScanIndex(p.IndexName, p.Range, index.ScanOptions{
-		Reverse:      p.Reverse,
-		Limiter:      opts.Limiter,
-		Continuation: opts.Continuation,
-		Snapshot:     opts.Snapshot,
-	})
+	entries, err := scanEntries(s, p.IndexName, p.Range, p.Reverse, opts)
 	if err != nil {
 		return nil, err
 	}
-	entries = observeIn(opts.Stats, entries)
 	return observe(opts.Stats, s, true, cursor.Map(entries, func(e index.Entry) (*core.StoredRecord, error) {
 		msg := message.New(rt.Descriptor)
 		for _, fs := range p.Fields {

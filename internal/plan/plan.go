@@ -25,8 +25,9 @@ type ExecuteOptions struct {
 	// Snapshot executes every scan at snapshot isolation: reads add no
 	// conflict ranges, so long queries never abort concurrent writers.
 	Snapshot bool
-	// PipelineDepth is how many record fetches an index scan keeps in flight
-	// (§8's asynchronous pipelining); <= 1 fetches sequentially.
+	// PipelineDepth bounds how far record fetches run past the entries an
+	// index scan has read (§8's asynchronous pipelining); fetches for entries
+	// in hand go out together. <= 1 fetches sequentially.
 	PipelineDepth int
 	// Stats, when non-nil, is the obs.PlanStats node this plan fills during
 	// execution — rows in/out, attributed simulator I/O, continuation pages —
@@ -53,36 +54,32 @@ type Plan interface {
 	Label() string
 }
 
-func errPlanCursor(err error) cursor.Cursor[*core.StoredRecord] {
-	return cursor.Func[*core.StoredRecord](func() (cursor.Result[*core.StoredRecord], error) {
-		return cursor.Result[*core.StoredRecord]{}, err
+func errCursor[T any](err error) cursor.Cursor[T] {
+	return cursor.Func[T](func() (cursor.Result[T], error) {
+		return cursor.Result[T]{}, err
 	})
 }
 
-// childOptions derives the options a merge plan hands each child: the
-// parent's execution knobs with the child's own continuation. Single-sited so
+// childOptions derives the options a merge plan hands child i: the parent's
+// execution knobs with the child's own continuation and, when stats collection
+// is on, its own positionally-stable node under the parent's. Single-sited so
 // a new ExecuteOptions field cannot be propagated to some children and not
 // others.
-func childOptions(opts ExecuteOptions, cont []byte) ExecuteOptions {
+func childOptions(opts ExecuteOptions, i int, child Plan, cont []byte) ExecuteOptions {
 	opts.Continuation = cont
+	opts.Stats = opts.Stats.Child(i, child.Label())
 	return opts
 }
 
 // childBuilders wraps each child plan as a continuation-taking cursor
-// builder, the shape cursor.Union/Intersection/Concat consume. When stats
-// collection is on, each child fills its own positionally-stable node under
-// the parent's.
+// builder, the shape cursor.Union/Intersection/Concat consume.
 func childBuilders(s *core.Store, children []Plan, opts ExecuteOptions) []func([]byte) cursor.Cursor[*core.StoredRecord] {
 	builders := make([]func([]byte) cursor.Cursor[*core.StoredRecord], len(children))
-	parent := opts.Stats
 	for i, child := range children {
-		i, child := i, child
 		builders[i] = func(cont []byte) cursor.Cursor[*core.StoredRecord] {
-			co := childOptions(opts, cont)
-			co.Stats = parent.Child(i, child.Label())
-			c, err := child.Execute(s, co)
+			c, err := child.Execute(s, childOptions(opts, i, child, cont))
 			if err != nil {
-				return errPlanCursor(err)
+				return errCursor[*core.StoredRecord](err)
 			}
 			return c
 		}
@@ -90,41 +87,114 @@ func childBuilders(s *core.Store, children []Plan, opts ExecuteOptions) []func([
 	return builders
 }
 
+// indexScans returns children as index scans when each is a bare IndexScanPlan:
+// the shape that merges, or de-duplicates, on the primary keys in its index
+// entries and fetches once above (fetchAbove). A child under a residual filter
+// needs its record to decide what it emits, and keeps the merge on records.
+func indexScans(children ...Plan) []*IndexScanPlan {
+	scans := make([]*IndexScanPlan, len(children))
+	for i, child := range children {
+		scan, ok := child.(*IndexScanPlan)
+		if !ok {
+			return nil
+		}
+		scans[i] = scan
+	}
+	return scans
+}
+
+// entryBuilders is childBuilders for index scans merged on their entries: each
+// child's node reports the entries it scanned and its index I/O.
+func entryBuilders(s *core.Store, scans []*IndexScanPlan, opts ExecuteOptions) []func([]byte) cursor.Cursor[index.Entry] {
+	builders := make([]func([]byte) cursor.Cursor[index.Entry], len(scans))
+	for i, scan := range scans {
+		builders[i] = func(cont []byte) cursor.Cursor[index.Entry] {
+			co := childOptions(opts, i, scan, cont)
+			c, err := scanEntries(s, scan.IndexName, scan.Range, scan.Reverse, co)
+			if err != nil {
+				return errCursor[index.Entry](err)
+			}
+			return observe(co.Stats, s, true, c)
+		}
+	}
+	return builders
+}
+
+// fetchAbove fetches the records behind scanned, merged or de-duplicated
+// entries through one pipeline: every index range is read in the first window,
+// nothing is fetched that a merge drops, and the fetch window follows the
+// entries in hand. Continuations are the entries' — in a merge a child's slot
+// is its scan's last key, as when each child fetched for itself — and the
+// fetches are the I/O of the plan's own node.
+func fetchAbove(s *core.Store, opts ExecuteOptions, entries cursor.Cursor[index.Entry]) cursor.Cursor[*core.StoredRecord] {
+	return observe(opts.Stats, s, true, s.FetchIndexedPipelined(entries, opts.Snapshot, opts.PipelineDepth))
+}
+
+func entryPK(e index.Entry) []byte { return e.PrimaryKey.Pack() }
+
+func pkOf(r *core.StoredRecord) []byte { return r.PrimaryKey.Pack() }
+
+// unseen is an in-memory seen-set's predicate: true the first time a key comes by.
+func unseen[T any](keyOf func(T) []byte) func(T) (bool, error) {
+	seen := map[string]bool{}
+	return func(v T) (bool, error) {
+		k := string(keyOf(v))
+		if seen[k] {
+			return false, nil
+		}
+		seen[k] = true
+		return true, nil
+	}
+}
+
 // ------------------------------------------------------------ execution stats
 
-// statsCursor counts the records a plan node emits; with st set (leaf scans
-// only) it also attributes the transaction I/O performed inside each Next —
-// keys and bytes read, simulated wait — to the node. Leaf windows contain
-// exactly the leaf's own reads; a composite's window would double-count its
-// children's, so composites count rows alone.
-type statsCursor struct {
-	inner cursor.Cursor[*core.StoredRecord]
+// statsCursor counts the values a plan node emits; with st set it also
+// attributes the transaction I/O performed inside each of its Next and
+// Prefetch calls — keys and bytes read, simulated wait — to the node, less
+// what its children attributed to themselves meanwhile: a leaf scan's own
+// reads, and the fetches of a plan that fetches above merged children. Other
+// composites would hold nothing of their own, so they count rows alone.
+type statsCursor[T any] struct {
+	inner cursor.Cursor[T]
 	node  *obs.PlanStats
 	st    *core.Store
 }
 
-// Prefetch implements cursor.Prefetcher by forwarding to the wrapped node.
-// The issued I/O lands in the same transaction stats either way; only its
-// latency window moves.
-func (c *statsCursor) Prefetch() { cursor.Prefetch(c.inner) }
-
-// Demand implements cursor.Demander: one record out per record in.
-func (c *statsCursor) Demand(n int) { cursor.Demand(c.inner, n) }
-
-func (c *statsCursor) Next() (cursor.Result[*core.StoredRecord], error) {
+// attribute runs f and adds the I/O it did, net of the children's, to the node.
+func (c *statsCursor[T]) attribute(f func()) {
 	if c.st == nil {
-		r, err := c.inner.Next()
-		if err == nil && r.OK {
-			c.node.AddRowOut() //lint:allow obsguard observe() returns early on nil node; statsCursor exists only when node != nil
+		f()
+		return
+	}
+	below := func() (keys, bytes, wait int64) {
+		for _, ch := range c.node.Children {
+			keys, bytes, wait = keys+ch.SimReads, bytes+ch.SimReadBytes, wait+ch.SimWaitNanos
 		}
-		return r, err
+		return
 	}
 	before := c.st.TxnStats()
-	r, err := c.inner.Next()
+	k0, b0, w0 := below()
+	f()
 	after := c.st.TxnStats()
+	k1, b1, w1 := below()
 	//lint:allow obsguard observe() returns early on nil node; statsCursor exists only when node != nil
-	c.node.AddIO(int64(after.KeysRead-before.KeysRead), int64(after.BytesRead-before.BytesRead),
-		after.SimWaitNanos-before.SimWaitNanos)
+	c.node.AddIO(int64(after.KeysRead-before.KeysRead)-(k1-k0), int64(after.BytesRead-before.BytesRead)-(b1-b0),
+		after.SimWaitNanos-before.SimWaitNanos-(w1-w0))
+}
+
+// Prefetch implements cursor.Prefetcher by forwarding to the wrapped node;
+// a range read it issues is counted when issued, so it is attributed here.
+func (c *statsCursor[T]) Prefetch() { c.attribute(func() { cursor.Prefetch(c.inner) }) }
+
+// Demand implements cursor.Demander: one value out per value in.
+func (c *statsCursor[T]) Demand(n int) { cursor.Demand(c.inner, n) }
+
+// Ready implements cursor.Readier by forwarding to the wrapped node.
+func (c *statsCursor[T]) Ready() bool { return cursor.Ready(c.inner) }
+
+func (c *statsCursor[T]) Next() (r cursor.Result[T], err error) {
+	c.attribute(func() { r, err = c.inner.Next() })
 	if err == nil && r.OK {
 		c.node.AddRowOut() //lint:allow obsguard observe() returns early on nil node; statsCursor exists only when node != nil
 	}
@@ -132,8 +202,8 @@ func (c *statsCursor) Next() (cursor.Result[*core.StoredRecord], error) {
 }
 
 // observe wraps a node's output cursor when stats collection is on (one nil
-// check when off); io attributes per-Next transaction deltas to the node.
-func observe(node *obs.PlanStats, s *core.Store, io bool, c cursor.Cursor[*core.StoredRecord]) cursor.Cursor[*core.StoredRecord] {
+// check when off); io attributes per-call transaction deltas to the node.
+func observe[T any](node *obs.PlanStats, s *core.Store, io bool, c cursor.Cursor[T]) cursor.Cursor[T] {
 	if node == nil {
 		return c
 	}
@@ -142,7 +212,7 @@ func observe(node *obs.PlanStats, s *core.Store, io bool, c cursor.Cursor[*core.
 	if io {
 		st = s
 	}
-	return &statsCursor{inner: c, node: node, st: st}
+	return &statsCursor[T]{inner: c, node: node, st: st}
 }
 
 // rowInCursor counts the source items a leaf scans (index entries, raw
@@ -157,6 +227,9 @@ func (c *rowInCursor[T]) Prefetch() { cursor.Prefetch(c.inner) }
 
 // Demand implements cursor.Demander: one item out per item in.
 func (c *rowInCursor[T]) Demand(n int) { cursor.Demand(c.inner, n) }
+
+// Ready implements cursor.Readier by forwarding to the wrapped node.
+func (c *rowInCursor[T]) Ready() bool { return cursor.Ready(c.inner) }
 
 func (c *rowInCursor[T]) Next() (cursor.Result[T], error) {
 	r, err := c.inner.Next()
@@ -236,8 +309,17 @@ type IndexScanPlan struct {
 
 // Execute implements Plan.
 func (p *IndexScanPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Cursor[*core.StoredRecord], error) {
-	entries, err := s.ScanIndex(p.IndexName, p.Range, index.ScanOptions{
-		Reverse:      p.Reverse,
+	entries, err := scanEntries(s, p.IndexName, p.Range, p.Reverse, opts)
+	if err != nil {
+		return nil, err
+	}
+	return fetchAbove(s, opts, entries), nil
+}
+
+// scanEntries scans an index under opts; its entries are the node's rows in.
+func scanEntries(s *core.Store, name string, r index.TupleRange, reverse bool, opts ExecuteOptions) (cursor.Cursor[index.Entry], error) {
+	entries, err := s.ScanIndex(name, r, index.ScanOptions{
+		Reverse:      reverse,
 		Limiter:      opts.Limiter,
 		Continuation: opts.Continuation,
 		Snapshot:     opts.Snapshot,
@@ -245,8 +327,7 @@ func (p *IndexScanPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Curs
 	if err != nil {
 		return nil, err
 	}
-	entries = observeIn(opts.Stats, entries)
-	return observe(opts.Stats, s, true, s.FetchIndexedPipelined(entries, opts.Snapshot, opts.PipelineDepth)), nil
+	return observeIn(opts.Stats, entries), nil
 }
 
 // OrderedByPrimaryKey implements Plan.
@@ -300,14 +381,11 @@ type FilterPlan struct {
 
 // Execute implements Plan.
 func (p *FilterPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Cursor[*core.StoredRecord], error) {
-	node := opts.Stats
-	childOpts := opts
-	childOpts.Stats = node.Child(0, p.Child.Label())
-	c, err := p.Child.Execute(s, childOpts)
+	c, err := p.Child.Execute(s, childOptions(opts, 0, p.Child, opts.Continuation))
 	if err != nil {
 		return nil, err
 	}
-	return observe(node, s, false, cursor.Filter(c, func(r *core.StoredRecord) (bool, error) {
+	return observe(opts.Stats, s, false, cursor.Filter(c, func(r *core.StoredRecord) (bool, error) {
 		return p.Filter.Eval(r.Message)
 	})), nil
 }
@@ -335,24 +413,18 @@ type DistinctPlan struct {
 	Child Plan
 }
 
-// Execute implements Plan.
+// Execute implements Plan. Over a bare index scan the seen-set is keyed on the
+// entries' primary keys, so a record behind k entries is fetched once.
 func (p *DistinctPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Cursor[*core.StoredRecord], error) {
-	node := opts.Stats
-	childOpts := opts
-	childOpts.Stats = node.Child(0, p.Child.Label())
-	c, err := p.Child.Execute(s, childOpts)
+	if scans := indexScans(p.Child); scans != nil {
+		entries := entryBuilders(s, scans, opts)[0](opts.Continuation)
+		return fetchAbove(s, opts, cursor.Filter(entries, unseen(entryPK))), nil
+	}
+	c, err := p.Child.Execute(s, childOptions(opts, 0, p.Child, opts.Continuation))
 	if err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
-	return observe(node, s, false, cursor.Filter(c, func(r *core.StoredRecord) (bool, error) {
-		k := string(r.PrimaryKey.Pack())
-		if seen[k] {
-			return false, nil
-		}
-		seen[k] = true
-		return true, nil
-	})), nil
+	return observe(opts.Stats, s, false, cursor.Filter(c, unseen(pkOf))), nil
 }
 
 // OrderedByPrimaryKey implements Plan.
@@ -375,30 +447,32 @@ type UnionPlan struct {
 
 // Execute implements Plan.
 func (p *UnionPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Cursor[*core.StoredRecord], error) {
-	builders := childBuilders(s, p.Children, opts)
-	if p.OrderedByPrimaryKey() {
-		c, err := cursor.Union(opts.Continuation, pkOf, builders...)
+	if scans := indexScans(p.Children...); scans != nil {
+		entries, err := unionOf(opts.Continuation, p.OrderedByPrimaryKey(), entryPK, entryBuilders(s, scans, opts))
 		if err != nil {
 			return nil, err
 		}
-		return observe(opts.Stats, s, false, c), nil
+		return fetchAbove(s, opts, entries), nil
 	}
-	chained, err := cursor.Concat(opts.Continuation, builders...)
+	c, err := unionOf(opts.Continuation, p.OrderedByPrimaryKey(), pkOf, childBuilders(s, p.Children, opts))
 	if err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
-	return observe(opts.Stats, s, false, cursor.Filter(chained, func(r *core.StoredRecord) (bool, error) {
-		k := string(r.PrimaryKey.Pack())
-		if seen[k] {
-			return false, nil
-		}
-		seen[k] = true
-		return true, nil
-	})), nil
+	return observe(opts.Stats, s, false, c), nil
 }
 
-func pkOf(r *core.StoredRecord) []byte { return r.PrimaryKey.Pack() }
+// unionOf is the union of records or of index entries: ordered children merge,
+// unordered ones chain behind a seen-set.
+func unionOf[T any](cont []byte, ordered bool, keyOf func(T) []byte, builders []func([]byte) cursor.Cursor[T]) (cursor.Cursor[T], error) {
+	if ordered {
+		return cursor.Union(cont, keyOf, builders...)
+	}
+	chained, err := cursor.Concat(cont, builders...)
+	if err != nil {
+		return nil, err
+	}
+	return cursor.Filter(chained, unseen(keyOf)), nil
+}
 
 // OrderedByPrimaryKey implements Plan.
 func (p *UnionPlan) OrderedByPrimaryKey() bool {
@@ -443,6 +517,13 @@ type IntersectionPlan struct {
 func (p *IntersectionPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Cursor[*core.StoredRecord], error) {
 	if !p.OrderedByPrimaryKey() {
 		return nil, fmt.Errorf("plan: intersection requires primary-key ordered children")
+	}
+	if scans := indexScans(p.Children...); scans != nil {
+		entries, err := cursor.Intersection(opts.Continuation, entryPK, entryBuilders(s, scans, opts)...)
+		if err != nil {
+			return nil, err
+		}
+		return fetchAbove(s, opts, entries), nil
 	}
 	c, err := cursor.Intersection(opts.Continuation, pkOf, childBuilders(s, p.Children, opts)...)
 	if err != nil {

@@ -3,16 +3,21 @@ package recordlayer
 import (
 	"context"
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"recordlayer/internal/cursor"
 	"recordlayer/internal/directory"
 	"recordlayer/internal/fdb"
+	"recordlayer/internal/index"
 	"recordlayer/internal/keyexpr"
 	"recordlayer/internal/keyspace"
 	"recordlayer/internal/message"
 	"recordlayer/internal/metadata"
+	"recordlayer/internal/plan"
 	"recordlayer/internal/query"
 	"recordlayer/internal/tuple"
 )
@@ -267,7 +272,7 @@ func limitSchema() (*message.Descriptor, *metadata.MetaData) {
 
 // TestLimitCostsExactWindows pins what a limit costs, in read windows on the
 // virtual clock and in keys read: RowLimit and ScanRecordLimit size the range
-// reads and the fetch window under them (doc.go "What a limit costs"), a
+// reads and the fetch window under them (doc.go "What a fetch costs"), a
 // residual filter stops that, and no result or continuation moves. Every
 // record here is one pair plus its version slot.
 func TestLimitCostsExactWindows(t *testing.T) {
@@ -356,14 +361,17 @@ func TestLimitCostsExactWindows(t *testing.T) {
 	}
 
 	even := Query{RecordTypes: []string{"Doc"}, Filter: query.Field("tag").Equals("even")}
-	// The reference is the unlimited drain: all entries in one batch, the
-	// fetches at depth 8. It also warms the provider's caches.
+	// The reference is the unlimited drain: all entries in one batch, and the
+	// fetch window follows the batch 128 at a time. (Re-priced from
+	// (entries+7)/8 fetch windows, 9.3 ms: depth 8 no longer bounds fetches for
+	// entries the scan has already read, only speculation past them.) It also
+	// warms the provider's caches.
 	run(even, ExecuteProperties{})
 	all := run(even, ExecuteProperties{})
 	if len(all.ids) != entries {
 		t.Fatalf("unlimited drain returned %d rows, want %d", len(all.ids), entries)
 	}
-	expect("unlimited drain", all, openGRV+openRead+(entries+7)/8*openRead, 3*entries)
+	expect("unlimited drain", all, openGRV+openRead+(entries+127)/128*openRead, 3*entries)
 
 	// A page of n rows: n entries in one window, their n records in the next.
 	props := ExecuteProperties{RowLimit: 25}
@@ -397,12 +405,15 @@ func TestLimitCostsExactWindows(t *testing.T) {
 
 	// A residual filter stops the demand: how many entries 25 survivors cost
 	// is not known, so the index range is read in default batches (all 130
-	// entries) and the fetches run depth-1 ahead of the 75th entry — the first
-	// 50 fail the filter — exactly as without this mechanism.
+	// entries) and the fetch window follows the batch: 128 records in one
+	// window, of which the 75th ends the page — the first 50 fail the filter.
+	// (Re-priced from (75+7)/8 windows and (75+7)*2 record keys, 5.8 ms and
+	// 294 keys: the stated trade, up to 127 records fetched past the last one
+	// delivered where depth 8 stopped at 7, for 9 fewer round trips.)
 	filtered := run(Query{RecordTypes: []string{"Doc"}, Filter: query.And(
 		query.Field("tag").Equals("even"), query.Field("size").GreaterOrEqual(int64(100)))},
 		ExecuteProperties{RowLimit: 25})
-	expect("residual filter under RowLimit 25", filtered, openGRV+openRead+(75+7)/8*openRead, entries+(75+7)*2)
+	expect("residual filter under RowLimit 25", filtered, openGRV+2*openRead, entries+128*2)
 	sameIDs("residual filter under RowLimit 25", filtered.ids, all.ids[50:75])
 
 	// PipelineDepth 1 stays strictly sequential under a demand.
@@ -429,6 +440,250 @@ func TestLimitCostsExactWindows(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fetchCostStore is the store of the fetch-cost tests, on the prices and the
+// virtual clock of TestLimitCostsExactWindows and, as there, with a pair and a
+// version slot per record: two disjoint tags of 20, u1 wholly before u2 in
+// primary-key order; a tag of 40 whose last 20 are the only red records; a tag
+// of 300. Its planner intersects index scans.
+func fetchCostStore(t *testing.T) (*fdb.Database, *Runner, *StoreProvider) {
+	t.Helper()
+	doc := message.MustDescriptor("Doc",
+		message.Field("id", 1, message.TypeInt64),
+		message.Field("tag", 2, message.TypeString),
+		message.Field("color", 3, message.TypeString),
+	)
+	md := metadata.NewBuilder(1).
+		AddRecordType(doc, keyexpr.Field("id")).
+		AddIndex(&metadata.Index{Name: "by_tag", Type: metadata.IndexValue, Expression: keyexpr.Field("tag")}, "Doc").
+		AddIndex(&metadata.Index{Name: "by_color", Type: metadata.IndexValue, Expression: keyexpr.Field("color")}, "Doc").
+		MustBuild()
+	ks, err := keyspace.New(nil, keyspace.NewConstant("app", "fetch-cost").Add(
+		keyspace.NewDirectory("user", keyspace.TypeInt64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewStoreProvider(md, ks, []string{"app", "user"},
+		ProviderOptions{Planner: plan.Config{PreferIndexIntersection: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{
+		PerRead: openRead, PerGRV: openGRV, PerCommit: openCommit, Virtual: true}})
+	r := NewRunner(db, RunnerOptions{})
+	_, err = r.Run(context.Background(), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		s, err := p.Open(ctx, tr, int64(1))
+		if err != nil {
+			return nil, err
+		}
+		save := func(from, n int64, tag, color string) {
+			for id := from; id < from+n && err == nil; id++ {
+				_, err = s.SaveRecord(message.New(doc).MustSet("id", id).MustSet("tag", tag).MustSet("color", color))
+			}
+		}
+		save(0, 20, "u1", "blue")
+		save(20, 20, "u2", "blue")
+		save(100, 20, "t40", "green")
+		save(120, 20, "t40", "red")
+		save(1000, 300, "big", "grey")
+		return nil, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, r, p
+}
+
+// The queries of the fetch-cost tests: an OR of two index scans, an AND of
+// two, and one scan of 300 entries.
+var (
+	fetchCostEither = Query{RecordTypes: []string{"Doc"}, Filter: query.Or(
+		query.Field("tag").Equals("u1"), query.Field("tag").Equals("u2"))}
+	fetchCostBoth = Query{RecordTypes: []string{"Doc"}, Filter: query.And(
+		query.Field("tag").Equals("t40"), query.Field("color").Equals("red"))}
+	fetchCostBig = Query{RecordTypes: []string{"Doc"}, Filter: query.Field("tag").Equals("big")}
+)
+
+// TestFetchCostsExactWindows pins what a record fetch costs where no limit
+// sizes it (doc.go "What a fetch costs"): union and intersection merge index
+// entries and fetch once above the merge, the fetch window follows entries the
+// scan has already delivered, a union hands a RowLimit down to its children,
+// and PipelineDepth 1 still fetches one record per round trip.
+func TestFetchCostsExactWindows(t *testing.T) {
+	db, r, p := fetchCostStore(t)
+	ctx := context.Background()
+	either, both, big := fetchCostEither, fetchCostBoth, fetchCostBig
+
+	// timed is one warm read transaction: its simulated duration, the keys it
+	// read and the ids fn returned.
+	timed := func(fn func(context.Context, *Store) ([]*Record, error)) (time.Duration, int, []int64) {
+		t.Helper()
+		var keys int
+		var ids []int64
+		t0 := db.LatencyNow()
+		_, err := r.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			s, err := p.Open(ctx, tr, int64(1))
+			if err != nil {
+				return nil, err
+			}
+			recs, err := fn(ctx, s)
+			ids = nil
+			for _, rec := range recs {
+				id, _ := rec.Message.Get("id")
+				ids = append(ids, id.(int64))
+			}
+			keys = tr.Stats().KeysRead
+			return nil, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return time.Duration(db.LatencyNow() - t0), keys, ids
+	}
+	planned := func(q Query, shape string, props ExecuteProperties) func(context.Context, *Store) ([]*Record, error) {
+		return func(ctx context.Context, s *Store) ([]*Record, error) {
+			if pl, err := s.Plan(q); err != nil || !strings.HasPrefix(pl.String(), shape) {
+				return nil, fmt.Errorf("planned %v (%v), want a %s plan", pl, err, shape)
+			}
+			cur, err := s.ExecuteQuery(ctx, q, props)
+			if err != nil {
+				return nil, err
+			}
+			return cur.ToList()
+		}
+	}
+	syncPage := func(depth int) func(context.Context, *Store) ([]*Record, error) {
+		return func(_ context.Context, s *Store) ([]*Record, error) {
+			entries, err := s.ScanIndex("by_tag", index.TupleRange{Low: tuple.Tuple{"big"}, LowInclusive: true,
+				High: tuple.Tuple{"big"}, HighInclusive: true}, index.ScanOptions{Reverse: true})
+			if err != nil {
+				return nil, err
+			}
+			recs, _, _, err := cursor.Collect(s.FetchIndexedPipelined(cursor.Limit(entries, 20), false, depth))
+			return recs, err
+		}
+	}
+	timed(planned(either, "Union(", ExecuteProperties{})) // warms the provider's caches
+
+	one := ExecuteProperties{PipelineDepth: 1}
+	for _, tc := range []struct {
+		what string
+		fn   func(context.Context, *Store) ([]*Record, error)
+		took time.Duration
+		keys int
+		rows int
+	}{
+		// Both index ranges in one window, the 40 records in the next.
+		{"2 x 20-row union", planned(either, "Union(", ExecuteProperties{}), openGRV + 2*openRead, 40 + 40*2, 40},
+		// 60 entries, then only the 20 records in both (fetching under the
+		// merge read all 60: 180 keys).
+		{"20 of 40 intersection", planned(both, "Intersection(", ExecuteProperties{}), openGRV + 2*openRead, 60 + 20*2, 20},
+		// The limit is under the fetch, so nothing sizes the fetch window; it
+		// follows the 20 entries the limited scan delivered.
+		{"fetch over Limit(entries, 20)", syncPage(DefaultPipelineDepth), openGRV + 2*openRead, 20 + 20*2, 20},
+		// RowLimit 10 reaches both children as a demand for 11 entries: ten
+		// rows and a look-ahead, one batch each and never a second.
+		{"RowLimit 10 over the union", planned(either, "Union(", ExecuteProperties{RowLimit: 10}), openGRV + 2*openRead, 2*11 + 10*2, 10},
+		// PipelineDepth 1 is one fetch per round trip, whatever is in hand.
+		{"union at PipelineDepth 1", planned(either, "Union(", one), openGRV + openRead + 40*openRead, 40 + 40*2, 40},
+		{"intersection at PipelineDepth 1", planned(both, "Intersection(", one), openGRV + openRead + 20*openRead, 60 + 20*2, 20},
+		{"fetch over Limit(entries, 20) at depth 1", syncPage(1), openGRV + openRead + 20*openRead, 20 + 20*2, 20},
+		{"300 entries at PipelineDepth 1", planned(big, "Index(", one), openGRV + openRead + 300*openRead, 300 + 300*2, 300},
+	} {
+		took, keys, ids := timed(tc.fn)
+		if took != tc.took || keys != tc.keys || len(ids) != tc.rows {
+			t.Errorf("%s: %d rows in %v reading %d keys, want %d in %v reading %d",
+				tc.what, len(ids), took, keys, tc.rows, tc.took, tc.keys)
+		}
+	}
+
+	// 300 entries arrive as batches of 128 and 172 (the second read ahead
+	// while the first is fetched), so their fetches go out 128 at a time
+	// behind them: at most the index window, three fetch windows and one more.
+	took, keys, ids := timed(planned(big, "Index(", ExecuteProperties{}))
+	if bound := openGRV + openRead + (300+127)/128*openRead + openRead; took > bound || keys != 300+300*2 || len(ids) != 300 {
+		t.Errorf("300-entry index scan and fetch: %d rows in %v reading %d keys, want 300 in at most %v reading 900",
+			len(ids), took, keys, bound)
+	}
+}
+
+// TestExplainQueryMergeNodesAddUp: with the fetch above the merge, EXPLAIN
+// ANALYZE stays a partition of what the transaction did. The children of a
+// union or an intersection report the entries they scanned and their index
+// reads, the merge node the fetches, and over all nodes keys, bytes and
+// simulated wait sum to the transaction's — in one drain, and accumulated over
+// the pages of a RowLimit as TestExplainQueryAccumulatesPages has it for one
+// scan.
+func TestExplainQueryMergeNodesAddUp(t *testing.T) {
+	_, r, p := fetchCostStore(t)
+	ctx := context.Background()
+	sum := func(out, field string) (total time.Duration) {
+		t.Helper()
+		for _, m := range regexp.MustCompile(" "+field+`=(\S+?)[\]\s]`).FindAllStringSubmatch(out, -1) {
+			d, err := time.ParseDuration(m[1])
+			if n, nerr := strconv.Atoi(m[1]); nerr == nil {
+				d, err = time.Duration(n), nil
+			}
+			if err != nil {
+				t.Fatalf("%s=%s in:\n%s", field, m[1], out)
+			}
+			total += d
+		}
+		return total
+	}
+	for _, tc := range []struct {
+		what  string
+		q     Query
+		props ExecuteProperties
+		nodes []string // each node's line, up to its I/O
+		reads time.Duration
+	}{
+		{"union", fetchCostEither, ExecuteProperties{}, []string{
+			"Union  [pages=1 out=40 simreads=80 ",
+			`  Index(by_tag [("u1") - ("u1")])  [pages=1 in=20 out=20 simreads=20 `,
+			`  Index(by_tag [("u2") - ("u2")])  [pages=1 in=20 out=20 simreads=20 `}, 120},
+		{"intersection", fetchCostBoth, ExecuteProperties{}, []string{
+			"Intersection  [pages=1 out=20 simreads=40 ",
+			`  Index(by_tag [("t40") - ("t40")])  [pages=1 in=40 out=40 simreads=40 `,
+			`  Index(by_color [("red") - ("red")])  [pages=1 in=20 out=20 simreads=20 `}, 100},
+		// Six pages of at most seven rows. On each, a child that is not done
+		// reads the eight entries the union asks for, from where the page
+		// before left it: u1 reads 8 + 8 + 6, and u2 its first eight on each
+		// of the three pages that only look at its head, then 8 + 8 + 5.
+		{"union under RowLimit 7", fetchCostEither, ExecuteProperties{RowLimit: 7}, []string{
+			"Union  [pages=6 out=40 simreads=80 ",
+			`  Index(by_tag [("u1") - ("u1")])  [pages=3 in=20 out=20 simreads=22 `,
+			`  Index(by_tag [("u2") - ("u2")])  [pages=6 in=22 out=22 simreads=45 `}, 147},
+	} {
+		res, err := r.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			s, err := p.Open(ctx, tr, int64(1))
+			if err != nil {
+				return nil, err
+			}
+			return s.ExplainQuery(ctx, tc.q, tc.props)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := res.(string)
+		for _, node := range tc.nodes {
+			if !strings.Contains(out, node) {
+				t.Errorf("%s: no node %q in:\n%s", tc.what, node, out)
+			}
+		}
+		txn := out[strings.LastIndex(out, "txn: "):]
+		for _, pair := range [][2]string{{"simreads", "keys_read"}, {"simbytes", "bytes_read"}, {"simwait", "simwait"}} {
+			nodes, whole := sum(out[:len(out)-len(txn)], pair[0]), sum(txn, pair[1])
+			if nodes != whole || whole == 0 {
+				t.Errorf("%s: the nodes' %s sum to %d, the transaction's %s is %d, in:\n%s",
+					tc.what, pair[0], nodes, pair[1], whole, out)
+			}
+		}
+		if got := sum(txn, "keys_read"); got != tc.reads {
+			t.Errorf("%s: read %d keys, want %d", tc.what, got, tc.reads)
+		}
 	}
 }
 

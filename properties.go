@@ -21,7 +21,7 @@ import (
 type ExecuteProperties struct {
 	// RowLimit stops the stream after this many returned records
 	// (ReturnLimitReached); 0 is unlimited. With no residual filter or merge
-	// under it, it also sizes the reads (doc.go "What a limit costs").
+	// under it, it also sizes the reads (doc.go "What a fetch costs").
 	RowLimit int
 	// Skip discards this many records before returning any (rank-free
 	// offset paging).
@@ -39,19 +39,25 @@ type ExecuteProperties struct {
 	// Snapshot executes reads at snapshot isolation: the query adds no read
 	// conflict ranges, so it can never abort a concurrent writer.
 	Snapshot bool
-	// PipelineDepth is how many record fetches an index scan keeps in flight
-	// at once (§8's asynchronous pipelining). 0 means DefaultPipelineDepth;
-	// 1 fetches sequentially, one round trip per entry. Results are
-	// byte-identical to sequential execution (order, halts, continuations);
-	// the difference is eagerness: the scan runs up to PipelineDepth entries
-	// ahead of the consumer, so a stream abandoned early (or cut by a RowLimit
-	// above a residual filter) may have scanned, fetched, metered, and added
-	// read conflicts for up to PipelineDepth-1 records beyond the last one
-	// delivered. That makes it the window for speculative fetches only: under
-	// a RowLimit that reaches the scan exactly the page's records are fetched,
-	// in a window of the limit itself (capped at 128), so they share one round
-	// trip. Set 1 when footprint matters more than fetch latency. Covering
-	// plans never fetch, so the knob does not apply to them.
+	// PipelineDepth bounds how far record fetches speculate past what the
+	// index scan has read (§8's asynchronous pipelining): while the fetch
+	// pipeline would have to wait for the scan's next batch to go on, it does
+	// so only with fewer than PipelineDepth fetches outstanding. 0 means
+	// DefaultPipelineDepth; 1 fetches sequentially, one round trip per entry,
+	// whatever is in hand. It does not bound fetches for entries the scan has
+	// already delivered: those are issued together, up to 128 in flight, so a
+	// batch of 130 entries is fetched in two round trips, and under a RowLimit
+	// that reaches the scan exactly the page's records are fetched, in a
+	// window of the limit itself (same cap). Results are byte-identical to
+	// sequential execution (order, halts, continuations); the difference is
+	// eagerness, and that is the trade: a stream abandoned early, or cut by a
+	// RowLimit above a residual filter, may have fetched, metered, and added
+	// read conflicts for up to 127 records beyond the last one delivered (7
+	// when depth alone set the window) — the scan under it read those entries
+	// in one batch on the same reasoning. Say how little is wanted with a
+	// limit that reaches the scan, or set 1 when footprint matters more than
+	// fetch latency (doc.go "What a fetch costs").
+	// Covering plans never fetch, so the knob does not apply to them.
 	PipelineDepth int
 	// SlowQueryThreshold marks this execution slow when it runs at least this
 	// long from ExecutePlan to the stream's halt; slow executions are captured
