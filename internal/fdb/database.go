@@ -301,10 +301,8 @@ func (d *Database) commit(t *Transaction) (int64, error) {
 // returning the commit version. Caller holds d.mu.
 func (d *Database) applyLocked(t *Transaction) int64 {
 	commitVersion := d.version + versionStep
-	root := t.applyTo(d.root, commitVersion)
-
-	// Record write conflict ranges for future resolution.
-	writes := t.writeConflictRanges(commitVersion)
+	// The new root, and the write conflict ranges kept for future resolution.
+	root, writes := t.applyTo(d.root, commitVersion)
 	if len(writes) > 0 {
 		d.recent = append(d.recent, commitRecord{version: commitVersion, writes: writes})
 		if len(d.recent) > resolverWindow {
@@ -385,5 +383,5 @@ func (d *Database) transact(f func(*Transaction) (interface{}, error), commit, r
 func (d *Database) Size() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.root.count()
+	return treapCount(d.root)
 }

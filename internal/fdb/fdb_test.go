@@ -727,15 +727,16 @@ func TestTreapIterSeek(t *testing.T) {
 	for i := 0; i < 100; i += 2 {
 		root = treapInsert(root, []byte(fmt.Sprintf("k%03d", i)), []byte("v"))
 	}
-	it := newTreapIter(root, []byte("k005"), false)
+	var it, rit treapIter
+	it.seek(root, []byte("k005"), false)
 	n := it.next()
-	if string(n.key) != "k006" {
-		t.Fatalf("seek: got %s", n.key)
+	if string(n.e.key) != "k006" {
+		t.Fatalf("seek: got %s", n.e.key)
 	}
-	rit := newTreapIter(root, []byte("k005"), true)
+	rit.seek(root, []byte("k005"), true)
 	rn := rit.next()
-	if string(rn.key) != "k004" {
-		t.Fatalf("reverse seek: got %s", rn.key)
+	if string(rn.e.key) != "k004" {
+		t.Fatalf("reverse seek: got %s", rn.e.key)
 	}
 }
 
@@ -767,11 +768,4 @@ func TestTreapDeterministicShape(t *testing.T) {
 	if !sameShape(r1, r2) {
 		t.Fatal("treap shape depends on insertion order")
 	}
-}
-
-func sameShape(a, b *node) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	return bytes.Equal(a.key, b.key) && sameShape(a.left, b.left) && sameShape(a.right, b.right)
 }

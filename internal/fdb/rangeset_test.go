@@ -22,6 +22,24 @@ func rangeSetUniverse(maxLen int) [][]byte {
 	return keys
 }
 
+// coveredRuns turns one covered bit per universe key into the maximal covered
+// ranges. The largest key must not be covered: a run ends on the key after it.
+func coveredRuns(universe [][]byte, covered []bool) []KeyRange {
+	var out []KeyRange
+	for i := 0; i < len(universe); i++ {
+		if !covered[i] {
+			continue
+		}
+		j := i
+		for covered[j] {
+			j++
+		}
+		out = append(out, KeyRange{Begin: universe[i], End: universe[j]})
+		i = j
+	}
+	return out
+}
+
 // TestRangeSetMatchesBruteForceModel drives Add/AddKey against a model that
 // is one covered bit per key of a small universe, and checks ContainsKey,
 // Overlaps and All (sorted, disjoint, non-adjacent, and exactly the model's
@@ -68,18 +86,7 @@ func TestRangeSetMatchesBruteForceModel(t *testing.T) {
 				e[i] = 0xff
 			}
 
-			var want []KeyRange
-			for i := 0; i < len(universe); i++ {
-				if !covered[i] {
-					continue
-				}
-				j := i
-				for covered[j] {
-					j++ // the largest key is never covered: no end exceeds it
-				}
-				want = append(want, KeyRange{Begin: universe[i], End: universe[j]})
-				i = j
-			}
+			want := coveredRuns(universe, covered)
 			got := s.All()
 			if s.Len() != len(want) || len(got) != len(want) {
 				t.Fatalf("%s: %d ranges (Len %d), want %d: %q vs %q", what, len(got), s.Len(), len(want), got, want)

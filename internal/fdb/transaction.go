@@ -61,11 +61,16 @@ type mutation struct {
 	param []byte
 }
 
-// bufEntry is the read-your-writes state for one key.
+// bufEntry is what commit still owes a buffered key that is more than a plain
+// set. Most keys of the write buffer have none: their entry already holds the
+// bytes commit will store.
 type bufEntry struct {
-	isSet bool
-	value []byte     // valid when isSet
-	ops   []mutation // pending atomic ops applied to the committed base
+	// ops are pending atomic ops, folded over the committed base when the key
+	// is read or committed; the entry's value means nothing while there are any.
+	ops []mutation
+	// vsOff is where commit writes the versionstamp into the entry's value;
+	// -1 when the value is not versionstamped.
+	vsOff int
 }
 
 type vsKeyOp struct {
@@ -104,11 +109,18 @@ type txnState struct {
 	// window instead of stacking serially with every read.
 	grvReady int64
 
-	writes         map[string]*bufEntry
-	sortedKeys     []string // cache of sorted writes keys; nil when dirty
-	clears         rangeSet
-	vsKeys         []vsKeyOp
-	vsValueOffsets map[string]int // buffer key -> versionstamp offset in value
+	// writes is the write buffer: a treap that only this transaction holds,
+	// edited in place, one immutable entry per written key. It stays in key
+	// order from the first Set to commit, so a range read merges an iterator
+	// over it with one over the snapshot, and commit walks it into a sorted
+	// batch. deferred holds a bufEntry for exactly the entries of writes that
+	// are pending atomics or versionstamped values; bufSet and bufDeleteRange
+	// are the only code that edits either, so neither outlives the other.
+	writes   *node
+	deferred map[*entry]*bufEntry
+	// clears are the cleared ranges; a key in writes overrides them.
+	clears rangeSet
+	vsKeys []vsKeyOp
 
 	readConflicts  rangeSet
 	writeConflicts rangeSet
@@ -130,12 +142,6 @@ type txnState struct {
 }
 
 func (d *Database) nowNanos() int64 { return d.opts.Clock().UnixNano() }
-
-func (t *Transaction) init() {
-	if t.writes == nil {
-		t.writes = make(map[string]*bufEntry)
-	}
-}
 
 func (t *Transaction) checkUsable() error {
 	if t.committed {
@@ -392,46 +398,46 @@ func (t *Transaction) getLocked(key []byte, snapshot bool) ([]byte, error) {
 	if len(key) > t.db.opts.Limits.MaxKeySize {
 		return nil, errCode(CodeKeyTooLarge, "key of %d bytes exceeds limit", len(key))
 	}
-	t.init()
-	if e, ok := t.writes[string(key)]; ok {
-		if e.isSet {
-			return cloneBytes(e.value), nil
-		}
-		// Pending atomic ops: materialize against the read snapshot and
-		// convert to a set, as the read-your-writes layer does.
-		if err := t.ensureSnapshot(); err != nil {
-			return nil, err
-		}
-		base, _ := treapGet(t.snapRoot, key)
-		t.countRead(key, base)
-		if !snapshot {
-			t.readConflicts.AddKey(key)
-		}
-		val, cleared := applyMutations(base, e.ops, t.db.opts.Limits.MaxValueSize)
-		if cleared {
-			delete(t.writes, string(key))
-			t.sortedKeys = nil
-			t.clears.AddKey(key)
-			return nil, nil
-		}
-		e.isSet, e.value, e.ops = true, val, nil
-		return cloneBytes(val), nil
-	}
-	if t.clears.ContainsKey(key) {
+	e := treapGet(t.writes, key)
+	if e == nil && t.clears.ContainsKey(key) {
 		return nil, nil
+	}
+	be := t.deferred[e]
+	if e != nil && (be == nil || be.ops == nil) {
+		return cloneBytes(e.value), nil
 	}
 	if err := t.ensureSnapshot(); err != nil {
 		return nil, err
 	}
-	val, ok := treapGet(t.snapRoot, key)
-	t.countRead(key, val)
+	base := treapGet(t.snapRoot, key)
 	if !snapshot {
 		t.readConflicts.AddKey(key)
 	}
-	if !ok {
-		return nil, nil
+	if e == nil {
+		t.countRead(key, base.val())
+		return cloneBytes(base.val()), nil
+	}
+	// Pending atomic ops: materialize against the read snapshot and convert
+	// to a set, as the read-your-writes layer does.
+	val, cleared := t.materialize(e, be, base)
+	if cleared {
+		t.clearBuffered(key)
 	}
 	return cloneBytes(val), nil
+}
+
+// materialize folds the pending atomic ops of buffered entry e over base, the
+// snapshot's entry for the key (nil when it has none), and counts the read of
+// it. The key becomes a plain set of the result, unless a COMPARE_AND_CLEAR
+// matched: then cleared is true and the caller takes the key out of the buffer
+// and clears it, once no iterator is walking the buffer.
+func (t *Transaction) materialize(e *entry, be *bufEntry, base *entry) (val []byte, cleared bool) {
+	t.countRead(e.key, base.val())
+	val, cleared = applyMutations(base.val(), be.ops, t.db.opts.Limits.MaxValueSize)
+	if !cleared {
+		t.bufSet(&entry{key: e.key, value: val}, nil)
+	}
+	return val, cleared
 }
 
 func (t *Transaction) countRead(key, val []byte) {
@@ -498,117 +504,91 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 	if bytes.Compare(begin, end) >= 0 {
 		return nil, false, 0, nil
 	}
-	t.init()
 	if err := t.ensureSnapshot(); err != nil {
 		return nil, false, 0, err
 	}
 
-	bufKeys := t.bufferedKeysIn(begin, end, o.Reverse)
-	var snapIter *treapIter
-	if !o.Reverse {
-		snapIter = newTreapIter(t.snapRoot, begin, false)
-	} else {
-		snapIter = newTreapIter(t.snapRoot, end, true)
+	// Read-your-writes is a merge of two ordered walks, the snapshot's and the
+	// write buffer's, both starting where the scan does: the buffer costs what
+	// it contributes, not its size.
+	seek := begin
+	if o.Reverse {
+		seek = end
 	}
+	past := func(k []byte) bool { // k lies beyond the scan's far bound
+		if o.Reverse {
+			return bytes.Compare(k, begin) < 0
+		}
+		return bytes.Compare(k, end) >= 0
+	}
+	var snapIter, bufIter treapIter
+	snapIter.seek(t.snapRoot, seek, o.Reverse)
+	bufIter.seek(t.writes, seek, o.Reverse)
 
 	var out []KeyValue
 	var byteCount int
 	more := false
-	bi := 0
-
-	// convert records pending-atomic materializations to apply after the loop.
-	type conv struct {
-		key string
-		val []byte
-		del bool
-	}
-	var conversions []conv
-
-	inDir := func(a, b []byte) bool { // a strictly before b in scan direction
-		if o.Reverse {
-			return bytes.Compare(a, b) > 0
-		}
-		return bytes.Compare(a, b) < 0
-	}
-
-	nextSnap := func() *node {
-		for {
-			n := snapIter.peek()
-			if n == nil {
-				return nil
-			}
-			if !o.Reverse && bytes.Compare(n.key, end) >= 0 {
-				return nil
-			}
-			if o.Reverse && bytes.Compare(n.key, begin) < 0 {
-				return nil
-			}
-			if t.clears.ContainsKey(n.key) {
-				snapIter.next()
-				continue
-			}
-			return n
-		}
-	}
-
+	var cleared []*entry // pending atomics that turned out to clear their key
 	for {
-		if o.Limit > 0 && len(out) >= o.Limit {
-			more = nextSnap() != nil || bi < len(bufKeys)
+		sn := snapIter.peek() // the snapshot's next key in range that no clear covers
+		for ; sn != nil; sn = snapIter.peek() {
+			if past(sn.e.key) {
+				sn = nil
+				break
+			}
+			if !t.clears.ContainsKey(sn.e.key) {
+				break
+			}
+			snapIter.next()
+		}
+		bn := bufIter.peek()
+		if bn != nil && past(bn.e.key) {
+			bn = nil
+		}
+		if sn == nil && bn == nil {
 			break
 		}
-		if o.ByteLimit > 0 && byteCount >= o.ByteLimit {
-			more = nextSnap() != nil || bi < len(bufKeys)
+		if (o.Limit > 0 && len(out) >= o.Limit) || (o.ByteLimit > 0 && byteCount >= o.ByteLimit) {
+			more = true
 			break
 		}
-		sn := nextSnap()
-		var bk string
-		haveBuf := bi < len(bufKeys)
-		if haveBuf {
-			bk = bufKeys[bi]
-		}
-		if sn == nil && !haveBuf {
-			break
+		order := -1 // of the snapshot's key against the buffer's, in scan direction
+		if sn != nil && bn != nil {
+			if order = bytes.Compare(sn.e.key, bn.e.key); o.Reverse {
+				order = -order
+			}
+		} else if sn == nil {
+			order = 1
 		}
 		var kv KeyValue
-		switch {
-		case sn != nil && haveBuf && string(sn.key) == bk:
-			// Buffer overrides the snapshot version of the key.
+		if order < 0 {
 			snapIter.next()
-			fallthrough
-		case sn == nil || (haveBuf && inDir([]byte(bk), sn.key)):
-			e := t.writes[bk]
-			bi++
-			if e.isSet {
-				kv = KeyValue{Key: []byte(bk), Value: cloneBytes(e.value)}
-			} else {
-				base, _ := treapGet(t.snapRoot, []byte(bk))
-				t.countRead([]byte(bk), base)
-				val, cleared := applyMutations(base, e.ops, t.db.opts.Limits.MaxValueSize)
-				if cleared {
-					conversions = append(conversions, conv{key: bk, del: true})
+			kv = KeyValue{Key: cloneBytes(sn.e.key), Value: cloneBytes(sn.e.value)}
+			t.countRead(sn.e.key, sn.e.value)
+		} else {
+			// The buffer overrides the snapshot's version of the key.
+			bufIter.next()
+			var base *entry
+			if order == 0 {
+				snapIter.next()
+				base = sn.e
+			}
+			e := bn.e
+			val := e.value
+			if be := t.deferred[e]; be != nil && be.ops != nil {
+				var gone bool
+				if val, gone = t.materialize(e, be, base); gone {
+					cleared = append(cleared, e)
 					continue
 				}
-				conversions = append(conversions, conv{key: bk, val: val})
-				kv = KeyValue{Key: []byte(bk), Value: cloneBytes(val)}
 			}
-		default:
-			n := snapIter.next()
-			kv = KeyValue{Key: cloneBytes(n.key), Value: cloneBytes(n.value)}
-			t.countRead(n.key, n.value)
+			kv = KeyValue{Key: cloneBytes(e.key), Value: cloneBytes(val)}
 		}
 		out = append(out, kv)
 		byteCount += len(kv.Key) + len(kv.Value)
 	}
-
-	for _, c := range conversions {
-		if c.del {
-			delete(t.writes, c.key)
-			t.sortedKeys = nil
-			t.clears.AddKey([]byte(c.key))
-			continue
-		}
-		e := t.writes[c.key]
-		e.isSet, e.value, e.ops = true, c.val, nil
+	for _, e := range cleared {
+		t.clearBuffered(e.key)
 	}
 
 	if !snapshot {
@@ -627,28 +607,6 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 	return out, more, byteCount, nil
 }
 
-// bufferedKeysIn returns sorted buffer keys within [begin, end).
-func (t *Transaction) bufferedKeysIn(begin, end []byte, reverse bool) []string {
-	if t.sortedKeys == nil {
-		t.sortedKeys = make([]string, 0, len(t.writes))
-		for k := range t.writes {
-			t.sortedKeys = append(t.sortedKeys, k)
-		}
-		sort.Strings(t.sortedKeys)
-	}
-	lo := sort.SearchStrings(t.sortedKeys, string(begin))
-	hi := sort.SearchStrings(t.sortedKeys, string(end))
-	keys := t.sortedKeys[lo:hi]
-	if !reverse {
-		return keys
-	}
-	rev := make([]string, len(keys))
-	for i, k := range keys {
-		rev[len(keys)-1-i] = k
-	}
-	return rev
-}
-
 // Set buffers a key-value write.
 func (t *Transaction) Set(key, value []byte) error {
 	t.mu.Lock()
@@ -656,8 +614,7 @@ func (t *Transaction) Set(key, value []byte) error {
 	if err := t.checkWrite(key, value); err != nil {
 		return err
 	}
-	t.init()
-	t.setEntry(key, &bufEntry{isSet: true, value: cloneBytes(value)})
+	t.bufSet(&entry{key: cloneBytes(key), value: cloneBytes(value)}, nil)
 	t.accountWrite(len(key) + len(value))
 	return nil
 }
@@ -675,13 +632,46 @@ func (t *Transaction) checkWrite(key, value []byte) error {
 	return nil
 }
 
-func (t *Transaction) setEntry(key []byte, e *bufEntry) {
-	ks := string(key)
-	if _, ok := t.writes[ks]; !ok {
-		t.sortedKeys = nil
+// bufSet buffers e in place of whatever the buffer held for its key; be is
+// what commit owes the new entry, nil for a plain set. The entry is never
+// written again: commit hands it to the store as it is.
+func (t *Transaction) bufSet(e *entry, be *bufEntry) {
+	var old *entry
+	t.writes, old = treapPut(t.writes, e, keyPrio(e.key))
+	if old != nil {
+		delete(t.deferred, old)
 	}
-	t.writes[ks] = e
-	delete(t.vsValueOffsets, ks)
+	if be != nil {
+		if t.deferred == nil {
+			t.deferred = make(map[*entry]*bufEntry)
+		}
+		t.deferred[e] = be
+	}
+}
+
+// bufDeleteRange drops the buffered keys in [begin, end). Most clears find
+// none, and then nothing is copied.
+func (t *Transaction) bufDeleteRange(begin, end []byte) {
+	var it treapIter
+	it.seek(t.writes, begin, false)
+	if n := it.peek(); n == nil || bytes.Compare(n.e.key, end) >= 0 {
+		return
+	}
+	l, rest := treapSplit(t.writes, begin)
+	mid, r := treapSplit(rest, end)
+	t.writes = treapMerge(l, r)
+	if len(t.deferred) > 0 {
+		for it.seek(mid, nil, false); it.peek() != nil; {
+			delete(t.deferred, it.next().e)
+		}
+	}
+}
+
+// clearBuffered turns a buffered key into a cleared one: a COMPARE_AND_CLEAR
+// matched what the buffer, or the snapshot under it, holds for the key.
+func (t *Transaction) clearBuffered(key []byte) {
+	t.bufDeleteRange(key, keyAfter(key))
+	t.clears.AddKey(key)
 }
 
 func (t *Transaction) accountWrite(n int) {
@@ -693,7 +683,7 @@ func (t *Transaction) accountWrite(n int) {
 func (t *Transaction) Clear(key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.clearRange(key, keyAfter(key))
+	return t.clearRange(key, keyAfter(key), true)
 }
 
 // ClearRange buffers the removal of all keys in [begin, end). Range clears
@@ -702,25 +692,23 @@ func (t *Transaction) Clear(key []byte) error {
 func (t *Transaction) ClearRange(begin, end []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.clearRange(begin, end)
+	return t.clearRange(begin, end, false)
 }
 
-func (t *Transaction) clearRange(begin, end []byte) error {
+// clearRange buffers a clear; point says it is Clear's single key, which is
+// not a range clear in the statistics.
+func (t *Transaction) clearRange(begin, end []byte, point bool) error {
 	if err := t.checkUsable(); err != nil {
 		return err
 	}
 	if bytes.Compare(begin, end) >= 0 {
 		return nil
 	}
-	t.init()
-	// Remove buffered entries now covered by the clear.
-	for _, k := range t.bufferedKeysIn(begin, end, false) {
-		delete(t.writes, k)
-		delete(t.vsValueOffsets, k)
-	}
-	t.sortedKeys = nil
+	t.bufDeleteRange(begin, end)
 	t.clears.Add(begin, end)
-	t.stats.RangeClears++
+	if !point {
+		t.stats.RangeClears++
+	}
 	t.accountWrite(len(begin) + len(end))
 	return nil
 }
@@ -734,7 +722,6 @@ func (t *Transaction) Atomic(typ MutationType, key, param []byte) error {
 	if err := t.checkUsable(); err != nil {
 		return err
 	}
-	t.init()
 	switch typ {
 	case MutationSetVersionstampedKey:
 		if len(key) < 4 {
@@ -763,38 +750,34 @@ func (t *Transaction) Atomic(typ MutationType, key, param []byte) error {
 		if err := t.checkWrite(key, raw); err != nil {
 			return err
 		}
-		t.setEntry(key, &bufEntry{isSet: true, value: raw})
-		if t.vsValueOffsets == nil {
-			t.vsValueOffsets = make(map[string]int)
-		}
-		t.vsValueOffsets[string(key)] = offset
+		t.bufSet(&entry{key: cloneBytes(key), value: raw}, &bufEntry{vsOff: offset})
 		t.accountWrite(len(key) + len(raw))
 		return nil
 	}
 	if err := t.checkWrite(key, param); err != nil {
 		return err
 	}
-	ks := string(key)
-	if e, ok := t.writes[ks]; ok {
-		if e.isSet {
-			val, cleared := applyMutations(e.value, []mutation{{typ, cloneBytes(param)}}, t.db.opts.Limits.MaxValueSize)
-			if cleared {
-				delete(t.writes, ks)
-				t.sortedKeys = nil
-				t.clears.AddKey(key)
-			} else {
-				e.value = val
-			}
-		} else {
-			e.ops = append(e.ops, mutation{typ, cloneBytes(param)})
+	op := mutation{typ, cloneBytes(param)}
+	e := treapGet(t.writes, key)
+	be := t.deferred[e]
+	switch {
+	case e != nil && be != nil && be.ops != nil:
+		be.ops = append(be.ops, op)
+	case e != nil || t.clears.ContainsKey(key):
+		// The key's value is known — buffered, or cleared — so the op folds now.
+		// A versionstamped value keeps its offset.
+		val, cleared := applyMutations(e.val(), []mutation{op}, t.db.opts.Limits.MaxValueSize)
+		switch {
+		case cleared && e != nil:
+			t.clearBuffered(key)
+		case cleared:
+		case e != nil:
+			t.bufSet(&entry{key: e.key, value: val}, be)
+		default:
+			t.bufSet(&entry{key: cloneBytes(key), value: val}, nil)
 		}
-	} else if t.clears.ContainsKey(key) {
-		val, cleared := applyMutations(nil, []mutation{{typ, cloneBytes(param)}}, t.db.opts.Limits.MaxValueSize)
-		if !cleared {
-			t.setEntry(key, &bufEntry{isSet: true, value: val})
-		}
-	} else {
-		t.setEntry(key, &bufEntry{ops: []mutation{{typ, cloneBytes(param)}}})
+	default:
+		t.bufSet(&entry{key: cloneBytes(key)}, &bufEntry{ops: []mutation{op}, vsOff: -1})
 	}
 	t.accountWrite(len(key) + len(param))
 	return nil
@@ -869,7 +852,7 @@ func (t *Transaction) commitLocked() (int64, error) {
 	if t.stats.Size+t.conflictRangeBytes() > t.db.opts.Limits.MaxTxnSize {
 		return 0, errCode(CodeTransactionTooLarge, "transaction exceeds %d bytes", t.db.opts.Limits.MaxTxnSize)
 	}
-	if len(t.writes) == 0 && t.clears.Len() == 0 && len(t.vsKeys) == 0 && t.writeConflicts.Len() == 0 && !t.bumpMeta {
+	if t.writes == nil && t.clears.Len() == 0 && len(t.vsKeys) == 0 && t.writeConflicts.Len() == 0 && !t.bumpMeta {
 		// Read-only transactions commit trivially at their read version.
 		t.committed = true
 		if err := t.ensureSnapshot(); err != nil {
@@ -913,75 +896,84 @@ func (t *Transaction) conflictRangeBytes() int {
 	return n
 }
 
-// applyTo produces the new committed root. Pending atomic mutations read
-// their base value from the *current* committed root, not the transaction's
-// snapshot — this is what makes concurrent atomic increments compose.
-func (t *Transaction) applyTo(root *node, commitVersion int64) *node {
-	for _, r := range t.clears.All() {
-		root = treapClearRange(root, r.Begin, r.End)
+// applyTo produces the new committed root and the write ranges the resolver
+// keeps for it, in one walk of the buffer in key order. Range clears go first;
+// then every key the transaction sets, deletes or versionstamps goes into one
+// sorted batch that treapApply lands in a single pass — a Clear of one key is
+// a delete in that batch, not a range. Pending atomic mutations read their
+// base value from the *current* committed root, not the transaction's
+// snapshot — this is what makes concurrent atomic increments compose. A
+// resolver range begins on the committed entry's own key bytes.
+func (t *Transaction) applyTo(root *node, commitVersion int64) (*node, []KeyRange) {
+	clears := t.clears.All()
+	ranges := make([]KeyRange, 0, t.stats.Mutations+t.writeConflicts.Len())
+	batch := make([]write, 0, t.stats.Mutations)
+	written := func(key, val []byte) {
+		t.stats.KeysWritten++
+		t.stats.BytesWritten += len(key) + len(val)
+		t.db.metrics.KeysWritten.Add(1)
+		t.db.metrics.BytesWritten.Add(int64(len(key) + len(val)))
+		ranges = append(ranges, KeyRange{Begin: key, End: keyAfter(key)})
 	}
-	keys := make([]string, 0, len(t.writes))
-	for k := range t.writes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	stamp := versionstampBytes(commitVersion)
-	for _, k := range keys {
-		e := t.writes[k]
-		var val []byte
-		if e.isSet {
-			val = e.value
-			if off, ok := t.vsValueOffsets[k]; ok {
-				val = cloneBytes(val)
-				copy(val[off:off+10], stamp)
+	var it treapIter
+	it.seek(t.writes, nil, false)
+	// Clears and buffered keys are both in key order; so is their merge.
+	for n := it.next(); n != nil || len(clears) > 0; {
+		if len(clears) > 0 && (n == nil || bytes.Compare(clears[0].Begin, n.e.key) <= 0) {
+			r := clears[0]
+			clears = clears[1:]
+			ranges = append(ranges, r)
+			if !isSingleKey(r) {
+				root = treapClearRange(root, r.Begin, r.End)
+			} else if n == nil || !bytes.Equal(r.Begin, n.e.key) {
+				// A key cleared and then written needs no delete: the write replaces it.
+				batch = append(batch, write{key: r.Begin})
 			}
-		} else {
-			base, _ := treapGet(root, []byte(k))
-			var cleared bool
-			val, cleared = applyMutations(base, e.ops, t.db.opts.Limits.MaxValueSize)
-			if cleared {
-				root = treapDelete(root, []byte(k))
-				t.noteWritten(k, nil)
-				continue
+			continue
+		}
+		e, be := n.e, t.deferred[n.e]
+		switch {
+		case be == nil:
+		case be.ops == nil:
+			val := cloneBytes(e.value)
+			copy(val[be.vsOff:be.vsOff+10], stamp)
+			e = &entry{key: e.key, value: val}
+		default:
+			// No clear covers a key with pending ops, so root holds its base
+			// whichever range clears have been applied so far.
+			val, cleared := applyMutations(treapGet(root, e.key).val(), be.ops, t.db.opts.Limits.MaxValueSize)
+			e = nil
+			if !cleared {
+				e = &entry{key: n.e.key, value: val}
 			}
 		}
-		root = treapInsert(root, []byte(k), cloneBytes(val))
-		t.noteWritten(k, val)
+		batch = append(batch, write{key: n.e.key, e: e, prio: n.prio})
+		written(n.e.key, e.val())
+		n = it.next()
 	}
+	// Versionstamped keys are few: each is placed into the sorted batch, over
+	// whatever the batch held for that key.
 	for _, op := range t.vsKeys {
 		key := cloneBytes(op.rawKey)
 		copy(key[op.offset:op.offset+10], stamp)
-		root = treapInsert(root, key, cloneBytes(op.value))
-		t.noteWritten(string(key), op.value)
+		w := write{key: key, e: &entry{key: key, value: op.value}, prio: keyPrio(key)}
+		i := sort.Search(len(batch), func(i int) bool { return bytes.Compare(batch[i].key, key) >= 0 })
+		if i == len(batch) || !bytes.Equal(batch[i].key, key) {
+			batch = append(batch, write{})
+			copy(batch[i+1:], batch[i:])
+		}
+		batch[i] = w
+		written(key, op.value)
 	}
-	return root
+	ranges = append(ranges, t.writeConflicts.All()...)
+	return treapApply(root, batch), ranges
 }
 
-func (t *Transaction) noteWritten(key string, val []byte) {
-	t.stats.KeysWritten++
-	t.stats.BytesWritten += len(key) + len(val)
-	t.db.metrics.KeysWritten.Add(1)
-	t.db.metrics.BytesWritten.Add(int64(len(key) + len(val)))
-}
-
-// writeConflictRanges collects this transaction's write footprint for the
-// resolver window.
-func (t *Transaction) writeConflictRanges(commitVersion int64) []KeyRange {
-	var out []KeyRange
-	for _, r := range t.clears.All() {
-		out = append(out, r)
-	}
-	for k := range t.writes {
-		out = append(out, singleKeyRange([]byte(k)))
-	}
-	stamp := versionstampBytes(commitVersion)
-	for _, op := range t.vsKeys {
-		key := cloneBytes(op.rawKey)
-		copy(key[op.offset:op.offset+10], stamp)
-		out = append(out, singleKeyRange(key))
-	}
-	out = append(out, t.writeConflicts.All()...)
-	return out
+// isSingleKey reports whether r is [k, k+0x00): what Clear(k) buffers.
+func isSingleKey(r KeyRange) bool {
+	n := len(r.Begin)
+	return len(r.End) == n+1 && r.End[n] == 0 && bytes.Equal(r.End[:n], r.Begin)
 }
 
 // versionstampBytes renders the 10-byte transaction version: 8-byte

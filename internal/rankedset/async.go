@@ -95,18 +95,37 @@ func (a *Async) set(level int, key []byte, count int64) error {
 // with an ADD of 0 rather than a Set — two transactions that both find the
 // set empty then both commit and keep each other's counts, where a later
 // blind Set would erase the earlier one's.
-func (op *Op) resolveFloor(level int, inclusive bool) ([]byte, int64, error) {
+//
+// The probe was a snapshot read, so what the op does with the finger decides
+// what it conflicts on. An op that only bumps the finger's count (rewrite
+// false) relies on no entry lying between the finger and its key: it reads
+// the open interval between them, which a concurrent split of the finger
+// writes into and a concurrent ADD to the finger does not — two bumps of one
+// finger still commit together (§6, §10.1). An op that rewrites the finger's
+// count from what it read (a split, or a merge on delete) reads the finger's
+// own key, which every concurrent bump writes.
+func (op *Op) resolveFloor(level int, inclusive, rewrite bool) ([]byte, int64, error) {
 	a := op.a
 	begin, end := a.rs.floorRange(level, op.key, inclusive)
 	kv, ok, err := a.ov.Boundary(op.floors[level], begin, end, true, true)
 	if err != nil {
 		return nil, 0, err
 	}
+	prev, count := head, int64(0)
 	if !ok {
-		return head, 0, a.ov.Add(a.rs.levelKey(level, head), 0, 0)
+		err = a.ov.Add(a.rs.levelKey(level, head), 0, 0)
+	} else if prev, err = a.rs.memberOf(kv.Key); err == nil {
+		count = decodeCount(kv.Value)
 	}
-	prev, err := a.rs.memberOf(kv.Key)
-	return prev, decodeCount(kv.Value), err
+	if err != nil {
+		return nil, 0, err
+	}
+	if finger := a.rs.levelKey(level, prev); rewrite {
+		a.tr.AddReadConflictKey(finger)
+	} else {
+		a.tr.AddReadConflictRange(fdb.KeyAfter(finger), a.rs.levelKey(level, op.key))
+	}
+	return prev, count, nil
 }
 
 // Apply completes the op: resolves its probes and applies the mutation. Ops
@@ -134,11 +153,12 @@ func (op *Op) applyInsert() error {
 		return err
 	}
 	for l := 1; l < a.rs.levels; l++ {
-		prev, prevCount, err := op.resolveFloor(l, true)
+		split := a.rs.inLvl(op.key, l)
+		prev, prevCount, err := op.resolveFloor(l, true, split)
 		if err != nil {
 			return err
 		}
-		if !a.rs.inLvl(op.key, l) {
+		if !split {
 			// The covering finger skips one more member; atomic ADD keeps
 			// concurrent inserts conflict-free (§10.1).
 			if err := a.ov.Add(a.rs.levelKey(l, prev), prevCount, 1); err != nil {
@@ -170,7 +190,7 @@ func (op *Op) applyDelete() error {
 	}
 	for l := 1; l < a.rs.levels; l++ {
 		if !a.rs.inLvl(op.key, l) {
-			prev, prevCount, err := op.resolveFloor(l, true)
+			prev, prevCount, err := op.resolveFloor(l, true, false)
 			if err != nil {
 				return err
 			}
@@ -190,7 +210,7 @@ func (op *Op) applyDelete() error {
 		if err := a.ov.Clear(own); err != nil {
 			return err
 		}
-		prev, prevCount, err := op.resolveFloor(l, false)
+		prev, prevCount, err := op.resolveFloor(l, false, true)
 		if err != nil {
 			return err
 		}
