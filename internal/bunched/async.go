@@ -1,7 +1,8 @@
 package bunched
 
 import (
-	"sort"
+	"bytes"
+	"slices"
 
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/overlay"
@@ -39,16 +40,18 @@ func (m *Map) Async(tr *fdb.Transaction) *Async {
 	return &Async{m: m, tr: tr, ov: overlay.New(tr)}
 }
 
-// Op is one issued-but-unapplied mutation.
+// Op is one issued-but-unapplied mutation. Its keys are packed once, at
+// issue: the token's range [begin, end), logical = (token, pk) and after =
+// KeyAfter(logical), and the entry's elements as a bunch value holds them,
+// pk (the suffix of logical after the token) and, for inserts, offsets.
 type Op struct {
-	a       *Async
-	token   string
-	pk      tuple.Tuple
-	offsets []int64
-	insert  bool
-	seq     int
-	locate  *fdb.FutureRange
-	next    *fdb.FutureRange
+	a                          *Async
+	insert                     bool
+	seq                        int
+	begin, end, logical, after []byte
+	pk, offsets                []byte
+	locate                     *fdb.FutureRange
+	next                       *fdb.FutureRange
 }
 
 // IssueInsert starts an insert/upsert of (token, pk) -> offsets. Both
@@ -59,17 +62,20 @@ type Op struct {
 // neighbor scan serves either spill shape.
 func (a *Async) IssueInsert(token string, pk tuple.Tuple, offsets []int64) *Op {
 	op := a.IssueDelete(token, pk)
-	op.offsets, op.insert = offsets, true
-	_, end := a.m.space.RangeForTuple(tuple.Tuple{token})
-	op.next = a.tr.GetRangeAsync(fdb.KeyAfter(a.m.key(token, pk)), end, fdb.RangeOptions{Limit: 1})
+	op.insert = true
+	op.offsets = tuple.Tuple{offsetsTuple(offsets)}.Pack()
+	op.next = a.tr.GetRangeAsync(op.after, op.end, fdb.RangeOptions{Limit: 1})
 	return op
 }
 
 // IssueDelete starts a delete of (token, pk); only the locate scan is needed.
 func (a *Async) IssueDelete(token string, pk tuple.Tuple) *Op {
-	op := &Op{a: a, token: token, pk: pk, seq: a.ov.Issue()}
-	begin, _ := a.m.space.RangeForTuple(tuple.Tuple{token})
-	op.locate = a.tr.GetRangeAsync(begin, fdb.KeyAfter(a.m.key(token, pk)), fdb.RangeOptions{Limit: 1, Reverse: true})
+	op := &Op{a: a, seq: a.ov.Issue()}
+	op.begin, op.end = a.m.space.RangeForTuple(tuple.Tuple{token})
+	op.logical = a.m.key(token, pk)
+	op.after = fdb.KeyAfter(op.logical)
+	op.pk = op.logical[len(op.begin)-1:]
+	op.locate = a.tr.GetRangeAsync(op.begin, op.after, fdb.RangeOptions{Limit: 1, Reverse: true})
 	return op
 }
 
@@ -103,98 +109,165 @@ func (op *Op) Apply() (bool, error) {
 	return op.applyDelete()
 }
 
-func (op *Op) applyInsert() error {
-	a := op.a
-	begin, endTok := a.m.space.RangeForTuple(tuple.Tuple{op.token})
-	logical := a.m.key(op.token, op.pk)
-	loc, ok, err := op.boundary(op.locate, begin, fdb.KeyAfter(logical), true)
-	if err != nil {
-		return err
-	}
-	newEntry := Entry{PK: op.pk, Offsets: op.offsets}
-	if ok {
-		_, entries, err := a.m.decodeBunch(loc.Key, loc.Value)
-		if err != nil {
-			return err
-		}
-		idx := sort.Search(len(entries), func(i int) bool { return pkCompare(entries[i].PK, op.pk) >= 0 })
-		if idx < len(entries) && pkCompare(entries[idx].PK, op.pk) == 0 {
-			entries[idx] = newEntry
-			return a.ov.Set(loc.Key, encodeBunch(entries))
-		}
-		entries = append(entries, Entry{})
-		copy(entries[idx+1:], entries[idx:])
-		entries[idx] = newEntry
-		if len(entries) <= a.m.bunchSize {
-			return a.ov.Set(loc.Key, encodeBunch(entries))
-		}
-		// Overflow: evict the biggest primary key, then absorb the neighbor
-		// bunch when the result fits.
-		spill := entries[len(entries)-1]
-		entries = entries[:len(entries)-1]
-		if err := a.ov.Set(loc.Key, encodeBunch(entries)); err != nil {
-			return err
-		}
-		return op.applySpill(spill, fdb.KeyAfter(logical), endTok)
-	}
-	return op.applySpill(newEntry, fdb.KeyAfter(logical), endTok)
+// bunch is a pair of the op's token walked as bytes. Its n entries are the
+// anchor pk (the key's suffix after the token) with the offsets opening the
+// value, then (pk, offsets) pairs; positions index the value. at is where
+// the op's pk sorts: the first entry whose pk is >= it (0 is the anchor), or
+// len(value). found says that pk is the op's; pkLen and offLen measure it.
+// The last entry's pk starts at last and its offsets at lastOffsets.
+type bunch struct {
+	anchor               []byte
+	n, at, pkLen, offLen int
+	last, lastOffsets    int
+	found                bool
 }
 
-// applySpill writes entry as a new bunch, merging the following bunch into it
-// when the combination fits — insertSpill resolved through the pipeline.
-func (op *Op) applySpill(entry Entry, nbrBegin, nbrEnd []byte) error {
+// walk checks the shape of a pair in the op's token range, element by
+// element, and finds where the op's pk sorts in it.
+func (op *Op) walk(kv fdb.KeyValue) (b bunch, err error) {
+	v := kv.Value
+	b.anchor, b.at = kv.Key[len(op.begin)-1:], -1
+	if nestedLen(b.anchor) != len(b.anchor) {
+		return b, malformed(kv.Key)
+	}
+	for pos, pl := 0, 0; b.n == 0 || pos < len(v); b.n++ {
+		pk := b.anchor
+		if pos > 0 {
+			pl = nestedLen(v[pos:])
+			pk = v[pos : pos+pl]
+		}
+		ol := offsetsLen(v[pos+pl:])
+		if len(pk) == 0 || ol == 0 {
+			return b, malformed(kv.Key)
+		}
+		if b.at < 0 && bytes.Compare(pk, op.pk) >= 0 {
+			b.at, b.found, b.pkLen, b.offLen = pos, bytes.Equal(pk, op.pk), pl, ol
+		}
+		b.last, b.lastOffsets = pos, pos+pl
+		pos += pl + ol
+	}
+	if b.at < 0 {
+		b.at = len(v)
+	}
+	return b, nil
+}
+
+// Tuple type codes: a nested tuple, and integer zero (0x0c..0x13 code the
+// negative integers by byte length, 0x15..0x1c the positive ones).
+const codeNested, codeIntZero = 0x05, 0x14
+
+// nestedLen returns the length of the nested tuple opening b, 0 if none does.
+func nestedLen(b []byte) int {
+	if n, err := tuple.ElementLen(b); err == nil && b[0] == codeNested {
+		return n
+	}
+	return 0
+}
+
+// offsetsLen returns the length of the offset list opening b, a nested tuple
+// of integers that fit an int64, or 0 if none does.
+func offsetsLen(b []byte) int {
+	for i := 1; len(b) > 0 && b[0] == codeNested && i < len(b); {
+		if b[i] == 0x00 {
+			return i + 1
+		}
+		c := int(b[i]) - codeIntZero
+		n := max(c, -c)
+		if n > 8 || i+n >= len(b) || c == 8 && b[i+1] >= 0x80 {
+			return 0
+		}
+		i += 1 + n
+	}
+	return 0
+}
+
+// keyFor is the physical key of a bunch anchored at the encoded pk.
+func (op *Op) keyFor(pk []byte) []byte {
+	return slices.Concat(op.begin[:len(op.begin)-1], pk)
+}
+
+func (op *Op) applyInsert() error {
 	a := op.a
-	nbr, ok, err := op.boundary(op.next, nbrBegin, nbrEnd, false)
+	loc, ok, err := op.boundary(op.locate, op.begin, op.after, true)
 	if err != nil {
 		return err
 	}
-	bunch := []Entry{entry}
+	if !ok {
+		return op.applySpill(op.logical, op.offsets)
+	}
+	b, err := op.walk(loc)
+	if err != nil {
+		return err
+	}
+	v := loc.Value
+	if b.found {
+		p := b.at + b.pkLen
+		return a.ov.Set(loc.Key, slices.Concat(v[:p], op.offsets, v[p+b.offLen:]))
+	}
+	if b.n < a.m.bunchSize {
+		return a.ov.Set(loc.Key, slices.Concat(v[:b.at], op.pk, op.offsets, v[b.at:]))
+	}
+	// Overflow: evict the biggest primary key, then absorb the neighbor
+	// bunch when the result fits. When the new entry sorts last it is the
+	// one evicted, and the bunch is written back unchanged.
+	kept, key, offsets := v, op.logical, op.offsets
+	if b.at < len(v) {
+		kept = slices.Concat(v[:b.at], op.pk, op.offsets, v[b.at:b.last])
+		key, offsets = op.keyFor(v[b.last:b.lastOffsets]), v[b.lastOffsets:]
+	}
+	if err := a.ov.Set(loc.Key, kept); err != nil {
+		return err
+	}
+	return op.applySpill(key, offsets)
+}
+
+// applySpill writes the entry key -> offsets as a new bunch, merging the
+// following bunch into it when the combination fits — insertSpill resolved
+// through the pipeline.
+func (op *Op) applySpill(key, offsets []byte) error {
+	a := op.a
+	nbr, ok, err := op.boundary(op.next, op.after, op.end, false)
+	if err != nil {
+		return err
+	}
+	value := offsets
 	if ok {
-		_, nEntries, err := a.m.decodeBunch(nbr.Key, nbr.Value)
+		b, err := op.walk(nbr)
 		if err != nil {
 			return err
 		}
-		if len(nEntries)+1 <= a.m.bunchSize {
+		if b.n+1 <= a.m.bunchSize {
 			if err := a.ov.Clear(nbr.Key); err != nil {
 				return err
 			}
-			bunch = append(bunch, nEntries...)
+			value = slices.Concat(offsets, b.anchor, nbr.Value)
 		}
 	}
-	return a.ov.Set(a.m.key(op.token, entry.PK), encodeBunch(bunch))
+	return a.ov.Set(key, value)
 }
 
 func (op *Op) applyDelete() (bool, error) {
 	a := op.a
-	begin, _ := a.m.space.RangeForTuple(tuple.Tuple{op.token})
-	loc, ok, err := op.boundary(op.locate, begin, fdb.KeyAfter(a.m.key(op.token, op.pk)), true)
+	loc, ok, err := op.boundary(op.locate, op.begin, op.after, true)
 	if err != nil || !ok {
 		return false, err
 	}
-	_, entries, err := a.m.decodeBunch(loc.Key, loc.Value)
-	if err != nil {
+	b, err := op.walk(loc)
+	if err != nil || !b.found {
 		return false, err
 	}
-	idx := -1
-	for i, e := range entries {
-		if pkCompare(e.PK, op.pk) == 0 {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return false, nil
-	}
-	if len(entries) == 1 {
+	if b.n == 1 {
 		return true, a.ov.Clear(loc.Key)
 	}
-	entries = append(entries[:idx], entries[idx+1:]...)
-	if idx == 0 {
-		// The bunch's key carried this primary key: re-anchor at the next.
+	v := loc.Value
+	if b.at == 0 {
+		// The bunch's key carried this primary key: re-anchor at the next,
+		// whose pk follows the deleted offsets.
+		pl := nestedLen(v[b.offLen:])
 		if err := a.ov.Clear(loc.Key); err != nil {
 			return false, err
 		}
-		return true, a.ov.Set(a.m.key(op.token, entries[0].PK), encodeBunch(entries))
+		return true, a.ov.Set(op.keyFor(v[b.offLen:b.offLen+pl]), v[b.offLen+pl:])
 	}
-	return true, a.ov.Set(loc.Key, encodeBunch(entries))
+	return true, a.ov.Set(loc.Key, slices.Concat(v[:b.at], v[b.at+b.pkLen+b.offLen:]))
 }

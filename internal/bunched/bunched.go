@@ -7,6 +7,14 @@
 // Physical layout: for each bunch the key is (prefix, token, firstPK) and
 // the value encodes [offsets(firstPK), pk2, offsets(pk2), ..., pkN,
 // offsets(pkN)] as a packed tuple.
+//
+// Writes edit a bunch as bytes: an insert or delete finds its place by
+// comparing encoded primary keys and splices one encoded (pk, offsets) pair
+// into or out of the value (async.go). Reads decode whole bunches into
+// entries. The two agree byte for byte because the tuple encoding is
+// canonical — a value has one encoding, so splicing yields what
+// decode-edit-encode would — and order-preserving, so comparing encoded
+// primary keys orders them as tuple.Compare does.
 package bunched
 
 import (
@@ -65,12 +73,14 @@ func offsetsTuple(offsets []int64) tuple.Tuple {
 	return t
 }
 
-func offsetsFromTuple(t tuple.Tuple) []int64 {
+// offsetsFrom converts a decoded offset list, which must be a tuple of int64s.
+func offsetsFrom(e interface{}) ([]int64, bool) {
+	t, ok := e.(tuple.Tuple)
 	out := make([]int64, len(t))
-	for i, v := range t {
-		out[i] = v.(int64)
+	for i := 0; ok && i < len(t); i++ {
+		out[i], ok = t[i].(int64)
 	}
-	return out
+	return out, ok
 }
 
 // decodeBunch reconstructs the full entry list from a physical pair.
@@ -79,27 +89,31 @@ func (m *Map) decodeBunch(key, value []byte) (token string, entries []Entry, err
 	if err != nil {
 		return "", nil, err
 	}
-	if len(kt) != 2 {
-		return "", nil, fmt.Errorf("bunched: malformed key %x", key)
-	}
-	token = kt[0].(string)
-	firstPK := kt[1].(tuple.Tuple)
 	vt, err := tuple.Unpack(value)
 	if err != nil {
 		return "", nil, err
 	}
-	if len(vt) == 0 || len(vt)%2 != 1 {
-		return "", nil, fmt.Errorf("bunched: malformed bunch value for %q", token)
+	ok := len(kt) == 2 && len(vt)%2 == 1
+	if ok {
+		token, ok = kt[0].(string)
+		entries = make([]Entry, (len(vt)+1)/2)
 	}
-	entries = append(entries, Entry{PK: firstPK, Offsets: offsetsFromTuple(vt[0].(tuple.Tuple))})
-	for i := 1; i < len(vt); i += 2 {
-		entries = append(entries, Entry{
-			PK:      vt[i].(tuple.Tuple),
-			Offsets: offsetsFromTuple(vt[i+1].(tuple.Tuple)),
-		})
+	for i := 0; ok && i < len(entries); i++ {
+		pk := kt[1]
+		if i > 0 {
+			pk = vt[2*i-1]
+		}
+		if entries[i].PK, ok = pk.(tuple.Tuple); ok {
+			entries[i].Offsets, ok = offsetsFrom(vt[2*i])
+		}
+	}
+	if !ok {
+		return "", nil, malformed(key)
 	}
 	return token, entries, nil
 }
+
+func malformed(key []byte) error { return fmt.Errorf("bunched: malformed bunch at key %x", key) }
 
 // locate finds the physical bunch that would hold (token, pk): the biggest
 // physical key <= the logical key. Appendix B: "perform a range scan in
@@ -119,8 +133,6 @@ func (m *Map) locate(tr *fdb.Transaction, token string, pk tuple.Tuple) (physKey
 	return kvs[0].Key, entries, true, nil
 }
 
-func pkCompare(a, b tuple.Tuple) int { return tuple.Compare(a, b) }
-
 // Insert adds or replaces the offsets for (token, pk). Appendix B: inserting
 // reads at most two key-value pairs and writes at most two. Built on the
 // pipelined Async path, so the locate and neighbor scans share one latency
@@ -137,7 +149,7 @@ func (m *Map) Get(tr *fdb.Transaction, token string, pk tuple.Tuple) ([]int64, b
 		return nil, false, err
 	}
 	for _, e := range entries {
-		if pkCompare(e.PK, pk) == 0 {
+		if tuple.Equal(e.PK, pk) {
 			return e.Offsets, true, nil
 		}
 	}

@@ -391,6 +391,9 @@ func decodeElement(b []byte, nested bool) (interface{}, []byte, error) {
 		return nil, nil, errors.New("tuple: truncated encoding")
 	}
 	code := b[0]
+	if len(b) < int(fixedLen[code]) {
+		return nil, nil, errors.New("tuple: truncated element")
+	}
 	switch {
 	case code == codeNull:
 		if nested {
@@ -433,17 +436,12 @@ func decodeElement(b []byte, nested bool) (interface{}, []byte, error) {
 			b = rest
 		}
 	case code >= 0x0C && code <= 0x1C:
-		return decodeInt(b)
+		v, rest := decodeInt(b)
+		return v, rest, nil
 	case code == codeFloat:
-		if len(b) < 5 {
-			return nil, nil, errors.New("tuple: truncated float")
-		}
 		u := floatUnadjust(binary.BigEndian.Uint32(b[1:5]))
 		return math.Float32frombits(u), b[5:], nil
 	case code == codeDouble:
-		if len(b) < 9 {
-			return nil, nil, errors.New("tuple: truncated double")
-		}
 		u := doubleUnadjust(binary.BigEndian.Uint64(b[1:9]))
 		return math.Float64frombits(u), b[9:], nil
 	case code == codeFalse:
@@ -451,24 +449,60 @@ func decodeElement(b []byte, nested bool) (interface{}, []byte, error) {
 	case code == codeTrue:
 		return true, b[1:], nil
 	case code == codeUUID:
-		if len(b) < 17 {
-			return nil, nil, errors.New("tuple: truncated UUID")
-		}
 		var u UUID
 		copy(u[:], b[1:17])
 		return u, b[17:], nil
 	case code == codeVStamp:
-		if len(b) < 13 {
-			return nil, nil, errors.New("tuple: truncated versionstamp")
-		}
-		v, err := VersionstampFromBytes(b[1:13])
-		if err != nil {
-			return nil, nil, err
-		}
+		v, _ := VersionstampFromBytes(b[1:13]) // fails only on a length other than 12
 		return v, b[13:], nil
 	default:
 		return nil, nil, fmt.Errorf("tuple: unknown type code 0x%02x", code)
 	}
+}
+
+// fixedLen is the encoded length of a fixed-size element by its type code —
+// an integer is its code plus as many bytes as the code's distance from
+// codeIntZero — and 0 for a variable-length or unknown code.
+var fixedLen = [256]uint8{
+	codeNull: 1, 0x0C: 9, 8, 7, 6, 5, 4, 3, 2, codeIntZero: 1, 2, 3, 4, 5, 6, 7, 8, 9,
+	codeFloat: 5, codeDouble: 9, codeFalse: 1, codeTrue: 1, codeUUID: 17, codeVStamp: 13,
+}
+
+// ElementLen returns the length of the first element encoded in b without
+// decoding it or allocating: a byte or string element runs to its unescaped
+// terminator, a nested tuple to the end of its last element. It fails exactly
+// where Unpack would fail on that element.
+func ElementLen(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, errors.New("tuple: truncated encoding")
+	}
+	code, n := b[0], 1
+	if code != codeBytes && code != codeString && code != codeNested {
+		if n = int(fixedLen[code]); n == 0 {
+			return 0, fmt.Errorf("tuple: unknown type code 0x%02x", code)
+		}
+		if len(b) < n {
+			return 0, errors.New("tuple: truncated element")
+		}
+		return n, nil
+	}
+	for n < len(b) {
+		switch {
+		case b[n] == 0x00 && n+1 < len(b) && b[n+1] == 0xFF:
+			n += 2 // an escaped zero byte, or a null in a nested tuple
+		case b[n] == 0x00:
+			return n + 1, nil
+		case code != codeNested:
+			n++
+		default:
+			m, err := ElementLen(b[n:])
+			if err != nil {
+				return 0, err
+			}
+			n += m
+		}
+	}
+	return 0, errors.New("tuple: unterminated element")
 }
 
 func decodeBytes(b []byte) ([]byte, []byte, error) {
@@ -487,19 +521,17 @@ func decodeBytes(b []byte) ([]byte, []byte, error) {
 	return nil, nil, errors.New("tuple: unterminated byte string")
 }
 
-func decodeInt(b []byte) (interface{}, []byte, error) {
+// decodeInt decodes an integer element b holds in full.
+func decodeInt(b []byte) (interface{}, []byte) {
 	code := int(b[0])
 	if code == codeIntZero {
-		return int64(0), b[1:], nil
+		return int64(0), b[1:]
 	}
 	n := code - codeIntZero
 	neg := false
 	if n < 0 {
 		n = -n
 		neg = true
-	}
-	if len(b) < 1+n {
-		return nil, nil, errors.New("tuple: truncated integer")
 	}
 	var v uint64
 	for i := 0; i < n; i++ {
@@ -508,12 +540,12 @@ func decodeInt(b []byte) (interface{}, []byte, error) {
 	rest := b[1+n:]
 	if neg {
 		m := maxUintN(n) - v
-		return -int64(m), rest, nil
+		return -int64(m), rest
 	}
 	if n == 8 && v > math.MaxInt64 {
-		return v, rest, nil // preserve large uint64
+		return v, rest // preserve large uint64
 	}
-	return int64(v), rest, nil
+	return int64(v), rest
 }
 
 // Range returns begin and end keys such that every key starting with the

@@ -219,6 +219,15 @@ func TestRoundTripProperty(t *testing.T) {
 		if !reflect.DeepEqual(normalize(in), normalize(out)) {
 			t.Fatalf("round trip %v -> %v", in, out)
 		}
+		// ElementLen splits the packing into the packings of the elements.
+		rest := in.Pack()
+		for _, e := range in {
+			n, err := ElementLen(rest)
+			if want := len(Tuple{e}.Pack()); err != nil || n != want {
+				t.Fatalf("%v: ElementLen of %v = %d, %v; want %d", in, e, n, err, want)
+			}
+			rest = rest[n:]
+		}
 	}
 }
 
