@@ -353,6 +353,7 @@ func usageCmd() {
 		}
 	}
 	if live.Transactions == total.Transactions &&
+		live.ReadRecords == total.ReadRecords && live.ReadBytes == total.ReadBytes &&
 		live.WriteRecords == total.WriteRecords && live.WriteBytes == total.WriteBytes {
 		fmt.Println("report matches the live Accountant snapshots: consistent")
 	} else {

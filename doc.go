@@ -177,9 +177,9 @@
 // needs one, so a K-way merge pays one shared window per step rather than
 // K sequential ones (BenchmarkMergeQuery). A merge of bare index scans runs on
 // the scans' entries and fetches once, above itself ("What a fetch costs").
-// Results stay byte-identical to the serial drain — order, halt reasons,
-// continuations, and metering included — because prefetched-but-unconsumed
-// batches are never metered.
+// Results stay byte-identical to the serial drain: order, halt reasons and
+// continuations. A batch read ahead is counted and billed when it is issued,
+// whether or not the merge consumes it (see "Resource governance").
 // `go test -bench . -args -latency 100us` runs the root microbenchmarks under
 // a 100µs-per-read latency model; they report simwait-ns/op next to ns/op.
 //
@@ -378,9 +378,9 @@
 // # Resource governance
 //
 // Bind a tenant identity to the request context and give the Runner a
-// Governor; everything below meters automatically (the tenant's meter rides
-// the context into store opens, scans, record loads/saves, and index
-// maintenance — no extra parameters):
+// Governor. The Runner binds the tenant's meter to each attempt's transaction
+// (fdb.Transaction.BindMeter), and the transaction bills it where it counts
+// its TxnStats, so no layer below the Runner knows the meter exists:
 //
 //	acct := recordlayer.NewAccountant()
 //	gov := recordlayer.NewGovernor(acct, recordlayer.GovernorOptions{TotalConcurrent: 64})
@@ -404,10 +404,30 @@
 //
 // Two buckets exist per tenant. TxnPerSecond/Burst bounds admissions;
 // BytesPerSecond/ByteBurst bounds the bytes the tenant actually reads and
-// writes — the scan, save, and index layers feed their byte counts through
-// the tenant's Meter into the governor post-hoc, so a transaction can
-// overdraw the bucket into debt and further admissions are rejected until
-// refill clears it. The error's Resource field names the drained bucket.
+// writes: every byte billed to the tenant's meter also debits the byte
+// bucket, mid-transaction and post-hoc, so a transaction can overdraw the
+// bucket into debt and further admissions are rejected until refill clears
+// it. The error's Resource field names the drained bucket.
+//
+// Billing is what the cluster serves, when it is issued:
+//
+//   - A Get, or one GetRange batch, bills the keys and bytes the snapshot
+//     served it (TxnStats.KeysRead/BytesRead). A read the transaction's own
+//     buffered writes answer is free; a point read that finds nothing bills
+//     its key.
+//   - A batch read ahead is billed when it is issued, consumed or not.
+//   - Writes are the issued mutations (TxnStats.Mutations/Size): a set bills
+//     its key and value, an atomic op its key and parameter, and a clear or
+//     range clear is one mutation of len(begin)+len(end) bytes. Every attempt
+//     bills, committed or not. KeysWritten is not used: it skips clears and
+//     aborted attempts.
+//   - Directory reads made inside StoreProvider.Open bill the tenant that
+//     caused them.
+//
+// A tenant's usage is therefore the sum of the TxnStats of every attempt run
+// for it (TestMeterEqualsTransactionStats). One consequence: SaveRecords
+// bills more reads than a SaveRecord loop, because its batched probes read
+// the snapshot where the loop reads its own buffer; the writes are the same.
 //
 // A tenant over its concurrency ceiling (or a full cluster) waits instead:
 // queued admissions are granted weighted-fairly — lowest in-flight share
@@ -427,8 +447,9 @@
 // drained quota.
 //
 // Operators read usage with Accountant.Snapshot (see `rl tenants`) or the
-// copy-free ForEach, and a StoreProvider with ProviderOptions.Accountant
-// meters traffic even for requests that bypass the Runner's tenant binding.
+// copy-free ForEach. A StoreProvider with ProviderOptions.Accountant bills a
+// transaction that reaches Open with no meter bound to the tenant key of the
+// path it opens; a transaction keeps the first meter bound to it.
 // The noisy-neighbor experiment (cmd/experiments -run nn; -short is the CI
 // smoke gate) measures the isolation all of this buys.
 //

@@ -3,8 +3,8 @@ package recordlayer
 import (
 	"context"
 	"errors"
+	"time"
 
-	"recordlayer/internal/core"
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/keyspace"
 	"recordlayer/internal/resource"
@@ -20,8 +20,9 @@ import (
 // ceilings, sharing capacity weighted-fairly when the cluster is saturated
 // and granting background work only capacity foreground traffic leaves
 // idle. Bind a tenant with WithTenant and hand the Runner a Governor (or
-// just an Accountant) — the store, scan, and index layers then meter
-// automatically via the context:
+// just an Accountant): the Runner binds the tenant's meter to every
+// transaction it runs, which bills it for everything the transaction reads
+// and writes:
 //
 //	acct := recordlayer.NewAccountant()
 //	gov := recordlayer.NewGovernor(acct, recordlayer.GovernorOptions{
@@ -94,8 +95,8 @@ func NewGovernor(acct *Accountant, opts GovernorOptions) *Governor {
 }
 
 // WithTenant binds a tenant identity to the context. Runner.Run/ReadRun use
-// it to acquire admission from their Governor and to select the tenant's
-// meter; StoreProvider.Open then meters all store traffic under it.
+// it to acquire admission from their Governor and to bind the tenant's meter
+// to each transaction they run.
 func WithTenant(ctx context.Context, tenant string) context.Context {
 	return resource.WithTenant(ctx, tenant)
 }
@@ -214,8 +215,30 @@ func NewUsageExporter(acct *Accountant, db *fdb.Database, server string) *UsageE
 
 // PaceFromGovernor adapts gov into an OnlineIndexer.Pace hook: each batch
 // boundary acquires (and immediately releases) a background-priority
-// admission for tenant, so an online index build throttles under the
-// tenant's quotas and yields capacity to foreground traffic.
+// admission for tenant, so the build waits whenever foreground traffic is
+// queued for capacity and backs off for RetryAfter whenever the tenant is
+// over a rate or byte quota. The build therefore consumes only capacity the
+// interactive workload is not using.
 func PaceFromGovernor(gov *Governor, tenant string) func(context.Context) error {
-	return core.PaceFromGovernor(gov, tenant)
+	return func(ctx context.Context) error {
+		bctx := resource.WithPriority(ctx, resource.PriorityBackground)
+		for {
+			release, err := gov.Admit(bctx, tenant)
+			if err == nil {
+				release()
+				return nil
+			}
+			var qe *QuotaExceededError
+			if !errors.As(err, &qe) {
+				return err
+			}
+			t := time.NewTimer(qe.RetryAfter)
+			select {
+			case <-ctx.Done():
+				t.Stop()
+				return ctx.Err()
+			case <-t.C:
+			}
+		}
+	}
 }

@@ -21,16 +21,10 @@ import (
 // overlay.Overlay, which remembers the latest value of each physical key
 // written and corrects each boundary read against it at apply time (see that
 // package, also under rankedset.Async). Ops must be applied in issue order.
-//
-// OnRead, when set, observes each *resolved* boundary read an op actually
-// consumes — the pairs a serial execution would have read at apply time — so
-// callers can meter identically whether ops are batched or serial.
 type Async struct {
 	m  *Map
 	tr *fdb.Transaction
-	// OnRead receives the resolved pairs of each consumed boundary read.
-	OnRead func(kvs []fdb.KeyValue)
-	ov     *overlay.Overlay
+	ov *overlay.Overlay
 }
 
 // Async creates a pipelining view of the map over one transaction. Every
@@ -80,21 +74,9 @@ func (a *Async) IssueDelete(token string, pk tuple.Tuple) *Op {
 }
 
 // boundary resolves one Limit-1 scan over [begin, end) to the physical pair a
-// serial read at apply time would have returned, and reports it to the
-// metering hook.
+// serial read at apply time would have returned.
 func (op *Op) boundary(fut *fdb.FutureRange, begin, end []byte, reverse bool) (fdb.KeyValue, bool, error) {
-	kv, ok, err := op.a.ov.Boundary(fut, begin, end, reverse, false)
-	if err != nil {
-		return kv, false, err
-	}
-	if read := op.a.OnRead; read != nil {
-		var kvs []fdb.KeyValue
-		if ok {
-			kvs = []fdb.KeyValue{kv}
-		}
-		read(kvs)
-	}
-	return kv, ok, nil
+	return op.a.ov.Boundary(fut, begin, end, reverse, false)
 }
 
 // Apply completes the op. For inserts the boolean result is always true; for

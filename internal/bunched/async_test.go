@@ -41,18 +41,14 @@ type mapOp struct {
 
 // runOps drives the ops through one transaction. Serial mode issues and
 // applies each op in turn; batched mode issues every op before applying any —
-// the cross-record pipelining shape. Both meter the resolved boundary reads
-// via OnRead so the test can require read accounting to match too.
-func runOps(t *testing.T, db *fdb.Database, m *Map, ops []mapOp, batched bool) (changed []bool, readBytes int) {
+// the cross-record pipelining shape. Both report the transaction's stats, so
+// the test can require the writes issued to match too.
+func runOps(t *testing.T, db *fdb.Database, m *Map, ops []mapOp, batched bool) (changed []bool, stats fdb.TxnStats) {
 	t.Helper()
 	changed = make([]bool, len(ops))
 	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		defer func() { stats = tr.Stats() }()
 		a := m.Async(tr)
-		a.OnRead = func(kvs []fdb.KeyValue) {
-			for _, kv := range kvs {
-				readBytes += len(kv.Key) + len(kv.Value)
-			}
-		}
 		issue := func(o mapOp) *Op {
 			if o.insert {
 				return a.IssueInsert(o.token, pk(o.n), o.offsets)
@@ -85,7 +81,7 @@ func runOps(t *testing.T, db *fdb.Database, m *Map, ops []mapOp, batched bool) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	return changed, readBytes
+	return changed, stats
 }
 
 func compareRuns(t *testing.T, bunchSize int, seed, ops []mapOp) {
@@ -107,15 +103,16 @@ func compareRuns(t *testing.T, bunchSize int, seed, ops []mapOp) {
 	}
 	dbS, mS := mk()
 	dbB, mB := mk()
-	chS, readS := runOps(t, dbS, mS, ops, false)
-	chB, readB := runOps(t, dbB, mB, ops, true)
+	chS, statsS := runOps(t, dbS, mS, ops, false)
+	chB, statsB := runOps(t, dbB, mB, ops, true)
 	for i := range ops {
 		if chS[i] != chB[i] {
 			t.Fatalf("op %d (%+v): serial changed=%v batched changed=%v", i, ops[i], chS[i], chB[i])
 		}
 	}
-	if readS != readB {
-		t.Fatalf("metered boundary reads differ: serial %d bytes, batched %d bytes", readS, readB)
+	if statsS.Mutations != statsB.Mutations || statsS.Size != statsB.Size {
+		t.Fatalf("writes differ: serial %d mutations / %d bytes, batched %d / %d",
+			statsS.Mutations, statsS.Size, statsB.Mutations, statsB.Size)
 	}
 	s, b := dumpAll(t, dbS), dumpAll(t, dbB)
 	if len(s) != len(b) {
@@ -130,9 +127,8 @@ func compareRuns(t *testing.T, bunchSize int, seed, ops []mapOp) {
 
 // TestAsyncBatchMatchesSerial drives randomized mixed insert/delete batches
 // through the issue-all-then-apply-all path and the serial path, requiring
-// byte-identical keyspaces and identical boundary-read accounting — locates
-// resolved through the write log must equal locates read under
-// read-your-writes.
+// byte-identical keyspaces and identical issued writes — locates resolved
+// through the write log must equal locates read under read-your-writes.
 func TestAsyncBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tokens := []string{"ahab", "boat", "call", "dick", "east"}

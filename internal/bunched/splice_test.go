@@ -192,12 +192,6 @@ func applyReference(op *Op, o histOp) (bool, error) {
 func runHistoryTxn(db *fdb.Database, m *Map, ops []histOp, batched bool, apply applyFunc) (string, error) {
 	tr := db.CreateTransaction()
 	a := m.Async(tr)
-	readBytes := 0
-	a.OnRead = func(kvs []fdb.KeyValue) {
-		for _, kv := range kvs {
-			readBytes += len(kv.Key) + len(kv.Value)
-		}
-	}
 	issue := func(o histOp) *Op {
 		if o.insert {
 			return a.IssueInsert(o.token, o.pk, o.offsets)
@@ -225,7 +219,7 @@ func runHistoryTxn(db *fdb.Database, m *Map, ops []histOp, batched bool, apply a
 	if err := tr.Commit(); err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("changed=%v onread=%d stats=%+v", changed, readBytes, tr.Stats()), nil
+	return fmt.Sprintf("changed=%v stats=%+v", changed, tr.Stats()), nil
 }
 
 // TestMalformedBunchesFail stores bunches that are well-formed tuples of the
@@ -323,7 +317,7 @@ func TestApplyAllocs(t *testing.T) {
 
 // TestSpliceMatchesDecodeEncode drives seeded histories through Op.Apply and
 // through the decode/encode reference, serial and batched, at bunch sizes 1–4
-// and 20. Each transaction's results, OnRead bytes and TxnStats, and the
+// and 20. Each transaction's results and TxnStats, and the
 // keyspace after it, must be identical: splicing encoded elements is the
 // same write path, byte for byte.
 func TestSpliceMatchesDecodeEncode(t *testing.T) {

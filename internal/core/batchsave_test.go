@@ -11,7 +11,6 @@ import (
 	"recordlayer/internal/keyexpr"
 	"recordlayer/internal/message"
 	"recordlayer/internal/metadata"
-	"recordlayer/internal/resource"
 	"recordlayer/internal/subspace"
 	"recordlayer/internal/tuple"
 )
@@ -51,11 +50,19 @@ func batchUsers(n int) []*message.Message {
 	return msgs
 }
 
+// tally is an fdb.Meter that sums what it is billed.
+type tally struct{ readRows, readBytes, writeRows, writeBytes int }
+
+func (c *tally) RecordRead(rows, n int)  { c.readRows += rows; c.readBytes += n }
+func (c *tally) RecordWrite(rows, n int) { c.writeRows += rows; c.writeBytes += n }
+
 // TestSaveRecordsMatchesLoop: SaveRecords produces a byte-identical keyspace
-// — records, version slots, and every index type's entries — and identical
-// tenant metering, compared with a loop of SaveRecord. Covers both the
-// all-new case and re-saving over existing records, on an instant database and
-// on one that charges (virtual) read latency.
+// — records, version slots, and every index type's entries — and issues the
+// same writes, compared with a loop of SaveRecord. Covers both the all-new
+// case and re-saving over existing records, on an instant database and on one
+// that charges (virtual) read latency. Reads differ: the batch's probes read
+// the snapshot where the loop reads its own buffer. Each path is billed what
+// its own transactions' stats count.
 func TestSaveRecordsMatchesLoop(t *testing.T) {
 	t.Run("instant", func(t *testing.T) {
 		testSaveRecordsMatchesLoop(t, func() *fdb.Database { return fdb.Open(nil) })
@@ -70,13 +77,19 @@ func TestSaveRecordsMatchesLoop(t *testing.T) {
 func testSaveRecordsMatchesLoop(t *testing.T, open func() *fdb.Database) {
 	md := testSchema(t)
 	sp := subspace.FromTuple(tuple.Tuple{"tenant", int64(1)})
-	run := func(batch bool) (*fdb.Database, resource.Usage) {
-		db := open()
-		acct := resource.NewAccountant()
-		meter := acct.Tenant("t1")
+	run := func(batch bool) (db *fdb.Database, billed, counted tally) {
+		db = open()
 		save := func(msgs []*message.Message) {
 			_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-				s, err := Open(tr, md, sp, OpenOptions{CreateIfMissing: true, Meter: meter})
+				tr.BindMeter(&billed)
+				defer func() {
+					st := tr.Stats()
+					counted.readRows += st.KeysRead
+					counted.readBytes += st.BytesRead
+					counted.writeRows += st.Mutations
+					counted.writeBytes += st.Size
+				}()
+				s, err := Open(tr, md, sp, OpenOptions{CreateIfMissing: true})
 				if err != nil {
 					return nil, err
 				}
@@ -102,10 +115,10 @@ func testSaveRecordsMatchesLoop(t *testing.T, open func() *fdb.Database) {
 			m.MustSet("name", fmt.Sprintf("renamed-%03d", i))
 		}
 		save(msgs) // all replacing
-		return db, meter.Snapshot()
+		return db, billed, counted
 	}
-	dbLoop, usageLoop := run(false)
-	dbBatch, usageBatch := run(true)
+	dbLoop, billedLoop, countedLoop := run(false)
+	dbBatch, billedBatch, countedBatch := run(true)
 	wantKeys := dumpKeyspace(t, dbLoop)
 	gotKeys := dumpKeyspace(t, dbBatch)
 	if len(wantKeys) != len(gotKeys) {
@@ -116,10 +129,15 @@ func testSaveRecordsMatchesLoop(t *testing.T, open func() *fdb.Database) {
 			t.Fatalf("pair %d differs:\n batch %s\n loop  %s", i, gotKeys[i], wantKeys[i])
 		}
 	}
-	usageLoop.Tenant, usageBatch.Tenant = "", ""
-	if usageLoop != usageBatch {
-		t.Fatalf("metering differs:\n batch %+v\n loop  %+v", usageBatch, usageLoop)
+	if billedLoop != countedLoop || billedBatch != countedBatch {
+		t.Fatalf("billing differs from TxnStats:\n loop  billed %+v counted %+v\n batch billed %+v counted %+v",
+			billedLoop, countedLoop, billedBatch, countedBatch)
 	}
+	if billedLoop.writeRows != billedBatch.writeRows || billedLoop.writeBytes != billedBatch.writeBytes {
+		t.Fatalf("writes differ:\n batch %+v\n loop  %+v", billedBatch, billedLoop)
+	}
+	t.Logf("reads: batch %d keys / %d B, loop %d / %d", billedBatch.readRows, billedBatch.readBytes,
+		billedLoop.readRows, billedLoop.readBytes)
 }
 
 // TestSaveRecordsDuplicatePK: a primary key repeated within one batch behaves

@@ -2,16 +2,13 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
 	"recordlayer/internal/cursor"
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/index"
 	"recordlayer/internal/metadata"
 	"recordlayer/internal/obs"
-	"recordlayer/internal/resource"
 	"recordlayer/internal/subspace"
 	"recordlayer/internal/tuple"
 )
@@ -37,7 +34,7 @@ type OnlineIndexer struct {
 	Config    Config
 	// Pace, when set, runs between batches — a throttling hook: sleep to
 	// bound the build's cluster load, or consult a resource Governor
-	// (PaceFromGovernor). Returning an error (e.g. ctx.Err()) stops the
+	// (recordlayer.PaceFromGovernor). Returning an error (e.g. ctx.Err()) stops the
 	// build like a cancellation. Progress stays persisted either way.
 	Pace func(ctx context.Context) error
 	// Trace, when set, is attached to every build transaction, so each batch
@@ -45,36 +42,6 @@ type OnlineIndexer struct {
 	// limit and records indexed in its attr) alongside the underlying read
 	// windows, all priced by the database's latency clock.
 	Trace *obs.Trace
-}
-
-// PaceFromGovernor adapts a resource.Governor into an OnlineIndexer.Pace
-// hook: each batch boundary acquires — and immediately releases — a
-// background-priority admission on tenant's behalf, so the build waits
-// whenever foreground traffic is queued for capacity and backs off for
-// RetryAfter whenever the tenant is over a rate or byte quota. The build
-// therefore consumes only capacity the interactive workload is not using.
-func PaceFromGovernor(g *resource.Governor, tenant string) func(context.Context) error {
-	return func(ctx context.Context) error {
-		bctx := resource.WithPriority(ctx, resource.PriorityBackground)
-		for {
-			release, err := g.Admit(bctx, tenant)
-			if err == nil {
-				release()
-				return nil
-			}
-			var qe *resource.QuotaExceededError
-			if !errors.As(err, &qe) {
-				return err
-			}
-			t := time.NewTimer(qe.RetryAfter)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			case <-t.C:
-			}
-		}
-	}
 }
 
 func idempotentType(t metadata.IndexType) bool {
@@ -193,7 +160,7 @@ func (o *OnlineIndexer) buildBatch(batch int) (int, bool, error) {
 		}
 		ictx := s.indexContext(ix)
 		progressKey := s.space.Pack(tuple.Tuple{progressSub, o.IndexName})
-		cont, err := s.meteredGet(progressKey)
+		cont, err := s.tr.Get(progressKey)
 		if err != nil {
 			return nil, err
 		}

@@ -123,8 +123,8 @@ func (s *Store) saveLoadedAsync(rt *metadata.RecordType, pk tuple.Tuple, msg *me
 // issued as a concurrent future before any index maintenance runs (§8's
 // asynchronous pipelining on the write path): N loads cost ~1 simulated
 // latency window instead of N. Results, index entries, version assignment and
-// metering are identical to calling SaveRecord in a loop. A primary key
-// repeated within the batch falls back to a read-your-writes load so the
+// the writes issued are identical to calling SaveRecord in a loop. A primary
+// key repeated within the batch falls back to a read-your-writes load so the
 // later save observes the earlier one.
 func (s *Store) SaveRecords(msgs []*message.Message) ([]*StoredRecord, error) {
 	if len(msgs) == 0 {
@@ -157,7 +157,7 @@ func (s *Store) SaveRecords(msgs []*message.Message) ([]*StoredRecord, error) {
 	// blocking, so all N records' descents and boundary lookups share one
 	// latency window. Sweep 2: await each record's pendings in issue order,
 	// applying the buffered index mutations. The two sweeps produce the same
-	// keyspace and metering as the save loop: maintainers' reads see the
+	// keyspace and writes as the save loop: maintainers' reads see the
 	// transaction as of issue, and are corrected at await against the
 	// batch-internal writes made since (internal/overlay).
 	out := make([]*StoredRecord, len(msgs))
@@ -202,7 +202,7 @@ func (s *Store) InsertRecord(msg *message.Message) (*StoredRecord, error) {
 		return nil, err
 	}
 	b, e := s.recordRange(pk)
-	kvs, _, err := s.meteredGetRange(b, e, fdb.RangeOptions{Limit: 1})
+	kvs, _, err := s.tr.GetRange(b, e, fdb.RangeOptions{Limit: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -319,14 +319,11 @@ func (s *Store) writeRecordData(rec *StoredRecord, hadOld bool) error {
 		return err
 	}
 	rec.Size = len(blob)
-	writtenBytes := 0 // key+value bytes, matching read and index accounting
 	if len(blob) <= s.cfg.SplitChunkSize {
-		key := s.recordKey(rec.PrimaryKey, unsplitRecord)
-		if err := s.tr.Set(key, blob); err != nil {
+		if err := s.tr.Set(s.recordKey(rec.PrimaryKey, unsplitRecord), blob); err != nil {
 			return err
 		}
 		rec.SplitChunks = 1
-		writtenBytes = len(key) + len(blob)
 	} else {
 		if !s.md.SplitLongRecords {
 			return fmt.Errorf("core: record of %d bytes exceeds the chunk size and splitting is disabled", len(blob))
@@ -338,11 +335,9 @@ func (s *Store) writeRecordData(rec *StoredRecord, hadOld bool) error {
 				hi = len(blob)
 			}
 			n++
-			key := s.recordKey(rec.PrimaryKey, n)
-			if err := s.tr.Set(key, blob[off:hi]); err != nil {
+			if err := s.tr.Set(s.recordKey(rec.PrimaryKey, n), blob[off:hi]); err != nil {
 				return err
 			}
-			writtenBytes += len(key) + hi - off
 		}
 		rec.SplitChunks = int(n)
 	}
@@ -361,13 +356,7 @@ func (s *Store) writeRecordData(rec *StoredRecord, hadOld bool) error {
 		if err := s.tr.Atomic(fdb.MutationSetVersionstampedValue, key, val); err != nil {
 			return err
 		}
-		writtenBytes += len(key) + len(val)
 	}
-	rows := rec.SplitChunks
-	if s.md.StoreRecordVersions {
-		rows++ // the version slot
-	}
-	s.meter.RecordWrite(rows, writtenBytes)
 	return nil
 }
 
@@ -396,14 +385,12 @@ type recordLoad struct {
 func (s *Store) issueLoadRecord(pk tuple.Tuple, snapshot bool) recordLoad {
 	b, e := s.recordRange(pk)
 	if snapshot {
-		//lint:allow meteredtxn issue half of an issue/await pair; awaitLoadRecord meters the fetched pairs
 		return recordLoad{pk: pk, fut: s.tr.Snapshot().GetRangeAsync(b, e, fdb.RangeOptions{})}
 	}
-	//lint:allow meteredtxn issue half of an issue/await pair; awaitLoadRecord meters the fetched pairs
 	return recordLoad{pk: pk, fut: s.tr.GetRangeAsync(b, e, fdb.RangeOptions{})}
 }
 
-// awaitLoadRecord completes an issued load: meter, reassemble, decode. Nil
+// awaitLoadRecord completes an issued load: reassemble, decode. Nil
 // when the record is absent.
 func (s *Store) awaitLoadRecord(l recordLoad) (*StoredRecord, error) {
 	kvs, _, err := l.fut.Get()
@@ -413,20 +400,7 @@ func (s *Store) awaitLoadRecord(l recordLoad) (*StoredRecord, error) {
 	if len(kvs) == 0 {
 		return nil, nil
 	}
-	s.meterReadKVs(kvs)
 	return s.assembleRecord(l.pk, kvs)
-}
-
-// meterReadKVs accounts a batch of fetched pairs to the tenant meter.
-func (s *Store) meterReadKVs(kvs []fdb.KeyValue) {
-	if len(kvs) == 0 {
-		return
-	}
-	nbytes := 0
-	for _, kv := range kvs {
-		nbytes += len(kv.Key) + len(kv.Value)
-	}
-	s.meter.RecordRead(len(kvs), nbytes)
 }
 
 func (s *Store) loadRecordByKey(pk tuple.Tuple, snapshot bool) (*StoredRecord, error) {
@@ -553,21 +527,6 @@ func (s *Store) DeleteRecord(pk tuple.Tuple) (bool, error) {
 	if err := s.tr.ClearRange(b, e); err != nil {
 		return false, err
 	}
-	// Clears meter their key bytes, matching the index maintainers.
-	rows := old.SplitChunks
-	cleared := 0
-	if old.SplitChunks == 1 {
-		cleared = len(s.recordKey(pk, unsplitRecord))
-	} else {
-		for i := int64(1); i <= int64(old.SplitChunks); i++ {
-			cleared += len(s.recordKey(pk, i))
-		}
-	}
-	if old.HasVersion {
-		rows++ // the version slot clears with the range
-		cleared += len(s.recordKey(pk, versionSuffix))
-	}
-	s.meter.RecordWrite(rows, cleared)
 	return true, nil
 }
 
@@ -632,7 +591,6 @@ func (s *Store) ScanRecords(opts ScanOptions) cursor.Cursor[*StoredRecord] {
 	kvs := kvcursor.New(s.tr, begin, end, kvcursor.Options{
 		Reverse:  opts.Reverse,
 		Snapshot: opts.Snapshot,
-		Meter:    s.meter,
 	})
 	rc := &recordCursor{store: s, kvs: kvs, reverse: opts.Reverse, limiter: opts.Limiter}
 	if n, ok := opts.Limiter.RecordsLeft(); ok {

@@ -134,7 +134,6 @@ func (c *StateCache) loadState(s *Store) (*storeState, error) {
 	var readVersion int64
 	populate := false
 	if c != nil {
-		//lint:allow meteredtxn the metadata version rides the GRV reply: no key is fetched, so there is nothing to bill
 		meta, ok, err := s.tr.MetadataVersion()
 		if err != nil {
 			return nil, err
@@ -151,9 +150,7 @@ func (c *StateCache) loadState(s *Store) (*storeState, error) {
 			populate = !s.tr.HasMutations()
 		}
 	}
-	//lint:allow meteredtxn issue half of an issue/await pair; the fetched pairs are metered below
 	headerFut := s.tr.GetAsync(headerKey)
-	//lint:allow meteredtxn issue half of an issue/await pair; the fetched pairs are metered below
 	statesFut := s.tr.GetRangeAsync(statesBegin, statesEnd, fdb.RangeOptions{})
 	raw, err := headerFut.Get()
 	kvs, _, serr := statesFut.Get()
@@ -166,8 +163,6 @@ func (c *StateCache) loadState(s *Store) (*storeState, error) {
 	if raw == nil {
 		return nil, nil
 	}
-	s.meter.RecordRead(1, len(headerKey)+len(raw))
-	s.meterReadKVs(kvs)
 	st := &storeState{}
 	if err := json.Unmarshal(raw, &st.header); err != nil {
 		return nil, fmt.Errorf("core: corrupt store header: %v", err)

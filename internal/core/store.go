@@ -8,7 +8,6 @@ import (
 	"recordlayer/internal/index"
 	"recordlayer/internal/metadata"
 	"recordlayer/internal/obs"
-	"recordlayer/internal/resource"
 	"recordlayer/internal/subspace"
 	"recordlayer/internal/tuple"
 )
@@ -78,7 +77,6 @@ type Store struct {
 	md    *metadata.MetaData
 	space subspace.Subspace
 	cfg   Config
-	meter *resource.Meter
 	// trace is the transaction's trace, captured once at open so hot paths
 	// pay one nil check instead of a mutex-guarded lookup per operation.
 	trace *obs.Trace
@@ -99,11 +97,6 @@ type OpenOptions struct {
 	// CreateIfMissing writes a fresh header when the store does not exist.
 	CreateIfMissing bool
 	Config          Config
-	// Meter accounts the store's reads and writes to a tenant (may be nil).
-	// The façade binds it from the request context, so every record load,
-	// save, scan, and index maintenance under this store meters the tenant
-	// without further plumbing.
-	Meter *resource.Meter
 }
 
 // ErrStaleMetaData is returned when the store header records a newer
@@ -130,7 +123,7 @@ func Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, o
 // cached and still valid opens with no read at all.
 func (c *StateCache) Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, opts OpenOptions) (*Store, error) {
 	s := &Store{tr: tr, md: md, space: space, cfg: opts.Config.withDefaults(),
-		meter: opts.Meter, trace: tr.Trace(), maintainers: make(map[string]index.Maintainer)}
+		trace: tr.Trace(), maintainers: make(map[string]index.Maintainer)}
 	st, err := c.loadState(s)
 	if err != nil {
 		return nil, err
@@ -196,9 +189,6 @@ func (s *Store) SetUserVersion(v int) error {
 // MetaData returns the schema the store was opened with.
 func (s *Store) MetaData() *metadata.MetaData { return s.md }
 
-// Meter returns the tenant meter bound at open time (may be nil).
-func (s *Store) Meter() *resource.Meter { return s.meter }
-
 // Subspace returns the store's subspace.
 func (s *Store) Subspace() subspace.Subspace { return s.space }
 
@@ -257,7 +247,7 @@ func (s *Store) applyMetaDataChanges() error {
 // countRecordsUpTo counts primary record pairs, stopping at limit.
 func (s *Store) countRecordsUpTo(limit int) (int, error) {
 	begin, end := s.space.RangeForTuple(tuple.Tuple{recordsSub})
-	kvs, _, err := s.meteredSnapshotRange(begin, end, fdb.RangeOptions{Limit: limit})
+	kvs, _, err := s.tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{Limit: limit})
 	if err != nil {
 		return 0, err
 	}
@@ -371,7 +361,6 @@ func (s *Store) indexContext(ix *metadata.Index) *index.Context {
 		Index:    ix,
 		Space:    s.indexSpace(ix.Name),
 		MetaData: s.md,
-		Meter:    s.meter,
 		NextUserVersion: func() uint16 {
 			v := s.userVersion
 			s.userVersion++

@@ -95,11 +95,10 @@ type TxnStats struct {
 	KeysWritten  int // keys mutated at commit (sets + atomic ops + versionstamped)
 	BytesWritten int
 	RangeClears  int
-	Size         int // FDB accounting: mutation bytes + conflict range bytes
+	Size         int // bytes of the mutations issued; the size limit also counts read conflict ranges
 	// Mutations counts buffered write operations (sets, atomics, clears) as
-	// they are issued, before commit. Layers that cannot observe a
-	// substrate's individual writes (rank skip lists, bunched text maps)
-	// meter them from a before/after delta of Mutations and Size.
+	// they are issued, before commit. With Size, it is what a bound Meter is
+	// billed for writes (Transaction.BindMeter).
 	Mutations int
 
 	// SimWaitNanos is the time this transaction spent awaiting simulated

@@ -73,6 +73,18 @@ type bufEntry struct {
 	vsOff int
 }
 
+// Meter is billed for the work a transaction asks of the cluster, when it
+// asks. A Get, or one GetRange batch, is one RecordRead of the keys and bytes
+// the snapshot served it; what the write buffer answers is free. A set, clear,
+// range clear, atomic or versionstamped op is one RecordWrite of one row and
+// the bytes it adds to TxnStats.Size. Both run under the transaction's lock,
+// so a Meter must never call back into the transaction. *resource.Meter is
+// one.
+type Meter interface {
+	RecordRead(rows, bytes int)
+	RecordWrite(rows, bytes int)
+}
+
 type vsKeyOp struct {
 	rawKey []byte // placeholder key with offset suffix stripped
 	offset int
@@ -134,6 +146,8 @@ type txnState struct {
 	// priced by the latency clock. Nil (the default) costs one pointer check
 	// per site.
 	trace *obs.Trace
+	// meter, when bound, is billed wherever stats counts a read or a write.
+	meter Meter
 
 	stats     TxnStats
 	committed bool
@@ -413,8 +427,8 @@ func (t *Transaction) getLocked(key []byte, snapshot bool) ([]byte, error) {
 	if !snapshot {
 		t.readConflicts.AddKey(key)
 	}
+	t.countRead(1, len(key)+len(base.val()))
 	if e == nil {
-		t.countRead(key, base.val())
 		return cloneBytes(base.val()), nil
 	}
 	// Pending atomic ops: materialize against the read snapshot and convert
@@ -427,12 +441,11 @@ func (t *Transaction) getLocked(key []byte, snapshot bool) ([]byte, error) {
 }
 
 // materialize folds the pending atomic ops of buffered entry e over base, the
-// snapshot's entry for the key (nil when it has none), and counts the read of
-// it. The key becomes a plain set of the result, unless a COMPARE_AND_CLEAR
-// matched: then cleared is true and the caller takes the key out of the buffer
-// and clears it, once no iterator is walking the buffer.
+// snapshot's entry for the key (nil when it has none); the caller counts the
+// read of base. The key becomes a plain set of the result, unless a
+// COMPARE_AND_CLEAR matched: then cleared is true and the caller takes the key
+// out of the buffer and clears it, once no iterator is walking the buffer.
 func (t *Transaction) materialize(e *entry, be *bufEntry, base *entry) (val []byte, cleared bool) {
-	t.countRead(e.key, base.val())
 	val, cleared = applyMutations(base.val(), be.ops, t.db.opts.Limits.MaxValueSize)
 	if !cleared {
 		t.bufSet(&entry{key: e.key, value: val}, nil)
@@ -440,11 +453,19 @@ func (t *Transaction) materialize(e *entry, be *bufEntry, base *entry) (val []by
 	return val, cleared
 }
 
-func (t *Transaction) countRead(key, val []byte) {
-	t.stats.KeysRead++
-	t.stats.BytesRead += len(key) + len(val)
-	t.db.metrics.KeysRead.Add(1)
-	t.db.metrics.BytesRead.Add(int64(len(key) + len(val)))
+// countRead counts keys read from the snapshot, nbytes of keys and values in
+// all, once per Get or GetRange batch, and bills them to the bound meter.
+func (t *Transaction) countRead(keys, nbytes int) {
+	if keys == 0 {
+		return
+	}
+	t.stats.KeysRead += keys
+	t.stats.BytesRead += nbytes
+	t.db.metrics.KeysRead.Add(int64(keys))
+	t.db.metrics.BytesRead.Add(int64(nbytes))
+	if t.meter != nil {
+		t.meter.RecordRead(keys, nbytes)
+	}
 }
 
 // GetRange returns key-value pairs in [begin, end), honoring limits. The
@@ -527,6 +548,7 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 
 	var out []KeyValue
 	var byteCount int
+	var reads, readBytes int // from the snapshot, not the buffer
 	more := false
 	var cleared []*entry // pending atomics that turned out to clear their key
 	for {
@@ -564,7 +586,8 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 		if order < 0 {
 			snapIter.next()
 			kv = KeyValue{Key: cloneBytes(sn.e.key), Value: cloneBytes(sn.e.value)}
-			t.countRead(sn.e.key, sn.e.value)
+			reads++
+			readBytes += len(sn.e.key) + len(sn.e.value)
 		} else {
 			// The buffer overrides the snapshot's version of the key.
 			bufIter.next()
@@ -576,6 +599,8 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 			e := bn.e
 			val := e.value
 			if be := t.deferred[e]; be != nil && be.ops != nil {
+				reads++
+				readBytes += len(e.key) + len(base.val())
 				var gone bool
 				if val, gone = t.materialize(e, be, base); gone {
 					cleared = append(cleared, e)
@@ -590,6 +615,7 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 	for _, e := range cleared {
 		t.clearBuffered(e.key)
 	}
+	t.countRead(reads, readBytes)
 
 	if !snapshot {
 		// Conflict with exactly the portion of the range actually observed.
@@ -674,9 +700,14 @@ func (t *Transaction) clearBuffered(key []byte) {
 	t.clears.AddKey(key)
 }
 
+// accountWrite counts one issued mutation of n bytes and bills it to the
+// bound meter.
 func (t *Transaction) accountWrite(n int) {
 	t.stats.Size += n
 	t.stats.Mutations++
+	if t.meter != nil {
+		t.meter.RecordWrite(1, n)
+	}
 }
 
 // Clear buffers the removal of a single key.
@@ -1013,6 +1044,16 @@ func (t *Transaction) SetTrace(tr *obs.Trace) {
 	t.mu.Lock()
 	t.trace = tr
 	t.mu.Unlock()
+}
+
+// BindMeter bills the transaction's reads and writes from here on to m,
+// unless a meter is bound already: the first binding holds until Reset.
+func (t *Transaction) BindMeter(m Meter) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.meter == nil {
+		t.meter = m
+	}
 }
 
 // Trace returns the attached span sink, or nil. Layers above capture it once

@@ -16,7 +16,6 @@ import (
 	"recordlayer/internal/keyexpr"
 	"recordlayer/internal/message"
 	"recordlayer/internal/metadata"
-	"recordlayer/internal/resource"
 	"recordlayer/internal/subspace"
 	"recordlayer/internal/tuple"
 )
@@ -58,60 +57,6 @@ type Context struct {
 	// NextUserVersion allocates the 2-byte per-transaction counter appended
 	// to commit versions (§7, VERSION indexes).
 	NextUserVersion func() uint16
-	// Meter accounts index maintenance and scan traffic to the tenant the
-	// store is bound to (may be nil).
-	Meter *resource.Meter
-}
-
-// meteredGet reads one index key and accounts the fetched pair to the
-// tenant meter.
-func (c *Context) meteredGet(key []byte) ([]byte, error) {
-	raw, err := c.Tr.Get(key) //lint:allow meteredtxn audited helper: the package's raw point read, metered below
-	if err != nil || raw == nil {
-		return raw, err
-	}
-	c.Meter.RecordRead(1, len(key)+len(raw))
-	return raw, nil
-}
-
-// issueRangeAsync starts an index range read without awaiting it, so probe
-// batches overlap their I/O windows; every issue must be paired with
-// meterRangeKVs on the awaited result.
-func (c *Context) issueRangeAsync(begin, end []byte, o fdb.RangeOptions) *fdb.FutureRange {
-	return c.Tr.GetRangeAsync(begin, end, o) //lint:allow meteredtxn issue half of an issue/await pair; callers meter the awaited pairs via meterRangeKVs
-}
-
-// meterRangeKVs accounts one awaited probe result to the tenant meter.
-func (c *Context) meterRangeKVs(kvs []fdb.KeyValue) {
-	if len(kvs) == 0 {
-		return
-	}
-	nbytes := 0
-	for _, kv := range kvs {
-		nbytes += len(kv.Key) + len(kv.Value)
-	}
-	c.Meter.RecordRead(len(kvs), nbytes)
-}
-
-// meteredAtomic applies an atomic mutation to an index key, accounting it as
-// one written pair.
-func (c *Context) meteredAtomic(typ fdb.MutationType, key, param []byte) error {
-	if err := c.Tr.Atomic(typ, key, param); err != nil {
-		return err
-	}
-	c.Meter.RecordWrite(1, len(key)+len(param))
-	return nil
-}
-
-// meterWriteDelta meters mutations issued by a substrate whose individual
-// writes the maintainer cannot observe (the rank skip list, the bunched text
-// map): the caller snapshots tr.Stats() before the mutations and the delta in
-// buffered operations and bytes is accounted to the tenant afterwards.
-func (c *Context) meterWriteDelta(before fdb.TxnStats) {
-	after := c.Tr.Stats()
-	if rows := after.Mutations - before.Mutations; rows > 0 {
-		c.Meter.RecordWrite(rows, after.Size-before.Size)
-	}
 }
 
 // Pending is the await half of a two-phase index update. UpdateAsync issues

@@ -58,7 +58,7 @@ func member(entry, pk tuple.Tuple) []byte {
 
 // asyncFor returns the transaction's pipelining overlay. It reads and writes
 // nothing: the skip list needs no set-up (a missing head is created by the
-// op that finds it missing, inside the metered apply phase).
+// op that finds it missing, in the apply phase).
 func (m *RankMaintainer) asyncFor(ctx *Context) *rankedset.Async {
 	if m.asyncTr != ctx.Tr {
 		m.async = m.set(ctx.Space).Async(ctx.Tr)
@@ -111,11 +111,6 @@ func (m *RankMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, e
 		if err := vp.Await(); err != nil {
 			return err
 		}
-		// The skip list issues its own sets/atomics/clears; meter them from
-		// the transaction's mutation delta so rank maintenance debits the
-		// tenant like every other write path.
-		before := ctx.Tr.Stats()
-		defer ctx.meterWriteDelta(before)
 		for _, op := range ops {
 			if _, err := op.Apply(); err != nil {
 				return err

@@ -82,15 +82,10 @@ func (m *TextMaintainer) positions(r *Record, ix *metadata.Index) (map[string][]
 	return out, nil
 }
 
-// asyncFor returns the transaction's pipelining overlay. Its OnRead hook
-// meters each boundary read an op resolves — the pairs a serial execution
-// would read — so token maintenance debits tenant reads identically whether
-// records are saved one at a time or in a pipelined batch.
+// asyncFor returns the transaction's pipelining overlay.
 func (m *TextMaintainer) asyncFor(ctx *Context) *bunched.Async {
 	if m.asyncTr != ctx.Tr {
-		a := m.mapFor(ctx).Async(ctx.Tr)
-		a.OnRead = ctx.meterRangeKVs
-		m.async = a
+		m.async = m.mapFor(ctx).Async(ctx.Tr)
 		m.asyncTr = ctx.Tr
 	}
 	return m.async
@@ -126,11 +121,6 @@ func (m *TextMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, e
 		return Done, nil
 	}
 	return pendingFunc(func() error {
-		// The bunched map rewrites whole bunches per token; meter its
-		// mutations from the transaction delta so text maintenance debits the
-		// tenant like every other write path.
-		before := ctx.Tr.Stats()
-		defer ctx.meterWriteDelta(before)
 		for _, op := range ops {
 			if _, err := op.Apply(); err != nil {
 				return err

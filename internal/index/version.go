@@ -65,11 +65,9 @@ func (m *VersionMaintainer) update(ctx *Context, old, new *Record) error {
 			// was written): nothing was indexed.
 			continue
 		}
-		key := ctx.Space.Pack(full)
-		if err := ctx.Tr.Clear(key); err != nil {
+		if err := ctx.Tr.Clear(ctx.Space.Pack(full)); err != nil {
 			return err
 		}
-		ctx.Meter.RecordWrite(1, len(key))
 	}
 	newEntries, err := entriesFor(ctx.Index, new)
 	if err != nil {
@@ -78,11 +76,9 @@ func (m *VersionMaintainer) update(ctx *Context, old, new *Record) error {
 	for _, t := range newEntries {
 		full := t.Append(new.PrimaryKey...)
 		if !full.HasIncompleteVersionstamp() {
-			key := ctx.Space.Pack(full)
-			if err := ctx.Tr.Set(key, nil); err != nil {
+			if err := ctx.Tr.Set(ctx.Space.Pack(full), nil); err != nil {
 				return err
 			}
-			ctx.Meter.RecordWrite(1, len(key))
 			continue
 		}
 		// The incomplete stamp already carries the record's per-transaction
@@ -91,7 +87,7 @@ func (m *VersionMaintainer) update(ctx *Context, old, new *Record) error {
 		if err != nil {
 			return err
 		}
-		if err := ctx.meteredAtomic(fdb.MutationSetVersionstampedKey, key, nil); err != nil {
+		if err := ctx.Tr.Atomic(fdb.MutationSetVersionstampedKey, key, nil); err != nil {
 			return err
 		}
 	}
@@ -121,7 +117,6 @@ func (m *VersionMaintainer) Scan(ctx *Context, r TupleRange, opts ScanOptions) (
 		Limiter:      opts.Limiter,
 		Continuation: opts.Continuation,
 		Snapshot:     opts.Snapshot,
-		Meter:        ctx.Meter,
 	})
 	space := ctx.Space
 	return cursor.Map(kvs, func(kv fdb.KeyValue) (Entry, error) {

@@ -8,7 +8,6 @@ import (
 
 	"recordlayer/internal/cursor"
 	"recordlayer/internal/fdb"
-	"recordlayer/internal/resource"
 )
 
 // opaque hides the inner cursor's Prefetcher, reproducing the pre-pipelining
@@ -66,21 +65,19 @@ func mergeBuilders(tr *fdb.Transaction, opts Options, demand int, serial bool) [
 }
 
 // mergeRun is the complete observable behavior of one merge execution: every
-// emitted row with its composite continuation, the halt, and what the tenant
-// was billed.
+// emitted row with its composite continuation, the halt, and what the
+// transaction read.
 type mergeRun struct {
 	steps  []string
 	reason cursor.NoNextReason
 	cont   []byte
-	usage  resource.Usage
+	stats  fdb.TxnStats
 }
 
 func runMerge(t *testing.T, db *fdb.Database, union, serial bool,
 	opts Options, demand, scanLimit int, cont []byte) mergeRun {
 	t.Helper()
 	var run mergeRun
-	meter := resource.NewAccountant().Tenant("t")
-	opts.Meter = meter
 	if scanLimit > 0 {
 		opts.Limiter = cursor.NewLimiter(scanLimit, 0, time.Time{}, nil)
 	}
@@ -109,12 +106,12 @@ func runMerge(t *testing.T, db *fdb.Database, union, serial bool,
 			run.steps = append(run.steps,
 				fmt.Sprintf("%s|%s|%s", r.Value.Key, r.Value.Value, r.Continuation))
 		}
+		run.stats = tr.Stats()
 		return nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.usage = meter.Snapshot()
 	return run
 }
 
@@ -134,17 +131,17 @@ func compareRuns(t *testing.T, label string, pipelined, serial mergeRun) {
 	if !bytes.Equal(pipelined.cont, serial.cont) {
 		t.Fatalf("%s continuation: %q vs %q", label, pipelined.cont, serial.cont)
 	}
-	if pipelined.usage.ReadRecords != serial.usage.ReadRecords ||
-		pipelined.usage.ReadBytes != serial.usage.ReadBytes {
-		t.Fatalf("%s metering: %d rows/%d bytes pipelined vs %d/%d serial", label,
-			pipelined.usage.ReadRecords, pipelined.usage.ReadBytes,
-			serial.usage.ReadRecords, serial.usage.ReadBytes)
+	if pipelined.stats.KeysRead != serial.stats.KeysRead ||
+		pipelined.stats.BytesRead != serial.stats.BytesRead {
+		t.Fatalf("%s reads: %d keys/%d bytes pipelined vs %d/%d serial", label,
+			pipelined.stats.KeysRead, pipelined.stats.BytesRead,
+			serial.stats.KeysRead, serial.stats.BytesRead)
 	}
 }
 
 // TestMergePipelinedMatchesSerial drains Union and Intersection over kvcursor
 // children with prefetching enabled and compares every row, continuation,
-// halt, and metered byte against the same merge over opaque (non-prefetching)
+// halt, and byte read against the same merge over opaque (non-prefetching)
 // children, across batch shapes with and without intra-stream read-ahead.
 func TestMergePipelinedMatchesSerial(t *testing.T) {
 	db := fdb.Open(nil)

@@ -4,10 +4,9 @@
 // invariants (see LINTING.md). The conventions the analyzers encode were
 // established one PR at a time — retry-idempotent Runner closures, reasoned
 // maybe-committed retries, awaited futures, threaded contexts, injected
-// clocks, metered reads, nil-guarded
-// observability — and each is exactly the kind of rule the FDB
-// simulation-testing lineage argues should be checked by a machine, not a
-// reviewer.
+// clocks, import layering, nil-guarded observability — and each is exactly
+// the kind of rule the FDB simulation-testing lineage argues should be
+// checked by a machine, not a reviewer.
 //
 // A finding is suppressed only by an explicit, *reasoned* allow directive on
 // the offending line or the line above it:
@@ -184,7 +183,7 @@ func Analyzers() []*Analyzer {
 		FutureAwait,
 		CtxPropagate,
 		ClockInject,
-		MeteredTxn,
+		Layering,
 		ObsGuard,
 	}
 }

@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"recordlayer/internal/lint"
@@ -22,7 +23,7 @@ func TestIdempotent(t *testing.T)   { run(t, lint.Idempotent, "recordlayer/inter
 func TestFutureAwait(t *testing.T)  { run(t, lint.FutureAwait, "recordlayer/internal/lintfixture") }
 func TestCtxPropagate(t *testing.T) { run(t, lint.CtxPropagate, "recordlayer/internal/lintfixture") }
 func TestClockInject(t *testing.T)  { run(t, lint.ClockInject, "recordlayer/internal/workload") }
-func TestMeteredTxn(t *testing.T)   { run(t, lint.MeteredTxn, "recordlayer/internal/core") }
+func TestLayering(t *testing.T)     { run(t, lint.Layering, "recordlayer/internal/kvcursor") }
 func TestObsGuard(t *testing.T)     { run(t, lint.ObsGuard, "recordlayer/internal/lintfixture") }
 
 // TestPathScoping: the path-scoped analyzers stay silent outside their
@@ -36,7 +37,7 @@ func TestPathScoping(t *testing.T) {
 	}{
 		{lint.CtxPropagate, "recordlayer/cmd/demo"},
 		{lint.ClockInject, "recordlayer/internal/message"},
-		{lint.MeteredTxn, "recordlayer/internal/workload"},
+		{lint.Layering, "recordlayer/examples/demo"},
 	}
 	for _, c := range cases {
 		t.Run(c.analyzer.Name, func(t *testing.T) {
@@ -53,6 +54,21 @@ func TestPathScoping(t *testing.T) {
 				t.Errorf("%s fired outside its scope (as %s): %s", c.analyzer.Name, c.asPath, d)
 			}
 		})
+	}
+}
+
+// TestLayeringUnplaced: an internal package missing from the layer table is
+// one finding, whatever it imports.
+func TestLayeringUnplaced(t *testing.T) {
+	root := linttest.ModuleRoot(t)
+	fixtures := linttest.Fixtures(t, filepath.Join("testdata", "layering"))
+	pkg, err := lint.LoadFiles(root, "recordlayer/internal/lintfixture", fixtures)
+	if err != nil {
+		t.Fatalf("loading fixtures: %v", err)
+	}
+	diags, _ := lint.RunPackage(pkg, []*lint.Analyzer{lint.Layering})
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "not placed in the layer table") {
+		t.Errorf("want one not-placed finding, got %v", diags)
 	}
 }
 

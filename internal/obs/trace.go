@@ -6,8 +6,8 @@
 //
 // Everything here is disabled-by-default and priced for the hot path: a nil
 // *Trace, a nil *PlanStats, and an unset slow-query log cost one pointer
-// check at each instrumentation site (the same pattern as the nil-safe
-// resource.Meter and the latency-off fast path in internal/fdb).
+// check at each instrumentation site (the same pattern as a transaction with
+// no meter bound and the latency-off fast path in internal/fdb).
 package obs
 
 import (

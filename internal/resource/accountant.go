@@ -9,14 +9,14 @@
 // tenant stores on shared clusters; per-request limits alone cannot arbitrate
 // *between* tenants — a single hot tenant starves everyone. This package is
 // the arbitration layer: the façade binds a tenant identity to the request
-// context (WithTenant), the Runner acquires admission and records latency and
-// conflicts, and the read/write hot paths (kvcursor scans, record save/load,
-// index maintenance) report rows and bytes into the tenant's Meter, which
-// rides the context so deep layers need no new parameters.
+// context (WithTenant), and the Runner acquires admission, records latency
+// and conflicts, and binds the tenant's Meter to each transaction it runs.
+// The transaction bills the Meter for the keys and bytes it reads and writes,
+// where it counts them in its own stats (fdb.Transaction.BindMeter), so no
+// read or write layer imports this package.
 //
 // Everything here is safe for concurrent use and nil-tolerant: a nil *Meter
-// accepts (and discards) all recordings, so call sites never branch on
-// whether metering is enabled.
+// accepts (and discards) all recordings.
 package resource
 
 import (
@@ -29,12 +29,16 @@ import (
 // Usage is a point-in-time snapshot of one tenant's consumption.
 type Usage struct {
 	Tenant string
-	// ReadRecords and ReadBytes count key-value pairs (and their key+value
-	// bytes) read on the tenant's behalf — scans, record loads, index reads.
+	// ReadRecords and ReadBytes count the keys, and their key+value bytes,
+	// that the cluster served the tenant's transactions: the sum of their
+	// TxnStats.KeysRead and BytesRead, every attempt included. Reads the
+	// transaction's own writes answer are free.
 	ReadRecords int64
 	ReadBytes   int64
-	// WriteRecords and WriteBytes count pairs written or cleared — record
-	// chunks, version slots, index entries, atomic mutations.
+	// WriteRecords and WriteBytes count the mutations the tenant's
+	// transactions issued and their bytes: the sum of TxnStats.Mutations and
+	// Size, every attempt included. A clear or range clear is one mutation of
+	// its begin and end keys.
 	WriteRecords int64
 	WriteBytes   int64
 	// Transactions counts successful Runner executions; TxnTime is their
@@ -61,8 +65,9 @@ func (u Usage) MeanTxnTime() time.Duration {
 }
 
 // Meter is one tenant's live counters. All methods are atomic, safe for
-// concurrent use, and safe on a nil receiver (no-ops), so metering can be
-// threaded optionally without nil checks at every call site.
+// concurrent use, and safe on a nil receiver (no-ops). A transaction bills it
+// through RecordRead and RecordWrite, under the transaction's lock, so
+// neither may call back into a transaction.
 type Meter struct {
 	tenant string
 
@@ -79,7 +84,7 @@ type Meter struct {
 
 	// byteSink, when set by a Governor enforcing a byte quota, receives
 	// every read/written byte count so the tenant's byte bucket is debited
-	// post-hoc — the deep layers keep calling just RecordRead/RecordWrite.
+	// post-hoc, mid-transaction.
 	byteSink atomic.Value // of func(int)
 }
 

@@ -10,7 +10,6 @@ type ctxKey int
 
 const (
 	tenantKey ctxKey = iota
-	meterKey
 	priorityKey
 )
 
@@ -48,8 +47,8 @@ func PriorityFrom(ctx context.Context) Priority {
 }
 
 // WithTenant binds a tenant identity to the context. The Runner uses it to
-// acquire admission and select the tenant's meter; everything downstream of
-// the Runner then meters automatically.
+// acquire admission and to bind the tenant's meter to each transaction it
+// runs, which then bills every read and write it issues.
 func WithTenant(ctx context.Context, tenant string) context.Context {
 	return context.WithValue(ctx, tenantKey, tenant)
 }
@@ -58,22 +57,6 @@ func WithTenant(ctx context.Context, tenant string) context.Context {
 func TenantFrom(ctx context.Context) (string, bool) {
 	t, ok := ctx.Value(tenantKey).(string)
 	return t, ok
-}
-
-// WithMeter attaches a tenant's meter to the context so deep layers (store
-// open, scans, index maintenance) can report usage without new parameters.
-func WithMeter(ctx context.Context, m *Meter) context.Context {
-	if m == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, meterKey, m)
-}
-
-// MeterFrom returns the meter riding the context, or nil (a valid no-op
-// meter) when none is attached.
-func MeterFrom(ctx context.Context) *Meter {
-	m, _ := ctx.Value(meterKey).(*Meter)
-	return m
 }
 
 // TenantKey derives a canonical tenant ID from keyspace path values — the

@@ -22,9 +22,9 @@ type Limits struct {
 	Burst int
 	// BytesPerSecond is the sustained read+write byte rate enforced by a
 	// second token bucket; 0 means unlimited. Bytes are debited post-hoc as
-	// the tenant's Meter observes traffic (so the deep read/write layers
-	// stay parameter-free), which means a transaction can overdraw the
-	// bucket into debt; further admissions are rejected with
+	// the transactions bound to the tenant's Meter bill it, which means a
+	// transaction can overdraw the bucket into debt; further admissions are
+	// rejected with
 	// *QuotaExceededError until refill clears the debt.
 	BytesPerSecond float64
 	// ByteBurst is the byte bucket depth. Defaults to one second's worth of
@@ -224,8 +224,9 @@ func (g *Governor) pendingFor(tenant string) *atomic.Int64 {
 }
 
 // sinkFor returns the byte-quota sink installed on tenant's Meter, or nil
-// when no byte quota can apply. The sink runs on every metered read/write,
-// so it only accumulates into an atomic, taking the governor lock once per
+// when no byte quota can apply. The sink runs on every billed read and write,
+// under the billing transaction's lock, so it only accumulates into an
+// atomic, taking the governor lock (never a transaction's) once per
 // byteSinkFlush bytes. Reads only lock-free state — it is called from the
 // accountant's meter-creation hook, which must not take g.mu.
 func (g *Governor) sinkFor(tenant string) func(int) {
@@ -377,8 +378,8 @@ func (g *Governor) applyLimitsLocked(tenant string, ts *tenantState, l Limits) {
 }
 
 // syncByteSink points the tenant's meter at the byte-quota sink when a byte
-// quota is in force (and detaches it otherwise), so the read/write hot paths
-// debit the byte bucket with no extra parameters. Caller holds g.mu;
+// quota is in force (and detaches it otherwise), so every transaction billing
+// the meter debits the byte bucket. Caller holds g.mu;
 // noteByteLimited must have run for this tenant first so sinkFor agrees.
 func (g *Governor) syncByteSink(tenant string, ts *tenantState) {
 	ts.sink = g.sinkFor(tenant)

@@ -343,25 +343,14 @@ func TestTenantKey(t *testing.T) {
 	}
 }
 
-// TestContextCarriage round-trips tenant and meter through a context.
+// TestContextCarriage round-trips a tenant through a context.
 func TestContextCarriage(t *testing.T) {
 	ctx := context.Background()
 	if _, ok := TenantFrom(ctx); ok {
 		t.Error("empty context should carry no tenant")
 	}
-	if MeterFrom(ctx) != nil {
-		t.Error("empty context should carry no meter")
-	}
 	ctx = WithTenant(ctx, "acme")
 	if id, ok := TenantFrom(ctx); !ok || id != "acme" {
 		t.Errorf("TenantFrom = %q, %v", id, ok)
-	}
-	m := NewAccountant().Tenant("acme")
-	ctx = WithMeter(ctx, m)
-	if MeterFrom(ctx) != m {
-		t.Error("meter did not ride the context")
-	}
-	if WithMeter(context.Background(), nil) != context.Background() {
-		t.Error("nil meter should not grow the context")
 	}
 }

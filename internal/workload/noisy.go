@@ -186,7 +186,7 @@ const (
 	// can overshoot the budget by one transaction's bytes.
 	byteQuotaConcurrency = 2
 	// writeAmplification pads one transaction's payload bytes up to what
-	// the store layers actually charge (record chunks, versions, keys).
+	// a transaction is actually billed (record chunks, versions, keys).
 	writeAmplification = 3
 	// distServers is how many lease-coordinated governors the distributed
 	// phase spreads the aggressor across.

@@ -46,10 +46,11 @@ type RunnerOptions struct {
 	// admission control.
 	Governor *resource.Governor
 	// Accountant meters per-tenant usage for tenant-bound contexts: the
-	// runner records transaction latency and conflicts, and attaches the
-	// tenant's meter to the context so the store layers below account reads
-	// and writes automatically. Nil falls back to the Governor's accountant;
-	// if both are nil, metering is off.
+	// runner records transaction latency and conflicts, and binds the
+	// tenant's meter to each attempt's transaction, which bills it for every
+	// key and byte the attempt reads and writes (fdb.Transaction.BindMeter).
+	// Nil falls back to the Governor's accountant; if both are nil, metering
+	// is off.
 	Accountant *resource.Accountant
 	// RetryMaybeCommitted declares that every closure passed to this runner
 	// is idempotent, so commit_unknown_result — a commit that may or may not
@@ -316,7 +317,6 @@ func (r *Runner) run(ctx context.Context, fn TransactFunc, commit, idempotent bo
 	if tenant, ok := resource.TenantFrom(ctx); ok {
 		if r.opts.Accountant != nil {
 			meter = r.opts.Accountant.Tenant(tenant)
-			ctx = resource.WithMeter(ctx, meter)
 		}
 		if r.opts.Governor != nil {
 			// One admission covers the whole retry loop: a retried attempt
@@ -353,6 +353,9 @@ func (r *Runner) run(ctx context.Context, fn TransactFunc, commit, idempotent bo
 			return nil, err
 		}
 		tr := r.db.CreateTransaction()
+		if meter != nil {
+			tr.BindMeter(meter)
+		}
 		var a0 int64
 		if trace != nil {
 			tr.SetTrace(trace)

@@ -247,8 +247,8 @@ func TestTxnTimeIncludesQueueWait(t *testing.T) {
 }
 
 // TestRunnerByteQuotaEndToEnd drives the full loop: runner-bound tenant,
-// byte quota from the governor, bytes metered by the store layers feeding
-// ChargeBytes, and the typed byte-rate rejection surfacing from Run.
+// byte quota from the governor, bytes billed by the tenant's transactions
+// feeding ChargeBytes, and the typed byte-rate rejection surfacing from Run.
 func TestRunnerByteQuotaEndToEnd(t *testing.T) {
 	_, md := testSchema(t)
 	db := fdb.Open(nil)
@@ -275,7 +275,7 @@ func TestRunnerByteQuotaEndToEnd(t *testing.T) {
 	if !errors.As(lastErr, &qe) || qe.Resource != "byte-rate" {
 		t.Fatalf("want byte-rate quota error, got %v", lastErr)
 	}
-	// The cursor/core layers metered real bytes into the governor's bucket.
+	// The transactions billed real bytes into the governor's bucket.
 	if u := gov.Accountant().Tenant("hog").Snapshot(); u.WriteBytes == 0 {
 		t.Errorf("no bytes metered: %+v", u)
 	}

@@ -35,10 +35,11 @@ type ProviderOptions struct {
 	Planner plan.Config
 	// PlanCacheSize bounds the shared LRU plan cache (default 128).
 	PlanCacheSize int
-	// Accountant meters per-tenant store traffic. When the request context
-	// does not already carry a meter (i.e. the Runner has none bound), Open
-	// derives the tenant ID from the keyspace path values and meters into
-	// this accountant. Nil leaves such requests unmetered.
+	// Accountant bills transactions that reach Open with no meter bound (no
+	// Runner with an accountant ran them under a tenant): Open binds the
+	// meter of the tenant ID derived from the keyspace path values, and
+	// everything the transaction reads and writes from then on is billed to
+	// it. Nil leaves such transactions unmetered.
 	Accountant *resource.Accountant
 	// SlowQueries, when set, observes every query execution's latency into
 	// its histogram and captures structured summaries of executions over
@@ -101,14 +102,18 @@ func (p *StoreProvider) PlanCacheStats() PlanCacheStats { return p.plans.Stats()
 // names are immutable, and the store state is validated by the metadata
 // version that arrives with the read version — so Open reads nothing.
 //
-// Open also binds the tenant's resource meter: the meter riding the context
-// (attached by a Runner with an Accountant) wins; otherwise, with a
-// provider-level Accountant configured, the tenant ID is derived from the
-// path values. Every read and write through the returned store — record
-// loads, saves, scans, index maintenance — is then accounted to the tenant.
+// Billing is per transaction, not per store. A transaction a Runner runs
+// under a tenant already bills that tenant's meter. Otherwise, with a
+// provider-level Accountant configured, Open binds the meter of the tenant
+// ID derived from the path values, first thing, so the directory reads Open
+// makes are billed too. A transaction keeps the first meter bound to it:
+// opening a second tenant's store in it bills the first tenant.
 func (p *StoreProvider) Open(ctx context.Context, tr *fdb.Transaction, tenant ...interface{}) (*Store, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if p.opts.Accountant != nil {
+		tr.BindMeter(p.opts.Accountant.Tenant(resource.TenantKey(tenant...)))
 	}
 	path, err := p.ks.PathFor(p.template, tenant...)
 	if err != nil {
@@ -118,14 +123,9 @@ func (p *StoreProvider) Open(ctx context.Context, tr *fdb.Transaction, tenant ..
 	if err != nil {
 		return nil, err
 	}
-	meter := resource.MeterFrom(ctx)
-	if meter == nil && p.opts.Accountant != nil {
-		meter = p.opts.Accountant.Tenant(resource.TenantKey(tenant...))
-	}
 	cs, err := p.states.Open(tr, p.md, space, core.OpenOptions{
 		CreateIfMissing: true,
 		Config:          p.opts.Config,
-		Meter:           meter,
 	})
 	if err != nil {
 		return nil, err
