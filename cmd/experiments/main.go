@@ -271,6 +271,8 @@ func runChaos(w io.Writer, short bool) error {
 		fmt.Fprintf(w, "    state cache: %d cached opens in %d saves; %d flips (%d inside a cached save, %d committed through); %d scrubs, %d skipped entries; stale schema refused %d, served %d\n",
 			stats.CacheHits, stats.CacheSaves, stats.StateFlips, stats.NestedFlips, stats.NestedFlipStaleCommits,
 			stats.CacheScrubs, stats.CacheScrubIssues, stats.StaleMetaDataSeen, stats.StaleMetaDataMissed)
+		fmt.Fprintf(w, "    tenants created mid-storm: %d; next opens warm %d, stale %d\n",
+			stats.TenantsCreated, stats.CreatedWarmOpens, stats.CreatedStaleOpens)
 		if len(stats.RetriesByCause) > 0 {
 			fmt.Fprintf(w, "    retries by cause: %v\n", stats.RetriesByCause)
 		}

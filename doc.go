@@ -276,8 +276,12 @@
 // immutable once committed — the layer has no remove and no rename — so a
 // cached mapping never needs validating. The one rule is never to cache an
 // uncommitted mapping: a transaction sees its own Intern, which may never
-// commit, so a mapping read from the database is cached only if the reading
-// transaction had buffered no mutation (fdb.Transaction.HasMutations).
+// commit. A mapping read by a transaction that had buffered no mutation
+// (fdb.Transaction.HasMutations) is cached at once; one that a transaction
+// allocated, or read after writing, is cached when that transaction commits
+// (fdb.Transaction.OnCommit), and never after a conflict or a
+// commit_unknown_result. Its serializable read of the name key is what makes
+// the commit decide.
 //
 // Store state (core.StateCache, one per StoreProvider): a store's header and
 // its non-readable index states, loaded in one window (header read ∥ one
@@ -307,9 +311,16 @@
 //   - First creation of a store does not bump. The cache holds no "does not
 //     exist" entries, so creating a store makes nothing stale — and creating
 //     20 000 tenants does not invalidate every server's cache 20 000 times.
-//   - An entry is populated only by a transaction that had buffered no
-//     mutation, and a transaction that has itself bumped bypasses the cache
-//     (its own change has no version until it commits).
+//   - Who fills the cache: a clean reader (no mutation buffered) at its read
+//     version R, or any transaction that commits without bumping, at its
+//     commit version, with the state it read or — as the creator of the
+//     store — wrote. An unbumped commit changed no store state, and its read
+//     conflicts on header and states kept any other writer from changing it
+//     first; a transaction that bumped, conflicted or ended in
+//     commit_unknown_result fills nothing (fdb.Transaction.OnCommit). So a
+//     new tenant's first open after its creating commit is already warm. A
+//     transaction that has itself bumped bypasses the cache (its own change
+//     has no version until it commits).
 //
 // The metadata version is cluster-wide, so one bump costs the next open of
 // every store on every server one read window; state changes are rare and

@@ -20,8 +20,9 @@ type storeState struct {
 }
 
 // StateCache keeps store states across transactions so that opening a store
-// on a warm server reads nothing (§4's store-state cache). An entry loaded by
-// a transaction at read version V serves a transaction at read version R iff
+// on a warm server reads nothing (§4's store-state cache). An entry that
+// holds a store's state as of version V serves a transaction at read version
+// R iff
 //
 //	lastBump(R) <= V <= R
 //
@@ -33,7 +34,13 @@ type storeState struct {
 // away from a transaction pinned to an older snapshot (SetReadVersion), which
 // cannot know of bumps after R. First creation of a store does not bump: the
 // cache holds no "does not exist" entries, so creating a store makes nothing
-// stale. A nil *StateCache always misses.
+// stale.
+//
+// Two kinds of transaction fill it. One that read a state with no mutation
+// buffered fills it at once, at its read version. One that learned a state
+// while holding writes — it created the store, or missed after writing — fills
+// it when it commits, at the commit version, unless it bumped
+// (fdb.Transaction.OnCommit). A nil *StateCache always misses.
 type StateCache struct {
 	mu sync.Mutex
 	// entries is keyed by cluster, then store prefix: versions of different
@@ -48,7 +55,7 @@ type StateCache struct {
 }
 
 type stateEntry struct {
-	version int64 // read version of the transaction that loaded st
+	version int64 // read or commit version at which st was known
 	st      *storeState
 }
 
@@ -93,9 +100,9 @@ func (c *StateCache) lookup(db *fdb.Database, prefix []byte, readVersion, meta i
 	return nil
 }
 
-// put caches a state loaded at readVersion, unless the cache already holds a
+// put caches a state known as of version, unless the cache already holds a
 // newer one (the loader was pinned to an old snapshot, or lost a race).
-func (c *StateCache) put(db *fdb.Database, prefix []byte, readVersion int64, st *storeState) {
+func (c *StateCache) put(db *fdb.Database, prefix []byte, version int64, st *storeState) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	stores := c.entries[db]
@@ -104,7 +111,7 @@ func (c *StateCache) put(db *fdb.Database, prefix []byte, readVersion int64, st 
 		c.entries[db] = stores
 	}
 	e, ok := stores[string(prefix)]
-	if ok && e.version > readVersion {
+	if ok && e.version > version {
 		return
 	}
 	if !ok && len(stores) >= maxCachedStates {
@@ -120,34 +127,52 @@ func (c *StateCache) put(db *fdb.Database, prefix []byte, readVersion int64, st 
 			c.shared = st
 		}
 	}
-	stores[string(prefix)] = stateEntry{version: readVersion, st: st}
+	stores[string(prefix)] = stateEntry{version: version, st: st}
+}
+
+// putOnCommit caches st, the state s's transaction leaves its store in, when
+// that transaction commits: at the commit version, and only if it did not
+// bump. An unbumped commit changed no store state, and the read conflicts on
+// header and states kept any other writer from changing it before then.
+func (c *StateCache) putOnCommit(s *Store, st *storeState) {
+	if c == nil {
+		return
+	}
+	db, prefix := s.tr.Database(), s.space.Bytes()
+	s.tr.OnCommit(func(version int64, bumped bool) {
+		if !bumped {
+			c.put(db, prefix, version, st)
+		}
+	})
 }
 
 // loadState returns the state of s's store as of the transaction's read
-// version, nil when the store has no header. A hit issues no read and adds
-// the read conflicts the reads it skipped would have added; a miss reads the
-// header and the index states in one window and, when the transaction has
-// buffered no mutation (so what it read is committed), caches the result.
-func (c *StateCache) loadState(s *Store) (*storeState, error) {
+// version, nil when the store has no header; bare reports that it has no
+// index state either, so that a creator knows the whole state it writes. A hit
+// issues no read and adds the read conflicts the reads it skipped would have
+// added. A miss reads the header and the index states in one window and caches
+// the result: at once when the transaction has buffered no mutation (so what
+// it read is committed), else when it commits.
+func (c *StateCache) loadState(s *Store) (st *storeState, bare bool, err error) {
 	headerKey := s.headerKey()
 	statesBegin, statesEnd := s.space.RangeForTuple(tuple.Tuple{stateSub})
 	var readVersion int64
-	populate := false
+	clean := false
 	if c != nil {
 		meta, ok, err := s.tr.MetadataVersion()
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		if ok { // else this transaction has changed store state itself: neither use nor fill the cache
+		if ok { // else this transaction has changed store state itself: no lookup, and its commit, which bumps, fills nothing
 			if readVersion, err = s.tr.GetReadVersion(); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			if st := c.lookup(s.tr.Database(), s.space.Bytes(), readVersion, meta); st != nil {
 				s.tr.AddReadConflictKey(headerKey)
 				s.tr.AddReadConflictRange(statesBegin, statesEnd)
-				return st, nil
+				return st, false, nil
 			}
-			populate = !s.tr.HasMutations()
+			clean = !s.tr.HasMutations()
 		}
 	}
 	headerFut := s.tr.GetAsync(headerKey)
@@ -158,31 +183,33 @@ func (c *StateCache) loadState(s *Store) (*storeState, error) {
 		err = serr
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if raw == nil {
-		return nil, nil
+		return nil, len(kvs) == 0, nil
 	}
-	st := &storeState{}
+	st = &storeState{}
 	if err := json.Unmarshal(raw, &st.header); err != nil {
-		return nil, fmt.Errorf("core: corrupt store header: %v", err)
+		return nil, false, fmt.Errorf("core: corrupt store header: %v", err)
 	}
 	for _, kv := range kvs {
 		name, err := s.space.Unpack(kv.Key)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		val, err := tuple.Unpack(kv.Value)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if st.states == nil {
 			st.states = make(map[string]metadata.IndexState, len(kvs))
 		}
 		st.states[name[1].(string)] = metadata.IndexState(val[0].(int64))
 	}
-	if populate {
+	if clean {
 		c.put(s.tr.Database(), s.space.Bytes(), readVersion, st)
+	} else {
+		c.putOnCommit(s, st)
 	}
-	return st, nil
+	return st, false, nil
 }

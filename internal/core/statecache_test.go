@@ -132,15 +132,15 @@ func TestStateCacheBounded(t *testing.T) {
 func TestCachedOpenReadsNothingAndStillConflicts(t *testing.T) {
 	db, md, sp := newStoreEnv(t)
 	c := NewStateCache()
-	cached(t, c, db, md, sp, nil) // creates: nothing cached (no negative entries, creator had written)
-	if got := cached(t, c, db, md, sp, nil); got != 1 {
-		t.Fatalf("first open of an existing store read %d keys, want 1 (header; no state keys exist)", got)
+	cached(t, c, db, md, sp, nil) // creates: its commit caches the header it wrote
+	if got := cached(t, c, db, md, sp, nil); got != 0 {
+		t.Fatalf("first open after the creating commit read %d keys, want 0", got)
 	}
 	if got := cached(t, c, db, md, sp, nil); got != 0 {
 		t.Fatalf("warm open read %d keys, want 0", got)
 	}
-	if s := c.Stats(); s.Hits != 1 || s.Misses != 2 || s.Invalidations != 0 {
-		t.Fatalf("stats %+v, want 1 hit, 2 misses", s)
+	if s := c.Stats(); s.Hits != 2 || s.Misses != 1 || s.Invalidations != 0 {
+		t.Fatalf("stats %+v, want 2 hits, 1 miss", s)
 	}
 
 	// A saves from cache while B disables an index: A must not commit.
@@ -302,21 +302,53 @@ func TestCacheNeverOutlivesWhatItDescribes(t *testing.T) {
 }
 
 // TestOpenDoesNotCacheWhatItsOwnTransactionWrote: a state read after the
-// transaction buffered a write may be uncommitted and must not be cached.
+// transaction buffered a write may be uncommitted, so it is cached only when
+// that transaction commits — at the commit version, and not if the commit
+// fails or the transaction bumped.
 func TestOpenDoesNotCacheWhatItsOwnTransactionWrote(t *testing.T) {
 	db, md, sp := newStoreEnv(t)
 	c := NewStateCache()
 	saveUsers(t, db, md, sp, mkUser(1, "a", 1))
-	tr := db.CreateTransaction()
-	if err := tr.Set([]byte("elsewhere"), nil); err != nil {
-		t.Fatal(err)
+	dirtyOpen := func() *fdb.Transaction {
+		t.Helper()
+		tr := db.CreateTransaction()
+		if err := tr.Set([]byte("elsewhere"), nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Open(tr, md, sp, OpenOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if len(c.entries[db]) != 0 {
+			t.Fatal("a dirty transaction populated the cache before it committed")
+		}
+		return tr
 	}
-	if _, err := c.Open(tr, md, sp, OpenOptions{}); err != nil {
-		t.Fatal(err)
+	tr := dirtyOpen()
+	withStore(t, db, md, sp, func(s *Store) error { return s.SetUserVersion(2) })
+	if err := tr.Commit(); !fdb.IsConflict(err) {
+		t.Fatalf("dirty open across a concurrent header change committed: %v", err)
 	}
 	if len(c.entries[db]) != 0 {
-		t.Fatal("a dirty transaction populated the cache")
+		t.Fatal("a conflicted transaction populated the cache")
 	}
+	tr = dirtyOpen()
+	tr.Cancel()
+	if len(c.entries[db]) != 0 {
+		t.Fatal("a canceled transaction populated the cache")
+	}
+
+	tr = dirtyOpen()
+	if err := tr.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	cv, _ := tr.CommittedVersion()
+	if e := c.entries[db][string(sp.Bytes())]; e.st == nil || e.version != cv || e.st.header.UserVersion != 2 {
+		t.Fatalf("committed dirty open cached %+v, want user version 2 at version %d", e, cv)
+	}
+	if got := cached(t, c, db, md, sp, nil); got != 0 {
+		t.Fatalf("open after a committed dirty open read %d keys, want 0", got)
+	}
+	c = NewStateCache()
 	// The scan below goes through the index, whose readability came from Open.
 	cached(t, c, db, md, sp, func(s *Store) error {
 		if n := len(scanIndex(t, s, "user_by_name", index.TupleRange{})); n != 1 {
@@ -326,6 +358,72 @@ func TestOpenDoesNotCacheWhatItsOwnTransactionWrote(t *testing.T) {
 	})
 	if len(c.entries[db]) != 1 {
 		t.Fatal("a clean transaction did not populate the cache")
+	}
+}
+
+// TestCreatorWarmsTheCache: the transaction that creates a store caches the
+// header it wrote when it commits, unless it also changed store state (and so
+// bumped) or lost the creation race.
+func TestCreatorWarmsTheCache(t *testing.T) {
+	db, md, _ := newStoreEnv(t)
+	c := NewStateCache()
+	n := 0
+	fresh := func() subspace.Subspace {
+		n++
+		return subspace.FromTuple(tuple.Tuple{"created", int64(n)})
+	}
+	view := func(s *Store) string {
+		return fmt.Sprintf("%+v user_by_name=%v", s.Header(), s.IndexState("user_by_name"))
+	}
+	for _, tc := range []struct {
+		name string
+		then func(s *Store) error
+		warm bool
+	}{
+		{"create", func(*Store) error { return nil }, true},
+		{"create and save", func(s *Store) error { _, err := s.SaveRecord(mkUser(1, "a", 1)); return err }, true},
+		{"create and SetUserVersion", func(s *Store) error { return s.SetUserVersion(4) }, false},
+		{"create and MarkIndexWriteOnly", func(s *Store) error { return s.MarkIndexWriteOnly("user_by_name") }, false},
+		{"create and delete", func(s *Store) error { return DeleteStore(s.tr, s.space) }, false},
+	} {
+		sp := fresh()
+		cached(t, c, db, md, sp, tc.then)
+		var fromCache, uncached string
+		reads := cached(t, c, db, md, sp, func(s *Store) error { fromCache = view(s); return nil })
+		withStore(t, db, md, sp, func(s *Store) error { uncached = view(s); return nil })
+		if fromCache != uncached {
+			t.Errorf("%s: cached open sees %s, uncached %s", tc.name, fromCache, uncached)
+		}
+		if warm := reads == 0; warm != tc.warm {
+			t.Errorf("%s: next open read %d keys, want warm=%v", tc.name, reads, tc.warm)
+		}
+	}
+
+	// Two servers create one store at once: the loser conflicts, caches
+	// nothing, and its retry finds the winner's store.
+	sp := fresh()
+	b := NewStateCache()
+	trA, trB := db.CreateTransaction(), db.CreateTransaction()
+	if _, err := c.Open(trA, md, sp, OpenOptions{CreateIfMissing: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Open(trB, md, sp, OpenOptions{CreateIfMissing: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := trA.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := trB.Commit(); !fdb.IsConflict(err) {
+		t.Fatalf("second creator committed: %v", err)
+	}
+	if len(b.entries[db]) != 0 {
+		t.Fatal("the losing creator populated its cache")
+	}
+	if got := cached(t, c, db, md, sp, nil); got != 0 {
+		t.Fatalf("winner's next open read %d keys, want 0", got)
+	}
+	if got := cached(t, b, db, md, sp, nil); got != 1 {
+		t.Fatalf("loser's retry read %d keys, want 1 (the winner's header)", got)
 	}
 }
 

@@ -124,7 +124,7 @@ func Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, o
 func (c *StateCache) Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, opts OpenOptions) (*Store, error) {
 	s := &Store{tr: tr, md: md, space: space, cfg: opts.Config.withDefaults(),
 		trace: tr.Trace(), maintainers: make(map[string]index.Maintainer)}
-	st, err := c.loadState(s)
+	st, bare, err := c.loadState(s)
 	if err != nil {
 		return nil, err
 	}
@@ -133,9 +133,16 @@ func (c *StateCache) Open(tr *fdb.Transaction, md *metadata.MetaData, space subs
 			return nil, fmt.Errorf("core: record store does not exist")
 		}
 		// Creation does not bump the metadata version: no cache holds "this
-		// store does not exist", so nothing can be stale.
+		// store does not exist", so nothing can be stale. The creator knows
+		// the whole state it leaves, so its commit warms the cache.
 		s.header = Header{MetaDataVersion: md.Version, FormatVersion: FormatVersion}
-		return s, s.writeHeader()
+		if err := s.writeHeader(); err != nil {
+			return nil, err
+		}
+		if bare {
+			c.putOnCommit(s, &storeState{header: s.header})
+		}
+		return s, nil
 	}
 	s.header, s.states = st.header, st.states
 	if s.header.FormatVersion > FormatVersion {

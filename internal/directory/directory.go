@@ -182,6 +182,7 @@ func (l *Layer) Intern(tr *fdb.Transaction, name string) (int64, error) {
 	if err := tr.Set(rev, tuple.Tuple{name}.Pack()); err != nil {
 		return 0, err
 	}
+	l.cacheOnCommit(tr, internKey{db: tr.Database(), name: name}, id)
 	return id, nil
 }
 
@@ -190,10 +191,11 @@ func (l *Layer) internKeyFor(name string) []byte {
 }
 
 // LookupInterned returns the integer for name if it was interned. A cached
-// mapping answers without a read; a mapping read from the database is cached
-// only when the reading transaction had buffered no mutation, because a
-// transaction's own uncommitted Intern is visible to its reads and may never
-// commit.
+// mapping answers without a read. A mapping read from the database is cached
+// at once when the reading transaction had buffered no mutation; otherwise
+// only when that transaction commits, because a transaction's own uncommitted
+// Intern is visible to its reads and may never commit. The read is
+// serializable, so a commit makes what it read committed.
 func (l *Layer) LookupInterned(tr *fdb.Transaction, name string) (int64, bool, error) {
 	ck := internKey{db: tr.Database(), name: name}
 	l.mu.Lock()
@@ -218,20 +220,33 @@ func (l *Layer) LookupInterned(tr *fdb.Transaction, name string) (int64, bool, e
 	}
 	id = t[0].(int64)
 	if committed {
-		l.mu.Lock()
-		if l.interned == nil {
-			l.interned = make(map[internKey]int64)
-		}
-		if len(l.interned) >= maxInterned {
-			for k := range l.interned {
-				delete(l.interned, k)
-				break
-			}
-		}
-		l.interned[ck] = id
-		l.mu.Unlock()
+		l.cache(ck, id)
+	} else {
+		l.cacheOnCommit(tr, ck, id)
 	}
 	return id, true, nil
+}
+
+// cache remembers a committed mapping.
+func (l *Layer) cache(ck internKey, id int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.interned == nil {
+		l.interned = make(map[internKey]int64)
+	}
+	if len(l.interned) >= maxInterned {
+		for k := range l.interned {
+			delete(l.interned, k)
+			break
+		}
+	}
+	l.interned[ck] = id
+}
+
+// cacheOnCommit remembers a mapping tr read or wrote once tr commits. A
+// mapping is immutable, so a metadata-version bump changes nothing about it.
+func (l *Layer) cacheOnCommit(tr *fdb.Transaction, ck internKey, id int64) {
+	tr.OnCommit(func(int64, bool) { l.cache(ck, id) })
 }
 
 // CacheStats reports how many Intern/LookupInterned calls the name -> id

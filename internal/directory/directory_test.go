@@ -206,8 +206,10 @@ func TestList(t *testing.T) {
 
 // TestInternCacheServesCommittedMappingsOnly: a committed mapping is answered
 // from the cache with no read; a mapping the reading transaction itself wrote,
-// or read after any other write of its own, is never cached — so an Intern
-// that never commits leaves nothing behind for later transactions to trust.
+// or read after any other write of its own, is cached only when that
+// transaction commits — so an Intern that never commits, conflicts, or ends
+// in commit_unknown_result leaves nothing behind for later transactions to
+// trust.
 func TestInternCacheServesCommittedMappingsOnly(t *testing.T) {
 	db, l := newLayer()
 
@@ -231,22 +233,28 @@ func TestInternCacheServesCommittedMappingsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A committed Intern: the first clean reader fills the cache, later ones
-	// read nothing.
+	// A committed Intern fills the cache as it commits: no reader after it
+	// reads the mapping.
 	v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) { return l.Intern(tr, "app") })
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := v.(int64)
-	lookup := func(dirty bool) (id int64, keysRead int) {
-		_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+	// lookup interns "app" through layer in a transaction that commits or
+	// not, after a write of its own or not.
+	lookup := func(layer *Layer, dirty, commit bool) (id int64, keysRead int) {
+		run := db.ReadTransact
+		if commit {
+			run = db.Transact
+		}
+		_, err := run(func(tr *fdb.Transaction) (interface{}, error) {
 			if dirty {
 				if err := tr.Set([]byte("unrelated"), nil); err != nil {
 					return nil, err
 				}
 			}
 			var err error
-			id, err = l.Intern(tr, "app")
+			id, err = layer.Intern(tr, "app")
 			keysRead = tr.Stats().KeysRead
 			return nil, err
 		})
@@ -255,21 +263,73 @@ func TestInternCacheServesCommittedMappingsOnly(t *testing.T) {
 		}
 		return id, keysRead
 	}
-	if id, reads := lookup(true); id != want || reads != 1 {
-		t.Fatalf("dirty reader: id %d (want %d), %d keys read (want 1)", id, want, reads)
-	}
-	if id, reads := lookup(true); id != want || reads != 1 {
-		t.Fatalf("a dirty reader filled the cache: id %d, %d keys read (want 1)", id, reads)
-	}
-	if id, reads := lookup(false); id != want || reads != 1 {
-		t.Fatalf("first clean reader: id %d, %d keys read (want 1)", id, reads)
-	}
-	if id, reads := lookup(true); id != want || reads != 0 {
-		t.Fatalf("warm lookup: id %d (want %d), %d keys read (want 0)", id, want, reads)
+	if id, reads := lookup(l, true, false); id != want || reads != 0 {
+		t.Fatalf("lookup after the interning commit: id %d (want %d), %d keys read (want 0)", id, want, reads)
 	}
 	hits, misses := l.CacheStats()
-	if hits != 1 || misses != 7 {
-		t.Fatalf("cache stats: %d hits, %d misses; want 1 and 7", hits, misses)
+	if hits != 1 || misses != 4 {
+		t.Fatalf("cache stats: %d hits, %d misses; want 1 and 4", hits, misses)
+	}
+
+	// A second server's cold layer: a dirty reader that never commits fills
+	// nothing, a clean one fills at once, and a dirty one when it commits.
+	for _, c := range []struct {
+		name          string
+		dirty, commit bool
+		fills         bool
+	}{
+		{"dirty, not committed", true, false, false},
+		{"clean", false, false, true},
+		{"dirty, committed", true, true, true},
+	} {
+		cold := NewLayerAt(subspace.FromBytes([]byte{0xFE}), subspace.FromBytes(nil), 8)
+		if id, reads := lookup(cold, c.dirty, c.commit); id != want || reads != 1 {
+			t.Fatalf("%s: id %d (want %d), %d keys read (want 1)", c.name, id, want, reads)
+		}
+		if _, reads := lookup(cold, false, false); (reads == 0) != c.fills {
+			t.Fatalf("%s: next lookup read %d keys, want the cache filled=%v", c.name, reads, c.fills)
+		}
+	}
+
+	// Interning attempts that fail cache nothing: the loser of a race for one
+	// name, and a commit_unknown_result whether or not it applied.
+	trA, trB := db.CreateTransaction(), db.CreateTransaction()
+	if _, err := l.Intern(trA, "raced"); err != nil {
+		t.Fatal(err)
+	}
+	winner, err := l.Intern(trB, "raced")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trB.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := trA.Commit(); !fdb.IsConflict(err) {
+		t.Fatalf("second Intern of one name committed: %v", err)
+	}
+	if id, ok, err := l.LookupInterned(db.CreateTransaction(), "raced"); err != nil || !ok || id != winner {
+		t.Fatalf("after the race the cache says %d %v %v, want the winner's %d", id, ok, err, winner)
+	}
+	for _, cfg := range []fdb.FaultConfig{
+		{Seed: 1, PCommitUnknown: 1, PUnknownApplied: 1},
+		{Seed: 1, PCommitUnknown: 1, UnknownNeverApplies: true},
+	} {
+		inj := fdb.NewFaultInjector(cfg)
+		fdbWithFaults := fdb.Open(&fdb.Options{Faults: inj})
+		tr := fdbWithFaults.CreateTransaction()
+		if _, err := l.Intern(tr, "unknown"); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Commit(); !fdb.IsMaybeCommitted(err) {
+			t.Fatalf("%+v: commit = %v, want commit_unknown_result", cfg, err)
+		}
+		inj.Disable()
+		check := fdbWithFaults.CreateTransaction()
+		_, ok, err := l.LookupInterned(check, "unknown")
+		if err != nil || ok != (cfg.PUnknownApplied == 1) || check.Stats().KeysRead != 1 {
+			t.Fatalf("%+v: lookup found=%v err=%v after %d reads; want found only if applied, read from the database",
+				cfg, ok, err, check.Stats().KeysRead)
+		}
 	}
 
 	// The cache is per cluster: another database knows nothing of "app".

@@ -29,8 +29,19 @@ type rywModel struct {
 type rywEntry struct {
 	isSet bool
 	value []byte
-	ops   []mutation
-	vsOff int // versionstamp offset in value, -1 when none
+	ops   []mutation // pending; on a set, only after a versionstamp
+	vsOff int        // versionstamp offset in value, -1 when none
+}
+
+// own is what a read of a set entry sees. A versionstamp is unknown until
+// commit, so the read sees the placeholder with any later ops folded over it;
+// ok is false when one of them clears the key.
+func (e *rywEntry) own() (val []byte, ok bool) {
+	if len(e.ops) == 0 {
+		return e.value, true
+	}
+	val, cleared := applyMutations(e.value, e.ops, DefaultLimits().MaxValueSize)
+	return val, !cleared
 }
 
 func (m *rywModel) pos(k []byte) int {
@@ -66,7 +77,8 @@ func (m *rywModel) get(key []byte, snapshot bool) []byte {
 	k := string(key)
 	if e, ok := m.writes[k]; ok {
 		if e.isSet {
-			return e.value
+			val, _ := e.own()
+			return val
 		}
 		if !snapshot {
 			m.conflict[m.pos(key)] = true
@@ -120,11 +132,13 @@ func (m *rywModel) getRange(begin, end []byte, o RangeOptions, snapshot bool) ([
 		k := string(m.universe[i])
 		var val []byte
 		if e, ok := m.writes[k]; ok {
-			val = e.value
-			if !e.isSet {
-				if val, ok = m.materialize(k, e); !ok {
-					continue
-				}
+			if e.isSet {
+				val, ok = e.own()
+			} else {
+				val, ok = m.materialize(k, e)
+			}
+			if !ok {
+				continue
 			}
 		} else {
 			val = m.snap[k]
@@ -178,7 +192,7 @@ func (m *rywModel) setVersionstampedValue(key, raw []byte, off int) {
 func (m *rywModel) atomic(typ MutationType, key, param []byte) {
 	k, op := string(key), []mutation{{typ, param}}
 	switch e, ok := m.writes[k]; {
-	case ok && e.isSet:
+	case ok && e.isSet && e.vsOff < 0:
 		val, cleared := applyMutations(e.value, op, DefaultLimits().MaxValueSize)
 		if cleared {
 			delete(m.writes, k)
@@ -186,7 +200,7 @@ func (m *rywModel) atomic(typ MutationType, key, param []byte) {
 		} else {
 			e.value = val
 		}
-	case ok:
+	case ok: // pending atomics, or a versionstamped value: the op waits for commit
 		e.ops = append(e.ops, op[0])
 	case m.cleared[m.pos(key)]:
 		if val, cleared := applyMutations(nil, op, DefaultLimits().MaxValueSize); !cleared {
@@ -209,7 +223,8 @@ func (m *rywModel) readOnly() bool {
 }
 
 // commit applies the buffer to the current store: clears, then writes in key
-// order, pending atomics folding over the store as it is now.
+// order, pending atomics folding over the store as it is now, or over the
+// stamped value when they follow a versionstamp.
 func (m *rywModel) commit(version int64) {
 	for i, c := range m.cleared {
 		if c {
@@ -225,16 +240,19 @@ func (m *rywModel) commit(version int64) {
 		e := m.writes[k]
 		val := e.value
 		if !e.isSet {
+			val = m.cur[k]
+		} else if e.vsOff >= 0 {
+			val = append([]byte(nil), val...)
+			copy(val[e.vsOff:e.vsOff+10], versionstampBytes(version))
+		}
+		if len(e.ops) > 0 {
 			var cleared bool
-			if val, cleared = applyMutations(m.cur[k], e.ops, DefaultLimits().MaxValueSize); cleared {
+			if val, cleared = applyMutations(val, e.ops, DefaultLimits().MaxValueSize); cleared {
 				delete(m.cur, k)
 				m.stats.KeysWritten++
 				m.stats.BytesWritten += len(k)
 				continue
 			}
-		} else if e.vsOff >= 0 {
-			val = append([]byte(nil), val...)
-			copy(val[e.vsOff:e.vsOff+10], versionstampBytes(version))
 		}
 		m.cur[k] = val
 		m.stats.KeysWritten++
@@ -265,8 +283,8 @@ func sameKVs(got, want []KeyValue) bool {
 // current store — the store's contents and KeysWritten/BytesWritten. Keys are
 // at most three bytes of a three-letter alphabet, so every range end, Clear's
 // and a limited scan's key-after included, is a key of the four-byte universe.
-// An atomic op on a key whose buffered value is versionstamped is not
-// generated: the buffer would fold it over the unstamped bytes.
+// An atomic op may follow a versionstamped value of the same key: commit
+// stamps first and folds the op after.
 func TestReadYourWritesMatchesMapSortModel(t *testing.T) {
 	universe := rangeSetUniverse(4)
 	var keys [][]byte // what ops are called with
@@ -364,9 +382,6 @@ func TestReadYourWritesMatchesMapSortModel(t *testing.T) {
 				}
 			case 4, 5, 6:
 				k := pick()
-				if e, ok := m.writes[string(k)]; ok && e.vsOff >= 0 {
-					continue
-				}
 				if op == 6 && rng.Intn(2) == 0 {
 					raw := randBytes(10, 14)
 					off := rng.Intn(len(raw) - 10 + 1)

@@ -65,11 +65,14 @@ type mutation struct {
 // set. Most keys of the write buffer have none: their entry already holds the
 // bytes commit will store.
 type bufEntry struct {
-	// ops are pending atomic ops, folded over the committed base when the key
-	// is read or committed; the entry's value means nothing while there are any.
+	// ops are pending atomic ops. Without a versionstamp they fold over the
+	// committed base when the key is read or committed, and the entry's value
+	// means nothing while there are any.
 	ops []mutation
 	// vsOff is where commit writes the versionstamp into the entry's value;
-	// -1 when the value is not versionstamped.
+	// -1 when the value is not versionstamped. Mutations apply in the order
+	// they were issued, so commit writes the stamp first and then folds ops
+	// over the stamped value.
 	vsOff int
 }
 
@@ -110,11 +113,9 @@ type txnState struct {
 
 	readVersion int64 // -1 until GRV
 	snapRoot    *node
-	pendingRV   bool // SetReadVersion called; snapshot not yet bound
 	// metaVersion is the database's metadata version as of readVersion, bound
-	// with the snapshot; bumpMeta records that this transaction bumps it.
+	// with the snapshot.
 	metaVersion int64
-	bumpMeta    bool
 	// grvReady is the latency-clock time the GRV round trip completes
 	// (latency model only; 0 when no real GRV has been priced). Reads issue
 	// no earlier than it, so the GRV window pipelines with the first read
@@ -149,10 +150,16 @@ type txnState struct {
 	// meter, when bound, is billed wherever stats counts a read or a write.
 	meter Meter
 
-	stats     TxnStats
+	stats    TxnStats
+	cVersion int64 // committed version
+	// onCommit is every hook OnCommit registered, chained in order.
+	onCommit func(version int64, bumped bool)
+
+	// The flags share one word, which keeps a Transaction in its size class.
+	pendingRV bool // SetReadVersion called; snapshot not yet bound
+	bumpMeta  bool // this transaction bumps the metadata version
 	committed bool
 	canceled  bool
-	cVersion  int64 // committed version
 }
 
 func (d *Database) nowNanos() int64 { return d.opts.Clock().UnixNano() }
@@ -417,8 +424,9 @@ func (t *Transaction) getLocked(key []byte, snapshot bool) ([]byte, error) {
 		return nil, nil
 	}
 	be := t.deferred[e]
-	if e != nil && (be == nil || be.ops == nil) {
-		return cloneBytes(e.value), nil
+	if e != nil && (be == nil || be.vsOff >= 0) {
+		val, _ := t.ownValue(e, be)
+		return val, nil
 	}
 	if err := t.ensureSnapshot(); err != nil {
 		return nil, err
@@ -438,6 +446,17 @@ func (t *Transaction) getLocked(key []byte, snapshot bool) ([]byte, error) {
 		t.clearBuffered(key)
 	}
 	return cloneBytes(val), nil
+}
+
+// ownValue is what a read of buffered entry e sees when the buffer alone
+// answers it: be is nil (a plain set) or versionstamped. The stamp is unknown
+// until commit, so a read sees the placeholder bytes with any later ops folded
+// over them; gone reports that one of those ops clears the key.
+func (t *Transaction) ownValue(e *entry, be *bufEntry) (val []byte, gone bool) {
+	if be == nil || be.ops == nil {
+		return cloneBytes(e.value), false
+	}
+	return applyMutations(e.value, be.ops, t.db.opts.Limits.MaxValueSize)
 }
 
 // materialize folds the pending atomic ops of buffered entry e over base, the
@@ -598,7 +617,14 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 			}
 			e := bn.e
 			val := e.value
-			if be := t.deferred[e]; be != nil && be.ops != nil {
+			switch be := t.deferred[e]; {
+			case be == nil || be.ops == nil:
+			case be.vsOff >= 0:
+				var gone bool
+				if val, gone = t.ownValue(e, be); gone {
+					continue
+				}
+			default:
 				reads++
 				readBytes += len(e.key) + len(base.val())
 				var gone bool
@@ -792,18 +818,19 @@ func (t *Transaction) Atomic(typ MutationType, key, param []byte) error {
 	e := treapGet(t.writes, key)
 	be := t.deferred[e]
 	switch {
-	case e != nil && be != nil && be.ops != nil:
+	case be != nil:
+		// Pending ops, or a versionstamped value: commit folds this op after
+		// them, over the committed base or the stamped value.
 		be.ops = append(be.ops, op)
 	case e != nil || t.clears.ContainsKey(key):
 		// The key's value is known — buffered, or cleared — so the op folds now.
-		// A versionstamped value keeps its offset.
 		val, cleared := applyMutations(e.val(), []mutation{op}, t.db.opts.Limits.MaxValueSize)
 		switch {
 		case cleared && e != nil:
 			t.clearBuffered(key)
 		case cleared:
 		case e != nil:
-			t.bufSet(&entry{key: e.key, value: val}, be)
+			t.bufSet(&entry{key: e.key, value: val}, nil)
 		default:
 			t.bufSet(&entry{key: cloneBytes(key), value: val}, nil)
 		}
@@ -856,6 +883,8 @@ func (t *Transaction) Commit() error {
 		t0 = t.db.simNow()
 	}
 	ready, err := t.commitLocked()
+	hook, version, bumped := t.onCommit, t.cVersion, t.bumpMeta
+	t.onCommit = nil
 	t.mu.Unlock()
 	if err != nil {
 		if trace != nil {
@@ -869,7 +898,28 @@ func (t *Transaction) Commit() error {
 	if trace != nil {
 		trace.Add(obs.SpanCommit, t0, t.db.simNow(), 0, "")
 	}
+	if hook != nil {
+		hook(version, bumped)
+	}
 	return nil
+}
+
+// OnCommit registers f to run once, after this transaction's Commit succeeds,
+// with the commit version and whether the transaction bumped the metadata
+// version; a read-only transaction commits at its read version. Hooks run in
+// registration order, outside the transaction's lock. None runs after a
+// failed Commit — a conflict, or a commit_unknown_result even when the commit
+// applied — or after Cancel, and Reset drops them. It is how a cache learns a
+// state from the transaction that wrote it: what that transaction read and
+// wrote becomes committed at exactly that version.
+func (t *Transaction) OnCommit(f func(version int64, bumped bool)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if prev := t.onCommit; prev != nil {
+		t.onCommit = func(v int64, bumped bool) { prev(v, bumped); f(v, bumped) }
+	} else {
+		t.onCommit = f
+	}
 }
 
 // commitLocked is Commit's body, returning the latency-clock time the commit
@@ -964,16 +1014,21 @@ func (t *Transaction) applyTo(root *node, commitVersion int64) (*node, []KeyRang
 			continue
 		}
 		e, be := n.e, t.deferred[n.e]
-		switch {
-		case be == nil:
-		case be.ops == nil:
-			val := cloneBytes(e.value)
-			copy(val[be.vsOff:be.vsOff+10], stamp)
-			e = &entry{key: e.key, value: val}
-		default:
-			// No clear covers a key with pending ops, so root holds its base
-			// whichever range clears have been applied so far.
-			val, cleared := applyMutations(treapGet(root, e.key).val(), be.ops, t.db.opts.Limits.MaxValueSize)
+		if be != nil {
+			// The base of the ops is the stamped value; without a stamp, root
+			// holds it whichever range clears have been applied so far, since
+			// no clear covers a key with pending ops.
+			var val []byte
+			if be.vsOff >= 0 {
+				val = cloneBytes(e.value)
+				copy(val[be.vsOff:be.vsOff+10], stamp)
+			} else {
+				val = treapGet(root, e.key).val()
+			}
+			cleared := false
+			if be.ops != nil {
+				val, cleared = applyMutations(val, be.ops, t.db.opts.Limits.MaxValueSize)
+			}
 			e = nil
 			if !cleared {
 				e = &entry{key: n.e.key, value: val}

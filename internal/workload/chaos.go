@@ -155,6 +155,12 @@ type ChaosStats struct {
 	// A's requests that failed with ErrStaleMetaData / that succeeded on the
 	// old schema — the latter must be zero.
 	StaleMetaDataSeen, StaleMetaDataMissed int
+	// TenantsCreated counts A's acknowledged creations of a fresh tenant
+	// mid-storm; CreatedWarmOpens, A's next opens of one that read nothing
+	// (mostly served by what the creating commit cached); CreatedStaleOpens,
+	// next opens whose view differed from an uncached open's in the same
+	// transaction — must be zero.
+	TenantsCreated, CreatedWarmOpens, CreatedStaleOpens int
 }
 
 // Check returns an error describing every chaos invariant the run violated —
@@ -220,6 +226,15 @@ func (s ChaosStats) Check() error {
 		problems = append(problems, fmt.Sprintf(
 			"after the schema upgrade the old-schema server saw ErrStaleMetaData %d times and stale success %d times",
 			s.StaleMetaDataSeen, s.StaleMetaDataMissed))
+	}
+	if s.TenantsCreated == 0 || s.CreatedWarmOpens == 0 {
+		problems = append(problems, fmt.Sprintf(
+			"tenant creation under-exercised: %d created mid-storm, %d warm next opens",
+			s.TenantsCreated, s.CreatedWarmOpens))
+	}
+	if s.CreatedStaleOpens > 0 {
+		problems = append(problems, fmt.Sprintf(
+			"%d opens of a new tenant saw a cached state an uncached open did not", s.CreatedStaleOpens))
 	}
 	if len(problems) == 0 {
 		return nil
@@ -520,8 +535,10 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 // disabled -> (rebuilt) write-only, half of its changes committing between
 // A's cached open and A's commit. The index is scrubbed at the end of every
 // period in which saves had to maintain it, so a save that trusted a stale
-// "disabled" shows up as a missing entry. Finally B upgrades the schema and
-// A, still on the old one, must be refused rather than served from cache.
+// "disabled" shows up as a missing entry. Every twelfth save A also creates a
+// fresh tenant under the storm, and its next open of that tenant must see what
+// an uncached open sees. Finally B upgrades the schema and A, still on the old
+// one, must be refused rather than served from cache.
 func runChaosStateCache(ctx context.Context, cfg ChaosConfig, stats *ChaosStats) error {
 	note, v1, err := chaosSchema(1)
 	if err != nil {
@@ -638,6 +655,65 @@ func runChaosStateCache(ctx context.Context, cfg ChaosConfig, stats *ChaosStats)
 		stats.StateFlips++
 		return true, nil
 	}
+	// create is A creating tenant n mid-storm, every other time marking
+	// by_zone write-only in the creating transaction, which then bumps and
+	// caches nothing. A's next open of the tenant must see what an uncached
+	// open in the same transaction sees, whatever the storm did to the
+	// creation.
+	create := func(rng *rand.Rand, n int) error {
+		tenant := fmt.Sprintf("%s-%d", chaosTenant, n)
+		rec := message.New(note).MustSet("id", int64(n)).
+			MustSet("zone", zones[rng.Intn(len(zones))]).MustSet("body", NoteBody(rng, 32))
+		//rl:idempotent creating the store, marking an index write-only and saving one pre-generated record each converge when re-run
+		_, err := runner.RunIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			s, err := a.Open(ctx, tr, tenant)
+			if err != nil {
+				return nil, err
+			}
+			if n%2 == 1 {
+				if err := s.MarkIndexWriteOnly("by_zone"); err != nil {
+					return nil, err
+				}
+			}
+			_, err = s.SaveRecord(rec)
+			return nil, err
+		})
+		if err == nil {
+			stats.TenantsCreated++
+		}
+		space, err := ks.MustPath("app").MustAdd("tenant", tenant).ToSubspaceStatic()
+		if err != nil {
+			return err
+		}
+		view := func(s *core.Store) string {
+			return fmt.Sprintf("%+v by_zone=%v", s.Header(), s.IndexState("by_zone"))
+		}
+		var warm, stale bool
+		_, err = runner.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			hits := a.StateCacheStats().Hits
+			s, err := a.Open(ctx, tr, tenant)
+			if err != nil {
+				return nil, err
+			}
+			warm = a.StateCacheStats().Hits > hits
+			// A missing store is created in this transaction's buffer by A's
+			// open and so found by this one; a cached claim that it exists is
+			// not.
+			uncached, err := core.Open(tr, v1, space, core.OpenOptions{})
+			if fdb.IsRetryable(err) {
+				return nil, err
+			}
+			stale = err != nil || view(uncached) != view(s.Store)
+			return nil, nil
+		})
+		if err == nil && warm {
+			stats.CreatedWarmOpens++
+		}
+		if err == nil && stale {
+			stats.CreatedStaleOpens++
+		}
+		return nil
+	}
 
 	if err := quiet(func() error {
 		_, err := runner.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
@@ -665,6 +741,11 @@ func runChaosStateCache(ctx context.Context, cfg ChaosConfig, stats *ChaosStats)
 		nested := i%12 == 6
 		if i%12 == 0 {
 			if _, err := step(); err != nil {
+				return err
+			}
+		}
+		if i%12 == 3 {
+			if err := create(rng, i/12); err != nil {
 				return err
 			}
 		}

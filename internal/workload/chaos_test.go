@@ -45,7 +45,8 @@ func TestChaosDeterministicPerSeed(t *testing.T) {
 		t.Errorf("write fates diverged: %+v vs %+v", a, b)
 	}
 	if a.CacheHits != b.CacheHits || a.StateFlips != b.StateFlips || a.NestedFlips != b.NestedFlips ||
-		a.StaleMetaDataSeen != b.StaleMetaDataSeen {
+		a.StaleMetaDataSeen != b.StaleMetaDataSeen || a.TenantsCreated != b.TenantsCreated ||
+		a.CreatedWarmOpens != b.CreatedWarmOpens {
 		t.Errorf("state-cache phase diverged: %+v vs %+v", a, b)
 	}
 }

@@ -57,11 +57,11 @@ func TestPipelinedScanTraceSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Group read spans by their issue window: the cold store open (saveDocs'
-	// one transaction created the store, and creation caches nothing) reads
-	// header and index states in one window of two; the index scan batches
-	// each occupy their own window; the 8 pipelined fetches were all issued
-	// before any was awaited, so they share one.
+	// Group read spans by their issue window: the store open reads nothing
+	// (saveDocs' one transaction created the store, and its commit cached the
+	// header it wrote); the index scan batches each occupy their own window;
+	// the 8 pipelined fetches were all issued before any was awaited, so they
+	// share one.
 	type win struct{ start, end int64 }
 	groups := map[win]int{}
 	for _, s := range trace.Named(obs.SpanRead) {
@@ -71,20 +71,18 @@ func TestPipelinedScanTraceSpans(t *testing.T) {
 		groups[win{s.Start, s.End}]++
 	}
 	var fetchWin win
-	found, opens := 0, 0
+	found := 0
 	for w, n := range groups {
 		switch n {
 		case 8:
 			fetchWin, found = w, found+1
-		case 2:
-			opens++
 		case 1:
 		default:
 			t.Fatalf("unexpected read group of %d spans at %+v", n, w)
 		}
 	}
-	if found != 1 || opens != 1 {
-		t.Fatalf("want exactly one 8-read issue window and one 2-read open window, got %d and %d (groups: %v)", found, opens, groups)
+	if found != 1 {
+		t.Fatalf("want exactly one 8-read issue window, got %d (groups: %v)", found, groups)
 	}
 	// Exactly one await resolves that window: the first fetch blocks until
 	// ready, the other seven find their data already resolved.

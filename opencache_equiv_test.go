@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"recordlayer/internal/core"
 	"recordlayer/internal/directory"
@@ -21,9 +22,9 @@ import (
 
 // The open-cache equivalence test: two servers with warm caches on one
 // database and a server that caches nothing on a second database run the same
-// seeded history. The caches may change what is read, never what is seen or
-// written: every step's result is equal and the two keyspaces end
-// byte-identical.
+// seeded history, with the same commit faults dealt to both. The caches may
+// change what is read, never what is seen or written: every step's result is
+// equal and the two keyspaces are byte-identical after every step.
 
 func equivSchemas() (doc *message.Descriptor, byVersion map[int]*metadata.MetaData) {
 	doc = message.MustDescriptor("Doc",
@@ -87,6 +88,9 @@ type equivStep struct {
 	write     bool  // Run (commits) rather than ReadRun
 	pinBack   int64 // > 0: SetReadVersion to this many versions before the newest
 	body      func(ctx context.Context, tr *fdb.Transaction, p *StoreProvider) (string, error)
+	// race, when set, replaces body: it runs its own transactions, through
+	// two servers' providers at once.
+	race func(db *fdb.Database, a, b *StoreProvider) string
 }
 
 func (st equivStep) run(t *testing.T, db *fdb.Database, r *Runner, p *StoreProvider) string {
@@ -132,7 +136,11 @@ func describeStore(ctx context.Context, s *Store) (string, error) {
 func genEquivStep(rng *rand.Rand, doc *message.Descriptor, upgraded bool) equivStep {
 	containers := []string{"c0", "c1"}
 	tags := []string{"red", "green", "blue"}
-	st := equivStep{version: 1, container: containers[rng.Intn(2)], user: int64(rng.Intn(3))}
+	newDoc := func() *message.Message {
+		return message.New(doc).MustSet("id", int64(rng.Intn(8))).
+			MustSet("tag", tags[rng.Intn(3)]).MustSet("n", int64(rng.Intn(50)))
+	}
+	st := equivStep{version: 1, container: containers[rng.Intn(2)], user: int64(rng.Intn(4))}
 	if upgraded && rng.Intn(5) > 0 {
 		st.version = 2 // one in five requests still comes from a server on the old schema
 	}
@@ -151,7 +159,7 @@ func genEquivStep(rng *rand.Rand, doc *message.Descriptor, upgraded bool) equivS
 		indexes = append(indexes, "by_n")
 	}
 	ixName := indexes[rng.Intn(len(indexes))]
-	switch k := rng.Intn(100); {
+	switch k := rng.Intn(120); {
 	case k < 14:
 		// Twice in one read-only transaction: if the store is missing, the
 		// first open buffers a header that never commits and the second reads
@@ -172,8 +180,7 @@ func genEquivStep(rng *rand.Rand, doc *message.Descriptor, upgraded bool) equivS
 		st.name, st.write = "save", true
 		var recs []*message.Message
 		for i := rng.Intn(3) + 1; i > 0; i-- {
-			recs = append(recs, message.New(doc).MustSet("id", int64(rng.Intn(8))).
-				MustSet("tag", tags[rng.Intn(3)]).MustSet("n", int64(rng.Intn(50))))
+			recs = append(recs, newDoc())
 		}
 		withStore(func(_ context.Context, s *Store) (string, error) {
 			saved, err := s.SaveRecords(recs)
@@ -241,9 +248,115 @@ func genEquivStep(rng *rand.Rand, doc *message.Descriptor, upgraded bool) equivS
 			}
 			return describeStore(ctx, s)
 		}
-	default:
+	case k < 100:
 		st.name, st.pinBack = "read at an older version", int64(rng.Intn(6)+1)
 		withStore(describeStore)
+	case k < 106:
+		// One transaction opens, and may create, several tenants; every open
+		// after the first follows a buffered write.
+		st.name, st.write = "open several", true
+		type target struct {
+			container string
+			user      int64
+			rec       *message.Message
+		}
+		var targets []target
+		for i := rng.Intn(2) + 2; i > 0; i-- {
+			targets = append(targets, target{containers[rng.Intn(2)], int64(rng.Intn(4)), newDoc()})
+		}
+		st.body = func(ctx context.Context, tr *fdb.Transaction, p *StoreProvider) (string, error) {
+			var out []string
+			for _, x := range targets {
+				s, err := p.Open(ctx, tr, x.container, x.user)
+				if err != nil {
+					return "", err
+				}
+				d, err := describeStore(ctx, s)
+				if err != nil {
+					return "", err
+				}
+				out = append(out, d)
+				if _, err := s.SaveRecord(x.rec); err != nil {
+					return "", err
+				}
+			}
+			return strings.Join(out, " | "), nil
+		}
+	case k < 114:
+		// Open (creating the store if it is missing) and change its state in
+		// the same transaction, then open it again there.
+		change := rng.Intn(4)
+		st.name, st.write = fmt.Sprintf("open and change %d", change), true
+		c, u, v := st.container, st.user, rng.Intn(9)
+		st.body = func(ctx context.Context, tr *fdb.Transaction, p *StoreProvider) (string, error) {
+			s, err := p.Open(ctx, tr, c, u)
+			if err != nil {
+				return "", err
+			}
+			switch change {
+			case 0:
+				err = s.SetUserVersion(v)
+			case 1:
+				err = s.MarkIndexWriteOnly(ixName)
+			case 2:
+				err = s.MarkIndexDisabled(ixName)
+			default:
+				err = p.Delete(ctx, tr, c, u)
+			}
+			if err != nil {
+				return "", err
+			}
+			if s, err = p.Open(ctx, tr, c, u); err != nil {
+				return "", err
+			}
+			return describeStore(ctx, s)
+		}
+	default:
+		// Two servers create one new tenant at once: the second to commit
+		// conflicts. Then each saves to it again, the winner through what its
+		// creating commit cached.
+		st.name, st.write = "two servers create one tenant", true
+		c, u := st.container, 100+rng.Int63n(1<<20)
+		recs := []*message.Message{newDoc(), newDoc(), newDoc(), newDoc()}
+		st.race = func(db *fdb.Database, a, b *StoreProvider) string {
+			ctx := context.Background()
+			var out []string
+			note := func(s string, err error) {
+				if err != nil {
+					s = "error: " + err.Error()
+				}
+				out = append(out, s)
+			}
+			// save opens the tenant through p in tr, describes it and saves rec.
+			save := func(p *StoreProvider, tr *fdb.Transaction, rec *message.Message) {
+				s, err := p.Open(ctx, tr, c, u)
+				d := ""
+				if err == nil {
+					d, err = describeStore(ctx, s)
+				}
+				if err == nil {
+					_, err = s.SaveRecord(rec)
+				}
+				if err != nil {
+					tr.Cancel()
+				}
+				note(d, err)
+			}
+			servers := []*StoreProvider{a, b}
+			trs := []*fdb.Transaction{db.CreateTransaction(), db.CreateTransaction()}
+			for i, p := range servers {
+				save(p, trs[i], recs[i])
+			}
+			for _, tr := range trs {
+				note("committed", tr.Commit())
+			}
+			for i, p := range servers {
+				tr := db.CreateTransaction()
+				save(p, tr, recs[2+i])
+				note("committed", tr.Commit())
+			}
+			return strings.Join(out, "; ")
+		}
 	}
 	return st
 }
@@ -263,12 +376,25 @@ func dumpKeyspace(t *testing.T, db *fdb.Database) []fdb.KeyValue {
 func TestOpenCachesChangeNothingObservable(t *testing.T) {
 	const steps = 250
 	var hits, invalidations, dirHits int64
+	var faults fdb.FaultCounts
 	for seed := int64(1); seed <= 40; seed++ {
 		doc, mds := equivSchemas()
 		rng := rand.New(rand.NewSource(seed))
-		cachedDB, plainDB := fdb.Open(nil), fdb.Open(nil)
+		// Each database deals commit faults from one seeded stream: injected
+		// conflicts, which the runner retries, and commit_unknown_result,
+		// applied or not. The caches change no commit, so both streams deal
+		// the same fault to the same commit.
+		var injectors []*fdb.FaultInjector
+		faulty := func() *fdb.Database {
+			inj := fdb.NewFaultInjector(fdb.FaultConfig{Seed: seed, PCommitNotCommitted: 0.05, PCommitUnknown: 0.1})
+			inj.Disable() // until the setup below is done
+			injectors = append(injectors, inj)
+			return fdb.Open(&fdb.Options{Faults: inj})
+		}
+		cachedDB, plainDB := faulty(), faulty()
 		servers := []*equivServer{newEquivServer(t, mds, false), newEquivServer(t, mds, false)}
-		cachedRunner, plainRunner := NewRunner(cachedDB, RunnerOptions{}), NewRunner(plainDB, RunnerOptions{})
+		noBackoff := RunnerOptions{Sleep: func(ctx context.Context, _ time.Duration) error { return ctx.Err() }}
+		cachedRunner, plainRunner := NewRunner(cachedDB, noBackoff), NewRunner(plainDB, noBackoff)
 
 		// Container names are interned up front by one fresh directory layer
 		// per database, so both allocate the same ids: which id a name gets
@@ -288,6 +414,9 @@ func TestOpenCachesChangeNothingObservable(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		for _, inj := range injectors {
+			inj.Enable()
+		}
 
 		upgraded := false
 		for i := 0; i < steps; i++ {
@@ -296,10 +425,17 @@ func TestOpenCachesChangeNothingObservable(t *testing.T) {
 			}
 			st := genEquivStep(rng, doc, upgraded)
 			srv := servers[rng.Intn(len(servers))]
-			got := st.run(t, cachedDB, cachedRunner, srv.providers[st.version])
 			// The twin is a brand-new server every step: no state cache, and
 			// a directory cache that has seen nothing.
-			want := st.run(t, plainDB, plainRunner, newEquivServer(t, mds, true).providers[st.version])
+			plain := func() *StoreProvider { return newEquivServer(t, mds, true).providers[st.version] }
+			var got, want string
+			if st.race != nil {
+				got = st.race(cachedDB, servers[0].providers[st.version], servers[1].providers[st.version])
+				want = st.race(plainDB, plain(), plain())
+			} else {
+				got = st.run(t, cachedDB, cachedRunner, srv.providers[st.version])
+				want = st.run(t, plainDB, plainRunner, plain())
+			}
 			if got != want {
 				t.Fatalf("seed %d step %d (%s, schema v%d, %s/%d):\n cached:   %s\n uncached: %s",
 					seed, i, st.name, st.version, st.container, st.user, got, want)
@@ -307,18 +443,21 @@ func TestOpenCachesChangeNothingObservable(t *testing.T) {
 			if cv, pv := cachedDB.ReadVersion(), plainDB.ReadVersion(); cv != pv {
 				t.Fatalf("seed %d step %d (%s): commit histories diverged: version %d vs %d", seed, i, st.name, cv, pv)
 			}
-		}
-
-		a, b := dumpKeyspace(t, cachedDB), dumpKeyspace(t, plainDB)
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: %d keys with caches, %d without", seed, len(a), len(b))
-		}
-		for i := range a {
-			if !bytes.Equal(a[i].Key, b[i].Key) || !bytes.Equal(a[i].Value, b[i].Value) {
-				t.Fatalf("seed %d: keyspaces differ at pair %d:\n cached:   %x = %x\n uncached: %x = %x",
-					seed, i, a[i].Key, a[i].Value, b[i].Key, b[i].Value)
+			// After every step, not only at the end: a later write can hide
+			// an earlier difference, such as a header a cache wrongly said
+			// was there.
+			a, b := dumpKeyspace(t, cachedDB), dumpKeyspace(t, plainDB)
+			if len(a) != len(b) {
+				t.Fatalf("seed %d step %d (%s): %d keys with caches, %d without", seed, i, st.name, len(a), len(b))
+			}
+			for j := range a {
+				if !bytes.Equal(a[j].Key, b[j].Key) || !bytes.Equal(a[j].Value, b[j].Value) {
+					t.Fatalf("seed %d step %d (%s): keyspaces differ at pair %d:\n cached:   %x = %x\n uncached: %x = %x",
+						seed, i, st.name, j, a[j].Key, a[j].Value, b[j].Key, b[j].Value)
+				}
 			}
 		}
+
 		for _, srv := range servers {
 			for _, p := range srv.providers {
 				s := p.states.Stats()
@@ -328,10 +467,21 @@ func TestOpenCachesChangeNothingObservable(t *testing.T) {
 			h, _ := srv.providers[1].ks.DirectoryCacheStats()
 			dirHits += h
 		}
+		if a, b := injectors[0].Counts(), injectors[1].Counts(); a != b {
+			t.Fatalf("seed %d: fault schedules diverged: %+v vs %+v", seed, a, b)
+		}
+		c := injectors[0].Counts()
+		faults.CommitsNotCommitted += c.CommitsNotCommitted
+		faults.CommitsUnknown += c.CommitsUnknown
+		faults.UnknownApplied += c.UnknownApplied
 	}
-	// A green comparison proves nothing unless the caches were in play.
+	// A green comparison proves nothing unless the caches and faults were in
+	// play.
 	if hits == 0 || invalidations == 0 || dirHits == 0 {
 		t.Fatalf("caches under-exercised: %d state hits, %d invalidations, %d directory hits", hits, invalidations, dirHits)
 	}
-	t.Logf("%d state-cache hits, %d invalidations, %d directory-cache hits", hits, invalidations, dirHits)
+	if faults.CommitsNotCommitted == 0 || faults.UnknownApplied == 0 || faults.UnknownApplied == faults.CommitsUnknown {
+		t.Fatalf("faults under-exercised: %+v", faults)
+	}
+	t.Logf("%d state-cache hits, %d invalidations, %d directory-cache hits; faults %+v", hits, invalidations, dirHits, faults)
 }

@@ -253,6 +253,14 @@ func TestOpenCostsExactWindows(t *testing.T) {
 			expect(what+": second open after the bump", timed(false, open(srv.p, user, nil)), openGRV)
 		}
 	}
+
+	// The creating transaction's commit caches the header it wrote, so a new
+	// tenant's first open is warm — unless that transaction also changed an
+	// index state, and so bumped and cached nothing.
+	timed(true, open(a, 3, update))
+	expect("first open after the creating commit", timed(false, open(a, 3, nil)), openGRV)
+	timed(true, open(a, 4, func(s *Store) error { return s.MarkIndexWriteOnly("by_tag") }))
+	expect("first open after a creating commit that bumped", timed(false, open(a, 4, nil)), openGRV+openRead)
 }
 
 // limitSchema is testSchema plus an unindexed field for residual filters.
