@@ -25,7 +25,6 @@ import (
 	"recordlayer/internal/plan"
 	"recordlayer/internal/query"
 	"recordlayer/internal/tuple"
-	"recordlayer/internal/workload"
 )
 
 // ---------------------------------------------------------------- figures & tables
@@ -116,18 +115,6 @@ func BenchmarkFigure5RankLookup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkOperationMix runs the façade-driven CloudKit-style operation mix.
-func BenchmarkOperationMix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		stats, err := workload.RunMix(context.Background(), workload.MixConfig{Txns: 40, Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(stats.RecordsWritten), "records")
-		b.ReportMetric(float64(stats.RowsRead), "rows-read")
 	}
 }
 

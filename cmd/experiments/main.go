@@ -10,7 +10,6 @@
 //	go run ./cmd/experiments -run e2      # §2 transaction sizes
 //	go run ./cmd/experiments -run f5      # Figure 5 rank walkthrough
 //	go run ./cmd/experiments -run a1..a4  # ablations
-//	go run ./cmd/experiments -run mix     # façade-driven operation mix (§8.2)
 //	go run ./cmd/experiments -run nn      # noisy-neighbor tenant governance
 //	go run ./cmd/experiments -run chaos   # fault-injection robustness harness
 package main
@@ -28,7 +27,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "experiment id: f1,t1,t2,e1,e2,f5,a1,a2,a3,a4,mix,nn,chaos,all")
+	run := flag.String("run", "all", "experiment id: f1,t1,t2,e1,e2,f5,a1,a2,a3,a4,nn,chaos,all")
 	stores := flag.Int("stores", 200_000, "synthetic record stores for Figure 1")
 	docs := flag.Int("docs", 233, "documents for Table 2 (paper used 233)")
 	txns := flag.Int("txns", 300, "transactions for the size distribution")
@@ -37,7 +36,7 @@ func main() {
 
 	ids := []string{*run}
 	if *run == "all" {
-		ids = []string{"f1", "t1", "t2", "e1", "e2", "f5", "a1", "a2", "a3", "a4", "mix", "nn", "chaos"}
+		ids = []string{"f1", "t1", "t2", "e1", "e2", "f5", "a1", "a2", "a3", "a4", "nn", "chaos"}
 	}
 	for i, id := range ids {
 		if i > 0 {
@@ -88,21 +87,6 @@ func runOne(id string, stores, docs, txns int, short bool) error {
 	case "a4":
 		_, err := exp.RunSyncAblation(w, 8, 25)
 		return err
-	case "mix":
-		fmt.Fprintln(w, "Operation mix through the public recordlayer façade (§8.2):")
-		fmt.Fprintln(w, "  per-tenant stores via StoreProvider, writes via Runner.Run,")
-		fmt.Fprintln(w, "  zone queries via ExecuteQuery under per-request limits")
-		fmt.Fprintln(w)
-		stats, err := workload.RunMix(context.Background(), workload.MixConfig{Txns: txns, Seed: 42})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "  %d txns wrote %d records (%d body bytes) across tenants\n",
-			stats.Txns, stats.RecordsWritten, stats.BytesWritten)
-		fmt.Fprintf(w, "  %d sync queries read %d rows (snapshot, row/scan limited)\n",
-			stats.Queries, stats.RowsRead)
-		fmt.Fprintf(w, "  runner retries: %d; plan cache: %d hits / %d misses\n",
-			stats.Retries, stats.PlanCacheHits, stats.PlanCacheMiss)
 	case "nn":
 		return runNoisyNeighbor(w, short)
 	case "chaos":

@@ -583,6 +583,21 @@
 // and failures down by cause (conflict, too_old, future_version, timeout,
 // quota, maybe_committed), and the metrics registry exports the same labels.
 //
+// One loop, fdb.Database.Retry, serves both entry points and owns all of
+// this: the attempt limit, the retryable/maybe-committed split, the
+// idempotency promise, sticky ambiguity, the backoff, the context checks and
+// one fdb Metrics.Retries per retry. So the background loops that call
+// Database.Transact/TransactIdempotent/ReadTransact (indexer, scrubber,
+// leases, limits and metering stores) get the same *RetryLimitError and
+// *MaybeCommittedError as Runner callers. Only the two policies differ, and
+// both are constants in internal/fdb: Transact retries 100 times (101
+// attempts) with a backoff doubling from 1 ms to 64 ms, unjittered, through
+// fdb.Options.Sleep; the Runner makes RunnerOptions.MaxAttempts (10) attempts
+// with a backoff doubling from 2 ms to 250 ms, half-jittered by
+// RunnerOptions.Rand, through RunnerOptions.Sleep. The Runner adds only what
+// is the façade's: admission, the meter and trace bound to each attempt, the
+// attempt and backoff spans, and RunnerMetrics by cause.
+//
 // The recovery paths are built to survive exactly these faults: the
 // OnlineIndexer's batches are progress-keyed so a maybe-committed batch
 // re-runs into convergence, and a QuotaLeaseManager whose heartbeat ends

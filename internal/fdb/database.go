@@ -105,14 +105,6 @@ const (
 	// that SetReadVersion (read-version caching, §4) can read slightly stale
 	// snapshots.
 	snapshotHistory = 64
-	// retryLimit caps how many times Transact/ReadTransact re-run their
-	// closure after a retryable error (so retryLimit+1 attempts), as the real
-	// bindings' transaction_retry_limit option does.
-	retryLimit = 100
-	// retryBackoff is the delay before the first retry; it doubles per retry
-	// up to maxRetryBackoff (the bindings' max_retry_delay).
-	retryBackoff    = time.Millisecond
-	maxRetryBackoff = 64 * time.Millisecond
 )
 
 type commitRecord struct {
@@ -327,9 +319,10 @@ func (d *Database) applyLocked(t *Transaction) int64 {
 
 // Transact runs f in a retry loop: the transaction is committed after f
 // returns nil, and retried (with a fresh read version) on retryable errors,
-// mirroring the bindings' standard idiom. Retries are bounded by
-// retryLimit and spaced by exponential backoff so a persistently
-// conflicting workload degrades into errors instead of spinning forever.
+// mirroring the bindings' standard idiom. The database's policy bounds the
+// loop at 101 attempts with a backoff doubling from 1 ms to 64 ms (see
+// Retry), so a persistently conflicting workload degrades into a
+// *RetryLimitError instead of spinning forever.
 func (d *Database) Transact(f func(*Transaction) (interface{}, error)) (interface{}, error) {
 	return d.transact(f, true, false)
 }
@@ -350,33 +343,25 @@ func (d *Database) ReadTransact(f func(*Transaction) (interface{}, error)) (inte
 	return d.transact(f, false, false)
 }
 
-func (d *Database) transact(f func(*Transaction) (interface{}, error), commit, retryUnknown bool) (interface{}, error) {
-	backoff := retryBackoff
-	for retries := 0; ; retries++ {
+// transact runs f, and commits it when commit is set, under Retry with the
+// database's policy.
+func (d *Database) transact(f func(*Transaction) (interface{}, error), commit, idempotent bool) (interface{}, error) {
+	p := RetryPolicy{
+		MaxAttempts: transactAttempts,
+		Backoff:     transactBackoff,
+		MaxBackoff:  transactMaxBackoff,
+		Sleep:       d.sleep,
+		Idempotent:  idempotent,
+	}
+	//rl:idempotent the promise is TransactIdempotent's caller's, whose call site carries its own directive
+	return d.Retry(nil, p, func(int) (interface{}, error) {
 		tr := d.CreateTransaction()
 		v, err := f(tr)
-		if err == nil {
-			if !commit {
-				return v, nil
-			}
+		if err == nil && commit {
 			err = tr.Commit()
-			if err == nil {
-				return v, nil
-			}
 		}
-		if !IsRetryable(err) && !(retryUnknown && IsMaybeCommitted(err)) {
-			return nil, err
-		}
-		if retries >= retryLimit {
-			return nil, err
-		}
-		d.metrics.Retries.Add(1)
-		d.opts.Sleep(backoff)
-		backoff *= 2
-		if backoff > maxRetryBackoff {
-			backoff = maxRetryBackoff
-		}
-	}
+		return v, err
+	})
 }
 
 // Size returns the number of live keys (for tests and experiments).

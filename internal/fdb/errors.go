@@ -61,12 +61,3 @@ func IsConflict(err error) bool {
 	var fe *Error
 	return errors.As(err, &fe) && fe.Code == CodeNotCommitted
 }
-
-// IsMaybeCommitted reports whether err is (or wraps) commit_unknown_result:
-// the commit's fate is genuinely unknown — it may or may not be durable.
-// Unlike a clean failure, the only safe generic reaction is to surface the
-// ambiguity; retrying is sound only for idempotent work.
-func IsMaybeCommitted(err error) bool {
-	var fe *Error
-	return errors.As(err, &fe) && fe.Code == CodeCommitUnknownResult
-}

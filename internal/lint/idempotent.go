@@ -6,9 +6,10 @@ import (
 	"strings"
 )
 
-// Idempotent enforces the maybe-committed contract: RunIdempotent and
-// TransactIdempotent retry commit_unknown_result, which double-applies any
-// non-idempotent closure when the unknown commit actually landed. The promise
+// Idempotent enforces the maybe-committed contract: RunIdempotent,
+// TransactIdempotent and Retry (under RetryPolicy.Idempotent) retry
+// commit_unknown_result, which double-applies any non-idempotent closure when
+// the unknown commit actually landed. The promise
 // cannot be checked mechanically, so every call site must carry a reasoned
 //
 //	//rl:idempotent <why re-running a committed attempt is safe>
@@ -27,7 +28,7 @@ const idempotentPrefix = "//rl:idempotent"
 // maybe-committed commits under the caller's idempotency promise.
 var idempotentRunners = map[[2]string]map[string]bool{
 	{"recordlayer", "Runner"}:                {"RunIdempotent": true},
-	{"recordlayer/internal/fdb", "Database"}: {"TransactIdempotent": true},
+	{"recordlayer/internal/fdb", "Database"}: {"TransactIdempotent": true, "Retry": true},
 }
 
 func runIdempotent(p *Pass) error {

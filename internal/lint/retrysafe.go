@@ -7,7 +7,7 @@ import (
 )
 
 // RetrySafe checks the classic FDB retry-loop hazard: a closure passed to
-// Runner.Run/ReadRun or Database.Transact/ReadTransact re-executes after a
+// Runner.Run/ReadRun or Database.Transact/ReadTransact/Retry re-executes after a
 // conflict, so accumulating into state captured from outside the closure —
 // append-to-self on a captured slice, ++/op= on a captured counter, writes
 // into a captured map — double-counts on retry. A closure that resets the
@@ -23,7 +23,7 @@ var RetrySafe = &Analyzer{
 // argument is a retried transactional closure.
 var retryRunners = map[[2]string]map[string]bool{
 	{"recordlayer", "Runner"}:                {"Run": true, "ReadRun": true},
-	{"recordlayer/internal/fdb", "Database"}: {"Transact": true, "ReadTransact": true},
+	{"recordlayer/internal/fdb", "Database"}: {"Transact": true, "ReadTransact": true, "Retry": true},
 }
 
 func runRetrySafe(p *Pass) error {

@@ -23,6 +23,14 @@ func unjustifiedTransact(db *fdb.Database) {
 	})
 }
 
+// unjustifiedRetry: the loop itself may retry maybe-committed commits, so a
+// direct Database.Retry call needs the same justification.
+func unjustifiedRetry(ctx context.Context, db *fdb.Database, p fdb.RetryPolicy) {
+	db.Retry(ctx, p, func(int) (interface{}, error) { // want "justify it with //rl:idempotent"
+		return nil, nil
+	})
+}
+
 // bareDirective: a directive with no reason is not a justification.
 func bareDirective(ctx context.Context, r *recordlayer.Runner) {
 	//rl:idempotent

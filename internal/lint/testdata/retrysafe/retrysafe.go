@@ -40,6 +40,16 @@ func transactAppend(db *fdb.Database) {
 	_ = keys
 }
 
+// retryAppend: the same hazard through the loop itself, Database.Retry.
+func retryAppend(ctx context.Context, db *fdb.Database, p fdb.RetryPolicy) {
+	var seen []int
+	db.Retry(ctx, p, func(n int) (interface{}, error) {
+		seen = append(seen, n) // want "appends to captured seen"
+		return nil, nil
+	})
+	_ = seen
+}
+
 // resetInside: resetting the captured state at the top of the closure makes
 // the retry idempotent — no findings.
 func resetInside(ctx context.Context, r *recordlayer.Runner) {

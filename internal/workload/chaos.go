@@ -87,6 +87,9 @@ const chaosTenant = "chaos"
 // id space (which starts at 0).
 const counterID = int64(-1)
 
+// zones are the values a note's zone field takes.
+var zones = []string{"personal", "work", "shared"}
+
 // ChaosStats is the whole chaos run's outcome; Check is the CI smoke gate.
 type ChaosStats struct {
 	Config ChaosConfig

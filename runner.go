@@ -24,12 +24,10 @@ type TransactFunc func(ctx context.Context, tr *fdb.Transaction) (interface{}, e
 type RunnerOptions struct {
 	// MaxAttempts caps total attempts (first try plus retries); default 10.
 	MaxAttempts int
-	// InitialBackoff is the delay before the first retry; default 2ms.
-	InitialBackoff time.Duration
-	// MaxBackoff caps the exponentially growing delay; default 250ms.
-	MaxBackoff time.Duration
 	// Rand supplies jitter in [0,1); default math/rand. The delay before
-	// retry n is backoff/2 + Rand()*backoff/2 (decorrelated half-jitter).
+	// retry n is backoff/2 + Rand()*backoff/2 (decorrelated half-jitter),
+	// where the backoff doubles from fdb.RunnerBackoff (2 ms) up to
+	// fdb.RunnerMaxBackoff (250 ms).
 	Rand func() float64
 	// Sleep waits between attempts and must honor ctx cancellation; tests
 	// inject an instant version. The default uses a timer.
@@ -65,12 +63,6 @@ type RunnerOptions struct {
 func (o RunnerOptions) withDefaults() RunnerOptions {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 10
-	}
-	if o.InitialBackoff <= 0 {
-		o.InitialBackoff = 2 * time.Millisecond
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 250 * time.Millisecond
 	}
 	if o.Rand == nil {
 		o.Rand = rand.Float64
@@ -164,48 +156,19 @@ func errCause(err error) string {
 }
 
 // RetryLimitError wraps the last retryable error once the attempt budget is
-// exhausted. Unwrap exposes the underlying *fdb.Error for errors.Is/As.
-type RetryLimitError struct {
-	Attempts int
-	Last     error
-}
-
-func (e *RetryLimitError) Error() string {
-	return fmt.Sprintf("recordlayer: transaction failed after %d attempts: %v", e.Attempts, e.Last)
-}
-
-// Unwrap returns the final attempt's error.
-func (e *RetryLimitError) Unwrap() error { return e.Last }
+// exhausted; see fdb.RetryLimitError.
+type RetryLimitError = fdb.RetryLimitError
 
 // MaybeCommittedError reports that an execution ended with
-// commit_unknown_result ambiguity: some attempt's commit may or may not have
-// applied, and the runner could not resolve the doubt — the closure made no
-// idempotency promise, or the attempt budget (or the context) ran out while
-// the ambiguity persisted. Ambiguity is sticky across attempts: once any
-// attempt ends maybe-committed, no later clean failure can restore the
-// "nothing was applied" guarantee, so the execution reports ambiguous no
-// matter how it terminates. The caller must treat the write as in-doubt —
-// verify by reading, or re-run only work that is safe to apply twice. Unwrap
-// exposes the terminal error.
-type MaybeCommittedError struct {
-	Attempts int
-	Last     error
-}
-
-func (e *MaybeCommittedError) Error() string {
-	return fmt.Sprintf("recordlayer: commit result unknown after %d attempts (transaction may or may not have applied): %v", e.Attempts, e.Last)
-}
-
-// Unwrap returns the final attempt's error.
-func (e *MaybeCommittedError) Unwrap() error { return e.Last }
+// commit_unknown_result ambiguity; see fdb.MaybeCommittedError. Ambiguity is
+// sticky across attempts: once any attempt ends maybe-committed, no later
+// clean failure can restore the "nothing was applied" guarantee.
+type MaybeCommittedError = fdb.MaybeCommittedError
 
 // IsMaybeCommitted reports whether err carries commit-unknown-result
-// ambiguity — either the runner's typed MaybeCommittedError or a raw
-// fdb commit_unknown_result.
-func IsMaybeCommitted(err error) bool {
-	var me *MaybeCommittedError
-	return errors.As(err, &me) || fdb.IsMaybeCommitted(err)
-}
+// ambiguity — either the typed MaybeCommittedError or a raw fdb
+// commit_unknown_result.
+func IsMaybeCommitted(err error) bool { return fdb.IsMaybeCommitted(err) }
 
 // Runner executes transactional closures against a database with the
 // standard Record Layer retry loop (§5): bounded attempts, exponential
@@ -337,21 +300,20 @@ func (r *Runner) run(ctx context.Context, fn TransactFunc, commit, idempotent bo
 			defer release()
 		}
 	}
-	backoff := r.opts.InitialBackoff
-	retries := int64(0)
-	var retryCauses map[string]int64
-	// ambiguous latches once any attempt ends maybe-committed: a later clean
-	// failure cannot un-apply that attempt's possible commit, so every
-	// terminal error after it must carry the ambiguity.
-	ambiguous := false
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			r.record(0, retries, 1, retryCauses, CauseCanceled)
-			if ambiguous {
-				return nil, &MaybeCommittedError{Attempts: attempt - 1, Last: err}
-			}
-			return nil, err
-		}
+	// The attempt is a closure, not a method of retryLog: ctx and fn stay
+	// out of a struct reached through a pointer, so a caller's closure does
+	// not escape to the heap.
+	x := retryLog{r: r, trace: trace}
+	p := fdb.RetryPolicy{
+		MaxAttempts: r.opts.MaxAttempts,
+		Backoff:     fdb.RunnerBackoff,
+		MaxBackoff:  fdb.RunnerMaxBackoff,
+		Rand:        r.opts.Rand,
+		Sleep:       x.sleep,
+		Idempotent:  idempotent,
+	}
+	//rl:idempotent the promise is the caller's: RunIdempotent call sites carry their own directive, RetryMaybeCommitted is the runner owner's, and ReadRun never commits
+	v, err := r.db.Retry(ctx, p, func(n int) (interface{}, error) {
 		tr := r.db.CreateTransaction()
 		if meter != nil {
 			tr.BindMeter(meter)
@@ -365,70 +327,60 @@ func (r *Runner) run(ctx context.Context, fn TransactFunc, commit, idempotent bo
 		if err == nil && commit {
 			err = tr.Commit()
 		}
-		cause := errCause(err)
 		if trace != nil {
-			attr := fmt.Sprintf("attempt=%d", attempt)
+			attr := fmt.Sprintf("attempt=%d", n)
 			if err != nil {
-				attr += " cause=" + cause + " err=" + err.Error()
+				attr += " cause=" + errCause(err) + " err=" + err.Error()
 			}
 			trace.Add(obs.SpanAttempt, a0, r.opts.Now().UnixNano(), 0, attr)
 		}
-		if err == nil {
-			r.record(1, retries, 0, retryCauses, "")
-			meter.RecordTxn(r.opts.Now().Sub(start))
-			return v, nil
-		}
-		if fdb.IsConflict(err) {
+		if err != nil && fdb.IsConflict(err) {
 			meter.RecordConflict()
 		}
-		// A maybe-committed attempt is ambiguous, not failed: the commit may
-		// be durable. Only an idempotency promise (RunIdempotent, read-only
-		// work, or RetryMaybeCommitted) makes re-running safe; otherwise the
-		// ambiguity goes to the caller as a typed error.
-		maybe := fdb.IsMaybeCommitted(err)
-		if maybe {
-			ambiguous = true
-		}
-		if !fdb.IsRetryable(err) && !(idempotent && maybe) {
-			r.record(0, retries, 1, retryCauses, cause)
-			if ambiguous {
-				return nil, &MaybeCommittedError{Attempts: attempt, Last: err}
-			}
-			return nil, err
-		}
-		if attempt >= r.opts.MaxAttempts {
-			r.record(0, retries, 1, retryCauses, cause)
-			if ambiguous {
-				return nil, &MaybeCommittedError{Attempts: attempt, Last: err}
-			}
-			return nil, &RetryLimitError{Attempts: attempt, Last: err}
-		}
-		retries++
-		if retryCauses == nil {
-			retryCauses = make(map[string]int64, 4)
-		}
-		retryCauses[cause]++
-		delay := backoff/2 + time.Duration(r.opts.Rand()*float64(backoff/2))
-		var b0 int64
-		if trace != nil {
-			b0 = r.opts.Now().UnixNano()
-		}
-		if serr := r.opts.Sleep(ctx, delay); serr != nil {
-			r.record(0, retries, 1, retryCauses, CauseCanceled)
-			if ambiguous {
-				return nil, &MaybeCommittedError{Attempts: attempt, Last: serr}
-			}
-			return nil, serr
-		}
-		if trace != nil {
-			trace.Add(obs.SpanBackoff, b0, r.opts.Now().UnixNano(), 0,
-				fmt.Sprintf("attempt=%d delay=%s cause=%v", attempt, delay, err))
-		}
-		backoff *= 2
-		if backoff > r.opts.MaxBackoff {
-			backoff = r.opts.MaxBackoff
-		}
+		x.last, x.lastN = err, n
+		return v, err
+	})
+	if err != nil {
+		r.record(0, x.retries, 1, x.retryCauses, errCause(err))
+		return nil, err
 	}
+	r.record(1, x.retries, 0, x.retryCauses, "")
+	meter.RecordTxn(r.opts.Now().Sub(start))
+	return v, nil
+}
+
+// retryLog is one execution's record of its retries: the latest attempt's
+// error, and how many retries there were and what for.
+type retryLog struct {
+	r     *Runner
+	trace *obs.Trace
+
+	last        error
+	lastN       int
+	retries     int64
+	retryCauses map[string]int64
+}
+
+// sleep counts the retry the loop is backing off for by its cause and waits
+// under a backoff span.
+func (x *retryLog) sleep(ctx context.Context, delay time.Duration) error {
+	x.retries++
+	if x.retryCauses == nil {
+		x.retryCauses = make(map[string]int64, 4)
+	}
+	x.retryCauses[errCause(x.last)]++
+	var b0 int64
+	if x.trace != nil {
+		b0 = x.r.opts.Now().UnixNano()
+	}
+	if err := x.r.opts.Sleep(ctx, delay); err != nil {
+		return err
+	}
+	if x.trace != nil {
+		x.trace.Add(obs.SpanBackoff, b0, x.r.opts.Now().UnixNano(), 0,
+			fmt.Sprintf("attempt=%d delay=%s cause=%v", x.lastN, delay, x.last))
+	}
+	return nil
 }
 
 // IsRetryable reports whether err is an error the runner would retry (a

@@ -3,6 +3,7 @@ package recordlayer
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +53,38 @@ func TestRunnerRetriesConflict(t *testing.T) {
 	m := r.Metrics()
 	if m.Retries != 1 || m.Runs != 1 || m.Failures != 0 {
 		t.Fatalf("metrics = %+v, want 1 retry / 1 run / 0 failures", m)
+	}
+}
+
+// TestRunnerRetryCountsInDatabaseMetrics: the Runner retries through the
+// database's loop, so fdb_retries_total counts its resets too, and
+// RunnerMetrics.Retries stays the per-runner view of the same retries.
+func TestRunnerRetryCountsInDatabaseMetrics(t *testing.T) {
+	db := fdb.Open(nil)
+	r := NewRunner(db, RunnerOptions{MaxAttempts: 4, Sleep: instantSleep})
+	attempts := 0
+	if _, err := r.Run(context.Background(), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		if attempts++; attempts < 3 {
+			return nil, conflictErr()
+		}
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Metrics().Retries.Load(); got != 2 {
+		t.Fatalf("fdb Retries = %d, want 2", got)
+	}
+	if m := r.Metrics(); m.Retries != 2 || m.RetriesByCause[CauseConflict] != 2 {
+		t.Fatalf("runner metrics = %+v, want 2 conflict retries", m)
+	}
+	reg := NewMetricsRegistry()
+	RegisterDatabaseMetrics(reg, db)
+	var out strings.Builder
+	if err := reg.WriteProm(&out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "fdb_retries_total 2\n") {
+		t.Fatalf("fdb_retries_total is not 2 in:\n%s", out.String())
 	}
 }
 
@@ -126,15 +159,15 @@ func TestRunnerRetryLimit(t *testing.T) {
 	}
 }
 
-// TestRunnerBackoffProgression checks exponential growth and the cap.
+// TestRunnerBackoffProgression checks the default schedule: exponential
+// growth from fdb.RunnerBackoff to the fdb.RunnerMaxBackoff cap over the
+// default 10 attempts. Rand is pinned to the top of the jitter range, so each
+// delay is the full backoff.
 func TestRunnerBackoffProgression(t *testing.T) {
 	db := fdb.Open(nil)
 	var delays []time.Duration
 	r := NewRunner(db, RunnerOptions{
-		MaxAttempts:    6,
-		InitialBackoff: 2 * time.Millisecond,
-		MaxBackoff:     8 * time.Millisecond,
-		Rand:           func() float64 { return 0 }, // no jitter: delay = backoff/2
+		Rand: func() float64 { return 1 },
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			delays = append(delays, d)
 			return nil
@@ -144,10 +177,10 @@ func TestRunnerBackoffProgression(t *testing.T) {
 		return nil, conflictErr()
 	})
 	var rle *RetryLimitError
-	if !errors.As(err, &rle) {
-		t.Fatalf("err = %v", err)
+	if !errors.As(err, &rle) || rle.Attempts != 10 {
+		t.Fatalf("err = %v, want RetryLimitError after 10 attempts", err)
 	}
-	want := []time.Duration{1, 2, 4, 4, 4} // ms: backoff 2,4,8 then capped at 8
+	want := []time.Duration{2, 4, 8, 16, 32, 64, 128, 250, 250} // ms
 	if len(delays) != len(want) {
 		t.Fatalf("delays = %v", delays)
 	}
