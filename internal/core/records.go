@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -281,11 +282,38 @@ func (s *Store) awaitIndexPendings(pendings []indexPending) error {
 
 // recordRange is the key range holding one record's pairs.
 func (s *Store) recordRange(pk tuple.Tuple) ([]byte, []byte) {
-	return s.space.RangeForTuple(tuple.Tuple{recordsSub}.Append(pk...))
+	return s.records.RangeForTuple(pk)
 }
 
 func (s *Store) recordKey(pk tuple.Tuple, suffix int64) []byte {
-	return s.space.Pack(tuple.Tuple{recordsSub}.Append(pk...).Append(suffix))
+	return s.records.Pack(pk.Append(suffix))
+}
+
+// splitRecordKey splits a record key, (recordsSub, pk..., suffix) under the
+// store's subspace, at its element boundaries without decoding an element:
+// pk is the packed primary key and suffix the packed suffix, both aliasing
+// key. It fails where unpacking the key fails, and on a key with no suffix.
+func (s *Store) splitRecordKey(key []byte) (pk, suffix []byte, err error) {
+	if !s.space.Contains(key) {
+		return nil, nil, fmt.Errorf("core: record key %x is outside the store", key)
+	}
+	b := key[len(s.space.Bytes()):]
+	start, err := tuple.ElementLen(b) // past recordsSub
+	if err != nil {
+		return nil, nil, err
+	}
+	last := -1
+	for i := start; i < len(b); {
+		n, err := tuple.ElementLen(b[i:])
+		if err != nil {
+			return nil, nil, err
+		}
+		last, i = i, i+n
+	}
+	if last < 0 {
+		return nil, nil, fmt.Errorf("core: record key %x has no suffix", key)
+	}
+	return b[start:last:last], b[last:], nil
 }
 
 // envelopePool recycles envelope pack buffers. The envelope — and the
@@ -423,6 +451,11 @@ var chunkPool = sync.Pool{New: func() interface{} {
 // assembleRecord splices a record's pairs back together (§4). Chunks are
 // ordered by suffix so reverse scans assemble correctly. Safe for concurrent
 // use by pipelined fetches.
+//
+// The record owns the fetched values: GetRange returns fresh slices and the
+// serializers return fresh output or a subslice of their input. So the wire
+// bytes are not copied out of the envelope when neither of its elements holds
+// a zero byte, and the message's unknown fields alias the fetched value.
 func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue) (*StoredRecord, error) {
 	rec := &StoredRecord{PrimaryKey: pk}
 	partsPtr := chunkPool.Get().(*[]recordChunk)
@@ -436,12 +469,13 @@ func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue) (*StoredRecor
 	}()
 	sorted := true
 	for _, kv := range kvs {
-		t, err := s.space.Unpack(kv.Key)
+		_, packed, err := s.splitRecordKey(kv.Key)
 		if err != nil {
 			return nil, err
 		}
-		suffix, ok := t[len(t)-1].(int64)
+		suffix, _, ok := tuple.Int64At(packed)
 		if !ok {
+			t, _ := s.space.Unpack(kv.Key)
 			return nil, fmt.Errorf("core: malformed record key suffix in %v", t)
 		}
 		if suffix == versionSuffix {
@@ -486,25 +520,47 @@ func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue) (*StoredRecor
 	if err != nil {
 		return nil, err
 	}
-	t, err := tuple.Unpack(envelope)
-	if err != nil || len(t) != 2 {
-		return nil, fmt.Errorf("core: corrupt record envelope for %v", pk)
+	name, wire, err := readEnvelope(envelope)
+	if err != nil {
+		return nil, fmt.Errorf("core: %v for %v", err, pk)
 	}
-	typeName, ok := t[0].(string)
+	rt, ok := s.md.RecordType(string(name))
 	if !ok {
-		return nil, fmt.Errorf("core: corrupt record type tag for %v", pk)
+		return nil, fmt.Errorf("core: record of unknown type %q; metadata may predate it", name)
 	}
-	rt, ok := s.md.RecordType(typeName)
-	if !ok {
-		return nil, fmt.Errorf("core: record of unknown type %q; metadata may predate it", typeName)
-	}
-	wire, _ := t[1].([]byte)
 	msg, err := message.Unmarshal(rt.Descriptor, wire)
 	if err != nil {
 		return nil, err
 	}
 	rec.Type, rec.Message = rt, msg
 	return rec, nil
+}
+
+var (
+	errCorruptEnvelope = errors.New("corrupt record envelope")
+	errCorruptTypeTag  = errors.New("corrupt record type tag")
+)
+
+// readEnvelope splits a record envelope, the packed tuple (type name, wire
+// bytes). When neither element holds a zero byte it reads both in place, and
+// name and wire alias envelope; otherwise it unpacks the envelope, copying
+// them.
+func readEnvelope(envelope []byte) (name, wire []byte, err error) {
+	if name, n, ok := tuple.StringAt(envelope); ok {
+		if wire, m, ok := tuple.BytesAt(envelope[n:]); ok && n+m == len(envelope) {
+			return name, wire, nil
+		}
+	}
+	t, err := tuple.Unpack(envelope)
+	if err != nil || len(t) != 2 {
+		return nil, nil, errCorruptEnvelope
+	}
+	typeName, ok := t[0].(string)
+	if !ok {
+		return nil, nil, errCorruptTypeTag
+	}
+	wire, _ = t[1].([]byte) // any other element reads as a message with no fields
+	return []byte(typeName), wire, nil
 }
 
 // DeleteRecord removes a record and its index entries; false when absent.
@@ -565,8 +621,7 @@ type ScanOptions struct {
 // one extent, so the stream interleaves types (§4); the continuation is the
 // packed primary key of the last complete record.
 func (s *Store) ScanRecords(opts ScanOptions) cursor.Cursor[*StoredRecord] {
-	recSpace := s.space.Sub(recordsSub)
-	begin, end, err := opts.Range.ToKeyRange(recSpace)
+	begin, end, err := opts.Range.ToKeyRange(s.records)
 	if err != nil {
 		return errCursor[*StoredRecord](err)
 	}
@@ -574,13 +629,13 @@ func (s *Store) ScanRecords(opts ScanOptions) cursor.Cursor[*StoredRecord] {
 		// The continuation is the packed pk of the last record returned:
 		// skip all of its pairs.
 		if !opts.Reverse {
-			cb, err := tuple.Strinc(append(recSpace.Bytes(), opts.Continuation...))
+			cb, err := tuple.Strinc(append(s.records.Bytes(), opts.Continuation...))
 			if err != nil {
 				return errCursor[*StoredRecord](err)
 			}
 			begin = cb
 		} else {
-			end = append(recSpace.Bytes(), opts.Continuation...)
+			end = append(s.records.Bytes(), opts.Continuation...)
 		}
 	}
 	// The limiter is charged per assembled record (below), not per raw pair:
@@ -611,6 +666,9 @@ type recordCursor struct {
 	// of the previous one; Next takes it before asking kvs for more.
 	pushed    fdb.KeyValue
 	hasPushed bool
+	// group collects the pairs of the record being read; assembleRecord keeps
+	// none of them, so each Next reuses it.
+	group []fdb.KeyValue
 }
 
 func errCursor[T any](err error) cursor.Cursor[T] {
@@ -623,8 +681,13 @@ func errCursor[T any](err error) cursor.Cursor[T] {
 // record (the group's key-value footprint). A rejected record halts the
 // cursor with the continuation of the previous record, so the rejected one is
 // re-read on resume rather than lost; the Limiter's first-record admission
-// guarantees every execution delivers at least one record.
-func (c *recordCursor) flush(pk tuple.Tuple, packed []byte, group []fdb.KeyValue) (cursor.Result[*StoredRecord], error) {
+// guarantees every execution delivers at least one record. packed is the
+// group's packed primary key, decoded here once per record.
+func (c *recordCursor) flush(packed []byte, group []fdb.KeyValue) (cursor.Result[*StoredRecord], error) {
+	pk, err := tuple.Unpack(packed)
+	if err != nil {
+		return cursor.Result[*StoredRecord]{}, err
+	}
 	rec, err := c.store.assembleRecord(pk, group)
 	if err != nil {
 		return cursor.Result[*StoredRecord]{}, err
@@ -682,9 +745,8 @@ func (c *recordCursor) Next() (cursor.Result[*StoredRecord], error) {
 	if c.halted != nil {
 		return *c.halted, nil
 	}
-	var group []fdb.KeyValue
-	var groupPK tuple.Tuple
-	var groupPKPacked []byte
+	group := c.group[:0]
+	var groupPK []byte
 	for {
 		r, err := c.nextPair()
 		if err != nil {
@@ -692,7 +754,7 @@ func (c *recordCursor) Next() (cursor.Result[*StoredRecord], error) {
 		}
 		if !r.OK {
 			if len(group) > 0 && r.Reason == cursor.SourceExhausted {
-				res, err := c.flush(groupPK, groupPKPacked, group)
+				res, err := c.flush(groupPK, group)
 				if err != nil {
 					return res, err
 				}
@@ -708,26 +770,19 @@ func (c *recordCursor) Next() (cursor.Result[*StoredRecord], error) {
 			c.halted = &h
 			return h, nil
 		}
-		t, err := c.store.space.Unpack(r.Value.Key)
+		pk, _, err := c.store.splitRecordKey(r.Value.Key)
 		if err != nil {
 			return cursor.Result[*StoredRecord]{}, err
 		}
-		// Key shape: (recordsSub, pk..., suffix)
-		pk := t[1 : len(t)-1]
-		packed := pk.Pack()
-		if group == nil {
+		if len(group) == 0 || bytes.Equal(pk, groupPK) {
 			group = append(group, r.Value)
-			groupPK, groupPKPacked = pk, packed
-			continue
-		}
-		if bytes.Equal(packed, groupPKPacked) {
-			group = append(group, r.Value)
+			c.group, groupPK = group, pk
 			continue
 		}
 		// A new primary key begins: push its first pair back so the next
 		// call (or a remnant-skipping recursion) re-reads it, then emit the
 		// completed group.
 		c.pushed, c.hasPushed = r.Value, true
-		return c.flush(groupPK, groupPKPacked, group)
+		return c.flush(groupPK, group)
 	}
 }

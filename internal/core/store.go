@@ -76,7 +76,9 @@ type Store struct {
 	tr    *fdb.Transaction
 	md    *metadata.MetaData
 	space subspace.Subspace
-	cfg   Config
+	// records is space.Sub(recordsSub), which holds every record's pairs.
+	records subspace.Subspace
+	cfg     Config
 	// trace is the transaction's trace, captured once at open so hot paths
 	// pay one nil check instead of a mutex-guarded lookup per operation.
 	trace *obs.Trace
@@ -122,7 +124,7 @@ func Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, o
 // Open is the package-level Open through the cache: a store whose state is
 // cached and still valid opens with no read at all.
 func (c *StateCache) Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, opts OpenOptions) (*Store, error) {
-	s := &Store{tr: tr, md: md, space: space, cfg: opts.Config.withDefaults(),
+	s := &Store{tr: tr, md: md, space: space, records: space.Sub(recordsSub), cfg: opts.Config.withDefaults(),
 		trace: tr.Trace(), maintainers: make(map[string]index.Maintainer)}
 	st, bare, err := c.loadState(s)
 	if err != nil {
@@ -253,7 +255,7 @@ func (s *Store) applyMetaDataChanges() error {
 
 // countRecordsUpTo counts primary record pairs, stopping at limit.
 func (s *Store) countRecordsUpTo(limit int) (int, error) {
-	begin, end := s.space.RangeForTuple(tuple.Tuple{recordsSub})
+	begin, end := s.records.Range()
 	kvs, _, err := s.tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{Limit: limit})
 	if err != nil {
 		return 0, err

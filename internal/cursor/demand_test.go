@@ -266,3 +266,49 @@ func TestMergeReadyAndUnionDemand(t *testing.T) {
 		}
 	}
 }
+
+// TestMapAsyncQueueAllocs: MapAsync allocates its issue queue once, at the
+// window the consumer can reach (depth, or min(n, maxInFlight) under a demand
+// of n), and grows it only while a Ready source pushes the window past depth.
+// Per execution, beyond what the source allocates: the cursor, the halt it
+// keeps once the source ends, and the queue, which a batched source at depth 8
+// grows four times (16, 32, 64, 128). None of it depends on how long the
+// stream runs.
+func TestMapAsyncQueueAllocs(t *testing.T) {
+	const n = 300
+	issue := func(v int) int { return v }
+	await := func(_ int, h int) (int, error) { return h, nil }
+	for _, tc := range []struct {
+		name          string
+		src           func() Cursor[int]
+		depth, demand int
+		want          float64
+	}{
+		{"depth 8", func() Cursor[int] { return &haltingSource{n: n, errAt: -1} }, 8, 0, 3},
+		{"depth 8, demand 20", func() Cursor[int] { return &batchedSource{haltingSource{n: n, errAt: -1}, 130} }, 8, 20, 2},
+		{"depth 8, batches of 130", func() Cursor[int] { return &batchedSource{haltingSource{n: n, errAt: -1}, 130} }, 8, 0, 7},
+	} {
+		pulls := n + 1
+		if tc.demand > 0 {
+			pulls = tc.demand
+		}
+		source := testing.AllocsPerRun(20, func() {
+			src := tc.src()
+			for i := 0; i < pulls; i++ {
+				src.Next()
+			}
+		})
+		got := testing.AllocsPerRun(20, func() {
+			c := MapAsync(tc.src(), tc.depth, issue, await)
+			Demand(c, tc.demand)
+			for i := 0; tc.demand == 0 || i < tc.demand; i++ {
+				if r, _ := c.Next(); !r.OK {
+					break
+				}
+			}
+		}) - source
+		if got != tc.want {
+			t.Errorf("%s: %v allocations beyond the source's, want %v", tc.name, got, tc.want)
+		}
+	}
+}

@@ -48,8 +48,9 @@ type asyncCursor[T, F, U any] struct {
 	depth   int
 	issue   func(T) F
 	await   func(T, F) (U, error)
-	queue   []asyncSlot[T, F] // issued elements, source order; queue[head:] live
+	queue   []asyncSlot[T, F] // ring of issued elements, source order, from head
 	head    int
+	queued  int        // live elements in queue
 	srcHalt *Result[U] // halt from the source, delivered after the queue drains
 	srcErr  error      // error from the source, surfaced after the queue drains
 	err     error      // sticky: an error already returned to the consumer
@@ -83,7 +84,7 @@ func (c *asyncCursor[T, F, U]) Next() (Result[U], error) {
 	// Keep the issue window full until the source stops, and follow a Ready
 	// source past it; past a met demand issue only what the consumer waits for.
 	for c.srcHalt == nil && c.srcErr == nil {
-		inFlight := len(c.queue) - c.head
+		inFlight := c.queued
 		if inFlight > 0 && c.want > 0 && c.issued >= c.want {
 			break
 		}
@@ -100,10 +101,10 @@ func (c *asyncCursor[T, F, U]) Next() (Result[U], error) {
 			c.srcHalt = &h
 			break
 		}
-		c.queue = append(c.queue, asyncSlot[T, F]{src: r.Value, handle: c.issue(r.Value), cont: r.Continuation})
+		c.push(asyncSlot[T, F]{src: r.Value, handle: c.issue(r.Value), cont: r.Continuation})
 		c.issued++
 	}
-	if c.head >= len(c.queue) {
+	if c.queued == 0 {
 		if c.srcErr != nil {
 			c.err = c.srcErr
 			return Result[U]{}, c.err
@@ -112,14 +113,26 @@ func (c *asyncCursor[T, F, U]) Next() (Result[U], error) {
 	}
 	s := c.queue[c.head]
 	c.queue[c.head] = asyncSlot[T, F]{} // release references
-	c.head++
-	if c.head == len(c.queue) {
-		c.queue, c.head = c.queue[:0], 0 // reuse the backing array
-	}
+	c.head = (c.head + 1) % len(c.queue)
+	c.queued--
 	v, err := c.await(s.src, s.handle)
 	if err != nil {
 		c.err = err
 		return Result[U]{}, c.err
 	}
 	return Result[U]{Value: v, OK: true, Continuation: s.cont}, nil
+}
+
+// push queues an issued element. The ring is allocated at depth, the window
+// the consumer can reach, and doubles only when a Ready source pushes the
+// window past it.
+func (c *asyncCursor[T, F, U]) push(s asyncSlot[T, F]) {
+	if c.queued == len(c.queue) {
+		grown := make([]asyncSlot[T, F], max(c.depth, 2*len(c.queue)))
+		n := copy(grown, c.queue[c.head:])
+		copy(grown[n:], c.queue[:c.head])
+		c.queue, c.head = grown, 0
+	}
+	c.queue[(c.head+c.queued)%len(c.queue)] = s
+	c.queued++
 }

@@ -238,6 +238,67 @@ func TestGetRangeMergesBufferedWrites(t *testing.T) {
 	}
 }
 
+// TestGetRangeResultIsCallerOwned: every Key and Value a range read returns is
+// a fresh slice with cap == len, from the snapshot and from the write buffer
+// alike, so appending to one or writing into it changes neither a neighbouring
+// pair, nor the batch slice of another read, nor what a re-read returns.
+func TestGetRangeResultIsCallerOwned(t *testing.T) {
+	db := Open(nil)
+	tr := db.CreateTransaction()
+	mustSet(t, tr, "a", "1")
+	mustSet(t, tr, "c", "3")
+	mustCommit(t, tr)
+
+	tr2 := db.CreateTransaction()
+	mustSet(t, tr2, "b", "2") // buffered
+	want := []KeyValue{{[]byte("a"), []byte("1")}, {[]byte("b"), []byte("2")}, {[]byte("c"), []byte("3")}}
+	same := func(what string, kvs []KeyValue) {
+		t.Helper()
+		if len(kvs) != len(want) {
+			t.Fatalf("%s: %d pairs, want %d", what, len(kvs), len(want))
+		}
+		for i := range kvs {
+			if !bytes.Equal(kvs[i].Key, want[i].Key) || !bytes.Equal(kvs[i].Value, want[i].Value) {
+				t.Fatalf("%s: pair %d is %q=%q, want %q=%q", what, i, kvs[i].Key, kvs[i].Value, want[i].Key, want[i].Value)
+			}
+		}
+	}
+	read := func() []KeyValue {
+		kvs, _, err := tr2.GetRange([]byte("a"), []byte("z"), RangeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return kvs
+	}
+	kvs, other := read(), read()
+	for i, kv := range kvs {
+		if cap(kv.Key) != len(kv.Key) || cap(kv.Value) != len(kv.Value) {
+			t.Fatalf("pair %d: key cap %d len %d, value cap %d len %d", i, cap(kv.Key), len(kv.Key), cap(kv.Value), len(kv.Value))
+		}
+	}
+	if cap(kvs) != len(kvs) {
+		t.Fatalf("batch cap %d, len %d", cap(kvs), len(kvs))
+	}
+	for i := range kvs {
+		_ = append(kvs[i].Key, 'x')
+		_ = append(kvs[i].Value, 'y')
+	}
+	_ = append(kvs, KeyValue{Key: []byte("z")})
+	same("after appending", kvs)
+	for i := range kvs {
+		kvs[i].Key[0], kvs[i].Value[0] = '!', '?'
+	}
+	kvs[0] = KeyValue{}
+	same("the other read", other)
+	same("a re-read", read())
+	fut := tr2.Snapshot().GetRangeAsync([]byte("a"), []byte("z"), RangeOptions{})
+	async, _, err := fut.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("an async snapshot read", async)
+}
+
 func TestClearRange(t *testing.T) {
 	db := Open(nil)
 	tr := db.CreateTransaction()

@@ -9,7 +9,10 @@ import (
 	"recordlayer/internal/obs"
 )
 
-// KeyValue is a single key-value pair returned by range reads.
+// KeyValue is a single key-value pair returned by range reads. The caller owns
+// both slices: every range read returns fresh copies, each with cap == len,
+// that nothing else references, so a caller may keep, write into or append to
+// them without affecting another pair, another read, or the database.
 type KeyValue struct {
 	Key, Value []byte
 }
@@ -489,7 +492,8 @@ func (t *Transaction) countRead(keys, nbytes int) {
 
 // GetRange returns key-value pairs in [begin, end), honoring limits. The
 // second result reports whether more data remained when a limit stopped the
-// scan early.
+// scan early. The returned slice and every Key and Value in it are the
+// caller's, fresh on each call (see KeyValue).
 func (t *Transaction) GetRange(begin, end []byte, o RangeOptions) ([]KeyValue, bool, error) {
 	return t.syncGetRange(begin, end, o, false)
 }
@@ -565,7 +569,8 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 	snapIter.seek(t.snapRoot, seek, o.Reverse)
 	bufIter.seek(t.writes, seek, o.Reverse)
 
-	var out []KeyValue
+	scratch := rangeScratch.Get().(*[]KeyValue)
+	out := (*scratch)[:0]
 	var byteCount int
 	var reads, readBytes int // from the snapshot, not the buffer
 	more := false
@@ -656,8 +661,24 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 		}
 		t.readConflicts.Add(cb, ce)
 	}
-	return out, more, byteCount, nil
+	var kvs []KeyValue
+	if len(out) > 0 {
+		kvs = make([]KeyValue, len(out))
+		copy(kvs, out)
+		clear(out)
+	}
+	*scratch = out[:0]
+	rangeScratch.Put(scratch)
+	return kvs, more, byteCount, nil
 }
+
+// rangeScratch recycles the slices getRangeLocked collects a batch into, so
+// the batch it returns is allocated once at its exact size instead of grown
+// by append.
+var rangeScratch = sync.Pool{New: func() any {
+	s := make([]KeyValue, 0, 64)
+	return &s
+}}
 
 // Set buffers a key-value write.
 func (t *Transaction) Set(key, value []byte) error {

@@ -27,15 +27,16 @@ func FromTuple(t tuple.Tuple) Subspace {
 
 // Sub returns a child subspace extending this one with more tuple elements.
 func (s Subspace) Sub(elems ...interface{}) Subspace {
-	return Subspace{prefix: append(append([]byte(nil), s.prefix...), tuple.Tuple(elems).Pack()...)}
+	return Subspace{prefix: s.Pack(elems)}
 }
 
-// Bytes returns the raw prefix. The result must not be modified.
-func (s Subspace) Bytes() []byte { return s.prefix }
+// Bytes returns the raw prefix. The result must not be modified; its capacity
+// is clipped to its length, so appending to it copies.
+func (s Subspace) Bytes() []byte { return s.prefix[:len(s.prefix):len(s.prefix)] }
 
-// Pack encodes a tuple under this subspace's prefix.
+// Pack encodes a tuple under this subspace's prefix, into one allocation.
 func (s Subspace) Pack(t tuple.Tuple) []byte {
-	return append(append([]byte(nil), s.prefix...), t.Pack()...)
+	return t.PackInto(append(make([]byte, 0, len(s.prefix)+t.PackedCap()), s.prefix...))
 }
 
 // PackWithVersionstamp encodes a tuple containing one incomplete versionstamp
@@ -67,12 +68,13 @@ func (s Subspace) Range() (begin, end []byte) {
 }
 
 // RangeForTuple returns the range covering all keys extending the given
-// tuple within this subspace.
+// tuple within this subspace. Both keys are packed into one allocation.
 func (s Subspace) RangeForTuple(t tuple.Tuple) (begin, end []byte) {
-	p := s.Pack(t)
-	begin = append(append([]byte(nil), p...), 0x00)
-	end = append(append([]byte(nil), p...), 0xFF)
-	return begin, end
+	n := len(s.prefix) + t.PackedCap() + 1
+	begin = append(t.PackInto(append(make([]byte, 0, 2*n), s.prefix...)), 0x00)
+	end = append(begin[len(begin):], begin...)
+	end[len(end)-1] = 0xFF
+	return begin[:len(begin):len(begin)], end
 }
 
 // AllRange returns the range covering every key with this prefix, including

@@ -85,3 +85,44 @@ func TestAllRange(t *testing.T) {
 		t.Fatalf("all range: %x %x", begin, end)
 	}
 }
+
+// TestKeysMatchCopyingPack holds Pack, Sub and RangeForTuple, which pack into
+// one buffer, to the copying construction they replaced: prefix, then the
+// packed tuple, then 0x00 or 0xFF, each step a fresh copy. The tuples cover
+// every element type, including the worst case of PackedCap's bound (nested
+// nulls and zero bytes), and the keys must not share memory: appending to one
+// never changes another.
+func TestKeysMatchCopyingPack(t *testing.T) {
+	var u tuple.UUID
+	u[3] = 0x00
+	tuples := []tuple.Tuple{
+		{},
+		{nil},
+		{int64(0), int64(-1), int64(1 << 40), int64(-1 << 62), uint64(1) << 63},
+		{"a\x00b", []byte{0x00, 0xFF, 0x00}, ""},
+		{tuple.Tuple{nil, tuple.Tuple{nil, "\x00"}, int64(5)}},
+		{float32(1.5), 2.5, true, false, u},
+		{tuple.Versionstamp{UserVersion: 7}},
+	}
+	for _, prefix := range []Subspace{FromBytes(nil), FromTuple(tuple.Tuple{"tenant", int64(9)})} {
+		for _, tt := range tuples {
+			p := append(append([]byte(nil), prefix.prefix...), tt.Pack()...)
+			if got := prefix.Pack(tt); !bytes.Equal(got, p) {
+				t.Fatalf("Pack(%v) = %x, want %x", tt, got, p)
+			}
+			if got := prefix.Sub(tt...).Bytes(); !bytes.Equal(got, p) {
+				t.Fatalf("Sub(%v) = %x, want %x", tt, got, p)
+			}
+			begin, end := prefix.RangeForTuple(tt)
+			wantBegin := append(append([]byte(nil), p...), 0x00)
+			wantEnd := append(append([]byte(nil), p...), 0xFF)
+			if !bytes.Equal(begin, wantBegin) || !bytes.Equal(end, wantEnd) {
+				t.Fatalf("RangeForTuple(%v) = %x, %x, want %x, %x", tt, begin, end, wantBegin, wantEnd)
+			}
+			_ = append(begin, 0xAA)
+			if !bytes.Equal(end, wantEnd) {
+				t.Fatalf("RangeForTuple(%v): appending to begin changed end to %x", tt, end)
+			}
+		}
+	}
+}

@@ -102,7 +102,7 @@ var errIncomplete = errors.New("tuple: cannot pack incomplete versionstamp witho
 // element of unsupported type (a programming error) and returns an error-free
 // encoding otherwise. Incomplete versionstamps are rejected.
 func (t Tuple) Pack() []byte {
-	b, err := t.packInto(make([]byte, 0, t.packedCap()), nil)
+	b, err := t.packInto(make([]byte, 0, t.PackedCap()), nil)
 	if err != nil {
 		panic(err)
 	}
@@ -121,10 +121,11 @@ func (t Tuple) PackInto(buf []byte) []byte {
 	return b
 }
 
-// packedCap returns an upper bound on the packed encoding size, so Pack can
-// allocate its buffer once instead of growing it through repeated appends —
-// packing sits on every key construction in the layer.
-func (t Tuple) packedCap() int {
+// PackedCap returns an upper bound on the packed encoding size, so Pack, and
+// callers that PackInto a buffer of their own, can allocate it once instead of
+// growing it through repeated appends: packing sits on every key construction
+// in the layer.
+func (t Tuple) PackedCap() int {
 	n := 0
 	for _, e := range t {
 		switch v := e.(type) {
@@ -135,7 +136,7 @@ func (t Tuple) packedCap() int {
 		case string:
 			n += 2 + len(v) + strings.Count(v, "\x00")
 		case Tuple:
-			n += 2 + v.packedCap()
+			n += 2 + v.PackedCap()
 		case float32:
 			n += 5
 		case float64:
@@ -161,7 +162,7 @@ var zeroByte = []byte{0x00}
 // SetVersionstampedKey atomic operation.
 func (t Tuple) PackWithVersionstamp(prefix []byte) ([]byte, error) {
 	offset := -1
-	buf := make([]byte, 0, len(prefix)+t.packedCap()+4)
+	buf := make([]byte, 0, len(prefix)+t.PackedCap()+4)
 	b, err := t.packInto(append(buf, prefix...), &offset)
 	if err != nil {
 		return nil, err
@@ -407,6 +408,9 @@ func decodeElement(b []byte, nested bool) (interface{}, []byte, error) {
 		v, rest, err := decodeBytes(b[1:])
 		return v, rest, err
 	case code == codeString:
+		if v, n, ok := viewAt(b, codeString); ok {
+			return string(v), b[n:], nil // one copy, not two
+		}
 		v, rest, err := decodeBytes(b[1:])
 		if err != nil {
 			return nil, nil, err
@@ -505,47 +509,104 @@ func ElementLen(b []byte) (int, error) {
 	return 0, errors.New("tuple: unterminated element")
 }
 
+// decodeBytes decodes the content of a byte or string element, b starting
+// after its type code, into a slice allocated at its exact size (nil when
+// empty), and returns the bytes after the terminator.
 func decodeBytes(b []byte) ([]byte, []byte, error) {
-	var out []byte
-	for i := 0; i < len(b); i++ {
-		if b[i] == 0x00 {
-			if i+1 < len(b) && b[i+1] == 0xFF {
-				out = append(out, 0x00)
-				i++
-				continue
-			}
-			return out, b[i+1:], nil
+	escapes := 0
+	for i := 0; ; i += 2 {
+		z := bytes.IndexByte(b[i:], 0x00)
+		if z < 0 {
+			return nil, nil, errors.New("tuple: unterminated byte string")
 		}
-		out = append(out, b[i])
+		if i += z; i+1 < len(b) && b[i+1] == 0xFF {
+			escapes++
+			continue
+		}
+		if i == 0 {
+			return nil, b[1:], nil
+		}
+		out := make([]byte, i-escapes)
+		if escapes == 0 {
+			copy(out, b)
+		} else {
+			for j, k := 0, 0; j < i; j, k = j+1, k+1 {
+				out[k] = b[j]
+				if b[j] == 0x00 {
+					j++ // the 0xFF of an escape
+				}
+			}
+		}
+		return out, b[i+1:], nil
 	}
-	return nil, nil, errors.New("tuple: unterminated byte string")
+}
+
+// viewAt returns the content of the element of type code at the start of b
+// in place, and the element's length; ok is false unless b begins with a
+// well-formed element of that type whose content holds no zero byte, since an
+// escaped zero byte makes the content differ from its encoding.
+func viewAt(b []byte, code byte) (v []byte, n int, ok bool) {
+	if len(b) == 0 || b[0] != code {
+		return nil, 0, false
+	}
+	z := bytes.IndexByte(b[1:], 0x00)
+	if z < 0 || (z+2 < len(b) && b[z+2] == 0xFF) {
+		return nil, 0, false
+	}
+	return b[1 : 1+z : 1+z], z + 2, true
+}
+
+// BytesAt reads the byte-string element at the start of b without copying it:
+// v aliases b, with its capacity clipped to its length, and n is the
+// element's encoded length. ok is false when b does not begin with a
+// well-formed byte string, or when the string holds a zero byte; Unpack then
+// has to decode it.
+func BytesAt(b []byte) (v []byte, n int, ok bool) { return viewAt(b, codeBytes) }
+
+// StringAt is BytesAt for a string element. Converting v to a string copies
+// it, unless the conversion is a map index the compiler can see.
+func StringAt(b []byte) (v []byte, n int, ok bool) { return viewAt(b, codeString) }
+
+// Int64At decodes the integer element at the start of b without boxing it,
+// and returns its encoded length. ok is false unless Unpack would decode that
+// element to an int64: b is empty or truncated, holds another type, or holds
+// an integer above math.MaxInt64.
+func Int64At(b []byte) (v int64, n int, ok bool) {
+	if len(b) == 0 || b[0] < 0x0C || b[0] > 0x1C || len(b) < int(fixedLen[b[0]]) {
+		return 0, 0, false
+	}
+	v, big := decodeInt64(b)
+	return v, int(fixedLen[b[0]]), !big
 }
 
 // decodeInt decodes an integer element b holds in full.
 func decodeInt(b []byte) (interface{}, []byte) {
-	code := int(b[0])
-	if code == codeIntZero {
-		return int64(0), b[1:]
+	v, big := decodeInt64(b)
+	rest := b[fixedLen[b[0]]:]
+	if big {
+		return uint64(v), rest // preserve large uint64
 	}
+	return v, rest
+}
+
+// decodeInt64 decodes an integer element b holds in full without boxing it;
+// big reports a uint64 above math.MaxInt64, whose bits v then holds.
+func decodeInt64(b []byte) (v int64, big bool) {
+	code := int(b[0])
 	n := code - codeIntZero
 	neg := false
 	if n < 0 {
 		n = -n
 		neg = true
 	}
-	var v uint64
+	var u uint64
 	for i := 0; i < n; i++ {
-		v = v<<8 | uint64(b[1+i])
+		u = u<<8 | uint64(b[1+i])
 	}
-	rest := b[1+n:]
 	if neg {
-		m := maxUintN(n) - v
-		return -int64(m), rest
+		return -int64(maxUintN(n) - u), false
 	}
-	if n == 8 && v > math.MaxInt64 {
-		return v, rest // preserve large uint64
-	}
-	return int64(v), rest
+	return int64(u), n == 8 && u > math.MaxInt64
 }
 
 // Range returns begin and end keys such that every key starting with the
