@@ -124,6 +124,20 @@
 // None of it changes a stored byte. On the benchmark's query_scan workload this
 // took allocation per transaction from 198.9 KB to 108.9 KB.
 //
+// Decoding the message (§3, §4): a message decodes into slots, one per field
+// its descriptor declares, in field-number order, so decoding builds no map
+// and marshalling sorts nothing; the price is 16 bytes per declared field, set
+// or not. String fields are views of the fetched bytes, not copies (bytes
+// fields are still copied, because callers may modify them), so the read
+// path's ownership of those bytes is a contract, not a habit: range reads hand
+// out fresh values, a Serializer's Decode returns bytes no one writes again,
+// and nothing writes a fetched value afterwards. TestDecodedStringsSurviveLaterWork
+// checks it, and the layering analyzer keeps unsafe inside internal/message. A
+// held string keeps its whole record value alive. Messages nest at most 10 000
+// levels deep, when decoded and when encoded, so untrusted bytes cannot
+// overflow the stack. On query_scan this took allocation per transaction from
+// 108.9 KB to 86.9 KB, with no stored byte changed.
+//
 // # Asynchrony and the latency model
 //
 // The FDB client is asynchronous at its core: every read returns a future,

@@ -452,10 +452,11 @@ var chunkPool = sync.Pool{New: func() interface{} {
 // ordered by suffix so reverse scans assemble correctly. Safe for concurrent
 // use by pipelined fetches.
 //
-// The record owns the fetched values: GetRange returns fresh slices and the
-// serializers return fresh output or a subslice of their input. So the wire
-// bytes are not copied out of the envelope when neither of its elements holds
-// a zero byte, and the message's unknown fields alias the fetched value.
+// The record owns the fetched values: GetRange returns fresh slices, and a
+// Serializer's Decode returns bytes no one else writes. So the wire bytes are
+// not copied out of the envelope when neither of its elements holds a zero
+// byte, and the message's string and unknown fields view the fetched value;
+// nothing may write it afterwards (TestDecodedStringsSurviveLaterWork).
 func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue) (*StoredRecord, error) {
 	rec := &StoredRecord{PrimaryKey: pk}
 	partsPtr := chunkPool.Get().(*[]recordChunk)

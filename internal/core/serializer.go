@@ -22,7 +22,9 @@ import (
 type Serializer interface {
 	// Encode transforms plaintext record bytes for storage.
 	Encode(data []byte) ([]byte, error)
-	// Decode reverses Encode.
+	// Decode reverses Encode. It returns bytes the caller may keep and that the
+	// decoder never reuses or writes again: fresh output, or a subslice of
+	// blob. A decoded record's string fields view them (message.Unmarshal).
 	Decode(blob []byte) ([]byte, error)
 }
 

@@ -9,9 +9,11 @@ import "strings"
 // with resource above core: tenant policy binds a meter to the transaction
 // from above, so no read or write layer needs to know it exists. A package
 // the table does not place is a finding, so a new package has to be placed.
+// So is an unsafe import anywhere but internal/message, which decodes string
+// fields as views of the wire bytes: the aliasing stays in one audited place.
 var Layering = &Analyzer{
 	Name: "layering",
-	Doc:  "internal imports point down the layer table; every package is placed in it",
+	Doc:  "internal imports point down the layer table; every package is placed in it; only internal/message imports unsafe",
 	Run:  runLayering,
 }
 
@@ -35,6 +37,8 @@ var layers = [][]string{
 const (
 	facadePath   = "recordlayer"
 	internalPath = "recordlayer/internal/"
+	// unsafePath is the one governed package that may import unsafe.
+	unsafePath = internalPath + "message"
 )
 
 // layerOf maps each placed import path to its row in layers.
@@ -72,6 +76,10 @@ func runLayering(p *Pass) error {
 		}
 		for _, imp := range f.Imports {
 			path := importPathOf(imp)
+			if path == "unsafe" && p.Path != unsafePath {
+				p.Reportf(imp.Pos(), "%s imports unsafe; only %s may", p.Path, unsafePath)
+				continue
+			}
 			if !strings.HasPrefix(path, internalPath) {
 				continue
 			}

@@ -4,7 +4,8 @@
 package fixture
 
 import (
-	"fmt" // the standard library is not layered
+	"fmt"    // the standard library is not layered
+	"unsafe" // want "recordlayer/internal/kvcursor imports unsafe; only recordlayer/internal/message may"
 
 	_ "recordlayer/internal/cursor" // layer 0
 	_ "recordlayer/internal/fdb"    // layer 1
@@ -15,3 +16,5 @@ import (
 )
 
 var _ = fmt.Sprint
+
+var _ = unsafe.Sizeof(0)

@@ -6,6 +6,27 @@
 // old records, unknown fields survive read-modify-write cycles, field
 // numbers are never reused — are properties of this wire format, which is
 // why the substrate is implemented faithfully rather than approximated.
+//
+// The layer is stateless, so every read decodes every message it fetches, and
+// the layout is chosen for that:
+//
+//   - Slots. A Message holds one slot per field its Descriptor declares, in
+//     field-number order; a nil slot is an unset field. The descriptor maps
+//     names and numbers to slot positions, and Marshal walks the slots in
+//     order, which is field-number order, so it sorts nothing. The trade: a
+//     message pays 16 bytes per declared field, set or not, so a sparse type
+//     with many unset fields costs more than a map of the set ones would.
+//   - String views. Unmarshal does not copy string fields: each one views the
+//     bytes it was decoded from, as unknown fields always have. The caller
+//     must not modify those bytes afterwards, and a decoded string keeps the
+//     whole buffer alive. Bytes fields are still copied, because callers may
+//     modify what Get returns.
+//   - A depth bound. A type may nest itself, so untrusted bytes could nest as
+//     deep as they are long and overflow the goroutine's stack, a fatal error
+//     that no recover catches. Unmarshal and Marshal refuse messages nested
+//     more than 10 000 levels deep (protobuf-go's default recursion limit),
+//     so a writer cannot store what a reader would refuse, and a message that
+//     contains itself fails to marshal instead of overflowing.
 package message
 
 import (
@@ -94,10 +115,12 @@ func (f *FieldDescriptor) MessageType() *Descriptor { return f.messageType }
 
 // Descriptor describes a message type: an ordered set of fields.
 type Descriptor struct {
-	Name     string
+	Name string
+	// fields are in field-number order, and a message's slots follow them:
+	// byName and byNumber map to a field's position here.
 	fields   []*FieldDescriptor
-	byName   map[string]*FieldDescriptor
-	byNumber map[int32]*FieldDescriptor
+	byName   map[string]int
+	byNumber map[int32]int
 }
 
 // NewDescriptor validates and builds a message descriptor.
@@ -107,8 +130,8 @@ func NewDescriptor(name string, fields ...*FieldDescriptor) (*Descriptor, error)
 	}
 	d := &Descriptor{
 		Name:     name,
-		byName:   make(map[string]*FieldDescriptor, len(fields)),
-		byNumber: make(map[int32]*FieldDescriptor, len(fields)),
+		byName:   make(map[string]int, len(fields)),
+		byNumber: make(map[int32]int, len(fields)),
 	}
 	for _, f := range fields {
 		if f.Name == "" {
@@ -126,11 +149,15 @@ func NewDescriptor(name string, fields ...*FieldDescriptor) (*Descriptor, error)
 		if f.Type == TypeMessage && f.MessageTypeName == "" {
 			return nil, fmt.Errorf("message %s: message field %s lacks a message type", name, f.Name)
 		}
-		d.byName[f.Name] = f
-		d.byNumber[f.Number] = f
+		d.byName[f.Name] = -1
+		d.byNumber[f.Number] = -1
 		d.fields = append(d.fields, f)
 	}
 	sort.Slice(d.fields, func(i, j int) bool { return d.fields[i].Number < d.fields[j].Number })
+	for i, f := range d.fields {
+		d.byName[f.Name] = i
+		d.byNumber[f.Number] = i
+	}
 	return d, nil
 }
 
@@ -148,12 +175,18 @@ func (d *Descriptor) Fields() []*FieldDescriptor { return d.fields }
 
 // FieldByName looks a field up by name.
 func (d *Descriptor) FieldByName(name string) (*FieldDescriptor, bool) {
-	f, ok := d.byName[name]
-	return f, ok
+	i, ok := d.byName[name]
+	if !ok {
+		return nil, false
+	}
+	return d.fields[i], true
 }
 
 // FieldByNumber looks a field up by number.
 func (d *Descriptor) FieldByNumber(num int32) (*FieldDescriptor, bool) {
-	f, ok := d.byNumber[num]
-	return f, ok
+	i, ok := d.byNumber[num]
+	if !ok {
+		return nil, false
+	}
+	return d.fields[i], true
 }

@@ -9,8 +9,10 @@ import (
 // fields carried through from the wire (preserving data written by newer
 // schema versions, §5).
 type Message struct {
-	desc    *Descriptor
-	values  map[int32]interface{} // canonical scalar or []interface{} for repeated
+	desc *Descriptor
+	// values holds one slot per field of desc, in field-number order: the
+	// canonical scalar, or []interface{} for a repeated field; nil when unset.
+	values  []interface{}
 	unknown []unknownField
 }
 
@@ -22,7 +24,7 @@ type unknownField struct {
 
 // New creates an empty message of the given type.
 func New(desc *Descriptor) *Message {
-	return &Message{desc: desc, values: make(map[int32]interface{})}
+	return &Message{desc: desc, values: make([]interface{}, len(desc.fields))}
 }
 
 // Descriptor returns the message's type.
@@ -94,10 +96,11 @@ func canonicalize(f *FieldDescriptor, v interface{}) (interface{}, error) {
 // Set assigns a scalar field or replaces a repeated field with a single
 // element slice when given a []interface{}.
 func (m *Message) Set(name string, v interface{}) error {
-	f, ok := m.desc.FieldByName(name)
+	i, ok := m.desc.byName[name]
 	if !ok {
 		return fmt.Errorf("message %s: no field %s", m.desc.Name, name)
 	}
+	f := m.desc.fields[i]
 	if f.Repeated {
 		vs, ok := v.([]interface{})
 		if !ok {
@@ -111,14 +114,14 @@ func (m *Message) Set(name string, v interface{}) error {
 			}
 			out = append(out, c)
 		}
-		m.values[f.Number] = out
+		m.values[i] = out
 		return nil
 	}
 	c, err := canonicalize(f, v)
 	if err != nil {
 		return err
 	}
-	m.values[f.Number] = c
+	m.values[i] = c
 	return nil
 }
 
@@ -132,10 +135,11 @@ func (m *Message) MustSet(name string, v interface{}) *Message {
 
 // Add appends a value to a repeated field.
 func (m *Message) Add(name string, v interface{}) error {
-	f, ok := m.desc.FieldByName(name)
+	i, ok := m.desc.byName[name]
 	if !ok {
 		return fmt.Errorf("message %s: no field %s", m.desc.Name, name)
 	}
+	f := m.desc.fields[i]
 	if !f.Repeated {
 		return fmt.Errorf("message %s: field %s is not repeated", m.desc.Name, name)
 	}
@@ -143,8 +147,8 @@ func (m *Message) Add(name string, v interface{}) error {
 	if err != nil {
 		return err
 	}
-	cur, _ := m.values[f.Number].([]interface{})
-	m.values[f.Number] = append(cur, c)
+	cur, _ := m.values[i].([]interface{})
+	m.values[i] = append(cur, c)
 	return nil
 }
 
@@ -160,12 +164,12 @@ func (m *Message) MustAdd(name string, v interface{}) *Message {
 // []interface{}. Unset fields return (nil, false) — the paper's "new fields
 // appear as uninitialized in old records".
 func (m *Message) Get(name string) (interface{}, bool) {
-	f, ok := m.desc.FieldByName(name)
+	i, ok := m.desc.byName[name]
 	if !ok {
 		return nil, false
 	}
-	v, ok := m.values[f.Number]
-	return v, ok
+	v := m.values[i]
+	return v, v != nil
 }
 
 // GetMessage returns a nested message field, or nil if unset.
@@ -196,8 +200,8 @@ func (m *Message) Has(name string) bool {
 
 // ClearField unsets a field.
 func (m *Message) ClearField(name string) {
-	if f, ok := m.desc.FieldByName(name); ok {
-		delete(m.values, f.Number)
+	if i, ok := m.desc.byName[name]; ok {
+		m.values[i] = nil
 	}
 }
 
@@ -207,27 +211,27 @@ func (m *Message) UnknownFieldCount() int { return len(m.unknown) }
 // Clone deep-copies the message.
 func (m *Message) Clone() *Message {
 	out := New(m.desc)
-	for num, v := range m.values {
+	for i, v := range m.values {
 		switch x := v.(type) {
 		case *Message:
-			out.values[num] = x.Clone()
+			out.values[i] = x.Clone()
 		case []byte:
-			out.values[num] = append([]byte(nil), x...)
+			out.values[i] = append([]byte(nil), x...)
 		case []interface{}:
 			cp := make([]interface{}, len(x))
-			for i, e := range x {
+			for j, e := range x {
 				switch ee := e.(type) {
 				case *Message:
-					cp[i] = ee.Clone()
+					cp[j] = ee.Clone()
 				case []byte:
-					cp[i] = append([]byte(nil), ee...)
+					cp[j] = append([]byte(nil), ee...)
 				default:
-					cp[i] = ee
+					cp[j] = ee
 				}
 			}
-			out.values[num] = cp
+			out.values[i] = cp
 		default:
-			out.values[num] = v
+			out.values[i] = v
 		}
 	}
 	out.unknown = append([]unknownField(nil), m.unknown...)
@@ -251,16 +255,15 @@ func (m *Message) String() string {
 	sb.WriteString(m.desc.Name)
 	sb.WriteByte('{')
 	first := true
-	for _, f := range m.desc.Fields() {
-		v, ok := m.values[f.Number]
-		if !ok {
+	for i, v := range m.values {
+		if v == nil {
 			continue
 		}
 		if !first {
 			sb.WriteString(", ")
 		}
 		first = false
-		fmt.Fprintf(&sb, "%s: %v", f.Name, v)
+		fmt.Fprintf(&sb, "%s: %v", m.desc.fields[i].Name, v)
 	}
 	if len(m.unknown) > 0 {
 		fmt.Fprintf(&sb, " +%d unknown", len(m.unknown))

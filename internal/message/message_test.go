@@ -354,3 +354,127 @@ func TestTruncatedWireData(t *testing.T) {
 		}
 	}
 }
+
+// nodeDescriptor is a type that nests itself, as a Registry allows.
+func nodeDescriptor(t testing.TB) *Descriptor {
+	t.Helper()
+	node := MustDescriptor("Node",
+		Field("id", 1, TypeInt64),
+		&FieldDescriptor{Name: "child", Number: 2, Type: TypeMessage, MessageTypeName: "Node"},
+	)
+	r := NewRegistry()
+	if err := r.Add(node); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return node
+}
+
+// nestedNodes encodes a chain of levels Nodes, each the child of the one
+// before, built from the inside out in one buffer so that millions of levels
+// cost linear time.
+func nestedNodes(levels int) []byte {
+	rev := make([]byte, 0, 5*levels)
+	for k := 1; k < levels; k++ {
+		var hdr [16]byte
+		h := appendVarint(appendTag(hdr[:0], 2, wireBytes), uint64(len(rev)))
+		for i := len(h) - 1; i >= 0; i-- {
+			rev = append(rev, h[i])
+		}
+	}
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
+}
+
+// TestNestingDepthBound: messages nest at most maxDepth levels. A chain that
+// deep marshals and decodes; one level more is an error both ways; a 3
+// million level payload (14.5 MB), which overflowed the goroutine stack
+// before the bound, is an error; and a message that contains itself fails to
+// marshal instead of recursing forever.
+func TestNestingDepthBound(t *testing.T) {
+	node := nodeDescriptor(t)
+	chain := func(levels int) *Message {
+		m := New(node).MustSet("id", int64(levels))
+		for k := levels - 1; k >= 1; k-- {
+			m = New(node).MustSet("id", int64(k)).MustSet("child", m)
+		}
+		return m
+	}
+	deepest, err := chain(maxDepth).Marshal()
+	if err != nil {
+		t.Fatalf("marshal at %d levels: %v", maxDepth, err)
+	}
+	got, err := Unmarshal(node, deepest)
+	if err != nil {
+		t.Fatalf("unmarshal at %d levels: %v", maxDepth, err)
+	}
+	levels := 0
+	for m := got; m != nil; m = m.GetMessage("child") {
+		levels++
+	}
+	if levels != maxDepth {
+		t.Fatalf("decoded %d levels, want %d", levels, maxDepth)
+	}
+	if _, err := chain(maxDepth + 1).Marshal(); err != errTooDeep {
+		t.Fatalf("marshal at %d levels: %v, want %v", maxDepth+1, err, errTooDeep)
+	}
+	if _, err := Unmarshal(node, nestedNodes(maxDepth)); err != nil {
+		t.Fatalf("unmarshal of %d hand-encoded levels: %v", maxDepth, err)
+	}
+	if _, err := Unmarshal(node, nestedNodes(maxDepth+1)); err != errTooDeep {
+		t.Fatalf("unmarshal at %d levels: %v, want %v", maxDepth+1, err, errTooDeep)
+	}
+	huge := nestedNodes(3_000_000)
+	if _, err := Unmarshal(node, huge); err != errTooDeep {
+		t.Fatalf("unmarshal of %d bytes nested 3M levels: %v, want %v", len(huge), err, errTooDeep)
+	}
+	self := New(node)
+	self.MustSet("child", self)
+	if _, err := self.Marshal(); err != errTooDeep {
+		t.Fatalf("marshal of a message containing itself: %v, want %v", err, errTooDeep)
+	}
+}
+
+// TestUnmarshalAllocs pins what decoding a Note-shaped message allocates: 7
+// fields, 4 of them strings. The message and its slots are one allocation
+// each; each string is a view of the wire bytes, so the only allocation left
+// per string is boxing its header into the slot, and an int64 is boxed only
+// when it is 256 or more. The map-backed message took 13.
+func TestUnmarshalAllocs(t *testing.T) {
+	note := MustDescriptor("Note",
+		Field("id", 1, TypeInt64),
+		Field("zone", 2, TypeString),
+		Field("cat", 3, TypeString),
+		Field("tag", 4, TypeString),
+		Field("score", 5, TypeInt64),
+		Field("bytes", 6, TypeInt64),
+		Field("body", 7, TypeString),
+	)
+	body := "a body long enough that copying it would cost an allocation of its own"
+	wire, err := New(note).
+		MustSet("id", int64(4242)).
+		MustSet("zone", "zone-3").
+		MustSet("cat", "cat-1").
+		MustSet("tag", "tag-17").
+		MustSet("score", int64(917)).
+		MustSet("bytes", int64(len(body))).
+		MustSet("body", body).
+		Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 8 // message, slots, 4 string headers, id and score
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := Unmarshal(note, wire); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > want {
+		t.Fatalf("Unmarshal of a Note: %v allocations, want <= %d", got, want)
+	}
+	t.Logf("Unmarshal of a Note: %v allocations", got)
+}

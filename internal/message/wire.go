@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"unsafe"
 )
 
 // Protobuf wire types.
@@ -14,6 +14,14 @@ const (
 	wireBytes   = 2
 	wireFixed32 = 5
 )
+
+// maxDepth is how deep Unmarshal and Marshal let messages nest, protobuf-go's
+// default recursion limit: a message with no nested message is one level deep.
+const maxDepth = 10000
+
+// errTooDeep reports a message nested more than maxDepth levels deep. It is
+// returned as it is from every level, not wrapped once per level.
+var errTooDeep = fmt.Errorf("message: nested more than %d levels deep", maxDepth)
 
 func appendVarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
@@ -27,22 +35,24 @@ func appendTag(b []byte, number int32, wt int) []byte {
 // emitted in field-number order, then unknown fields in their original order
 // (preserving data written by newer schemata, §5).
 func (m *Message) Marshal() ([]byte, error) {
-	return m.appendTo(nil)
+	return m.appendTo(nil, 1)
 }
 
-func (m *Message) appendTo(b []byte) ([]byte, error) {
-	nums := make([]int32, 0, len(m.values))
-	for n := range m.values {
-		nums = append(nums, n)
+// appendTo appends m, which is depth levels deep, to b. The slots are in
+// field-number order, so walking them emits the fields in that order.
+func (m *Message) appendTo(b []byte, depth int) ([]byte, error) {
+	if depth > maxDepth {
+		return nil, errTooDeep
 	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
-	for _, n := range nums {
-		f, _ := m.desc.FieldByNumber(n)
-		v := m.values[n]
+	for i, v := range m.values {
+		if v == nil {
+			continue
+		}
+		f := m.desc.fields[i]
 		if f.Repeated {
 			for _, e := range v.([]interface{}) {
 				var err error
-				b, err = appendField(b, f, e)
+				b, err = appendField(b, f, e, depth)
 				if err != nil {
 					return nil, err
 				}
@@ -50,7 +60,7 @@ func (m *Message) appendTo(b []byte) ([]byte, error) {
 			continue
 		}
 		var err error
-		b, err = appendField(b, f, v)
+		b, err = appendField(b, f, v, depth)
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +75,7 @@ func (m *Message) appendTo(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-func appendField(b []byte, f *FieldDescriptor, v interface{}) ([]byte, error) {
+func appendField(b []byte, f *FieldDescriptor, v interface{}, depth int) ([]byte, error) {
 	switch f.Type {
 	case TypeInt64, TypeInt32, TypeEnum:
 		b = appendTag(b, f.Number, wireVarint)
@@ -96,7 +106,7 @@ func appendField(b []byte, f *FieldDescriptor, v interface{}) ([]byte, error) {
 		b = appendVarint(b, uint64(len(p)))
 		return append(b, p...), nil
 	case TypeMessage:
-		sub, err := v.(*Message).Marshal()
+		sub, err := v.(*Message).appendTo(nil, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -109,15 +119,26 @@ func appendField(b []byte, f *FieldDescriptor, v interface{}) ([]byte, error) {
 
 // Unmarshal decodes protobuf wire data into a message of the given type.
 // Fields not present in the descriptor are preserved as unknown fields.
+//
+// The message keeps data: unknown fields and string fields alias it, so the
+// caller must never modify data afterwards. Bytes fields are copies.
 func Unmarshal(desc *Descriptor, data []byte) (*Message, error) {
+	return unmarshal(desc, data, 1)
+}
+
+// unmarshal decodes a message that is depth levels deep.
+func unmarshal(desc *Descriptor, data []byte, depth int) (*Message, error) {
 	m := New(desc)
-	if err := m.merge(data); err != nil {
+	if err := m.merge(data, depth); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-func (m *Message) merge(data []byte) error {
+func (m *Message) merge(data []byte, depth int) error {
+	if depth > maxDepth {
+		return errTooDeep
+	}
 	for len(data) > 0 {
 		tag, n := binary.Uvarint(data)
 		if n <= 0 {
@@ -136,27 +157,31 @@ func (m *Message) merge(data []byte) error {
 		}
 		data = rest
 
-		f, known := m.desc.FieldByNumber(number)
-		if !known || !wireTypeMatches(f, wt) {
+		i, known := m.desc.byNumber[number]
+		if !known || !wireTypeMatches(m.desc.fields[i], wt) {
 			m.unknown = append(m.unknown, unknownField{number: number, wireType: wt, raw: payload})
 			continue
 		}
+		f := m.desc.fields[i]
 		if f.Repeated && wt == wireBytes && isPackable(f.Type) {
 			// Packed repeated scalars: a length-delimited run of encodings.
-			if err := m.mergePacked(f, payload); err != nil {
+			if err := m.mergePacked(i, payload); err != nil {
 				return err
 			}
 			continue
 		}
-		v, err := decodeScalar(f, wt, payload)
+		v, err := decodeScalar(f, wt, payload, depth)
+		if err == errTooDeep {
+			return err
+		}
 		if err != nil {
 			return fmt.Errorf("message %s field %s: %v", m.desc.Name, f.Name, err)
 		}
 		if f.Repeated {
-			cur, _ := m.values[f.Number].([]interface{})
-			m.values[f.Number] = append(cur, v)
+			cur, _ := m.values[i].([]interface{})
+			m.values[i] = append(cur, v)
 		} else {
-			m.values[f.Number] = v
+			m.values[i] = v
 		}
 	}
 	return nil
@@ -216,8 +241,10 @@ func isPackable(t FieldType) bool {
 	return false
 }
 
-func (m *Message) mergePacked(f *FieldDescriptor, payload []byte) error {
-	cur, _ := m.values[f.Number].([]interface{})
+// mergePacked appends a packed run of encodings to the repeated field in slot i.
+func (m *Message) mergePacked(i int, payload []byte) error {
+	f := m.desc.fields[i]
+	cur, _ := m.values[i].([]interface{})
 	for len(payload) > 0 {
 		var wt int
 		switch f.Type {
@@ -233,17 +260,19 @@ func (m *Message) mergePacked(f *FieldDescriptor, payload []byte) error {
 			return fmt.Errorf("message %s field %s: packed: %v", m.desc.Name, f.Name, err)
 		}
 		payload = rest
-		v, err := decodeScalar(f, wt, chunk)
+		v, err := decodeScalar(f, wt, chunk, 0) // packed runs hold no messages
 		if err != nil {
 			return err
 		}
 		cur = append(cur, v)
 	}
-	m.values[f.Number] = cur
+	m.values[i] = cur
 	return nil
 }
 
-func decodeScalar(f *FieldDescriptor, wt int, payload []byte) (interface{}, error) {
+// decodeScalar decodes one value of field f from its payload; a nested
+// message is depth+1 levels deep.
+func decodeScalar(f *FieldDescriptor, wt int, payload []byte, depth int) (interface{}, error) {
 	switch f.Type {
 	case TypeInt64, TypeInt32, TypeEnum:
 		u, n := binary.Uvarint(payload)
@@ -268,14 +297,18 @@ func decodeScalar(f *FieldDescriptor, wt int, payload []byte) (interface{}, erro
 	case TypeFloat:
 		return math.Float32frombits(binary.LittleEndian.Uint32(payload)), nil
 	case TypeString:
-		return string(payload), nil
+		if len(payload) == 0 {
+			return "", nil
+		}
+		// A view of the wire bytes, not a copy: see Unmarshal.
+		return unsafe.String(unsafe.SliceData(payload), len(payload)), nil
 	case TypeBytes:
 		return append([]byte(nil), payload...), nil
 	case TypeMessage:
 		if f.messageType == nil {
 			return nil, fmt.Errorf("unresolved message type %s", f.MessageTypeName)
 		}
-		return Unmarshal(f.messageType, payload)
+		return unmarshal(f.messageType, payload, depth+1)
 	}
 	return nil, fmt.Errorf("unsupported type %v", f.Type)
 }

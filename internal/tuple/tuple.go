@@ -373,9 +373,22 @@ func doubleUnadjust(u uint64) uint64 {
 	return ^u
 }
 
-// Unpack decodes a packed key back into a tuple.
+// Unpack decodes a packed key back into a tuple. It counts the elements first,
+// so the tuple is allocated once at its size; where ElementLen fails the count
+// stops, and decoding reports the error.
 func Unpack(b []byte) (Tuple, error) {
+	n := 0
+	for rest := b; len(rest) > 0; n++ {
+		l, err := ElementLen(rest)
+		if err != nil {
+			break
+		}
+		rest = rest[l:]
+	}
 	var t Tuple
+	if n > 0 {
+		t = make(Tuple, 0, n)
+	}
 	for len(b) > 0 {
 		e, rest, err := decodeElement(b, false)
 		if err != nil {
