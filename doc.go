@@ -226,15 +226,15 @@
 // 2n with version slots, plus the pair that shows the last record ended). A
 // Union hands every child n + 1 — a union pulled k times pulls no child more
 // than k times, and the one more keeps a consumer's look past its last row
-// inside the first batch. Cursors that drop values (Filter, Distinct,
-// Intersection) forward nothing — what one of their values costs the source is
-// unknown — so the demand stops where it stops being true. At the leaf a range
-// scan sizes its first GetRange to the demand (up to 4096) and reads nothing
-// ahead until the consumer has taken more than it announced; a scanned-records
-// limit is the same demand read off the Limiter (budget + 1: the extra value
-// tells ScanLimitReached from SourceExhausted). MapAsync under a demand issues
-// nothing past it, and its window is min(n, 128), not PipelineDepth (1 stays
-// sequential).
+// inside the first batch. Cursors that drop values (Filter, a filtered record
+// scan, Distinct, Intersection) forward nothing — what one of their values
+// costs the source is unknown — so the demand stops where it stops being
+// true. At the leaf a range scan sizes its first GetRange to the demand (up
+// to 4096) and reads nothing ahead until the consumer has taken more than it
+// announced; a scanned-records limit is the same demand read off the Limiter
+// (budget + 1: the extra value tells ScanLimitReached from SourceExhausted),
+// filtered or not. MapAsync under a demand issues nothing past it, and its
+// window is min(n, 128), not PipelineDepth (1 stays sequential).
 //
 // Without one. cursor.Readier's Ready() says "my next Next returns without
 // waiting": a range scan is Ready while a pair of its last batch is buffered
@@ -274,6 +274,10 @@
 //	intersection, e entries, i rows:   e + 2i, GRV + 1 + ⌈i/128⌉
 //	Distinct over a fan-out scan:      e + 2 per distinct record, as the union
 //	fetch over cursor.Limit(entries, n): n + 2n, GRV + 2
+//
+// A record that a full scan's type check or residual filter rejects costs its
+// pairs and one walk that checks its wire bytes as decoding would, decoding
+// only the fields the filter reads: it is never built.
 //
 // The trade. A consumer that abandons an unlimited stream early, or a RowLimit
 // above a residual filter (which stops the demand), may have fetched up to 127

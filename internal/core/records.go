@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -428,7 +429,7 @@ func (s *Store) awaitLoadRecord(l recordLoad) (*StoredRecord, error) {
 	if len(kvs) == 0 {
 		return nil, nil
 	}
-	return s.assembleRecord(l.pk, kvs)
+	return s.assembleRecord(l.pk, kvs, nil)
 }
 
 func (s *Store) loadRecordByKey(pk tuple.Tuple, snapshot bool) (*StoredRecord, error) {
@@ -450,15 +451,19 @@ var chunkPool = sync.Pool{New: func() interface{} {
 
 // assembleRecord splices a record's pairs back together (§4). Chunks are
 // ordered by suffix so reverse scans assemble correctly. Safe for concurrent
-// use by pipelined fetches.
+// use by pipelined fetches. A nil pk is unpacked from the record's keys, once
+// it is needed.
+//
+// keep, when set, sees the record's type and wire bytes before anything is
+// built: false returns no record, and neither the primary key nor the message
+// is decoded (a filtered scan, RecordFilter).
 //
 // The record owns the fetched values: GetRange returns fresh slices, and a
 // Serializer's Decode returns bytes no one else writes. So the wire bytes are
 // not copied out of the envelope when neither of its elements holds a zero
 // byte, and the message's string and unknown fields view the fetched value;
 // nothing may write it afterwards (TestDecodedStringsSurviveLaterWork).
-func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue) (*StoredRecord, error) {
-	rec := &StoredRecord{PrimaryKey: pk}
+func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue, keep func(*metadata.RecordType, []byte) (bool, error)) (*StoredRecord, error) {
 	partsPtr := chunkPool.Get().(*[]recordChunk)
 	parts := (*partsPtr)[:0]
 	defer func() {
@@ -468,12 +473,18 @@ func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue) (*StoredRecor
 		*partsPtr = parts[:0]
 		chunkPool.Put(partsPtr)
 	}()
+	var (
+		packedPK   []byte
+		version    tuple.Versionstamp
+		hasVersion bool
+	)
 	sorted := true
 	for _, kv := range kvs {
-		_, packed, err := s.splitRecordKey(kv.Key)
+		p, packed, err := s.splitRecordKey(kv.Key)
 		if err != nil {
 			return nil, err
 		}
+		packedPK = p
 		suffix, _, ok := tuple.Int64At(packed)
 		if !ok {
 			t, _ := s.space.Unpack(kv.Key)
@@ -484,7 +495,7 @@ func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue) (*StoredRecor
 			if err != nil {
 				return nil, fmt.Errorf("core: corrupt version slot: %v", err)
 			}
-			rec.Version, rec.HasVersion = v, true
+			version, hasVersion = v, true
 			continue
 		}
 		if n := len(parts); n > 0 && parts[n-1].suffix > suffix {
@@ -515,26 +526,37 @@ func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue) (*StoredRecor
 			blob = append(blob, p.value...)
 		}
 	}
-	rec.Size = len(blob)
-	rec.SplitChunks = len(parts)
 	envelope, err := s.cfg.Serializer.Decode(blob)
 	if err != nil {
 		return nil, err
 	}
 	name, wire, err := readEnvelope(envelope)
 	if err != nil {
+		if pk == nil {
+			pk, _ = tuple.Unpack(packedPK) // splitRecordKey read it, so it unpacks
+		}
 		return nil, fmt.Errorf("core: %v for %v", err, pk)
 	}
 	rt, ok := s.md.RecordType(string(name))
 	if !ok {
 		return nil, fmt.Errorf("core: record of unknown type %q; metadata may predate it", name)
 	}
+	if keep != nil {
+		if ok, err := keep(rt, wire); !ok || err != nil {
+			return nil, err
+		}
+	}
+	if pk == nil {
+		if pk, err = tuple.Unpack(packedPK); err != nil {
+			return nil, err
+		}
+	}
 	msg, err := message.Unmarshal(rt.Descriptor, wire)
 	if err != nil {
 		return nil, err
 	}
-	rec.Type, rec.Message = rt, msg
-	return rec, nil
+	return &StoredRecord{Type: rt, Message: msg, PrimaryKey: pk, Version: version, HasVersion: hasVersion,
+		Size: len(blob), SplitChunks: len(parts)}, nil
 }
 
 var (
@@ -616,6 +638,27 @@ type ScanOptions struct {
 	Range index.TupleRange
 	// Snapshot reads without adding read conflict ranges.
 	Snapshot bool
+	// Filter, when set, drops records before they are built.
+	Filter *RecordFilter
+}
+
+// RecordFilter lets a scan drop records before it builds them: §10.2's full
+// scan "that skips over records of other types", and a residual filter over
+// it. For each record the scan reads the envelope and checks the type, then
+// walks the wire bytes once with a message.Partial, which fails wherever
+// decoding the message would but decodes only Fields. Then the limiter is
+// charged, and Keep decides. Only a record it keeps is built, so one it drops
+// costs its pairs and the walk.
+type RecordFilter struct {
+	// Types lists the record types the scan delivers; empty delivers all.
+	Types []string
+	// Fields names the top-level fields Keep reads.
+	Fields []string
+	// Keep is called for each record the limiter admits, in scan order. msg
+	// holds only the record's Fields and is valid during the call alone; it is
+	// nil for a record whose type is not in Types, which is dropped whatever
+	// Keep returns. An error fails the scan.
+	Keep func(msg *message.Message) (bool, error)
 }
 
 // ScanRecords streams records in primary key order. All record types share
@@ -648,9 +691,9 @@ func (s *Store) ScanRecords(opts ScanOptions) cursor.Cursor[*StoredRecord] {
 		Reverse:  opts.Reverse,
 		Snapshot: opts.Snapshot,
 	})
-	rc := &recordCursor{store: s, kvs: kvs, reverse: opts.Reverse, limiter: opts.Limiter}
+	rc := &recordCursor{store: s, kvs: kvs, reverse: opts.Reverse, limiter: opts.Limiter, filter: opts.Filter}
 	if n, ok := opts.Limiter.RecordsLeft(); ok {
-		rc.Demand(n + 1) // the record past the budget shows it was exceeded
+		rc.demand(n + 1) // the record past the budget shows it was exceeded
 	}
 	return rc
 }
@@ -670,6 +713,10 @@ type recordCursor struct {
 	// group collects the pairs of the record being read; assembleRecord keeps
 	// none of them, so each Next reuses it.
 	group []fdb.KeyValue
+	// filter is ScanOptions.Filter; partials decode the fields it reads from
+	// each record type met so far, none from a type it does not deliver.
+	filter   *RecordFilter
+	partials map[*metadata.RecordType]*message.Partial
 }
 
 func errCursor[T any](err error) cursor.Cursor[T] {
@@ -678,38 +725,74 @@ func errCursor[T any](err error) cursor.Cursor[T] {
 	})
 }
 
-// flush assembles a completed group into a record, charging the limiter one
-// record (the group's key-value footprint). A rejected record halts the
-// cursor with the continuation of the previous record, so the rejected one is
-// re-read on resume rather than lost; the Limiter's first-record admission
-// guarantees every execution delivers at least one record. packed is the
-// group's packed primary key, decoded here once per record.
-func (c *recordCursor) flush(packed []byte, group []fdb.KeyValue) (cursor.Result[*StoredRecord], error) {
-	pk, err := tuple.Unpack(packed)
-	if err != nil {
-		return cursor.Result[*StoredRecord]{}, err
+// admit charges the limiter one record, the group's key-value footprint. A
+// refusal halts the cursor with the continuation of the previous record, so
+// the refused one is re-read on resume rather than lost; the Limiter's
+// first-record admission guarantees every execution delivers at least one.
+func (c *recordCursor) admit(group []fdb.KeyValue) bool {
+	nbytes := 0
+	for _, kv := range group {
+		nbytes += len(kv.Key) + len(kv.Value)
 	}
-	rec, err := c.store.assembleRecord(pk, group)
-	if err != nil {
-		return cursor.Result[*StoredRecord]{}, err
+	reason, ok := c.limiter.TryRecord(nbytes)
+	if !ok {
+		c.halted = &cursor.Result[*StoredRecord]{OK: false, Reason: reason, Continuation: c.lastPK}
 	}
-	if rec != nil {
-		nbytes := 0
-		for _, kv := range group {
-			nbytes += len(kv.Key) + len(kv.Value)
+	return ok
+}
+
+// flush assembles a completed group into a record and charges the limiter
+// for it: after assembly, or with a filter between the walk and Keep. It
+// returns no record for a group that holds none (a version slot alone), for
+// one the limiter refused, and for one the filter dropped; admitted is true
+// for a record the limiter admitted, delivered or not.
+func (c *recordCursor) flush(group []fdb.KeyValue) (rec *StoredRecord, admitted bool, err error) {
+	var keep func(*metadata.RecordType, []byte) (bool, error)
+	if c.filter != nil {
+		keep = func(rt *metadata.RecordType, wire []byte) (bool, error) {
+			msg, err := c.walk(rt, wire)
+			if err != nil {
+				return false, err
+			}
+			if admitted = c.admit(group); !admitted {
+				return false, nil
+			}
+			return c.filter.Keep(msg)
 		}
-		if reason, ok := c.limiter.TryRecord(nbytes); !ok {
-			h := cursor.Result[*StoredRecord]{OK: false, Reason: reason, Continuation: c.lastPK}
-			c.halted = &h
-			return h, nil
+	}
+	rec, err = c.store.assembleRecord(nil, group, keep)
+	if err != nil {
+		return nil, false, err
+	}
+	if rec != nil && keep == nil {
+		if admitted = c.admit(group); !admitted {
+			return nil, false, nil
 		}
 	}
-	c.lastPK = packed
-	if rec == nil {
-		// Version-slot-only remnant: not a record; skip by recursing.
-		return c.Next()
+	return rec, admitted, nil
+}
+
+// walk checks a record's wire bytes as decoding its message would, and returns
+// the fields the filter reads, or nil for a type the filter does not deliver.
+func (c *recordCursor) walk(rt *metadata.RecordType, wire []byte) (*message.Message, error) {
+	delivered := len(c.filter.Types) == 0 || slices.Contains(c.filter.Types, rt.Name)
+	p := c.partials[rt]
+	if p == nil {
+		var fields []string
+		if delivered {
+			fields = c.filter.Fields
+		}
+		p = message.NewPartial(rt.Descriptor, fields...)
+		if c.partials == nil {
+			c.partials = map[*metadata.RecordType]*message.Partial{}
+		}
+		c.partials[rt] = p
 	}
-	return cursor.Result[*StoredRecord]{Value: rec, OK: true, Continuation: packed}, nil
+	msg, err := p.Decode(wire)
+	if err != nil || !delivered {
+		return nil, err
+	}
+	return msg, nil
 }
 
 // Prefetch implements cursor.Prefetcher by forwarding to the pair source;
@@ -721,10 +804,18 @@ func (c *recordCursor) Prefetch() {
 	cursor.Prefetch(c.kvs)
 }
 
-// Demand implements cursor.Demander in pairs: an unsplit record is one pair,
-// two with a version slot, and the pair after the last one shows it ended.
-// Split records take more; the short hint then costs a second read.
+// Demand implements cursor.Demander. A filtered scan delivers fewer records
+// than it reads, so like cursor.Filter it does not pass a demand on.
 func (c *recordCursor) Demand(n int) {
+	if c.filter == nil {
+		c.demand(n)
+	}
+}
+
+// demand asks the pair source for n records' pairs: an unsplit record is one
+// pair, two with a version slot, and the pair after the last one shows it
+// ended. Split records take more; the short hint then costs a second read.
+func (c *recordCursor) demand(n int) {
 	per := 1
 	if c.store.md.StoreRecordVersions {
 		per = 2
@@ -741,49 +832,69 @@ func (c *recordCursor) nextPair() (cursor.Result[fdb.KeyValue], error) {
 	return c.kvs.Next()
 }
 
-// Next implements cursor.Cursor.
-func (c *recordCursor) Next() (cursor.Result[*StoredRecord], error) {
-	if c.halted != nil {
-		return *c.halted, nil
-	}
-	group := c.group[:0]
-	var groupPK []byte
+// nextGroup reads the pairs of the next record: its packed primary key, its
+// pairs, and whether the source ended right after them. With no complete
+// record left it returns no pairs and the source's halt.
+func (c *recordCursor) nextGroup() (packed []byte, group []fdb.KeyValue, stop cursor.Result[fdb.KeyValue], err error) {
+	group = c.group[:0]
 	for {
 		r, err := c.nextPair()
 		if err != nil {
-			return cursor.Result[*StoredRecord]{}, err
+			return nil, nil, r, err
 		}
 		if !r.OK {
 			if len(group) > 0 && r.Reason == cursor.SourceExhausted {
-				res, err := c.flush(groupPK, group)
-				if err != nil {
-					return res, err
-				}
-				if res.OK {
-					h := cursor.Result[*StoredRecord]{OK: false, Reason: cursor.SourceExhausted}
-					c.halted = &h
-				}
-				return res, nil
+				return packed, group, r, nil
 			}
-			// Out-of-band halt: drop the partial group; the continuation
-			// names the last complete record.
-			h := cursor.Result[*StoredRecord]{OK: false, Reason: r.Reason, Continuation: c.lastPK}
-			c.halted = &h
-			return h, nil
+			// Out-of-band halt: drop the partial group.
+			return nil, nil, r, nil
 		}
 		pk, _, err := c.store.splitRecordKey(r.Value.Key)
 		if err != nil {
-			return cursor.Result[*StoredRecord]{}, err
+			return nil, nil, r, err
 		}
-		if len(group) == 0 || bytes.Equal(pk, groupPK) {
+		if len(group) == 0 || bytes.Equal(pk, packed) {
 			group = append(group, r.Value)
-			c.group, groupPK = group, pk
+			c.group, packed = group, pk
 			continue
 		}
-		// A new primary key begins: push its first pair back so the next
-		// call (or a remnant-skipping recursion) re-reads it, then emit the
-		// completed group.
+		// A new primary key begins: push its first pair back for the next
+		// group.
 		c.pushed, c.hasPushed = r.Value, true
-		return c.flush(groupPK, group)
+		return packed, group, r, nil
 	}
+}
+
+// Next implements cursor.Cursor.
+func (c *recordCursor) Next() (cursor.Result[*StoredRecord], error) {
+	for c.halted == nil {
+		packed, group, stop, err := c.nextGroup()
+		if err != nil {
+			return cursor.Result[*StoredRecord]{}, err
+		}
+		if group == nil {
+			// The continuation names the last complete record.
+			c.halted = &cursor.Result[*StoredRecord]{OK: false, Reason: stop.Reason, Continuation: c.lastPK}
+			break
+		}
+		rec, admitted, err := c.flush(group)
+		if err != nil {
+			return cursor.Result[*StoredRecord]{}, err
+		}
+		if c.halted != nil {
+			break // the limiter refused the record
+		}
+		c.lastPK = packed
+		if admitted && !stop.OK {
+			// The last record ends the scan with no continuation, delivered
+			// or not; after a version slot alone the source's halt names it.
+			c.halted = &cursor.Result[*StoredRecord]{OK: false, Reason: cursor.SourceExhausted}
+		}
+		if rec != nil {
+			return cursor.Result[*StoredRecord]{Value: rec, OK: true, Continuation: packed}, nil
+		}
+		// A version slot alone is no record, and a dropped one is not
+		// delivered: read on.
+	}
+	return *c.halted, nil
 }

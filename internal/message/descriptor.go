@@ -27,6 +27,10 @@
 //     more than 10 000 levels deep (protobuf-go's default recursion limit),
 //     so a writer cannot store what a reader would refuse, and a message that
 //     contains itself fails to marshal instead of overflowing.
+//   - Partial decoding. A reader that decides from a few fields whether it
+//     needs a message at all (a scan's residual filter) decodes those with a
+//     Partial. It checks every byte as Unmarshal does, so it fails where
+//     Unmarshal fails, but allocates nothing for the fields it skips.
 package message
 
 import (

@@ -443,7 +443,8 @@ func TestNestingDepthBound(t *testing.T) {
 // fields, 4 of them strings. The message and its slots are one allocation
 // each; each string is a view of the wire bytes, so the only allocation left
 // per string is boxing its header into the slot, and an int64 is boxed only
-// when it is 256 or more. The map-backed message took 13.
+// when it is 256 or more. The map-backed message took 13. A Partial decodes
+// into a message it reuses, so it allocates only the boxes of what it keeps.
 func TestUnmarshalAllocs(t *testing.T) {
 	note := MustDescriptor("Note",
 		Field("id", 1, TypeInt64),
@@ -477,4 +478,17 @@ func TestUnmarshalAllocs(t *testing.T) {
 		t.Fatalf("Unmarshal of a Note: %v allocations, want <= %d", got, want)
 	}
 	t.Logf("Unmarshal of a Note: %v allocations", got)
+	// A Partial checks the fields it skips without allocating; keeping one
+	// int64 of 256 or more costs its box.
+	for fields, want := range map[string]float64{"": 0, "score": 1} {
+		p := NewPartial(note, fields)
+		got := testing.AllocsPerRun(100, func() {
+			if _, err := p.Decode(wire); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != want {
+			t.Fatalf("Partial keeping %q of a Note: %v allocations, want %v", fields, got, want)
+		}
+	}
 }

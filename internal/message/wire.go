@@ -129,59 +129,110 @@ func Unmarshal(desc *Descriptor, data []byte) (*Message, error) {
 // unmarshal decodes a message that is depth levels deep.
 func unmarshal(desc *Descriptor, data []byte, depth int) (*Message, error) {
 	m := New(desc)
-	if err := m.merge(data, depth); err != nil {
+	if err := walk(desc, m, nil, data, depth); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-func (m *Message) merge(data []byte, depth int) error {
+// Partial decodes messages of one type keeping only some of their top-level
+// fields, into one message it reuses.
+type Partial struct {
+	m    *Message
+	keep []bool // by slot
+}
+
+// NewPartial returns a Partial for messages of type desc that keeps the named
+// fields; a name desc does not declare keeps nothing.
+func NewPartial(desc *Descriptor, fields ...string) *Partial {
+	p := &Partial{m: New(desc), keep: make([]bool, len(desc.fields))}
+	for _, name := range fields {
+		if i, ok := desc.byName[name]; ok {
+			p.keep[i] = true
+		}
+	}
+	return p
+}
+
+// Decode checks data exactly as Unmarshal does, failing where it fails with
+// the same error, but decodes only the kept fields: the message it returns
+// holds them as Unmarshal would, and no other field and no unknown field.
+// Checking a field it does not keep allocates nothing, nested messages and
+// packed runs included. The message is p's own until the next Decode, and it
+// aliases data as Unmarshal's does.
+func (p *Partial) Decode(data []byte) (*Message, error) {
+	clear(p.m.values)
+	if err := walk(p.m.desc, p.m, p.keep, data, 1); err != nil {
+		return nil, err
+	}
+	return p.m, nil
+}
+
+// walk decodes data, a message of type d that is depth levels deep, into m,
+// or only checks it when m is nil; either way it fails where decoding fails,
+// with the same error. With keep set it decodes into m only the fields whose
+// slot keep marks, checks the others and drops unknown fields. Checking
+// allocates nothing.
+func walk(d *Descriptor, m *Message, keep []bool, data []byte, depth int) error {
 	if depth > maxDepth {
 		return errTooDeep
 	}
 	for len(data) > 0 {
 		tag, n := binary.Uvarint(data)
 		if n <= 0 {
-			return fmt.Errorf("message %s: bad tag varint", m.desc.Name)
+			return fmt.Errorf("message %s: bad tag varint", d.Name)
 		}
 		data = data[n:]
 		number := int32(tag >> 3)
 		wt := int(tag & 7)
 		if number < 1 {
-			return fmt.Errorf("message %s: invalid field number %d", m.desc.Name, number)
+			return fmt.Errorf("message %s: invalid field number %d", d.Name, number)
 		}
 
 		payload, rest, err := consume(data, wt)
 		if err != nil {
-			return fmt.Errorf("message %s field %d: %v", m.desc.Name, number, err)
+			return fmt.Errorf("message %s field %d: %v", d.Name, number, err)
 		}
 		data = rest
 
-		i, known := m.desc.byNumber[number]
-		if !known || !wireTypeMatches(m.desc.fields[i], wt) {
-			m.unknown = append(m.unknown, unknownField{number: number, wireType: wt, raw: payload})
+		i, known := d.byNumber[number]
+		if !known || !wireTypeMatches(d.fields[i], wt) {
+			if m != nil && keep == nil {
+				m.unknown = append(m.unknown, unknownField{number: number, wireType: wt, raw: payload})
+			}
 			continue
 		}
-		f := m.desc.fields[i]
+		into := m
+		if keep != nil && !keep[i] {
+			into = nil
+		}
+		f := d.fields[i]
 		if f.Repeated && wt == wireBytes && isPackable(f.Type) {
 			// Packed repeated scalars: a length-delimited run of encodings.
-			if err := m.mergePacked(i, payload); err != nil {
+			if err := mergePacked(d, into, i, payload); err != nil {
 				return err
 			}
 			continue
 		}
-		v, err := decodeScalar(f, wt, payload, depth)
+		var v interface{}
+		if into == nil {
+			err = checkScalar(f, payload, depth)
+		} else {
+			v, err = decodeScalar(f, wt, payload, depth)
+		}
 		if err == errTooDeep {
 			return err
 		}
 		if err != nil {
-			return fmt.Errorf("message %s field %s: %v", m.desc.Name, f.Name, err)
+			return fmt.Errorf("message %s field %s: %v", d.Name, f.Name, err)
 		}
-		if f.Repeated {
-			cur, _ := m.values[i].([]interface{})
-			m.values[i] = append(cur, v)
-		} else {
-			m.values[i] = v
+		switch {
+		case into == nil:
+		case f.Repeated:
+			cur, _ := into.values[i].([]interface{})
+			into.values[i] = append(cur, v)
+		default:
+			into.values[i] = v
 		}
 	}
 	return nil
@@ -241,10 +292,14 @@ func isPackable(t FieldType) bool {
 	return false
 }
 
-// mergePacked appends a packed run of encodings to the repeated field in slot i.
-func (m *Message) mergePacked(i int, payload []byte) error {
-	f := m.desc.fields[i]
-	cur, _ := m.values[i].([]interface{})
+// mergePacked appends a packed run of encodings to the repeated field in slot
+// i of m, a message of type d, or only checks the run when m is nil.
+func mergePacked(d *Descriptor, m *Message, i int, payload []byte) error {
+	f := d.fields[i]
+	var cur []interface{}
+	if m != nil {
+		cur, _ = m.values[i].([]interface{})
+	}
 	for len(payload) > 0 {
 		var wt int
 		switch f.Type {
@@ -257,16 +312,24 @@ func (m *Message) mergePacked(i int, payload []byte) error {
 		}
 		chunk, rest, err := consume(payload, wt)
 		if err != nil {
-			return fmt.Errorf("message %s field %s: packed: %v", m.desc.Name, f.Name, err)
+			return fmt.Errorf("message %s field %s: packed: %v", d.Name, f.Name, err)
 		}
 		payload = rest
+		if m == nil {
+			if err := checkScalar(f, chunk, 0); err != nil {
+				return err
+			}
+			continue
+		}
 		v, err := decodeScalar(f, wt, chunk, 0) // packed runs hold no messages
 		if err != nil {
 			return err
 		}
 		cur = append(cur, v)
 	}
-	m.values[i] = cur
+	if m != nil {
+		m.values[i] = cur
+	}
 	return nil
 }
 
@@ -311,4 +374,24 @@ func decodeScalar(f *FieldDescriptor, wt int, payload []byte, depth int) (interf
 		return unmarshal(f.messageType, payload, depth+1)
 	}
 	return nil, fmt.Errorf("unsupported type %v", f.Type)
+}
+
+// checkScalar fails where decodeScalar fails, with the same error, without
+// decoding the value or allocating.
+func checkScalar(f *FieldDescriptor, payload []byte, depth int) error {
+	switch f.Type {
+	case TypeInt64, TypeInt32, TypeEnum, TypeUint64, TypeBool:
+		if _, n := binary.Uvarint(payload); n <= 0 {
+			return fmt.Errorf("bad varint")
+		}
+		return nil
+	case TypeDouble, TypeFloat, TypeString, TypeBytes:
+		return nil
+	case TypeMessage:
+		if f.messageType == nil {
+			return fmt.Errorf("unresolved message type %s", f.MessageTypeName)
+		}
+		return walk(f.messageType, nil, nil, payload, depth+1)
+	}
+	return fmt.Errorf("unsupported type %v", f.Type)
 }

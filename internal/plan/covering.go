@@ -216,8 +216,9 @@ func (p *Planner) coveringFor(ix *metadata.Index, q query.RecordQuery, conjuncts
 }
 
 // componentFields collects the top-level scalar fields a residual predicate
-// reads, or reports that the predicate cannot be analyzed for covering
-// (nested paths, one-of-them repeated fields, unknown component types).
+// reads, or reports that it cannot name them (nested paths, one-of-them
+// repeated fields, unknown component types): a covering plan must supply
+// those fields, and a full scan decodes only them before the filter runs.
 func componentFields(c query.Component) ([]string, bool) {
 	switch x := c.(type) {
 	case *query.FieldComponent:

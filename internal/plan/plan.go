@@ -12,6 +12,7 @@ import (
 	"recordlayer/internal/core"
 	"recordlayer/internal/cursor"
 	"recordlayer/internal/index"
+	"recordlayer/internal/message"
 	"recordlayer/internal/obs"
 	"recordlayer/internal/query"
 )
@@ -159,6 +160,8 @@ type statsCursor[T any] struct {
 	inner cursor.Cursor[T]
 	node  *obs.PlanStats
 	st    *core.Store
+	// ioOnly leaves the node's rows to the cursor it wraps (observeIO).
+	ioOnly bool
 }
 
 // attribute runs f and adds the I/O it did, net of the children's, to the node.
@@ -195,7 +198,7 @@ func (c *statsCursor[T]) Ready() bool { return cursor.Ready(c.inner) }
 
 func (c *statsCursor[T]) Next() (r cursor.Result[T], err error) {
 	c.attribute(func() { r, err = c.inner.Next() })
-	if err == nil && r.OK {
+	if err == nil && r.OK && !c.ioOnly {
 		c.node.AddRowOut() //lint:allow obsguard observe() returns early on nil node; statsCursor exists only when node != nil
 	}
 	return r, err
@@ -215,8 +218,17 @@ func observe[T any](node *obs.PlanStats, s *core.Store, io bool, c cursor.Cursor
 	return &statsCursor[T]{inner: c, node: node, st: st}
 }
 
-// rowInCursor counts the source items a leaf scans (index entries, raw
-// records ahead of a type filter) as the node's RowsIn.
+// observeIO is observe for a scan that counts its node's rows itself: the
+// wrapper counts the page and attributes I/O, and counts no rows.
+func observeIO(node *obs.PlanStats, s *core.Store, c cursor.Cursor[*core.StoredRecord]) cursor.Cursor[*core.StoredRecord] {
+	if node == nil {
+		return c
+	}
+	node.AddPage()
+	return &statsCursor[*core.StoredRecord]{inner: c, node: node, st: s, ioOnly: true}
+}
+
+// rowInCursor counts the index entries a leaf scans as the node's RowsIn.
 type rowInCursor[T any] struct {
 	inner cursor.Cursor[T]
 	node  *obs.PlanStats
@@ -259,23 +271,39 @@ type FullScanPlan struct {
 
 // Execute implements Plan.
 func (p *FullScanPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Cursor[*core.StoredRecord], error) {
-	c := s.ScanRecords(core.ScanOptions{
+	return p.scan(s, opts, nil, nil), nil
+}
+
+// scan runs the scan with filter, which reads only fields, evaluated inside
+// it: the type check and the filter run on each record's wire bytes
+// (core.RecordFilter), and only the records they keep are built. The node's
+// rows in and out are counted there too, where the dropped records are seen.
+func (p *FullScanPlan) scan(s *core.Store, opts ExecuteOptions, filter query.Component, fields []string) cursor.Cursor[*core.StoredRecord] {
+	so := core.ScanOptions{
 		Reverse:      p.Reverse,
 		Limiter:      opts.Limiter,
 		Continuation: opts.Continuation,
 		Snapshot:     opts.Snapshot,
-	})
-	if len(p.Types) == 0 {
-		return observe(opts.Stats, s, true, c), nil
 	}
-	c = observeIn(opts.Stats, c)
-	want := map[string]bool{}
-	for _, t := range p.Types {
-		want[t] = true
+	if len(p.Types) == 0 && filter == nil {
+		return observe(opts.Stats, s, true, s.ScanRecords(so))
 	}
-	return observe(opts.Stats, s, true, cursor.Filter(c, func(r *core.StoredRecord) (bool, error) {
-		return want[r.Type.Name], nil
-	})), nil
+	node, typed := opts.Stats, len(p.Types) > 0
+	so.Filter = &core.RecordFilter{Types: p.Types, Fields: fields, Keep: func(msg *message.Message) (bool, error) {
+		if node != nil {
+			if typed {
+				node.AddRowIn()
+			}
+			if msg != nil {
+				node.AddRowOut()
+			}
+		}
+		if msg == nil || filter == nil {
+			return msg != nil, nil
+		}
+		return filter.Eval(msg)
+	}}
+	return observeIO(opts.Stats, s, s.ScanRecords(so))
 }
 
 // OrderedByPrimaryKey implements Plan.
@@ -379,9 +407,16 @@ type FilterPlan struct {
 	Filter query.Component
 }
 
-// Execute implements Plan.
+// Execute implements Plan. Over a full scan, a filter whose fields
+// componentFields can name runs inside the scan, on each record's wire bytes.
 func (p *FilterPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Cursor[*core.StoredRecord], error) {
-	c, err := p.Child.Execute(s, childOptions(opts, 0, p.Child, opts.Continuation))
+	co := childOptions(opts, 0, p.Child, opts.Continuation)
+	if scan, ok := p.Child.(*FullScanPlan); ok {
+		if fields, ok := componentFields(p.Filter); ok {
+			return observe(opts.Stats, s, false, scan.scan(s, co, p.Filter, fields)), nil
+		}
+	}
+	c, err := p.Child.Execute(s, co)
 	if err != nil {
 		return nil, err
 	}

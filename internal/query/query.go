@@ -165,34 +165,59 @@ func normalizeOperand(v interface{}) interface{} {
 	return v
 }
 
-// Eval implements Component.
+// Eval implements Component. On a path with no repeated field it allocates
+// nothing: a scan's residual filter runs it once per record it reads.
 func (c *FieldComponent) Eval(msg *message.Message) (bool, error) {
-	vals, err := resolvePath(msg, c.path, c.anyOf)
+	if !c.anyOf {
+		// An unset field, or an unset message on the way to it, is null.
+		v, err := resolveScalar(msg, c.path)
+		if err != nil {
+			return false, err
+		}
+		return compare(c.Op, v, c.Operand, c.List)
+	}
+	vals, err := resolvePath(msg, c.path)
 	if err != nil {
 		return false, err
 	}
 	for _, v := range vals {
-		ok, err := compare(c.Op, v, c.Operand, c.List)
-		if err != nil {
-			return false, err
+		if ok, err := compare(c.Op, v, c.Operand, c.List); ok || err != nil {
+			return ok, err
 		}
-		if ok {
-			return true, nil
-		}
-		if !c.anyOf {
-			return false, nil
-		}
-	}
-	if len(vals) == 0 && !c.anyOf {
-		// Unset field behaves as null.
-		return compare(c.Op, nil, c.Operand, c.List)
 	}
 	return false, nil
 }
 
-// resolvePath walks the field path, fanning out over repeated fields when
-// anyOf is set.
-func resolvePath(msg *message.Message, path []string, anyOf bool) ([]interface{}, error) {
+// resolveScalar walks a path with no repeated field to the value at its end,
+// nil when a field on the way is unset.
+func resolveScalar(msg *message.Message, path []string) (interface{}, error) {
+	if msg == nil {
+		return nil, nil
+	}
+	var cur interface{} = msg
+	for _, name := range path {
+		m, ok := cur.(*message.Message)
+		if !ok {
+			return nil, fmt.Errorf("query: cannot descend into non-message at %q", name)
+		}
+		fd, ok := m.Descriptor().FieldByName(name)
+		if !ok {
+			return nil, fmt.Errorf("query: record type %s has no field %q", m.Descriptor().Name, name)
+		}
+		if fd.Repeated {
+			return nil, fmt.Errorf("query: field %q is repeated; use OneOfThem()", name)
+		}
+		if cur, ok = m.Get(name); !ok {
+			return nil, nil
+		}
+	}
+	return cur, nil
+}
+
+// resolvePath walks a one-of-them path, fanning out over repeated fields, to
+// the values at its end: nil for an unset field there, none past an unset
+// message.
+func resolvePath(msg *message.Message, path []string) ([]interface{}, error) {
 	if msg == nil {
 		return nil, nil
 	}
@@ -210,9 +235,6 @@ func resolvePath(msg *message.Message, path []string, anyOf bool) ([]interface{}
 				return nil, fmt.Errorf("query: record type %s has no field %q", m.Descriptor().Name, name)
 			}
 			if fd.Repeated {
-				if !anyOf {
-					return nil, fmt.Errorf("query: field %q is repeated; use OneOfThem()", name)
-				}
 				next = append(next, m.GetRepeated(name)...)
 				continue
 			}
@@ -221,7 +243,6 @@ func resolvePath(msg *message.Message, path []string, anyOf bool) ([]interface{}
 				if last {
 					next = append(next, nil)
 				}
-				// Unset intermediate message: path resolves to nothing.
 				continue
 			}
 			next = append(next, v)

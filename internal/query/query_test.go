@@ -168,3 +168,30 @@ func TestQueryString(t *testing.T) {
 		t.Errorf("query string: %q", s)
 	}
 }
+
+// TestFieldEvalAllocs: a field predicate on a path with no repeated field
+// allocates nothing, set or unset, top-level or nested, whatever the
+// comparison; a scan's residual filter runs one per record it reads.
+func TestFieldEvalAllocs(t *testing.T) {
+	m := testMsg(t)
+	empty := message.New(m.Descriptor())
+	for _, c := range []Component{
+		Field("age").GreaterOrEqual(18),
+		Field("name").Equals("mira"),
+		Field("name").BeginsWith("mi"),
+		Field("age").OneOf(10, 20, 30),
+		Field("name").Null(),
+		Field("addr").Nest("zip").LessThan(2000),
+		And(Field("age").GreaterThan(20), Not(Field("active").Equals(false))),
+	} {
+		for _, msg := range []*message.Message{m, empty} {
+			if n := testing.AllocsPerRun(100, func() {
+				if _, err := c.Eval(msg); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%s: %v allocations per Eval, want 0", c, n)
+			}
+		}
+	}
+}
