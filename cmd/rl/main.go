@@ -321,7 +321,7 @@ func usageCmd() {
 					id += 3
 				}
 			}
-			n, err := exp.Export()
+			n, err := exp.Export(ctx)
 			must(err)
 			fmt.Printf("%s window %d: exported %d tenant row(s)\n", server, window+1, n)
 		}
@@ -366,11 +366,16 @@ func usageCmd() {
 // depth): build a small store, corrupt its VALUE index three ways with raw
 // key surgery — a dangling entry, a missing entry, a mismatched covering
 // value — then detect everything with a report-only scrub, repair in place,
-// and prove a final scrub comes back clean. Exits non-zero if any stage
-// disagrees with the script.
+// and prove a final scrub comes back clean. Every transaction, scrub batches
+// included, runs through one metered Runner as background work of tenant
+// acme, so the scrubs' cost shows in acme's usage. Exits non-zero if any stage
+// disagrees with the script or the scrubs billed nothing.
 func scrubCmd() {
 	db := fdb.Open(nil)
-	ctx := context.Background()
+	acct := recordlayer.NewAccountant()
+	runner := recordlayer.NewRunner(db, recordlayer.RunnerOptions{Accountant: acct})
+	ctx := recordlayer.WithPriority(recordlayer.WithTenant(context.Background(), "acme"),
+		recordlayer.PriorityBackground)
 
 	note := message.MustDescriptor("Note",
 		message.Field("id", 1, message.TypeInt64),
@@ -391,7 +396,7 @@ func scrubCmd() {
 
 	section("1. A healthy store")
 	zones := []string{"personal", "work", "shared"}
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = runner.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := provider.Open(ctx, tr, "acme")
 		if err != nil {
 			return nil, err
@@ -407,9 +412,17 @@ func scrubCmd() {
 	must(err)
 	space, err := ks.MustPath("app").MustAdd("tenant", "acme").ToSubspaceStatic()
 	must(err)
-	scr := &recordlayer.Scrubber{DB: db, MetaData: md, Space: space, IndexName: "by_zone", BatchSize: 8}
-	rep, err := scr.Scrub(ctx)
-	must(err)
+	scr := &recordlayer.Scrubber{DB: runner, MetaData: md, Space: space, IndexName: "by_zone", BatchSize: 8}
+	// scrub runs one pass and adds what acme was billed for it to billed.
+	var billed recordlayer.TenantUsage
+	scrub := func(s *recordlayer.Scrubber) *recordlayer.ScrubReport {
+		before := acct.Tenant("acme").Snapshot()
+		rep, err := s.Scrub(ctx)
+		must(err)
+		billed = billed.Accumulate(acct.Tenant("acme").Snapshot().Delta(before))
+		return rep
+	}
+	rep := scrub(scr)
 	fmt.Printf("  saved 24 Notes; scrub verified %d entries + %d records: clean=%v\n",
 		rep.EntriesScanned, rep.RecordsScanned, rep.Clean())
 	if !rep.Clean() {
@@ -417,7 +430,7 @@ func scrubCmd() {
 	}
 
 	section("2. Corrupting the index behind the store's back")
-	_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+	_, err = runner.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := provider.Open(ctx, tr, "acme")
 		if err != nil {
 			return nil, err
@@ -460,8 +473,7 @@ func scrubCmd() {
 	fmt.Println("  planted 1 dangling entry, cleared 1 legitimate entry, corrupted 1 value")
 
 	section("3. Detection (report-only)")
-	rep, err = scr.Scrub(ctx)
-	must(err)
+	rep = scrub(scr)
 	for _, issue := range rep.Issues {
 		fmt.Printf("  found %s\n", issue)
 	}
@@ -476,22 +488,27 @@ func scrubCmd() {
 	section("4. Repair in place")
 	fix := *scr
 	fix.Repair = true
-	rep, err = fix.Scrub(ctx)
-	must(err)
+	rep = scrub(&fix)
 	fmt.Printf("  repaired %d issue(s) inside the scan's own batch transactions\n", rep.Repaired)
 	if rep.Repaired < 3 {
 		log.Fatalf("expected >= 3 repairs, got %d", rep.Repaired)
 	}
 
 	section("5. Clean bill of health")
-	rep, err = scr.Scrub(ctx)
-	must(err)
+	rep = scrub(scr)
 	fmt.Printf("  re-scrub: %d entries + %d records verified, %d issue(s)\n",
 		rep.EntriesScanned, rep.RecordsScanned, len(rep.Issues))
 	if !rep.Clean() {
 		log.Fatalf("store still inconsistent after repair: %v", rep.Issues)
 	}
-	fmt.Println("\nscrub demo passed: corruption detected, repaired, and verified gone")
+
+	section("6. What the scrubs cost acme")
+	fmt.Printf("  4 scrubs billed to acme at background priority: %d transactions, %d keys read (%d B), %d keys written (%d B)\n",
+		billed.Transactions, billed.ReadRecords, billed.ReadBytes, billed.WriteRecords, billed.WriteBytes)
+	if billed.Transactions == 0 || billed.ReadRecords == 0 {
+		log.Fatalf("the scrubs billed acme nothing: %+v", billed)
+	}
+	fmt.Println("\nscrub demo passed: corruption detected, repaired, verified gone, and billed")
 }
 
 func tour() {

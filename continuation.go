@@ -36,13 +36,15 @@ func encodeSkipContinuation(remaining int, inner []byte) []byte {
 // decodeSkipContinuation splits a skip-enveloped continuation back into the
 // outstanding skip count and the inner plan continuation. A continuation
 // without the envelope (from an execution that predates skip encoding)
-// resumes with nothing left to skip.
-func decodeSkipContinuation(cont []byte) (remaining int, inner []byte, err error) {
+// resumes with nothing left to skip. A count outside [0, skip] — the query's
+// own Skip — cannot have come from this query and is rejected as corrupt:
+// accepting it would silently change which rows come back.
+func decodeSkipContinuation(cont []byte, skip int) (remaining int, inner []byte, err error) {
 	if len(cont) == 0 || cont[0] != skipContMarker {
 		return 0, cont, nil
 	}
 	v, n := binary.Uvarint(cont[1:])
-	if n <= 0 {
+	if n <= 0 || skip < 0 || v > uint64(skip) {
 		return 0, nil, fmt.Errorf("recordlayer: corrupt skip continuation")
 	}
 	inner = cont[1+n:]

@@ -474,9 +474,13 @@
 // queued admissions are granted weighted-fairly — lowest in-flight share
 // relative to TenantLimits.Weight first — so a hot tenant cannot starve the
 // rest. Admissions carry a priority class (WithPriority): background work
-// is granted only capacity no foreground waiter wants, and PaceFromGovernor
-// turns that into an OnlineIndexer.Pace hook so index builds throttle under
-// tenant load.
+// is granted only capacity no foreground waiter wants, and a background
+// admission over quota waits out RetryAfter instead of failing. Background
+// work is admitted by the same door as foreground work: an online index
+// build or a scrub takes an fdb.Door, and handed a Runner under WithTenant
+// and WithPriority(PriorityBackground) each of its batches is admitted
+// behind queued foreground work, billed to the tenant, traced and
+// retry-counted (TestBackgroundWorkThroughRunner).
 //
 // Quotas persist in the database rather than in any process: write them
 // through NewLimitsStore(db) (or `rl tenants set-limits`), and every
@@ -613,20 +617,23 @@
 // and failures down by cause (conflict, too_old, future_version, timeout,
 // quota, maybe_committed), and the metrics registry exports the same labels.
 //
-// One loop, fdb.Database.Retry, serves both entry points and owns all of
-// this: the attempt limit, the retryable/maybe-committed split, the
-// idempotency promise, sticky ambiguity, the backoff, the context checks and
-// one fdb Metrics.Retries per retry. So the background loops that call
-// Database.Transact/TransactIdempotent/ReadTransact (indexer, scrubber,
-// leases, limits and metering stores) get the same *RetryLimitError and
-// *MaybeCommittedError as Runner callers. Only the two policies differ, and
-// both are constants in internal/fdb: Transact retries 100 times (101
-// attempts) with a backoff doubling from 1 ms to 64 ms, unjittered, through
-// fdb.Options.Sleep; the Runner makes RunnerOptions.MaxAttempts (10) attempts
-// with a backoff doubling from 2 ms to 250 ms, half-jittered by
-// RunnerOptions.Rand, through RunnerOptions.Sleep. The Runner adds only what
-// is the façade's: admission, the meter and trace bound to each attempt, the
-// attempt and backoff spans, and RunnerMetrics by cause.
+// One loop, fdb.Database.Retry, owns all of this: the attempt limit, the
+// retryable/maybe-committed split, the idempotency promise, sticky
+// ambiguity, the backoff, the context checks and one fdb Metrics.Retries per
+// retry. Work enters it through an fdb.Door — Run, RunIdempotent or ReadRun
+// — and two types are doors: the Runner, and *fdb.Database itself, which
+// binds the trace its ctx carries to each attempt but admits and bills
+// nothing. The online indexer and the scrubber take either; the leases,
+// limits and metering stores still call Database.Transact/ReadTransact, the
+// context-free wrappers. Every caller gets the same *RetryLimitError and
+// *MaybeCommittedError. Only the two policies differ, and both are constants
+// in internal/fdb: the database retries 100 times (101 attempts) with a
+// backoff doubling from 1 ms to 64 ms, unjittered, through fdb.Options.Sleep;
+// the Runner makes RunnerOptions.MaxAttempts (10) attempts with a backoff
+// doubling from 2 ms to 250 ms, half-jittered by RunnerOptions.Rand, through
+// RunnerOptions.Sleep. The Runner adds only what is the façade's: admission,
+// the meter and trace bound to each attempt, the attempt and backoff spans,
+// and RunnerMetrics by cause.
 //
 // The recovery paths are built to survive exactly these faults: the
 // OnlineIndexer's batches are progress-keyed so a maybe-committed batch

@@ -3,7 +3,6 @@ package recordlayer
 import (
 	"context"
 	"errors"
-	"time"
 
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/keyspace"
@@ -75,7 +74,8 @@ type Priority = resource.Priority
 
 // Admission priority classes. Background admissions are granted only when no
 // foreground waiter is eligible, so deprioritized work (index builds,
-// backfills) yields to interactive traffic.
+// backfills) yields to interactive traffic; and a background admission over
+// its tenant's quota waits out RetryAfter instead of failing (Runner).
 const (
 	PriorityForeground = resource.PriorityForeground
 	PriorityBackground = resource.PriorityBackground
@@ -211,34 +211,4 @@ func NewMeteringStore(db *fdb.Database) *MeteringStore {
 //	go exp.Run(ctx, 30*time.Second)
 func NewUsageExporter(acct *Accountant, db *fdb.Database, server string) *UsageExporter {
 	return resource.NewUsageExporter(acct, NewMeteringStore(db), server, nil)
-}
-
-// PaceFromGovernor adapts gov into an OnlineIndexer.Pace hook: each batch
-// boundary acquires (and immediately releases) a background-priority
-// admission for tenant, so the build waits whenever foreground traffic is
-// queued for capacity and backs off for RetryAfter whenever the tenant is
-// over a rate or byte quota. The build therefore consumes only capacity the
-// interactive workload is not using.
-func PaceFromGovernor(gov *Governor, tenant string) func(context.Context) error {
-	return func(ctx context.Context) error {
-		bctx := resource.WithPriority(ctx, resource.PriorityBackground)
-		for {
-			release, err := gov.Admit(bctx, tenant)
-			if err == nil {
-				release()
-				return nil
-			}
-			var qe *QuotaExceededError
-			if !errors.As(err, &qe) {
-				return err
-			}
-			t := time.NewTimer(qe.RetryAfter)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			case <-t.C:
-			}
-		}
-	}
 }

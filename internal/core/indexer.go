@@ -24,24 +24,22 @@ import (
 // TEXT): a record saved concurrently during the build may be processed both
 // by its own write and by the builder. Atomic aggregate indexes are not
 // idempotent; rebuild those with Store.RebuildIndexInline.
+//
+// Every transaction of a build enters through DB with Build's context. A
+// *fdb.Database runs them bare; a recordlayer.Runner under WithTenant and
+// WithPriority(PriorityBackground) admits each batch behind foreground
+// waiters, waits out the tenant's quota, bills the tenant, and counts its
+// retries by cause. A trace on the context (obs.WithTrace) gets one
+// indexer.batch span per batch (with the batch limit and records indexed in
+// its attr) beside the batch's read windows.
 type OnlineIndexer struct {
-	DB        *fdb.Database
+	DB        fdb.Door
 	MetaData  *metadata.MetaData
 	Space     subspace.Subspace
 	IndexName string
 	// BatchSize is the number of records indexed per transaction (default 64).
 	BatchSize int
 	Config    Config
-	// Pace, when set, runs between batches — a throttling hook: sleep to
-	// bound the build's cluster load, or consult a resource Governor
-	// (recordlayer.PaceFromGovernor). Returning an error (e.g. ctx.Err()) stops the
-	// build like a cancellation. Progress stays persisted either way.
-	Pace func(ctx context.Context) error
-	// Trace, when set, is attached to every build transaction, so each batch
-	// records an indexer.batch span (scan, issue, resolve — with the batch
-	// limit and records indexed in its attr) alongside the underlying read
-	// windows, all priced by the database's latency clock.
-	Trace *obs.Trace
 }
 
 func idempotentType(t metadata.IndexType) bool {
@@ -55,14 +53,11 @@ func idempotentType(t metadata.IndexType) bool {
 // Build runs the full build: write-only transition, batched scan, readable
 // transition. It returns the number of records indexed.
 //
-// The context is checked between batches, so a background build honors
-// cancellation and deadlines promptly without losing progress: the batch
-// boundary is durable, and a later Build resumes from it (the index stays
+// The door checks the context before every attempt, so a cancelled build
+// stops at the next batch or retry without losing progress: each committed
+// batch is durable, and a later Build resumes from it (the index stays
 // write-only until a build completes).
 func (o *OnlineIndexer) Build(ctx context.Context) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
 	ix, ok := o.MetaData.Index(o.IndexName)
 	if !ok {
 		return 0, fmt.Errorf("core: no index %q", o.IndexName)
@@ -76,10 +71,7 @@ func (o *OnlineIndexer) Build(ctx context.Context) (int, error) {
 	}
 	// Phase 1: clear any stale data and enter write-only (§6).
 	//rl:idempotent clear-then-mark-write-only converges: re-running after a maybe-committed attempt re-clears and re-marks the same state
-	_, err := o.DB.TransactIdempotent(func(tr *fdb.Transaction) (interface{}, error) {
-		if o.Trace != nil {
-			tr.SetTrace(o.Trace)
-		}
+	_, err := o.DB.RunIdempotent(ctx, func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, o.MetaData, o.Space, OpenOptions{Config: o.Config})
 		if err != nil {
 			return nil, err
@@ -98,14 +90,11 @@ func (o *OnlineIndexer) Build(ctx context.Context) (int, error) {
 		return 0, err
 	}
 
-	// Phase 2: batched scan, one transaction per batch. Cancellation is
-	// honored at every batch boundary; progress persists across it.
+	// Phase 2: batched scan, one transaction per batch; progress persists
+	// at every batch boundary.
 	total := 0
 	for {
-		if err := ctx.Err(); err != nil {
-			return total, err
-		}
-		n, done, err := o.buildBatch(batch)
+		n, done, err := o.buildBatch(ctx, batch)
 		if err != nil {
 			return total, err
 		}
@@ -113,19 +102,11 @@ func (o *OnlineIndexer) Build(ctx context.Context) (int, error) {
 		if done {
 			break
 		}
-		if o.Pace != nil {
-			if err := o.Pace(ctx); err != nil {
-				return total, err
-			}
-		}
 	}
 
 	// Phase 3: mark readable and clear progress.
 	//rl:idempotent clearing the progress key and marking readable applies the same end state however many times it commits
-	_, err = o.DB.TransactIdempotent(func(tr *fdb.Transaction) (interface{}, error) {
-		if o.Trace != nil {
-			tr.SetTrace(o.Trace)
-		}
+	_, err = o.DB.RunIdempotent(ctx, func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, o.MetaData, o.Space, OpenOptions{Config: o.Config})
 		if err != nil {
 			return nil, err
@@ -143,12 +124,9 @@ func (o *OnlineIndexer) Build(ctx context.Context) (int, error) {
 // types — so a batch whose commit fate is unknown is simply re-run: if the
 // first commit applied, the rerun rewrites identical index entries and the
 // same progress key.
-func (o *OnlineIndexer) buildBatch(batch int) (int, bool, error) {
+func (o *OnlineIndexer) buildBatch(ctx context.Context, batch int) (int, bool, error) {
 	//rl:idempotent Build only accepts idempotent index types; re-indexing a batch and rewriting its progress key converges
-	v, err := o.DB.TransactIdempotent(func(tr *fdb.Transaction) (interface{}, error) {
-		if o.Trace != nil {
-			tr.SetTrace(o.Trace)
-		}
+	v, err := o.DB.RunIdempotent(ctx, func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, o.MetaData, o.Space, OpenOptions{Config: o.Config})
 		if err != nil {
 			return nil, err

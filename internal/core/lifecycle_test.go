@@ -393,9 +393,9 @@ func TestScanRecordsByPrimaryKeyRange(t *testing.T) {
 }
 
 // TestOnlineIndexerCancellation checks that a background build stops at a
-// batch boundary when its context is cancelled (here via the Pace hook,
-// which a throttler would also use), that the partial progress is durable,
-// and that a later Build resumes from it and completes the index.
+// batch boundary when its context is cancelled between batches, that the
+// partial progress is durable, and that a later Build resumes from it and
+// completes the index.
 func TestOnlineIndexerCancellation(t *testing.T) {
 	db := fdb.Open(nil)
 	sp := subspace.FromTuple(tuple.Tuple{"cancel"})
@@ -418,17 +418,14 @@ func TestOnlineIndexerCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	paces := 0
-	indexer := &OnlineIndexer{
-		DB: db, MetaData: v2, Space: sp, IndexName: "by_score", BatchSize: 7, Config: cfg,
-		Pace: func(ctx context.Context) error {
-			paces++
-			if paces == 2 {
-				cancel() // a stop request arriving mid-build
-			}
-			return ctx.Err()
-		},
-	}
+	// Transaction 1 marks the index write-only, 2 and 3 are the first two
+	// batches; a stop request arrives before the third.
+	door := &hookDoor{Door: db, before: func(n int) {
+		if n == 4 {
+			cancel()
+		}
+	}}
+	indexer := &OnlineIndexer{DB: door, MetaData: v2, Space: sp, IndexName: "by_score", BatchSize: 7, Config: cfg}
 	n, err := indexer.Build(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled build returned %v (n=%d), want context.Canceled", err, n)

@@ -77,8 +77,12 @@ func (r *ScrubReport) Count(kind string) int {
 // are cleared and missing or mismatched entries rewritten in the same batch
 // transaction that found them; repairs are idempotent, so a batch whose
 // commit fate is unknown safely re-runs.
+//
+// Every batch enters through DB with Scrub's context, as OnlineIndexer's do:
+// hand it a recordlayer.Runner under WithTenant and
+// WithPriority(PriorityBackground) to admit, bill and trace the scrub.
 type Scrubber struct {
-	DB        *fdb.Database
+	DB        fdb.Door
 	MetaData  *metadata.MetaData
 	Space     subspace.Subspace
 	IndexName string
@@ -101,7 +105,7 @@ type scrubBatch struct {
 }
 
 // Scrub runs both verification directions and returns the combined report.
-// The context is checked at every batch boundary.
+// The door checks the context before every batch attempt.
 func (o *Scrubber) Scrub(ctx context.Context) (*ScrubReport, error) {
 	ix, ok := o.MetaData.Index(o.IndexName)
 	if !ok {
@@ -119,10 +123,7 @@ func (o *Scrubber) Scrub(ctx context.Context) (*ScrubReport, error) {
 	// Direction one: every physical entry points at a record producing it.
 	var cont []byte
 	for {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		b, err := o.entryBatch(cont, batch)
+		b, err := o.entryBatch(ctx, cont, batch)
 		if err != nil {
 			return rep, err
 		}
@@ -138,10 +139,7 @@ func (o *Scrubber) Scrub(ctx context.Context) (*ScrubReport, error) {
 	// Direction two: every entry a record produces exists, value included.
 	cont = nil
 	for {
-		if err := ctx.Err(); err != nil {
-			return rep, err
-		}
-		b, err := o.recordBatch(cont, batch)
+		b, err := o.recordBatch(ctx, cont, batch)
 		if err != nil {
 			return rep, err
 		}
@@ -179,9 +177,9 @@ func (o *Scrubber) open(tr *fdb.Transaction) (*Store, *index.ValueMaintainer, er
 }
 
 // entryBatch verifies up to batch physical entries starting after cont.
-func (o *Scrubber) entryBatch(cont []byte, batch int) (scrubBatch, error) {
+func (o *Scrubber) entryBatch(ctx context.Context, cont []byte, batch int) (scrubBatch, error) {
 	//rl:idempotent snapshot verification plus repairs that clear/rewrite the same keys; re-running a maybe-committed batch converges
-	v, err := o.DB.TransactIdempotent(func(tr *fdb.Transaction) (interface{}, error) {
+	v, err := o.DB.RunIdempotent(ctx, func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, vm, err := o.open(tr)
 		if err != nil {
 			return nil, err
@@ -243,9 +241,9 @@ func (o *Scrubber) entryBatch(cont []byte, batch int) (scrubBatch, error) {
 
 // recordBatch verifies up to batch records' expected entries starting from
 // the ScanRecords continuation cont.
-func (o *Scrubber) recordBatch(cont []byte, batch int) (scrubBatch, error) {
+func (o *Scrubber) recordBatch(ctx context.Context, cont []byte, batch int) (scrubBatch, error) {
 	//rl:idempotent snapshot verification plus repairs that rewrite the same entry keys; re-running a maybe-committed batch converges
-	v, err := o.DB.TransactIdempotent(func(tr *fdb.Transaction) (interface{}, error) {
+	v, err := o.DB.RunIdempotent(ctx, func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, vm, err := o.open(tr)
 		if err != nil {
 			return nil, err

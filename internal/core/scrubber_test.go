@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -236,4 +237,106 @@ func TestOnlineIndexerBuildsThroughFaultStorm(t *testing.T) {
 	if rep.EntriesScanned != saveN || rep.RecordsScanned != saveN {
 		t.Fatalf("scrubbed %d entries / %d records, want %d/%d", rep.EntriesScanned, rep.RecordsScanned, saveN, saveN)
 	}
+}
+
+// hookDoor is a Door that runs before(n) ahead of the n-th transaction
+// (1-based) a background loop sends through it, and counts the attempts of
+// the latest one.
+type hookDoor struct {
+	fdb.Door
+	before   func(n int)
+	n        int
+	attempts int
+}
+
+func (d *hookDoor) RunIdempotent(ctx context.Context, fn fdb.TransactFunc) (interface{}, error) {
+	d.n++
+	d.attempts = 0
+	d.before(d.n)
+	//rl:idempotent passes the wrapped loop's own promise through
+	return d.Door.RunIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		d.attempts++
+		return fn(ctx, tr)
+	})
+}
+
+// TestCancelDuringBackoffStopsBatch: a batch that keeps failing under the
+// FaultInjector, whose context is cancelled during its third backoff, stops
+// within that attempt — the build and the scrub return ctx.Err() after
+// exactly three attempts instead of running on toward the database policy's
+// 101 — and the build keeps the progress of the batches it committed.
+func TestCancelDuringBackoffStopsBatch(t *testing.T) {
+	// faulty opens a database of 20 users under a paused injector; its
+	// backoff sleep cancels ctx on the third retry.
+	faulty := func(t *testing.T, cfg fdb.FaultConfig, ctx context.Context, cancel func()) (*fdb.Database, *fdb.FaultInjector, subspace.Subspace) {
+		inj := fdb.NewFaultInjector(cfg)
+		inj.Disable()
+		backoffs := 0
+		db := fdb.Open(&fdb.Options{Faults: inj, Sleep: func(time.Duration) {
+			if backoffs++; backoffs == 3 {
+				cancel()
+			}
+		}})
+		space := subspace.FromTuple(tuple.Tuple{"tenant", int64(1)})
+		withStore(t, db, testSchema(t), space, func(s *Store) error {
+			for i := 0; i < 20; i++ {
+				if _, err := s.SaveRecord(mkUser(int64(i+1), "u-"+string(rune('a'+i)), int64(i))); err != nil {
+					return err
+				}
+			}
+			return s.MarkIndexDisabled("user_by_name")
+		})
+		return db, inj, space
+	}
+
+	t.Run("build", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		db, inj, space := faulty(t, fdb.FaultConfig{Seed: 1, PCommitNotCommitted: 1}, ctx, cancel)
+		md := testSchema(t)
+		// Transaction 1 marks the index write-only; 2 and 3 are the first two
+		// batches; from 4, the third batch, every commit conflicts.
+		door := &hookDoor{Door: db, before: func(n int) {
+			if n == 4 {
+				inj.Enable()
+			}
+		}}
+		ixr := &OnlineIndexer{DB: door, MetaData: md, Space: space, IndexName: "user_by_name", BatchSize: 5}
+		n, err := ixr.Build(ctx)
+		if !errors.Is(err, context.Canceled) || n != 10 {
+			t.Fatalf("Build = (%d, %v), want (10, context.Canceled)", n, err)
+		}
+		if door.n != 4 || door.attempts != 3 || inj.Counts().CommitsNotCommitted != 3 {
+			t.Fatalf("transaction %d ran %d attempts (%+v), want transaction 4 to stop after 3 conflicts",
+				door.n, door.attempts, inj.Counts())
+		}
+		inj.Disable()
+		rest, err := (&OnlineIndexer{DB: db, MetaData: md, Space: space, IndexName: "user_by_name", BatchSize: 5}).Build(context.Background())
+		if err != nil || rest != 10 {
+			t.Fatalf("resumed Build = (%d, %v), want the 10 records past the persisted progress", rest, err)
+		}
+	})
+
+	t.Run("scrub", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		db, inj, space := faulty(t, fdb.FaultConfig{Seed: 1, PReadTooOld: 1}, ctx, cancel)
+		withStore(t, db, testSchema(t), space, func(s *Store) error {
+			return s.RebuildIndexInline("user_by_name")
+		})
+		// The second entry batch's every read is stale.
+		door := &hookDoor{Door: db, before: func(n int) {
+			if n == 2 {
+				inj.Enable()
+			}
+		}}
+		scr := &Scrubber{DB: door, MetaData: testSchema(t), Space: space, IndexName: "user_by_name", BatchSize: 4}
+		rep, err := scr.Scrub(ctx)
+		if !errors.Is(err, context.Canceled) || rep.EntriesScanned != 4 {
+			t.Fatalf("Scrub = (%d entries, %v), want (4, context.Canceled)", rep.EntriesScanned, err)
+		}
+		if door.n != 2 || door.attempts != 3 {
+			t.Fatalf("transaction %d ran %d attempts, want transaction 2 to stop after 3", door.n, door.attempts)
+		}
+	})
 }

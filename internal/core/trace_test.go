@@ -101,7 +101,7 @@ func TestRankReadSpans(t *testing.T) {
 	}
 }
 
-// TestIndexerBatchSpan: an online build with a trace attached records one
+// TestIndexerBatchSpan: an online build with a trace on its context records one
 // indexer.batch span per batch transaction, carrying the batch limit and the
 // records actually indexed, with exact virtual-clock boundaries that contain
 // the batch's read windows.
@@ -120,8 +120,8 @@ func TestIndexerBatchSpan(t *testing.T) {
 	cfg := Config{InlineBuildLimit: 5}
 	trace := obs.NewTrace()
 	indexer := &OnlineIndexer{DB: db, MetaData: v2, Space: sp, IndexName: "by_score",
-		BatchSize: 7, Config: cfg, Trace: trace}
-	n, err := indexer.Build(context.Background())
+		BatchSize: 7, Config: cfg}
+	n, err := indexer.Build(obs.WithTrace(context.Background(), trace))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,12 @@
 package fdb
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"recordlayer/internal/obs"
 )
 
 // Limits captures the keyspace and transaction limits FoundationDB enforces
@@ -317,35 +320,66 @@ func (d *Database) applyLocked(t *Transaction) int64 {
 	return commitVersion
 }
 
-// Transact runs f in a retry loop: the transaction is committed after f
-// returns nil, and retried (with a fresh read version) on retryable errors,
-// mirroring the bindings' standard idiom. The database's policy bounds the
-// loop at 101 attempts with a backoff doubling from 1 ms to 64 ms (see
-// Retry), so a persistently conflicting workload degrades into a
-// *RetryLimitError instead of spinning forever.
+// TransactFunc is the body of one transactional attempt. Run and
+// RunIdempotent commit the transaction after it returns nil; ReadRun never
+// commits. It may be invoked several times, so it must be idempotent with
+// respect to out-of-transaction state.
+type TransactFunc func(ctx context.Context, tr *Transaction) (interface{}, error)
+
+// Door is the way work enters the retry loop (Retry): every attempt gets a
+// fresh transaction, and ctx is checked before each one. *Database is a Door
+// with its own policy and no governance; the façade's Runner is a Door that
+// also admits, bills and counts the work under the tenant and priority ctx
+// carries. Background loops (the online indexer, the scrubber) take a Door,
+// so whoever starts one decides how it shares the cluster.
+type Door interface {
+	// Run retries fn on retryable errors and commits it once it returns nil.
+	Run(ctx context.Context, fn TransactFunc) (interface{}, error)
+	// RunIdempotent is Run for a closure the caller promises is idempotent:
+	// commit_unknown_result is retried like a clean failure. Call sites carry
+	// a reasoned //rl:idempotent directive (rl-vet's idempotent analyzer).
+	RunIdempotent(ctx context.Context, fn TransactFunc) (interface{}, error)
+	// ReadRun is Run without the commit.
+	ReadRun(ctx context.Context, fn TransactFunc) (interface{}, error)
+}
+
+var _ Door = (*Database)(nil)
+
+// Run runs fn under the database's policy — 101 attempts with a backoff
+// doubling from 1 ms to 64 ms (see Retry) — and commits it. A trace on ctx
+// (obs.WithTrace) is attached to every attempt's transaction. Nothing is
+// admitted or billed: that is the Runner's.
+func (d *Database) Run(ctx context.Context, fn TransactFunc) (interface{}, error) {
+	return d.transact(ctx, fn, true, false)
+}
+
+// RunIdempotent is Run that also retries commit_unknown_result (see Door).
+func (d *Database) RunIdempotent(ctx context.Context, fn TransactFunc) (interface{}, error) {
+	return d.transact(ctx, fn, true, true)
+}
+
+// ReadRun is Run without the commit.
+func (d *Database) ReadRun(ctx context.Context, fn TransactFunc) (interface{}, error) {
+	return d.transact(ctx, fn, false, false)
+}
+
+// Transact is Run for a caller with no context: nothing stops the loop early.
 func (d *Database) Transact(f func(*Transaction) (interface{}, error)) (interface{}, error) {
-	return d.transact(f, true, false)
+	return d.transact(nil, func(_ context.Context, tr *Transaction) (interface{}, error) { return f(tr) }, true, false)
 }
 
-// TransactIdempotent is Transact for closures the caller asserts are
-// idempotent: a commit_unknown_result (whose commit may or may not have
-// applied) is retried like a clean failure, because re-running and
-// re-committing idempotent work converges to the same state either way.
-// Non-idempotent closures must use Transact, which surfaces the ambiguity to
-// the caller instead. Call sites carry a reasoned //rl:idempotent directive
-// (enforced by rl-vet's idempotent analyzer).
-func (d *Database) TransactIdempotent(f func(*Transaction) (interface{}, error)) (interface{}, error) {
-	return d.transact(f, true, true)
-}
-
-// ReadTransact runs f in a read-only transaction (no commit).
+// ReadTransact is ReadRun for a caller with no context.
 func (d *Database) ReadTransact(f func(*Transaction) (interface{}, error)) (interface{}, error) {
-	return d.transact(f, false, false)
+	return d.transact(nil, func(_ context.Context, tr *Transaction) (interface{}, error) { return f(tr) }, false, false)
 }
 
-// transact runs f, and commits it when commit is set, under Retry with the
-// database's policy.
-func (d *Database) transact(f func(*Transaction) (interface{}, error), commit, idempotent bool) (interface{}, error) {
+// transact runs fn, and commits it when commit is set, under Retry with the
+// database's policy. A nil ctx (Transact, ReadTransact) carries no trace.
+func (d *Database) transact(ctx context.Context, fn TransactFunc, commit, idempotent bool) (interface{}, error) {
+	var trace *obs.Trace
+	if ctx != nil {
+		trace = obs.FromContext(ctx)
+	}
 	p := RetryPolicy{
 		MaxAttempts: transactAttempts,
 		Backoff:     transactBackoff,
@@ -353,10 +387,13 @@ func (d *Database) transact(f func(*Transaction) (interface{}, error), commit, i
 		Sleep:       d.sleep,
 		Idempotent:  idempotent,
 	}
-	//rl:idempotent the promise is TransactIdempotent's caller's, whose call site carries its own directive
-	return d.Retry(nil, p, func(int) (interface{}, error) {
+	//rl:idempotent the promise is RunIdempotent's caller's, whose call site carries its own directive
+	return d.Retry(ctx, p, func(int) (interface{}, error) {
 		tr := d.CreateTransaction()
-		v, err := f(tr)
+		if trace != nil {
+			tr.SetTrace(trace)
+		}
+		v, err := fn(ctx, tr)
 		if err == nil && commit {
 			err = tr.Commit()
 		}

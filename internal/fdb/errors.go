@@ -35,7 +35,7 @@ func (e *Error) Error() string {
 // transaction after this error. commit_unknown_result is deliberately NOT
 // here: the commit may have applied, so blindly re-running a non-idempotent
 // closure risks a double write. Callers that know their closure is idempotent
-// opt in via TransactIdempotent / Runner.RunIdempotent.
+// opt in via RunIdempotent (on any Door: a Database or the Runner).
 func (e *Error) Retryable() bool {
 	switch e.Code {
 	case CodeNotCommitted, CodeTransactionTooOld, CodeFutureVersion, CodeTransactionTimedOut:

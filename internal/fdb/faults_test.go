@@ -1,6 +1,7 @@
 package fdb
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -229,7 +230,7 @@ func TestDisableEnable(t *testing.T) {
 }
 
 // TestTransactSurfacesUnknownButIdempotentRetries: Transact must surface
-// commit_unknown_result to the caller; TransactIdempotent retries it under
+// commit_unknown_result to the caller; RunIdempotent retries it under
 // the caller's idempotency promise.
 func TestTransactSurfacesUnknownButIdempotentRetries(t *testing.T) {
 	db, inj := faultyDB(FaultConfig{Seed: 11, PCommitUnknown: 1, UnknownNeverApplies: true})
@@ -247,7 +248,7 @@ func TestTransactSurfacesUnknownButIdempotentRetries(t *testing.T) {
 
 	attempts = 0
 	//rl:idempotent test closure blind-writes a constant; re-running converges
-	v, err := db.TransactIdempotent(func(tr *Transaction) (interface{}, error) {
+	v, err := db.RunIdempotent(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 		attempts++
 		if attempts == 2 {
 			inj.Disable() // let the retry's commit through
@@ -255,10 +256,10 @@ func TestTransactSurfacesUnknownButIdempotentRetries(t *testing.T) {
 		return "ok", tr.Set([]byte("b"), []byte("v"))
 	})
 	if err != nil || v != "ok" {
-		t.Fatalf("TransactIdempotent = (%v, %v), want (ok, nil)", v, err)
+		t.Fatalf("RunIdempotent = (%v, %v), want (ok, nil)", v, err)
 	}
 	if attempts != 2 {
-		t.Fatalf("TransactIdempotent attempts = %d, want 2 (one ambiguous failure, one success)", attempts)
+		t.Fatalf("RunIdempotent attempts = %d, want 2 (one ambiguous failure, one success)", attempts)
 	}
 }
 

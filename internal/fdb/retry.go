@@ -10,7 +10,7 @@ import (
 // The two retry policies in the tree. Both run through Database.Retry; only
 // these numbers differ.
 const (
-	// Database.Transact, TransactIdempotent and ReadTransact: 100 retries
+	// Database.Run, RunIdempotent and ReadRun: 100 retries
 	// (the bindings' transaction_retry_limit), a backoff doubling from 1 ms
 	// up to the bindings' 64 ms max_retry_delay, no jitter, Options.Sleep.
 	transactAttempts   = 101
@@ -46,10 +46,10 @@ type RetryPolicy struct {
 // runs. It calls attempt(1), attempt(2), ... until one returns a nil error,
 // and returns that attempt's value. An attempt creates, runs and commits its
 // own transaction. Retry checks ctx before every attempt; a nil ctx never
-// stops the loop (Transact and its siblings have no caller context). It
-// retries retryable errors (IsRetryable), and commit_unknown_result too when
-// p.Idempotent, counting one Metrics.Retries per retry and sleeping the
-// policy's backoff first. It gives up on any other error, on a failed Sleep,
+// stops the loop (Database.Transact and ReadTransact have no caller
+// context). It retries retryable errors (IsRetryable), and
+// commit_unknown_result too when p.Idempotent, counting one Metrics.Retries
+// per retry and sleeping the policy's backoff first. It gives up on any other error, on a failed Sleep,
 // on ctx's error, or with *RetryLimitError after p.MaxAttempts.
 //
 // Ambiguity is sticky: once an attempt ends commit_unknown_result, its

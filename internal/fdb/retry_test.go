@@ -5,17 +5,19 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"recordlayer/internal/obs"
 )
 
-// TestTransactIdempotentKeepsAmbiguity: an applied commit_unknown_result on
+// TestRunIdempotentKeepsAmbiguity: an applied commit_unknown_result on
 // attempt 1, then clean conflicts on every retry until the limit. The first
 // commit is durable, so the loop must not report the last clean conflict as
 // if nothing had applied: the terminal error is a *MaybeCommittedError.
-func TestTransactIdempotentKeepsAmbiguity(t *testing.T) {
+func TestRunIdempotentKeepsAmbiguity(t *testing.T) {
 	db, inj := faultyDB(FaultConfig{Seed: 7, PCommitUnknown: 1, PUnknownApplied: 1})
 	attempts := 0
 	//rl:idempotent test closure blind-writes a constant; re-running converges
-	_, err := db.TransactIdempotent(func(tr *Transaction) (interface{}, error) {
+	_, err := db.RunIdempotent(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) {
 		attempts++
 		if attempts == 1 {
 			return nil, tr.Set([]byte("a"), []byte("v"))
@@ -119,7 +121,7 @@ func TestRetryPolicies(t *testing.T) {
 				_, err = db.Retry(context.Background(), p, func(int) (interface{}, error) { return fn(nil) })
 			} else if c.idempotent {
 				//rl:idempotent the test closure writes nothing
-				_, err = db.TransactIdempotent(fn)
+				_, err = db.RunIdempotent(context.Background(), func(_ context.Context, tr *Transaction) (interface{}, error) { return fn(tr) })
 			} else {
 				_, err = db.Transact(fn)
 			}
@@ -162,6 +164,32 @@ func TestRetryHonoursContext(t *testing.T) {
 	var me *MaybeCommittedError
 	if !errors.As(err, &me) || !errors.Is(err, context.Canceled) || me.Attempts != 1 || attempts != 1 {
 		t.Fatalf("err = %v after %d attempts, want MaybeCommittedError wrapping context.Canceled after 1", err, attempts)
+	}
+}
+
+// TestDatabaseDoorBindsContext: a Database entered through its Door methods
+// attaches the trace ctx carries to every attempt's transaction, and a ctx
+// cancelled during a backoff stops the loop before the next attempt — the
+// database's own Sleep cannot be interrupted, so Retry's check is what stops it.
+func TestDatabaseDoorBindsContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	db, _ := faultyDB(FaultConfig{Seed: 3, PCommitNotCommitted: 1})
+	db.opts.Sleep = func(time.Duration) { cancel() }
+	trace := obs.NewTrace()
+	attempts := 0
+	_, err := db.Run(obs.WithTrace(ctx, trace), func(_ context.Context, tr *Transaction) (interface{}, error) {
+		attempts++
+		if tr.Trace() != trace {
+			t.Errorf("attempt %d runs without the context's trace", attempts)
+		}
+		return nil, tr.Set([]byte("k"), []byte("v"))
+	})
+	if !errors.Is(err, context.Canceled) || attempts != 1 {
+		t.Fatalf("err = %v after %d attempts, want context.Canceled after 1", err, attempts)
+	}
+	if n := len(trace.Named(obs.SpanCommit)); n != 1 {
+		t.Fatalf("commit spans = %d, want 1", n)
 	}
 }
 

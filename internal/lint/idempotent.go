@@ -6,11 +6,12 @@ import (
 	"strings"
 )
 
-// Idempotent enforces the maybe-committed contract: RunIdempotent,
-// TransactIdempotent and Retry (under RetryPolicy.Idempotent) retry
-// commit_unknown_result, which double-applies any non-idempotent closure when
-// the unknown commit actually landed. The promise
-// cannot be checked mechanically, so every call site must carry a reasoned
+// Idempotent enforces the maybe-committed contract: RunIdempotent — through
+// the fdb.Door interface, a Runner, or a Database — and Database.Retry (under
+// RetryPolicy.Idempotent) retry commit_unknown_result, which double-applies
+// any non-idempotent closure when the unknown commit actually landed. The
+// promise cannot be checked mechanically, so every call site must carry a
+// reasoned
 //
 //	//rl:idempotent <why re-running a committed attempt is safe>
 //
@@ -18,7 +19,7 @@ import (
 // rule as lint:allow. A directive with no reason is itself a finding.
 var Idempotent = &Analyzer{
 	Name: "idempotent",
-	Doc:  "RunIdempotent/TransactIdempotent call sites must justify the idempotency promise with //rl:idempotent <reason>",
+	Doc:  "RunIdempotent and Retry call sites must justify the idempotency promise with //rl:idempotent <reason>",
 	Run:  runIdempotent,
 }
 
@@ -28,7 +29,8 @@ const idempotentPrefix = "//rl:idempotent"
 // maybe-committed commits under the caller's idempotency promise.
 var idempotentRunners = map[[2]string]map[string]bool{
 	{"recordlayer", "Runner"}:                {"RunIdempotent": true},
-	{"recordlayer/internal/fdb", "Database"}: {"TransactIdempotent": true, "Retry": true},
+	{"recordlayer/internal/fdb", "Door"}:     {"RunIdempotent": true},
+	{"recordlayer/internal/fdb", "Database"}: {"RunIdempotent": true, "Retry": true},
 }
 
 func runIdempotent(p *Pass) error {

@@ -6,11 +6,12 @@ import (
 	"go/types"
 )
 
-// RetrySafe checks the classic FDB retry-loop hazard: a closure passed to
-// Runner.Run/ReadRun or Database.Transact/ReadTransact/Retry re-executes after a
-// conflict, so accumulating into state captured from outside the closure —
-// append-to-self on a captured slice, ++/op= on a captured counter, writes
-// into a captured map — double-counts on retry. A closure that resets the
+// RetrySafe checks the classic FDB retry-loop hazard: a closure passed to a
+// Door's Run/RunIdempotent/ReadRun — through the fdb.Door interface, a
+// Runner, or a Database — or to Database.Transact/ReadTransact/Retry
+// re-executes after a conflict, so accumulating into state captured from
+// outside the closure — append-to-self on a captured slice, ++/op= on a
+// captured counter, writes into a captured map — double-counts on retry. A closure that resets the
 // variable inside itself (x = nil, x = x[:0], x = 0, x = make(...), clear(m))
 // is idempotent and passes.
 var RetrySafe = &Analyzer{
@@ -22,9 +23,14 @@ var RetrySafe = &Analyzer{
 // retryRunners maps receiver types to the method names whose final func
 // argument is a retried transactional closure.
 var retryRunners = map[[2]string]map[string]bool{
-	{"recordlayer", "Runner"}:                {"Run": true, "ReadRun": true},
-	{"recordlayer/internal/fdb", "Database"}: {"Transact": true, "ReadTransact": true, "Retry": true},
+	{"recordlayer", "Runner"}:            doorMethods,
+	{"recordlayer/internal/fdb", "Door"}: doorMethods,
+	{"recordlayer/internal/fdb", "Database"}: {"Run": true, "RunIdempotent": true, "ReadRun": true,
+		"Transact": true, "ReadTransact": true, "Retry": true},
 }
+
+// doorMethods are fdb.Door's methods, each of which retries its closure.
+var doorMethods = map[string]bool{"Run": true, "RunIdempotent": true, "ReadRun": true}
 
 func runRetrySafe(p *Pass) error {
 	for _, f := range p.Files {

@@ -16,9 +16,17 @@ func unjustifiedRun(ctx context.Context, r *recordlayer.Runner) {
 	})
 }
 
-// unjustifiedTransact: the same hazard through the lower-level database call.
-func unjustifiedTransact(db *fdb.Database) {
-	db.TransactIdempotent(func(tr *fdb.Transaction) (interface{}, error) { // want "justify it with //rl:idempotent"
+// unjustifiedDoor: the same hazard through the fdb.Door interface, whatever
+// stands behind it.
+func unjustifiedDoor(ctx context.Context, door fdb.Door) {
+	door.RunIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) { // want "justify it with //rl:idempotent"
+		return nil, tr.Set([]byte("k"), []byte("v"))
+	})
+}
+
+// unjustifiedDatabase: and through the Database's own Door method.
+func unjustifiedDatabase(ctx context.Context, db *fdb.Database) {
+	db.RunIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) { // want "justify it with //rl:idempotent"
 		return nil, tr.Set([]byte("k"), []byte("v"))
 	})
 }
@@ -48,16 +56,19 @@ func justifiedAbove(ctx context.Context, r *recordlayer.Runner) {
 }
 
 // justifiedTrailing: a reasoned directive on the call line passes.
-func justifiedTrailing(db *fdb.Database) {
-	db.TransactIdempotent(func(tr *fdb.Transaction) (interface{}, error) { //rl:idempotent blind overwrite of a fixed key converges on re-run
+func justifiedTrailing(ctx context.Context, door fdb.Door) {
+	door.RunIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) { //rl:idempotent blind overwrite of a fixed key converges on re-run
 		return nil, tr.Set([]byte("k"), []byte("v"))
 	})
 }
 
 // plainRun: the non-idempotent entry points need no directive — the runner
 // surfaces maybe-committed to the caller instead of retrying.
-func plainRun(ctx context.Context, r *recordlayer.Runner, db *fdb.Database) {
+func plainRun(ctx context.Context, r *recordlayer.Runner, door fdb.Door, db *fdb.Database) {
 	r.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		return nil, tr.Set([]byte("k"), []byte("v"))
+	})
+	door.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		return nil, tr.Set([]byte("k"), []byte("v"))
 	})
 	db.Transact(func(tr *fdb.Transaction) (interface{}, error) {

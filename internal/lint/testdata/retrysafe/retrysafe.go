@@ -40,6 +40,27 @@ func transactAppend(db *fdb.Database) {
 	_ = keys
 }
 
+// doorAppend: the same hazard through the fdb.Door interface, whatever
+// stands behind it.
+func doorAppend(ctx context.Context, door fdb.Door) {
+	var keys [][]byte
+	door.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		keys = append(keys, []byte("x")) // want "appends to captured keys"
+		return nil, nil
+	})
+	_ = keys
+}
+
+// databaseDoorAppend: and through the Database's own Door method.
+func databaseDoorAppend(ctx context.Context, db *fdb.Database) {
+	n := 0
+	db.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		n++ // want "increments captured n"
+		return nil, nil
+	})
+	_ = n
+}
+
 // retryAppend: the same hazard through the loop itself, Database.Retry.
 func retryAppend(ctx context.Context, db *fdb.Database, p fdb.RetryPolicy) {
 	var seen []int

@@ -4,9 +4,10 @@ import "context"
 
 type traceKey struct{}
 
-// WithTrace binds a trace to the context. The Runner picks it up and attaches
-// it to every transaction attempt, so the fdb, index, and runner
-// instrumentation sites all record into it.
+// WithTrace binds a trace to the context. Every fdb.Door (the Runner, or a
+// Database) picks it up and attaches it to every transaction attempt, so the
+// fdb, index, and runner instrumentation sites all record into it; lease
+// heartbeats and metering exports record into it too.
 func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, traceKey{}, t)
 }

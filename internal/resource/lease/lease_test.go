@@ -241,7 +241,7 @@ func newChurnHarness(t *testing.T, global resource.Limits, ttl time.Duration) *c
 func (h *churnHarness) refresh(t *testing.T, global float64, idx ...int) {
 	t.Helper()
 	for _, i := range idx {
-		if _, err := h.mgrs[i].Refresh(); err != nil {
+		if _, err := h.mgrs[i].Refresh(context.Background()); err != nil {
 			t.Fatalf("manager %d refresh: %v", i, err)
 		}
 		live, err := h.store.Live("t", h.clock.Now())

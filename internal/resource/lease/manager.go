@@ -30,10 +30,6 @@ type Options struct {
 	// Clock supplies time (tests inject a manual clock). Defaults to
 	// time.Now.
 	Clock func() time.Time
-	// Trace, when set, receives one obs.SpanLeaseRefresh span per heartbeat
-	// (lease count or failure cause in the attr). Nil keeps heartbeats
-	// span-free.
-	Trace *obs.Trace
 }
 
 // Manager runs one server's side of the distributed quota protocol: each
@@ -98,19 +94,22 @@ func (m *Manager) Held(tenant string) (Slice, bool) {
 // observations, and release leases for tenants no longer in the table.
 // Returns the number of tenants leased. Errors on individual claims abort
 // the refresh (the next heartbeat retries); the limits table application is
-// not rolled back — stale slices keep governing until then.
-func (m *Manager) Refresh() (int, error) {
+// not rolled back — stale slices keep governing until then. A trace on ctx
+// (obs.WithTrace) gets one lease.refresh span per heartbeat, with the lease
+// count or the failure in its attr.
+func (m *Manager) Refresh(ctx context.Context) (int, error) {
+	trace := obs.FromContext(ctx)
 	var startNanos int64
-	if m.opts.Trace != nil {
+	if trace != nil {
 		startNanos = m.opts.Clock().UnixNano()
 	}
 	leased, err := m.refresh()
-	if m.opts.Trace != nil {
+	if trace != nil {
 		attr := fmt.Sprintf("server=%s leased=%d", m.opts.Server, leased)
 		if err != nil {
 			attr = fmt.Sprintf("server=%s err=%v", m.opts.Server, err)
 		}
-		m.opts.Trace.Add(obs.SpanLeaseRefresh, startNanos, m.opts.Clock().UnixNano(), 0, attr)
+		trace.Add(obs.SpanLeaseRefresh, startNanos, m.opts.Clock().UnixNano(), 0, attr)
 	}
 	return leased, err
 }
@@ -255,7 +254,7 @@ func (m *Manager) Run(ctx context.Context, interval time.Duration) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			_, _ = m.Refresh()
+			_, _ = m.Refresh(ctx)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package lease
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -88,7 +89,7 @@ func TestMaybeCommittedClaimDecaysImmediately(t *testing.T) {
 	// Healthy rounds: both servers converge to the equal split.
 	for round := 0; round < 2; round++ {
 		for i := range h.mgrs {
-			if _, err := h.mgrs[i].Refresh(); err != nil {
+			if _, err := h.mgrs[i].Refresh(context.Background()); err != nil {
 				t.Fatalf("healthy refresh %d: %v", i, err)
 			}
 			h.assertInvariants(t, "healthy")
@@ -101,11 +102,11 @@ func TestMaybeCommittedClaimDecaysImmediately(t *testing.T) {
 	floor := faultGlobal * MinFraction
 	for round := 0; round < 6; round++ {
 		h.clock.Advance(ttl / 4)
-		if _, err := h.mgrs[0].Refresh(); err != nil {
+		if _, err := h.mgrs[0].Refresh(context.Background()); err != nil {
 			t.Fatalf("round %d: healthy peer refresh: %v", round, err)
 		}
 		h.inj.Enable()
-		_, err := h.mgrs[1].Refresh()
+		_, err := h.mgrs[1].Refresh(context.Background())
 		h.inj.Disable()
 		if !fdb.IsMaybeCommitted(err) {
 			t.Fatalf("round %d: refresh error = %v, want maybe-committed", round, err)
@@ -123,7 +124,7 @@ func TestMaybeCommittedClaimDecaysImmediately(t *testing.T) {
 
 	// Recovery: one clean heartbeat regains a real slice.
 	h.clock.Advance(ttl / 4)
-	if _, err := h.mgrs[1].Refresh(); err != nil {
+	if _, err := h.mgrs[1].Refresh(context.Background()); err != nil {
 		t.Fatalf("recovery refresh: %v", err)
 	}
 	h.assertInvariants(t, "recovered")
@@ -142,7 +143,7 @@ func TestCleanClaimFailureKeepsSliceUntilTTL(t *testing.T) {
 
 	for round := 0; round < 2; round++ {
 		for i := range h.mgrs {
-			if _, err := h.mgrs[i].Refresh(); err != nil {
+			if _, err := h.mgrs[i].Refresh(context.Background()); err != nil {
 				t.Fatalf("healthy refresh %d: %v", i, err)
 			}
 		}
@@ -153,11 +154,11 @@ func TestCleanClaimFailureKeepsSliceUntilTTL(t *testing.T) {
 	floor := faultGlobal * MinFraction
 	for round := 0; round < 10; round++ {
 		h.clock.Advance(ttl / 4)
-		if _, err := h.mgrs[0].Refresh(); err != nil {
+		if _, err := h.mgrs[0].Refresh(context.Background()); err != nil {
 			t.Fatalf("round %d: healthy peer refresh: %v", round, err)
 		}
 		h.inj.Enable()
-		_, err := h.mgrs[1].Refresh()
+		_, err := h.mgrs[1].Refresh(context.Background())
 		h.inj.Disable()
 		if err == nil || fdb.IsMaybeCommitted(err) {
 			t.Fatalf("round %d: refresh error = %v, want a clean failure", round, err)

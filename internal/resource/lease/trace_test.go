@@ -1,6 +1,7 @@
 package lease
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -12,8 +13,8 @@ import (
 	"recordlayer/internal/tuple"
 )
 
-// TestRefreshRecordsHeartbeatSpan: with Options.Trace set, every Refresh
-// records one lease.refresh span carrying the lease count; without it, the
+// TestRefreshRecordsHeartbeatSpan: with a trace on its context, every Refresh
+// records one lease.refresh span carrying the lease count; without one, the
 // heartbeat stays span-free (the "off must be free" default).
 func TestRefreshRecordsHeartbeatSpan(t *testing.T) {
 	db := fdb.Open(nil)
@@ -25,12 +26,13 @@ func TestRefreshRecordsHeartbeatSpan(t *testing.T) {
 	}
 	gov := resource.NewGovernor(nil, resource.GovernorOptions{Clock: clock.Now})
 	trace := obs.NewTrace()
-	mgr := NewManager(gov, limits, store, Options{Server: "a", TTL: time.Second, Clock: clock.Now, Trace: trace})
+	ctx := obs.WithTrace(context.Background(), trace)
+	mgr := NewManager(gov, limits, store, Options{Server: "a", TTL: time.Second, Clock: clock.Now})
 	defer mgr.Close()
 
 	start := clock.Now().UnixNano()
 	clock.Advance(5 * time.Millisecond)
-	if _, err := mgr.Refresh(); err != nil {
+	if _, err := mgr.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
 	spans := trace.Spans()
@@ -50,7 +52,7 @@ func TestRefreshRecordsHeartbeatSpan(t *testing.T) {
 
 	// A second heartbeat appends a second span.
 	clock.Advance(100 * time.Millisecond)
-	if _, err := mgr.Refresh(); err != nil {
+	if _, err := mgr.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(trace.Spans()); n != 2 {
@@ -58,16 +60,22 @@ func TestRefreshRecordsHeartbeatSpan(t *testing.T) {
 	}
 }
 
-// TestRefreshWithoutTraceRecordsNothing: nil Trace means no span machinery
-// runs at all.
+// TestRefreshWithoutTraceRecordsNothing: the span sink is the heartbeat's
+// context, not the manager: of two servers' heartbeats, only the one whose
+// context carries the trace records into it, and a manager never keeps it.
 func TestRefreshWithoutTraceRecordsNothing(t *testing.T) {
 	h := newChurnHarness(t, resource.Limits{TxnPerSecond: 30}, time.Second)
-	if _, err := h.mgrs[0].Refresh(); err != nil {
+	trace := obs.NewTrace()
+	if _, err := h.mgrs[0].Refresh(obs.WithTrace(context.Background(), trace)); err != nil {
 		t.Fatal(err)
 	}
-	// Nothing to assert on a nil sink beyond not panicking; the typed check
-	// is that Options.Trace stayed nil and Refresh still worked.
-	if h.mgrs[0].opts.Trace != nil {
-		t.Fatal("harness unexpectedly set a trace")
+	for _, m := range h.mgrs {
+		if _, err := m.Refresh(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spans := trace.Spans()
+	if len(spans) != 1 || !strings.Contains(spans[0].Attr, "server=a") {
+		t.Fatalf("spans = %+v, want server a's one traced heartbeat", spans)
 	}
 }

@@ -260,19 +260,9 @@ type UsageExporter struct {
 	server string
 	clock  func() time.Time
 
-	mu    sync.Mutex
-	trace *obs.Trace
-	last  map[string]Usage
-	prev  time.Time
-}
-
-// SetTrace attaches a span sink: every subsequent Export records one
-// obs.SpanMeterExport span (window count or failure cause in the attr). Nil
-// detaches it.
-func (e *UsageExporter) SetTrace(t *obs.Trace) {
-	e.mu.Lock()
-	e.trace = t
-	e.mu.Unlock()
+	mu   sync.Mutex
+	last map[string]Usage
+	prev time.Time
 }
 
 // NewUsageExporter creates an exporter publishing acct's deltas under the
@@ -291,8 +281,10 @@ func NewUsageExporter(acct *Accountant, store *MeteringStore, server string, clo
 // (or since construction), skipping all-zero deltas. Returns the number of
 // rows written. On error the baseline is not advanced, so the next Export
 // re-covers the window — usage is never silently dropped, at worst exported
-// late.
-func (e *UsageExporter) Export() (int, error) {
+// late. A trace on ctx (obs.WithTrace) gets one metering.export span, with
+// the window count or the failure in its attr.
+func (e *UsageExporter) Export(ctx context.Context) (int, error) {
+	trace := obs.FromContext(ctx)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.clock()
@@ -308,23 +300,24 @@ func (e *UsageExporter) Export() (int, error) {
 	})
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].Tenant < deltas[j].Tenant })
 	if err := e.store.Export(e.server, e.prev, now.Sub(e.prev), deltas); err != nil {
-		if e.trace != nil {
-			e.trace.Add(obs.SpanMeterExport, now.UnixNano(), e.clock().UnixNano(), 0,
+		if trace != nil {
+			trace.Add(obs.SpanMeterExport, now.UnixNano(), e.clock().UnixNano(), 0,
 				fmt.Sprintf("server=%s err=%v", e.server, err))
 		}
 		return 0, err
 	}
 	e.last = next
 	e.prev = now
-	if e.trace != nil {
-		e.trace.Add(obs.SpanMeterExport, now.UnixNano(), e.clock().UnixNano(), 0,
+	if trace != nil {
+		trace.Add(obs.SpanMeterExport, now.UnixNano(), e.clock().UnixNano(), 0,
 			fmt.Sprintf("server=%s windows=%d", e.server, len(deltas)))
 	}
 	return len(deltas), nil
 }
 
 // Run exports every interval until ctx is done, with a final flush on exit
-// so shutdown loses no usage. Run it on its own goroutine.
+// so shutdown loses no usage (the flush still records into ctx's trace).
+// Run it on its own goroutine.
 func (e *UsageExporter) Run(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
 		interval = 10 * time.Second
@@ -334,10 +327,10 @@ func (e *UsageExporter) Run(ctx context.Context, interval time.Duration) {
 	for {
 		select {
 		case <-ctx.Done():
-			_, _ = e.Export()
+			_, _ = e.Export(ctx)
 			return
 		case <-t.C:
-			_, _ = e.Export()
+			_, _ = e.Export(ctx)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -11,8 +12,9 @@ import (
 	"recordlayer/internal/tuple"
 )
 
-// TestExportRecordsSpan: with SetTrace, every export tick records one
-// metering.export span carrying the window count; detaching stops them.
+// TestExportRecordsSpan: with a trace on its context, an export tick records
+// one metering.export span carrying the window count; a tick without one
+// records nothing.
 func TestExportRecordsSpan(t *testing.T) {
 	db := fdb.Open(nil)
 	clock := &manualClock{now: time.Unix(1000, 0)}
@@ -20,11 +22,11 @@ func TestExportRecordsSpan(t *testing.T) {
 	store := NewMeteringStore(db, subspace.FromTuple(tuple.Tuple{"metering"}))
 	exp := NewUsageExporter(acct, store, "srv-1", clock.Now)
 	trace := obs.NewTrace()
-	exp.SetTrace(trace)
+	ctx := obs.WithTrace(context.Background(), trace)
 
 	acct.Tenant("acme").RecordRead(3, 300)
 	clock.Advance(time.Second)
-	n, err := exp.Export()
+	n, err := exp.Export(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,14 +45,13 @@ func TestExportRecordsSpan(t *testing.T) {
 		t.Errorf("span attr = %q, want server and window count", s.Attr)
 	}
 
-	// Detached sink: further ticks stay span-free.
-	exp.SetTrace(nil)
+	// A tick without a trace stays span-free.
 	acct.Tenant("acme").RecordRead(1, 10)
 	clock.Advance(time.Second)
-	if _, err := exp.Export(); err != nil {
+	if _, err := exp.Export(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if n := len(trace.Spans()); n != 1 {
-		t.Errorf("detached exporter still recorded spans: %d", n)
+		t.Errorf("an untraced tick recorded spans: %d", n)
 	}
 }

@@ -753,11 +753,15 @@ func runChaosStateCache(ctx context.Context, cfg ChaosConfig, stats *ChaosStats)
 			}
 		}
 		stats.CacheSaves++
-		attempts, flipped := 0, false
+		// first is A's first attempt, the one B's nested change lands inside.
+		var first *fdb.Transaction
+		flipped := false
 		var nestedErr error
 		//rl:idempotent re-saving the same pre-generated record converges to the same stored state
 		_, err := runner.RunIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-			attempts++
+			if first == nil {
+				first = tr
+			}
 			s, err := a.Open(ctx, tr, chaosTenant)
 			if err != nil {
 				return nil, err
@@ -765,7 +769,7 @@ func runChaosStateCache(ctx context.Context, cfg ChaosConfig, stats *ChaosStats)
 			if _, err := s.SaveRecord(rec); err != nil {
 				return nil, err
 			}
-			if nested && attempts == 1 {
+			if nested && tr == first {
 				flipped, nestedErr = step()
 			}
 			return nil, nil
@@ -775,7 +779,7 @@ func runChaosStateCache(ctx context.Context, cfg ChaosConfig, stats *ChaosStats)
 		}
 		if flipped {
 			stats.NestedFlips++
-			if err == nil && attempts == 1 {
+			if _, cerr := first.CommittedVersion(); err == nil && cerr == nil {
 				stats.NestedFlipStaleCommits++
 			}
 		}
@@ -889,7 +893,7 @@ func runChaosLeases(ctx context.Context, cfg ChaosConfig, stats *ChaosStats) err
 				continue // the last server "crashes": no heartbeat, no enforcement
 			}
 			liveMgrs = append(liveMgrs, m)
-			if _, err := m.Refresh(); err != nil {
+			if _, err := m.Refresh(ctx); err != nil {
 				stats.LeaseRefreshFailures++
 			}
 		}

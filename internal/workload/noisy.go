@@ -110,6 +110,10 @@ type NoisyPhase struct {
 	VictimP95 time.Duration
 	Elapsed   time.Duration // measured wall time of the phase's worker loops
 	Indexed   int           // records the background index build processed
+	// Bulk is what the bulk tenant was billed during the phase's loops: the
+	// background index build's transactions, admissions and bytes, since the
+	// build runs through the phase's Runner under that tenant.
+	Bulk recordlayer.TenantUsage
 	// IO is the phase's database-level I/O delta (fdb Snapshot/Delta over the
 	// worker loops): what the whole phase — victims, aggressor, index build —
 	// cost the cluster, independent of per-tenant accounting.
@@ -336,6 +340,11 @@ func (s NoisyStats) Check() error {
 	}
 	if s.BgIndex.Indexed == 0 {
 		problems = append(problems, "background index build made no progress")
+	}
+	if b := s.BgIndex.Bulk; b.Transactions == 0 || b.WriteBytes == 0 {
+		problems = append(problems, fmt.Sprintf(
+			"background index build billed %d txns and %d write bytes to %s, want both non-zero",
+			b.Transactions, b.WriteBytes, bulkTenant))
 	}
 	if s.Baseline.VictimP50 > 0 && s.BgIndex.VictimP50 > 3*s.Baseline.VictimP50 {
 		problems = append(problems, fmt.Sprintf(
@@ -601,20 +610,22 @@ func runNoisyPhase(ctx context.Context, cfg NoisyConfig, spec noisySpec) (NoisyP
 		if err != nil {
 			return NoisyPhase{}, err
 		}
+		// Every batch enters through the phase's Runner, admitted at
+		// background priority and billed to the bulk tenant.
 		indexer = &core.OnlineIndexer{
-			DB:        c.db,
+			DB:        runner,
 			MetaData:  v2,
 			Space:     space,
 			IndexName: "by_body",
 			BatchSize: 32,
 			Config:    core.Config{InlineBuildLimit: 8}, // force the online path
-			Pace:      recordlayer.PaceFromGovernor(gov, bulkTenant),
 		}
 	}
 
 	var workers []*worker
 	var wg sync.WaitGroup
 	ioBase := c.db.Metrics().Snapshot()
+	bulkBase := acct.Tenant(bulkTenant).Snapshot()
 	start := cfg.Clock()
 	deadline := start.Add(cfg.Phase)
 	spawn := func(tenant string, workerIdx, recsPerTxn, recSize int, record bool) {
@@ -641,7 +652,8 @@ func runNoisyPhase(ctx context.Context, cfg NoisyConfig, spec noisySpec) (NoisyP
 	var buildErr error
 	indexDone := make(chan struct{})
 	if indexer != nil {
-		bctx, cancel := context.WithDeadline(ctx, deadline)
+		bctx, cancel := context.WithDeadline(recordlayer.WithPriority(
+			recordlayer.WithTenant(ctx, bulkTenant), recordlayer.PriorityBackground), deadline)
 		defer cancel()
 		go func() {
 			defer close(indexDone)
@@ -665,6 +677,7 @@ func runNoisyPhase(ctx context.Context, cfg NoisyConfig, spec noisySpec) (NoisyP
 
 	phase, err := mergePhase(spec.name, cfg, workers, elapsed, acct)
 	phase.Indexed = indexed
+	phase.Bulk = acct.Tenant(bulkTenant).Snapshot().Delta(bulkBase)
 	phase.IO = c.db.Metrics().Snapshot().Delta(ioBase)
 	return phase, err
 }
@@ -847,7 +860,7 @@ func runDistributedPhase(ctx context.Context, cfg NoisyConfig) (NoisyPhase, dist
 	// headroom; round 2 re-sizes every claim against all three live rows).
 	for round := 0; round < 2; round++ {
 		for _, m := range mgrs {
-			if _, err := m.Refresh(); err != nil {
+			if _, err := m.Refresh(ctx); err != nil {
 				return NoisyPhase{}, out, err
 			}
 		}
@@ -873,7 +886,7 @@ func runDistributedPhase(ctx context.Context, cfg NoisyConfig) (NoisyPhase, dist
 				return
 			case <-t.C:
 				for _, m := range mgrs {
-					_, _ = m.Refresh() // transient claim conflicts retry next beat
+					_, _ = m.Refresh(hbCtx) // transient claim conflicts retry next beat
 				}
 				rows, err := leaseStore.Live(aggressorTenant, cfg.Clock())
 				if err != nil {
@@ -922,7 +935,7 @@ func runDistributedPhase(ctx context.Context, cfg NoisyConfig) (NoisyPhase, dist
 	// against the live accountants: the billing pipeline must account every
 	// transaction and byte the phase ran, exactly once.
 	for _, e := range exps {
-		if _, err := e.Export(); err != nil {
+		if _, err := e.Export(ctx); err != nil {
 			return NoisyPhase{}, out, err
 		}
 	}
@@ -955,82 +968,4 @@ func percentiles(ds []time.Duration) (p50, p95 time.Duration) {
 		return sorted[i]
 	}
 	return at(0.50), at(0.95)
-}
-
-// MeasureGovernanceOverhead times the same single-tenant write loop with and
-// without governance (generous limits, so admission always succeeds on the
-// fast path) — the per-transaction cost of metering plus admission. Each
-// variant is measured three times after a warmup and the minimum is
-// reported, squeezing out GC and scheduler noise.
-func MeasureGovernanceOverhead(ctx context.Context, txns int) (ungoverned, governed time.Duration, err error) {
-	if txns <= 0 {
-		txns = 2000
-	}
-	run := func(governed bool) (time.Duration, error) {
-		note, md, err := noisySchema()
-		if err != nil {
-			return 0, err
-		}
-		ks, err := keyspace.New(nil,
-			keyspace.NewConstant("app", "overhead").Add(
-				keyspace.NewDirectory("tenant", keyspace.TypeString)))
-		if err != nil {
-			return 0, err
-		}
-		provider, err := recordlayer.NewStoreProvider(md, ks, []string{"app", "tenant"},
-			recordlayer.ProviderOptions{})
-		if err != nil {
-			return 0, err
-		}
-		db := fdb.Open(nil)
-		opts := recordlayer.RunnerOptions{}
-		runCtx := ctx
-		if governed {
-			gov := recordlayer.NewGovernor(nil, recordlayer.GovernorOptions{})
-			gov.SetLimits("t", recordlayer.TenantLimits{TxnPerSecond: 1e9, MaxConcurrent: 64})
-			opts.Governor = gov
-			runCtx = recordlayer.WithTenant(ctx, "t")
-		}
-		runner := recordlayer.NewRunner(db, opts)
-		rng := rand.New(rand.NewSource(1))
-		body := NoteBody(rng, 200)
-		save := func(i int) error {
-			rec := message.New(note).MustSet("id", int64(i)).MustSet("body", body)
-			_, err := runner.Run(runCtx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-				store, err := provider.Open(ctx, tr, "t")
-				if err != nil {
-					return nil, err
-				}
-				_, err = store.SaveRecord(rec)
-				return nil, err
-			})
-			return err
-		}
-		id := 0
-		for i := 0; i < txns/4; i++ { // warmup
-			if err := save(id); err != nil {
-				return 0, err
-			}
-			id++
-		}
-		best := time.Duration(0)
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now() //lint:allow clockinject measures real wall-clock overhead of governance, not simulated time
-			for i := 0; i < txns; i++ {
-				if err := save(id); err != nil {
-					return 0, err
-				}
-				id++
-			}
-			if d := time.Since(start) / time.Duration(txns); best == 0 || d < best { //lint:allow clockinject measures real wall-clock overhead of governance, not simulated time
-				best = d
-			}
-		}
-		return best, nil
-	}
-	if ungoverned, err = run(false); err != nil {
-		return
-	}
-	governed, err = run(true)
-	return
 }

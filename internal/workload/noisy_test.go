@@ -92,15 +92,3 @@ func TestNoisyNeighbor(t *testing.T) {
 		t.Errorf("smoke-gate invariants: %v", err)
 	}
 }
-
-// TestMeasureGovernanceOverhead sanity-checks the overhead probe runs and
-// produces plausible (positive) per-txn times.
-func TestMeasureGovernanceOverhead(t *testing.T) {
-	un, gov, err := MeasureGovernanceOverhead(context.Background(), 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if un <= 0 || gov <= 0 {
-		t.Fatalf("per-txn times = %v / %v, want > 0", un, gov)
-	}
-}

@@ -13,11 +13,8 @@ import (
 	"recordlayer/internal/resource"
 )
 
-// TransactFunc is the body of one transactional attempt. The transaction is
-// committed after the function returns nil (for Run; ReadRun never commits).
-// The function may be invoked several times, so it must be idempotent with
-// respect to out-of-transaction state.
-type TransactFunc func(ctx context.Context, tr *fdb.Transaction) (interface{}, error)
+// TransactFunc is the body of one transactional attempt; see fdb.TransactFunc.
+type TransactFunc = fdb.TransactFunc
 
 // RunnerOptions tunes the retry loop. The zero value gives sensible
 // production defaults.
@@ -29,8 +26,9 @@ type RunnerOptions struct {
 	// where the backoff doubles from fdb.RunnerBackoff (2 ms) up to
 	// fdb.RunnerMaxBackoff (250 ms).
 	Rand func() float64
-	// Sleep waits between attempts and must honor ctx cancellation; tests
-	// inject an instant version. The default uses a timer.
+	// Sleep waits between attempts, and out a background admission's quota
+	// RetryAfter, and must honor ctx cancellation; tests inject an instant
+	// version. The default uses a timer.
 	Sleep func(ctx context.Context, d time.Duration) error
 	// Now supplies wall-clock readings for transaction-latency accounting
 	// (Usage.TxnTime) and the runner's trace spans; tests inject a manual
@@ -39,8 +37,9 @@ type RunnerOptions struct {
 	// Governor enforces per-tenant admission control: when the context
 	// carries a tenant (WithTenant), each Run/ReadRun acquires admission
 	// before its first attempt — failing fast with *QuotaExceededError when
-	// the tenant is over its rate quota, waiting (weighted-fair) when the
-	// tenant or cluster is at its concurrency ceiling. Nil disables
+	// the tenant is over its rate quota (a background admission, see
+	// WithPriority, waits out RetryAfter instead), waiting (weighted-fair)
+	// when the tenant or cluster is at its concurrency ceiling. Nil disables
 	// admission control.
 	Governor *resource.Governor
 	// Accountant meters per-tenant usage for tenant-bound contexts: the
@@ -175,6 +174,11 @@ func IsMaybeCommitted(err error) bool { return fdb.IsMaybeCommitted(err) }
 // backoff with jitter on retryable errors (conflicts, stale read versions,
 // timeouts), and context cancellation and deadline propagation. A Runner is
 // safe for concurrent use; one per database is typical.
+//
+// A Runner is an fdb.Door, so background work takes one too: an online index
+// build or a scrub handed a Runner under WithTenant and
+// WithPriority(PriorityBackground) is admitted, billed, traced and
+// retry-counted batch by batch like foreground work.
 type Runner struct {
 	db   *fdb.Database
 	opts RunnerOptions
@@ -182,6 +186,8 @@ type Runner struct {
 	mu sync.Mutex
 	m  RunnerMetrics
 }
+
+var _ fdb.Door = (*Runner)(nil)
 
 // NewRunner creates a runner over db. A zero RunnerOptions uses defaults.
 func NewRunner(db *fdb.Database, opts RunnerOptions) *Runner {
@@ -285,7 +291,7 @@ func (r *Runner) run(ctx context.Context, fn TransactFunc, commit, idempotent bo
 			// One admission covers the whole retry loop: a retried attempt
 			// is the same unit of tenant work, not a new request. The
 			// admission's priority class rides the context (WithPriority).
-			release, err := r.opts.Governor.Admit(ctx, tenant)
+			release, err := r.admit(ctx, tenant)
 			if trace != nil {
 				attr := ""
 				if err != nil {
@@ -347,6 +353,26 @@ func (r *Runner) run(ctx context.Context, fn TransactFunc, commit, idempotent bo
 	r.record(1, x.retries, 0, x.retryCauses, "")
 	meter.RecordTxn(r.opts.Now().Sub(start))
 	return v, nil
+}
+
+// admit acquires tenant's admission from the Governor. A foreground
+// admission over quota fails fast with *QuotaExceededError; a background one
+// waits the error's RetryAfter through Sleep and asks again, so background
+// work yields its tenant's quota instead of failing.
+func (r *Runner) admit(ctx context.Context, tenant string) (func(), error) {
+	for {
+		release, err := r.opts.Governor.Admit(ctx, tenant)
+		if err == nil || resource.PriorityFrom(ctx) != resource.PriorityBackground {
+			return release, err
+		}
+		var qe *resource.QuotaExceededError
+		if !errors.As(err, &qe) {
+			return nil, err
+		}
+		if err := r.opts.Sleep(ctx, qe.RetryAfter); err != nil {
+			return nil, err
+		}
+	}
 }
 
 // retryLog is one execution's record of its retries: the latest attempt's

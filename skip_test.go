@@ -1,8 +1,12 @@
 package recordlayer
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -188,7 +192,7 @@ func TestSkipContinuationEncoding(t *testing.T) {
 		{300, nil},
 	} {
 		enc := encodeSkipContinuation(tc.remaining, tc.inner)
-		rem, inner, err := decodeSkipContinuation(enc)
+		rem, inner, err := decodeSkipContinuation(enc, 300)
 		if err != nil {
 			t.Fatalf("decode(%v): %v", tc, err)
 		}
@@ -201,10 +205,71 @@ func TestSkipContinuationEncoding(t *testing.T) {
 	}
 	// A continuation without the envelope (legacy or skip-free) passes
 	// through with nothing left to skip.
-	rem, inner, err := decodeSkipContinuation([]byte("raw"))
+	rem, inner, err := decodeSkipContinuation([]byte("raw"), 3)
 	if err != nil || rem != 0 || string(inner) != "raw" {
 		t.Errorf("raw passthrough: %d %q %v", rem, inner, err)
 	}
+}
+
+// TestSkipContinuationRejectsOutOfRange: a skip envelope whose count lies
+// outside [0, Skip] cannot have come from the query resuming it, and the
+// query fails instead of silently returning other rows — a count of 2^64-1
+// used to decode as -1, and the page came back unskipped.
+func TestSkipContinuationRejectsOutOfRange(t *testing.T) {
+	_, md := testSchema(t)
+	db := fdb.Open(nil)
+	r := NewRunner(db, RunnerOptions{})
+	p := testProvider(t, md)
+	saveDocs(t, r, p, 1, 6)
+
+	for _, count := range []uint64{math.MaxUint64, 1 << 63, 4} {
+		cont := binary.AppendUvarint([]byte{skipContMarker}, count)
+		props := ExecuteProperties{Skip: 3, RowLimit: 2}.WithContinuation(cont)
+		v, err := r.ReadRun(context.Background(), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			store, err := p.Open(ctx, tr, int64(1))
+			if err != nil {
+				return nil, err
+			}
+			cur, err := store.ExecuteQuery(ctx, Query{RecordTypes: []string{"Doc"}}, props)
+			if err != nil {
+				return nil, err
+			}
+			return cur.ToList()
+		})
+		if err == nil || !strings.Contains(err.Error(), "corrupt skip continuation") {
+			t.Errorf("count %d: resumed to (%v, %v), want a corrupt-continuation error", count, v, err)
+		}
+	}
+}
+
+// FuzzSkipContinuation: the skip envelope's decoder never panics on any
+// bytes, accepts only counts in [0, skip], and inverts the encoder.
+func FuzzSkipContinuation(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte, count uint64, skip uint16, inner []byte) {
+		if rem, _, err := decodeSkipContinuation(raw, int(skip)); err == nil && (rem < 0 || rem > int(skip)) {
+			t.Fatalf("decode(%x, %d) accepted count %d", raw, skip, rem)
+		}
+		env := append(binary.AppendUvarint([]byte{skipContMarker}, count), inner...)
+		rem, got, err := decodeSkipContinuation(env, int(skip))
+		if count > uint64(skip) {
+			if err == nil {
+				t.Fatalf("count %d > skip %d decoded as %d", count, skip, rem)
+			}
+			return
+		}
+		if err != nil || uint64(rem) != count || !bytes.Equal(got, inner) || (len(inner) == 0) != (got == nil) {
+			t.Fatalf("decode(%x, %d) = (%d, %q, %v), want (%d, %q, nil)", env, skip, rem, got, err, count, inner)
+		}
+		// Nothing left to skip and no inner continuation is the exhausted
+		// contract, encoded as nil; every other pair encodes back to env.
+		want := env
+		if rem == 0 && got == nil {
+			want = nil
+		}
+		if enc := encodeSkipContinuation(rem, got); !bytes.Equal(enc, want) {
+			t.Fatalf("encode(%d, %q) = %x, want %x", rem, got, enc, want)
+		}
+	})
 }
 
 // TestTxnTimeIncludesQueueWait is the regression for the latency clock

@@ -208,7 +208,7 @@ func (s *Store) executePlan(ctx context.Context, pl plan.Plan, props ExecuteProp
 	skip := props.Skip
 	if props.Skip > 0 && len(cont) > 0 {
 		var err error
-		skip, cont, err = decodeSkipContinuation(cont)
+		skip, cont, err = decodeSkipContinuation(cont, props.Skip)
 		if err != nil {
 			return nil, err
 		}
