@@ -258,32 +258,6 @@ func benchStore(b *testing.B, n int) benchEnv {
 	return env
 }
 
-// BenchmarkSaveRecord measures the full save pipeline through the façade:
-// open store, load-old, maintain three indexes, split and write, commit.
-func BenchmarkSaveRecord(b *testing.B) {
-	env := benchFacade(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		i := i
-		_, err := env.runner.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-			s, err := env.provider.Open(ctx, tr, benchTenant)
-			if err != nil {
-				return nil, err
-			}
-			rec := message.New(env.user).
-				MustSet("id", int64(i)).
-				MustSet("name", fmt.Sprintf("user-%06d", i)).
-				MustSet("score", int64(i))
-			_, err = s.SaveRecord(rec)
-			return nil, err
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSaveRecords compares saving N=50 records per transaction with a
 // loop of SaveRecord (N sequential old-record loads) against the batched
 // SaveRecords path (all N loads issued as concurrent futures). Under
@@ -550,33 +524,6 @@ func BenchmarkMergeQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadRecord measures a point read (version slot + data).
-func BenchmarkLoadRecord(b *testing.B) {
-	env := benchStore(b, 1000)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		i := i
-		_, err := env.runner.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-			s, err := env.provider.Open(ctx, tr, benchTenant)
-			if err != nil {
-				return nil, err
-			}
-			rec, err := s.LoadRecordByKey(tuple.Tuple{"U", int64(i % 1000)})
-			if err != nil {
-				return nil, err
-			}
-			if rec == nil {
-				return nil, fmt.Errorf("missing record %d", i%1000)
-			}
-			return nil, nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkIndexScan measures a 50-entry index range scan plus fetches, at
 // fetch pipeline depth 1 (sequential) and the default depth 8. At zero
 // latency the two must be within ~10% — the async pipeline runs on the
@@ -729,47 +676,6 @@ func BenchmarkIndexScanRaw(b *testing.B) {
 				return nil, fmt.Errorf("scan returned %d", n)
 			}
 			return nil, nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTuplePack measures tuple encoding.
-func BenchmarkTuplePack(b *testing.B) {
-	t := tuple.Tuple{"record-store", int64(42), "user", int64(123456789), true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = t.Pack()
-	}
-}
-
-// BenchmarkMessageMarshal measures dynamic protobuf encoding.
-func BenchmarkMessageMarshal(b *testing.B) {
-	user, _ := benchSchema()
-	m := message.New(user).
-		MustSet("id", int64(7)).
-		MustSet("name", "benchmark-user").
-		MustSet("score", int64(999))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Marshal(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKVTransactionCommit measures the simulator's raw commit path
-// through the Runner.
-func BenchmarkKVTransactionCommit(b *testing.B) {
-	env := benchFacade(b)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		i := i
-		_, err := env.runner.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-			return nil, tr.Set([]byte(fmt.Sprintf("key-%09d", i)), []byte("value"))
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -12,6 +12,10 @@
 //	go run ./cmd/experiments -run a1..a4  # ablations
 //	go run ./cmd/experiments -run nn      # noisy-neighbor tenant governance
 //	go run ./cmd/experiments -run chaos   # fault-injection robustness harness
+//
+// With -short, nn and chaos are CI's smoke gates: nn runs 150 ms phases and
+// exits non-zero if a governance invariant fails; chaos replays three pinned
+// seeds, and its output is a function of those seeds alone.
 package main
 
 import (
@@ -113,13 +117,12 @@ func runNoisyNeighbor(w io.Writer, short bool) error {
 	if err != nil {
 		return err
 	}
-	cfg = stats.Config
 	fmt.Fprintf(w, "  %d well-behaved tenants (3x200B txns) vs 1 aggressor (%d workers, 12x4kB txns)\n",
-		cfg.Victims, cfg.AggressorWorkers)
+		workload.Victims, workload.AggressorWorkers)
 	fmt.Fprintf(w, "  governed aggressor quota: %.0f txn/s, burst %d, concurrency 1 (cap %.0f txns/phase)\n",
-		cfg.AggressorRate, cfg.AggressorBurst, stats.AggressorCap)
+		workload.AggressorRate, workload.AggressorBurst, stats.AggressorCap)
 	fmt.Fprintf(w, "  byte-hog aggressor quota: %.0f B/s, byte burst %d\n\n",
-		cfg.AggressorByteRate, cfg.AggressorByteBurst)
+		workload.AggressorByteRate, workload.AggressorByteBurst)
 
 	printPhase := func(p workload.NoisyPhase) {
 		fmt.Fprintf(w, "  phase %-10s  victim p50 %8v  p95 %8v\n", p.Name, p.VictimP50, p.VictimP95)
@@ -162,30 +165,22 @@ func runNoisyNeighbor(w io.Writer, short bool) error {
 		ratio(stats.Ungoverned), ratio(stats.Governed), ratio(stats.ByteHog), ratio(stats.Persisted))
 	fmt.Fprintf(w, "  victim p50 under background index build: %.1fx of baseline (target ~1.2x)\n",
 		ratio(stats.BgIndex))
-	aggressor := func(p workload.NoisyPhase) workload.TenantResult {
-		for _, t := range p.Tenants {
-			if t.Tenant == "aggressor" {
-				return t
-			}
-		}
-		return workload.TenantResult{}
-	}
 	// The persisted phase halves the quota per server, so the two servers'
 	// combined budget equals the single-server cap.
 	fmt.Fprintf(w, "  aggressor txns/phase: ungoverned %d -> txn-governed %d (cap %.0f) -> persisted-on-2-servers %d (combined cap ~%.0f)\n",
-		aggressor(stats.Ungoverned).Txns, aggressor(stats.Governed).Txns, stats.AggressorCap,
-		aggressor(stats.Persisted).Txns, stats.AggressorCap)
+		workload.AggressorOf(stats.Ungoverned).Txns, workload.AggressorOf(stats.Governed).Txns, stats.AggressorCap,
+		workload.AggressorOf(stats.Persisted).Txns, stats.AggressorCap)
 	fmt.Fprintf(w, "  aggressor bytes: ungoverned %.1f MB -> byte-governed %.2f MB (budget %.2f MB, capped: %v)\n",
-		float64(aggressor(stats.Ungoverned).Bytes)/(1<<20),
-		float64(aggressor(stats.ByteHog).Bytes)/(1<<20),
+		float64(workload.AggressorOf(stats.Ungoverned).Bytes)/(1<<20),
+		float64(workload.AggressorOf(stats.ByteHog).Bytes)/(1<<20),
 		float64(stats.ByteBudget)/(1<<20), stats.ByteCapped)
 	fmt.Fprintf(w, "  persisted limits: two governors loaded one LimitsStore, consistent: %v\n",
 		stats.SharedLimitsConsistent)
 	// The distributed phase stores the FULL global quota once; quota leases
 	// split it across three governors at runtime.
 	fmt.Fprintf(w, "  distributed (3 lease-coordinated governors): aggressor %d txns (global cap %.0f), %.2f MB (global budget %.2f MB, capped: %v)\n",
-		aggressor(stats.Distributed).Txns, stats.DistributedCap,
-		float64(aggressor(stats.Distributed).Bytes)/(1<<20),
+		workload.AggressorOf(stats.Distributed).Txns, stats.DistributedCap,
+		float64(workload.AggressorOf(stats.Distributed).Bytes)/(1<<20),
 		float64(stats.DistributedByteBudget)/(1<<20), stats.DistributedByteCapped)
 	fmt.Fprintf(w, "  lease slices summed <= global limit on every sample: %v; metering export matched accountants: %v\n",
 		stats.LeaseSliceSumOK, stats.ExportConsistent)

@@ -112,13 +112,13 @@ func refScanRecords(s *Store, opts ScanOptions) cursor.Cursor[*StoredRecord] {
 	recSpace := s.space.Sub(recordsSub)
 	begin, end, err := opts.Range.ToKeyRange(recSpace)
 	if err != nil {
-		return errCursor[*StoredRecord](err)
+		return cursor.Fail[*StoredRecord](err)
 	}
 	if len(opts.Continuation) > 0 {
 		if !opts.Reverse {
 			cb, err := tuple.Strinc(append(recSpace.Bytes(), opts.Continuation...))
 			if err != nil {
-				return errCursor[*StoredRecord](err)
+				return cursor.Fail[*StoredRecord](err)
 			}
 			begin = cb
 		} else {

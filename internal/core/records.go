@@ -562,6 +562,8 @@ func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue, keep func(*me
 var (
 	errCorruptEnvelope = errors.New("corrupt record envelope")
 	errCorruptTypeTag  = errors.New("corrupt record type tag")
+	// errForeignContinuation rejects a continuation outside the scan's range.
+	errForeignContinuation = errors.New("core: corrupt continuation: primary key outside the scan's range")
 )
 
 // readEnvelope splits a record envelope, the packed tuple (type name, wire
@@ -667,19 +669,21 @@ type RecordFilter struct {
 func (s *Store) ScanRecords(opts ScanOptions) cursor.Cursor[*StoredRecord] {
 	begin, end, err := opts.Range.ToKeyRange(s.records)
 	if err != nil {
-		return errCursor[*StoredRecord](err)
+		return cursor.Fail[*StoredRecord](err)
 	}
 	if len(opts.Continuation) > 0 {
-		// The continuation is the packed pk of the last record returned:
-		// skip all of its pairs.
+		// The continuation is the packed pk of the last record returned, so
+		// its key lies in the range; skip all of its pairs.
+		key := append(s.records.Bytes(), opts.Continuation...)
+		if bytes.Compare(key, begin) < 0 || bytes.Compare(key, end) >= 0 {
+			return cursor.Fail[*StoredRecord](errForeignContinuation)
+		}
 		if !opts.Reverse {
-			cb, err := tuple.Strinc(append(s.records.Bytes(), opts.Continuation...))
-			if err != nil {
-				return errCursor[*StoredRecord](err)
+			if begin, err = tuple.Strinc(key); err != nil {
+				return cursor.Fail[*StoredRecord](err)
 			}
-			begin = cb
 		} else {
-			end = append(s.records.Bytes(), opts.Continuation...)
+			end = key
 		}
 	}
 	// The limiter is charged per assembled record (below), not per raw pair:
@@ -717,12 +721,6 @@ type recordCursor struct {
 	// each record type met so far, none from a type it does not deliver.
 	filter   *RecordFilter
 	partials map[*metadata.RecordType]*message.Partial
-}
-
-func errCursor[T any](err error) cursor.Cursor[T] {
-	return cursor.Func[T](func() (cursor.Result[T], error) {
-		return cursor.Result[T]{}, err
-	})
 }
 
 // admit charges the limiter one record, the group's key-value footprint. A

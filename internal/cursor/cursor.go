@@ -224,6 +224,12 @@ type Func[T any] func() (Result[T], error)
 // Next implements Cursor.
 func (f Func[T]) Next() (Result[T], error) { return f() }
 
+// Fail is a cursor whose every Next returns err: a scan that cannot start
+// reports why through its cursor, having read nothing.
+func Fail[T any](err error) Cursor[T] {
+	return Func[T](func() (Result[T], error) { return Result[T]{}, err })
+}
+
 // ---------------------------------------------------------------- map
 
 type mapCursor[T, U any] struct {

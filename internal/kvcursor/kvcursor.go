@@ -6,6 +6,7 @@ package kvcursor
 
 import (
 	"bytes"
+	"errors"
 
 	"recordlayer/internal/cursor"
 	"recordlayer/internal/fdb"
@@ -59,8 +60,16 @@ type kvCursor struct {
 	want       int              // announced demand in pairs; 0 = none
 }
 
-// New creates a cursor over [begin, end).
+// errForeignContinuation rejects a continuation outside the scan's range.
+var errForeignContinuation = errors.New("kvcursor: corrupt continuation: key outside the scan's range")
+
+// New creates a cursor over [begin, end). A continuation is the last key
+// a scan of this range returned, so one outside [begin, end) came from
+// another scan or another tenant; the cursor fails without reading.
 func New(tr *fdb.Transaction, begin, end []byte, opts Options) cursor.Cursor[fdb.KeyValue] {
+	if cont := opts.Continuation; len(cont) > 0 && (bytes.Compare(cont, begin) < 0 || bytes.Compare(cont, end) >= 0) {
+		return cursor.Fail[fdb.KeyValue](errForeignContinuation)
+	}
 	c := &kvCursor{tr: tr, begin: append([]byte(nil), begin...), end: append([]byte(nil), end...), opts: opts}
 	if opts.BatchSize <= 0 {
 		c.opts.BatchSize = DefaultBatchSize

@@ -24,7 +24,6 @@ var clockedPackages = map[string]bool{
 	"recordlayer/internal/fdb":            true, // Options.Clock + the virtual latency clock
 	"recordlayer/internal/resource":       true, // GovernorOptions.Clock, UsageExporter clock
 	"recordlayer/internal/resource/lease": true, // lease.Options.Clock
-	"recordlayer/internal/workload":       true, // NoisyConfig.Clock/Sleep
 	"recordlayer/internal/core":           true, // VersionCache clock
 	"recordlayer/internal/cursor":         true, // Limiter clock
 }

@@ -22,7 +22,7 @@ func TestRetrySafe(t *testing.T)    { run(t, lint.RetrySafe, "recordlayer/intern
 func TestIdempotent(t *testing.T)   { run(t, lint.Idempotent, "recordlayer/internal/lintfixture") }
 func TestFutureAwait(t *testing.T)  { run(t, lint.FutureAwait, "recordlayer/internal/lintfixture") }
 func TestCtxPropagate(t *testing.T) { run(t, lint.CtxPropagate, "recordlayer/internal/lintfixture") }
-func TestClockInject(t *testing.T)  { run(t, lint.ClockInject, "recordlayer/internal/workload") }
+func TestClockInject(t *testing.T)  { run(t, lint.ClockInject, "recordlayer/internal/resource/lease") }
 func TestLayering(t *testing.T)     { run(t, lint.Layering, "recordlayer/internal/kvcursor") }
 func TestObsGuard(t *testing.T)     { run(t, lint.ObsGuard, "recordlayer/internal/lintfixture") }
 

@@ -1,6 +1,6 @@
 // Fixture for the clockinject analyzer. Type-checked by linttest under the
-// pretend path recordlayer/internal/workload (a clocked package); never built
-// into the module.
+// pretend path recordlayer/internal/resource/lease (a clocked package); never
+// built into the module.
 package fixture
 
 import "time"
@@ -12,8 +12,8 @@ type cfg struct {
 
 // wallReads: every wall-clock call bypasses the injected clock.
 func wallReads(c cfg) time.Duration {
-	start := time.Now()          // want "time.Now\(\) bypasses workload's injectable clock"
-	time.Sleep(time.Millisecond) // want "time.Sleep\(\) bypasses workload's injectable clock; inject the package's sleep function"
+	start := time.Now()          // want "time.Now\(\) bypasses lease's injectable clock"
+	time.Sleep(time.Millisecond) // want "time.Sleep\(\) bypasses lease's injectable clock; inject the package's sleep function"
 	d := time.Since(start)       // want "time.Since\(\) bypasses"
 	deadline := start.Add(time.Second)
 	d += time.Until(deadline) // want "time.Until\(\) bypasses"

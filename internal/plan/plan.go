@@ -55,12 +55,6 @@ type Plan interface {
 	Label() string
 }
 
-func errCursor[T any](err error) cursor.Cursor[T] {
-	return cursor.Func[T](func() (cursor.Result[T], error) {
-		return cursor.Result[T]{}, err
-	})
-}
-
 // childOptions derives the options a merge plan hands child i: the parent's
 // execution knobs with the child's own continuation and, when stats collection
 // is on, its own positionally-stable node under the parent's. Single-sited so
@@ -80,7 +74,7 @@ func childBuilders(s *core.Store, children []Plan, opts ExecuteOptions) []func([
 		builders[i] = func(cont []byte) cursor.Cursor[*core.StoredRecord] {
 			c, err := child.Execute(s, childOptions(opts, i, child, cont))
 			if err != nil {
-				return errCursor[*core.StoredRecord](err)
+				return cursor.Fail[*core.StoredRecord](err)
 			}
 			return c
 		}
@@ -113,7 +107,7 @@ func entryBuilders(s *core.Store, scans []*IndexScanPlan, opts ExecuteOptions) [
 			co := childOptions(opts, i, scan, cont)
 			c, err := scanEntries(s, scan.IndexName, scan.Range, scan.Reverse, co)
 			if err != nil {
-				return errCursor[index.Entry](err)
+				return cursor.Fail[index.Entry](err)
 			}
 			return observe(co.Stats, s, true, c)
 		}

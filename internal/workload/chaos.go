@@ -12,7 +12,6 @@ import (
 	"recordlayer/internal/core"
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/keyexpr"
-	"recordlayer/internal/keyspace"
 	"recordlayer/internal/message"
 	"recordlayer/internal/metadata"
 	"recordlayer/internal/query"
@@ -32,19 +31,11 @@ type ChaosConfig struct {
 	// Writes is how many write operations the mixed workload issues, spread
 	// round-robin over the three cohorts (default 240).
 	Writes int
-	// QueryEvery issues one zone query after every this many writes (default
-	// 8) — range reads that absorb injected mid-scan errors.
-	QueryEvery int
 	// Seed drives the workload shape and the fault schedule.
 	Seed int64
-	// Faults overrides the injected fault mix; the zero value uses the chaos
-	// defaults. The Seed field is always taken from Seed above.
-	Faults fdb.FaultConfig
 	// LeaseRounds is how many heartbeat rounds the lease-churn phase runs
 	// (default 40).
 	LeaseRounds int
-	// LeaseServers is how many lease-coordinated governors churn (default 3).
-	LeaseServers int
 	// MisdeclareIncrements is a self-test knob: route the non-idempotent
 	// counter increments through RunIdempotent anyway, so a maybe-committed
 	// attempt that actually applied is blindly re-run and double-increments.
@@ -57,27 +48,31 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.Writes <= 0 {
 		c.Writes = 240
 	}
-	if c.QueryEvery <= 0 {
-		c.QueryEvery = 8
-	}
 	if c.LeaseRounds <= 0 {
 		c.LeaseRounds = 40
 	}
-	if c.LeaseServers <= 0 {
-		c.LeaseServers = 3
-	}
-	if c.Faults == (fdb.FaultConfig{}) {
-		c.Faults = fdb.FaultConfig{
-			PCommitNotCommitted: 0.05,
-			PCommitUnknown:      0.08,
-			PReadTooOld:         0.03,
-			PReadFuture:         0.02,
-			PLatencySpike:       0.05,
-			SpikeLatency:        2 * time.Millisecond,
-		}
-	}
-	c.Faults.Seed = c.Seed
 	return c
+}
+
+const (
+	// queryEvery issues one zone query after every this many writes: range
+	// reads that absorb injected mid-scan errors.
+	queryEvery = 8
+	// leaseServers is how many lease-coordinated governors churn.
+	leaseServers = 3
+)
+
+// chaosFaults is the injected fault mix, dealt from seed.
+func chaosFaults(seed int64) fdb.FaultConfig {
+	return fdb.FaultConfig{
+		Seed:                seed,
+		PCommitNotCommitted: 0.05,
+		PCommitUnknown:      0.08,
+		PReadTooOld:         0.03,
+		PReadFuture:         0.02,
+		PLatencySpike:       0.05,
+		SpikeLatency:        2 * time.Millisecond,
+	}
 }
 
 // chaosTenant owns the chaos store and the leased budget.
@@ -288,19 +283,13 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	ks, err := keyspace.New(nil,
-		keyspace.NewConstant("app", "chaos").Add(
-			keyspace.NewDirectory("tenant", keyspace.TypeString)))
+	ks, providers, err := tenantProviders("chaos", md)
 	if err != nil {
 		return stats, err
 	}
-	provider, err := recordlayer.NewStoreProvider(md, ks, []string{"app", "tenant"},
-		recordlayer.ProviderOptions{})
-	if err != nil {
-		return stats, err
-	}
+	provider := providers[0]
 
-	inj := fdb.NewFaultInjector(cfg.Faults)
+	inj := fdb.NewFaultInjector(chaosFaults(cfg.Seed))
 	db := chaosCluster(inj)
 	// Cohort A writes get one attempt: retryable failures surface, so the
 	// run accumulates writes with a hard "nothing applied" guarantee — the
@@ -311,10 +300,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 	// Pre-create the store before the storm so directory allocation is not
 	// subject to injected faults.
 	inj.Disable()
-	if _, err := runner.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-		_, err := provider.Open(ctx, tr, chaosTenant)
-		return nil, err
-	}); err != nil {
+	if _, err := runner.Run(ctx, openAndSave(provider, chaosTenant)); err != nil {
 		return stats, fmt.Errorf("workload: chaos pre-create: %w", err)
 	}
 	inj.Enable()
@@ -325,17 +311,6 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 	acked := map[int64]string{}     // id -> expected body, write acknowledged
 	unknown := map[int64]string{}   // id -> expected body, fate ambiguous
 	cleanFailed := map[int64]bool{} // id -> true, guaranteed not applied
-	save := func(r *recordlayer.Runner, rec *message.Message) error {
-		_, err := r.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-			store, err := provider.Open(ctx, tr, chaosTenant)
-			if err != nil {
-				return nil, err
-			}
-			_, err = store.SaveRecord(rec)
-			return nil, err
-		})
-		return err
-	}
 	for i := 0; i < cfg.Writes; i++ {
 		if err := ctx.Err(); err != nil {
 			return stats, err
@@ -345,28 +320,18 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 		body := NoteBody(rng, 64+rng.Intn(192))
 		stats.Writes++
 		switch i % 3 {
-		case 0: // Cohort A: single-attempt Run — acked, ambiguous, or cleanly failed.
-			rec := message.New(note).MustSet("id", id).MustSet("zone", zone).MustSet("body", body)
-			err := save(strict, rec)
-			switch {
-			case err == nil:
-				acked[id] = body
-			case recordlayer.IsMaybeCommitted(err):
-				unknown[id] = body
-			default:
-				cleanFailed[id] = true
+		case 0, 1:
+			save := openAndSave(provider, chaosTenant,
+				message.New(note).MustSet("id", id).MustSet("zone", zone).MustSet("body", body))
+			var err error
+			if i%3 == 0 {
+				// Cohort A: single-attempt Run — acked, ambiguous, or cleanly failed.
+				_, err = strict.Run(ctx, save)
+			} else {
+				// Cohort B: retried as idempotent — ambiguity is retried through.
+				//rl:idempotent re-saving the same pre-generated record converges to the same stored state
+				_, err = runner.RunIdempotent(ctx, save)
 			}
-		case 1: // Cohort B: retried as idempotent — ambiguity is retried through.
-			rec := message.New(note).MustSet("id", id).MustSet("zone", zone).MustSet("body", body)
-			//rl:idempotent re-saving the same pre-generated record converges to the same stored state
-			_, err := runner.RunIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-				store, err := provider.Open(ctx, tr, chaosTenant)
-				if err != nil {
-					return nil, err
-				}
-				_, err = store.SaveRecord(rec)
-				return nil, err
-			})
 			switch {
 			case err == nil:
 				acked[id] = body
@@ -408,7 +373,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 				stats.CounterUnknown++
 			}
 		}
-		if (i+1)%cfg.QueryEvery != 0 {
+		if (i+1)%queryEvery != 0 {
 			continue
 		}
 		stats.Queries++
@@ -551,31 +516,13 @@ func runChaosStateCache(ctx context.Context, cfg ChaosConfig, stats *ChaosStats)
 	if err != nil {
 		return err
 	}
-	ks, err := keyspace.New(nil,
-		keyspace.NewConstant("app", "chaos").Add(
-			keyspace.NewDirectory("tenant", keyspace.TypeString)))
+	ks, servers, err := tenantProviders("chaos", v1, v1, v2)
 	if err != nil {
 		return err
 	}
-	server := func(md *metadata.MetaData) (*recordlayer.StoreProvider, error) {
-		return recordlayer.NewStoreProvider(md, ks, []string{"app", "tenant"}, recordlayer.ProviderOptions{})
-	}
-	a, err := server(v1)
-	if err != nil {
-		return err
-	}
-	b, err := server(v1)
-	if err != nil {
-		return err
-	}
-	bUpgraded, err := server(v2)
-	if err != nil {
-		return err
-	}
+	a, b, bUpgraded := servers[0], servers[1], servers[2]
 
-	fcfg := cfg.Faults
-	fcfg.Seed = cfg.Seed + 2
-	inj := fdb.NewFaultInjector(fcfg)
+	inj := fdb.NewFaultInjector(chaosFaults(cfg.Seed + 2))
 	db := chaosCluster(inj)
 	runner := recordlayer.NewRunner(db, recordlayer.RunnerOptions{Sleep: instantBackoff})
 	space, err := ks.MustPath("app").MustAdd("tenant", chaosTenant).ToSubspaceStatic()
@@ -808,10 +755,7 @@ func runChaosStateCache(ctx context.Context, cfg ChaosConfig, stats *ChaosStats)
 	// still says version 1 — and must not be believed.
 	upgrade := func() error {
 		//rl:idempotent opening with the newer schema only raises the header's version; re-running finds it raised
-		_, err := runner.RunIdempotent(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-			_, err := bUpgraded.Open(ctx, tr, chaosTenant)
-			return nil, err
-		})
+		_, err := runner.RunIdempotent(ctx, openAndSave(bUpgraded, chaosTenant))
 		return err
 	}
 	if upgrade() != nil {
@@ -821,10 +765,7 @@ func runChaosStateCache(ctx context.Context, cfg ChaosConfig, stats *ChaosStats)
 		}
 	}
 	for i := 0; i < 10; i++ {
-		_, err := runner.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-			_, err := a.Open(ctx, tr, chaosTenant)
-			return nil, err
-		})
+		_, err := runner.ReadRun(ctx, openAndSave(a, chaosTenant))
 		var stale *core.ErrStaleMetaData
 		switch {
 		case err == nil:
@@ -840,9 +781,7 @@ func runChaosStateCache(ctx context.Context, cfg ChaosConfig, stats *ChaosStats)
 // heartbeat failures and a mid-run server crash, sampling the over-grant
 // invariants every round on a deterministic manual clock.
 func runChaosLeases(ctx context.Context, cfg ChaosConfig, stats *ChaosStats) error {
-	fcfg := cfg.Faults
-	fcfg.Seed = cfg.Seed + 1
-	inj := fdb.NewFaultInjector(fcfg)
+	inj := fdb.NewFaultInjector(chaosFaults(cfg.Seed + 1))
 	db := fdb.Open(&fdb.Options{Faults: inj, Sleep: func(time.Duration) {}})
 
 	limits := recordlayer.NewLimitsStore(db)
@@ -864,8 +803,7 @@ func runChaosLeases(ctx context.Context, cfg ChaosConfig, stats *ChaosStats) err
 	clock := func() time.Time { return now }
 	const ttl = 2 * time.Second
 	leaseStore := recordlayer.NewQuotaLeaseStore(db)
-	servers := cfg.LeaseServers
-	mgrs := make([]*recordlayer.QuotaLeaseManager, servers)
+	mgrs := make([]*recordlayer.QuotaLeaseManager, leaseServers)
 	for i := range mgrs {
 		gov := recordlayer.NewGovernor(recordlayer.NewAccountant(), recordlayer.GovernorOptions{})
 		mgrs[i] = recordlayer.NewQuotaLeaseManager(gov, db, recordlayer.QuotaLeaseOptions{
@@ -881,15 +819,15 @@ func runChaosLeases(ctx context.Context, cfg ChaosConfig, stats *ChaosStats) err
 	// The decayed floor is uncoordinated (each failed server grants itself
 	// MinFraction locally), so enforced rates may legitimately sum to
 	// global*(1+servers*MinFraction); anything past that is an over-grant.
-	enforcedBound := 1 + lease.MinFraction*float64(servers)
+	enforcedBound := 1 + lease.MinFraction*float64(leaseServers)
 	for r := 0; r < rounds; r++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		now = now.Add(ttl / 4)
-		liveMgrs := make([]*recordlayer.QuotaLeaseManager, 0, servers)
+		liveMgrs := make([]*recordlayer.QuotaLeaseManager, 0, leaseServers)
 		for i, m := range mgrs {
-			if i == servers-1 && r >= crashFrom && r < crashTo {
+			if i == leaseServers-1 && r >= crashFrom && r < crashTo {
 				continue // the last server "crashes": no heartbeat, no enforcement
 			}
 			liveMgrs = append(liveMgrs, m)
@@ -897,16 +835,11 @@ func runChaosLeases(ctx context.Context, cfg ChaosConfig, stats *ChaosStats) err
 				stats.LeaseRefreshFailures++
 			}
 		}
-		rows, err := leaseStore.Live(chaosTenant, now)
+		ok, err := leaseSlicesWithin(leaseStore, chaosTenant, now, global)
 		if err != nil {
 			continue // an injected read fault killed the sample; next round
 		}
-		var sumTxn, sumBytes float64
-		for _, row := range rows {
-			sumTxn += row.Slice.Txn
-			sumBytes += row.Slice.Bytes
-		}
-		if sumTxn > global.TxnPerSecond*1.0001 || sumBytes > global.BytesPerSecond*1.0001 {
+		if !ok {
 			stats.LeaseSliceSumOK = false
 		}
 		var enfTxn, enfBytes float64

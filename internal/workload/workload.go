@@ -3,10 +3,16 @@
 // (Figure 1), a Moby-Dick-like document corpus (Table 2), and CloudKit-style
 // operation mixes (§8.2, §2). Each generator documents how it was calibrated
 // against the statistics the paper reports.
+//
+// It also holds the two multi-tenant harnesses that CI gates on. The
+// noisy-neighbor experiment (RunNoisyNeighbor) describes each phase as data —
+// its servers, how their governors get limits, an optional index build and an
+// optional side loop — and runs every phase through one driver; its numbers
+// are wall-clock. The chaos run (RunChaos) is a function of its seed alone.
+// A plain save in either harness is one transaction body, openAndSave.
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -186,13 +192,4 @@ func TxnMix(n int, seed int64) []TxnSpec {
 		out[i] = TxnSpec{RecordSizes: sizes}
 	}
 	return out
-}
-
-// String renders a spec briefly.
-func (t TxnSpec) String() string {
-	total := 0
-	for _, s := range t.RecordSizes {
-		total += s
-	}
-	return fmt.Sprintf("%d records / %d bytes", len(t.RecordSizes), total)
 }
