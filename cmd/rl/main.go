@@ -667,7 +667,7 @@ func tour() {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("  (raw index entry: %v -> %v)\n", e.Value.Key, e.Value.PrimaryKey)
+		fmt.Printf("  (raw index entry: %v -> %v)\n", e.Value.Key(), e.Value.PrimaryKey())
 		return nil, nil
 	})
 	must(err)

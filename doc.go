@@ -138,6 +138,19 @@
 // overflow the stack. On query_scan this took allocation per transaction from
 // 108.9 KB to 86.9 KB, with no stored byte changed.
 //
+// Decoding an index entry (§7): an index.Entry is a view of the scanned pair —
+// the entry key past the index subspace, where its primary key starts, and the
+// covering value bytes — found by walking element lengths, and Key, PrimaryKey
+// and Value decode on demand. The walk checks every element of the key and of
+// the value, so an entry that does not unpack fails at the same row it always
+// did. Merges and Distinct compare and remember the entries' packed primary
+// keys (the tuple encoding is canonical and order-preserving, so byte order is
+// tuple order), the fetch builds each record range from the packed primary key
+// in one buffer and decodes the primary key once, from the record's own key,
+// and a merge child's peeked head lives in the child's state, not on the heap.
+// On query_scan this took allocation per transaction from 75.8 KB to 68.9 KB,
+// with no stored or continuation byte changed.
+//
 // # Asynchrony and the latency model
 //
 // The FDB client is asynchronous at its core: every read returns a future,
@@ -250,8 +263,8 @@
 //
 // Merging on entries. An index entry carries its record's primary key, so a
 // union, an intersection, an unordered union and a Distinct whose children are
-// all bare index scans merge (or de-duplicate) index.Entry streams on that key
-// and fetch once, above the merge: every child's range is read in the first
+// all bare index scans merge (or de-duplicate) index.Entry streams on that key,
+// still packed, and fetch once, above the merge: every child's range is read in the first
 // window, the survivors' records in the next, and nothing is fetched that the
 // merge drops. The plan tree, plan strings and continuations are the same
 // bytes as when each child fetched for itself (a child's slot is its scan's

@@ -94,7 +94,7 @@ func main() {
 			if err != nil || !ok {
 				return nil, fmt.Errorf("byRank: %v %v", ok, err)
 			}
-			fmt.Printf("  %d. %-10v score %v\n", i, e.PrimaryKey[0], e.Key[0])
+			fmt.Printf("  %d. %-10v score %v\n", i, e.PrimaryKey()[0], e.Key()[0])
 		}
 
 		// Scrollbar: jump straight to the middle of the result list (App. B:
@@ -110,7 +110,7 @@ func main() {
 		}
 		fmt.Printf("\nscrollbar jump to rank %d:\n", mid)
 		for _, e := range page {
-			fmt.Printf("  %-10v score %v\n", e.PrimaryKey[0], e.Key[0])
+			fmt.Printf("  %-10v score %v\n", e.PrimaryKey()[0], e.Key()[0])
 		}
 		return nil, nil
 	})

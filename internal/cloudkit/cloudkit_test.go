@@ -472,7 +472,7 @@ func scanNoteTitle(t testing.TB, store *core.Store, title string) []string {
 		if !r.OK {
 			break
 		}
-		names = append(names, fmt.Sprint(r.Value.PrimaryKey))
+		names = append(names, fmt.Sprint(r.Value.PrimaryKey()))
 	}
 	return names
 }

@@ -63,19 +63,20 @@ func (s *Service) SyncZone(store *core.Store, zone string, continuation []byte, 
 	for _, e := range entries {
 		// Entry key: (zone, incarnation|0, version|counter); primary key:
 		// (zone, recordTypeKey, recordName).
-		if len(e.Key) != 3 || len(e.PrimaryKey) != 3 {
-			return nil, fmt.Errorf("cloudkit: malformed sync entry %v / %v", e.Key, e.PrimaryKey)
+		key, pk := e.Key(), e.PrimaryKey()
+		if len(key) != 3 || len(pk) != 3 {
+			return nil, fmt.Errorf("cloudkit: malformed sync entry %v / %v", key, pk)
 		}
-		rt, ok := store.MetaData().RecordTypeForKey(e.PrimaryKey[1])
+		rt, ok := store.MetaData().RecordTypeForKey(pk[1])
 		if !ok {
-			return nil, fmt.Errorf("cloudkit: sync entry with unknown record type key %v", e.PrimaryKey[1])
+			return nil, fmt.Errorf("cloudkit: sync entry with unknown record type key %v", pk[1])
 		}
 		res.Changes = append(res.Changes, SyncChange{
-			Zone:        e.Key[0].(string),
+			Zone:        key[0].(string),
 			RecordType:  rt.Name,
-			RecordName:  e.PrimaryKey[2].(string),
-			Incarnation: e.Key[1].(int64),
-			Version:     e.Key[1:3],
+			RecordName:  pk[2].(string),
+			Incarnation: key[1].(int64),
+			Version:     key[1:3],
 		})
 	}
 	return res, nil

@@ -182,7 +182,7 @@ func TestSaveRecordsDuplicatePK(t *testing.T) {
 			if !r.OK {
 				break
 			}
-			names = append(names, fmt.Sprint(r.Value.Key[0]))
+			names = append(names, fmt.Sprint(r.Value.Key()[0]))
 		}
 		if strings.Join(names, ",") != "other,second" {
 			return fmt.Errorf("index entries %v, want [other second]", names)

@@ -144,7 +144,7 @@ func TestUpdateReplacesRecord(t *testing.T) {
 		}
 		// The old index entry must be gone, the new one present.
 		entries := scanIndex(t, s, "user_by_name", index.TupleRange{})
-		if len(entries) != 1 || entries[0].Key[0].(string) != "alicia" {
+		if len(entries) != 1 || entries[0].Key()[0].(string) != "alicia" {
 			t.Fatalf("index entries after update: %v", entries)
 		}
 		return nil
@@ -211,7 +211,7 @@ func TestValueIndexScanRange(t *testing.T) {
 			Low: tuple.Tuple{"bob"}, LowInclusive: true,
 			High: tuple.Tuple{"dave"}, HighInclusive: false,
 		})
-		if len(entries) != 2 || entries[0].Key[0] != "bob" || entries[1].Key[0] != "carol" {
+		if len(entries) != 2 || entries[0].Key()[0] != "bob" || entries[1].Key()[0] != "carol" {
 			t.Fatalf("range scan: %v", entries)
 		}
 		// Fetch the records behind the entries.
@@ -248,7 +248,7 @@ func TestFanOutIndex(t *testing.T) {
 			return err
 		}
 		entries = scanIndex(t, s, "by_tag", index.TupleRange{})
-		if len(entries) != 1 || entries[0].Key[0] != "blue" {
+		if len(entries) != 1 || entries[0].Key()[0] != "blue" {
 			t.Fatalf("after tag removal: %v", entries)
 		}
 		return nil
@@ -343,7 +343,7 @@ func TestVersionIndexSyncScan(t *testing.T) {
 			t.Fatalf("version entries: %v", entries)
 		}
 		for i := 0; i < 3; i++ {
-			if entries[i].PrimaryKey[1].(int64) != int64(i+1) {
+			if entries[i].PrimaryKey()[1].(int64) != int64(i+1) {
 				t.Fatalf("version order: %v", entries)
 			}
 		}
@@ -369,7 +369,7 @@ func TestVersionIndexSyncScan(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if len(entries) != 2 || entries[0].PrimaryKey[1].(int64) != 3 || entries[1].PrimaryKey[1].(int64) != 4 {
+		if len(entries) != 2 || entries[0].PrimaryKey()[1].(int64) != 3 || entries[1].PrimaryKey()[1].(int64) != 4 {
 			t.Fatalf("sync from continuation: %v", entries)
 		}
 		return nil
@@ -387,7 +387,7 @@ func TestVersionIndexUpdateMovesEntry(t *testing.T) {
 			t.Fatalf("entries after update: %v", entries)
 		}
 		// Record 1 must now sort after record 2 (newer version).
-		if entries[0].PrimaryKey[1].(int64) != 2 || entries[1].PrimaryKey[1].(int64) != 1 {
+		if entries[0].PrimaryKey()[1].(int64) != 2 || entries[1].PrimaryKey()[1].(int64) != 1 {
 			t.Fatalf("version order after update: %v", entries)
 		}
 		return nil
@@ -406,7 +406,7 @@ func TestRankIndex(t *testing.T) {
 			t.Fatalf("rank: %d %v %v", r, ok, err)
 		}
 		e, ok, err := s.ByRank("score_rank", 0)
-		if err != nil || !ok || e.PrimaryKey[1].(int64) != 2 {
+		if err != nil || !ok || e.PrimaryKey()[1].(int64) != 2 {
 			t.Fatalf("byRank(0): %v %v %v", e, ok, err)
 		}
 		// Scrollbar: scan from rank 2.
@@ -418,7 +418,7 @@ func TestRankIndex(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if len(entries) != 2 || entries[0].Key[0].(int64) != 300 {
+		if len(entries) != 2 || entries[0].Key()[0].(int64) != 300 {
 			t.Fatalf("scanByRank: %v", entries)
 		}
 		return nil

@@ -5,6 +5,7 @@ import (
 
 	"recordlayer/internal/bunched"
 	"recordlayer/internal/cursor"
+	"recordlayer/internal/fdb"
 	"recordlayer/internal/index"
 	"recordlayer/internal/metadata"
 	"recordlayer/internal/obs"
@@ -60,19 +61,21 @@ func (s *Store) ScanIndex(name string, r index.TupleRange, opts index.ScanOption
 // will (cursor.MapAsync has the rules). Everything runs on the consumer's
 // goroutine — at zero latency the depth-8 path costs the same as sequential.
 // Results preserve entry order, halts, and continuations exactly; depth <= 1
-// is the sequential path.
+// is the sequential path. Each record range is built from the entry's packed
+// primary key, and the record's primary key is decoded once, from its own key.
 func (s *Store) FetchIndexedPipelined(entries cursor.Cursor[index.Entry], snapshot bool, depth int) cursor.Cursor[*StoredRecord] {
 	return cursor.MapAsync(entries, depth,
-		func(e index.Entry) recordLoad {
-			return s.issueLoadRecord(e.PrimaryKey, snapshot)
+		func(e index.Entry) *fdb.FutureRange {
+			b, end := s.records.RangeForPacked(e.PackedPrimaryKey())
+			return s.issueLoadRecord(b, end, snapshot)
 		},
-		func(e index.Entry, l recordLoad) (*StoredRecord, error) {
-			rec, err := s.awaitLoadRecord(l)
+		func(e index.Entry, f *fdb.FutureRange) (*StoredRecord, error) {
+			rec, err := s.awaitLoadRecord(nil, f)
 			if err != nil {
 				return nil, err
 			}
 			if rec == nil {
-				return nil, fmt.Errorf("core: index entry %v points at missing record %v", e.Key, e.PrimaryKey)
+				return nil, fmt.Errorf("core: index entry %v points at missing record %v", e.Key(), e.PrimaryKey())
 			}
 			return rec, nil
 		})

@@ -88,7 +88,7 @@ func TestAddIndexSmallStoreBuildsInline(t *testing.T) {
 			t.Fatalf("state after inline build: %v", st)
 		}
 		entries := scanIndex(t, s, "by_score", index.TupleRange{})
-		if len(entries) != 2 || entries[0].Key[0].(int64) != 10 {
+		if len(entries) != 2 || entries[0].Key()[0].(int64) != 10 {
 			t.Fatalf("inline-built entries: %v", entries)
 		}
 		return nil
@@ -293,7 +293,7 @@ func TestSparseIndexFilter(t *testing.T) {
 
 	withStore(t, db, md, sp, func(s *Store) error {
 		entries := scanIndex(t, s, "high_scores", index.TupleRange{})
-		if len(entries) != 1 || entries[0].Key[0].(int64) != 500 {
+		if len(entries) != 1 || entries[0].Key()[0].(int64) != 500 {
 			t.Fatalf("sparse index: %v", entries)
 		}
 		// Dropping below the threshold removes the entry.

@@ -135,7 +135,7 @@ func (s *Store) SaveRecords(msgs []*message.Message) ([]*StoredRecord, error) {
 	type pending struct {
 		rt   *metadata.RecordType
 		pk   tuple.Tuple
-		load recordLoad
+		load *fdb.FutureRange
 		dup  bool
 	}
 	items := make([]pending, len(msgs))
@@ -152,7 +152,8 @@ func (s *Store) SaveRecords(msgs []*message.Message) ([]*StoredRecord, error) {
 			continue
 		}
 		seen[k] = true
-		items[i].load = s.issueLoadRecord(pk, false)
+		b, e := s.recordRange(pk)
+		items[i].load = s.issueLoadRecord(b, e, false)
 	}
 	// Sweep 1: per record in batch order, resolve the old record and issue
 	// its index maintenance — every maintainer's probe reads go out without
@@ -173,7 +174,7 @@ func (s *Store) SaveRecords(msgs []*message.Message) ([]*StoredRecord, error) {
 			// prefetched read would predate it.
 			old, err = s.loadRecordByKey(it.pk, false)
 		} else {
-			old, err = s.awaitLoadRecord(it.load)
+			old, err = s.awaitLoadRecord(it.pk, it.load)
 		}
 		if err != nil {
 			return nil, err
@@ -403,37 +404,32 @@ func (s *Store) LoadRecordByKey(pk tuple.Tuple) (*StoredRecord, error) {
 	return s.loadRecordByKey(pk, false)
 }
 
-// recordLoad is an in-flight record read: issued now, assembled at await.
-type recordLoad struct {
-	pk  tuple.Tuple
-	fut *fdb.FutureRange
-}
-
-// issueLoadRecord starts the range read for one record's pairs without
-// awaiting it; many loads issued back-to-back overlap their I/O windows.
-func (s *Store) issueLoadRecord(pk tuple.Tuple, snapshot bool) recordLoad {
-	b, e := s.recordRange(pk)
+// issueLoadRecord starts the range read for one record's pairs, [begin, end),
+// without awaiting it; many loads issued back-to-back overlap their I/O
+// windows.
+func (s *Store) issueLoadRecord(begin, end []byte, snapshot bool) *fdb.FutureRange {
 	if snapshot {
-		return recordLoad{pk: pk, fut: s.tr.Snapshot().GetRangeAsync(b, e, fdb.RangeOptions{})}
+		return s.tr.Snapshot().GetRangeAsync(begin, end, fdb.RangeOptions{})
 	}
-	return recordLoad{pk: pk, fut: s.tr.GetRangeAsync(b, e, fdb.RangeOptions{})}
+	return s.tr.GetRangeAsync(begin, end, fdb.RangeOptions{})
 }
 
-// awaitLoadRecord completes an issued load: reassemble, decode. Nil
-// when the record is absent.
-func (s *Store) awaitLoadRecord(l recordLoad) (*StoredRecord, error) {
-	kvs, _, err := l.fut.Get()
+// awaitLoadRecord completes an issued load: reassemble, decode. Nil when the
+// record is absent. A nil pk is decoded from the record's keys.
+func (s *Store) awaitLoadRecord(pk tuple.Tuple, f *fdb.FutureRange) (*StoredRecord, error) {
+	kvs, _, err := f.Get()
 	if err != nil {
 		return nil, err
 	}
 	if len(kvs) == 0 {
 		return nil, nil
 	}
-	return s.assembleRecord(l.pk, kvs, nil)
+	return s.assembleRecord(pk, kvs, nil)
 }
 
 func (s *Store) loadRecordByKey(pk tuple.Tuple, snapshot bool) (*StoredRecord, error) {
-	return s.awaitLoadRecord(s.issueLoadRecord(pk, snapshot))
+	b, e := s.recordRange(pk)
+	return s.awaitLoadRecord(pk, s.issueLoadRecord(b, e, snapshot))
 }
 
 // recordChunk is one pair of a (possibly split) record during reassembly.
@@ -695,7 +691,8 @@ func (s *Store) ScanRecords(opts ScanOptions) cursor.Cursor[*StoredRecord] {
 		Reverse:  opts.Reverse,
 		Snapshot: opts.Snapshot,
 	})
-	rc := &recordCursor{store: s, kvs: kvs, reverse: opts.Reverse, limiter: opts.Limiter, filter: opts.Filter}
+	rc := &recordCursor{store: s, kvs: kvs, reverse: opts.Reverse, limiter: opts.Limiter, filter: opts.Filter,
+		from: opts.Continuation}
 	if n, ok := opts.Limiter.RecordsLeft(); ok {
 		rc.demand(n + 1) // the record past the budget shows it was exceeded
 	}
@@ -710,6 +707,9 @@ type recordCursor struct {
 	limiter *cursor.Limiter
 	halted  *cursor.Result[*StoredRecord]
 	lastPK  []byte
+	// from is the continuation the scan resumed from: the position a limit
+	// halt hands back before any record is read, so resuming does not restart.
+	from []byte
 	// pushed is the first pair of the next record, read while finding the end
 	// of the previous one; Next takes it before asking kvs for more.
 	pushed    fdb.KeyValue
@@ -724,9 +724,10 @@ type recordCursor struct {
 }
 
 // admit charges the limiter one record, the group's key-value footprint. A
-// refusal halts the cursor with the continuation of the previous record, so
-// the refused one is re-read on resume rather than lost; the Limiter's
-// first-record admission guarantees every execution delivers at least one.
+// refusal halts the cursor with the continuation of the previous record, or of
+// the one it resumed after, so the refused one is re-read on resume rather
+// than lost; the Limiter's first-record admission guarantees every execution
+// delivers at least one.
 func (c *recordCursor) admit(group []fdb.KeyValue) bool {
 	nbytes := 0
 	for _, kv := range group {
@@ -734,7 +735,11 @@ func (c *recordCursor) admit(group []fdb.KeyValue) bool {
 	}
 	reason, ok := c.limiter.TryRecord(nbytes)
 	if !ok {
-		c.halted = &cursor.Result[*StoredRecord]{OK: false, Reason: reason, Continuation: c.lastPK}
+		cont := c.lastPK
+		if cont == nil {
+			cont = c.from
+		}
+		c.halted = &cursor.Result[*StoredRecord]{OK: false, Reason: reason, Continuation: cont}
 	}
 	return ok
 }

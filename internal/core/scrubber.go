@@ -33,7 +33,7 @@ type ScrubIssue struct {
 }
 
 func (i ScrubIssue) String() string {
-	return fmt.Sprintf("%s: index %q key=%v pk=%v", i.Kind, i.Index, i.Entry.Key, i.Entry.PrimaryKey)
+	return fmt.Sprintf("%s: index %q key=%v pk=%v", i.Kind, i.Index, i.Entry.Key(), i.Entry.PrimaryKey())
 }
 
 // ScrubReport summarizes one Scrub pass.
@@ -204,7 +204,7 @@ func (o *Scrubber) entryBatch(ctx context.Context, cont []byte, batch int) (scru
 				// healthy iff that record exists and still produces this
 				// index key. (Covering-value drift is direction two's job —
 				// the same physical key gets probed from the record side.)
-				rec, lerr := s.loadRecordByKey(e.PrimaryKey, true)
+				rec, lerr := s.loadRecordByKey(e.PrimaryKey(), true)
 				if lerr != nil {
 					return nil, lerr
 				}
@@ -213,8 +213,9 @@ func (o *Scrubber) entryBatch(ctx context.Context, cont []byte, batch int) (scru
 					if eerr != nil {
 						return nil, eerr
 					}
+					key := e.Key()
 					for _, x := range exp {
-						if tuple.Compare(x.Key, e.Key) == 0 {
+						if tuple.Compare(x.Key(), key) == 0 {
 							healthy = true
 							break
 						}

@@ -13,15 +13,22 @@ import (
 // childState tracks one child stream within a composite cursor.
 type childState[T any] struct {
 	cur      Cursor[T]
-	buffered *Result[T] // peeked but not yet consumed
-	consumed []byte     // continuation after the last consumed value
+	head     Result[T] // peeked but not yet consumed, while buffered
+	buffered bool
+	consumed []byte // continuation after the last consumed value
 	done     bool
 	reason   NoNextReason
 }
 
+// peek returns the child's head, pulling it if none is buffered; nil once the
+// child has halted. The head lives in the child's state, so a peek allocates
+// nothing.
 func (s *childState[T]) peek() (*Result[T], error) {
-	if s.buffered != nil || s.done {
-		return s.buffered, nil
+	if s.buffered {
+		return &s.head, nil
+	}
+	if s.done {
+		return nil, nil
 	}
 	r, err := s.cur.Next()
 	if err != nil {
@@ -38,14 +45,14 @@ func (s *childState[T]) peek() (*Result[T], error) {
 		}
 		return nil, nil
 	}
-	s.buffered = &r
-	return s.buffered, nil
+	s.head, s.buffered = r, true
+	return &s.head, nil
 }
 
 func (s *childState[T]) consume() {
-	if s.buffered != nil {
-		s.consumed = s.buffered.Continuation
-		s.buffered = nil
+	if s.buffered {
+		s.consumed = s.head.Continuation
+		s.head, s.buffered = Result[T]{}, false
 	}
 }
 
@@ -54,7 +61,7 @@ func (s *childState[T]) consume() {
 // waits a single shared latency window instead of one per child (§8).
 func prefetchChildren[T any](children []*childState[T]) {
 	for _, s := range children {
-		if s.buffered == nil && !s.done {
+		if !s.buffered && !s.done {
 			Prefetch(s.cur)
 		}
 	}
@@ -140,7 +147,7 @@ func (c *merge[T]) Ready() bool {
 		return true
 	}
 	for _, s := range c.children {
-		if s.buffered == nil && !s.done && !Ready(s.cur) {
+		if !s.buffered && !s.done && !Ready(s.cur) {
 			return false
 		}
 	}
@@ -214,10 +221,10 @@ func (c *unionCursor[T]) Next() (Result[T], error) {
 		c.halted = &h
 		return h, nil
 	}
-	val := best.buffered.Value
+	val := best.head.Value
 	// Consume every child positioned at the same key (dedup).
 	for _, s := range c.children {
-		if s.buffered != nil && bytes.Equal(c.keyOf(s.buffered.Value), bestKey) {
+		if s.buffered && bytes.Equal(c.keyOf(s.head.Value), bestKey) {
 			s.consume()
 		}
 	}
@@ -277,7 +284,7 @@ func (c *intersectionCursor[T]) Next() (Result[T], error) {
 			}
 		}
 		if allEqual {
-			val := c.children[0].buffered.Value
+			val := c.children[0].head.Value
 			for _, s := range c.children {
 				s.consume()
 			}
@@ -285,7 +292,7 @@ func (c *intersectionCursor[T]) Next() (Result[T], error) {
 		}
 		// Advance every child strictly below the maximum key.
 		for _, s := range c.children {
-			if s.buffered != nil && bytes.Compare(c.keyOf(s.buffered.Value), maxKey) < 0 {
+			if s.buffered && bytes.Compare(c.keyOf(s.head.Value), maxKey) < 0 {
 				s.consume()
 			}
 		}

@@ -112,7 +112,7 @@ func RunOverheads(w io.Writer) (OverheadsResult, error) {
 			if !r.OK {
 				break
 			}
-			rec, err := store.LoadRecordByKey(r.Value.PrimaryKey)
+			rec, err := store.LoadRecordByKey(r.Value.PrimaryKey())
 			if err != nil {
 				return res, err
 			}

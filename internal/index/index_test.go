@@ -145,7 +145,7 @@ func TestValueMaintainerLifecycle(t *testing.T) {
 		if err != nil || !r.OK {
 			t.Fatalf("scan: %+v %v", r, err)
 		}
-		if r.Value.Key[0] != "new" || r.Value.PrimaryKey[0].(int64) != 1 {
+		if r.Value.Key()[0] != "new" || r.Value.PrimaryKey()[0].(int64) != 1 {
 			t.Fatalf("entry: %+v", r.Value)
 		}
 		if err := Update(vm, ctx, rec(1, "new", 1), nil); err != nil {
@@ -184,7 +184,7 @@ func TestCoveringIndexValueColumns(t *testing.T) {
 			return nil, err
 		}
 		r, _ := c.Next()
-		if !r.OK || len(r.Value.Value) != 1 || r.Value.Value[0].(int64) != 42 {
+		if !r.OK || len(r.Value.Value()) != 1 || r.Value.Value()[0].(int64) != 42 {
 			t.Fatalf("covering value: %+v", r.Value)
 		}
 		return nil, nil

@@ -138,12 +138,8 @@ func (m *RankMaintainer) ByRank(ctx *Context, rank int64) (Entry, bool, error) {
 	if err != nil || !ok {
 		return Entry{}, false, err
 	}
-	t, err := tuple.Unpack(memberKey)
-	if err != nil {
-		return Entry{}, false, err
-	}
-	kc := m.value.KeyColumns()
-	return Entry{Key: t[:kc], PrimaryKey: t[kc:]}, true, nil
+	e, err := splitEntryKey(m.ix, memberKey, m.value.KeyColumns())
+	return e, err == nil, err
 }
 
 // Size returns the number of indexed entries.

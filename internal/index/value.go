@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 
 	"recordlayer/internal/cursor"
@@ -12,12 +13,83 @@ import (
 	"recordlayer/internal/tuple"
 )
 
-// Entry is one index entry: the indexed key columns, the primary key of the
-// record it points to, and any covering value columns (KeyWithValue).
+// Entry is one index entry, a view of the scanned pair: the entry key past the
+// index subspace — the indexed key columns, then the primary key of the record
+// it points to — and the covering value columns (KeyWithValue), both still
+// packed. GetRange hands a scan its pairs caller-owned, so an Entry aliases
+// them rather than copying; nothing may write them afterwards. Key, PrimaryKey
+// and Value decode on demand, and a merge or a fetch reads PackedPrimaryKey,
+// decoding nothing. The tuple encoding is canonical and order-preserving, so
+// packed primary keys compare and de-duplicate as their tuples do.
 type Entry struct {
-	Key        tuple.Tuple
-	PrimaryKey tuple.Tuple
-	Value      tuple.Tuple
+	key   []byte // key columns, then the primary key
+	pkOff int    // where the primary key starts in key
+	value []byte // packed covering columns; nil when there are none
+}
+
+// NewEntry packs an entry from its parts: its key columns, the primary key and
+// the covering value columns (nil when there are none).
+func NewEntry(key, pk, value tuple.Tuple) Entry {
+	b := key.PackInto(make([]byte, 0, key.PackedCap()+pk.PackedCap()))
+	e := Entry{pkOff: len(b)}
+	e.key = pk.PackInto(b)
+	if len(value) > 0 {
+		e.value = value.Pack()
+	}
+	return e
+}
+
+// Key decodes the entry's indexed key columns.
+func (e Entry) Key() tuple.Tuple { return unpackChecked(e.key[:e.pkOff]) }
+
+// PrimaryKey decodes the primary key of the record the entry points at.
+func (e Entry) PrimaryKey() tuple.Tuple { return unpackChecked(e.key[e.pkOff:]) }
+
+// Value decodes the entry's covering value columns; nil when it has none.
+func (e Entry) Value() tuple.Tuple { return unpackChecked(e.value) }
+
+// PackedPrimaryKey returns the packed primary key in place. It aliases the
+// scanned key, with its capacity clipped to its length so an append copies.
+func (e Entry) PackedPrimaryKey() []byte { return e.key[e.pkOff:len(e.key):len(e.key)] }
+
+// unpackChecked unpacks bytes an entry's decoder has already walked, which
+// therefore unpack without error; empty bytes are a nil tuple.
+func unpackChecked(b []byte) tuple.Tuple {
+	if len(b) == 0 {
+		return nil
+	}
+	t, _ := tuple.Unpack(b)
+	return t
+}
+
+// splitEntryKey finds where the primary key starts in key, an entry key past
+// the index subspace: the end of its keyColumns-th element. It walks every
+// element without decoding one, so it fails exactly where unpacking key fails,
+// and on a key of fewer than keyColumns elements.
+func splitEntryKey(ix *metadata.Index, key []byte, keyColumns int) (Entry, error) {
+	e, n := Entry{key: key, pkOff: len(key)}, 0
+	for i := 0; i < len(key); n++ {
+		if n == keyColumns {
+			e.pkOff = i
+		}
+		l, err := tuple.ElementLen(key[i:])
+		if err != nil {
+			return Entry{}, err
+		}
+		i += l
+	}
+	if n < keyColumns {
+		return Entry{}, fmt.Errorf("index %q: entry key has %d columns, expected >= %d", ix.Name, n, keyColumns)
+	}
+	return e, nil
+}
+
+// decodeEntry views a scanned pair's key as an Entry under space.
+func decodeEntry(ix *metadata.Index, space subspace.Subspace, key []byte, keyColumns int) (Entry, error) {
+	if !space.Contains(key) {
+		return Entry{}, fmt.Errorf("index %q: entry key %x is outside the index", ix.Name, key)
+	}
+	return splitEntryKey(ix, key[len(space.Bytes()):], keyColumns)
 }
 
 // TupleRange selects index entries by key prefix interval. A nil bound is
@@ -105,7 +177,7 @@ func (m *ValueMaintainer) ExpectedEntries(r *Record) ([]Entry, error) {
 	out := make([]Entry, 0, len(ts))
 	for _, t := range ts {
 		key, value := m.splitEntry(t)
-		out = append(out, Entry{Key: key, PrimaryKey: r.PrimaryKey, Value: value})
+		out = append(out, NewEntry(key, r.PrimaryKey, value))
 	}
 	return out, nil
 }
@@ -113,17 +185,13 @@ func (m *ValueMaintainer) ExpectedEntries(r *Record) ([]Entry, error) {
 // EntryKey returns the physical key an entry occupies within space, so the
 // scrubber can probe for (and repair) individual entries.
 func (m *ValueMaintainer) EntryKey(space subspace.Subspace, e Entry) []byte {
-	return m.entryKey(space, e.Key, e.PrimaryKey)
+	prefix := space.Bytes()
+	return append(append(make([]byte, 0, len(prefix)+len(e.key)), prefix...), e.key...)
 }
 
 // EntryValue returns the physical value an entry stores: the packed covering
 // columns, or nil when the entry has none.
-func (m *ValueMaintainer) EntryValue(e Entry) []byte {
-	if len(e.Value) > 0 {
-		return e.Value.Pack()
-	}
-	return nil
-}
+func (m *ValueMaintainer) EntryValue(e Entry) []byte { return e.value }
 
 // UpdateAsync implements Maintainer. The issue phase performs all mutations
 // — removals, then insertions — and issues the uniqueness probes between
@@ -181,6 +249,7 @@ func (m *ValueMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, 
 // verifyUnique rejects any added entry whose index key was already held by a
 // different primary key when its probe was issued.
 func (m *ValueMaintainer) verifyUnique(ctx *Context, added []tuple.Tuple, probes []*fdb.FutureRange, pk tuple.Tuple) error {
+	packed := pk.Pack()
 	for i, t := range added {
 		key, _ := m.splitEntry(t)
 		kvs, _, err := probes[i].Get()
@@ -192,32 +261,32 @@ func (m *ValueMaintainer) verifyUnique(ctx *Context, added []tuple.Tuple, probes
 			if err != nil {
 				return err
 			}
-			if tuple.Compare(e.PrimaryKey, pk) != 0 {
+			if !bytes.Equal(e.PackedPrimaryKey(), packed) {
 				return fmt.Errorf("index %q: uniqueness violation on key %v (held by %v)",
-					m.ix.Name, key, e.PrimaryKey)
+					m.ix.Name, key, e.PrimaryKey())
 			}
 		}
 	}
 	return nil
 }
 
-// DecodeEntry parses a physical pair back into an Entry.
+// DecodeEntry views a physical pair as an Entry. It checks every element of
+// the key and of the covering value, so a pair that does not unpack fails here
+// and the Entry's decoders cannot.
 func (m *ValueMaintainer) DecodeEntry(space subspace.Subspace, kv fdb.KeyValue) (Entry, error) {
-	t, err := space.Unpack(kv.Key)
+	e, err := decodeEntry(m.ix, space, kv.Key, m.keyColumns)
 	if err != nil {
 		return Entry{}, err
 	}
-	if len(t) < m.keyColumns {
-		return Entry{}, fmt.Errorf("index %q: entry key has %d columns, expected >= %d",
-			m.ix.Name, len(t), m.keyColumns)
-	}
-	e := Entry{Key: t[:m.keyColumns], PrimaryKey: t[m.keyColumns:]}
-	if len(kv.Value) > 0 {
-		v, err := tuple.Unpack(kv.Value)
+	for v := kv.Value; len(v) > 0; {
+		n, err := tuple.ElementLen(v)
 		if err != nil {
 			return Entry{}, err
 		}
-		e.Value = v
+		v = v[n:]
+	}
+	if len(kv.Value) > 0 {
+		e.value = kv.Value
 	}
 	return e, nil
 }

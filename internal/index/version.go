@@ -94,16 +94,10 @@ func (m *VersionMaintainer) update(ctx *Context, old, new *Record) error {
 	return nil
 }
 
-// DecodeEntry parses a physical pair into an Entry.
+// DecodeEntry views a physical pair as an Entry; a version entry has no
+// covering value.
 func (m *VersionMaintainer) DecodeEntry(space subspace.Subspace, kv fdb.KeyValue) (Entry, error) {
-	t, err := space.Unpack(kv.Key)
-	if err != nil {
-		return Entry{}, err
-	}
-	if len(t) < m.columns {
-		return Entry{}, fmt.Errorf("index %q: malformed version entry", m.ix.Name)
-	}
-	return Entry{Key: t[:m.columns], PrimaryKey: t[m.columns:]}, nil
+	return decodeEntry(m.ix, space, kv.Key, m.columns)
 }
 
 // Scan streams version index entries in version order — a sync scan.

@@ -82,7 +82,10 @@ func New(tr *fdb.Transaction, begin, end []byte, opts Options) cursor.Cursor[fdb
 	}
 	c.batch = c.opts.BatchSize
 	if len(opts.Continuation) > 0 {
-		// The continuation is the last key previously returned.
+		// The continuation is the last key previously returned. It is also
+		// this scan's position until a pair is returned: a halt before the
+		// first one hands it back, so the resumed scan does not restart.
+		c.lastKey = opts.Continuation
 		if !opts.Reverse {
 			c.begin = fdb.KeyAfter(opts.Continuation)
 		} else {

@@ -69,17 +69,29 @@ func (p *CoveringIndexScanPlan) Execute(s *core.Store, opts ExecuteOptions) (cur
 	if err != nil {
 		return nil, err
 	}
+	var fromKey, fromValue bool
+	for _, fs := range p.Fields {
+		fromKey = fromKey || fs.From == FromIndexKey
+		fromValue = fromValue || fs.From == FromIndexValue
+	}
 	return observe(opts.Stats, s, true, cursor.Map(entries, func(e index.Entry) (*core.StoredRecord, error) {
+		// Each part of the entry is decoded once, and only if a field reads it.
+		var key, value tuple.Tuple
+		if fromKey {
+			key = e.Key()
+		}
+		if fromValue {
+			value = e.Value()
+		}
+		pk := e.PrimaryKey()
 		msg := message.New(rt.Descriptor)
 		for _, fs := range p.Fields {
-			var src tuple.Tuple
+			src := pk
 			switch fs.From {
 			case FromIndexKey:
-				src = e.Key
+				src = key
 			case FromIndexValue:
-				src = e.Value
-			case FromPrimaryKey:
-				src = e.PrimaryKey
+				src = value
 			}
 			if fs.Pos >= len(src) || src[fs.Pos] == nil {
 				continue // indexed as null: the field was unset on the record
@@ -88,7 +100,7 @@ func (p *CoveringIndexScanPlan) Execute(s *core.Store, opts ExecuteOptions) (cur
 				return nil, fmt.Errorf("plan: covering reconstruction of %s.%s: %v", rt.Name, fs.Field, err)
 			}
 		}
-		return &core.StoredRecord{Type: rt, Message: msg, PrimaryKey: e.PrimaryKey}, nil
+		return &core.StoredRecord{Type: rt, Message: msg, PrimaryKey: pk}, nil
 	})), nil
 }
 

@@ -125,19 +125,18 @@ func fetchAbove(s *core.Store, opts ExecuteOptions, entries cursor.Cursor[index.
 	return observe(opts.Stats, s, true, s.FetchIndexedPipelined(entries, opts.Snapshot, opts.PipelineDepth))
 }
 
-func entryPK(e index.Entry) []byte { return e.PrimaryKey.Pack() }
-
 func pkOf(r *core.StoredRecord) []byte { return r.PrimaryKey.Pack() }
 
-// unseen is an in-memory seen-set's predicate: true the first time a key comes by.
+// unseen is an in-memory seen-set's predicate: true the first time a key comes
+// by. Only a key it keeps is copied.
 func unseen[T any](keyOf func(T) []byte) func(T) (bool, error) {
 	seen := map[string]bool{}
 	return func(v T) (bool, error) {
-		k := string(keyOf(v))
-		if seen[k] {
+		k := keyOf(v)
+		if seen[string(k)] {
 			return false, nil
 		}
-		seen[k] = true
+		seen[string(k)] = true
 		return true, nil
 	}
 }
@@ -447,7 +446,7 @@ type DistinctPlan struct {
 func (p *DistinctPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Cursor[*core.StoredRecord], error) {
 	if scans := indexScans(p.Child); scans != nil {
 		entries := entryBuilders(s, scans, opts)[0](opts.Continuation)
-		return fetchAbove(s, opts, cursor.Filter(entries, unseen(entryPK))), nil
+		return fetchAbove(s, opts, cursor.Filter(entries, unseen(index.Entry.PackedPrimaryKey))), nil
 	}
 	c, err := p.Child.Execute(s, childOptions(opts, 0, p.Child, opts.Continuation))
 	if err != nil {
@@ -477,7 +476,7 @@ type UnionPlan struct {
 // Execute implements Plan.
 func (p *UnionPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Cursor[*core.StoredRecord], error) {
 	if scans := indexScans(p.Children...); scans != nil {
-		entries, err := unionOf(opts.Continuation, p.OrderedByPrimaryKey(), entryPK, entryBuilders(s, scans, opts))
+		entries, err := unionOf(opts.Continuation, p.OrderedByPrimaryKey(), index.Entry.PackedPrimaryKey, entryBuilders(s, scans, opts))
 		if err != nil {
 			return nil, err
 		}
@@ -548,7 +547,7 @@ func (p *IntersectionPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.C
 		return nil, fmt.Errorf("plan: intersection requires primary-key ordered children")
 	}
 	if scans := indexScans(p.Children...); scans != nil {
-		entries, err := cursor.Intersection(opts.Continuation, entryPK, entryBuilders(s, scans, opts)...)
+		entries, err := cursor.Intersection(opts.Continuation, index.Entry.PackedPrimaryKey, entryBuilders(s, scans, opts)...)
 		if err != nil {
 			return nil, err
 		}

@@ -77,6 +77,15 @@ func (s Subspace) RangeForTuple(t tuple.Tuple) (begin, end []byte) {
 	return begin[:len(begin):len(begin)], end
 }
 
+// RangeForPacked is RangeForTuple for a tuple already packed.
+func (s Subspace) RangeForPacked(packed []byte) (begin, end []byte) {
+	n := len(s.prefix) + len(packed) + 1
+	begin = append(append(append(make([]byte, 0, 2*n), s.prefix...), packed...), 0x00)
+	end = append(begin[len(begin):], begin...)
+	end[len(end)-1] = 0xFF
+	return begin[:len(begin):len(begin)], end
+}
+
 // AllRange returns the range covering every key with this prefix, including
 // the bare prefix itself and non-tuple suffixes.
 func (s Subspace) AllRange() (begin, end []byte) {

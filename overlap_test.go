@@ -829,8 +829,8 @@ func TestRankAndTextCostExactWindows(t *testing.T) {
 	}
 	took, _ = timed(false, func(s *Store) error {
 		e, ok, err := s.ByRank("by_score", 146)
-		if err == nil && (!ok || fmt.Sprint(e.PrimaryKey) != fmt.Sprint(tuple.Tuple{int64(150)})) {
-			err = fmt.Errorf("ByRank(146) = %v, %v; want record 150", e.PrimaryKey, ok)
+		if err == nil && (!ok || fmt.Sprint(e.PrimaryKey()) != fmt.Sprint(tuple.Tuple{int64(150)})) {
+			err = fmt.Errorf("ByRank(146) = %v, %v; want record 150", e.PrimaryKey(), ok)
 		}
 		return err
 	})

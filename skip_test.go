@@ -284,7 +284,10 @@ func FuzzSkipContinuation(f *testing.F) {
 
 // continuationShapes are the query shapes FuzzQueryContinuation resumes, over
 // fuzzStore's records, with the rows each may return by record number (id %
-// 100). A nil query is a rank scan of n_rank from rank 0.
+// 100): an index scan, a covering scan, a union, an intersection, a filtered
+// full scan, an unordered union (a range scan is not primary-key ordered, so
+// its children chain behind a seen-set), a Distinct over a fan-out index, and
+// last a rank scan of n_rank from rank 0, the nil query.
 var continuationShapes = []struct {
 	q    Query
 	keep func(i int64) bool
@@ -299,6 +302,11 @@ var continuationShapes = []struct {
 		func(i int64) bool { return fuzzTag(i) == "a" && fuzzColor(i) == "red" }},
 	{Query{RecordTypes: []string{"Doc"}, Filter: query.Field("tag").NotEquals("b")},
 		func(i int64) bool { return fuzzTag(i) != "b" }},
+	{Query{RecordTypes: []string{"Doc"}, Filter: query.Or(
+		query.Field("tag").GreaterThan("b"), query.Field("color").Equals("red"))},
+		func(i int64) bool { return fuzzTag(i) == "c" || fuzzColor(i) == "red" }},
+	{Query{RecordTypes: []string{"Doc"}, Filter: query.Field("labels").OneOfThem().GreaterThan("p")},
+		func(i int64) bool { return len(fuzzLabels(i)) > 1 }},
 	{Query{}, func(int64) bool { return true }},
 }
 
@@ -311,19 +319,27 @@ func fuzzTag(i int64) string   { return []string{"a", "b", "c"}[i%3] }
 func fuzzColor(i int64) string { return []string{"red", "blue"}[i%2] }
 func fuzzN(i int64) int64      { return i * 7 % 10 }
 
+// fuzzLabels fans out to zero to three entries per record: labels above "p"
+// are all but the first, so a record with two or more has entries above it.
+func fuzzLabels(i int64) []string { return []string{"p", "q", "r"}[:i%4] }
+
 // fuzzStore saves ten records for each of tenants 1 and 2 under a schema with
-// VALUE indexes on tag and color and a RANK index on n, and returns a Runner
-// and a provider that plans AND across indexes as an intersection.
+// VALUE indexes on tag and color, a fan-out VALUE index on labels and a RANK
+// index on n, and returns a Runner and a provider that plans AND across
+// indexes as an intersection.
 func fuzzStore(t testing.TB) (*Runner, *StoreProvider) {
 	doc := message.MustDescriptor("Doc",
 		message.Field("id", 1, message.TypeInt64),
 		message.Field("tag", 2, message.TypeString),
 		message.Field("color", 3, message.TypeString),
-		message.Field("n", 4, message.TypeInt64))
+		message.Field("n", 4, message.TypeInt64),
+		message.RepeatedField("labels", 5, message.TypeString))
 	md := metadata.NewBuilder(1).
 		AddRecordType(doc, keyexpr.Field("id")).
 		AddIndex(&metadata.Index{Name: "by_tag", Type: metadata.IndexValue, Expression: keyexpr.Field("tag")}, "Doc").
 		AddIndex(&metadata.Index{Name: "by_color", Type: metadata.IndexValue, Expression: keyexpr.Field("color")}, "Doc").
+		AddIndex(&metadata.Index{Name: "by_label", Type: metadata.IndexValue,
+			Expression: keyexpr.FieldFan("labels", keyexpr.FanOut)}, "Doc").
 		AddIndex(&metadata.Index{Name: "n_rank", Type: metadata.IndexRank, Expression: keyexpr.Field("n")}, "Doc").
 		MustBuild()
 	ks, err := keyspace.New(nil, keyspace.NewConstant("app", "fuzz").Add(
@@ -343,6 +359,9 @@ func fuzzStore(t testing.TB) (*Runner, *StoreProvider) {
 			n := int64(i)
 			recs[i] = message.New(doc).MustSet("id", 100*u+n).MustSet("tag", fuzzTag(n)).
 				MustSet("color", fuzzColor(n)).MustSet("n", fuzzN(n))
+			for _, l := range fuzzLabels(n) {
+				recs[i].MustAdd("labels", l)
+			}
 		}
 		if _, err := r.Run(context.Background(), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 			s, err := p.Open(ctx, tr, u)
@@ -388,8 +407,8 @@ func resume(r *Runner, p *StoreProvider, user int64, shape int, cont []byte, pro
 		}
 		entries, _, cont, err := cursor.Collect(c)
 		for _, e := range entries {
-			pks = append(pks, e.PrimaryKey[0].(int64))
-			ranked = append(ranked, e.Key[0].(int64))
+			pks = append(pks, e.PrimaryKey()[0].(int64))
+			ranked = append(ranked, e.Key()[0].(int64))
 		}
 		next = cont
 		return nil, err
@@ -397,11 +416,11 @@ func resume(r *Runner, p *StoreProvider, user int64, shape int, cont []byte, pro
 	return pks, ranked, next, err
 }
 
-// FuzzQueryContinuation: any bytes handed back as the continuation of an
-// index scan, a covering scan, a union, an intersection, a filtered full scan
-// or a rank scan either fail the page or resume it to rows of the resuming
+// FuzzQueryContinuation: any bytes handed back as the continuation of one of
+// continuationShapes either fail the page or resume it to rows of the resuming
 // tenant that the query selects — never a panic, another tenant's row, or a
-// row outside the filter.
+// row outside the filter — and so do the two pages that follow it, each
+// resumed from the continuation the one before returned.
 func FuzzQueryContinuation(f *testing.F) {
 	r, p := fuzzStore(f)
 	for shape := range continuationShapes {
@@ -416,15 +435,19 @@ func FuzzQueryContinuation(f *testing.F) {
 		}
 		s := int(shape) % len(continuationShapes)
 		props := ExecuteProperties{RowLimit: int(limit % 8), Skip: int(skip % 4)}
-		pks, ranked, _, err := resume(r, p, user, s, cont, props)
-		if err != nil {
-			return
-		}
-		for j, pk := range pks {
-			i := pk - 100*user
-			if i < 0 || i >= 10 || !continuationShapes[s].keep(i) || (ranked != nil && ranked[j] != fuzzN(i)) {
-				t.Fatalf("shape %d, tenant %d, continuation %x: resumed to %v (ranked %v)", s, user, cont, pks, ranked)
+		for page, from := 0, cont; page < 3; page++ {
+			pks, ranked, next, err := resume(r, p, user, s, from, props)
+			if err != nil {
+				return
 			}
+			for j, pk := range pks {
+				i := pk - 100*user
+				if i < 0 || i >= 10 || !continuationShapes[s].keep(i) || (ranked != nil && ranked[j] != fuzzN(i)) {
+					t.Fatalf("shape %d, tenant %d, continuation %x, page %d from %x: resumed to %v (ranked %v)",
+						s, user, cont, page+1, from, pks, ranked)
+				}
+			}
+			from = next
 		}
 	})
 }
