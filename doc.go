@@ -69,6 +69,12 @@
 //		props = props.WithContinuation(cur.Continuation())
 //	}
 //
+// A continuation is opaque, and framed once per ask: Continuation writes the
+// Skip still owed and the plan's position when called. Handed to another
+// query or another tenant's store, or written before this framing, it fails
+// the execution with an error that errors.Is cursor.ErrCorruptContinuation
+// instead of resuming from somewhere else.
+//
 // # The query hot path: covering indexes and pipelined fetches
 //
 // An index scan normally resolves each entry to its record with a point

@@ -558,8 +558,8 @@ func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue, keep func(*me
 var (
 	errCorruptEnvelope = errors.New("corrupt record envelope")
 	errCorruptTypeTag  = errors.New("corrupt record type tag")
-	// errForeignContinuation rejects a continuation outside the scan's range.
-	errForeignContinuation = errors.New("core: corrupt continuation: primary key outside the scan's range")
+	// errForeignContinuation rejects a continuation that is no primary key in range.
+	errForeignContinuation = fmt.Errorf("core: not a primary key in the scan's range: %w", cursor.ErrCorruptContinuation)
 )
 
 // readEnvelope splits a record envelope, the packed tuple (type name, wire
@@ -668,10 +668,10 @@ func (s *Store) ScanRecords(opts ScanOptions) cursor.Cursor[*StoredRecord] {
 		return cursor.Fail[*StoredRecord](err)
 	}
 	if len(opts.Continuation) > 0 {
-		// The continuation is the packed pk of the last record returned, so
-		// its key lies in the range; skip all of its pairs.
+		// The continuation is the packed pk of the last record returned, a
+		// primary key in the range; skip all of its pairs.
 		key := append(s.records.Bytes(), opts.Continuation...)
-		if bytes.Compare(key, begin) < 0 || bytes.Compare(key, end) >= 0 {
+		if !s.isPrimaryKey(opts.Continuation) || bytes.Compare(key, begin) < 0 || bytes.Compare(key, end) >= 0 {
 			return cursor.Fail[*StoredRecord](errForeignContinuation)
 		}
 		if !opts.Reverse {
@@ -697,6 +697,13 @@ func (s *Store) ScanRecords(opts ScanOptions) cursor.Cursor[*StoredRecord] {
 		rc.demand(n + 1) // the record past the budget shows it was exceeded
 	}
 	return rc
+}
+
+// isPrimaryKey reports whether packed is a packed tuple with as many elements
+// as the primary key of one of the store's record types.
+func (s *Store) isPrimaryKey(packed []byte) bool {
+	n, err := tuple.Count(packed)
+	return err == nil && slices.ContainsFunc(s.md.RecordTypes(), func(rt *metadata.RecordType) bool { return rt.PrimaryKey.ColumnCount() == n })
 }
 
 // recordCursor groups raw pairs into whole records (handling splits).

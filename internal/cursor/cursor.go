@@ -5,9 +5,25 @@
 // continuation to the client keeps the layer completely stateless: any
 // stateless server can resume the stream, and operations that exceed the
 // transaction time limit split across transactions (§8.2).
+//
+// Whoever resumes from a continuation checks it before reading anything, and
+// fails with ErrCorruptContinuation. Scans hand out keys; what is composed over
+// them writes a frame: a kind byte that is no tuple type code, then uvarints
+// and parts, read back only in the one form they are written in.
+//
+//	writer                    continuation                      checked by
+//	kvcursor (index scans)    the last key read                 kvcursor.New: in [begin, end)
+//	core.Store.ScanRecords    the last record's primary key     ScanRecords: a primary key of the store's types, in range
+//	FromSlice                 the next position, a uvarint      FromSlice: at most len(items)
+//	Union, Intersection       'u', 'i'; a part per child        newMerge: kind, a part (or none: done) per child
+//	Concat                    'c'; child index, its part        Concat: kind, index below len(builders)
+//	recordlayer.RecordCursor  'q'; Skip left, the plan's part   the façade: kind, Skip left in [0, Skip]
 package cursor
 
 import (
+	"encoding/binary"
+	"errors"
+	"math"
 	"time"
 )
 
@@ -185,37 +201,87 @@ func (l *Limiter) RecordsLeft() (n int, ok bool) {
 	return max(l.recordsLeft, 0), true
 }
 
+// ---------------------------------------------------------------- frames
+
+// ErrCorruptContinuation is what every continuation decoder fails with, bare
+// or wrapped: the bytes were not written by the scan or query resuming there.
+var ErrCorruptContinuation = errors.New("corrupt continuation")
+
+// Frame kinds; no tuple type code is one (see the package comment).
+const (
+	kindUnion        byte = 'u'
+	kindIntersection byte = 'i'
+	kindConcat       byte = 'c'
+)
+
+// AppendPart appends p to a frame: len(p) + 1 as a uvarint, then p. A zero
+// byte is the absent part.
+func AppendPart(frame, p []byte) []byte {
+	return append(binary.AppendUvarint(frame, uint64(len(p))+1), p...)
+}
+
+// FrameReader reads a frame's fields in the order they were written. After
+// the first malformed one every read returns zero and Close fails.
+type FrameReader struct {
+	rest []byte
+	bad  bool
+}
+
+// ReadFrame starts reading cont as a frame of the given kind.
+func ReadFrame(cont []byte, kind byte) FrameReader {
+	return FrameReader{rest: cont[min(len(cont), 1):], bad: len(cont) == 0 || cont[0] != kind}
+}
+
+// Uvarint reads a number below bound that binary.AppendUvarint wrote; one
+// ending in a zero byte is longer than that, and malformed.
+func (r *FrameReader) Uvarint(bound uint64) uint64 {
+	v, n := binary.Uvarint(r.rest)
+	if r.bad || n <= 0 || v >= bound || (n > 1 && r.rest[n-1] == 0) {
+		r.bad = true
+		return 0
+	}
+	r.rest = r.rest[n:]
+	return v
+}
+
+// Part reads a part AppendPart wrote; ok is false for the absent part.
+func (r *FrameReader) Part() (p []byte, ok bool) {
+	n := r.Uvarint(math.MaxUint64)
+	if n == 0 || n-1 > uint64(len(r.rest)) {
+		r.bad = r.bad || n > 0
+		return nil, false
+	}
+	p, r.rest = r.rest[:n-1:n-1], r.rest[n-1:]
+	return p, true
+}
+
+// Close fails with ErrCorruptContinuation unless every read was well formed and
+// nothing is left.
+func (r *FrameReader) Close() error {
+	if r.bad || len(r.rest) > 0 {
+		return ErrCorruptContinuation
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------- sources
 
-// FromSlice streams a fixed slice (mainly for tests); continuations encode
-// the index of the next element as a single byte-varint.
+// FromSlice streams a fixed slice (mainly for tests); a continuation is the
+// index of the next element as a uvarint.
 func FromSlice[T any](items []T, continuation []byte) Cursor[T] {
-	start := 0
+	r, pos := FrameReader{rest: continuation}, 0
 	if len(continuation) > 0 {
-		start = int(continuation[0]) | int(continuation[1])<<8 | int(continuation[2])<<16
+		if pos = int(r.Uvarint(uint64(len(items)) + 1)); r.Close() != nil {
+			return Fail[T](ErrCorruptContinuation)
+		}
 	}
-	return &sliceCursor[T]{items: items, pos: start}
-}
-
-type sliceCursor[T any] struct {
-	items []T
-	pos   int
-	done  bool
-}
-
-func (c *sliceCursor[T]) Next() (Result[T], error) {
-	if c.done || c.pos >= len(c.items) {
-		c.done = true
-		return halt[T](SourceExhausted, nil), nil
-	}
-	v := c.items[c.pos]
-	c.pos++
-	cont := []byte{byte(c.pos), byte(c.pos >> 8), byte(c.pos >> 16)}
-	if c.pos >= len(c.items) {
-		// Position continuations past the end still allow resumption; the
-		// resumed cursor immediately exhausts.
-	}
-	return Result[T]{Value: v, OK: true, Continuation: cont}, nil
+	return Func[T](func() (Result[T], error) {
+		if pos >= len(items) {
+			return halt[T](SourceExhausted, nil), nil
+		}
+		pos++
+		return Result[T]{Value: items[pos-1], OK: true, Continuation: binary.AppendUvarint(nil, uint64(pos))}, nil
+	})
 }
 
 // Func wraps a Next function as a cursor.

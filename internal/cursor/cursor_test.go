@@ -1,7 +1,11 @@
 package cursor
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -252,4 +256,128 @@ func TestUnionPropagatesOutOfBandHalt(t *testing.T) {
 	if cont == nil {
 		t.Fatal("out-of-band halt must carry a continuation")
 	}
+}
+
+// TestFromSliceChecksItsContinuation: a position is one shortest uvarint no
+// greater than the slice's length. One- and two-byte continuations used to
+// panic, reading three bytes of every continuation.
+func TestFromSliceChecksItsContinuation(t *testing.T) {
+	items := []string{"a", "b", "c", "d"}
+	for _, tc := range []struct {
+		cont []byte
+		want string // "" for a corrupt continuation
+	}{
+		{[]byte{1}, "[b c d]"},
+		{[]byte{4}, "[]"},
+		{[]byte{5}, ""},          // past the end
+		{[]byte{0x80}, ""},       // truncated
+		{[]byte{0x80, 0x01}, ""}, // 128, past the end
+		{[]byte{0x81, 0x00}, ""}, // 1, not in its shortest form
+		{[]byte{0x02, 0x00}, ""}, // trailing bytes
+	} {
+		vals, _, _, err := Collect(FromSlice(items, tc.cont))
+		if tc.want == "" {
+			if !errors.Is(err, ErrCorruptContinuation) {
+				t.Errorf("FromSlice(%x) = %v, %v; want a corrupt continuation", tc.cont, vals, err)
+			}
+		} else if err != nil || fmt.Sprint(vals) != tc.want {
+			t.Errorf("FromSlice(%x) = %v, %v; want %s", tc.cont, vals, err, tc.want)
+		}
+	}
+}
+
+// TestCompositeContinuationsAreChecked: a union, intersection or concat
+// resumed from bytes it did not write fails as corrupt before building a
+// child.
+func TestCompositeContinuationsAreChecked(t *testing.T) {
+	built := 0
+	child := func(c []byte) Cursor[string] { built++; return FromSlice([]string{"a"}, c) }
+	union := func(c []byte) (Cursor[string], error) { return Union(c, keyOf, child, child) }
+	intersection := func(c []byte) (Cursor[string], error) { return Intersection(c, keyOf, child, child) }
+	concat := func(c []byte) (Cursor[string], error) { return Concat(c, child, child) }
+	two := AppendPart(AppendPart([]byte{kindUnion}, []byte{1}), nil)
+	for _, tc := range []struct {
+		name   string
+		decode func([]byte) (Cursor[string], error)
+		cont   []byte
+	}{
+		{"union as intersection", intersection, two},
+		{"union with one child", union, two[:3]},
+		{"union with three children", union, append(append([]byte{}, two...), 0)},
+		{"union with a truncated part", union, []byte{kindUnion, 3, 'x'}},
+		{"union in JSON", union, []byte(`[{"c":"AQ=="},{"d":true}]`)},
+		{"concat past its children", concat, AppendPart([]byte{kindConcat, 2}, []byte{1})},
+		{"concat with no part", concat, []byte{kindConcat, 0, 0}},
+		{"concat with trailing bytes", concat, AppendPart([]byte{kindConcat, 0}, []byte{1, 0})[:4:4]},
+		{"concat in JSON", concat, []byte(`{"i":1}`)},
+		{"a key", union, []byte("\x02app\x00\x15\x01")},
+	} {
+		if c, err := tc.decode(tc.cont); !errors.Is(err, ErrCorruptContinuation) || built != 0 {
+			t.Errorf("%s (%x): %v, %v, %d children built; want a corrupt continuation and none", tc.name, tc.cont, c, err, built)
+		}
+		built = 0
+	}
+	// Frames it wrote resume: a done child is not built again.
+	u, err := union([]byte{kindUnion, 2, 1, 0})
+	if vals, _, _, cerr := Collect(u); err != nil || cerr != nil || fmt.Sprint(vals) != "[]" || built != 1 {
+		t.Errorf("union resumed past a, with its second child done: %v, %v %v, %d built", vals, err, cerr, built)
+	}
+}
+
+// FuzzContinuationFrame: any bytes handed to the union, intersection and
+// concat decoders over zero to three children, or read as the façade's frame
+// (a skip count of at most skip, then the plan's part), either fail with
+// ErrCorruptContinuation or decode to parts that encode back to the same
+// bytes, and never panic. So a frame of another kind, with a part too many or
+// too few, with trailing bytes or with a count above skip fails.
+func FuzzContinuationFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, cont []byte, children uint8, skip uint16) {
+		n := int(children % 4)
+		handed := make([][]byte, n) // what each child was built from
+		built := make([]bool, n)
+		builders := make([]func([]byte) Cursor[string], n)
+		for i := range builders {
+			builders[i] = func(c []byte) Cursor[string] {
+				handed[i], built[i] = c, true
+				return FromSlice[string](nil, nil)
+			}
+		}
+		check := func(what string, err error, encode func() []byte) {
+			if err != nil {
+				if !errors.Is(err, ErrCorruptContinuation) {
+					t.Fatalf("%s(%x) over %d children: %v, want a corrupt continuation", what, cont, n, err)
+				}
+				return
+			}
+			if len(cont) == 0 {
+				return
+			}
+			if enc := encode(); !bytes.Equal(enc, cont) {
+				t.Fatalf("%s(%x) over %d children encodes back to %x", what, cont, n, enc)
+			}
+		}
+		u, err := Union(cont, keyOf, builders...)
+		check("Union", err, func() []byte { return u.(*merge[string]).composite() })
+		i, err := Intersection(cont, keyOf, builders...)
+		check("Intersection", err, func() []byte { return i.(*merge[string]).composite() })
+		clear(built)
+		_, err = Concat(cont, builders...)
+		check("Concat", err, func() []byte {
+			at := slices.Index(built, true)
+			return AppendPart(binary.AppendUvarint([]byte{kindConcat}, uint64(at)), handed[at])
+		})
+		r := ReadFrame(cont, 'q')
+		count := r.Uvarint(uint64(skip) + 1)
+		plan, ok := r.Part()
+		check("the façade's frame", r.Close(), func() []byte {
+			if count > uint64(skip) {
+				t.Fatalf("(%x) read a count of %d, above %d", cont, count, skip)
+			}
+			frame := binary.AppendUvarint([]byte{'q'}, count)
+			if !ok {
+				return append(frame, 0)
+			}
+			return AppendPart(frame, plan)
+		})
+	})
 }

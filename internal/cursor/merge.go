@@ -2,13 +2,8 @@ package cursor
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
+	"encoding/binary"
 )
-
-// Merge cursors combine ordered child streams — the only joins the streaming
-// model permits (§3.1): children must be ordered by the same comparison key
-// (typically the primary key or an index key prefix).
 
 // childState tracks one child stream within a composite cursor.
 type childState[T any] struct {
@@ -35,13 +30,9 @@ func (s *childState[T]) peek() (*Result[T], error) {
 		return nil, err
 	}
 	if !r.OK {
-		s.done = true
-		s.reason = r.Reason
+		s.done, s.reason = true, r.Reason
 		if r.Reason != SourceExhausted {
-			// Out-of-band halt: resuming must re-read from here.
-			s.consumed = r.Continuation
-		} else {
-			s.consumed = nil
+			s.consumed = r.Continuation // resuming must re-read from here
 		}
 		return nil, nil
 	}
@@ -67,76 +58,71 @@ func prefetchChildren[T any](children []*childState[T]) {
 	}
 }
 
-// childCont is the serialized per-child slot of a composite continuation.
-type childCont struct {
-	Done bool   `json:"d,omitempty"`
-	Cont []byte `json:"c,omitempty"`
-}
-
-func encodeComposite(states []childCont) []byte {
-	b, _ := json.Marshal(states)
-	return b
-}
-
-// DecodeComposite splits a composite continuation into n child slots; a nil
-// continuation yields n fresh (nil) slots.
-func DecodeComposite(continuation []byte, n int) ([]childCont, error) {
-	out := make([]childCont, n)
-	if len(continuation) == 0 {
-		return out, nil
-	}
-	if err := json.Unmarshal(continuation, &out); err != nil {
-		return nil, fmt.Errorf("cursor: corrupt composite continuation: %v", err)
-	}
-	if len(out) != n {
-		return nil, fmt.Errorf("cursor: continuation has %d children, expected %d", len(out), n)
-	}
-	return out, nil
-}
-
-func (s *childState[T]) slot() childCont {
-	if s.done && s.reason == SourceExhausted {
-		return childCont{Done: true}
-	}
-	return childCont{Cont: s.consumed}
-}
-
-// merge is what Union and Intersection share: the child streams, the key they
-// are ordered by, and the halt once reached.
+// merge is Union and Intersection, the only joins the streaming model permits
+// (§3.1): its children are ordered by the same key (typically the primary key
+// or an index key prefix), and its kind picks the step and frames the position.
 type merge[T any] struct {
 	children []*childState[T]
 	keyOf    func(T) []byte
+	kind     byte
 	halted   *Result[T]
 }
 
-// newMerge builds the children from the slots of the composite continuation.
-func newMerge[T any](continuation []byte, keyOf func(T) []byte,
-	builders []func(continuation []byte) Cursor[T]) (merge[T], error) {
+// newMerge builds the children from the parts of a continuation framed as
+// kind: one per child, the child's own continuation, or none for a child that
+// is done. The whole frame is checked before any child is built.
+func newMerge[T any](continuation []byte, kind byte, keyOf func(T) []byte,
+	builders []func(continuation []byte) Cursor[T]) (Cursor[T], error) {
 
-	slots, err := DecodeComposite(continuation, len(builders))
-	if err != nil {
-		return merge[T]{}, err
-	}
-	m := merge[T]{keyOf: keyOf}
-	for i, build := range builders {
-		st := &childState[T]{consumed: slots[i].Cont}
-		if slots[i].Done {
-			st.done = true
-			st.reason = SourceExhausted
-		} else {
-			st.cur = build(slots[i].Cont)
+	m := &merge[T]{keyOf: keyOf, kind: kind, children: make([]*childState[T], len(builders))}
+	r := ReadFrame(continuation, kind)
+	for i := range m.children {
+		st := &childState[T]{}
+		if len(continuation) > 0 {
+			var at bool
+			if st.consumed, at = r.Part(); !at {
+				st.done, st.reason = true, SourceExhausted
+			}
 		}
-		m.children = append(m.children, st)
+		m.children[i] = st
+	}
+	if len(continuation) > 0 && r.Close() != nil {
+		return nil, ErrCorruptContinuation
+	}
+	for i, st := range m.children {
+		if !st.done {
+			st.cur = builders[i](st.consumed)
+		}
 	}
 	return m, nil
 }
 
+// composite frames the children's positions, each one's last consumed
+// continuation or, once it is exhausted, none.
 func (c *merge[T]) composite() []byte {
-	slots := make([]childCont, len(c.children))
-	for i, s := range c.children {
-		slots[i] = s.slot()
+	size := 1
+	for _, s := range c.children {
+		size += len(s.consumed) + 2
 	}
-	return encodeComposite(slots)
+	buf := append(make([]byte, 0, size), c.kind)
+	for _, s := range c.children {
+		if s.done && s.reason == SourceExhausted {
+			buf = append(buf, 0)
+		} else {
+			buf = AppendPart(buf, s.consumed)
+		}
+	}
+	return buf
+}
+
+// stop halts for good: out of band with every child's position, else exhausted.
+func (c *merge[T]) stop(reason NoNextReason) (Result[T], error) {
+	h := halt[T](SourceExhausted, nil)
+	if reason.OutOfBand() {
+		h = halt[T](reason, c.composite())
+	}
+	c.halted = &h
+	return h, nil
 }
 
 // Ready implements Readier: every child a step would pull has its head
@@ -154,34 +140,45 @@ func (c *merge[T]) Ready() bool {
 	return true
 }
 
-type unionCursor[T any] struct{ merge[T] }
-
 // Union merges ordered child streams, emitting each distinct key once
 // (children positioned on equal keys advance together). Children are built
-// by the supplied constructors from the slots of the composite continuation.
+// by the supplied constructors from the parts of the continuation.
 func Union[T any](continuation []byte, keyOf func(T) []byte,
 	builders ...func(continuation []byte) Cursor[T]) (Cursor[T], error) {
-
-	m, err := newMerge(continuation, keyOf, builders)
-	if err != nil {
-		return nil, err
-	}
-	return &unionCursor[T]{m}, nil
+	return newMerge(continuation, kindUnion, keyOf, builders)
 }
 
-// Demand implements Demander. A union pulled k times pulls no child more than
-// k times: n for the values, and one so that a consumer's look past the last of
-// them still finds every head in the child's first batch.
-func (c *unionCursor[T]) Demand(n int) {
+// Intersection merges ordered child streams, emitting keys present in every
+// child.
+func Intersection[T any](continuation []byte, keyOf func(T) []byte,
+	builders ...func(continuation []byte) Cursor[T]) (Cursor[T], error) {
+	return newMerge(continuation, kindIntersection, keyOf, builders)
+}
+
+// Demand implements Demander for a union. A union pulled k times pulls no
+// child more than k times: n for the values, and one so that a consumer's look
+// past the last of them still finds every head in the child's first batch. An
+// intersection drops values, so the demand stops there.
+func (c *merge[T]) Demand(n int) {
+	if c.kind != kindUnion {
+		return
+	}
 	for _, s := range c.children {
 		Demand(s.cur, n+1) // a child done in the continuation has no cursor
 	}
 }
 
-func (c *unionCursor[T]) Next() (Result[T], error) {
+func (c *merge[T]) Next() (Result[T], error) {
 	if c.halted != nil {
 		return *c.halted, nil
 	}
+	if c.kind == kindUnion {
+		return c.union()
+	}
+	return c.intersection()
+}
+
+func (c *merge[T]) union() (Result[T], error) {
 	prefetchChildren(c.children)
 	// Find the smallest key among buffered heads.
 	var best *childState[T]
@@ -203,23 +200,10 @@ func (c *unionCursor[T]) Next() (Result[T], error) {
 			best, bestKey = s, k
 		}
 	}
-	if best == nil {
-		reason := SourceExhausted
-		var cont []byte
-		if outOfBand >= 0 {
-			reason = outOfBand
-			cont = c.composite()
-		}
-		h := halt[T](reason, cont)
-		c.halted = &h
-		return h, nil
-	}
-	if outOfBand >= 0 {
-		// One child hit a resource limit: stop the whole union so the
+	if outOfBand >= 0 || best == nil {
+		// A child that hit a resource limit stops the whole union, so the
 		// continuation stays consistent.
-		h := halt[T](outOfBand, c.composite())
-		c.halted = &h
-		return h, nil
+		return c.stop(outOfBand)
 	}
 	val := best.head.Value
 	// Consume every child positioned at the same key (dedup).
@@ -231,24 +215,7 @@ func (c *unionCursor[T]) Next() (Result[T], error) {
 	return Result[T]{Value: val, OK: true, Continuation: c.composite()}, nil
 }
 
-type intersectionCursor[T any] struct{ merge[T] }
-
-// Intersection merges ordered child streams, emitting keys present in every
-// child.
-func Intersection[T any](continuation []byte, keyOf func(T) []byte,
-	builders ...func(continuation []byte) Cursor[T]) (Cursor[T], error) {
-
-	m, err := newMerge(continuation, keyOf, builders)
-	if err != nil {
-		return nil, err
-	}
-	return &intersectionCursor[T]{m}, nil
-}
-
-func (c *intersectionCursor[T]) Next() (Result[T], error) {
-	if c.halted != nil {
-		return *c.halted, nil
-	}
+func (c *merge[T]) intersection() (Result[T], error) {
 	for {
 		prefetchChildren(c.children)
 		var maxKey []byte
@@ -261,24 +228,13 @@ func (c *intersectionCursor[T]) Next() (Result[T], error) {
 			if r == nil {
 				// Any exhausted child ends the intersection; an out-of-band
 				// halt propagates its reason.
-				reason := SourceExhausted
-				var cont []byte
-				if s.reason.OutOfBand() {
-					reason = s.reason
-					cont = c.composite()
-				}
-				h := halt[T](reason, cont)
-				c.halted = &h
-				return h, nil
+				return c.stop(s.reason)
 			}
-			k := c.keyOf(r.Value)
-			if maxKey == nil {
+			if k := c.keyOf(r.Value); maxKey == nil {
 				maxKey = k
-				continue
-			}
-			if !bytes.Equal(k, maxKey) {
+			} else if cmp := bytes.Compare(k, maxKey); cmp != 0 {
 				allEqual = false
-				if bytes.Compare(k, maxKey) > 0 {
+				if cmp > 0 {
 					maxKey = k
 				}
 			}
@@ -299,48 +255,37 @@ func (c *intersectionCursor[T]) Next() (Result[T], error) {
 	}
 }
 
-// Concat chains child streams sequentially. The continuation records the
-// active child index and its continuation.
+// Concat chains child streams sequentially. Its continuation is framed as
+// kindConcat: the active child's index, then that child's continuation.
 func Concat[T any](continuation []byte, builders ...func(continuation []byte) Cursor[T]) (Cursor[T], error) {
-	type concatCont struct {
-		Index int    `json:"i"`
-		Cont  []byte `json:"c,omitempty"`
-	}
-	var state concatCont
+	idx, cont := 0, []byte(nil)
 	if len(continuation) > 0 {
-		if err := json.Unmarshal(continuation, &state); err != nil {
-			return nil, fmt.Errorf("cursor: corrupt concat continuation: %v", err)
+		r := ReadFrame(continuation, kindConcat)
+		i, at := r.Uvarint(uint64(len(builders))), false
+		if cont, at = r.Part(); !at || r.Close() != nil {
+			return nil, ErrCorruptContinuation
 		}
-		if state.Index < 0 || state.Index > len(builders) {
-			return nil, fmt.Errorf("cursor: concat continuation index %d out of range", state.Index)
-		}
+		idx = int(i)
 	}
-	idx := state.Index
 	var cur Cursor[T]
 	if idx < len(builders) {
-		cur = builders[idx](state.Cont)
+		cur = builders[idx](cont)
 	}
 	return Func[T](func() (Result[T], error) {
-		for {
-			if idx >= len(builders) {
-				return halt[T](SourceExhausted, nil), nil
-			}
+		for idx < len(builders) {
 			r, err := cur.Next()
 			if err != nil {
 				return Result[T]{}, err
 			}
-			if r.OK {
-				cont, _ := json.Marshal(concatCont{Index: idx, Cont: r.Continuation})
-				return Result[T]{Value: r.Value, OK: true, Continuation: cont}, nil
+			if r.OK || r.Reason != SourceExhausted {
+				frame := binary.AppendUvarint(append(make([]byte, 0, len(r.Continuation)+4), kindConcat), uint64(idx))
+				r.Continuation = AppendPart(frame, r.Continuation)
+				return r, nil
 			}
-			if r.Reason != SourceExhausted {
-				cont, _ := json.Marshal(concatCont{Index: idx, Cont: r.Continuation})
-				return halt[T](r.Reason, cont), nil
-			}
-			idx++
-			if idx < len(builders) {
+			if idx++; idx < len(builders) {
 				cur = builders[idx](nil)
 			}
 		}
+		return halt[T](SourceExhausted, nil), nil
 	}), nil
 }

@@ -6,7 +6,7 @@ package kvcursor
 
 import (
 	"bytes"
-	"errors"
+	"fmt"
 
 	"recordlayer/internal/cursor"
 	"recordlayer/internal/fdb"
@@ -61,7 +61,7 @@ type kvCursor struct {
 }
 
 // errForeignContinuation rejects a continuation outside the scan's range.
-var errForeignContinuation = errors.New("kvcursor: corrupt continuation: key outside the scan's range")
+var errForeignContinuation = fmt.Errorf("kvcursor: key outside the scan's range: %w", cursor.ErrCorruptContinuation)
 
 // New creates a cursor over [begin, end). A continuation is the last key
 // a scan of this range returned, so one outside [begin, end) came from

@@ -373,18 +373,23 @@ func doubleUnadjust(u uint64) uint64 {
 	return ^u
 }
 
-// Unpack decodes a packed key back into a tuple. It counts the elements first,
-// so the tuple is allocated once at its size; where ElementLen fails the count
-// stops, and decoding reports the error.
-func Unpack(b []byte) (Tuple, error) {
-	n := 0
-	for rest := b; len(rest) > 0; n++ {
-		l, err := ElementLen(rest)
-		if err != nil {
-			break
+// Count returns how many elements a packed tuple holds, walking ElementLen
+// without decoding one; where ElementLen fails it stops, with that error.
+func Count(b []byte) (n int, err error) {
+	for l := 0; len(b) > 0; n++ {
+		if l, err = ElementLen(b); err != nil {
+			return n, err
 		}
-		rest = rest[l:]
+		b = b[l:]
 	}
+	return n, nil
+}
+
+// Unpack decodes a packed key back into a tuple. It counts the elements first,
+// so the tuple is allocated once at its size; where the count stops, decoding
+// reports the error.
+func Unpack(b []byte) (Tuple, error) {
+	n, _ := Count(b)
 	var t Tuple
 	if n > 0 {
 		t = make(Tuple, 0, n)

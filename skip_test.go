@@ -1,13 +1,11 @@
 package recordlayer
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -191,7 +189,7 @@ func TestSkipNoProgressHaltKeepsNilContinuation(t *testing.T) {
 	}
 }
 
-// TestSkipContinuationEncoding unit-tests the envelope round trip.
+// TestSkipContinuationEncoding unit-tests the frame's round trip.
 func TestSkipContinuationEncoding(t *testing.T) {
 	for _, tc := range []struct {
 		remaining int
@@ -199,10 +197,10 @@ func TestSkipContinuationEncoding(t *testing.T) {
 	}{
 		{0, []byte("plan-cont")},
 		{7, []byte("plan-cont")},
-		{300, nil},
+		{300, []byte{0}},
 	} {
-		enc := encodeSkipContinuation(tc.remaining, tc.inner)
-		rem, inner, err := decodeSkipContinuation(enc, 300)
+		enc := (&RecordCursor{cont: tc.inner, skip: &skipCursor{remaining: tc.remaining}}).Continuation()
+		rem, inner, err := decodeContinuation(enc, 300)
 		if err != nil {
 			t.Fatalf("decode(%v): %v", tc, err)
 		}
@@ -210,21 +208,22 @@ func TestSkipContinuationEncoding(t *testing.T) {
 			t.Errorf("round trip %v -> rem=%d inner=%q", tc, rem, inner)
 		}
 	}
-	if enc := encodeSkipContinuation(0, nil); enc != nil {
-		t.Errorf("encode(0, nil) = %v, want nil", enc)
+	if enc := (&RecordCursor{skip: &skipCursor{remaining: 3}}).Continuation(); enc != nil {
+		t.Errorf("no plan continuation framed as %x, want nil", enc)
 	}
-	// A continuation without the envelope (legacy or skip-free) passes
-	// through with nothing left to skip.
-	rem, inner, err := decodeSkipContinuation([]byte("raw"), 3)
-	if err != nil || rem != 0 || string(inner) != "raw" {
-		t.Errorf("raw passthrough: %d %q %v", rem, inner, err)
+	// A continuation without the frame — a plan's own, or one written before
+	// the frame — is corrupt, and so is a frame with no plan continuation.
+	for _, raw := range [][]byte{[]byte("raw"), []byte("s\x01plan"), {queryFrame, 0}, {queryFrame, 0, 1}} {
+		if rem, inner, err := decodeContinuation(raw, 3); !errors.Is(err, cursor.ErrCorruptContinuation) {
+			t.Errorf("decode(%q) = (%d, %q, %v), want a corrupt continuation", raw, rem, inner, err)
+		}
 	}
 }
 
-// TestSkipContinuationRejectsOutOfRange: a skip envelope whose count lies
+// TestSkipContinuationRejectsOutOfRange: a continuation whose skip count lies
 // outside [0, Skip] cannot have come from the query resuming it, and the
 // query fails instead of silently returning other rows — a count of 2^64-1
-// used to decode as -1, and the page came back unskipped.
+// once decoded as -1, and the page came back unskipped.
 func TestSkipContinuationRejectsOutOfRange(t *testing.T) {
 	_, md := testSchema(t)
 	db := fdb.Open(nil)
@@ -233,7 +232,7 @@ func TestSkipContinuationRejectsOutOfRange(t *testing.T) {
 	saveDocs(t, r, p, 1, 6)
 
 	for _, count := range []uint64{math.MaxUint64, 1 << 63, 4} {
-		cont := binary.AppendUvarint([]byte{skipContMarker}, count)
+		cont := cursor.AppendPart(binary.AppendUvarint([]byte{queryFrame}, count), tuple.Tuple{int64(1)}.Pack())
 		props := ExecuteProperties{Skip: 3, RowLimit: 2}.WithContinuation(cont)
 		v, err := r.ReadRun(context.Background(), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 			store, err := p.Open(ctx, tr, int64(1))
@@ -246,40 +245,10 @@ func TestSkipContinuationRejectsOutOfRange(t *testing.T) {
 			}
 			return cur.ToList()
 		})
-		if err == nil || !strings.Contains(err.Error(), "corrupt skip continuation") {
+		if !errors.Is(err, cursor.ErrCorruptContinuation) {
 			t.Errorf("count %d: resumed to (%v, %v), want a corrupt-continuation error", count, v, err)
 		}
 	}
-}
-
-// FuzzSkipContinuation: the skip envelope's decoder never panics on any
-// bytes, accepts only counts in [0, skip], and inverts the encoder.
-func FuzzSkipContinuation(f *testing.F) {
-	f.Fuzz(func(t *testing.T, raw []byte, count uint64, skip uint16, inner []byte) {
-		if rem, _, err := decodeSkipContinuation(raw, int(skip)); err == nil && (rem < 0 || rem > int(skip)) {
-			t.Fatalf("decode(%x, %d) accepted count %d", raw, skip, rem)
-		}
-		env := append(binary.AppendUvarint([]byte{skipContMarker}, count), inner...)
-		rem, got, err := decodeSkipContinuation(env, int(skip))
-		if count > uint64(skip) {
-			if err == nil {
-				t.Fatalf("count %d > skip %d decoded as %d", count, skip, rem)
-			}
-			return
-		}
-		if err != nil || uint64(rem) != count || !bytes.Equal(got, inner) || (len(inner) == 0) != (got == nil) {
-			t.Fatalf("decode(%x, %d) = (%d, %q, %v), want (%d, %q, nil)", env, skip, rem, got, err, count, inner)
-		}
-		// Nothing left to skip and no inner continuation is the exhausted
-		// contract, encoded as nil; every other pair encodes back to env.
-		want := env
-		if rem == 0 && got == nil {
-			want = nil
-		}
-		if enc := encodeSkipContinuation(rem, got); !bytes.Equal(enc, want) {
-			t.Fatalf("encode(%d, %q) = %x, want %x", rem, got, enc, want)
-		}
-	})
 }
 
 // continuationShapes are the query shapes FuzzQueryContinuation resumes, over
@@ -452,6 +421,58 @@ func FuzzQueryContinuation(f *testing.F) {
 	})
 }
 
+// TestContinuationFromAnotherShapeFails resumes each query shape of
+// continuationShapes (all but the rank scan, which is no query) from every
+// other shape's first two-row page. Each of the 42 pairs must fail as corrupt
+// before reading a key. The filtered full scan used to take an index scan's
+// continuation for a primary key and restart at its first row, and a merge's
+// for one past every record, returning nothing and no continuation.
+func TestContinuationFromAnotherShapeFails(t *testing.T) {
+	r, p := fuzzStore(t)
+	shapes := len(continuationShapes) - 1
+	conts := make([][]byte, shapes)
+	for s := range conts {
+		_, _, cont, err := resume(r, p, 1, s, nil, ExecuteProperties{RowLimit: 2})
+		if err != nil || cont == nil {
+			t.Fatalf("shape %d: first page ends at %x, %v", s, cont, err)
+		}
+		conts[s] = cont
+	}
+	pairs := 0
+	for s := 0; s < shapes; s++ {
+		for from, cont := range conts {
+			if from == s {
+				continue
+			}
+			var recs []*Record
+			keysRead := 0
+			_, err := r.ReadRun(context.Background(), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+				st, err := p.Open(ctx, tr, int64(1))
+				if err != nil {
+					return nil, err
+				}
+				before := tr.Stats().KeysRead
+				defer func() { keysRead = tr.Stats().KeysRead - before }()
+				cur, err := st.ExecuteQuery(ctx, continuationShapes[s].q, ExecuteProperties{}.WithContinuation(cont))
+				if err != nil {
+					return nil, err
+				}
+				recs, err = cur.ToList()
+				return nil, err
+			})
+			if !errors.Is(err, cursor.ErrCorruptContinuation) || keysRead != 0 {
+				t.Errorf("shape %d resumed from shape %d's page: %d rows, %d keys read, %v; want a corrupt continuation and no key read",
+					s, from, len(recs), keysRead, err)
+				continue
+			}
+			pairs++
+		}
+	}
+	if pairs != shapes*(shapes-1) {
+		t.Errorf("%d of %d pairs failed as corrupt", pairs, shapes*(shapes-1))
+	}
+}
+
 // TestForgedContinuationStaysInRange: a continuation is a key the client
 // hands back — an index scan's last key, or a record scan's last primary key —
 // so one taken from another query or another tenant must not move a scan out
@@ -522,7 +543,7 @@ func TestForgedContinuationStaysInRange(t *testing.T) {
 		{"record scan, past its range", 1, records(true, 9)},
 	} {
 		got, err := scan(tc.user, tc.run)
-		if err == nil || !strings.Contains(err.Error(), "corrupt continuation") || got.keysRead != 0 {
+		if !errors.Is(err, cursor.ErrCorruptContinuation) || got.keysRead != 0 {
 			t.Errorf("%s: resumed to %+v, %v; want a corrupt-continuation error and no key read", tc.name, got, err)
 		}
 	}

@@ -2,6 +2,7 @@ package recordlayer
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -204,14 +205,9 @@ func (s *Store) executePlan(ctx context.Context, pl plan.Plan, props ExecuteProp
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cont := props.Continuation
-	skip := props.Skip
-	if props.Skip > 0 && len(cont) > 0 {
-		var err error
-		skip, cont, err = decodeSkipContinuation(cont, props.Skip)
-		if err != nil {
-			return nil, err
-		}
+	skip, cont, err := decodeContinuation(props.Continuation, props.Skip)
+	if err != nil {
+		return nil, err
 	}
 	c, err := pl.Execute(s.Store, plan.ExecuteOptions{
 		Continuation:  cont,
@@ -223,13 +219,12 @@ func (s *Store) executePlan(ctx context.Context, pl plan.Plan, props ExecuteProp
 	if err != nil {
 		return nil, err
 	}
+	rc := &RecordCursor{ctx: ctx}
 	if props.Skip > 0 {
-		c = &skipCursor{inner: c, remaining: skip}
+		rc.skip = &skipCursor{inner: c, remaining: skip}
+		c = rc.skip
 	}
-	if props.RowLimit > 0 {
-		c = cursor.Limit(c, props.RowLimit)
-	}
-	rc := &RecordCursor{ctx: ctx, inner: c}
+	rc.inner = cursor.Limit(c, props.RowLimit)
 	if log := s.provider.opts.SlowQueries; log != nil {
 		clock := props.Clock
 		if clock == nil {
@@ -307,7 +302,8 @@ type RecordCursor struct {
 	ctx    context.Context
 	inner  cursor.Cursor[*Record]
 	reason cursor.NoNextReason
-	cont   []byte
+	cont   []byte // the plan's continuation
+	skip   *skipCursor
 	done   bool
 
 	rows int
@@ -375,7 +371,19 @@ func (c *RecordCursor) ToList() ([]*Record, error) {
 // Continuation returns the opaque resume point: pass it to a later
 // execution's ExecuteProperties (WithContinuation) to continue the stream,
 // even from a different transaction or server. Nil after SourceExhausted.
-func (c *RecordCursor) Continuation() []byte { return c.cont }
+// Each call frames a new copy; one from another query fails that query with
+// an error that errors.Is cursor.ErrCorruptContinuation.
+func (c *RecordCursor) Continuation() []byte {
+	if c.cont == nil {
+		return nil // exhausted, or halted before any progress: a frame would restart it forever
+	}
+	remaining := 0
+	if c.skip != nil {
+		remaining = c.skip.remaining
+	}
+	frame := binary.AppendUvarint(append(make([]byte, 0, len(c.cont)+6), queryFrame), uint64(remaining))
+	return cursor.AppendPart(frame, c.cont)
+}
 
 // NoNextReason reports why the stream stopped (valid once Next has returned
 // ok == false).
