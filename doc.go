@@ -478,9 +478,12 @@
 //   - A batch read ahead is billed when it is issued, consumed or not.
 //   - Writes are the issued mutations (TxnStats.Mutations/Size): a set bills
 //     its key and value, an atomic op its key and parameter, and a clear or
-//     range clear is one mutation of len(begin)+len(end) bytes. Every attempt
-//     bills, committed or not. KeysWritten is not used: it skips clears and
-//     aborted attempts.
+//     range clear is one mutation of len(begin)+len(end) bytes. An update of
+//     an unsplit record bills no clear, since its set and version slot
+//     overwrite both of its keys; a delete of one bills two point clears (one
+//     without a version slot). Saving over or deleting a split record bills
+//     one range clear. Every attempt bills, committed or not. KeysWritten is
+//     not used: it skips clears and aborted attempts.
 //   - Directory reads made inside StoreProvider.Open bill the tenant that
 //     caused them.
 //
@@ -503,12 +506,12 @@
 //
 // Quotas persist in the database rather than in any process: write them
 // through NewLimitsStore(db) (or `rl tenants set-limits`), and every
-// server's Governor applies the shared table via LoadLimits or a
-// WatchLimits refresh loop. Per-tenant in-memory state is bounded:
-// GovernorOptions.IdleTTL (and Accountant.EvictIdle) evict long-idle
-// tenants whose buckets have refilled, so a server tracking millions of
-// tenants does not grow without bound — and eviction never forgets a
-// drained quota.
+// server's Governor applies the shared table via LoadLimits, or through a
+// QuotaLeaseManager, whose heartbeat reloads it. Per-tenant in-memory state
+// is bounded: GovernorOptions.IdleTTL (and Accountant.EvictIdle) evict
+// long-idle tenants whose buckets have refilled, so a server tracking
+// millions of tenants does not grow without bound — and eviction never
+// forgets a drained quota.
 //
 // Operators read usage with Accountant.Snapshot (see `rl tenants`) or the
 // copy-free ForEach. A StoreProvider with ProviderOptions.Accountant bills a

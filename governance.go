@@ -39,13 +39,12 @@ import (
 //
 // For a fleet of stateless servers, persist the quotas in the database
 // instead of calling SetLimits in-process: operators write them once through
-// a LimitsStore, every server loads (and periodically reloads) the same
-// table:
+// a LimitsStore, every server loads the same table, and a QuotaLeaseManager's
+// heartbeat reloads it:
 //
 //	limits := recordlayer.NewLimitsStore(db)
 //	_ = limits.Set("hot-tenant", recordlayer.TenantLimits{TxnPerSecond: 100, BytesPerSecond: 1 << 20})
-//	_, _ = gov.LoadLimits(limits)                       // at startup
-//	go gov.WatchLimits(ctx, limits, 10*time.Second)     // refresh loop
+//	_, _ = gov.LoadLimits(limits) // at startup
 
 // Accountant is the per-tenant usage registry; see internal/resource.
 type Accountant = resource.Accountant
@@ -61,9 +60,6 @@ type TenantLimits = resource.Limits
 
 // TenantUsage is a snapshot of one tenant's consumption.
 type TenantUsage = resource.Usage
-
-// TenantMeter is one tenant's live counters.
-type TenantMeter = resource.Meter
 
 // QuotaExceededError reports an exhausted tenant rate or byte quota; it
 // carries the recommended RetryAfter backoff and the drained Resource.
@@ -82,7 +78,7 @@ const (
 )
 
 // LimitsStore persists per-tenant limits in the database so every stateless
-// server enforces the same quotas; see Governor.LoadLimits/WatchLimits.
+// server enforces the same quotas; see Governor.LoadLimits.
 type LimitsStore = resource.LimitsStore
 
 // NewAccountant creates an empty usage registry.
@@ -99,11 +95,6 @@ func NewGovernor(acct *Accountant, opts GovernorOptions) *Governor {
 // to each transaction they run.
 func WithTenant(ctx context.Context, tenant string) context.Context {
 	return resource.WithTenant(ctx, tenant)
-}
-
-// TenantFromContext returns the tenant bound by WithTenant, if any.
-func TenantFromContext(ctx context.Context) (string, bool) {
-	return resource.TenantFrom(ctx)
 }
 
 // IsQuotaExceeded reports whether err is (or wraps) a tenant rate- or
@@ -145,7 +136,7 @@ func systemSubspace(child string) subspace.Subspace {
 // ("/__system__/limits", constant keyspace directories, so it compiles
 // without a transaction). Every server sharing db sees the same table:
 // write quotas with LimitsStore.Set (e.g. from `rl tenants set-limits`) and
-// apply them with Governor.LoadLimits or a WatchLimits refresh loop.
+// apply them with Governor.LoadLimits or a QuotaLeaseManager's heartbeat.
 func NewLimitsStore(db *fdb.Database) *LimitsStore {
 	return resource.NewLimitsStore(db, systemSubspace("limits"))
 }
@@ -161,9 +152,6 @@ type QuotaLeaseManager = lease.Manager
 // QuotaLeaseOptions configures a QuotaLeaseManager.
 type QuotaLeaseOptions = lease.Options
 
-// QuotaLeaseSlice is one server's held portion of a tenant's global budget.
-type QuotaLeaseSlice = lease.Slice
-
 // NewQuotaLeaseStore opens the cluster's reserved quota-lease rows, nested
 // under the limits directory ("/__system__/limits/leases") so LimitsStore
 // scans tolerate them as siblings.
@@ -175,8 +163,8 @@ func NewQuotaLeaseStore(db *fdb.Database) *QuotaLeaseStore {
 // Refresh (or Run heartbeat) reloads the persisted limits table and claims a
 // demand-sized, time-bounded slice of every rate-limited tenant's global
 // budget, so N servers sharing one database grant each tenant its quota once
-// cluster-wide instead of N times. Use instead of Governor.WatchLimits when
-// more than one server governs the same tenants:
+// cluster-wide instead of N times. Use it when more than one server governs
+// the same tenants:
 //
 //	mgr := recordlayer.NewQuotaLeaseManager(gov, db, recordlayer.QuotaLeaseOptions{Server: hostID})
 //	go mgr.Run(ctx, 2*time.Second)
@@ -187,10 +175,6 @@ func NewQuotaLeaseManager(gov *Governor, db *fdb.Database, opts QuotaLeaseOption
 // MeteringStore persists per-tenant usage windows for billing-grade export;
 // see internal/resource.
 type MeteringStore = resource.MeteringStore
-
-// UsageWindow is one persisted metering row: what one server observed one
-// tenant consume during one export window.
-type UsageWindow = resource.WindowRecord
 
 // UsageExporter periodically appends an Accountant's per-tenant consumption
 // deltas to a MeteringStore; see internal/resource.

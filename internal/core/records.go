@@ -32,6 +32,10 @@ type StoredRecord struct {
 	// pairs hold the record data.
 	Size        int
 	SplitChunks int
+	// unsplit says the record data is exactly one pair, at suffix
+	// unsplitRecord. A lone chunk at suffix 1 is not unsplit: only this shape
+	// lets a later save or delete clear single keys instead of the range.
+	unsplit bool
 
 	// pendingUserVersion is the per-transaction counter value assigned to a
 	// newly saved record, shared by its version slot and index entries (§7).
@@ -115,7 +119,9 @@ func (s *Store) saveLoadedAsync(rt *metadata.RecordType, pk tuple.Tuple, msg *me
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := s.writeRecordData(rec, old != nil); err != nil {
+	// old is this transaction's serializable load of the record's range, so
+	// its shape may decide which of its keys to clear (clearRecord).
+	if err := s.writeRecordData(rec, old); err != nil {
 		return nil, nil, err
 	}
 	return rec, pendings, nil
@@ -238,6 +244,9 @@ func (s *Store) updateIndexesAsync(old, new *StoredRecord) ([]indexPending, erro
 		}
 		return new != nil && ix.AppliesTo(new.Type.Name)
 	}
+	// One view of each record serves every maintainer, so its key expression
+	// context is built once per save, not once per index.
+	oldView, newView := old.asIndexRecord(), new.asIndexRecord()
 	out := make([]indexPending, 0, len(s.md.Indexes()))
 	for _, ix := range s.md.Indexes() {
 		if !appliesTo(ix) || s.IndexState(ix.Name) == metadata.StateDisabled {
@@ -251,7 +260,7 @@ func (s *Store) updateIndexesAsync(old, new *StoredRecord) ([]indexPending, erro
 		if s.trace != nil {
 			t0 = s.tr.LatencyNow()
 		}
-		p, uerr := m.UpdateAsync(s.indexContext(ix), old.asIndexRecord(), new.asIndexRecord())
+		p, uerr := m.UpdateAsync(s.indexContext(ix), oldView, newView)
 		if uerr != nil {
 			if s.trace != nil {
 				s.trace.Add(obs.SpanIndexPrefix+ix.Name, t0, s.tr.LatencyNow(), 0, uerr.Error())
@@ -329,15 +338,11 @@ var envelopePool = sync.Pool{New: func() interface{} {
 }}
 
 // writeRecordData serializes, splits and writes the record plus its version
-// slot. A range clear removes the old record first, since records can be
-// split across multiple keys (§6).
-func (s *Store) writeRecordData(rec *StoredRecord, hadOld bool) error {
-	if hadOld {
-		b, e := s.recordRange(rec.PrimaryKey)
-		if err := s.tr.ClearRange(b, e); err != nil {
-			return err
-		}
-	}
+// slot. Over an old record it first clears only what the new pairs do not
+// overwrite (clearRecord): nothing when both are unsplit, the old data pair
+// when the new record splits, the version slot when versions are no longer
+// stored, and the whole record range when the old record was split.
+func (s *Store) writeRecordData(rec, old *StoredRecord) error {
 	bufPtr := envelopePool.Get().(*[]byte)
 	envelope := tuple.Tuple{rec.Type.Name, mustMarshal(rec.Message)}.PackInto((*bufPtr)[:0])
 	defer func() {
@@ -349,11 +354,15 @@ func (s *Store) writeRecordData(rec *StoredRecord, hadOld bool) error {
 		return err
 	}
 	rec.Size = len(blob)
-	if len(blob) <= s.cfg.SplitChunkSize {
+	unsplit := len(blob) <= s.cfg.SplitChunkSize
+	if err := s.clearRecord(old, unsplit, s.md.StoreRecordVersions); err != nil {
+		return err
+	}
+	if unsplit {
 		if err := s.tr.Set(s.recordKey(rec.PrimaryKey, unsplitRecord), blob); err != nil {
 			return err
 		}
-		rec.SplitChunks = 1
+		rec.SplitChunks, rec.unsplit = 1, true
 	} else {
 		if !s.md.SplitLongRecords {
 			return fmt.Errorf("core: record of %d bytes exceeds the chunk size and splitting is disabled", len(blob))
@@ -386,6 +395,38 @@ func (s *Store) writeRecordData(rec *StoredRecord, hadOld bool) error {
 		if err := s.tr.Atomic(fdb.MutationSetVersionstampedValue, key, val); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// clearRecord clears old's pairs before a save or delete rewrites or removes
+// its record. dataKept says the new record is unsplit, so its Set overwrites
+// an unsplit old record's one data pair; versionKept says the save writes a
+// version slot, which overwrites old's. A split old record gets a range clear,
+// since the new record may hold fewer chunks (§4); an unsplit one a point
+// clear of each of its keys nothing overwrites.
+//
+// old must be the record as this transaction loaded it, by a serializable
+// read of its whole key range: SaveRecord's and DeleteRecord's load,
+// SaveRecords' prefetch, or a batch duplicate's read-your-writes load. Its
+// shape is then the truth at commit, because a concurrent writer that splits
+// or rewrites the record writes into that read range, and this transaction
+// fails to commit (TestStaleSizeInfoStillConflicts).
+func (s *Store) clearRecord(old *StoredRecord, dataKept, versionKept bool) error {
+	switch {
+	case old == nil:
+		return nil
+	case !old.unsplit:
+		b, e := s.recordRange(old.PrimaryKey)
+		return s.tr.ClearRange(b, e)
+	}
+	if !dataKept {
+		if err := s.tr.Clear(s.recordKey(old.PrimaryKey, unsplitRecord)); err != nil {
+			return err
+		}
+	}
+	if old.HasVersion && !versionKept {
+		return s.tr.Clear(s.recordKey(old.PrimaryKey, versionSuffix))
 	}
 	return nil
 }
@@ -552,7 +593,7 @@ func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue, keep func(*me
 		return nil, err
 	}
 	return &StoredRecord{Type: rt, Message: msg, PrimaryKey: pk, Version: version, HasVersion: hasVersion,
-		Size: len(blob), SplitChunks: len(parts)}, nil
+		Size: len(blob), SplitChunks: len(parts), unsplit: len(parts) == 1 && parts[0].suffix == unsplitRecord}, nil
 }
 
 var (
@@ -584,7 +625,9 @@ func readEnvelope(envelope []byte) (name, wire []byte, err error) {
 	return []byte(typeName), wire, nil
 }
 
-// DeleteRecord removes a record and its index entries; false when absent.
+// DeleteRecord removes a record and its index entries; false when absent. An
+// unsplit record's keys are cleared one by one, a split record's as a range
+// (clearRecord).
 func (s *Store) DeleteRecord(pk tuple.Tuple) (bool, error) {
 	old, err := s.LoadRecordByKey(pk)
 	if err != nil {
@@ -600,8 +643,7 @@ func (s *Store) DeleteRecord(pk tuple.Tuple) (bool, error) {
 	if err := s.awaitIndexPendings(pendings); err != nil {
 		return false, err
 	}
-	b, e := s.recordRange(pk)
-	if err := s.tr.ClearRange(b, e); err != nil {
+	if err := s.clearRecord(old, false, false); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -622,7 +664,7 @@ func (s *Store) DeleteAllRecords() error {
 	// Cached maintainers may hold per-transaction pipelining overlays whose
 	// written values no longer describe the cleared index subspaces, and
 	// loaded index states no longer describe the cleared state subspace.
-	s.maintainers = make(map[string]index.Maintainer)
+	s.maintainers = nil
 	s.states, s.ownStates = nil, false
 	return nil
 }

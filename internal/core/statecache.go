@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -9,6 +10,10 @@ import (
 	"recordlayer/internal/metadata"
 	"recordlayer/internal/tuple"
 )
+
+// ErrCorruptStoreState is wrapped by every error Open returns for a store
+// header or an index-state pair that does not decode; the error names the key.
+var ErrCorruptStoreState = errors.New("core: corrupt store state")
 
 // storeState is what Open must know before a store can do anything: its
 // header and every index state that is not the readable default. A loaded
@@ -190,21 +195,17 @@ func (c *StateCache) loadState(s *Store) (st *storeState, bare bool, err error) 
 	}
 	st = &storeState{}
 	if err := json.Unmarshal(raw, &st.header); err != nil {
-		return nil, false, fmt.Errorf("core: corrupt store header: %v", err)
+		return nil, false, fmt.Errorf("%w: header %x: %v", ErrCorruptStoreState, headerKey, err)
 	}
 	for _, kv := range kvs {
-		name, err := s.space.Unpack(kv.Key)
-		if err != nil {
-			return nil, false, err
-		}
-		val, err := tuple.Unpack(kv.Value)
-		if err != nil {
-			return nil, false, err
+		name, state, ok := s.decodeIndexState(kv)
+		if !ok {
+			return nil, false, fmt.Errorf("%w: index state %x = %x", ErrCorruptStoreState, kv.Key, kv.Value)
 		}
 		if st.states == nil {
 			st.states = make(map[string]metadata.IndexState, len(kvs))
 		}
-		st.states[name[1].(string)] = metadata.IndexState(val[0].(int64))
+		st.states[name] = state
 	}
 	if clean {
 		c.put(s.tr.Database(), s.space.Bytes(), readVersion, st)
@@ -212,4 +213,23 @@ func (c *StateCache) loadState(s *Store) (st *storeState, bare bool, err error) 
 		c.putOnCommit(s, st)
 	}
 	return st, false, nil
+}
+
+// decodeIndexState reads one pair of the state subspace as setIndexState
+// writes it: the key (stateSub, index name), the value (state).
+func (s *Store) decodeIndexState(kv fdb.KeyValue) (string, metadata.IndexState, bool) {
+	key, err := s.space.Unpack(kv.Key)
+	if err != nil || len(key) != 2 {
+		return "", 0, false
+	}
+	name, ok := key[1].(string)
+	if !ok {
+		return "", 0, false
+	}
+	val, err := tuple.Unpack(kv.Value)
+	if err != nil || len(val) != 1 {
+		return "", 0, false
+	}
+	state, ok := val[0].(int64)
+	return name, metadata.IndexState(state), ok
 }

@@ -86,6 +86,8 @@ type Store struct {
 	header      Header
 	userVersion uint16 // per-transaction counter for versionstamps (§7)
 
+	// maintainers caches each index's maintainer; made by the first save, so
+	// a read-only open allocates no map.
 	maintainers map[string]index.Maintainer
 	// states holds every index state that is not the readable default, as
 	// loaded at Open. The map is shared with the state cache and other stores
@@ -125,7 +127,7 @@ func Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, o
 // cached and still valid opens with no read at all.
 func (c *StateCache) Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, opts OpenOptions) (*Store, error) {
 	s := &Store{tr: tr, md: md, space: space, records: space.Sub(recordsSub), cfg: opts.Config.withDefaults(),
-		trace: tr.Trace(), maintainers: make(map[string]index.Maintainer)}
+		trace: tr.Trace()}
 	st, bare, err := c.loadState(s)
 	if err != nil {
 		return nil, err
@@ -358,6 +360,9 @@ func (s *Store) maintainer(ix *metadata.Index) (index.Maintainer, error) {
 	m, err := index.NewMaintainer(ix)
 	if err != nil {
 		return nil, err
+	}
+	if s.maintainers == nil {
+		s.maintainers = make(map[string]index.Maintainer, len(s.md.Indexes()))
 	}
 	s.maintainers[ix.Name] = m
 	return m, nil

@@ -884,13 +884,6 @@ func (t *Transaction) AddWriteConflictKey(key []byte) {
 	t.writeConflicts.AddKey(key)
 }
 
-// AddWriteConflictRange manually adds a write conflict range.
-func (t *Transaction) AddWriteConflictRange(begin, end []byte) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.writeConflicts.Add(begin, end)
-}
-
 // Commit validates and applies the transaction. On conflict it returns a
 // retryable not_committed error, matching optimistic concurrency control.
 // Under a latency model a committing commit waits out PerCommit after every

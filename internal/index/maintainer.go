@@ -33,17 +33,25 @@ type Record struct {
 	// new record's commit version, shared by its version slot and its
 	// version index entries (§7).
 	PendingUserVersion uint16
+
+	// ctx is the key expression context, built by the first evalContext and
+	// shared by every index the record is evaluated for.
+	ctx *keyexpr.Context
 }
 
-// evalContext builds the key expression context for a record.
+// evalContext returns the key expression context for a record. The fields
+// above must not change once it has been called.
 func (r *Record) evalContext() *keyexpr.Context {
-	return &keyexpr.Context{
-		Message:            r.Message,
-		RecordTypeKey:      r.Type.TypeKey(),
-		Version:            r.Version,
-		HasVersion:         r.HasVersion,
-		PendingUserVersion: r.PendingUserVersion,
+	if r.ctx == nil {
+		r.ctx = &keyexpr.Context{
+			Message:            r.Message,
+			RecordTypeKey:      r.Type.TypeKey(),
+			Version:            r.Version,
+			HasVersion:         r.HasVersion,
+			PendingUserVersion: r.PendingUserVersion,
+		}
 	}
+	return r.ctx
 }
 
 // Context carries everything a maintainer needs for one operation.

@@ -169,54 +169,34 @@ func (ks *KeySpace) MustPath(name string, value ...interface{}) Path {
 // into a Path, consuming one value from values for each variable (non
 // constant) directory along the way. This is the per-request tenant routing
 // idiom (§5): a provider holds the template and each request supplies only
-// the tenant-identifying values.
+// the tenant-identifying values. The path is built in one pass, its slices
+// sized to the template.
 func (ks *KeySpace) PathFor(names []string, values ...interface{}) (Path, error) {
 	if len(names) == 0 {
 		return Path{}, fmt.Errorf("keyspace: empty path template")
 	}
-	p := Path{ks: ks}
-	parent := ks.root
-	vi := 0
+	p := Path{ks: ks, elems: make([]PathElement, 0, len(names)), dirs: make([]*Directory, 0, len(names))}
+	parent, rest := ks.root, values
 	for _, name := range names {
-		var dir *Directory
-		for _, c := range parent.children {
-			if c.name == name {
-				dir = c
-				break
-			}
-		}
-		if dir == nil {
-			return Path{}, fmt.Errorf("keyspace: no directory %q under %q", name, parent.name)
-		}
-		var err error
-		if dir.typ == TypeConstant {
-			p, err = p.Add(name)
-		} else {
-			if vi >= len(values) {
-				return Path{}, fmt.Errorf("keyspace: template %v needs a value for directory %q but only %d supplied",
-					names, name, len(values))
-			}
-			p, err = p.Add(name, values[vi])
-			vi++
-		}
+		dir, v, r, err := step(parent, name, rest)
 		if err != nil {
 			return Path{}, err
 		}
-		parent = dir
+		p.elems = append(p.elems, PathElement{Name: name, Value: v})
+		p.dirs = append(p.dirs, dir)
+		parent, rest = dir, r
 	}
-	if vi != len(values) {
-		return Path{}, fmt.Errorf("keyspace: template %v consumed %d of %d supplied values", names, vi, len(values))
+	if len(rest) != 0 {
+		return Path{}, fmt.Errorf("keyspace: template %v consumed %d of %d supplied values",
+			names, len(values)-len(rest), len(values))
 	}
 	return p, nil
 }
 
-// Add extends the path one level down.
-func (p Path) Add(name string, value ...interface{}) (Path, error) {
-	parent := p.ks.root
-	if len(p.dirs) > 0 {
-		parent = p.dirs[len(p.dirs)-1]
-	}
-	var dir *Directory
+// step finds the directory name under parent and the value a path stores for
+// it: a constant directory's own, or the first of values, normalized and
+// type-checked, for a variable one. rest is the values step did not take.
+func step(parent *Directory, name string, values []interface{}) (dir *Directory, v interface{}, rest []interface{}, err error) {
 	for _, c := range parent.children {
 		if c.name == name {
 			dir = c
@@ -224,28 +204,41 @@ func (p Path) Add(name string, value ...interface{}) (Path, error) {
 		}
 	}
 	if dir == nil {
-		return Path{}, fmt.Errorf("keyspace: no directory %q under %q", name, parent.name)
+		return nil, nil, nil, fmt.Errorf("keyspace: no directory %q under %q", name, parent.name)
 	}
-	var v interface{}
-	switch dir.typ {
-	case TypeConstant:
-		if len(value) != 0 {
+	if dir.typ == TypeConstant {
+		return dir, dir.constant, values, nil
+	}
+	if len(values) == 0 {
+		return nil, nil, nil, fmt.Errorf("keyspace: directory %q requires a value", name)
+	}
+	v = normalize(values[0])
+	if err := checkType(dir, v); err != nil {
+		return nil, nil, nil, err
+	}
+	return dir, v, values[1:], nil
+}
+
+// Add extends the path one level down. The new path shares no slice with p.
+func (p Path) Add(name string, value ...interface{}) (Path, error) {
+	parent := p.ks.root
+	if len(p.dirs) > 0 {
+		parent = p.dirs[len(p.dirs)-1]
+	}
+	dir, v, rest, err := step(parent, name, value)
+	if err != nil {
+		return Path{}, err
+	}
+	if len(rest) != 0 {
+		if dir.typ == TypeConstant {
 			return Path{}, fmt.Errorf("keyspace: directory %q is constant; no value allowed", name)
 		}
-		v = dir.constant
-	default:
-		if len(value) != 1 {
-			return Path{}, fmt.Errorf("keyspace: directory %q requires exactly one value", name)
-		}
-		v = normalize(value[0])
-		if err := checkType(dir, v); err != nil {
-			return Path{}, err
-		}
+		return Path{}, fmt.Errorf("keyspace: directory %q requires exactly one value", name)
 	}
-	np := Path{ks: p.ks}
-	np.elems = append(append([]PathElement(nil), p.elems...), PathElement{Name: name, Value: v})
-	np.dirs = append(append([]*Directory(nil), p.dirs...), dir)
-	return np, nil
+	// Appending past a full slice copies it, so np never aliases p.
+	n := len(p.elems)
+	return Path{ks: p.ks, elems: append(p.elems[:n:n], PathElement{Name: name, Value: v}),
+		dirs: append(p.dirs[:n:n], dir)}, nil
 }
 
 // MustAdd is Add but panics on error.
@@ -284,9 +277,6 @@ func checkType(d *Directory, v interface{}) error {
 	}
 	return nil
 }
-
-// Elements returns the path's logical (name, value) pairs.
-func (p Path) Elements() []PathElement { return p.elems }
 
 // ToTuple compiles the path to its row-key tuple, resolving interned values
 // through the directory layer (creating entries as needed).

@@ -252,3 +252,21 @@ func TestLookupSubspaceAllocatesNothing(t *testing.T) {
 		t.Fatalf("database grew from %d to %d keys", size, db.Size())
 	}
 }
+
+// TestAddNeverAliasesParent: sibling paths added to one parent, whether built
+// by Add or by PathFor, keep their own last level.
+func TestAddNeverAliasesParent(t *testing.T) {
+	_, ks := cloudKitTree(t)
+	built, err := ks.PathFor([]string{"cloudkit", "user", "application"}, int64(1), "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parent := range []Path{ks.MustPath("cloudkit").MustAdd("user", int64(1)).MustAdd("application", "a"), built} {
+		data, index := parent.MustAdd("data"), parent.MustAdd("index")
+		if data.String() != "/cloudkit:ck/user:1/application:a/data:0" ||
+			index.String() != "/cloudkit:ck/user:1/application:a/index:1" ||
+			parent.String() != "/cloudkit:ck/user:1/application:a" {
+			t.Fatalf("siblings share a level: %s, %s from %s", data, index, parent)
+		}
+	}
+}

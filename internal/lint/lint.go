@@ -237,16 +237,6 @@ func namedRecv(fn *types.Func) *types.Named {
 	return n
 }
 
-// recvTypeIs reports whether fn is a method whose receiver's named type is
-// pkgPath.typeName.
-func recvTypeIs(fn *types.Func, pkgPath, typeName string) bool {
-	n := namedRecv(fn)
-	if n == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == typeName
-}
-
 // exprString renders an expression compactly for receiver matching and
 // messages.
 func exprString(e ast.Expr) string { return types.ExprString(e) }

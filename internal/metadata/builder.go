@@ -71,26 +71,10 @@ func (b *Builder) AddRecordType(d *message.Descriptor, primaryKey keyexpr.Expres
 	// SinceVersion defaults to 1 — assuming the type predates the current
 	// schema version is the safe default, since schemata are usually rebuilt
 	// from scratch at each version: a type wrongly considered old only makes
-	// index builds more careful, never skips them. Call SetRecordTypeSince
-	// for types genuinely introduced at this version.
+	// index builds more careful, never skips them.
 	rt := &RecordType{Name: d.Name, Descriptor: d, PrimaryKey: primaryKey, SinceVersion: 1}
 	b.md.recordTypes[d.Name] = rt
 	b.md.typeOrder = append(b.md.typeOrder, d.Name)
-	return b
-}
-
-// SetRecordTypeSince records the metadata version that introduced a type;
-// indexes declared only on types newer than a store's header version are
-// enabled without a build (§5).
-func (b *Builder) SetRecordTypeSince(typeName string, version int) *Builder {
-	if b.err != nil {
-		return b
-	}
-	rt, ok := b.md.recordTypes[typeName]
-	if !ok {
-		return b.fail("metadata: unknown record type %q", typeName)
-	}
-	rt.SinceVersion = version
 	return b
 }
 

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"strings"
 
 	"recordlayer/internal/index"
 	"recordlayer/internal/keyexpr"
@@ -488,9 +487,4 @@ func nextString(s string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// Explain renders a plan tree for diagnostics.
-func Explain(p Plan) string {
-	return strings.TrimSpace(p.String())
 }

@@ -471,26 +471,6 @@ func (g *Governor) ApplyLimits(all map[string]Limits) int {
 	return len(all)
 }
 
-// WatchLimits reloads persisted limits from store every interval until ctx
-// is done — the refresh loop every stateless server runs so quota changes
-// written by any operator propagate everywhere. Run it on its own goroutine;
-// transient load errors are retried on the next tick.
-func (g *Governor) WatchLimits(ctx context.Context, store *LimitsStore, interval time.Duration) {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			_, _ = g.LoadLimits(store)
-		}
-	}
-}
-
 // tenant returns (creating) the state for a tenant. New state takes its
 // limits from the configured table, falling back to the defaults, and is
 // primed with full buckets. Caller holds g.mu.

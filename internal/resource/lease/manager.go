@@ -235,8 +235,8 @@ func (m *Manager) Close() {
 	}
 }
 
-// Run refreshes every interval until ctx is done — the lease-aware
-// replacement for Governor.WatchLimits. Run it on its own goroutine;
+// Run refreshes every interval until ctx is done, so quota changes written
+// by any operator reach this server. Run it on its own goroutine;
 // transient errors are retried on the next tick. Held leases are released
 // on exit.
 func (m *Manager) Run(ctx context.Context, interval time.Duration) {

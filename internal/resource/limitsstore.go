@@ -16,8 +16,8 @@ const limitsFormatVersion = 1
 // subspace, one tuple-encoded row per tenant, so that every stateless server
 // sharing the cluster enforces the same quotas (§1, §5: the configuration
 // must live with the data, not in any one process). Writers call Set/Delete;
-// every Governor loads the table with LoadLimits (typically on a WatchLimits
-// refresh loop).
+// every Governor loads the table with LoadLimits (a lease.Manager's Run
+// reloads it on every heartbeat).
 //
 // All methods run their own bounded transaction on the store's database and
 // are safe for concurrent use.

@@ -21,11 +21,6 @@ import (
 // inert, so call sites need no guards.
 type Trace = obs.Trace
 
-// TraceSpan is one traced interval; Start/End are nanosecond readings of the
-// clock of the layer that recorded it (the latency model's virtual clock for
-// fdb spans, the runner's wall clock for admission/attempt/backoff spans).
-type TraceSpan = obs.Span
-
 // NewTrace creates an empty trace.
 func NewTrace() *Trace { return obs.NewTrace() }
 
