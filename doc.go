@@ -126,8 +126,8 @@
 // as an int64 without boxing. The (type name, wire bytes) envelope is read in
 // place when neither element holds a zero byte, so the wire bytes, and the
 // message's unknown fields, alias the fetched value rather than a copy of it;
-// range reads hand out exactly sized batches of fresh pairs the caller owns.
-// None of it changes a stored byte. On the benchmark's query_scan workload this
+// range reads hand out exactly sized batches whose pairs are the database's
+// own immutable bytes, not copies. None of it changes a stored byte. On the benchmark's query_scan workload this
 // took allocation per transaction from 198.9 KB to 108.9 KB.
 //
 // Decoding the message (§3, §4): a message decodes into slots, one per field
@@ -135,10 +135,12 @@
 // and marshalling sorts nothing; the price is 16 bytes per declared field, set
 // or not. String fields are views of the fetched bytes, not copies (bytes
 // fields are still copied, because callers may modify them), so the read
-// path's ownership of those bytes is a contract, not a habit: range reads hand
-// out fresh values, a Serializer's Decode returns bytes no one writes again,
-// and nothing writes a fetched value afterwards. TestDecodedStringsSurviveLaterWork
-// checks it, and the layering analyzer keeps unsafe inside internal/message. A
+// path's ownership of those bytes is a contract, not a habit: reads hand out
+// the database's own bytes, which it never writes again, a Serializer's Decode
+// returns bytes no one writes again, and the kvreadonly analyzer keeps anyone
+// from writing a fetched key or value. TestDecodedStringsSurviveLaterWork
+// checks the string views, and the layering analyzer keeps unsafe inside
+// internal/message. A
 // held string keeps its whole record value alive. Messages nest at most 10 000
 // levels deep, when decoded and when encoded, so untrusted bytes cannot
 // overflow the stack. On query_scan this took allocation per transaction from
@@ -696,10 +698,12 @@
 // and injected clock rather than reaching for context.Background or
 // time.Now, reads in the record-store and index layers must flow through
 // the tenant meter, obs recording calls must hide behind a nil check so
-// observability-off costs one pointer compare, and every opt-in to retrying
-// maybe-committed commits must carry a reasoned //rl:idempotent directive.
-// cmd/rl-vet (a stdlib-only go/analysis-style suite in internal/lint) checks
-// all seven invariants over the whole tree in CI; LINTING.md documents each
+// observability-off costs one pointer compare, every opt-in to retrying
+// maybe-committed commits must carry a reasoned //rl:idempotent directive,
+// and nobody may write into the bytes a read returned, which are the
+// database's own. cmd/rl-vet (a stdlib-only go/analysis-style suite in
+// internal/lint) checks all eight invariants over the whole tree in CI;
+// LINTING.md documents each
 // analyzer, its fixture, and the reasoned //lint:allow audit trail.
 //
 // The root bench_test.go regenerates each of the paper's tables and figures

@@ -550,8 +550,8 @@ func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue, keep func(*me
 	}
 	var blob []byte
 	if len(parts) == 1 {
-		// Unsplit records reuse the fetched value; GetRange returns fresh
-		// slices, so nothing else aliases it.
+		// Unsplit records reuse the fetched value: the database's own bytes,
+		// which nobody writes (kvreadonly), so sharing them is safe.
 		blob = parts[0].value
 	} else {
 		total := 0

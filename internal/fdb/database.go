@@ -110,10 +110,44 @@ const (
 	snapshotHistory = 64
 )
 
+// commitRecord is one commit in the resolver window. A write range with a nil
+// End stands for exactly its Begin key: the resolver keeps a written key
+// without allocating its successor.
 type commitRecord struct {
 	version int64
 	writes  []KeyRange
 }
+
+// ring keeps the newest items pushed to it, at most its bound, oldest first.
+// It grows to the bound and then overwrites its oldest slot in place, so a
+// full window never reallocates or copies.
+type ring[T any] struct {
+	buf  []T
+	head int // the oldest item's slot once buf is full
+}
+
+// push appends x; once the ring holds n items it replaces the oldest, which
+// it returns with evicted set.
+func (r *ring[T]) push(x T, n int) (old T, evicted bool) {
+	if len(r.buf) < n {
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]T, len(r.buf), min(max(2*cap(r.buf), 8), n))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, x)
+		return old, false
+	}
+	old, r.buf[r.head] = r.buf[r.head], x
+	r.head = (r.head + 1) % n
+	return old, true
+}
+
+// len is the number of items held.
+func (r *ring[T]) len() int { return len(r.buf) }
+
+// at returns the i-th oldest item.
+func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)%len(r.buf)] }
 
 type versionedRoot struct {
 	version int64
@@ -128,9 +162,9 @@ type Database struct {
 	opts    Options
 	version int64
 	root    *node
-	recent  []commitRecord  // ascending by version; resolver window
-	floor   int64           // newest version evicted from the resolver window
-	history []versionedRoot // ascending by version; snapshot history
+	recent  ring[commitRecord]  // ascending by version; resolver window
+	floor   int64               // newest version evicted from the resolver window
+	history ring[versionedRoot] // ascending by version; snapshot history
 	// metaVersion is the commit version of the newest transaction that called
 	// BumpMetadataVersion (0: none yet) — FDB's \xff/metadataVersion key. It
 	// lives outside root like any system key: no range read, Size() or
@@ -218,6 +252,19 @@ func (d *Database) CreateTransaction() *Transaction {
 	}
 }
 
+// CreateReadTransaction begins a transaction that never commits a write: the
+// one ReadRun and ReadTransact give their closure. Its reads record no read
+// conflicts, since nothing will ever check them, and its Commit fails with
+// client_invalid_operation if it buffered a mutation, applying nothing.
+// Without one, Commit succeeds at the read version like any read-only commit.
+// Everything else — read-your-writes, metering, stats, traces — is
+// CreateTransaction's.
+func (d *Database) CreateReadTransaction() *Transaction {
+	tr := d.CreateTransaction()
+	tr.readOnly = true
+	return tr
+}
+
 // grv performs a getReadVersion call: the latest committed version with its
 // root and metadata version (the proxies piggy-back the latter on every GRV
 // reply, FDB >= 6.1).
@@ -236,9 +283,9 @@ func (d *Database) snapshotAt(v int64) (versionedRoot, bool) {
 	if v >= d.version {
 		return versionedRoot{version: d.version, root: d.root, meta: d.metaVersion}, true
 	}
-	for i := len(d.history) - 1; i >= 0; i-- {
-		if d.history[i].version <= v {
-			return d.history[i], true
+	for i := d.history.len() - 1; i >= 0; i-- {
+		if h := d.history.at(i); h.version <= v {
+			return h, true
 		}
 	}
 	return versionedRoot{}, false
@@ -257,13 +304,16 @@ func (d *Database) commit(t *Transaction) (int64, error) {
 			// The resolver window no longer covers this read version.
 			return 0, errCode(CodeTransactionTooOld, "read version %d predates resolver window", t.readVersion)
 		}
-		for i := len(d.recent) - 1; i >= 0; i-- {
-			rec := d.recent[i]
+		for i := d.recent.len() - 1; i >= 0; i-- {
+			rec := d.recent.at(i)
 			if rec.version <= t.readVersion {
 				break
 			}
 			for _, w := range rec.writes {
-				if t.readConflicts.Overlaps(w.Begin, w.End) {
+				// A written key (nil End) overlaps exactly when a read
+				// conflict range contains it.
+				if w.End == nil && t.readConflicts.ContainsKey(w.Begin) ||
+					w.End != nil && t.readConflicts.Overlaps(w.Begin, w.End) {
 					d.metrics.Conflicts.Add(1)
 					return 0, errCode(CodeNotCommitted, "transaction conflict")
 				}
@@ -299,18 +349,11 @@ func (d *Database) applyLocked(t *Transaction) int64 {
 	// The new root, and the write conflict ranges kept for future resolution.
 	root, writes := t.applyTo(d.root, commitVersion)
 	if len(writes) > 0 {
-		d.recent = append(d.recent, commitRecord{version: commitVersion, writes: writes})
-		if len(d.recent) > resolverWindow {
-			evict := len(d.recent) - resolverWindow
-			d.floor = d.recent[evict-1].version
-			d.recent = d.recent[evict:]
+		if old, evicted := d.recent.push(commitRecord{version: commitVersion, writes: writes}, resolverWindow); evicted {
+			d.floor = old.version
 		}
 	}
-
-	d.history = append(d.history, versionedRoot{version: d.version, root: d.root, meta: d.metaVersion})
-	if len(d.history) > snapshotHistory {
-		d.history = d.history[len(d.history)-snapshotHistory:]
-	}
+	d.history.push(versionedRoot{version: d.version, root: d.root, meta: d.metaVersion}, snapshotHistory)
 	d.version = commitVersion
 	d.root = root
 	if t.bumpMeta {
@@ -389,7 +432,12 @@ func (d *Database) transact(ctx context.Context, fn TransactFunc, commit, idempo
 	}
 	//rl:idempotent the promise is RunIdempotent's caller's, whose call site carries its own directive
 	return d.Retry(ctx, p, func(int) (interface{}, error) {
-		tr := d.CreateTransaction()
+		var tr *Transaction
+		if commit {
+			tr = d.CreateTransaction()
+		} else {
+			tr = d.CreateReadTransaction()
+		}
 		if trace != nil {
 			tr.SetTrace(trace)
 		}

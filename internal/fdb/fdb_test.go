@@ -238,65 +238,140 @@ func TestGetRangeMergesBufferedWrites(t *testing.T) {
 	}
 }
 
-// TestGetRangeResultIsCallerOwned: every Key and Value a range read returns is
-// a fresh slice with cap == len, from the snapshot and from the write buffer
-// alike, so appending to one or writing into it changes neither a neighbouring
-// pair, nor the batch slice of another read, nor what a re-read returns.
-func TestGetRangeResultIsCallerOwned(t *testing.T) {
+// TestReadsShareSnapshotBytes: every read hands out the database's own bytes
+// — a committed pair's, a buffered set's, a materialized atomic's, a
+// versionstamped value's placeholder — clipped to cap == len, so an append
+// copies and a re-read is unchanged. The []KeyValue a range read returns is
+// the caller's, and bytes read before a later Set of the same key, buffered or
+// committed, keep their old contents: nothing ever writes an entry again.
+func TestReadsShareSnapshotBytes(t *testing.T) {
 	db := Open(nil)
-	tr := db.CreateTransaction()
-	mustSet(t, tr, "a", "1")
-	mustSet(t, tr, "c", "3")
-	mustCommit(t, tr)
+	seed := db.CreateTransaction()
+	mustSet(t, seed, "a", "1")
+	mustSet(t, seed, "c", "\x01\x00")
+	mustCommit(t, seed)
 
-	tr2 := db.CreateTransaction()
-	mustSet(t, tr2, "b", "2") // buffered
-	want := []KeyValue{{[]byte("a"), []byte("1")}, {[]byte("b"), []byte("2")}, {[]byte("c"), []byte("3")}}
-	same := func(what string, kvs []KeyValue) {
-		t.Helper()
-		if len(kvs) != len(want) {
-			t.Fatalf("%s: %d pairs, want %d", what, len(kvs), len(want))
-		}
-		for i := range kvs {
-			if !bytes.Equal(kvs[i].Key, want[i].Key) || !bytes.Equal(kvs[i].Value, want[i].Value) {
-				t.Fatalf("%s: pair %d is %q=%q, want %q=%q", what, i, kvs[i].Key, kvs[i].Value, want[i].Key, want[i].Value)
-			}
-		}
-	}
-	read := func() []KeyValue {
-		kvs, _, err := tr2.GetRange([]byte("a"), []byte("z"), RangeOptions{})
-		if err != nil {
+	placeholder := append([]byte("v"), bytes.Repeat([]byte{0xff}, 10)...)
+	keys := []string{"a", "b", "c", "d"}
+	want := []string{"1", "2", "\x02\x00", string(placeholder)}
+	// fresh is a transaction over all four sources: a is committed, b a
+	// buffered set, c an atomic the first read materializes, d a
+	// versionstamped value its own reads see as the placeholder.
+	fresh := func() *Transaction {
+		tr := db.CreateTransaction()
+		mustSet(t, tr, "b", "2")
+		if err := tr.Atomic(MutationAdd, []byte("c"), []byte{1, 0}); err != nil {
 			t.Fatal(err)
 		}
-		return kvs
+		param := binary.LittleEndian.AppendUint32(append([]byte(nil), placeholder...), 1)
+		if err := tr.Atomic(MutationSetVersionstampedValue, []byte("d"), param); err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
-	kvs, other := read(), read()
-	for i, kv := range kvs {
-		if cap(kv.Key) != len(kv.Key) || cap(kv.Value) != len(kv.Value) {
-			t.Fatalf("pair %d: key cap %d len %d, value cap %d len %d", i, cap(kv.Key), len(kv.Key), cap(kv.Value), len(kv.Value))
+	type reader func(tr *Transaction) []KeyValue
+	point := func(get func(tr *Transaction, k []byte) ([]byte, error)) reader {
+		return func(tr *Transaction) []KeyValue {
+			var out []KeyValue
+			for _, k := range keys {
+				v, err := get(tr, []byte(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, KeyValue{Key: []byte(k), Value: v})
+			}
+			return out
 		}
 	}
-	if cap(kvs) != len(kvs) {
-		t.Fatalf("batch cap %d, len %d", cap(kvs), len(kvs))
+	ranged := func(get func(tr *Transaction, b, e []byte) ([]KeyValue, bool, error)) reader {
+		return func(tr *Transaction) []KeyValue {
+			kvs, _, err := get(tr, []byte("a"), []byte("z"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return kvs
+		}
 	}
-	for i := range kvs {
-		_ = append(kvs[i].Key, 'x')
-		_ = append(kvs[i].Value, 'y')
+	opts := RangeOptions{}
+	readers := []struct {
+		name  string
+		read  reader
+		batch bool // the result is a range read's batch
+	}{
+		{"Get", point(func(tr *Transaction, k []byte) ([]byte, error) { return tr.Get(k) }), false},
+		{"GetAsync", point(func(tr *Transaction, k []byte) ([]byte, error) { return tr.GetAsync(k).Get() }), false},
+		{"Snapshot.Get", point(func(tr *Transaction, k []byte) ([]byte, error) { return tr.Snapshot().Get(k) }), false},
+		{"Snapshot.GetAsync", point(func(tr *Transaction, k []byte) ([]byte, error) { return tr.Snapshot().GetAsync(k).Get() }), false},
+		{"GetRange", ranged(func(tr *Transaction, b, e []byte) ([]KeyValue, bool, error) { return tr.GetRange(b, e, opts) }), true},
+		{"GetRangeAsync", ranged(func(tr *Transaction, b, e []byte) ([]KeyValue, bool, error) {
+			return tr.GetRangeAsync(b, e, opts).Get()
+		}), true},
+		{"Snapshot.GetRange", ranged(func(tr *Transaction, b, e []byte) ([]KeyValue, bool, error) {
+			return tr.Snapshot().GetRange(b, e, opts)
+		}), true},
+		{"Snapshot.GetRangeAsync", ranged(func(tr *Transaction, b, e []byte) ([]KeyValue, bool, error) {
+			return tr.Snapshot().GetRangeAsync(b, e, opts).Get()
+		}), true},
 	}
-	_ = append(kvs, KeyValue{Key: []byte("z")})
-	same("after appending", kvs)
-	for i := range kvs {
-		kvs[i].Key[0], kvs[i].Value[0] = '!', '?'
+	for _, r := range readers {
+		t.Run(r.name, func(t *testing.T) {
+			same := func(what string, kvs []KeyValue) {
+				t.Helper()
+				if len(kvs) != len(keys) {
+					t.Fatalf("%s: %d pairs, want %d", what, len(kvs), len(keys))
+				}
+				for i, kv := range kvs {
+					if string(kv.Key) != keys[i] || string(kv.Value) != want[i] {
+						t.Fatalf("%s: pair %d is %q=%q, want %q=%q", what, i, kv.Key, kv.Value, keys[i], want[i])
+					}
+				}
+			}
+			tr := fresh()
+			kvs := r.read(tr)
+			same("first read", kvs)
+			for i, kv := range kvs {
+				if r.batch && cap(kv.Key) != len(kv.Key) {
+					t.Fatalf("pair %d: key cap %d, len %d", i, cap(kv.Key), len(kv.Key))
+				}
+				if cap(kv.Value) != len(kv.Value) {
+					t.Fatalf("pair %d: value cap %d, len %d", i, cap(kv.Value), len(kv.Value))
+				}
+				_ = append(kv.Key, 'x')
+				_ = append(kv.Value, 'y')
+			}
+			same("a re-read after appending", r.read(tr))
+			if r.batch {
+				other := r.read(tr)
+				for i := range kvs {
+					kvs[i] = KeyValue{Key: []byte("!"), Value: []byte("?")}
+				}
+				same("another read's batch", other)
+				kvs = other
+			}
+
+			// Replace every key, in this transaction and in a committed one.
+			held := kvs
+			for _, k := range keys {
+				mustSet(t, tr, k, "later")
+			}
+			w := db.CreateTransaction()
+			for _, k := range keys {
+				mustSet(t, w, k, "committed later")
+			}
+			mustCommit(t, w)
+			same("bytes read before the later sets", held)
+			undo := db.CreateTransaction()
+			mustSet(t, undo, "a", "1")
+			mustSet(t, undo, "c", "\x01\x00")
+			if err := undo.ClearRange([]byte("b"), []byte("c")); err != nil {
+				t.Fatal(err)
+			}
+			if err := undo.Clear([]byte("d")); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, undo)
+		})
 	}
-	kvs[0] = KeyValue{}
-	same("the other read", other)
-	same("a re-read", read())
-	fut := tr2.Snapshot().GetRangeAsync([]byte("a"), []byte("z"), RangeOptions{})
-	async, _, err := fut.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	same("an async snapshot read", async)
 }
 
 func TestClearRange(t *testing.T) {

@@ -60,7 +60,8 @@ type FutureRange struct {
 }
 
 // Get awaits the read and returns the pairs plus whether more data remained
-// when a limit stopped the scan early.
+// when a limit stopped the scan early. The slice is the caller's; the bytes
+// in it are shared and read-only (see KeyValue).
 func (f *FutureRange) Get() ([]KeyValue, bool, error) {
 	f.await()
 	return f.kvs, f.more, f.err

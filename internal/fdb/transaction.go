@@ -9,10 +9,12 @@ import (
 	"recordlayer/internal/obs"
 )
 
-// KeyValue is a single key-value pair returned by range reads. The caller owns
-// both slices: every range read returns fresh copies, each with cap == len,
-// that nothing else references, so a caller may keep, write into or append to
-// them without affecting another pair, another read, or the database.
+// KeyValue is a single key-value pair returned by range reads. Key and Value
+// are the database's own bytes — the snapshot's, or the transaction's write
+// buffer's — shared with every other read of the pair and never written again,
+// so a caller may keep them for as long as it likes. They are read-only: each
+// has cap == len, so an append copies, and a caller that must write into one
+// makes its own copy first (rl-vet's kvreadonly analyzer checks this).
 type KeyValue struct {
 	Key, Value []byte
 }
@@ -163,6 +165,7 @@ type txnState struct {
 	bumpMeta  bool // this transaction bumps the metadata version
 	committed bool
 	canceled  bool
+	readOnly  bool // CreateReadTransaction's: no read conflicts, no writes committed
 }
 
 func (d *Database) nowNanos() int64 { return d.opts.Clock().UnixNano() }
@@ -435,12 +438,12 @@ func (t *Transaction) getLocked(key []byte, snapshot bool) ([]byte, error) {
 		return nil, err
 	}
 	base := treapGet(t.snapRoot, key)
-	if !snapshot {
+	if !snapshot && !t.readOnly {
 		t.readConflicts.AddKey(key)
 	}
 	t.countRead(1, len(key)+len(base.val()))
 	if e == nil {
-		return cloneBytes(base.val()), nil
+		return shared(base.val()), nil
 	}
 	// Pending atomic ops: materialize against the read snapshot and convert
 	// to a set, as the read-your-writes layer does.
@@ -448,7 +451,7 @@ func (t *Transaction) getLocked(key []byte, snapshot bool) ([]byte, error) {
 	if cleared {
 		t.clearBuffered(key)
 	}
-	return cloneBytes(val), nil
+	return shared(val), nil
 }
 
 // ownValue is what a read of buffered entry e sees when the buffer alone
@@ -457,7 +460,7 @@ func (t *Transaction) getLocked(key []byte, snapshot bool) ([]byte, error) {
 // over them; gone reports that one of those ops clears the key.
 func (t *Transaction) ownValue(e *entry, be *bufEntry) (val []byte, gone bool) {
 	if be == nil || be.ops == nil {
-		return cloneBytes(e.value), false
+		return shared(e.value), false
 	}
 	return applyMutations(e.value, be.ops, t.db.opts.Limits.MaxValueSize)
 }
@@ -492,8 +495,9 @@ func (t *Transaction) countRead(keys, nbytes int) {
 
 // GetRange returns key-value pairs in [begin, end), honoring limits. The
 // second result reports whether more data remained when a limit stopped the
-// scan early. The returned slice and every Key and Value in it are the
-// caller's, fresh on each call (see KeyValue).
+// scan early. The returned slice is the caller's, fresh on each call; the Key
+// and Value bytes in it are the database's, shared and read-only (see
+// KeyValue).
 func (t *Transaction) GetRange(begin, end []byte, o RangeOptions) ([]KeyValue, bool, error) {
 	return t.syncGetRange(begin, end, o, false)
 }
@@ -515,7 +519,8 @@ func (t *Transaction) syncGetRange(begin, end []byte, o RangeOptions, snapshot b
 // range and accounting are established now, and only the simulated latency
 // wait is deferred to Get. A whole batch pays one per-read latency cost, so
 // range reads issued ahead (kvcursor read-ahead, pipelined record fetches)
-// overlap their windows with consumption.
+// overlap their windows with consumption. What the future returns is owned
+// as GetRange's is.
 func (t *Transaction) GetRangeAsync(begin, end []byte, o RangeOptions) *FutureRange {
 	return t.getRangeAsync(begin, end, o, false)
 }
@@ -609,7 +614,7 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 		var kv KeyValue
 		if order < 0 {
 			snapIter.next()
-			kv = KeyValue{Key: cloneBytes(sn.e.key), Value: cloneBytes(sn.e.value)}
+			kv = KeyValue{Key: shared(sn.e.key), Value: shared(sn.e.value)}
 			reads++
 			readBytes += len(sn.e.key) + len(sn.e.value)
 		} else {
@@ -638,7 +643,7 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 					continue
 				}
 			}
-			kv = KeyValue{Key: cloneBytes(e.key), Value: cloneBytes(val)}
+			kv = KeyValue{Key: shared(e.key), Value: shared(val)}
 		}
 		out = append(out, kv)
 		byteCount += len(kv.Key) + len(kv.Value)
@@ -648,7 +653,7 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 	}
 	t.countRead(reads, readBytes)
 
-	if !snapshot {
+	if !snapshot && !t.readOnly {
 		// Conflict with exactly the portion of the range actually observed.
 		cb, ce := begin, end
 		if more && len(out) > 0 {
@@ -863,18 +868,24 @@ func (t *Transaction) Atomic(typ MutationType, key, param []byte) error {
 }
 
 // AddReadConflictKey manually adds a single-key read conflict, used after
-// snapshot reads to conflict only on the keys that matter (§10.1).
+// snapshot reads to conflict only on the keys that matter (§10.1). A read
+// transaction (CreateReadTransaction) records none.
 func (t *Transaction) AddReadConflictKey(key []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.readConflicts.AddKey(key)
+	if !t.readOnly {
+		t.readConflicts.AddKey(key)
+	}
 }
 
-// AddReadConflictRange manually adds a read conflict range.
+// AddReadConflictRange manually adds a read conflict range. A read
+// transaction records none.
 func (t *Transaction) AddReadConflictRange(begin, end []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.readConflicts.Add(begin, end)
+	if !t.readOnly {
+		t.readConflicts.Add(begin, end)
+	}
 }
 
 // AddWriteConflictKey manually adds a single-key write conflict.
@@ -947,7 +958,12 @@ func (t *Transaction) commitLocked() (int64, error) {
 	if t.stats.Size+t.conflictRangeBytes() > t.db.opts.Limits.MaxTxnSize {
 		return 0, errCode(CodeTransactionTooLarge, "transaction exceeds %d bytes", t.db.opts.Limits.MaxTxnSize)
 	}
-	if t.writes == nil && t.clears.Len() == 0 && len(t.vsKeys) == 0 && t.writeConflicts.Len() == 0 && !t.bumpMeta {
+	writes := t.writes != nil || t.clears.Len() > 0 || len(t.vsKeys) > 0 || t.writeConflicts.Len() > 0 || t.bumpMeta
+	if writes && t.readOnly {
+		// It recorded no read conflicts, so nothing could validate its writes.
+		return 0, errCode(CodeClientInvalidOp, "read transaction cannot commit mutations")
+	}
+	if !writes {
 		// Read-only transactions commit trivially at their read version.
 		t.committed = true
 		if err := t.ensureSnapshot(); err != nil {
@@ -998,7 +1014,9 @@ func (t *Transaction) conflictRangeBytes() int {
 // a delete in that batch, not a range. Pending atomic mutations read their
 // base value from the *current* committed root, not the transaction's
 // snapshot — this is what makes concurrent atomic increments compose. A
-// resolver range begins on the committed entry's own key bytes.
+// written key's resolver range is the committed entry's own key bytes with a
+// nil End, which means exactly that key (see commitRecord); clears and manual
+// write conflicts keep their End.
 func (t *Transaction) applyTo(root *node, commitVersion int64) (*node, []KeyRange) {
 	clears := t.clears.All()
 	ranges := make([]KeyRange, 0, t.stats.Mutations+t.writeConflicts.Len())
@@ -1008,7 +1026,7 @@ func (t *Transaction) applyTo(root *node, commitVersion int64) (*node, []KeyRang
 		t.stats.BytesWritten += len(key) + len(val)
 		t.db.metrics.KeysWritten.Add(1)
 		t.db.metrics.BytesWritten.Add(int64(len(key) + len(val)))
-		ranges = append(ranges, KeyRange{Begin: key, End: keyAfter(key)})
+		ranges = append(ranges, KeyRange{Begin: key})
 	}
 	stamp := versionstampBytes(commitVersion)
 	var it treapIter
@@ -1152,11 +1170,12 @@ func (t *Transaction) Cancel() {
 	t.canceled = true
 }
 
-// Reset returns the transaction to a fresh state with a new read version.
+// Reset returns the transaction to a fresh state with a new read version. A
+// read transaction stays one.
 func (t *Transaction) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.txnState = txnState{start: t.db.nowNanos(), readVersion: -1}
+	t.txnState = txnState{start: t.db.nowNanos(), readVersion: -1, readOnly: t.readOnly}
 }
 
 // applyMutations folds atomic operations over a base value. The second
@@ -1258,6 +1277,11 @@ func compareLittleEndian(a, b []byte) int {
 	}
 	return 0
 }
+
+// shared hands out b, which the database never writes again, clipped to
+// cap == len so a caller's append copies instead of writing past it; nil
+// stays nil.
+func shared(b []byte) []byte { return b[:len(b):len(b)] }
 
 func cloneBytes(b []byte) []byte {
 	if b == nil {

@@ -16,8 +16,9 @@ import (
 // Entry is one index entry, a view of the scanned pair: the entry key past the
 // index subspace — the indexed key columns, then the primary key of the record
 // it points to — and the covering value columns (KeyWithValue), both still
-// packed. GetRange hands a scan its pairs caller-owned, so an Entry aliases
-// them rather than copying; nothing may write them afterwards. Key, PrimaryKey
+// packed. GetRange hands a scan the database's own immutable bytes, so an
+// Entry aliases them rather than copying; nothing writes them (kvreadonly
+// checks it). Key, PrimaryKey
 // and Value decode on demand, and a merge or a fetch reads PackedPrimaryKey,
 // decoding nothing. The tuple encoding is canonical and order-preserving, so
 // packed primary keys compare and de-duplicate as their tuples do.

@@ -81,7 +81,13 @@ func toJSON(e Expression) (*jsonExpr, error) {
 	}
 }
 
+// fromJSON decodes one persisted expression. Metadata bytes are untrusted: a
+// missing child is an error, and so is a split point outside its child's
+// columns, which index evaluation would otherwise slice past.
 func fromJSON(j *jsonExpr) (Expression, error) {
+	if j == nil {
+		return nil, fmt.Errorf("keyexpr: missing child expression")
+	}
 	switch j.Kind {
 	case "field":
 		fan, err := fanFromString(j.Fan)
@@ -114,10 +120,16 @@ func fromJSON(j *jsonExpr) (Expression, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := checkSplit("grouped", j.Grouped, child); err != nil {
+			return nil, err
+		}
 		return GroupingExpression{whole: child, grouped: j.Grouped}, nil
 	case "keywithvalue":
 		child, err := fromJSON(j.Child)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkSplit("split", j.Split, child); err != nil {
 			return nil, err
 		}
 		return KeyWithValueExpression{child: child, split: j.Split}, nil
@@ -134,6 +146,14 @@ func fromJSON(j *jsonExpr) (Expression, error) {
 	default:
 		return nil, fmt.Errorf("keyexpr: unknown expression kind %q", j.Kind)
 	}
+}
+
+// checkSplit rejects a column split point n outside [0, child's columns].
+func checkSplit(what string, n int, child Expression) error {
+	if n < 0 || n > child.ColumnCount() {
+		return fmt.Errorf("keyexpr: %s %d outside the child's %d columns", what, n, child.ColumnCount())
+	}
+	return nil
 }
 
 // normalizeLiteral maps JSON's float64 numbers back to int64 when they are

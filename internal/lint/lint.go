@@ -1,10 +1,11 @@
 // Package lint is rl-vet's analysis framework: a self-contained,
 // standard-library-only analogue of golang.org/x/tools/go/analysis, plus the
-// seven analyzers that mechanically enforce this repository's cross-cutting
+// eight analyzers that mechanically enforce this repository's cross-cutting
 // invariants (see LINTING.md). The conventions the analyzers encode were
 // established one PR at a time — retry-idempotent Runner closures, reasoned
 // maybe-committed retries, awaited futures, threaded contexts, injected
-// clocks, import layering, nil-guarded observability — and each is exactly
+// clocks, import layering, nil-guarded observability, read-only read bytes —
+// and each is exactly
 // the kind of rule the FDB simulation-testing lineage argues should be
 // checked by a machine, not a reviewer.
 //
@@ -185,6 +186,7 @@ func Analyzers() []*Analyzer {
 		ClockInject,
 		Layering,
 		ObsGuard,
+		KVReadOnly,
 	}
 }
 

@@ -320,7 +320,12 @@ func (r *Runner) run(ctx context.Context, fn TransactFunc, commit, idempotent bo
 	}
 	//rl:idempotent the promise is the caller's: RunIdempotent call sites carry their own directive, RetryMaybeCommitted is the runner owner's, and ReadRun never commits
 	v, err := r.db.Retry(ctx, p, func(n int) (interface{}, error) {
-		tr := r.db.CreateTransaction()
+		var tr *fdb.Transaction
+		if commit {
+			tr = r.db.CreateTransaction()
+		} else {
+			tr = r.db.CreateReadTransaction()
+		}
 		if meter != nil {
 			tr.BindMeter(meter)
 		}

@@ -3,6 +3,7 @@ package recordlayer
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -53,6 +54,45 @@ func TestRunnerRetriesConflict(t *testing.T) {
 	m := r.Metrics()
 	if m.Retries != 1 || m.Runs != 1 || m.Failures != 0 {
 		t.Fatalf("metrics = %+v, want 1 retry / 1 run / 0 failures", m)
+	}
+}
+
+// TestRunnerReadRunRecordsNoConflicts: the Runner's ReadRun hands its closure
+// a read transaction. A key the closure read is written and committed by
+// another transaction mid-closure without an error or a retry, and the
+// transaction refuses to commit a write, since it recorded no read conflicts
+// to validate one with.
+func TestRunnerReadRunRecordsNoConflicts(t *testing.T) {
+	db := fdb.Open(nil)
+	r := NewRunner(db, RunnerOptions{Sleep: instantSleep})
+	attempts := 0
+	_, err := r.ReadRun(context.Background(), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		attempts++
+		if _, err := tr.Get([]byte("k")); err != nil {
+			return nil, err
+		}
+		if _, err := db.Transact(func(w *fdb.Transaction) (interface{}, error) {
+			return nil, w.Set([]byte("k"), []byte("other"))
+		}); err != nil {
+			return nil, err
+		}
+		if _, err := tr.Get([]byte("k")); err != nil {
+			return nil, err
+		}
+		if err := tr.Set([]byte("mine"), []byte("v")); err != nil {
+			return nil, err
+		}
+		var fe *fdb.Error
+		if err := tr.Commit(); !errors.As(err, &fe) || fe.Code != fdb.CodeClientInvalidOp {
+			return nil, fmt.Errorf("committing a ReadRun transaction's write: %v, want client_invalid_operation", err)
+		}
+		return nil, nil
+	})
+	if err != nil || attempts != 1 {
+		t.Fatalf("ReadRun: %v after %d attempts", err, attempts)
+	}
+	if m := r.Metrics(); m.Retries != 0 || m.Runs != 1 {
+		t.Fatalf("metrics = %+v, want 0 retries / 1 run", m)
 	}
 }
 
