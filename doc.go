@@ -122,13 +122,14 @@
 // decodes what it reads again, and each byte is decoded once. A record key,
 // (1, pk..., suffix) under the store's prefix, is split at its element
 // boundaries: a scan groups a record's pairs by comparing the packed primary
-// key bytes and decodes the primary key once per record, and the suffix is read
-// as an int64 without boxing. The (type name, wire bytes) envelope is read in
-// place when neither element holds a zero byte, so the wire bytes, and the
-// message's unknown fields, alias the fetched value rather than a copy of it;
-// range reads hand out exactly sized batches whose pairs are the database's
-// own immutable bytes, not copies. None of it changes a stored byte. On the benchmark's query_scan workload this
-// took allocation per transaction from 198.9 KB to 108.9 KB.
+// key bytes and decodes the primary key once per record, and the suffix is
+// read as an int64 without boxing. The (type name, wire bytes) envelope is
+// read in place when neither element holds a zero byte, so the wire bytes, and
+// the message's unknown fields, alias the fetched value rather than a copy of
+// it; range reads hand out exactly sized batches whose pairs are the
+// database's own immutable bytes, not copies. None of it changes a stored
+// byte. On the benchmark's query_scan workload this took allocation per
+// transaction from 198.9 KB to 108.9 KB.
 //
 // Decoding the message (§3, §4): a message decodes into slots, one per field
 // its descriptor declares, in field-number order, so decoding builds no map
@@ -140,11 +141,10 @@
 // returns bytes no one writes again, and the kvreadonly analyzer keeps anyone
 // from writing a fetched key or value. TestDecodedStringsSurviveLaterWork
 // checks the string views, and the layering analyzer keeps unsafe inside
-// internal/message. A
-// held string keeps its whole record value alive. Messages nest at most 10 000
-// levels deep, when decoded and when encoded, so untrusted bytes cannot
-// overflow the stack. On query_scan this took allocation per transaction from
-// 108.9 KB to 86.9 KB, with no stored byte changed.
+// internal/message. A held string keeps its whole record value alive. Messages
+// nest at most 10 000 levels deep, when decoded and when encoded, so untrusted
+// bytes cannot overflow the stack. On query_scan this took allocation per
+// transaction from 108.9 KB to 86.9 KB, with no stored byte changed.
 //
 // Decoding an index entry (§7): an index.Entry is a view of the scanned pair —
 // the entry key past the index subspace, where its primary key starts, and the
@@ -692,19 +692,18 @@
 // # Invariants
 //
 // The conventions the layers depend on are mechanically enforced, not just
-// documented: closures passed to Runner.Run/Database.Transact must be safe
-// to re-execute on conflict retry, every GetAsync/GetRangeAsync future must
-// be awaited on all paths, library code must thread the caller's context
-// and injected clock rather than reaching for context.Background or
-// time.Now, reads in the record-store and index layers must flow through
-// the tenant meter, obs recording calls must hide behind a nil check so
-// observability-off costs one pointer compare, every opt-in to retrying
-// maybe-committed commits must carry a reasoned //rl:idempotent directive,
-// and nobody may write into the bytes a read returned, which are the
-// database's own. cmd/rl-vet (a stdlib-only go/analysis-style suite in
-// internal/lint) checks all eight invariants over the whole tree in CI;
-// LINTING.md documents each
-// analyzer, its fixture, and the reasoned //lint:allow audit trail.
+// documented: closures passed to Runner.Run/Database.Transact must be safe to
+// re-execute on conflict retry, every GetAsync/GetRangeAsync future must be
+// awaited on all paths, library code must thread the caller's context and
+// injected clock rather than reaching for context.Background or time.Now,
+// reads in the record-store and index layers must flow through the tenant
+// meter, obs recording calls must hide behind a nil check so observability-off
+// costs one pointer compare, every opt-in to retrying maybe-committed commits
+// must carry a reasoned //rl:idempotent directive, and nobody may write into
+// the bytes a read returned, which are the database's own. cmd/rl-vet (a
+// stdlib-only go/analysis-style suite in internal/lint) checks all eight
+// invariants over the whole tree in CI; LINTING.md documents each analyzer,
+// its fixture, and the reasoned //lint:allow audit trail.
 //
 // The root bench_test.go regenerates each of the paper's tables and figures
 // as a Go benchmark; cmd/experiments prints them in the paper's format. The

@@ -329,6 +329,9 @@ func TestReadsShareSnapshotBytes(t *testing.T) {
 			tr := fresh()
 			kvs := r.read(tr)
 			same("first read", kvs)
+			if r.batch && cap(kvs) != len(kvs) {
+				t.Fatalf("batch cap %d, len %d", cap(kvs), len(kvs))
+			}
 			for i, kv := range kvs {
 				if r.batch && cap(kv.Key) != len(kv.Key) {
 					t.Fatalf("pair %d: key cap %d, len %d", i, cap(kv.Key), len(kv.Key))

@@ -26,8 +26,6 @@ var KVReadOnly = &Analyzer{
 	Run:  runKVReadOnly,
 }
 
-const fdbPath = "recordlayer/internal/fdb"
-
 func runKVReadOnly(p *Pass) error {
 	for _, f := range p.Files {
 		if isTestFile(p.Fset, f) {
@@ -117,7 +115,7 @@ func readsBytes(info *types.Info, e ast.Expr) bool {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.CallExpr:
 		fn := calleeFunc(info, x)
-		if fn == nil || funcPkgPath(fn) != fdbPath || fn.Name() != "Get" {
+		if fn == nil || funcPkgPath(fn) != "recordlayer/internal/fdb" || fn.Name() != "Get" {
 			return false
 		}
 		recv := namedRecv(fn)
@@ -148,5 +146,6 @@ func isKeyValueField(info *types.Info, sel *ast.SelectorExpr) bool {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == fdbPath && named.Obj().Name() == "KeyValue"
+	return ok && named.Obj().Pkg() != nil &&
+		named.Obj().Pkg().Path() == "recordlayer/internal/fdb" && named.Obj().Name() == "KeyValue"
 }
