@@ -7,6 +7,7 @@ import (
 	"recordlayer/internal/cursor"
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/index"
+	"recordlayer/internal/subspace"
 	"recordlayer/internal/tuple"
 )
 
@@ -34,11 +35,27 @@ type SyncResult struct {
 // sync index from the supplied continuation. The total order over
 // (incarnation, version) pairs survives cross-cluster moves; legacy
 // update-counter entries sort first via the (0, counter) mapping.
+//
+// The continuation is a position in that order, not a key: the last
+// delivered entry's (zone, incarnation, version, primary key), packed. It
+// names no store prefix, so a device's continuation resumes on the store's
+// new cluster after MoveUser, wherever the store landed there. One of another
+// zone, or one that does not unpack, fails as cursor.ErrCorruptContinuation.
+// So does a continuation of the earlier format, the index scan's raw key: a
+// device holding one syncs its zone again from the start.
 func (s *Service) SyncZone(store *core.Store, zone string, continuation []byte, limit int) (*SyncResult, error) {
-	c, err := store.ScanIndex(SyncIndexName, index.TupleRange{
+	r := index.TupleRange{
 		Low: tuple.Tuple{zone}, LowInclusive: true,
 		High: tuple.Tuple{zone}, HighInclusive: true,
-	}, index.ScanOptions{Continuation: continuation})
+	}
+	if len(continuation) > 0 {
+		last, err := tuple.Unpack(continuation)
+		if err != nil || len(last) == 0 || last[0] != zone {
+			return nil, cursor.ErrCorruptContinuation
+		}
+		r.Low, r.LowInclusive = last, false
+	}
+	c, err := store.ScanIndex(SyncIndexName, r, index.ScanOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +75,9 @@ func (s *Service) SyncZone(store *core.Store, zone string, continuation []byte, 
 			break
 		}
 		entries = append(entries, r.Value)
-		res.Continuation = r.Continuation
+	}
+	if n := len(entries); n > 0 {
+		res.Continuation = entries[n-1].Key().Append(entries[n-1].PrimaryKey()...).Pack()
 	}
 	for _, e := range entries {
 		// Entry key: (zone, incarnation|0, version|counter); primary key:
@@ -102,35 +121,52 @@ func (s *Service) ZoneRecordCount(store *core.Store, zone string) (int64, error)
 // operate the store lives inside it (§3) — then increment the user's
 // incarnation on the destination so post-move commit versions, which are
 // uncorrelated with the source cluster's, still sort after pre-move changes.
+//
+// Each cluster's directory layer allocates interned ids on its own, so the
+// store's prefix is resolved on each: on the source to read the store, on the
+// destination by interning the path's names there. Directory keys are never
+// copied: the source's would overwrite the destination's name map and
+// allocator, and the moved name could arrive mapped to an id a neighbour's
+// store already uses. The copy rewrites the prefix, and it fails without
+// writing if the destination range already holds data.
 func (s *Service) MoveUser(src, dst *fdb.Database, ct *Container, userID int64) error {
-	// Resolve the store subspace on the source; the directory layer state
-	// is part of what we copy, so the same path resolves on the destination.
-	var sp subspaceHolder
+	var from subspace.Subspace
 	_, err := src.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
-		space, err := s.StoreSubspace(tr, ct, userID)
-		if err != nil {
-			return nil, err
-		}
-		sp.begin, sp.end = space.Range()
-		return nil, nil
+		var err error
+		from, err = s.StoreSubspace(tr, ct, userID)
+		return nil, err
 	})
 	if err != nil {
 		return err
 	}
-	// Copy the key range (with the directory-layer region so interned
-	// application names stay resolvable).
-	ranges := [][2][]byte{
-		{sp.begin, sp.end},
-		{[]byte{0xFE}, []byte{0xFF}}, // directory layer metadata
+	begin, end := from.Range()
+	kvs, err := readAll(src, begin, end)
+	if err != nil {
+		return err
 	}
-	for _, r := range ranges {
-		kvs, err := readAll(src, r[0], r[1])
+	_, err = dst.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		to, err := s.StoreSubspace(tr, ct, userID)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := writeAll(dst, kvs); err != nil {
-			return err
+		b, e := to.Range()
+		held, _, err := tr.GetRange(b, e, fdb.RangeOptions{Limit: 1})
+		if err != nil {
+			return nil, err
 		}
+		if len(held) > 0 {
+			return nil, fmt.Errorf("cloudkit: moving user %d of %s: the destination already holds data at %x", userID, ct.Name, to.Bytes())
+		}
+		for _, kv := range kvs {
+			key := append(append([]byte(nil), to.Bytes()...), kv.Key[len(from.Bytes()):]...)
+			if err := tr.Set(key, kv.Value); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
+	if err != nil {
+		return err
 	}
 	// Increment the incarnation on the destination (§8.1).
 	_, err = dst.Transact(func(tr *fdb.Transaction) (interface{}, error) {
@@ -145,12 +181,10 @@ func (s *Service) MoveUser(src, dst *fdb.Database, ct *Container, userID int64) 
 	}
 	// Clear the source range: the tenant has moved.
 	_, err = src.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-		return nil, tr.ClearRange(sp.begin, sp.end)
+		return nil, tr.ClearRange(begin, end)
 	})
 	return err
 }
-
-type subspaceHolder struct{ begin, end []byte }
 
 func readAll(db *fdb.Database, begin, end []byte) ([]fdb.KeyValue, error) {
 	v, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
@@ -161,18 +195,6 @@ func readAll(db *fdb.Database, begin, end []byte) ([]fdb.KeyValue, error) {
 		return nil, err
 	}
 	return v.([]fdb.KeyValue), nil
-}
-
-func writeAll(db *fdb.Database, kvs []fdb.KeyValue) error {
-	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-		for _, kv := range kvs {
-			if err := tr.Set(kv.Key, kv.Value); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	})
-	return err
 }
 
 // Incarnation returns the user's current incarnation.

@@ -110,13 +110,13 @@ func plantLoneChunk(s *Store, msg *message.Message) error {
 // TestSizeInformedClearsMatchRangeClears: saves and deletes that clear only
 // the keys the loaded record's shape says nothing overwrites leave the same
 // keyspace as range-clearing the record first. Each seeded history runs every
-// operation in one transaction against two stores: the real one, and a
-// reference that range-clears as the code did before. Records flip between one
-// and three pairs, batches repeat a primary key (the read-your-writes load),
-// a record is sometimes planted as one chunk at suffix 1, and the schema turns
-// record versions off and on again, so an old version slot must be cleared
-// once. After every commit the stores are byte-identical below their
-// prefixes; the shared commit makes their versionstamps agree.
+// operation against two stores, each in its own database: the real one, and a
+// reference that range-clears as the code did before. Records flip between
+// one and three pairs, batches repeat a primary key (the read-your-writes
+// load), a record is sometimes planted as one chunk at suffix 1, and the
+// schema turns record versions off and on again, so an old version slot must
+// be cleared once. After every commit the stores are byte-identical below their
+// prefixes; the databases commit in step, so their versionstamps agree.
 func TestSizeInformedClearsMatchRangeClears(t *testing.T) {
 	const seeds, ops = 300, 40
 	const (
@@ -133,7 +133,7 @@ func TestSizeInformedClearsMatchRangeClears(t *testing.T) {
 	chunks := map[int]int{}
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		db := fdb.Open(nil)
+		realDB, refDB := fdb.Open(nil), fdb.Open(nil)
 		off := 1 + rng.Intn(ops/2)
 		on := off + 1 + rng.Intn(ops/2-1)
 		for i := 0; i < ops; i++ {
@@ -156,69 +156,65 @@ func TestSizeInformedClearsMatchRangeClears(t *testing.T) {
 				batch = []*message.Message{clearsUser(rng, id), clearsUser(rng, rng.Int63n(6)), clearsUser(rng, id)}
 			}
 			pk := tuple.Tuple{"User", rng.Int63n(6)}
-			_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-				real, err := Open(tr, md, realSp, opts)
-				if err != nil {
-					return nil, err
-				}
-				ref, err := Open(tr, md, refSp, opts)
-				if err != nil {
-					return nil, err
-				}
-				if kind == opPlant {
-					if err := plantLoneChunk(real, batch[0]); err != nil {
+			// do runs the op on the real store, or on the reference, in its
+			// own database, and returns what it renders and how many range
+			// clears it issued.
+			do := func(db *fdb.Database, sp subspace.Subspace, ref bool) (out string, clears int) {
+				_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+					s, err := Open(tr, md, sp, opts)
+					if err != nil {
 						return nil, err
 					}
-					return nil, plantLoneChunk(ref, batch[0])
-				}
-				before := tr.Stats().RangeClears
-				var got, want string
-				switch kind {
-				case opSave:
-					var rec *StoredRecord
-					rec, err = real.SaveRecord(batch[0])
-					got = savedShape(rec)
-				case opBatch:
-					var recs []*StoredRecord
-					recs, err = real.SaveRecords(batch)
-					got = savedShape(recs...)
-				case opDelete:
-					var ok bool
-					ok, err = real.DeleteRecord(pk)
-					got = fmt.Sprint(ok)
-				}
-				if err != nil {
-					return nil, err
-				}
-				mid := tr.Stats().RangeClears
-				switch kind {
-				case opSave, opBatch:
-					var recs []*StoredRecord
-					for _, msg := range batch {
-						rec, err := refSave(ref, msg)
-						if err != nil {
-							return nil, err
-						}
-						recs = append(recs, rec)
-						chunks[rec.SplitChunks]++
+					if kind == opPlant {
+						return nil, plantLoneChunk(s, batch[0])
 					}
-					want = savedShape(recs...)
-				case opDelete:
-					var ok bool
-					ok, err = refDelete(ref, pk)
-					want = fmt.Sprint(ok)
+					before := tr.Stats().RangeClears
+					defer func() { clears = tr.Stats().RangeClears - before }()
+					switch {
+					case kind == opDelete && ref:
+						ok, err := refDelete(s, pk)
+						out = fmt.Sprint(ok)
+						return nil, err
+					case kind == opDelete:
+						ok, err := s.DeleteRecord(pk)
+						out = fmt.Sprint(ok)
+						return nil, err
+					case ref:
+						var recs []*StoredRecord
+						for _, msg := range batch {
+							rec, err := refSave(s, msg)
+							if err != nil {
+								return nil, err
+							}
+							recs = append(recs, rec)
+							chunks[rec.SplitChunks]++
+						}
+						out = savedShape(recs...)
+						return nil, nil
+					case kind == opSave:
+						rec, err := s.SaveRecord(batch[0])
+						if err == nil {
+							out = savedShape(rec)
+						}
+						return nil, err
+					}
+					recs, err := s.SaveRecords(batch)
+					out = savedShape(recs...)
+					return nil, err
+				})
+				if err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, i, err)
 				}
-				realClears += mid - before
-				refClears += tr.Stats().RangeClears - mid
-				if got != want {
-					t.Fatalf("seed %d op %d: real returned %v, reference %v", seed, i, got, want)
-				}
-				return nil, err
-			})
-			if err != nil {
-				t.Fatalf("seed %d op %d: %v", seed, i, err)
+				return out, clears
 			}
-			if got, want := storePairs(t, db, realSp), storePairs(t, db, refSp); !slices.Equal(got, want) {
+			got, n := do(realDB, realSp, false)
+			realClears += n
+			want, n := do(refDB, refSp, true)
+			refClears += n
+			if got != want {
+				t.Fatalf("seed %d op %d: real returned %v, reference %v", seed, i, got, want)
+			}
+			if got, want := storePairs(t, realDB, realSp), storePairs(t, refDB, refSp); !slices.Equal(got, want) {
 				t.Fatalf("seed %d op %d (kind %d, versions %v): keyspaces differ\nreal %v\nref  %v",
 					seed, i, kind, md.StoreRecordVersions, got, want)
 			}

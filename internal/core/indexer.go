@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -122,9 +123,18 @@ func (o *OnlineIndexer) Build(ctx context.Context) (int, error) {
 // buildBatch indexes up to batch records, resuming from stored progress.
 // Batches are idempotent by construction — Build refuses non-idempotent index
 // types — so a batch whose commit fate is unknown is simply re-run: if the
-// first commit applied, the rerun rewrites identical index entries and the
-// same progress key.
+// first commit applied, the rerun finds the progress it wrote and goes on
+// from there. The records an applied attempt indexed still count: an attempt
+// that reads back the progress the one before it wrote carries that one's
+// count into its own.
 func (o *OnlineIndexer) buildBatch(ctx context.Context, batch int) (int, bool, error) {
+	// last is the latest attempt that reached its commit: the progress it
+	// started from and the count it carried in, the progress it wrote (nil
+	// for none) and the count it returned.
+	var last struct {
+		from, wrote    []byte
+		carried, count int
+	}
 	//rl:idempotent Build only accepts idempotent index types; re-indexing a batch and rewriting its progress key converges
 	v, err := o.DB.RunIdempotent(ctx, func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := Open(tr, o.MetaData, o.Space, OpenOptions{Config: o.Config})
@@ -141,6 +151,13 @@ func (o *OnlineIndexer) buildBatch(ctx context.Context, batch int) (int, bool, e
 		cont, err := s.tr.Get(progressKey)
 		if err != nil {
 			return nil, err
+		}
+		carried := 0
+		switch {
+		case last.wrote != nil && bytes.Equal(cont, last.wrote):
+			carried = last.count // its commit applied
+		case bytes.Equal(cont, last.from):
+			carried = last.carried
 		}
 		var t0 int64
 		if s.trace != nil {
@@ -187,12 +204,14 @@ func (o *OnlineIndexer) buildBatch(ctx context.Context, batch int) (int, bool, e
 				fmt.Sprintf("batch=%d records=%d", batch, indexed))
 		}
 		if exhausted {
-			return [2]int{n, 1}, nil
+			last.from, last.wrote, last.carried, last.count = cont, nil, carried, carried+n
+			return [2]int{carried + n, 1}, nil
 		}
 		if err := tr.Set(progressKey, lastCont); err != nil {
 			return nil, err
 		}
-		return [2]int{n, 0}, nil
+		last.from, last.wrote, last.carried, last.count = cont, lastCont, carried, carried+n
+		return [2]int{carried + n, 0}, nil
 	})
 	if err != nil {
 		return 0, false, err

@@ -466,3 +466,112 @@ func TestOnlineIndexerCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled build returned %v", err)
 	}
 }
+
+// TestInlineBuildLimitCountsRecords: with record versions on, each record is
+// two pairs; the inline-build limit still counts records, so three records
+// under a limit of four build the new index inline.
+func TestInlineBuildLimitCountsRecords(t *testing.T) {
+	db := fdb.Open(nil)
+	sp := subspace.FromTuple(tuple.Tuple{"t"})
+	versioned := func(version int) *metadata.Builder {
+		return metadata.NewBuilder(version).SetStoreRecordVersions(true).
+			AddRecordType(userDesc(), keyexpr.Then(keyexpr.RecordType(), keyexpr.Field("id")))
+	}
+	saveUsers(t, db, versioned(1).MustBuild(), sp, mkUser(1, "a", 10), mkUser(2, "b", 20), mkUser(3, "c", 30))
+	v2 := versioned(2).AddIndex(&metadata.Index{Name: "by_score", Type: metadata.IndexValue,
+		Expression: keyexpr.Field("score"), AddedVersion: 2}, "User").MustBuild()
+	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		s, err := Open(tr, v2, sp, OpenOptions{Config: Config{InlineBuildLimit: 4}})
+		if err != nil {
+			return nil, err
+		}
+		if st := s.IndexState("by_score"); st != metadata.StateReadable {
+			t.Fatalf("3 records under a limit of 4: by_score is %v", st)
+		}
+		if entries := scanIndex(t, s, "by_score", index.TupleRange{}); len(entries) != 3 {
+			t.Fatalf("inline-built entries: %v", entries)
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSaveTwiceInOneTransactionKeepsOneVersionEntry: a record saved, saved
+// again and another saved then deleted, all in one transaction, leave one
+// VERSION entry, the second save's.
+func TestSaveTwiceInOneTransactionKeepsOneVersionEntry(t *testing.T) {
+	db := fdb.Open(nil)
+	sp := subspace.FromTuple(tuple.Tuple{"t"})
+	md := metadata.NewBuilder(1).SetStoreRecordVersions(true).
+		AddRecordType(userDesc(), keyexpr.Then(keyexpr.RecordType(), keyexpr.Field("id"))).
+		AddIndex(&metadata.Index{Name: "by_version", Type: metadata.IndexVersion, Expression: keyexpr.Version()}).
+		MustBuild()
+	withStore(t, db, md, sp, func(s *Store) error {
+		for _, u := range []*message.Message{mkUser(1, "a", 10), mkUser(2, "b", 20), mkUser(1, "a2", 11)} {
+			if _, err := s.SaveRecord(u); err != nil {
+				return err
+			}
+		}
+		_, err := s.DeleteRecord(tuple.Tuple{"User", int64(2)})
+		return err
+	})
+	withStore(t, db, md, sp, func(s *Store) error {
+		entries := scanIndex(t, s, "by_version", index.TupleRange{})
+		rec, err := s.LoadRecordByKey(tuple.Tuple{"User", int64(1)})
+		if err != nil {
+			return err
+		}
+		if len(entries) != 1 || entries[0].Key()[0] != rec.Version {
+			t.Fatalf("version entries %v, record 1 at %v", entries, rec.Version)
+		}
+		return nil
+	})
+}
+
+// TestOpensInOneTransactionShareUserVersions: a store opened twice in one
+// transaction, and a second store opened beside it, draw user versions from
+// the transaction's one counter, so no two records the transaction saves
+// share a version, and the VERSION index keeps them in save order.
+func TestOpensInOneTransactionShareUserVersions(t *testing.T) {
+	db := fdb.Open(nil)
+	spaces := []subspace.Subspace{subspace.FromTuple(tuple.Tuple{"t", int64(1)}), subspace.FromTuple(tuple.Tuple{"t", int64(2)})}
+	md := metadata.NewBuilder(1).SetStoreRecordVersions(true).
+		AddRecordType(userDesc(), keyexpr.Then(keyexpr.RecordType(), keyexpr.Field("id"))).
+		AddIndex(&metadata.Index{Name: "by_version", Type: metadata.IndexVersion, Expression: keyexpr.Version()}).
+		MustBuild()
+	_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+		for i, sp := range []subspace.Subspace{spaces[0], spaces[0], spaces[1]} {
+			s, err := Open(tr, md, sp, OpenOptions{CreateIfMissing: true})
+			if err != nil {
+				return nil, err
+			}
+			if _, err := s.SaveRecord(mkUser(int64(3-i), "u", 0)); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int64{}
+	for i, sp := range spaces {
+		withStore(t, db, md, sp, func(s *Store) error {
+			var order []int64
+			for _, e := range scanIndex(t, s, "by_version", index.TupleRange{}) {
+				order = append(order, e.PrimaryKey()[1].(int64))
+				v := string(e.Key()[0].(tuple.Versionstamp).Bytes())
+				if id, dup := seen[v]; dup {
+					t.Fatalf("records %d and %d share version %x", id, order[len(order)-1], v)
+				}
+				seen[v] = order[len(order)-1]
+			}
+			if want := [][]int64{{3, 2}, {1}}[i]; fmt.Sprint(order) != fmt.Sprint(want) {
+				t.Fatalf("store %d: version order %v, want save order %v", i+1, order, want)
+			}
+			return nil
+		})
+	}
+}

@@ -112,8 +112,7 @@ func (s *Store) saveLoaded(rt *metadata.RecordType, pk tuple.Tuple, msg *message
 func (s *Store) saveLoadedAsync(rt *metadata.RecordType, pk tuple.Tuple, msg *message.Message, old *StoredRecord) (*StoredRecord, []indexPending, error) {
 	rec := &StoredRecord{Type: rt, Message: msg, PrimaryKey: pk}
 	if s.md.StoreRecordVersions {
-		rec.pendingUserVersion = s.userVersion
-		s.userVersion++
+		rec.pendingUserVersion = s.tr.ClaimLocalVersion()
 	}
 	pendings, err := s.updateIndexesAsync(old, rec)
 	if err != nil {

@@ -215,12 +215,11 @@ func TestOnlineIndexerBuildsThroughFaultStorm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build under faults: %v", err)
 	}
-	// The returned count may undercount: a batch whose commit ended
-	// unknown-but-applied advanced the durable progress key, and the retry
-	// only counts the records past it. Completeness is asserted by the scrub
-	// below, not by the counter.
-	if total <= 0 || total > saveN {
-		t.Fatalf("indexed %d records, want within (0, %d]", total, saveN)
+	// The count is exact: a batch whose commit ended unknown-but-applied
+	// advanced the durable progress key, and its retry counts the records
+	// that batch indexed along with its own.
+	if total != saveN {
+		t.Fatalf("indexed %d records, want %d", total, saveN)
 	}
 	if inj.Counts().Total() == 0 {
 		t.Fatal("the storm dealt no faults; the test proves nothing")
@@ -236,6 +235,42 @@ func TestOnlineIndexerBuildsThroughFaultStorm(t *testing.T) {
 	}
 	if rep.EntriesScanned != saveN || rep.RecordsScanned != saveN {
 		t.Fatalf("scrubbed %d entries / %d records, want %d/%d", rep.EntriesScanned, rep.RecordsScanned, saveN, saveN)
+	}
+}
+
+// TestOnlineIndexerCountsAppliedUnknownBatches: Build's count is exact when
+// batch commits end unknown, applied or not: a retry that finds the progress
+// the unknown commit wrote counts that batch's records too.
+func TestOnlineIndexerCountsAppliedUnknownBatches(t *testing.T) {
+	md := testSchema(t)
+	space := subspace.FromTuple(tuple.Tuple{"tenant", int64(1)})
+	const saveN = 40
+	var applied int64
+	for seed := int64(1); seed <= 10; seed++ {
+		inj := fdb.NewFaultInjector(fdb.FaultConfig{Seed: seed, PCommitUnknown: 0.3})
+		inj.Disable()
+		db := fdb.Open(&fdb.Options{Faults: inj, Sleep: func(time.Duration) {}})
+		withStore(t, db, md, space, func(s *Store) error {
+			for i := 0; i < saveN; i++ {
+				if _, err := s.SaveRecord(mkUser(int64(i+1), "u", int64(i))); err != nil {
+					return err
+				}
+			}
+			return s.MarkIndexDisabled("user_by_name")
+		})
+		inj.Enable()
+		ixr := &OnlineIndexer{DB: db, MetaData: md, Space: space, IndexName: "user_by_name", BatchSize: 4}
+		total, err := ixr.Build(context.Background())
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if total != saveN {
+			t.Fatalf("seed %d: Build counted %d records of %d (faults %+v)", seed, total, saveN, inj.Counts())
+		}
+		applied += inj.Counts().UnknownApplied
+	}
+	if applied == 0 {
+		t.Fatal("no unknown commit applied; the test proves nothing")
 	}
 }
 

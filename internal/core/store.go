@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"recordlayer/internal/cursor"
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/index"
 	"recordlayer/internal/metadata"
@@ -83,8 +84,7 @@ type Store struct {
 	// pay one nil check instead of a mutex-guarded lookup per operation.
 	trace *obs.Trace
 
-	header      Header
-	userVersion uint16 // per-transaction counter for versionstamps (§7)
+	header Header
 
 	// maintainers caches each index's maintainer; made by the first save, so
 	// a read-only open allocates no map.
@@ -255,14 +255,11 @@ func (s *Store) applyMetaDataChanges() error {
 	return nil
 }
 
-// countRecordsUpTo counts primary record pairs, stopping at limit.
+// countRecordsUpTo counts records, stopping at limit: records, not pairs, since
+// a record with its version, or split in chunks, is several pairs.
 func (s *Store) countRecordsUpTo(limit int) (int, error) {
-	begin, end := s.records.Range()
-	kvs, _, err := s.tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{Limit: limit})
-	if err != nil {
-		return 0, err
-	}
-	return len(kvs), nil
+	recs, _, _, err := cursor.Collect(cursor.Limit(s.ScanRecords(ScanOptions{Snapshot: true}), limit))
+	return len(recs), err
 }
 
 // indexSpace returns an index's dedicated subspace (§6).
@@ -371,15 +368,11 @@ func (s *Store) maintainer(ix *metadata.Index) (index.Maintainer, error) {
 // indexContext assembles the maintainer context for an index.
 func (s *Store) indexContext(ix *metadata.Index) *index.Context {
 	return &index.Context{
-		Tr:       s.tr,
-		Index:    ix,
-		Space:    s.indexSpace(ix.Name),
-		MetaData: s.md,
-		NextUserVersion: func() uint16 {
-			v := s.userVersion
-			s.userVersion++
-			return v
-		},
+		Tr:              s.tr,
+		Index:           ix,
+		Space:           s.indexSpace(ix.Name),
+		MetaData:        s.md,
+		NextUserVersion: s.tr.ClaimLocalVersion,
 	}
 }
 

@@ -160,12 +160,15 @@ type txnState struct {
 	// onCommit is every hook OnCommit registered, chained in order.
 	onCommit func(version int64, bumped bool)
 
-	// The flags share one word, which keeps a Transaction in its size class.
+	// The flags and the local version share one word, which keeps a
+	// Transaction in its size class.
 	pendingRV bool // SetReadVersion called; snapshot not yet bound
 	bumpMeta  bool // this transaction bumps the metadata version
 	committed bool
 	canceled  bool
 	readOnly  bool // CreateReadTransaction's: no read conflicts, no writes committed
+	// localVersion is the next user version ClaimLocalVersion hands out.
+	localVersion uint16
 }
 
 func (d *Database) nowNanos() int64 { return d.opts.Clock().UnixNano() }
@@ -865,6 +868,48 @@ func (t *Transaction) Atomic(typ MutationType, key, param []byte) error {
 	}
 	t.accountWrite(len(key) + len(param))
 	return nil
+}
+
+// ClearVersionstampedKey drops the SetVersionstampedKey mutation this
+// transaction buffered for key, given as Atomic took it: placeholder bytes
+// and offset suffix. A key with no such mutation buffered is left alone.
+//
+// Real FoundationDB cannot take back a buffered versionstamped mutation:
+// this is a simulator extension standing in for the Record Layer's
+// version-mutation cache, which keeps a record context's versionstamped
+// index keys above the client until commit. A record saved or deleted again
+// in the transaction that indexed it must not leave its first entry behind.
+func (t *Transaction) ClearVersionstampedKey(key []byte) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err := t.checkUsable(); err != nil {
+		return err
+	}
+	if len(key) < 4 {
+		return errCode(CodeClientInvalidOp, "versionstamped key too short")
+	}
+	offset, raw := int(binary.LittleEndian.Uint32(key[len(key)-4:])), key[:len(key)-4]
+	for i, op := range t.vsKeys {
+		if op.offset == offset && bytes.Equal(op.rawKey, raw) {
+			t.vsKeys = append(t.vsKeys[:i], t.vsKeys[i+1:]...)
+			break
+		}
+	}
+	return nil
+}
+
+// ClaimLocalVersion returns the next 2-byte user version of this
+// transaction's versionstamps (§7), counting from 0 on every attempt: the
+// one counter every store open in the transaction draws from, so no two
+// records it saves share a complete version. Real FoundationDB keeps no such
+// counter; it stands in for the Record Layer's record context, whose
+// claimLocalVersion does the same.
+func (t *Transaction) ClaimLocalVersion() uint16 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v := t.localVersion
+	t.localVersion++
+	return v
 }
 
 // AddReadConflictKey manually adds a single-key read conflict, used after

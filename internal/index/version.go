@@ -52,8 +52,11 @@ func (m *VersionMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending
 }
 
 func (m *VersionMaintainer) update(ctx *Context, old, new *Record) error {
-	// Old entries carry the old record's stored (complete) version, so they
-	// are ordinary keys to clear.
+	// Old entries carry the old record's stored version: a complete one is
+	// an ordinary key to clear. An incomplete one was assigned earlier in
+	// this transaction, whose versionstamped key is still buffered — or the
+	// old record never had a version (versions disabled when it was written)
+	// and nothing was indexed.
 	oldEntries, err := entriesFor(ctx.Index, old)
 	if err != nil {
 		return err
@@ -61,8 +64,13 @@ func (m *VersionMaintainer) update(ctx *Context, old, new *Record) error {
 	for _, t := range oldEntries {
 		full := t.Append(old.PrimaryKey...)
 		if full.HasIncompleteVersionstamp() {
-			// The old record never had a version (versions disabled when it
-			// was written): nothing was indexed.
+			key, err := ctx.Space.PackWithVersionstamp(full)
+			if err == nil {
+				err = ctx.Tr.ClearVersionstampedKey(key)
+			}
+			if err != nil {
+				return err
+			}
 			continue
 		}
 		if err := ctx.Tr.Clear(ctx.Space.Pack(full)); err != nil {

@@ -32,6 +32,7 @@ var layers = [][]string{
 	{"recordlayer"},
 	{"workload"},
 	{"exp"},
+	{"history"}, // test support: last, so no governed non-test file may import it
 }
 
 const (

@@ -11,6 +11,7 @@ import (
 	_ "recordlayer/internal/fdb"    // layer 1
 
 	_ "recordlayer/internal/bunched"  // want "kvcursor \(layer 3\) imports recordlayer/internal/bunched \(layer 3\)"
+	_ "recordlayer/internal/history"  // want "imports recordlayer/internal/history \(layer 11\)"
 	_ "recordlayer/internal/index"    // want "imports recordlayer/internal/index \(layer 4\); imports must point down"
 	_ "recordlayer/internal/resource" // want "imports recordlayer/internal/resource \(layer 6\)"
 )

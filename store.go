@@ -36,11 +36,11 @@ type ProviderOptions struct {
 	Planner plan.Config
 	// PlanCacheSize bounds the shared LRU plan cache (default 128).
 	PlanCacheSize int
-	// Accountant bills transactions that reach Open with no meter bound (no
-	// Runner with an accountant ran them under a tenant): Open binds the
-	// meter of the tenant ID derived from the keyspace path values, and
-	// everything the transaction reads and writes from then on is billed to
-	// it. Nil leaves such transactions unmetered.
+	// Accountant bills transactions that reach Open or Delete with no meter
+	// bound (no Runner with an accountant ran them under a tenant): either
+	// binds the meter of the tenant ID derived from the keyspace path values,
+	// and everything the transaction reads and writes from then on is billed
+	// to it. Nil leaves such transactions unmetered.
 	Accountant *resource.Accountant
 	// SlowQueries, when set, observes every query execution's latency into
 	// its histogram and captures structured summaries of executions over
@@ -137,10 +137,15 @@ func (p *StoreProvider) Open(ctx context.Context, tr *fdb.Transaction, tenant ..
 // Delete removes a tenant's entire record store — records, indexes, header —
 // with one range clear (§3). A path through an interned directory value that
 // was never interned holds no store: Delete then does nothing, rather than
-// allocate the directory entry it would take to name the empty range.
+// allocate the directory entry it would take to name the empty range. Like
+// Open, Delete first binds the tenant's meter when the provider has an
+// Accountant, so a delete is billed whether or not the store is reopened.
 func (p *StoreProvider) Delete(ctx context.Context, tr *fdb.Transaction, tenant ...interface{}) error {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if p.opts.Accountant != nil {
+		tr.BindMeter(p.opts.Accountant.Tenant(resource.TenantKey(tenant...)))
 	}
 	path, err := p.ks.PathFor(p.template, tenant...)
 	if err != nil {
