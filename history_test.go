@@ -36,18 +36,12 @@ type server struct {
 // set to prefer; a cacheless one keeps no store state across transactions.
 func newServer(t testing.TB, prefer, cacheless bool, opts ProviderOptions) *server {
 	t.Helper()
-	ks, err := keyspace.New(directory.NewLayer(),
-		keyspace.NewConstant("app", "history").Add(
-			keyspace.NewInterned("container").Add(
-				keyspace.NewDirectory("user", keyspace.TypeInt64))))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ks := historyKeySpace()
 	opts.Config.InlineBuildLimit = history.InlineBuildLimit
 	opts.Planner = plan.Config{PreferIndexIntersection: prefer}
 	s := &server{providers: map[int]*StoreProvider{}}
 	for _, v := range []int{1, 2} {
-		p, err := NewStoreProvider(history.Schema(v), ks, []string{"app", "container", "user"}, opts)
+		p, err := NewStoreProvider(history.Schema(v), ks, tenantPath, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,6 +52,21 @@ func newServer(t testing.TB, prefer, cacheless bool, opts ProviderOptions) *serv
 	}
 	return s
 }
+
+// historyKeySpace is a server's keyspace: a tenant's store lives at
+// /app:history/container:<interned name>/user:<id> (tenantPath).
+func historyKeySpace() *keyspace.KeySpace {
+	ks, err := keyspace.New(directory.NewLayer(),
+		keyspace.NewConstant("app", "history").Add(
+			keyspace.NewInterned("container").Add(
+				keyspace.NewDirectory("user", keyspace.TypeInt64))))
+	if err != nil {
+		panic(err) // a static tree
+	}
+	return ks
+}
+
+var tenantPath = []string{"app", "container", "user"}
 
 // internContainers interns the histories' containers with a fresh directory
 // layer, so two databases set up this way allocate the same ids: which id a
@@ -102,6 +111,10 @@ type harness struct {
 	// full renders each store's whole header and its records' versions,
 	// which two runs of one history agree on but the model does not predict.
 	full bool
+	// conf, when set, is told the stores each transaction opens and the
+	// directory path each op resolves.
+	conf *history.Confinement
+	ids  map[string]int64 // the interned containers' ids
 }
 
 func newHarness(db *fdb.Database, door fdb.Door, errText func(error) string) *harness {
@@ -185,13 +198,13 @@ func (h *harness) runOp(ctx context.Context, tr *fdb.Transaction, p *StoreProvid
 	t := op.Tenant
 	switch op.Kind {
 	case history.DeleteStore:
-		if err := p.Delete(ctx, tr, t.Container, t.User); err != nil || !op.Reopen || t.Container == history.NeverInterned {
+		if err := h.delete(ctx, tr, p, t); err != nil || !op.Reopen || t.Container == history.NeverInterned {
 			return "", err
 		}
 	case history.OpenSeveral:
 		var out []string
 		for i, x := range op.Targets {
-			s, err := p.Open(ctx, tr, x.Container, x.User)
+			s, err := h.open(ctx, tr, p, x)
 			if err != nil {
 				return "", err
 			}
@@ -206,7 +219,7 @@ func (h *harness) runOp(ctx context.Context, tr *fdb.Transaction, p *StoreProvid
 		}
 		return strings.Join(out, " | "), nil
 	}
-	s, err := p.Open(ctx, tr, t.Container, t.User)
+	s, err := h.open(ctx, tr, p, t)
 	if err != nil {
 		return "", err
 	}
@@ -215,7 +228,7 @@ func (h *harness) runOp(ctx context.Context, tr *fdb.Transaction, p *StoreProvid
 		// If the store is missing, the first open buffers a header that
 		// never commits and the second reads it back: a state that must not
 		// reach any cache.
-		if s, err = p.Open(ctx, tr, t.Container, t.User); err != nil {
+		if s, err = h.open(ctx, tr, p, t); err != nil {
 			return "", err
 		}
 		return h.describe(ctx, s)
@@ -251,14 +264,14 @@ func (h *harness) runOp(ctx context.Context, tr *fdb.Transaction, p *StoreProvid
 		case 0:
 			err = s.SetUserVersion(op.Value)
 		case 3:
-			err = p.Delete(ctx, tr, t.Container, t.User)
+			err = h.delete(ctx, tr, p, t)
 		default:
 			err = markIndex(s, op.Index, op.Mark*2-2)
 		}
 		if err != nil {
 			return "", err
 		}
-		if s, err = p.Open(ctx, tr, t.Container, t.User); err != nil {
+		if s, err = h.open(ctx, tr, p, t); err != nil {
 			return "", err
 		}
 		return h.describe(ctx, s)
@@ -284,6 +297,80 @@ func (h *harness) runOp(ctx context.Context, tr *fdb.Transaction, p *StoreProvid
 		return fmt.Sprint(pks), err
 	}
 	return "", fmt.Errorf("no one-transaction op %v", op.Kind)
+}
+
+// open opens t's store through p in tr.
+func (h *harness) open(ctx context.Context, tr *fdb.Transaction, p *StoreProvider, t history.Tenant) (*Store, error) {
+	h.opened(tr, t)
+	return p.Open(ctx, tr, t.Container, t.User)
+}
+
+// delete deletes t's store through p in tr.
+func (h *harness) delete(ctx context.Context, tr *fdb.Transaction, p *StoreProvider, t history.Tenant) error {
+	h.opened(tr, t)
+	return p.Delete(ctx, tr, t.Container, t.User)
+}
+
+// dirNodes is where newServer's directory layer keeps its nodes.
+var dirNodes = subspace.FromBytes([]byte{0xFE})
+
+// confine installs a confinement check on the harness's database. A store's
+// subspace comes from its container's id, interned before the check starts,
+// and its user, not from what the providers resolve: a provider that opens
+// or clears a neighbour's prefix fails the check.
+func (h *harness) confine(t testing.TB) {
+	layer := directory.NewLayer()
+	h.ids = map[string]int64{}
+	for _, c := range history.Containers {
+		v, err := h.db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+			id, _, err := layer.LookupInterned(tr, c)
+			return id, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.ids[c] = v.(int64)
+	}
+	h.conf = history.Confine(h.db, history.SharedRanges()...)
+}
+
+// opened tells the confinement check that tr (nil: every transaction of the
+// op) opens t's store, and that the op resolves t's directory path.
+func (h *harness) opened(tr *fdb.Transaction, t history.Tenant) {
+	if h.conf == nil {
+		return
+	}
+	id, ok := h.ids[t.Container]
+	if !ok {
+		h.conf.Allow(nil, history.ResolvedPath(dirNodes, t.Container, -1)...)
+		return
+	}
+	h.conf.Allow(tr, history.StoreRange(subspace.FromTuple(tuple.Tuple{"history", id, t.User})))
+	h.conf.Allow(nil, history.ResolvedPath(dirNodes, t.Container, id)...)
+}
+
+// decode renders a key for a confinement failure: a store's key as its
+// tenant's keyspace path and the rest of the key.
+func (h *harness) decode(key []byte) string {
+	n := 0
+	for i := 0; i < 3; i++ { // ("history", container id, user)
+		l, err := tuple.ElementLen(key[n:])
+		if err != nil {
+			return history.DecodeKey(key)
+		}
+		n += l
+	}
+	if t, err := tuple.Unpack(key[:n]); err == nil && t[0] == "history" {
+		for name, id := range h.ids {
+			if t[1] != id {
+				continue
+			}
+			if path, err := historyKeySpace().PathFor(tenantPath, name, t[2]); err == nil {
+				return path.String() + " " + history.DecodeKey(key[n:])
+			}
+		}
+	}
+	return history.DecodeKey(key)
 }
 
 // markIndex applies a MarkIndex op's mark: 0 write-only, 1 readable, 2 disabled.
@@ -433,7 +520,6 @@ func textReads(s *Store, op history.Op) (string, error) {
 // creating commit cached.
 func (h *harness) race(op history.Op, a, b *StoreProvider) string {
 	ctx := context.Background()
-	c, u := op.Tenant.Container, op.Tenant.User
 	var out []string
 	note := func(s string, err error) {
 		if err != nil {
@@ -450,7 +536,7 @@ func (h *harness) race(op history.Op, a, b *StoreProvider) string {
 	}
 	// save opens the tenant through p in tr, describes it and saves d.
 	save := func(p *StoreProvider, tr *fdb.Transaction, d history.Doc) {
-		s, err := p.Open(ctx, tr, c, u)
+		s, err := h.open(ctx, tr, p, op.Tenant)
 		desc := ""
 		if err == nil {
 			desc, err = h.describe(ctx, s)
@@ -492,6 +578,7 @@ func (h *harness) build(ctx context.Context, op history.Op, p *StoreProvider) (s
 	if err != nil {
 		return "", err
 	}
+	h.opened(nil, op.Tenant) // every build transaction opens it
 	ixr := &core.OnlineIndexer{DB: h.door, MetaData: p.md, Space: space.(subspace.Subspace), IndexName: history.ByN,
 		BatchSize: 3, Config: p.opts.Config}
 	n, err := ixr.Build(ctx)
@@ -507,7 +594,7 @@ func (h *harness) readBack(ctx context.Context, op history.Op, p *StoreProvider)
 			continue
 		}
 		d, err := h.door.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-			s, err := p.Open(ctx, tr, t.Container, t.User)
+			s, err := h.open(ctx, tr, p, t)
 			if err != nil {
 				return nil, err
 			}
@@ -604,6 +691,7 @@ func agreeWithModel(t *testing.T, seed int64, ops []history.Op, kinds *kindCount
 	internContainers(t, db)
 	servers := []*server{newServer(t, prefer, false, ProviderOptions{}), newServer(t, prefer, false, ProviderOptions{})}
 	h := newHarness(db, NewRunner(db, RunnerOptions{Sleep: noBackoff}), func(error) string { return "error" })
+	h.confine(t)
 	models := []*history.Model{history.NewModel(prefer)}
 	ctx := context.Background()
 	for i, op := range ops {
@@ -615,9 +703,15 @@ func agreeWithModel(t *testing.T, seed int64, ops []history.Op, kinds *kindCount
 		setFaults(op.Kind != history.Race)
 		srv := servers[op.Server]
 		out, err := h.run(ctx, op, srv, servers[1-op.Server])
+		if cerr := h.conf.Check(h.decode); cerr != nil {
+			return i, "tenant confinement: " + cerr.Error()
+		}
 		if IsMaybeCommitted(err) {
 			setFaults(false)
 			back := h.readBack(ctx, op, srv.providers[op.Version])
+			if cerr := h.conf.Check(h.decode); cerr != nil {
+				return i, "tenant confinement, reading back: " + cerr.Error()
+			}
 			var kept []*history.Model
 			var sides []string
 			for _, m := range models {

@@ -10,6 +10,9 @@ import (
 	"recordlayer/internal/core"
 	"recordlayer/internal/cursor"
 	"recordlayer/internal/fdb"
+	"recordlayer/internal/history"
+	"recordlayer/internal/subspace"
+	"recordlayer/internal/tuple"
 )
 
 // moveEnv is a source and a destination cluster for one user: containers
@@ -150,11 +153,37 @@ func collect(store *core.Store) ([]*core.StoredRecord, error) {
 	}
 }
 
+// checkMoveConfined checks that MoveUser's transactions on db touched only
+// the moved store, the directory path naming it, and the shared set.
+func checkMoveConfined(t *testing.T, seed int64, env *moveEnv, db *fdb.Database, conf *history.Confinement) {
+	t.Helper()
+	ct := env.cts[20]
+	store := subspace.FromBytes(prefixes(t, seed, db, []*Container{ct})[0])
+	elems, err := tuple.Unpack(store.Bytes()) // ("ck", user, application id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf.Allow(nil, history.StoreRange(store))
+	conf.Allow(nil, history.ResolvedPath(subspace.FromBytes([]byte{0xFE}), ct.Name, elems[2].(int64))...)
+	path := env.svc.ks.MustPath("cloudkit").MustAdd("user", int64(8)).MustAdd("application", ct.Name)
+	decode := func(key []byte) string {
+		if store.Contains(key) {
+			return path.String() + " " + history.DecodeKey(key[len(store.Bytes()):])
+		}
+		return history.DecodeKey(key)
+	}
+	if err := conf.Check(decode); err != nil {
+		t.Fatalf("seed %d: moving %s: %v", seed, path, err)
+	}
+}
+
 // TestMoveUserKeepsNeighbours moves a user's store for one application onto
 // a cluster that already holds the user's stores for 20 others. The moved
 // store must land on a prefix of its own, leave every neighbour's range
 // byte-identical, read back as it did on the source, and add to the
-// destination's directory only what interning its name writes there.
+// destination's directory only what interning its name writes there. On both
+// clusters, every key the move touches must lie in the moved store, the
+// directory path naming it, or the shared set.
 func TestMoveUserKeepsNeighbours(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		env := newMoveEnv(t, seed)
@@ -173,8 +202,14 @@ func TestMoveUserKeepsNeighbours(t *testing.T) {
 			return err
 		})
 		want := describeMoved(t, env, env.src, checkpoint)
+		confs := []*history.Confinement{history.Confine(env.src, history.SharedRanges()...),
+			history.Confine(env.dst, history.SharedRanges()...)}
 		if err := env.svc.MoveUser(env.src, env.dst, env.cts[20], 8); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for i, db := range []*fdb.Database{env.src, env.dst} {
+			confs[i].Close()
+			checkMoveConfined(t, seed, env, db, confs[i])
 		}
 
 		all := prefixes(t, seed, env.dst, env.cts)

@@ -17,9 +17,6 @@ import (
 // itself, whose count belongs to the message package and the Go runtime's
 // maps: a load by primary key, and one more record in a scan.
 func TestRecordReadAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts differ under the race detector")
-	}
 	const wantLoad, wantScanned = 8, 9
 	db, md := fdb.Open(nil), testSchema(t)
 	const n = 20

@@ -2,12 +2,11 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
 
 	"recordlayer/internal/cursor"
 	"recordlayer/internal/fdb"
@@ -326,31 +325,30 @@ func (s *Store) splitRecordKey(key []byte) (pk, suffix []byte, err error) {
 	return b[start:last:last], b[last:], nil
 }
 
-// envelopePool recycles envelope pack buffers. The envelope — and the
-// serializer output, which for IdentitySerializer aliases it — is fully
-// consumed before writeRecordData returns (Transaction.Set clones what it
-// buffers), so the save path reuses one scratch buffer per call instead of
-// allocating an envelope per record.
-var envelopePool = sync.Pool{New: func() interface{} {
-	b := make([]byte, 0, 512)
-	return &b
-}}
+// envelopeStackLen is the envelope size writeRecordData packs on the stack;
+// a larger record's envelope grows onto the heap.
+const envelopeStackLen = 4096
 
 // writeRecordData serializes, splits and writes the record plus its version
 // slot. Over an old record it first clears only what the new pairs do not
 // overwrite (clearRecord): nothing when both are unsplit, the old data pair
 // when the new record splits, the version slot when versions are no longer
 // stored, and the whole record range when the old record was split.
+//
+// The envelope is packed into a stack buffer, since Transaction.Set copies
+// what it buffers. A Serializer call would move that buffer to the heap, so
+// IdentitySerializer, which returns the envelope as it is, is never called.
 func (s *Store) writeRecordData(rec, old *StoredRecord) error {
-	bufPtr := envelopePool.Get().(*[]byte)
-	envelope := tuple.Tuple{rec.Type.Name, mustMarshal(rec.Message)}.PackInto((*bufPtr)[:0])
-	defer func() {
-		*bufPtr = envelope[:0]
-		envelopePool.Put(bufPtr)
-	}()
-	blob, err := s.cfg.Serializer.Encode(envelope)
-	if err != nil {
-		return err
+	envelope := tuple.Tuple{rec.Type.Name, mustMarshal(rec.Message)}
+	var blob []byte
+	if _, ok := s.cfg.Serializer.(IdentitySerializer); ok {
+		var buf [envelopeStackLen]byte
+		blob = envelope.PackInto(buf[:0])
+	} else {
+		var err error
+		if blob, err = s.cfg.Serializer.Encode(envelope.Pack()); err != nil {
+			return err
+		}
 	}
 	rec.Size = len(blob)
 	unsplit := len(blob) <= s.cfg.SplitChunkSize
@@ -478,13 +476,6 @@ type recordChunk struct {
 	value  []byte
 }
 
-// chunkPool recycles the scratch slices assembleRecord collects chunks into;
-// the reassembly path runs once per fetched record on every scan and fetch.
-var chunkPool = sync.Pool{New: func() interface{} {
-	s := make([]recordChunk, 0, 8)
-	return &s
-}}
-
 // assembleRecord splices a record's pairs back together (§4). Chunks are
 // ordered by suffix so reverse scans assemble correctly. Safe for concurrent
 // use by pipelined fetches. A nil pk is unpacked from the record's keys, once
@@ -494,21 +485,15 @@ var chunkPool = sync.Pool{New: func() interface{} {
 // built: false returns no record, and neither the primary key nor the message
 // is decoded (a filtered scan, RecordFilter).
 //
-// The record owns the fetched values: GetRange returns fresh slices, and a
-// Serializer's Decode returns bytes no one else writes. So the wire bytes are
-// not copied out of the envelope when neither of its elements holds a zero
-// byte, and the message's string and unknown fields view the fetched value;
-// nothing may write it afterwards (TestDecodedStringsSurviveLaterWork).
+// The record shares the fetched values: GetRange returns the database's own
+// bytes, which nobody writes (kvreadonly), and a Serializer's Decode returns
+// bytes no one else writes. So the wire bytes are not copied out of the
+// envelope when neither of its elements holds a zero byte, and the message's
+// string and unknown fields view the fetched value; nothing may write it
+// afterwards (TestDecodedStringsSurviveLaterWork).
 func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue, keep func(*metadata.RecordType, []byte) (bool, error)) (*StoredRecord, error) {
-	partsPtr := chunkPool.Get().(*[]recordChunk)
-	parts := (*partsPtr)[:0]
-	defer func() {
-		for i := range parts {
-			parts[i] = recordChunk{} // drop value references before pooling
-		}
-		*partsPtr = parts[:0]
-		chunkPool.Put(partsPtr)
-	}()
+	var stack [8]recordChunk // a record of up to 8 chunks sorts in place
+	parts := stack[:0]
 	var (
 		packedPK   []byte
 		version    tuple.Versionstamp
@@ -540,7 +525,7 @@ func (s *Store) assembleRecord(pk tuple.Tuple, kvs []fdb.KeyValue, keep func(*me
 		parts = append(parts, recordChunk{suffix: suffix, value: kv.Value})
 	}
 	if !sorted { // only reverse scans pay the sort
-		sort.Slice(parts, func(i, j int) bool { return parts[i].suffix < parts[j].suffix })
+		slices.SortFunc(parts, func(a, b recordChunk) int { return cmp.Compare(a.suffix, b.suffix) })
 	}
 	if len(parts) == 0 {
 		// Only a version slot survives — treat as missing (can happen if a

@@ -18,9 +18,6 @@ import (
 // more), and no StoredRecord, primary key, Message, slots or boxes of the
 // fields the filter does not read.
 func TestResidualScanAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts differ under the race detector")
-	}
 	// Before the filter ran inside the scan, building each record and
 	// filtering it above the scan cost 1427 allocations for 100 records, 14
 	// per record: here a record's two pairs are 4, and the score's box 1.

@@ -368,11 +368,10 @@ func (s *Store) maintainer(ix *metadata.Index) (index.Maintainer, error) {
 // indexContext assembles the maintainer context for an index.
 func (s *Store) indexContext(ix *metadata.Index) *index.Context {
 	return &index.Context{
-		Tr:              s.tr,
-		Index:           ix,
-		Space:           s.indexSpace(ix.Name),
-		MetaData:        s.md,
-		NextUserVersion: s.tr.ClaimLocalVersion,
+		Tr:       s.tr,
+		Index:    ix,
+		Space:    s.indexSpace(ix.Name),
+		MetaData: s.md,
 	}
 }
 

@@ -171,6 +171,7 @@ type Database struct {
 	// KeysRead ever sees it; a transaction learns it with its read version.
 	metaVersion int64
 	metrics     Metrics
+	tap         Tap // SetTap's; nil in production
 
 	// vclock is the virtual latency clock (nanos) when Latency.Virtual is
 	// set: awaits advance it monotonically instead of sleeping.

@@ -3,6 +3,7 @@ package fdb
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"sync"
 
@@ -231,6 +232,7 @@ func (t *Transaction) GetReadVersion() (int64, error) {
 // keys it stands for. ok is false once this transaction has bumped: its own
 // bump has no version until commit, so nothing can be validated against it.
 func (t *Transaction) MetadataVersion() (v int64, ok bool, err error) {
+	t.note(AccessRead, MetadataVersionKey, nil, true)
 	_, v, bumped, err := t.awaitGRV()
 	return v, !bumped, err
 }
@@ -266,6 +268,7 @@ func (t *Transaction) BumpMetadataVersion() error {
 	if err := t.checkUsable(); err != nil {
 		return err
 	}
+	t.note(AccessWrite, MetadataVersionKey, nil, false)
 	t.bumpMeta = true
 	return nil
 }
@@ -420,6 +423,7 @@ func (t *Transaction) getLocked(key []byte, snapshot bool) ([]byte, error) {
 	if err := t.checkUsable(); err != nil {
 		return nil, err
 	}
+	t.note(AccessRead, key, nil, snapshot)
 	if f := t.db.opts.Faults; f != nil {
 		if err := f.readFault(); err != nil {
 			return nil, err
@@ -546,6 +550,7 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 	if err := t.checkUsable(); err != nil {
 		return nil, false, 0, err
 	}
+	t.note(AccessRead, begin, end, snapshot)
 	// A fault here lands mid-scan from the cursor's perspective: earlier
 	// batches of the same logical scan already succeeded.
 	if f := t.db.opts.Faults; f != nil {
@@ -577,8 +582,12 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 	snapIter.seek(t.snapRoot, seek, o.Reverse)
 	bufIter.seek(t.writes, seek, o.Reverse)
 
-	scratch := rangeScratch.Get().(*[]KeyValue)
-	out := (*scratch)[:0]
+	// The batch collects on the stack and is copied out at its exact size; one
+	// larger than the array spills into a heap slice, which is then the batch.
+	var stack [rangeStackLen]KeyValue
+	var spill []KeyValue
+	n := 0
+	var last []byte // the batch's last key
 	var byteCount int
 	var reads, readBytes int // from the snapshot, not the buffer
 	more := false
@@ -602,7 +611,7 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 		if sn == nil && bn == nil {
 			break
 		}
-		if (o.Limit > 0 && len(out) >= o.Limit) || (o.ByteLimit > 0 && byteCount >= o.ByteLimit) {
+		if (o.Limit > 0 && n >= o.Limit) || (o.ByteLimit > 0 && byteCount >= o.ByteLimit) {
 			more = true
 			break
 		}
@@ -648,7 +657,22 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 			}
 			kv = KeyValue{Key: shared(e.key), Value: shared(val)}
 		}
-		out = append(out, kv)
+		switch {
+		case n < len(stack):
+			stack[n] = kv
+		case spill == nil:
+			// A read that outgrows the stack usually fills its limit.
+			c := 2 * len(stack)
+			if o.Limit > len(stack) {
+				c = min(o.Limit, maxSpillCap)
+			}
+			spill = append(make([]KeyValue, 0, c), stack[:]...)
+			fallthrough
+		default:
+			spill = append(spill, kv)
+		}
+		n++
+		last = kv.Key
 		byteCount += len(kv.Key) + len(kv.Value)
 	}
 	for _, e := range cleared {
@@ -659,8 +683,7 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 	if !snapshot && !t.readOnly {
 		// Conflict with exactly the portion of the range actually observed.
 		cb, ce := begin, end
-		if more && len(out) > 0 {
-			last := out[len(out)-1].Key
+		if more && n > 0 {
 			if !o.Reverse {
 				ce = keyAfter(last)
 			} else {
@@ -669,24 +692,21 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 		}
 		t.readConflicts.Add(cb, ce)
 	}
-	var kvs []KeyValue
-	if len(out) > 0 {
-		kvs = make([]KeyValue, len(out))
-		copy(kvs, out)
-		clear(out)
+	kvs := slices.Clip(spill)
+	if spill == nil && n > 0 {
+		kvs = make([]KeyValue, n)
+		copy(kvs, stack[:n])
 	}
-	*scratch = out[:0]
-	rangeScratch.Put(scratch)
 	return kvs, more, byteCount, nil
 }
 
-// rangeScratch recycles the slices getRangeLocked collects a batch into, so
-// the batch it returns is allocated once at its exact size instead of grown
-// by append.
-var rangeScratch = sync.Pool{New: func() any {
-	s := make([]KeyValue, 0, 64)
-	return &s
-}}
+// rangeStackLen is how many pairs getRangeLocked collects on the stack: a
+// kvcursor's first batch, and every point and record read, fit.
+const rangeStackLen = 128
+
+// maxSpillCap bounds the batch a range read allocates for its limit before it
+// knows how many pairs it will find: a kvcursor's largest default batch.
+const maxSpillCap = 4096
 
 // Set buffers a key-value write.
 func (t *Transaction) Set(key, value []byte) error {
@@ -695,6 +715,7 @@ func (t *Transaction) Set(key, value []byte) error {
 	if err := t.checkWrite(key, value); err != nil {
 		return err
 	}
+	t.note(AccessWrite, key, nil, false)
 	t.bufSet(&entry{key: cloneBytes(key), value: cloneBytes(value)}, nil)
 	t.accountWrite(len(key) + len(value))
 	return nil
@@ -790,6 +811,7 @@ func (t *Transaction) clearRange(begin, end []byte, point bool) error {
 	if bytes.Compare(begin, end) >= 0 {
 		return nil
 	}
+	t.note(AccessClear, begin, end, false)
 	t.bufDeleteRange(begin, end)
 	t.clears.Add(begin, end)
 	if !point {
@@ -808,6 +830,7 @@ func (t *Transaction) Atomic(typ MutationType, key, param []byte) error {
 	if err := t.checkUsable(); err != nil {
 		return err
 	}
+	t.note(AccessWrite, key, nil, false)
 	switch typ {
 	case MutationSetVersionstampedKey:
 		if len(key) < 4 {
@@ -888,6 +911,7 @@ func (t *Transaction) ClearVersionstampedKey(key []byte) error {
 	if len(key) < 4 {
 		return errCode(CodeClientInvalidOp, "versionstamped key too short")
 	}
+	t.note(AccessClear, key, nil, false)
 	offset, raw := int(binary.LittleEndian.Uint32(key[len(key)-4:])), key[:len(key)-4]
 	for i, op := range t.vsKeys {
 		if op.offset == offset && bytes.Equal(op.rawKey, raw) {
@@ -918,6 +942,7 @@ func (t *Transaction) ClaimLocalVersion() uint16 {
 func (t *Transaction) AddReadConflictKey(key []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.note(AccessReadConflict, key, nil, false)
 	if !t.readOnly {
 		t.readConflicts.AddKey(key)
 	}
@@ -928,6 +953,7 @@ func (t *Transaction) AddReadConflictKey(key []byte) {
 func (t *Transaction) AddReadConflictRange(begin, end []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.note(AccessReadConflict, begin, end, false)
 	if !t.readOnly {
 		t.readConflicts.Add(begin, end)
 	}
@@ -937,6 +963,7 @@ func (t *Transaction) AddReadConflictRange(begin, end []byte) {
 func (t *Transaction) AddWriteConflictKey(key []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.note(AccessWriteConflict, key, nil, false)
 	t.writeConflicts.AddKey(key)
 }
 
@@ -956,6 +983,9 @@ func (t *Transaction) Commit() error {
 	hook, version, bumped := t.onCommit, t.cVersion, t.bumpMeta
 	t.onCommit = nil
 	t.mu.Unlock()
+	if tap := t.db.tap; tap != nil {
+		tap(t, Access{Kind: AccessCommit, Err: err})
+	}
 	if err != nil {
 		if trace != nil {
 			trace.Add(obs.SpanCommit, t0, t.db.simNow(), 0, err.Error())

@@ -32,12 +32,8 @@ func ctxFor(t *testing.T, ix *metadata.Index) (*fdb.Database, func(tr *fdb.Trans
 	t.Helper()
 	db := fdb.Open(nil)
 	sp := subspace.FromTuple(tuple.Tuple{"ix"})
-	var user uint16
 	return db, func(tr *fdb.Transaction) *Context {
-		return &Context{Tr: tr, Index: ix, Space: sp, NextUserVersion: func() uint16 {
-			user++
-			return user - 1
-		}}
+		return &Context{Tr: tr, Index: ix, Space: sp}
 	}
 }
 

@@ -62,8 +62,11 @@ type Context struct {
 	// the whole index can be removed with one range clear (§6).
 	Space    subspace.Subspace
 	MetaData *metadata.MetaData
-	// NextUserVersion allocates the 2-byte per-transaction counter appended
-	// to commit versions (§7, VERSION indexes).
+	// NextUserVersion is read by no maintainer and set by nothing in the
+	// library: the VERSION maintainer takes the record's PendingUserVersion.
+	// It stays only because the benchmark module still sets it.
+	//
+	// Deprecated: leave it unset.
 	NextUserVersion func() uint16
 }
 

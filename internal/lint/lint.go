@@ -187,6 +187,7 @@ func Analyzers() []*Analyzer {
 		Layering,
 		ObsGuard,
 		KVReadOnly,
+		NoPool,
 	}
 }
 

@@ -26,6 +26,7 @@ func TestClockInject(t *testing.T)  { run(t, lint.ClockInject, "recordlayer/inte
 func TestLayering(t *testing.T)     { run(t, lint.Layering, "recordlayer/internal/kvcursor") }
 func TestObsGuard(t *testing.T)     { run(t, lint.ObsGuard, "recordlayer/internal/lintfixture") }
 func TestKVReadOnly(t *testing.T)   { run(t, lint.KVReadOnly, "recordlayer/internal/lintfixture") }
+func TestNoPool(t *testing.T)       { run(t, lint.NoPool, "recordlayer/internal/lintfixture") }
 
 // TestPathScoping: the path-scoped analyzers stay silent outside their
 // governed packages — the same fixtures produce zero findings under an

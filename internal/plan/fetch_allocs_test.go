@@ -24,9 +24,6 @@ import (
 // Item has a = b = 1, so each scan matches every record and each merge step
 // takes one entry from both children.
 func TestIndexFetchAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts differ under the race detector")
-	}
 	const n = 20
 	db := fdb.Open(nil)
 	field := func(name string) *metadata.Index {

@@ -109,10 +109,10 @@ func (t Tuple) Pack() []byte {
 	return b
 }
 
-// PackInto encodes the tuple appending to buf (usually buf[:0] of a recycled
-// slice), growing it as needed, and returns the extended slice. Panics on
-// unsupported element types, like Pack. Hot write paths use it with pooled
-// buffers so envelope packing stops allocating per record.
+// PackInto encodes the tuple appending to buf, growing it as needed, and
+// returns the extended slice. Panics on unsupported element types, like Pack.
+// A caller that owns a buffer, a stack array or one sized with PackedCap,
+// packs into it without a second allocation.
 func (t Tuple) PackInto(buf []byte) []byte {
 	b, err := t.packInto(buf, nil)
 	if err != nil {

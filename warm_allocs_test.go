@@ -21,9 +21,6 @@ import (
 // unsplit record it overwrote, each maintainer built its own record view and
 // key expression context, and a tenant path was copied once per level.
 func TestWarmUpdateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts differ under the race detector")
-	}
 	const want = 120
 	doc := message.MustDescriptor("Doc",
 		message.Field("id", 1, message.TypeInt64),
