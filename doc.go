@@ -416,6 +416,15 @@
 // (twice the fan-out of 16) and continues only if the batch ends short.
 // A text search issues every token's range scan before awaiting any.
 //
+// A TEXT save rewrites only the postings that changed: the old and new texts'
+// tokens, each list in byte order, are walked together, and a token at the
+// same offsets in both is left alone, as VALUE and RANK leave an unchanged
+// entry (§6). An update whose text is unchanged — only the score moved, say
+// — reads and writes nothing in the TEXT index; one that changes a word pays
+// for that word and for every token whose offsets it shifts. Each changed
+// token costs two boundary reads (one for a delete) and a bunch rewrite, all
+// issued in the save's one probe window.
+//
 // Nothing initialises a skip list. A level's head is its smallest key, so an
 // inclusive floor probe that comes back empty can only mean the head is
 // missing; the insert that finds it so creates it, in the same apply step

@@ -34,43 +34,76 @@ func (m *Map) Async(tr *fdb.Transaction) *Async {
 	return &Async{m: m, tr: tr, ov: overlay.New(tr)}
 }
 
-// Op is one issued-but-unapplied mutation. Its keys are packed once, at
-// issue: the token's range [begin, end), logical = (token, pk) and after =
-// KeyAfter(logical), and the entry's elements as a bunch value holds them,
-// pk (the suffix of logical after the token) and, for inserts, offsets.
+// Op is one issued-but-unapplied mutation. Its keys are packed at issue into
+// one buffer, key: logical = (token, pk) and a 0x00, so that after = logical +
+// 0x00 is the same bytes one longer; for inserts the entry's offsets as a
+// bunch value holds them; then the token's range [begin, end). pk, the suffix
+// of logical after the token, is also as a bunch value holds it. Every slice
+// the accessors hand out is clipped to its length, so appending to one
+// copies.
 type Op struct {
-	a                          *Async
-	insert                     bool
-	seq                        int
-	begin, end, logical, after []byte
-	pk, offsets                []byte
-	locate                     *fdb.FutureRange
-	next                       *fdb.FutureRange
+	a      *Async
+	insert bool
+	seq    int
+	key    []byte
+	// logical is key[:n], pk key[tok:n], the offsets key[n+1:off], begin
+	// key[off:off+tok+1] and end the rest.
+	n, tok, off  int
+	locate, next *fdb.FutureRange
 }
 
-// IssueInsert starts an insert/upsert of (token, pk) -> offsets. Both
-// boundary scans go out, the locate scan a delete issues and then the
-// neighbor scan: the neighbor read is consumed only on the spill path, but
+func (op *Op) logical() []byte { return op.key[:op.n:op.n] }
+func (op *Op) after() []byte   { return op.key[: op.n+1 : op.n+1] }
+func (op *Op) pk() []byte      { return op.key[op.tok:op.n:op.n] }
+func (op *Op) offsets() []byte { return op.key[op.n+1 : op.off : op.off] }
+func (op *Op) begin() []byte   { return op.key[op.off : op.off+op.tok+1 : op.off+op.tok+1] }
+func (op *Op) end() []byte     { return op.key[op.off+op.tok+1:] }
+
+// IssueInsert appends to ops an insert/upsert of (token, pk) -> offsets and
+// sends its boundary scans: the locate scan a delete issues and then the
+// neighbor scan. The neighbor read is consumed only on the spill path, but
 // issuing it up front keeps the op at one latency window. The spill entry's
 // primary key is always >= pk and below the next bunch's anchor, so the one
-// neighbor scan serves either spill shape.
-func (a *Async) IssueInsert(token string, pk tuple.Tuple, offsets []int64) *Op {
-	op := a.IssueDelete(token, pk)
-	op.insert = true
-	op.offsets = tuple.Tuple{offsetsTuple(offsets)}.Pack()
-	op.next = a.tr.GetRangeAsync(op.after, op.end, fdb.RangeOptions{Limit: 1})
-	return op
+// neighbor scan serves either spill shape. A caller issuing many ops holds
+// them in one slice.
+func (a *Async) IssueInsert(ops []Op, token string, pk tuple.Tuple, offsets []int64) []Op {
+	return a.issue(ops, token, pk, offsets, true)
 }
 
-// IssueDelete starts a delete of (token, pk); only the locate scan is needed.
-func (a *Async) IssueDelete(token string, pk tuple.Tuple) *Op {
-	op := &Op{a: a, seq: a.ov.Issue()}
-	op.begin, op.end = a.m.space.RangeForTuple(tuple.Tuple{token})
-	op.logical = a.m.key(token, pk)
-	op.after = fdb.KeyAfter(op.logical)
-	op.pk = op.logical[len(op.begin)-1:]
-	op.locate = a.tr.GetRangeAsync(op.begin, op.after, fdb.RangeOptions{Limit: 1, Reverse: true})
-	return op
+// IssueDelete appends to ops a delete of (token, pk); only the locate scan is
+// needed.
+func (a *Async) IssueDelete(ops []Op, token string, pk tuple.Tuple) []Op {
+	return a.issue(ops, token, pk, nil, false)
+}
+
+func (a *Async) issue(ops []Op, token string, pk tuple.Tuple, offsets []int64, insert bool) []Op {
+	// Pack logical, its successor byte and the offsets on the stack, then
+	// copy them and the token's bounds into the op's one buffer.
+	var stack [256]byte
+	body := tuple.AppendString(append(stack[:0], a.m.space.Bytes()...), token)
+	tok := len(body) // logical[:tok] is the token's bounds' common prefix
+	body = tuple.AppendNested(body, pk)
+	n := len(body)
+	body = append(body, 0x00)
+	if insert {
+		body = append(body, codeNested)
+		for _, o := range offsets {
+			body = tuple.AppendInt64(body, o)
+		}
+		body = append(body, 0x00)
+	}
+	key := make([]byte, len(body)+2*(tok+1))
+	off := copy(key, body)
+	copy(key[off:], body[:tok])
+	copy(key[off+tok+1:], body[:tok])
+	key[len(key)-1] = 0xFF
+	ops = append(ops, Op{a: a, insert: insert, seq: a.ov.Issue(), key: key, n: n, tok: tok, off: off})
+	op := &ops[len(ops)-1]
+	op.locate = a.tr.GetRangeAsync(op.begin(), op.after(), fdb.RangeOptions{Limit: 1, Reverse: true})
+	if insert {
+		op.next = a.tr.GetRangeAsync(op.after(), op.end(), fdb.RangeOptions{Limit: 1})
+	}
+	return ops
 }
 
 // boundary resolves one Limit-1 scan over [begin, end) to the physical pair a
@@ -108,7 +141,7 @@ type bunch struct {
 // element, and finds where the op's pk sorts in it.
 func (op *Op) walk(kv fdb.KeyValue) (b bunch, err error) {
 	v := kv.Value
-	b.anchor, b.at = kv.Key[len(op.begin)-1:], -1
+	b.anchor, b.at = kv.Key[op.tok:], -1
 	if nestedLen(b.anchor) != len(b.anchor) {
 		return b, malformed(kv.Key)
 	}
@@ -122,8 +155,8 @@ func (op *Op) walk(kv fdb.KeyValue) (b bunch, err error) {
 		if len(pk) == 0 || ol == 0 {
 			return b, malformed(kv.Key)
 		}
-		if b.at < 0 && bytes.Compare(pk, op.pk) >= 0 {
-			b.at, b.found, b.pkLen, b.offLen = pos, bytes.Equal(pk, op.pk), pl, ol
+		if b.at < 0 && bytes.Compare(pk, op.pk()) >= 0 {
+			b.at, b.found, b.pkLen, b.offLen = pos, bytes.Equal(pk, op.pk()), pl, ol
 		}
 		b.last, b.lastOffsets = pos, pos+pl
 		pos += pl + ol
@@ -165,17 +198,17 @@ func offsetsLen(b []byte) int {
 
 // keyFor is the physical key of a bunch anchored at the encoded pk.
 func (op *Op) keyFor(pk []byte) []byte {
-	return slices.Concat(op.begin[:len(op.begin)-1], pk)
+	return slices.Concat(op.key[:op.tok], pk)
 }
 
 func (op *Op) applyInsert() error {
 	a := op.a
-	loc, ok, err := op.boundary(op.locate, op.begin, op.after, true)
+	loc, ok, err := op.boundary(op.locate, op.begin(), op.after(), true)
 	if err != nil {
 		return err
 	}
 	if !ok {
-		return op.applySpill(op.logical, op.offsets)
+		return op.applySpill(op.logical(), op.offsets())
 	}
 	b, err := op.walk(loc)
 	if err != nil {
@@ -184,17 +217,17 @@ func (op *Op) applyInsert() error {
 	v := loc.Value
 	if b.found {
 		p := b.at + b.pkLen
-		return a.ov.Set(loc.Key, slices.Concat(v[:p], op.offsets, v[p+b.offLen:]))
+		return a.ov.Set(loc.Key, slices.Concat(v[:p], op.offsets(), v[p+b.offLen:]))
 	}
 	if b.n < a.m.bunchSize {
-		return a.ov.Set(loc.Key, slices.Concat(v[:b.at], op.pk, op.offsets, v[b.at:]))
+		return a.ov.Set(loc.Key, slices.Concat(v[:b.at], op.pk(), op.offsets(), v[b.at:]))
 	}
 	// Overflow: evict the biggest primary key, then absorb the neighbor
 	// bunch when the result fits. When the new entry sorts last it is the
 	// one evicted, and the bunch is written back unchanged.
-	kept, key, offsets := v, op.logical, op.offsets
+	kept, key, offsets := v, op.logical(), op.offsets()
 	if b.at < len(v) {
-		kept = slices.Concat(v[:b.at], op.pk, op.offsets, v[b.at:b.last])
+		kept = slices.Concat(v[:b.at], op.pk(), op.offsets(), v[b.at:b.last])
 		key, offsets = op.keyFor(v[b.last:b.lastOffsets]), v[b.lastOffsets:]
 	}
 	if err := a.ov.Set(loc.Key, kept); err != nil {
@@ -208,7 +241,7 @@ func (op *Op) applyInsert() error {
 // through the pipeline.
 func (op *Op) applySpill(key, offsets []byte) error {
 	a := op.a
-	nbr, ok, err := op.boundary(op.next, op.after, op.end, false)
+	nbr, ok, err := op.boundary(op.next, op.after(), op.end(), false)
 	if err != nil {
 		return err
 	}
@@ -230,7 +263,7 @@ func (op *Op) applySpill(key, offsets []byte) error {
 
 func (op *Op) applyDelete() (bool, error) {
 	a := op.a
-	loc, ok, err := op.boundary(op.locate, op.begin, op.after, true)
+	loc, ok, err := op.boundary(op.locate, op.begin(), op.after(), true)
 	if err != nil || !ok {
 		return false, err
 	}

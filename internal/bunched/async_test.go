@@ -51,9 +51,9 @@ func runOps(t *testing.T, db *fdb.Database, m *Map, ops []mapOp, batched bool) (
 		a := m.Async(tr)
 		issue := func(o mapOp) *Op {
 			if o.insert {
-				return a.IssueInsert(o.token, pk(o.n), o.offsets)
+				return &a.IssueInsert(nil, o.token, pk(o.n), o.offsets)[0]
 			}
-			return a.IssueDelete(o.token, pk(o.n))
+			return &a.IssueDelete(nil, o.token, pk(o.n))[0]
 		}
 		if !batched {
 			for i, o := range ops {
@@ -207,7 +207,7 @@ func TestAsyncBatchSharesWindow(t *testing.T) {
 			ops := make([]*Op, 0, n)
 			a := m.Async(tr)
 			for i := 0; i < n; i++ {
-				op := a.IssueInsert(fmt.Sprintf("tok%02d", i), pk(i), []int64{int64(i)})
+				op := &a.IssueInsert(nil, fmt.Sprintf("tok%02d", i), pk(i), []int64{int64(i)})[0]
 				if batched {
 					ops = append(ops, op)
 					continue

@@ -138,7 +138,7 @@ func (m *Map) locate(tr *fdb.Transaction, token string, pk tuple.Tuple) (physKey
 // pipelined Async path, so the locate and neighbor scans share one latency
 // window.
 func (m *Map) Insert(tr *fdb.Transaction, token string, pk tuple.Tuple, offsets []int64) error {
-	_, err := m.Async(tr).IssueInsert(token, pk, offsets).Apply()
+	_, err := m.Async(tr).IssueInsert(nil, token, pk, offsets)[0].Apply()
 	return err
 }
 
@@ -158,7 +158,7 @@ func (m *Map) Get(tr *fdb.Transaction, token string, pk tuple.Tuple) ([]int64, b
 
 // Delete removes (token, pk); reading and writing a single pair (App. B).
 func (m *Map) Delete(tr *fdb.Transaction, token string, pk tuple.Tuple) (bool, error) {
-	return m.Async(tr).IssueDelete(token, pk).Apply()
+	return m.Async(tr).IssueDelete(nil, token, pk)[0].Apply()
 }
 
 // ScanToken returns every entry for a token in primary-key order.

@@ -194,9 +194,9 @@ func runHistoryTxn(db *fdb.Database, m *Map, ops []histOp, batched bool, apply a
 	a := m.Async(tr)
 	issue := func(o histOp) *Op {
 		if o.insert {
-			return a.IssueInsert(o.token, o.pk, o.offsets)
+			return &a.IssueInsert(nil, o.token, o.pk, o.offsets)[0]
 		}
-		return a.IssueDelete(o.token, o.pk)
+		return &a.IssueDelete(nil, o.token, o.pk)[0]
 	}
 	changed := make([]bool, len(ops))
 	pending := make([]*Op, len(ops))
@@ -261,9 +261,9 @@ func TestMalformedBunchesFail(t *testing.T) {
 					a := m.Async(db.CreateTransaction())
 					var op *Op
 					if o.insert {
-						op = a.IssueInsert(o.token, o.pk, o.offsets)
+						op = &a.IssueInsert(nil, o.token, o.pk, o.offsets)[0]
 					} else {
-						op = a.IssueDelete(o.token, o.pk)
+						op = &a.IssueDelete(nil, o.token, o.pk)[0]
 					}
 					if _, err := apply(op, o); err == nil {
 						t.Errorf("apply %+v: no error", o)
@@ -277,9 +277,9 @@ func TestMalformedBunchesFail(t *testing.T) {
 // TestApplyAllocs pins what a posting edit allocates once its reads are in:
 // applying one insert into the middle of a 7-entry bunch and one delete of
 // it. Decoding the bunch into tuples and encoding it again took 217
-// allocations for the pair; splicing the encoded bunch takes 12 (Go 1.24),
-// mostly the transaction's and the overlay's copies of what is written. The
-// bound of 20 leaves room for another Go version, not for decode/encode.
+// allocations for the pair; splicing the encoded bunch takes 8 (Go 1.24),
+// mostly the transaction's copies of what is written. The bound of 20 leaves
+// room for another Go version, not for decode/encode.
 func TestApplyAllocs(t *testing.T) {
 	const runs, bound = 20, 20
 	db, m := newMap(20)
@@ -297,13 +297,13 @@ func TestApplyAllocs(t *testing.T) {
 	tr := db.CreateTransaction()
 	a := m.Async(tr)
 	// Issue every op up front, so the measured function only applies.
-	ops := make([]*Op, 0, 2*(runs+1))
+	ops := make([]Op, 0, 2*(runs+1))
 	for i := 0; i <= runs; i++ {
-		ops = append(ops, a.IssueInsert("tok", pk(7), []int64{3, 9}), a.IssueDelete("tok", pk(7)))
+		ops = a.IssueDelete(a.IssueInsert(ops, "tok", pk(7), []int64{3, 9}), "tok", pk(7))
 	}
 	allocs := testing.AllocsPerRun(runs, func() {
-		for _, op := range ops[:2] {
-			if ok, err := op.Apply(); err != nil || !ok {
+		for i := range ops[:2] {
+			if ok, err := ops[i].Apply(); err != nil || !ok {
 				t.Fatalf("apply: %v %v", ok, err)
 			}
 		}

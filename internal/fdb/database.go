@@ -316,7 +316,9 @@ func (d *Database) commit(t *Transaction) (int64, error) {
 				if w.End == nil && t.readConflicts.ContainsKey(w.Begin) ||
 					w.End != nil && t.readConflicts.Overlaps(w.Begin, w.End) {
 					d.metrics.Conflicts.Add(1)
-					return 0, errCode(CodeNotCommitted, "transaction conflict")
+					e := errCode(CodeNotCommitted, "transaction conflict")
+					e.Conflict = &Conflict{Read: cloneRange(t.readConflicts.from(w.Begin)), Write: cloneRange(w)}
+					return 0, e
 				}
 			}
 		}
@@ -331,12 +333,12 @@ func (d *Database) commit(t *Transaction) (int64, error) {
 		switch f.commitFault() {
 		case commitFailNot:
 			d.metrics.Conflicts.Add(1)
-			return 0, errCode(CodeNotCommitted, "transaction conflict (injected)")
+			return 0, injected(CodeNotCommitted, "transaction conflict (injected)")
 		case commitUnknownDropped:
-			return 0, errCode(CodeCommitUnknownResult, "commit result unknown (injected)")
+			return 0, injected(CodeCommitUnknownResult, "commit result unknown (injected)")
 		case commitUnknownApplied:
 			d.applyLocked(t)
-			return 0, errCode(CodeCommitUnknownResult, "commit result unknown (injected)")
+			return 0, injected(CodeCommitUnknownResult, "commit result unknown (injected)")
 		}
 	}
 

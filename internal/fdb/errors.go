@@ -25,6 +25,23 @@ const (
 type Error struct {
 	Code int
 	Msg  string
+	// Conflict names, for a not_committed the resolver found, the first
+	// overlap it found. It is nil for every other error.
+	Conflict *Conflict
+	// Injected marks an error a FaultInjector made up: the database itself
+	// had no reason to fail the call.
+	Injected bool
+}
+
+// Conflict is one overlap between what a transaction read and what a
+// transaction that committed after its read version wrote. The bytes are the
+// error's own.
+type Conflict struct {
+	// Read is the read conflict range the write lies in or intersects.
+	Read KeyRange
+	// Write is the committed write: the one key Begin when End is nil (a set
+	// or atomic op), else a cleared or write-conflict range.
+	Write KeyRange
 }
 
 func (e *Error) Error() string {
@@ -46,6 +63,11 @@ func (e *Error) Retryable() bool {
 
 func errCode(code int, format string, args ...interface{}) *Error {
 	return &Error{Code: code, Msg: fmt.Sprintf(format, args...)}
+}
+
+// injected is the error a FaultInjector returns in place of a real outcome.
+func injected(code int, msg string) *Error {
+	return &Error{Code: code, Msg: msg, Injected: true}
 }
 
 // IsRetryable reports whether err is (or wraps) a retryable FoundationDB

@@ -166,11 +166,11 @@ func (f *FaultInjector) readFault() error {
 	p := f.rng.Float64()
 	if p < f.cfg.PReadTooOld {
 		f.counts.ReadsTooOld++
-		return errCode(CodeTransactionTooOld, "transaction too old (injected)")
+		return injected(CodeTransactionTooOld, "transaction too old (injected)")
 	}
 	if p < f.cfg.PReadTooOld+f.cfg.PReadFuture {
 		f.counts.ReadsFuture++
-		return errCode(CodeFutureVersion, "future version (injected)")
+		return injected(CodeFutureVersion, "future version (injected)")
 	}
 	return nil
 }

@@ -17,6 +17,11 @@ func singleKeyRange(key []byte) KeyRange {
 	return KeyRange{Begin: append([]byte(nil), key...), End: end}
 }
 
+// cloneRange copies r's bounds; a nil End stays nil.
+func cloneRange(r KeyRange) KeyRange {
+	return KeyRange{Begin: cloneBytes(r.Begin), End: cloneBytes(r.End)}
+}
+
 // rangeSet maintains a sorted list of disjoint, coalesced key ranges. It is
 // used both for transaction conflict ranges and for the cleared-range overlay
 // in the read-your-writes buffer.
@@ -25,13 +30,14 @@ type rangeSet struct {
 }
 
 // Add inserts [begin, end), merging with any overlapping or adjacent ranges.
-func (s *rangeSet) Add(begin, end []byte) { s.add(begin, end, false) }
+func (s *rangeSet) Add(begin, end []byte) { s.add(begin, end, false, false) }
 
-// add is Add; owned says begin and end are the set's to keep. It edits the
-// slice in place — a transaction adds one range per read, and rebuilding the
-// slice each time was a third of index_write's allocated bytes — but never the
-// bytes of a stored bound: commit copies KeyRange values out of All.
-func (s *rangeSet) add(begin, end []byte, owned bool) {
+// add is Add; ownBegin and ownEnd say which bounds are the set's to keep
+// without a copy: bytes built for it, or bytes nothing writes again. It edits
+// the slice in place — a transaction adds one range per read, and rebuilding
+// the slice each time was a third of index_write's allocated bytes — but
+// never the bytes of a stored bound: commit copies KeyRange values out of All.
+func (s *rangeSet) add(begin, end []byte, ownBegin, ownEnd bool) {
 	if bytes.Compare(begin, end) >= 0 {
 		return
 	}
@@ -51,12 +57,12 @@ func (s *rangeSet) add(begin, end []byte, owned bool) {
 	}
 	if keepLo {
 		nr.Begin = s.ranges[i].Begin
-	} else if !owned {
+	} else if !ownBegin {
 		nr.Begin = append([]byte(nil), begin...)
 	}
 	if keepHi {
 		nr.End = s.ranges[j-1].End
-	} else if !owned {
+	} else if !ownEnd {
 		nr.End = append([]byte(nil), end...)
 	}
 	if j == i {
@@ -74,7 +80,7 @@ func (s *rangeSet) AddKey(key []byte) {
 		return // its range ends at key's successor, so it is covered
 	}
 	r := singleKeyRange(key)
-	s.add(r.Begin, r.End, true)
+	s.add(r.Begin, r.End, true, true)
 }
 
 // ContainsKey reports whether any range contains key.
@@ -94,6 +100,14 @@ func (s *rangeSet) Overlaps(begin, end []byte) bool {
 		return bytes.Compare(s.ranges[i].End, begin) > 0
 	})
 	return i < len(s.ranges) && bytes.Compare(s.ranges[i].Begin, end) < 0
+}
+
+// from returns the first range that ends past key: the one holding key, else
+// the first after it. The resolver calls it to name the range a write hit.
+func (s *rangeSet) from(key []byte) KeyRange {
+	return s.ranges[sort.Search(len(s.ranges), func(i int) bool {
+		return bytes.Compare(s.ranges[i].End, key) > 0
+	})]
 }
 
 // All returns the stored ranges, to be read before the next Add and not modified.

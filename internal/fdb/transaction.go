@@ -682,15 +682,18 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 
 	if !snapshot && !t.readOnly {
 		// Conflict with exactly the portion of the range actually observed.
-		cb, ce := begin, end
-		if more && n > 0 {
-			if !o.Reverse {
-				ce = keyAfter(last)
-			} else {
-				cb = last
-			}
+		// A read that stopped at its limit ends the range at a bound it
+		// found, which the set keeps as it is: the successor built here, or
+		// the last key itself, which nothing writes again. The caller's
+		// bounds are copied.
+		switch {
+		case !more || n == 0:
+			t.readConflicts.Add(begin, end)
+		case o.Reverse:
+			t.readConflicts.add(last, end, true, false)
+		default:
+			t.readConflicts.add(begin, keyAfter(last), false, true)
 		}
-		t.readConflicts.Add(cb, ce)
 	}
 	kvs := slices.Clip(spill)
 	if spill == nil && n > 0 {

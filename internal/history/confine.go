@@ -17,7 +17,9 @@ type Range struct {
 	Begin, End []byte
 }
 
-func (r Range) holds(begin, end []byte) bool {
+// Holds reports whether r holds [begin, end), or the one key begin when end
+// is nil.
+func (r Range) Holds(begin, end []byte) bool {
 	if end == nil {
 		return bytes.Compare(r.Begin, begin) <= 0 && bytes.Compare(begin, r.End) < 0
 	}
@@ -173,7 +175,7 @@ func (c *Confinement) Check(decode func([]byte) string) error {
 func allowed(a fdb.Access, sets ...[]Range) bool {
 	for _, rs := range sets {
 		for _, r := range rs {
-			if r.holds(a.Begin, a.End) {
+			if r.Holds(a.Begin, a.End) {
 				return true
 			}
 		}

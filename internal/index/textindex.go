@@ -1,9 +1,12 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"recordlayer/internal/bunched"
 	"recordlayer/internal/fdb"
@@ -60,13 +63,22 @@ func (m *TextMaintainer) mapFor(ctx *Context) *bunched.Map {
 	return bunched.New(ctx.Space, m.bunchSize)
 }
 
-// positions tokenizes the record's indexed text field.
-func (m *TextMaintainer) positions(r *Record, ix *metadata.Index) (map[string][]int64, error) {
+// tokenOffsets is one token of a record's text and the offsets it occurs at.
+type tokenOffsets struct {
+	token   string
+	offsets []int64
+}
+
+// positions tokenizes the record's indexed text field into its tokens in
+// byte order, each with its offsets: ascending within each entry of the
+// field, entries in field order. All offset lists share one array, each
+// clipped to its length.
+func (m *TextMaintainer) positions(r *Record, ix *metadata.Index) ([]tokenOffsets, error) {
 	entries, err := entriesFor(ix, r)
 	if err != nil {
 		return nil, err
 	}
-	out := map[string][]int64{}
+	var toks []text.Token
 	for _, e := range entries {
 		if len(e) != 1 || e[0] == nil {
 			continue
@@ -75,8 +87,32 @@ func (m *TextMaintainer) positions(r *Record, ix *metadata.Index) (map[string][]
 		if !ok {
 			return nil, fmt.Errorf("index %q: text index over non-string value %T", ix.Name, e[0])
 		}
-		for tok, offs := range text.PositionsByToken(m.tokenizer.Tokenize(s)) {
-			out[tok] = append(out[tok], offs...)
+		more := m.tokenizer.Tokenize(s)
+		slices.SortFunc(more, func(a, b text.Token) int {
+			return cmp.Or(strings.Compare(a.Text, b.Text), cmp.Compare(a.Offset, b.Offset))
+		})
+		if len(toks) == 0 {
+			toks = more
+			continue
+		}
+		// A later entry's offsets of a token follow the earlier entries'.
+		toks = append(toks, more...)
+		slices.SortStableFunc(toks, func(a, b text.Token) int { return strings.Compare(a.Text, b.Text) })
+	}
+	distinct := 0
+	for i := range toks {
+		if i+1 == len(toks) || toks[i+1].Text != toks[i].Text {
+			distinct++
+		}
+	}
+	out := make([]tokenOffsets, 0, distinct)
+	offsets := make([]int64, len(toks))
+	start := 0
+	for i, tok := range toks {
+		offsets[i] = tok.Offset
+		if i+1 == len(toks) || toks[i+1].Text != tok.Text {
+			out = append(out, tokenOffsets{token: tok.Text, offsets: offsets[start : i+1 : i+1]})
+			start = i + 1
 		}
 	}
 	return out, nil
@@ -91,10 +127,12 @@ func (m *TextMaintainer) asyncFor(ctx *Context) *bunched.Async {
 	return m.async
 }
 
-// UpdateAsync implements Maintainer: the boundary scans of every token's
-// bunch rewrite are issued here; the returned Pending resolves them and
-// applies the rewrites. Ops pipeline across records through the shared
-// per-transaction overlay, so Pendings must be awaited in issue order.
+// UpdateAsync implements Maintainer: the boundary scans of every changed
+// token's bunch rewrite are issued here; the returned Pending resolves them
+// and applies the rewrites. Ops pipeline across records through the shared
+// per-transaction overlay, so Pendings must be awaited in issue order. A token
+// at the same offsets in the old and new text is left alone, as VALUE and
+// RANK leave an unchanged entry (§6).
 func (m *TextMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, error) {
 	oldPos, err := m.positions(old, ctx.Index)
 	if err != nil {
@@ -104,25 +142,19 @@ func (m *TextMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, e
 	if err != nil {
 		return nil, err
 	}
-	a := m.asyncFor(ctx)
-	ops := make([]*bunched.Op, 0, len(oldPos)+len(newPos))
-	// Deletes, then inserts, each in token order: the order reads are issued
-	// in shows in traces and decides which read a seeded fault lands on, so
-	// it must not follow map iteration.
-	for _, tok := range sortedTokens(oldPos) {
-		if _, stillThere := newPos[tok]; !stillThere {
-			ops = append(ops, a.IssueDelete(tok, old.PrimaryKey))
-		}
-	}
-	for _, tok := range sortedTokens(newPos) {
-		ops = append(ops, a.IssueInsert(tok, new.PrimaryKey, newPos[tok]))
-	}
-	if len(ops) == 0 {
+	n := 0
+	diffTokens(oldPos, newPos, func(string) { n++ }, func(tokenOffsets) { n++ })
+	if n == 0 {
 		return Done, nil
 	}
+	a := m.asyncFor(ctx)
+	ops := make([]bunched.Op, 0, n)
+	diffTokens(oldPos, newPos,
+		func(token string) { ops = a.IssueDelete(ops, token, old.PrimaryKey) },
+		func(t tokenOffsets) { ops = a.IssueInsert(ops, t.token, new.PrimaryKey, t.offsets) })
 	return pendingFunc(func() error {
-		for _, op := range ops {
-			if _, err := op.Apply(); err != nil {
+		for i := range ops {
+			if _, err := ops[i].Apply(); err != nil {
 				return err
 			}
 		}
@@ -130,13 +162,32 @@ func (m *TextMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, e
 	}), nil
 }
 
-func sortedTokens(pos map[string][]int64) []string {
-	toks := make([]string, 0, len(pos))
-	for tok := range pos {
-		toks = append(toks, tok)
+// diffTokens calls removed with every token of old that new lacks, then
+// changed with every token of new that old lacks or holds at other offsets,
+// each in token order: the order reads are issued in shows in traces and
+// decides which read a seeded fault lands on. Both lists are in token order,
+// so each pass walks the other list alongside.
+func diffTokens(old, new []tokenOffsets, removed func(string), changed func(tokenOffsets)) {
+	for i, j := 0, 0; i < len(old); i++ {
+		j = seek(new, j, old[i].token)
+		if j == len(new) || new[j].token != old[i].token {
+			removed(old[i].token)
+		}
 	}
-	sort.Strings(toks)
-	return toks
+	for i, j := 0, 0; j < len(new); j++ {
+		i = seek(old, i, new[j].token)
+		if i == len(old) || old[i].token != new[j].token || !slices.Equal(old[i].offsets, new[j].offsets) {
+			changed(new[j])
+		}
+	}
+}
+
+// seek returns the first index at or after i whose token is not below token.
+func seek(pos []tokenOffsets, i int, token string) int {
+	for i < len(pos) && pos[i].token < token {
+		i++
+	}
+	return i
 }
 
 // Posting is one text-search hit: a record and the token offsets within it.

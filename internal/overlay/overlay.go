@@ -9,14 +9,15 @@
 // probe every earlier op has already written. The probe's answer is then
 // stale only on keys written through the overlay, and for those the latest
 // written value is the truth. The overlay therefore keeps just that: the
-// latest value of every key it wrote, and the keys in order. It uses only
+// latest value of every key it wrote, in one slice sorted by key. It uses only
 // the public transaction API, as a real client would have to.
 package overlay
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"recordlayer/internal/fdb"
 )
@@ -26,15 +27,19 @@ import (
 // made around it would be missing from the answers.
 type Overlay struct {
 	tr      *fdb.Transaction
-	vals    map[string][]byte // latest written value per key; nil = cleared
-	keys    []string          // the keys of vals, sorted
+	writes  []write // the latest write of each key, sorted by key
 	issued  int
 	applied int
 }
 
+// write is the latest value written to key; nil means cleared.
+type write struct {
+	key, val []byte
+}
+
 // New creates an empty overlay over one transaction.
 func New(tr *fdb.Transaction) *Overlay {
-	return &Overlay{tr: tr, vals: map[string][]byte{}}
+	return &Overlay{tr: tr}
 }
 
 // Issue hands out the next op's place in the issue order.
@@ -53,18 +58,25 @@ func (o *Overlay) Turn(seq int) error {
 	return nil
 }
 
-func (o *Overlay) record(key, val []byte) {
-	k := string(key)
-	if _, ok := o.vals[k]; !ok {
-		i := sort.SearchStrings(o.keys, k)
-		o.keys = append(o.keys, "")
-		copy(o.keys[i+1:], o.keys[i:])
-		o.keys[i] = k
-	}
-	o.vals[k] = val
+// find returns where key's write is, or would be inserted, and whether it is
+// there.
+func (o *Overlay) find(key []byte) (int, bool) {
+	return slices.BinarySearchFunc(o.writes, key, func(w write, key []byte) int {
+		return bytes.Compare(w.key, key)
+	})
 }
 
-// Set writes key = val. The overlay keeps val; the caller must not modify it.
+func (o *Overlay) record(key, val []byte) {
+	i, found := o.find(key)
+	if found {
+		o.writes[i].val = val
+		return
+	}
+	o.writes = slices.Insert(o.writes, i, write{key: key, val: val})
+}
+
+// Set writes key = val. The overlay keeps key and val; the caller must not
+// modify either.
 func (o *Overlay) Set(key, val []byte) error {
 	if err := o.tr.Set(key, val); err != nil {
 		return err
@@ -73,7 +85,7 @@ func (o *Overlay) Set(key, val []byte) error {
 	return nil
 }
 
-// Clear removes key.
+// Clear removes key. The overlay keeps key; the caller must not modify it.
 func (o *Overlay) Clear(key []byte) error {
 	if err := o.tr.Clear(key); err != nil {
 		return err
@@ -84,7 +96,8 @@ func (o *Overlay) Clear(key []byte) error {
 
 // Add applies an atomic little-endian ADD of delta to key, whose resolved
 // value the caller has just read as cur (0 when absent), and remembers the
-// sum. The write stays an atomic mutation, so it adds no read conflict.
+// sum. The write stays an atomic mutation, so it adds no read conflict. The
+// overlay keeps key; the caller must not modify it.
 func (o *Overlay) Add(key []byte, cur, delta int64) error {
 	if err := o.tr.Atomic(fdb.MutationAdd, key, le64(delta)); err != nil {
 		return err
@@ -106,8 +119,8 @@ func (o *Overlay) Value(key []byte, fut *fdb.FutureValue) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if v, ok := o.vals[string(key)]; ok {
-		return v, nil
+	if i, ok := o.find(key); ok {
+		return o.writes[i].val, nil
 	}
 	return raw, nil
 }
@@ -126,34 +139,42 @@ func (o *Overlay) Boundary(fut *fdb.FutureRange, begin, end []byte, reverse, sna
 	if err != nil {
 		return fdb.KeyValue{}, false, err
 	}
-	lo, hi := begin, end
-	if len(kvs) > 0 && reverse {
-		lo = fdb.KeyAfter(kvs[0].Key)
-	} else if len(kvs) > 0 {
-		hi = kvs[0].Key
+	// writes[i:j] are the keys beyond the probe's pair, toward the end the
+	// scan started from; k is where the pair's own key is, if written.
+	i, _ := o.find(begin)
+	j, _ := o.find(end)
+	var k int
+	var written bool
+	if len(kvs) > 0 {
+		k, written = o.find(kvs[0].Key)
+		switch {
+		case !reverse:
+			j = k
+		case written:
+			i = k + 1
+		default:
+			i = k
+		}
 	}
-	i := sort.Search(len(o.keys), func(i int) bool { return o.keys[i] >= string(lo) })
-	j := sort.Search(len(o.keys), func(j int) bool { return o.keys[j] >= string(hi) })
 	for i < j {
-		k := o.keys[i]
+		w := o.writes[i]
 		if reverse {
 			j--
-			k = o.keys[j]
+			w = o.writes[j]
 		} else {
 			i++
 		}
-		if v := o.vals[k]; v != nil {
-			return fdb.KeyValue{Key: []byte(k), Value: v}, true, nil
+		if w.val != nil {
+			return fdb.KeyValue{Key: w.key, Value: w.val}, true, nil
 		}
 	}
 	if len(kvs) == 0 {
 		return fdb.KeyValue{}, false, nil
 	}
-	v, written := o.vals[string(kvs[0].Key)]
 	if !written {
 		return kvs[0], true, nil
 	}
-	if v != nil {
+	if v := o.writes[k].val; v != nil {
 		return fdb.KeyValue{Key: kvs[0].Key, Value: v}, true, nil
 	}
 	opts := fdb.RangeOptions{Limit: 1, Reverse: reverse}

@@ -20,6 +20,7 @@ type probe struct {
 	reverse  bool
 	snapshot bool
 	rng      *fdb.FutureRange
+	issued   int // the step it was issued at
 }
 
 func key(i int) []byte { return []byte{'k', byte('a' + i)} }
@@ -27,9 +28,13 @@ func key(i int) []byte { return []byte{'k', byte('a' + i)} }
 // TestResolversMatchPlainReads issues point and Limit-1 probes at random
 // positions among random writes and resolves them in issue order; whatever
 // was written between a probe's issue and its resolution, the resolved answer
-// must equal a plain read taken at the moment of resolution.
+// must equal a plain read taken at the moment of resolution. The seeds must
+// cover forward and reverse probes, snapshot and serializable, and a probe
+// whose own pair was rewritten, and one whose own pair was cleared, since it
+// was issued.
 func TestResolversMatchPlainReads(t *testing.T) {
 	const alphabet = 8
+	covered := map[string]int{}
 	for seed := int64(1); seed <= 60; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
 		db := fdb.Open(nil)
@@ -49,6 +54,7 @@ func TestResolversMatchPlainReads(t *testing.T) {
 		_, err = db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
 			o := New(tr)
 			var pending []probe
+			lastWrite := map[string]int{} // the step each key was last written at
 			resolve := func() error {
 				p := pending[0]
 				pending = pending[1:]
@@ -70,6 +76,14 @@ func TestResolversMatchPlainReads(t *testing.T) {
 				if err != nil {
 					return err
 				}
+				covered[fmt.Sprintf("reverse=%v snapshot=%v", p.reverse, p.snapshot)]++
+				if raw, _, _ := p.rng.Get(); len(raw) == 1 && lastWrite[string(raw[0].Key)] > p.issued {
+					if v, _ := tr.Get(raw[0].Key); v == nil {
+						covered["own pair cleared"]++
+					} else {
+						covered["own pair rewritten"]++
+					}
+				}
 				want, _, err := tr.GetRange(p.begin, p.end, fdb.RangeOptions{Limit: 1, Reverse: p.reverse})
 				if err != nil {
 					return err
@@ -79,9 +93,10 @@ func TestResolversMatchPlainReads(t *testing.T) {
 				}
 				return nil
 			}
-			for step := 0; step < 80; step++ {
+			for step := 1; step <= 80; step++ {
 				k := key(rnd.Intn(alphabet))
-				switch rnd.Intn(8) {
+				op := rnd.Intn(8)
+				switch op {
 				case 0:
 					if err := o.Set(k, le64(int64(rnd.Intn(100)))); err != nil {
 						return nil, err
@@ -113,7 +128,7 @@ func TestResolversMatchPlainReads(t *testing.T) {
 				case 4, 5:
 					lo := rnd.Intn(alphabet)
 					p := probe{begin: key(lo), end: key(lo + 1 + rnd.Intn(alphabet-lo)),
-						reverse: rnd.Intn(2) == 0, snapshot: rnd.Intn(2) == 0}
+						reverse: rnd.Intn(2) == 0, snapshot: rnd.Intn(2) == 0, issued: step}
 					p.desc = fmt.Sprintf("step %d range [%s,%s) reverse=%v", step, p.begin, p.end, p.reverse)
 					opts := fdb.RangeOptions{Limit: 1, Reverse: p.reverse}
 					if p.snapshot {
@@ -129,6 +144,9 @@ func TestResolversMatchPlainReads(t *testing.T) {
 						}
 					}
 				}
+				if op <= 2 {
+					lastWrite[string(k)] = step
+				}
 			}
 			for len(pending) > 0 {
 				if err := resolve(); err != nil {
@@ -141,6 +159,13 @@ func TestResolversMatchPlainReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for _, c := range []string{"reverse=false snapshot=false", "reverse=false snapshot=true",
+		"reverse=true snapshot=false", "reverse=true snapshot=true", "own pair rewritten", "own pair cleared"} {
+		if covered[c] == 0 {
+			t.Errorf("no Limit-1 probe resolved with %s", c)
+		}
+	}
+	t.Logf("Limit-1 probes resolved: %v", covered)
 }
 
 // TestBoundaryOutcomes pins the three ways a Limit-1 probe resolves, and that

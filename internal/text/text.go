@@ -22,7 +22,7 @@ type Token struct {
 type Tokenizer interface {
 	// Name identifies the tokenizer in index options.
 	Name() string
-	// Tokenize splits and normalizes text.
+	// Tokenize splits and normalizes text. The caller owns the slice.
 	Tokenize(text string) []Token
 }
 
@@ -100,19 +100,6 @@ func (t NGramTokenizer) Tokenize(text string) []Token {
 		}
 	}
 	return out
-}
-
-// PositionsByToken groups a token stream into sorted offset lists, the form
-// stored in the index's postings.
-func PositionsByToken(tokens []Token) map[string][]int64 {
-	m := make(map[string][]int64)
-	for _, t := range tokens {
-		m[t.Text] = append(m[t.Text], t.Offset)
-	}
-	for _, offs := range m {
-		sort.Slice(offs, func(i, j int) bool { return offs[i] < offs[j] })
-	}
-	return m
 }
 
 // MatchPhrase reports whether the offset lists (one per consecutive phrase

@@ -57,16 +57,6 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-func TestPositionsByToken(t *testing.T) {
-	m := PositionsByToken(WhitespaceTokenizer{}.Tokenize("the whale the sea the whale"))
-	if !reflect.DeepEqual(m["the"], []int64{0, 2, 4}) {
-		t.Fatalf("the: %v", m["the"])
-	}
-	if !reflect.DeepEqual(m["whale"], []int64{1, 5}) {
-		t.Fatalf("whale: %v", m["whale"])
-	}
-}
-
 func TestMatchPhrase(t *testing.T) {
 	// "white whale" in "the white whale sank"; offsets: white=1, whale=2.
 	if !MatchPhrase([][]int64{{1}, {2}}) {

@@ -585,6 +585,27 @@ func BytesAt(b []byte) (v []byte, n int, ok bool) { return viewAt(b, codeBytes) 
 // it, unless the conversion is a map index the compiler can see.
 func StringAt(b []byte) (v []byte, n int, ok bool) { return viewAt(b, codeString) }
 
+// AppendInt64 appends v encoded as one tuple element, as Pack encodes an
+// int64 at any depth, without boxing it: the inverse of Int64At.
+func AppendInt64(b []byte, v int64) []byte { return encodeInt(b, v) }
+
+// AppendString appends s encoded as one tuple element, as Pack encodes a
+// string at any depth, without boxing it.
+func AppendString(b []byte, s string) []byte { return encodeBytes(b, codeString, []byte(s)) }
+
+// AppendNested appends t encoded as one nested tuple element, as Pack encodes
+// Tuple{t}, without boxing t. It panics where Pack does.
+func AppendNested(b []byte, t Tuple) []byte {
+	b = append(b, codeNested)
+	for _, e := range t {
+		var err error
+		if b, err = encodeElement(b, e, nil, true); err != nil {
+			panic(err)
+		}
+	}
+	return append(b, 0x00)
+}
+
 // Int64At decodes the integer element at the start of b without boxing it,
 // and returns its encoded length. ok is false unless Unpack would decode that
 // element to an int64: b is empty or truncated, holds another type, or holds

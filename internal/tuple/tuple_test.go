@@ -403,3 +403,24 @@ func TestUnpackErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendsMatchPack: the unboxed appends encode what Pack does, for the
+// elements that escape (a zero byte, a nested null) and every int width.
+func TestAppendsMatchPack(t *testing.T) {
+	prefix := []byte{0xAA}
+	for _, s := range []string{"", "a", "a\x00b", "\x00\x00", "whale"} {
+		if got, want := AppendString(prefix, s), append(prefix, Tuple{s}.Pack()...); !bytes.Equal(got, want) {
+			t.Errorf("AppendString(%q) = %x, want %x", s, got, want)
+		}
+	}
+	for _, v := range []int64{0, 1, -1, 255, 256, -256, 1 << 40, math.MaxInt64, math.MinInt64} {
+		if got, want := AppendInt64(prefix, v), append(prefix, Tuple{v}.Pack()...); !bytes.Equal(got, want) {
+			t.Errorf("AppendInt64(%d) = %x, want %x", v, got, want)
+		}
+	}
+	for _, n := range []Tuple{{}, {int64(7)}, {"a\x00", nil, int64(-3)}, {Tuple{nil, "x"}, []byte{0}}} {
+		if got, want := AppendNested(prefix, n), append(prefix, Tuple{n}.Pack()...); !bytes.Equal(got, want) {
+			t.Errorf("AppendNested(%v) = %x, want %x", n, got, want)
+		}
+	}
+}
