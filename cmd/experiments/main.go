@@ -245,6 +245,7 @@ func runChaos(w io.Writer, short bool) error {
 		if len(stats.RetriesByCause) > 0 {
 			fmt.Fprintf(w, "    retries by cause: %v\n", stats.RetriesByCause)
 		}
+		fmt.Fprintf(w, "    real conflicts by subspace: %v\n", stats.Conflicts)
 		if err := stats.Check(); err != nil {
 			return err
 		}

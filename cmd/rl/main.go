@@ -12,7 +12,7 @@
 //	go run ./cmd/rl tenants show           # the persisted limits table
 //	go run ./cmd/rl usage                  # metering export + billing report
 //	go run ./cmd/rl metrics                # Prometheus text-format dump
-//	go run ./cmd/rl plans                  # plan cache contents + stats
+//	go run ./cmd/rl plans                  # cached plans, one per query shape
 //	go run ./cmd/rl scrub                  # index consistency scrubber demo
 package main
 

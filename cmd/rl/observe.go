@@ -146,8 +146,9 @@ func metricsCmd() {
 }
 
 // plansCmd seeds the stack, executes a mix of repeated and distinct queries,
-// and prints the plan cache: every cached fingerprint with its plan and hit
-// count, plus the cache-wide counters.
+// and prints the plan cache: one entry per query shape, "?" in place of each
+// literal, with its shape plan and hit count, plus the cache-wide counters.
+// Queries that differ only in their literals share an entry.
 func plansCmd() {
 	st := newObsStack()
 	st.run()
@@ -155,6 +156,7 @@ func plansCmd() {
 	queries := []recordlayer.Query{
 		{RecordTypes: []string{"Note"}, Filter: query.Field("zone").Equals("z")},
 		{RecordTypes: []string{"Note"}, Filter: query.Field("zone").Equals("z")}, // repeat: cache hit
+		{RecordTypes: []string{"Note"}, Filter: query.Field("zone").Equals("y")}, // another literal: cache hit
 		{RecordTypes: []string{"Note"}, Filter: query.Field("id").LessThan(int64(10))},
 		{RecordTypes: []string{"Note"}},
 	}
@@ -174,7 +176,7 @@ func plansCmd() {
 	}
 
 	fmt.Println("Plan cache (most recently used first):")
-	fmt.Printf("  %5s  %-45s %s\n", "HITS", "FINGERPRINT", "PLAN")
+	fmt.Printf("  %5s  %-45s %s\n", "HITS", "SHAPE", "PLAN")
 	for _, e := range st.provider.PlanCacheEntries() {
 		fmt.Printf("  %5d  %-45s %s\n", e.Hits, e.Fingerprint, e.Plan)
 	}

@@ -17,7 +17,9 @@
 //   - Fluent query execution: Store.ExecuteQuery plans declarative queries
 //     through a shared LRU plan cache (the client-side "SQL PREPARE" idiom,
 //     Appendix C) and returns a RecordCursor with ForEach/ToList and
-//     continuation accessors.
+//     continuation accessors. Plans are cached per query shape — the query
+//     with "?" in place of each comparison literal — and bound to each call's
+//     literals, so queries that differ only in their literals plan once.
 //   - Resource governance: per-tenant metering (Accountant) and admission
 //     control (Governor) arbitrate the shared cluster *between* tenants —
 //     transaction-rate and byte-rate quotas, concurrency ceilings, priority

@@ -339,13 +339,13 @@ func TestSnapshotExecutionAvoidsConflict(t *testing.T) {
 func TestPlanCacheLRU(t *testing.T) {
 	_, md := testSchema(t)
 	c := NewPlanCache(2)
-	mk := func(tag string) (string, Query) {
-		q := Query{RecordTypes: []string{"Doc"}, Filter: query.Field("tag").Equals(tag)}
-		return fingerprint(md, q), q
+	mk := func(filter query.Component) string {
+		key, _ := appendShapeKey(nil, md, Query{RecordTypes: []string{"Doc"}, Filter: filter}, nil)
+		return string(key)
 	}
-	ka, _ := mk("a")
-	kb, _ := mk("b")
-	kc, _ := mk("c")
+	ka := mk(query.Field("tag").Equals("a"))
+	kb := mk(query.Field("tag").LessThan("b"))
+	kc := mk(query.Field("id").Equals(int64(3)))
 	c.Put(ka, nil)
 	c.Put(kb, nil)
 	if _, ok := c.Get(ka); !ok { // a is now most recently used

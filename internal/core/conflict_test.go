@@ -9,6 +9,7 @@ import (
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/history"
 	"recordlayer/internal/index"
+	"recordlayer/internal/keyspace"
 	"recordlayer/internal/subspace"
 	"recordlayer/internal/tuple"
 )
@@ -51,7 +52,8 @@ func withHistoryStore(t *testing.T, db *fdb.Database, sp subspace.Subspace, f fu
 // concurrent one writes it in tenants a and b and commits first. The
 // conflict's pair, as the database's tap sees the verdict, must lie in tenant
 // b's record subspace or the named index's, and its read range must intersect
-// a read the transaction made.
+// a read the transaction made. Both keys must decode, through a keyspace
+// template and KeyClass, to tenant b and that subspace.
 func TestConflictNamesItsKeys(t *testing.T) {
 	doc := func(id, score int64, body string) history.Doc {
 		return history.Doc{ID: id, Tag: "t", Slug: fmt.Sprint("s", id), Score: score, Body: body}
@@ -85,10 +87,14 @@ func TestConflictNamesItsKeys(t *testing.T) {
 		{history.BodyText, func(s *Store) error { _, err := s.TextSearchToken(history.BodyText, "whale"); return err },
 			func(s *Store) error { _, err := s.SaveRecord(doc(9, 90, "whale").Message()); return err }},
 	}
+	ks, err := keyspace.New(nil, keyspace.NewConstant("base", "tenant").Add(keyspace.NewDirectory("tenant", keyspace.TypeString)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range cases {
-		what := "records"
+		what, class := "records", "records"
 		if c.name != "" {
-			what = c.name
+			what, class = c.name, "index "+c.name
 		}
 		t.Run(what, func(t *testing.T) {
 			db := fdb.Open(nil)
@@ -141,6 +147,13 @@ func TestConflictNamesItsKeys(t *testing.T) {
 				t.Fatalf("conflict read %s, write %s: not both in %s", show(r), show(w), want.Name)
 			}
 			t.Logf("conflict read %s, write %s", show(r), show(w))
+			for _, k := range [][]byte{r.Begin, w.Begin} {
+				path, rest, ok := ks.SplitKey([]string{"base", "tenant"}, k)
+				if !ok || path != "/base:tenant/tenant:b" || KeyClass(rest) != class {
+					t.Fatalf("%s describes as tenant %q (ok %v) subspace %q, want /base:tenant/tenant:b %s",
+						history.DecodeKey(k), path, ok, KeyClass(rest), class)
+				}
+			}
 			read := false
 			for _, a := range reads {
 				end := a.End
@@ -153,5 +166,28 @@ func TestConflictNamesItsKeys(t *testing.T) {
 				t.Fatalf("conflict read %s intersects no read the transaction made", show(r))
 			}
 		})
+	}
+}
+
+// TestKeyClass names each part of a store's layout, and nothing else.
+func TestKeyClass(t *testing.T) {
+	for _, c := range []struct {
+		key  tuple.Tuple
+		want string
+	}{
+		{tuple.Tuple{headerSub}, "header"},
+		{tuple.Tuple{recordsSub, int64(7), int64(unsplitRecord)}, "records"},
+		{tuple.Tuple{indexSub, "by_tag", "t", int64(7)}, "index by_tag"},
+		{tuple.Tuple{stateSub, "by_tag"}, "index state by_tag"},
+		{tuple.Tuple{progressSub, "by_tag"}, "build progress by_tag"},
+		{tuple.Tuple{headerSub, int64(1)}, ""},
+		{tuple.Tuple{indexSub}, ""},
+		{tuple.Tuple{int64(9), "x"}, ""},
+		{tuple.Tuple{"records"}, ""},
+		{nil, ""},
+	} {
+		if got := KeyClass(c.key.Pack()); got != c.want {
+			t.Errorf("KeyClass(%v) = %q, want %q", c.key, got, c.want)
+		}
 	}
 }

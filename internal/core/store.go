@@ -26,6 +26,41 @@ const (
 	progressSub = 4 // (4, indexName)         -> online build progress
 )
 
+// KeyClass names what a key of a record store holds, given the key past the
+// store's prefix: "records", "index <name>", "header", "index state <name>"
+// or "build progress <name>"; "" for a key the store's layout has no place
+// for. It decodes, so it belongs on diagnostic paths such as a conflict's.
+func KeyClass(key []byte) string {
+	t, _ := tuple.UnpackPrefix(key)
+	if len(t) == 0 {
+		return ""
+	}
+	sub, ok := t[0].(int64)
+	switch {
+	case !ok:
+		return ""
+	case sub == headerSub && len(t) == 1:
+		return "header"
+	case sub == recordsSub:
+		return "records"
+	case len(t) < 2:
+		return ""
+	}
+	name, ok := t[1].(string)
+	if !ok {
+		return ""
+	}
+	switch sub {
+	case indexSub:
+		return "index " + name
+	case stateSub:
+		return "index state " + name
+	case progressSub:
+		return "build progress " + name
+	}
+	return ""
+}
+
 // Record split suffixes (§4): the version slot immediately precedes the
 // record data so both are fetched with one range read.
 const (

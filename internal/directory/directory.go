@@ -257,6 +257,24 @@ func (l *Layer) CacheStats() (hits, misses int64) {
 	return l.cacheHits, l.cacheMisses
 }
 
+// CachedName returns the name the cache maps to id, without a read: ok is
+// false when no committed mapping the cache holds has that id, or when two
+// clusters' mappings give it different names.
+func (l *Layer) CachedName(id int64) (name string, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for k, v := range l.interned {
+		if v != id {
+			continue
+		}
+		if ok && k.name != name {
+			return "", false
+		}
+		name, ok = k.name, true
+	}
+	return name, ok
+}
+
 // LookupName resolves an interned integer back to its name.
 func (l *Layer) LookupName(tr *fdb.Transaction, id int64) (string, bool, error) {
 	key := l.nodes.Sub(nsAlloc, "int").Pack(tuple.Tuple{id})

@@ -184,8 +184,8 @@ func allowed(a fdb.Access, sets ...[]Range) bool {
 }
 
 // DecodeKey renders key as the tuple elements it starts with, then any bytes
-// that do not unpack, in hex; a directory node key and the metadata version
-// key are named as such.
+// that do not unpack, in hex (tuple.Describe); a directory node key and the
+// metadata version key are named as such.
 func DecodeKey(key []byte) string {
 	if bytes.Equal(key, fdb.MetadataVersionKey) {
 		return `\xff/metadataVersion`
@@ -193,23 +193,5 @@ func DecodeKey(key []byte) string {
 	if len(key) > 0 && key[0] == 0xFE { // directory.NewLayer's node prefix
 		return "directory " + DecodeKey(key[1:])
 	}
-	var elems []string
-	rest := key
-	for len(rest) > 0 {
-		n, err := tuple.ElementLen(rest)
-		if err != nil {
-			break
-		}
-		t, err := tuple.Unpack(rest[:n])
-		if err != nil || len(t) != 1 {
-			break
-		}
-		elems = append(elems, fmt.Sprintf("%#v", t[0]))
-		rest = rest[n:]
-	}
-	s := "(" + strings.Join(elems, ", ") + ")"
-	if len(rest) > 0 {
-		s += fmt.Sprintf(" + %x", rest)
-	}
-	return s
+	return tuple.Describe(key)
 }

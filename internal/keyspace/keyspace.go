@@ -197,13 +197,7 @@ func (ks *KeySpace) PathFor(names []string, values ...interface{}) (Path, error)
 // it: a constant directory's own, or the first of values, normalized and
 // type-checked, for a variable one. rest is the values step did not take.
 func step(parent *Directory, name string, values []interface{}) (dir *Directory, v interface{}, rest []interface{}, err error) {
-	for _, c := range parent.children {
-		if c.name == name {
-			dir = c
-			break
-		}
-	}
-	if dir == nil {
+	if dir = parent.child(name); dir == nil {
 		return nil, nil, nil, fmt.Errorf("keyspace: no directory %q under %q", name, parent.name)
 	}
 	if dir.typ == TypeConstant {
@@ -217,6 +211,16 @@ func step(parent *Directory, name string, values []interface{}) (dir *Directory,
 		return nil, nil, nil, err
 	}
 	return dir, v, values[1:], nil
+}
+
+// child returns d's child directory called name, or nil.
+func (d *Directory) child(name string) *Directory {
+	for _, c := range d.children {
+		if c.name == name {
+			return c
+		}
+	}
+	return nil
 }
 
 // Add extends the path one level down. The new path shares no slice with p.
@@ -356,6 +360,49 @@ func (ks *KeySpace) DirectoryCacheStats() (hits, misses int64) {
 		return 0, 0
 	}
 	return ks.layer.CacheStats()
+}
+
+// SplitKey matches key against a template, as PathFor takes one: it decodes
+// one element per directory and returns the path they name, rendered as
+// String renders a Path, and the bytes after them. An interned element shows
+// as its name when the directory layer's cache knows it, else as its id. ok
+// is false when key does not start with a path of the template.
+func (ks *KeySpace) SplitKey(names []string, key []byte) (path string, rest []byte, ok bool) {
+	parent, rest := ks.root, key
+	for _, name := range names {
+		dir := parent.child(name)
+		if dir == nil {
+			return "", key, false
+		}
+		n, err := tuple.ElementLen(rest)
+		if err != nil {
+			return "", key, false
+		}
+		t, err := tuple.Unpack(rest[:n])
+		if err != nil || len(t) != 1 {
+			return "", key, false
+		}
+		v := t[0]
+		switch {
+		case dir.typ == TypeConstant:
+			if fmt.Sprintf("%#v", v) != fmt.Sprintf("%#v", normalize(dir.constant)) {
+				return "", key, false
+			}
+		case dir.interned:
+			id, isID := v.(int64)
+			if !isID {
+				return "", key, false
+			}
+			if ks.layer != nil {
+				if name, ok := ks.layer.CachedName(id); ok {
+					v = name
+				}
+			}
+		}
+		path += fmt.Sprintf("/%s:%v", name, v)
+		parent, rest = dir, rest[n:]
+	}
+	return path, rest, true
 }
 
 // String renders the path like a filesystem path for diagnostics.

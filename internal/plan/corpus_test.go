@@ -6,19 +6,21 @@ import (
 	"recordlayer/internal/query"
 )
 
-// TestPlanCorpus pins the planner's choice for each query shape on the
-// planSchema indexes, with PreferIndexIntersection off and on. A change to the
-// matching or tie-breaking rules shows up here as a changed plan string.
-func TestPlanCorpus(t *testing.T) {
+// corpusQuery is one query of the planner's corpus and the plans it pins.
+type corpusQuery struct {
+	name string
+	q    query.RecordQuery
+	off  string // Plan.String() with PreferIndexIntersection off
+	on   string // with it on, where that differs
+}
+
+// planCorpus is one query of each shape the planner distinguishes on the
+// planSchema indexes.
+func planCorpus() []corpusQuery {
 	person := func(filter query.Component) query.RecordQuery {
 		return query.RecordQuery{RecordTypes: []string{"Person"}, Filter: filter}
 	}
-	corpus := []struct {
-		name string
-		q    query.RecordQuery
-		off  string // Plan.String() with PreferIndexIntersection off
-		on   string // with it on, where that differs
-	}{
+	return []corpusQuery{
 		{name: "equality", q: person(query.Field("name").Equals("bob")),
 			off: `Index(by_name [("bob") - ("bob")])`},
 		{name: "one-sided range", q: person(query.Field("name").GreaterThan("c")),
@@ -55,8 +57,14 @@ func TestPlanCorpus(t *testing.T) {
 		{name: "unfiltered", q: person(nil),
 			off: `Scan(Person)`},
 	}
+}
+
+// TestPlanCorpus pins the planner's choice for each query shape on the
+// planSchema indexes, with PreferIndexIntersection off and on. A change to the
+// matching or tie-breaking rules shows up here as a changed plan string.
+func TestPlanCorpus(t *testing.T) {
 	md := planSchema(t)
-	for _, tc := range corpus {
+	for _, tc := range planCorpus() {
 		for _, prefer := range []bool{false, true} {
 			want := tc.off
 			if prefer && tc.on != "" {

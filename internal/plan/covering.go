@@ -122,8 +122,10 @@ func setFromTuple(msg *message.Message, name string, v interface{}) error {
 func (p *CoveringIndexScanPlan) OrderedByPrimaryKey() bool { return p.FullyBound && !p.Reverse }
 
 // String implements Plan.
-func (p *CoveringIndexScanPlan) String() string {
-	return fmt.Sprintf("Covering(Index(%s %s%s))", p.IndexName, rangeString(p.Range), revString(p.Reverse))
+func (p *CoveringIndexScanPlan) String() string { return p.describe(nil, true) }
+
+func (p *CoveringIndexScanPlan) describe(b query.Bindings, _ bool) string {
+	return fmt.Sprintf("Covering(Index(%s %s%s))", p.IndexName, rangeString(p.Range, b), revString(p.Reverse))
 }
 
 // Label implements Plan. Leaves have no children, so Label is String.

@@ -37,11 +37,16 @@ type ExecuteOptions struct {
 	// same tree accumulates across pages. Nil (the default) keeps execution
 	// at one pointer check per node.
 	Stats *obs.PlanStats
+
+	// bindings fill the slots of a shape's plan: Bound sets them, and every
+	// node below reads its range bounds and filter operands from them.
+	bindings query.Bindings
 }
 
 // Plan is an executable query plan. Plans are immutable and reusable across
 // stores and transactions — the paper's clients cache them like SQL PREPARE
-// statements (Appendix C).
+// statements (Appendix C). A shape's plan holds slots (query.Param) where a
+// query's literals go; Bind fills them for one execution.
 type Plan interface {
 	// Execute runs the plan against a store.
 	Execute(s *core.Store, opts ExecuteOptions) (cursor.Cursor[*core.StoredRecord], error)
@@ -57,12 +62,14 @@ type Plan interface {
 
 // childOptions derives the options a merge plan hands child i: the parent's
 // execution knobs with the child's own continuation and, when stats collection
-// is on, its own positionally-stable node under the parent's. Single-sited so
-// a new ExecuteOptions field cannot be propagated to some children and not
-// others.
+// is on, its own positionally-stable node under the parent's, labelled with
+// the child's slots filled. Single-sited so a new ExecuteOptions field cannot
+// be propagated to some children and not others.
 func childOptions(opts ExecuteOptions, i int, child Plan, cont []byte) ExecuteOptions {
 	opts.Continuation = cont
-	opts.Stats = opts.Stats.Child(i, child.Label())
+	if opts.Stats != nil {
+		opts.Stats = opts.Stats.Child(i, describe(child, opts.bindings, false))
+	}
 	return opts
 }
 
@@ -294,7 +301,7 @@ func (p *FullScanPlan) scan(s *core.Store, opts ExecuteOptions, filter query.Com
 		if msg == nil || filter == nil {
 			return msg != nil, nil
 		}
-		return filter.Eval(msg)
+		return query.EvalBound(filter, msg, opts.bindings)
 	}}
 	return observeIO(opts.Stats, s, s.ScanRecords(so))
 }
@@ -328,7 +335,7 @@ type IndexScanPlan struct {
 	FanOut bool
 }
 
-// Execute implements Plan.
+// Execute implements Plan. The range's slots are filled from the bindings.
 func (p *IndexScanPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Cursor[*core.StoredRecord], error) {
 	entries, err := scanEntries(s, p.IndexName, p.Range, p.Reverse, opts)
 	if err != nil {
@@ -337,8 +344,13 @@ func (p *IndexScanPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Curs
 	return fetchAbove(s, opts, entries), nil
 }
 
-// scanEntries scans an index under opts; its entries are the node's rows in.
+// scanEntries scans an index over r, its slots filled from opts' bindings;
+// its entries are the node's rows in.
 func scanEntries(s *core.Store, name string, r index.TupleRange, reverse bool, opts ExecuteOptions) (cursor.Cursor[index.Entry], error) {
+	r, err := bindRange(r, opts.bindings)
+	if err != nil {
+		return nil, err
+	}
 	entries, err := s.ScanIndex(name, r, index.ScanOptions{
 		Reverse:      reverse,
 		Limiter:      opts.Limiter,
@@ -359,14 +371,21 @@ func scanEntries(s *core.Store, name string, r index.TupleRange, reverse bool, o
 func (p *IndexScanPlan) OrderedByPrimaryKey() bool { return p.FullyBound && !p.Reverse }
 
 // String implements Plan.
-func (p *IndexScanPlan) String() string {
-	return fmt.Sprintf("Index(%s %s%s)", p.IndexName, rangeString(p.Range), revString(p.Reverse))
-}
+func (p *IndexScanPlan) String() string { return p.describe(nil, true) }
 
 // Label implements Plan. Leaves have no children, so Label is String.
 func (p *IndexScanPlan) Label() string { return p.String() }
 
-func rangeString(r index.TupleRange) string {
+func (p *IndexScanPlan) describe(b query.Bindings, _ bool) string {
+	return fmt.Sprintf("Index(%s %s%s)", p.IndexName, rangeString(p.Range, b), revString(p.Reverse))
+}
+
+// rangeString renders r with its slots filled from b, or as "?" when b does
+// not fill them.
+func rangeString(r index.TupleRange, b query.Bindings) string {
+	if bound, err := bindRange(r, b); err == nil {
+		r = bound
+	}
 	lo, hi := "<,", ",>"
 	if r.Low != nil {
 		b := "("
@@ -414,7 +433,7 @@ func (p *FilterPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Cursor[
 		return nil, err
 	}
 	return observe(opts.Stats, s, false, cursor.Filter(c, func(r *core.StoredRecord) (bool, error) {
-		return p.Filter.Eval(r.Message)
+		return query.EvalBound(p.Filter, r.Message, opts.bindings)
 	})), nil
 }
 
@@ -422,12 +441,17 @@ func (p *FilterPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Cursor[
 func (p *FilterPlan) OrderedByPrimaryKey() bool { return p.Child.OrderedByPrimaryKey() }
 
 // String implements Plan.
-func (p *FilterPlan) String() string {
-	return fmt.Sprintf("Filter(%s | %s)", p.Filter, p.Child)
-}
+func (p *FilterPlan) String() string { return p.describe(nil, true) }
 
 // Label implements Plan.
-func (p *FilterPlan) Label() string { return fmt.Sprintf("Filter(%s)", p.Filter) }
+func (p *FilterPlan) Label() string { return p.describe(nil, false) }
+
+func (p *FilterPlan) describe(b query.Bindings, deep bool) string {
+	if !deep {
+		return "Filter(" + query.Format(p.Filter, b) + ")"
+	}
+	return "Filter(" + query.Format(p.Filter, b) + " | " + describe(p.Child, b, true) + ")"
+}
 
 // ---------------------------------------------------------------- distinct
 
@@ -459,10 +483,17 @@ func (p *DistinctPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Curso
 func (p *DistinctPlan) OrderedByPrimaryKey() bool { return p.Child.OrderedByPrimaryKey() }
 
 // String implements Plan.
-func (p *DistinctPlan) String() string { return fmt.Sprintf("Distinct(%s)", p.Child) }
+func (p *DistinctPlan) String() string { return p.describe(nil, true) }
 
 // Label implements Plan.
 func (p *DistinctPlan) Label() string { return "Distinct" }
+
+func (p *DistinctPlan) describe(b query.Bindings, deep bool) string {
+	if !deep {
+		return p.Label()
+	}
+	return "Distinct(" + describe(p.Child, b, true) + ")"
+}
 
 // ---------------------------------------------------------------- union
 
@@ -513,16 +544,22 @@ func (p *UnionPlan) OrderedByPrimaryKey() bool {
 }
 
 // String implements Plan.
-func (p *UnionPlan) String() string {
-	parts := make([]string, len(p.Children))
-	for i, c := range p.Children {
-		parts[i] = c.String()
+func (p *UnionPlan) String() string { return p.describe(nil, true) }
+
+func (p *UnionPlan) describe(b query.Bindings, deep bool) string {
+	if !deep {
+		return p.Label()
 	}
-	kind := "Union"
-	if !p.OrderedByPrimaryKey() {
-		kind = "UnorderedUnion"
+	return p.Label() + "(" + describeAll(p.Children, b, " ∪ ") + ")"
+}
+
+// describeAll renders children with their slots filled from b, joined by sep.
+func describeAll(children []Plan, b query.Bindings, sep string) string {
+	parts := make([]string, len(children))
+	for i, c := range children {
+		parts[i] = describe(c, b, true)
 	}
-	return fmt.Sprintf("%s(%s)", kind, strings.Join(parts, " ∪ "))
+	return strings.Join(parts, sep)
 }
 
 // Label implements Plan.
@@ -571,12 +608,13 @@ func (p *IntersectionPlan) OrderedByPrimaryKey() bool {
 }
 
 // String implements Plan.
-func (p *IntersectionPlan) String() string {
-	parts := make([]string, len(p.Children))
-	for i, c := range p.Children {
-		parts[i] = c.String()
+func (p *IntersectionPlan) String() string { return p.describe(nil, true) }
+
+func (p *IntersectionPlan) describe(b query.Bindings, deep bool) string {
+	if !deep {
+		return p.Label()
 	}
-	return fmt.Sprintf("Intersection(%s)", strings.Join(parts, " ∩ "))
+	return "Intersection(" + describeAll(p.Children, b, " ∩ ") + ")"
 }
 
 // Label implements Plan.

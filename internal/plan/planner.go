@@ -32,9 +32,23 @@ func New(md *metadata.MetaData, cfg Config) *Planner {
 	return &Planner{md: md, cfg: cfg}
 }
 
-// Plan converts a query into an executable plan, or fails when the query's
-// sort cannot be satisfied by any index (§3.1: sorts require indexes).
+// Plan plans q's shape and binds it to q's literals: the plan renders and
+// executes as one planned for those literals alone would.
 func (p *Planner) Plan(q query.RecordQuery) (Plan, error) {
+	shape, b := q.Shape()
+	pl, err := p.PlanShape(shape)
+	if err != nil {
+		return nil, err
+	}
+	return Bind(pl, b), nil
+}
+
+// PlanShape converts a query shape (RecordQuery.Shape) into an executable
+// plan whose index ranges and residual filters hold its slots, or fails when
+// the query's sort cannot be satisfied by any index (§3.1: sorts require
+// indexes). No choice depends on a literal: operands flow only into range
+// bounds, so one plan serves every query of the shape.
+func (p *Planner) PlanShape(q query.RecordQuery) (Plan, error) {
 	// OR at the top level: union of branch plans (Appendix C).
 	if or, ok := q.Filter.(*query.OrComponent); ok && q.Sort == nil {
 		return p.planUnion(q, or)
@@ -300,12 +314,11 @@ func (p *Planner) matchIndex(ix *metadata.Index, q query.RecordQuery, conjuncts 
 			case query.LE:
 				high = high.Append(fc.Operand)
 			case query.StartsWith:
-				s := fc.Operand.(string)
-				low = low.Append(s)
-				if next, ok := nextString(s); ok {
-					high = high.Append(next)
-					highInc = false
-				}
+				// The prefix's successor, when it has one, bounds the range
+				// above; bindRange computes it from the binding.
+				low = low.Append(fc.Operand)
+				high = high.Append(successor{fc.Operand})
+				highInc = false
 			}
 			// A complementary bound on the same column (lo <= x AND x < hi)
 			// also rides the index range instead of a residual filter — but

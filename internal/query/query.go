@@ -167,25 +167,50 @@ func normalizeOperand(v interface{}) interface{} {
 
 // Eval implements Component. On a path with no repeated field it allocates
 // nothing: a scan's residual filter runs it once per record it reads.
-func (c *FieldComponent) Eval(msg *message.Message) (bool, error) {
+func (c *FieldComponent) Eval(msg *message.Message) (bool, error) { return c.eval(msg, nil) }
+
+// eval is Eval with c's slot, if it is one, filled from b.
+func (c *FieldComponent) eval(msg *message.Message, b Bindings) (bool, error) {
+	operand, list, err := c.operands(b)
+	if err != nil {
+		return false, err
+	}
 	if !c.anyOf {
 		// An unset field, or an unset message on the way to it, is null.
 		v, err := resolveScalar(msg, c.path)
 		if err != nil {
 			return false, err
 		}
-		return compare(c.Op, v, c.Operand, c.List)
+		return compare(c.Op, v, operand, list)
 	}
 	vals, err := resolvePath(msg, c.path)
 	if err != nil {
 		return false, err
 	}
 	for _, v := range vals {
-		if ok, err := compare(c.Op, v, c.Operand, c.List); ok || err != nil {
+		if ok, err := compare(c.Op, v, operand, list); ok || err != nil {
 			return ok, err
 		}
 	}
 	return false, nil
+}
+
+// hasSlot reports whether c compares against an operand: every comparison
+// but IsNull and NotNull does.
+func (c *FieldComponent) hasSlot() bool { return c.Op != IsNull && c.Op != NotNull }
+
+// operands returns c's operand and In list, a Param filled from b.
+func (c *FieldComponent) operands(b Bindings) (interface{}, []interface{}, error) {
+	p, ok := c.Operand.(Param)
+	if !ok {
+		return c.Operand, c.List, nil
+	}
+	v, err := b.at(p)
+	if err != nil || c.Op != In {
+		return v, nil, err
+	}
+	list, _ := v.([]interface{})
+	return nil, list, nil
 }
 
 // resolveScalar walks a path with no repeated field to the value at its end,
@@ -376,19 +401,7 @@ func orderValues(a, b interface{}) (int, error) {
 }
 
 // String implements Component.
-func (c *FieldComponent) String() string {
-	p := strings.Join(c.path, ".")
-	if c.anyOf {
-		p = "any(" + p + ")"
-	}
-	switch c.Op {
-	case IsNull, NotNull:
-		return fmt.Sprintf("%s %s", p, c.Op)
-	case In:
-		return fmt.Sprintf("%s in %v", p, c.List)
-	}
-	return fmt.Sprintf("%s %s %v", p, c.Op, c.Operand)
-}
+func (c *FieldComponent) String() string { return Format(c, nil) }
 
 // AndComponent is a conjunction.
 type AndComponent struct{ Children []Component }
@@ -410,24 +423,10 @@ func And(children ...Component) Component {
 }
 
 // Eval implements Component.
-func (c *AndComponent) Eval(msg *message.Message) (bool, error) {
-	for _, ch := range c.Children {
-		ok, err := ch.Eval(msg)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
-}
+func (c *AndComponent) Eval(msg *message.Message) (bool, error) { return EvalBound(c, msg, nil) }
 
 // String implements Component.
-func (c *AndComponent) String() string {
-	parts := make([]string, len(c.Children))
-	for i, ch := range c.Children {
-		parts[i] = ch.String()
-	}
-	return "(" + strings.Join(parts, " AND ") + ")"
-}
+func (c *AndComponent) String() string { return Format(c, nil) }
 
 // OrComponent is a disjunction.
 type OrComponent struct{ Children []Component }
@@ -449,27 +448,10 @@ func Or(children ...Component) Component {
 }
 
 // Eval implements Component.
-func (c *OrComponent) Eval(msg *message.Message) (bool, error) {
-	for _, ch := range c.Children {
-		ok, err := ch.Eval(msg)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return true, nil
-		}
-	}
-	return false, nil
-}
+func (c *OrComponent) Eval(msg *message.Message) (bool, error) { return EvalBound(c, msg, nil) }
 
 // String implements Component.
-func (c *OrComponent) String() string {
-	parts := make([]string, len(c.Children))
-	for i, ch := range c.Children {
-		parts[i] = ch.String()
-	}
-	return "(" + strings.Join(parts, " OR ") + ")"
-}
+func (c *OrComponent) String() string { return Format(c, nil) }
 
 // NotComponent negates a predicate.
 type NotComponent struct{ Child Component }
@@ -478,13 +460,10 @@ type NotComponent struct{ Child Component }
 func Not(c Component) Component { return &NotComponent{Child: c} }
 
 // Eval implements Component.
-func (c *NotComponent) Eval(msg *message.Message) (bool, error) {
-	ok, err := c.Child.Eval(msg)
-	return !ok, err
-}
+func (c *NotComponent) Eval(msg *message.Message) (bool, error) { return EvalBound(c, msg, nil) }
 
 // String implements Component.
-func (c *NotComponent) String() string { return "NOT " + c.Child.String() }
+func (c *NotComponent) String() string { return Format(c, nil) }
 
 // RecordQuery is a declarative query: which record types, a filter, and an
 // optional sort order that must be satisfiable by an index (§3.1: the
@@ -519,24 +498,6 @@ func (q RecordQuery) Select(fields ...string) RecordQuery {
 
 // String renders the query.
 func (q RecordQuery) String() string {
-	var sb strings.Builder
-	sb.WriteString("query(")
-	if len(q.RecordTypes) > 0 {
-		fmt.Fprintf(&sb, "types=%v", q.RecordTypes)
-	} else {
-		sb.WriteString("types=*")
-	}
-	if q.Filter != nil {
-		fmt.Fprintf(&sb, ", filter=%s", q.Filter)
-	}
-	if q.Sort != nil {
-		fmt.Fprintf(&sb, ", sort=%s reverse=%v", q.Sort, q.SortReverse)
-	}
-	if len(q.Projection) > 0 {
-		// Rendered so plan-cache fingerprints distinguish projected queries:
-		// the same filter plans differently with and without a projection.
-		fmt.Fprintf(&sb, ", select=%v", q.Projection)
-	}
-	sb.WriteString(")")
-	return sb.String()
+	out, _ := appendQuery(nil, q, nil, false)
+	return string(out)
 }

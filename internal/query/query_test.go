@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"testing"
 
 	"recordlayer/internal/message"
@@ -171,7 +172,8 @@ func TestQueryString(t *testing.T) {
 
 // TestFieldEvalAllocs: a field predicate on a path with no repeated field
 // allocates nothing, set or unset, top-level or nested, whatever the
-// comparison; a scan's residual filter runs one per record it reads.
+// comparison, and nor does its shape evaluated with its bindings; a scan's
+// residual filter runs one per record it reads.
 func TestFieldEvalAllocs(t *testing.T) {
 	m := testMsg(t)
 	empty := message.New(m.Descriptor())
@@ -192,6 +194,59 @@ func TestFieldEvalAllocs(t *testing.T) {
 			}); n != 0 {
 				t.Errorf("%s: %v allocations per Eval, want 0", c, n)
 			}
+			shape, b := RecordQuery{Filter: c}.Shape()
+			if n := testing.AllocsPerRun(100, func() {
+				if _, err := EvalBound(shape.Filter, msg, b); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Errorf("%s: %v allocations per EvalBound of its shape, want 0", c, n)
+			}
 		}
+	}
+}
+
+// TestShapeRoundTrips: a query's shape key is its shape's rendering, "?" in
+// every slot; AppendShape and Shape number the slots alike; and the shape
+// with the query's bindings renders and evaluates as the query does. Queries
+// whose literals render alike share a shape and keep their own bindings.
+func TestShapeRoundTrips(t *testing.T) {
+	m := testMsg(t)
+	empty := message.New(m.Descriptor())
+	for _, c := range []Component{
+		Field("age").GreaterOrEqual(18),
+		Field("name").Equals(int64(7)),
+		Field("name").BeginsWith(""),
+		Field("tags").OneOfThem().OneOf("a b"),
+		Field("tags").OneOfThem().OneOf("a", "beta"),
+		Field("name").Null(),
+		Field("addr").Nest("zip").LessThan(2000),
+		And(Field("age").GreaterThan(20), Not(Field("active").Equals(false)),
+			Or(Field("name").NotNullC(), Field("id").OneOf(7, 8))),
+	} {
+		q := RecordQuery{RecordTypes: []string{"Person"}, Filter: c}.Select("name")
+		key, b := q.AppendShape(nil, nil)
+		shape, sb := q.Shape()
+		if string(key) != shape.String() {
+			t.Errorf("%s: key %s, shape renders %s", c, key, shape)
+		}
+		if fmt.Sprintf("%#v", b) != fmt.Sprintf("%#v", sb) {
+			t.Errorf("%s: AppendShape binds %#v, Shape %#v", c, b, sb)
+		}
+		if got := Format(shape.Filter, b); got != c.String() {
+			t.Errorf("%s: the bound shape renders %s", c, got)
+		}
+		for _, msg := range []*message.Message{m, empty} {
+			want, wantErr := c.Eval(msg)
+			got, err := EvalBound(shape.Filter, msg, b)
+			if got != want || (err == nil) != (wantErr == nil) {
+				t.Errorf("%s on %v: the bound shape gives %v, %v; the query %v, %v", c, msg, got, err, want, wantErr)
+			}
+		}
+	}
+	k1, b1 := RecordQuery{Filter: Field("tags").OneOfThem().OneOf("a b")}.AppendShape(nil, nil)
+	k2, b2 := RecordQuery{Filter: Field("tags").OneOfThem().OneOf("a", "b")}.AppendShape(nil, nil)
+	if string(k1) != string(k2) || len(b1[0].([]interface{})) != 1 || len(b2[0].([]interface{})) != 2 {
+		t.Errorf("OneOf shapes %s, %s bind %#v, %#v", k1, k2, b1, b2)
 	}
 }

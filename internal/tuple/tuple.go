@@ -490,6 +490,38 @@ var fixedLen = [256]uint8{
 	codeFloat: 5, codeDouble: 9, codeFalse: 1, codeTrue: 1, codeUUID: 17, codeVStamp: 13,
 }
 
+// UnpackPrefix decodes the whole elements b starts with, stopping at the
+// first that does not decode, and returns them with the bytes after them.
+func UnpackPrefix(b []byte) (t Tuple, rest []byte) {
+	for rest = b; len(rest) > 0; {
+		n, err := ElementLen(rest)
+		if err != nil {
+			break
+		}
+		e, err := Unpack(rest[:n])
+		if err != nil || len(e) != 1 {
+			break
+		}
+		t, rest = append(t, e[0]), rest[n:]
+	}
+	return t, rest
+}
+
+// Describe renders a key for diagnostics: the elements it starts with, each
+// as %#v renders it, then any bytes that do not unpack, in hex.
+func Describe(key []byte) string {
+	t, rest := UnpackPrefix(key)
+	elems := make([]string, len(t))
+	for i, e := range t {
+		elems[i] = fmt.Sprintf("%#v", e)
+	}
+	s := "(" + strings.Join(elems, ", ") + ")"
+	if len(rest) > 0 {
+		s += fmt.Sprintf(" + %x", rest)
+	}
+	return s
+}
+
 // ElementLen returns the length of the first element encoded in b without
 // decoding it or allocating: a byte or string element runs to its unescaped
 // terminator, a nested tuple to the end of its last element. It fails exactly

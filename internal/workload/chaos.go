@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"time"
 
 	"recordlayer"
@@ -124,6 +125,10 @@ type ChaosStats struct {
 	// RetriesByCause merges the per-cause retry counters of every runner the
 	// workload used.
 	RetriesByCause map[string]int64
+	// Conflicts counts the real conflicts the storms' commits met — the
+	// resolver's, not the injector's — by the store subspace the committed
+	// write they lost to lies in (StoreProvider.DescribeKey).
+	Conflicts map[string]int
 
 	// Lease churn phase.
 	LeaseRounds          int
@@ -269,6 +274,27 @@ func chaosCluster(inj *fdb.FaultInjector) *fdb.Database {
 	})
 }
 
+// countConflicts has db's tap count each real conflict a commit meets in
+// stats.Conflicts, by the subspace p says the committed write lies in. Only
+// a conflict's verdict is decoded.
+func countConflicts(db *fdb.Database, p *recordlayer.StoreProvider, stats *ChaosStats) {
+	var mu sync.Mutex
+	db.SetTap(func(_ *fdb.Transaction, a fdb.Access) {
+		var fe *fdb.Error
+		if a.Kind != fdb.AccessCommit || !errors.As(a.Err, &fe) || fe.Conflict == nil || fe.Injected {
+			return
+		}
+		d := p.DescribeKey(fe.Conflict.Write.Begin)
+		where := d.Subspace
+		if d.Tenant == "" || where == "" {
+			where = d.String()
+		}
+		mu.Lock()
+		stats.Conflicts[where]++
+		mu.Unlock()
+	})
+}
+
 // instantBackoff keeps a storm's retries wall-clock fast.
 func instantBackoff(ctx context.Context, _ time.Duration) error { return ctx.Err() }
 
@@ -277,7 +303,7 @@ func instantBackoff(ctx context.Context, _ time.Duration) error { return ctx.Err
 // of cfg.Seed alone.
 func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 	cfg = cfg.withDefaults()
-	stats := ChaosStats{Config: cfg, LeaseSliceSumOK: true, LeaseEnforcedSumOK: true}
+	stats := ChaosStats{Config: cfg, LeaseSliceSumOK: true, LeaseEnforcedSumOK: true, Conflicts: map[string]int{}}
 
 	note, md, err := chaosSchema(1)
 	if err != nil {
@@ -291,6 +317,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 
 	inj := fdb.NewFaultInjector(chaosFaults(cfg.Seed))
 	db := chaosCluster(inj)
+	countConflicts(db, provider, &stats)
 	// Cohort A writes get one attempt: retryable failures surface, so the
 	// run accumulates writes with a hard "nothing applied" guarantee — the
 	// ghost set the audit checks.
@@ -524,6 +551,7 @@ func runChaosStateCache(ctx context.Context, cfg ChaosConfig, stats *ChaosStats)
 
 	inj := fdb.NewFaultInjector(chaosFaults(cfg.Seed + 2))
 	db := chaosCluster(inj)
+	countConflicts(db, a, stats)
 	runner := recordlayer.NewRunner(db, recordlayer.RunnerOptions{Sleep: instantBackoff})
 	space, err := ks.MustPath("app").MustAdd("tenant", chaosTenant).ToSubspaceStatic()
 	if err != nil {

@@ -224,3 +224,38 @@ func (p *StoreProvider) StateCacheStats() core.StateCacheStats { return p.states
 // PlanCacheEntries lists the provider's cached plans, most recently used
 // first (the `rl plans` command prints it).
 func (p *StoreProvider) PlanCacheEntries() []PlanCacheEntry { return p.plans.Entries() }
+
+// KeyDescription says where a key lies in a provider's stores.
+type KeyDescription struct {
+	// Tenant is the keyspace path of the store the key is in, rendered as
+	// keyspace.Path renders one; "" when the key lies under no path of the
+	// provider's template.
+	Tenant string
+	// Subspace names what the key holds in that store (core.KeyClass):
+	// "records", "index <name>", "header", "index state <name>" or "build
+	// progress <name>"; "" when the store's layout has no place for it.
+	Subspace string
+}
+
+// String renders the description for a log line or a test failure.
+func (d KeyDescription) String() string {
+	switch {
+	case d.Tenant == "":
+		return "outside every store"
+	case d.Subspace == "":
+		return d.Tenant + " (unknown subspace)"
+	}
+	return d.Tenant + " " + d.Subspace
+}
+
+// DescribeKey says which tenant's store key is in and what it holds there —
+// the answer to "which key was that conflict on". It splits the tenant path
+// off with the provider's keyspace template, naming an interned element only
+// when the directory layer's cache knows it, and reads nothing.
+func (p *StoreProvider) DescribeKey(key []byte) KeyDescription {
+	path, rest, ok := p.ks.SplitKey(p.template, key)
+	if !ok {
+		return KeyDescription{}
+	}
+	return KeyDescription{Tenant: path, Subspace: core.KeyClass(rest)}
+}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"recordlayer/internal/directory"
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/keyexpr"
 	"recordlayer/internal/keyspace"
@@ -543,4 +544,120 @@ func TestNoTraceNoSpans(t *testing.T) {
 	if !errors.Is(nil, nil) { // keep errors import honest under edits
 		t.Fatal("unreachable")
 	}
+}
+
+// TestDescribeKeyNamesTenantAndSubspace: every key a tenant's first save and
+// an index-state change write describes as that tenant's keyspace path and
+// the store subspace it lies in. An interned container shows by name while
+// the directory layer's cache knows it and by id on a provider whose cache
+// does not; the directory layer's own keys lie outside every store. A
+// Runner's attempt that meets a real conflict carries the write it lost to.
+func TestDescribeKeyNamesTenantAndSubspace(t *testing.T) {
+	doc := message.MustDescriptor("Doc",
+		message.Field("id", 1, message.TypeInt64),
+		message.Field("score", 2, message.TypeInt64),
+	)
+	md := metadata.NewBuilder(1).
+		AddRecordType(doc, keyexpr.Field("id")).
+		AddIndex(&metadata.Index{Name: "by_score", Type: metadata.IndexValue, Expression: keyexpr.Field("score")}).
+		MustBuild()
+	provider := func() *StoreProvider {
+		ks, err := keyspace.New(directory.NewLayer(),
+			keyspace.NewConstant("app", "describe").Add(
+				keyspace.NewInterned("container").Add(
+					keyspace.NewDirectory("user", keyspace.TypeInt64))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := NewStoreProvider(md, ks, []string{"app", "container", "user"}, ProviderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p, db, ctx := provider(), fdb.Open(nil), context.Background()
+	var written [][]byte
+	db.SetTap(func(_ *fdb.Transaction, a fdb.Access) {
+		if a.Kind == fdb.AccessWrite || a.Kind == fdb.AccessClear {
+			written = append(written, append([]byte(nil), a.Begin...))
+		}
+	})
+	r := NewRunner(db, RunnerOptions{})
+	for _, write := range []func(s *Store) error{
+		func(s *Store) error {
+			_, err := s.SaveRecord(message.New(doc).MustSet("id", int64(1)).MustSet("score", int64(5)))
+			return err
+		},
+		func(s *Store) error { return s.MarkIndexWriteOnly("by_score") },
+	} {
+		_, err := r.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			s, err := p.Open(ctx, tr, "c1", int64(7))
+			if err != nil {
+				return nil, err
+			}
+			return nil, write(s)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.SetTap(nil)
+	const tenant = "/app:describe/container:c1/user:7"
+	got := map[string]bool{}
+	var recordKey []byte
+	for _, k := range written {
+		d := p.DescribeKey(k)
+		got[d.String()] = true
+		if d.Subspace == "records" {
+			recordKey = k
+		}
+	}
+	for _, want := range []string{tenant + " header", tenant + " records", tenant + " index by_score",
+		tenant + " index state by_score", "outside every store"} {
+		if !got[want] {
+			t.Errorf("no written key describes as %q: %v", want, got)
+		}
+	}
+	if len(got) != 5 {
+		t.Errorf("written keys describe as %v, want the five above", got)
+	}
+	cold := provider().DescribeKey(recordKey)
+	if strings.Contains(cold.Tenant, "c1") || !strings.HasPrefix(cold.Tenant, "/app:describe/container:") ||
+		!strings.HasSuffix(cold.Tenant, "/user:7") || cold.Subspace != "records" {
+		t.Errorf("a provider whose directory cache is cold describes the record key as %v, want the container's id", cold)
+	}
+
+	trace := obs.NewTrace()
+	n := 0
+	_, err := r.Run(obs.WithTrace(ctx, trace), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		s, err := p.Open(ctx, tr, "c1", int64(7))
+		if err != nil {
+			return nil, err
+		}
+		if _, err := s.LoadRecordByKey(tuple.Tuple{int64(1)}); err != nil {
+			return nil, err
+		}
+		if n++; n == 1 { // a concurrent writer commits first, once
+			_, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+				s, err := p.Open(ctx, tr, "c1", int64(7))
+				if err != nil {
+					return nil, err
+				}
+				return s.SaveRecord(message.New(doc).MustSet("id", int64(1)).MustSet("score", int64(6)))
+			})
+			if err != nil {
+				return nil, err
+			}
+		}
+		return nil, tr.Set([]byte("elsewhere"), nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	attempts := trace.Named(obs.SpanAttempt)
+	if len(attempts) != 2 || !strings.Contains(attempts[0].Attr, "cause=conflict") ||
+		!strings.Contains(attempts[0].Attr, ` conflict=("describe", `) || strings.Contains(attempts[1].Attr, "conflict=") {
+		t.Fatalf("attempt spans %v, want a conflicted first naming its key and a clean second", attempts)
+	}
+	t.Logf("conflicted attempt: %s", attempts[0].Attr)
 }

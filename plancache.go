@@ -2,7 +2,7 @@ package recordlayer
 
 import (
 	"container/list"
-	"fmt"
+	"strconv"
 	"sync"
 
 	"recordlayer/internal/metadata"
@@ -10,16 +10,10 @@ import (
 	"recordlayer/internal/query"
 )
 
-// PlanCache is a bounded LRU cache of query plans keyed by query
-// fingerprint — the client-side "SQL PREPARE" idiom (Appendix C): planning
-// happens once per distinct query, and execution reuses the immutable plan
-// across stores and transactions. Safe for concurrent use.
-//
-// Plans bake comparison operands into their index ranges, so the
-// fingerprint necessarily includes operand values: queries that differ only
-// in literals are distinct cache entries. Workloads that parameterize a hot
-// query over many literals should pre-plan via Store.Plan and execute with
-// Store.ExecutePlan instead of relying on the cache.
+// PlanCache is a bounded LRU cache of query plans keyed by query shape — the
+// client-side "SQL PREPARE" idiom (Appendix C): planning happens once per
+// query shape, and execution binds the immutable plan to each query's
+// literals across stores and transactions. Safe for concurrent use.
 type PlanCache struct {
 	mu    sync.Mutex
 	max   int
@@ -46,19 +40,33 @@ func NewPlanCache(max int) *PlanCache {
 	return &PlanCache{max: max, order: list.New(), items: make(map[string]*list.Element)}
 }
 
-// fingerprint derives the cache key for a query planned against a schema
-// version. RecordQuery.String is canonical over types, filter, and sort, and
-// the metadata version invalidates plans across schema evolution.
-func fingerprint(md *metadata.MetaData, q query.RecordQuery) string {
-	return fmt.Sprintf("v%d|%s", md.Version, q.String())
+// appendShapeKey appends to key the cache key of q's shape planned against a
+// schema version, and q's literals to b (RecordQuery.AppendShape). The shape
+// is canonical over types, filter, sort and projection with "?" for every
+// literal, and the metadata version invalidates plans across schema
+// evolution.
+func appendShapeKey(key []byte, md *metadata.MetaData, q query.RecordQuery, b query.Bindings) ([]byte, query.Bindings) {
+	key = strconv.AppendUint(append(key, 'v'), uint64(md.Version), 10)
+	return q.AppendShape(append(key, '|'), b)
 }
 
 // Get returns the cached plan for key, marking it most recently used.
 func (c *PlanCache) Get(key string) (plan.Plan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
+	return c.found(c.items[key])
+}
+
+// getShape is Get for a key in a caller's buffer.
+func (c *PlanCache) getShape(key []byte) (plan.Plan, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.found(c.items[string(key)])
+}
+
+// found counts a lookup that found el, nil for a miss, and returns its plan.
+func (c *PlanCache) found(el *list.Element) (plan.Plan, bool) {
+	if el == nil {
 		c.misses++
 		return nil, false
 	}
@@ -103,9 +111,10 @@ func (c *PlanCache) Stats() PlanCacheStats {
 
 // PlanCacheEntry describes one cached plan for tooling (`rl plans`).
 type PlanCacheEntry struct {
-	// Fingerprint is the cache key: schema version + canonical query string.
+	// Fingerprint is the cache key: schema version + canonical query shape,
+	// "?" in place of each literal.
 	Fingerprint string
-	// Plan is the cached plan's rendering.
+	// Plan is the cached shape plan's rendering, "?" in each slot.
 	Plan string
 	// Hits counts cache hits served by this entry.
 	Hits int64

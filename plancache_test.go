@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"recordlayer/internal/fdb"
+	"recordlayer/internal/message"
 	"recordlayer/internal/plan"
 	"recordlayer/internal/query"
 )
@@ -20,7 +21,8 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	c := NewPlanCache(4)
 	p := testProvider(t, md)
 
-	// A pool of distinct plans keyed by their query literal.
+	// A pool of distinct plans keyed by their rendering: the queries share a
+	// shape, so their literals tell them apart.
 	const distinct = 16
 	plans := make([]struct {
 		key string
@@ -32,7 +34,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plans[i].key = fingerprint(md, q)
+		plans[i].key = pl.String()
 		plans[i].pl = pl
 	}
 
@@ -128,5 +130,73 @@ func TestExecuteQueryConcurrent(t *testing.T) {
 	wg.Wait()
 	if st := p.PlanCacheStats(); st.Size > 2 {
 		t.Errorf("plan cache size %d exceeds bound 2", st.Size)
+	}
+}
+
+// TestPlanCacheAnswersDependOnlyOnTheQuery: queries whose literals render
+// alike — tag = 7 as an integer and as a string, and a OneOf of one string
+// with a space against a OneOf of two — must each get the answer a fresh
+// provider gives, whichever of the pair the provider planned first. A cache
+// keyed by the rendered literals would serve one query the other's plan.
+func TestPlanCacheAnswersDependOnlyOnTheQuery(t *testing.T) {
+	doc, md := testSchema(t)
+	db := fdb.Open(nil)
+	r := NewRunner(db, RunnerOptions{})
+	_, err := r.Run(context.Background(), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		store, err := testProvider(t, md).Open(ctx, tr, int64(1))
+		if err != nil {
+			return nil, err
+		}
+		for id, tag := range []string{"7", "7", "7", "7", "a", "b", "a b"} {
+			if _, err := store.SaveRecord(message.New(doc).MustSet("id", int64(id)).MustSet("tag", tag)); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answer := func(p *StoreProvider, q Query) []int64 {
+		t.Helper()
+		var ids []int64
+		_, err := r.ReadRun(context.Background(), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+			store, err := p.Open(ctx, tr, int64(1))
+			if err != nil {
+				return nil, err
+			}
+			cur, err := store.ExecuteQuery(ctx, q, ExecuteProperties{})
+			if err != nil {
+				return nil, err
+			}
+			ids = nil
+			return nil, cur.ForEach(func(rec *Record) error {
+				ids = append(ids, rec.PrimaryKey[0].(int64))
+				return nil
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	}
+	doc1 := func(c query.Component) Query { return Query{RecordTypes: []string{"Doc"}, Filter: c} }
+	for _, pair := range [][2]Query{
+		{doc1(query.Field("tag").Equals(int64(7))), doc1(query.Field("tag").Equals("7"))},
+		{doc1(query.Field("tag").OneOf("a b")), doc1(query.Field("tag").OneOf("a", "b"))},
+	} {
+		a, b := answer(testProvider(t, md), pair[0]), answer(testProvider(t, md), pair[1])
+		if fmt.Sprint(a) == fmt.Sprint(b) {
+			t.Fatalf("%s and %s both answer %v: the pair cannot tell a shared plan apart", pair[0], pair[1], a)
+		}
+		for _, order := range [][2]int{{0, 1}, {1, 0}} {
+			p := testProvider(t, md)
+			for _, i := range order {
+				q := pair[i]
+				if got, want := answer(p, q), answer(testProvider(t, md), q); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s after %s: %v, a fresh provider answers %v", q, pair[order[0]], got, want)
+				}
+			}
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/obs"
 	"recordlayer/internal/resource"
+	"recordlayer/internal/tuple"
 )
 
 // TransactFunc is the body of one transactional attempt; see fdb.TransactFunc.
@@ -343,6 +344,9 @@ func (r *Runner) run(ctx context.Context, fn TransactFunc, commit, idempotent bo
 			if err != nil {
 				attr += " cause=" + errCause(err) + " err=" + err.Error()
 			}
+			if fe, ok := realConflict(err); ok {
+				attr += " conflict=" + tuple.Describe(fe.Conflict.Write.Begin)
+			}
 			trace.Add(obs.SpanAttempt, a0, r.opts.Now().UnixNano(), 0, attr)
 		}
 		if err != nil && fdb.IsConflict(err) {
@@ -358,6 +362,14 @@ func (r *Runner) run(ctx context.Context, fn TransactFunc, commit, idempotent bo
 	r.record(1, x.retries, 0, x.retryCauses, "")
 	meter.RecordTxn(r.opts.Now().Sub(start))
 	return v, nil
+}
+
+// realConflict returns err's *fdb.Error when the resolver found a conflict —
+// not when a FaultInjector made one up — so it names the keys.
+func realConflict(err error) (*fdb.Error, bool) {
+	var fe *fdb.Error
+	ok := errors.As(err, &fe) && fe.Conflict != nil && !fe.Injected
+	return fe, ok
 }
 
 // admit acquires tenant's admission from the Governor. A foreground

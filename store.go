@@ -158,18 +158,22 @@ func (p *StoreProvider) Delete(ctx context.Context, tr *fdb.Transaction, tenant 
 	return core.DeleteStore(tr, space)
 }
 
-// planFor plans q through the provider's LRU plan cache.
+// planFor returns q's plan: its shape's plan, from the provider's LRU plan
+// cache or planned on a miss, bound to q's literals.
 func (p *StoreProvider) planFor(q Query) (plan.Plan, error) {
-	key := fingerprint(p.md, q)
-	if pl, ok := p.plans.Get(key); ok {
-		return pl, nil
+	var keyBuf [192]byte
+	var slots [8]interface{}
+	key, b := appendShapeKey(keyBuf[:0], p.md, q, slots[:0])
+	shape, ok := p.plans.getShape(key)
+	if !ok {
+		sq, _ := q.Shape()
+		var err error
+		if shape, err = p.planner.PlanShape(sq); err != nil {
+			return nil, err
+		}
+		p.plans.Put(string(key), shape)
 	}
-	pl, err := p.planner.Plan(q)
-	if err != nil {
-		return nil, err
-	}
-	p.plans.Put(key, pl)
-	return pl, nil
+	return plan.Bind(shape, append(query.Bindings(nil), b...)), nil
 }
 
 // Store is a per-request record store handle: the underlying core store
@@ -296,8 +300,9 @@ func (s *Store) ExplainQuery(ctx context.Context, q Query, props ExecuteProperti
 	return b.String(), nil
 }
 
-// Plan exposes the provider's cached planner for callers that want to
-// inspect or pre-plan a query (the plan's String renders the chosen tree).
+// Plan returns q's plan as ExecuteQuery would run it — the provider's cached
+// shape plan bound to q's literals — for callers that inspect a plan (its
+// String renders the chosen tree) or execute it with ExecutePlan.
 func (s *Store) Plan(q Query) (plan.Plan, error) { return s.provider.planFor(q) }
 
 // RecordCursor streams query results. After the stream stops (Next returns
