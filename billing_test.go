@@ -41,6 +41,12 @@ func billedByTenant(acct *Accountant) map[string]billed {
 // raw transactions are billed too. An online build opens through no
 // provider, so it runs under its tenant and is billed by the Runner in
 // either mode.
+//
+// What is billed must also be the tenant's own: after every op, in both
+// modes, every key a billed attempt or raw transaction read, wrote or
+// cleared must lie in a store the op's transactions opened, in its resolved
+// directory path, or in history.SharedRanges() (the harness's confinement
+// check).
 func TestMeterEqualsTransactionStats(t *testing.T) {
 	var kinds kindCounts
 	for seed := int64(0); seed < 200; seed++ {
@@ -61,6 +67,7 @@ func TestMeterEqualsTransactionStats(t *testing.T) {
 		prefer := seed%2 == 1
 		servers := []*server{newServer(t, prefer, false, popts), newServer(t, prefer, false, popts)}
 		h := newHarness(db, NewRunner(db, RunnerOptions{Accountant: acct, Sleep: noBackoff}), func(error) string { return "error" })
+		h.confine(t)
 		model := history.NewModel(prefer)
 		var attempts, raw []*fdb.Transaction
 		h.onTxn = func(tr *fdb.Transaction, isRaw bool) {
@@ -94,6 +101,9 @@ func TestMeterEqualsTransactionStats(t *testing.T) {
 			}
 			if want := model.Run(op); got != want {
 				t.Fatalf("seed %d step %d (%v): %v\n store: %s\n model: %s", seed, step, op, err, got, want)
+			}
+			if cerr := h.conf.Check(h.decode); cerr != nil {
+				t.Fatalf("seed %d step %d (%v), fallback billing %v: tenant confinement: %v", seed, step, op, fallback, cerr)
 			}
 			billable := attempts
 			if fallback {

@@ -55,12 +55,12 @@ func refSave(s *Store, msg *message.Message) (*StoredRecord, error) {
 		return nil, err
 	}
 	if old != nil {
-		b, e := s.recordRange(pk)
+		b, e := s.recordRange(pk.Pack())
 		if err := s.tr.ClearRange(b, e); err != nil {
 			return nil, err
 		}
 	}
-	return s.saveLoaded(rt, pk, msg, old)
+	return s.saveLoaded(rt, pk, pk.Pack(), msg, old)
 }
 
 // refDelete is DeleteRecord as it was: the record's whole range cleared.
@@ -69,7 +69,7 @@ func refDelete(s *Store, pk tuple.Tuple) (bool, error) {
 	if err != nil || !ok {
 		return ok, err
 	}
-	b, e := s.recordRange(pk)
+	b, e := s.recordRange(pk.Pack())
 	return true, s.tr.ClearRange(b, e)
 }
 
@@ -100,11 +100,11 @@ func plantLoneChunk(s *Store, msg *message.Message) error {
 	if err != nil {
 		return err
 	}
-	b, e := s.recordRange(pk)
+	b, e := s.recordRange(pk.Pack())
 	if err := s.tr.ClearRange(b, e); err != nil {
 		return err
 	}
-	return s.tr.Set(s.recordKey(pk, 1), tuple.Tuple{msg.Descriptor().Name, mustMarshal(msg)}.Pack())
+	return s.tr.Set(s.recordKey(nil, pk.Pack(), 1), tuple.Tuple{msg.Descriptor().Name, mustMarshal(msg)}.Pack())
 }
 
 // TestSizeInformedClearsMatchRangeClears: saves and deletes that clear only
@@ -322,7 +322,7 @@ func TestStaleSizeInfoStillConflicts(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		b, e := s.recordRange(pk)
+		b, e := s.recordRange(pk.Pack())
 		kvs, _, err := tr.GetRange(b, e, fdb.RangeOptions{})
 		for _, kv := range kvs {
 			_, suffix, _ := s.splitRecordKey(kv.Key)

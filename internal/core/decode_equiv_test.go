@@ -472,13 +472,13 @@ func TestRecordDecodeMatchesReference(t *testing.T) {
 			}
 			for _, pk := range pks {
 				// Keys and ranges must stay byte-identical to the old packing.
-				b, e := s.recordRange(pk)
+				b, e := s.recordRange(pk.Pack())
 				rb, re := refRecordRange(s, pk)
 				if !bytes.Equal(b, rb) || !bytes.Equal(e, re) {
 					t.Fatalf("seed %d: recordRange(%v) = %x, %x, want %x, %x", seed, pk, b, e, rb, re)
 				}
 				for _, suffix := range []int64{versionSuffix, unsplitRecord, 3} {
-					if k, rk := s.recordKey(pk, suffix), refRecordKey(s, pk, suffix); !bytes.Equal(k, rk) {
+					if k, rk := s.recordKey(nil, pk.Pack(), suffix), refRecordKey(s, pk, suffix); !bytes.Equal(k, rk) {
 						t.Fatalf("seed %d: recordKey(%v, %d) = %x, want %x", seed, pk, suffix, k, rk)
 					}
 				}

@@ -142,11 +142,10 @@ func (o *OnlineIndexer) buildBatch(ctx context.Context, batch int) (int, bool, e
 			return nil, err
 		}
 		ix, _ := s.md.Index(o.IndexName)
-		m, err := s.maintainer(ix)
+		m, ictx, err := s.maintainer(ix)
 		if err != nil {
 			return nil, err
 		}
-		ictx := s.indexContext(ix)
 		progressKey := s.space.Pack(tuple.Tuple{progressSub, o.IndexName})
 		cont, err := s.tr.Get(progressKey)
 		if err != nil {
@@ -184,7 +183,7 @@ func (o *OnlineIndexer) buildBatch(ctx context.Context, batch int) (int, bool, e
 				break
 			}
 			if ix.AppliesTo(r.Value.Type.Name) {
-				p, err := m.UpdateAsync(ictx, nil, r.Value.asIndexRecord())
+				p, err := m.UpdateAsync(ictx, nil, r.Value.asIndexRecord(nil))
 				if err != nil {
 					return nil, err
 				}

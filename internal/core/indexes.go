@@ -31,11 +31,10 @@ func (s *Store) ScanIndex(name string, r index.TupleRange, opts index.ScanOption
 	if err != nil {
 		return nil, err
 	}
-	m, err := s.maintainer(ix)
+	m, ictx, err := s.maintainer(ix)
 	if err != nil {
 		return nil, err
 	}
-	ictx := s.indexContext(ix)
 	switch mm := m.(type) {
 	case *index.ValueMaintainer:
 		return mm.Scan(ictx, r, opts)
@@ -88,7 +87,7 @@ func (s *Store) AggregateInt64(name string, group tuple.Tuple) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	m, err := s.maintainer(ix)
+	m, ictx, err := s.maintainer(ix)
 	if err != nil {
 		return 0, err
 	}
@@ -96,7 +95,7 @@ func (s *Store) AggregateInt64(name string, group tuple.Tuple) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("core: index %q is not an aggregate index", name)
 	}
-	return am.GetInt64(s.indexContext(ix), group)
+	return am.GetInt64(ictx, group)
 }
 
 // AggregateTuple reads a MAX_EVER/MIN_EVER value for a group key (§7).
@@ -105,7 +104,7 @@ func (s *Store) AggregateTuple(name string, group tuple.Tuple) (tuple.Tuple, boo
 	if err != nil {
 		return nil, false, err
 	}
-	m, err := s.maintainer(ix)
+	m, ictx, err := s.maintainer(ix)
 	if err != nil {
 		return nil, false, err
 	}
@@ -113,7 +112,7 @@ func (s *Store) AggregateTuple(name string, group tuple.Tuple) (tuple.Tuple, boo
 	if !ok {
 		return nil, false, fmt.Errorf("core: index %q is not an aggregate index", name)
 	}
-	return am.GetTuple(s.indexContext(ix), group)
+	return am.GetTuple(ictx, group)
 }
 
 // rankIndex resolves a RANK index's maintainer.
@@ -122,7 +121,7 @@ func (s *Store) rankIndex(name string) (*index.RankMaintainer, *index.Context, e
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := s.maintainer(ix)
+	m, ictx, err := s.maintainer(ix)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -130,7 +129,7 @@ func (s *Store) rankIndex(name string) (*index.RankMaintainer, *index.Context, e
 	if !ok {
 		return nil, nil, fmt.Errorf("core: index %q is not a rank index", name)
 	}
-	return rm, s.indexContext(ix), nil
+	return rm, ictx, nil
 }
 
 // Rank returns a record's ordinal rank in a RANK index (Appendix B).
@@ -211,7 +210,7 @@ func (s *Store) textIndex(name string) (*index.TextMaintainer, *index.Context, e
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := s.maintainer(ix)
+	m, ictx, err := s.maintainer(ix)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -219,7 +218,7 @@ func (s *Store) textIndex(name string) (*index.TextMaintainer, *index.Context, e
 	if !ok {
 		return nil, nil, fmt.Errorf("core: index %q is not a text index", name)
 	}
-	return tm, s.indexContext(ix), nil
+	return tm, ictx, nil
 }
 
 // TextSearchToken returns postings for an exact token (Appendix B).
@@ -281,11 +280,10 @@ func (s *Store) RebuildIndexInline(name string) error {
 	if err := s.clearIndexData(name); err != nil {
 		return err
 	}
-	m, err := s.maintainer(ix)
+	m, ictx, err := s.maintainer(ix)
 	if err != nil {
 		return err
 	}
-	ictx := s.indexContext(ix)
 	scan := s.ScanRecords(ScanOptions{})
 	for {
 		r, err := scan.Next()
@@ -301,7 +299,7 @@ func (s *Store) RebuildIndexInline(name string) error {
 		if !ix.AppliesTo(r.Value.Type.Name) {
 			continue
 		}
-		if err := index.Update(m, ictx, nil, r.Value.asIndexRecord()); err != nil {
+		if err := index.Update(m, ictx, nil, r.Value.asIndexRecord(nil)); err != nil {
 			return err
 		}
 	}

@@ -41,8 +41,9 @@ type StoredRecord struct {
 	pendingUserVersion uint16
 }
 
-// asIndexRecord adapts to the maintainer's view.
-func (r *StoredRecord) asIndexRecord() *index.Record {
+// asIndexRecord adapts to the maintainer's view. packed is the primary key
+// packed, when the caller has it.
+func (r *StoredRecord) asIndexRecord(packed []byte) *index.Record {
 	if r == nil {
 		return nil
 	}
@@ -53,25 +54,45 @@ func (r *StoredRecord) asIndexRecord() *index.Record {
 		Version:            r.Version,
 		HasVersion:         r.HasVersion,
 		PendingUserVersion: r.pendingUserVersion,
+		PackedPrimaryKey:   packed,
 	}
 }
 
-// PrimaryKeyFor evaluates a record's primary key expression; the expression
-// must produce exactly one tuple.
+// PrimaryKeyFor computes a record's primary key; the expression must produce
+// exactly one tuple.
 func (s *Store) PrimaryKeyFor(msg *message.Message) (*metadata.RecordType, tuple.Tuple, error) {
+	rt, pk, _, err := s.primaryKey(msg)
+	return rt, pk, err
+}
+
+// keyStackLen is how long a primary key, or a record's key, packs on the
+// stack before growing onto the heap.
+const keyStackLen = 128
+
+// primaryKey packs a record's primary key with its type's compiled packer,
+// and unpacks it for StoredRecord.PrimaryKey. The expression must produce
+// exactly one key, with no incomplete versionstamp in it.
+func (s *Store) primaryKey(msg *message.Message) (*metadata.RecordType, tuple.Tuple, []byte, error) {
 	rt, ok := s.md.RecordType(msg.Descriptor().Name)
 	if !ok {
-		return nil, nil, fmt.Errorf("core: unknown record type %q", msg.Descriptor().Name)
+		return nil, nil, nil, fmt.Errorf("core: unknown record type %q", msg.Descriptor().Name)
 	}
-	ctx := &keyexpr.Context{Message: msg, RecordTypeKey: rt.TypeKey()}
-	pks, err := rt.PrimaryKey.Evaluate(ctx)
+	var buf [keyStackLen]byte
+	var spans [1]keyexpr.KeySpan
+	ctx := keyexpr.Context{Message: msg, RecordTypeKey: rt.TypeKey()}
+	keys, err := rt.Packer().Pack(keyexpr.NewKeys(buf[:], spans[:]), &ctx)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	if len(pks) != 1 {
-		return nil, nil, fmt.Errorf("core: primary key of %q produced %d tuples, need exactly 1", rt.Name, len(pks))
+	if keys.Len() != 1 {
+		return nil, nil, nil, fmt.Errorf("core: primary key of %q produced %d tuples, need exactly 1", rt.Name, keys.Len())
 	}
-	return rt, pks[0], nil
+	if off, err := keys.Incomplete(0); err != nil || off >= 0 {
+		return nil, nil, nil, fmt.Errorf("core: primary key of %q holds an incomplete versionstamp", rt.Name)
+	}
+	packed := bytes.Clone(keys.Key(0))
+	pk, err := tuple.Unpack(packed)
+	return rt, pk, packed, err
 }
 
 // SaveRecord inserts or replaces a record, maintaining every applicable
@@ -79,21 +100,21 @@ func (s *Store) PrimaryKeyFor(msg *message.Message) (*metadata.RecordType, tuple
 // let registered index maintainers reconcile entries, then rewrite the
 // record's keys and its version slot.
 func (s *Store) SaveRecord(msg *message.Message) (*StoredRecord, error) {
-	rt, pk, err := s.PrimaryKeyFor(msg)
+	rt, pk, packed, err := s.primaryKey(msg)
 	if err != nil {
 		return nil, err
 	}
-	old, err := s.LoadRecordByKey(pk)
+	old, err := s.loadRecordByKey(pk, packed, false)
 	if err != nil {
 		return nil, err
 	}
-	return s.saveLoaded(rt, pk, msg, old)
+	return s.saveLoaded(rt, pk, packed, msg, old)
 }
 
 // saveLoaded finishes a save once the old record is known: assign the
 // per-transaction version counter, reconcile indexes, rewrite the data.
-func (s *Store) saveLoaded(rt *metadata.RecordType, pk tuple.Tuple, msg *message.Message, old *StoredRecord) (*StoredRecord, error) {
-	rec, pendings, err := s.saveLoadedAsync(rt, pk, msg, old)
+func (s *Store) saveLoaded(rt *metadata.RecordType, pk tuple.Tuple, packed []byte, msg *message.Message, old *StoredRecord) (*StoredRecord, error) {
+	rec, pendings, err := s.saveLoadedAsync(rt, pk, packed, msg, old)
 	if err != nil {
 		return nil, err
 	}
@@ -108,18 +129,18 @@ func (s *Store) saveLoaded(rt *metadata.RecordType, pk tuple.Tuple, msg *message
 // reads. Record data lives outside every index subspace, so writing it
 // between a maintainer's issue and await phases cannot change what the issued
 // probes resolve to.
-func (s *Store) saveLoadedAsync(rt *metadata.RecordType, pk tuple.Tuple, msg *message.Message, old *StoredRecord) (*StoredRecord, []indexPending, error) {
+func (s *Store) saveLoadedAsync(rt *metadata.RecordType, pk tuple.Tuple, packed []byte, msg *message.Message, old *StoredRecord) (*StoredRecord, []indexPending, error) {
 	rec := &StoredRecord{Type: rt, Message: msg, PrimaryKey: pk}
 	if s.md.StoreRecordVersions {
 		rec.pendingUserVersion = s.tr.ClaimLocalVersion()
 	}
-	pendings, err := s.updateIndexesAsync(old, rec)
+	pendings, err := s.updateIndexesAsync(old, rec, packed)
 	if err != nil {
 		return nil, nil, err
 	}
 	// old is this transaction's serializable load of the record's range, so
 	// its shape may decide which of its keys to clear (clearRecord).
-	if err := s.writeRecordData(rec, old); err != nil {
+	if err := s.writeRecordData(rec, old, packed); err != nil {
 		return nil, nil, err
 	}
 	return rec, pendings, nil
@@ -137,26 +158,26 @@ func (s *Store) SaveRecords(msgs []*message.Message) ([]*StoredRecord, error) {
 		return nil, nil
 	}
 	type pending struct {
-		rt   *metadata.RecordType
-		pk   tuple.Tuple
-		load *fdb.FutureRange
-		dup  bool
+		rt     *metadata.RecordType
+		pk     tuple.Tuple
+		packed []byte
+		load   *fdb.FutureRange
+		dup    bool
 	}
 	items := make([]pending, len(msgs))
 	seen := make(map[string]bool, len(msgs))
 	for i, msg := range msgs {
-		rt, pk, err := s.PrimaryKeyFor(msg)
+		rt, pk, packed, err := s.primaryKey(msg)
 		if err != nil {
 			return nil, err
 		}
-		items[i] = pending{rt: rt, pk: pk}
-		k := string(pk.Pack())
-		if seen[k] {
+		items[i] = pending{rt: rt, pk: pk, packed: packed}
+		if seen[string(packed)] {
 			items[i].dup = true
 			continue
 		}
-		seen[k] = true
-		b, e := s.recordRange(pk)
+		seen[string(packed)] = true
+		b, e := s.recordRange(packed)
 		items[i].load = s.issueLoadRecord(b, e, false)
 	}
 	// Sweep 1: per record in batch order, resolve the old record and issue
@@ -176,14 +197,14 @@ func (s *Store) SaveRecords(msgs []*message.Message) ([]*StoredRecord, error) {
 		if it.dup {
 			// An earlier save in this batch wrote the same primary key; the
 			// prefetched read would predate it.
-			old, err = s.loadRecordByKey(it.pk, false)
+			old, err = s.loadRecordByKey(it.pk, it.packed, false)
 		} else {
 			old, err = s.awaitLoadRecord(it.pk, it.load)
 		}
 		if err != nil {
 			return nil, err
 		}
-		rec, ps, err := s.saveLoadedAsync(it.rt, it.pk, msg, old)
+		rec, ps, err := s.saveLoadedAsync(it.rt, it.pk, it.packed, msg, old)
 		if err != nil {
 			return nil, err
 		}
@@ -204,11 +225,11 @@ func (s *Store) SaveRecords(msgs []*message.Message) ([]*StoredRecord, error) {
 // writer of the same primary key still conflicts at commit. Returns an error
 // (and writes nothing) if the record turns out to exist.
 func (s *Store) InsertRecord(msg *message.Message) (*StoredRecord, error) {
-	rt, pk, err := s.PrimaryKeyFor(msg)
+	rt, pk, packed, err := s.primaryKey(msg)
 	if err != nil {
 		return nil, err
 	}
-	b, e := s.recordRange(pk)
+	b, e := s.recordRange(packed)
 	kvs, _, err := s.tr.GetRange(b, e, fdb.RangeOptions{Limit: 1})
 	if err != nil {
 		return nil, err
@@ -216,7 +237,7 @@ func (s *Store) InsertRecord(msg *message.Message) (*StoredRecord, error) {
 	if len(kvs) > 0 {
 		return nil, fmt.Errorf("core: InsertRecord: record %v already exists", pk)
 	}
-	return s.saveLoaded(rt, pk, msg, nil)
+	return s.saveLoaded(rt, pk, packed, msg, nil)
 }
 
 // indexPending is one index's issued-but-unawaited update: the await half of
@@ -235,7 +256,9 @@ type indexPending struct {
 // apply at await time, in issue order). An index's `index.<name>` span opens
 // at issue and closes at await, so overlapped maintenance shows overlapped
 // spans — the write-path mirror of overlapping fdb.read windows.
-func (s *Store) updateIndexesAsync(old, new *StoredRecord) ([]indexPending, error) {
+//
+// old and new are the same record, whose primary key packed is pk.
+func (s *Store) updateIndexesAsync(old, new *StoredRecord, pk []byte) ([]indexPending, error) {
 	appliesTo := func(ix *metadata.Index) bool {
 		if old != nil && ix.AppliesTo(old.Type.Name) {
 			return true
@@ -244,13 +267,13 @@ func (s *Store) updateIndexesAsync(old, new *StoredRecord) ([]indexPending, erro
 	}
 	// One view of each record serves every maintainer, so its key expression
 	// context is built once per save, not once per index.
-	oldView, newView := old.asIndexRecord(), new.asIndexRecord()
+	oldView, newView := old.asIndexRecord(pk), new.asIndexRecord(pk)
 	out := make([]indexPending, 0, len(s.md.Indexes()))
 	for _, ix := range s.md.Indexes() {
 		if !appliesTo(ix) || s.IndexState(ix.Name) == metadata.StateDisabled {
 			continue
 		}
-		m, err := s.maintainer(ix)
+		m, ictx, err := s.maintainer(ix)
 		if err != nil {
 			return nil, err
 		}
@@ -258,7 +281,7 @@ func (s *Store) updateIndexesAsync(old, new *StoredRecord) ([]indexPending, erro
 		if s.trace != nil {
 			t0 = s.tr.LatencyNow()
 		}
-		p, uerr := m.UpdateAsync(s.indexContext(ix), oldView, newView)
+		p, uerr := m.UpdateAsync(ictx, oldView, newView)
 		if uerr != nil {
 			if s.trace != nil {
 				s.trace.Add(obs.SpanIndexPrefix+ix.Name, t0, s.tr.LatencyNow(), 0, uerr.Error())
@@ -289,13 +312,16 @@ func (s *Store) awaitIndexPendings(pendings []indexPending) error {
 	return nil
 }
 
-// recordRange is the key range holding one record's pairs.
-func (s *Store) recordRange(pk tuple.Tuple) ([]byte, []byte) {
-	return s.records.RangeForTuple(pk)
+// recordRange is the key range holding the pairs of the record whose packed
+// primary key is pk.
+func (s *Store) recordRange(pk []byte) ([]byte, []byte) {
+	return s.records.RangeForPacked(pk)
 }
 
-func (s *Store) recordKey(pk tuple.Tuple, suffix int64) []byte {
-	return s.records.Pack(pk.Append(suffix))
+// recordKey appends to buf the key of the pair at suffix of the record whose
+// packed primary key is pk.
+func (s *Store) recordKey(buf, pk []byte, suffix int64) []byte {
+	return tuple.AppendInt64(append(append(buf, s.records.Bytes()...), pk...), suffix)
 }
 
 // splitRecordKey splits a record key, (recordsSub, pk..., suffix) under the
@@ -338,7 +364,7 @@ const envelopeStackLen = 4096
 // The envelope is packed into a stack buffer, since Transaction.Set copies
 // what it buffers. A Serializer call would move that buffer to the heap, so
 // IdentitySerializer, which returns the envelope as it is, is never called.
-func (s *Store) writeRecordData(rec, old *StoredRecord) error {
+func (s *Store) writeRecordData(rec, old *StoredRecord, pk []byte) error {
 	envelope := tuple.Tuple{rec.Type.Name, mustMarshal(rec.Message)}
 	var blob []byte
 	if _, ok := s.cfg.Serializer.(IdentitySerializer); ok {
@@ -351,12 +377,13 @@ func (s *Store) writeRecordData(rec, old *StoredRecord) error {
 		}
 	}
 	rec.Size = len(blob)
+	var key [keyStackLen]byte
 	unsplit := len(blob) <= s.cfg.SplitChunkSize
-	if err := s.clearRecord(old, unsplit, s.md.StoreRecordVersions); err != nil {
+	if err := s.clearRecord(old, pk, unsplit, s.md.StoreRecordVersions); err != nil {
 		return err
 	}
 	if unsplit {
-		if err := s.tr.Set(s.recordKey(rec.PrimaryKey, unsplitRecord), blob); err != nil {
+		if err := s.tr.Set(s.recordKey(key[:0], pk, unsplitRecord), blob); err != nil {
 			return err
 		}
 		rec.SplitChunks, rec.unsplit = 1, true
@@ -371,7 +398,7 @@ func (s *Store) writeRecordData(rec, old *StoredRecord) error {
 				hi = len(blob)
 			}
 			n++
-			if err := s.tr.Set(s.recordKey(rec.PrimaryKey, n), blob[off:hi]); err != nil {
+			if err := s.tr.Set(s.recordKey(key[:0], pk, n), blob[off:hi]); err != nil {
 				return err
 			}
 		}
@@ -388,8 +415,7 @@ func (s *Store) writeRecordData(rec, old *StoredRecord) error {
 		binary.BigEndian.PutUint16(val[10:], user)
 		var off [4]byte // versionstamp at offset 0
 		val = append(val, off[:]...)
-		key := s.recordKey(rec.PrimaryKey, versionSuffix)
-		if err := s.tr.Atomic(fdb.MutationSetVersionstampedValue, key, val); err != nil {
+		if err := s.tr.Atomic(fdb.MutationSetVersionstampedValue, s.recordKey(key[:0], pk, versionSuffix), val); err != nil {
 			return err
 		}
 	}
@@ -409,21 +435,22 @@ func (s *Store) writeRecordData(rec, old *StoredRecord) error {
 // shape is then the truth at commit, because a concurrent writer that splits
 // or rewrites the record writes into that read range, and this transaction
 // fails to commit (TestStaleSizeInfoStillConflicts).
-func (s *Store) clearRecord(old *StoredRecord, dataKept, versionKept bool) error {
+func (s *Store) clearRecord(old *StoredRecord, pk []byte, dataKept, versionKept bool) error {
 	switch {
 	case old == nil:
 		return nil
 	case !old.unsplit:
-		b, e := s.recordRange(old.PrimaryKey)
+		b, e := s.recordRange(pk)
 		return s.tr.ClearRange(b, e)
 	}
+	var key [keyStackLen]byte
 	if !dataKept {
-		if err := s.tr.Clear(s.recordKey(old.PrimaryKey, unsplitRecord)); err != nil {
+		if err := s.tr.Clear(s.recordKey(key[:0], pk, unsplitRecord)); err != nil {
 			return err
 		}
 	}
 	if old.HasVersion && !versionKept {
-		return s.tr.Clear(s.recordKey(old.PrimaryKey, versionSuffix))
+		return s.tr.Clear(s.recordKey(key[:0], pk, versionSuffix))
 	}
 	return nil
 }
@@ -439,7 +466,7 @@ func mustMarshal(m *message.Message) []byte {
 // LoadRecordByKey fetches one record by primary key; nil when absent. The
 // version slot and all record chunks arrive in a single range read (§4).
 func (s *Store) LoadRecordByKey(pk tuple.Tuple) (*StoredRecord, error) {
-	return s.loadRecordByKey(pk, false)
+	return s.loadRecordByKey(pk, pk.Pack(), false)
 }
 
 // issueLoadRecord starts the range read for one record's pairs, [begin, end),
@@ -465,8 +492,9 @@ func (s *Store) awaitLoadRecord(pk tuple.Tuple, f *fdb.FutureRange) (*StoredReco
 	return s.assembleRecord(pk, kvs, nil)
 }
 
-func (s *Store) loadRecordByKey(pk tuple.Tuple, snapshot bool) (*StoredRecord, error) {
-	b, e := s.recordRange(pk)
+// loadRecordByKey loads the record whose primary key is pk, packed.
+func (s *Store) loadRecordByKey(pk tuple.Tuple, packed []byte, snapshot bool) (*StoredRecord, error) {
+	b, e := s.recordRange(packed)
 	return s.awaitLoadRecord(pk, s.issueLoadRecord(b, e, snapshot))
 }
 
@@ -613,21 +641,22 @@ func readEnvelope(envelope []byte) (name, wire []byte, err error) {
 // unsplit record's keys are cleared one by one, a split record's as a range
 // (clearRecord).
 func (s *Store) DeleteRecord(pk tuple.Tuple) (bool, error) {
-	old, err := s.LoadRecordByKey(pk)
+	packed := pk.Pack()
+	old, err := s.loadRecordByKey(pk, packed, false)
 	if err != nil {
 		return false, err
 	}
 	if old == nil {
 		return false, nil
 	}
-	pendings, err := s.updateIndexesAsync(old, nil)
+	pendings, err := s.updateIndexesAsync(old, nil, packed)
 	if err != nil {
 		return false, err
 	}
 	if err := s.awaitIndexPendings(pendings); err != nil {
 		return false, err
 	}
-	if err := s.clearRecord(old, false, false); err != nil {
+	if err := s.clearRecord(old, packed, false, false); err != nil {
 		return false, err
 	}
 	return true, nil

@@ -165,7 +165,7 @@ func (o *Scrubber) open(tr *fdb.Transaction) (*Store, *index.ValueMaintainer, er
 		return nil, nil, fmt.Errorf("core: index %q is %s; scrub requires a readable index", o.IndexName, st)
 	}
 	ix, _ := s.md.Index(o.IndexName)
-	m, err := s.maintainer(ix)
+	m, _, err := s.maintainer(ix)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -204,12 +204,12 @@ func (o *Scrubber) entryBatch(ctx context.Context, cont []byte, batch int) (scru
 				// healthy iff that record exists and still produces this
 				// index key. (Covering-value drift is direction two's job —
 				// the same physical key gets probed from the record side.)
-				rec, lerr := s.loadRecordByKey(e.PrimaryKey(), true)
+				rec, lerr := s.loadRecordByKey(e.PrimaryKey(), e.PackedPrimaryKey(), true)
 				if lerr != nil {
 					return nil, lerr
 				}
 				if rec != nil {
-					exp, eerr := vm.ExpectedEntries(rec.asIndexRecord())
+					exp, eerr := vm.ExpectedEntries(rec.asIndexRecord(e.PackedPrimaryKey()))
 					if eerr != nil {
 						return nil, eerr
 					}
@@ -266,7 +266,7 @@ func (o *Scrubber) recordBatch(ctx context.Context, cont []byte, batch int) (scr
 			}
 			res.cont = r.Continuation
 			res.n++
-			exp, err := vm.ExpectedEntries(r.Value.asIndexRecord())
+			exp, err := vm.ExpectedEntries(r.Value.asIndexRecord(nil))
 			if err != nil {
 				return nil, err
 			}

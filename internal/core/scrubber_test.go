@@ -8,6 +8,9 @@ import (
 	"time"
 
 	"recordlayer/internal/fdb"
+	"recordlayer/internal/keyexpr"
+	"recordlayer/internal/message"
+	"recordlayer/internal/metadata"
 	"recordlayer/internal/subspace"
 	"recordlayer/internal/tuple"
 )
@@ -374,4 +377,39 @@ func TestCancelDuringBackoffStopsBatch(t *testing.T) {
 			t.Fatalf("transaction %d ran %d attempts, want transaction 2 to stop after 3", door.n, door.attempts)
 		}
 	})
+}
+
+// TestScrubRemovesStrayNestedFanOutEntries: a fan-out nest under an unset
+// parent once indexed one (null) entry. A store written then holds it, and
+// the scrubber reports it as dangling, since the record no longer produces
+// it; Repair clears it.
+func TestScrubRemovesStrayNestedFanOutEntries(t *testing.T) {
+	item := message.MustDescriptor("Item", message.Field("x", 1, message.TypeInt64))
+	box := message.MustDescriptor("Box", message.RepeatedMessageField("items", 1, item))
+	crate := message.MustDescriptor("Crate", message.Field("id", 1, message.TypeInt64), message.MessageField("box", 2, box))
+	md := metadata.NewBuilder(1).AddMessageType(item).AddMessageType(box).
+		AddRecordType(crate, keyexpr.Field("id")).
+		AddIndex(&metadata.Index{Name: "by_x", Type: metadata.IndexValue,
+			Expression: keyexpr.Nest("box", keyexpr.NestFan("items", keyexpr.FanOut, keyexpr.Field("x")))}).
+		MustBuild()
+	db, sp := fdb.Open(nil), subspace.FromTuple(tuple.Tuple{"crates"})
+	withStore(t, db, md, sp, func(s *Store) error {
+		if _, err := s.SaveRecord(message.New(crate).MustSet("id", int64(1))); err != nil {
+			return err
+		}
+		// The entry the old evaluation wrote for the record's unset box.
+		return s.tr.Set(s.IndexSubspace("by_x").Pack(tuple.Tuple{nil, int64(1)}), nil)
+	})
+	scr := &Scrubber{DB: db, MetaData: md, Space: sp, IndexName: "by_x", Repair: true}
+	rep, err := scr.Scrub(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Count(ScrubDangling) != 1 || rep.Repaired != 1 {
+		t.Fatalf("scrub found %v and repaired %d; want the one stray entry, repaired", rep.Issues, rep.Repaired)
+	}
+	scr.Repair = false
+	if rep, err = scr.Scrub(context.Background()); err != nil || !rep.Clean() {
+		t.Fatalf("after repair: %v, %v", rep.Issues, err)
+	}
 }

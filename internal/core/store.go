@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"recordlayer/internal/cursor"
 	"recordlayer/internal/fdb"
@@ -121,9 +122,10 @@ type Store struct {
 
 	header Header
 
-	// maintainers caches each index's maintainer; made by the first save, so
-	// a read-only open allocates no map.
-	maintainers map[string]index.Maintainer
+	// maintainers caches each index's maintainer and its context, in the
+	// order first used; made by the first save, so a read-only open
+	// allocates nothing for it.
+	maintainers []*maintained
 	// states holds every index state that is not the readable default, as
 	// loaded at Open. The map is shared with the state cache and other stores
 	// until this store changes a state (ownStates), so an open copies nothing.
@@ -377,37 +379,38 @@ func (s *Store) clearIndexData(name string) error {
 	// A cached maintainer may hold a per-transaction pipelining overlay whose
 	// written values no longer describe the (now empty) index subspace; drop
 	// it so the next update starts from the cleared state.
-	delete(s.maintainers, name)
+	s.maintainers = slices.DeleteFunc(s.maintainers, func(e *maintained) bool { return e.ctx.Index.Name == name })
 	if err := s.setIndexState(name, metadata.StateReadable); err != nil { // cleared state = readable default
 		return err
 	}
 	return s.tr.Clear(s.space.Pack(tuple.Tuple{progressSub, name}))
 }
 
-// maintainer returns (cached) the maintainer for an index.
-func (s *Store) maintainer(ix *metadata.Index) (index.Maintainer, error) {
-	if m, ok := s.maintainers[ix.Name]; ok {
-		return m, nil
+// maintained is an index's maintainer and the context it runs in, made once
+// per store: the context's subspace is packed once, not once per record.
+type maintained struct {
+	m   index.Maintainer
+	ctx index.Context
+}
+
+// maintainer returns (cached) the maintainer for an index and the context it
+// runs in. A store has few indexes, so a scan of them costs less than a map.
+func (s *Store) maintainer(ix *metadata.Index) (index.Maintainer, *index.Context, error) {
+	for _, e := range s.maintainers {
+		if e.ctx.Index.Name == ix.Name {
+			return e.m, &e.ctx, nil
+		}
 	}
 	m, err := index.NewMaintainer(ix)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if s.maintainers == nil {
-		s.maintainers = make(map[string]index.Maintainer, len(s.md.Indexes()))
+		s.maintainers = make([]*maintained, 0, len(s.md.Indexes()))
 	}
-	s.maintainers[ix.Name] = m
-	return m, nil
-}
-
-// indexContext assembles the maintainer context for an index.
-func (s *Store) indexContext(ix *metadata.Index) *index.Context {
-	return &index.Context{
-		Tr:       s.tr,
-		Index:    ix,
-		Space:    s.indexSpace(ix.Name),
-		MetaData: s.md,
-	}
+	e := &maintained{m: m, ctx: index.Context{Tr: s.tr, Index: ix, Space: s.indexSpace(ix.Name), MetaData: s.md}}
+	s.maintainers = append(s.maintainers, e)
+	return m, &e.ctx, nil
 }
 
 // DeleteStore removes every key of a record store — records, indexes,

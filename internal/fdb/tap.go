@@ -1,5 +1,7 @@
 package fdb
 
+import "bytes"
+
 // MetadataVersionKey is the system key FoundationDB keeps the metadata
 // version under. The simulator keeps the version outside its key space, so no
 // read returns it; a Tap sees MetadataVersion as a read of this key and
@@ -33,8 +35,9 @@ func (k AccessKind) String() string { return accessKindNames[k] }
 type Access struct {
 	Kind AccessKind
 	// Begin and End bound the range [Begin, End) the access names; End is
-	// nil when it names the one key Begin. They are the caller's bytes or the
-	// transaction's: a tap that keeps them copies them.
+	// nil when it names the one key Begin. They are the tap's own copies, so
+	// a key the caller passes stays the caller's: Set, Clear and Atomic copy
+	// what they buffer, and a key built in a caller's stack buffer stays there.
 	Begin, End []byte
 	// Snapshot marks a read that records no read conflict.
 	Snapshot bool
@@ -55,6 +58,6 @@ func (d *Database) SetTap(tap Tap) { d.tap = tap }
 // note shows the database's tap, if it has one, an access of kind k.
 func (t *Transaction) note(k AccessKind, begin, end []byte, snapshot bool) {
 	if t.db.tap != nil {
-		t.db.tap(t, Access{Kind: k, Begin: begin, End: end, Snapshot: snapshot})
+		t.db.tap(t, Access{Kind: k, Begin: bytes.Clone(begin), End: bytes.Clone(end), Snapshot: snapshot})
 	}
 }

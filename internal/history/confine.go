@@ -118,8 +118,6 @@ func (c *Confinement) tap(tr *fdb.Transaction, a fdb.Access) {
 		}
 		return
 	}
-	a.Begin = bytes.Clone(a.Begin)
-	a.End = bytes.Clone(a.End)
 	ta.accesses = append(ta.accesses, a)
 }
 

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -15,41 +16,37 @@ import (
 // one small entry per grouping key, updated with FoundationDB atomic
 // mutations so concurrent record writes never conflict on the aggregate.
 type AtomicMaintainer struct {
-	ix       *metadata.Index
-	typ      metadata.IndexType
-	grouping keyexpr.GroupingExpression
+	ix  *metadata.Index
+	typ metadata.IndexType
+	// packer splits each key into its group (Head) and its aggregated
+	// columns (Tail).
+	packer *keyexpr.Packer
 }
 
 func newAtomicMaintainer(typ metadata.IndexType) Factory {
 	return func(ix *metadata.Index) (Maintainer, error) {
 		m := &AtomicMaintainer{ix: ix, typ: typ}
-		switch g := ix.Expression.(type) {
-		case keyexpr.GroupingExpression:
-			m.grouping = g
-		default:
+		g, ok := ix.Expression.(keyexpr.GroupingExpression)
+		switch {
+		case ok:
+			m.packer = ix.Packer()
+		case typ == metadata.IndexCount || typ == metadata.IndexCountUpdates:
 			// COUNT-style indexes may use a plain expression: every column
 			// is a grouping column, the aggregate is the record count.
-			if typ == metadata.IndexCount || typ == metadata.IndexCountUpdates {
-				m.grouping = keyexpr.GroupBy(keyexpr.Empty(), ix.Expression)
-			} else {
-				return nil, fmt.Errorf("index %q: %s indexes need a GroupBy/Ungrouped expression", ix.Name, typ)
-			}
+			g = keyexpr.GroupBy(keyexpr.Empty(), ix.Expression)
+			m.packer = keyexpr.Compile(g)
+		default:
+			return nil, fmt.Errorf("index %q: %s indexes need a GroupBy/Ungrouped expression", ix.Name, typ)
 		}
 		switch typ {
 		case metadata.IndexSum, metadata.IndexCountNonNull,
 			metadata.IndexMaxEver, metadata.IndexMinEver:
-			if m.grouping.GroupedCount() != 1 {
+			if g.GroupedCount() != 1 {
 				return nil, fmt.Errorf("index %q: %s indexes aggregate exactly one column", ix.Name, typ)
 			}
 		}
 		return m, nil
 	}
-}
-
-func littleEndianInt64(v int64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, uint64(v))
-	return b
 }
 
 // UpdateAsync implements Maintainer. Atomic indexes never read — every
@@ -63,45 +60,47 @@ func (m *AtomicMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending,
 }
 
 func (m *AtomicMaintainer) update(ctx *Context, old, new *Record) error {
-	oldEntries, err := entriesFor(ctx.Index, old)
+	var oldBuf, newBuf, buf [keyStackLen]byte
+	var oldSpans, newSpans [keyStackSpans]keyexpr.KeySpan
+	oldKeys, err := keysFor(m.ix, m.packer, old, keyexpr.NewKeys(oldBuf[:], oldSpans[:]))
 	if err != nil {
 		return err
 	}
-	newEntries, err := entriesFor(ctx.Index, new)
+	newKeys, err := keysFor(m.ix, m.packer, new, keyexpr.NewKeys(newBuf[:], newSpans[:]))
 	if err != nil {
 		return err
 	}
 	switch m.typ {
 	case metadata.IndexCount:
 		// Count of records per group: +1 on insert into a group, -1 on
-		// leaving it. Dedupe grouped values within one record.
-		return m.applyGroupDelta(ctx, oldEntries, newEntries)
-	case metadata.IndexCountUpdates:
-		// Number of times the group was written: +1 per save, never -1.
-		if new == nil {
-			return nil
+		// leaving it. Dedupe groups within one record.
+		for i := 0; i < oldKeys.Len(); i++ {
+			if g := oldKeys.Head(i); firstGroup(oldKeys, i) && !hasGroup(newKeys, g) {
+				if err := add(ctx, buf[:0], g, -1); err != nil {
+					return err
+				}
+			}
 		}
-		for _, g := range groupKeys(m.grouping, newEntries) {
-			if err := ctx.Tr.Atomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(1)); err != nil {
-				return err
+		for i := 0; i < newKeys.Len(); i++ {
+			if g := newKeys.Head(i); firstGroup(newKeys, i) && !hasGroup(oldKeys, g) {
+				if err := add(ctx, buf[:0], g, 1); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
-	case metadata.IndexCountNonNull:
-		return m.applyCounted(ctx, oldEntries, newEntries, func(v tuple.Tuple) (int64, bool) {
-			if len(v) == 1 && v[0] != nil {
-				return 1, true
+	case metadata.IndexCountUpdates:
+		// Number of times the group was written: +1 per save, never -1.
+		for i := 0; i < newKeys.Len(); i++ {
+			if firstGroup(newKeys, i) {
+				if err := add(ctx, buf[:0], newKeys.Head(i), 1); err != nil {
+					return err
+				}
 			}
-			return 0, false
-		})
-	case metadata.IndexSum:
-		return m.applyCounted(ctx, oldEntries, newEntries, func(v tuple.Tuple) (int64, bool) {
-			if len(v) != 1 || v[0] == nil {
-				return 0, false
-			}
-			n, ok := v[0].(int64)
-			return n, ok
-		})
+		}
+		return nil
+	case metadata.IndexCountNonNull, metadata.IndexSum:
+		return m.applyCounted(ctx, buf[:0], oldKeys, newKeys)
 	case metadata.IndexMaxEver, metadata.IndexMinEver:
 		// Max/min value ever assigned since index creation: updated on
 		// writes, never reverted on deletes (§7). Tuple encoding preserves
@@ -110,12 +109,12 @@ func (m *AtomicMaintainer) update(ctx *Context, old, new *Record) error {
 		if m.typ == metadata.IndexMinEver {
 			mut = fdb.MutationByteMin
 		}
-		for _, e := range newEntries {
-			g, v := m.grouping.Split(e)
-			if len(v) != 1 || v[0] == nil {
+		for i := 0; i < newKeys.Len(); i++ {
+			v := newKeys.Tail(i)
+			if v[0] == nullCode {
 				continue
 			}
-			if err := ctx.Tr.Atomic(mut, ctx.Space.Pack(g), v.Pack()); err != nil {
+			if err := ctx.Tr.Atomic(mut, appendKey(buf[:0], ctx.Space, newKeys.Head(i), nil), v); err != nil {
 				return err
 			}
 		}
@@ -124,61 +123,74 @@ func (m *AtomicMaintainer) update(ctx *Context, old, new *Record) error {
 	return fmt.Errorf("index %q: unsupported atomic type %s", m.ix.Name, m.typ)
 }
 
-// groupKeys extracts the distinct grouping keys from evaluated entries.
-func groupKeys(g keyexpr.GroupingExpression, entries []tuple.Tuple) []tuple.Tuple {
-	seen := map[string]bool{}
-	var out []tuple.Tuple
-	for _, e := range entries {
-		grp, _ := g.Split(e)
-		k := string(grp.Pack())
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, grp)
-		}
-	}
-	return out
+// add adds n to a group's aggregate, an 8-byte little-endian counter, with
+// the group's key built in buf.
+func add(ctx *Context, buf, group []byte, n int64) error {
+	var param [8]byte
+	binary.LittleEndian.PutUint64(param[:], uint64(n))
+	return ctx.Tr.Atomic(fdb.MutationAdd, appendKey(buf, ctx.Space, group, nil), param[:])
 }
 
-// applyGroupDelta adds -1/+1 for groups the record left/joined.
-func (m *AtomicMaintainer) applyGroupDelta(ctx *Context, oldEntries, newEntries []tuple.Tuple) error {
-	oldG := groupKeys(m.grouping, oldEntries)
-	newG := groupKeys(m.grouping, newEntries)
-	removed, added := diffEntries(oldG, newG)
-	for _, g := range removed {
-		if err := ctx.Tr.Atomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(-1)); err != nil {
-			return err
+// nullCode is a packed null column: the aggregated column of a record whose
+// field is unset.
+const nullCode = 0x00
+
+// firstGroup reports whether key i's group is the first of k's keys to have
+// that group.
+func firstGroup(k keyexpr.Keys, i int) bool {
+	for j := 0; j < i; j++ {
+		if bytes.Equal(k.Head(j), k.Head(i)) {
+			return false
 		}
 	}
-	for _, g := range added {
-		if err := ctx.Tr.Atomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(1)); err != nil {
-			return err
+	return true
+}
+
+// hasGroup reports whether one of k's keys has group g.
+func hasGroup(k keyexpr.Keys, g []byte) bool {
+	for i := 0; i < k.Len(); i++ {
+		if bytes.Equal(k.Head(i), g) {
+			return true
+		}
+	}
+	return false
+}
+
+// applyCounted subtracts the contribution of each old key the record no
+// longer has, then adds that of each new key it did not have: a key kept
+// whole, group and value, is left alone.
+func (m *AtomicMaintainer) applyCounted(ctx *Context, buf []byte, oldKeys, newKeys keyexpr.Keys) error {
+	for i := 0; i < oldKeys.Len(); i++ {
+		if newKeys.Has(oldKeys.Key(i)) {
+			continue
+		}
+		if n, ok := m.contribution(oldKeys, i); ok && n != 0 {
+			if err := add(ctx, buf, oldKeys.Head(i), -n); err != nil {
+				return err
+			}
+		}
+	}
+	for i := 0; i < newKeys.Len(); i++ {
+		if oldKeys.Has(newKeys.Key(i)) {
+			continue
+		}
+		if n, ok := m.contribution(newKeys, i); ok && n != 0 {
+			if err := add(ctx, buf, newKeys.Head(i), n); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// applyCounted adds each entry's contribution and removes the old one.
-func (m *AtomicMaintainer) applyCounted(ctx *Context, oldEntries, newEntries []tuple.Tuple,
-	contribution func(tuple.Tuple) (int64, bool)) error {
-
-	removed, added := diffEntries(oldEntries, newEntries)
-	for _, e := range removed {
-		g, v := m.grouping.Split(e)
-		if n, ok := contribution(v); ok && n != 0 {
-			if err := ctx.Tr.Atomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(-n)); err != nil {
-				return err
-			}
-		}
+// contribution is what key i adds to its group's aggregate, if anything: 1
+// for a non-null column under COUNT_NON_NULL, an int64 column's value under
+// SUM.
+func (m *AtomicMaintainer) contribution(k keyexpr.Keys, i int) (int64, bool) {
+	if m.typ == metadata.IndexCountNonNull {
+		return 1, k.Tail(i)[0] != nullCode
 	}
-	for _, e := range added {
-		g, v := m.grouping.Split(e)
-		if n, ok := contribution(v); ok && n != 0 {
-			if err := ctx.Tr.Atomic(fdb.MutationAdd, ctx.Space.Pack(g), littleEndianInt64(n)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return k.TailInt64(i)
 }
 
 // GetInt64 reads an integer aggregate (COUNT, SUM, ...) for a group key.

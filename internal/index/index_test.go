@@ -1,6 +1,8 @@
 package index
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"recordlayer/internal/fdb"
@@ -98,20 +100,51 @@ func (f maintainerFunc) UpdateAsync(ctx *Context, old, new *Record) (Pending, er
 	return Done, nil
 }
 
+// TestDiffEntriesSkipsUnchanged: an update writes only the entries that
+// differ, old against new on packed keys (§6) — a fan-out record going from
+// tags {x, y} to {y, z} clears x's entry, sets z's, and leaves y's alone.
 func TestDiffEntriesSkipsUnchanged(t *testing.T) {
-	a := []tuple.Tuple{{"x"}, {"y"}}
-	b := []tuple.Tuple{{"y"}, {"z"}}
-	removed, added := diffEntries(a, b)
-	if len(removed) != 1 || removed[0][0] != "x" {
-		t.Fatalf("removed: %v", removed)
+	desc := message.MustDescriptor("Tagged",
+		message.Field("id", 1, message.TypeInt64),
+		message.RepeatedField("tags", 2, message.TypeString))
+	rt := &metadata.RecordType{Name: "Tagged", Descriptor: desc, PrimaryKey: keyexpr.Field("id")}
+	tagged := func(tags ...string) *Record {
+		m := message.New(desc).MustSet("id", int64(1))
+		for _, tag := range tags {
+			m.MustAdd("tags", tag)
+		}
+		return &Record{Type: rt, Message: m, PrimaryKey: tuple.Tuple{int64(1)}}
 	}
-	if len(added) != 1 || added[0][0] != "z" {
-		t.Fatalf("added: %v", added)
+	ix := &metadata.Index{Name: "by_tag", Type: metadata.IndexValue, Expression: keyexpr.FieldFan("tags", keyexpr.FanOut)}
+	m, err := NewMaintainer(ix)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Identical sets: nothing rewritten (§6 optimization).
-	removed, added = diffEntries(a, a)
-	if len(removed) != 0 || len(added) != 0 {
-		t.Fatal("identical sets produced work")
+	db, mkCtx := ctxFor(t, ix)
+	var seen []string
+	db.SetTap(func(_ *fdb.Transaction, a fdb.Access) {
+		if a.Kind == fdb.AccessWrite || a.Kind == fdb.AccessClear {
+			seen = append(seen, fmt.Sprintf("%v %s", a.Kind, tuple.Describe(a.Begin)))
+		}
+	})
+	defer db.SetTap(nil)
+	for _, step := range []struct {
+		old, new *Record
+		want     []string
+	}{
+		{nil, tagged("x", "y"), []string{`write ("ix", "x", 1)`, `write ("ix", "y", 1)`}},
+		{tagged("x", "y"), tagged("y", "z"), []string{`clear ("ix", "x", 1)`, `write ("ix", "z", 1)`}},
+		{tagged("y", "z"), tagged("y", "z"), nil},
+	} {
+		seen = nil
+		if _, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+			return nil, Update(m, mkCtx(tr), step.old, step.new)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seen, step.want) {
+			t.Errorf("update wrote %q, want %q", seen, step.want)
+		}
 	}
 }
 

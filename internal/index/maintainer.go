@@ -33,25 +33,17 @@ type Record struct {
 	// new record's commit version, shared by its version slot and its
 	// version index entries (§7).
 	PendingUserVersion uint16
-
-	// ctx is the key expression context, built by the first evalContext and
-	// shared by every index the record is evaluated for.
-	ctx *keyexpr.Context
+	// PackedPrimaryKey is PrimaryKey packed. A caller that has it sets it;
+	// otherwise the first maintainer that needs it packs PrimaryKey.
+	PackedPrimaryKey []byte
 }
 
-// evalContext returns the key expression context for a record. The fields
-// above must not change once it has been called.
-func (r *Record) evalContext() *keyexpr.Context {
-	if r.ctx == nil {
-		r.ctx = &keyexpr.Context{
-			Message:            r.Message,
-			RecordTypeKey:      r.Type.TypeKey(),
-			Version:            r.Version,
-			HasVersion:         r.HasVersion,
-			PendingUserVersion: r.PendingUserVersion,
-		}
+// packedPK returns the record's packed primary key.
+func (r *Record) packedPK() []byte {
+	if r.PackedPrimaryKey == nil {
+		r.PackedPrimaryKey = r.PrimaryKey.Pack()
 	}
-	return r.ctx
+	return r.PackedPrimaryKey
 }
 
 // Context carries everything a maintainer needs for one operation.
@@ -146,46 +138,39 @@ func NewMaintainer(ix *metadata.Index) (Maintainer, error) {
 	return f(ix)
 }
 
-// entriesFor evaluates the index key expression for a record, honoring the
-// index filter (sparse indexes, §6). A nil record yields no entries.
-func entriesFor(ix *metadata.Index, r *Record) ([]tuple.Tuple, error) {
-	if r == nil {
-		return nil, nil
-	}
-	if !ix.AppliesTo(r.Type.Name) {
-		return nil, nil
+// A maintainer packs a record's index keys, and the full keys it writes, into
+// buffers of keyStackLen bytes and keyStackSpans keys on its stack; a record
+// with longer or more keys grows them onto the heap.
+const (
+	keyStackLen   = 256
+	keyStackSpans = 4
+)
+
+// keysFor appends the index keys of record r to k, honoring the index filter
+// (sparse indexes, §6). A nil record, or one the index does not cover, has
+// none.
+func keysFor(ix *metadata.Index, p *keyexpr.Packer, r *Record, k keyexpr.Keys) (keyexpr.Keys, error) {
+	if r == nil || !ix.AppliesTo(r.Type.Name) {
+		return k, nil
 	}
 	if filter, err := ix.Filter(); err != nil {
-		return nil, err
+		return k, err
 	} else if filter != nil && !filter(r.Message) {
-		return nil, nil
+		return k, nil
 	}
-	return ix.Expression.Evaluate(r.evalContext())
+	ctx := keyexpr.Context{
+		Message:            r.Message,
+		RecordTypeKey:      r.Type.TypeKey(),
+		Version:            r.Version,
+		HasVersion:         r.HasVersion,
+		PendingUserVersion: r.PendingUserVersion,
+	}
+	return p.Pack(k, &ctx)
 }
 
-// diffEntries splits old/new entry sets into (removed, added), leaving
-// unchanged entries untouched — the §6 optimization that skips rewriting
-// index keys whose indexed fields did not change.
-func diffEntries(old, new []tuple.Tuple) (removed, added []tuple.Tuple) {
-	oldSet := make(map[string]bool, len(old))
-	newSet := make(map[string]bool, len(new))
-	for _, t := range old {
-		oldSet[string(t.Pack())] = true
-	}
-	for _, t := range new {
-		newSet[string(t.Pack())] = true
-	}
-	for _, t := range old {
-		if !newSet[string(t.Pack())] {
-			removed = append(removed, t)
-		}
-	}
-	for _, t := range new {
-		if !oldSet[string(t.Pack())] {
-			added = append(added, t)
-		}
-	}
-	return removed, added
+// appendKey appends an index key to buf: space's prefix, head, then tail.
+func appendKey(buf []byte, space subspace.Subspace, head, tail []byte) []byte {
+	return append(append(append(buf, space.Bytes()...), head...), tail...)
 }
 
 func init() {

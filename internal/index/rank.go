@@ -3,6 +3,7 @@ package index
 import (
 	"recordlayer/internal/cursor"
 	"recordlayer/internal/fdb"
+	"recordlayer/internal/keyexpr"
 	"recordlayer/internal/kvcursor"
 	"recordlayer/internal/metadata"
 	"recordlayer/internal/rankedset"
@@ -50,10 +51,11 @@ func (m *RankMaintainer) valueCtx(ctx *Context) *Context {
 	return &sub
 }
 
-// member encodes an index entry plus primary key as a skip-list member, so
-// ties on the indexed value order deterministically by primary key.
-func member(entry, pk tuple.Tuple) []byte {
-	return entry.Append(pk...).Pack()
+// member encodes an index key plus primary key, both packed, as a skip-list
+// member, so ties on the indexed value order deterministically by primary
+// key. The member is a fresh slice: the op that takes it keeps it.
+func member(key, pk []byte) []byte {
+	return append(append(make([]byte, 0, len(key)+len(pk)), key...), pk...)
 }
 
 // asyncFor returns the transaction's pipelining overlay. It reads and writes
@@ -73,34 +75,46 @@ func (m *RankMaintainer) asyncFor(ctx *Context) *rankedset.Async {
 // shared per-transaction overlay, so Pendings must be awaited in issue order.
 func (m *RankMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, error) {
 	a := m.asyncFor(ctx)
-	oldEntries, err := entriesFor(ctx.Index, old)
+	vm := m.value
+	var oldBuf, newBuf [keyStackLen]byte
+	var oldSpans, newSpans [keyStackSpans]keyexpr.KeySpan
+	oldKeys, err := keysFor(vm.ix, vm.packer, old, keyexpr.NewKeys(oldBuf[:], oldSpans[:]))
 	if err != nil {
 		return nil, err
 	}
-	newEntries, err := entriesFor(ctx.Index, new)
+	newKeys, err := keysFor(vm.ix, vm.packer, new, keyexpr.NewKeys(newBuf[:], newSpans[:]))
 	if err != nil {
 		return nil, err
 	}
-	removed, added := diffEntries(oldEntries, newEntries)
-	ops := make([]*rankedset.Op, 0, len(removed)+len(added))
-	for _, t := range removed {
-		op, err := a.IssueDelete(member(t, old.PrimaryKey))
-		if err != nil {
-			return nil, err
+	var ops []*rankedset.Op
+	issued := func(op *rankedset.Op) {
+		if ops == nil {
+			ops = make([]*rankedset.Op, 0, oldKeys.Len()+newKeys.Len())
 		}
 		ops = append(ops, op)
 	}
-	for _, t := range added {
-		op, err := a.IssueInsert(member(t, new.PrimaryKey))
-		if err != nil {
-			return nil, err
+	for i := 0; i < oldKeys.Len(); i++ {
+		if key := oldKeys.Key(i); !newKeys.Has(key) {
+			op, err := a.IssueDelete(member(key, old.packedPK()))
+			if err != nil {
+				return nil, err
+			}
+			issued(op)
 		}
-		ops = append(ops, op)
+	}
+	for i := 0; i < newKeys.Len(); i++ {
+		if key := newKeys.Key(i); !oldKeys.Has(key) {
+			op, err := a.IssueInsert(member(key, new.packedPK()))
+			if err != nil {
+				return nil, err
+			}
+			issued(op)
+		}
 	}
 	// The value sub-index's probes are issued last, once nothing else can
 	// fail: every error return above precedes the pending's issue, so no
 	// issued work is ever abandoned (the futureawait rule).
-	vp, err := m.value.UpdateAsync(m.valueCtx(ctx), old, new)
+	vp, err := vm.update(m.valueCtx(ctx), old, new, oldKeys, newKeys)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +137,7 @@ func (m *RankMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, e
 // Rank returns the ordinal rank of a record's indexed entry; ok=false when
 // the (entry, primary key) pair is not indexed.
 func (m *RankMaintainer) Rank(ctx *Context, entry, pk tuple.Tuple) (int64, bool, error) {
-	return m.set(ctx.Space).Rank(ctx.Tr, member(entry, pk))
+	return m.set(ctx.Space).Rank(ctx.Tr, member(entry.Pack(), pk.Pack()))
 }
 
 // RankOfValue returns the rank a value would occupy (count of entries below

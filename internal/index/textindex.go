@@ -10,6 +10,7 @@ import (
 
 	"recordlayer/internal/bunched"
 	"recordlayer/internal/fdb"
+	"recordlayer/internal/keyexpr"
 	"recordlayer/internal/metadata"
 	"recordlayer/internal/text"
 	"recordlayer/internal/tuple"
@@ -22,6 +23,7 @@ import (
 // the records themselves (§8.1).
 type TextMaintainer struct {
 	ix        *metadata.Index
+	packer    *keyexpr.Packer
 	tokenizer text.Tokenizer
 	bunchSize int
 
@@ -56,7 +58,7 @@ func newTextMaintainer(ix *metadata.Index) (Maintainer, error) {
 		}
 		bunchSize = n
 	}
-	return &TextMaintainer{ix: ix, tokenizer: tok, bunchSize: bunchSize}, nil
+	return &TextMaintainer{ix: ix, packer: ix.Packer(), tokenizer: tok, bunchSize: bunchSize}, nil
 }
 
 func (m *TextMaintainer) mapFor(ctx *Context) *bunched.Map {
@@ -74,18 +76,20 @@ type tokenOffsets struct {
 // field, entries in field order. All offset lists share one array, each
 // clipped to its length.
 func (m *TextMaintainer) positions(r *Record, ix *metadata.Index) ([]tokenOffsets, error) {
-	entries, err := entriesFor(ix, r)
+	var buf [keyStackLen]byte
+	var spans [keyStackSpans]keyexpr.KeySpan
+	keys, err := keysFor(ix, m.packer, r, keyexpr.NewKeys(buf[:], spans[:]))
 	if err != nil {
 		return nil, err
 	}
 	var toks []text.Token
-	for _, e := range entries {
-		if len(e) != 1 || e[0] == nil {
-			continue
+	for i := 0; i < keys.Len(); i++ {
+		s, ok, err := textOf(ix, keys.Key(i))
+		if err != nil {
+			return nil, err
 		}
-		s, ok := e[0].(string)
 		if !ok {
-			return nil, fmt.Errorf("index %q: text index over non-string value %T", ix.Name, e[0])
+			continue
 		}
 		more := m.tokenizer.Tokenize(s)
 		slices.SortFunc(more, func(a, b text.Token) int {
@@ -116,6 +120,26 @@ func (m *TextMaintainer) positions(r *Record, ix *metadata.Index) ([]tokenOffset
 		}
 	}
 	return out, nil
+}
+
+// textOf reads the text of one packed key, a single column: false for a null,
+// an error for a column that is not a string.
+func textOf(ix *metadata.Index, key []byte) (string, bool, error) {
+	if key[0] == nullCode {
+		return "", false, nil
+	}
+	if v, n, ok := tuple.StringAt(key); ok && n == len(key) {
+		return string(v), true, nil
+	}
+	t, err := tuple.Unpack(key)
+	if err != nil {
+		return "", false, err
+	}
+	s, ok := t[0].(string)
+	if !ok {
+		return "", false, fmt.Errorf("index %q: text index over non-string value %T", ix.Name, t[0])
+	}
+	return s, true, nil
 }
 
 // asyncFor returns the transaction's pipelining overlay.

@@ -28,18 +28,6 @@ type Entry struct {
 	value []byte // packed covering columns; nil when there are none
 }
 
-// NewEntry packs an entry from its parts: its key columns, the primary key and
-// the covering value columns (nil when there are none).
-func NewEntry(key, pk, value tuple.Tuple) Entry {
-	b := key.PackInto(make([]byte, 0, key.PackedCap()+pk.PackedCap()))
-	e := Entry{pkOff: len(b)}
-	e.key = pk.PackInto(b)
-	if len(value) > 0 {
-		e.value = value.Pack()
-	}
-	return e
-}
-
 // Key decodes the entry's indexed key columns.
 func (e Entry) Key() tuple.Tuple { return unpackChecked(e.key[:e.pkOff]) }
 
@@ -137,14 +125,13 @@ func (r TupleRange) ToKeyRange(space subspace.Subspace) (begin, end []byte, err 
 // from indexed field values to record primary keys.
 type ValueMaintainer struct {
 	ix         *metadata.Index
+	packer     *keyexpr.Packer
 	keyColumns int // entry columns stored in the key
-	kwv        *keyexpr.KeyWithValueExpression
 }
 
 func newValueMaintainer(ix *metadata.Index) (Maintainer, error) {
-	m := &ValueMaintainer{ix: ix, keyColumns: ix.Expression.ColumnCount()}
+	m := &ValueMaintainer{ix: ix, packer: ix.Packer(), keyColumns: ix.Expression.ColumnCount()}
 	if kwv, ok := ix.Expression.(keyexpr.KeyWithValueExpression); ok {
-		m.kwv = &kwv
 		m.keyColumns = kwv.KeyColumns()
 	}
 	return m, nil
@@ -154,31 +141,23 @@ func newValueMaintainer(ix *metadata.Index) (Maintainer, error) {
 // each entry.
 func (m *ValueMaintainer) KeyColumns() int { return m.keyColumns }
 
-// splitEntry divides an evaluated tuple into key and covering-value parts.
-func (m *ValueMaintainer) splitEntry(t tuple.Tuple) (key, value tuple.Tuple) {
-	if m.kwv != nil {
-		return m.kwv.Split(t)
-	}
-	return t, nil
-}
-
-func (m *ValueMaintainer) entryKey(space subspace.Subspace, key, pk tuple.Tuple) []byte {
-	return space.Pack(key.Append(pk...))
-}
-
 // ExpectedEntries returns the entries record r should have in this index:
-// the evaluated key expression split into key and covering-value columns,
-// each carrying r's primary key. A nil or non-applicable record has none.
-// The consistency scrubber compares these against the physical entries.
+// the packed key expression split into key and covering-value columns, each
+// carrying r's primary key. A nil or non-applicable record has none. The
+// consistency scrubber compares these against the physical entries.
 func (m *ValueMaintainer) ExpectedEntries(r *Record) ([]Entry, error) {
-	ts, err := entriesFor(m.ix, r)
-	if err != nil {
+	keys, err := keysFor(m.ix, m.packer, r, keyexpr.Keys{})
+	if err != nil || keys.Len() == 0 {
 		return nil, err
 	}
-	out := make([]Entry, 0, len(ts))
-	for _, t := range ts {
-		key, value := m.splitEntry(t)
-		out = append(out, NewEntry(key, r.PrimaryKey, value))
+	pk := r.packedPK()
+	out := make([]Entry, keys.Len())
+	for i := range out {
+		head, tail := keys.Head(i), keys.Tail(i)
+		out[i] = Entry{key: append(append(make([]byte, 0, len(head)+len(pk)), head...), pk...), pkOff: len(head)}
+		if len(tail) > 0 {
+			out[i].value = tail
+		}
 	}
 	return out, nil
 }
@@ -200,59 +179,75 @@ func (m *ValueMaintainer) EntryValue(e Entry) []byte { return e.value }
 // the probes see the pre-insert state (data resolves at issue time). Await
 // verifies the probe results; non-unique indexes return Done.
 func (m *ValueMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending, error) {
-	oldEntries, err := entriesFor(ctx.Index, old)
+	var oldBuf, newBuf [keyStackLen]byte
+	var oldSpans, newSpans [keyStackSpans]keyexpr.KeySpan
+	oldKeys, err := keysFor(m.ix, m.packer, old, keyexpr.NewKeys(oldBuf[:], oldSpans[:]))
 	if err != nil {
 		return nil, err
 	}
-	newEntries, err := entriesFor(ctx.Index, new)
+	newKeys, err := keysFor(m.ix, m.packer, new, keyexpr.NewKeys(newBuf[:], newSpans[:]))
 	if err != nil {
 		return nil, err
 	}
-	removed, added := diffEntries(oldEntries, newEntries)
-	for _, t := range removed {
-		key, _ := m.splitEntry(t)
-		if err := ctx.Tr.Clear(m.entryKey(ctx.Space, key, old.PrimaryKey)); err != nil {
+	return m.update(ctx, old, new, oldKeys, newKeys)
+}
+
+// update writes the difference between a record's old and new index keys,
+// leaving each entry the record keeps untouched: the §6 optimization that
+// skips rewriting index keys whose indexed fields did not change. Keys are
+// compared packed, each against the other side's few.
+func (m *ValueMaintainer) update(ctx *Context, old, new *Record, oldKeys, newKeys keyexpr.Keys) (Pending, error) {
+	var buf [keyStackLen]byte
+	for i := 0; i < oldKeys.Len(); i++ {
+		if newKeys.Has(oldKeys.Key(i)) {
+			continue
+		}
+		if err := ctx.Tr.Clear(appendKey(buf[:0], ctx.Space, oldKeys.Head(i), old.packedPK())); err != nil {
 			return nil, err
 		}
 	}
+	var heads [][]byte
 	var probes []*fdb.FutureRange
-	if m.ix.Unique && len(added) > 0 {
+	if m.ix.Unique {
 		// Issue every probe before awaiting any: a fan-out save's uniqueness
 		// checks share one simulated latency window instead of paying one
 		// round trip per added entry (§8). Issued after the removals so a
 		// record vacating its own old key probes the post-clear state.
-		probes = make([]*fdb.FutureRange, len(added))
-		for i, t := range added {
-			key, _ := m.splitEntry(t)
-			begin, end := ctx.Space.RangeForTuple(key)
-			probes[i] = ctx.Tr.GetRangeAsync(begin, end, fdb.RangeOptions{Limit: 2})
+		for i := 0; i < newKeys.Len(); i++ {
+			if oldKeys.Has(newKeys.Key(i)) {
+				continue
+			}
+			head := bytes.Clone(newKeys.Head(i)) // the Pending outlives the keys
+			begin, end := ctx.Space.RangeForPacked(head)
+			heads = append(heads, head)
+			probes = append(probes, ctx.Tr.GetRangeAsync(begin, end, fdb.RangeOptions{Limit: 2}))
 		}
 	}
-	for _, t := range added {
-		key, value := m.splitEntry(t)
-		var packed []byte
-		if len(value) > 0 {
-			packed = value.Pack()
+	for i := 0; i < newKeys.Len(); i++ {
+		if oldKeys.Has(newKeys.Key(i)) {
+			continue
 		}
-		if err := ctx.Tr.Set(m.entryKey(ctx.Space, key, new.PrimaryKey), packed); err != nil {
+		var value []byte // the covering columns; none is a nil value
+		if tail := newKeys.Tail(i); len(tail) > 0 {
+			value = tail
+		}
+		if err := ctx.Tr.Set(appendKey(buf[:0], ctx.Space, newKeys.Head(i), new.packedPK()), value); err != nil {
 			return nil, err
 		}
 	}
 	if probes == nil {
 		return Done, nil
 	}
-	pk := new.PrimaryKey
+	pk := new.packedPK()
 	return pendingFunc(func() error {
-		return m.verifyUnique(ctx, added, probes, pk)
+		return m.verifyUnique(ctx, heads, probes, pk)
 	}), nil
 }
 
-// verifyUnique rejects any added entry whose index key was already held by a
-// different primary key when its probe was issued.
-func (m *ValueMaintainer) verifyUnique(ctx *Context, added []tuple.Tuple, probes []*fdb.FutureRange, pk tuple.Tuple) error {
-	packed := pk.Pack()
-	for i, t := range added {
-		key, _ := m.splitEntry(t)
+// verifyUnique rejects any added entry whose index key, heads[i], was already
+// held by a different primary key than pk when its probe was issued.
+func (m *ValueMaintainer) verifyUnique(ctx *Context, heads [][]byte, probes []*fdb.FutureRange, pk []byte) error {
+	for i, head := range heads {
 		kvs, _, err := probes[i].Get()
 		if err != nil {
 			return err
@@ -262,9 +257,9 @@ func (m *ValueMaintainer) verifyUnique(ctx *Context, added []tuple.Tuple, probes
 			if err != nil {
 				return err
 			}
-			if !bytes.Equal(e.PackedPrimaryKey(), packed) {
+			if !bytes.Equal(e.PackedPrimaryKey(), pk) {
 				return fmt.Errorf("index %q: uniqueness violation on key %v (held by %v)",
-					m.ix.Name, key, e.PrimaryKey())
+					m.ix.Name, unpackChecked(head), e.PrimaryKey())
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"recordlayer/internal/cursor"
@@ -19,6 +20,7 @@ import (
 // operations within the cluster, which CloudKit's sync scans (§8.1).
 type VersionMaintainer struct {
 	ix      *metadata.Index
+	packer  *keyexpr.Packer
 	columns int
 }
 
@@ -35,7 +37,7 @@ func newVersionMaintainer(ix *metadata.Index) (Maintainer, error) {
 	if !ok {
 		return nil, fmt.Errorf("index %q: version indexes need a version() or function column", ix.Name)
 	}
-	return &VersionMaintainer{ix: ix, columns: ix.Expression.ColumnCount()}, nil
+	return &VersionMaintainer{ix: ix, packer: ix.Packer(), columns: ix.Expression.ColumnCount()}, nil
 }
 
 // KeyColumns returns the number of key columns preceding the primary key.
@@ -52,54 +54,65 @@ func (m *VersionMaintainer) UpdateAsync(ctx *Context, old, new *Record) (Pending
 }
 
 func (m *VersionMaintainer) update(ctx *Context, old, new *Record) error {
+	var keyBuf, buf [keyStackLen]byte
+	var spans [keyStackSpans]keyexpr.KeySpan
 	// Old entries carry the old record's stored version: a complete one is
 	// an ordinary key to clear. An incomplete one was assigned earlier in
 	// this transaction, whose versionstamped key is still buffered — or the
 	// old record never had a version (versions disabled when it was written)
 	// and nothing was indexed.
-	oldEntries, err := entriesFor(ctx.Index, old)
+	keys, err := keysFor(m.ix, m.packer, old, keyexpr.NewKeys(keyBuf[:], spans[:]))
 	if err != nil {
 		return err
 	}
-	for _, t := range oldEntries {
-		full := t.Append(old.PrimaryKey...)
-		if full.HasIncompleteVersionstamp() {
-			key, err := ctx.Space.PackWithVersionstamp(full)
-			if err == nil {
-				err = ctx.Tr.ClearVersionstampedKey(key)
-			}
-			if err != nil {
-				return err
-			}
-			continue
+	for i := 0; i < keys.Len(); i++ {
+		key, stamped, err := m.entryKey(buf[:0], ctx, keys, i, old)
+		switch {
+		case err != nil:
+		case stamped:
+			err = ctx.Tr.ClearVersionstampedKey(key)
+		default:
+			err = ctx.Tr.Clear(key)
 		}
-		if err := ctx.Tr.Clear(ctx.Space.Pack(full)); err != nil {
-			return err
-		}
-	}
-	newEntries, err := entriesFor(ctx.Index, new)
-	if err != nil {
-		return err
-	}
-	for _, t := range newEntries {
-		full := t.Append(new.PrimaryKey...)
-		if !full.HasIncompleteVersionstamp() {
-			if err := ctx.Tr.Set(ctx.Space.Pack(full), nil); err != nil {
-				return err
-			}
-			continue
-		}
-		// The incomplete stamp already carries the record's per-transaction
-		// user version; the 10-byte prefix is completed at commit (§7).
-		key, err := ctx.Space.PackWithVersionstamp(full)
 		if err != nil {
 			return err
 		}
-		if err := ctx.Tr.Atomic(fdb.MutationSetVersionstampedKey, key, nil); err != nil {
+	}
+	if keys, err = keysFor(m.ix, m.packer, new, keyexpr.NewKeys(keyBuf[:], spans[:])); err != nil {
+		return err
+	}
+	for i := 0; i < keys.Len(); i++ {
+		// The incomplete stamp already carries the record's per-transaction
+		// user version; the 10-byte prefix is completed at commit (§7).
+		key, stamped, err := m.entryKey(buf[:0], ctx, keys, i, new)
+		switch {
+		case err != nil:
+		case stamped:
+			err = ctx.Tr.Atomic(fdb.MutationSetVersionstampedKey, key, nil)
+		default:
+			err = ctx.Tr.Set(key, nil)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// entryKey appends key i's entry for r to buf: the index prefix, the key, the
+// primary key. stamped says the key holds an incomplete versionstamp, and then
+// ends with the little-endian offset of its placeholder, as
+// Subspace.PackWithVersionstamp writes it.
+func (m *VersionMaintainer) entryKey(buf []byte, ctx *Context, keys keyexpr.Keys, i int, r *Record) ([]byte, bool, error) {
+	off, err := keys.Incomplete(i)
+	if err != nil {
+		return nil, false, err
+	}
+	buf = appendKey(buf, ctx.Space, keys.Key(i), r.packedPK())
+	if off < 0 {
+		return buf, false, nil
+	}
+	return binary.LittleEndian.AppendUint32(buf, uint32(len(ctx.Space.Bytes())+off)), true, nil
 }
 
 // DecodeEntry views a physical pair as an Entry; a version entry has no

@@ -2,9 +2,16 @@
 // from a record to one or more tuples, used to form primary keys and index
 // keys. Expressions may "fan out" over repeated fields, producing one index
 // entry per element, or concatenate all elements into a single entry.
+//
+// Keys are built by a compiled Packer, which appends each key's tuple
+// encoding straight from the record's fields into one caller-owned buffer;
+// the metadata compiles one per index and per record type. Evaluate, which
+// returns the keys as tuples, is the reference the packer is checked against
+// byte for byte (TestPackerMatchesEvaluate, FuzzKeyPacker).
 package keyexpr
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -62,7 +69,8 @@ type Expression interface {
 	Evaluate(ctx *Context) ([]tuple.Tuple, error)
 	// ColumnCount is the number of tuple elements each evaluation result has.
 	ColumnCount() int
-	// Columns describes each produced column for planner matching.
+	// Columns describes each produced column for planner matching. The
+	// slice may be shared: callers must not modify it.
 	Columns() []Column
 	// String renders a canonical form; two expressions are interchangeable
 	// iff their strings are equal.
@@ -128,58 +136,55 @@ func (e fieldExpr) Evaluate(ctx *Context) ([]tuple.Tuple, error) {
 }
 
 func evalField(m *message.Message, name string, fan FanType) ([]tuple.Tuple, error) {
-	if m == nil {
-		if fan == FanOut {
-			return nil, nil
-		}
-		if fan == FanConcatenate {
-			return []tuple.Tuple{{tuple.Tuple{}}}, nil
-		}
-		return []tuple.Tuple{{nil}}, nil
-	}
-	fd, ok := m.Descriptor().FieldByName(name)
-	if !ok {
-		return nil, fmt.Errorf("keyexpr: record type %s has no field %q", m.Descriptor().Name, name)
-	}
-	if fd.Repeated {
-		vals := m.GetRepeated(name)
-		switch fan {
-		case FanOut:
-			out := make([]tuple.Tuple, 0, len(vals))
-			for _, v := range vals {
-				tv, err := toTupleValue(v)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, tuple.Tuple{tv})
-			}
-			return out, nil
-		case FanConcatenate:
-			list := make(tuple.Tuple, 0, len(vals))
-			for _, v := range vals {
-				tv, err := toTupleValue(v)
-				if err != nil {
-					return nil, err
-				}
-				list = append(list, tv)
-			}
-			return []tuple.Tuple{{list}}, nil
-		default:
-			return nil, fmt.Errorf("keyexpr: field %q is repeated; use FanOut or FanConcatenate", name)
-		}
-	}
-	if fan != FanScalar {
-		return nil, fmt.Errorf("keyexpr: field %q is not repeated; fan type %v invalid", name, fan)
-	}
-	v, ok := m.Get(name)
-	if !ok {
-		return []tuple.Tuple{{nil}}, nil
-	}
-	tv, err := toTupleValue(v)
+	v, vals, err := fieldValues(m, name, fan)
 	if err != nil {
 		return nil, err
 	}
-	return []tuple.Tuple{{tv}}, nil
+	switch fan {
+	case FanOut:
+		out := make([]tuple.Tuple, 0, len(vals))
+		for _, v := range vals {
+			out = append(out, tuple.Tuple{v})
+		}
+		return out, nil
+	case FanConcatenate:
+		return []tuple.Tuple{{append(make(tuple.Tuple, 0, len(vals)), vals...)}}, nil
+	}
+	return []tuple.Tuple{{v}}, nil
+}
+
+// fieldValues reads field name of m as fan reads it: for FanOut and
+// FanConcatenate the elements of a repeated field, otherwise the field's
+// value, nil when unset. A nil m has a nil value and no elements. Every value
+// is checked to be a tuple element. A field m's type lacks, and a fan type
+// that does not fit the field, are errors. Evaluate and Packer both read
+// fields through it.
+func fieldValues(m *message.Message, name string, fan FanType) (interface{}, []interface{}, error) {
+	if m == nil {
+		return nil, nil, nil
+	}
+	fd, ok := m.Descriptor().FieldByName(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("keyexpr: record type %s has no field %q", m.Descriptor().Name, name)
+	}
+	if fd.Repeated {
+		if fan != FanOut && fan != FanConcatenate {
+			return nil, nil, fmt.Errorf("keyexpr: field %q is repeated; use FanOut or FanConcatenate", name)
+		}
+		vals := m.GetRepeated(name)
+		for _, v := range vals {
+			if _, err := toTupleValue(v); err != nil {
+				return nil, nil, err
+			}
+		}
+		return nil, vals, nil
+	}
+	if fan != FanScalar {
+		return nil, nil, fmt.Errorf("keyexpr: field %q is not repeated; fan type %v invalid", name, fan)
+	}
+	v, _ := m.Get(name)
+	_, err := toTupleValue(v)
+	return v, nil, err
 }
 
 // toTupleValue maps message values onto tuple element types.
@@ -200,35 +205,37 @@ type nestExpr struct {
 	name  string
 	fan   FanType
 	child Expression
+	cols  []Column // computed once, by newNest
 }
 
 // Nest evaluates child against the nested message in the named field
 // (Appendix A: field("parent").nest("a")).
-func Nest(name string, child Expression) Expression {
-	return nestExpr{name: name, fan: FanScalar, child: child}
-}
+func Nest(name string, child Expression) Expression { return newNest(name, FanScalar, child) }
 
 // NestFan evaluates child against each element of a repeated message field.
 func NestFan(name string, fan FanType, child Expression) Expression {
-	return nestExpr{name: name, fan: fan, child: child}
+	return newNest(name, fan, child)
+}
+
+func newNest(name string, fan FanType, child Expression) nestExpr {
+	e := nestExpr{name: name, fan: fan, child: child}
+	cols := child.Columns()
+	e.cols = make([]Column, len(cols))
+	for i, c := range cols {
+		e.cols[i] = c
+		if c.Kind == ColField {
+			e.cols[i].Path = append([]string{name}, c.Path...)
+			if fan == FanOut {
+				e.cols[i].Fan = FanOut
+			}
+		}
+	}
+	return e
 }
 
 func (e nestExpr) ColumnCount() int { return e.child.ColumnCount() }
 
-func (e nestExpr) Columns() []Column {
-	cols := e.child.Columns()
-	out := make([]Column, len(cols))
-	for i, c := range cols {
-		out[i] = c
-		if c.Kind == ColField {
-			out[i].Path = append([]string{e.name}, c.Path...)
-			if e.fan == FanOut {
-				out[i].Fan = FanOut
-			}
-		}
-	}
-	return out
-}
+func (e nestExpr) Columns() []Column { return e.cols }
 
 func (e nestExpr) String() string {
 	if e.fan == FanScalar {
@@ -238,31 +245,16 @@ func (e nestExpr) String() string {
 }
 
 func (e nestExpr) Evaluate(ctx *Context) ([]tuple.Tuple, error) {
-	m := ctx.Message
-	var subs []*message.Message
-	if m == nil {
-		subs = []*message.Message{nil}
-	} else {
-		fd, ok := m.Descriptor().FieldByName(e.name)
-		if !ok {
-			return nil, fmt.Errorf("keyexpr: record type %s has no field %q", m.Descriptor().Name, e.name)
-		}
-		if fd.Type != message.TypeMessage {
-			return nil, fmt.Errorf("keyexpr: field %q is not a message; cannot nest", e.name)
-		}
-		if fd.Repeated {
-			if e.fan != FanOut {
-				return nil, fmt.Errorf("keyexpr: repeated message field %q requires FanOut", e.name)
-			}
-			for _, v := range m.GetRepeated(e.name) {
-				subs = append(subs, v.(*message.Message))
-			}
-		} else {
-			if e.fan != FanScalar {
-				return nil, fmt.Errorf("keyexpr: field %q is not repeated; fan type %v invalid", e.name, e.fan)
-			}
-			subs = []*message.Message{m.GetMessage(e.name)} // nil if unset
-		}
+	one, sub, elems, err := nested(ctx.Message, e.name, e.fan)
+	if err != nil {
+		return nil, err
+	}
+	subs := make([]*message.Message, 0, len(elems)+1)
+	if one {
+		subs = append(subs, sub)
+	}
+	for _, v := range elems {
+		subs = append(subs, v.(*message.Message))
 	}
 	var out []tuple.Tuple
 	for _, sub := range subs {
@@ -277,10 +269,39 @@ func (e nestExpr) Evaluate(ctx *Context) ([]tuple.Tuple, error) {
 	return out, nil
 }
 
+// nested resolves the messages a nest over m evaluates its child over: one
+// message, nil when the field is unset or m is nil (one); or the elements of a
+// repeated field. An unset parent under FanOut has no elements, as
+// evalField(nil, FanOut) has none. Evaluate and Packer both resolve nests
+// through it.
+func nested(m *message.Message, name string, fan FanType) (one bool, sub *message.Message, elems []interface{}, err error) {
+	if m == nil {
+		return fan != FanOut, nil, nil, nil
+	}
+	fd, ok := m.Descriptor().FieldByName(name)
+	if !ok {
+		return false, nil, nil, fmt.Errorf("keyexpr: record type %s has no field %q", m.Descriptor().Name, name)
+	}
+	if fd.Type != message.TypeMessage {
+		return false, nil, nil, fmt.Errorf("keyexpr: field %q is not a message; cannot nest", name)
+	}
+	if !fd.Repeated {
+		if fan != FanScalar {
+			return false, nil, nil, fmt.Errorf("keyexpr: field %q is not repeated; fan type %v invalid", name, fan)
+		}
+		return true, m.GetMessage(name), nil, nil
+	}
+	if fan != FanOut {
+		return false, nil, nil, fmt.Errorf("keyexpr: repeated message field %q requires FanOut", name)
+	}
+	return false, nil, m.GetRepeated(name), nil
+}
+
 // ---------------------------------------------------------------- then
 
 type thenExpr struct {
 	children []Expression
+	cols     []Column // computed once, by Then
 }
 
 // Then concatenates sub-expressions into a compound key. If sub-expressions
@@ -291,14 +312,16 @@ func Then(children ...Expression) Expression {
 		return children[0]
 	}
 	flat := make([]Expression, 0, len(children))
+	var cols []Column
 	for _, c := range children {
 		if t, ok := c.(thenExpr); ok {
 			flat = append(flat, t.children...)
 		} else {
 			flat = append(flat, c)
 		}
+		cols = append(cols, c.Columns()...)
 	}
-	return thenExpr{children: flat}
+	return thenExpr{children: flat, cols: cols}
 }
 
 func (e thenExpr) ColumnCount() int {
@@ -309,13 +332,7 @@ func (e thenExpr) ColumnCount() int {
 	return n
 }
 
-func (e thenExpr) Columns() []Column {
-	var out []Column
-	for _, c := range e.children {
-		out = append(out, c.Columns()...)
-	}
-	return out
-}
+func (e thenExpr) Columns() []Column { return e.cols }
 
 func (e thenExpr) String() string {
 	parts := make([]string, len(e.children))
@@ -443,10 +460,12 @@ func (recordTypeExpr) Columns() []Column { return []Column{{Kind: ColRecordType}
 
 func (recordTypeExpr) Evaluate(ctx *Context) ([]tuple.Tuple, error) {
 	if ctx.RecordTypeKey == nil {
-		return nil, fmt.Errorf("keyexpr: no record type key in context")
+		return nil, errNoTypeKey
 	}
 	return []tuple.Tuple{{ctx.RecordTypeKey}}, nil
 }
+
+var errNoTypeKey = errors.New("keyexpr: no record type key in context")
 
 type versionExpr struct{}
 

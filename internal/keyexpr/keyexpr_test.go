@@ -114,6 +114,27 @@ func TestUnsetFieldsYieldNull(t *testing.T) {
 	}
 }
 
+// TestNestedFanOutUnderUnsetParent: a fan-out nest yields no entries when its
+// parent is unset, as evalField(nil, FanOut) does, and as the nest does when
+// the parent is set and the repeated field empty (the Java layer yields none
+// too). It once yielded one entry, (null), for the unset parent.
+func TestNestedFanOutUnderUnsetParent(t *testing.T) {
+	inner := message.MustDescriptor("C", message.Field("x", 1, message.TypeInt64))
+	b := message.MustDescriptor("B", message.RepeatedMessageField("cs", 1, inner))
+	rec := message.MustDescriptor("R", message.Field("id", 1, message.TypeInt64), message.MessageField("b", 2, b))
+	e := Nest("b", NestFan("cs", FanOut, Field("x")))
+	for name, m := range map[string]*message.Message{
+		"b unset":          message.New(rec).MustSet("id", int64(1)),
+		"b set, cs empty":  message.New(rec).MustSet("id", int64(1)).MustSet("b", message.New(b)),
+		"no record at all": nil,
+	} {
+		ts, err := e.Evaluate(&Context{Message: m})
+		if err != nil || len(ts) != 0 {
+			t.Errorf("%s: %s yields %v, %v; want no entries", name, e, ts, err)
+		}
+	}
+}
+
 func TestFanTypeValidation(t *testing.T) {
 	ctx := figure4(t)
 	if _, err := FieldFan("elem", FanScalar).Evaluate(ctx); err == nil {

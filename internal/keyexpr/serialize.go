@@ -104,7 +104,7 @@ func fromJSON(j *jsonExpr) (Expression, error) {
 		if err != nil {
 			return nil, err
 		}
-		return nestExpr{name: j.Name, fan: fan, child: child}, nil
+		return newNest(j.Name, fan, child), nil
 	case "then":
 		children := make([]Expression, 0, len(j.Children))
 		for _, jc := range j.Children {

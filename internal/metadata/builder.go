@@ -186,8 +186,22 @@ func (b *Builder) Build() (*MetaData, error) {
 			}
 		}
 	}
+	md.compile()
 	b.md = nil // the builder is spent; the metadata is now immutable
 	return md, nil
+}
+
+// compile compiles every primary key and index expression into its packer,
+// and boxes each type key, once per metadata version rather than once per
+// store or record.
+func (md *MetaData) compile() {
+	for _, rt := range md.recordTypes {
+		rt.packer = keyexpr.Compile(rt.PrimaryKey)
+		rt.typeKey = rt.TypeKey()
+	}
+	for _, ix := range md.indexes {
+		ix.packer = keyexpr.Compile(ix.Expression)
+	}
 }
 
 // MustBuild is Build for statically known schemas.

@@ -92,10 +92,26 @@ type RecordType struct {
 	ExplicitTypeKey interface{}
 	// SinceVersion is the metadata version that introduced this type.
 	SinceVersion int
+
+	packer  *keyexpr.Packer // PrimaryKey compiled, by Build or Unmarshal
+	typeKey interface{}     // TypeKey's value boxed once, by Build or Unmarshal
+}
+
+// Packer returns the primary key's compiled packer: the one the metadata
+// compiled when it was built or decoded, or for a type no metadata holds, a
+// fresh one.
+func (rt *RecordType) Packer() *keyexpr.Packer {
+	if rt.packer != nil {
+		return rt.packer
+	}
+	return keyexpr.Compile(rt.PrimaryKey)
 }
 
 // TypeKey returns the record type key value.
 func (rt *RecordType) TypeKey() interface{} {
+	if rt.typeKey != nil {
+		return rt.typeKey
+	}
 	if rt.ExplicitTypeKey != nil {
 		return rt.ExplicitTypeKey
 	}
@@ -124,6 +140,18 @@ type Index struct {
 	// LastModifiedVersion the version of its last definition change.
 	AddedVersion        int
 	LastModifiedVersion int
+
+	packer *keyexpr.Packer // Expression compiled, by Build or Unmarshal
+}
+
+// Packer returns the key expression's compiled packer: the one the metadata
+// compiled when it was built or decoded, or for an index no metadata holds, a
+// fresh one.
+func (ix *Index) Packer() *keyexpr.Packer {
+	if ix.packer != nil {
+		return ix.packer
+	}
+	return keyexpr.Compile(ix.Expression)
 }
 
 // Option fetches an index option with a default.

@@ -126,6 +126,7 @@ func Unmarshal(data []byte) (*MetaData, error) {
 		}
 		md.indexOrder = append(md.indexOrder, jix.Name)
 	}
+	md.compile()
 	return md, nil
 }
 

@@ -214,7 +214,7 @@ func encodeElement(b []byte, e interface{}, vsOffset *int, nested bool) ([]byte,
 	case []byte:
 		return encodeBytes(b, codeBytes, v), nil
 	case string:
-		return encodeBytes(b, codeString, []byte(v)), nil
+		return encodeBytes(b, codeString, v), nil
 	case Tuple:
 		b = append(b, codeNested)
 		for _, sub := range v {
@@ -280,10 +280,10 @@ func encodeElement(b []byte, e interface{}, vsOffset *int, nested bool) ([]byte,
 	}
 }
 
-func encodeBytes(b []byte, code byte, v []byte) []byte {
+func encodeBytes[T string | []byte](b []byte, code byte, v T) []byte {
 	b = append(b, code)
-	for _, c := range v {
-		if c == 0x00 {
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c == 0x00 {
 			b = append(b, 0x00, 0xFF)
 		} else {
 			b = append(b, c)
@@ -623,19 +623,50 @@ func AppendInt64(b []byte, v int64) []byte { return encodeInt(b, v) }
 
 // AppendString appends s encoded as one tuple element, as Pack encodes a
 // string at any depth, without boxing it.
-func AppendString(b []byte, s string) []byte { return encodeBytes(b, codeString, []byte(s)) }
+func AppendString(b []byte, s string) []byte { return encodeBytes(b, codeString, s) }
+
+// AppendElement appends e encoded as one tuple element, exactly as Pack
+// encodes it at the top level, without a Tuple around it. An incomplete
+// versionstamp is accepted only when stamp is not nil: *stamp, negative on
+// entry, receives the offset of its 10-byte placeholder in the result, as
+// PackWithVersionstamp records it. An unsupported type is an error where Pack
+// panics.
+func AppendElement(b []byte, e interface{}, stamp *int) ([]byte, error) {
+	return encodeElement(b, e, stamp, false)
+}
+
+// AppendNestedElements appends elems encoded as one nested tuple element, as
+// Pack encodes Tuple{Tuple(elems)}, without boxing them into a Tuple. stamp
+// and the errors are AppendElement's.
+func AppendNestedElements(b []byte, elems []interface{}, stamp *int) ([]byte, error) {
+	b = append(b, codeNested)
+	for _, e := range elems {
+		var err error
+		if b, err = encodeElement(b, e, stamp, true); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, 0x00), nil
+}
+
+// AppendVersionstamp appends v encoded as one tuple element, as Pack encodes a
+// complete stamp and PackWithVersionstamp an incomplete one, without boxing
+// it, and returns where its 10-byte transaction version starts in the result.
+func AppendVersionstamp(b []byte, v Versionstamp) ([]byte, int) {
+	b = append(b, codeVStamp)
+	off := len(b)
+	b = append(b, v.TransactionVersion[:]...)
+	return binary.BigEndian.AppendUint16(b, v.UserVersion), off
+}
 
 // AppendNested appends t encoded as one nested tuple element, as Pack encodes
 // Tuple{t}, without boxing t. It panics where Pack does.
 func AppendNested(b []byte, t Tuple) []byte {
-	b = append(b, codeNested)
-	for _, e := range t {
-		var err error
-		if b, err = encodeElement(b, e, nil, true); err != nil {
-			panic(err)
-		}
+	b, err := AppendNestedElements(b, t, nil)
+	if err != nil {
+		panic(err)
 	}
-	return append(b, 0x00)
+	return b
 }
 
 // Int64At decodes the integer element at the start of b without boxing it,
