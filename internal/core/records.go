@@ -22,8 +22,12 @@ import (
 // StoredRecord is a record as stored: the message plus its identity and the
 // commit version of its last modification (§4).
 type StoredRecord struct {
-	Type       *metadata.RecordType
-	Message    *message.Message
+	Type    *metadata.RecordType
+	Message *message.Message
+	// PrimaryKey is the primary key as its packed form decodes, whether the
+	// record was saved, loaded or scanned: an integer column is an int64
+	// whatever type the key expression gave it (a uint64 past the int64
+	// range excepted).
 	PrimaryKey tuple.Tuple
 	Version    tuple.Versionstamp
 	HasVersion bool
@@ -58,8 +62,8 @@ func (r *StoredRecord) asIndexRecord(packed []byte) *index.Record {
 	}
 }
 
-// PrimaryKeyFor computes a record's primary key; the expression must produce
-// exactly one tuple.
+// PrimaryKeyFor computes a record's primary key, in its decoded form (see
+// StoredRecord.PrimaryKey); the expression must produce exactly one tuple.
 func (s *Store) PrimaryKeyFor(msg *message.Message) (*metadata.RecordType, tuple.Tuple, error) {
 	rt, pk, _, err := s.primaryKey(msg)
 	return rt, pk, err
@@ -443,9 +447,11 @@ func (s *Store) clearRecord(old *StoredRecord, pk []byte, dataKept, versionKept 
 		b, e := s.recordRange(pk)
 		return s.tr.ClearRange(b, e)
 	}
-	var key [keyStackLen]byte
+	// Clear keeps a reference to its key, so the key is built on the heap at
+	// its size: the records prefix, pk, and a suffix of at most 9 bytes.
+	key := make([]byte, 0, len(s.records.Bytes())+len(pk)+9)
 	if !dataKept {
-		if err := s.tr.Clear(s.recordKey(key[:0], pk, unsplitRecord)); err != nil {
+		if err := s.tr.Clear(s.recordKey(key, pk, unsplitRecord)); err != nil {
 			return err
 		}
 	}

@@ -793,11 +793,7 @@ func (t *Transaction) accountWrite(n int) {
 func (t *Transaction) Clear(key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	// One copy, key + 0x00, holds both bounds, and the clear set keeps them
-	// as they are: the caller's key is never kept, so it may live in the
-	// caller's stack buffer.
-	end := keyAfter(key)
-	return t.clearRange(end[:len(key):len(key)], end, true)
+	return t.clearRange(key, keyAfter(key), true)
 }
 
 // ClearRange buffers the removal of all keys in [begin, end). Range clears
@@ -810,8 +806,7 @@ func (t *Transaction) ClearRange(begin, end []byte) error {
 }
 
 // clearRange buffers a clear; point says it is Clear's single key, which is
-// not a range clear in the statistics, and whose bounds are the clear set's to
-// keep without a copy.
+// not a range clear in the statistics.
 func (t *Transaction) clearRange(begin, end []byte, point bool) error {
 	if err := t.checkUsable(); err != nil {
 		return err
@@ -821,7 +816,7 @@ func (t *Transaction) clearRange(begin, end []byte, point bool) error {
 	}
 	t.note(AccessClear, begin, end, false)
 	t.bufDeleteRange(begin, end)
-	t.clears.add(begin, end, point, point)
+	t.clears.Add(begin, end)
 	if !point {
 		t.stats.RangeClears++
 	}

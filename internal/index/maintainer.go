@@ -173,6 +173,14 @@ func appendKey(buf []byte, space subspace.Subspace, head, tail []byte) []byte {
 	return append(append(append(buf, space.Bytes()...), head...), tail...)
 }
 
+// clearKey clears the key appendKey builds. Clear keeps a reference to its
+// key, which would move a caller's stack buffer to the heap, so the key is
+// built on the heap at its size, and only when there is one to clear.
+func clearKey(ctx *Context, head, tail []byte) error {
+	key := make([]byte, 0, len(ctx.Space.Bytes())+len(head)+len(tail))
+	return ctx.Tr.Clear(appendKey(key, ctx.Space, head, tail))
+}
+
 func init() {
 	RegisterIndexType(metadata.IndexValue, newValueMaintainer)
 	RegisterIndexType(metadata.IndexCount, newAtomicMaintainer(metadata.IndexCount))

@@ -202,7 +202,7 @@ func (m *ValueMaintainer) update(ctx *Context, old, new *Record, oldKeys, newKey
 		if newKeys.Has(oldKeys.Key(i)) {
 			continue
 		}
-		if err := ctx.Tr.Clear(appendKey(buf[:0], ctx.Space, oldKeys.Head(i), old.packedPK())); err != nil {
+		if err := clearKey(ctx, oldKeys.Head(i), old.packedPK()); err != nil {
 			return nil, err
 		}
 	}

@@ -66,7 +66,9 @@ func (m *VersionMaintainer) update(ctx *Context, old, new *Record) error {
 		return err
 	}
 	for i := 0; i < keys.Len(); i++ {
-		key, stamped, err := m.entryKey(buf[:0], ctx, keys, i, old)
+		// Clear keeps a reference to its key: see clearKey.
+		n := len(ctx.Space.Bytes()) + len(keys.Key(i)) + len(old.packedPK()) + 4
+		key, stamped, err := m.entryKey(make([]byte, 0, n), ctx, keys, i, old)
 		switch {
 		case err != nil:
 		case stamped:

@@ -3,7 +3,6 @@ package keyexpr
 import (
 	"bytes"
 	"errors"
-	"slices"
 
 	"recordlayer/internal/message"
 	"recordlayer/internal/tuple"
@@ -114,14 +113,7 @@ const severalStamps = -2
 type Keys struct {
 	buf   []byte
 	spans []KeySpan
-	// sorted orders the keys by their bytes once there are more than
-	// linearKeys of them, so that Has searches it rather than comparing each
-	// key: diffing a fan-out of n elements costs n log n, not n².
-	sorted []int32
 }
-
-// linearKeys is how many keys Has compares one by one.
-const linearKeys = 16
 
 // NewKeys returns an empty Keys that fills buf and spans first, and grows past
 // them onto the heap.
@@ -152,24 +144,9 @@ func (k Keys) Tail(i int) []byte {
 
 // Has reports whether k holds key, compared whole.
 func (k Keys) Has(key []byte) bool {
-	if k.sorted == nil {
-		for i := range k.spans {
-			if bytes.Equal(k.Key(i), key) {
-				return true
-			}
-		}
-		return false
-	}
-	lo, hi := 0, len(k.sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		switch c := bytes.Compare(k.Key(int(k.sorted[mid])), key); {
-		case c == 0:
+	for i := range k.spans {
+		if bytes.Equal(k.Key(i), key) {
 			return true
-		case c < 0:
-			lo = mid + 1
-		default:
-			hi = mid
 		}
 	}
 	return false
@@ -229,17 +206,6 @@ func (p *Packer) Pack(k Keys, ctx *Context) (Keys, error) {
 		} else {
 			s.wide = 0
 		}
-	}
-	k.sorted = nil
-	if len(k.spans) > linearKeys {
-		k.sorted = make([]int32, len(k.spans))
-		for i := range k.sorted {
-			k.sorted[i] = int32(i)
-		}
-		buf, spans := k.buf, k.spans
-		slices.SortFunc(k.sorted, func(a, b int32) int {
-			return bytes.Compare(buf[spans[a].start:spans[a].end], buf[spans[b].start:spans[b].end])
-		})
 	}
 	return k, nil
 }
