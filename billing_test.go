@@ -2,6 +2,8 @@ package recordlayer
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"testing"
 
 	"recordlayer/internal/fdb"
@@ -42,11 +44,18 @@ func billedByTenant(acct *Accountant) map[string]billed {
 // provider, so it runs under its tenant and is billed by the Runner in
 // either mode.
 //
-// What is billed must also be the tenant's own: after every op, in both
-// modes, every key a billed attempt or raw transaction read, wrote or
+// Every fourth history, offset by one, bills both ways: the Runner under a
+// tenant named apart from the path, and ProviderOptions.Accountant too. A
+// transaction the Runner metered is then billed to the Runner's tenant
+// alone, while a race's raw transactions are billed from the provider on.
+//
+// What is billed must also be the tenant's own: after every op, in every
+// mode, every key a billed attempt or raw transaction read, wrote or
 // cleared must lie in a store the op's transactions opened, in its resolved
 // directory path, or in history.SharedRanges() (the harness's confinement
-// check).
+// check). And after every history the Accountant must list exactly the
+// tenants the ops ran as: a meter no op ran under is a tenant billed for
+// nothing.
 func TestMeterEqualsTransactionStats(t *testing.T) {
 	var kinds kindCounts
 	for seed := int64(0); seed < 200; seed++ {
@@ -59,9 +68,9 @@ func TestMeterEqualsTransactionStats(t *testing.T) {
 		db := fdb.Open(opts)
 		internContainers(t, db)
 		acct := NewAccountant()
-		fallback := seed%4 == 3
+		fallback, both := seed%4 == 3, seed%4 == 1
 		var popts ProviderOptions
-		if fallback {
+		if fallback || both {
 			popts.Accountant = acct
 		}
 		prefer := seed%2 == 1
@@ -77,12 +86,25 @@ func TestMeterEqualsTransactionStats(t *testing.T) {
 				attempts = append(attempts, tr)
 			}
 		}
+		ranAs := map[string]bool{}
 		for step, op := range history.Generate(seed, 12) {
 			kinds[op.Kind]++
 			tenant := resource.TenantKey(op.Tenant.Container, op.Tenant.User) // the name the fallback derives from the path
-			ctx := context.Background()
-			if !fallback || op.Kind == history.Build {
+			ctx, runAs := context.Background(), tenant
+			switch {
+			case both:
+				ctx = WithTenant(ctx, "run:"+tenant)
+				if op.Kind != history.Race {
+					runAs = "run:" + tenant
+				}
+			case !fallback || op.Kind == history.Build:
 				ctx = WithTenant(ctx, tenant)
+				if op.Kind == history.Race && !fallback {
+					runAs = "" // a race's raw transactions bill no one
+				}
+			}
+			if runAs != "" {
+				ranAs[runAs] = true
 			}
 			// A race's raw commits are not retried, so a fault would decide
 			// its result; the model follows the store there only without
@@ -106,7 +128,7 @@ func TestMeterEqualsTransactionStats(t *testing.T) {
 				t.Fatalf("seed %d step %d (%v), fallback billing %v: tenant confinement: %v", seed, step, op, fallback, cerr)
 			}
 			billable := attempts
-			if fallback {
+			if popts.Accountant != nil {
 				billable = append(attempts, raw...)
 			}
 			var counted billed
@@ -119,7 +141,7 @@ func TestMeterEqualsTransactionStats(t *testing.T) {
 			}
 			for name, u := range billedByTenant(acct) {
 				got, expect := u.minus(before[name]), billed{}
-				if name == tenant {
+				if name == runAs {
 					expect = counted
 				}
 				if got != expect {
@@ -127,6 +149,14 @@ func TestMeterEqualsTransactionStats(t *testing.T) {
 						seed, step, op, len(attempts), len(raw), out, err, name, got, expect)
 				}
 			}
+		}
+		var want []string
+		for name := range ranAs {
+			want = append(want, name)
+		}
+		sort.Strings(want)
+		if got := acct.Tenants(); !slices.Equal(got, want) {
+			t.Fatalf("seed %d (fallback %v, both %v): accountant lists tenants %q, ops ran as %q", seed, fallback, both, got, want)
 		}
 	}
 	kinds.check(t)

@@ -390,6 +390,18 @@
 // store_state_cache_{hits,misses,invalidations}_total and
 // directory_cache_{hits,misses}_total.
 //
+// What a warm open allocates: five objects, pinned by TestWarmOpenAllocs.
+// The provider packs the tenant's key prefix into a stack buffer with
+// KeySpace.AppendPrefix, the one prefix encoder behind every Path's subspace
+// too: it checks every level of the template, then packs each straight into
+// the buffer, an interned name as the integer the directory cache maps it to,
+// so no Path and no tuple is built. core copies the prefix once, with the
+// records subspace's element after it, into the one buffer the store's two
+// subspaces view (StateCache.OpenPrefix); the other four are the core store,
+// the provider's handle, and the header key and state range, still packed per
+// open for the read conflicts a hit adds. A load by primary key reads
+// synchronously and allocates no future (TestLoadRecordByKeyAllocs).
+//
 // # What a RANK or TEXT index costs
 //
 // The RANK skip list (Appendix B, internal/rankedset) and the TEXT bunched
@@ -528,8 +540,11 @@
 //
 // Operators read usage with Accountant.Snapshot (see `rl tenants`) or the
 // copy-free ForEach. A StoreProvider with ProviderOptions.Accountant bills a
-// transaction that reaches Open with no meter bound to the tenant key of the
-// path it opens; a transaction keeps the first meter bound to it.
+// transaction that reaches Open or Delete with no meter bound to the tenant
+// key of the path it opens (resource.TenantKey: the path's values joined by
+// "/", each with its own "/" and "\" escaped, so two paths never share a
+// meter); a transaction keeps the first meter bound to it, and one that has
+// a meter creates none for the path.
 // The noisy-neighbor experiment (cmd/experiments -run nn; -short is the CI
 // smoke gate) measures the isolation all of this buys.
 //

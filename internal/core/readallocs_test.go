@@ -71,3 +71,28 @@ func TestRecordReadAllocs(t *testing.T) {
 	}
 	t.Logf("per record, beyond decoding the message (%v allocs): load %v, scanned %v", decode, load, scanned)
 }
+
+// TestLoadRecordByKeyAllocs pins everything one load by primary key of an
+// unsplit record allocates, decoding its message included: 7 on Go 1.24
+// (linux/amd64). It was 8 when the load issued its range read as a future
+// and awaited it on the next line.
+func TestLoadRecordByKeyAllocs(t *testing.T) {
+	const want = 7
+	db, md := fdb.Open(nil), testSchema(t)
+	sp := subspace.FromTuple(tuple.Tuple{"tenant", int64(1)})
+	saveUsers(t, db, md, sp, mkUser(7, "user-07", 7))
+	s, err := Open(db.CreateTransaction(), md, sp, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := tuple.Tuple{"User", int64(7)}
+	got := testing.AllocsPerRun(100, func() {
+		if rec, err := s.LoadRecordByKey(pk); err != nil || rec == nil {
+			t.Fatalf("load: %v, %v", rec, err)
+		}
+	})
+	if got > want {
+		t.Fatalf("a load by primary key allocates %v times, want <= %d", got, want)
+	}
+	t.Logf("a load by primary key allocates %v times", got)
+}

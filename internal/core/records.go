@@ -489,19 +489,28 @@ func (s *Store) issueLoadRecord(begin, end []byte, snapshot bool) *fdb.FutureRan
 // record is absent. A nil pk is decoded from the record's keys.
 func (s *Store) awaitLoadRecord(pk tuple.Tuple, f *fdb.FutureRange) (*StoredRecord, error) {
 	kvs, _, err := f.Get()
-	if err != nil {
+	return s.loadedRecord(pk, kvs, err)
+}
+
+// loadedRecord is a load's result from its pairs: nil when there are none.
+func (s *Store) loadedRecord(pk tuple.Tuple, kvs []fdb.KeyValue, err error) (*StoredRecord, error) {
+	if err != nil || len(kvs) == 0 {
 		return nil, err
-	}
-	if len(kvs) == 0 {
-		return nil, nil
 	}
 	return s.assembleRecord(pk, kvs, nil)
 }
 
-// loadRecordByKey loads the record whose primary key is pk, packed.
+// loadRecordByKey loads the record whose primary key is pk, packed. It reads
+// synchronously, which issues and awaits the range read as
+// issueLoadRecord's future would, without allocating one.
 func (s *Store) loadRecordByKey(pk tuple.Tuple, packed []byte, snapshot bool) (*StoredRecord, error) {
 	b, e := s.recordRange(packed)
-	return s.awaitLoadRecord(pk, s.issueLoadRecord(b, e, snapshot))
+	if snapshot {
+		kvs, _, err := s.tr.Snapshot().GetRange(b, e, fdb.RangeOptions{})
+		return s.loadedRecord(pk, kvs, err)
+	}
+	kvs, _, err := s.tr.GetRange(b, e, fdb.RangeOptions{})
+	return s.loadedRecord(pk, kvs, err)
 }
 
 // recordChunk is one pair of a (possibly split) record during reassembly.

@@ -113,7 +113,8 @@ type Store struct {
 	tr    *fdb.Transaction
 	md    *metadata.MetaData
 	space subspace.Subspace
-	// records is space.Sub(recordsSub), which holds every record's pairs.
+	// records is space.Sub(recordsSub), which holds every record's pairs; the
+	// two share one buffer (OpenPrefix).
 	records subspace.Subspace
 	cfg     Config
 	// trace is the transaction's trace, captured once at open so hot paths
@@ -163,7 +164,17 @@ func Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, o
 // Open is the package-level Open through the cache: a store whose state is
 // cached and still valid opens with no read at all.
 func (c *StateCache) Open(tr *fdb.Transaction, md *metadata.MetaData, space subspace.Subspace, opts OpenOptions) (*Store, error) {
-	s := &Store{tr: tr, md: md, space: space, records: space.Sub(recordsSub), cfg: opts.Config.withDefaults(),
+	return c.OpenPrefix(tr, md, space.Bytes(), opts)
+}
+
+// OpenPrefix is Open for the store whose subspace has the raw prefix prefix,
+// which it does not keep: the caller may pack it into a stack buffer. The
+// store copies it once, with the records subspace's element after it, so its
+// space and records subspaces are two views of one allocation.
+func (c *StateCache) OpenPrefix(tr *fdb.Transaction, md *metadata.MetaData, prefix []byte, opts OpenOptions) (*Store, error) {
+	n := len(prefix)
+	buf := tuple.AppendInt64(append(make([]byte, 0, n+2), prefix...), recordsSub)
+	s := &Store{tr: tr, md: md, space: subspace.View(buf[:n]), records: subspace.View(buf), cfg: opts.Config.withDefaults(),
 		trace: tr.Trace()}
 	st, bare, err := c.loadState(s)
 	if err != nil {

@@ -1221,6 +1221,14 @@ func (t *Transaction) BindMeter(m Meter) {
 	}
 }
 
+// Metered reports whether a meter is bound: a caller that would derive one
+// to bind can skip the work, since BindMeter would keep the first.
+func (t *Transaction) Metered() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.meter != nil
+}
+
 // Trace returns the attached span sink, or nil. Layers above capture it once
 // (e.g. at store open) rather than re-reading per operation.
 func (t *Transaction) Trace() *obs.Trace {

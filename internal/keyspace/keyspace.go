@@ -282,49 +282,108 @@ func checkType(d *Directory, v interface{}) error {
 	return nil
 }
 
-// ToTuple compiles the path to its row-key tuple, resolving interned values
-// through the directory layer (creating entries as needed).
-func (p Path) ToTuple(tr *fdb.Transaction) (tuple.Tuple, error) {
-	t, _, err := p.resolve(tr, true)
-	return t, err
+// AppendPrefix packs the key prefix of the path a template names, as PathFor
+// takes one, onto b: the row-key prefix of the record store or index living
+// there, with interned values resolved through the directory layer (creating
+// entries as needed). Every level is checked before anything is interned, so
+// a template or value PathFor rejects fails with PathFor's error and writes
+// nothing. This is the provider's per-request path: no Path and no tuple is
+// built, and b may be a caller's stack buffer.
+func (ks *KeySpace) AppendPrefix(b []byte, tr *fdb.Transaction, names []string, values ...interface{}) ([]byte, error) {
+	b, _, err := ks.appendPrefix(b, tr, names, values, true)
+	return b, err
 }
 
-// resolve compiles the path to its tuple. With create unset an interned value
-// the directory layer has never seen ends the walk with ok == false and
-// nothing written.
-func (p Path) resolve(tr *fdb.Transaction, create bool) (t tuple.Tuple, ok bool, err error) {
-	out := make(tuple.Tuple, len(p.elems))
-	for i, e := range p.elems {
-		d := p.dirs[i]
-		if !d.interned {
-			out[i] = e.Value
+// appendPrefix is the one encoder of key prefixes. It first walks the
+// template with step, checking every level, the count of values and, for an
+// interned level, the directory layer; only then does it walk again and pack
+// each level onto b: a constant or plain value as its tuple element, an
+// interned value as the integer the layer maps it to. With create unset an
+// interned value the layer has never seen ends the walk with ok == false,
+// having written nothing. On error or ok == false b comes back as it was
+// given.
+func (ks *KeySpace) appendPrefix(b []byte, tr *fdb.Transaction, names []string, values []interface{}, create bool) ([]byte, bool, error) {
+	if len(names) == 0 {
+		return b, false, fmt.Errorf("keyspace: empty path template")
+	}
+	var unlayered *Directory // the first interned level, when there is no layer
+	parent, rest := ks.root, values
+	for _, name := range names {
+		dir, _, r, err := step(parent, name, rest)
+		if err != nil {
+			return b, false, err
+		}
+		if dir.interned && ks.layer == nil && unlayered == nil {
+			unlayered = dir
+		}
+		parent, rest = dir, r
+	}
+	if len(rest) != 0 {
+		// The message gets a copy of names: a caller's stack array stays there.
+		return b, false, fmt.Errorf("keyspace: template %v consumed %d of %d supplied values",
+			append([]string(nil), names...), len(values)-len(rest), len(values))
+	}
+	if unlayered != nil {
+		return b, false, fmt.Errorf("keyspace: directory %q is interned but no directory layer configured", unlayered.name)
+	}
+	n := len(b)
+	parent, rest = ks.root, values
+	for _, name := range names {
+		dir, v, r, _ := step(parent, name, rest)
+		parent, rest = dir, r
+		if !dir.interned {
+			out, err := tuple.AppendElement(b, v, nil)
+			if err != nil {
+				return b[:n], false, fmt.Errorf("keyspace: directory %q: %v", name, err)
+			}
+			b = out
 			continue
 		}
-		if p.ks.layer == nil {
-			return nil, false, fmt.Errorf("keyspace: directory %q is interned but no directory layer configured", d.name)
-		}
 		var id int64
+		var err error
 		found := true
 		if create {
-			id, err = p.ks.layer.Intern(tr, e.Value.(string))
+			id, err = ks.layer.Intern(tr, v.(string))
 		} else {
-			id, found, err = p.ks.layer.LookupInterned(tr, e.Value.(string))
+			id, found, err = ks.layer.LookupInterned(tr, v.(string))
 		}
 		if err != nil || !found {
-			return nil, false, err
+			return b[:n], false, err
 		}
-		out[i] = id
+		b = tuple.AppendInt64(b, id)
 	}
-	return out, true, nil
+	return b, true, nil
 }
 
-// ToSubspace compiles the path to the subspace rooted at its tuple.
+// appendPrefix packs p's key prefix onto b through the template encoder: p's
+// directory names are the template and its variable levels' values the
+// values.
+func (p Path) appendPrefix(b []byte, tr *fdb.Transaction, create bool) ([]byte, bool, error) {
+	if len(p.elems) == 0 {
+		return b, true, nil
+	}
+	var nameBuf [8]string
+	var valueBuf [8]interface{}
+	names, values := nameBuf[:0], valueBuf[:0]
+	for i, e := range p.elems {
+		names = append(names, e.Name)
+		if p.dirs[i].typ != TypeConstant {
+			values = append(values, e.Value)
+		}
+	}
+	return p.ks.appendPrefix(b, tr, names, values, create)
+}
+
+// ToSubspace compiles the path to the subspace rooted at its key prefix,
+// resolving interned values through the directory layer (creating entries as
+// needed).
 func (p Path) ToSubspace(tr *fdb.Transaction) (subspace.Subspace, error) {
-	t, err := p.ToTuple(tr)
+	var buf [64]byte
+	prefix, _, err := p.appendPrefix(buf[:0], tr, true)
 	if err != nil {
 		return subspace.Subspace{}, err
 	}
-	return subspace.FromTuple(t), nil
+	return subspace.FromBytes(prefix), nil
 }
 
 // LookupSubspace is ToSubspace without the side effect: an interned value
@@ -332,11 +391,12 @@ func (p Path) ToSubspace(tr *fdb.Transaction) (subspace.Subspace, error) {
 // level of the path resolved. Nothing can be stored under a path that does
 // not resolve.
 func (p Path) LookupSubspace(tr *fdb.Transaction) (space subspace.Subspace, ok bool, err error) {
-	t, ok, err := p.resolve(tr, false)
+	var buf [64]byte
+	prefix, ok, err := p.appendPrefix(buf[:0], tr, false)
 	if err != nil || !ok {
 		return subspace.Subspace{}, false, err
 	}
-	return subspace.FromTuple(t), true, nil
+	return subspace.FromBytes(prefix), true, nil
 }
 
 // ToSubspaceStatic compiles a path containing no interned directories

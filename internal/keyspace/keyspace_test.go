@@ -30,16 +30,24 @@ func cloudKitTree(t *testing.T) (*fdb.Database, *KeySpace) {
 	return db, ks
 }
 
-func TestPathToTuple(t *testing.T) {
-	db, ks := cloudKitTree(t)
-	p := ks.MustPath("cloudkit").MustAdd("user", int64(42)).MustAdd("application", "com.example.notes").MustAdd("data")
-	v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-		return p.ToTuple(tr)
-	})
+// pathTuple resolves p in its own transaction and decodes its key prefix.
+func pathTuple(t *testing.T, db *fdb.Database, p Path) tuple.Tuple {
+	t.Helper()
+	v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) { return p.ToSubspace(tr) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt := v.(tuple.Tuple)
+	tt, err := tuple.Unpack(v.(subspace.Subspace).Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tt
+}
+
+func TestPathToTuple(t *testing.T) {
+	db, ks := cloudKitTree(t)
+	p := ks.MustPath("cloudkit").MustAdd("user", int64(42)).MustAdd("application", "com.example.notes").MustAdd("data")
+	tt := pathTuple(t, db, p)
 	if len(tt) != 4 || tt[0] != "ck" || tt[1].(int64) != 42 || tt[3].(int64) != 0 {
 		t.Fatalf("tuple: %v", tt)
 	}
@@ -52,12 +60,7 @@ func TestPathToTuple(t *testing.T) {
 func TestInterningStableAcrossPaths(t *testing.T) {
 	db, ks := cloudKitTree(t)
 	get := func(user int64) tuple.Tuple {
-		p := ks.MustPath("cloudkit").MustAdd("user", user).MustAdd("application", "app.one").MustAdd("data")
-		v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) { return p.ToTuple(tr) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v.(tuple.Tuple)
+		return pathTuple(t, db, ks.MustPath("cloudkit").MustAdd("user", user).MustAdd("application", "app.one").MustAdd("data"))
 	}
 	t1, t2 := get(1), get(2)
 	if t1[2] != t2[2] {
@@ -143,11 +146,7 @@ func TestPathString(t *testing.T) {
 func TestIntNormalization(t *testing.T) {
 	db, ks := cloudKitTree(t)
 	p := ks.MustPath("cloudkit").MustAdd("user", 42) // plain int
-	v, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) { return p.ToTuple(tr) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.(tuple.Tuple)[1].(int64) != 42 {
+	if pathTuple(t, db, p)[1].(int64) != 42 {
 		t.Fatal("int not normalized to int64")
 	}
 }
@@ -165,19 +164,8 @@ func TestPathForTemplate(t *testing.T) {
 		MustAdd("user", int64(42)).
 		MustAdd("application", "com.example.notes").
 		MustAdd("data")
-	got, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-		return p.ToTuple(tr)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantT, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
-		return want.ToTuple(tr)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.(tuple.Tuple).Pack(), wantT.(tuple.Tuple).Pack()) {
+	got, wantT := pathTuple(t, db, p), pathTuple(t, db, want)
+	if !bytes.Equal(got.Pack(), wantT.Pack()) {
 		t.Fatalf("PathFor compiled %v, manual path %v", got, wantT)
 	}
 }

@@ -61,11 +61,19 @@ func TenantFrom(ctx context.Context) (string, bool) {
 
 // TenantKey derives a canonical tenant ID from keyspace path values — the
 // identity a StoreProvider binds when the context carries none. Values are
-// joined with "/" in path order.
+// joined with "/" in path order, each with its own "/" and "\" escaped by a
+// "\", so two different paths never share an ID: ("a/b", "c") is `a\/b/c`
+// and ("a", "b/c") is `a/b\/c`. A value holding neither character appears as
+// it prints.
 func TenantKey(values ...interface{}) string {
-	parts := make([]string, len(values))
+	var b strings.Builder
 	for i, v := range values {
-		parts[i] = fmt.Sprint(v)
+		if i > 0 {
+			b.WriteByte('/')
+		}
+		tenantKeyEscaper.WriteString(&b, fmt.Sprint(v))
 	}
-	return strings.Join(parts, "/")
+	return b.String()
 }
+
+var tenantKeyEscaper = strings.NewReplacer(`\`, `\\`, `/`, `\/`)

@@ -343,6 +343,26 @@ func TestTenantKey(t *testing.T) {
 	}
 }
 
+// TestTenantKeyKeepsPathsApart: two different paths never derive one ID,
+// whatever their values hold, so they never bill one meter.
+func TestTenantKeyKeepsPathsApart(t *testing.T) {
+	paths := [][]interface{}{
+		{"a/b", "c"}, {"a", "b/c"}, {"a", "b", "c"}, {"a/b/c"},
+		{`a\`, "b"}, {`a\/b`}, {"a", `\b`}, {`a\`, `/b`}, {"a", ""}, {"a/"},
+	}
+	seen := map[string]int{}
+	for i, p := range paths {
+		k := TenantKey(p...)
+		if j, ok := seen[k]; ok {
+			t.Fatalf("paths %q and %q both derive %q", paths[j], p, k)
+		}
+		seen[k] = i
+	}
+	if k := TenantKey("a/b", "c"); k != `a\/b/c` {
+		t.Errorf("TenantKey = %q", k)
+	}
+}
+
 // TestContextCarriage round-trips a tenant through a context.
 func TestContextCarriage(t *testing.T) {
 	ctx := context.Background()

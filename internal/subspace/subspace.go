@@ -20,6 +20,13 @@ func FromBytes(prefix []byte) Subspace {
 	return Subspace{prefix: append([]byte(nil), prefix...)}
 }
 
+// View creates a subspace over prefix without copying it: prefix must never be
+// written afterwards. Its capacity is clipped, so appending to the subspace's
+// bytes copies them.
+func View(prefix []byte) Subspace {
+	return Subspace{prefix: prefix[:len(prefix):len(prefix)]}
+}
+
 // FromTuple creates a subspace whose prefix is the packed tuple.
 func FromTuple(t tuple.Tuple) Subspace {
 	return Subspace{prefix: t.Pack()}

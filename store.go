@@ -113,18 +113,13 @@ func (p *StoreProvider) Open(ctx context.Context, tr *fdb.Transaction, tenant ..
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if p.opts.Accountant != nil {
-		tr.BindMeter(p.opts.Accountant.Tenant(resource.TenantKey(tenant...)))
-	}
-	path, err := p.ks.PathFor(p.template, tenant...)
+	p.bindMeter(tr, tenant)
+	var buf [64]byte
+	prefix, err := p.ks.AppendPrefix(buf[:0], tr, p.template, tenant...)
 	if err != nil {
 		return nil, err
 	}
-	space, err := path.ToSubspace(tr)
-	if err != nil {
-		return nil, err
-	}
-	cs, err := p.states.Open(tr, p.md, space, core.OpenOptions{
+	cs, err := p.states.OpenPrefix(tr, p.md, prefix, core.OpenOptions{
 		CreateIfMissing: true,
 		Config:          p.opts.Config,
 	})
@@ -144,9 +139,7 @@ func (p *StoreProvider) Delete(ctx context.Context, tr *fdb.Transaction, tenant 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if p.opts.Accountant != nil {
-		tr.BindMeter(p.opts.Accountant.Tenant(resource.TenantKey(tenant...)))
-	}
+	p.bindMeter(tr, tenant)
 	path, err := p.ks.PathFor(p.template, tenant...)
 	if err != nil {
 		return err
@@ -156,6 +149,16 @@ func (p *StoreProvider) Delete(ctx context.Context, tr *fdb.Transaction, tenant 
 		return err
 	}
 	return core.DeleteStore(tr, space)
+}
+
+// bindMeter binds the meter of the tenant ID derived from the path values
+// when the provider has an Accountant and tr has no meter yet. A bound meter
+// holds, so deriving another would only leave an empty meter behind, listed
+// by the Accountant as a tenant that never ran.
+func (p *StoreProvider) bindMeter(tr *fdb.Transaction, tenant []interface{}) {
+	if p.opts.Accountant != nil && !tr.Metered() {
+		tr.BindMeter(p.opts.Accountant.Tenant(resource.TenantKey(tenant...)))
+	}
 }
 
 // planFor returns q's plan: its shape's plan, from the provider's LRU plan
