@@ -97,7 +97,7 @@ func TestMeterEqualsTransactionStats(t *testing.T) {
 				if op.Kind != history.Race {
 					runAs = "run:" + tenant
 				}
-			case !fallback || op.Kind == history.Build:
+			case !fallback || op.Kind == history.Build || op.Kind == history.Scrub:
 				ctx = WithTenant(ctx, tenant)
 				if op.Kind == history.Race && !fallback {
 					runAs = "" // a race's raw transactions bill no one

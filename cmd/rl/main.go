@@ -18,6 +18,7 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"log"
@@ -25,6 +26,7 @@ import (
 	"sort"
 
 	"recordlayer"
+	"recordlayer/internal/bunched"
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/index"
 	"recordlayer/internal/keyexpr"
@@ -32,6 +34,7 @@ import (
 	"recordlayer/internal/message"
 	"recordlayer/internal/metadata"
 	"recordlayer/internal/query"
+	"recordlayer/internal/rankedset"
 	"recordlayer/internal/tuple"
 )
 
@@ -363,13 +366,15 @@ func usageCmd() {
 }
 
 // scrubCmd demonstrates the index consistency scrubber (§6 defense in
-// depth): build a small store, corrupt its VALUE index three ways with raw
-// key surgery — a dangling entry, a missing entry, a mismatched covering
-// value — then detect everything with a report-only scrub, repair in place,
-// and prove a final scrub comes back clean. Every transaction, scrub batches
-// included, runs through one metered Runner as background work of tenant
-// acme, so the scrubs' cost shows in acme's usage. Exits non-zero if any stage
-// disagrees with the script or the scrubs billed nothing.
+// depth): build a small store, corrupt its indexes behind its back — a VALUE
+// index three ways with raw key surgery (a dangling entry, a missing entry, a
+// mismatched covering value), a RANK skip-list finger off by one, and a TEXT
+// posting at the wrong offsets — then detect everything with report-only
+// scrubs, repair in place, and prove final scrubs come back clean. Every
+// transaction, scrub batches included, runs through one metered Runner as
+// background work of tenant acme, so the scrubs' cost shows in acme's usage.
+// Exits non-zero if any stage disagrees with the script or the scrubs billed
+// nothing.
 func scrubCmd() {
 	db := fdb.Open(nil)
 	acct := recordlayer.NewAccountant()
@@ -380,11 +385,17 @@ func scrubCmd() {
 	note := message.MustDescriptor("Note",
 		message.Field("id", 1, message.TypeInt64),
 		message.Field("zone", 2, message.TypeString),
+		message.Field("score", 3, message.TypeInt64),
+		message.Field("body", 4, message.TypeString),
 	)
 	md := metadata.NewBuilder(1).
 		AddRecordType(note, keyexpr.Field("id")).
 		AddIndex(&metadata.Index{Name: "by_zone", Type: metadata.IndexValue,
 			Expression: keyexpr.Then(keyexpr.Field("zone"), keyexpr.Field("id"))}, "Note").
+		AddIndex(&metadata.Index{Name: "by_score", Type: metadata.IndexRank,
+			Expression: keyexpr.Field("score")}, "Note").
+		AddIndex(&metadata.Index{Name: "body_text", Type: metadata.IndexText,
+			Expression: keyexpr.Field("body")}, "Note").
 		MustBuild()
 	ks, err := keyspace.New(nil,
 		keyspace.NewConstant("app", "scrub-demo").Add(
@@ -393,16 +404,19 @@ func scrubCmd() {
 	provider, err := recordlayer.NewStoreProvider(md, ks, []string{"app", "tenant"},
 		recordlayer.ProviderOptions{})
 	must(err)
+	indexes := []string{"by_zone", "by_score", "body_text"}
 
 	section("1. A healthy store")
 	zones := []string{"personal", "work", "shared"}
+	words := []string{"call", "me", "ishmael", "some", "years", "ago"}
 	_, err = runner.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := provider.Open(ctx, tr, "acme")
 		if err != nil {
 			return nil, err
 		}
 		for i := int64(1); i <= 24; i++ {
-			rec := message.New(note).MustSet("id", i).MustSet("zone", zones[i%3])
+			rec := message.New(note).MustSet("id", i).MustSet("zone", zones[i%3]).
+				MustSet("score", i*7%31).MustSet("body", words[i%6]+" "+words[(i+2)%6])
 			if _, err := s.SaveRecord(rec); err != nil {
 				return nil, err
 			}
@@ -412,24 +426,31 @@ func scrubCmd() {
 	must(err)
 	space, err := ks.MustPath("app").MustAdd("tenant", "acme").ToSubspaceStatic()
 	must(err)
-	scr := &recordlayer.Scrubber{DB: runner, MetaData: md, Space: space, IndexName: "by_zone", BatchSize: 8}
+	scrubber := func(name string) *recordlayer.Scrubber {
+		return &recordlayer.Scrubber{DB: runner, MetaData: md, Space: space, IndexName: name, BatchSize: 8}
+	}
 	// scrub runs one pass and adds what acme was billed for it to billed.
 	var billed recordlayer.TenantUsage
+	scrubs := 0
 	scrub := func(s *recordlayer.Scrubber) *recordlayer.ScrubReport {
 		before := acct.Tenant("acme").Snapshot()
 		rep, err := s.Scrub(ctx)
 		must(err)
 		billed = billed.Accumulate(acct.Tenant("acme").Snapshot().Delta(before))
+		scrubs++
 		return rep
 	}
-	rep := scrub(scr)
-	fmt.Printf("  saved 24 Notes; scrub verified %d entries + %d records: clean=%v\n",
-		rep.EntriesScanned, rep.RecordsScanned, rep.Clean())
-	if !rep.Clean() {
-		log.Fatalf("expected a clean store, got %d issue(s)", len(rep.Issues))
+	for _, name := range indexes {
+		rep := scrub(scrubber(name))
+		fmt.Printf("  saved 24 Notes; scrub of %s verified %d entries + %d records: clean=%v\n",
+			name, rep.EntriesScanned, rep.RecordsScanned, rep.Clean())
+		if !rep.Clean() {
+			log.Fatalf("expected a clean %s, got %d issue(s)", name, len(rep.Issues))
+		}
 	}
 
-	section("2. Corrupting the index behind the store's back")
+	section("2. Corrupting the indexes behind the store's back")
+	var finger string
 	_, err = runner.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := provider.Open(ctx, tr, "acme")
 		if err != nil {
@@ -461,50 +482,74 @@ func scrubCmd() {
 			return nil, err
 		}
 		// A mismatched value: the entry key is right but its stored value is
-		// not what the record produces. (The fake value must still be a
-		// well-formed tuple: an undecodable entry is flagged as dangling by
-		// direction one instead.)
+		// not what the record produces.
 		if err := tr.Set(kvs[7].Key, tuple.Tuple{"stale-covering-value"}.Pack()); err != nil {
 			return nil, err
 		}
-		return nil, nil
+		// A RANK finger off by one: the head of the skip list's top level,
+		// which counts every member, counts one more, as a concurrency bug
+		// in an older skip list could leave it.
+		set := rankedset.New(s.IndexSubspace("by_score").Sub(1), nil)
+		top := set.Key(set.Levels()-1, []byte{})
+		v, err := tr.Get(top)
+		if err != nil || len(v) != 8 {
+			return nil, fmt.Errorf("no top-level head: %v", err)
+		}
+		finger = tuple.Describe(top)
+		if err := tr.Set(top, binary.LittleEndian.AppendUint64(nil, binary.LittleEndian.Uint64(v)+1)); err != nil {
+			return nil, err
+		}
+		// A TEXT posting at the wrong offsets: Note 1's "me".
+		m := bunched.New(s.IndexSubspace("body_text"), bunched.DefaultBunchSize)
+		return nil, m.Insert(tr, "me", tuple.Tuple{int64(1)}, []int64{99})
 	})
 	must(err)
-	fmt.Println("  planted 1 dangling entry, cleared 1 legitimate entry, corrupted 1 value")
+	fmt.Println("  by_zone: planted 1 dangling entry, cleared 1 legitimate entry, corrupted 1 value")
+	fmt.Println("  by_score: added 1 to a skip-list finger; body_text: moved 1 posting's offsets")
 
 	section("3. Detection (report-only)")
-	rep = scrub(scr)
-	for _, issue := range rep.Issues {
-		fmt.Printf("  found %s\n", issue)
-	}
-	if rep.Count(recordlayer.ScrubDangling) != 1 ||
-		rep.Count(recordlayer.ScrubMissing) != 1 ||
-		rep.Count(recordlayer.ScrubMismatch) != 1 {
-		log.Fatalf("expected 1 issue of each kind, got %d dangling / %d missing / %d mismatch",
-			rep.Count(recordlayer.ScrubDangling), rep.Count(recordlayer.ScrubMissing),
-			rep.Count(recordlayer.ScrubMismatch))
+	for _, name := range indexes {
+		rep := scrub(scrubber(name))
+		for _, issue := range rep.Issues {
+			fmt.Printf("  found %s\n", issue)
+		}
+		switch {
+		case name == "by_zone" && (rep.Count(recordlayer.ScrubDangling) != 1 ||
+			rep.Count(recordlayer.ScrubMissing) != 1 || rep.Count(recordlayer.ScrubMismatch) != 1):
+			log.Fatalf("expected 1 issue of each kind in by_zone, got %d dangling / %d missing / %d mismatch",
+				rep.Count(recordlayer.ScrubDangling), rep.Count(recordlayer.ScrubMissing),
+				rep.Count(recordlayer.ScrubMismatch))
+		case name == "by_score" && (len(rep.Issues) != 1 || rep.Issues[0].Key != finger):
+			log.Fatalf("expected the miscounted finger %s, got %v", finger, rep.Issues)
+		case name == "body_text" && (len(rep.Issues) != 1 || rep.Count(recordlayer.ScrubMismatch) != 1):
+			log.Fatalf("expected 1 mismatched posting, got %v", rep.Issues)
+		}
 	}
 
 	section("4. Repair in place")
-	fix := *scr
-	fix.Repair = true
-	rep = scrub(&fix)
-	fmt.Printf("  repaired %d issue(s) inside the scan's own batch transactions\n", rep.Repaired)
-	if rep.Repaired < 3 {
-		log.Fatalf("expected >= 3 repairs, got %d", rep.Repaired)
+	for _, name := range indexes {
+		fix := scrubber(name)
+		fix.Repair = true
+		rep := scrub(fix)
+		fmt.Printf("  %s: repaired %d issue(s) inside the scan's own batch transactions\n", name, rep.Repaired)
+		if rep.Repaired == 0 {
+			log.Fatalf("expected repairs in %s", name)
+		}
 	}
 
 	section("5. Clean bill of health")
-	rep = scrub(scr)
-	fmt.Printf("  re-scrub: %d entries + %d records verified, %d issue(s)\n",
-		rep.EntriesScanned, rep.RecordsScanned, len(rep.Issues))
-	if !rep.Clean() {
-		log.Fatalf("store still inconsistent after repair: %v", rep.Issues)
+	for _, name := range indexes {
+		rep := scrub(scrubber(name))
+		fmt.Printf("  re-scrub of %s: %d entries + %d records verified, %d issue(s)\n",
+			name, rep.EntriesScanned, rep.RecordsScanned, len(rep.Issues))
+		if !rep.Clean() {
+			log.Fatalf("%s still inconsistent after repair: %v", name, rep.Issues)
+		}
 	}
 
 	section("6. What the scrubs cost acme")
-	fmt.Printf("  4 scrubs billed to acme at background priority: %d transactions, %d keys read (%d B), %d keys written (%d B)\n",
-		billed.Transactions, billed.ReadRecords, billed.ReadBytes, billed.WriteRecords, billed.WriteBytes)
+	fmt.Printf("  %d scrubs billed to acme at background priority: %d transactions, %d keys read (%d B), %d keys written (%d B)\n",
+		scrubs, billed.Transactions, billed.ReadRecords, billed.ReadBytes, billed.WriteRecords, billed.WriteBytes)
 	if billed.Transactions == 0 || billed.ReadRecords == 0 {
 		log.Fatalf("the scrubs billed acme nothing: %+v", billed)
 	}

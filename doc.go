@@ -692,18 +692,30 @@
 // lease row may hold a different grant than the one it remembers, and
 // enforcing a stale larger slice would over-grant the cluster.
 //
-// Scrubber is the §6-style defense in depth behind all of it: a
-// bidirectional index consistency check (every physical entry points at a
-// record still producing it; every entry a record produces exists with the
-// right covering value) in bounded snapshot-read batches resumed by
-// continuation, with an idempotent Repair mode (`rl scrub` demonstrates
-// corruption, detection, repair). The chaos harness (cmd/experiments -run
+// Scrubber is the §6-style defense in depth behind all of it: an index
+// consistency check that rebuilds. Each batch runs the index's own
+// maintainer over records into a scratch database that never commits, and
+// the rules of the index type, beside its maintainer in internal/index,
+// compare the rebuild with the live index in both directions: VALUE and
+// VERSION entry by entry, covering values included; RANK's value entries as
+// VALUE's, then its skip list, whose fingers are recounted from the level
+// below; TEXT posting by posting, never by bunch; COUNT, COUNT_NON_NULL and
+// SUM group by group, the totals rebuilt over a pass pinned to one read
+// version. COUNT_UPDATES, MAX_EVER and MIN_EVER count past writes, which no
+// stored state records, and are refused. The online build, the inline
+// rebuild and the scrub share one loop that runs records through a
+// maintainer, so what the scrubber expects is exactly what a build writes.
+// Batches are bounded, snapshot-read and resumed by continuation, with a
+// Repair mode (`rl scrub` demonstrates corruption, detection and repair of
+// VALUE, RANK and TEXT indexes). The chaos harness (cmd/experiments -run
 // chaos; -short is the CI gate) runs a mixed workload under a fault storm
 // over three pinned seeds and asserts the end-to-end invariants: no
 // acknowledged write lost, no ghost write from a cleanly-failed commit, a
-// shared counter within [acked, acked+unknown], indexes scrub clean, and
-// lease slices within the decay bound — and its self-test proves the gate
-// fails when idempotency is misdeclared.
+// shared counter within [acked, acked+unknown], every index of its schema
+// scrubs clean, and lease slices within the decay bound — and its self-test
+// proves the gate fails when idempotency is misdeclared. The seeded
+// histories of internal/history scrub every readable index of a tenant as
+// one of their ops, and the model predicts the issue counts.
 //
 // The implementation lives under internal/: the FoundationDB simulator
 // (internal/fdb), the tuple, subspace, directory and keyspace layers, a

@@ -169,6 +169,8 @@ func (h *harness) run(ctx context.Context, op history.Op, srv, other *server) (s
 		return h.race(op, srv.providers[op.Version], other.providers[op.Version]), nil
 	case history.Build:
 		return h.build(ctx, op, srv.providers[2])
+	case history.Scrub:
+		return h.scrub(ctx, op, srv.providers[op.Version])
 	}
 	p := srv.providers[op.Version]
 	run := h.door.ReadRun
@@ -585,6 +587,71 @@ func (h *harness) build(ctx context.Context, op history.Op, p *StoreProvider) (s
 	return fmt.Sprintf("built %d", n), err
 }
 
+// scrub scrubs every index of the tenant's store that is readable, through the
+// door, and renders the issue counts by index and kind; an op that draws
+// Repair then repairs them all, and scrubs again.
+func (h *harness) scrub(ctx context.Context, op history.Op, p *StoreProvider) (string, error) {
+	path, err := p.ks.PathFor(p.template, op.Tenant.Container, op.Tenant.User)
+	if err != nil {
+		return "", err
+	}
+	v, err := h.door.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		s, err := h.open(ctx, tr, p, op.Tenant)
+		if err != nil {
+			return nil, err
+		}
+		var names []string
+		for _, ix := range s.MetaData().Indexes() {
+			if s.IndexState(ix.Name) == metadata.StateReadable {
+				names = append(names, ix.Name)
+			}
+		}
+		sp, _, err := path.LookupSubspace(tr)
+		return [2]interface{}{names, sp}, err
+	})
+	if err != nil {
+		return "", err
+	}
+	names, space := v.([2]interface{})[0].([]string), v.([2]interface{})[1].(subspace.Subspace)
+	h.opened(nil, op.Tenant) // every scrub transaction opens it
+	scrubAll := func(repair bool) (string, error) {
+		var parts []string
+		for _, name := range names {
+			scr := &core.Scrubber{DB: h.door, MetaData: p.md, Space: space, IndexName: name, BatchSize: 4,
+				Repair: repair, Config: p.opts.Config}
+			rep, err := scr.Scrub(ctx)
+			if err != nil {
+				return "", err
+			}
+			var counts []string
+			for _, kind := range []string{ScrubDangling, ScrubMissing, ScrubMismatch} {
+				if n := rep.Count(kind); n > 0 {
+					counts = append(counts, fmt.Sprintf("%s=%d", kind, n))
+				}
+			}
+			if counts != nil {
+				parts = append(parts, name+" "+strings.Join(counts, " "))
+			}
+		}
+		if parts == nil {
+			return "clean", nil
+		}
+		return strings.Join(parts, "; "), nil
+	}
+	out, err := scrubAll(false)
+	if err != nil || !op.Repair {
+		return out, err
+	}
+	if _, err := scrubAll(true); err != nil {
+		return "", err
+	}
+	again, err := scrubAll(false)
+	if again == "clean" {
+		again = "repaired, then clean"
+	}
+	return out + " | " + again, err
+}
+
 // readBack renders each of op's tenants as a read-only transaction that
 // opens and describes it sees them, errors as "error" (Model.ReadBack).
 func (h *harness) readBack(ctx context.Context, op history.Op, p *StoreProvider) string {
@@ -759,4 +826,47 @@ func agreeWithModel(t *testing.T, seed int64, ops []history.Op, kinds *kindCount
 		models = kept
 	}
 	return -1, ""
+}
+
+// TestScrubOfStaleIndexesAgreesWithModel: for an index of every type left
+// stale — disabled while records change, then marked readable without a
+// build — the Scrub op's issue counts, its repair and its clean re-scrub agree
+// with history.Model, with and without commit faults. The model must see
+// issues, or the comparison proves nothing.
+func TestScrubOfStaleIndexesAgreesWithModel(t *testing.T) {
+	tenant := history.Tenant{Container: history.Containers[0], User: 1}
+	doc := func(id int64, tag, body string, score int64) history.Doc {
+		return history.Doc{ID: id, Tag: tag, Kind: "x", Level: id % 3, Labels: []string{"go"}, Slug: fmt.Sprintf("s%d", id),
+			Score: score, Body: body, N: id}
+	}
+	for _, ix := range history.Schema(1).Indexes() {
+		ops := []history.Op{
+			{Kind: history.SaveBatch, Docs: []history.Doc{doc(1, "red", "ahab boat", 5), doc(2, "blue", "call dick", 7),
+				doc(3, "red", "east fish east", 9), doc(4, "green", "boat", 11)}},
+			{Kind: history.MarkIndex, Index: ix.Name, Mark: 2},
+			{Kind: history.Save, Docs: []history.Doc{doc(2, "green", "fish call", 3)}},
+			{Kind: history.Insert, Docs: []history.Doc{doc(5, "blue", "ahab", 13)}},
+			{Kind: history.DeleteRecord, PK: 1},
+			{Kind: history.MarkIndex, Index: ix.Name, Mark: 1},
+			{Kind: history.Scrub},
+			{Kind: history.Scrub, Repair: true},
+			{Kind: history.Scrub},
+		}
+		for i := range ops {
+			ops[i].Version, ops[i].Tenant = 1, tenant
+		}
+		m := history.NewModel(false)
+		var outs []string
+		for _, op := range ops {
+			outs = append(outs, m.Run(op))
+		}
+		if !strings.HasPrefix(outs[6], ix.Name+" ") || outs[7] != outs[6]+" | repaired, then clean" || outs[8] != "clean" {
+			t.Fatalf("%s: the model scrubs a stale index as %q", ix.Name, outs[6:])
+		}
+		for _, seed := range []int64{2, 3} {
+			if i, msg := agreeWithModel(t, seed, ops, nil); i >= 0 {
+				t.Fatalf("%s, seed %d, op %d (%v): %s", ix.Name, seed, i, ops[i], msg)
+			}
+		}
+	}
 }

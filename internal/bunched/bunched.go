@@ -18,6 +18,7 @@
 package bunched
 
 import (
+	"bytes"
 	"fmt"
 
 	"recordlayer/internal/fdb"
@@ -287,4 +288,54 @@ func (m *Map) ComputeStats(tr *fdb.Transaction) (Stats, error) {
 		s.MeanBunchSize = float64(s.LogicalEntries) / float64(s.PhysicalPairs)
 	}
 	return s, nil
+}
+
+// Decode reconstructs a physical pair's token and entries. A pair that is not
+// a well-formed bunch fails.
+func (m *Map) Decode(kv fdb.KeyValue) (string, []Entry, error) {
+	return m.decodeBunch(kv.Key, kv.Value)
+}
+
+// Key returns the key of the bunch that starts at (token, pk): the key a
+// scrub names a posting by.
+func (m *Map) Key(token string, pk tuple.Tuple) []byte { return m.key(token, pk) }
+
+// IssueLocate issues, at snapshot isolation, the read of the bunch that holds
+// (token, pk) when the map has it; Find resolves it.
+func (m *Map) IssueLocate(tr *fdb.Transaction, token string, pk tuple.Tuple) *fdb.FutureRange {
+	begin, _ := m.space.RangeForTuple(tuple.Tuple{token})
+	end := fdb.KeyAfter(m.key(token, pk))
+	return tr.Snapshot().GetRangeAsync(begin, end, fdb.RangeOptions{Limit: 1, Reverse: true})
+}
+
+// Find returns pk's offsets in the bunch an IssueLocate read; a bunch that
+// does not decode holds nothing.
+func (m *Map) Find(f *fdb.FutureRange, pk tuple.Tuple) ([]int64, bool, error) {
+	kvs, _, err := f.Get()
+	if err != nil || len(kvs) == 0 {
+		return nil, false, err
+	}
+	if _, entries, err := m.decodeBunch(kvs[0].Key, kvs[0].Value); err == nil {
+		for _, e := range entries {
+			if tuple.Equal(e.PK, pk) {
+				return e.Offsets, true, nil
+			}
+		}
+	}
+	return nil, false, nil
+}
+
+// Rewrite replaces the bunch at key, one of token's, with entries, which must
+// be in primary key order and lie between that bunch's neighbours: the bunch
+// is cleared when none is left, and moves to its new first primary key when
+// that changed.
+func (m *Map) Rewrite(tr *fdb.Transaction, key []byte, token string, entries []Entry) error {
+	if len(entries) == 0 {
+		return tr.Clear(key)
+	}
+	to := m.key(token, entries[0].PK)
+	if err := tr.Set(to, encodeBunch(entries)); err != nil || bytes.Equal(to, key) {
+		return err
+	}
+	return tr.Clear(key)
 }

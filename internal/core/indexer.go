@@ -24,7 +24,9 @@ import (
 // Online building requires an idempotent index type (VALUE, VERSION, RANK,
 // TEXT): a record saved concurrently during the build may be processed both
 // by its own write and by the builder. Atomic aggregate indexes are not
-// idempotent; rebuild those with Store.RebuildIndexInline.
+// idempotent; rebuild those with Store.RebuildIndexInline, which runs every
+// record through the same loop as a build batch (indexRecords), pipelined
+// alike, in one transaction.
 //
 // Every transaction of a build enters through DB with Build's context. A
 // *fdb.Database runs them bare; a recordlayer.Runner under WithTenant and
@@ -162,41 +164,9 @@ func (o *OnlineIndexer) buildBatch(ctx context.Context, batch int) (int, bool, e
 		if s.trace != nil {
 			t0 = s.tr.LatencyNow()
 		}
-		// Issue every record's index update without awaiting, then resolve
-		// them together: the batch's probe reads share one latency window
-		// instead of paying one per record.
-		scan := s.ScanRecords(ScanOptions{Continuation: cont})
-		n, indexed := 0, 0
-		exhausted := false
-		var lastCont []byte
-		var pendings []index.Pending
-		for n < batch {
-			r, err := scan.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !r.OK {
-				if r.Reason != cursor.SourceExhausted {
-					return nil, fmt.Errorf("core: index build scan halted: %v", r.Reason)
-				}
-				exhausted = true
-				break
-			}
-			if ix.AppliesTo(r.Value.Type.Name) {
-				p, err := m.UpdateAsync(ictx, nil, r.Value.asIndexRecord(nil))
-				if err != nil {
-					return nil, err
-				}
-				pendings = append(pendings, p)
-				indexed++
-			}
-			lastCont = r.Continuation
-			n++
-		}
-		for _, p := range pendings {
-			if err := p.Await(); err != nil {
-				return nil, err
-			}
+		n, indexed, lastCont, exhausted, err := indexRecords(s.ScanRecords(ScanOptions{Continuation: cont}), ix, m, ictx, batch)
+		if err != nil {
+			return nil, err
 		}
 		if s.trace != nil {
 			s.trace.Add(obs.SpanIndexerBatch, t0, s.tr.LatencyNow(), 0,
@@ -217,4 +187,46 @@ func (o *OnlineIndexer) buildBatch(ctx context.Context, batch int) (int, bool, e
 	}
 	res := v.([2]int)
 	return res[0], res[1] == 1, nil
+}
+
+// indexRecords is the one way records are run through an index: the online
+// build, the inline rebuild and the scrubber's rebuild all call it. It reads
+// up to limit records from recs (all of them when limit <= 0), issues m's
+// UpdateAsync(nil, rec) for every one ix applies to without awaiting any, and
+// then awaits the pendings in issue order, so the batch's probe reads share
+// one latency window instead of paying one per record. A nil record, a load
+// that found none, is skipped. It returns the records read and indexed, the
+// continuation after the last one read, and whether recs is exhausted.
+func indexRecords(recs cursor.Cursor[*StoredRecord], ix *metadata.Index, m index.Maintainer, ictx *index.Context, limit int) (read, indexed int, cont []byte, exhausted bool, err error) {
+	var pendings []index.Pending
+	for limit <= 0 || read < limit {
+		r, err := recs.Next()
+		if err != nil {
+			return 0, 0, nil, false, err
+		}
+		if !r.OK {
+			if r.Reason != cursor.SourceExhausted {
+				return 0, 0, nil, false, fmt.Errorf("core: record scan halted: %v", r.Reason)
+			}
+			exhausted = true
+			break
+		}
+		read++
+		cont = r.Continuation
+		if r.Value == nil || !ix.AppliesTo(r.Value.Type.Name) {
+			continue
+		}
+		p, err := m.UpdateAsync(ictx, nil, r.Value.asIndexRecord(nil))
+		if err != nil {
+			return 0, 0, nil, false, err
+		}
+		pendings = append(pendings, p)
+		indexed++
+	}
+	for _, p := range pendings {
+		if err := p.Await(); err != nil {
+			return 0, 0, nil, false, err
+		}
+	}
+	return read, indexed, cont, exhausted, nil
 }

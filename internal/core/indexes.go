@@ -268,10 +268,11 @@ func (s *Store) TextIndexStats(name string) (bunched.Stats, error) {
 	return tm.Stats(ictx)
 }
 
-// RebuildIndexInline rebuilds an index in this transaction by scanning every
-// record — only appropriate for small stores (§5: "if there are very few or
-// no records, the index can be built right away within a single
-// transaction").
+// RebuildIndexInline rebuilds an index in this transaction by running every
+// record through its maintainer — only appropriate for small stores (§5: "if
+// there are very few or no records, the index can be built right away within
+// a single transaction"). It is the online build's loop over one batch of
+// every record: the updates are all issued, then awaited in order.
 func (s *Store) RebuildIndexInline(name string) error {
 	ix, ok := s.md.Index(name)
 	if !ok {
@@ -284,24 +285,8 @@ func (s *Store) RebuildIndexInline(name string) error {
 	if err != nil {
 		return err
 	}
-	scan := s.ScanRecords(ScanOptions{})
-	for {
-		r, err := scan.Next()
-		if err != nil {
-			return err
-		}
-		if !r.OK {
-			if r.Reason != cursor.SourceExhausted {
-				return fmt.Errorf("core: inline rebuild interrupted: %v", r.Reason)
-			}
-			break
-		}
-		if !ix.AppliesTo(r.Value.Type.Name) {
-			continue
-		}
-		if err := index.Update(m, ictx, nil, r.Value.asIndexRecord(nil)); err != nil {
-			return err
-		}
+	if _, _, _, _, err := indexRecords(s.ScanRecords(ScanOptions{}), ix, m, ictx, 0); err != nil {
+		return err
 	}
 	return s.MarkIndexReadable(name)
 }

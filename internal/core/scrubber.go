@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 
 	"recordlayer/internal/cursor"
 	"recordlayer/internal/fdb"
@@ -15,33 +17,36 @@ import (
 
 // Scrub issue kinds.
 const (
-	// ScrubDangling is an index entry with no matching record: the record is
-	// gone, or exists but no longer produces that entry.
-	ScrubDangling = "dangling"
-	// ScrubMissing is an entry a record should have but the index lacks.
-	ScrubMissing = "missing"
-	// ScrubMismatch is an entry present under the right key whose stored
-	// covering value differs from what the record produces.
-	ScrubMismatch = "mismatch"
+	// ScrubDangling is index data no record produces: its record is gone,
+	// no longer produces it, or it does not decode at all.
+	ScrubDangling = index.IssueDangling
+	// ScrubMissing is index data a record produces that the index lacks.
+	ScrubMissing = index.IssueMissing
+	// ScrubMismatch is index data present where the rebuild puts it, with
+	// other contents: a covering value, a posting's offsets, a group's total,
+	// a finger's count.
+	ScrubMismatch = index.IssueMismatch
 )
 
-// ScrubIssue is one inconsistency found by the scrubber.
+// ScrubIssue is one inconsistency found by the scrubber, in one logical
+// entry: an entry, a posting, a group or a finger.
 type ScrubIssue struct {
 	Kind  string // ScrubDangling, ScrubMissing, or ScrubMismatch
 	Index string
-	Entry index.Entry
+	// Key is the physical key of the entry, rendered by tuple.Describe.
+	Key string
 }
 
 func (i ScrubIssue) String() string {
-	return fmt.Sprintf("%s: index %q key=%v pk=%v", i.Kind, i.Index, i.Entry.Key(), i.Entry.PrimaryKey())
+	return fmt.Sprintf("%s: index %q key %s", i.Kind, i.Index, i.Key)
 }
 
 // ScrubReport summarizes one Scrub pass.
 type ScrubReport struct {
 	Index string
-	// EntriesScanned counts physical index entries verified (entry→record).
+	// EntriesScanned counts index entries checked against the records.
 	EntriesScanned int
-	// RecordsScanned counts records verified (record→entry).
+	// RecordsScanned counts records rebuilt to check the index against.
 	RecordsScanned int
 	// Issues lists every inconsistency found, in scan order.
 	Issues []ScrubIssue
@@ -63,20 +68,29 @@ func (r *ScrubReport) Count(kind string) int {
 	return n
 }
 
-// Scrubber verifies a VALUE index against its records in both directions,
-// the index scrubbing the paper's §6 prescribes for defense in depth: every
-// physical entry must point at a live record that still produces it
-// (entry→record), and every entry a record produces must exist with the
-// right covering value (record→entry). The scan runs in bounded batches —
-// one transaction each, resumed by continuation — so arbitrarily large
-// stores scrub without hitting transaction limits, and every read is a
-// snapshot read so the scrubber never aborts foreground writers.
+// Scrubber verifies an index against its records, the index scrubbing the
+// paper's §6 prescribes for defense in depth. It checks by rebuilding: each
+// batch runs the index's own maintainer over records into a scratch database
+// that never commits, and the rules of the index type (its maintainer's
+// Scrub method) compare what it wrote with the live index, entries to records and records
+// to entries. The maintainers are therefore the only definition of what an
+// index holds, as they are for the online indexer. The scan runs in bounded
+// batches — one transaction each, resumed by continuation — so arbitrarily
+// large stores scrub without hitting transaction limits, and every read of
+// the live store is a snapshot read.
+//
+// Every index type but COUNT_UPDATES, MAX_EVER and MIN_EVER can be scrubbed:
+// their values count past writes, which no stored state records. The totals
+// of COUNT, COUNT_NON_NULL and SUM are rebuilt over the whole pass, whose
+// batches then all read at the first one's read version; such a pass must
+// end within the database's window of readable versions.
 //
 // Scrubbing requires the index readable: a write-only index is legitimately
-// incomplete while its build is in flight. With Repair set, dangling entries
-// are cleared and missing or mismatched entries rewritten in the same batch
-// transaction that found them; repairs are idempotent, so a batch whose
-// commit fate is unknown safely re-runs.
+// incomplete while its build is in flight. With Repair set, each batch
+// repairs what it found in its own transaction. Repairs are idempotent, so a
+// batch whose commit fate is unknown safely re-runs, except a repair that
+// adds to a total: its batch is never re-run, and the pass starts over to
+// check the totals again.
 //
 // Every batch enters through DB with Scrub's context, as OnlineIndexer's do:
 // hand it a recordlayer.Runner under WithTenant and
@@ -86,219 +100,186 @@ type Scrubber struct {
 	MetaData  *metadata.MetaData
 	Space     subspace.Subspace
 	IndexName string
-	// BatchSize bounds entries (direction one) or records (direction two)
-	// verified per transaction; default 128.
+	// BatchSize bounds the entries or records checked per transaction;
+	// default 128.
 	BatchSize int
 	// Repair fixes inconsistencies in place instead of only reporting them.
 	Repair bool
 	Config Config
 }
 
-// scrubBatch is one batch transaction's result, returned through the closure
-// so retries never double-fold into captured state.
-type scrubBatch struct {
-	issues   []ScrubIssue
-	repaired int
-	cont     []byte
-	n        int
-	done     bool
+// scrubbable is a maintainer with the rules a scrub checks its index by: Scrub
+// runs one batch.
+type scrubbable interface {
+	Scrub(b *index.ScrubBatch) error
 }
 
-// Scrub runs both verification directions and returns the combined report.
-// The door checks the context before every batch attempt.
+// errRecheck stops a pinned batch that repaired from running twice: its read
+// version does not show the repairs of its first attempt.
+var errRecheck = errors.New("core: a repair at the scrub's read version may have committed")
+
+// Scrub runs every phase of the index's check and returns the report. The
+// door checks the context before every batch attempt.
 func (o *Scrubber) Scrub(ctx context.Context) (*ScrubReport, error) {
 	ix, ok := o.MetaData.Index(o.IndexName)
 	if !ok {
 		return nil, fmt.Errorf("core: no index %q", o.IndexName)
 	}
-	if ix.Type != metadata.IndexValue {
-		return nil, fmt.Errorf("core: scrubber supports VALUE indexes; %q has type %s", ix.Name, ix.Type)
+	switch ix.Type {
+	case metadata.IndexCountUpdates, metadata.IndexMaxEver, metadata.IndexMinEver:
+		return nil, fmt.Errorf("core: index %q cannot be scrubbed: %s values count past writes, which no stored state records",
+			ix.Name, ix.Type)
 	}
+	rep := &ScrubReport{Index: o.IndexName}
+	unsure, err := o.pass(ctx, ix, rep)
+	if !errors.Is(err, errRecheck) {
+		return rep, err
+	}
+	// Check again: what the unsure batch found is reported, and counts as
+	// repaired unless the new pass finds it again.
+	again := &ScrubReport{Index: o.IndexName}
+	if _, err := o.pass(ctx, ix, again); err != nil && !errors.Is(err, errRecheck) {
+		return rep, err
+	}
+	reported := map[string]bool{}
+	for _, i := range rep.Issues {
+		reported[i.Key] = true
+	}
+	for _, i := range again.Issues {
+		if !reported[i.Key] {
+			rep.Issues = append(rep.Issues, i)
+		}
+		unsure = slices.DeleteFunc(unsure, func(u ScrubIssue) bool { return u.Key == i.Key })
+	}
+	rep.Repaired += again.Repaired + len(unsure)
+	return rep, nil
+}
+
+// pass runs the check once, adding to rep. A pinned batch that repaired and
+// must run again ends it with errRecheck, returning what that batch found.
+func (o *Scrubber) pass(ctx context.Context, ix *metadata.Index, rep *ScrubReport) ([]ScrubIssue, error) {
 	batch := o.BatchSize
 	if batch <= 0 {
 		batch = 128
 	}
-	rep := &ScrubReport{Index: o.IndexName}
-
-	// Direction one: every physical entry points at a record producing it.
-	var cont []byte
-	for {
-		b, err := o.entryBatch(ctx, cont, batch)
+	scratch := fdb.Open(nil)
+	next := index.ScrubBatch{Limit: batch, Repair: o.Repair}
+	pin := int64(-1)
+	for !next.Done {
+		b, rv, unsure, err := o.batch(ctx, ix, scratch, next, pin)
 		if err != nil {
-			return rep, err
+			rep.Issues = append(rep.Issues, unsure...)
+			return unsure, err
 		}
-		rep.EntriesScanned += b.n
-		rep.Issues = append(rep.Issues, b.issues...)
-		rep.Repaired += b.repaired
-		if b.done {
-			break
+		rep.EntriesScanned += b.Entries
+		rep.RecordsScanned += b.Read
+		rep.Repaired += b.Repaired
+		for _, i := range b.Issues {
+			rep.Issues = append(rep.Issues, o.issue(i))
 		}
-		cont = b.cont
+		if b.Pinned && pin < 0 {
+			pin = rv
+		}
+		next = index.ScrubBatch{Limit: batch, Repair: o.Repair, Phase: b.Phase, Cont: b.Cont, Done: b.Done}
 	}
-
-	// Direction two: every entry a record produces exists, value included.
-	cont = nil
-	for {
-		b, err := o.recordBatch(ctx, cont, batch)
-		if err != nil {
-			return rep, err
-		}
-		rep.RecordsScanned += b.n
-		rep.Issues = append(rep.Issues, b.issues...)
-		rep.Repaired += b.repaired
-		if b.done {
-			break
-		}
-		cont = b.cont
-	}
-	return rep, nil
+	return nil, nil
 }
 
-// open opens the store and resolves the scrubbed index's value maintainer,
-// refusing to scrub an index that is not readable.
-func (o *Scrubber) open(tr *fdb.Transaction) (*Store, *index.ValueMaintainer, error) {
-	s, err := Open(tr, o.MetaData, o.Space, OpenOptions{Config: o.Config})
-	if err != nil {
-		return nil, nil, err
-	}
-	if st := s.IndexState(o.IndexName); st != metadata.StateReadable {
-		return nil, nil, fmt.Errorf("core: index %q is %s; scrub requires a readable index", o.IndexName, st)
-	}
-	ix, _ := s.md.Index(o.IndexName)
-	m, _, err := s.maintainer(ix)
-	if err != nil {
-		return nil, nil, err
-	}
-	vm, ok := m.(*index.ValueMaintainer)
-	if !ok {
-		return nil, nil, fmt.Errorf("core: index %q maintainer is not a value maintainer", o.IndexName)
-	}
-	return s, vm, nil
+func (o *Scrubber) issue(i index.Issue) ScrubIssue {
+	return ScrubIssue{Kind: i.Kind, Index: o.IndexName, Key: tuple.Describe(i.Key)}
 }
 
-// entryBatch verifies up to batch physical entries starting after cont.
-func (o *Scrubber) entryBatch(ctx context.Context, cont []byte, batch int) (scrubBatch, error) {
-	//rl:idempotent snapshot verification plus repairs that clear/rewrite the same keys; re-running a maybe-committed batch converges
+// batch runs one batch through the door, at read version pin when it is not
+// negative, and returns its result and read version. The rebuild goes into a
+// transaction of scratch, committed there when the batch asks to keep it.
+func (o *Scrubber) batch(ctx context.Context, ix *metadata.Index, scratch *fdb.Database, req index.ScrubBatch, pin int64) (*index.ScrubBatch, int64, []ScrubIssue, error) {
+	var unsure []ScrubIssue // what a pinned attempt that repaired found
+	var str *fdb.Transaction
+	//rl:idempotent snapshot checks whose repairs clear or rewrite the keys they found; a repair that adds to a total never runs twice (errRecheck)
 	v, err := o.DB.RunIdempotent(ctx, func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
-		s, vm, err := o.open(tr)
+		if unsure != nil {
+			return nil, errRecheck
+		}
+		if pin >= 0 {
+			tr.SetReadVersion(pin)
+		}
+		s, err := Open(tr, o.MetaData, o.Space, OpenOptions{Config: o.Config})
 		if err != nil {
 			return nil, err
 		}
-		ispace := s.indexSpace(o.IndexName)
-		begin, end := ispace.Range()
-		if len(cont) > 0 {
-			begin = fdb.KeyAfter(cont)
+		if st := s.IndexState(ix.Name); st != metadata.StateReadable {
+			return nil, fmt.Errorf("core: index %q is %s; scrub requires a readable index", ix.Name, st)
 		}
-		kvs, _, err := s.tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{Limit: batch})
+		m, ictx, err := s.maintainer(ix)
 		if err != nil {
 			return nil, err
 		}
-		res := scrubBatch{done: len(kvs) < batch}
-		for _, kv := range kvs {
-			res.cont = kv.Key
-			res.n++
-			e, derr := vm.DecodeEntry(ispace, kv)
-			healthy := false
-			if derr == nil {
-				// The entry's primary key names a record; the entry is
-				// healthy iff that record exists and still produces this
-				// index key. (Covering-value drift is direction two's job —
-				// the same physical key gets probed from the record side.)
-				rec, lerr := s.loadRecordByKey(e.PrimaryKey(), e.PackedPrimaryKey(), true)
-				if lerr != nil {
-					return nil, lerr
-				}
-				if rec != nil {
-					exp, eerr := vm.ExpectedEntries(rec.asIndexRecord(e.PackedPrimaryKey()))
-					if eerr != nil {
-						return nil, eerr
-					}
-					key := e.Key()
-					for _, x := range exp {
-						if tuple.Compare(x.Key(), key) == 0 {
-							healthy = true
-							break
-						}
-					}
-				}
-			}
-			if !healthy {
-				res.issues = append(res.issues, ScrubIssue{Kind: ScrubDangling, Index: o.IndexName, Entry: e})
-				if o.Repair {
-					if err := tr.Clear(kv.Key); err != nil {
-						return nil, err
-					}
-					res.repaired++
-				}
-			}
+		sm, ok := m.(scrubbable)
+		if !ok {
+			return nil, fmt.Errorf("core: index %q of type %s has no scrub rules", ix.Name, ix.Type)
 		}
-		return res, nil
+		rm, err := index.NewMaintainer(ix) // the rebuild's own, so the live one's overlays stay its own
+		if err != nil {
+			return nil, err
+		}
+		str = scratch.CreateTransaction()
+		b := req
+		b.Live, b.Scratch = ictx, &index.Context{Tr: str, Index: ix, Space: ictx.Space, MetaData: o.MetaData}
+		b.Records = func(cont []byte) (int, []byte, bool, error) {
+			n, _, next, done, err := indexRecords(s.ScanRecords(ScanOptions{Continuation: cont, Snapshot: true}), ix, rm, b.Scratch, b.Limit)
+			return n, next, done, err
+		}
+		b.Load = func(pks [][]byte) error {
+			_, _, _, _, err := indexRecords(s.recordsByKey(pks), ix, rm, b.Scratch, 0)
+			return err
+		}
+		if err := sm.Scrub(&b); err != nil {
+			return nil, err
+		}
+		rv, err := tr.GetReadVersion()
+		if err != nil {
+			return nil, err
+		}
+		if b.Pinned && b.Repaired > 0 {
+			found := make([]ScrubIssue, len(b.Issues))
+			for i, is := range b.Issues {
+				found[i] = o.issue(is)
+			}
+			unsure = found
+		}
+		return &scrubOutcome{batch: &b, readVersion: rv}, nil
 	})
 	if err != nil {
-		return scrubBatch{}, err
+		return nil, 0, unsure, err
 	}
-	return v.(scrubBatch), nil
+	out := v.(*scrubOutcome)
+	if out.batch.Keep {
+		if err := str.Commit(); err != nil {
+			return nil, 0, nil, err
+		}
+	}
+	return out.batch, out.readVersion, nil, nil
 }
 
-// recordBatch verifies up to batch records' expected entries starting from
-// the ScanRecords continuation cont.
-func (o *Scrubber) recordBatch(ctx context.Context, cont []byte, batch int) (scrubBatch, error) {
-	//rl:idempotent snapshot verification plus repairs that rewrite the same entry keys; re-running a maybe-committed batch converges
-	v, err := o.DB.RunIdempotent(ctx, func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
-		s, vm, err := o.open(tr)
-		if err != nil {
-			return nil, err
-		}
-		ispace := s.indexSpace(o.IndexName)
-		scan := s.ScanRecords(ScanOptions{Continuation: cont, Snapshot: true})
-		res := scrubBatch{}
-		for res.n < batch {
-			r, err := scan.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !r.OK {
-				if r.Reason != cursor.SourceExhausted {
-					return nil, fmt.Errorf("core: scrub record scan halted: %v", r.Reason)
-				}
-				res.done = true
-				break
-			}
-			res.cont = r.Continuation
-			res.n++
-			exp, err := vm.ExpectedEntries(r.Value.asIndexRecord(nil))
-			if err != nil {
-				return nil, err
-			}
-			for _, x := range exp {
-				ek := vm.EntryKey(ispace, x)
-				want := vm.EntryValue(x)
-				kvs, _, err := s.tr.Snapshot().GetRange(ek, fdb.KeyAfter(ek), fdb.RangeOptions{Limit: 1})
-				if err != nil {
-					return nil, err
-				}
-				kind := ""
-				if len(kvs) == 0 {
-					kind = ScrubMissing
-				} else if !bytes.Equal(kvs[0].Value, want) {
-					kind = ScrubMismatch
-				}
-				if kind == "" {
-					continue
-				}
-				res.issues = append(res.issues, ScrubIssue{Kind: kind, Index: o.IndexName, Entry: x})
-				if o.Repair {
-					if err := tr.Set(ek, want); err != nil {
-						return nil, err
-					}
-					res.repaired++
-				}
-			}
-		}
-		return res, nil
-	})
-	if err != nil {
-		return scrubBatch{}, err
-	}
-	return v.(scrubBatch), nil
+// scrubOutcome is one batch transaction's result, returned through the
+// closure so retries never fold into captured state.
+type scrubOutcome struct {
+	batch       *index.ScrubBatch
+	readVersion int64
+}
+
+// recordsByKey streams the records with the given packed primary keys, in
+// key order and each once, reading at snapshot isolation; a key with no
+// record yields nil, and one that is no primary key of the store's nothing.
+// Every load is issued before any is awaited.
+func (s *Store) recordsByKey(pks [][]byte) cursor.Cursor[*StoredRecord] {
+	pks = slices.DeleteFunc(pks, func(pk []byte) bool { return !s.isPrimaryKey(pk) })
+	slices.SortFunc(pks, bytes.Compare)
+	pks = slices.CompactFunc(pks, bytes.Equal)
+	return cursor.MapAsync(cursor.FromSlice(pks, nil), len(pks),
+		func(pk []byte) *fdb.FutureRange {
+			b, e := s.recordRange(pk)
+			return s.issueLoadRecord(b, e, true)
+		},
+		func(_ []byte, f *fdb.FutureRange) (*StoredRecord, error) { return s.awaitLoadRecord(nil, f) })
 }

@@ -175,12 +175,14 @@ func TestScrubRefusesUnreadableIndex(t *testing.T) {
 	}
 }
 
-func TestScrubRefusesNonValueIndex(t *testing.T) {
+// TestScrubRefusesMaxEverIndex: a MAX_EVER value keeps the largest value any
+// past write had, which no stored state records, so no rebuild can check it.
+func TestScrubRefusesMaxEverIndex(t *testing.T) {
 	_, scr := scrubEnv(t, 2)
-	scr.IndexName = "rec_count"
+	scr.IndexName = "score_max"
 	if _, err := scr.Scrub(context.Background()); err == nil ||
-		!strings.Contains(err.Error(), "VALUE") {
-		t.Fatalf("scrub of an aggregate index: err = %v, want VALUE-only refusal", err)
+		!strings.Contains(err.Error(), "past writes") {
+		t.Fatalf("scrub of a MAX_EVER index: err = %v, want a refusal that says why", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -105,6 +106,8 @@ func (m *Model) run(op Op) (string, error) {
 		return m.race(op), nil
 	case Build:
 		return m.build(op)
+	case Scrub:
+		return m.scrub(op)
 	case PinnedRead:
 		base := m.history[max(len(m.history)-1-op.PinBack, 0)]
 		h, err := m.begin(base).open(op.Tenant, op.Version)
@@ -258,6 +261,9 @@ func (s *store) maintain(version int, old, new *rec) {
 				}
 			}
 			for tok, offs := range newPos {
+				if slices.Equal(oldPos[tok], offs) {
+					continue // §6: an unchanged entry is left alone
+				}
 				if s.postings[tok] == nil {
 					s.postings[tok] = map[int64][]int64{}
 				}
@@ -718,6 +724,132 @@ func (m *Model) build(op Op) (string, error) {
 	s.rebuild(ByN)
 	tx.commit()
 	return fmt.Sprintf("built %d", len(s.records)), nil
+}
+
+// scrub answers Scrub: a scrub of each readable index of the store, opened
+// at the op's schema version, counts the issues by kind; a repair then gives
+// each the contents its records make, and a second scrub finds none. An
+// index's issues are the differences between what it holds and what its
+// records make: entries and postings one by one (a posting at other offsets
+// is a mismatch), totals group by group, an absent group counting as 0.
+func (m *Model) scrub(op Op) (string, error) {
+	if m.tenants[op.Tenant] == nil {
+		return "", errModel
+	}
+	tx := m.begin(m.tenants)
+	h, err := tx.open(op.Tenant, op.Version)
+	if err != nil {
+		return "", err
+	}
+	s := h.store()
+	want := s.made()
+	var parts []string
+	var readable []*metadata.Index
+	for _, ix := range Schema(op.Version).Indexes() {
+		if s.state(ix.Name) != metadata.StateReadable {
+			continue
+		}
+		readable = append(readable, ix)
+		var n [3]int // dangling, missing, mismatch
+		switch ix.Type {
+		case metadata.IndexText:
+			for tok, pks := range s.postings {
+				for pk, offs := range pks {
+					if wo, ok := want.postings[tok][pk]; !ok {
+						n[0]++
+					} else if !slices.Equal(wo, offs) {
+						n[2]++
+					}
+				}
+			}
+			for tok, pks := range want.postings {
+				for pk := range pks {
+					if _, ok := s.postings[tok][pk]; !ok {
+						n[1]++
+					}
+				}
+			}
+		case metadata.IndexSum, metadata.IndexCount:
+			for group := range joinKeys(s.aggregates, want.aggregates, ix.Name) {
+				have, made := s.aggregates[group], want.aggregates[group]
+				switch {
+				case have == made:
+				case made == 0:
+					n[0]++
+				case have == 0:
+					n[1]++
+				default:
+					n[2]++
+				}
+			}
+		default:
+			for k := range s.entries[ix.Name] {
+				if _, ok := want.entries[ix.Name][k]; !ok {
+					n[0]++
+				}
+			}
+			for k := range want.entries[ix.Name] {
+				if _, ok := s.entries[ix.Name][k]; !ok {
+					n[1]++
+				}
+			}
+		}
+		var counts []string
+		for i, kind := range []string{"dangling", "missing", "mismatch"} {
+			if n[i] > 0 {
+				counts = append(counts, fmt.Sprintf("%s=%d", kind, n[i]))
+			}
+		}
+		if counts != nil {
+			parts = append(parts, ix.Name+" "+strings.Join(counts, " "))
+		}
+	}
+	out := "clean"
+	if parts != nil {
+		out = strings.Join(parts, "; ")
+	}
+	if op.Repair {
+		w := h.w()
+		for _, ix := range readable {
+			switch ix.Type {
+			case metadata.IndexText:
+				w.postings = want.postings
+			case metadata.IndexSum, metadata.IndexCount:
+				for group := range joinKeys(w.aggregates, want.aggregates, ix.Name) {
+					w.aggregates[group] = want.aggregates[group]
+				}
+			default:
+				w.entries[ix.Name] = want.entries[ix.Name]
+			}
+		}
+		out += " | repaired, then clean"
+	}
+	tx.commit()
+	return out, nil
+}
+
+// made returns a store holding, in every index, what s's records make it
+// hold.
+func (s *store) made() *store {
+	c := newStore(s.meta)
+	for _, r := range s.records {
+		c.maintain(s.meta, nil, &r)
+	}
+	return c
+}
+
+// joinKeys returns the keys of a and b that belong to the aggregate index
+// named ix.
+func joinKeys(a, b map[string]int64, ix string) map[string]bool {
+	out := map[string]bool{}
+	for _, m := range []map[string]int64{a, b} {
+		for k := range m {
+			if k == ix || strings.HasPrefix(k, ix+"/") {
+				out[k] = true
+			}
+		}
+	}
+	return out
 }
 
 // ---------------------------------------------------------------- queries

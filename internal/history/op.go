@@ -8,7 +8,8 @@ import (
 // Kind is what an op does.
 type Kind int
 
-// The op vocabulary. Every op but Race and Build runs in one transaction.
+// The op vocabulary. Every op but Race, Build and Scrub runs in one
+// transaction.
 const (
 	OpenTwice      Kind = iota // open twice in one read-only transaction, describe
 	Save                       // SaveRecord
@@ -30,12 +31,13 @@ const (
 	Race                       // two servers create one new tenant at once
 	Upgrade                    // the fleet's switch to schema version 2: the first v2 open
 	Build                      // OnlineIndexer build of by_n through the door
+	Scrub                      // Scrubber of every readable index through the door, maybe repairing
 	NumKinds
 )
 
 var kindNames = [NumKinds]string{"open twice", "save", "save batch", "insert", "delete record", "delete all",
 	"query page", "rank reads", "text reads", "aggregate", "scan versions", "mark index", "set user version",
-	"delete store", "pinned read", "open several", "open and change", "race", "upgrade", "build"}
+	"delete store", "pinned read", "open several", "open and change", "race", "upgrade", "build", "scrub"}
 
 func (k Kind) String() string { return kindNames[k] }
 
@@ -82,6 +84,7 @@ type Op struct {
 	Rank    int64     // RankReads: ByRank's and ScanByRank's rank
 	Words   [2]string // TextReads
 	Group   string    // Aggregate: the COUNT's tag
+	Repair  bool      // Scrub: repair, then scrub again
 }
 
 func (o Op) String() string {
@@ -164,7 +167,7 @@ func (g *gen) next(i int) Op {
 	if g.upgraded && r.Intn(5) > 0 {
 		op.Version = 2 // one in five requests still comes from a server on the old schema
 	}
-	switch k := r.Intn(120); {
+	switch k := r.Intn(122); {
 	case k < 8:
 		op.Kind = OpenTwice
 	case k < 22:
@@ -224,6 +227,8 @@ func (g *gen) next(i int) Op {
 		op.Tenant = op.Targets[0]
 	case k < 116:
 		op.Kind, op.Mark, op.Value, op.Index = OpenAndChange, r.Intn(4), r.Intn(9), g.indexName(op.Version)
+	case k >= 120:
+		op.Kind, op.Repair = Scrub, r.Intn(2) == 0
 	case k < 118 || !g.upgraded:
 		// Two servers create one new tenant at once: the second to commit
 		// conflicts. Then each saves to it again.

@@ -218,3 +218,109 @@ func (m *AtomicMaintainer) GetTuple(ctx *Context, group tuple.Tuple) (tuple.Tupl
 	}
 	return t, true, nil
 }
+
+// Scrub runs one batch of a scrub of COUNT, COUNT_NON_NULL and SUM, which are
+// compared group by group. Phase 0 rebuilds every record into Scratch, which
+// the batches keep, and phase 1 compares each group's total with the live
+// one, an absent group counting as 0. Every batch reads at the first one's
+// read version, so the totals are those of one snapshot. A repair adds the
+// difference, which commutes with concurrent writers' own additions; a value
+// that is no counter is overwritten. COUNT_UPDATES, MAX_EVER and MIN_EVER
+// refuse.
+func (m *AtomicMaintainer) Scrub(b *ScrubBatch) error {
+	switch m.typ {
+	case metadata.IndexCount, metadata.IndexCountNonNull, metadata.IndexSum:
+	default:
+		return fmt.Errorf("index %q: %s values count past writes, which no stored state records", m.ix.Name, m.typ)
+	}
+	b.Pinned = true
+	if b.Phase == 0 {
+		n, next, done, err := b.Records(b.Cont)
+		b.Read += n
+		b.Keep = true
+		b.advance(next, done)
+		return err
+	}
+	// An ungrouped total lives at the index's own key, before its range.
+	_, end := b.Live.Space.Range()
+	begin := afterCont(b.Cont, b.Live.Space.Bytes())
+	live, _, err := b.Live.Tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{Limit: b.Limit})
+	if err != nil {
+		return err
+	}
+	rebuilt, _, err := b.Scratch.Tr.GetRange(begin, end, fdb.RangeOptions{Limit: b.Limit})
+	if err != nil {
+		return err
+	}
+	// The batch covers the groups of both reads up to where the first of
+	// them to fill its limit stopped.
+	done := true
+	for _, kvs := range [][]fdb.KeyValue{live, rebuilt} {
+		if len(kvs) == b.Limit {
+			if last := fdb.KeyAfter(kvs[len(kvs)-1].Key); bytes.Compare(last, end) < 0 {
+				end = last
+			}
+			done = false
+		}
+	}
+	var next []byte
+	for i, j := 0, 0; ; {
+		var key, have, want []byte
+		switch {
+		case i < len(live) && bytes.Compare(live[i].Key, end) < 0 &&
+			(j == len(rebuilt) || bytes.Compare(live[i].Key, rebuilt[j].Key) <= 0):
+			key, have = live[i].Key, live[i].Value
+			if j < len(rebuilt) && bytes.Equal(rebuilt[j].Key, key) {
+				want = rebuilt[j].Value
+				j++
+			}
+			i++
+		case j < len(rebuilt) && bytes.Compare(rebuilt[j].Key, end) < 0:
+			key, want = rebuilt[j].Key, rebuilt[j].Value
+			j++
+		default:
+			b.advance(next, done)
+			b.Done = b.Phase == 2
+			return nil
+		}
+		next = key
+		b.Entries++
+		if err := m.compareGroup(b, key, have, want); err != nil {
+			return err
+		}
+	}
+}
+
+// compareGroup checks one group's live counter, have, against its rebuilt
+// one, want; nil is an absent counter, worth 0.
+func (m *AtomicMaintainer) compareGroup(b *ScrubBatch, key, have, want []byte) error {
+	counter := func(v []byte) (int64, bool) {
+		var n [8]byte
+		copy(n[:], v)
+		return int64(binary.LittleEndian.Uint64(n[:])), v == nil || len(v) == 8
+	}
+	l, ok := counter(have)
+	r, _ := counter(want)
+	if ok && l == r {
+		return nil
+	}
+	kind := IssueMismatch
+	switch {
+	case r == 0:
+		kind = IssueDangling
+	case ok && l == 0:
+		kind = IssueMissing
+	}
+	b.found(kind, key)
+	switch {
+	case !b.Repair:
+		return nil
+	case ok:
+		var param [8]byte
+		binary.LittleEndian.PutUint64(param[:], uint64(r-l))
+		return b.Live.Tr.Atomic(fdb.MutationAdd, key, param[:])
+	case r == 0:
+		return b.Live.Tr.Clear(key)
+	}
+	return b.Live.Tr.Set(key, want)
+}

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"bytes"
+
 	"recordlayer/internal/cursor"
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/keyexpr"
@@ -196,4 +198,190 @@ func (m *RankMaintainer) ScanByRank(ctx *Context, startRank int64, opts ScanOpti
 	return cursor.Map(kvs, func(kv fdb.KeyValue) (Entry, error) {
 		return vm.DecodeEntry(space, kv)
 	}), nil
+}
+
+// Scrub runs one batch of a scrub. A RANK index is checked in phases: its
+// value sub-index as VALUE, entries to records (0) and records to entries
+// (1); the skip list's members against the value entries (2); then each
+// level's fingers, recounted from the level below. A repair of the value
+// sub-index inserts or deletes the member through the skip list, and the
+// levels are repaired in order, so each recount trusts a repaired level. A
+// report-only scrub repairs nothing, so a finger miscounted on one level is
+// reported again by the fingers above it that sum it.
+func (m *RankMaintainer) Scrub(b *ScrubBatch) error {
+	rs := m.set(b.Live.Space)
+	vspace := b.Live.Space.Sub(rankValueSub)
+	var err error
+	switch b.Phase {
+	case 0:
+		err = m.scrubEntries(b, rs, vspace)
+	case 1:
+		var missing, mismatched []fdb.KeyValue
+		if missing, mismatched, err = rebuildPairs(b, vspace); err == nil {
+			err = m.fixEntries(b, vspace, [][]fdb.KeyValue{missing, mismatched}, []string{IssueMissing, IssueMismatch})
+		}
+	case 2:
+		err = m.scrubMembers(b, rs, vspace)
+	default:
+		var c rankedset.Checked
+		if c, err = rs.Check(b.Live.Tr, b.Phase-2, b.Cont, b.Limit); err == nil {
+			err = fixFaults(b, rs, c.Faults)
+			b.advance(c.Next, c.Done)
+		}
+	}
+	b.Done = b.Phase == 2+rs.Levels()
+	return err
+}
+
+// memberOf returns the skip-list member of a value entry: its key past the
+// value sub-index, a fresh slice the op that takes it keeps.
+func memberOf(vspace subspace.Subspace, key []byte) []byte {
+	return bytes.Clone(key[len(vspace.Bytes()):])
+}
+
+// scrubEntries is phase 0: the value entries as VALUE's, and the member of
+// each healthy one must be in the skip list.
+func (m *RankMaintainer) scrubEntries(b *ScrubBatch, rs *rankedset.RankedSet, vspace subspace.Subspace) error {
+	healthy, dangling, err := checkPairs(b, vspace, func(kv fdb.KeyValue) (Entry, error) { return m.value.DecodeEntry(vspace, kv) })
+	if err != nil {
+		return err
+	}
+	probes := make([]*fdb.FutureValue, len(healthy))
+	for i, kv := range healthy {
+		probes[i] = b.Live.Tr.Snapshot().GetAsync(rs.Key(0, memberOf(vspace, kv.Key)))
+	}
+	var absent [][]byte
+	for i, kv := range healthy {
+		v, err := probes[i].Get()
+		if err != nil {
+			return err
+		}
+		if v == nil {
+			absent = append(absent, memberOf(vspace, kv.Key))
+		}
+	}
+	if err := m.fixEntries(b, vspace, [][]fdb.KeyValue{dangling}, []string{IssueDangling}); err != nil {
+		return err
+	}
+	var ops []*rankedset.Op
+	for _, mem := range absent {
+		b.found(IssueMissing, rs.Key(0, mem))
+		if b.Repair {
+			op, err := m.asyncFor(b.Live).IssueInsert(mem)
+			if err != nil {
+				return err
+			}
+			ops = append(ops, op)
+		}
+	}
+	return applyOps(ops)
+}
+
+// fixEntries records bad value entries as VALUE does, and repairs each with
+// its member: a dangling entry leaves the skip list, a missing one joins it.
+func (m *RankMaintainer) fixEntries(b *ScrubBatch, vspace subspace.Subspace, bad [][]fdb.KeyValue, kinds []string) error {
+	if err := fixPairs(b, bad, kinds); err != nil || !b.Repair {
+		return err
+	}
+	var ops []*rankedset.Op
+	for i, kvs := range bad {
+		for _, kv := range kvs {
+			mem := memberOf(vspace, kv.Key)
+			if len(mem) == 0 || kinds[i] == IssueMismatch {
+				continue
+			}
+			issue := m.asyncFor(b.Live).IssueInsert
+			if kinds[i] == IssueDangling {
+				issue = m.asyncFor(b.Live).IssueDelete
+			}
+			op, err := issue(mem)
+			if err != nil {
+				return err
+			}
+			ops = append(ops, op)
+		}
+	}
+	return applyOps(ops)
+}
+
+// scrubMembers is phase 2: every level-0 member holds count 1 and has its
+// value entry. A member without one is dangling unless its record produces
+// the entry, which phase 1 then reported missing.
+func (m *RankMaintainer) scrubMembers(b *ScrubBatch, rs *rankedset.RankedSet, vspace subspace.Subspace) error {
+	c, err := rs.Check(b.Live.Tr, 0, b.Cont, b.Limit)
+	if err != nil {
+		return err
+	}
+	b.Entries += len(c.Members)
+	probes := make([]*fdb.FutureRange, len(c.Members))
+	for i, mem := range c.Members {
+		key := append(bytes.Clone(vspace.Bytes()), mem...)
+		probes[i] = b.Live.Tr.Snapshot().GetRangeAsync(key, fdb.KeyAfter(key), fdb.RangeOptions{Limit: 1})
+	}
+	var orphans [][]byte
+	for i, mem := range c.Members {
+		kvs, _, err := probes[i].Get()
+		if err != nil {
+			return err
+		}
+		if len(kvs) == 0 {
+			orphans = append(orphans, mem)
+		}
+	}
+	var pks [][]byte
+	for _, mem := range orphans {
+		if e, err := splitEntryKey(m.ix, mem, m.value.keyColumns); err == nil {
+			pks = append(pks, e.PackedPrimaryKey())
+		}
+	}
+	if err := b.Load(pks); err != nil {
+		return err
+	}
+	if err := fixFaults(b, rs, c.Faults); err != nil {
+		return err
+	}
+	var ops []*rankedset.Op
+	for _, mem := range orphans {
+		key := append(bytes.Clone(vspace.Bytes()), mem...)
+		rebuilt, _, err := b.Scratch.Tr.GetRange(key, fdb.KeyAfter(key), fdb.RangeOptions{Limit: 1})
+		if err != nil {
+			return err
+		}
+		if len(rebuilt) > 0 {
+			continue
+		}
+		b.found(IssueDangling, rs.Key(0, mem))
+		if b.Repair {
+			op, err := m.asyncFor(b.Live).IssueDelete(bytes.Clone(mem))
+			if err != nil {
+				return err
+			}
+			ops = append(ops, op)
+		}
+	}
+	b.advance(c.Next, c.Done)
+	return applyOps(ops)
+}
+
+// fixFaults records a level's faults as issues, one per entry, and repairs
+// them when the batch repairs.
+func fixFaults(b *ScrubBatch, rs *rankedset.RankedSet, faults []rankedset.Fault) error {
+	kinds := [...]string{rankedset.Miscount: IssueMismatch, rankedset.Ghost: IssueDangling, rankedset.Missing: IssueMissing}
+	for _, f := range faults {
+		b.found(kinds[f.Kind], f.Key)
+	}
+	if !b.Repair {
+		return nil
+	}
+	return rs.Fix(b.Live.Tr, faults)
+}
+
+// applyOps applies issued skip-list ops in issue order.
+func applyOps(ops []*rankedset.Op) error {
+	for _, op := range ops {
+		if _, err := op.Apply(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
 	"slices"
@@ -335,3 +336,178 @@ func (m *TextMaintainer) Stats(ctx *Context) (bunched.Stats, error) {
 
 // BunchSize returns the configured bunch size.
 func (m *TextMaintainer) BunchSize() int { return m.bunchSize }
+
+// Scrub runs one batch of a scrub. A TEXT index compares posting by posting —
+// (token, primary key) to offsets — and never by bunch, since where bunches
+// split depends on the order of past writes. Phase 0 walks the bunches: a
+// posting no record produces is dangling, and so is one out of primary key
+// order within its token (a duplicate); a bunch that does not decode is one
+// dangling issue. A repair rewrites the bunch without them. Phase 1 rebuilds
+// records, and reports each posting the live index lacks or holds at other
+// offsets; a repair inserts it.
+func (m *TextMaintainer) Scrub(b *ScrubBatch) error {
+	var err error
+	if b.Phase == 0 {
+		err = m.scrubBunches(b)
+	} else {
+		err = m.scrubPostings(b)
+	}
+	b.Done = b.Phase == 2
+	return err
+}
+
+// scrubBunches is phase 0. It rereads the last bunch of the batch before,
+// whose last posting orders the batch's first.
+func (m *TextMaintainer) scrubBunches(b *ScrubBatch) error {
+	live := m.mapFor(b.Live)
+	begin, end := b.Live.Space.Range()
+	limit := b.Limit
+	if b.Cont != nil {
+		begin, limit = b.Cont, limit+1
+	}
+	kvs, _, err := b.Live.Tr.Snapshot().GetRange(begin, end, fdb.RangeOptions{Limit: limit})
+	if err != nil {
+		return err
+	}
+	var prevToken string
+	var prevPK []byte
+	if len(kvs) > 0 && b.Cont != nil && bytes.Equal(kvs[0].Key, b.Cont) {
+		if token, entries, err := live.Decode(kvs[0]); err == nil {
+			prevToken, prevPK = token, entries[len(entries)-1].PK.Pack()
+		}
+		kvs = kvs[1:]
+	}
+	kvs = kvs[:min(len(kvs), b.Limit)]
+	type bunch struct {
+		token   string
+		entries []bunched.Entry
+		drop    []bool // dangling postings
+		ok      bool
+	}
+	bunches := make([]bunch, len(kvs))
+	var pks [][]byte
+	for i, kv := range kvs {
+		token, entries, err := live.Decode(kv)
+		if err != nil {
+			continue
+		}
+		bunches[i] = bunch{token: token, entries: entries, drop: make([]bool, len(entries)), ok: true}
+		for j, e := range entries {
+			pk := e.PK.Pack()
+			if prevPK != nil && token == prevToken && bytes.Compare(pk, prevPK) <= 0 {
+				bunches[i].drop[j] = true
+				continue
+			}
+			prevToken, prevPK = token, pk
+			pks = append(pks, pk)
+		}
+	}
+	if err := b.Load(pks); err != nil {
+		return err
+	}
+	rebuilt := m.mapFor(b.Scratch)
+	for i, kv := range kvs {
+		bn := &bunches[i]
+		if !bn.ok {
+			b.Entries++
+			b.found(IssueDangling, kv.Key)
+			if err := m.rewrite(b, live, kv.Key, "", nil); err != nil {
+				return err
+			}
+			continue
+		}
+		var kept []bunched.Entry
+		for j, e := range bn.entries {
+			b.Entries++
+			if !bn.drop[j] {
+				_, has, err := rebuilt.Get(b.Scratch.Tr, bn.token, e.PK)
+				if err != nil {
+					return err
+				}
+				bn.drop[j] = !has
+			}
+			if bn.drop[j] {
+				b.found(IssueDangling, live.Key(bn.token, e.PK))
+			} else {
+				kept = append(kept, e)
+			}
+		}
+		if len(kept) < len(bn.entries) {
+			if err := m.rewrite(b, live, kv.Key, bn.token, kept); err != nil {
+				return err
+			}
+		}
+	}
+	var next []byte
+	if len(kvs) > 0 {
+		next = kvs[len(kvs)-1].Key
+	}
+	b.advance(next, len(kvs) < b.Limit)
+	return nil
+}
+
+// rewrite repairs a bunch, when the batch repairs, to hold only kept. The
+// bunch's key becomes a read conflict, so a concurrent write to the bunch
+// turns the repair away instead of being overwritten.
+func (m *TextMaintainer) rewrite(b *ScrubBatch, live *bunched.Map, key []byte, token string, kept []bunched.Entry) error {
+	if !b.Repair {
+		return nil
+	}
+	b.Live.Tr.AddReadConflictKey(key)
+	return live.Rewrite(b.Live.Tr, key, token, kept)
+}
+
+// scrubPostings is phase 1.
+func (m *TextMaintainer) scrubPostings(b *ScrubBatch) error {
+	n, next, done, err := b.Records(b.Cont)
+	if err != nil {
+		return err
+	}
+	b.Read += n
+	live, rebuilt := m.mapFor(b.Live), m.mapFor(b.Scratch)
+	begin, end := b.Scratch.Space.Range()
+	kvs, _, err := b.Scratch.Tr.GetRange(begin, end, fdb.RangeOptions{})
+	if err != nil {
+		return err
+	}
+	type posting struct {
+		token string
+		entry bunched.Entry
+		found *fdb.FutureRange
+	}
+	var ps []posting
+	for _, kv := range kvs {
+		token, entries, err := rebuilt.Decode(kv)
+		if err != nil {
+			return err
+		}
+		for _, e := range entries {
+			ps = append(ps, posting{token, e, live.IssueLocate(b.Live.Tr, token, e.PK)})
+		}
+	}
+	var ops []bunched.Op
+	for _, p := range ps {
+		offsets, has, err := live.Find(p.found, p.entry.PK)
+		if err != nil {
+			return err
+		}
+		kind := IssueMissing
+		if has {
+			if slices.Equal(offsets, p.entry.Offsets) {
+				continue
+			}
+			kind = IssueMismatch
+		}
+		b.found(kind, live.Key(p.token, p.entry.PK))
+		if b.Repair {
+			ops = m.asyncFor(b.Live).IssueInsert(ops, p.token, p.entry.PK, p.entry.Offsets)
+		}
+	}
+	for i := range ops {
+		if _, err := ops[i].Apply(); err != nil {
+			return err
+		}
+	}
+	b.advance(next, done)
+	return nil
+}

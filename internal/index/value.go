@@ -141,38 +141,6 @@ func newValueMaintainer(ix *metadata.Index) (Maintainer, error) {
 // each entry.
 func (m *ValueMaintainer) KeyColumns() int { return m.keyColumns }
 
-// ExpectedEntries returns the entries record r should have in this index:
-// the packed key expression split into key and covering-value columns, each
-// carrying r's primary key. A nil or non-applicable record has none. The
-// consistency scrubber compares these against the physical entries.
-func (m *ValueMaintainer) ExpectedEntries(r *Record) ([]Entry, error) {
-	keys, err := keysFor(m.ix, m.packer, r, keyexpr.Keys{})
-	if err != nil || keys.Len() == 0 {
-		return nil, err
-	}
-	pk := r.packedPK()
-	out := make([]Entry, keys.Len())
-	for i := range out {
-		head, tail := keys.Head(i), keys.Tail(i)
-		out[i] = Entry{key: append(append(make([]byte, 0, len(head)+len(pk)), head...), pk...), pkOff: len(head)}
-		if len(tail) > 0 {
-			out[i].value = tail
-		}
-	}
-	return out, nil
-}
-
-// EntryKey returns the physical key an entry occupies within space, so the
-// scrubber can probe for (and repair) individual entries.
-func (m *ValueMaintainer) EntryKey(space subspace.Subspace, e Entry) []byte {
-	prefix := space.Bytes()
-	return append(append(make([]byte, 0, len(prefix)+len(e.key)), prefix...), e.key...)
-}
-
-// EntryValue returns the physical value an entry stores: the packed covering
-// columns, or nil when the entry has none.
-func (m *ValueMaintainer) EntryValue(e Entry) []byte { return e.value }
-
 // UpdateAsync implements Maintainer. The issue phase performs all mutations
 // — removals, then insertions — and issues the uniqueness probes between
 // them, so a record vacating its own old key probes the post-clear state and

@@ -210,6 +210,11 @@ func (op *Op) applyDelete() error {
 		if err := a.ov.Clear(own); err != nil {
 			return err
 		}
+		// A concurrent insert above the member that found this finger bumps
+		// it with an ADD, which would recreate it as a ghost finger of a
+		// non-member. Its read interval starts just after the finger's key,
+		// so writing a conflict there turns away whichever commits second.
+		a.tr.AddWriteConflictKey(fdb.KeyAfter(own))
 		prev, prevCount, err := op.resolveFloor(l, false, true)
 		if err != nil {
 			return err

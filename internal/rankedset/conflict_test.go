@@ -2,6 +2,7 @@ package rankedset
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"recordlayer/internal/fdb"
@@ -116,4 +117,74 @@ func TestBumpsOfOneFingerDoNotConflict(t *testing.T) {
 		}
 	}
 	checkSerial(t, db, rs, "three bumps of f", []string{"a", "f", "g", "h", "j"})
+}
+
+// levelMembers lists the members of one level's entries, the head as "".
+func levelMembers(t *testing.T, db *fdb.Database, rs *RankedSet, level int) []string {
+	t.Helper()
+	var out []string
+	_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
+		begin, end := rs.levelRange(level)
+		kvs, _, err := tr.GetRange(begin, end, fdb.RangeOptions{})
+		for _, kv := range kvs {
+			m, err := rs.memberOf(kv.Key)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, string(m))
+		}
+		return nil, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestDeleteOfFingerConflictsWithConcurrentBump: at one read version, one
+// transaction deletes the promoted p, which merges p's finger into f's; another
+// inserts q > p and, finding p as q's finger, bumps it with ADD p, 1. Committed
+// delete first, the bump's ADD would recreate finger p, a ghost of a
+// non-member that no serial order builds; every read still answers serially.
+// Whichever commits second must be turned away, and level 1 must then hold
+// exactly the fingers of its members.
+func TestDeleteOfFingerConflictsWithConcurrentBump(t *testing.T) {
+	for _, deleteFirst := range []bool{true, false} {
+		what := "delete commits first"
+		if !deleteFirst {
+			what = "bump commits first"
+		}
+		db, rs := newSet(t, splitConfig())
+		insert(t, db, rs, "a", "f", "h", "p")
+		del, bump := db.CreateTransaction(), db.CreateTransaction()
+		for _, tr := range []*fdb.Transaction{del, bump} {
+			if _, err := tr.GetReadVersion(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := rs.Delete(del, []byte("p")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rs.Insert(bump, []byte("q")); err != nil {
+			t.Fatal(err)
+		}
+		first, second := del, bump
+		members, fingers := []string{"a", "f", "h"}, []string{"", "f"}
+		if !deleteFirst {
+			first, second = bump, del
+			members, fingers = []string{"a", "f", "h", "p", "q"}, []string{"", "f", "p"}
+		}
+		if err := first.Commit(); err != nil {
+			t.Fatalf("%s: first commit: %v", what, err)
+		}
+		if err := second.Commit(); err == nil {
+			t.Errorf("%s: both committed", what)
+		} else if !fdb.IsRetryable(err) {
+			t.Fatalf("%s: second commit: %v", what, err)
+		}
+		checkSerial(t, db, rs, what, members)
+		if got := levelMembers(t, db, rs, 1); strings.Join(got, ",") != strings.Join(fingers, ",") {
+			t.Errorf("%s: level 1 fingers %q, want %q", what, got, fingers)
+		}
+	}
 }

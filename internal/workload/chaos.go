@@ -117,7 +117,7 @@ type ChaosStats struct {
 	CounterAcked, CounterUnknown int
 	CounterValue                 int64
 
-	// Scrubber audit of the by_zone index after the storm.
+	// Scrubber audit of every index of the schema after the storm.
 	ScrubEntries, ScrubRecords, ScrubIssues int
 
 	// Fault schedule actually dealt.
@@ -500,19 +500,21 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 		}
 	}
 
-	// Scrub the index the storm maintained, both directions.
+	// Scrub every index the storm maintained, both directions.
 	space, err := ks.MustPath("app").MustAdd("tenant", chaosTenant).ToSubspaceStatic()
 	if err != nil {
 		return stats, err
 	}
-	scr := &core.Scrubber{DB: db, MetaData: md, Space: space, IndexName: "by_zone", BatchSize: 32}
-	rep, err := scr.Scrub(ctx)
-	if err != nil {
-		return stats, fmt.Errorf("workload: chaos scrub: %w", err)
+	for _, ix := range md.Indexes() {
+		scr := &core.Scrubber{DB: db, MetaData: md, Space: space, IndexName: ix.Name, BatchSize: 32}
+		rep, err := scr.Scrub(ctx)
+		if err != nil {
+			return stats, fmt.Errorf("workload: chaos scrub of %s: %w", ix.Name, err)
+		}
+		stats.ScrubEntries += rep.EntriesScanned
+		stats.ScrubRecords += rep.RecordsScanned
+		stats.ScrubIssues += len(rep.Issues)
 	}
-	stats.ScrubEntries = rep.EntriesScanned
-	stats.ScrubRecords = rep.RecordsScanned
-	stats.ScrubIssues = len(rep.Issues)
 
 	// The lease churn and state-cache phases run on their own faulted clusters.
 	if err := runChaosLeases(ctx, cfg, &stats); err != nil {
@@ -579,13 +581,15 @@ func runChaosStateCache(ctx context.Context, cfg ChaosConfig, stats *ChaosStats)
 	}
 	scrub := func() error {
 		return quiet(func() error {
-			scr := &core.Scrubber{DB: db, MetaData: v1, Space: space, IndexName: "by_zone", BatchSize: 32}
-			rep, err := scr.Scrub(ctx)
-			if err != nil {
-				return fmt.Errorf("workload: chaos cache scrub: %w", err)
+			for _, ix := range v1.Indexes() {
+				scr := &core.Scrubber{DB: db, MetaData: v1, Space: space, IndexName: ix.Name, BatchSize: 32}
+				rep, err := scr.Scrub(ctx)
+				if err != nil {
+					return fmt.Errorf("workload: chaos cache scrub of %s: %w", ix.Name, err)
+				}
+				stats.CacheScrubIssues += len(rep.Issues)
 			}
 			stats.CacheScrubs++
-			stats.CacheScrubIssues += len(rep.Issues)
 			return nil
 		})
 	}

@@ -2,13 +2,16 @@ package recordlayer
 
 import "recordlayer/internal/core"
 
-// Scrubber verifies a VALUE index against its records in both directions —
-// every physical entry must point at a live record still producing it, and
-// every entry a record should have must exist with the right value. Scans run
-// in bounded, continuation-resumed batches of snapshot reads, so large stores
-// scrub without aborting foreground writers; with Repair set inconsistencies
-// are fixed in place. See internal/core.Scrubber for field documentation and
-// `rl scrub` for a guided demonstration.
+// Scrubber verifies an index against its records in both directions — what
+// the index holds must be what its records make it hold, and nothing more —
+// by rebuilding: each batch runs the index's own maintainer over records
+// into a scratch database and compares the result with the live index by the
+// rules of its type. Every index type but COUNT_UPDATES, MAX_EVER and
+// MIN_EVER can be scrubbed. Scans run in bounded, continuation-resumed
+// batches of snapshot reads, so large stores scrub without aborting
+// foreground writers; with Repair set inconsistencies are fixed in place.
+// See internal/core.Scrubber for field documentation and `rl scrub` for a
+// guided demonstration.
 type Scrubber = core.Scrubber
 
 // ScrubReport summarizes one Scrub pass.
