@@ -661,9 +661,10 @@
 // MaybeCommittedError, because a clean failure on attempt 3 cannot un-apply
 // attempt 1's possible commit. Callers whose closures converge under
 // re-execution — blind constant writes, progress-keyed batches,
-// compare-and-repair — opt into retrying ambiguity with RunIdempotent (or
-// RunnerOptions.RetryMaybeCommitted); the rl-vet `idempotent` analyzer makes
-// every such opt-in carry a written reason. Runner.Metrics breaks retries
+// compare-and-repair — opt into retrying ambiguity call by call with
+// RunIdempotent; the rl-vet `idempotent` analyzer makes every such call
+// carry a written reason. No runner-wide switch makes that promise for
+// every closure, since a call site is the only place the analyzer audits. Runner.Metrics breaks retries
 // and failures down by cause (conflict, too_old, future_version, timeout,
 // quota, maybe_committed), and the metrics registry exports the same labels.
 //
@@ -707,15 +708,22 @@
 // maintainer, so what the scrubber expects is exactly what a build writes.
 // Batches are bounded, snapshot-read and resumed by continuation, with a
 // Repair mode (`rl scrub` demonstrates corruption, detection and repair of
-// VALUE, RANK and TEXT indexes). The chaos harness (cmd/experiments -run
-// chaos; -short is the CI gate) runs a mixed workload under a fault storm
-// over three pinned seeds and asserts the end-to-end invariants: no
-// acknowledged write lost, no ghost write from a cleanly-failed commit, a
-// shared counter within [acked, acked+unknown], every index of its schema
-// scrubs clean, and lease slices within the decay bound — and its self-test
-// proves the gate fails when idempotency is misdeclared. The seeded
-// histories of internal/history scrub every readable index of a tenant as
-// one of their ops, and the model predicts the issue counts.
+// VALUE, RANK and TEXT indexes). One seeded workload checks all of it under
+// faults: TestStoreAgreesWithModel runs the histories of internal/history
+// against a store and against a model, and its odd seeds deal the chaos mix
+// of injected conflicts, unknown commits and stale and future reads, with
+// every third write given a single attempt. An unknown commit forks the
+// model into the side that applied it and the side that did not; an op that
+// failed cleanly is skipped by every side. After either, a read-back of the
+// op's tenants with faults off must match a side, so a lost acknowledged
+// write fails the next answer and a ghost write the read-back. A
+// non-idempotent Increment keeps a counter exact through unknown commits,
+// Scrub ops predict every index's issue counts, and tenant confinement is
+// checked after every op. Planted doors that lose writes, write ghosts or
+// re-run an applied Increment each fail it. The chaos gate (cmd/experiments
+// -run chaos; -short replays three pinned seeds in CI) keeps what the model
+// cannot see: lease slices within the decay bound through failed
+// heartbeats, and a warm store-state cache that never outlives its state.
 //
 // The implementation lives under internal/: the FoundationDB simulator
 // (internal/fdb), the tuple, subspace, directory and keyspace layers, a

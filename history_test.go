@@ -2,6 +2,7 @@ package recordlayer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -98,11 +99,20 @@ type paging struct {
 
 // harness runs ops against one database through one door.
 type harness struct {
-	db       *fdb.Database
-	door     fdb.Door
-	versions []int64 // the read version after setup, then after each op
-	pages    map[history.Tenant]*paging
-	next     *paging // the page state the attempt in flight leaves
+	db   *fdb.Database
+	door fdb.Door
+	// strict, when set, runs every third one-transaction write op in a
+	// single attempt, so injected failures reach the caller; writes counts
+	// those ops.
+	strict fdb.Door
+	writes int
+	// misdeclare plants a bug: Increment goes through RunIdempotent, so one
+	// whose commit applied but reported an unknown result is re-run and adds
+	// one again.
+	misdeclare bool
+	versions   []int64 // the read version after setup, then after each op
+	pages      map[history.Tenant]*paging
+	next       *paging // the page state the attempt in flight leaves
 	// onTxn, when set, sees every transaction an op makes; raw is set for
 	// those made outside the door.
 	onTxn func(tr *fdb.Transaction, raw bool)
@@ -174,8 +184,17 @@ func (h *harness) run(ctx context.Context, op history.Op, srv, other *server) (s
 	}
 	p := srv.providers[op.Version]
 	run := h.door.ReadRun
-	if op.Kind.Writes() {
+	switch {
+	case op.Kind == history.Increment && h.misdeclare:
+		//rl:idempotent deliberately false: a re-run after an applied commit increments twice
+		run = h.door.RunIdempotent
+	case op.Kind.Writes() && h.strict != nil && h.writes%3 == 2:
+		run = h.strict.Run
+	case op.Kind.Writes():
 		run = h.door.Run
+	}
+	if op.Kind.Writes() {
+		h.writes++
 	}
 	out, err := run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		if op.Kind == history.PinnedRead {
@@ -253,6 +272,14 @@ func (h *harness) runOp(ctx context.Context, tr *fdb.Transaction, p *StoreProvid
 	case history.DeleteRecord:
 		ok, err := s.DeleteRecord(tuple.Tuple{op.PK})
 		return fmt.Sprint(ok), err
+	case history.Increment:
+		r, err := s.LoadRecordByKey(tuple.Tuple{op.PK})
+		if err != nil || r == nil {
+			return "none", err
+		}
+		n, _ := r.Message.Get("n")
+		_, err = s.SaveRecord(r.Message.MustSet("n", n.(int64)+1))
+		return fmt.Sprint(n.(int64) + 1), err
 	case history.DeleteAll:
 		return "", s.DeleteAllRecords()
 	case history.MarkIndex:
@@ -693,18 +720,49 @@ func (k *kindCounts) check(t *testing.T) {
 	}
 }
 
+// modelTally is what agreeWithModel saw over the histories it ran.
+type modelTally struct {
+	kinds kindCounts
+	// skipped counts write ops that failed cleanly on an injected fault, were
+	// skipped and read back; forked, unknown commits; increments, the unknown
+	// commits of Increment ops.
+	skipped, forked, increments int
+	answers                     []string        // when non-nil, every op's answer, an error as its text
+	faults                      fdb.FaultCounts // what the last history's injector dealt
+}
+
+// check fails t unless every op kind ran and the faults reached every path
+// the comparison guards.
+func (tl *modelTally) check(t *testing.T) {
+	t.Helper()
+	tl.kinds.check(t)
+	t.Logf("%d clean write failures skipped, %d unknown commits forked (%d increments)", tl.skipped, tl.forked, tl.increments)
+	if tl.skipped == 0 || tl.forked == 0 || tl.increments == 0 {
+		t.Fatal("faults under-exercised: a clean write failure, an unknown commit and an unknown increment must each happen")
+	}
+}
+
+// planted is a bug agreeWithModel plants in the store's side, which the
+// comparison must catch.
+type planted struct {
+	misdeclare bool                                   // harness.misdeclare
+	door       func(fdb.Door, *fdb.Database) fdb.Door // wraps each door
+}
+
 // TestStoreAgreesWithModel runs seeded histories against a real store and
 // against history.Model, an independent map of records, and compares every
-// op's rendered result. Odd seeds deal commit faults and plan with
+// op's rendered result. Odd seeds deal commit and read faults and plan with
 // PreferIndexIntersection. A commit whose fate is unknown forks the model
-// into the side that applied it and the side that did not; a read-back of
-// the op's tenants, with faults off, keeps the sides that match.
+// into the side that applied it and the side that did not; an op that
+// failed cleanly on an injected fault is skipped by every side. After either
+// kind of write, a read-back of the op's tenants, with faults off, keeps the
+// sides that match: none matching is a lost write or a ghost.
 func TestStoreAgreesWithModel(t *testing.T) {
 	const seeds, steps = 300, 200
-	var kinds kindCounts
+	var tl modelTally
 	for seed := int64(1); seed <= seeds; seed++ {
 		ops := history.Generate(seed, steps)
-		i, msg := agreeWithModel(t, seed, ops, &kinds)
+		i, msg := agreeWithModel(t, seed, ops, &tl, planted{})
 		if i < 0 {
 			continue
 		}
@@ -712,7 +770,7 @@ func TestStoreAgreesWithModel(t *testing.T) {
 		// seed re-run truncated fails first at the shortest one.
 		k := i + 1
 		for n := 1; n <= i; n++ {
-			if j, _ := agreeWithModel(t, seed, ops[:n], nil); j >= 0 {
+			if j, _ := agreeWithModel(t, seed, ops[:n], nil, planted{}); j >= 0 {
 				k = n
 				break
 			}
@@ -723,7 +781,7 @@ func TestStoreAgreesWithModel(t *testing.T) {
 		}
 		t.Fatalf("seed %d op %d (%v): %s\nshortest failing prefix, %d ops:%s", seed, i, ops[i].Kind, msg, k, b.String())
 	}
-	kinds.check(t)
+	tl.check(t)
 }
 
 // keep adds m to the models still in agreement unless one of them is the same.
@@ -736,14 +794,18 @@ func keep(models []*history.Model, m *history.Model) []*history.Model {
 	return append(models, m)
 }
 
-// agreeWithModel runs ops on a new database and a new model. It returns the
-// index of the first op they disagree on and how, or -1.
-func agreeWithModel(t *testing.T, seed int64, ops []history.Op, kinds *kindCounts) (int, string) {
+// agreeWithModel runs ops on a new database and a new model, with bug
+// planted. It returns the index of the first op they disagree on and how,
+// or -1. Odd seeds deal the fault mix of a chaos storm, and every third
+// one-transaction write op gets a single attempt, so injected failures reach
+// the comparison.
+func agreeWithModel(t *testing.T, seed int64, ops []history.Op, tl *modelTally, bug planted) (int, string) {
 	prefer := seed%2 == 1
 	var inj *fdb.FaultInjector
 	opts := &fdb.Options{}
 	if seed%2 == 1 {
-		inj = fdb.NewFaultInjector(fdb.FaultConfig{Seed: seed, PCommitNotCommitted: 0.05, PCommitUnknown: 0.1})
+		inj = fdb.NewFaultInjector(fdb.FaultConfig{Seed: seed, PCommitNotCommitted: 0.05, PCommitUnknown: 0.1,
+			PReadTooOld: 0.03, PReadFuture: 0.02})
 		opts.Faults = inj
 	}
 	setFaults := func(on bool) {
@@ -757,50 +819,92 @@ func agreeWithModel(t *testing.T, seed int64, ops []history.Op, kinds *kindCount
 	db := fdb.Open(opts)
 	internContainers(t, db)
 	servers := []*server{newServer(t, prefer, false, ProviderOptions{}), newServer(t, prefer, false, ProviderOptions{})}
-	h := newHarness(db, NewRunner(db, RunnerOptions{Sleep: noBackoff}), func(error) string { return "error" })
+	door := func(o RunnerOptions) fdb.Door {
+		o.Sleep = noBackoff
+		if bug.door != nil {
+			return bug.door(NewRunner(db, o), db)
+		}
+		return NewRunner(db, o)
+	}
+	h := newHarness(db, door(RunnerOptions{}), func(error) string { return "error" })
+	h.strict, h.misdeclare = notingDoor{door(RunnerOptions{MaxAttempts: 1}), h}, bug.misdeclare
 	h.confine(t)
 	models := []*history.Model{history.NewModel(prefer)}
 	ctx := context.Background()
-	for i, op := range ops {
-		if kinds != nil {
-			kinds[op.Kind]++
+	defer func() {
+		if tl != nil && inj != nil {
+			tl.faults = inj.Counts()
 		}
+	}()
+	for i, op := range ops {
 		// A race's raw commits are not retried, so a fault would decide its
 		// result; the model follows the store there only without faults.
 		setFaults(op.Kind != history.Race)
 		srv := servers[op.Server]
 		out, err := h.run(ctx, op, srv, servers[1-op.Server])
+		if tl != nil {
+			tl.kinds[op.Kind]++
+		}
+		if tl != nil && tl.answers != nil {
+			a := out
+			if err != nil {
+				a = err.Error()
+			}
+			tl.answers = append(tl.answers, a)
+		}
 		if cerr := h.conf.Check(h.decode); cerr != nil {
 			return i, "tenant confinement: " + cerr.Error()
 		}
-		if IsMaybeCommitted(err) {
+		var fe *fdb.Error
+		maybe := IsMaybeCommitted(err)
+		if maybe || errors.As(err, &fe) && fe.Injected {
+			var sides []*history.Model
+			for _, m := range models {
+				if maybe {
+					applied := m.Clone()
+					applied.Run(op)
+					sides = append(sides, applied)
+				}
+				m.Skip(op)
+				sides = append(sides, m)
+			}
+			models = sides
+			if !op.Kind.Writes() {
+				continue
+			}
 			setFaults(false)
 			back := h.readBack(ctx, op, srv.providers[op.Version])
 			if cerr := h.conf.Check(h.decode); cerr != nil {
 				return i, "tenant confinement, reading back: " + cerr.Error()
 			}
-			var kept []*history.Model
-			var sides []string
-			for _, m := range models {
-				applied, skipped := m.Clone(), m
-				applied.Run(op)
-				skipped.Skip(op)
-				for _, c := range []*history.Model{applied, skipped} {
-					if b := c.ReadBack(op); b == back {
-						kept = keep(kept, c)
-					} else {
-						sides = append(sides, b)
-					}
+			models = nil
+			var wrong []string
+			for _, c := range sides {
+				if b := c.ReadBack(op); b == back {
+					models = keep(models, c)
+				} else {
+					wrong = append(wrong, b)
 				}
 			}
-			if len(kept) == 0 {
-				return i, fmt.Sprintf("unknown commit: the store reads back\n %s\nand neither side of the model does:\n %s",
-					back, strings.Join(sides, "\n "))
+			if len(models) == 0 {
+				what := "ghost write: the op failed cleanly (" + err.Error() + ")"
+				if maybe {
+					what = "unknown commit"
+				}
+				return i, fmt.Sprintf("%s, but the store reads back\n %s\nand no side of the model does:\n %s",
+					what, back, strings.Join(wrong, "\n "))
 			}
-			if len(kept) > 64 {
-				return i, fmt.Sprintf("unknown commits left %d sides of the model that no read has told apart", len(kept))
+			if len(models) > 64 {
+				return i, fmt.Sprintf("unknown commits left %d sides of the model that no read has told apart", len(models))
 			}
-			models = kept
+			if tl != nil && maybe {
+				tl.forked++
+				if op.Kind == history.Increment {
+					tl.increments++
+				}
+			} else if tl != nil {
+				tl.skipped++
+			}
 			continue
 		}
 		got := out
@@ -826,6 +930,99 @@ func agreeWithModel(t *testing.T, seed int64, ops []history.Op, kinds *kindCount
 		models = kept
 	}
 	return -1, ""
+}
+
+// TestFaultedHistoryIsAFunctionOfTheSeed: two runs of one faulted seed deal
+// the same faults and give every op the same answer, which is what makes a
+// failing seed reproducible.
+func TestFaultedHistoryIsAFunctionOfTheSeed(t *testing.T) {
+	const seed = 7
+	ops := history.Generate(seed, 200)
+	a, b := modelTally{answers: []string{}}, modelTally{answers: []string{}}
+	for _, tl := range []*modelTally{&a, &b} {
+		if i, msg := agreeWithModel(t, seed, ops, tl, planted{}); i >= 0 {
+			t.Fatalf("seed %d op %d (%v): %s", seed, i, ops[i].Kind, msg)
+		}
+	}
+	if a.faults != b.faults || a.faults.Total() == 0 {
+		t.Errorf("fault schedules diverged or dealt nothing: %+v vs %+v", a.faults, b.faults)
+	}
+	for i := range ops {
+		if a.answers[i] != b.answers[i] {
+			t.Fatalf("op %d (%v) answered twice differently:\n %s\n %s", i, ops[i].Kind, a.answers[i], b.answers[i])
+		}
+	}
+}
+
+// TestModelCatchesMisdeclaredIdempotency: sent through RunIdempotent, an
+// Increment whose commit applied but reported an unknown result is re-run
+// and adds one again. The comparison must fail on it, and only because of it.
+func TestModelCatchesMisdeclaredIdempotency(t *testing.T) {
+	// Seed 37 deals an applied unknown commit to an Increment of a present
+	// record on the retrying door.
+	const seed = 37
+	ops := history.Generate(seed, 200)
+	i, msg := agreeWithModel(t, seed, ops, nil, planted{misdeclare: true})
+	if i < 0 || ops[i].Kind != history.Increment {
+		t.Fatalf("misdeclared idempotency went undetected or failed elsewhere: op %d: %s", i, msg)
+	}
+	t.Logf("seed %d op %d (%v): %s", seed, i, ops[i].Kind, msg)
+	var got, want int64
+	if _, err := fmt.Sscanf(msg, "\n store: %d\n model: %d", &got, &want); err != nil || got != want+1 {
+		t.Fatalf("want the store one past the model: %s", msg)
+	}
+	if i, msg := agreeWithModel(t, seed, ops, nil, planted{}); i >= 0 {
+		t.Fatalf("seed %d op %d (%v) fails without the planted bug: %s", seed, i, ops[i].Kind, msg)
+	}
+}
+
+// lostWrites is a door that runs each write on a transaction it cancels and
+// reports success: it loses every acknowledged write.
+type lostWrites struct {
+	fdb.Door
+	db *fdb.Database
+}
+
+func (d lostWrites) Run(ctx context.Context, fn fdb.TransactFunc) (interface{}, error) {
+	tr := d.db.CreateTransaction()
+	defer tr.Cancel()
+	return fn(ctx, tr)
+}
+
+// ghostWrites is a door that commits each write, then reports an injected
+// not_committed: every write it fails cleanly is a ghost.
+type ghostWrites struct{ fdb.Door }
+
+func (d ghostWrites) Run(ctx context.Context, fn fdb.TransactFunc) (interface{}, error) {
+	v, err := d.Door.Run(ctx, fn)
+	if err == nil {
+		err = &fdb.Error{Code: fdb.CodeNotCommitted, Msg: "not committed (planted)", Injected: true}
+	}
+	return v, err
+}
+
+// TestModelCatchesLostAndGhostWrites: a door that loses acknowledged writes,
+// and one that applies writes it reports cleanly failed, each fail the
+// comparison.
+func TestModelCatchesLostAndGhostWrites(t *testing.T) {
+	const seed = 2
+	ops := history.Generate(seed, 200)
+	for _, c := range []struct {
+		name string
+		door func(fdb.Door, *fdb.Database) fdb.Door
+	}{
+		{"lost write", func(d fdb.Door, db *fdb.Database) fdb.Door { return lostWrites{d, db} }},
+		{"ghost write", func(d fdb.Door, _ *fdb.Database) fdb.Door { return ghostWrites{d} }},
+	} {
+		i, msg := agreeWithModel(t, seed, ops, nil, planted{door: c.door})
+		if i < 0 {
+			t.Fatalf("a planted %s passed the comparison", c.name)
+		}
+		t.Logf("planted %s: seed %d op %d (%v): %s", c.name, seed, i, ops[i].Kind, msg)
+		if c.name == "ghost write" && !strings.Contains(msg, "ghost write") {
+			t.Errorf("the planted ghost write failed as something else: %s", msg)
+		}
+	}
 }
 
 // TestScrubOfStaleIndexesAgreesWithModel: for an index of every type left
@@ -864,7 +1061,7 @@ func TestScrubOfStaleIndexesAgreesWithModel(t *testing.T) {
 			t.Fatalf("%s: the model scrubs a stale index as %q", ix.Name, outs[6:])
 		}
 		for _, seed := range []int64{2, 3} {
-			if i, msg := agreeWithModel(t, seed, ops, nil); i >= 0 {
+			if i, msg := agreeWithModel(t, seed, ops, nil, planted{}); i >= 0 {
 				t.Fatalf("%s, seed %d, op %d (%v): %s", ix.Name, seed, i, ops[i], msg)
 			}
 		}

@@ -167,6 +167,24 @@ func scanIndex(t testing.TB, s *Store, name string, r index.TupleRange) []index.
 	return entries
 }
 
+// TestAggregateOfShortCounterIsAnError: a SUM counter that is not 8 bytes
+// long fails the read with an error that names its key, not a panic.
+func TestAggregateOfShortCounterIsAnError(t *testing.T) {
+	db, md, sp := newStoreEnv(t)
+	saveUsers(t, db, md, sp, mkUser(1, "alice", 100))
+	withStore(t, db, md, sp, func(s *Store) error {
+		key := s.IndexSubspace("score_sum").Pack(tuple.Tuple{})
+		if err := s.tr.Set(key, []byte{1, 2}); err != nil {
+			return err
+		}
+		_, err := s.AggregateInt64("score_sum", tuple.Tuple{})
+		if err == nil || !strings.Contains(err.Error(), tuple.Describe(key)) {
+			t.Fatalf("AggregateInt64 of a 2-byte counter = %v, want an error naming %s", err, tuple.Describe(key))
+		}
+		return nil
+	})
+}
+
 func TestDeleteRecordCleansIndexes(t *testing.T) {
 	db, md, sp := newStoreEnv(t)
 	saveUsers(t, db, md, sp, mkUser(1, "alice", 100), mkUser(2, "bob", 50))

@@ -72,13 +72,14 @@ func (c FaultCounts) Total() int64 {
 // FaultInjector deals deterministic, seeded faults into a Database. Wire one
 // through Options.Faults; a nil injector (the default) costs a single pointer
 // check per operation, keeping the injector-off hot path free. Disable/Enable
-// pause and resume injection mid-run, so a chaos harness can stop the storm
-// and then verify invariants over a quiet cluster.
+// pause and resume injection mid-run, so a harness can read back what an
+// ambiguous or failed op left over a quiet cluster, as the model test does
+// after each one, and then let the faults resume.
 //
 // The injector serializes its own random stream with a mutex, so one injector
 // may back a database shared by concurrent transactions; determinism then
 // requires the workload itself to be deterministic (single-goroutine, fixed
-// operation order), which is how the chaos harness runs.
+// operation order), which is how the model test and the chaos run drive it.
 type FaultInjector struct {
 	mu     sync.Mutex
 	cfg    FaultConfig

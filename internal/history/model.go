@@ -61,11 +61,16 @@ func (m *Model) Run(op Op) string {
 }
 
 // Skip records op as having changed nothing: the not-applied side of a
-// commit whose fate is unknown. Its commit sequence number is spent all the
-// same, so the two sides number later commits alike and can meet again.
-func (m *Model) Skip(Op) {
+// commit whose fate is unknown, or an op that failed cleanly. Its commit
+// sequence number is spent all the same, so the two sides of an unknown
+// commit number later commits alike and can meet again. A skipped page ends
+// its query, as a failed one does.
+func (m *Model) Skip(op Op) {
 	m.seq++
 	m.history = append(m.history, m.tenants)
+	if op.Kind == QueryPage {
+		delete(m.pages, op.Tenant)
+	}
 }
 
 // Same reports whether o answers every future op as m does: the same stores,
@@ -520,6 +525,13 @@ func (tx *txn) apply(op Op) (string, error) {
 		return fmt.Sprint(len(op.Docs)), nil
 	case DeleteRecord:
 		return fmt.Sprint(h.deleteRecord(op.PK)), nil
+	case Increment:
+		r, ok := h.store().records[op.PK]
+		if !ok {
+			return "none", nil
+		}
+		r.doc.N++
+		return fmt.Sprint(r.doc.N), h.save(r.doc, false)
 	case DeleteAll:
 		h.deleteAll()
 		return "", nil

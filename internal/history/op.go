@@ -32,12 +32,14 @@ const (
 	Upgrade                    // the fleet's switch to schema version 2: the first v2 open
 	Build                      // OnlineIndexer build of by_n through the door
 	Scrub                      // Scrubber of every readable index through the door, maybe repairing
+	Increment                  // load a record and save it with n+1: not idempotent
 	NumKinds
 )
 
 var kindNames = [NumKinds]string{"open twice", "save", "save batch", "insert", "delete record", "delete all",
 	"query page", "rank reads", "text reads", "aggregate", "scan versions", "mark index", "set user version",
-	"delete store", "pinned read", "open several", "open and change", "race", "upgrade", "build", "scrub"}
+	"delete store", "pinned read", "open several", "open and change", "race", "upgrade", "build", "scrub",
+	"increment"}
 
 func (k Kind) String() string { return kindNames[k] }
 
@@ -73,7 +75,7 @@ type Op struct {
 	Tenant  Tenant
 	Docs    []Doc    // Save, SaveBatch, Insert; one per target of OpenSeveral; Race's four
 	Targets []Tenant // OpenSeveral
-	PK      int64    // DeleteRecord
+	PK      int64    // DeleteRecord, Increment
 	Index   string   // MarkIndex, OpenAndChange
 	Mark    int      // MarkIndex: 0 write-only, 1 readable, 2 disabled; OpenAndChange: 0 user version, 1 write-only, 2 disabled, 3 delete
 	Value   int      // SetUserVersion, OpenAndChange's user version
@@ -167,7 +169,7 @@ func (g *gen) next(i int) Op {
 	if g.upgraded && r.Intn(5) > 0 {
 		op.Version = 2 // one in five requests still comes from a server on the old schema
 	}
-	switch k := r.Intn(122); {
+	switch k := r.Intn(125); {
 	case k < 8:
 		op.Kind = OpenTwice
 	case k < 22:
@@ -227,6 +229,8 @@ func (g *gen) next(i int) Op {
 		op.Tenant = op.Targets[0]
 	case k < 116:
 		op.Kind, op.Mark, op.Value, op.Index = OpenAndChange, r.Intn(4), r.Intn(9), g.indexName(op.Version)
+	case k >= 122:
+		op.Kind, op.PK = Increment, int64(r.Intn(ids))
 	case k >= 120:
 		op.Kind, op.Repair = Scrub, r.Intn(2) == 0
 	case k < 118 || !g.upgraded:

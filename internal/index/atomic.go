@@ -193,14 +193,17 @@ func (m *AtomicMaintainer) contribution(k keyexpr.Keys, i int) (int64, bool) {
 	return k.TailInt64(i)
 }
 
-// GetInt64 reads an integer aggregate (COUNT, SUM, ...) for a group key.
+// GetInt64 reads an integer aggregate (COUNT, SUM, ...) for a group key. A
+// stored counter is 8 bytes, as the scrub's compareGroup expects; any other
+// length is an error that names the key.
 func (m *AtomicMaintainer) GetInt64(ctx *Context, group tuple.Tuple) (int64, error) {
-	raw, err := ctx.Tr.Get(ctx.Space.Pack(group))
-	if err != nil {
+	key := ctx.Space.Pack(group)
+	raw, err := ctx.Tr.Get(key)
+	if err != nil || raw == nil {
 		return 0, err
 	}
-	if raw == nil {
-		return 0, nil
+	if len(raw) != 8 {
+		return 0, fmt.Errorf("index %s: counter at %s is %d bytes, not 8", m.ix.Name, tuple.Describe(key), len(raw))
 	}
 	return int64(binary.LittleEndian.Uint64(raw)), nil
 }

@@ -15,34 +15,26 @@ import (
 	"recordlayer/internal/keyexpr"
 	"recordlayer/internal/message"
 	"recordlayer/internal/metadata"
-	"recordlayer/internal/query"
 	"recordlayer/internal/resource/lease"
-	"recordlayer/internal/tuple"
 )
 
-// ChaosConfig sizes the fault-injection chaos run: a single-goroutine mixed
-// workload (so every fault draw is deterministic per seed) against a cluster
-// whose FaultInjector deals conflicts, stale reads, latency spikes, and
-// maybe-committed commits, followed by a full consistency audit with the
-// injector off. The run asserts the robustness invariants end to end: no
-// acknowledged write is lost, no write from a cleanly-failed commit appears,
-// indexes scrub clean, lease slices never over-grant through heartbeat
-// failures, and a warm store-state cache never outlives the state it holds.
+// ChaosConfig sizes the chaos run's two phases on faulted clusters: a fleet
+// of lease-coordinated governors churning under failed heartbeats and a
+// crash, and two servers sharing a warm store-state cache while one walks an
+// index through its states. Each is single-goroutine, so every fault draw is
+// a function of the seed. The run asserts that lease slices never over-grant
+// and that a warm store-state cache never outlives the state it holds. Lost
+// writes, ghost writes, a non-idempotent counter and scrubs under the same
+// fault mix are the model test's (the root TestStoreAgreesWithModel).
 type ChaosConfig struct {
-	// Writes is how many write operations the mixed workload issues, spread
-	// round-robin over the three cohorts (default 240).
+	// Writes sizes the state-cache phase, which makes Writes/2 saves
+	// (default 240).
 	Writes int
 	// Seed drives the workload shape and the fault schedule.
 	Seed int64
 	// LeaseRounds is how many heartbeat rounds the lease-churn phase runs
 	// (default 40).
 	LeaseRounds int
-	// MisdeclareIncrements is a self-test knob: route the non-idempotent
-	// counter increments through RunIdempotent anyway, so a maybe-committed
-	// attempt that actually applied is blindly re-run and double-increments.
-	// A correct harness must FAIL its Check with this set — it proves the
-	// chaos gate has teeth.
-	MisdeclareIncrements bool
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -55,13 +47,8 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	return c
 }
 
-const (
-	// queryEvery issues one zone query after every this many writes: range
-	// reads that absorb injected mid-scan errors.
-	queryEvery = 8
-	// leaseServers is how many lease-coordinated governors churn.
-	leaseServers = 3
-)
+// leaseServers is how many lease-coordinated governors churn.
+const leaseServers = 3
 
 // chaosFaults is the injected fault mix, dealt from seed.
 func chaosFaults(seed int64) fdb.FaultConfig {
@@ -79,10 +66,6 @@ func chaosFaults(seed int64) fdb.FaultConfig {
 // chaosTenant owns the chaos store and the leased budget.
 const chaosTenant = "chaos"
 
-// counterID is the shared-counter record's primary key, outside the cohort
-// id space (which starts at 0).
-const counterID = int64(-1)
-
 // zones are the values a note's zone field takes.
 var zones = []string{"personal", "work", "shared"}
 
@@ -90,44 +73,13 @@ var zones = []string{"personal", "work", "shared"}
 type ChaosStats struct {
 	Config ChaosConfig
 
-	// Workload shape.
-	Writes        int // write operations attempted (all cohorts)
-	Queries       int // zone queries attempted
-	QueryFailures int // queries that exhausted retries (reads only; no invariant)
-	RowsRead      int
-
-	// Write-fate cohorts. Acked writes were acknowledged to the "client";
-	// Unknown writes ended maybe-committed (either fate is legal);
-	// CleanFailed writes failed with a guarantee nothing was applied.
-	Acked, Unknown, CleanFailed int
-	// UnknownApplied counts maybe-committed writes that turned out durable.
-	UnknownApplied int
-	// LostAcks counts acknowledged writes that were missing or corrupt at
-	// verification — must be zero.
-	LostAcks int
-	// Ghosts counts cleanly-failed writes that were present anyway — must be
-	// zero.
-	Ghosts int
-
-	// Shared counter: incremented only through non-idempotent Run, so the
-	// final value must satisfy CounterAcked <= CounterValue <=
-	// CounterAcked+CounterUnknown. A runner that blindly retried
-	// maybe-committed commits would double-increment and break the upper
-	// bound.
-	CounterAcked, CounterUnknown int
-	CounterValue                 int64
-
-	// Scrubber audit of every index of the schema after the storm.
-	ScrubEntries, ScrubRecords, ScrubIssues int
-
-	// Fault schedule actually dealt.
-	Faults fdb.FaultCounts
-	// RetriesByCause merges the per-cause retry counters of every runner the
-	// workload used.
+	// Faults is what the state-cache phase's injector dealt, and
+	// RetriesByCause its runner's retries by cause.
+	Faults         fdb.FaultCounts
 	RetriesByCause map[string]int64
-	// Conflicts counts the real conflicts the storms' commits met — the
-	// resolver's, not the injector's — by the store subspace the committed
-	// write they lost to lies in (StoreProvider.DescribeKey).
+	// Conflicts counts the real conflicts the state-cache phase's commits
+	// met — the resolver's, not the injector's — by the store subspace the
+	// committed write they lost to lies in (StoreProvider.DescribeKey).
 	Conflicts map[string]int
 
 	// Lease churn phase.
@@ -176,30 +128,6 @@ func (s ChaosStats) Check() error {
 	if s.Faults.CommitsUnknown == 0 {
 		problems = append(problems, "no maybe-committed commit was injected; ambiguity handling untested")
 	}
-	if s.Acked == 0 {
-		problems = append(problems, "no write was ever acknowledged")
-	}
-	if s.CleanFailed == 0 {
-		problems = append(problems, "no write failed cleanly; the ghost invariant was untested")
-	}
-	if s.LostAcks > 0 {
-		problems = append(problems, fmt.Sprintf(
-			"%d of %d acknowledged writes were lost or corrupt", s.LostAcks, s.Acked))
-	}
-	if s.Ghosts > 0 {
-		problems = append(problems, fmt.Sprintf(
-			"%d ghost writes appeared from %d cleanly-failed commits", s.Ghosts, s.CleanFailed))
-	}
-	lo, hi := int64(s.CounterAcked), int64(s.CounterAcked+s.CounterUnknown)
-	if s.CounterValue < lo || s.CounterValue > hi {
-		problems = append(problems, fmt.Sprintf(
-			"counter is %d, outside [acked=%d, acked+unknown=%d]: increments were lost or double-applied",
-			s.CounterValue, lo, hi))
-	}
-	if s.ScrubIssues > 0 {
-		problems = append(problems, fmt.Sprintf(
-			"index scrub found %d inconsistencies after the storm", s.ScrubIssues))
-	}
 	if s.LeaseRefreshFailures == 0 {
 		problems = append(problems, "no lease heartbeat failed; the decay path was untested")
 	}
@@ -245,14 +173,13 @@ func (s ChaosStats) Check() error {
 	return fmt.Errorf("chaos invariants violated:\n  - %s", strings.Join(problems, "\n  - "))
 }
 
-// chaosSchema is the Note schema with the audited by_zone VALUE index and the
-// counter field.
+// chaosSchema is the Note schema with the by_zone VALUE index the
+// state-cache phase walks through its states.
 func chaosSchema(version int) (*message.Descriptor, *metadata.MetaData, error) {
 	note := message.MustDescriptor("Note",
 		message.Field("id", 1, message.TypeInt64),
 		message.Field("zone", 2, message.TypeString),
 		message.Field("body", 3, message.TypeString),
-		message.Field("n", 4, message.TypeInt64),
 	)
 	md, err := metadata.NewBuilder(version).
 		AddRecordType(note, keyexpr.Field("id")).
@@ -298,225 +225,12 @@ func countConflicts(db *fdb.Database, p *recordlayer.StoreProvider, stats *Chaos
 // instantBackoff keeps a storm's retries wall-clock fast.
 func instantBackoff(ctx context.Context, _ time.Duration) error { return ctx.Err() }
 
-// RunChaos runs the storm, the audit, and the lease churn, and returns the
-// combined stats. The fault schedule, workload, and audit are all functions
-// of cfg.Seed alone.
+// RunChaos runs the lease churn and the state-cache phase, each on its own
+// faulted cluster, and returns the combined stats. Both are functions of
+// cfg.Seed alone.
 func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosStats, error) {
 	cfg = cfg.withDefaults()
 	stats := ChaosStats{Config: cfg, LeaseSliceSumOK: true, LeaseEnforcedSumOK: true, Conflicts: map[string]int{}}
-
-	note, md, err := chaosSchema(1)
-	if err != nil {
-		return stats, err
-	}
-	ks, providers, err := tenantProviders("chaos", md)
-	if err != nil {
-		return stats, err
-	}
-	provider := providers[0]
-
-	inj := fdb.NewFaultInjector(chaosFaults(cfg.Seed))
-	db := chaosCluster(inj)
-	countConflicts(db, provider, &stats)
-	// Cohort A writes get one attempt: retryable failures surface, so the
-	// run accumulates writes with a hard "nothing applied" guarantee — the
-	// ghost set the audit checks.
-	strict := recordlayer.NewRunner(db, recordlayer.RunnerOptions{MaxAttempts: 1, Sleep: instantBackoff})
-	runner := recordlayer.NewRunner(db, recordlayer.RunnerOptions{Sleep: instantBackoff})
-
-	// Pre-create the store before the storm so directory allocation is not
-	// subject to injected faults.
-	inj.Disable()
-	if _, err := runner.Run(ctx, openAndSave(provider, chaosTenant)); err != nil {
-		return stats, fmt.Errorf("workload: chaos pre-create: %w", err)
-	}
-	inj.Enable()
-
-	// The storm: three interleaved cohorts plus periodic zone queries, one
-	// goroutine, every payload generated outside the closures.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	acked := map[int64]string{}     // id -> expected body, write acknowledged
-	unknown := map[int64]string{}   // id -> expected body, fate ambiguous
-	cleanFailed := map[int64]bool{} // id -> true, guaranteed not applied
-	for i := 0; i < cfg.Writes; i++ {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		id := int64(i)
-		zone := zones[rng.Intn(len(zones))]
-		body := NoteBody(rng, 64+rng.Intn(192))
-		stats.Writes++
-		switch i % 3 {
-		case 0, 1:
-			save := openAndSave(provider, chaosTenant,
-				message.New(note).MustSet("id", id).MustSet("zone", zone).MustSet("body", body))
-			var err error
-			if i%3 == 0 {
-				// Cohort A: single-attempt Run — acked, ambiguous, or cleanly failed.
-				_, err = strict.Run(ctx, save)
-			} else {
-				// Cohort B: retried as idempotent — ambiguity is retried through.
-				//rl:idempotent re-saving the same pre-generated record converges to the same stored state
-				_, err = runner.RunIdempotent(ctx, save)
-			}
-			switch {
-			case err == nil:
-				acked[id] = body
-			case recordlayer.IsMaybeCommitted(err):
-				unknown[id] = body
-			default:
-				cleanFailed[id] = true
-			}
-		case 2: // Cohort C: non-idempotent read-modify-write counter increment.
-			inc := func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-				store, err := provider.Open(ctx, tr, chaosTenant)
-				if err != nil {
-					return nil, err
-				}
-				n := int64(0)
-				if old, err := store.LoadRecordByKey(tuple.Tuple{counterID}); err != nil {
-					return nil, err
-				} else if old != nil {
-					if v, ok := old.Message.Get("n"); ok {
-						n = v.(int64)
-					}
-				}
-				rec := message.New(note).MustSet("id", counterID).
-					MustSet("zone", "counter").MustSet("n", n+1)
-				_, err = store.SaveRecord(rec)
-				return nil, err
-			}
-			var err error
-			if cfg.MisdeclareIncrements {
-				//rl:idempotent deliberate misdeclaration — the self-test knob that must make Check fail by double-applying increments
-				_, err = runner.RunIdempotent(ctx, inc)
-			} else {
-				_, err = runner.Run(ctx, inc)
-			}
-			switch {
-			case err == nil:
-				stats.CounterAcked++
-			case recordlayer.IsMaybeCommitted(err):
-				stats.CounterUnknown++
-			}
-		}
-		if (i+1)%queryEvery != 0 {
-			continue
-		}
-		stats.Queries++
-		q := query.RecordQuery{
-			RecordTypes: []string{"Note"},
-			Filter:      query.Field("zone").Equals(zone),
-		}
-		rows, err := runner.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-			store, err := provider.Open(ctx, tr, chaosTenant)
-			if err != nil {
-				return nil, err
-			}
-			cur, err := store.ExecuteQuery(ctx, q, recordlayer.ExecuteProperties{
-				RowLimit: 50, ScanRecordLimit: 500, Snapshot: true,
-			})
-			if err != nil {
-				return nil, err
-			}
-			n := 0
-			err = cur.ForEach(func(*recordlayer.Record) error { n++; return nil })
-			return n, err
-		})
-		if err != nil {
-			// Reads carry no durability invariant; an exhausted retry budget
-			// under the fault storm is tolerated and counted.
-			stats.QueryFailures++
-			continue
-		}
-		stats.RowsRead += rows.(int)
-	}
-	stats.Acked = len(acked)
-	stats.Unknown = len(unknown)
-	stats.CleanFailed = len(cleanFailed)
-	stats.Faults = inj.Counts()
-	stats.RetriesByCause = mergeCauses(strict.Metrics().RetriesByCause, runner.Metrics().RetriesByCause)
-
-	// The audit: injector off, verify every cohort's fate against the store.
-	inj.Disable()
-	load := func(id int64) (*core.StoredRecord, error) {
-		v, err := runner.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
-			store, err := provider.Open(ctx, tr, chaosTenant)
-			if err != nil {
-				return nil, err
-			}
-			return store.LoadRecordByKey(tuple.Tuple{id})
-		})
-		if err != nil {
-			return nil, err
-		}
-		return v.(*core.StoredRecord), nil
-	}
-	body := func(rec *core.StoredRecord) string {
-		if rec == nil {
-			return ""
-		}
-		if v, ok := rec.Message.Get("body"); ok {
-			return v.(string)
-		}
-		return ""
-	}
-	for id, want := range acked {
-		rec, err := load(id)
-		if err != nil {
-			return stats, fmt.Errorf("workload: chaos audit load %d: %w", id, err)
-		}
-		if rec == nil || body(rec) != want {
-			stats.LostAcks++
-		}
-	}
-	for id, want := range unknown {
-		rec, err := load(id)
-		if err != nil {
-			return stats, fmt.Errorf("workload: chaos audit load %d: %w", id, err)
-		}
-		if rec != nil {
-			stats.UnknownApplied++
-			// Either fate is legal, but a present record must be intact.
-			if body(rec) != want {
-				stats.LostAcks++
-			}
-		}
-	}
-	for id := range cleanFailed {
-		rec, err := load(id)
-		if err != nil {
-			return stats, fmt.Errorf("workload: chaos audit load %d: %w", id, err)
-		}
-		if rec != nil {
-			stats.Ghosts++
-		}
-	}
-	if rec, err := load(counterID); err != nil {
-		return stats, fmt.Errorf("workload: chaos audit counter: %w", err)
-	} else if rec != nil {
-		if v, ok := rec.Message.Get("n"); ok {
-			stats.CounterValue = v.(int64)
-		}
-	}
-
-	// Scrub every index the storm maintained, both directions.
-	space, err := ks.MustPath("app").MustAdd("tenant", chaosTenant).ToSubspaceStatic()
-	if err != nil {
-		return stats, err
-	}
-	for _, ix := range md.Indexes() {
-		scr := &core.Scrubber{DB: db, MetaData: md, Space: space, IndexName: ix.Name, BatchSize: 32}
-		rep, err := scr.Scrub(ctx)
-		if err != nil {
-			return stats, fmt.Errorf("workload: chaos scrub of %s: %w", ix.Name, err)
-		}
-		stats.ScrubEntries += rep.EntriesScanned
-		stats.ScrubRecords += rep.RecordsScanned
-		stats.ScrubIssues += len(rep.Issues)
-	}
-
-	// The lease churn and state-cache phases run on their own faulted clusters.
 	if err := runChaosLeases(ctx, cfg, &stats); err != nil {
 		return stats, err
 	}
@@ -806,6 +520,7 @@ func runChaosStateCache(ctx context.Context, cfg ChaosConfig, stats *ChaosStats)
 			stats.StaleMetaDataSeen++
 		}
 	}
+	stats.Faults, stats.RetriesByCause = inj.Counts(), runner.Metrics().RetriesByCause
 	return nil
 }
 
@@ -890,18 +605,4 @@ func runChaosLeases(ctx context.Context, cfg ChaosConfig, stats *ChaosStats) err
 		m.Close()
 	}
 	return nil
-}
-
-// mergeCauses folds per-cause counter maps into one (nil when all empty).
-func mergeCauses(ms ...map[string]int64) map[string]int64 {
-	var out map[string]int64
-	for _, m := range ms {
-		for c, n := range m {
-			if out == nil {
-				out = make(map[string]int64, 8)
-			}
-			out[c] += n
-		}
-	}
-	return out
 }

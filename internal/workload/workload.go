@@ -8,8 +8,11 @@
 // noisy-neighbor experiment (RunNoisyNeighbor) describes each phase as data —
 // its servers, how their governors get limits, an optional index build and an
 // optional side loop — and runs every phase through one driver; its numbers
-// are wall-clock. The chaos run (RunChaos) is a function of its seed alone.
-// A plain save in either harness is one transaction body, openAndSave.
+// are wall-clock. The chaos run (RunChaos) churns leases and a warm
+// store-state cache under injected faults and is a function of its seed
+// alone; lost and ghost writes under the same faults are the root package's
+// model test's to find. A plain save in either harness is one transaction
+// body, openAndSave.
 package workload
 
 import (

@@ -50,14 +50,6 @@ type RunnerOptions struct {
 	// Nil falls back to the Governor's accountant; if both are nil, metering
 	// is off.
 	Accountant *resource.Accountant
-	// RetryMaybeCommitted declares that every closure passed to this runner
-	// is idempotent, so commit_unknown_result — a commit that may or may not
-	// have applied — is retried like a clean failure. Leave false (the
-	// default) unless that is genuinely true of all callers: re-running a
-	// non-idempotent closure after an applied-but-unacknowledged commit
-	// double-writes. Prefer the per-call RunIdempotent for closures that can
-	// make the promise individually.
-	RetryMaybeCommitted bool
 }
 
 func (o RunnerOptions) withDefaults() RunnerOptions {
@@ -253,7 +245,7 @@ func (r *Runner) record(runs, retries, failures int64, retryCauses map[string]in
 // every attempt and during backoff, so cancellation and deadlines interrupt
 // the loop promptly with ctx.Err().
 func (r *Runner) Run(ctx context.Context, fn TransactFunc) (interface{}, error) {
-	return r.run(ctx, fn, true, r.opts.RetryMaybeCommitted)
+	return r.run(ctx, fn, true, false)
 }
 
 // RunIdempotent is Run for a closure the caller asserts is idempotent: a
@@ -319,7 +311,7 @@ func (r *Runner) run(ctx context.Context, fn TransactFunc, commit, idempotent bo
 		Sleep:       x.sleep,
 		Idempotent:  idempotent,
 	}
-	//rl:idempotent the promise is the caller's: RunIdempotent call sites carry their own directive, RetryMaybeCommitted is the runner owner's, and ReadRun never commits
+	//rl:idempotent the promise is the caller's: RunIdempotent call sites carry their own directive, Run makes none, and ReadRun never commits
 	v, err := r.db.Retry(ctx, p, func(n int) (interface{}, error) {
 		var tr *fdb.Transaction
 		if commit {
