@@ -36,18 +36,18 @@ func decodeContinuation(cont []byte, skip int) (remaining int, inner []byte, err
 }
 
 // skipCursor discards its first remaining values; RecordCursor.Continuation
-// reads how many are left.
+// reads how many are left. Prefetch and Ready pass to the plan's cursor.
 type skipCursor struct {
-	inner     cursor.Cursor[*Record]
+	cursor.Forward[*Record]
 	remaining int
 }
 
-// Demand implements cursor.Demander: n rows cost n plus those still to skip.
-func (c *skipCursor) Demand(n int) { cursor.Demand(c.inner, n+c.remaining) }
+// Demand passes n rows on as n plus those still to skip.
+func (c *skipCursor) Demand(n int) { c.Inner.Demand(n + c.remaining) }
 
 func (c *skipCursor) Next() (cursor.Result[*Record], error) {
 	for c.remaining > 0 {
-		r, err := c.inner.Next()
+		r, err := c.Inner.Next()
 		if err != nil || !r.OK {
 			// Halted mid-skip (scan/byte/time limit): the continuation
 			// remembers how much skipping is still owed.
@@ -55,5 +55,5 @@ func (c *skipCursor) Next() (cursor.Result[*Record], error) {
 		}
 		c.remaining--
 	}
-	return c.inner.Next()
+	return c.Inner.Next()
 }

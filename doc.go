@@ -236,40 +236,38 @@
 //
 // A query that is not covering reads index entries and then the records
 // behind them, and the second read needs the first: two round trips is its
-// dependency depth. Three optional cursor methods, all hints that never
-// change what Next returns, keep plans at that depth: Prefetcher (above),
-// Demander and Readier.
+// dependency depth. Three hints that every cursor.Cursor takes beside Next,
+// none of which changes what Next returns, keep plans at that depth: Prefetch
+// (above), Demand and Ready. Which cursor passes which on, and why not where
+// it does not, is the table in internal/cursor's package comment.
 //
 // With a limit. Every request in the paper's model is bounded (§3.1, §8.2),
 // so a limit sizes the reads under it, not only the stream above them:
-// cursor.Demander's Demand(n) says "the consumer will take at most n more
-// values". cursor.Limit announces its n. Cursors that deliver one value per
-// source value forward it: Map, MapAsync, the plan statistics wrappers, the
-// Skip cursor (n plus the rows still to discard), the record scan (in pairs:
-// 2n with version slots, plus the pair that shows the last record ended). A
-// Union hands every child n + 1 — a union pulled k times pulls no child more
-// than k times, and the one more keeps a consumer's look past its last row
-// inside the first batch. Cursors that drop values (Filter, a filtered record
-// scan, Distinct, Intersection) forward nothing — what one of their values
-// costs the source is unknown — so the demand stops where it stops being
-// true. At the leaf a range scan sizes its first GetRange to the demand (up
-// to 4096) and reads nothing ahead until the consumer has taken more than it
-// announced; a scanned-records limit is the same demand read off the Limiter
-// (budget + 1: the extra value tells ScanLimitReached from SourceExhausted),
-// filtered or not. MapAsync under a demand issues nothing past it, and its
-// window is min(n, 128), not PipelineDepth (1 stays sequential).
+// Demand(n) says "the consumer will take at most n more values", and
+// cursor.Limit announces its n. A record scan asks for pairs (2n with version
+// slots, plus the pair that shows the last record ended), and a Union hands
+// every child n + 1 — a union pulled k times pulls no child more than k
+// times, and the one more keeps a consumer's look past its last row inside
+// the first batch. Cursors that drop values forward nothing — what one of
+// their values costs the source is unknown — so the demand stops where it
+// stops being true. At the leaf a range scan sizes its first GetRange to the
+// demand (up to 4096) and reads nothing ahead until the consumer has taken
+// more than it announced; a scanned-records limit is the same demand read off
+// the Limiter (budget + 1: the extra value tells ScanLimitReached from
+// SourceExhausted), filtered or not. MapAsync under a demand issues nothing
+// past it, and its window is min(n, 128), not PipelineDepth (1 stays
+// sequential).
 //
-// Without one. cursor.Readier's Ready() says "my next Next returns without
-// waiting": a range scan is Ready while a pair of its last batch is buffered
-// and once it has ended, Map, Filter, Limit (also once spent) and the
-// statistics wrappers forward it, and a merge is Ready when every child it
-// would pull has a buffered head or is Ready. MapAsync keeps issuing while
-// its source is Ready, up to 128 in flight — the cap a demand already had —
-// because a fetch for an entry that has been read is not a guess about what
-// the index holds. PipelineDepth bounds what it always claimed to bound,
-// speculation: with the source not Ready, a fetch pipeline pulls it (and may
-// wait for its next batch) only while fewer than PipelineDepth fetches are
-// outstanding. Depth 1 issues and awaits one at a time whatever is in hand.
+// Without one. Ready() says "my next Next returns without waiting": a range
+// scan is Ready while a pair of its last batch is buffered and once it has
+// ended, and a merge is Ready when every child it would pull has a buffered
+// head or is Ready. MapAsync keeps issuing while its source is Ready, up to
+// 128 in flight — the cap a demand already had — because a fetch for an entry
+// that has been read is not a guess about what the index holds. PipelineDepth
+// bounds what it always claimed to bound, speculation: with the source not
+// Ready, a fetch pipeline pulls it (and may wait for its next batch) only
+// while fewer than PipelineDepth fetches are outstanding. Depth 1 issues and
+// awaits one at a time whatever is in hand.
 //
 // Merging on entries. An index entry carries its record's primary key, so a
 // union, an intersection, an unordered union and a Distinct whose children are
@@ -702,10 +700,12 @@
 // VALUE's, then its skip list, whose fingers are recounted from the level
 // below; TEXT posting by posting, never by bunch; COUNT, COUNT_NON_NULL and
 // SUM group by group, the totals rebuilt over a pass pinned to one read
-// version. COUNT_UPDATES, MAX_EVER and MIN_EVER count past writes, which no
-// stored state records, and are refused. The online build, the inline
-// rebuild and the scrub share one loop that runs records through a
-// maintainer, so what the scrubber expects is exactly what a build writes.
+// version. COUNT_UPDATES, MAX_EVER and MIN_EVER keep what past writes did,
+// which no stored state records, so the same pass checks a bound: at least
+// the rebuild (at most, for MIN_EVER), and an entry for every group it has.
+// The online build, the inline rebuild and the scrub share one loop that runs
+// records through a maintainer, so what the scrubber expects is exactly what
+// a build writes.
 // Batches are bounded, snapshot-read and resumed by continuation, with a
 // Repair mode (`rl scrub` demonstrates corruption, detection and repair of
 // VALUE, RANK and TEXT indexes). One seeded workload checks all of it under

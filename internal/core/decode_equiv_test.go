@@ -134,7 +134,7 @@ func refScanRecords(s *Store, opts ScanOptions) cursor.Cursor[*StoredRecord] {
 		if s.md.StoreRecordVersions {
 			per = 2
 		}
-		cursor.Demand(rc.kvs, (n+1)*per+1)
+		rc.kvs.Demand((n+1)*per + 1)
 	}
 	return rc
 }
@@ -179,6 +179,10 @@ func (c *refRecordCursor) nextPair() (cursor.Result[fdb.KeyValue], error) {
 	}
 	return c.kvs.Next()
 }
+
+func (c *refRecordCursor) Prefetch()   {}
+func (c *refRecordCursor) Demand(int)  {}
+func (c *refRecordCursor) Ready() bool { return false }
 
 func (c *refRecordCursor) Next() (cursor.Result[*StoredRecord], error) {
 	if c.halted != nil {

@@ -875,16 +875,16 @@ func (c *recordCursor) walk(rt *metadata.RecordType, wire []byte) (*message.Mess
 	return msg, nil
 }
 
-// Prefetch implements cursor.Prefetcher by forwarding to the pair source;
-// while a pushed-back pair is held the next delivery needs no I/O.
+// Prefetch implements cursor.Cursor by forwarding to the pair source; while a
+// pushed-back pair is held the next delivery needs no I/O.
 func (c *recordCursor) Prefetch() {
 	if c.halted != nil || c.hasPushed {
 		return
 	}
-	cursor.Prefetch(c.kvs)
+	c.kvs.Prefetch()
 }
 
-// Demand implements cursor.Demander. A filtered scan delivers fewer records
+// Demand implements cursor.Cursor. A filtered scan delivers fewer records
 // than it reads, so like cursor.Filter it does not pass a demand on.
 func (c *recordCursor) Demand(n int) {
 	if c.filter == nil {
@@ -900,8 +900,11 @@ func (c *recordCursor) demand(n int) {
 	if c.store.md.StoreRecordVersions {
 		per = 2
 	}
-	cursor.Demand(c.kvs, n*per+1)
+	c.kvs.Demand(n*per + 1)
 }
+
+// Ready is false: whether a record's pairs are all buffered is not tracked.
+func (c *recordCursor) Ready() bool { return false }
 
 // nextPair takes the pushed-back pair if one is held, else the source's next.
 func (c *recordCursor) nextPair() (cursor.Result[fdb.KeyValue], error) {

@@ -24,6 +24,7 @@ func scrubSchema() *metadata.MetaData {
 	}
 	unique := ix("name_unique", metadata.IndexValue, keyexpr.Field("name"))
 	unique.Unique = true
+	tags := keyexpr.FieldFan("tags", keyexpr.FanOut)
 	return metadata.NewBuilder(1).
 		AddRecordType(userDesc(), keyexpr.Then(keyexpr.RecordType(), keyexpr.Field("id"))).
 		AddIndex(unique).
@@ -34,8 +35,11 @@ func scrubSchema() *metadata.MetaData {
 		AddIndex(ix("score_rank", metadata.IndexRank, keyexpr.Field("score"))).
 		AddIndex(ix("bio_text", metadata.IndexText, keyexpr.Field("bio"))).
 		AddIndex(ix("score_sum", metadata.IndexSum, keyexpr.Ungrouped(keyexpr.Field("score")))).
-		AddIndex(ix("tag_count", metadata.IndexCount, keyexpr.GroupBy(keyexpr.Empty(), keyexpr.FieldFan("tags", keyexpr.FanOut)))).
+		AddIndex(ix("tag_count", metadata.IndexCount, keyexpr.GroupBy(keyexpr.Empty(), tags))).
 		AddIndex(ix("bio_count", metadata.IndexCountNonNull, keyexpr.Ungrouped(keyexpr.Field("bio")))).
+		AddIndex(ix("tag_max", metadata.IndexMaxEver, keyexpr.GroupBy(keyexpr.Field("score"), tags))).
+		AddIndex(ix("tag_min", metadata.IndexMinEver, keyexpr.GroupBy(keyexpr.Field("score"), tags))).
+		AddIndex(ix("tag_updates", metadata.IndexCountUpdates, keyexpr.GroupBy(keyexpr.Empty(), tags))).
 		SetStoreRecordVersions(true).
 		MustBuild()
 }
@@ -217,6 +221,22 @@ func TestScrubEveryType(t *testing.T) {
 		{"count that is no counter", "bio_count", func(s *Store) (map[string]string, error) {
 			kv := indexPairs(s, "bio_count")[0]
 			return issue(ScrubMismatch, kv.Key), s.tr.Set(kv.Key, []byte{1, 2, 3})
+		}},
+		{"max-ever lowered below a live value", "tag_max", func(s *Store) (map[string]string, error) {
+			kv := indexPairs(s, "tag_max")[0]
+			return issue(ScrubMismatch, kv.Key), s.tr.Set(kv.Key, tuple.Tuple{int64(-1)}.Pack())
+		}},
+		{"min-ever raised above a live value", "tag_min", func(s *Store) (map[string]string, error) {
+			kv := indexPairs(s, "tag_min")[1]
+			return issue(ScrubMismatch, kv.Key), s.tr.Set(kv.Key, tuple.Tuple{int64(1000)}.Pack())
+		}},
+		{"count-updates below its live count", "tag_updates", func(s *Store) (map[string]string, error) {
+			kv := indexPairs(s, "tag_updates")[0]
+			return issue(ScrubMismatch, kv.Key), s.tr.Set(kv.Key, counter(decodeCounter(kv.Value)-1))
+		}},
+		{"max-ever group deleted", "tag_max", func(s *Store) (map[string]string, error) {
+			kv := indexPairs(s, "tag_max")[1]
+			return issue(ScrubMissing, kv.Key), s.tr.Clear(kv.Key)
 		}},
 	}
 	for _, c := range cases {

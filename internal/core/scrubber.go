@@ -79,11 +79,12 @@ func (r *ScrubReport) Count(kind string) int {
 // large stores scrub without hitting transaction limits, and every read of
 // the live store is a snapshot read.
 //
-// Every index type but COUNT_UPDATES, MAX_EVER and MIN_EVER can be scrubbed:
-// their values count past writes, which no stored state records. The totals
-// of COUNT, COUNT_NON_NULL and SUM are rebuilt over the whole pass, whose
-// batches then all read at the first one's read version; such a pass must
-// end within the database's window of readable versions.
+// Every index type can be scrubbed. The aggregates of the atomic types are
+// rebuilt over the whole pass, whose batches then all read at the first one's
+// read version; such a pass must end within the database's window of readable
+// versions. COUNT, COUNT_NON_NULL and SUM must equal the rebuild; COUNT_UPDATES,
+// MAX_EVER and MIN_EVER keep what past writes did, which no stored state
+// records, so only a bound is checked (index.AtomicMaintainer.Scrub).
 //
 // Scrubbing requires the index readable: a write-only index is legitimately
 // incomplete while its build is in flight. With Repair set, each batch
@@ -124,11 +125,6 @@ func (o *Scrubber) Scrub(ctx context.Context) (*ScrubReport, error) {
 	ix, ok := o.MetaData.Index(o.IndexName)
 	if !ok {
 		return nil, fmt.Errorf("core: no index %q", o.IndexName)
-	}
-	switch ix.Type {
-	case metadata.IndexCountUpdates, metadata.IndexMaxEver, metadata.IndexMinEver:
-		return nil, fmt.Errorf("core: index %q cannot be scrubbed: %s values count past writes, which no stored state records",
-			ix.Name, ix.Type)
 	}
 	rep := &ScrubReport{Index: o.IndexName}
 	unsure, err := o.pass(ctx, ix, rep)

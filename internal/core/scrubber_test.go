@@ -175,15 +175,29 @@ func TestScrubRefusesUnreadableIndex(t *testing.T) {
 	}
 }
 
-// TestScrubRefusesMaxEverIndex: a MAX_EVER value keeps the largest value any
-// past write had, which no stored state records, so no rebuild can check it.
-func TestScrubRefusesMaxEverIndex(t *testing.T) {
-	_, scr := scrubEnv(t, 2)
+// TestScrubMaxEverIndex: a MAX_EVER value keeps the largest value any past
+// write had, which no stored state records, so a scrub checks a bound: at
+// least the largest live value. A fresh index scrubs clean, and so does one
+// whose largest record was deleted, which leaves it above every live value.
+func TestScrubMaxEverIndex(t *testing.T) {
+	db, scr := scrubEnv(t, 3)
 	scr.IndexName = "score_max"
-	if _, err := scr.Scrub(context.Background()); err == nil ||
-		!strings.Contains(err.Error(), "past writes") {
-		t.Fatalf("scrub of a MAX_EVER index: err = %v, want a refusal that says why", err)
+	check := func(when string) {
+		t.Helper()
+		rep, err := scr.Scrub(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if !rep.Clean() || rep.EntriesScanned != 1 {
+			t.Fatalf("%s: issues %v in %d entries, want none in 1", when, rep.Issues, rep.EntriesScanned)
+		}
 	}
+	check("fresh")
+	withStore(t, db, scr.MetaData, scr.Space, func(s *Store) error {
+		_, err := s.DeleteRecord(tuple.Tuple{"User", int64(3)})
+		return err
+	})
+	check("after deleting the largest")
 }
 
 // TestOnlineIndexerBuildsThroughFaultStorm: the batched online build, whose

@@ -28,6 +28,10 @@ func (s *haltingSource) Next() (Result[int], error) {
 	return Result[int]{Value: v, OK: true, Continuation: []byte{byte(v)}}, nil
 }
 
+func (s *haltingSource) Prefetch()   {}
+func (s *haltingSource) Demand(int)  {}
+func (s *haltingSource) Ready() bool { return false }
+
 // drainAll collects values, continuations, and the terminal state of a cursor.
 func drainAll[T any](t *testing.T, c Cursor[T]) (vals []T, conts [][]byte, reason NoNextReason, cont []byte, err error) {
 	t.Helper()

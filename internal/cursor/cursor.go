@@ -18,6 +18,26 @@
 //	Union, Intersection       'u', 'i'; a part per child        newMerge: kind, a part (or none: done) per child
 //	Concat                    'c'; child index, its part        Concat: kind, index below len(builders)
 //	recordlayer.RecordCursor  'q'; Skip left, the plan's part   the façade: kind, Skip left in [0, Skip]
+//
+// Beside Next, every cursor takes three hints; one that delivers a value per
+// source value embeds Forward to pass them on. Who passes what on ("gap":
+// listed under ROADMAP.md item 11):
+//
+//	cursor                           Prefetch          Demand(n)              Ready
+//	kvcursor's kvCursor              issues a batch    sizes its first read   a pair is buffered, or none is left
+//	Map                              forwards          forwards               forwards
+//	Filter                           forwards          no (a)                 forwards
+//	Limit                            until spent       its own n only (gap)   until spent, then true
+//	Union, Intersection              no (b)            n + 1 each; no (a)     if every child it pulls is
+//	Concat, Func (FromSlice, Fail)   no (c)            no (c)                 never (c)
+//	MapAsync                         forwards          forwards, caps issues  never (gap)
+//	core's recordCursor              forwards          in pairs; no (a)       never (gap)
+//	recordlayer's skipCursor         forwards          n + the rows to skip   forwards
+//	plan's statsCursor, rowInCursor  forwards          forwards               forwards
+//
+//	(a) When values are dropped, what one delivered costs the source is unknown.
+//	(b) A merge prefetches its children itself; one under a merge is not (gap).
+//	(c) A Func's I/O is its own; Concat's children take no hint (gap).
 package cursor
 
 import (
@@ -78,68 +98,40 @@ type Result[T any] struct {
 }
 
 // Cursor produces a stream of values. Implementations are single-use and not
-// safe for concurrent use.
+// safe for concurrent use. Prefetch, Demand and Ready are hints (see the
+// package comment): none changes what Next returns.
 type Cursor[T any] interface {
 	// Next returns the next result. After a result with OK == false, further
 	// calls return the same halt result.
 	Next() (Result[T], error)
+	// Prefetch starts the I/O the next delivery will need, and must not block
+	// for it. Union and Intersection prefetch every child whose head is
+	// unbuffered before peeking any, so a K-way merge step waits one shared
+	// latency window where peeking serially would wait up to K.
+	Prefetch()
+	// Demand says the consumer will take at most n more values, n > 0, so the
+	// cursor can read less; taking more only costs the reads it had saved. A
+	// cursor that drops values does not pass it on: it stops where it stops
+	// being true.
+	Demand(n int)
+	// Ready reports that the next Next returns without waiting for I/O: the
+	// value is buffered, or the stream has ended; false is "not known to be".
+	// MapAsync reads it to tell issuing for values the source has already
+	// read from speculating past them.
+	Ready() bool
 }
+
+// Forward passes every hint to Inner. A cursor embeds it to override only the
+// hints that stop being true.
+type Forward[T any] struct{ Inner Cursor[T] }
+
+func (f Forward[T]) Prefetch()    { f.Inner.Prefetch() }
+func (f Forward[T]) Demand(n int) { f.Inner.Demand(n) }
+func (f Forward[T]) Ready() bool  { return f.Inner.Ready() }
 
 // halt builds a non-value result.
 func halt[T any](reason NoNextReason, continuation []byte) Result[T] {
 	return Result[T]{OK: false, Reason: reason, Continuation: continuation}
-}
-
-// Prefetcher is implemented by cursors that can start the I/O their next
-// delivery will need without blocking for it. Composite cursors (Union,
-// Intersection) prefetch every child whose head is unbuffered before peeking
-// any, so a K-way merge step waits one shared latency window where peeking
-// serially would wait up to K. Prefetch never changes what Next returns —
-// only when its I/O is issued — and must not block. Wrapper cursors forward
-// it to their inner cursor.
-type Prefetcher interface {
-	Prefetch()
-}
-
-// Prefetch invokes c's Prefetch when it implements Prefetcher; other cursors
-// (in-memory sources, adapters without I/O) are left alone.
-func Prefetch[T any](c Cursor[T]) {
-	if p, ok := c.(Prefetcher); ok {
-		p.Prefetch()
-	}
-}
-
-// Demander is implemented by cursors that can read less when told how little
-// is wanted: Demand(n) says the consumer will take at most n more values. Like
-// Prefetch it is a hint and never changes what Next returns; taking more only
-// costs the reads it had saved. Limit announces its n, wrappers that deliver
-// one value per source value forward it, Union passes n + 1 to every child, and
-// cursors that drop values (Filter, Intersection) do not: it stops where it
-// stops being true.
-type Demander interface {
-	Demand(n int)
-}
-
-// Demand forwards a positive demand to c when it implements Demander.
-func Demand[T any](c Cursor[T], n int) {
-	if d, ok := c.(Demander); ok && n > 0 {
-		d.Demand(n)
-	}
-}
-
-// Readier is implemented by cursors that know when their next Next returns
-// without waiting for I/O: the value is buffered, or the stream has ended. A
-// hint like Prefetch and Demand, it never changes what Next returns; MapAsync
-// reads it to tell issuing for values the source has already read from
-// speculating past them.
-type Readier interface {
-	Ready() bool
-}
-
-// Ready reports whether c says so; one that is no Readier is not known to be.
-func Ready[T any](c Cursor[T]) bool {
-	r, ok := c.(Readier)
-	return ok && r.Ready()
 }
 
 // Limiter tracks out-of-band resource limits shared by every cursor in one
@@ -290,6 +282,11 @@ type Func[T any] func() (Result[T], error)
 // Next implements Cursor.
 func (f Func[T]) Next() (Result[T], error) { return f() }
 
+// A Func takes no hint: its I/O, if any, is f's own.
+func (Func[T]) Prefetch()   {}
+func (Func[T]) Demand(int)  {}
+func (Func[T]) Ready() bool { return false }
+
 // Fail is a cursor whose every Next returns err: a scan that cannot start
 // reports why through its cursor, having read nothing.
 func Fail[T any](err error) Cursor[T] {
@@ -299,26 +296,17 @@ func Fail[T any](err error) Cursor[T] {
 // ---------------------------------------------------------------- map
 
 type mapCursor[T, U any] struct {
-	inner Cursor[T]
-	f     func(T) (U, error)
+	Forward[T]
+	f func(T) (U, error)
 }
 
 // Map transforms each value; continuations pass through unchanged.
 func Map[T, U any](inner Cursor[T], f func(T) (U, error)) Cursor[U] {
-	return &mapCursor[T, U]{inner: inner, f: f}
+	return &mapCursor[T, U]{Forward: Forward[T]{inner}, f: f}
 }
 
-// Prefetch implements Prefetcher by forwarding to the source.
-func (c *mapCursor[T, U]) Prefetch() { Prefetch(c.inner) }
-
-// Demand implements Demander: one value out per value in.
-func (c *mapCursor[T, U]) Demand(n int) { Demand(c.inner, n) }
-
-// Ready implements Readier: f does not wait.
-func (c *mapCursor[T, U]) Ready() bool { return Ready(c.inner) }
-
 func (c *mapCursor[T, U]) Next() (Result[U], error) {
-	r, err := c.inner.Next()
+	r, err := c.Inner.Next()
 	if err != nil {
 		return Result[U]{}, err
 	}
@@ -335,26 +323,23 @@ func (c *mapCursor[T, U]) Next() (Result[U], error) {
 // ---------------------------------------------------------------- filter
 
 type filterCursor[T any] struct {
-	inner Cursor[T]
-	pred  func(T) (bool, error)
+	Forward[T]
+	pred func(T) (bool, error)
 }
 
 // Filter drops values failing pred. A skipped value's continuation becomes
 // the resume point, so long filtered stretches still make progress across
 // continuations.
 func Filter[T any](inner Cursor[T], pred func(T) (bool, error)) Cursor[T] {
-	return &filterCursor[T]{inner: inner, pred: pred}
+	return &filterCursor[T]{Forward: Forward[T]{inner}, pred: pred}
 }
 
-// Prefetch implements Prefetcher by forwarding to the source.
-func (c *filterCursor[T]) Prefetch() { Prefetch(c.inner) }
-
-// Ready implements Readier for the source's next value, which pred may drop.
-func (c *filterCursor[T]) Ready() bool { return Ready(c.inner) }
+// Demand takes no hint: what a value pred drops costs the source is unknown.
+func (c *filterCursor[T]) Demand(int) {}
 
 func (c *filterCursor[T]) Next() (Result[T], error) {
 	for {
-		r, err := c.inner.Next()
+		r, err := c.Inner.Next()
 		if err != nil {
 			return Result[T]{}, err
 		}
@@ -386,28 +371,25 @@ func Limit[T any](inner Cursor[T], n int) Cursor[T] {
 	if n <= 0 {
 		return inner
 	}
-	Demand(inner, n) // the source may size its reads to it
+	inner.Demand(n) // the source may size its reads to it
 	return &limitCursor[T]{inner: inner, left: n}
 }
 
-// Prefetch implements Prefetcher; a spent limit will never pull the source
-// again, so it stops forwarding.
+// Prefetch implements Cursor; a spent limit never pulls the source again.
 func (c *limitCursor[T]) Prefetch() {
-	if c.done || c.left == 0 {
-		return
+	if !c.done && c.left > 0 {
+		c.inner.Prefetch()
 	}
-	Prefetch(c.inner)
 }
 
-// Ready implements Readier; a spent limit halts without pulling the source.
-func (c *limitCursor[T]) Ready() bool { return c.done || c.left == 0 || Ready(c.inner) }
+// Demand takes no hint: the source was told n when the limit was built.
+func (c *limitCursor[T]) Demand(int) {}
+
+// Ready implements Cursor; a spent limit halts without pulling the source.
+func (c *limitCursor[T]) Ready() bool { return c.done || c.left == 0 || c.inner.Ready() }
 
 func (c *limitCursor[T]) Next() (Result[T], error) {
-	if c.done {
-		return halt[T](ReturnLimitReached, c.last), nil
-	}
-	if c.left == 0 {
-		c.done = true
+	if c.done || c.left == 0 {
 		return halt[T](ReturnLimitReached, c.last), nil
 	}
 	r, err := c.inner.Next()

@@ -18,7 +18,8 @@ func (s *demandSpy) Demand(n int) { s.got = n }
 // TestDemandFlowsAndStops: Limit announces its n; Map and MapAsync hand it to
 // the source unchanged; Union hands every child n + 1 (the n it can consume
 // and the head it looks ahead at); Filter and Intersection hand on nothing,
-// because a value they deliver may cost the source any number of its own.
+// because a value they deliver may cost the source any number of its own;
+// Concat takes no hint, and a Limit under a Limit keeps its own n.
 func TestDemandFlowsAndStops(t *testing.T) {
 	id := func(v int) (int, error) { return v, nil }
 	keep := func(int) (bool, error) { return true, nil }
@@ -45,6 +46,11 @@ func TestDemandFlowsAndStops(t *testing.T) {
 			u, _ := Intersection(nil, key, child(c), child(FromSlice([]int{1}, nil)))
 			return u
 		}, 0},
+		{"concat", func(c Cursor[int]) Cursor[int] {
+			u, _ := Concat(nil, child(c))
+			return u
+		}, 0},
+		{"limit under a limit", func(c Cursor[int]) Cursor[int] { return Limit(c, 3) }, 3},
 	}
 	for _, w := range wraps {
 		spy := &demandSpy{haltingSource: haltingSource{n: 20, errAt: -1}}
@@ -105,7 +111,9 @@ func TestMapAsyncDemandProperty(t *testing.T) {
 					}
 					return h, nil
 				})
-			Demand(c, demand)
+			if demand > 0 {
+				c.Demand(demand)
+			}
 			for i := 0; i < k; i++ {
 				r, err := c.Next()
 				steps = append(steps, fmt.Sprintf("%v %d %x %v %v", r.OK, r.Value, r.Continuation, r.Reason, err))
@@ -183,7 +191,9 @@ func TestMapAsyncFollowsReadySource(t *testing.T) {
 				awaited++
 				return h, nil
 			})
-		Demand(c, demand)
+		if demand > 0 {
+			c.Demand(demand)
+		}
 		for call := 0; demand == 0 || call < demand; call++ {
 			r, err := c.Next()
 			steps = append(steps, fmt.Sprintf("%v %d %x %v %v", r.OK, r.Value, r.Continuation, r.Reason, err))
@@ -237,17 +247,17 @@ func TestMergeReadyAndUnionDemand(t *testing.T) {
 	}
 	for _, merge := range []func([]byte, func(int) []byte, ...func([]byte) Cursor[int]) (Cursor[int], error){Union[int], Intersection[int]} {
 		m, _ := merge(nil, key, child(ready()), child(ready()))
-		if Ready(m) {
+		if m.Ready() {
 			t.Error("a merge of two unread children is Ready")
 		}
 		if _, err := m.Next(); err != nil {
 			t.Fatal(err)
 		}
-		if !Ready(m) {
+		if !m.Ready() {
 			t.Error("a merge whose children are both Ready is not")
 		}
 		m, _ = merge(nil, key, child(ready()), child(plain()))
-		if m.Next(); Ready(m) {
+		if m.Next(); m.Ready() {
 			t.Error("a merge with a child that is not Ready, and no buffered head, is Ready")
 		}
 	}
@@ -300,7 +310,9 @@ func TestMapAsyncQueueAllocs(t *testing.T) {
 		})
 		got := testing.AllocsPerRun(20, func() {
 			c := MapAsync(tc.src(), tc.depth, issue, await)
-			Demand(c, tc.demand)
+			if tc.demand > 0 {
+				c.Demand(tc.demand)
+			}
 			for i := 0; tc.demand == 0 || i < tc.demand; i++ {
 				if r, _ := c.Next(); !r.OK {
 					break

@@ -53,7 +53,7 @@ func (s *childState[T]) consume() {
 func prefetchChildren[T any](children []*childState[T]) {
 	for _, s := range children {
 		if !s.buffered && !s.done {
-			Prefetch(s.cur)
+			s.cur.Prefetch()
 		}
 	}
 }
@@ -125,7 +125,10 @@ func (c *merge[T]) stop(reason NoNextReason) (Result[T], error) {
 	return h, nil
 }
 
-// Ready implements Readier: every child a step would pull has its head
+// Prefetch takes no hint: a merge prefetches its children itself, per step.
+func (c *merge[T]) Prefetch() {}
+
+// Ready implements Cursor: every child a step would pull has its head
 // buffered or is ready itself. (An intersection step that finds the heads
 // unequal pulls again, and that pull may wait.)
 func (c *merge[T]) Ready() bool {
@@ -133,7 +136,7 @@ func (c *merge[T]) Ready() bool {
 		return true
 	}
 	for _, s := range c.children {
-		if !s.buffered && !s.done && !Ready(s.cur) {
+		if !s.buffered && !s.done && !s.cur.Ready() {
 			return false
 		}
 	}
@@ -155,7 +158,7 @@ func Intersection[T any](continuation []byte, keyOf func(T) []byte,
 	return newMerge(continuation, kindIntersection, keyOf, builders)
 }
 
-// Demand implements Demander for a union. A union pulled k times pulls no
+// Demand implements Cursor for a union. A union pulled k times pulls no
 // child more than k times: n for the values, and one so that a consumer's look
 // past the last of them still finds every head in the child's first batch. An
 // intersection drops values, so the demand stops there.
@@ -164,7 +167,9 @@ func (c *merge[T]) Demand(n int) {
 		return
 	}
 	for _, s := range c.children {
-		Demand(s.cur, n+1) // a child done in the continuation has no cursor
+		if s.cur != nil { // a child done in the continuation has no cursor
+			s.cur.Demand(n + 1)
+		}
 	}
 }
 

@@ -58,24 +58,27 @@ type asyncCursor[T, F, U any] struct {
 	want    int        // announced demand, as a bound on issued; 0 = none
 }
 
-// Demand implements Demander: one value out per source value in.
+// Demand implements Cursor: one value out per source value in.
 func (c *asyncCursor[T, F, U]) Demand(n int) {
 	c.want = c.issued + n
 	if c.depth > 1 {
 		c.depth = min(n, maxInFlight)
 	}
-	Demand(c.inner, n)
+	c.inner.Demand(n)
 }
 
-// Prefetch implements Prefetcher by forwarding to the source: the issued
-// handles in the queue are already in flight, so the only I/O worth starting
-// early is the source's next batch.
+// Prefetch implements Cursor by forwarding to the source: the issued handles
+// in the queue are already in flight, so the only I/O worth starting early is
+// the source's next batch.
 func (c *asyncCursor[T, F, U]) Prefetch() {
 	if c.srcHalt != nil || c.srcErr != nil {
 		return
 	}
-	Prefetch(c.inner)
+	c.inner.Prefetch()
 }
+
+// Ready is false: whether the next value's fetch has landed is not tracked.
+func (c *asyncCursor[T, F, U]) Ready() bool { return false }
 
 func (c *asyncCursor[T, F, U]) Next() (Result[U], error) {
 	if c.err != nil {
@@ -88,7 +91,7 @@ func (c *asyncCursor[T, F, U]) Next() (Result[U], error) {
 		if inFlight > 0 && c.want > 0 && c.issued >= c.want {
 			break
 		}
-		if inFlight >= c.depth && (c.depth == 1 || inFlight >= maxInFlight || !Ready(c.inner)) {
+		if inFlight >= c.depth && (c.depth == 1 || inFlight >= maxInFlight || !c.inner.Ready()) {
 			break
 		}
 		r, err := c.inner.Next()

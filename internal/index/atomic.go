@@ -222,20 +222,12 @@ func (m *AtomicMaintainer) GetTuple(ctx *Context, group tuple.Tuple) (tuple.Tupl
 	return t, true, nil
 }
 
-// Scrub runs one batch of a scrub of COUNT, COUNT_NON_NULL and SUM, which are
-// compared group by group. Phase 0 rebuilds every record into Scratch, which
-// the batches keep, and phase 1 compares each group's total with the live
-// one, an absent group counting as 0. Every batch reads at the first one's
-// read version, so the totals are those of one snapshot. A repair adds the
-// difference, which commutes with concurrent writers' own additions; a value
-// that is no counter is overwritten. COUNT_UPDATES, MAX_EVER and MIN_EVER
-// refuse.
+// Scrub runs one batch of a scrub of an atomic index, which is compared group
+// by group. Phase 0 rebuilds every record into Scratch, which the batches
+// keep, and phase 1 compares each group's value with the live one
+// (compareGroup). Every batch reads at the first one's read version, so the
+// rebuilt values are those of one snapshot.
 func (m *AtomicMaintainer) Scrub(b *ScrubBatch) error {
-	switch m.typ {
-	case metadata.IndexCount, metadata.IndexCountNonNull, metadata.IndexSum:
-	default:
-		return fmt.Errorf("index %q: %s values count past writes, which no stored state records", m.ix.Name, m.typ)
-	}
 	b.Pinned = true
 	if b.Phase == 0 {
 		n, next, done, err := b.Records(b.Cont)
@@ -294,9 +286,34 @@ func (m *AtomicMaintainer) Scrub(b *ScrubBatch) error {
 	}
 }
 
-// compareGroup checks one group's live counter, have, against its rebuilt
-// one, want; nil is an absent counter, worth 0.
+// compareGroup checks one group's live value, have, against its rebuilt one,
+// want; nil is an absent value. COUNT, COUNT_NON_NULL and SUM must equal the
+// rebuild, an absent counter worth 0; a repair adds the difference, which
+// commutes with concurrent writers' own additions, and overwrites a value that
+// is no counter. The other three keep what past writes did, so only a bound
+// holds: MAX_EVER at least the rebuild and MIN_EVER at most (bytewise, the
+// order of packed tuples), COUNT_UPDATES at least the live records. A group
+// the rebuild lacks is fine (its records were deleted). A repair applies the
+// maintainer's own byte-max or byte-min, or adds COUNT_UPDATES' shortfall.
 func (m *AtomicMaintainer) compareGroup(b *ScrubBatch, key, have, want []byte) error {
+	if m.typ == metadata.IndexMaxEver || m.typ == metadata.IndexMinEver {
+		mut, c := fdb.MutationByteMax, bytes.Compare(have, want)
+		if m.typ == metadata.IndexMinEver {
+			mut, c = fdb.MutationByteMin, -c
+		}
+		if want == nil || have != nil && c >= 0 {
+			return nil
+		}
+		kind := IssueMismatch
+		if have == nil {
+			kind = IssueMissing
+		}
+		b.found(kind, key)
+		if !b.Repair {
+			return nil
+		}
+		return b.Live.Tr.Atomic(mut, key, want)
+	}
 	counter := func(v []byte) (int64, bool) {
 		var n [8]byte
 		copy(n[:], v)
@@ -304,7 +321,7 @@ func (m *AtomicMaintainer) compareGroup(b *ScrubBatch, key, have, want []byte) e
 	}
 	l, ok := counter(have)
 	r, _ := counter(want)
-	if ok && l == r {
+	if ok && l == r || m.typ == metadata.IndexCountUpdates && (want == nil || ok && l > r) {
 		return nil
 	}
 	kind := IssueMismatch

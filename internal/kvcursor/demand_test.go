@@ -72,7 +72,7 @@ func TestDemandProperty(t *testing.T) {
 					o.Limiter = cursor.NewLimiter(records, nbytes, time.Time{}, nil)
 				}
 				c := New(tr, []byte("k"), []byte("l"), o)
-				cursor.Demand(c, demand)
+				c.Demand(demand)
 				steps = nil
 				for i := 0; i < calls; i++ {
 					r, err := c.Next()

@@ -98,12 +98,13 @@ func New(tr *fdb.Transaction, begin, end []byte, opts Options) cursor.Cursor[fdb
 	return c
 }
 
-// Demand implements cursor.Demander. The first range read is sized to n when
+// Demand implements cursor.Cursor. The first range read is sized to n when
 // one read can hold it (a longer scan ramps as usual), and nothing is read
 // ahead until more than n pairs have been fetched — until the hint has proved
-// wrong. Of several demands the smallest holds; one mid-scan is ignored.
+// wrong. Of several demands the smallest holds; one mid-scan is ignored, and
+// so is n <= 0, no demand.
 func (c *kvCursor) Demand(n int) {
-	if c.started || (c.want > 0 && c.want <= n) {
+	if n <= 0 || c.started || (c.want > 0 && c.want <= n) {
 		return
 	}
 	c.want = n
@@ -163,7 +164,7 @@ func (c *kvCursor) fill() error {
 	return nil
 }
 
-// Prefetch implements cursor.Prefetcher: when the buffer is drained and no
+// Prefetch implements cursor.Cursor: when the buffer is drained and no
 // read-ahead future is in flight, it issues the next batch's range read
 // without awaiting it, so a composite parent can overlap this cursor's fill
 // with its siblings'. Results are unchanged — Next's fill consumes the
@@ -182,7 +183,7 @@ func (c *kvCursor) drained() bool {
 	return (c.started && !c.more) || bytes.Compare(c.begin, c.end) >= 0
 }
 
-// Ready implements cursor.Readier: a pair is buffered, or the scan has halted
+// Ready implements cursor.Cursor: a pair is buffered, or the scan has halted
 // or has nothing left to read.
 func (c *kvCursor) Ready() bool {
 	return c.halted != nil || c.bufPos < len(c.buf) || c.drained()

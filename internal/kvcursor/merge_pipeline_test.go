@@ -10,14 +10,6 @@ import (
 	"recordlayer/internal/fdb"
 )
 
-// opaque hides the inner cursor's Prefetcher, reproducing the pre-pipelining
-// world where a composite parent could only pull a child one blocking Next at
-// a time. A merge over opaque children is the serial baseline the pipelined
-// merge must match byte for byte.
-type opaque struct{ inner cursor.Cursor[fdb.KeyValue] }
-
-func (o opaque) Next() (cursor.Result[fdb.KeyValue], error) { return o.inner.Next() }
-
 // mergeSeed writes two key families sharing numeric suffixes: a<nnn> for
 // multiples of two, b<nnn> for multiples of three. Union should emit every
 // suffix divisible by 2 or 3; intersection every multiple of 6.
@@ -46,17 +38,20 @@ func mergeSeed(t *testing.T, db *fdb.Database, n int) {
 func mergeKeyOf(kv fdb.KeyValue) []byte { return kv.Key[1:] }
 
 // mergeBuilders returns Union/Intersection child constructors over the two
-// families. serial wraps each child in opaque so the merge cannot prefetch; a
-// positive demand is announced to each child (wholeRange: no read-ahead).
+// families. serial wraps each child in a cursor.Func, which takes no hint, so
+// the merge cannot prefetch: the pre-pipelining world where a composite parent
+// could only pull a child one blocking Next at a time, the serial baseline the
+// pipelined merge must match byte for byte. A positive demand is announced to
+// each child (wholeRange: no read-ahead).
 func mergeBuilders(tr *fdb.Transaction, opts Options, demand int, serial bool) []func([]byte) cursor.Cursor[fdb.KeyValue] {
 	mk := func(fam string) func([]byte) cursor.Cursor[fdb.KeyValue] {
 		return func(cont []byte) cursor.Cursor[fdb.KeyValue] {
 			o := opts
 			o.Continuation = cont
 			c := New(tr, []byte(fam), []byte(fam+"\xff"), o)
-			cursor.Demand(c, demand)
+			c.Demand(demand)
 			if serial {
-				return opaque{c}
+				return cursor.Func[fdb.KeyValue](c.Next)
 			}
 			return c
 		}

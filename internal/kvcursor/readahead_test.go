@@ -19,7 +19,7 @@ const wholeRange = 1 << 30
 func drainPairs(t *testing.T, tr *fdb.Transaction, opts Options, demand int, begin, end string) (pairs []string, conts []string, reason cursor.NoNextReason, cont []byte) {
 	t.Helper()
 	c := New(tr, []byte(begin), []byte(end), opts)
-	cursor.Demand(c, demand)
+	c.Demand(demand)
 	for {
 		r, err := c.Next()
 		if err != nil {
@@ -135,7 +135,7 @@ func TestReadAheadOverlapsLatency(t *testing.T) {
 		var w int64
 		_, err := db.ReadTransact(func(tr *fdb.Transaction) (interface{}, error) {
 			c := New(tr, []byte("k"), []byte("l"), Options{BatchSize: batch, MaxBatchSize: batch})
-			cursor.Demand(c, demand)
+			c.Demand(demand)
 			for {
 				r, err := c.Next()
 				if err != nil {

@@ -62,11 +62,11 @@ func TestReadyProperty(t *testing.T) {
 				c = cursor.Map(c, id)
 			}
 			c = cursor.Limit(c, limit)
-			if cursor.Ready(c) && n > 0 {
+			if c.Ready() && n > 0 {
 				t.Errorf("%s: ready before anything was read", desc)
 			}
 			for call := 1; ; call++ {
-				ready, before := cursor.Ready(c), tr.Stats().SimWaitNanos
+				ready, before := c.Ready(), tr.Stats().SimWaitNanos
 				r, err := c.Next()
 				if err != nil {
 					return nil, err
@@ -79,7 +79,7 @@ func TestReadyProperty(t *testing.T) {
 					t.Errorf("%s: the second pair of the first batch was not Ready", desc)
 				}
 				if !r.OK {
-					if !cursor.Ready(c) {
+					if !c.Ready() {
 						t.Errorf("%s: not Ready after halting", desc)
 					}
 					return nil, nil

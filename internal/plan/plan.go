@@ -157,9 +157,9 @@ func unseen[T any](keyOf func(T) []byte) func(T) (bool, error) {
 // reads, and the fetches of a plan that fetches above merged children. Other
 // composites would hold nothing of their own, so they count rows alone.
 type statsCursor[T any] struct {
-	inner cursor.Cursor[T]
-	node  *obs.PlanStats
-	st    *core.Store
+	cursor.Forward[T]
+	node *obs.PlanStats
+	st   *core.Store
 	// ioOnly leaves the node's rows to the cursor it wraps (observeIO).
 	ioOnly bool
 }
@@ -186,18 +186,12 @@ func (c *statsCursor[T]) attribute(f func()) {
 		after.SimWaitNanos-before.SimWaitNanos-(w1-w0))
 }
 
-// Prefetch implements cursor.Prefetcher by forwarding to the wrapped node;
-// a range read it issues is counted when issued, so it is attributed here.
-func (c *statsCursor[T]) Prefetch() { c.attribute(func() { cursor.Prefetch(c.inner) }) }
-
-// Demand implements cursor.Demander: one value out per value in.
-func (c *statsCursor[T]) Demand(n int) { cursor.Demand(c.inner, n) }
-
-// Ready implements cursor.Readier by forwarding to the wrapped node.
-func (c *statsCursor[T]) Ready() bool { return cursor.Ready(c.inner) }
+// Prefetch forwards to the wrapped node; a range read it issues is counted
+// when issued, so it is attributed here.
+func (c *statsCursor[T]) Prefetch() { c.attribute(c.Inner.Prefetch) }
 
 func (c *statsCursor[T]) Next() (r cursor.Result[T], err error) {
-	c.attribute(func() { r, err = c.inner.Next() })
+	c.attribute(func() { r, err = c.Inner.Next() })
 	if err == nil && r.OK && !c.ioOnly {
 		c.node.AddRowOut() //lint:allow obsguard observe() returns early on nil node; statsCursor exists only when node != nil
 	}
@@ -215,7 +209,7 @@ func observe[T any](node *obs.PlanStats, s *core.Store, io bool, c cursor.Cursor
 	if io {
 		st = s
 	}
-	return &statsCursor[T]{inner: c, node: node, st: st}
+	return &statsCursor[T]{Forward: cursor.Forward[T]{Inner: c}, node: node, st: st}
 }
 
 // observeIO is observe for a scan that counts its node's rows itself: the
@@ -225,26 +219,17 @@ func observeIO(node *obs.PlanStats, s *core.Store, c cursor.Cursor[*core.StoredR
 		return c
 	}
 	node.AddPage()
-	return &statsCursor[*core.StoredRecord]{inner: c, node: node, st: s, ioOnly: true}
+	return &statsCursor[*core.StoredRecord]{Forward: cursor.Forward[*core.StoredRecord]{Inner: c}, node: node, st: s, ioOnly: true}
 }
 
 // rowInCursor counts the index entries a leaf scans as the node's RowsIn.
 type rowInCursor[T any] struct {
-	inner cursor.Cursor[T]
-	node  *obs.PlanStats
+	cursor.Forward[T]
+	node *obs.PlanStats
 }
 
-// Prefetch implements cursor.Prefetcher by forwarding to the wrapped node.
-func (c *rowInCursor[T]) Prefetch() { cursor.Prefetch(c.inner) }
-
-// Demand implements cursor.Demander: one item out per item in.
-func (c *rowInCursor[T]) Demand(n int) { cursor.Demand(c.inner, n) }
-
-// Ready implements cursor.Readier by forwarding to the wrapped node.
-func (c *rowInCursor[T]) Ready() bool { return cursor.Ready(c.inner) }
-
 func (c *rowInCursor[T]) Next() (cursor.Result[T], error) {
-	r, err := c.inner.Next()
+	r, err := c.Inner.Next()
 	if err == nil && r.OK {
 		c.node.AddRowIn() //lint:allow obsguard observeIn() returns early on nil node; rowInCursor exists only when node != nil
 	}
@@ -255,7 +240,7 @@ func observeIn[T any](node *obs.PlanStats, c cursor.Cursor[T]) cursor.Cursor[T] 
 	if node == nil {
 		return c
 	}
-	return &rowInCursor[T]{inner: c, node: node}
+	return &rowInCursor[T]{Forward: cursor.Forward[T]{Inner: c}, node: node}
 }
 
 // ---------------------------------------------------------------- full scan

@@ -6,8 +6,8 @@ import "recordlayer/internal/core"
 // the index holds must be what its records make it hold, and nothing more —
 // by rebuilding: each batch runs the index's own maintainer over records
 // into a scratch database and compares the result with the live index by the
-// rules of its type. Every index type but COUNT_UPDATES, MAX_EVER and
-// MIN_EVER can be scrubbed. Scans run in bounded, continuation-resumed
+// rules of its type; COUNT_UPDATES, MAX_EVER and MIN_EVER, which keep what
+// past writes did, against a bound. Scans run in bounded, continuation-resumed
 // batches of snapshot reads, so large stores scrub without aborting
 // foreground writers; with Repair set inconsistencies are fixed in place.
 // See internal/core.Scrubber for field documentation and `rl scrub` for a

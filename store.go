@@ -233,7 +233,7 @@ func (s *Store) executePlan(ctx context.Context, pl plan.Plan, props ExecuteProp
 	}
 	rc := &RecordCursor{ctx: ctx}
 	if props.Skip > 0 {
-		rc.skip = &skipCursor{inner: c, remaining: skip}
+		rc.skip = &skipCursor{Forward: cursor.Forward[*Record]{Inner: c}, remaining: skip}
 		c = rc.skip
 	}
 	rc.inner = cursor.Limit(c, props.RowLimit)
