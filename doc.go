@@ -407,7 +407,7 @@
 // the GRV, with the default six levels:
 //
 //	SaveRecord / SaveRecords(n), any mix of index types:  2 (load ∥…, probes ∥…)
-//	DeleteRecord, k times in a loop:                      2k
+//	DeleteRecord, k times in a loop:                      k + 1
 //	RankOfValue, Rank:                                    2
 //	ByRank, the seek of ScanByRank:                       <= 6, + 1 per batch ended short
 //	TextSearchAll / TextSearchPhrase of k tokens:         1
@@ -453,10 +453,27 @@
 // rank-of issues 11 small reads where it issued 6: index.rank.lookup_ns
 // 8.9 -> 12.6 µs of CPU against 2 ms less latency. What still waits longer
 // than its chain: an insert that lands on level >= 1 (1 in 16)
-// reads its finger-split sum fresh at apply time, a third window, and
-// deleting k records in a loop pays 2k windows where a batched delete would
-// pay 2. TestRankAndTextCostExactWindows and internal/rankedset's
+// reads its finger-split sum fresh at apply time, a third window.
+// TestRankAndTextCostExactWindows and internal/rankedset's
 // TestCountLessAndSelectMatchReference pin the prices and the equivalence.
+//
+// A delete's index maintenance is parked, not awaited: DeleteRecord returns
+// once the old record is loaded and its keys are cleared, with its
+// maintainers' probe reads in flight, and the update resolves, in issue
+// order, at the next call of any store opened on the transaction or at
+// Commit (fdb.Transaction.AddCommitCheck). So each delete's load window also
+// covers the previous delete's probes, and k deletes in a loop cost k + 1
+// windows where they cost 2k. A save settles before it returns, so its
+// answers and errors, a uniqueness violation included, stay its own. An
+// error of a parked update surfaces from that next store call, or from
+// Commit, which then sends nothing and is never maybe-committed. A raw
+// fdb.Transaction read of an index subspace sees a parked delete only after
+// a store call or the commit. The library's raw readers settle first:
+// cloudkit's SyncZone reads through Store.ScanIndex, StoreProvider.Delete
+// runs the transaction's commit checks before its range clear, and
+// cloudkit's MoveUser reads only committed state, in transactions of its
+// own. TestParkedDeleteReadFaultFailsCommit, TestParkedDeleteThenClearingCalls
+// and TestTwoHandlesDeletingAlternately hold the settle points.
 //
 // # Resource governance
 //

@@ -13,8 +13,12 @@ import (
 )
 
 // readableIndex resolves an index and verifies it may serve reads (§6: a
-// write-only index must not satisfy queries).
+// write-only index must not satisfy queries). Every index read goes through
+// it, so it settles the transaction's parked index updates first.
 func (s *Store) readableIndex(name string) (*metadata.Index, error) {
+	if err := s.settle(); err != nil {
+		return nil, err
+	}
 	ix, ok := s.md.Index(name)
 	if !ok {
 		return nil, fmt.Errorf("core: no index %q", name)
@@ -274,6 +278,9 @@ func (s *Store) TextIndexStats(name string) (bunched.Stats, error) {
 // a single transaction"). It is the online build's loop over one batch of
 // every record: the updates are all issued, then awaited in order.
 func (s *Store) RebuildIndexInline(name string) error {
+	if err := s.settle(); err != nil {
+		return err
+	}
 	ix, ok := s.md.Index(name)
 	if !ok {
 		return fmt.Errorf("core: no index %q", name)

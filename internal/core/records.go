@@ -102,7 +102,8 @@ func (s *Store) primaryKey(msg *message.Message) (*metadata.RecordType, tuple.Tu
 // SaveRecord inserts or replaces a record, maintaining every applicable
 // index in the same transaction (§6): load the old record by primary key,
 // let registered index maintainers reconcile entries, then rewrite the
-// record's keys and its version slot.
+// record's keys and its version slot. It settles before it returns, so an
+// index's error, a uniqueness violation included, is its own.
 func (s *Store) SaveRecord(msg *message.Message) (*StoredRecord, error) {
 	rt, pk, packed, err := s.primaryKey(msg)
 	if err != nil {
@@ -112,17 +113,22 @@ func (s *Store) SaveRecord(msg *message.Message) (*StoredRecord, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := s.settle(); err != nil {
+		return nil, err
+	}
 	return s.saveLoaded(rt, pk, packed, msg, old)
 }
 
 // saveLoaded finishes a save once the old record is known: assign the
-// per-transaction version counter, reconcile indexes, rewrite the data.
+// per-transaction version counter, reconcile indexes, rewrite the data, and
+// settle.
 func (s *Store) saveLoaded(rt *metadata.RecordType, pk tuple.Tuple, packed []byte, msg *message.Message, old *StoredRecord) (*StoredRecord, error) {
 	rec, pendings, err := s.saveLoadedAsync(rt, pk, packed, msg, old)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.awaitIndexPendings(pendings); err != nil {
+	s.park(pendings)
+	if err := s.settle(); err != nil {
 		return nil, err
 	}
 	return rec, nil
@@ -184,16 +190,20 @@ func (s *Store) SaveRecords(msgs []*message.Message) ([]*StoredRecord, error) {
 		b, e := s.recordRange(packed)
 		items[i].load = s.issueLoadRecord(b, e, false)
 	}
-	// Sweep 1: per record in batch order, resolve the old record and issue
-	// its index maintenance — every maintainer's probe reads go out without
-	// blocking, so all N records' descents and boundary lookups share one
-	// latency window. Sweep 2: await each record's pendings in issue order,
-	// applying the buffered index mutations. The two sweeps produce the same
-	// keyspace and writes as the save loop: maintainers' reads see the
-	// transaction as of issue, and are corrected at await against the
-	// batch-internal writes made since (internal/overlay).
+	// The loads are in flight, and parked work writes no record data: settle
+	// it while they are.
+	if err := s.settle(); err != nil {
+		return nil, err
+	}
+	// Per record in batch order, resolve the old record and issue its index
+	// maintenance: every maintainer's probe reads go out without blocking, so
+	// all N records' descents and boundary lookups share one latency window.
+	// The settle at the end awaits them in issue order, applying the buffered
+	// index mutations. This produces the same keyspace and writes as the save
+	// loop: maintainers' reads see the transaction as of issue, and are
+	// corrected at await against the batch-internal writes made since
+	// (internal/overlay).
 	out := make([]*StoredRecord, len(msgs))
-	pendings := make([][]indexPending, len(msgs))
 	for i, msg := range msgs {
 		it := items[i]
 		var old *StoredRecord
@@ -213,12 +223,10 @@ func (s *Store) SaveRecords(msgs []*message.Message) ([]*StoredRecord, error) {
 			return nil, err
 		}
 		out[i] = rec
-		pendings[i] = ps
+		s.park(ps)
 	}
-	for _, ps := range pendings {
-		if err := s.awaitIndexPendings(ps); err != nil {
-			return nil, err
-		}
+	if err := s.settle(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -238,6 +246,9 @@ func (s *Store) InsertRecord(msg *message.Message) (*StoredRecord, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := s.settle(); err != nil {
+		return nil, err
+	}
 	if len(kvs) > 0 {
 		return nil, fmt.Errorf("core: InsertRecord: record %v already exists", pk)
 	}
@@ -255,11 +266,12 @@ type indexPending struct {
 
 // updateIndexesAsync issues every non-disabled maintainer whose index covers
 // the old or new record's type, awaiting nothing: each maintainer's reads are
-// in flight when this returns. The pendings must be handed to
-// awaitIndexPendings in the order returned (maintainers buffer mutations to
-// apply at await time, in issue order). An index's `index.<name>` span opens
-// at issue and closes at await, so overlapped maintenance shows overlapped
-// spans — the write-path mirror of overlapping fdb.read windows.
+// in flight when this returns. The pendings must be parked in the order
+// returned (maintainers buffer mutations to apply at await time, in issue
+// order); an update that needs no await (index.Done) is not returned. An
+// index's `index.<name>` span opens at issue and closes at await, so
+// overlapped maintenance shows overlapped spans — the write-path mirror of
+// overlapping fdb.read windows.
 //
 // old and new are the same record, whose primary key packed is pk.
 func (s *Store) updateIndexesAsync(old, new *StoredRecord, pk []byte) ([]indexPending, error) {
@@ -292,13 +304,36 @@ func (s *Store) updateIndexesAsync(old, new *StoredRecord, pk []byte) ([]indexPe
 			}
 			return nil, uerr
 		}
+		if p == index.Done {
+			if s.trace != nil {
+				s.trace.Add(obs.SpanIndexPrefix+ix.Name, t0, s.tr.LatencyNow(), 0, "")
+			}
+			continue
+		}
 		out = append(out, indexPending{name: ix.Name, p: p, t0: t0})
 	}
 	return out, nil
 }
 
+// park queues issued index updates as a commit check of the transaction
+// (fdb.Transaction.AddCommitCheck), to be awaited at its next settle point:
+// the next call of any store opened on the transaction, or its Commit.
+func (s *Store) park(pendings []indexPending) {
+	if len(pendings) > 0 {
+		s.tr.AddCommitCheck(func() error { return s.awaitIndexPendings(pendings) })
+	}
+}
+
+// settle resolves the index updates every store parked on the transaction,
+// in issue order. Every store entry point settles before it reads or writes
+// anything that parked work could touch, so parked work is never observed
+// half done; SaveRecord, SaveRecords, InsertRecord and DeleteRecord issue
+// their own record read first, since parked work writes no record data.
+func (s *Store) settle() error { return s.tr.RunCommitChecks() }
+
 // awaitIndexPendings resolves issued index updates in order, closing each
-// index's trace span.
+// index's trace span. It is the one place the record write path awaits an
+// index update, and runs only as a parked commit check.
 func (s *Store) awaitIndexPendings(pendings []indexPending) error {
 	for _, ip := range pendings {
 		err := ip.p.Await()
@@ -472,6 +507,9 @@ func mustMarshal(m *message.Message) []byte {
 // LoadRecordByKey fetches one record by primary key; nil when absent. The
 // version slot and all record chunks arrive in a single range read (§4).
 func (s *Store) LoadRecordByKey(pk tuple.Tuple) (*StoredRecord, error) {
+	if err := s.settle(); err != nil {
+		return nil, err
+	}
 	return s.loadRecordByKey(pk, pk.Pack(), false)
 }
 
@@ -655,10 +693,24 @@ func readEnvelope(envelope []byte) (name, wire []byte, err error) {
 // DeleteRecord removes a record and its index entries; false when absent. An
 // unsplit record's keys are cleared one by one, a split record's as a range
 // (clearRecord).
+//
+// It returns once the old record is loaded and its keys are cleared. Its
+// index maintenance is issued, and its probe reads (RANK, TEXT) are in
+// flight, but nothing awaits them: the update is parked on the transaction
+// and resolves at the next call of any store opened on it, or at Commit, in
+// issue order. So the next delete's load window covers this one's probes,
+// and k deletes in a loop cost k + 1 read windows. An error of the parked
+// update surfaces from that next store call, or from Commit, which then
+// sends nothing; either way the transaction cannot commit. A raw
+// fdb.Transaction read of an index subspace sees the delete only after one
+// of those settle points.
 func (s *Store) DeleteRecord(pk tuple.Tuple) (bool, error) {
 	packed := pk.Pack()
 	old, err := s.loadRecordByKey(pk, packed, false)
 	if err != nil {
+		return false, err
+	}
+	if err := s.settle(); err != nil {
 		return false, err
 	}
 	if old == nil {
@@ -668,9 +720,7 @@ func (s *Store) DeleteRecord(pk tuple.Tuple) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if err := s.awaitIndexPendings(pendings); err != nil {
-		return false, err
-	}
+	s.park(pendings)
 	if err := s.clearRecord(old, packed, false, false); err != nil {
 		return false, err
 	}
@@ -680,6 +730,9 @@ func (s *Store) DeleteRecord(pk tuple.Tuple) (bool, error) {
 // DeleteAllRecords clears all records and index data but preserves the
 // store header.
 func (s *Store) DeleteAllRecords() error {
+	if err := s.settle(); err != nil {
+		return err
+	}
 	if err := s.tr.BumpMetadataVersion(); err != nil {
 		return err
 	}
@@ -733,6 +786,9 @@ type RecordFilter struct {
 // one extent, so the stream interleaves types (§4); the continuation is the
 // packed primary key of the last complete record.
 func (s *Store) ScanRecords(opts ScanOptions) cursor.Cursor[*StoredRecord] {
+	if err := s.settle(); err != nil {
+		return cursor.Fail[*StoredRecord](err)
+	}
 	begin, end, err := opts.Range.ToKeyRange(s.records)
 	if err != nil {
 		return cursor.Fail[*StoredRecord](err)

@@ -172,6 +172,11 @@ func (c *StateCache) Open(tr *fdb.Transaction, md *metadata.MetaData, space subs
 // store copies it once, with the records subspace's element after it, so its
 // space and records subspaces are two views of one allocation.
 func (c *StateCache) OpenPrefix(tr *fdb.Transaction, md *metadata.MetaData, prefix []byte, opts OpenOptions) (*Store, error) {
+	// A schema change below may clear or rebuild an index that another store
+	// on tr has parked work for.
+	if err := tr.RunCommitChecks(); err != nil {
+		return nil, err
+	}
 	n := len(prefix)
 	buf := tuple.AppendInt64(append(make([]byte, 0, n+2), prefix...), recordsSub)
 	s := &Store{tr: tr, md: md, space: subspace.View(buf[:n]), records: subspace.View(buf), cfg: opts.Config.withDefaults(),
@@ -241,6 +246,9 @@ func (s *Store) Header() Header { return s.header }
 
 // SetUserVersion records the client-managed application version (§5).
 func (s *Store) SetUserVersion(v int) error {
+	if err := s.settle(); err != nil {
+		return err
+	}
 	s.header.UserVersion = v
 	return s.overwriteHeader()
 }
@@ -337,6 +345,9 @@ func (s *Store) IndexState(name string) metadata.IndexState {
 }
 
 func (s *Store) setIndexState(name string, st metadata.IndexState) error {
+	if err := s.settle(); err != nil {
+		return err
+	}
 	if err := s.tr.BumpMetadataVersion(); err != nil {
 		return err
 	}
@@ -427,8 +438,12 @@ func (s *Store) maintainer(ix *metadata.Index) (index.Maintainer, *index.Context
 // DeleteStore removes every key of a record store — records, indexes,
 // header and operational state. Tenant removal is one range clear (§3), plus
 // the metadata-version bump that keeps a StateCache from serving the dead
-// store's header to whoever recreates it.
+// store's header to whoever recreates it. It settles the index updates
+// parked on tr first, so none lands in the cleared range at commit.
 func DeleteStore(tr *fdb.Transaction, space subspace.Subspace) error {
+	if err := tr.RunCommitChecks(); err != nil {
+		return err
+	}
 	if err := tr.BumpMetadataVersion(); err != nil {
 		return err
 	}

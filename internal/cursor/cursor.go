@@ -362,7 +362,9 @@ type limitCursor[T any] struct {
 	inner Cursor[T]
 	left  int
 	last  []byte
-	done  bool
+	// stop is the source's halt, repeated to every later call once done.
+	stop Result[T]
+	done bool
 }
 
 // Limit stops after n values with ReturnLimitReached, carrying the inner
@@ -389,7 +391,10 @@ func (c *limitCursor[T]) Demand(int) {}
 func (c *limitCursor[T]) Ready() bool { return c.done || c.left == 0 || c.inner.Ready() }
 
 func (c *limitCursor[T]) Next() (Result[T], error) {
-	if c.done || c.left == 0 {
+	if c.done {
+		return c.stop, nil
+	}
+	if c.left == 0 {
 		return halt[T](ReturnLimitReached, c.last), nil
 	}
 	r, err := c.inner.Next()
@@ -397,7 +402,7 @@ func (c *limitCursor[T]) Next() (Result[T], error) {
 		return Result[T]{}, err
 	}
 	if !r.OK {
-		c.done = true
+		c.stop, c.done = r, true
 		return r, nil
 	}
 	c.left--

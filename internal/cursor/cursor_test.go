@@ -69,6 +69,24 @@ func TestLimitWithResume(t *testing.T) {
 	}
 }
 
+// TestLimitRepeatsTheSourceHalt: once the source halts under a limit it has
+// not spent, every later call returns that same halt, as Cursor's contract
+// says, not a return-limit-reached halt at the last value.
+func TestLimitRepeatsTheSourceHalt(t *testing.T) {
+	c := Limit(FromSlice([]int{1, 2}, nil), 5)
+	for i := 1; i <= 2; i++ {
+		if r, err := c.Next(); err != nil || !r.OK || r.Value != i {
+			t.Fatalf("call %d: %+v %v", i, r, err)
+		}
+	}
+	for call := 3; call <= 4; call++ {
+		r, err := c.Next()
+		if err != nil || r.OK || r.Reason != SourceExhausted || r.Continuation != nil {
+			t.Fatalf("call %d: %+v %v, want source-exhausted with no continuation", call, r, err)
+		}
+	}
+}
+
 func keyOf(s string) []byte { return []byte(s) }
 
 func TestUnionDedup(t *testing.T) {

@@ -3,6 +3,8 @@ package fdb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"testing"
 	"unsafe"
 )
@@ -116,6 +118,79 @@ func TestOnCommitRunsOnceAfterSuccessOnly(t *testing.T) {
 		if applied := db.ReadVersion() > 0; applied != (inj.Counts().UnknownApplied == 1) {
 			t.Fatalf("%+v: applied=%v", cfg, applied)
 		}
+	}
+}
+
+// TestCommitChecksRunOnceBeforeCommit: queued checks run in order, once,
+// at RunCommitChecks or else at Commit before it sends anything, and may
+// write through the transaction. A failed check fails every later run and
+// Commit, which then applies nothing, until Reset; Reset and Cancel drop the
+// queue unrun.
+func TestCommitChecksRunOnceBeforeCommit(t *testing.T) {
+	var ran []int
+	queue := func(tr *Transaction, fail error) {
+		for i := 0; i < 3; i++ {
+			i := i
+			tr.AddCommitCheck(func() error {
+				ran = append(ran, i)
+				if i == 1 && fail != nil {
+					return fail
+				}
+				return tr.Set([]byte(fmt.Sprintf("check%d", i)), []byte("v"))
+			})
+		}
+	}
+	expect := func(what, want string) {
+		t.Helper()
+		if got := fmt.Sprint(ran); got != want {
+			t.Fatalf("%s: checks ran %s, want %s", what, got, want)
+		}
+		ran = nil
+	}
+
+	db := Open(nil)
+	tr := db.CreateTransaction()
+	queue(tr, nil)
+	if err := tr.RunCommitChecks(); err != nil {
+		t.Fatal(err)
+	}
+	expect("RunCommitChecks", "[0 1 2]")
+	mustCommit(t, tr)
+	expect("commit after a run", "[]")
+
+	tr = db.CreateTransaction()
+	queue(tr, nil)
+	mustCommit(t, tr)
+	expect("commit", "[0 1 2]")
+	if v, err := db.CreateTransaction().Get([]byte("check2")); err != nil || string(v) != "v" {
+		t.Fatalf("a check's write did not commit: %q, %v", v, err)
+	}
+
+	boom := errors.New("boom")
+	before := db.ReadVersion()
+	tr = db.CreateTransaction()
+	mustSet(t, tr, "k", "v")
+	queue(tr, boom)
+	for _, run := range []func() error{tr.Commit, tr.RunCommitChecks, tr.Commit} {
+		if err := run(); !errors.Is(err, boom) {
+			t.Fatalf("after a failed check: %v, want %v", err, boom)
+		}
+	}
+	expect("failed check", "[0 1]")
+	if db.ReadVersion() != before {
+		t.Fatal("a commit whose check failed applied")
+	}
+	tr.Reset()
+	mustSet(t, tr, "k", "v")
+	mustCommit(t, tr)
+	expect("commit after Reset", "[]")
+
+	for _, drop := range []func(*Transaction){(*Transaction).Reset, (*Transaction).Cancel} {
+		tr = db.CreateTransaction()
+		queue(tr, nil)
+		drop(tr)
+		_ = tr.Commit()
+		expect("dropped", "[]")
 	}
 }
 

@@ -160,6 +160,10 @@ type txnState struct {
 	cVersion int64 // committed version
 	// onCommit is every hook OnCommit registered, chained in order.
 	onCommit func(version int64, bumped bool)
+	// checks is every check AddCommitCheck queued and RunCommitChecks has not
+	// run, chained in order; after a check fails, a check that returns its
+	// error again.
+	checks func() error
 
 	// The flags and the local version share one word, which keeps a
 	// Transaction in its size class.
@@ -972,10 +976,16 @@ func (t *Transaction) AddWriteConflictKey(key []byte) {
 
 // Commit validates and applies the transaction. On conflict it returns a
 // retryable not_committed error, matching optimistic concurrency control.
+// It first runs the queued commit checks (AddCommitCheck); if one fails,
+// Commit returns its error and sends nothing, so the error is never
+// maybe-committed.
 // Under a latency model a committing commit waits out PerCommit after every
 // issued read has resolved; read-only commits are client-side no-ops and
 // stay free.
 func (t *Transaction) Commit() error {
+	if err := t.RunCommitChecks(); err != nil {
+		return err
+	}
 	t.mu.Lock()
 	trace := t.trace
 	var t0 int64
@@ -1023,6 +1033,54 @@ func (t *Transaction) OnCommit(f func(version int64, bumped bool)) {
 	} else {
 		t.onCommit = f
 	}
+}
+
+// AddCommitCheck queues check to run before this transaction commits: at the
+// latest when Commit is called, before it sends anything, or earlier when a
+// caller runs the queue with RunCommitChecks. Checks run in the order they
+// were queued, each once, outside the transaction's lock, so a check may read
+// and write through the transaction. Reset and Cancel drop the queue, as they
+// drop OnCommit hooks. It is how a layer defers work it issued to the point
+// where its result is needed, without letting the transaction commit before
+// the work is done; the Java Record Layer's FDBRecordContext.addCommitCheck
+// has the same shape. The record store parks a delete's index maintenance,
+// whose probe reads are in flight, as a check: it resolves at the next call
+// of any store on the transaction, which runs the queue first, or here at
+// Commit, and its error surfaces from that call or from Commit.
+func (t *Transaction) AddCommitCheck(check func() error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if prev := t.checks; prev != nil {
+		t.checks = func() error {
+			if err := prev(); err != nil {
+				return err
+			}
+			return check()
+		}
+	} else {
+		t.checks = check
+	}
+}
+
+// RunCommitChecks runs every queued commit check now, in order, and drops it.
+// The first check to fail stops the run and fails the transaction: the checks
+// after it are dropped, and this call, every later one and Commit return its
+// error, until Reset.
+func (t *Transaction) RunCommitChecks() error {
+	t.mu.Lock()
+	checks := t.checks
+	t.checks = nil
+	t.mu.Unlock()
+	if checks == nil {
+		return nil
+	}
+	err := checks()
+	if err != nil {
+		t.mu.Lock()
+		t.checks = func() error { return err }
+		t.mu.Unlock()
+	}
+	return err
 }
 
 // commitLocked is Commit's body, returning the latency-clock time the commit
@@ -1249,11 +1307,13 @@ func (t *Transaction) Stats() TxnStats {
 	return t.stats
 }
 
-// Cancel aborts the transaction; all subsequent operations fail.
+// Cancel aborts the transaction; all subsequent operations fail. Queued
+// commit checks are dropped unrun.
 func (t *Transaction) Cancel() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.canceled = true
+	t.checks = nil
 }
 
 // Reset returns the transaction to a fresh state with a new read version. A

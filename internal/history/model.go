@@ -151,7 +151,7 @@ type store struct {
 	states     map[string]metadata.IndexState    // every state but readable
 	entries    map[string]map[string]tuple.Tuple // VALUE, RANK, VERSION: packed (key, pk) → (key, pk)
 	postings   map[string]map[int64][]int64      // TEXT: token → pk → offsets
-	aggregates map[string]int64                  // SUM and COUNT: index name and group → value
+	aggregates map[string]int64                  // SUM, COUNT, MAX_EVER: index name and group → value
 }
 
 func newStore(version int) *store {
@@ -287,6 +287,11 @@ func (s *store) maintain(version int, old, new *rec) {
 			}
 			if new != nil {
 				s.aggregates[TagCount+"/"+new.doc.Tag]++
+			}
+		case metadata.IndexMaxEver:
+			// The greatest score ever saved: a delete leaves it.
+			if top, ok := s.aggregates[ScoreMax]; new != nil && (!ok || new.doc.Score > top) {
+				s.aggregates[ScoreMax] = new.doc.Score
 			}
 		default:
 			oldE, newE := map[string]tuple.Tuple{}, map[string]tuple.Tuple{}
@@ -524,7 +529,11 @@ func (tx *txn) apply(op Op) (string, error) {
 		}
 		return fmt.Sprint(len(op.Docs)), nil
 	case DeleteRecord:
-		return fmt.Sprint(h.deleteRecord(op.PK)), nil
+		out := make([]string, len(op.PKs))
+		for i, id := range op.PKs {
+			out[i] = fmt.Sprint(h.deleteRecord(id))
+		}
+		return strings.Join(out, " "), nil
 	case Increment:
 		r, ok := h.store().records[op.PK]
 		if !ok {
@@ -743,7 +752,9 @@ func (m *Model) build(op Op) (string, error) {
 // each the contents its records make, and a second scrub finds none. An
 // index's issues are the differences between what it holds and what its
 // records make: entries and postings one by one (a posting at other offsets
-// is a mismatch), totals group by group, an absent group counting as 0.
+// is a mismatch), totals group by group, an absent group counting as 0. The
+// MAX_EVER index is only bounded: it is missing when absent and mismatched
+// when below the greatest score the records make; a repair raises it.
 func (m *Model) scrub(op Op) (string, error) {
 	if m.tenants[op.Tenant] == nil {
 		return "", errModel
@@ -780,6 +791,15 @@ func (m *Model) scrub(op Op) (string, error) {
 						n[1]++
 					}
 				}
+			}
+		case metadata.IndexMaxEver:
+			// Only a bound holds: at least the greatest score the records
+			// make.
+			have, held := s.aggregates[ScoreMax]
+			if made, ok := want.aggregates[ScoreMax]; ok && !held {
+				n[1]++
+			} else if ok && have < made {
+				n[2]++
 			}
 		case metadata.IndexSum, metadata.IndexCount:
 			for group := range joinKeys(s.aggregates, want.aggregates, ix.Name) {
@@ -826,6 +846,11 @@ func (m *Model) scrub(op Op) (string, error) {
 			switch ix.Type {
 			case metadata.IndexText:
 				w.postings = want.postings
+			case metadata.IndexMaxEver:
+				have, held := w.aggregates[ScoreMax]
+				if made, ok := want.aggregates[ScoreMax]; ok && (!held || have < made) {
+					w.aggregates[ScoreMax] = made
+				}
 			case metadata.IndexSum, metadata.IndexCount:
 				for group := range joinKeys(w.aggregates, want.aggregates, ix.Name) {
 					w.aggregates[group] = want.aggregates[group]

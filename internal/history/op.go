@@ -15,7 +15,7 @@ const (
 	Save                       // SaveRecord
 	SaveBatch                  // SaveRecords
 	Insert                     // InsertRecord
-	DeleteRecord               // DeleteRecord
+	DeleteRecord               // DeleteRecord of 1–3 primary keys, one call each
 	DeleteAll                  // DeleteAllRecords
 	QueryPage                  // one page of a paged ExecuteQuery
 	RankReads                  // RankOfValue, ByRank, ScanByRank
@@ -75,7 +75,8 @@ type Op struct {
 	Tenant  Tenant
 	Docs    []Doc    // Save, SaveBatch, Insert; one per target of OpenSeveral; Race's four
 	Targets []Tenant // OpenSeveral
-	PK      int64    // DeleteRecord, Increment
+	PK      int64    // Increment
+	PKs     []int64  // DeleteRecord: deleted in one transaction, one call each
 	Index   string   // MarkIndex, OpenAndChange
 	Mark    int      // MarkIndex: 0 write-only, 1 readable, 2 disabled; OpenAndChange: 0 user version, 1 write-only, 2 disabled, 3 delete
 	Value   int      // SetUserVersion, OpenAndChange's user version
@@ -182,7 +183,10 @@ func (g *gen) next(i int) Op {
 	case k < 35:
 		op.Kind, op.Docs = Insert, []Doc{g.doc()}
 	case k < 41:
-		op.Kind, op.PK = DeleteRecord, int64(r.Intn(ids))
+		op.Kind = DeleteRecord
+		for j := r.Intn(3) + 1; j > 0; j-- {
+			op.PKs = append(op.PKs, int64(r.Intn(ids)))
+		}
 	case k < 43:
 		op.Kind = DeleteAll
 	case k < 63:

@@ -31,6 +31,7 @@ const (
 	ByVersion   = "by_version"    // VERSION
 	ScoreSum    = "score_sum"     // SUM of score
 	TagCount    = "tag_count"     // COUNT per tag
+	ScoreMax    = "score_max"     // MAX_EVER of score
 	ByN         = "by_n"          // VALUE (n), added in version 2
 )
 
@@ -71,6 +72,7 @@ func build(version int) *metadata.MetaData {
 		{Name: ByVersion, Type: metadata.IndexVersion, Expression: keyexpr.Version()},
 		{Name: ScoreSum, Type: metadata.IndexSum, Expression: keyexpr.Ungrouped(keyexpr.Field("score"))},
 		{Name: TagCount, Type: metadata.IndexCount, Expression: keyexpr.GroupBy(keyexpr.Empty(), keyexpr.Field("tag"))},
+		{Name: ScoreMax, Type: metadata.IndexMaxEver, Expression: keyexpr.Ungrouped(keyexpr.Field("score"))},
 	} {
 		ix.AddedVersion = 1
 		b.AddIndex(ix, "Doc")
