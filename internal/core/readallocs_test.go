@@ -13,11 +13,13 @@ import (
 )
 
 // TestRecordReadAllocs pins what the record read path allocates per unsplit
-// record (one data pair and its version slot), apart from decoding the message
-// itself, whose count belongs to the message package and the Go runtime's
-// maps: a load by primary key, and one more record in a scan.
+// record (one data pair and its version slot) that nobody reads: a load by
+// primary key, and one more record in a scan, each beyond its message. The
+// message is one allocation until its first access decodes it, which this
+// path never makes (8 and 9 beyond a decoded message when they were pinned
+// loosely, 4 and 4 measured).
 func TestRecordReadAllocs(t *testing.T) {
-	const wantLoad, wantScanned = 8, 9
+	const wantLoad, wantScanned = 4, 4
 	db, md := fdb.Open(nil), testSchema(t)
 	const n = 20
 	stores := map[int]subspace.Subspace{}
@@ -65,19 +67,24 @@ func TestRecordReadAllocs(t *testing.T) {
 	}
 	small, large := scan(s), scan(open(2*n))
 	scanned := math.Round((large-small)/n) - decode
+	if decode != 1 {
+		t.Fatalf("an unread message allocates %v times, want 1", decode)
+	}
 	if load > wantLoad || scanned > wantScanned {
-		t.Fatalf("per record, beyond decoding the message (%v allocs): load %v allocs, want <= %d; scanned %v, want <= %d",
+		t.Fatalf("per record, beyond its unread message (%v allocs): load %v allocs, want <= %d; scanned %v, want <= %d",
 			decode, load, wantLoad, scanned, wantScanned)
 	}
-	t.Logf("per record, beyond decoding the message (%v allocs): load %v, scanned %v", decode, load, scanned)
+	t.Logf("per record, beyond its unread message (%v allocs): load %v, scanned %v", decode, load, scanned)
 }
 
 // TestLoadRecordByKeyAllocs pins everything one load by primary key of an
-// unsplit record allocates, decoding its message included: 7 on Go 1.24
-// (linux/amd64). It was 8 when the load issued its range read as a future
-// and awaited it on the next line.
+// unsplit record allocates, its message included: 5 on Go 1.24
+// (linux/amd64), since the message is decoded on its first access, which
+// this load never makes. It was 7 when the load decoded the message, and 8
+// when the load issued its range read as a future and awaited it on the next
+// line.
 func TestLoadRecordByKeyAllocs(t *testing.T) {
-	const want = 7
+	const want = 5
 	db, md := fdb.Open(nil), testSchema(t)
 	sp := subspace.FromTuple(tuple.Tuple{"tenant", int64(1)})
 	saveUsers(t, db, md, sp, mkUser(7, "user-07", 7))

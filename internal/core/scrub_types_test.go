@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -354,6 +355,57 @@ func TestScrubSeesNoIssueInSavesBetweenBatches(t *testing.T) {
 				t.Fatalf("after the saves: %v", rep.Issues)
 			}
 		})
+	}
+}
+
+// churn commits 65 transactions outside any store: one more than the
+// simulator keeps snapshots for, so no read version before them is readable.
+func churn(t *testing.T, db *fdb.Database) {
+	t.Helper()
+	for i := 0; i < 65; i++ {
+		if _, err := db.Transact(func(tr *fdb.Transaction) (interface{}, error) {
+			return nil, tr.Set([]byte("churn"), []byte{byte(i)})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestScrubRestartsAnOutlivedPass: 65 commits between a SUM pass's first and
+// second batch outlive the read version the pass pinned, so the second batch
+// fails transaction_too_old. The pass starts over once, at a fresh read
+// version, and completes clean, each record counted once.
+func TestScrubRestartsAnOutlivedPass(t *testing.T) {
+	db, md, sp := scrubStore(t, 24)
+	door := &hookDoor{Door: db, before: func(n int) {
+		if n == 2 {
+			churn(t, db)
+		}
+	}}
+	rep, err := (&Scrubber{DB: door, MetaData: md, Space: sp, IndexName: "score_sum", BatchSize: 3}).Scrub(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() || rep.Restarts != 1 || rep.RecordsScanned != 24 {
+		t.Fatalf("issues %v, %d restarts, %d records; want clean, 1 restart, 24 records", rep.Issues, rep.Restarts, rep.RecordsScanned)
+	}
+}
+
+// TestScrubGivesUpOnAPassOutlivedEveryTime: when 65 commits come before
+// every batch, every pass outlives its read version at its second batch, at
+// once, without the door retrying it; after maxScrubRestarts restarts the
+// scrub returns the transaction_too_old.
+func TestScrubGivesUpOnAPassOutlivedEveryTime(t *testing.T) {
+	db, md, sp := scrubStore(t, 24)
+	door := &hookDoor{Door: db, before: func(int) { churn(t, db) }}
+	rep, err := (&Scrubber{DB: door, MetaData: md, Space: sp, IndexName: "score_sum", BatchSize: 3}).Scrub(context.Background())
+	var fe *fdb.Error
+	if !errors.As(err, &fe) || fe.Code != fdb.CodeTransactionTooOld {
+		t.Fatalf("Scrub = %v, want transaction_too_old", err)
+	}
+	if rep.Restarts != maxScrubRestarts || door.n != 2*(maxScrubRestarts+1) || door.attempts != 1 {
+		t.Fatalf("%d restarts, %d batches, %d attempts of the last; want %d, %d, 1",
+			rep.Restarts, door.n, door.attempts, maxScrubRestarts, 2*(maxScrubRestarts+1))
 	}
 }
 

@@ -52,6 +52,9 @@ type ScrubReport struct {
 	Issues []ScrubIssue
 	// Repaired counts issues fixed in place (Repair mode only).
 	Repaired int
+	// Restarts counts the times an aggregate pass started over at a fresh
+	// read version because the database no longer kept the one it pinned.
+	Restarts int
 }
 
 // Clean reports that no inconsistency was found.
@@ -81,10 +84,12 @@ func (r *ScrubReport) Count(kind string) int {
 //
 // Every index type can be scrubbed. The aggregates of the atomic types are
 // rebuilt over the whole pass, whose batches then all read at the first one's
-// read version; such a pass must end within the database's window of readable
-// versions. COUNT, COUNT_NON_NULL and SUM must equal the rebuild; COUNT_UPDATES,
-// MAX_EVER and MIN_EVER keep what past writes did, which no stored state
-// records, so only a bound is checked (index.AtomicMaintainer.Scrub).
+// read version. A pass that outlives the database's window of readable
+// versions starts over at a fresh one, up to maxScrubRestarts times, and finds
+// again what it found and did not repair. COUNT, COUNT_NON_NULL and SUM must
+// equal the rebuild; COUNT_UPDATES, MAX_EVER and MIN_EVER keep what past
+// writes did, which no stored state records, so only a bound is checked
+// (index.AtomicMaintainer.Scrub).
 //
 // Scrubbing requires the index readable: a write-only index is legitimately
 // incomplete while its build is in flight. With Repair set, each batch
@@ -119,6 +124,18 @@ type scrubbable interface {
 // version does not show the repairs of its first attempt.
 var errRecheck = errors.New("core: a repair at the scrub's read version may have committed")
 
+// maxScrubRestarts bounds how often one pass starts over because the
+// database dropped its pinned read version.
+const maxScrubRestarts = 3
+
+// outlived is the transaction_too_old of a batch at the pass's pinned read
+// version, which the database no longer keeps: unlike an injected one, no
+// retry at that version can succeed, so it is hidden from the door's retry
+// loop, and the pass starts over.
+type outlived struct{ err error }
+
+func (o *outlived) Error() string { return o.err.Error() }
+
 // Scrub runs every phase of the index's check and returns the report. The
 // door checks the context before every batch attempt.
 func (o *Scrubber) Scrub(ctx context.Context) (*ScrubReport, error) {
@@ -148,12 +165,36 @@ func (o *Scrubber) Scrub(ctx context.Context) (*ScrubReport, error) {
 		unsure = slices.DeleteFunc(unsure, func(u ScrubIssue) bool { return u.Key == i.Key })
 	}
 	rep.Repaired += again.Repaired + len(unsure)
+	rep.Restarts += again.Restarts
 	return rep, nil
 }
 
 // pass runs the check once, adding to rep. A pinned batch that repaired and
-// must run again ends it with errRecheck, returning what that batch found.
+// must run again ends it with errRecheck, returning what that batch found. A
+// pass that outlives its pinned read version starts over at most
+// maxScrubRestarts times, dropping the issues it found unless it repaired
+// them, and keeping its repairs; then it returns the transaction_too_old.
 func (o *Scrubber) pass(ctx context.Context, ix *metadata.Index, rep *ScrubReport) ([]ScrubIssue, error) {
+	issues, entries, records := len(rep.Issues), rep.EntriesScanned, rep.RecordsScanned
+	for {
+		unsure, err := o.passOnce(ctx, ix, rep)
+		var old *outlived
+		if !errors.As(err, &old) {
+			return unsure, err
+		}
+		if rep.Restarts == maxScrubRestarts {
+			return nil, old.err
+		}
+		rep.Restarts++
+		if !o.Repair { // a repaired issue is not found again, so it stays
+			rep.Issues = rep.Issues[:issues]
+		}
+		rep.EntriesScanned, rep.RecordsScanned = entries, records
+	}
+}
+
+// passOnce runs pass's check once, from the beginning.
+func (o *Scrubber) passOnce(ctx context.Context, ix *metadata.Index, rep *ScrubReport) ([]ScrubIssue, error) {
 	batch := o.BatchSize
 	if batch <= 0 {
 		batch = 128
@@ -192,12 +233,17 @@ func (o *Scrubber) batch(ctx context.Context, ix *metadata.Index, scratch *fdb.D
 	var unsure []ScrubIssue // what a pinned attempt that repaired found
 	var str *fdb.Transaction
 	//rl:idempotent snapshot checks whose repairs clear or rewrite the keys they found; a repair that adds to a total never runs twice (errRecheck)
-	v, err := o.DB.RunIdempotent(ctx, func(_ context.Context, tr *fdb.Transaction) (interface{}, error) {
+	v, err := o.DB.RunIdempotent(ctx, func(_ context.Context, tr *fdb.Transaction) (_ interface{}, err error) {
 		if unsure != nil {
 			return nil, errRecheck
 		}
 		if pin >= 0 {
 			tr.SetReadVersion(pin)
+			defer func() {
+				if fe := (*fdb.Error)(nil); errors.As(err, &fe) && fe.Code == fdb.CodeTransactionTooOld && !fe.Injected {
+					err = &outlived{err}
+				}
+			}()
 		}
 		s, err := Open(tr, o.MetaData, o.Space, OpenOptions{Config: o.Config})
 		if err != nil {

@@ -2,6 +2,7 @@ package message
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -47,8 +48,9 @@ var fuzzNode = func() *Descriptor {
 // reference fails, with the same error (apart from nesting past maxDepth,
 // which only Unmarshal refuses), and a message it accepts agrees with
 // the reference's field by field and marshals to the same bytes, which decode
-// and marshal again to themselves. `go test` runs the committed corpus under
-// testdata/fuzz; CI fuzzes for 30 s more.
+// and marshal again to themselves. Unmarshal only checks the bytes, so the
+// input also picks the accessor that decodes them (firstAccess). `go test`
+// runs the committed corpus under testdata/fuzz; CI fuzzes for 30 s more.
 func FuzzMessageUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(fuzzNode, data)
@@ -61,6 +63,9 @@ func FuzzMessageUnmarshal(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if diff := firstAccess(m, r, data); diff != "" {
+			t.Fatalf("%x: %s", data, diff)
 		}
 		if diff := diffMessage(m, r); diff != "" {
 			t.Fatalf("%x: %s", data, diff)
@@ -79,6 +84,75 @@ func FuzzMessageUnmarshal(f *testing.F) {
 	})
 }
 
+// firstAccess makes the first access to m, which Unmarshal returned for data,
+// with the accessor data picks by the sum of its bytes: Get of a field,
+// Marshal, Clone, String, or Set of a field. It makes the same access to r,
+// and describes how the two results differ, "" when they do not.
+func firstAccess(m *Message, r *refMessage, data []byte) string {
+	pick := 0
+	for _, c := range data {
+		pick += int(c)
+	}
+	fd := fuzzNode.Fields()[pick/5%len(fuzzNode.Fields())]
+	switch pick % 5 {
+	case 0:
+		mv, mok := m.Get(fd.Name)
+		if rv, rok := r.Get(fd.Name); mok != rok || !sameValue(mv, rv) {
+			return fmt.Sprintf("first Get(%s) = %v, %v; want %v, %v", fd.Name, mv, mok, rv, rok)
+		}
+	case 1:
+		mb, merr := m.Marshal()
+		if rb, rerr := r.Marshal(); !sameErr(merr, rerr) || !bytes.Equal(mb, rb) {
+			return fmt.Sprintf("first Marshal() = %x, %v; want %x, %v", mb, merr, rb, rerr)
+		}
+	case 2:
+		if diff := diffMessage(m.Clone(), r.Clone()); diff != "" {
+			return "first Clone(): " + diff
+		}
+	case 3:
+		if ms, rs := m.String(), r.String(); ms != rs {
+			return fmt.Sprintf("first String() = %q, want %q", ms, rs)
+		}
+	case 4:
+		v, rv := fuzzValue(fd)
+		merr, rerr := m.Set(fd.Name, v), r.Set(fd.Name, rv)
+		if merr != nil || rerr != nil {
+			return fmt.Sprintf("first Set(%s): %v; reference %v", fd.Name, merr, rerr)
+		}
+	}
+	return ""
+}
+
+// fuzzValue is a value of field fd of a Node as Set takes it, and the same
+// value as refMessage's Set takes it.
+func fuzzValue(fd *FieldDescriptor) (v, ref interface{}) {
+	switch fd.Type {
+	case TypeMessage:
+		v, ref = New(fd.MessageType()), newRef(fd.MessageType())
+	case TypeString:
+		v = "s"
+	case TypeBytes:
+		v = []byte{0}
+	case TypeDouble:
+		v = 1.5
+	case TypeFloat:
+		v = float32(2.5)
+	case TypeBool:
+		v = true
+	case TypeUint64:
+		v = uint64(1) << 63
+	default:
+		v = int64(-300)
+	}
+	if ref == nil {
+		ref = v
+	}
+	if fd.Repeated {
+		v, ref = []interface{}{v}, []interface{}{ref}
+	}
+	return v, ref
+}
+
 // FuzzDecodeOnly holds Partial.Decode to Unmarshal on arbitrary bytes and an
 // arbitrary subset of Node's fields (bit i of sel keeps the field in slot i):
 // it fails exactly where Unmarshal fails, with the same error; every kept
@@ -89,28 +163,7 @@ func FuzzMessageUnmarshal(f *testing.F) {
 func FuzzDecodeOnly(f *testing.F) {
 	full := New(fuzzNode)
 	for _, fd := range fuzzNode.Fields() {
-		var v interface{}
-		switch fd.Type {
-		case TypeMessage:
-			v = New(fd.MessageType())
-		case TypeString:
-			v = "s"
-		case TypeBytes:
-			v = []byte{0}
-		case TypeDouble:
-			v = 1.5
-		case TypeFloat:
-			v = float32(2.5)
-		case TypeBool:
-			v = true
-		case TypeUint64:
-			v = uint64(1) << 63
-		default:
-			v = int64(-300)
-		}
-		if fd.Repeated {
-			v = []interface{}{v}
-		}
+		v, _ := fuzzValue(fd)
 		full.MustSet(fd.Name, v)
 	}
 	primer, err := full.Marshal()

@@ -2,18 +2,65 @@ package message
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
+	"unsafe"
 )
 
 // Message is a dynamic protobuf message: typed field values plus any unknown
 // fields carried through from the wire (preserving data written by newer
 // schema versions, §5).
+//
+// A message Unmarshal returns holds the wire bytes it checked, one allocation,
+// and decodes them once, on its first access (any method but Descriptor).
+// That decode cannot fail, and concurrent readers may make it.
 type Message struct {
 	desc *Descriptor
+	// raw views the checked wire bytes while state is pending.
+	raw   string
+	state atomic.Uint32
 	// values holds one slot per field of desc, in field-number order: the
 	// canonical scalar, or []interface{} for a repeated field; nil when unset.
 	values  []interface{}
 	unknown []unknownField
+}
+
+// Message states. The zero state is decoded, so a message New builds is.
+const (
+	decoded  = iota // values and unknown hold the fields
+	pending         // raw holds them, checked
+	decoding        // one reader is moving them from raw into values
+)
+
+// lazy returns a message of type desc whose fields are data, already checked.
+func lazy(desc *Descriptor, data []byte) *Message {
+	m := &Message{desc: desc, raw: unsafe.String(unsafe.SliceData(data), len(data))}
+	m.state.Store(pending)
+	return m
+}
+
+// decode makes sure the fields are decoded; every accessor calls it first, and
+// it inlines there, so a decoded message pays one atomic load.
+func (m *Message) decode() {
+	if m.state.Load() != decoded {
+		m.decodeRaw()
+	}
+}
+
+// decodeRaw decodes raw in place, or waits while another reader does.
+func (m *Message) decodeRaw() {
+	for m.state.Load() != decoded {
+		if m.state.CompareAndSwap(pending, decoding) {
+			m.values = make([]interface{}, len(m.desc.fields))
+			// Unmarshal, or the parent's check, checked raw: this cannot fail.
+			_ = walk(m.desc, m, nil, unsafe.Slice(unsafe.StringData(m.raw), len(m.raw)), 1)
+			m.raw = ""
+			m.state.Store(decoded)
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 type unknownField struct {
@@ -96,6 +143,7 @@ func canonicalize(f *FieldDescriptor, v interface{}) (interface{}, error) {
 // Set assigns a scalar field or replaces a repeated field with a single
 // element slice when given a []interface{}.
 func (m *Message) Set(name string, v interface{}) error {
+	m.decode()
 	i, ok := m.desc.byName[name]
 	if !ok {
 		return fmt.Errorf("message %s: no field %s", m.desc.Name, name)
@@ -135,6 +183,7 @@ func (m *Message) MustSet(name string, v interface{}) *Message {
 
 // Add appends a value to a repeated field.
 func (m *Message) Add(name string, v interface{}) error {
+	m.decode()
 	i, ok := m.desc.byName[name]
 	if !ok {
 		return fmt.Errorf("message %s: no field %s", m.desc.Name, name)
@@ -164,6 +213,7 @@ func (m *Message) MustAdd(name string, v interface{}) *Message {
 // []interface{}. Unset fields return (nil, false) — the paper's "new fields
 // appear as uninitialized in old records".
 func (m *Message) Get(name string) (interface{}, bool) {
+	m.decode()
 	i, ok := m.desc.byName[name]
 	if !ok {
 		return nil, false
@@ -200,16 +250,21 @@ func (m *Message) Has(name string) bool {
 
 // ClearField unsets a field.
 func (m *Message) ClearField(name string) {
+	m.decode()
 	if i, ok := m.desc.byName[name]; ok {
 		m.values[i] = nil
 	}
 }
 
 // UnknownFieldCount returns how many unknown wire fields the message carries.
-func (m *Message) UnknownFieldCount() int { return len(m.unknown) }
+func (m *Message) UnknownFieldCount() int {
+	m.decode()
+	return len(m.unknown)
+}
 
 // Clone deep-copies the message.
 func (m *Message) Clone() *Message {
+	m.decode()
 	out := New(m.desc)
 	for i, v := range m.values {
 		switch x := v.(type) {
@@ -251,6 +306,7 @@ func Equal(a, b *Message) bool {
 
 // String renders the message for debugging.
 func (m *Message) String() string {
+	m.decode()
 	var sb strings.Builder
 	sb.WriteString(m.desc.Name)
 	sb.WriteByte('{')

@@ -2,8 +2,10 @@ package message
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
+	"time"
 )
 
 // exampleDescriptor builds the paper's Figure 4 Example message:
@@ -439,13 +441,9 @@ func TestNestingDepthBound(t *testing.T) {
 	}
 }
 
-// TestUnmarshalAllocs pins what decoding a Note-shaped message allocates: 7
-// fields, 4 of them strings. The message and its slots are one allocation
-// each; each string is a view of the wire bytes, so the only allocation left
-// per string is boxing its header into the slot, and an int64 is boxed only
-// when it is 256 or more. The map-backed message took 13. A Partial decodes
-// into a message it reuses, so it allocates only the boxes of what it keeps.
-func TestUnmarshalAllocs(t *testing.T) {
+// noteWire is a Note-shaped message: 7 fields, 4 of them strings, and the
+// type it is.
+func noteWire(t testing.TB) (*Descriptor, []byte) {
 	note := MustDescriptor("Note",
 		Field("id", 1, TypeInt64),
 		Field("zone", 2, TypeString),
@@ -468,16 +466,38 @@ func TestUnmarshalAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = 8 // message, slots, 4 string headers, id and score
-	got := testing.AllocsPerRun(100, func() {
-		if _, err := Unmarshal(note, wire); err != nil {
-			t.Fatal(err)
+	return note, wire
+}
+
+// TestUnmarshalAllocs pins what decoding a Note allocates. Unmarshal checks
+// the bytes without allocating and returns the message, one allocation. The
+// first access decodes: the slots are one allocation; each string is a view
+// of the wire bytes, so the only allocation left per string is boxing its
+// header into the slot, and an int64 is boxed only when it is 256 or more.
+// The map-backed message took 13. A Partial decodes into a message it
+// reuses, so it allocates only the boxes of what it keeps.
+func TestUnmarshalAllocs(t *testing.T) {
+	note, wire := noteWire(t)
+	for _, c := range []struct {
+		what  string
+		first func(m *Message)
+		want  float64
+	}{
+		{"untouched", func(*Message) {}, 1},
+		// message, slots, 4 string headers, id and score
+		{"read once", func(m *Message) { m.Get("zone") }, 8},
+	} {
+		got := testing.AllocsPerRun(100, func() {
+			m, err := Unmarshal(note, wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.first(m)
+		})
+		if got != c.want {
+			t.Fatalf("Unmarshal of a Note, %s: %v allocations, want %v", c.what, got, c.want)
 		}
-	})
-	if got > want {
-		t.Fatalf("Unmarshal of a Note: %v allocations, want <= %d", got, want)
 	}
-	t.Logf("Unmarshal of a Note: %v allocations", got)
 	// A Partial checks the fields it skips without allocating; keeping one
 	// int64 of 256 or more costs its box.
 	for fields, want := range map[string]float64{"": 0, "score": 1} {
@@ -489,6 +509,122 @@ func TestUnmarshalAllocs(t *testing.T) {
 		})
 		if got != want {
 			t.Fatalf("Partial keeping %q of a Note: %v allocations, want %v", fields, got, want)
+		}
+	}
+}
+
+// benchSink keeps the benchmarks' results alive.
+var benchSink *Message
+
+// BenchmarkUnmarshal is what a record nobody reads costs: the check, and the
+// message that holds the checked bytes.
+func BenchmarkUnmarshal(b *testing.B) {
+	note, wire := noteWire(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := Unmarshal(note, wire)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = m
+	}
+}
+
+// BenchmarkUnmarshalThenGet is what a record whose fields are read costs: the
+// check, then the decode its first Get makes.
+func BenchmarkUnmarshalThenGet(b *testing.B) {
+	note, wire := noteWire(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m, err := Unmarshal(note, wire)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, ok := m.Get("body"); !ok {
+			b.Fatal("no body")
+		}
+		benchSink = m
+	}
+}
+
+// TestNestedDecodeIsLinear: a message nested maxDepth levels deep is checked
+// once, by Unmarshal, and each level is decoded once, when it is first read,
+// checking nothing again. Reading every level allocates two objects a level,
+// its message and its slots, and takes about ten times what a chain a tenth
+// as deep takes; a check repeated at every level would take a hundred times.
+func TestNestedDecodeIsLinear(t *testing.T) {
+	node := nodeDescriptor(t)
+	readAll := func(data []byte) int {
+		m, err := Unmarshal(node, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels := 1
+		for m = m.GetMessage("child"); m != nil; m = m.GetMessage("child") {
+			levels++
+		}
+		return levels
+	}
+	deep, shallow := nestedNodes(maxDepth), nestedNodes(maxDepth/10)
+	if n := readAll(deep); n != maxDepth {
+		t.Fatalf("read %d levels, want %d", n, maxDepth)
+	}
+	// The few past two a level are the runtime's own, made while it collects
+	// the levels of the run before.
+	if got := testing.AllocsPerRun(3, func() { readAll(deep) }); got > 2*maxDepth+10 {
+		t.Fatalf("reading %d levels: %v allocations, want about %d", maxDepth, got, 2*maxDepth)
+	}
+	fastest := func(data []byte) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 5; i++ {
+			start := time.Now()
+			readAll(data)
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	d, s := fastest(deep), fastest(shallow)
+	if ratio := float64(d) / float64(s); ratio > 40 {
+		t.Fatalf("reading %d levels took %v, %.0f times the %v of %d levels; want about 10", maxDepth, d, ratio, s, maxDepth/10)
+	}
+}
+
+// TestConcurrentFirstAccess: readers that share a message Unmarshal returned
+// may make its first access, and a nested message's, at once. Run it under
+// -race.
+func TestConcurrentFirstAccess(t *testing.T) {
+	example, nested := exampleDescriptor(t)
+	wire, err := New(example).MustSet("id", int64(700)).MustAdd("elem", "x").MustAdd("elem", "y").
+		MustSet("parent", New(nested).MustSet("a", int64(900)).MustSet("b", "nested")).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 200; round++ {
+		m, err := Unmarshal(example, wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		errs := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			go func() {
+				<-start
+				if b, _ := m.GetMessage("parent").Get("b"); b != "nested" {
+					errs <- fmt.Errorf("parent.b = %v", b)
+					return
+				}
+				if got, err := m.Marshal(); err != nil || !bytes.Equal(got, wire) {
+					errs <- fmt.Errorf("marshal: %x, %v; want %x", got, err, wire)
+					return
+				}
+				errs <- nil
+			}()
+		}
+		close(start)
+		for g := 0; g < 8; g++ {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

@@ -41,6 +41,7 @@ func (m *Message) Marshal() ([]byte, error) {
 // appendTo appends m, which is depth levels deep, to b. The slots are in
 // field-number order, so walking them emits the fields in that order.
 func (m *Message) appendTo(b []byte, depth int) ([]byte, error) {
+	m.decode()
 	if depth > maxDepth {
 		return nil, errTooDeep
 	}
@@ -117,22 +118,21 @@ func appendField(b []byte, f *FieldDescriptor, v interface{}, depth int) ([]byte
 	return nil, fmt.Errorf("message: cannot encode field %s of type %v", f.Name, f.Type)
 }
 
-// Unmarshal decodes protobuf wire data into a message of the given type.
-// Fields not present in the descriptor are preserved as unknown fields.
+// Unmarshal checks protobuf wire data in full as a message of the given type,
+// failing where decoding fails, and returns a message that holds the checked
+// data. The fields are decoded on the message's first access, which cannot
+// fail, and is safe for concurrent readers (see Message). A nested message is
+// checked with its parent, and decoded on its own first access. Fields not
+// present in the descriptor are preserved as unknown fields.
 //
-// The message keeps data: unknown fields and string fields alias it, so the
-// caller must never modify data afterwards. Bytes fields are copies.
+// The message keeps data: until it is decoded it views all of it, then its
+// unknown fields and string fields do, so the caller must never modify data
+// afterwards. Bytes fields are copies.
 func Unmarshal(desc *Descriptor, data []byte) (*Message, error) {
-	return unmarshal(desc, data, 1)
-}
-
-// unmarshal decodes a message that is depth levels deep.
-func unmarshal(desc *Descriptor, data []byte, depth int) (*Message, error) {
-	m := New(desc)
-	if err := walk(desc, m, nil, data, depth); err != nil {
+	if err := walk(desc, nil, nil, data, 1); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return lazy(desc, data), nil
 }
 
 // Partial decodes messages of one type keeping only some of their top-level
@@ -168,11 +168,11 @@ func (p *Partial) Decode(data []byte) (*Message, error) {
 	return p.m, nil
 }
 
-// walk decodes data, a message of type d that is depth levels deep, into m,
-// or only checks it when m is nil; either way it fails where decoding fails,
-// with the same error. With keep set it decodes into m only the fields whose
-// slot keep marks, checks the others and drops unknown fields. Checking
-// allocates nothing.
+// walk checks data, a message of type d that is depth levels deep, when m is
+// nil, failing where decoding fails; checking allocates nothing. With m and
+// keep set it checks data the same way and decodes into m the fields whose
+// slot keep marks, dropping unknown fields. With m set and keep nil it decodes
+// data, which a check has passed, into m, checking nothing again.
 func walk(d *Descriptor, m *Message, keep []bool, data []byte, depth int) error {
 	if depth > maxDepth {
 		return errTooDeep
@@ -215,10 +215,11 @@ func walk(d *Descriptor, m *Message, keep []bool, data []byte, depth int) error 
 			continue
 		}
 		var v interface{}
-		if into == nil {
-			err = checkScalar(f, payload, depth)
-		} else {
-			v, err = decodeScalar(f, wt, payload, depth)
+		if into == nil || (keep != nil && f.Type == TypeMessage) {
+			err = checkScalar(f, payload, depth) // decodeScalar leaves a message unchecked
+		}
+		if into != nil && err == nil {
+			v, err = decodeScalar(f, payload)
 		}
 		if err == errTooDeep {
 			return err
@@ -321,7 +322,7 @@ func mergePacked(d *Descriptor, m *Message, i int, payload []byte) error {
 			}
 			continue
 		}
-		v, err := decodeScalar(f, wt, chunk, 0) // packed runs hold no messages
+		v, err := decodeScalar(f, chunk)
 		if err != nil {
 			return err
 		}
@@ -333,9 +334,9 @@ func mergePacked(d *Descriptor, m *Message, i int, payload []byte) error {
 	return nil
 }
 
-// decodeScalar decodes one value of field f from its payload; a nested
-// message is depth+1 levels deep.
-func decodeScalar(f *FieldDescriptor, wt int, payload []byte, depth int) (interface{}, error) {
+// decodeScalar decodes one value of field f from its payload. A nested
+// message it returns holds its payload undecoded and unchecked.
+func decodeScalar(f *FieldDescriptor, payload []byte) (interface{}, error) {
 	switch f.Type {
 	case TypeInt64, TypeInt32, TypeEnum:
 		u, n := binary.Uvarint(payload)
@@ -371,7 +372,7 @@ func decodeScalar(f *FieldDescriptor, wt int, payload []byte, depth int) (interf
 		if f.messageType == nil {
 			return nil, fmt.Errorf("unresolved message type %s", f.MessageTypeName)
 		}
-		return unmarshal(f.messageType, payload, depth+1)
+		return lazy(f.messageType, payload), nil
 	}
 	return nil, fmt.Errorf("unsupported type %v", f.Type)
 }
