@@ -102,8 +102,12 @@
 // residual filter renders as Filter(age > 30 | Covering(Index(...))).
 // Synthesized records carry the projected, residual, and primary-key fields
 // only — no record version, zero Size — which is the contract Select opts
-// into. Covering is refused (falling back to fetching) for fan-out indexes
-// (duplicate entries per record), fields no entry column provides, nested or
+// into. A covering row costs its wire bytes, its message and its decoded
+// primary key: each field goes from the entry's packed element straight to
+// protobuf wire bytes, and the row decodes them on its first field access,
+// so a caller that reads only PrimaryKey builds no field at all. Covering is
+// refused (falling back to fetching) for fan-out indexes (duplicate entries
+// per record), fields no entry column provides, nested or
 // one-of-them fields, and queries not pinned to a single record type. Ties
 // between equally-selective indexes prefer the covering-capable one, and a
 // projected query with no usable filter still plans an index-only scan
@@ -166,14 +170,15 @@
 //
 // Decoding an index entry (§7): an index.Entry is a view of the scanned pair —
 // the entry key past the index subspace, where its primary key starts, and the
-// covering value bytes — found by walking element lengths, and Key, PrimaryKey
-// and Value decode on demand. The walk checks every element of the key and of
-// the value, so an entry that does not unpack fails at the same row it always
-// did. Merges and Distinct compare and remember the entries' packed primary
-// keys (the tuple encoding is canonical and order-preserving, so byte order is
-// tuple order), the fetch builds each record range from the packed primary key
-// in one buffer and decodes the primary key once, from the record's own key,
-// and a merge child's peeked head lives in the child's state, not on the heap.
+// covering value bytes — found by walking element lengths; Key and PrimaryKey
+// decode on demand, and PackedColumns hands out the bytes. The walk checks
+// every element of the key and of the value, so an entry that does not unpack
+// fails at the same row it always did. Merges and Distinct compare and remember
+// the entries' packed primary keys (the tuple encoding is canonical and
+// order-preserving, so byte order is tuple order), the fetch builds each record
+// range from the packed primary key in one buffer and decodes the primary key
+// once, from the record's own key, and a merge child's peeked head lives in the
+// child's state, not on the heap.
 // On query_scan this took allocation per transaction from 75.8 KB to 68.9 KB,
 // with no stored or continuation byte changed.
 //
@@ -726,39 +731,39 @@
 //
 // Scrubber is the §6-style defense in depth behind all of it: an index
 // consistency check that rebuilds. Each batch runs the index's own
-// maintainer over records into a scratch database that never commits, and
-// the rules of the index type, beside its maintainer in internal/index,
-// compare the rebuild with the live index in both directions: VALUE and
-// VERSION entry by entry, covering values included; RANK's value entries as
-// VALUE's, then its skip list, whose fingers are recounted from the level
-// below; TEXT posting by posting, never by bunch; COUNT, COUNT_NON_NULL and
-// SUM group by group, the totals rebuilt over a pass pinned to one read
-// version; a pass that outlives it (transaction_too_old at the pinned
-// version) starts over at a fresh one, at most three times, and the report
-// counts the restarts. COUNT_UPDATES, MAX_EVER and MIN_EVER keep what past writes did,
-// which no stored state records, so the same pass checks a bound: at least
-// the rebuild (at most, for MIN_EVER), and an entry for every group it has.
-// The online build, the inline rebuild and the scrub share one loop that runs
-// records through a maintainer, so what the scrubber expects is exactly what
-// a build writes.
-// Batches are bounded, snapshot-read and resumed by continuation, with a
-// Repair mode (`rl scrub` demonstrates corruption, detection and repair of
-// VALUE, RANK and TEXT indexes). One seeded workload checks all of it under
-// faults: TestStoreAgreesWithModel runs the histories of internal/history
-// against a store and against a model, and its odd seeds deal the chaos mix
-// of injected conflicts, unknown commits and stale and future reads, with
-// every third write given a single attempt. An unknown commit forks the
-// model into the side that applied it and the side that did not; an op that
+// maintainer over records into a scratch database that never commits, and the
+// rules of the index type, beside its maintainer in internal/index, compare the
+// rebuild with the live index in both directions: VALUE and VERSION entry by
+// entry, covering values included; RANK's value entries as VALUE's, then its
+// skip list, whose fingers are recounted from the level below (a report-only
+// pass reads that level as the faults it found there correct it, so one bad
+// finger is one issue); TEXT posting by posting, never by bunch; COUNT,
+// COUNT_NON_NULL and SUM group by group, the totals rebuilt over a pass pinned
+// to one read version; a pass that outlives it (transaction_too_old at the
+// pinned version) starts over at a fresh one, at most three times, and the
+// report counts the restarts. COUNT_UPDATES, MAX_EVER and MIN_EVER keep what
+// past writes did, which no stored state records, so the same pass checks a
+// bound: at least the rebuild (at most, for MIN_EVER), and an entry for every
+// group it has. The online build, the inline rebuild and the scrub share one
+// loop that runs records through a maintainer, so what the scrubber expects is
+// exactly what a build writes. Batches are bounded, snapshot-read and resumed
+// by continuation, with a Repair mode (`rl scrub` demonstrates corruption,
+// detection and repair of VALUE, RANK and TEXT indexes). One seeded workload
+// checks all of it under faults: TestStoreAgreesWithModel runs the histories of
+// internal/history against a store and against a model, and its odd seeds deal
+// the chaos mix of injected conflicts, unknown commits and stale and future
+// reads, with every third write given a single attempt. An unknown commit forks
+// the model into the side that applied it and the side that did not; an op that
 // failed cleanly is skipped by every side. After either, a read-back of the
-// op's tenants with faults off must match a side, so a lost acknowledged
-// write fails the next answer and a ghost write the read-back. A
-// non-idempotent Increment keeps a counter exact through unknown commits,
-// Scrub ops predict every index's issue counts, and tenant confinement is
-// checked after every op. Planted doors that lose writes, write ghosts or
-// re-run an applied Increment each fail it. The chaos gate (cmd/experiments
-// -run chaos; -short replays three pinned seeds in CI) keeps what the model
-// cannot see: lease slices within the decay bound through failed
-// heartbeats, and a warm store-state cache that never outlives its state.
+// op's tenants with faults off must match a side, so a lost acknowledged write
+// fails the next answer and a ghost write the read-back. A non-idempotent
+// Increment keeps a counter exact through unknown commits, Scrub ops predict
+// every index's issue counts, and tenant confinement is checked after every op.
+// Planted doors that lose writes, write ghosts or re-run an applied Increment
+// each fail it. The chaos gate (cmd/experiments -run chaos; -short replays
+// three pinned seeds in CI) keeps what the model cannot see: lease slices
+// within the decay bound through failed heartbeats, and a warm store-state
+// cache that never outlives its state.
 //
 // The implementation lives under internal/: the FoundationDB simulator
 // (internal/fdb), the tuple, subspace, directory and keyspace layers, a

@@ -180,9 +180,9 @@ func (c *refRecordCursor) nextPair() (cursor.Result[fdb.KeyValue], error) {
 	return c.kvs.Next()
 }
 
-func (c *refRecordCursor) Prefetch()   {}
-func (c *refRecordCursor) Demand(int)  {}
-func (c *refRecordCursor) Ready() bool { return false }
+func (c *refRecordCursor) Prefetch()  {}
+func (c *refRecordCursor) Demand(int) {}
+func (c *refRecordCursor) Ready() int { return 0 }
 
 func (c *refRecordCursor) Next() (cursor.Result[*StoredRecord], error) {
 	if c.halted != nil {

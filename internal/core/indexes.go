@@ -61,7 +61,9 @@ func (s *Store) ScanIndex(name string, r index.TupleRange, opts index.ScanOption
 // entries past that, so the index scan keeps streaming while earlier entries'
 // reads are outstanding. A consumer that stops early has therefore fetched up
 // to 127 records it did not take, unless a cursor.Limit above says how many it
-// will (cursor.MapAsync has the rules). Everything runs on the consumer's
+// will (cursor.MapAsync has the rules). The fetches wait in one ring, sized
+// once from what the source counts in hand (its Ready): a 20-entry page
+// allocates 20 slots, not 8 + 16 + 32. Everything runs on the consumer's
 // goroutine — at zero latency the depth-8 path costs the same as sequential.
 // Results preserve entry order, halts, and continuations exactly; depth <= 1
 // is the sequential path. Each record range is built from the entry's packed

@@ -959,8 +959,8 @@ func (c *recordCursor) demand(n int) {
 	c.kvs.Demand(n*per + 1)
 }
 
-// Ready is false: whether a record's pairs are all buffered is not tracked.
-func (c *recordCursor) Ready() bool { return false }
+// Ready is 0: whether a record's pairs are all buffered is not tracked.
+func (c *recordCursor) Ready() int { return 0 }
 
 // nextPair takes the pushed-back pair if one is held, else the source's next.
 func (c *recordCursor) nextPair() (cursor.Result[fdb.KeyValue], error) {

@@ -441,3 +441,54 @@ func TestScrubRechecksTotalsAfterUnknownRepair(t *testing.T) {
 		t.Fatalf("after the repair: %v", rep.Issues)
 	}
 }
+
+// TestScrubReportsAFaultyFingerOnce: one fault planted on level 1 of the skip
+// list of 80 users, under levels whose fingers sum it: its last finger one
+// over its count, that finger deleted, or a ghost finger holding 1 at a member
+// the level function does not promote. A report-only pass, in batches of 3,
+// reports it alone: the recount of level 2 reads level 1 as the fault
+// corrects it (it used to report the level-2 finger that sums it too). A
+// repairing pass reports and repairs it alone, as it did, and leaves the
+// index clean.
+func TestScrubReportsAFaultyFingerOnce(t *testing.T) {
+	for _, kind := range []string{ScrubMismatch, ScrubMissing, ScrubDangling} {
+		db, md, sp := scrubStore(t, 80)
+		var want string
+		withStore(t, db, md, sp, func(s *Store) error {
+			rs := rankSet(s)
+			fingers := indexPairs(s, "score_rank", 1, 1)
+			if len(fingers) < 3 || rs.Levels() < 4 {
+				return fmt.Errorf("%d levels, %d fingers on level 1: want a head and two more under two levels", rs.Levels(), len(fingers))
+			}
+			kv := fingers[len(fingers)-1]
+			want = tuple.Describe(kv.Key)
+			switch kind {
+			case ScrubMismatch:
+				return s.tr.Set(kv.Key, counter(decodeCounter(kv.Value)+1))
+			case ScrubMissing:
+				return s.tr.Clear(kv.Key)
+			}
+			for _, m := range indexPairs(s, "score_rank", 1, 0) {
+				tup, _ := s.IndexSubspace("score_rank").Sub(1).Unpack(m.Key)
+				ghost := rs.Key(1, tup[1].([]byte))
+				if v, err := s.tr.Get(ghost); err != nil || v == nil {
+					want = tuple.Describe(ghost)
+					return s.tr.Set(ghost, counter(1))
+				}
+			}
+			return fmt.Errorf("every member is promoted")
+		})
+		for _, repair := range []bool{false, true} {
+			rep := scrubAll(t, db, md, sp, "score_rank", repair)
+			if len(rep.Issues) != 1 || rep.Issues[0].Key != want || rep.Issues[0].Kind != kind {
+				t.Errorf("%s, repair %v: issues %v, want the %s at %s alone", kind, repair, rep.Issues, kind, want)
+			}
+			if n := map[bool]int{true: 1}[repair]; rep.Repaired != n {
+				t.Errorf("%s, repair %v: repaired %d, want %d", kind, repair, rep.Repaired, n)
+			}
+		}
+		if rep := scrubAll(t, db, md, sp, "score_rank", false); !rep.Clean() {
+			t.Fatalf("%s: after repair: %v", kind, rep.Issues)
+		}
+	}
+}

@@ -217,7 +217,7 @@ func (o *Scrubber) passOnce(ctx context.Context, ix *metadata.Index, rep *ScrubR
 		if b.Pinned && pin < 0 {
 			pin = rv
 		}
-		next = index.ScrubBatch{Limit: batch, Repair: o.Repair, Phase: b.Phase, Cont: b.Cont, Done: b.Done}
+		next = index.ScrubBatch{Limit: batch, Repair: o.Repair, Phase: b.Phase, Cont: b.Cont, Done: b.Done, Faults: b.Faults}
 	}
 	return nil, nil
 }

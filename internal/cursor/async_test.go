@@ -28,9 +28,9 @@ func (s *haltingSource) Next() (Result[int], error) {
 	return Result[int]{Value: v, OK: true, Continuation: []byte{byte(v)}}, nil
 }
 
-func (s *haltingSource) Prefetch()   {}
-func (s *haltingSource) Demand(int)  {}
-func (s *haltingSource) Ready() bool { return false }
+func (s *haltingSource) Prefetch()  {}
+func (s *haltingSource) Demand(int) {}
+func (s *haltingSource) Ready() int { return 0 }
 
 // drainAll collects values, continuations, and the terminal state of a cursor.
 func drainAll[T any](t *testing.T, c Cursor[T]) (vals []T, conts [][]byte, reason NoNextReason, cont []byte, err error) {

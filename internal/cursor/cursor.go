@@ -20,24 +20,29 @@
 //	recordlayer.RecordCursor  'q'; Skip left, the plan's part   the façade: kind, Skip left in [0, Skip]
 //
 // Beside Next, every cursor takes three hints; one that delivers a value per
-// source value embeds Forward to pass them on. Who passes what on ("gap":
-// listed under ROADMAP.md item 11):
+// source value embeds Forward to pass them on. Ready is a count: n > 0 values
+// in hand, which bounds what the cursor delivers before its next I/O; Ended,
+// the stream has ended and the next Next halts without I/O; 0, not known to
+// hold anything. Who passes what on ("gap": listed under ROADMAP.md item 11):
 //
 //	cursor                           Prefetch          Demand(n)              Ready
-//	kvcursor's kvCursor              issues a batch    sizes its first read   a pair is buffered, or none is left
+//	kvcursor's kvCursor              issues a batch    sizes its first read   its buffered pairs, or Ended
 //	Map                              forwards          forwards               forwards
-//	Filter                           forwards          no (a)                 forwards
-//	Limit                            until spent       its own n only (gap)   until spent, then true
-//	Union, Intersection              no (b)            n + 1 each; no (a)     if every child it pulls is
-//	Concat, Func (FromSlice, Fail)   no (c)            no (c)                 never (c)
-//	MapAsync                         forwards          forwards, caps issues  never (gap)
-//	core's recordCursor              forwards          in pairs; no (a)       never (gap)
-//	recordlayer's skipCursor         forwards          n + the rows to skip   forwards
+//	Filter                           forwards          no (a)                 forwards (an upper bound)
+//	Limit                            until spent       its own n only (gap)   min(left, source); spent: Ended
+//	Union                            no (b)            n + 1 each             the children's sum (d)
+//	Intersection                     no (b)            no (a)                 the children's minimum (d)
+//	Concat, Func (FromSlice, Fail)   no (c)            no (c)                 0 (c)
+//	MapAsync                         forwards          forwards, caps issues  0 (gap)
+//	core's recordCursor              forwards          in pairs; no (a)       0 (gap)
+//	recordlayer's skipCursor         forwards          n + the rows to skip   forwards (an upper bound)
 //	plan's statsCursor, rowInCursor  forwards          forwards               forwards
 //
 //	(a) When values are dropped, what one delivered costs the source is unknown.
 //	(b) A merge prefetches its children itself; one under a merge is not (gap).
 //	(c) A Func's I/O is its own; Concat's children take no hint (gap).
+//	(d) A buffered head counts one; 0 if a child the next step pulls holds
+//	    nothing, Ended once every child it needs has ended.
 package cursor
 
 import (
@@ -114,12 +119,17 @@ type Cursor[T any] interface {
 	// cursor that drops values does not pass it on: it stops where it stops
 	// being true.
 	Demand(n int)
-	// Ready reports that the next Next returns without waiting for I/O: the
-	// value is buffered, or the stream has ended; false is "not known to be".
-	// MapAsync reads it to tell issuing for values the source has already
-	// read from speculating past them.
-	Ready() bool
+	// Ready reports how many values the cursor holds in hand: n > 0 bounds
+	// what it delivers before its next I/O (a cursor that may drop values
+	// counts its source's); Ended, that the stream has ended and the next Next
+	// halts without I/O; 0, "not known to hold any". MapAsync reads it to
+	// tell issuing for values the source has already read from speculating
+	// past them, and to size its ring once.
+	Ready() int
 }
+
+// Ended is what Ready reports for a stream that has ended.
+const Ended = -1
 
 // Forward passes every hint to Inner. A cursor embeds it to override only the
 // hints that stop being true.
@@ -127,7 +137,7 @@ type Forward[T any] struct{ Inner Cursor[T] }
 
 func (f Forward[T]) Prefetch()    { f.Inner.Prefetch() }
 func (f Forward[T]) Demand(n int) { f.Inner.Demand(n) }
-func (f Forward[T]) Ready() bool  { return f.Inner.Ready() }
+func (f Forward[T]) Ready() int   { return f.Inner.Ready() }
 
 // halt builds a non-value result.
 func halt[T any](reason NoNextReason, continuation []byte) Result[T] {
@@ -283,9 +293,9 @@ type Func[T any] func() (Result[T], error)
 func (f Func[T]) Next() (Result[T], error) { return f() }
 
 // A Func takes no hint: its I/O, if any, is f's own.
-func (Func[T]) Prefetch()   {}
-func (Func[T]) Demand(int)  {}
-func (Func[T]) Ready() bool { return false }
+func (Func[T]) Prefetch()  {}
+func (Func[T]) Demand(int) {}
+func (Func[T]) Ready() int { return 0 }
 
 // Fail is a cursor whose every Next returns err: a scan that cannot start
 // reports why through its cursor, having read nothing.
@@ -388,7 +398,12 @@ func (c *limitCursor[T]) Prefetch() {
 func (c *limitCursor[T]) Demand(int) {}
 
 // Ready implements Cursor; a spent limit halts without pulling the source.
-func (c *limitCursor[T]) Ready() bool { return c.done || c.left == 0 || c.inner.Ready() }
+func (c *limitCursor[T]) Ready() int {
+	if n := c.inner.Ready(); !c.done && c.left > 0 && n != Ended {
+		return min(c.left, n)
+	}
+	return Ended
+}
 
 func (c *limitCursor[T]) Next() (Result[T], error) {
 	if c.done {

@@ -167,13 +167,22 @@ func TestMapAsyncDemandProperty(t *testing.T) {
 }
 
 // batchedSource is a haltingSource whose values arrive in batches, as a range
-// scan's do: it is Ready until the batch it is in has been handed out.
+// scan's do: it counts what is left of the batch it is in until that has been
+// handed out.
 type batchedSource struct {
 	haltingSource
 	batch int
 }
 
-func (s *batchedSource) Ready() bool { return s.pos%s.batch != 0 || s.pos >= s.n }
+func (s *batchedSource) Ready() int {
+	switch {
+	case s.pos >= s.n:
+		return Ended
+	case s.pos%s.batch == 0:
+		return 0
+	}
+	return min(s.batch-s.pos%s.batch, s.n-s.pos)
+}
 
 // TestMapAsyncFollowsReadySource: depth bounds what is issued past what the
 // source has read; for values the source already holds the window follows the
@@ -234,8 +243,9 @@ func TestMapAsyncFollowsReadySource(t *testing.T) {
 }
 
 // TestMergeReadyAndUnionDemand: a merge is Ready when every child it would
-// pull has a buffered head or is Ready itself, and a union under Limit n pulls
-// no child more than the n + 1 times it announced.
+// pull has a buffered head or is Ready itself, a union counting the sum of its
+// children's values and an intersection the least, and a union under Limit n
+// pulls no child more than the n + 1 times it announced.
 func TestMergeReadyAndUnionDemand(t *testing.T) {
 	key := func(v int) []byte { return []byte{byte(v)} }
 	child := func(c Cursor[int]) func([]byte) Cursor[int] {
@@ -245,20 +255,25 @@ func TestMergeReadyAndUnionDemand(t *testing.T) {
 	ready := func() Cursor[int] { // Ready once its first value is out
 		return &batchedSource{haltingSource{n: 50, errAt: -1}, 1000}
 	}
-	for _, merge := range []func([]byte, func(int) []byte, ...func([]byte) Cursor[int]) (Cursor[int], error){Union[int], Intersection[int]} {
+	for i, merge := range []func([]byte, func(int) []byte, ...func([]byte) Cursor[int]) (Cursor[int], error){Union[int], Intersection[int]} {
 		m, _ := merge(nil, key, child(ready()), child(ready()))
-		if m.Ready() {
-			t.Error("a merge of two unread children is Ready")
+		if n := m.Ready(); n != 0 {
+			t.Errorf("a merge of two unread children is Ready: %d", n)
 		}
 		if _, err := m.Next(); err != nil {
 			t.Fatal(err)
 		}
-		if !m.Ready() {
-			t.Error("a merge whose children are both Ready is not")
+		// Equal streams: both heads went out with the first value.
+		if n, want := m.Ready(), []int{98, 49}[i]; n != want {
+			t.Errorf("a merge whose children are both Ready counts %d, want %d", n, want)
 		}
 		m, _ = merge(nil, key, child(ready()), child(plain()))
-		if m.Next(); m.Ready() {
+		if m.Next(); m.Ready() != 0 {
 			t.Error("a merge with a child that is not Ready, and no buffered head, is Ready")
+		}
+		m, _ = merge(nil, key, child(ready()), child(&haltingSource{n: 1, errAt: -1}))
+		if _, _, _, err := Collect(m); err != nil || m.Ready() != Ended {
+			t.Errorf("a halted merge reports %d, want Ended (%v)", m.Ready(), err)
 		}
 	}
 	// Equal streams: every emitted value consumes both heads.
@@ -279,11 +294,11 @@ func TestMergeReadyAndUnionDemand(t *testing.T) {
 
 // TestMapAsyncQueueAllocs: MapAsync allocates its issue queue once, at the
 // window the consumer can reach (depth, or min(n, maxInFlight) under a demand
-// of n), and grows it only while a Ready source pushes the window past depth.
-// Per execution, beyond what the source allocates: the cursor, the halt it
-// keeps once the source ends, and the queue, which a batched source at depth 8
-// grows four times (16, 32, 64, 128). None of it depends on how long the
-// stream runs.
+// of n), or at what a Ready source counts in hand when that is more. Per
+// execution, beyond what the source allocates: the cursor, the halt it keeps
+// once the source ends, and the queue, allocated once for a batch of 130 or
+// of 20 (it was grown from 8 by doubling, five allocations, before sources
+// counted their batch). None of it depends on how long the stream runs.
 func TestMapAsyncQueueAllocs(t *testing.T) {
 	const n = 300
 	issue := func(v int) int { return v }
@@ -293,10 +308,12 @@ func TestMapAsyncQueueAllocs(t *testing.T) {
 		src           func() Cursor[int]
 		depth, demand int
 		want          float64
+		ring          int
 	}{
-		{"depth 8", func() Cursor[int] { return &haltingSource{n: n, errAt: -1} }, 8, 0, 3},
-		{"depth 8, demand 20", func() Cursor[int] { return &batchedSource{haltingSource{n: n, errAt: -1}, 130} }, 8, 20, 2},
-		{"depth 8, batches of 130", func() Cursor[int] { return &batchedSource{haltingSource{n: n, errAt: -1}, 130} }, 8, 0, 7},
+		{"depth 8", func() Cursor[int] { return &haltingSource{n: n, errAt: -1} }, 8, 0, 3, 8},
+		{"depth 8, demand 20", func() Cursor[int] { return &batchedSource{haltingSource{n: n, errAt: -1}, 130} }, 8, 20, 2, 20},
+		{"depth 8, batches of 130", func() Cursor[int] { return &batchedSource{haltingSource{n: n, errAt: -1}, 130} }, 8, 0, 3, 128},
+		{"depth 8, one batch of 20", func() Cursor[int] { return &batchedSource{haltingSource{n: 20, errAt: -1}, 130} }, 8, 0, 3, 20},
 	} {
 		pulls := n + 1
 		if tc.demand > 0 {
@@ -308,8 +325,9 @@ func TestMapAsyncQueueAllocs(t *testing.T) {
 				src.Next()
 			}
 		})
+		var c Cursor[int]
 		got := testing.AllocsPerRun(20, func() {
-			c := MapAsync(tc.src(), tc.depth, issue, await)
+			c = MapAsync(tc.src(), tc.depth, issue, await)
 			if tc.demand > 0 {
 				c.Demand(tc.demand)
 			}
@@ -321,6 +339,9 @@ func TestMapAsyncQueueAllocs(t *testing.T) {
 		}) - source
 		if got != tc.want {
 			t.Errorf("%s: %v allocations beyond the source's, want %v", tc.name, got, tc.want)
+		}
+		if ring := len(c.(*asyncCursor[int, int, int]).queue); ring != tc.ring {
+			t.Errorf("%s: a ring of %d, want %d", tc.name, ring, tc.ring)
 		}
 	}
 }

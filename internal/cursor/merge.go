@@ -128,19 +128,34 @@ func (c *merge[T]) stop(reason NoNextReason) (Result[T], error) {
 // Prefetch takes no hint: a merge prefetches its children itself, per step.
 func (c *merge[T]) Prefetch() {}
 
-// Ready implements Cursor: every child a step would pull has its head
-// buffered or is ready itself. (An intersection step that finds the heads
-// unequal pulls again, and that pull may wait.)
-func (c *merge[T]) Ready() bool {
-	if c.halted != nil {
-		return true
-	}
+// Ready implements Cursor: a union's children's counts summed, an
+// intersection's least, a buffered head counting one; 0 while a child a step
+// would pull holds nothing (an intersection step that finds the heads unequal
+// pulls again, and that pull may wait), and Ended once none is left.
+func (c *merge[T]) Ready() int {
+	total := -1 // no child counted yet
 	for _, s := range c.children {
-		if !s.buffered && !s.done && !s.cur.Ready() {
-			return false
+		n := 0
+		if s.buffered {
+			n = 1
+		}
+		if !s.done && c.halted == nil {
+			k := s.cur.Ready()
+			if k == 0 && n == 0 {
+				return 0
+			}
+			n += max(k, 0)
+		}
+		if total < 0 || c.kind != kindUnion && n < total {
+			total = n
+		} else if c.kind == kindUnion {
+			total += n
 		}
 	}
-	return true
+	if c.halted != nil || total <= 0 {
+		return Ended
+	}
+	return total
 }
 
 // Union merges ordered child streams, emitting each distinct key once

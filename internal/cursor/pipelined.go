@@ -26,6 +26,11 @@ package cursor
 //   - Under a Demand(n) — a Limit above — nothing past the n-th element is
 //     issued unless the consumer does ask for it, and since every issue is
 //     then a wanted one the window is min(n, maxInFlight).
+//
+// The issued handles wait in a ring allocated at depth, or, when the source's
+// Ready counts more values in hand, at that window: a scan's batch of 20 gets
+// one ring of 20, and a union of two such scans one of 40. A source that
+// counts nothing grows it by doubling.
 func MapAsync[T, F, U any](inner Cursor[T], depth int, issue func(T) F, await func(T, F) (U, error)) Cursor[U] {
 	if depth < 1 {
 		depth = 1
@@ -77,8 +82,8 @@ func (c *asyncCursor[T, F, U]) Prefetch() {
 	c.inner.Prefetch()
 }
 
-// Ready is false: whether the next value's fetch has landed is not tracked.
-func (c *asyncCursor[T, F, U]) Ready() bool { return false }
+// Ready is 0: whether the next value's fetch has landed is not tracked.
+func (c *asyncCursor[T, F, U]) Ready() int { return 0 }
 
 func (c *asyncCursor[T, F, U]) Next() (Result[U], error) {
 	if c.err != nil {
@@ -91,7 +96,7 @@ func (c *asyncCursor[T, F, U]) Next() (Result[U], error) {
 		if inFlight > 0 && c.want > 0 && c.issued >= c.want {
 			break
 		}
-		if inFlight >= c.depth && (c.depth == 1 || inFlight >= maxInFlight || !c.inner.Ready()) {
+		if inFlight >= c.depth && (c.depth == 1 || inFlight >= maxInFlight || c.inner.Ready() == 0) {
 			break
 		}
 		r, err := c.inner.Next()
@@ -126,12 +131,20 @@ func (c *asyncCursor[T, F, U]) Next() (Result[U], error) {
 	return Result[U]{Value: v, OK: true, Continuation: s.cont}, nil
 }
 
-// push queues an issued element. The ring is allocated at depth, the window
-// the consumer can reach, and doubles only when a Ready source pushes the
-// window past it.
+// push queues an issued element. A full ring grows to depth, the window the
+// consumer can reach, or, when the source counts what it holds, to what is
+// queued, this element and that count, up to the outstanding demand and
+// maxInFlight; with no count it doubles.
 func (c *asyncCursor[T, F, U]) push(s asyncSlot[T, F]) {
 	if c.queued == len(c.queue) {
-		grown := make([]asyncSlot[T, F], max(c.depth, 2*len(c.queue)))
+		size := max(c.depth, 2*len(c.queue))
+		if n := c.inner.Ready(); n != 0 && c.depth > 1 {
+			size = max(c.depth, min(c.queued+1+max(n, 0), maxInFlight))
+			if c.want > 0 {
+				size = max(c.queued+1, min(size, c.queued+c.want-c.issued))
+			}
+		}
+		grown := make([]asyncSlot[T, F], size)
 		n := copy(grown, c.queue[c.head:])
 		copy(grown[n:], c.queue[:c.head])
 		c.queue, c.head = grown, 0

@@ -45,7 +45,10 @@ func refDecodeEntry(space subspace.Subspace, kv fdb.KeyValue, keyColumns int, va
 
 // decoded is what a caller can read of an Entry, for comparison with the
 // reference.
-func decoded(e Entry) refEntry { return refEntry{e.Key(), e.PrimaryKey(), e.Value()} }
+func decoded(e Entry) refEntry {
+	_, value := e.PackedColumns()
+	return refEntry{e.Key(), e.PrimaryKey(), unpackChecked(value)}
+}
 
 // sameTuple compares decoded tuples element by element, floats by their bits so
 // that NaN equals itself; an empty tuple equals a nil one, since no caller can

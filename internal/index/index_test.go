@@ -213,7 +213,7 @@ func TestCoveringIndexValueColumns(t *testing.T) {
 			return nil, err
 		}
 		r, _ := c.Next()
-		if !r.OK || len(r.Value.Value()) != 1 || r.Value.Value()[0].(int64) != 42 {
+		if _, v := r.Value.PackedColumns(); !r.OK || len(unpackChecked(v)) != 1 || unpackChecked(v)[0].(int64) != 42 {
 			t.Fatalf("covering value: %+v", r.Value)
 		}
 		return nil, nil

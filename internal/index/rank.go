@@ -206,8 +206,9 @@ func (m *RankMaintainer) ScanByRank(ctx *Context, startRank int64, opts ScanOpti
 // level's fingers, recounted from the level below. A repair of the value
 // sub-index inserts or deletes the member through the skip list, and the
 // levels are repaired in order, so each recount trusts a repaired level. A
-// report-only scrub repairs nothing, so a finger miscounted on one level is
-// reported again by the fingers above it that sum it.
+// report-only scrub repairs nothing: it carries each level's faults in
+// b.Faults to the recount of the level above, which reads the level below as
+// they correct it, so a miscounted finger is reported once.
 func (m *RankMaintainer) Scrub(b *ScrubBatch) error {
 	rs := m.set(b.Live.Space)
 	vspace := b.Live.Space.Sub(rankValueSub)
@@ -223,8 +224,11 @@ func (m *RankMaintainer) Scrub(b *ScrubBatch) error {
 	case 2:
 		err = m.scrubMembers(b, rs, vspace)
 	default:
+		if b.Cont == nil { // a new level: the one just checked is below it
+			b.Faults = [2][]rankedset.Fault{b.Faults[1]}
+		}
 		var c rankedset.Checked
-		if c, err = rs.Check(b.Live.Tr, b.Phase-2, b.Cont, b.Limit); err == nil {
+		if c, err = rs.Check(b.Live.Tr, b.Phase-2, b.Cont, b.Limit, b.Faults[0]); err == nil {
 			err = fixFaults(b, rs, c.Faults)
 			b.advance(c.Next, c.Done)
 		}
@@ -308,7 +312,7 @@ func (m *RankMaintainer) fixEntries(b *ScrubBatch, vspace subspace.Subspace, bad
 // value entry. A member without one is dangling unless its record produces
 // the entry, which phase 1 then reported missing.
 func (m *RankMaintainer) scrubMembers(b *ScrubBatch, rs *rankedset.RankedSet, vspace subspace.Subspace) error {
-	c, err := rs.Check(b.Live.Tr, 0, b.Cont, b.Limit)
+	c, err := rs.Check(b.Live.Tr, 0, b.Cont, b.Limit, nil)
 	if err != nil {
 		return err
 	}
@@ -364,13 +368,14 @@ func (m *RankMaintainer) scrubMembers(b *ScrubBatch, rs *rankedset.RankedSet, vs
 }
 
 // fixFaults records a level's faults as issues, one per entry, and repairs
-// them when the batch repairs.
+// them when the batch repairs; a report-only batch carries them instead.
 func fixFaults(b *ScrubBatch, rs *rankedset.RankedSet, faults []rankedset.Fault) error {
 	kinds := [...]string{rankedset.Miscount: IssueMismatch, rankedset.Ghost: IssueDangling, rankedset.Missing: IssueMissing}
 	for _, f := range faults {
 		b.found(kinds[f.Kind], f.Key)
 	}
 	if !b.Repair {
+		b.Faults[1] = append(b.Faults[1], faults...)
 		return nil
 	}
 	return rs.Fix(b.Live.Tr, faults)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"recordlayer/internal/fdb"
+	"recordlayer/internal/rankedset"
 	"recordlayer/internal/subspace"
 )
 
@@ -70,6 +71,10 @@ type ScrubBatch struct {
 	// version: the rebuild of the whole pass is then one snapshot.
 	Pinned bool
 	Done   bool
+	// Faults carries what a report-only RANK scrub found on the skip-list
+	// level below the one it checks ([0]) and on that level so far ([1]) from
+	// batch to batch.
+	Faults [2][]rankedset.Fault
 }
 
 // found records an issue, and counts it repaired when the batch repairs.

@@ -18,8 +18,8 @@ import (
 // it points to — and the covering value columns (KeyWithValue), both still
 // packed. GetRange hands a scan the database's own immutable bytes, so an
 // Entry aliases them rather than copying; nothing writes them (kvreadonly
-// checks it). Key, PrimaryKey
-// and Value decode on demand, and a merge or a fetch reads PackedPrimaryKey,
+// checks it). Key and PrimaryKey
+// decode on demand, and a merge or a fetch reads PackedPrimaryKey,
 // decoding nothing. The tuple encoding is canonical and order-preserving, so
 // packed primary keys compare and de-duplicate as their tuples do.
 type Entry struct {
@@ -34,8 +34,9 @@ func (e Entry) Key() tuple.Tuple { return unpackChecked(e.key[:e.pkOff]) }
 // PrimaryKey decodes the primary key of the record the entry points at.
 func (e Entry) PrimaryKey() tuple.Tuple { return unpackChecked(e.key[e.pkOff:]) }
 
-// Value decodes the entry's covering value columns; nil when it has none.
-func (e Entry) Value() tuple.Tuple { return unpackChecked(e.value) }
+// PackedColumns returns the packed key columns and covering value columns in
+// place; they alias the scanned pair.
+func (e Entry) PackedColumns() (key, value []byte) { return e.key[:e.pkOff:e.pkOff], e.value }
 
 // PackedPrimaryKey returns the packed primary key in place. It aliases the
 // scanned key, with its capacity clipped to its length so an append copies.

@@ -183,10 +183,13 @@ func (c *kvCursor) drained() bool {
 	return (c.started && !c.more) || bytes.Compare(c.begin, c.end) >= 0
 }
 
-// Ready implements cursor.Cursor: a pair is buffered, or the scan has halted
-// or has nothing left to read.
-func (c *kvCursor) Ready() bool {
-	return c.halted != nil || c.bufPos < len(c.buf) || c.drained()
+// Ready implements cursor.Cursor: the buffered pairs, or Ended once the scan
+// has halted or has nothing left to read.
+func (c *kvCursor) Ready() int {
+	if c.halted != nil || c.bufPos == len(c.buf) && c.drained() {
+		return cursor.Ended
+	}
+	return len(c.buf) - c.bufPos
 }
 
 // Next implements cursor.Cursor.

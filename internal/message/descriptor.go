@@ -121,10 +121,13 @@ func (f *FieldDescriptor) MessageType() *Descriptor { return f.messageType }
 type Descriptor struct {
 	Name string
 	// fields are in field-number order, and a message's slots follow them:
-	// byName and byNumber map to a field's position here.
+	// byName and byNumber map to a field's position here; small maps a number
+	// below 1024 to its position + 1 (0: none) without hashing, 4 bytes a
+	// number up to the largest.
 	fields   []*FieldDescriptor
 	byName   map[string]int
 	byNumber map[int32]int
+	small    []int32
 }
 
 // NewDescriptor validates and builds a message descriptor.
@@ -161,6 +164,10 @@ func NewDescriptor(name string, fields ...*FieldDescriptor) (*Descriptor, error)
 	for i, f := range d.fields {
 		d.byName[f.Name] = i
 		d.byNumber[f.Number] = i
+		if f.Number < 1024 {
+			d.small = append(d.small, make([]int32, int(f.Number)+1-len(d.small))...)
+			d.small[f.Number] = int32(i) + 1
+		}
 	}
 	return d, nil
 }
@@ -188,9 +195,19 @@ func (d *Descriptor) FieldByName(name string) (*FieldDescriptor, bool) {
 
 // FieldByNumber looks a field up by number.
 func (d *Descriptor) FieldByNumber(num int32) (*FieldDescriptor, bool) {
-	i, ok := d.byNumber[num]
+	i, ok := d.slot(num)
 	if !ok {
 		return nil, false
 	}
 	return d.fields[i], true
+}
+
+// slot returns the position of field number num.
+func (d *Descriptor) slot(num int32) (int, bool) {
+	if uint32(num) < uint32(len(d.small)) {
+		i := d.small[num]
+		return int(i) - 1, i > 0
+	}
+	i, ok := d.byNumber[num]
+	return i, ok
 }

@@ -79,17 +79,14 @@ func (m *Message) appendTo(b []byte, depth int) ([]byte, error) {
 func appendField(b []byte, f *FieldDescriptor, v interface{}, depth int) ([]byte, error) {
 	switch f.Type {
 	case TypeInt64, TypeInt32, TypeEnum:
-		b = appendTag(b, f.Number, wireVarint)
-		return appendVarint(b, uint64(v.(int64))), nil
+		return AppendVarintField(b, f.Number, uint64(v.(int64))), nil
 	case TypeUint64:
-		b = appendTag(b, f.Number, wireVarint)
-		return appendVarint(b, v.(uint64)), nil
+		return AppendVarintField(b, f.Number, v.(uint64)), nil
 	case TypeBool:
-		b = appendTag(b, f.Number, wireVarint)
 		if v.(bool) {
-			return appendVarint(b, 1), nil
+			return AppendVarintField(b, f.Number, 1), nil
 		}
-		return appendVarint(b, 0), nil
+		return AppendVarintField(b, f.Number, 0), nil
 	case TypeDouble:
 		b = appendTag(b, f.Number, wireFixed64)
 		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.(float64))), nil
@@ -97,25 +94,29 @@ func appendField(b []byte, f *FieldDescriptor, v interface{}, depth int) ([]byte
 		b = appendTag(b, f.Number, wireFixed32)
 		return binary.LittleEndian.AppendUint32(b, math.Float32bits(v.(float32))), nil
 	case TypeString:
-		b = appendTag(b, f.Number, wireBytes)
-		s := v.(string)
-		b = appendVarint(b, uint64(len(s)))
-		return append(b, s...), nil
+		return AppendBytesField(b, f.Number, v.(string)), nil
 	case TypeBytes:
-		b = appendTag(b, f.Number, wireBytes)
-		p := v.([]byte)
-		b = appendVarint(b, uint64(len(p)))
-		return append(b, p...), nil
+		return AppendBytesField(b, f.Number, v.([]byte)), nil
 	case TypeMessage:
 		sub, err := v.(*Message).appendTo(nil, depth+1)
 		if err != nil {
 			return nil, err
 		}
-		b = appendTag(b, f.Number, wireBytes)
-		b = appendVarint(b, uint64(len(sub)))
-		return append(b, sub...), nil
+		return AppendBytesField(b, f.Number, sub), nil
 	}
 	return nil, fmt.Errorf("message: cannot encode field %s of type %v", f.Name, f.Type)
+}
+
+// AppendVarintField appends field number holding v, as Marshal encodes an
+// int64, int32, enum (v is the int64's bits), uint64 or bool (0 or 1) field.
+func AppendVarintField(b []byte, number int32, v uint64) []byte {
+	return appendVarint(appendTag(b, number, wireVarint), v)
+}
+
+// AppendBytesField appends field number holding p, as Marshal encodes a
+// string, bytes or nested message field.
+func AppendBytesField[T string | []byte](b []byte, number int32, p T) []byte {
+	return append(appendVarint(appendTag(b, number, wireBytes), uint64(len(p))), p...)
 }
 
 // Unmarshal checks protobuf wire data in full as a message of the given type,
@@ -195,7 +196,7 @@ func walk(d *Descriptor, m *Message, keep []bool, data []byte, depth int) error 
 		}
 		data = rest
 
-		i, known := d.byNumber[number]
+		i, known := d.slot(number)
 		if !known || !wireTypeMatches(d.fields[i], wt) {
 			if m != nil && keep == nil {
 				m.unknown = append(m.unknown, unknownField{number: number, wireType: wt, raw: payload})

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -69,51 +70,91 @@ func (p *CoveringIndexScanPlan) Execute(s *core.Store, opts ExecuteOptions) (cur
 	if err != nil {
 		return nil, err
 	}
-	var fromKey, fromValue bool
-	for _, fs := range p.Fields {
-		fromKey = fromKey || fs.From == FromIndexKey
-		fromValue = fromValue || fs.From == FromIndexValue
+	fds := make([]*message.FieldDescriptor, len(p.Fields))
+	for i, fs := range p.Fields {
+		fds[i], _ = rt.Descriptor.FieldByName(fs.Field)
 	}
 	return observe(opts.Stats, s, true, cursor.Map(entries, func(e index.Entry) (*core.StoredRecord, error) {
-		// Each part of the entry is decoded once, and only if a field reads it.
-		var key, value tuple.Tuple
-		if fromKey {
-			key = e.Key()
+		key, value := e.PackedColumns()
+		msg, err := coveredMessage(rt, p.Fields, fds, key, value, e.PackedPrimaryKey())
+		if err != nil {
+			return nil, err
 		}
-		if fromValue {
-			value = e.Value()
-		}
-		pk := e.PrimaryKey()
-		msg := message.New(rt.Descriptor)
-		for _, fs := range p.Fields {
-			src := pk
-			switch fs.From {
-			case FromIndexKey:
-				src = key
-			case FromIndexValue:
-				src = value
-			}
-			if fs.Pos >= len(src) || src[fs.Pos] == nil {
-				continue // indexed as null: the field was unset on the record
-			}
-			if err := setFromTuple(msg, fs.Field, src[fs.Pos]); err != nil {
-				return nil, fmt.Errorf("plan: covering reconstruction of %s.%s: %v", rt.Name, fs.Field, err)
-			}
-		}
-		return &core.StoredRecord{Type: rt, Message: msg, PrimaryKey: pk}, nil
+		return &core.StoredRecord{Type: rt, Message: msg, PrimaryKey: e.PrimaryKey()}, nil
 	})), nil
 }
 
-// setFromTuple assigns a tuple element to a message field, bridging the few
-// representation gaps between tuple decoding and message canonical types
-// (small uint64 values decode from tuples as int64).
-func setFromTuple(msg *message.Message, name string, v interface{}) error {
-	if fd, ok := msg.Descriptor().FieldByName(name); ok && fd.Type == message.TypeUint64 {
-		if iv, ok := v.(int64); ok && iv >= 0 {
-			v = uint64(iv)
+// coveredMessage builds a row of type rt from an entry's packed key columns,
+// value columns and primary key: each field (fds[i] describes fields[i], nil
+// for a name rt lacks) goes from its element straight to wire bytes, and the
+// row is a message that decodes them on its first access.
+func coveredMessage(rt *metadata.RecordType, fields []FieldSource, fds []*message.FieldDescriptor, key, value, pk []byte) (*message.Message, error) {
+	var stack [128]byte
+	buf := stack[:0]
+	for i, fs := range fields {
+		src := pk
+		switch fs.From {
+		case FromIndexKey:
+			src = key
+		case FromIndexValue:
+			src = value
+		}
+		elem := elementAt(src, fs.Pos)
+		if len(elem) == 0 || elem[0] == 0x00 {
+			continue // indexed as null: the field was unset on the record
+		}
+		var err error
+		if buf, err = appendColumn(buf, rt.Descriptor, fs.Field, fds[i], elem); err != nil {
+			return nil, fmt.Errorf("plan: covering reconstruction of %s.%s: %v", rt.Name, fs.Field, err)
 		}
 	}
-	return msg.Set(name, v)
+	return message.Unmarshal(rt.Descriptor, bytes.Clone(buf))
+}
+
+// elementAt returns element pos of a packed tuple the entry's decoder has
+// walked, or nil past its end.
+func elementAt(b []byte, pos int) []byte {
+	for ; len(b) > 0; pos-- {
+		n, _ := tuple.ElementLen(b)
+		if pos == 0 {
+			return b[:n]
+		}
+		b = b[n:]
+	}
+	return nil
+}
+
+// appendColumn appends field f (named name; nil when desc has none) to b from
+// elem, one packed tuple element. An integer, or a string or bytes without a
+// zero byte, is read in place; a small uint64 decodes as an int64, which a
+// uint64 field takes. Any other element is unpacked, set on a scratch message
+// and marshalled, so it encodes, or fails, as Set and Marshal do.
+func appendColumn(b []byte, desc *message.Descriptor, name string, f *message.FieldDescriptor, elem []byte) ([]byte, error) {
+	typ := message.FieldType(-1) // holds nothing
+	if f != nil && !f.Repeated {
+		typ = f.Type
+	}
+	switch typ {
+	case message.TypeInt64, message.TypeInt32, message.TypeEnum, message.TypeUint64:
+		if v, _, ok := tuple.Int64At(elem); ok && (v >= 0 || typ != message.TypeUint64) {
+			return message.AppendVarintField(b, f.Number, uint64(v)), nil
+		}
+	case message.TypeString:
+		if v, _, ok := tuple.StringAt(elem); ok {
+			return message.AppendBytesField(b, f.Number, v), nil
+		}
+	case message.TypeBytes:
+		if v, _, ok := tuple.BytesAt(elem); ok {
+			return message.AppendBytesField(b, f.Number, v), nil
+		}
+	}
+	t, _ := tuple.Unpack(elem)
+	m := message.New(desc)
+	if err := m.Set(name, t[0]); err != nil {
+		return b, err
+	}
+	w, err := m.Marshal()
+	return append(b, w...), err
 }
 
 // OrderedByPrimaryKey implements Plan, matching IndexScanPlan: with every key

@@ -11,6 +11,7 @@ import (
 	"recordlayer/internal/keyexpr"
 	"recordlayer/internal/message"
 	"recordlayer/internal/metadata"
+	"recordlayer/internal/obs"
 	"recordlayer/internal/query"
 	"recordlayer/internal/subspace"
 	"recordlayer/internal/tuple"
@@ -498,3 +499,27 @@ func TestScanLimitHaltsPlan(t *testing.T) {
 }
 
 func timeZero() (t time.Time) { return }
+
+// countedSource is a cursor that holds n values in hand, as Ready counts them.
+type countedSource struct {
+	cursor.Func[int]
+	n int
+}
+
+func (s countedSource) Ready() int { return s.n }
+
+// TestWrappersForwardReady: plan's stats and row-in wrappers deliver a value
+// per source value, so they report their source's count, Ended and 0 too.
+func TestWrappersForwardReady(t *testing.T) {
+	for _, n := range []int{0, 7, cursor.Ended} {
+		var src cursor.Cursor[int] = countedSource{n: n}
+		for name, c := range map[string]cursor.Cursor[int]{
+			"statsCursor": observe(&obs.PlanStats{}, nil, false, src),
+			"rowInCursor": observeIn(&obs.PlanStats{}, src),
+		} {
+			if got := c.Ready(); got != n {
+				t.Errorf("%s over a source counting %d reports %d", name, n, got)
+			}
+		}
+	}
+}

@@ -69,9 +69,11 @@ func holds(value []byte, count int64) bool {
 //     below is empty may keep its head, at 0, or not.
 //
 // A batch of level l reads the entries of level l-1 that its fingers span, so
-// the recount trusts level l-1: check the levels in order, and a repair of
-// one level before checking the next.
-func (rs *RankedSet) Check(tr *fdb.Transaction, level int, from []byte, limit int) (Checked, error) {
+// the recount trusts level l-1: check the levels in order, and either repair
+// one level before checking the next, or pass fixes, the faults the checks of
+// level l-1 found, in key order: the recount then reads level l-1 as they
+// correct it, and a finger miscounted there is not reported again here.
+func (rs *RankedSet) Check(tr *fdb.Transaction, level int, from []byte, limit int, fixes []Fault) (Checked, error) {
 	if level == 0 {
 		return rs.checkMembers(tr, from, limit)
 	}
@@ -91,6 +93,9 @@ func (rs *RankedSet) Check(tr *fdb.Transaction, level int, from []byte, limit in
 	if from != nil {
 		begin = rs.levelKey(below, from)
 	}
+	for len(fixes) > 0 && bytes.Compare(fixes[0].Key, begin) < 0 {
+		fixes = fixes[1:] // an earlier batch's
+	}
 	var boundary []byte
 	nonEmpty := false
 scan:
@@ -99,7 +104,7 @@ scan:
 		if err != nil {
 			return Checked{}, err
 		}
-		for _, kv := range kvs {
+		for _, kv := range corrected(kvs, &fixes, !more) {
 			nonEmpty = true
 			m, ok := rs.decodeMember(kv.Key, below)
 			if !ok {
@@ -155,6 +160,41 @@ scan:
 		c.missing(rs, level, spans[i].member, spans[i].count, nonEmpty)
 	}
 	return c, nil
+}
+
+// corrected returns kvs, a page of a level's entries, as faults found on that
+// level correct them: a ghost dropped, a miscount holding its count, a missing
+// entry in its place holding its. It takes from *faults those up to the
+// page's last key, or all on the last page.
+func corrected(kvs []fdb.KeyValue, faults *[]Fault, last bool) []fdb.KeyValue {
+	fs := *faults
+	if len(fs) == 0 {
+		return kvs
+	}
+	out := make([]fdb.KeyValue, 0, len(kvs))
+	missing := func(f Fault) {
+		if f.Kind == Missing {
+			out = append(out, fdb.KeyValue{Key: f.Key, Value: encodeCount(f.Count)})
+		}
+	}
+	for _, kv := range kvs {
+		for ; len(fs) > 0 && bytes.Compare(fs[0].Key, kv.Key) < 0; fs = fs[1:] {
+			missing(fs[0])
+		}
+		if len(fs) > 0 && bytes.Equal(fs[0].Key, kv.Key) {
+			f := fs[0]
+			if fs = fs[1:]; f.Kind == Ghost {
+				continue
+			}
+			kv.Value = encodeCount(f.Count)
+		}
+		out = append(out, kv)
+	}
+	for ; last && len(fs) > 0; fs = fs[1:] {
+		missing(fs[0])
+	}
+	*faults = fs
+	return out
 }
 
 // missing records a finger with no entry, unless it is the head of a level
