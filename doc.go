@@ -201,6 +201,16 @@
 // overlap observable. The default model is zero cost: reads resolve
 // instantly and nothing is tracked.
 //
+// A range future's reply, fdb.Pairs, holds one pointer per pair to the
+// database's own entries — the snapshot's, or those the write buffer held —
+// which nothing writes again: a read of n pairs allocates the future and one
+// n-pointer slice, where a slice of KeyValues cost two slice headers (48 B) a
+// pair. The reply stays valid, and unchanged, for as long as anyone holds it;
+// Pairs.At builds each KeyValue on the caller's stack, with the same shared,
+// read-only bytes (kvreadonly) that the synchronous GetRange's fresh slice
+// holds. On query_scan this took allocation per transaction from 30.1 KB to
+// 22.6 KB.
+//
 // The layer exploits the futures end-to-end: a read path waits one window per
 // step of its dependency chain — reads that do not need each other's answers
 // are issued together — and the few that still wait longer are named where

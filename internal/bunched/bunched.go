@@ -186,7 +186,8 @@ func (m *Map) ScanTokens(tr *fdb.Transaction, tokens ...string) ([][]Entry, erro
 		if err != nil {
 			return nil, err
 		}
-		for _, kv := range kvs {
+		for j := range kvs.Len() {
+			kv := kvs.At(j)
 			_, entries, err := m.decodeBunch(kv.Key, kv.Value)
 			if err != nil {
 				return nil, err
@@ -312,10 +313,11 @@ func (m *Map) IssueLocate(tr *fdb.Transaction, token string, pk tuple.Tuple) *fd
 // does not decode holds nothing.
 func (m *Map) Find(f *fdb.FutureRange, pk tuple.Tuple) ([]int64, bool, error) {
 	kvs, _, err := f.Get()
-	if err != nil || len(kvs) == 0 {
+	if err != nil || kvs.Len() == 0 {
 		return nil, false, err
 	}
-	if _, entries, err := m.decodeBunch(kvs[0].Key, kvs[0].Value); err == nil {
+	kv := kvs.At(0)
+	if _, entries, err := m.decodeBunch(kv.Key, kv.Value); err == nil {
 		for _, e := range entries {
 			if tuple.Equal(e.PK, pk) {
 				return e.Offsets, true, nil

@@ -524,9 +524,15 @@ func (s *Store) issueLoadRecord(begin, end []byte, snapshot bool) *fdb.FutureRan
 }
 
 // awaitLoadRecord completes an issued load: reassemble, decode. Nil when the
-// record is absent. A nil pk is decoded from the record's keys.
+// record is absent. A nil pk is decoded from the record's keys. The pairs
+// reach assembleRecord in a stack array, since it keeps none of them.
 func (s *Store) awaitLoadRecord(pk tuple.Tuple, f *fdb.FutureRange) (*StoredRecord, error) {
-	kvs, _, err := f.Get()
+	pairs, _, err := f.Get()
+	var stack [8]fdb.KeyValue // a version slot and up to 7 chunks
+	kvs := stack[:0]
+	for i := range pairs.Len() {
+		kvs = append(kvs, pairs.At(i))
+	}
 	return s.loadedRecord(pk, kvs, err)
 }
 

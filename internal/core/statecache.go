@@ -191,19 +191,20 @@ func (c *StateCache) loadState(s *Store) (st *storeState, bare bool, err error) 
 		return nil, false, err
 	}
 	if raw == nil {
-		return nil, len(kvs) == 0, nil
+		return nil, kvs.Len() == 0, nil
 	}
 	st = &storeState{}
 	if err := json.Unmarshal(raw, &st.header); err != nil {
 		return nil, false, fmt.Errorf("%w: header %x: %v", ErrCorruptStoreState, headerKey, err)
 	}
-	for _, kv := range kvs {
+	for i := range kvs.Len() {
+		kv := kvs.At(i)
 		name, state, ok := s.decodeIndexState(kv)
 		if !ok {
 			return nil, false, fmt.Errorf("%w: index state %x = %x", ErrCorruptStoreState, kv.Key, kv.Value)
 		}
 		if st.states == nil {
-			st.states = make(map[string]metadata.IndexState, len(kvs))
+			st.states = make(map[string]metadata.IndexState, kvs.Len())
 		}
 		st.states[name] = state
 	}

@@ -33,6 +33,15 @@ func mustGet(t *testing.T, tr *Transaction, k string) []byte {
 	return v
 }
 
+// kvsOf copies a future's reply into a slice, for comparing with GetRange.
+func kvsOf(p Pairs) []KeyValue {
+	var kvs []KeyValue
+	for i := range p.Len() {
+		kvs = append(kvs, p.At(i))
+	}
+	return kvs
+}
+
 func TestSetGetCommit(t *testing.T) {
 	db := Open(nil)
 	tr := db.CreateTransaction()
@@ -304,13 +313,15 @@ func TestReadsShareSnapshotBytes(t *testing.T) {
 		{"Snapshot.GetAsync", point(func(tr *Transaction, k []byte) ([]byte, error) { return tr.Snapshot().GetAsync(k).Get() }), false},
 		{"GetRange", ranged(func(tr *Transaction, b, e []byte) ([]KeyValue, bool, error) { return tr.GetRange(b, e, opts) }), true},
 		{"GetRangeAsync", ranged(func(tr *Transaction, b, e []byte) ([]KeyValue, bool, error) {
-			return tr.GetRangeAsync(b, e, opts).Get()
+			p, more, err := tr.GetRangeAsync(b, e, opts).Get()
+			return kvsOf(p), more, err
 		}), true},
 		{"Snapshot.GetRange", ranged(func(tr *Transaction, b, e []byte) ([]KeyValue, bool, error) {
 			return tr.Snapshot().GetRange(b, e, opts)
 		}), true},
 		{"Snapshot.GetRangeAsync", ranged(func(tr *Transaction, b, e []byte) ([]KeyValue, bool, error) {
-			return tr.Snapshot().GetRangeAsync(b, e, opts).Get()
+			p, more, err := tr.Snapshot().GetRangeAsync(b, e, opts).Get()
+			return kvsOf(p), more, err
 		}), true},
 	}
 	for _, r := range readers {

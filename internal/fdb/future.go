@@ -52,17 +52,36 @@ func (f *FutureValue) Get() ([]byte, error) {
 	return f.value, f.err
 }
 
-// FutureRange is an in-flight range read issued by GetRangeAsync.
+// FutureRange is an in-flight range read issued by GetRangeAsync. Its reply
+// holds one pointer per pair to the database's own immutable entry, so a read
+// of n pairs allocates the future and one n-pointer slice, and nothing per
+// pair (a batch past 128 pairs spills into a slice sized for its limit).
 type FutureRange struct {
 	fut
-	kvs  []KeyValue
-	more bool
+	pairs Pairs
+	more  bool
 }
 
 // Get awaits the read and returns the pairs plus whether more data remained
-// when a limit stopped the scan early. The slice is the caller's; the bytes
-// in it are shared and read-only (see KeyValue).
-func (f *FutureRange) Get() ([]KeyValue, bool, error) {
+// when a limit stopped the scan early. Get may be called repeatedly; only the
+// first call can block.
+func (f *FutureRange) Get() (Pairs, bool, error) {
 	f.await()
-	return f.kvs, f.more, f.err
+	return f.pairs, f.more, f.err
 }
+
+// Pairs is a range read's reply, in scan order. It points at the entries the
+// read found — the snapshot's, or those the transaction's write buffer held —
+// which are never written again, so a Pairs stays valid, and its pairs
+// unchanged, for as long as anyone holds it: later writes of the transaction
+// and later commits replace entries, they do not edit them. The zero Pairs is
+// empty.
+type Pairs struct{ es []*entry }
+
+// Len is the number of pairs.
+func (p Pairs) Len() int { return len(p.es) }
+
+// At returns pair i, 0 <= i < Len. The KeyValue is built on the caller's
+// stack; its Key and Value are the database's bytes, shared and read-only
+// (see KeyValue).
+func (p Pairs) At(i int) KeyValue { return p.es[i].pair() }

@@ -120,10 +120,11 @@ func TestRangeFutureMatchesSyncRead(t *testing.T) {
 	}
 	tr := db.CreateTransaction()
 	fut := tr.Snapshot().GetRangeAsync([]byte("k"), []byte("l"), RangeOptions{Limit: 10})
-	got, gotMore, err := fut.Get()
+	pairs, gotMore, err := fut.Get()
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := kvsOf(pairs)
 	if len(got) != len(want) || gotMore != wantMore {
 		t.Fatalf("async range: %d pairs more=%v, sync: %d pairs more=%v", len(got), gotMore, len(want), wantMore)
 	}

@@ -10,11 +10,12 @@ import (
 
 // TestRangeReadAllocsIgnoreCollections: what a range read allocates depends
 // on the read alone, not on when the collector last ran. One seeded sequence
-// of range reads, with batches below and above the stack array a read
-// collects into, runs twice over the same buffered writes; the second run
-// collects garbage before every read. Both must allocate the same objects and
-// bytes read by read. Scratch memory kept across calls, which the runtime
-// frees at a collection, makes the second run allocate more.
+// of range reads — GetRange, and GetRangeAsync both serializable and snapshot
+// — with batches below and above the stack array a read collects into, runs
+// twice over the same buffered writes; the second run collects garbage before
+// every read. Both must allocate the same objects and bytes read by read.
+// Scratch memory kept across calls, which the runtime frees at a collection,
+// makes the second run allocate more.
 func TestRangeReadAllocsIgnoreCollections(t *testing.T) {
 	const keys, reads = 700, 60
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i)) }
@@ -33,14 +34,20 @@ func TestRangeReadAllocsIgnoreCollections(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		tr := db.CreateTransaction()
 		// Buffered writes the reads merge with the snapshot: sets between the
-		// committed keys, overwrites, pending adds and a clear.
+		// committed keys, overwrites, pending adds, a clear, and versionstamped
+		// values with an add folded over them, which a read hands out as a
+		// fresh entry.
 		one := binary.LittleEndian.AppendUint64(nil, 1)
+		stamped := make([]byte, 14) // a 10-byte placeholder at offset 0
 		for i := 0; i < 200; i++ {
 			k := rng.Intn(keys)
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
 				tr.Set(key(k), []byte("buffered"))
 			case 1:
+				tr.Atomic(MutationAdd, key(k), one)
+			case 2:
+				tr.Atomic(MutationSetVersionstampedValue, key(k), stamped)
 				tr.Atomic(MutationAdd, key(k), one)
 			default:
 				tr.ClearRange(key(k), key(k+3))
@@ -67,8 +74,17 @@ func TestRangeReadAllocsIgnoreCollections(t *testing.T) {
 				runtime.GC()
 				runtime.GC()
 			}
+			read := rng.Intn(3)
 			runtime.ReadMemStats(&before)
-			_, _, err := rt.GetRange(begin, end, o)
+			var err error
+			switch read {
+			case 0:
+				_, _, err = rt.GetRange(begin, end, o)
+			case 1:
+				_, _, err = rt.GetRangeAsync(begin, end, o).Get()
+			default:
+				_, _, err = rt.Snapshot().GetRangeAsync(begin, end, o).Get()
+			}
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
@@ -99,4 +115,57 @@ func TestRangeReadAllocsIgnoreCollections(t *testing.T) {
 				i, allocs[i], bytes[i], gcAllocs[i], gcBytes[i])
 		}
 	}
+}
+
+// TestRangeFutureAllocs: a future over n pairs allocates the future and one
+// n-pointer slice — exactly what allocating those two directly costs — and
+// nothing per pair, up to the stack array a read collects into. The reads are
+// snapshot reads, which record no read conflict range.
+func TestRangeFutureAllocs(t *testing.T) {
+	const keys = rangeStackLen
+	db := Open(nil)
+	tr := db.CreateTransaction()
+	for i := 0; i < keys; i++ {
+		if err := tr.Set([]byte(fmt.Sprintf("k%05d", i)), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure := func(f func()) (allocs, bytes uint64) {
+		const runs = 50
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	rt := db.CreateTransaction()
+	begin, end := []byte("k"), []byte("l")
+	var sink *FutureRange
+	var sinkPairs []*entry
+	for _, n := range []int{1, 2, 7, 34, keys} {
+		var got Pairs
+		allocs, bytes := measure(func() {
+			sink = rt.Snapshot().GetRangeAsync(begin, end, RangeOptions{Limit: n})
+			got, _, _ = sink.Get()
+		})
+		if got.Len() != n {
+			t.Fatalf("limit %d: %d pairs", n, got.Len())
+		}
+		wantAllocs, wantBytes := measure(func() {
+			sink = &FutureRange{}
+			sinkPairs = make([]*entry, n)
+		})
+		if allocs != wantAllocs || bytes != wantBytes {
+			t.Errorf("future over %d pairs: %d allocs, %d B; want the future and a %d-pointer slice, %d allocs, %d B",
+				n, allocs, bytes, n, wantAllocs, wantBytes)
+		}
+	}
+	_, _ = sink, sinkPairs
 }

@@ -10,12 +10,14 @@ import (
 	"recordlayer/internal/obs"
 )
 
-// KeyValue is a single key-value pair returned by range reads. Key and Value
-// are the database's own bytes — the snapshot's, or the transaction's write
-// buffer's — shared with every other read of the pair and never written again,
-// so a caller may keep them for as long as it likes. They are read-only: each
-// has cap == len, so an append copies, and a caller that must write into one
-// makes its own copy first (rl-vet's kvreadonly analyzer checks this).
+// KeyValue is a single key-value pair returned by range reads: an element of
+// GetRange's slice, or what Pairs.At builds from a future's reply. Key and
+// Value are the database's own bytes — the snapshot's, or the transaction's
+// write buffer's — shared with every other read of the pair and never written
+// again, so a caller may keep them for as long as it likes. They are
+// read-only: each has cap == len, so an append copies, and a caller that must
+// write into one makes its own copy first (rl-vet's kvreadonly analyzer checks
+// this).
 type KeyValue struct {
 	Key, Value []byte
 }
@@ -458,11 +460,12 @@ func (t *Transaction) getLocked(key []byte, snapshot bool) ([]byte, error) {
 	}
 	// Pending atomic ops: materialize against the read snapshot and convert
 	// to a set, as the read-your-writes layer does.
-	val, cleared := t.materialize(e, be, base)
-	if cleared {
+	m := t.materialize(e, be, base)
+	if m == nil {
 		t.clearBuffered(key)
+		return nil, nil
 	}
-	return shared(val), nil
+	return shared(m.value), nil
 }
 
 // ownValue is what a read of buffered entry e sees when the buffer alone
@@ -478,15 +481,18 @@ func (t *Transaction) ownValue(e *entry, be *bufEntry) (val []byte, gone bool) {
 
 // materialize folds the pending atomic ops of buffered entry e over base, the
 // snapshot's entry for the key (nil when it has none); the caller counts the
-// read of base. The key becomes a plain set of the result, unless a
-// COMPARE_AND_CLEAR matched: then cleared is true and the caller takes the key
-// out of the buffer and clears it, once no iterator is walking the buffer.
-func (t *Transaction) materialize(e *entry, be *bufEntry, base *entry) (val []byte, cleared bool) {
-	val, cleared = applyMutations(base.val(), be.ops, t.db.opts.Limits.MaxValueSize)
-	if !cleared {
-		t.bufSet(&entry{key: e.key, value: val}, nil)
+// read of base. The key becomes a plain set of the result, and materialize
+// returns the entry the buffer now holds for it, unless a COMPARE_AND_CLEAR
+// matched: then it returns nil and the caller takes the key out of the buffer
+// and clears it, once no iterator is walking the buffer.
+func (t *Transaction) materialize(e *entry, be *bufEntry, base *entry) *entry {
+	val, cleared := applyMutations(base.val(), be.ops, t.db.opts.Limits.MaxValueSize)
+	if cleared {
+		return nil
 	}
-	return val, cleared
+	m := &entry{key: e.key, value: val}
+	t.bufSet(m, nil)
+	return m
 }
 
 // countRead counts keys read from the snapshot, nbytes of keys and values in
@@ -506,23 +512,37 @@ func (t *Transaction) countRead(keys, nbytes int) {
 
 // GetRange returns key-value pairs in [begin, end), honoring limits. The
 // second result reports whether more data remained when a limit stopped the
-// scan early. The returned slice is the caller's, fresh on each call; the Key
-// and Value bytes in it are the database's, shared and read-only (see
-// KeyValue).
+// scan early. The returned slice is the caller's, fresh on each call, to
+// reorder or overwrite (a future's Pairs is shared instead); the Key and Value
+// bytes in it are the database's, shared and read-only (see KeyValue).
 func (t *Transaction) GetRange(begin, end []byte, o RangeOptions) ([]KeyValue, bool, error) {
 	return t.syncGetRange(begin, end, o, false)
 }
 
-// syncGetRange is issue-plus-await without materializing a future.
+// syncGetRange is issue-plus-await without materializing a future. The pairs
+// are copied out of the collector's stack array, or its spill, at their exact
+// size.
 func (t *Transaction) syncGetRange(begin, end []byte, o RangeOptions, snapshot bool) ([]KeyValue, bool, error) {
+	var stack [rangeStackLen]*entry
 	t.mu.Lock()
-	kvs, more, nbytes, err := t.getRangeLocked(begin, end, o, snapshot)
+	n, spill, more, nbytes, err := t.getRangeLocked(begin, end, o, snapshot, &stack)
 	var ready int64
 	if err == nil {
 		ready = t.issueLocked(nbytes)
 	}
 	t.mu.Unlock()
 	t.awaitRead(ready)
+	var kvs []KeyValue
+	if n > 0 {
+		es := spill
+		if es == nil {
+			es = stack[:n]
+		}
+		kvs = make([]KeyValue, n)
+		for i, e := range es {
+			kvs[i] = e.pair()
+		}
+	}
 	return kvs, more, err
 }
 
@@ -530,43 +550,49 @@ func (t *Transaction) syncGetRange(begin, end []byte, o RangeOptions, snapshot b
 // range and accounting are established now, and only the simulated latency
 // wait is deferred to Get. A whole batch pays one per-read latency cost, so
 // range reads issued ahead (kvcursor read-ahead, pipelined record fetches)
-// overlap their windows with consumption. What the future returns is owned
-// as GetRange's is.
+// overlap their windows with consumption. The future's reply is a Pairs.
 func (t *Transaction) GetRangeAsync(begin, end []byte, o RangeOptions) *FutureRange {
 	return t.getRangeAsync(begin, end, o, false)
 }
 
 func (t *Transaction) getRangeAsync(begin, end []byte, o RangeOptions, snapshot bool) *FutureRange {
+	var stack [rangeStackLen]*entry
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	f := &FutureRange{fut: fut{t: t}}
-	var nbytes int
-	f.kvs, f.more, nbytes, f.err = t.getRangeLocked(begin, end, o, snapshot)
+	var n, nbytes int
+	n, f.pairs.es, f.more, nbytes, f.err = t.getRangeLocked(begin, end, o, snapshot, &stack)
 	if f.err == nil {
 		f.ready = t.issueLocked(nbytes)
+	}
+	if f.pairs.es == nil && n > 0 {
+		f.pairs.es = slices.Clone(stack[:n])
 	}
 	return f
 }
 
-// getRangeLocked performs the range read, additionally returning the total
-// key+value bytes delivered (the latency model's transfer size).
-func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot bool) ([]KeyValue, bool, int, error) {
+// getRangeLocked performs the range read into stack: it returns how many pairs
+// it found and, when they outgrew stack, the heap slice that holds them all
+// (the spill), plus the total key+value bytes delivered (the latency model's
+// transfer size). A pair is the database's own entry — the snapshot's, or the
+// one the write buffer holds for the key — so collecting it copies a pointer.
+func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot bool, stack *[rangeStackLen]*entry) (int, []*entry, bool, int, error) {
 	if err := t.checkUsable(); err != nil {
-		return nil, false, 0, err
+		return 0, nil, false, 0, err
 	}
 	t.note(AccessRead, begin, end, snapshot)
 	// A fault here lands mid-scan from the cursor's perspective: earlier
 	// batches of the same logical scan already succeeded.
 	if f := t.db.opts.Faults; f != nil {
 		if err := f.readFault(); err != nil {
-			return nil, false, 0, err
+			return 0, nil, false, 0, err
 		}
 	}
 	if bytes.Compare(begin, end) >= 0 {
-		return nil, false, 0, nil
+		return 0, nil, false, 0, nil
 	}
 	if err := t.ensureSnapshot(); err != nil {
-		return nil, false, 0, err
+		return 0, nil, false, 0, err
 	}
 
 	// Read-your-writes is a merge of two ordered walks, the snapshot's and the
@@ -586,10 +612,9 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 	snapIter.seek(t.snapRoot, seek, o.Reverse)
 	bufIter.seek(t.writes, seek, o.Reverse)
 
-	// The batch collects on the stack and is copied out at its exact size; one
-	// larger than the array spills into a heap slice, which is then the batch.
-	var stack [rangeStackLen]KeyValue
-	var spill []KeyValue
+	// One larger than the stack array spills into a heap slice, which is then
+	// the batch.
+	var spill []*entry
 	n := 0
 	var last []byte // the batch's last key
 	var byteCount int
@@ -627,12 +652,12 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 		} else if sn == nil {
 			order = 1
 		}
-		var kv KeyValue
+		var e *entry
 		if order < 0 {
 			snapIter.next()
-			kv = KeyValue{Key: shared(sn.e.key), Value: shared(sn.e.value)}
+			e = sn.e
 			reads++
-			readBytes += len(sn.e.key) + len(sn.e.value)
+			readBytes += len(e.key) + len(e.value)
 		} else {
 			// The buffer overrides the snapshot's version of the key.
 			bufIter.next()
@@ -641,43 +666,45 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 				snapIter.next()
 				base = sn.e
 			}
-			e := bn.e
-			val := e.value
+			e = bn.e
 			switch be := t.deferred[e]; {
 			case be == nil || be.ops == nil:
 			case be.vsOff >= 0:
-				var gone bool
-				if val, gone = t.ownValue(e, be); gone {
+				// The placeholder with later ops folded over it is in no
+				// entry the buffer holds, so it is the one fresh entry.
+				val, gone := t.ownValue(e, be)
+				if gone {
 					continue
 				}
+				e = &entry{key: e.key, value: val}
 			default:
 				reads++
 				readBytes += len(e.key) + len(base.val())
-				var gone bool
-				if val, gone = t.materialize(e, be, base); gone {
+				m := t.materialize(e, be, base)
+				if m == nil {
 					cleared = append(cleared, e)
 					continue
 				}
+				e = m
 			}
-			kv = KeyValue{Key: shared(e.key), Value: shared(val)}
 		}
 		switch {
 		case n < len(stack):
-			stack[n] = kv
+			stack[n] = e
 		case spill == nil:
 			// A read that outgrows the stack usually fills its limit.
 			c := 2 * len(stack)
 			if o.Limit > len(stack) {
 				c = min(o.Limit, maxSpillCap)
 			}
-			spill = append(make([]KeyValue, 0, c), stack[:]...)
+			spill = append(make([]*entry, 0, c), stack[:]...)
 			fallthrough
 		default:
-			spill = append(spill, kv)
+			spill = append(spill, e)
 		}
 		n++
-		last = kv.Key
-		byteCount += len(kv.Key) + len(kv.Value)
+		last = e.key
+		byteCount += len(e.key) + len(e.value)
 	}
 	for _, e := range cleared {
 		t.clearBuffered(e.key)
@@ -699,16 +726,11 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 			t.readConflicts.add(begin, keyAfter(last), false, true)
 		}
 	}
-	kvs := slices.Clip(spill)
-	if spill == nil && n > 0 {
-		kvs = make([]KeyValue, n)
-		copy(kvs, stack[:n])
-	}
-	return kvs, more, byteCount, nil
+	return n, spill, more, byteCount, nil
 }
 
-// rangeStackLen is how many pairs getRangeLocked collects on the stack: a
-// kvcursor's first batch, and every point and record read, fit.
+// rangeStackLen is how many pairs getRangeLocked collects on its caller's
+// stack: a kvcursor's first batch, and every point and record read, fit.
 const rangeStackLen = 128
 
 // maxSpillCap bounds the batch a range read allocates for its limit before it
@@ -1428,6 +1450,9 @@ func compareLittleEndian(a, b []byte) int {
 // cap == len so a caller's append copies instead of writing past it; nil
 // stays nil.
 func shared(b []byte) []byte { return b[:len(b):len(b)] }
+
+// pair is e as a read hands it out: its own bytes, shared (see KeyValue).
+func (e *entry) pair() KeyValue { return KeyValue{Key: shared(e.key), Value: shared(e.value)} }
 
 func cloneBytes(b []byte) []byte {
 	if b == nil {

@@ -31,6 +31,7 @@ type Model struct {
 	seq     int64               // commits so far
 	history []map[Tenant]*store // committed state after each op, for pinned reads
 	pages   map[Tenant]page     // each tenant's paged query in progress
+	resumes int                 // builds that went on from a stopped one's progress
 }
 
 // NewModel returns an empty model of stores whose provider plans with
@@ -72,6 +73,9 @@ func (m *Model) Skip(op Op) {
 		delete(m.pages, op.Tenant)
 	}
 }
+
+// Resumes counts the builds that went on from a stopped build's progress.
+func (m *Model) Resumes() int { return m.resumes }
 
 // Same reports whether o answers every future op as m does: the same stores,
 // paged queries, commit count, and the states a pinned read can reach. Two
@@ -152,12 +156,13 @@ type store struct {
 	entries    map[string]map[string]tuple.Tuple // VALUE, RANK, VERSION: packed (key, pk) → (key, pk)
 	postings   map[string]map[int64][]int64      // TEXT: token → pk → offsets
 	aggregates map[string]int64                  // SUM, COUNT, MAX_EVER: index name and group → value
+	progress   map[string]int64                  // a stopped online build: index name → the last primary key indexed
 }
 
 func newStore(version int) *store {
 	return &store{meta: version, records: map[int64]rec{}, states: map[string]metadata.IndexState{},
 		entries: map[string]map[string]tuple.Tuple{}, postings: map[string]map[int64][]int64{},
-		aggregates: map[string]int64{}}
+		aggregates: map[string]int64{}, progress: map[string]int64{}}
 }
 
 func (s *store) clone() *store {
@@ -173,6 +178,7 @@ func (s *store) clone() *store {
 		c.postings[k] = maps.Clone(v)
 	}
 	c.aggregates = maps.Clone(s.aggregates)
+	c.progress = maps.Clone(s.progress)
 	return &c
 }
 
@@ -319,10 +325,11 @@ func (s *store) maintain(version int, old, new *rec) {
 }
 
 // rebuild replaces a VALUE index's contents with every record's entries and
-// makes it readable, as an inline or online build leaves it.
+// makes it readable, as an inline build leaves it.
 func (s *store) rebuild(ix string) {
 	s.entries[ix] = map[string]tuple.Tuple{}
 	delete(s.states, ix)
+	delete(s.progress, ix)
 	for _, r := range s.records {
 		maps.Copy(s.entries[ix], entrySet(ix, &r))
 	}
@@ -729,9 +736,17 @@ func (m *Model) race(op Op) string {
 	return strings.Join(out, "; ")
 }
 
-// build answers Build: the indexer's first transaction opens the store
-// without creating it (upgrading it to version 2), then by_n is rebuilt from
-// the records and readable, and the build counts every record it indexed.
+// build answers Build, one commit per transaction of the online build. The
+// first opens the store without creating it (upgrading it to version 2) and,
+// unless by_n is write-only already, clears it and its progress and makes it
+// write-only. Each batch then indexes the next BuildBatch records in primary
+// key order after the stored progress, adding their entries to what by_n
+// holds, and stores the last one as progress; the batch that finds fewer
+// records is the last and stores none. The last transaction makes by_n
+// readable and clears the progress, and the build counts the records its
+// batches read. A build stopped after StopAfter batches fails and leaves
+// by_n write-only, maintained by later writes, with its progress stored; a
+// later build goes on from there.
 func (m *Model) build(op Op) (string, error) {
 	if m.tenants[op.Tenant] == nil {
 		return "", errModel
@@ -741,10 +756,49 @@ func (m *Model) build(op Op) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s := h.w()
-	s.rebuild(ByN)
+	if s := h.w(); s.state(ByN) != metadata.StateWriteOnly {
+		s.entries[ByN] = map[string]tuple.Tuple{}
+		delete(s.progress, ByN)
+		s.states[ByN] = metadata.StateWriteOnly
+	} else if _, ok := s.progress[ByN]; ok {
+		m.resumes++
+	}
 	tx.commit()
-	return fmt.Sprintf("built %d", len(s.records)), nil
+	total, batches := 0, 0
+	stopped := func() bool { return op.StopAfter > 0 && batches == op.StopAfter }
+	for last := false; !last; batches++ {
+		if stopped() {
+			return "", errModel
+		}
+		tx := m.begin(m.tenants)
+		s := tx.writable(op.Tenant)
+		from, resumed := s.progress[ByN]
+		var next []int64
+		for _, id := range sortedRecordIDs(s) {
+			if !resumed || id > from {
+				next = append(next, id)
+			}
+		}
+		next = next[:min(len(next), BuildBatch)]
+		for _, id := range next {
+			r := s.records[id]
+			maps.Copy(s.entries[ByN], entrySet(ByN, &r))
+		}
+		if last = len(next) < BuildBatch; !last {
+			s.progress[ByN] = next[len(next)-1]
+		}
+		tx.commit()
+		total += len(next)
+	}
+	if stopped() {
+		return "", errModel
+	}
+	tx = m.begin(m.tenants)
+	s := tx.writable(op.Tenant)
+	delete(s.states, ByN)
+	delete(s.progress, ByN)
+	tx.commit()
+	return fmt.Sprintf("built %d", total), nil
 }
 
 // scrub answers Scrub: a scrub of each readable index of the store, opened

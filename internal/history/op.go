@@ -88,6 +88,10 @@ type Op struct {
 	Words   [2]string // TextReads
 	Group   string    // Aggregate: the COUNT's tag
 	Repair  bool      // Scrub: repair, then scrub again
+	// StopAfter, when positive, cancels a Build's context once its first
+	// transaction and StopAfter batches have committed: the build stops with
+	// by_n write-only and its progress stored, and a later Build resumes it.
+	StopAfter int
 }
 
 func (o Op) String() string {
@@ -130,6 +134,7 @@ type gen struct {
 	rng      *rand.Rand
 	upgraded bool
 	queries  map[Tenant]QuerySpec // each tenant's paged query
+	stopped  []Tenant             // the tenants of stopped builds
 }
 
 func (g *gen) doc() Doc {
@@ -247,6 +252,15 @@ func (g *gen) next(i int) Op {
 		}
 	default:
 		op.Kind, op.Version = Build, 2
+		// One build in two goes to a tenant whose build stopped, if any, so
+		// that a resume follows a stop; one in two stops after 1–3 batches.
+		if len(g.stopped) > 0 && r.Intn(2) == 0 {
+			op.Tenant = g.stopped[r.Intn(len(g.stopped))]
+		}
+		if r.Intn(2) == 0 {
+			op.StopAfter = 1 + r.Intn(3)
+			g.stopped = append(g.stopped, op.Tenant)
+		}
 	}
 	return op
 }

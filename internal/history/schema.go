@@ -40,6 +40,10 @@ const (
 // disabled on fuller ones.
 const InlineBuildLimit = 4
 
+// BuildBatch is the online build's batch size in the histories: the records
+// one build transaction indexes, in primary key order.
+const BuildBatch = 3
+
 // DocType is the one record type.
 var DocType = message.MustDescriptor("Doc",
 	message.Field("id", 1, message.TypeInt64),

@@ -328,7 +328,7 @@ func (m *RankMaintainer) scrubMembers(b *ScrubBatch, rs *rankedset.RankedSet, vs
 		if err != nil {
 			return err
 		}
-		if len(kvs) == 0 {
+		if kvs.Len() == 0 {
 			orphans = append(orphans, mem)
 		}
 	}

@@ -172,9 +172,9 @@ func rebuildPairs(b *ScrubBatch, space subspace.Subspace) (missing, mismatched [
 		switch {
 		case err != nil:
 			return nil, nil, err
-		case len(got) == 0:
+		case got.Len() == 0:
 			missing = append(missing, kv)
-		case !bytes.Equal(got[0].Value, kv.Value):
+		case !bytes.Equal(got.At(0).Value, kv.Value):
 			mismatched = append(mismatched, kv)
 		}
 	}

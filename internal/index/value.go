@@ -221,8 +221,8 @@ func (m *ValueMaintainer) verifyUnique(ctx *Context, heads [][]byte, probes []*f
 		if err != nil {
 			return err
 		}
-		for _, kv := range kvs {
-			e, err := m.DecodeEntry(ctx.Space, kv)
+		for j := range kvs.Len() {
+			e, err := m.DecodeEntry(ctx.Space, kvs.At(j))
 			if err != nil {
 				return err
 			}

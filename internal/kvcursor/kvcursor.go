@@ -49,7 +49,7 @@ type kvCursor struct {
 	begin, end []byte
 	opts       Options
 	batch      int // next GetRange limit; doubles per fill up to MaxBatchSize
-	buf        []fdb.KeyValue
+	buf        fdb.Pairs
 	bufPos     int
 	more       bool
 	started    bool
@@ -125,7 +125,7 @@ func (c *kvCursor) issueBatch() *fdb.FutureRange {
 }
 
 func (c *kvCursor) fill() error {
-	var kvs []fdb.KeyValue
+	var kvs fdb.Pairs
 	var more bool
 	var err error
 	if c.pending != nil {
@@ -138,12 +138,12 @@ func (c *kvCursor) fill() error {
 		return err
 	}
 	c.buf, c.bufPos, c.more, c.started = kvs, 0, more, true
-	c.fetched += len(kvs)
-	if len(kvs) > 0 {
+	c.fetched += kvs.Len()
+	if kvs.Len() > 0 {
 		// Advance the bound in place: begin/end are owned by the cursor
 		// (copied at construction, and GetRange copies what it retains), so
 		// refills reuse their backing arrays instead of reallocating.
-		last := kvs[len(kvs)-1].Key
+		last := kvs.At(kvs.Len() - 1).Key
 		if !c.opts.Reverse {
 			c.begin = append(append(c.begin[:0], last...), 0x00)
 		} else {
@@ -172,7 +172,7 @@ func (c *kvCursor) fill() error {
 // does not hold it back: the issued batch is one Next is already
 // committed to reading, not a speculative extra.
 func (c *kvCursor) Prefetch() {
-	if c.halted != nil || c.pending != nil || c.bufPos < len(c.buf) || c.drained() {
+	if c.halted != nil || c.pending != nil || c.bufPos < c.buf.Len() || c.drained() {
 		return
 	}
 	c.pending = c.issueBatch()
@@ -186,10 +186,10 @@ func (c *kvCursor) drained() bool {
 // Ready implements cursor.Cursor: the buffered pairs, or Ended once the scan
 // has halted or has nothing left to read.
 func (c *kvCursor) Ready() int {
-	if c.halted != nil || c.bufPos == len(c.buf) && c.drained() {
+	if c.halted != nil || c.bufPos == c.buf.Len() && c.drained() {
 		return cursor.Ended
 	}
-	return len(c.buf) - c.bufPos
+	return c.buf.Len() - c.bufPos
 }
 
 // Next implements cursor.Cursor.
@@ -197,28 +197,27 @@ func (c *kvCursor) Next() (cursor.Result[fdb.KeyValue], error) {
 	if c.halted != nil {
 		return *c.halted, nil
 	}
-	if c.bufPos >= len(c.buf) {
+	if c.bufPos >= c.buf.Len() {
 		if !c.drained() {
 			if err := c.fill(); err != nil {
 				return cursor.Result[fdb.KeyValue]{}, err
 			}
 		}
-		if c.bufPos >= len(c.buf) {
+		if c.bufPos >= c.buf.Len() {
 			h := cursor.Result[fdb.KeyValue]{OK: false, Reason: cursor.SourceExhausted}
 			c.halted = &h
 			return h, nil
 		}
 	}
-	kv := c.buf[c.bufPos]
+	kv := c.buf.At(c.bufPos)
 	if reason, ok := c.opts.Limiter.TryRecord(len(kv.Key) + len(kv.Value)); !ok {
 		h := cursor.Result[fdb.KeyValue]{OK: false, Reason: reason, Continuation: c.lastKey}
 		c.halted = &h
 		return h, nil
 	}
 	c.bufPos++
-	// kv.Key is a fresh slice produced by GetRange for this cursor alone;
-	// share it with the continuation rather than copying per pair. Keys are
-	// treated as immutable throughout the layer.
+	// kv.Key is the database's own bytes, which nothing writes again; share
+	// it with the continuation rather than copying per pair.
 	c.lastKey = kv.Key
 	return cursor.Result[fdb.KeyValue]{Value: kv, OK: true, Continuation: c.lastKey}, nil
 }

@@ -38,6 +38,16 @@ func heldLocals(tr *fdb.Transaction, kv fdb.KeyValue) {
 	}()
 }
 
+// pairsAt: a future's reply hands each pair out by value from At, with the
+// database's bytes in it, directly or through a local.
+func pairsAt(tr *fdb.Transaction) {
+	p, _, _ := tr.GetRangeAsync([]byte("a"), []byte("b"), fdb.RangeOptions{}).Get()
+	p.At(0).Value[0] = 1 // want "p.At\(0\).Value\[0\] writes into bytes a read returned"
+	k := p.At(1).Key
+	k[0]++                 // want "k\[0\] writes into bytes a read returned"
+	copy(p.At(2).Key, "x") // want "copy into p.At\(2\).Key writes into bytes a read returned"
+}
+
 // batchIsTheCallers: the []KeyValue a range read returns is fresh on every
 // call, so replacing its elements is fine.
 func batchIsTheCallers(tr *fdb.Transaction) {

@@ -135,7 +135,7 @@ func (o *Overlay) Value(key []byte, fut *fdb.FutureValue) ([]byte, error) {
 // a fresh read finds it, exact because every earlier write is by now in the
 // transaction. snapshot says which kind of read the probe was.
 func (o *Overlay) Boundary(fut *fdb.FutureRange, begin, end []byte, reverse, snapshot bool) (kv fdb.KeyValue, ok bool, err error) {
-	kvs, _, err := fut.Get()
+	pairs, _, err := fut.Get()
 	if err != nil {
 		return fdb.KeyValue{}, false, err
 	}
@@ -145,8 +145,10 @@ func (o *Overlay) Boundary(fut *fdb.FutureRange, begin, end []byte, reverse, sna
 	j, _ := o.find(end)
 	var k int
 	var written bool
-	if len(kvs) > 0 {
-		k, written = o.find(kvs[0].Key)
+	var probe fdb.KeyValue
+	if pairs.Len() > 0 {
+		probe = pairs.At(0)
+		k, written = o.find(probe.Key)
 		switch {
 		case !reverse:
 			j = k
@@ -168,15 +170,16 @@ func (o *Overlay) Boundary(fut *fdb.FutureRange, begin, end []byte, reverse, sna
 			return fdb.KeyValue{Key: w.key, Value: w.val}, true, nil
 		}
 	}
-	if len(kvs) == 0 {
+	if pairs.Len() == 0 {
 		return fdb.KeyValue{}, false, nil
 	}
 	if !written {
-		return kvs[0], true, nil
+		return probe, true, nil
 	}
 	if v := o.writes[k].val; v != nil {
-		return fdb.KeyValue{Key: kvs[0].Key, Value: v}, true, nil
+		return fdb.KeyValue{Key: probe.Key, Value: v}, true, nil
 	}
+	var kvs []fdb.KeyValue
 	opts := fdb.RangeOptions{Limit: 1, Reverse: reverse}
 	if snapshot {
 		kvs, _, err = o.tr.Snapshot().GetRange(begin, end, opts)

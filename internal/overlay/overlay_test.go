@@ -77,8 +77,8 @@ func TestResolversMatchPlainReads(t *testing.T) {
 					return err
 				}
 				covered[fmt.Sprintf("reverse=%v snapshot=%v", p.reverse, p.snapshot)]++
-				if raw, _, _ := p.rng.Get(); len(raw) == 1 && lastWrite[string(raw[0].Key)] > p.issued {
-					if v, _ := tr.Get(raw[0].Key); v == nil {
+				if raw, _, _ := p.rng.Get(); raw.Len() == 1 && lastWrite[string(raw.At(0).Key)] > p.issued {
+					if v, _ := tr.Get(raw.At(0).Key); v == nil {
 						covered["own pair cleared"]++
 					} else {
 						covered["own pair rewritten"]++

@@ -98,16 +98,18 @@ func TestIndexFetchAllocs(t *testing.T) {
 		want allocs
 	}{
 		// 11 allocs, 983 B when each entry was unpacked into three tuples
-		// and its primary key packed again to build the record range.
-		{eq("a"), allocs{11, 850}},
+		// and its primary key packed again to build the record range; 6
+		// allocs, 504 B (and 741 B, 619 B below) when each range read's
+		// reply copied two slice headers per pair.
+		{eq("a"), allocs{6, 400}},
 		// 15 allocs, 1043 B when each merged row's continuation was a JSON
 		// array of child slots with base64 keys, marshalled through
 		// reflection; the frame is one slice sized before it is written.
 		// 23 allocs, 1573 B, and 21, 1537 B, when each merge comparison also
 		// packed the head's primary key again and each peek put the head on
 		// the heap.
-		{&UnionPlan{Children: []Plan{eq("a"), eq("b")}}, allocs{13, 1000}},
-		{&IntersectionPlan{Children: []Plan{eq("a"), eq("b")}}, allocs{13, 1000}},
+		{&UnionPlan{Children: []Plan{eq("a"), eq("b")}}, allocs{7, 600}},
+		{&IntersectionPlan{Children: []Plan{eq("a"), eq("b")}}, allocs{7, 475}},
 	} {
 		got := perRow(tc.plan)
 		if got.count > tc.want.count || got.bytes > tc.want.bytes {

@@ -231,8 +231,8 @@ func (rs *RankedSet) countLess(tr *fdb.Transaction, key []byte) (int64, error) {
 				return 0, err
 			}
 			to = head // nothing below key, or no head yet: the level adds nothing
-			if len(kvs) > 0 {
-				if to, err = rs.memberOf(kvs[0].Key); err != nil {
+			if kvs.Len() > 0 {
+				if to, err = rs.memberOf(kvs.At(0).Key); err != nil {
 					return 0, err
 				}
 			}
@@ -246,7 +246,9 @@ func (rs *RankedSet) countLess(tr *fdb.Transaction, key []byte) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		rank += sumCounts(kvs)
+		for i := range kvs.Len() {
+			rank += decodeCount(kvs.At(i).Value)
+		}
 	}
 	return rank, nil
 }
