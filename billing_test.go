@@ -40,9 +40,9 @@ func billedByTenant(acct *Accountant) map[string]billed {
 // tenant's not at all. Every fourth history bills through
 // ProviderOptions.Accountant instead, with no tenant on the context: then a
 // transaction is billed from the provider's Open or Delete on, so a race's
-// raw transactions are billed too. An online build opens through no
-// provider, so it runs under its tenant and is billed by the Runner in
-// either mode.
+// raw transactions are billed too, and an interleave's, each to its sub-op's
+// tenant. An online build opens through no provider, so it runs under its
+// tenant and is billed by the Runner in either mode.
 //
 // Every fourth history, offset by one, bills both ways: the Runner under a
 // tenant named apart from the path, and ProviderOptions.Accountant too. A
@@ -78,10 +78,10 @@ func TestMeterEqualsTransactionStats(t *testing.T) {
 		h := newHarness(db, NewRunner(db, RunnerOptions{Accountant: acct, Sleep: noBackoff}), func(error) string { return "error" })
 		h.confine(t)
 		model := history.NewModel(prefer)
-		var attempts, raw []*fdb.Transaction
+		var attempts, raws []*fdb.Transaction
 		h.onTxn = func(tr *fdb.Transaction, isRaw bool) {
 			if isRaw {
-				raw = append(raw, tr)
+				raws = append(raws, tr)
 			} else {
 				attempts = append(attempts, tr)
 			}
@@ -91,62 +91,72 @@ func TestMeterEqualsTransactionStats(t *testing.T) {
 			kinds[op.Kind]++
 			tenant := resource.TenantKey(op.Tenant.Container, op.Tenant.User) // the name the fallback derives from the path
 			ctx, runAs := context.Background(), tenant
+			raw := op.Kind == history.Race || op.Kind == history.Interleave
 			switch {
 			case both:
 				ctx = WithTenant(ctx, "run:"+tenant)
-				if op.Kind != history.Race {
+				if !raw {
 					runAs = "run:" + tenant
 				}
 			case !fallback || op.Kind == history.Build || op.Kind == history.Scrub:
 				ctx = WithTenant(ctx, tenant)
-				if op.Kind == history.Race && !fallback {
-					runAs = "" // a race's raw transactions bill no one
+				if raw && !fallback {
+					runAs = "" // raw transactions bill no one
 				}
 			}
 			if runAs != "" {
 				ranAs[runAs] = true
 			}
-			// A race's raw commits are not retried, so a fault would decide
-			// its result; the model follows the store there only without
-			// faults, as in TestStoreAgreesWithModel.
-			if inj != nil && op.Kind == history.Race {
+			// Raw commits are not retried, so a fault would decide their
+			// result; the model follows the store there only without faults,
+			// as in TestStoreAgreesWithModel.
+			if inj != nil && raw {
 				inj.Disable()
 			} else if inj != nil {
 				inj.Enable()
 			}
 			before := billedByTenant(acct)
-			attempts, raw = nil, nil
+			attempts, raws = nil, nil
 			out, err := h.run(ctx, op, servers[op.Server], servers[1-op.Server])
 			got := out
 			if err != nil {
 				got = "error"
 			}
-			if want := model.Run(op); got != want {
+			if want := h.answer(model, op); got != want {
 				t.Fatalf("seed %d step %d (%v): %v\n store: %s\n model: %s", seed, step, op, err, got, want)
 			}
 			if cerr := h.conf.Check(h.decode); cerr != nil {
 				t.Fatalf("seed %d step %d (%v), fallback billing %v: tenant confinement: %v", seed, step, op, fallback, cerr)
 			}
-			billable := attempts
-			if popts.Accountant != nil {
-				billable = append(attempts, raw...)
+			// An interleave's raw transaction bills the tenant of its sub-op,
+			// which it opens first.
+			expect := map[string]billed{}
+			bill := func(name string, tr *fdb.Transaction) {
+				st, e := tr.Stats(), expect[name]
+				e.readRows += int64(st.KeysRead)
+				e.readBytes += int64(st.BytesRead)
+				e.writeRows += int64(st.Mutations)
+				e.writeBytes += int64(st.Size)
+				expect[name] = e
 			}
-			var counted billed
-			for _, tr := range billable {
-				st := tr.Stats()
-				counted.readRows += int64(st.KeysRead)
-				counted.readBytes += int64(st.BytesRead)
-				counted.writeRows += int64(st.Mutations)
-				counted.writeBytes += int64(st.Size)
+			for _, tr := range attempts {
+				bill(runAs, tr)
+			}
+			for j, tr := range raws {
+				if popts.Accountant == nil {
+					break
+				}
+				name := runAs
+				if op.Kind == history.Interleave {
+					name = resource.TenantKey(op.Ops[j].Tenant.Container, op.Ops[j].Tenant.User)
+					ranAs[name] = true
+				}
+				bill(name, tr)
 			}
 			for name, u := range billedByTenant(acct) {
-				got, expect := u.minus(before[name]), billed{}
-				if name == runAs {
-					expect = counted
-				}
-				if got != expect {
+				if got := u.minus(before[name]); got != expect[name] {
 					t.Fatalf("seed %d step %d (%v, %d attempts, %d raw; result %q, %v): tenant %s billed %+v, transactions counted %+v",
-						seed, step, op, len(attempts), len(raw), out, err, name, got, expect)
+						seed, step, op, len(attempts), len(raws), out, err, name, got, expect[name])
 				}
 			}
 		}

@@ -769,11 +769,14 @@
 // fails the next answer and a ghost write the read-back. A non-idempotent
 // Increment keeps a counter exact through unknown commits, Scrub ops predict
 // every index's issue counts, and tenant confinement is checked after every op.
-// Planted doors that lose writes, write ghosts or re-run an applied Increment
-// each fail it. The chaos gate (cmd/experiments -run chaos; -short replays
-// three pinned seeds in CI) keeps what the model cannot see: lease slices
-// within the decay bound through failed heartbeats, and a warm store-state
-// cache that never outlives its state.
+// Its Interleave op reads 2–3 one-transaction ops at one version and commits
+// them in a drawn order: each committed writer must answer as the model does at
+// its place in that order, no committed writer may read an aggregate §6 keeps
+// by atomic mutations, and no tenant's commit may abort another's inside a
+// store. Planted doors that lose writes, write ghosts or re-run an applied
+// Increment each fail it. The chaos gate (cmd/experiments -run chaos; -short
+// replays three pinned seeds in CI) keeps lease slices within the decay bound
+// through failed heartbeats.
 //
 // The implementation lives under internal/: the FoundationDB simulator
 // (internal/fdb), the tuple, subspace, directory and keyspace layers, a

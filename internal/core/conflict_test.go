@@ -191,3 +191,37 @@ func TestKeyClass(t *testing.T) {
 		}
 	}
 }
+
+// TestUpgradeOfAnEmptyStoreConflictsWithASave: an open at a newer schema finds
+// the store empty and makes the new index (by_n) readable with nothing built,
+// while a transaction at the same read version saves a record at the old
+// schema and commits first. The upgrade's count must conflict with that save,
+// or by_n is readable without the record's entry.
+func TestUpgradeOfAnEmptyStoreConflictsWithASave(t *testing.T) {
+	db := fdb.Open(nil)
+	sp := subspace.FromTuple(tuple.Tuple{"tenant", "a"})
+	withHistoryStore(t, db, sp, func(*Store) error { return nil })
+	save, upgrade := db.CreateTransaction(), db.CreateTransaction()
+	rv, err := save.GetReadVersion()
+	if err != nil {
+		t.Fatal(err)
+	}
+	upgrade.SetReadVersion(rv)
+	if _, err := Open(upgrade, history.Schema(2), sp, OpenOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(save, history.Schema(1), sp, OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := history.Doc{ID: 1, Tag: "t", Slug: "s1", N: 7}
+	if _, err := s.SaveRecord(d.Message()); err != nil {
+		t.Fatal(err)
+	}
+	if err := save.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := upgrade.Commit(); !fdb.IsRetryable(err) {
+		t.Fatalf("the upgrade committed over a concurrent save (%v): by_n is readable without its entry", err)
+	}
+}

@@ -312,9 +312,11 @@ func (s *Store) applyMetaDataChanges() error {
 }
 
 // countRecordsUpTo counts records, stopping at limit: records, not pairs, since
-// a record with its version, or split in chunks, is several pairs.
+// a record with its version, or split in chunks, is several pairs. The scan
+// is serializable: a count of none makes a new index readable with nothing
+// built, so a record another transaction commits meanwhile must abort this one.
 func (s *Store) countRecordsUpTo(limit int) (int, error) {
-	recs, _, _, err := cursor.Collect(cursor.Limit(s.ScanRecords(ScanOptions{Snapshot: true}), limit))
+	recs, _, _, err := cursor.Collect(cursor.Limit(s.ScanRecords(ScanOptions{}), limit))
 	return len(recs), err
 }
 

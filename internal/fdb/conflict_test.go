@@ -129,3 +129,53 @@ func TestLimitedReadConflictsOnWhatItSaw(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotReadKeepsAtomicsPending: a snapshot read of a key this
+// transaction has ADDed to sees the sum, but records no conflict, so the ADD
+// must still commit as an ADD: made a set of what the read saw, it would erase
+// an ADD another transaction committed since the read version. A serializable
+// read of the key conflicts with that commit instead.
+func TestSnapshotReadKeepsAtomicsPending(t *testing.T) {
+	le := func(n byte) []byte { return []byte{n, 0, 0, 0, 0, 0, 0, 0} }
+	k := []byte("ctr")
+	for _, c := range []struct {
+		name string
+		read func(tr *Transaction) ([]byte, error)
+	}{
+		{"snapshot get", func(tr *Transaction) ([]byte, error) { return tr.Snapshot().Get(k) }},
+		{"snapshot range", func(tr *Transaction) ([]byte, error) {
+			kvs, _, err := tr.Snapshot().GetRange(k, KeyAfter(k), RangeOptions{})
+			if err != nil || len(kvs) == 0 {
+				return nil, err
+			}
+			return kvs[0].Value, nil
+		}},
+		{"get", func(tr *Transaction) ([]byte, error) { return tr.Get(k) }},
+	} {
+		db := Open(nil)
+		if _, err := db.Transact(func(tr *Transaction) (interface{}, error) { return nil, tr.Set(k, le(1)) }); err != nil {
+			t.Fatal(err)
+		}
+		tr, other := db.CreateTransaction(), db.CreateTransaction()
+		if err := tr.Atomic(MutationAdd, k, le(2)); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := c.read(tr); err != nil || !bytes.Equal(v, le(3)) {
+			t.Fatalf("%s: read %x, %v; want %x", c.name, v, err, le(3))
+		}
+		if err := other.Atomic(MutationAdd, k, le(10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := other.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		err := tr.Commit()
+		v, _ := db.ReadTransact(func(tr *Transaction) (interface{}, error) { return tr.Get(k) })
+		switch {
+		case c.name == "get" && !IsRetryable(err):
+			t.Errorf("%s: commit %v, want a conflict", c.name, err)
+		case c.name != "get" && (err != nil || !bytes.Equal(v.([]byte), le(13))):
+			t.Errorf("%s: commit %v, counter %x; want both ADDs, %x", c.name, err, v, le(13))
+		}
+	}
+}

@@ -27,10 +27,11 @@ type rywModel struct {
 }
 
 type rywEntry struct {
-	isSet bool
-	value []byte
-	ops   []mutation // pending; on a set, only after a versionstamp
-	vsOff int        // versionstamp offset in value, -1 when none
+	isSet   bool
+	value   []byte
+	ops     []mutation // pending; on a set, only after a versionstamp
+	vsOff   int        // versionstamp offset in value, -1 when none
+	fetched bool       // a snapshot read has read the base: no later read counts it
 }
 
 // own is what a read of a set entry sees. A versionstamp is unknown until
@@ -58,12 +59,20 @@ func (m *rywModel) account(n int) {
 	m.stats.Mutations++
 }
 
-// materialize turns the pending atomics of key into what a read sees: a set,
-// or a clear when COMPARE_AND_CLEAR matched. The base is read, and counted.
-func (m *rywModel) materialize(key string, e *rywEntry) ([]byte, bool) {
+// materialize folds the pending atomics of key over the base, which is read
+// and counted the first time, into what a read sees. A serializable read
+// (convert) turns them into a set, or a clear when COMPARE_AND_CLEAR matched;
+// a snapshot read records no conflict on key, so they stay pending.
+func (m *rywModel) materialize(key string, e *rywEntry, convert bool) ([]byte, bool) {
 	base := m.snap[key]
-	m.countRead(key, base)
+	if !e.fetched {
+		m.countRead(key, base)
+	}
 	val, cleared := applyMutations(base, e.ops, DefaultLimits().MaxValueSize)
+	if !convert {
+		e.fetched = true
+		return val, !cleared
+	}
 	if cleared {
 		delete(m.writes, key)
 		m.cleared[m.pos([]byte(key))] = true
@@ -83,7 +92,7 @@ func (m *rywModel) get(key []byte, snapshot bool) []byte {
 		if !snapshot {
 			m.conflict[m.pos(key)] = true
 		}
-		val, _ := m.materialize(k, e)
+		val, _ := m.materialize(k, e, !snapshot)
 		return val
 	}
 	if m.cleared[m.pos(key)] {
@@ -135,7 +144,7 @@ func (m *rywModel) getRange(begin, end []byte, o RangeOptions, snapshot bool) ([
 			if e.isSet {
 				val, ok = e.own()
 			} else {
-				val, ok = m.materialize(k, e)
+				val, ok = m.materialize(k, e, !snapshot)
 			}
 			if !ok {
 				continue

@@ -80,8 +80,13 @@ type bufEntry struct {
 	// vsOff is where commit writes the versionstamp into the entry's value;
 	// -1 when the value is not versionstamped. Mutations apply in the order
 	// they were issued, so commit writes the stamp first and then folds ops
-	// over the stamped value.
-	vsOff int
+	// over the stamped value. An int32, so that fetched keeps the entry in
+	// its 32-byte size class.
+	vsOff int32
+	// fetched says a snapshot read has read the key's base and left the ops
+	// pending: later reads fold them over the same snapshot entry without
+	// counting it again, as a read-your-writes cache serves them.
+	fetched bool
 }
 
 // Meter is billed for the work a transaction asks of the cluster, when it
@@ -454,15 +459,18 @@ func (t *Transaction) getLocked(key []byte, snapshot bool) ([]byte, error) {
 	if !snapshot && !t.readOnly {
 		t.readConflicts.AddKey(key)
 	}
-	t.countRead(1, len(key)+len(base.val()))
+	if be == nil || !be.fetched {
+		t.countRead(1, len(key)+len(base.val()))
+	}
 	if e == nil {
 		return shared(base.val()), nil
 	}
-	// Pending atomic ops: materialize against the read snapshot and convert
-	// to a set, as the read-your-writes layer does.
-	m := t.materialize(e, be, base)
-	if m == nil {
-		t.clearBuffered(key)
+	// Pending atomic ops: materialize against the read snapshot.
+	m, gone := t.materialize(e, be, base, !snapshot)
+	if gone {
+		if !snapshot {
+			t.clearBuffered(key)
+		}
 		return nil, nil
 	}
 	return shared(m.value), nil
@@ -480,19 +488,24 @@ func (t *Transaction) ownValue(e *entry, be *bufEntry) (val []byte, gone bool) {
 }
 
 // materialize folds the pending atomic ops of buffered entry e over base, the
-// snapshot's entry for the key (nil when it has none); the caller counts the
-// read of base. The key becomes a plain set of the result, and materialize
-// returns the entry the buffer now holds for it, unless a COMPARE_AND_CLEAR
-// matched: then it returns nil and the caller takes the key out of the buffer
-// and clears it, once no iterator is walking the buffer.
-func (t *Transaction) materialize(e *entry, be *bufEntry, base *entry) *entry {
+// snapshot's entry for the key (nil when it has none), which the caller counts
+// unless be is fetched; gone says a COMPARE_AND_CLEAR matched. With convert (a
+// serializable read, whose conflict on the key guards the result) the key
+// becomes a plain set of it, or on gone the caller clears it once no iterator
+// walks the buffer. A snapshot read records no conflict, so the ops stay
+// pending, as FoundationDB's read-your-writes layer keeps them: made a set,
+// they would overwrite what a transaction committed since the read version.
+func (t *Transaction) materialize(e *entry, be *bufEntry, base *entry, convert bool) (m *entry, gone bool) {
 	val, cleared := applyMutations(base.val(), be.ops, t.db.opts.Limits.MaxValueSize)
+	be.fetched = be.fetched || !convert
 	if cleared {
-		return nil
+		return nil, true
 	}
-	m := &entry{key: e.key, value: val}
-	t.bufSet(m, nil)
-	return m
+	m = &entry{key: e.key, value: val}
+	if convert {
+		t.bufSet(m, nil)
+	}
+	return m, false
 }
 
 // countRead counts keys read from the snapshot, nbytes of keys and values in
@@ -678,11 +691,15 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 				}
 				e = &entry{key: e.key, value: val}
 			default:
-				reads++
-				readBytes += len(e.key) + len(base.val())
-				m := t.materialize(e, be, base)
-				if m == nil {
-					cleared = append(cleared, e)
+				if !be.fetched {
+					reads++
+					readBytes += len(e.key) + len(base.val())
+				}
+				m, gone := t.materialize(e, be, base, !snapshot)
+				if gone {
+					if !snapshot {
+						cleared = append(cleared, e)
+					}
 					continue
 				}
 				e = m
@@ -888,7 +905,7 @@ func (t *Transaction) Atomic(typ MutationType, key, param []byte) error {
 		if err := t.checkWrite(key, raw); err != nil {
 			return err
 		}
-		t.bufSet(&entry{key: cloneBytes(key), value: raw}, &bufEntry{vsOff: offset})
+		t.bufSet(&entry{key: cloneBytes(key), value: raw}, &bufEntry{vsOff: int32(offset)})
 		t.accountWrite(len(key) + len(raw))
 		return nil
 	}

@@ -3,6 +3,7 @@ package history
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -168,6 +169,31 @@ func (c *Confinement) Check(decode func([]byte) string) error {
 		}
 	}
 	return nil
+}
+
+// CommittedReads calls f with each serializable read and read-conflict range
+// of every transaction recorded since the last Check that committed a write:
+// what the resolver checked its commit against. It returns f's first error.
+func (c *Confinement) CommittedReads(f func(fdb.Access) error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, ta := range c.txns {
+		if ta.verdict != "committed" || !slices.ContainsFunc(ta.accesses, writes) {
+			continue
+		}
+		for _, a := range ta.accesses {
+			if a.Kind == fdb.AccessReadConflict || a.Kind == fdb.AccessRead && !a.Snapshot {
+				if err := f(a); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+func writes(a fdb.Access) bool {
+	return a.Kind == fdb.AccessWrite || a.Kind == fdb.AccessClear || a.Kind == fdb.AccessWriteConflict
 }
 
 func allowed(a fdb.Access, sets ...[]Range) bool {

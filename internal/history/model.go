@@ -111,6 +111,8 @@ var errModel = errors.New("error")
 
 func (m *Model) run(op Op) (string, error) {
 	switch op.Kind {
+	case Interleave:
+		panic("history: an Interleave is answered with the store's verdicts, by RunInterleave")
 	case Race:
 		return m.race(op), nil
 	case Build:
@@ -690,6 +692,44 @@ func sortedPKs(m map[int64][]int64) []int64 {
 
 // ---------------------------------------------------------------- multi-transaction ops
 
+// RunInterleave answers an Interleave whose sub-op i the store committed when
+// committed[i]: every sub-op's transaction reads at one version, and then
+// they commit in op.Order. A sub-op that writes nothing or fails in its body
+// is answered at that read version, since a read-only commit is a no-op
+// there. A writer that committed is answered, and applied, at its place in
+// the commit order, so its answer shows any write it should have conflicted
+// with; one that aborted changes nothing. The first writer to commit cannot
+// conflict, since nothing committed after its read version, so it is
+// answered as committed whatever the store says. Each sub-op renders as its
+// answer and "(committed)", as "aborted" or as "error".
+func (m *Model) RunInterleave(op Op, committed []bool) string {
+	base := m.tenants
+	out := make([]string, len(op.Ops))
+	first := true
+	for _, i := range op.Order {
+		sub := op.Ops[i]
+		tx := m.begin(base)
+		a, err := tx.apply(sub)
+		if err == nil && sub.Kind.Writes() && len(tx.writes) > 0 {
+			if !committed[i] && !first {
+				out[i] = "aborted"
+				continue
+			}
+			first = false
+			tx = m.begin(m.tenants)
+			if a, err = tx.apply(sub); err == nil {
+				tx.commit()
+			}
+		}
+		out[i] = a + " (committed)"
+		if err != nil {
+			out[i] = "error"
+		}
+	}
+	m.history = append(m.history, m.tenants)
+	return strings.Join(out, "; ")
+}
+
 // race answers Race: two transactions open the new tenant, describe it and
 // save a record; both commit, the second conflicting if the first committed
 // (both read and wrote the header). Then each server saves once more.
@@ -756,12 +796,15 @@ func (m *Model) build(op Op) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if s := h.w(); s.state(ByN) != metadata.StateWriteOnly {
+	s := h.w()
+	if s.state(ByN) != metadata.StateWriteOnly {
 		s.entries[ByN] = map[string]tuple.Tuple{}
 		delete(s.progress, ByN)
 		s.states[ByN] = metadata.StateWriteOnly
 	} else if _, ok := s.progress[ByN]; ok {
 		m.resumes++
+	} else if s.entries[ByN] == nil {
+		s.entries[ByN] = map[string]tuple.Tuple{} // marked write-only while disabled: nothing maintained it
 	}
 	tx.commit()
 	total, batches := 0, 0
@@ -794,7 +837,7 @@ func (m *Model) build(op Op) (string, error) {
 		return "", errModel
 	}
 	tx = m.begin(m.tenants)
-	s := tx.writable(op.Tenant)
+	s = tx.writable(op.Tenant)
 	delete(s.states, ByN)
 	delete(s.progress, ByN)
 	tx.commit()

@@ -1,15 +1,17 @@
 package history
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Kind is what an op does.
 type Kind int
 
-// The op vocabulary. Every op but Race, Build and Scrub runs in one
-// transaction.
+// The op vocabulary. Every op but Race, Build, Scrub and Interleave runs in
+// one transaction.
 const (
 	OpenTwice      Kind = iota // open twice in one read-only transaction, describe
 	Save                       // SaveRecord
@@ -33,13 +35,14 @@ const (
 	Build                      // OnlineIndexer build of by_n through the door
 	Scrub                      // Scrubber of every readable index through the door, maybe repairing
 	Increment                  // load a record and save it with n+1: not idempotent
+	Interleave                 // 2–3 one-transaction ops at one read version, committed in Order
 	NumKinds
 )
 
 var kindNames = [NumKinds]string{"open twice", "save", "save batch", "insert", "delete record", "delete all",
 	"query page", "rank reads", "text reads", "aggregate", "scan versions", "mark index", "set user version",
 	"delete store", "pinned read", "open several", "open and change", "race", "upgrade", "build", "scrub",
-	"increment"}
+	"increment", "interleave"}
 
 func (k Kind) String() string { return kindNames[k] }
 
@@ -74,7 +77,7 @@ type Op struct {
 	Server  int // which of two warm servers runs it
 	Tenant  Tenant
 	Docs    []Doc    // Save, SaveBatch, Insert; one per target of OpenSeveral; Race's four
-	Targets []Tenant // OpenSeveral
+	Targets []Tenant // OpenSeveral: the first is Tenant
 	PK      int64    // Increment
 	PKs     []int64  // DeleteRecord: deleted in one transaction, one call each
 	Index   string   // MarkIndex, OpenAndChange
@@ -92,6 +95,11 @@ type Op struct {
 	// transaction and StopAfter batches have committed: the build stops with
 	// by_n write-only and its progress stored, and a later Build resumes it.
 	StopAfter int
+	// Ops are an Interleave's sub-ops: each runs in its own transaction, all
+	// at one read version, every body in turn, then every commit in Order (a
+	// permutation of the sub-ops' indexes).
+	Ops   []Op
+	Order []int
 }
 
 func (o Op) String() string {
@@ -99,10 +107,22 @@ func (o Op) String() string {
 	return fmt.Sprintf("%+v", plain(o))
 }
 
-// Tenants lists the stores the op touches.
+// Tenants lists the stores the op touches: an Interleave's are its sub-ops',
+// each once.
 func (o Op) Tenants() []Tenant {
-	if o.Kind == OpenSeveral {
+	switch o.Kind {
+	case OpenSeveral:
 		return o.Targets
+	case Interleave:
+		var out []Tenant
+		for _, sub := range o.Ops {
+			for _, t := range sub.Tenants() {
+				if !slices.Contains(out, t) {
+					out = append(out, t)
+				}
+			}
+		}
+		return out
 	}
 	return []Tenant{o.Tenant}
 }
@@ -121,14 +141,43 @@ const MaxPinBack = 6
 
 // Generate returns n ops drawn from seed. It is a function of the seed alone,
 // and a shorter history is a prefix of a longer one.
-func Generate(seed int64, n int) []Op {
-	g := &gen{rng: rand.New(rand.NewSource(seed)), queries: map[Tenant]QuerySpec{}}
+func Generate(seed int64, n int) []Op { return GenerateFrom(rand.NewSource(seed), n) }
+
+// GenerateFrom returns n ops drawn from src, as Generate draws them from a
+// seed's source.
+func GenerateFrom(src rand.Source, n int) []Op {
+	g := &gen{rng: rand.New(src), queries: map[Tenant]QuerySpec{}}
 	ops := make([]Op, n)
 	for i := range ops {
 		ops[i] = g.next(i)
 	}
 	return ops
 }
+
+// BytesSource is a rand.Source that takes each draw from the next two bytes
+// of data and, once fewer are left, from seed: a fuzzer's input steers a
+// history, and every input draws a whole one.
+func BytesSource(data []byte, seed int64) rand.Source {
+	return &bytesSource{data: data, rest: rand.NewSource(seed)}
+}
+
+type bytesSource struct {
+	data []byte
+	rest rand.Source
+}
+
+// Int63 spreads two bytes over 63 bits with a multiplicative hash: the high
+// bits rand.Rand's Intn reads depend on both.
+func (s *bytesSource) Int63() int64 {
+	if len(s.data) < 2 {
+		return s.rest.Int63()
+	}
+	v := uint64(binary.LittleEndian.Uint16(s.data)) * 0x9E3779B97F4A7C15
+	s.data = s.data[2:]
+	return int64(v >> 1)
+}
+
+func (s *bytesSource) Seed(seed int64) { s.data, s.rest = nil, rand.NewSource(seed) }
 
 type gen struct {
 	rng      *rand.Rand
@@ -171,31 +220,88 @@ func (g *gen) next(i int) Op {
 		g.upgraded = true
 		return Op{Kind: Upgrade, Version: 2, Server: r.Intn(2), Tenant: g.tenant()}
 	}
+	if r.Intn(8) == 0 {
+		return g.interleave()
+	}
+	op := g.request()
+	op.Kind = g.kind(r.Intn(125))
+	g.args(&op)
+	return op
+}
+
+// request draws who sends an op: its server, its tenant and its schema
+// version.
+func (g *gen) request() Op {
+	r := g.rng
 	op := Op{Version: 1, Server: r.Intn(2), Tenant: g.tenant()}
 	if g.upgraded && r.Intn(5) > 0 {
 		op.Version = 2 // one in five requests still comes from a server on the old schema
 	}
-	switch k := r.Intn(125); {
-	case k < 8:
-		op.Kind = OpenTwice
-	case k < 22:
-		op.Kind, op.Docs = Save, []Doc{g.doc()}
-	case k < 30:
-		op.Kind = SaveBatch
+	return op
+}
+
+// interleave draws 2–3 sub-ops, all on one tenant three times in four, each
+// from its own request, and the order they commit in.
+func (g *gen) interleave() Op {
+	r := g.rng
+	op := Op{Kind: Interleave}
+	t, shared := g.tenant(), r.Intn(4) > 0
+	for j := r.Intn(2) + 2; j > 0; j-- {
+		sub := g.request()
+		if shared {
+			sub.Tenant = t
+		}
+		for sub.Kind = g.kind(r.Intn(125)); slices.Contains(solo, sub.Kind); sub.Kind = g.kind(r.Intn(125)) {
+		}
+		g.args(&sub)
+		op.Ops = append(op.Ops, sub)
+	}
+	op.Order = r.Perm(len(op.Ops))
+	op.Version, op.Server, op.Tenant = op.Ops[0].Version, op.Ops[0].Server, op.Ops[0].Tenant
+	return op
+}
+
+// solo are the kinds an Interleave never holds: those that run more than one
+// transaction, carry client state between ops or are drawn only once.
+var solo = []Kind{QueryPage, PinnedRead, Upgrade, Race, Build, Scrub, Interleave}
+
+// mix is the op mix: a draw of 125 below mix[i].below, and not below the
+// bound before it, draws mix[i].kind.
+var mix = []struct {
+	below int
+	kind  Kind
+}{{8, OpenTwice}, {22, Save}, {30, SaveBatch}, {35, Insert}, {41, DeleteRecord}, {43, DeleteAll}, {63, QueryPage},
+	{69, RankReads}, {75, TextReads}, {80, Aggregate}, {84, ScanVersions}, {92, MarkIndex}, {95, SetUserVersion},
+	{99, DeleteStore}, {105, PinnedRead}, {110, OpenSeveral}, {116, OpenAndChange}, {118, Race}, {120, Build},
+	{122, Scrub}, {125, Increment}}
+
+// kind maps a draw of 125 to an op kind; a Build before the upgrade is a Race.
+func (g *gen) kind(k int) Kind {
+	i := 0
+	for mix[i].below <= k {
+		i++
+	}
+	if mix[i].kind == Build && !g.upgraded {
+		return Race
+	}
+	return mix[i].kind
+}
+
+// args draws the arguments of an op of its kind.
+func (g *gen) args(op *Op) {
+	r := g.rng
+	switch op.Kind {
+	case Save, Insert:
+		op.Docs = []Doc{g.doc()}
+	case SaveBatch:
 		for j := r.Intn(4) + 1; j > 0; j-- {
 			op.Docs = append(op.Docs, g.doc())
 		}
-	case k < 35:
-		op.Kind, op.Docs = Insert, []Doc{g.doc()}
-	case k < 41:
-		op.Kind = DeleteRecord
+	case DeleteRecord:
 		for j := r.Intn(3) + 1; j > 0; j-- {
 			op.PKs = append(op.PKs, int64(r.Intn(ids)))
 		}
-	case k < 43:
-		op.Kind = DeleteAll
-	case k < 63:
-		op.Kind = QueryPage
+	case QueryPage:
 		q, ok := g.queries[op.Tenant]
 		if !ok || r.Intn(3) == 0 {
 			q = QuerySpec{Shape: Shape(r.Intn(NumShapes)), A: tags[r.Intn(len(tags))], B: labels[r.Intn(len(labels))],
@@ -210,48 +316,44 @@ func (g *gen) next(i int) Op {
 			g.queries[op.Tenant] = q
 		}
 		op.Query, op.Version = q, q.Version
-	case k < 69:
-		op.Kind, op.Score, op.Rank = RankReads, int64(r.Intn(50)), int64(r.Intn(8))
-	case k < 75:
-		op.Kind, op.Words = TextReads, [2]string{words[r.Intn(len(words))], words[r.Intn(len(words))]}
-	case k < 80:
-		op.Kind, op.Group = Aggregate, tags[r.Intn(len(tags))]
-	case k < 84:
-		op.Kind = ScanVersions
-	case k < 92:
-		op.Kind, op.Index, op.Mark = MarkIndex, g.indexName(op.Version), r.Intn(3)
-	case k < 95:
-		op.Kind, op.Value = SetUserVersion, r.Intn(9)
-	case k < 99:
-		op.Kind, op.Reopen = DeleteStore, r.Intn(2) == 0
+	case RankReads:
+		op.Score, op.Rank = int64(r.Intn(50)), int64(r.Intn(8))
+	case TextReads:
+		op.Words = [2]string{words[r.Intn(len(words))], words[r.Intn(len(words))]}
+	case Aggregate:
+		op.Group = tags[r.Intn(len(tags))]
+	case MarkIndex:
+		op.Index, op.Mark = g.indexName(op.Version), r.Intn(3)
+	case SetUserVersion:
+		op.Value = r.Intn(9)
+	case DeleteStore:
+		op.Reopen = r.Intn(2) == 0
 		if r.Intn(4) == 0 {
 			op.Tenant.Container = NeverInterned
 		}
-	case k < 105:
-		op.Kind, op.PinBack = PinnedRead, r.Intn(MaxPinBack)+1
-	case k < 110:
-		op.Kind = OpenSeveral
-		for j := r.Intn(2) + 2; j > 0; j-- {
+	case PinnedRead:
+		op.PinBack = r.Intn(MaxPinBack) + 1
+	case OpenSeveral:
+		op.Targets, op.Docs = []Tenant{op.Tenant}, []Doc{g.doc()}
+		for j := r.Intn(2) + 1; j > 0; j-- {
 			op.Targets = append(op.Targets, g.tenant())
 			op.Docs = append(op.Docs, g.doc())
 		}
-		op.Tenant = op.Targets[0]
-	case k < 116:
-		op.Kind, op.Mark, op.Value, op.Index = OpenAndChange, r.Intn(4), r.Intn(9), g.indexName(op.Version)
-	case k >= 122:
-		op.Kind, op.PK = Increment, int64(r.Intn(ids))
-	case k >= 120:
-		op.Kind, op.Repair = Scrub, r.Intn(2) == 0
-	case k < 118 || !g.upgraded:
+	case OpenAndChange:
+		op.Mark, op.Value, op.Index = r.Intn(4), r.Intn(9), g.indexName(op.Version)
+	case Increment:
+		op.PK = int64(r.Intn(ids))
+	case Scrub:
+		op.Repair = r.Intn(2) == 0
+	case Race:
 		// Two servers create one new tenant at once: the second to commit
 		// conflicts. Then each saves to it again.
-		op.Kind = Race
 		op.Tenant.User = 100 + r.Int63n(1<<20)
 		for j := 0; j < 4; j++ {
 			op.Docs = append(op.Docs, g.doc())
 		}
-	default:
-		op.Kind, op.Version = Build, 2
+	case Build:
+		op.Version = 2
 		// One build in two goes to a tenant whose build stopped, if any, so
 		// that a resume follows a stop; one in two stops after 1–3 batches.
 		if len(g.stopped) > 0 && r.Intn(2) == 0 {
@@ -262,5 +364,4 @@ func (g *gen) next(i int) Op {
 			g.stopped = append(g.stopped, op.Tenant)
 		}
 	}
-	return op
 }

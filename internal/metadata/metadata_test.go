@@ -170,59 +170,101 @@ func TestEvolutionLegal(t *testing.T) {
 	}
 }
 
+// TestEvolutionIllegal: each case changes a successor that ValidateEvolution
+// accepts in exactly one way, one per rule of evolution.go, and the refusal
+// must name that case's rule, not merely fail.
 func TestEvolutionIllegal(t *testing.T) {
-	v1 := baseSchema(t)
-
-	mk := func(build func(*Builder) *Builder) *MetaData {
-		b := NewBuilder(2)
-		return build(b).MustBuild()
+	// prev has one former index, "retired", so the rules on former indexes
+	// have something to hold to.
+	prev := NewBuilder(1).
+		AddRecordType(userDescriptor(), keyexpr.Field("id")).
+		AddRecordType(orderDescriptor(), keyexpr.Then(keyexpr.RecordType(), keyexpr.Field("id"))).
+		AddIndex(&Index{Name: "user_by_name", Type: IndexValue, Expression: keyexpr.Field("name")}, "User").
+		AddIndex(&Index{Name: "by_name_all", Type: IndexValue, Expression: keyexpr.Field("name")}).
+		AddIndex(&Index{Name: "score_sum", Type: IndexSum, Expression: keyexpr.Ungrouped(keyexpr.Field("score"))}, "User").
+		AddIndex(&Index{Name: "retired", Type: IndexValue, Expression: keyexpr.Field("score")}, "User").
+		RemoveIndex("retired").
+		MustBuild()
+	// successor is prev's legal successor; each case changes one thing.
+	type successor struct {
+		version      int
+		tags         *message.FieldDescriptor // User's field #4
+		noOrder      bool
+		userPK       keyexpr.Expression
+		orderTypeKey interface{}
+		noByNameAll  bool
+		sumType      IndexType
+		byName       keyexpr.Expression
+		retired      string // "reuse" re-adds the former index, "forget" drops its record
 	}
-
-	// Version must increase.
-	same := baseSchema(t)
-	if err := ValidateEvolution(v1, same); err == nil {
-		t.Fatal("same version accepted")
+	build := func(change func(*successor)) *MetaData {
+		s := successor{version: 2, tags: message.RepeatedField("tags", 4, message.TypeString), userPK: keyexpr.Field("id"),
+			sumType: IndexSum, byName: keyexpr.Field("name")}
+		change(&s)
+		user := message.MustDescriptor("User", message.Field("id", 1, message.TypeInt64),
+			message.Field("name", 2, message.TypeString), message.Field("score", 3, message.TypeInt64))
+		if s.tags != nil {
+			user = message.MustDescriptor("User", append(user.Fields(), s.tags)...)
+		}
+		b := NewBuilder(s.version).AddRecordType(user, s.userPK)
+		if !s.noOrder {
+			b.AddRecordType(orderDescriptor(), keyexpr.Then(keyexpr.RecordType(), keyexpr.Field("id")))
+		}
+		if s.orderTypeKey != nil {
+			b.SetRecordTypeKey("Order", s.orderTypeKey)
+		}
+		b.AddIndex(&Index{Name: "user_by_name", Type: IndexValue, Expression: s.byName, AddedVersion: 1}, "User")
+		if !s.noByNameAll {
+			b.AddIndex(&Index{Name: "by_name_all", Type: IndexValue, Expression: keyexpr.Field("name"), AddedVersion: 1})
+		}
+		b.AddIndex(&Index{Name: "score_sum", Type: s.sumType, Expression: keyexpr.Ungrouped(keyexpr.Field("score")),
+			AddedVersion: 1}, "User")
+		if s.retired != "forget" {
+			b.AddIndex(&Index{Name: "retired", Type: IndexValue, Expression: keyexpr.Field("score")}, "User")
+		}
+		if s.retired == "" {
+			b.RemoveIndex("retired")
+		}
+		md, err := b.Build()
+		if err != nil {
+			t.Fatalf("building the successor: %v", err)
+		}
+		return md
 	}
-
-	// Removing a record type.
-	md := mk(func(b *Builder) *Builder {
-		return b.AddRecordType(userDescriptor(), keyexpr.Field("id"))
-	})
-	if err := ValidateEvolution(v1, md); err == nil {
-		t.Fatal("removed record type accepted")
+	if err := ValidateEvolution(prev, build(func(*successor) {})); err != nil {
+		t.Fatalf("the unchanged successor is refused: %v", err)
 	}
-
-	// Changing a field type.
-	userBad := message.MustDescriptor("User",
-		message.Field("id", 1, message.TypeInt64),
-		message.Field("name", 2, message.TypeInt64), // was string
-		message.Field("score", 3, message.TypeInt64),
-		message.RepeatedField("tags", 4, message.TypeString),
-	)
-	md = mk(func(b *Builder) *Builder {
-		return b.AddRecordType(userBad, keyexpr.Field("id")).
-			AddRecordType(orderDescriptor(), keyexpr.Then(keyexpr.RecordType(), keyexpr.Field("id")))
-	})
-	if err := ValidateEvolution(v1, md); err == nil {
-		t.Fatal("field type change accepted")
-	}
-
-	// Changing a primary key.
-	md = mk(func(b *Builder) *Builder {
-		return b.AddRecordType(userDescriptor(), keyexpr.Field("name")).
-			AddRecordType(orderDescriptor(), keyexpr.Then(keyexpr.RecordType(), keyexpr.Field("id")))
-	})
-	if err := ValidateEvolution(v1, md); err == nil {
-		t.Fatal("primary key change accepted")
-	}
-
-	// Dropping an index silently (no former-index record).
-	md = mk(func(b *Builder) *Builder {
-		return b.AddRecordType(userDescriptor(), keyexpr.Field("id")).
-			AddRecordType(orderDescriptor(), keyexpr.Then(keyexpr.RecordType(), keyexpr.Field("id")))
-	})
-	if err := ValidateEvolution(v1, md); err == nil {
-		t.Fatal("silent index removal accepted")
+	for _, c := range []struct {
+		rule   string
+		change func(*successor)
+		want   string // what the refusal must say
+	}{
+		{"the version does not increase", func(s *successor) { s.version = 1 }, "version must increase"},
+		{"a type is removed", func(s *successor) { s.noOrder = true }, `record type "Order" removed`},
+		{"a field is removed", func(s *successor) { s.tags = nil }, "User field tags (#4) removed"},
+		{"a field is renamed", func(s *successor) { s.tags = message.RepeatedField("labels", 4, message.TypeString) },
+			"User field #4 renamed tags -> labels"},
+		{"a field is retyped", func(s *successor) { s.tags = message.RepeatedField("tags", 4, message.TypeInt64) },
+			"User field tags changed type"},
+		{"a field changes label", func(s *successor) { s.tags = message.Field("tags", 4, message.TypeString) },
+			"User field tags changed label"},
+		{"the primary key changes", func(s *successor) { s.userPK = keyexpr.Field("name") },
+			`record type "User" primary key changed`},
+		{"the type key changes", func(s *successor) { s.orderTypeKey = "order" }, `record type "Order" type key changed`},
+		{"an index is dropped without a former-index record", func(s *successor) { s.noByNameAll = true },
+			`index "by_name_all" removed without a former-index record`},
+		{"an index changes type", func(s *successor) { s.sumType = IndexMaxEver }, `index "score_sum" changed type`},
+		{"an index is redefined without a bump", func(s *successor) {
+			s.byName = keyexpr.Then(keyexpr.Field("name"), keyexpr.Field("score"))
+		}, `index "user_by_name" redefined without bumping LastModifiedVersion`},
+		{"a former index name is reused", func(s *successor) { s.retired = "reuse" }, `former index name "retired" reused`},
+		{"a former index is dropped from history", func(s *successor) { s.retired = "forget" },
+			`former index "retired" (removed at version 1) dropped from history`},
+	} {
+		err := ValidateEvolution(prev, build(c.change))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ValidateEvolution = %v, want an error saying %q", c.rule, err, c.want)
+		}
 	}
 }
 

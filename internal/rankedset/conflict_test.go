@@ -188,3 +188,29 @@ func TestDeleteOfFingerConflictsWithConcurrentBump(t *testing.T) {
 		}
 	}
 }
+
+// TestTwoDeletesKeepAConcurrentBump: one transaction deletes two unpromoted
+// keys under finger f, so its second delete's snapshot probe of level 1 reads
+// f over the first one's pending ADD; another inserts g under f and commits
+// first. All three only ADD to f (§6), so both commit, and f must count all
+// three changes: a probe that turned the pending ADD into a set would erase
+// the insert's.
+func TestTwoDeletesKeepAConcurrentBump(t *testing.T) {
+	db, rs := newSet(t, splitConfig())
+	insert(t, db, rs, "a", "f", "h", "k", "m")
+	del, ins := db.CreateTransaction(), db.CreateTransaction()
+	for _, key := range []string{"h", "k"} {
+		if _, err := rs.Delete(del, []byte(key)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := rs.Insert(ins, []byte("g")); err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range []*fdb.Transaction{ins, del} {
+		if err := tr.Commit(); err != nil {
+			t.Fatalf("transaction %d of two bumping finger f: %v", i+1, err)
+		}
+	}
+	checkSerial(t, db, rs, "two deletes and an insert under f", []string{"a", "f", "g", "m"})
+}

@@ -351,25 +351,6 @@ func noisySchemaV2(note *message.Descriptor) (*metadata.MetaData, error) {
 		Build()
 }
 
-// tenantProviders builds the keyspace app=<app>/tenant=<string> and one
-// StoreProvider over it per metadata, each a server with its own caches.
-func tenantProviders(app string, mds ...*metadata.MetaData) (*keyspace.KeySpace, []*recordlayer.StoreProvider, error) {
-	ks, err := keyspace.New(nil,
-		keyspace.NewConstant("app", app).Add(
-			keyspace.NewDirectory("tenant", keyspace.TypeString)))
-	if err != nil {
-		return nil, nil, err
-	}
-	providers := make([]*recordlayer.StoreProvider, len(mds))
-	for i, md := range mds {
-		if providers[i], err = recordlayer.NewStoreProvider(md, ks, []string{"app", "tenant"},
-			recordlayer.ProviderOptions{}); err != nil {
-			return nil, nil, err
-		}
-	}
-	return ks, providers, nil
-}
-
 // openAndSave is the experiments' one write: open tenant's store through p,
 // creating it if missing, and save recs (with none, it only opens).
 func openAndSave(p *recordlayer.StoreProvider, tenant string, recs ...*message.Message) recordlayer.TransactFunc {
@@ -416,11 +397,16 @@ func newNoisyCluster() (*noisyCluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	ks, providers, err := tenantProviders("noisy", md)
+	ks, err := keyspace.New(nil, keyspace.NewConstant("app", "noisy").Add(
+		keyspace.NewDirectory("tenant", keyspace.TypeString)))
 	if err != nil {
 		return nil, err
 	}
-	return &noisyCluster{note: note, ks: ks, provider: providers[0], db: fdb.Open(nil)}, nil
+	p, err := recordlayer.NewStoreProvider(md, ks, []string{"app", "tenant"}, recordlayer.ProviderOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return &noisyCluster{note: note, ks: ks, provider: p, db: fdb.Open(nil)}, nil
 }
 
 // server is one "stateless server" of a phase: a Runner billing its own
