@@ -113,13 +113,17 @@
 // projected query with no usable filter still plans an index-only scan
 // instead of a full record scan.
 //
-// Pipelined fetches (§8): plans that do fetch records issue the fetches for
-// the index entries a scan has delivered together, up to 128 at a time, and
-// speculate at most ExecuteProperties.PipelineDepth reads past what has been
-// read (default 8; 1 restores strictly sequential fetching); under a RowLimit
-// exactly the page's records, together ("What a fetch costs"). Results are
-// byte-identical to sequential execution — order, halt reasons, and
-// continuations included — only the fetch latency overlaps. Scan limits
+// Fetches in the scan's round trip: a bare index scan reads each batch of
+// entries and the records they point at in one mapped range read
+// (fdb.Transaction.GetMappedRangeAsync, FoundationDB's getMappedRange, which
+// the Java Record Layer uses as USE_REMOTE_FETCH), so it has nothing to
+// pipeline. Pipelined fetches (§8): plans that fetch above a merge issue the
+// fetches for the index entries the merge has delivered together, up to 128 at
+// a time, and speculate at most ExecuteProperties.PipelineDepth reads past
+// what has been read (default 8; 1 restores strictly sequential fetching);
+// under a RowLimit exactly the page's records, together ("What a fetch
+// costs"). Results are byte-identical to sequential execution — order, halt
+// reasons, and continuations included — only the fetch latency overlaps. Scan limits
 // charge per record scanned, and a limit smaller than a single record's
 // key-value footprint still admits one record per execution, so paging
 // always makes progress (§8.2's "first record is always admitted").
@@ -215,10 +219,12 @@
 // step of its dependency chain — reads that do not need each other's answers
 // are issued together — and the few that still wait longer are named where
 // their price is given ("What a RANK or TEXT index costs").
-// Index-scan record fetches are issued ahead of the consumer on a single
-// goroutine (cursor.MapAsync — no worker goroutines, so depth 8 costs the
-// same as depth 1 when reads are instant): for every entry already read, and
-// PipelineDepth of them past that.
+// A bare index scan's records come in its batches' own reads. Record fetches
+// above a merge, or over a scan a caller hands FetchIndexedPipelined, are
+// issued ahead of the consumer on a single goroutine (cursor.MapAsync — no
+// worker goroutines, so depth 8 costs the same as depth 1 when reads are
+// instant): for every entry already read, and PipelineDepth of them past
+// that.
 // Range scans prefetch their next batch while the current one drains
 // (kvcursor read-ahead), unless a limit tells them how little is wanted.
 //
@@ -266,8 +272,14 @@
 // # What a fetch costs
 //
 // A query that is not covering reads index entries and then the records
-// behind them, and the second read needs the first: two round trips is its
-// dependency depth. Three hints that every cursor.Cursor takes beside Next,
+// behind them, and the second read needs the first. Over a bare index scan the
+// store resolves that dependency itself: each batch is one mapped range read
+// that returns the entries with their records, so the scan and its fetches are
+// one round trip per batch. A Filter above it still sees every record, and a
+// batch read ahead, or past where the consumer stops, has read its records
+// too. Above a merge, the records of only the survivors are wanted, so the
+// fetch is a second read: two round trips is that dependency depth. Three
+// hints that every cursor.Cursor takes beside Next,
 // none of which changes what Next returns, keep plans at that depth: Prefetch
 // (above), Demand and Ready. Which cursor passes which on, and why not where
 // it does not, is the table in internal/cursor's package comment.
@@ -316,13 +328,14 @@
 //
 // With a pair and a version slot per record, and no residual filter:
 //
-//	RowLimit n over an index scan:     n entries + 2n pairs, GRV + 2 windows
+//	RowLimit n over an index scan:     n entries + 2n pairs, GRV + 1 window
 //	RowLimit n, Skip k:                the same with n+k
 //	ScanRecordLimit r, full scan:      2(r+1)+1 pairs, GRV + 1 window
 //	RowLimit n over a union of scans:  n+1 entries a child + 2n pairs, GRV + 2
-//	index scan of e entries, no limit: e + 2e, GRV + 1 + ⌈e/128⌉ (+1 when a
-//	                                   later batch arrives mid-window)
+//	index scan of e entries, no limit: e + 2e, GRV + one window per batch of
+//	                                   128, 256, 512, … entries
 //	union of scans, e entries, u rows: e + 2u, GRV + 1 + ⌈u/128⌉
+//	unordered union of k scans:        e + 2u, GRV + 2k (up to 128 entries each)
 //	intersection, e entries, i rows:   e + 2i, GRV + 1 + ⌈i/128⌉
 //	Distinct over a fan-out scan:      e + 2 per distinct record, as the union
 //	fetch over cursor.Limit(entries, n): n + 2n, GRV + 2
@@ -332,12 +345,14 @@
 // only the fields the filter reads: it is never built.
 //
 // The trade. A consumer that abandons an unlimited stream early, or a RowLimit
-// above a residual filter (which stops the demand), may have fetched up to 127
-// records past the last one delivered where PipelineDepth 8 alone stopped at
-// 7: RowLimit 25 above a filter that passes the 51st to 75th of 130 entries
-// reads 386 keys in GRV + 2 windows, was 294 in GRV + 11. The index scan under
-// it already read all 130 entries in one batch on the same reasoning, and a
-// caller who wants fewer says so with a limit that reaches the scan. Fewer
+// above a residual filter (which stops the demand), may have fetched the rest
+// of the batch past the last record delivered, and a bare scan the records of
+// the batch it read ahead, where PipelineDepth 8 alone stopped at 7: RowLimit
+// 25 above a filter that passes the 51st to 75th of 130 entries reads 390 keys
+// in GRV + 1 window (386 in GRV + 2 when the records came a window behind
+// their entries, 294 in GRV + 11 at depth 8). The index scan under it reads
+// its first 128 entries in one batch on the same reasoning, and a caller who
+// wants fewer says so with a limit that reaches the scan. Fewer
 // keys read is also a narrower read-conflict range and a smaller tenant bill.
 // Byte and time limits size nothing, nor does a RowLimit above a residual
 // filter; above an intersection it sizes the fetches and not the scans.

@@ -169,7 +169,8 @@ func TestConflictNamesItsKeys(t *testing.T) {
 	}
 }
 
-// TestKeyClass names each part of a store's layout, and nothing else.
+// TestKeyClass names each part of a store's layout, the store's own prefix,
+// and nothing else.
 func TestKeyClass(t *testing.T) {
 	for _, c := range []struct {
 		key  tuple.Tuple
@@ -184,7 +185,7 @@ func TestKeyClass(t *testing.T) {
 		{tuple.Tuple{indexSub}, ""},
 		{tuple.Tuple{int64(9), "x"}, ""},
 		{tuple.Tuple{"records"}, ""},
-		{nil, ""},
+		{nil, "store"}, // the store's own prefix, where a whole-store range starts
 	} {
 		if got := KeyClass(c.key.Pack()); got != c.want {
 			t.Errorf("KeyClass(%v) = %q, want %q", c.key, got, c.want)

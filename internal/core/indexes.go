@@ -29,26 +29,67 @@ func (s *Store) readableIndex(name string) (*metadata.Index, error) {
 	return ix, nil
 }
 
-// ScanIndex streams entries of a VALUE or VERSION index over a tuple range.
-func (s *Store) ScanIndex(name string, r index.TupleRange, opts index.ScanOptions) (cursor.Cursor[index.Entry], error) {
+// rangeScanner is an index whose entries a range scan streams in key order:
+// VALUE, VERSION, and RANK by value.
+type rangeScanner interface {
+	Scan(ctx *index.Context, r index.TupleRange, opts index.ScanOptions) (cursor.Cursor[index.Entry], error)
+	ScanFetched(ctx *index.Context, r index.TupleRange, opts index.ScanOptions, record fdb.Mapper) (cursor.Cursor[index.Fetched], error)
+}
+
+// scanner resolves a readable index whose entries a range scan streams.
+func (s *Store) scanner(name string) (rangeScanner, *index.Context, error) {
 	ix, err := s.readableIndex(name)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m, ictx, err := s.maintainer(ix)
 	if err != nil {
+		return nil, nil, err
+	}
+	sc, ok := m.(rangeScanner)
+	if !ok {
+		return nil, nil, fmt.Errorf("core: index %q (type %s) does not support range scans", name, ix.Type)
+	}
+	return sc, ictx, nil
+}
+
+// ScanIndex streams entries of a VALUE, VERSION or RANK index over a tuple
+// range.
+func (s *Store) ScanIndex(name string, r index.TupleRange, opts index.ScanOptions) (cursor.Cursor[index.Entry], error) {
+	sc, ictx, err := s.scanner(name)
+	if err != nil {
 		return nil, err
 	}
-	switch mm := m.(type) {
-	case *index.ValueMaintainer:
-		return mm.Scan(ictx, r, opts)
-	case *index.VersionMaintainer:
-		return mm.Scan(ictx, r, opts)
-	case *index.RankMaintainer:
-		return mm.ScanByValue(ictx, r, opts)
-	default:
-		return nil, fmt.Errorf("core: index %q (type %s) does not support range scans", name, ix.Type)
+	return sc.Scan(ictx, r, opts)
+}
+
+// ScanIndexRecords streams the records behind the entries ScanIndex streams,
+// reading each batch of entries and their records in one request
+// (fdb.Transaction.GetMappedRangeAsync): a scan and its fetches cost one
+// round trip per batch, where FetchIndexedPipelined over ScanIndex waits for a
+// batch before it can fetch. Records, order, halts and continuations are
+// those of FetchIndexedPipelined over the same scan; so are the reads, except
+// that a batch read ahead, or past where a consumer stops, has read its
+// records too.
+func (s *Store) ScanIndexRecords(name string, r index.TupleRange, opts index.ScanOptions) (cursor.Cursor[*StoredRecord], error) {
+	sc, ictx, err := s.scanner(name)
+	if err != nil {
+		return nil, err
 	}
+	var buf []byte // the record range, rebuilt in place for each entry
+	fetched, err := sc.ScanFetched(ictx, r, opts, func(pk []byte) (begin, end []byte) {
+		buf = append(append(append(buf[:0], s.records.Bytes()...), pk...), 0x00)
+		n := len(buf)
+		buf = append(buf, buf...)
+		buf[2*n-1] = 0xFF
+		return buf[:n:n], buf[n:]
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cursor.Map(fetched, func(f index.Fetched) (*StoredRecord, error) {
+		return s.indexedRecord(f.Entry, f.Record, nil)
+	}), nil
 }
 
 // FetchIndexedPipelined resolves index entries to their records — an index
@@ -68,6 +109,8 @@ func (s *Store) ScanIndex(name string, r index.TupleRange, opts index.ScanOption
 // Results preserve entry order, halts, and continuations exactly; depth <= 1
 // is the sequential path. Each record range is built from the entry's packed
 // primary key, and the record's primary key is decoded once, from its own key.
+// A bare index scan has nothing to wait for here: ScanIndexRecords fetches its
+// records with its entries.
 func (s *Store) FetchIndexedPipelined(entries cursor.Cursor[index.Entry], snapshot bool, depth int) cursor.Cursor[*StoredRecord] {
 	return cursor.MapAsync(entries, depth,
 		func(e index.Entry) *fdb.FutureRange {
@@ -75,15 +118,19 @@ func (s *Store) FetchIndexedPipelined(entries cursor.Cursor[index.Entry], snapsh
 			return s.issueLoadRecord(b, end, snapshot)
 		},
 		func(e index.Entry, f *fdb.FutureRange) (*StoredRecord, error) {
-			rec, err := s.awaitLoadRecord(nil, f)
-			if err != nil {
-				return nil, err
-			}
-			if rec == nil {
-				return nil, fmt.Errorf("core: index entry %v points at missing record %v", e.Key(), e.PrimaryKey())
-			}
-			return rec, nil
+			pairs, _, err := f.Get()
+			return s.indexedRecord(e, pairs, err)
 		})
+}
+
+// indexedRecord is the record entry e points at, from its pairs; an entry
+// that points at none is an error.
+func (s *Store) indexedRecord(e index.Entry, pairs fdb.Pairs, err error) (*StoredRecord, error) {
+	rec, err := s.pairsRecord(nil, pairs, err)
+	if err == nil && rec == nil {
+		return nil, fmt.Errorf("core: index entry %v points at missing record %v", e.Key(), e.PrimaryKey())
+	}
+	return rec, err
 }
 
 // AggregateInt64 reads a COUNT/COUNT_UPDATES/COUNT_NON_NULL/SUM value for a

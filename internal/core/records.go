@@ -524,10 +524,15 @@ func (s *Store) issueLoadRecord(begin, end []byte, snapshot bool) *fdb.FutureRan
 }
 
 // awaitLoadRecord completes an issued load: reassemble, decode. Nil when the
-// record is absent. A nil pk is decoded from the record's keys. The pairs
-// reach assembleRecord in a stack array, since it keeps none of them.
+// record is absent. A nil pk is decoded from the record's keys.
 func (s *Store) awaitLoadRecord(pk tuple.Tuple, f *fdb.FutureRange) (*StoredRecord, error) {
 	pairs, _, err := f.Get()
+	return s.pairsRecord(pk, pairs, err)
+}
+
+// pairsRecord is loadedRecord of a record's pairs as a read replied them. They
+// reach assembleRecord in a stack array, since it keeps none of them.
+func (s *Store) pairsRecord(pk tuple.Tuple, pairs fdb.Pairs, err error) (*StoredRecord, error) {
 	var stack [8]fdb.KeyValue // a version slot and up to 7 chunks
 	kvs := stack[:0]
 	for i := range pairs.Len() {

@@ -29,9 +29,13 @@ const (
 
 // KeyClass names what a key of a record store holds, given the key past the
 // store's prefix: "records", "index <name>", "header", "index state <name>"
-// or "build progress <name>"; "" for a key the store's layout has no place
+// or "build progress <name>"; "store" for the prefix itself, where a range
+// over the whole store starts; "" for a key the store's layout has no place
 // for. It decodes, so it belongs on diagnostic paths such as a conflict's.
 func KeyClass(key []byte) string {
+	if len(key) == 0 {
+		return "store"
+	}
 	t, _ := tuple.UnpackPrefix(key)
 	if len(t) == 0 {
 		return ""

@@ -32,7 +32,8 @@
 //	Limit                            until spent       its own n only (gap)   min(left, source); spent: Ended
 //	Union                            no (b)            n + 1 each             the children's sum (d)
 //	Intersection                     no (b)            no (a)                 the children's minimum (d)
-//	Concat, Func (FromSlice, Fail)   no (c)            no (c)                 0 (c)
+//	Concat                           the active child  no (e)                 the active child's (e)
+//	Func (FromSlice, Fail)           no (c)            no (c)                 0 (c)
 //	MapAsync                         forwards          forwards, caps issues  0 (gap)
 //	core's recordCursor              forwards          in pairs; no (a)       0 (gap)
 //	recordlayer's skipCursor         forwards          n + the rows to skip   forwards (an upper bound)
@@ -40,9 +41,11 @@
 //
 //	(a) When values are dropped, what one delivered costs the source is unknown.
 //	(b) A merge prefetches its children itself; one under a merge is not (gap).
-//	(c) A Func's I/O is its own; Concat's children take no hint (gap).
+//	(c) A Func's I/O is its own.
 //	(d) A buffered head counts one; 0 if a child the next step pulls holds
 //	    nothing, Ended once every child it needs has ended.
+//	(e) How a demand splits over the children is unknown (gap). An ended
+//	    child with another after it counts 0; Ended after the last child.
 package cursor
 
 import (

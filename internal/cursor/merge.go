@@ -276,36 +276,68 @@ func (c *merge[T]) intersection() (Result[T], error) {
 }
 
 // Concat chains child streams sequentially. Its continuation is framed as
-// kindConcat: the active child's index, then that child's continuation.
+// kindConcat: the active child's index, then that child's continuation. It
+// passes Prefetch and Ready to the active child; Ended only once the last
+// child has ended.
 func Concat[T any](continuation []byte, builders ...func(continuation []byte) Cursor[T]) (Cursor[T], error) {
-	idx, cont := 0, []byte(nil)
+	c := &concatCursor[T]{builders: builders}
+	var cont []byte
 	if len(continuation) > 0 {
 		r := ReadFrame(continuation, kindConcat)
 		i, at := r.Uvarint(uint64(len(builders))), false
 		if cont, at = r.Part(); !at || r.Close() != nil {
 			return nil, ErrCorruptContinuation
 		}
-		idx = int(i)
+		c.idx = int(i)
 	}
-	var cur Cursor[T]
-	if idx < len(builders) {
-		cur = builders[idx](cont)
+	if c.idx < len(builders) {
+		c.cur = builders[c.idx](cont)
 	}
-	return Func[T](func() (Result[T], error) {
-		for idx < len(builders) {
-			r, err := cur.Next()
-			if err != nil {
-				return Result[T]{}, err
-			}
-			if r.OK || r.Reason != SourceExhausted {
-				frame := binary.AppendUvarint(append(make([]byte, 0, len(r.Continuation)+4), kindConcat), uint64(idx))
-				r.Continuation = AppendPart(frame, r.Continuation)
-				return r, nil
-			}
-			if idx++; idx < len(builders) {
-				cur = builders[idx](nil)
-			}
+	return c, nil
+}
+
+type concatCursor[T any] struct {
+	builders []func(continuation []byte) Cursor[T]
+	idx      int // the active child's
+	cur      Cursor[T]
+}
+
+// Prefetch implements Cursor.
+func (c *concatCursor[T]) Prefetch() {
+	if c.idx < len(c.builders) {
+		c.cur.Prefetch()
+	}
+}
+
+// Demand takes no hint: how the n values split over the children is unknown.
+func (c *concatCursor[T]) Demand(int) {}
+
+// Ready implements Cursor: the active child's count, except that a child
+// which has ended is followed by the next one, not known to hold anything.
+func (c *concatCursor[T]) Ready() int {
+	if c.idx >= len(c.builders) {
+		return Ended
+	}
+	if n := c.cur.Ready(); n != Ended || c.idx == len(c.builders)-1 {
+		return n
+	}
+	return 0
+}
+
+func (c *concatCursor[T]) Next() (Result[T], error) {
+	for c.idx < len(c.builders) {
+		r, err := c.cur.Next()
+		if err != nil {
+			return Result[T]{}, err
 		}
-		return halt[T](SourceExhausted, nil), nil
-	}), nil
+		if r.OK || r.Reason != SourceExhausted {
+			frame := binary.AppendUvarint(append(make([]byte, 0, len(r.Continuation)+4), kindConcat), uint64(c.idx))
+			r.Continuation = AppendPart(frame, r.Continuation)
+			return r, nil
+		}
+		if c.idx++; c.idx < len(c.builders) {
+			c.cur = c.builders[c.idx](nil)
+		}
+	}
+	return halt[T](SourceExhausted, nil), nil
 }

@@ -9,6 +9,16 @@
 // at commit time against the write ranges of concurrently committed
 // transactions — so the layers built on top exercise the same code paths they
 // would on a real cluster.
+//
+// It also serves FoundationDB 7.1's mapped range read
+// (Transaction.GetMappedRangeAsync, getMappedRange): a range and, for each pair
+// it finds, the range a caller's Mapper derives from the pair's key, in one
+// request and one read window — an index batch with the records its entries
+// point at. Each range is read, conflict-ranged and counted as a separate
+// read of it would be. Unlike a real cluster, which refuses a mapped read of
+// keys the transaction has written (error 2036), it serves read-your-writes:
+// a simulator extension, like ClearVersionstampedKey, so that the record
+// layer keeps one fetch path whatever its transaction has buffered.
 package fdb
 
 import (

@@ -76,7 +76,18 @@ func (f *FutureRange) Get() (Pairs, bool, error) {
 // unchanged, for as long as anyone holds it: later writes of the transaction
 // and later commits replace entries, they do not edit them. The zero Pairs is
 // empty.
-type Pairs struct{ es []*entry }
+type Pairs struct {
+	es []*entry
+	m  *mapping // a mapped read's (GetMappedRangeAsync); nil for a plain one
+}
+
+// mapping holds a mapped read's pairs of every mapped range, pair i's at
+// es[off[i]:off[i+1]]. It lies behind a pointer so that a plain range future
+// stays in its 80-byte size class.
+type mapping struct {
+	es  []*entry
+	off []int32
+}
 
 // Len is the number of pairs.
 func (p Pairs) Len() int { return len(p.es) }
@@ -85,3 +96,12 @@ func (p Pairs) Len() int { return len(p.es) }
 // stack; its Key and Value are the database's bytes, shared and read-only
 // (see KeyValue).
 func (p Pairs) At(i int) KeyValue { return p.es[i].pair() }
+
+// Mapped returns the pairs of the range a mapped read's mapper derived from
+// pair i's key, 0 <= i < Len, in key order; none for a plain read.
+func (p Pairs) Mapped(i int) Pairs {
+	if p.m == nil {
+		return Pairs{}
+	}
+	return Pairs{es: p.m.es[p.m.off[i]:p.m.off[i+1]]}
+}

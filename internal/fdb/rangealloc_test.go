@@ -169,3 +169,55 @@ func TestRangeFutureAllocs(t *testing.T) {
 	}
 	_, _ = sink, sinkPairs
 }
+
+// TestSyncRangeAllocs: a synchronous GetRange of n pairs under a limit of n
+// allocates its result alone, one exact n-pair slice, in one pass past the
+// stack array as below it. The reads are snapshot reads, which record no read
+// conflict range.
+func TestSyncRangeAllocs(t *testing.T) {
+	const keys = 1000
+	db := Open(nil)
+	tr := db.CreateTransaction()
+	for i := 0; i < keys; i++ {
+		if err := tr.Set([]byte(fmt.Sprintf("k%05d", i)), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rt := db.CreateTransaction()
+	begin, end := []byte("k"), []byte("l")
+	var sink []KeyValue
+	for _, n := range []int{1, 34, rangeStackLen, rangeStackLen + 1, keys} {
+		read := func() {
+			var err error
+			if sink, _, err = rt.Snapshot().GetRange(begin, end, RangeOptions{Limit: n}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		read()
+		if len(sink) != n || cap(sink) != n {
+			t.Fatalf("limit %d: %d pairs, capacity %d", n, len(sink), cap(sink))
+		}
+		allocs := testing.AllocsPerRun(20, read)
+		bytes := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			read()
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		want := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			sink = make([]KeyValue, n)
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		if got, want := bytes(), want(); allocs != 1 || got != want {
+			t.Errorf("GetRange of %d pairs: %v allocs, %d B; want one %d-pair slice, %d B", n, allocs, got, n, want)
+		}
+	}
+}

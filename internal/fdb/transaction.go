@@ -533,26 +533,25 @@ func (t *Transaction) GetRange(begin, end []byte, o RangeOptions) ([]KeyValue, b
 }
 
 // syncGetRange is issue-plus-await without materializing a future. The pairs
-// are copied out of the collector's stack array, or its spill, at their exact
-// size.
+// are copied out of the collector's stack array at their exact size; a read
+// that outgrows it has written its KeyValues straight into their slice.
 func (t *Transaction) syncGetRange(begin, end []byte, o RangeOptions, snapshot bool) ([]KeyValue, bool, error) {
 	var stack [rangeStackLen]*entry
+	var kvs []KeyValue
 	t.mu.Lock()
-	n, spill, more, nbytes, err := t.getRangeLocked(begin, end, o, snapshot, &stack)
+	n, _, more, nbytes, err := t.getRangeLocked(begin, end, o, snapshot, &stack, &kvs)
 	var ready int64
 	if err == nil {
 		ready = t.issueLocked(nbytes)
 	}
 	t.mu.Unlock()
 	t.awaitRead(ready)
-	var kvs []KeyValue
-	if n > 0 {
-		es := spill
-		if es == nil {
-			es = stack[:n]
-		}
+	switch {
+	case kvs != nil:
+		kvs = kvs[:n:n]
+	case n > 0:
 		kvs = make([]KeyValue, n)
-		for i, e := range es {
+		for i, e := range stack[:n] {
 			kvs[i] = e.pair()
 		}
 	}
@@ -574,7 +573,7 @@ func (t *Transaction) getRangeAsync(begin, end []byte, o RangeOptions, snapshot 
 	defer t.mu.Unlock()
 	f := &FutureRange{fut: fut{t: t}}
 	var n, nbytes int
-	n, f.pairs.es, f.more, nbytes, f.err = t.getRangeLocked(begin, end, o, snapshot, &stack)
+	n, f.pairs.es, f.more, nbytes, f.err = t.getRangeLocked(begin, end, o, snapshot, &stack, nil)
 	if f.err == nil {
 		f.ready = t.issueLocked(nbytes)
 	}
@@ -584,12 +583,82 @@ func (t *Transaction) getRangeAsync(begin, end []byte, o RangeOptions, snapshot 
 	return f
 }
 
+// Mapper derives from the key of a pair a mapped read found the range of the
+// pairs to read with it; begin >= end reads none. It runs under the
+// transaction's lock, so, like a Meter, it must never call back into the
+// transaction, and the bounds it returns need to live only until its next
+// call.
+type Mapper func(key []byte) (begin, end []byte)
+
+// GetMappedRangeAsync is FoundationDB's getMappedRange: one request that reads
+// a range and, for each pair it finds, the range mapper derives from the
+// pair's key — an index batch and the records its entries point at, as the
+// Java Record Layer's USE_REMOTE_FETCH reads them. The reply's Pairs.Mapped(i)
+// holds pair i's. The request is one read window priced on the bytes of both,
+// and one fault roll fails it whole. Each range, the scanned one and every
+// mapped one, is otherwise read as GetRangeAsync reads it: its read-your-writes
+// merge, read conflict, KeysRead and bytes, meter bill and tap note are a
+// separate read's.
+//
+// Real FoundationDB refuses a mapped read of keys the transaction has written
+// (get_mapped_range_reads_your_writes, error 2036): serving read-your-writes
+// here is a simulator extension, so that the record layer keeps one fetch path
+// whatever its transaction has buffered.
+func (t *Transaction) GetMappedRangeAsync(begin, end []byte, o RangeOptions, mapper Mapper) *FutureRange {
+	return t.getMappedRangeAsync(begin, end, o, mapper, false)
+}
+
+// GetMappedRangeAsync issues a snapshot mapped read as a future.
+func (s Snapshot) GetMappedRangeAsync(begin, end []byte, o RangeOptions, mapper Mapper) *FutureRange {
+	return s.t.getMappedRangeAsync(begin, end, o, mapper, true)
+}
+
+func (t *Transaction) getMappedRangeAsync(begin, end []byte, o RangeOptions, mapper Mapper, snapshot bool) *FutureRange {
+	var stack [rangeStackLen]*entry
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	f := &FutureRange{fut: fut{t: t}}
+	n, es, more, nbytes, err := t.getRangeLocked(begin, end, o, snapshot, &stack, nil)
+	if err != nil {
+		f.err = err
+		return f
+	}
+	if es == nil && n > 0 {
+		es = slices.Clone(stack[:n])
+	}
+	m := &mapping{off: make([]int32, n+1)}
+	for i, e := range es {
+		b, end := mapper(e.key)
+		t.note(AccessRead, b, end, snapshot)
+		k, spill, _, mbytes, err := t.rangeLocked(b, end, RangeOptions{}, snapshot, &stack, nil)
+		if err != nil {
+			f.err = err
+			return f
+		}
+		if spill == nil {
+			spill = stack[:k]
+		}
+		if m.es == nil {
+			// Every record of a batch usually has as many pairs as its first.
+			m.es = make([]*entry, 0, n*max(k, 1))
+		}
+		m.es = append(m.es, spill...)
+		m.off[i+1] = int32(len(m.es))
+		nbytes += mbytes
+	}
+	f.pairs, f.more = Pairs{es: es, m: m}, more
+	f.ready = t.issueLocked(nbytes)
+	return f
+}
+
 // getRangeLocked performs the range read into stack: it returns how many pairs
 // it found and, when they outgrew stack, the heap slice that holds them all
 // (the spill), plus the total key+value bytes delivered (the latency model's
 // transfer size). A pair is the database's own entry — the snapshot's, or the
 // one the write buffer holds for the key — so collecting it copies a pointer.
-func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot bool, stack *[rangeStackLen]*entry) (int, []*entry, bool, int, error) {
+// With kvs set, a read that outgrows stack collects KeyValues into *kvs
+// instead of a spill: every pair found, in one slice of at least their count.
+func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot bool, stack *[rangeStackLen]*entry, kvs *[]KeyValue) (int, []*entry, bool, int, error) {
 	if err := t.checkUsable(); err != nil {
 		return 0, nil, false, 0, err
 	}
@@ -601,6 +670,12 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 			return 0, nil, false, 0, err
 		}
 	}
+	return t.rangeLocked(begin, end, o, snapshot, stack, kvs)
+}
+
+// rangeLocked is getRangeLocked past its tap note and fault roll: the read
+// itself, with its read-your-writes merge, accounting and read conflict.
+func (t *Transaction) rangeLocked(begin, end []byte, o RangeOptions, snapshot bool, stack *[rangeStackLen]*entry, kvs *[]KeyValue) (int, []*entry, bool, int, error) {
 	if bytes.Compare(begin, end) >= 0 {
 		return 0, nil, false, 0, nil
 	}
@@ -708,13 +783,16 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 		switch {
 		case n < len(stack):
 			stack[n] = e
-		case spill == nil:
-			// A read that outgrows the stack usually fills its limit.
-			c := 2 * len(stack)
-			if o.Limit > len(stack) {
-				c = min(o.Limit, maxSpillCap)
+		case kvs != nil:
+			if *kvs == nil {
+				*kvs = make([]KeyValue, 0, spillCap(o))
+				for _, e := range stack {
+					*kvs = append(*kvs, e.pair())
+				}
 			}
-			spill = append(make([]*entry, 0, c), stack[:]...)
+			*kvs = append(*kvs, e.pair())
+		case spill == nil:
+			spill = append(make([]*entry, 0, spillCap(o)), stack[:]...)
 			fallthrough
 		default:
 			spill = append(spill, e)
@@ -753,6 +831,15 @@ const rangeStackLen = 128
 // maxSpillCap bounds the batch a range read allocates for its limit before it
 // knows how many pairs it will find: a kvcursor's largest default batch.
 const maxSpillCap = 4096
+
+// spillCap is the capacity a read that outgrows the stack array allocates: it
+// usually fills its limit.
+func spillCap(o RangeOptions) int {
+	if o.Limit > rangeStackLen {
+		return min(o.Limit, maxSpillCap)
+	}
+	return 2 * rangeStackLen
+}
 
 // Set buffers a key-value write.
 func (t *Transaction) Set(key, value []byte) error {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"recordlayer/internal/metadata"
 )
 
 func render(ops []Op) string {
@@ -30,4 +32,28 @@ func TestGenerateIsAFunctionOfTheSeed(t *testing.T) {
 			t.Fatalf("seeds %d and %d drew the same history", seed, seed+1)
 		}
 	}
+}
+
+// TestIllegalEvolutionsAreRefused: over 300 seeds, each drawn legal successor
+// is accepted, and its mutant, one step turned illegal, is refused with the
+// rule it breaks named; every mutant kind is drawn.
+func TestIllegalEvolutionsAreRefused(t *testing.T) {
+	var drawn [NumMutants]int
+	for seed := int64(1); seed <= 300; seed++ {
+		e := IllegalEvolution(seed)
+		if err := metadata.ValidateEvolution(e.Prev, e.Legal); err != nil {
+			t.Fatalf("seed %d: the legal successor is refused: %v", seed, err)
+		}
+		err := metadata.ValidateEvolution(e.Prev, e.Illegal)
+		if err == nil || !strings.Contains(err.Error(), e.Refusal) {
+			t.Errorf("seed %d (%v): ValidateEvolution = %v, want an error saying %q", seed, e.Kind, err, e.Refusal)
+		}
+		drawn[e.Kind]++
+	}
+	for kind, n := range drawn {
+		if n == 0 {
+			t.Errorf("no seed drew the mutant %q", Mutant(kind))
+		}
+	}
+	t.Logf("mutants drawn: %v", drawn)
 }

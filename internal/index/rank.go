@@ -163,9 +163,14 @@ func (m *RankMaintainer) Size(ctx *Context) (int64, error) {
 	return m.set(ctx.Space).Size(ctx.Tr)
 }
 
-// ScanByValue streams entries in value order, like a VALUE index.
-func (m *RankMaintainer) ScanByValue(ctx *Context, r TupleRange, opts ScanOptions) (cursor.Cursor[Entry], error) {
+// Scan streams entries in value order, like a VALUE index.
+func (m *RankMaintainer) Scan(ctx *Context, r TupleRange, opts ScanOptions) (cursor.Cursor[Entry], error) {
 	return m.value.Scan(m.valueCtx(ctx), r, opts)
+}
+
+// ScanFetched is Scan with each entry's record read in the same request.
+func (m *RankMaintainer) ScanFetched(ctx *Context, r TupleRange, opts ScanOptions, record fdb.Mapper) (cursor.Cursor[Fetched], error) {
+	return m.value.ScanFetched(m.valueCtx(ctx), r, opts, record)
 }
 
 // ScanByRank streams entries starting at the given rank, in value order:

@@ -267,18 +267,60 @@ type ScanOptions struct {
 
 // Scan streams index entries in the tuple range in key order.
 func (m *ValueMaintainer) Scan(ctx *Context, r TupleRange, opts ScanOptions) (cursor.Cursor[Entry], error) {
+	return scan(ctx, r, opts, m.DecodeEntry)
+}
+
+// ScanFetched is Scan over mapped reads (kvcursor.NewMapped): record maps an
+// entry's packed primary key to the range of its record's pairs, which arrive
+// with the entry, in its batch's one round trip.
+func (m *ValueMaintainer) ScanFetched(ctx *Context, r TupleRange, opts ScanOptions, record fdb.Mapper) (cursor.Cursor[Fetched], error) {
+	return scanFetched(ctx, r, opts, m.DecodeEntry, record)
+}
+
+// Fetched is an entry of a ScanFetched with its record's pairs. They travel
+// beside the entry, which stays as small as the merges that queue entries
+// need it.
+type Fetched struct {
+	Entry
+	Record fdb.Pairs
+}
+
+// decoder views a physical pair of an index in space as an Entry.
+type decoder func(space subspace.Subspace, kv fdb.KeyValue) (Entry, error)
+
+func (o ScanOptions) kv() kvcursor.Options {
+	return kvcursor.Options{Reverse: o.Reverse, Limiter: o.Limiter, Continuation: o.Continuation, Snapshot: o.Snapshot}
+}
+
+// scan streams the entries of r in ctx's index.
+func scan(ctx *Context, r TupleRange, opts ScanOptions, decode decoder) (cursor.Cursor[Entry], error) {
 	begin, end, err := r.ToKeyRange(ctx.Space)
 	if err != nil {
 		return nil, err
 	}
-	kvs := kvcursor.New(ctx.Tr, begin, end, kvcursor.Options{
-		Reverse:      opts.Reverse,
-		Limiter:      opts.Limiter,
-		Continuation: opts.Continuation,
-		Snapshot:     opts.Snapshot,
-	})
 	space := ctx.Space
-	return cursor.Map(kvs, func(kv fdb.KeyValue) (Entry, error) {
-		return m.DecodeEntry(space, kv)
+	return cursor.Map(kvcursor.New(ctx.Tr, begin, end, opts.kv()), func(kv fdb.KeyValue) (Entry, error) {
+		return decode(space, kv)
+	}), nil
+}
+
+// scanFetched is scan over mapped reads. An entry that does not decode maps to
+// no record; the decode that follows reports it.
+func scanFetched(ctx *Context, r TupleRange, opts ScanOptions, decode decoder, record fdb.Mapper) (cursor.Cursor[Fetched], error) {
+	begin, end, err := r.ToKeyRange(ctx.Space)
+	if err != nil {
+		return nil, err
+	}
+	space := ctx.Space
+	mapper := func(key []byte) (begin, end []byte) {
+		e, err := decode(space, fdb.KeyValue{Key: key})
+		if err != nil {
+			return nil, nil
+		}
+		return record(e.PackedPrimaryKey())
+	}
+	return cursor.Map(kvcursor.NewMapped(ctx.Tr, begin, end, opts.kv(), mapper), func(kv kvcursor.Mapped) (Fetched, error) {
+		e, err := decode(space, kv.KeyValue)
+		return Fetched{Entry: e, Record: kv.Mapped}, err
 	}), nil
 }

@@ -7,7 +7,6 @@ import (
 	"recordlayer/internal/cursor"
 	"recordlayer/internal/fdb"
 	"recordlayer/internal/keyexpr"
-	"recordlayer/internal/kvcursor"
 	"recordlayer/internal/metadata"
 	"recordlayer/internal/subspace"
 )
@@ -125,18 +124,10 @@ func (m *VersionMaintainer) DecodeEntry(space subspace.Subspace, kv fdb.KeyValue
 
 // Scan streams version index entries in version order — a sync scan.
 func (m *VersionMaintainer) Scan(ctx *Context, r TupleRange, opts ScanOptions) (cursor.Cursor[Entry], error) {
-	begin, end, err := r.ToKeyRange(ctx.Space)
-	if err != nil {
-		return nil, err
-	}
-	kvs := kvcursor.New(ctx.Tr, begin, end, kvcursor.Options{
-		Reverse:      opts.Reverse,
-		Limiter:      opts.Limiter,
-		Continuation: opts.Continuation,
-		Snapshot:     opts.Snapshot,
-	})
-	space := ctx.Space
-	return cursor.Map(kvs, func(kv fdb.KeyValue) (Entry, error) {
-		return m.DecodeEntry(space, kv)
-	}), nil
+	return scan(ctx, r, opts, m.DecodeEntry)
+}
+
+// ScanFetched is Scan with each entry's record read in the same request.
+func (m *VersionMaintainer) ScanFetched(ctx *Context, r TupleRange, opts ScanOptions, record fdb.Mapper) (cursor.Cursor[Fetched], error) {
+	return scanFetched(ctx, r, opts, m.DecodeEntry, record)
 }

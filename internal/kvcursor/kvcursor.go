@@ -58,6 +58,7 @@ type kvCursor struct {
 	pending    *fdb.FutureRange // read-ahead: the next batch, already issued
 	fetched    int              // pairs fetched so far
 	want       int              // announced demand in pairs; 0 = none
+	mapper     fdb.Mapper       // NewMapped's; nil reads plain batches
 }
 
 // errForeignContinuation rejects a continuation outside the scan's range.
@@ -67,10 +68,39 @@ var errForeignContinuation = fmt.Errorf("kvcursor: key outside the scan's range:
 // a scan of this range returned, so one outside [begin, end) came from
 // another scan or another tenant; the cursor fails without reading.
 func New(tr *fdb.Transaction, begin, end []byte, opts Options) cursor.Cursor[fdb.KeyValue] {
-	if cont := opts.Continuation; len(cont) > 0 && (bytes.Compare(cont, begin) < 0 || bytes.Compare(cont, end) >= 0) {
+	if foreign(begin, end, opts) {
 		return cursor.Fail[fdb.KeyValue](errForeignContinuation)
 	}
-	c := &kvCursor{tr: tr, begin: append([]byte(nil), begin...), end: append([]byte(nil), end...), opts: opts}
+	return newCursor(tr, begin, end, opts, nil)
+}
+
+// Mapped is a pair of a mapped scan with the pairs of the range its key maps
+// to, read in the same request.
+type Mapped struct {
+	fdb.KeyValue
+	Mapped fdb.Pairs
+}
+
+// NewMapped is New over mapped reads (fdb.Transaction.GetMappedRangeAsync):
+// each batch reads, with its pairs, the range mapper derives from each pair's
+// key, so the pair arrives with what it points at. Batch sizes, demand,
+// read-ahead, continuations and the Limiter, which counts the scanned pair
+// alone, are New's.
+func NewMapped(tr *fdb.Transaction, begin, end []byte, opts Options, mapper fdb.Mapper) cursor.Cursor[Mapped] {
+	if foreign(begin, end, opts) {
+		return cursor.Fail[Mapped](errForeignContinuation)
+	}
+	return mappedCursor{newCursor(tr, begin, end, opts, mapper)}
+}
+
+// foreign reports a continuation outside [begin, end).
+func foreign(begin, end []byte, opts Options) bool {
+	cont := opts.Continuation
+	return len(cont) > 0 && (bytes.Compare(cont, begin) < 0 || bytes.Compare(cont, end) >= 0)
+}
+
+func newCursor(tr *fdb.Transaction, begin, end []byte, opts Options, mapper fdb.Mapper) *kvCursor {
+	c := &kvCursor{tr: tr, begin: append([]byte(nil), begin...), end: append([]byte(nil), end...), opts: opts, mapper: mapper}
 	if opts.BatchSize <= 0 {
 		c.opts.BatchSize = DefaultBatchSize
 	}
@@ -118,7 +148,12 @@ func (c *kvCursor) Demand(n int) {
 // advance its begin/end buffers afterwards.
 func (c *kvCursor) issueBatch() *fdb.FutureRange {
 	ro := fdb.RangeOptions{Limit: c.batch, Reverse: c.opts.Reverse}
-	if c.opts.Snapshot {
+	switch {
+	case c.mapper != nil && c.opts.Snapshot:
+		return c.tr.Snapshot().GetMappedRangeAsync(c.begin, c.end, ro, c.mapper)
+	case c.mapper != nil:
+		return c.tr.GetMappedRangeAsync(c.begin, c.end, ro, c.mapper)
+	case c.opts.Snapshot:
 		return c.tr.Snapshot().GetRangeAsync(c.begin, c.end, ro)
 	}
 	return c.tr.GetRangeAsync(c.begin, c.end, ro)
@@ -220,4 +255,18 @@ func (c *kvCursor) Next() (cursor.Result[fdb.KeyValue], error) {
 	// it with the continuation rather than copying per pair.
 	c.lastKey = kv.Key
 	return cursor.Result[fdb.KeyValue]{Value: kv, OK: true, Continuation: c.lastKey}, nil
+}
+
+// mappedCursor is NewMapped's: a kvCursor whose values carry their mapped
+// pairs.
+type mappedCursor struct{ *kvCursor }
+
+// Next implements cursor.Cursor.
+func (c mappedCursor) Next() (cursor.Result[Mapped], error) {
+	r, err := c.kvCursor.Next()
+	out := cursor.Result[Mapped]{OK: r.OK, Continuation: r.Continuation, Reason: r.Reason}
+	if r.OK {
+		out.Value = Mapped{KeyValue: r.Value, Mapped: c.buf.Mapped(c.bufPos - 1)}
+	}
+	return out, err
 }

@@ -26,9 +26,11 @@ type ExecuteOptions struct {
 	// Snapshot executes every scan at snapshot isolation: reads add no
 	// conflict ranges, so long queries never abort concurrent writers.
 	Snapshot bool
-	// PipelineDepth bounds how far record fetches run past the entries an
-	// index scan has read (§8's asynchronous pipelining); fetches for entries
-	// in hand go out together. <= 1 fetches sequentially.
+	// PipelineDepth bounds how far record fetches above a merge run past the
+	// entries its scans have read (§8's asynchronous pipelining); fetches for
+	// entries in hand go out together. <= 1 fetches sequentially. A bare
+	// IndexScanPlan has nothing to pipeline: it reads each batch's records
+	// with the batch (core.Store.ScanIndexRecords).
 	PipelineDepth int
 	// Stats, when non-nil, is the obs.PlanStats node this plan fills during
 	// execution — rows in/out, attributed simulator I/O, continuation pages —
@@ -321,12 +323,18 @@ type IndexScanPlan struct {
 }
 
 // Execute implements Plan. The range's slots are filled from the bindings.
+// Each batch of entries arrives with its records (core.ScanIndexRecords), so
+// the node's rows in, one per entry, are its records.
 func (p *IndexScanPlan) Execute(s *core.Store, opts ExecuteOptions) (cursor.Cursor[*core.StoredRecord], error) {
-	entries, err := scanEntries(s, p.IndexName, p.Range, p.Reverse, opts)
+	r, err := bindRange(p.Range, opts.bindings)
 	if err != nil {
 		return nil, err
 	}
-	return fetchAbove(s, opts, entries), nil
+	recs, err := s.ScanIndexRecords(p.IndexName, r, scanOptions(p.Reverse, opts))
+	if err != nil {
+		return nil, err
+	}
+	return observe(opts.Stats, s, true, observeIn(opts.Stats, recs)), nil
 }
 
 // scanEntries scans an index over r, its slots filled from opts' bindings;
@@ -336,16 +344,20 @@ func scanEntries(s *core.Store, name string, r index.TupleRange, reverse bool, o
 	if err != nil {
 		return nil, err
 	}
-	entries, err := s.ScanIndex(name, r, index.ScanOptions{
-		Reverse:      reverse,
-		Limiter:      opts.Limiter,
-		Continuation: opts.Continuation,
-		Snapshot:     opts.Snapshot,
-	})
+	entries, err := s.ScanIndex(name, r, scanOptions(reverse, opts))
 	if err != nil {
 		return nil, err
 	}
 	return observeIn(opts.Stats, entries), nil
+}
+
+func scanOptions(reverse bool, opts ExecuteOptions) index.ScanOptions {
+	return index.ScanOptions{
+		Reverse:      reverse,
+		Limiter:      opts.Limiter,
+		Continuation: opts.Continuation,
+		Snapshot:     opts.Snapshot,
+	}
 }
 
 // OrderedByPrimaryKey implements Plan.

@@ -233,7 +233,9 @@ type KeyDescription struct {
 	Tenant string
 	// Subspace names what the key holds in that store (core.KeyClass):
 	// "records", "index <name>", "header", "index state <name>" or "build
-	// progress <name>"; "" when the store's layout has no place for it.
+	// progress <name>"; "store" for the store's own prefix, where a range
+	// over the whole store starts; "" when the store's layout has no place
+	// for it.
 	Subspace string
 }
 

@@ -22,9 +22,9 @@ import (
 
 // TestPipelinedScanTraceSpans is the trace-exactness form of the pipelining
 // proof: on the virtual latency clock, a depth-8 pipelined fetch of 8 records
-// must trace as 8 fdb.read spans sharing one identical issue window, awaited
-// by exactly one fdb.await span — K reads, one wait. Exact span arithmetic,
-// no sleeps.
+// (fetchEven) must trace as 8 fdb.read spans sharing one identical issue
+// window, awaited by exactly one fdb.await span — K reads, one wait. Exact
+// span arithmetic, no sleeps.
 func TestPipelinedScanTraceSpans(t *testing.T) {
 	const window = 100 * time.Microsecond
 	_, md := testSchema(t)
@@ -35,17 +35,12 @@ func TestPipelinedScanTraceSpans(t *testing.T) {
 
 	trace := NewTrace()
 	ctx := WithTrace(context.Background(), trace)
-	q := Query{RecordTypes: []string{"Doc"}, Filter: query.Field("tag").Equals("even")}
 	_, err := r.ReadRun(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		store, err := p.Open(ctx, tr, int64(1))
 		if err != nil {
 			return nil, err
 		}
-		cur, err := store.ExecuteQuery(ctx, q, ExecuteProperties{PipelineDepth: 8})
-		if err != nil {
-			return nil, err
-		}
-		recs, err := cur.ToList()
+		recs, err := fetchEven(store, 8)
 		if err != nil {
 			return nil, err
 		}
@@ -621,6 +616,20 @@ func TestDescribeKeyNamesTenantAndSubspace(t *testing.T) {
 	if len(got) != 5 {
 		t.Errorf("written keys describe as %v, want the five above", got)
 	}
+	// A range over the whole store starts at the store's own prefix.
+	_, err := r.Run(ctx, func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+		s, err := p.Open(ctx, tr, "c1", int64(7))
+		if err != nil {
+			return nil, err
+		}
+		if d := p.DescribeKey(s.Subspace().Bytes()); d.String() != tenant+" store" {
+			t.Errorf("the store's prefix describes as %v, want %q", d, tenant+" store")
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cold := provider().DescribeKey(recordKey)
 	if strings.Contains(cold.Tenant, "c1") || !strings.HasPrefix(cold.Tenant, "/app:describe/container:") ||
 		!strings.HasSuffix(cold.Tenant, "/user:7") || cold.Subspace != "records" {
@@ -629,7 +638,7 @@ func TestDescribeKeyNamesTenantAndSubspace(t *testing.T) {
 
 	trace := obs.NewTrace()
 	n := 0
-	_, err := r.Run(obs.WithTrace(ctx, trace), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
+	_, err = r.Run(obs.WithTrace(ctx, trace), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 		s, err := p.Open(ctx, tr, "c1", int64(7))
 		if err != nil {
 			return nil, err

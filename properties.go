@@ -39,25 +39,29 @@ type ExecuteProperties struct {
 	// Snapshot executes reads at snapshot isolation: the query adds no read
 	// conflict ranges, so it can never abort a concurrent writer.
 	Snapshot bool
-	// PipelineDepth bounds how far record fetches speculate past what the
-	// index scan has read (§8's asynchronous pipelining): while the fetch
-	// pipeline would have to wait for the scan's next batch to go on, it does
-	// so only with fewer than PipelineDepth fetches outstanding. 0 means
+	// PipelineDepth bounds how far record fetches above a union,
+	// intersection or Distinct of index scans speculate past what the merge
+	// has read (§8's asynchronous pipelining): while the fetch pipeline would
+	// have to wait for a scan's next batch to go on, it does so only with
+	// fewer than PipelineDepth fetches outstanding. 0 means
 	// DefaultPipelineDepth; 1 fetches sequentially, one round trip per entry,
-	// whatever is in hand. It does not bound fetches for entries the scan has
-	// already delivered: those are issued together, up to 128 in flight, so a
-	// batch of 130 entries is fetched in two round trips, and under a RowLimit
-	// that reaches the scan exactly the page's records are fetched, in a
-	// window of the limit itself (same cap). Results are byte-identical to
+	// whatever is in hand. It does not bound fetches for entries already
+	// delivered: those are issued together, up to 128 in flight, so a batch
+	// of 130 entries is fetched in two round trips, and under a RowLimit that
+	// reaches the scans exactly the page's records are fetched, in a window
+	// of the limit itself (same cap). Results are byte-identical to
 	// sequential execution (order, halts, continuations); the difference is
 	// eagerness, and that is the trade: a stream abandoned early, or cut by a
 	// RowLimit above a residual filter, may have fetched, metered, and added
 	// read conflicts for up to 127 records beyond the last one delivered (7
-	// when depth alone set the window) — the scan under it read those entries
-	// in one batch on the same reasoning. Say how little is wanted with a
-	// limit that reaches the scan, or set 1 when footprint matters more than
-	// fetch latency (doc.go "What a fetch costs").
-	// Covering plans never fetch, so the knob does not apply to them.
+	// when depth alone set the window) — the scans under it read those
+	// entries in one batch on the same reasoning. Say how little is wanted
+	// with a limit that reaches the scan, or set 1 when footprint matters more
+	// than fetch latency (doc.go "What a fetch costs").
+	// A bare index scan has nothing to pipeline: each batch's read returns its
+	// records with it, and a batch read ahead or past where the stream stops
+	// has read its records too. Covering plans never fetch. The knob applies
+	// to neither.
 	PipelineDepth int
 	// SlowQueryThreshold marks this execution slow when it runs at least this
 	// long from ExecutePlan to the stream's halt; slow executions are captured
