@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"recordlayer/internal/fdb/internal/cluster"
 	"testing"
 	"unsafe"
 )
@@ -237,7 +238,7 @@ func TestAtomicAfterVersionstampedValue(t *testing.T) {
 			func(s []byte) []byte { return s }},
 	} {
 		db := Open(nil)
-		stamped := append([]byte("ab"), versionstampBytes(db.ReadVersion()+versionStep)...)
+		stamped := append([]byte("ab"), cluster.Versionstamp(db.ReadVersion()+cluster.VersionStep)...)
 		tr := db.CreateTransaction()
 		if err := tr.Atomic(MutationSetVersionstampedValue, []byte("k"), param); err != nil {
 			t.Fatal(err)

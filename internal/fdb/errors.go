@@ -3,6 +3,8 @@ package fdb
 import (
 	"errors"
 	"fmt"
+
+	"recordlayer/internal/fdb/internal/cluster"
 )
 
 // Error codes mirror FoundationDB's numbering so client code (the Record
@@ -31,6 +33,14 @@ type Error struct {
 	// Injected marks an error a FaultInjector made up: the database itself
 	// had no reason to fail the call.
 	Injected bool
+}
+
+// KeyRange is a half-open key interval [Begin, End).
+type KeyRange = cluster.KeyRange
+
+// cloneRange copies r's bounds; a nil End stays nil.
+func cloneRange(r KeyRange) KeyRange {
+	return KeyRange{Begin: cloneBytes(r.Begin), End: cloneBytes(r.End)}
 }
 
 // Conflict is one overlap between what a transaction read and what a

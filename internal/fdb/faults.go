@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"recordlayer/internal/fdb/internal/cluster"
 )
 
 // FaultConfig sets the per-operation probabilities of a FaultInjector. All
@@ -122,38 +124,28 @@ func (f *FaultInjector) Counts() FaultCounts {
 	return f.counts
 }
 
-// commitOutcome is the fault decision for one commit.
-type commitOutcome int
-
-const (
-	commitClean          commitOutcome = iota // no fault: commit normally
-	commitFailNot                             // fail cleanly with not_committed
-	commitUnknownDropped                      // commit_unknown_result; NOT applied
-	commitUnknownApplied                      // commit_unknown_result; applied
-)
-
 // commitFault rolls the fault decision for a commit that already passed
-// conflict validation.
-func (f *FaultInjector) commitFault() commitOutcome {
+// conflict validation: the cluster's commit fault roll.
+func (f *FaultInjector) commitFault() cluster.Outcome {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.off {
-		return commitClean
+		return cluster.Committed
 	}
 	p := f.rng.Float64()
 	if p < f.cfg.PCommitNotCommitted {
 		f.counts.CommitsNotCommitted++
-		return commitFailNot
+		return cluster.InjectedNotCommitted
 	}
 	if p < f.cfg.PCommitNotCommitted+f.cfg.PCommitUnknown {
 		f.counts.CommitsUnknown++
 		if f.rng.Float64() < f.cfg.PUnknownApplied {
 			f.counts.UnknownApplied++
-			return commitUnknownApplied
+			return cluster.InjectedUnknownApplied
 		}
-		return commitUnknownDropped
+		return cluster.InjectedUnknownDropped
 	}
-	return commitClean
+	return cluster.Committed
 }
 
 // readFault rolls the fault decision for one read, returning the injected

@@ -871,51 +871,3 @@ func TestRandomizedAgainstModel(t *testing.T) {
 		}
 	}
 }
-
-func TestTreapIterSeek(t *testing.T) {
-	var root *node
-	for i := 0; i < 100; i += 2 {
-		root = treapInsert(root, []byte(fmt.Sprintf("k%03d", i)), []byte("v"))
-	}
-	var it, rit treapIter
-	it.seek(root, []byte("k005"), false)
-	n := it.next()
-	if string(n.e.key) != "k006" {
-		t.Fatalf("seek: got %s", n.e.key)
-	}
-	rit.seek(root, []byte("k005"), true)
-	rn := rit.next()
-	if string(rn.e.key) != "k004" {
-		t.Fatalf("reverse seek: got %s", rn.e.key)
-	}
-}
-
-func TestRangeSet(t *testing.T) {
-	var s rangeSet
-	s.Add([]byte("b"), []byte("d"))
-	s.Add([]byte("f"), []byte("h"))
-	s.Add([]byte("c"), []byte("g")) // merges both
-	if s.Len() != 1 {
-		t.Fatalf("merge failed: %d ranges", s.Len())
-	}
-	if !s.ContainsKey([]byte("e")) || s.ContainsKey([]byte("a")) || s.ContainsKey([]byte("h")) {
-		t.Fatal("containment wrong")
-	}
-	if !s.Overlaps([]byte("a"), []byte("c")) || s.Overlaps([]byte("h"), []byte("z")) {
-		t.Fatal("overlap wrong")
-	}
-}
-
-func TestTreapDeterministicShape(t *testing.T) {
-	keys := []string{"m", "c", "x", "a", "q", "t", "e"}
-	var r1, r2 *node
-	for _, k := range keys {
-		r1 = treapInsert(r1, []byte(k), []byte("v"))
-	}
-	for i := len(keys) - 1; i >= 0; i-- {
-		r2 = treapInsert(r2, []byte(keys[i]), []byte("v"))
-	}
-	if !sameShape(r1, r2) {
-		t.Fatal("treap shape depends on insertion order")
-	}
-}

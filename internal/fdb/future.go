@@ -1,5 +1,7 @@
 package fdb
 
+import "recordlayer/internal/fdb/internal/cluster"
+
 // Asynchronous futures (§8): the real FDB client returns a future from every
 // read, and the Record Layer's hot paths issue many reads before awaiting any
 // of them, paying one network round trip instead of N. The simulator mirrors
@@ -77,7 +79,7 @@ func (f *FutureRange) Get() (Pairs, bool, error) {
 // and later commits replace entries, they do not edit them. The zero Pairs is
 // empty.
 type Pairs struct {
-	es []*entry
+	es []*cluster.Entry
 	m  *mapping // a mapped read's (GetMappedRangeAsync); nil for a plain one
 }
 
@@ -85,7 +87,7 @@ type Pairs struct {
 // es[off[i]:off[i+1]]. It lies behind a pointer so that a plain range future
 // stays in its 80-byte size class.
 type mapping struct {
-	es  []*entry
+	es  []*cluster.Entry
 	off []int32
 }
 
@@ -95,7 +97,7 @@ func (p Pairs) Len() int { return len(p.es) }
 // At returns pair i, 0 <= i < Len. The KeyValue is built on the caller's
 // stack; its Key and Value are the database's bytes, shared and read-only
 // (see KeyValue).
-func (p Pairs) At(i int) KeyValue { return p.es[i].pair() }
+func (p Pairs) At(i int) KeyValue { return pair(p.es[i]) }
 
 // Mapped returns the pairs of the range a mapped read's mapper derived from
 // pair i's key, 0 <= i < Len, in key order; none for a plain read.

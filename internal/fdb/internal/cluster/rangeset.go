@@ -1,4 +1,4 @@
-package fdb
+package cluster
 
 import (
 	"bytes"
@@ -10,34 +10,30 @@ type KeyRange struct {
 	Begin, End []byte
 }
 
-// singleKeyRange returns the range covering exactly one key.
+// singleKeyRange returns the range covering exactly one key. Begin and End
+// share one copy of it: nothing writes a stored bound again.
 func singleKeyRange(key []byte) KeyRange {
 	end := make([]byte, len(key)+1)
 	copy(end, key)
-	return KeyRange{Begin: append([]byte(nil), key...), End: end}
+	return KeyRange{Begin: end[:len(key):len(key)], End: end}
 }
 
-// cloneRange copies r's bounds; a nil End stays nil.
-func cloneRange(r KeyRange) KeyRange {
-	return KeyRange{Begin: cloneBytes(r.Begin), End: cloneBytes(r.End)}
-}
-
-// rangeSet maintains a sorted list of disjoint, coalesced key ranges. It is
+// RangeSet maintains a sorted list of disjoint, coalesced key ranges. It is
 // used both for transaction conflict ranges and for the cleared-range overlay
 // in the read-your-writes buffer.
-type rangeSet struct {
+type RangeSet struct {
 	ranges []KeyRange // sorted by Begin; disjoint and non-adjacent
 }
 
 // Add inserts [begin, end), merging with any overlapping or adjacent ranges.
-func (s *rangeSet) Add(begin, end []byte) { s.add(begin, end, false, false) }
+func (s *RangeSet) Add(begin, end []byte) { s.AddOwned(begin, end, false, false) }
 
-// add is Add; ownBegin and ownEnd say which bounds are the set's to keep
+// AddOwned is Add; ownBegin and ownEnd say which bounds are the set's to keep
 // without a copy: bytes built for it, or bytes nothing writes again. It edits
 // the slice in place — a transaction adds one range per read, and rebuilding
 // the slice each time was a third of index_write's allocated bytes — but
 // never the bytes of a stored bound: commit copies KeyRange values out of All.
-func (s *rangeSet) add(begin, end []byte, ownBegin, ownEnd bool) {
+func (s *RangeSet) AddOwned(begin, end []byte, ownBegin, ownEnd bool) {
 	if bytes.Compare(begin, end) >= 0 {
 		return
 	}
@@ -75,16 +71,16 @@ func (s *rangeSet) add(begin, end []byte, ownBegin, ownEnd bool) {
 }
 
 // AddKey inserts the single-key range for key.
-func (s *rangeSet) AddKey(key []byte) {
+func (s *RangeSet) AddKey(key []byte) {
 	if s.ContainsKey(key) {
 		return // its range ends at key's successor, so it is covered
 	}
 	r := singleKeyRange(key)
-	s.add(r.Begin, r.End, true, true)
+	s.AddOwned(r.Begin, r.End, true, true)
 }
 
 // ContainsKey reports whether any range contains key.
-func (s *rangeSet) ContainsKey(key []byte) bool {
+func (s *RangeSet) ContainsKey(key []byte) bool {
 	i := sort.Search(len(s.ranges), func(i int) bool {
 		return bytes.Compare(s.ranges[i].End, key) > 0
 	})
@@ -92,7 +88,7 @@ func (s *rangeSet) ContainsKey(key []byte) bool {
 }
 
 // Overlaps reports whether any stored range intersects [begin, end).
-func (s *rangeSet) Overlaps(begin, end []byte) bool {
+func (s *RangeSet) Overlaps(begin, end []byte) bool {
 	if bytes.Compare(begin, end) >= 0 {
 		return false
 	}
@@ -104,14 +100,14 @@ func (s *rangeSet) Overlaps(begin, end []byte) bool {
 
 // from returns the first range that ends past key: the one holding key, else
 // the first after it. The resolver calls it to name the range a write hit.
-func (s *rangeSet) from(key []byte) KeyRange {
+func (s *RangeSet) from(key []byte) KeyRange {
 	return s.ranges[sort.Search(len(s.ranges), func(i int) bool {
 		return bytes.Compare(s.ranges[i].End, key) > 0
 	})]
 }
 
 // All returns the stored ranges, to be read before the next Add and not modified.
-func (s *rangeSet) All() []KeyRange { return s.ranges }
+func (s *RangeSet) All() []KeyRange { return s.ranges }
 
 // Len returns the number of disjoint ranges.
-func (s *rangeSet) Len() int { return len(s.ranges) }
+func (s *RangeSet) Len() int { return len(s.ranges) }

@@ -164,7 +164,7 @@ func TestMappedReadEqualsSeparateReads(t *testing.T) {
 					}
 					side.stats = tr.Stats()
 					side.stats.SimWaitNanos -= wait0
-					side.conflicts = append([]KeyRange(nil), tr.readConflicts.All()...)
+					side.conflicts = append([]KeyRange(nil), tr.req.ReadConflicts.All()...)
 					side.bills = meter.reads
 					db.SetTap(nil)
 					if err := tr.Set([]byte("z"), nil); err != nil { // so that the commit is sent
@@ -281,8 +281,31 @@ func TestMappedReadRollsOneFault(t *testing.T) {
 	if c := faults.Counts(); c.ReadsTooOld != 1 {
 		t.Errorf("one mapped read dealt %d read faults, want 1", c.ReadsTooOld)
 	}
-	if s := tr.Stats(); taps != 1 || s.KeysRead != 0 || tr.readConflicts.Len() != 0 {
+	if s := tr.Stats(); taps != 1 || s.KeysRead != 0 || tr.req.ReadConflicts.Len() != 0 {
 		t.Errorf("a failed mapped read tapped %d ranges, read %d keys and kept %d conflict ranges; want 1, 0, 0",
-			taps, s.KeysRead, tr.readConflicts.Len())
+			taps, s.KeysRead, tr.req.ReadConflicts.Len())
+	}
+}
+
+// TestEmptyMappedReadAllocs: a mapped read that finds no pairs, such as the
+// batch that ends a scan, allocates its future and nothing else: no mapping
+// and no offsets.
+func TestEmptyMappedReadAllocs(t *testing.T) {
+	db := mappedDB(t, nil)
+	tr := db.CreateTransaction()
+	mapper := mappedRecords()
+	begin, end := []byte("i0"), []byte("i1") // past every index entry
+	var p Pairs
+	allocs := testing.AllocsPerRun(50, func() {
+		var err error
+		if p, _, err = tr.Snapshot().GetMappedRangeAsync(begin, end, RangeOptions{}, mapper).Get(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("an empty mapped read allocated %.0f times, want 1: its future", allocs)
+	}
+	if p.Len() != 0 || p.m != nil {
+		t.Errorf("an empty mapped read: %d pairs, mapping %v; want none and nil", p.Len(), p.m)
 	}
 }

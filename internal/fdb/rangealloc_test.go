@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"recordlayer/internal/fdb/internal/cluster"
 	"runtime"
 	"testing"
 )
@@ -148,7 +149,7 @@ func TestRangeFutureAllocs(t *testing.T) {
 	rt := db.CreateTransaction()
 	begin, end := []byte("k"), []byte("l")
 	var sink *FutureRange
-	var sinkPairs []*entry
+	var sinkPairs []*cluster.Entry
 	for _, n := range []int{1, 2, 7, 34, keys} {
 		var got Pairs
 		allocs, bytes := measure(func() {
@@ -160,7 +161,7 @@ func TestRangeFutureAllocs(t *testing.T) {
 		}
 		wantAllocs, wantBytes := measure(func() {
 			sink = &FutureRange{}
-			sinkPairs = make([]*entry, n)
+			sinkPairs = make([]*cluster.Entry, n)
 		})
 		if allocs != wantAllocs || bytes != wantBytes {
 			t.Errorf("future over %d pairs: %d allocs, %d B; want the future and a %d-pointer slice, %d allocs, %d B",

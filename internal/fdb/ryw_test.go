@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"recordlayer/internal/fdb/internal/cluster"
 	"sort"
 	"testing"
 )
@@ -29,9 +30,9 @@ type rywModel struct {
 type rywEntry struct {
 	isSet   bool
 	value   []byte
-	ops     []mutation // pending; on a set, only after a versionstamp
-	vsOff   int        // versionstamp offset in value, -1 when none
-	fetched bool       // a snapshot read has read the base: no later read counts it
+	ops     []cluster.Mutation // pending; on a set, only after a versionstamp
+	vsOff   int                // versionstamp offset in value, -1 when none
+	fetched bool               // a snapshot read has read the base: no later read counts it
 }
 
 // own is what a read of a set entry sees. A versionstamp is unknown until
@@ -41,7 +42,7 @@ func (e *rywEntry) own() (val []byte, ok bool) {
 	if len(e.ops) == 0 {
 		return e.value, true
 	}
-	val, cleared := applyMutations(e.value, e.ops, DefaultLimits().MaxValueSize)
+	val, cleared := cluster.ApplyMutations(e.value, e.ops, DefaultLimits().MaxValueSize)
 	return val, !cleared
 }
 
@@ -68,7 +69,7 @@ func (m *rywModel) materialize(key string, e *rywEntry, convert bool) ([]byte, b
 	if !e.fetched {
 		m.countRead(key, base)
 	}
-	val, cleared := applyMutations(base, e.ops, DefaultLimits().MaxValueSize)
+	val, cleared := cluster.ApplyMutations(base, e.ops, DefaultLimits().MaxValueSize)
 	if !convert {
 		e.fetched = true
 		return val, !cleared
@@ -199,10 +200,10 @@ func (m *rywModel) setVersionstampedValue(key, raw []byte, off int) {
 }
 
 func (m *rywModel) atomic(typ MutationType, key, param []byte) {
-	k, op := string(key), []mutation{{typ, param}}
+	k, op := string(key), []cluster.Mutation{{Type: typ, Param: param}}
 	switch e, ok := m.writes[k]; {
 	case ok && e.isSet && e.vsOff < 0:
-		val, cleared := applyMutations(e.value, op, DefaultLimits().MaxValueSize)
+		val, cleared := cluster.ApplyMutations(e.value, op, DefaultLimits().MaxValueSize)
 		if cleared {
 			delete(m.writes, k)
 			m.cleared[m.pos(key)] = true
@@ -212,7 +213,7 @@ func (m *rywModel) atomic(typ MutationType, key, param []byte) {
 	case ok: // pending atomics, or a versionstamped value: the op waits for commit
 		e.ops = append(e.ops, op[0])
 	case m.cleared[m.pos(key)]:
-		if val, cleared := applyMutations(nil, op, DefaultLimits().MaxValueSize); !cleared {
+		if val, cleared := cluster.ApplyMutations(nil, op, DefaultLimits().MaxValueSize); !cleared {
 			m.writes[k] = &rywEntry{isSet: true, value: val, vsOff: -1}
 		}
 	default:
@@ -252,11 +253,11 @@ func (m *rywModel) commit(version int64) {
 			val = m.cur[k]
 		} else if e.vsOff >= 0 {
 			val = append([]byte(nil), val...)
-			copy(val[e.vsOff:e.vsOff+10], versionstampBytes(version))
+			copy(val[e.vsOff:e.vsOff+10], cluster.Versionstamp(version))
 		}
 		if len(e.ops) > 0 {
 			var cleared bool
-			if val, cleared = applyMutations(val, e.ops, DefaultLimits().MaxValueSize); cleared {
+			if val, cleared = cluster.ApplyMutations(val, e.ops, DefaultLimits().MaxValueSize); cleared {
 				delete(m.cur, k)
 				m.stats.KeysWritten++
 				m.stats.BytesWritten += len(k)
@@ -466,7 +467,7 @@ func TestReadYourWritesMatchesMapSortModel(t *testing.T) {
 			if got := tr.Stats(); got != m.stats {
 				t.Fatalf("%s: stats %+v, want %+v", what, got, m.stats)
 			}
-			got, want := tr.readConflicts.All(), coveredRuns(m.universe, m.conflict)
+			got, want := tr.req.ReadConflicts.All(), coveredRuns(m.universe, m.conflict)
 			if len(got) != len(want) {
 				t.Fatalf("%s: read conflicts %q, want %q", what, got, want)
 			}

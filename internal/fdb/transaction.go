@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"slices"
-	"sort"
 	"sync"
 
+	"recordlayer/internal/fdb/internal/cluster"
 	"recordlayer/internal/obs"
 )
 
@@ -35,59 +35,23 @@ type RangeOptions struct {
 // MutationType enumerates atomic read-modify-write operations (§2). Atomic
 // mutations do not add read conflicts, so concurrent mutations of the same
 // key never conflict — the property aggregate indexes rely on (§7).
-type MutationType int
+type MutationType = cluster.MutationType
 
+// The atomic ops; see cluster.MutationType for each one's fold.
 const (
-	// MutationAdd performs little-endian integer addition.
-	MutationAdd MutationType = iota
-	// MutationBitAnd, MutationBitOr, MutationBitXor are bitwise ops.
-	MutationBitAnd
-	MutationBitOr
-	MutationBitXor
-	// MutationMax / MutationMin compare as little-endian unsigned integers.
-	MutationMax
-	MutationMin
-	// MutationByteMax / MutationByteMin compare lexicographically. Because
-	// tuple encoding is order-preserving, these implement MAX_EVER/MIN_EVER
-	// over tuple-encoded values.
-	MutationByteMax
-	MutationByteMin
-	// MutationAppendIfFits appends if the result stays within the value limit.
-	MutationAppendIfFits
-	// MutationCompareAndClear clears the key iff its value equals the param.
-	MutationCompareAndClear
-	// MutationSetVersionstampedKey substitutes the 10-byte commit versionstamp
-	// into the key at the offset given by the key's final 4 little-endian
-	// bytes (which are stripped).
-	MutationSetVersionstampedKey
-	// MutationSetVersionstampedValue does the same substitution in the value.
-	MutationSetVersionstampedValue
+	MutationAdd                    = cluster.MutationAdd
+	MutationBitAnd                 = cluster.MutationBitAnd
+	MutationBitOr                  = cluster.MutationBitOr
+	MutationBitXor                 = cluster.MutationBitXor
+	MutationMax                    = cluster.MutationMax
+	MutationMin                    = cluster.MutationMin
+	MutationByteMax                = cluster.MutationByteMax
+	MutationByteMin                = cluster.MutationByteMin
+	MutationAppendIfFits           = cluster.MutationAppendIfFits
+	MutationCompareAndClear        = cluster.MutationCompareAndClear
+	MutationSetVersionstampedKey   = cluster.MutationSetVersionstampedKey
+	MutationSetVersionstampedValue = cluster.MutationSetVersionstampedValue
 )
-
-type mutation struct {
-	typ   MutationType
-	param []byte
-}
-
-// bufEntry is what commit still owes a buffered key that is more than a plain
-// set. Most keys of the write buffer have none: their entry already holds the
-// bytes commit will store.
-type bufEntry struct {
-	// ops are pending atomic ops. Without a versionstamp they fold over the
-	// committed base when the key is read or committed, and the entry's value
-	// means nothing while there are any.
-	ops []mutation
-	// vsOff is where commit writes the versionstamp into the entry's value;
-	// -1 when the value is not versionstamped. Mutations apply in the order
-	// they were issued, so commit writes the stamp first and then folds ops
-	// over the stamped value. An int32, so that fetched keeps the entry in
-	// its 32-byte size class.
-	vsOff int32
-	// fetched says a snapshot read has read the key's base and left the ops
-	// pending: later reads fold them over the same snapshot entry without
-	// counting it again, as a read-your-writes cache serves them.
-	fetched bool
-}
 
 // Meter is billed for the work a transaction asks of the cluster, when it
 // asks. A Get, or one GetRange batch, is one RecordRead of the keys and bytes
@@ -99,12 +63,6 @@ type bufEntry struct {
 type Meter interface {
 	RecordRead(rows, bytes int)
 	RecordWrite(rows, bytes int)
-}
-
-type vsKeyOp struct {
-	rawKey []byte // placeholder key with offset suffix stripped
-	offset int
-	value  []byte
 }
 
 // Transaction provides serializable reads and buffered writes against a
@@ -124,32 +82,27 @@ type Transaction struct {
 type txnState struct {
 	start int64 // start wall clock, nanoseconds
 
-	readVersion int64 // -1 until GRV
-	snapRoot    *node
-	// metaVersion is the database's metadata version as of readVersion, bound
-	// with the snapshot.
-	metaVersion int64
+	// snap is the snapshot the reads see: nil until a GRV, or the first read
+	// after SetReadVersion, binds one.
+	snap *cluster.Snapshot
 	// grvReady is the latency-clock time the GRV round trip completes
 	// (latency model only; 0 when no real GRV has been priced). Reads issue
 	// no earlier than it, so the GRV window pipelines with the first read
 	// window instead of stacking serially with every read.
 	grvReady int64
 
-	// writes is the write buffer: a treap that only this transaction holds,
-	// edited in place, one immutable entry per written key. It stays in key
-	// order from the first Set to commit, so a range read merges an iterator
-	// over it with one over the snapshot, and commit walks it into a sorted
-	// batch. deferred holds a bufEntry for exactly the entries of writes that
-	// are pending atomics or versionstamped values; bufSet and bufDeleteRange
-	// are the only code that edits either, so neither outlives the other.
-	writes   *node
-	deferred map[*entry]*bufEntry
-	// clears are the cleared ranges; a key in writes overrides them.
-	clears rangeSet
-	vsKeys []vsKeyOp
-
-	readConflicts  rangeSet
-	writeConflicts rangeSet
+	// req is what Commit sends, built in place as the transaction runs: the
+	// read version (-1 until GRV; SetReadVersion's until the snapshot is
+	// bound), the conflict ranges, the metadata-version bump and the write
+	// buffer. The buffer, req.Writes, is a treap that only this transaction
+	// holds, edited in place, one immutable entry per written key. It stays in
+	// key order from the first Set to commit, so a range read merges an
+	// iterator over it with one over the snapshot, and commit walks it into a
+	// sorted batch. req.Deferred holds a BufEntry for exactly the entries of
+	// req.Writes that are pending atomics or versionstamped values; bufSet and
+	// bufDeleteRange are the only code that edits either, so neither outlives
+	// the other.
+	req cluster.CommitRequest
 
 	// outstanding holds the ready times of reads still in flight per the
 	// latency clock (latency model only): entries at or before the clock are
@@ -174,8 +127,6 @@ type txnState struct {
 
 	// The flags and the local version share one word, which keeps a
 	// Transaction in its size class.
-	pendingRV bool // SetReadVersion called; snapshot not yet bound
-	bumpMeta  bool // this transaction bumps the metadata version
 	committed bool
 	canceled  bool
 	readOnly  bool // CreateReadTransaction's: no read conflicts, no writes committed
@@ -199,31 +150,32 @@ func (t *Transaction) checkUsable() error {
 }
 
 func (t *Transaction) ensureSnapshot() error {
-	if t.pendingRV {
-		// SetReadVersion was called: bind to the retained snapshot now.
-		snap, ok := t.db.snapshotAt(t.readVersion)
-		if !ok {
-			return errCode(CodeTransactionTooOld, "read version %d no longer retained", t.readVersion)
-		}
-		t.readVersion, t.snapRoot, t.metaVersion = snap.version, snap.root, snap.meta
-		t.pendingRV = false
+	if t.snap != nil {
 		return nil
 	}
-	if t.readVersion < 0 {
-		snap := t.db.grv()
-		t.readVersion, t.snapRoot, t.metaVersion = snap.version, snap.root, snap.meta
-		// A SetReadVersion transaction never reaches here — read-version
-		// caching skips the GRV round trip and therefore its price.
-		if m := t.db.opts.Latency; m.Enabled() && m.PerGRV > 0 {
-			now := t.db.simNow()
-			t.grvReady = now + int64(m.PerGRV)
-			if t.trace != nil {
-				t.trace.Add(obs.SpanGRV, now, t.grvReady, 0, "")
-			}
-		} else if t.trace != nil {
-			now := t.db.simNow()
-			t.trace.Add(obs.SpanGRV, now, now, 0, "")
+	if t.req.ReadVersion >= 0 {
+		// SetReadVersion was called: bind to the retained snapshot now.
+		snap, ok := t.db.cluster.SnapshotAt(t.req.ReadVersion)
+		if !ok {
+			return errCode(CodeTransactionTooOld, "read version %d no longer retained", t.req.ReadVersion)
 		}
+		t.snap, t.req.ReadVersion = snap, snap.Version
+		return nil
+	}
+	t.db.metrics.GRVCalls.Add(1)
+	t.snap = t.db.cluster.GRV()
+	t.req.ReadVersion = t.snap.Version
+	// A SetReadVersion transaction never reaches here — read-version
+	// caching skips the GRV round trip and therefore its price.
+	if m := t.db.opts.Latency; m.Enabled() && m.PerGRV > 0 {
+		now := t.db.simNow()
+		t.grvReady = now + int64(m.PerGRV)
+		if t.trace != nil {
+			t.trace.Add(obs.SpanGRV, now, t.grvReady, 0, "")
+		}
+	} else if t.trace != nil {
+		now := t.db.simNow()
+		t.trace.Add(obs.SpanGRV, now, now, 0, "")
 	}
 	return nil
 }
@@ -260,7 +212,7 @@ func (t *Transaction) awaitGRV() (readVersion, metaVersion int64, bumped bool, e
 		t.mu.Unlock()
 		return 0, 0, false, err
 	}
-	readVersion, metaVersion, bumped = t.readVersion, t.metaVersion, t.bumpMeta
+	readVersion, metaVersion, bumped = t.req.ReadVersion, t.snap.Meta, t.req.BumpMeta
 	ready := t.grvReady
 	t.mu.Unlock()
 	t.await(ready, "")
@@ -280,7 +232,7 @@ func (t *Transaction) BumpMetadataVersion() error {
 		return err
 	}
 	t.note(AccessWrite, MetadataVersionKey, nil, false)
-	t.bumpMeta = true
+	t.req.BumpMeta = true
 	return nil
 }
 
@@ -290,7 +242,7 @@ func (t *Transaction) BumpMetadataVersion() error {
 func (t *Transaction) HasMutations() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.stats.Mutations > 0 || t.bumpMeta
+	return t.stats.Mutations > 0 || t.req.BumpMeta
 }
 
 // Database returns the database the transaction runs against, so caches that
@@ -304,9 +256,8 @@ func (t *Transaction) Database() *Database { return t.db }
 func (t *Transaction) SetReadVersion(v int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.readVersion = v
-	t.snapRoot = nil
-	t.pendingRV = true
+	t.req.ReadVersion = v
+	t.snap = nil
 }
 
 // Snapshot returns a read interface that performs snapshot reads: reads that
@@ -443,27 +394,27 @@ func (t *Transaction) getLocked(key []byte, snapshot bool) ([]byte, error) {
 	if len(key) > t.db.opts.Limits.MaxKeySize {
 		return nil, errCode(CodeKeyTooLarge, "key of %d bytes exceeds limit", len(key))
 	}
-	e := treapGet(t.writes, key)
-	if e == nil && t.clears.ContainsKey(key) {
+	e := cluster.Get(t.req.Writes, key)
+	if e == nil && t.req.Clears.ContainsKey(key) {
 		return nil, nil
 	}
-	be := t.deferred[e]
-	if e != nil && (be == nil || be.vsOff >= 0) {
+	be := t.req.Deferred[e]
+	if e != nil && (be == nil || be.VsOff >= 0) {
 		val, _ := t.ownValue(e, be)
 		return val, nil
 	}
 	if err := t.ensureSnapshot(); err != nil {
 		return nil, err
 	}
-	base := treapGet(t.snapRoot, key)
+	base := cluster.Get(t.snap.Root, key)
 	if !snapshot && !t.readOnly {
-		t.readConflicts.AddKey(key)
+		t.req.ReadConflicts.AddKey(key)
 	}
-	if be == nil || !be.fetched {
-		t.countRead(1, len(key)+len(base.val()))
+	if be == nil || !be.Fetched {
+		t.countRead(1, len(key)+len(base.Val()))
 	}
 	if e == nil {
-		return shared(base.val()), nil
+		return shared(base.Val()), nil
 	}
 	// Pending atomic ops: materialize against the read snapshot.
 	m, gone := t.materialize(e, be, base, !snapshot)
@@ -473,18 +424,18 @@ func (t *Transaction) getLocked(key []byte, snapshot bool) ([]byte, error) {
 		}
 		return nil, nil
 	}
-	return shared(m.value), nil
+	return shared(m.Value), nil
 }
 
 // ownValue is what a read of buffered entry e sees when the buffer alone
 // answers it: be is nil (a plain set) or versionstamped. The stamp is unknown
 // until commit, so a read sees the placeholder bytes with any later ops folded
 // over them; gone reports that one of those ops clears the key.
-func (t *Transaction) ownValue(e *entry, be *bufEntry) (val []byte, gone bool) {
-	if be == nil || be.ops == nil {
-		return shared(e.value), false
+func (t *Transaction) ownValue(e *cluster.Entry, be *cluster.BufEntry) (val []byte, gone bool) {
+	if be == nil || be.Ops == nil {
+		return shared(e.Value), false
 	}
-	return applyMutations(e.value, be.ops, t.db.opts.Limits.MaxValueSize)
+	return cluster.ApplyMutations(e.Value, be.Ops, t.db.opts.Limits.MaxValueSize)
 }
 
 // materialize folds the pending atomic ops of buffered entry e over base, the
@@ -495,13 +446,13 @@ func (t *Transaction) ownValue(e *entry, be *bufEntry) (val []byte, gone bool) {
 // walks the buffer. A snapshot read records no conflict, so the ops stay
 // pending, as FoundationDB's read-your-writes layer keeps them: made a set,
 // they would overwrite what a transaction committed since the read version.
-func (t *Transaction) materialize(e *entry, be *bufEntry, base *entry, convert bool) (m *entry, gone bool) {
-	val, cleared := applyMutations(base.val(), be.ops, t.db.opts.Limits.MaxValueSize)
-	be.fetched = be.fetched || !convert
+func (t *Transaction) materialize(e *cluster.Entry, be *cluster.BufEntry, base *cluster.Entry, convert bool) (m *cluster.Entry, gone bool) {
+	val, cleared := cluster.ApplyMutations(base.Val(), be.Ops, t.db.opts.Limits.MaxValueSize)
+	be.Fetched = be.Fetched || !convert
 	if cleared {
 		return nil, true
 	}
-	m = &entry{key: e.key, value: val}
+	m = &cluster.Entry{Key: e.Key, Value: val}
 	if convert {
 		t.bufSet(m, nil)
 	}
@@ -536,7 +487,7 @@ func (t *Transaction) GetRange(begin, end []byte, o RangeOptions) ([]KeyValue, b
 // are copied out of the collector's stack array at their exact size; a read
 // that outgrows it has written its KeyValues straight into their slice.
 func (t *Transaction) syncGetRange(begin, end []byte, o RangeOptions, snapshot bool) ([]KeyValue, bool, error) {
-	var stack [rangeStackLen]*entry
+	var stack [rangeStackLen]*cluster.Entry
 	var kvs []KeyValue
 	t.mu.Lock()
 	n, _, more, nbytes, err := t.getRangeLocked(begin, end, o, snapshot, &stack, &kvs)
@@ -552,7 +503,7 @@ func (t *Transaction) syncGetRange(begin, end []byte, o RangeOptions, snapshot b
 	case n > 0:
 		kvs = make([]KeyValue, n)
 		for i, e := range stack[:n] {
-			kvs[i] = e.pair()
+			kvs[i] = pair(e)
 		}
 	}
 	return kvs, more, err
@@ -568,7 +519,7 @@ func (t *Transaction) GetRangeAsync(begin, end []byte, o RangeOptions) *FutureRa
 }
 
 func (t *Transaction) getRangeAsync(begin, end []byte, o RangeOptions, snapshot bool) *FutureRange {
-	var stack [rangeStackLen]*entry
+	var stack [rangeStackLen]*cluster.Entry
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	f := &FutureRange{fut: fut{t: t}}
@@ -614,7 +565,7 @@ func (s Snapshot) GetMappedRangeAsync(begin, end []byte, o RangeOptions, mapper 
 }
 
 func (t *Transaction) getMappedRangeAsync(begin, end []byte, o RangeOptions, mapper Mapper, snapshot bool) *FutureRange {
-	var stack [rangeStackLen]*entry
+	var stack [rangeStackLen]*cluster.Entry
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	f := &FutureRange{fut: fut{t: t}}
@@ -623,12 +574,18 @@ func (t *Transaction) getMappedRangeAsync(begin, end []byte, o RangeOptions, map
 		f.err = err
 		return f
 	}
-	if es == nil && n > 0 {
+	if n == 0 {
+		// An empty batch, such as the one that ends a scan, maps nothing:
+		// Pairs.Mapped answers empty without a mapping.
+		f.more, f.ready = more, t.issueLocked(nbytes)
+		return f
+	}
+	if es == nil {
 		es = slices.Clone(stack[:n])
 	}
 	m := &mapping{off: make([]int32, n+1)}
 	for i, e := range es {
-		b, end := mapper(e.key)
+		b, end := mapper(e.Key)
 		t.note(AccessRead, b, end, snapshot)
 		k, spill, _, mbytes, err := t.rangeLocked(b, end, RangeOptions{}, snapshot, &stack, nil)
 		if err != nil {
@@ -640,7 +597,7 @@ func (t *Transaction) getMappedRangeAsync(begin, end []byte, o RangeOptions, map
 		}
 		if m.es == nil {
 			// Every record of a batch usually has as many pairs as its first.
-			m.es = make([]*entry, 0, n*max(k, 1))
+			m.es = make([]*cluster.Entry, 0, n*max(k, 1))
 		}
 		m.es = append(m.es, spill...)
 		m.off[i+1] = int32(len(m.es))
@@ -658,7 +615,7 @@ func (t *Transaction) getMappedRangeAsync(begin, end []byte, o RangeOptions, map
 // one the write buffer holds for the key — so collecting it copies a pointer.
 // With kvs set, a read that outgrows stack collects KeyValues into *kvs
 // instead of a spill: every pair found, in one slice of at least their count.
-func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot bool, stack *[rangeStackLen]*entry, kvs *[]KeyValue) (int, []*entry, bool, int, error) {
+func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot bool, stack *[rangeStackLen]*cluster.Entry, kvs *[]KeyValue) (int, []*cluster.Entry, bool, int, error) {
 	if err := t.checkUsable(); err != nil {
 		return 0, nil, false, 0, err
 	}
@@ -675,7 +632,7 @@ func (t *Transaction) getRangeLocked(begin, end []byte, o RangeOptions, snapshot
 
 // rangeLocked is getRangeLocked past its tap note and fault roll: the read
 // itself, with its read-your-writes merge, accounting and read conflict.
-func (t *Transaction) rangeLocked(begin, end []byte, o RangeOptions, snapshot bool, stack *[rangeStackLen]*entry, kvs *[]KeyValue) (int, []*entry, bool, int, error) {
+func (t *Transaction) rangeLocked(begin, end []byte, o RangeOptions, snapshot bool, stack *[rangeStackLen]*cluster.Entry, kvs *[]KeyValue) (int, []*cluster.Entry, bool, int, error) {
 	if bytes.Compare(begin, end) >= 0 {
 		return 0, nil, false, 0, nil
 	}
@@ -696,33 +653,33 @@ func (t *Transaction) rangeLocked(begin, end []byte, o RangeOptions, snapshot bo
 		}
 		return bytes.Compare(k, end) >= 0
 	}
-	var snapIter, bufIter treapIter
-	snapIter.seek(t.snapRoot, seek, o.Reverse)
-	bufIter.seek(t.writes, seek, o.Reverse)
+	var snapIter, bufIter cluster.Iter
+	snapIter.Seek(t.snap.Root, seek, o.Reverse)
+	bufIter.Seek(t.req.Writes, seek, o.Reverse)
 
 	// One larger than the stack array spills into a heap slice, which is then
 	// the batch.
-	var spill []*entry
+	var spill []*cluster.Entry
 	n := 0
 	var last []byte // the batch's last key
 	var byteCount int
 	var reads, readBytes int // from the snapshot, not the buffer
 	more := false
-	var cleared []*entry // pending atomics that turned out to clear their key
+	var cleared []*cluster.Entry // pending atomics that turned out to clear their key
 	for {
-		sn := snapIter.peek() // the snapshot's next key in range that no clear covers
-		for ; sn != nil; sn = snapIter.peek() {
-			if past(sn.e.key) {
+		sn := snapIter.Peek() // the snapshot's next key in range that no clear covers
+		for ; sn != nil; sn = snapIter.Peek() {
+			if past(sn.E.Key) {
 				sn = nil
 				break
 			}
-			if !t.clears.ContainsKey(sn.e.key) {
+			if !t.req.Clears.ContainsKey(sn.E.Key) {
 				break
 			}
-			snapIter.next()
+			snapIter.Next()
 		}
-		bn := bufIter.peek()
-		if bn != nil && past(bn.e.key) {
+		bn := bufIter.Peek()
+		if bn != nil && past(bn.E.Key) {
 			bn = nil
 		}
 		if sn == nil && bn == nil {
@@ -734,41 +691,41 @@ func (t *Transaction) rangeLocked(begin, end []byte, o RangeOptions, snapshot bo
 		}
 		order := -1 // of the snapshot's key against the buffer's, in scan direction
 		if sn != nil && bn != nil {
-			if order = bytes.Compare(sn.e.key, bn.e.key); o.Reverse {
+			if order = bytes.Compare(sn.E.Key, bn.E.Key); o.Reverse {
 				order = -order
 			}
 		} else if sn == nil {
 			order = 1
 		}
-		var e *entry
+		var e *cluster.Entry
 		if order < 0 {
-			snapIter.next()
-			e = sn.e
+			snapIter.Next()
+			e = sn.E
 			reads++
-			readBytes += len(e.key) + len(e.value)
+			readBytes += len(e.Key) + len(e.Value)
 		} else {
 			// The buffer overrides the snapshot's version of the key.
-			bufIter.next()
-			var base *entry
+			bufIter.Next()
+			var base *cluster.Entry
 			if order == 0 {
-				snapIter.next()
-				base = sn.e
+				snapIter.Next()
+				base = sn.E
 			}
-			e = bn.e
-			switch be := t.deferred[e]; {
-			case be == nil || be.ops == nil:
-			case be.vsOff >= 0:
+			e = bn.E
+			switch be := t.req.Deferred[e]; {
+			case be == nil || be.Ops == nil:
+			case be.VsOff >= 0:
 				// The placeholder with later ops folded over it is in no
 				// entry the buffer holds, so it is the one fresh entry.
 				val, gone := t.ownValue(e, be)
 				if gone {
 					continue
 				}
-				e = &entry{key: e.key, value: val}
+				e = &cluster.Entry{Key: e.Key, Value: val}
 			default:
-				if !be.fetched {
+				if !be.Fetched {
 					reads++
-					readBytes += len(e.key) + len(base.val())
+					readBytes += len(e.Key) + len(base.Val())
 				}
 				m, gone := t.materialize(e, be, base, !snapshot)
 				if gone {
@@ -787,22 +744,22 @@ func (t *Transaction) rangeLocked(begin, end []byte, o RangeOptions, snapshot bo
 			if *kvs == nil {
 				*kvs = make([]KeyValue, 0, spillCap(o))
 				for _, e := range stack {
-					*kvs = append(*kvs, e.pair())
+					*kvs = append(*kvs, pair(e))
 				}
 			}
-			*kvs = append(*kvs, e.pair())
+			*kvs = append(*kvs, pair(e))
 		case spill == nil:
-			spill = append(make([]*entry, 0, spillCap(o)), stack[:]...)
+			spill = append(make([]*cluster.Entry, 0, spillCap(o)), stack[:]...)
 			fallthrough
 		default:
 			spill = append(spill, e)
 		}
 		n++
-		last = e.key
-		byteCount += len(e.key) + len(e.value)
+		last = e.Key
+		byteCount += len(e.Key) + len(e.Value)
 	}
 	for _, e := range cleared {
-		t.clearBuffered(e.key)
+		t.clearBuffered(e.Key)
 	}
 	t.countRead(reads, readBytes)
 
@@ -814,11 +771,11 @@ func (t *Transaction) rangeLocked(begin, end []byte, o RangeOptions, snapshot bo
 		// bounds are copied.
 		switch {
 		case !more || n == 0:
-			t.readConflicts.Add(begin, end)
+			t.req.ReadConflicts.Add(begin, end)
 		case o.Reverse:
-			t.readConflicts.add(last, end, true, false)
+			t.req.ReadConflicts.AddOwned(last, end, true, false)
 		default:
-			t.readConflicts.add(begin, keyAfter(last), false, true)
+			t.req.ReadConflicts.AddOwned(begin, keyAfter(last), false, true)
 		}
 	}
 	return n, spill, more, byteCount, nil
@@ -849,7 +806,7 @@ func (t *Transaction) Set(key, value []byte) error {
 		return err
 	}
 	t.note(AccessWrite, key, nil, false)
-	t.bufSet(&entry{key: cloneBytes(key), value: cloneBytes(value)}, nil)
+	t.bufSet(&cluster.Entry{Key: cloneBytes(key), Value: cloneBytes(value)}, nil)
 	t.accountWrite(len(key) + len(value))
 	return nil
 }
@@ -870,43 +827,41 @@ func (t *Transaction) checkWrite(key, value []byte) error {
 // bufSet buffers e in place of whatever the buffer held for its key; be is
 // what commit owes the new entry, nil for a plain set. The entry is never
 // written again: commit hands it to the store as it is.
-func (t *Transaction) bufSet(e *entry, be *bufEntry) {
-	var old *entry
-	t.writes, old = treapPut(t.writes, e, keyPrio(e.key))
+func (t *Transaction) bufSet(e *cluster.Entry, be *cluster.BufEntry) {
+	var old *cluster.Entry
+	t.req.Writes, old = cluster.Put(t.req.Writes, e)
 	if old != nil {
-		delete(t.deferred, old)
+		delete(t.req.Deferred, old)
 	}
 	if be != nil {
-		if t.deferred == nil {
-			t.deferred = make(map[*entry]*bufEntry)
+		if t.req.Deferred == nil {
+			t.req.Deferred = make(map[*cluster.Entry]*cluster.BufEntry)
 		}
-		t.deferred[e] = be
+		t.req.Deferred[e] = be
 	}
 }
 
 // bufDeleteRange drops the buffered keys in [begin, end). Most clears find
 // none, and then nothing is copied.
 func (t *Transaction) bufDeleteRange(begin, end []byte) {
-	var it treapIter
-	it.seek(t.writes, begin, false)
-	if n := it.peek(); n == nil || bytes.Compare(n.e.key, end) >= 0 {
+	var it cluster.Iter
+	it.Seek(t.req.Writes, begin, false)
+	if n := it.Peek(); n == nil || bytes.Compare(n.E.Key, end) >= 0 {
 		return
 	}
-	l, rest := treapSplit(t.writes, begin)
-	mid, r := treapSplit(rest, end)
-	t.writes = treapMerge(l, r)
-	if len(t.deferred) > 0 {
-		for it.seek(mid, nil, false); it.peek() != nil; {
-			delete(t.deferred, it.next().e)
+	if len(t.req.Deferred) > 0 {
+		for n := it.Peek(); n != nil && bytes.Compare(n.E.Key, end) < 0; n = it.Peek() {
+			delete(t.req.Deferred, it.Next().E)
 		}
 	}
+	t.req.Writes = cluster.ClearRange(t.req.Writes, begin, end)
 }
 
 // clearBuffered turns a buffered key into a cleared one: a COMPARE_AND_CLEAR
 // matched what the buffer, or the snapshot under it, holds for the key.
 func (t *Transaction) clearBuffered(key []byte) {
 	t.bufDeleteRange(key, keyAfter(key))
-	t.clears.AddKey(key)
+	t.req.Clears.AddKey(key)
 }
 
 // accountWrite counts one issued mutation of n bytes and bills it to the
@@ -946,7 +901,7 @@ func (t *Transaction) clearRange(begin, end []byte, point bool) error {
 	}
 	t.note(AccessClear, begin, end, false)
 	t.bufDeleteRange(begin, end)
-	t.clears.Add(begin, end)
+	t.req.Clears.Add(begin, end)
 	if !point {
 		t.stats.RangeClears++
 	}
@@ -977,7 +932,7 @@ func (t *Transaction) Atomic(typ MutationType, key, param []byte) error {
 		if len(raw) > t.db.opts.Limits.MaxKeySize {
 			return errCode(CodeKeyTooLarge, "key of %d bytes exceeds limit", len(raw))
 		}
-		t.vsKeys = append(t.vsKeys, vsKeyOp{rawKey: raw, offset: offset, value: cloneBytes(param)})
+		t.req.VsKeys = append(t.req.VsKeys, cluster.VsKey{RawKey: raw, Offset: offset, Value: cloneBytes(param)})
 		t.accountWrite(len(raw) + len(param))
 		return nil
 	case MutationSetVersionstampedValue:
@@ -992,35 +947,35 @@ func (t *Transaction) Atomic(typ MutationType, key, param []byte) error {
 		if err := t.checkWrite(key, raw); err != nil {
 			return err
 		}
-		t.bufSet(&entry{key: cloneBytes(key), value: raw}, &bufEntry{vsOff: int32(offset)})
+		t.bufSet(&cluster.Entry{Key: cloneBytes(key), Value: raw}, &cluster.BufEntry{VsOff: int32(offset)})
 		t.accountWrite(len(key) + len(raw))
 		return nil
 	}
 	if err := t.checkWrite(key, param); err != nil {
 		return err
 	}
-	op := mutation{typ, cloneBytes(param)}
-	e := treapGet(t.writes, key)
-	be := t.deferred[e]
+	op := cluster.Mutation{Type: typ, Param: cloneBytes(param)}
+	e := cluster.Get(t.req.Writes, key)
+	be := t.req.Deferred[e]
 	switch {
 	case be != nil:
 		// Pending ops, or a versionstamped value: commit folds this op after
 		// them, over the committed base or the stamped value.
-		be.ops = append(be.ops, op)
-	case e != nil || t.clears.ContainsKey(key):
+		be.Ops = append(be.Ops, op)
+	case e != nil || t.req.Clears.ContainsKey(key):
 		// The key's value is known — buffered, or cleared — so the op folds now.
-		val, cleared := applyMutations(e.val(), []mutation{op}, t.db.opts.Limits.MaxValueSize)
+		val, cleared := cluster.ApplyMutations(e.Val(), []cluster.Mutation{op}, t.db.opts.Limits.MaxValueSize)
 		switch {
 		case cleared && e != nil:
 			t.clearBuffered(key)
 		case cleared:
 		case e != nil:
-			t.bufSet(&entry{key: e.key, value: val}, nil)
+			t.bufSet(&cluster.Entry{Key: e.Key, Value: val}, nil)
 		default:
-			t.bufSet(&entry{key: cloneBytes(key), value: val}, nil)
+			t.bufSet(&cluster.Entry{Key: cloneBytes(key), Value: val}, nil)
 		}
 	default:
-		t.bufSet(&entry{key: cloneBytes(key)}, &bufEntry{ops: []mutation{op}, vsOff: -1})
+		t.bufSet(&cluster.Entry{Key: cloneBytes(key)}, &cluster.BufEntry{Ops: []cluster.Mutation{op}, VsOff: -1})
 	}
 	t.accountWrite(len(key) + len(param))
 	return nil
@@ -1046,9 +1001,9 @@ func (t *Transaction) ClearVersionstampedKey(key []byte) error {
 	}
 	t.note(AccessClear, key, nil, false)
 	offset, raw := int(binary.LittleEndian.Uint32(key[len(key)-4:])), key[:len(key)-4]
-	for i, op := range t.vsKeys {
-		if op.offset == offset && bytes.Equal(op.rawKey, raw) {
-			t.vsKeys = append(t.vsKeys[:i], t.vsKeys[i+1:]...)
+	for i, op := range t.req.VsKeys {
+		if op.Offset == offset && bytes.Equal(op.RawKey, raw) {
+			t.req.VsKeys = append(t.req.VsKeys[:i], t.req.VsKeys[i+1:]...)
 			break
 		}
 	}
@@ -1077,7 +1032,7 @@ func (t *Transaction) AddReadConflictKey(key []byte) {
 	defer t.mu.Unlock()
 	t.note(AccessReadConflict, key, nil, false)
 	if !t.readOnly {
-		t.readConflicts.AddKey(key)
+		t.req.ReadConflicts.AddKey(key)
 	}
 }
 
@@ -1088,7 +1043,7 @@ func (t *Transaction) AddReadConflictRange(begin, end []byte) {
 	defer t.mu.Unlock()
 	t.note(AccessReadConflict, begin, end, false)
 	if !t.readOnly {
-		t.readConflicts.Add(begin, end)
+		t.req.ReadConflicts.Add(begin, end)
 	}
 }
 
@@ -1097,7 +1052,7 @@ func (t *Transaction) AddWriteConflictKey(key []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.note(AccessWriteConflict, key, nil, false)
-	t.writeConflicts.AddKey(key)
+	t.req.WriteConflicts.AddKey(key)
 }
 
 // Commit validates and applies the transaction. On conflict it returns a
@@ -1119,7 +1074,7 @@ func (t *Transaction) Commit() error {
 		t0 = t.db.simNow()
 	}
 	ready, err := t.commitLocked()
-	hook, version, bumped := t.onCommit, t.cVersion, t.bumpMeta
+	hook, version, bumped := t.onCommit, t.cVersion, t.req.BumpMeta
 	t.onCommit = nil
 	t.mu.Unlock()
 	if tap := t.db.tap; tap != nil {
@@ -1220,7 +1175,7 @@ func (t *Transaction) commitLocked() (int64, error) {
 	if t.stats.Size+t.conflictRangeBytes() > t.db.opts.Limits.MaxTxnSize {
 		return 0, errCode(CodeTransactionTooLarge, "transaction exceeds %d bytes", t.db.opts.Limits.MaxTxnSize)
 	}
-	writes := t.writes != nil || t.clears.Len() > 0 || len(t.vsKeys) > 0 || t.writeConflicts.Len() > 0 || t.bumpMeta
+	writes := t.req.Writes != nil || t.req.Clears.Len() > 0 || len(t.req.VsKeys) > 0 || t.req.WriteConflicts.Len() > 0 || t.req.BumpMeta
 	if writes && t.readOnly {
 		// It recorded no read conflicts, so nothing could validate its writes.
 		return 0, errCode(CodeClientInvalidOp, "read transaction cannot commit mutations")
@@ -1231,7 +1186,7 @@ func (t *Transaction) commitLocked() (int64, error) {
 		if err := t.ensureSnapshot(); err != nil {
 			return 0, err
 		}
-		t.cVersion = t.readVersion
+		t.cVersion = t.req.ReadVersion
 		return 0, nil
 	}
 	if err := t.ensureSnapshot(); err != nil {
@@ -1263,106 +1218,10 @@ func (t *Transaction) commitLocked() (int64, error) {
 
 func (t *Transaction) conflictRangeBytes() int {
 	n := 0
-	for _, r := range t.readConflicts.All() {
+	for _, r := range t.req.ReadConflicts.All() {
 		n += len(r.Begin) + len(r.End)
 	}
 	return n
-}
-
-// applyTo produces the new committed root and the write ranges the resolver
-// keeps for it, in one walk of the buffer in key order. Range clears go first;
-// then every key the transaction sets, deletes or versionstamps goes into one
-// sorted batch that treapApply lands in a single pass — a Clear of one key is
-// a delete in that batch, not a range. Pending atomic mutations read their
-// base value from the *current* committed root, not the transaction's
-// snapshot — this is what makes concurrent atomic increments compose. A
-// written key's resolver range is the committed entry's own key bytes with a
-// nil End, which means exactly that key (see commitRecord); clears and manual
-// write conflicts keep their End.
-func (t *Transaction) applyTo(root *node, commitVersion int64) (*node, []KeyRange) {
-	clears := t.clears.All()
-	ranges := make([]KeyRange, 0, t.stats.Mutations+t.writeConflicts.Len())
-	batch := make([]write, 0, t.stats.Mutations)
-	written := func(key, val []byte) {
-		t.stats.KeysWritten++
-		t.stats.BytesWritten += len(key) + len(val)
-		t.db.metrics.KeysWritten.Add(1)
-		t.db.metrics.BytesWritten.Add(int64(len(key) + len(val)))
-		ranges = append(ranges, KeyRange{Begin: key})
-	}
-	stamp := versionstampBytes(commitVersion)
-	var it treapIter
-	it.seek(t.writes, nil, false)
-	// Clears and buffered keys are both in key order; so is their merge.
-	for n := it.next(); n != nil || len(clears) > 0; {
-		if len(clears) > 0 && (n == nil || bytes.Compare(clears[0].Begin, n.e.key) <= 0) {
-			r := clears[0]
-			clears = clears[1:]
-			ranges = append(ranges, r)
-			if !isSingleKey(r) {
-				root = treapClearRange(root, r.Begin, r.End)
-			} else if n == nil || !bytes.Equal(r.Begin, n.e.key) {
-				// A key cleared and then written needs no delete: the write replaces it.
-				batch = append(batch, write{key: r.Begin})
-			}
-			continue
-		}
-		e, be := n.e, t.deferred[n.e]
-		if be != nil {
-			// The base of the ops is the stamped value; without a stamp, root
-			// holds it whichever range clears have been applied so far, since
-			// no clear covers a key with pending ops.
-			var val []byte
-			if be.vsOff >= 0 {
-				val = cloneBytes(e.value)
-				copy(val[be.vsOff:be.vsOff+10], stamp)
-			} else {
-				val = treapGet(root, e.key).val()
-			}
-			cleared := false
-			if be.ops != nil {
-				val, cleared = applyMutations(val, be.ops, t.db.opts.Limits.MaxValueSize)
-			}
-			e = nil
-			if !cleared {
-				e = &entry{key: n.e.key, value: val}
-			}
-		}
-		batch = append(batch, write{key: n.e.key, e: e, prio: n.prio})
-		written(n.e.key, e.val())
-		n = it.next()
-	}
-	// Versionstamped keys are few: each is placed into the sorted batch, over
-	// whatever the batch held for that key.
-	for _, op := range t.vsKeys {
-		key := cloneBytes(op.rawKey)
-		copy(key[op.offset:op.offset+10], stamp)
-		w := write{key: key, e: &entry{key: key, value: op.value}, prio: keyPrio(key)}
-		i := sort.Search(len(batch), func(i int) bool { return bytes.Compare(batch[i].key, key) >= 0 })
-		if i == len(batch) || !bytes.Equal(batch[i].key, key) {
-			batch = append(batch, write{})
-			copy(batch[i+1:], batch[i:])
-		}
-		batch[i] = w
-		written(key, op.value)
-	}
-	ranges = append(ranges, t.writeConflicts.All()...)
-	return treapApply(root, batch), ranges
-}
-
-// isSingleKey reports whether r is [k, k+0x00): what Clear(k) buffers.
-func isSingleKey(r KeyRange) bool {
-	n := len(r.Begin)
-	return len(r.End) == n+1 && r.End[n] == 0 && bytes.Equal(r.End[:n], r.Begin)
-}
-
-// versionstampBytes renders the 10-byte transaction version: 8-byte
-// big-endian commit version plus a 2-byte batch order (always zero here,
-// since each simulated commit forms its own batch).
-func versionstampBytes(commitVersion int64) []byte {
-	b := make([]byte, 10)
-	binary.BigEndian.PutUint64(b, uint64(commitVersion))
-	return b
 }
 
 // CommittedVersion returns the version this transaction committed at.
@@ -1382,7 +1241,7 @@ func (t *Transaction) Versionstamp() ([]byte, error) {
 	if !t.committed {
 		return nil, errCode(CodeClientInvalidOp, "transaction not committed")
 	}
-	return versionstampBytes(t.cVersion), nil
+	return cluster.Versionstamp(t.cVersion), nil
 }
 
 // SetTrace attaches a span sink: GRV, read-window, await, and commit spans
@@ -1447,107 +1306,7 @@ func (t *Transaction) Cancel() {
 func (t *Transaction) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.txnState = txnState{start: t.db.nowNanos(), readVersion: -1, readOnly: t.readOnly}
-}
-
-// applyMutations folds atomic operations over a base value. The second
-// result reports that the key should be cleared (CompareAndClear matched).
-func applyMutations(base []byte, ops []mutation, maxValue int) ([]byte, bool) {
-	val := cloneBytes(base)
-	cleared := base == nil
-	for _, m := range ops {
-		switch m.typ {
-		case MutationAdd:
-			val = addLittleEndian(val, m.param)
-		case MutationBitAnd:
-			val = bitOp(val, m.param, func(a, b byte) byte { return a & b })
-		case MutationBitOr:
-			val = bitOp(val, m.param, func(a, b byte) byte { return a | b })
-		case MutationBitXor:
-			val = bitOp(val, m.param, func(a, b byte) byte { return a ^ b })
-		case MutationMax:
-			if cleared || compareLittleEndian(m.param, val) > 0 {
-				val = cloneBytes(m.param)
-			}
-		case MutationMin:
-			if cleared || compareLittleEndian(m.param, val) < 0 {
-				val = cloneBytes(m.param)
-			}
-		case MutationByteMax:
-			if cleared || bytes.Compare(m.param, val) > 0 {
-				val = cloneBytes(m.param)
-			}
-		case MutationByteMin:
-			if cleared || bytes.Compare(m.param, val) < 0 {
-				val = cloneBytes(m.param)
-			}
-		case MutationAppendIfFits:
-			if len(val)+len(m.param) <= maxValue {
-				val = append(val, m.param...)
-			}
-		case MutationCompareAndClear:
-			if bytes.Equal(val, m.param) {
-				return nil, true
-			}
-		}
-		cleared = false
-	}
-	return val, false
-}
-
-// addLittleEndian adds two little-endian unsigned integers; the result has
-// the parameter's length (FDB semantics), with wraparound.
-func addLittleEndian(base, param []byte) []byte {
-	out := make([]byte, len(param))
-	var carry uint16
-	for i := 0; i < len(param); i++ {
-		var b byte
-		if i < len(base) {
-			b = base[i]
-		}
-		s := uint16(b) + uint16(param[i]) + carry
-		out[i] = byte(s)
-		carry = s >> 8
-	}
-	return out
-}
-
-func bitOp(base, param []byte, f func(a, b byte) byte) []byte {
-	out := make([]byte, len(param))
-	for i := 0; i < len(param); i++ {
-		var b byte
-		if i < len(base) {
-			b = base[i]
-		}
-		out[i] = f(b, param[i])
-	}
-	return out
-}
-
-// compareLittleEndian compares little-endian unsigned integers of possibly
-// different lengths.
-func compareLittleEndian(a, b []byte) int {
-	la, lb := len(a), len(b)
-	n := la
-	if lb > n {
-		n = lb
-	}
-	for i := n - 1; i >= 0; i-- {
-		var av, bv byte
-		if i < la {
-			av = a[i]
-		}
-		if i < lb {
-			bv = b[i]
-		}
-		if av != bv {
-			if av < bv {
-				return -1
-			}
-			return 1
-		}
-	}
-	return 0
+	t.txnState = txnState{start: t.db.nowNanos(), req: cluster.CommitRequest{ReadVersion: -1}, readOnly: t.readOnly}
 }
 
 // shared hands out b, which the database never writes again, clipped to
@@ -1556,7 +1315,7 @@ func compareLittleEndian(a, b []byte) int {
 func shared(b []byte) []byte { return b[:len(b):len(b)] }
 
 // pair is e as a read hands it out: its own bytes, shared (see KeyValue).
-func (e *entry) pair() KeyValue { return KeyValue{Key: shared(e.key), Value: shared(e.value)} }
+func pair(e *cluster.Entry) KeyValue { return KeyValue{Key: shared(e.Key), Value: shared(e.Value)} }
 
 func cloneBytes(b []byte) []byte {
 	if b == nil {

@@ -18,14 +18,16 @@ var ClockInject = &Analyzer{
 }
 
 // clockedPackages have an injectable clock (an Options.Clock/Now field or a
-// virtual latency clock) that every time reading must go through.
+// virtual latency clock) that every time reading must go through, or read no
+// clock at all and must not start.
 var clockedPackages = map[string]bool{
-	"recordlayer":                         true, // RunnerOptions.Now, ExecuteProperties clock
-	"recordlayer/internal/fdb":            true, // Options.Clock + the virtual latency clock
-	"recordlayer/internal/resource":       true, // GovernorOptions.Clock, UsageExporter clock
-	"recordlayer/internal/resource/lease": true, // lease.Options.Clock
-	"recordlayer/internal/core":           true, // VersionCache clock
-	"recordlayer/internal/cursor":         true, // Limiter clock
+	"recordlayer":                               true, // RunnerOptions.Now, ExecuteProperties clock
+	"recordlayer/internal/fdb":                  true, // Options.Clock + the virtual latency clock
+	"recordlayer/internal/fdb/internal/cluster": true, // reads no clock: time is the client's to price
+	"recordlayer/internal/resource":             true, // GovernorOptions.Clock, UsageExporter clock
+	"recordlayer/internal/resource/lease":       true, // lease.Options.Clock
+	"recordlayer/internal/core":                 true, // VersionCache clock
+	"recordlayer/internal/cursor":               true, // Limiter clock
 }
 
 // wallClockFuncs are the time package functions whose *call* reads or blocks

@@ -21,7 +21,7 @@ var Layering = &Analyzer{
 // recordlayer/internal/ ("recordlayer" is the façade). A package may import
 // only packages of earlier rows, never one of its own row.
 var layers = [][]string{
-	{"tuple", "message", "cursor", "obs", "text", "cassandra", "lint"},
+	{"tuple", "message", "cursor", "obs", "text", "cassandra", "lint", "fdb/internal/cluster"},
 	{"subspace", "keyexpr", "fdb", "lint/linttest"},
 	{"query", "overlay", "directory", "metadata"},
 	{"kvcursor", "keyspace", "bunched", "rankedset"},

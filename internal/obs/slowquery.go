@@ -19,6 +19,13 @@ type SlowQuery struct {
 	// Trace is the transaction trace's Summary when one rode the context;
 	// empty otherwise.
 	Trace string
+	// KeysRead, BytesRead and SimWaitNanos are what the executing
+	// transaction's stats (fdb.TxnStats) grew by between execution start and
+	// the halt; InFlightHighWater is the transaction's in-flight high-water
+	// mark at the halt. They need no trace.
+	KeysRead, BytesRead int
+	SimWaitNanos        int64
+	InFlightHighWater   int
 }
 
 // DefaultQueryBuckets are the query_duration_seconds histogram bounds:

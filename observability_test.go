@@ -400,7 +400,7 @@ func TestExplainQueryAccumulatesPages(t *testing.T) {
 // histogram.
 func TestSlowQueryLogCapture(t *testing.T) {
 	_, md := testSchema(t)
-	db := fdb.Open(nil)
+	db := fdb.Open(&fdb.Options{Latency: fdb.LatencyModel{PerRead: time.Millisecond, Virtual: true}})
 	r := NewRunner(db, RunnerOptions{})
 	log := NewSlowQueryLog(0)
 	ks, err := keyspace.New(nil,
@@ -415,18 +415,22 @@ func TestSlowQueryLogCapture(t *testing.T) {
 	}
 	saveDocs(t, r, p, 1, 10)
 
+	// before and after are the slow run's transaction stats around the query.
+	var before, after fdb.TxnStats
 	runQuery := func(threshold time.Duration) {
 		_, err := r.ReadRun(context.Background(), func(ctx context.Context, tr *fdb.Transaction) (interface{}, error) {
 			s, err := p.Open(ctx, tr, int64(1))
 			if err != nil {
 				return nil, err
 			}
+			before = tr.Stats()
 			cur, err := s.ExecuteQuery(ctx, Query{RecordTypes: []string{"Doc"}},
 				ExecuteProperties{SlowQueryThreshold: threshold})
 			if err != nil {
 				return nil, err
 			}
 			_, err = cur.ToList()
+			after = tr.Stats()
 			return nil, err
 		})
 		if err != nil {
@@ -446,6 +450,12 @@ func TestSlowQueryLogCapture(t *testing.T) {
 	e := entries[0]
 	if e.Plan != "Scan(Doc)" || e.Rows != 10 || e.Reason != "source-exhausted" || e.Elapsed <= 0 {
 		t.Fatalf("unexpected slow entry %+v", e)
+	}
+	// No trace rode the context: the cost comes from the transaction's stats.
+	if e.Trace != "" || e.KeysRead == 0 || e.KeysRead != after.KeysRead-before.KeysRead ||
+		e.BytesRead != after.BytesRead-before.BytesRead || e.SimWaitNanos == 0 ||
+		e.SimWaitNanos != after.SimWaitNanos-before.SimWaitNanos || e.InFlightHighWater == 0 || e.InFlightHighWater != after.InFlightHighWater {
+		t.Fatalf("slow entry %+v, want the query's share of the transaction's stats: %+v before, %+v after", e, before, after)
 	}
 	if got := log.DurationHistogram().Count(); got != 2 {
 		t.Fatalf("histogram observed %d executions, want 2", got)

@@ -245,10 +245,14 @@ func (s *Store) executePlan(ctx context.Context, pl plan.Plan, props ExecuteProp
 		start := clock()
 		trace := obs.FromContext(ctx)
 		threshold := props.SlowQueryThreshold
+		before := s.TxnStats()
 		rc.onHalt = func(rows int, reason cursor.NoNextReason) {
 			elapsed := clock().Sub(start)
 			slow := threshold > 0 && elapsed >= threshold
-			sq := obs.SlowQuery{Plan: pl.String(), Elapsed: elapsed, Rows: rows, Reason: reason.String()}
+			after := s.TxnStats()
+			sq := obs.SlowQuery{Plan: pl.String(), Elapsed: elapsed, Rows: rows, Reason: reason.String(),
+				KeysRead: after.KeysRead - before.KeysRead, BytesRead: after.BytesRead - before.BytesRead,
+				SimWaitNanos: after.SimWaitNanos - before.SimWaitNanos, InFlightHighWater: after.InFlightHighWater}
 			if slow {
 				sq.Trace = trace.Summary()
 			}
