@@ -793,8 +793,13 @@
 // replays three pinned seeds in CI) keeps lease slices within the decay bound
 // through failed heartbeats.
 //
-// The implementation lives under internal/: the FoundationDB simulator
-// (internal/fdb), the tuple, subspace, directory and keyspace layers, a
+// The implementation lives under internal/: the FoundationDB simulator, split
+// at the wire like a real client and cluster — internal/fdb is the client
+// (transactions, read-your-writes, futures, the latency clock, faults on
+// reads, retry), internal/fdb/internal/cluster the server (the committed tree,
+// versions, the resolver and the snapshot history), which only internal/fdb
+// can import and which a commit reaches as one CommitRequest — the tuple,
+// subspace, directory and keyspace layers, a
 // dynamic protobuf (internal/message), schema management
 // (internal/metadata), key expressions (internal/keyexpr), index maintainers
 // (internal/index), the record store itself (internal/core), query planning

@@ -3,8 +3,6 @@ package fdb
 import (
 	"errors"
 	"fmt"
-
-	"recordlayer/internal/fdb/internal/cluster"
 )
 
 // Error codes mirror FoundationDB's numbering so client code (the Record
@@ -34,9 +32,6 @@ type Error struct {
 	// had no reason to fail the call.
 	Injected bool
 }
-
-// KeyRange is a half-open key interval [Begin, End).
-type KeyRange = cluster.KeyRange
 
 // cloneRange copies r's bounds; a nil End stays nil.
 func cloneRange(r KeyRange) KeyRange {

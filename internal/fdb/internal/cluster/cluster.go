@@ -98,8 +98,7 @@ type CommitRequest struct {
 	Clears RangeSet
 	VsKeys []VsKey
 
-	ReadConflicts  RangeSet
-	WriteConflicts RangeSet
+	ReadConflicts, WriteConflicts RangeSet
 
 	// BumpMeta advances the metadata version to the commit version.
 	BumpMeta bool
@@ -139,7 +138,8 @@ type Verdict struct {
 }
 
 // Snapshot is the cluster's state as of one version. It is never written
-// again: a commit makes a new one.
+// again: a commit makes a new one, and GRV and SnapshotAt hand out the
+// cluster's own record, so a transaction binds its snapshot with one pointer.
 type Snapshot struct {
 	Version int64
 	Root    *Node
@@ -201,10 +201,6 @@ type Cluster struct {
 	history  ring[*Snapshot]    // ascending by version; snapshot history
 	batch    []write            // applyTo's scratch, kept between commits
 }
-
-// keptBatch bounds the scratch batch a cluster keeps between commits: a bulk
-// load's batch is let go.
-const keptBatch = 1 << 10
 
 // New returns an empty cluster. maxValue bounds MutationAppendIfFits. roll,
 // when set, is the commit fault roll: it returns Committed or one of the
@@ -284,14 +280,12 @@ func (c *Cluster) Commit(r *CommitRequest) Verdict {
 	if outcome == InjectedNotCommitted || outcome == InjectedUnknownDropped {
 		return Verdict{Outcome: outcome}
 	}
-	v := c.apply(r)
-	v.Outcome = outcome
-	return v
+	return c.apply(r, outcome)
 }
 
 // apply applies a validated request's mutations atomically. Caller holds c.mu.
-func (c *Cluster) apply(r *CommitRequest) Verdict {
-	v := Verdict{Version: c.cur.Version + VersionStep}
+func (c *Cluster) apply(r *CommitRequest, outcome Outcome) Verdict {
+	v := Verdict{Outcome: outcome, Version: c.cur.Version + VersionStep}
 	// The new root, and the write conflict ranges kept for future resolution.
 	root, writes := c.applyTo(r, &v)
 	if len(writes) > 0 {
@@ -386,8 +380,9 @@ func (c *Cluster) applyTo(r *CommitRequest, v *Verdict) (*Node, []KeyRange) {
 	}
 	ranges = append(ranges, r.WriteConflicts.All()...)
 	root = treapApply(root, batch)
-	clear(batch) // the scratch keeps no entry alive
-	if cap(batch) <= keptBatch {
+	// The scratch keeps no entry alive, and lets a bulk load's batch go.
+	clear(batch)
+	if cap(batch) <= 1<<10 {
 		c.batch = batch[:0]
 	}
 	return root, ranges

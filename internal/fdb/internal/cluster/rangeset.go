@@ -10,12 +10,11 @@ type KeyRange struct {
 	Begin, End []byte
 }
 
-// singleKeyRange returns the range covering exactly one key. Begin and End
-// share one copy of it: nothing writes a stored bound again.
+// singleKeyRange returns the range covering exactly one key.
 func singleKeyRange(key []byte) KeyRange {
 	end := make([]byte, len(key)+1)
 	copy(end, key)
-	return KeyRange{Begin: end[:len(key):len(key)], End: end}
+	return KeyRange{Begin: append([]byte(nil), key...), End: end}
 }
 
 // RangeSet maintains a sorted list of disjoint, coalesced key ranges. It is

@@ -10,6 +10,9 @@ import (
 	"recordlayer/internal/obs"
 )
 
+// KeyRange is a half-open key interval [Begin, End).
+type KeyRange = cluster.KeyRange
+
 // KeyValue is a single key-value pair returned by range reads: an element of
 // GetRange's slice, or what Pairs.At builds from a future's reply. Key and
 // Value are the database's own bytes — the snapshot's, or the transaction's
